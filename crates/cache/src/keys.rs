@@ -46,19 +46,23 @@ pub fn config_fp(config: &PtaConfig) -> u128 {
 /// a function that changes any resolution changes the affected callers'
 /// edge sets and hence their keys.
 pub fn module_keys(module: &Module, config_fp: u128) -> Vec<u128> {
-    let cg = CallGraph::new(module);
+    module_keys_with_graph(module, config_fp, &CallGraph::new(module))
+}
+
+/// [`module_keys`] over a caller-supplied call graph of `module`.
+pub fn module_keys_with_graph(module: &Module, config_fp: u128, cg: &CallGraph) -> Vec<u128> {
     let fps = module_fingerprints(module);
     // `sccs` is emitted in reverse topological order of the condensation
     // (callee components first), so one forward pass sees every callee
     // tfp before it is needed.
-    let mut scc_tfp = vec![0u128; cg.sccs.len()];
-    for (si, members) in cg.sccs.iter().enumerate() {
+    let mut scc_tfp = vec![0u128; cg.scc_count()];
+    for (si, members) in cg.sccs().enumerate() {
         let mut member_fps: Vec<u128> = members.iter().map(|f| fps[f.0 as usize]).collect();
         member_fps.sort_unstable();
         let mut callee_tfps: Vec<u128> = members
             .iter()
-            .flat_map(|f| cg.callees[f.0 as usize].iter())
-            .map(|c| cg.scc_of[c.0 as usize])
+            .flat_map(|&f| cg.callees(f))
+            .map(|&c| cg.scc_of(c))
             .filter(|&sc| sc != si)
             .map(|sc| scc_tfp[sc])
             .collect();
@@ -75,13 +79,14 @@ pub fn module_keys(module: &Module, config_fp: u128) -> Vec<u128> {
         }
         scc_tfp[si] = h.finish();
     }
-    (0..module.funcs.len())
-        .map(|i| {
+    module
+        .iter_funcs()
+        .map(|(fid, _)| {
             let mut h = Fnv128::new();
             h.write_u128(config_fp);
-            h.write_u128(scc_tfp[cg.scc_of[i]]);
-            h.write_u128(fps[i]);
-            h.write_u32(i as u32);
+            h.write_u128(scc_tfp[cg.scc_of(fid)]);
+            h.write_u128(fps[fid.0 as usize]);
+            h.write_u32(fid.0);
             h.finish()
         })
         .collect()
@@ -123,6 +128,26 @@ mod tests {
             k2[idx(&m2, "lone")],
             "untouched stays clean"
         );
+    }
+
+    #[test]
+    fn corpus_keys_match_values_recorded_before_the_csr_call_graph() {
+        // Recorded with the nested-`Vec` call graph this crate derived
+        // keys over until then. A cache directory populated by an older
+        // binary stays warm only while these hold.
+        for (file, pinned) in [
+            ("callee_pair.pp", 0x5671019cd83c24293cc74ea3701753fd_u128),
+            ("recursive_safe.pp", 0x6b79c2180d7daa3df338855b31315f2c),
+        ] {
+            let path = format!("{}/../../tests/corpus/{file}", env!("CARGO_MANIFEST_DIR"));
+            let (_, keys) = keys_of(&std::fs::read_to_string(path).unwrap());
+            let mut h = Fnv128::new();
+            h.write_u64(keys.len() as u64);
+            for k in keys {
+                h.write_u128(k);
+            }
+            assert_eq!(h.finish(), pinned, "{file}: cache keys moved");
+        }
     }
 
     #[test]

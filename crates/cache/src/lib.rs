@@ -32,7 +32,7 @@ pub mod keys;
 pub mod store;
 
 pub use codec::{ByteReader, ByteWriter, DecodeError};
-pub use keys::{config_fp, module_keys};
+pub use keys::{config_fp, module_keys, module_keys_with_graph};
 pub use store::{CacheInfo, CacheStats, CacheStore, VerifyOutcome, FORMAT_VERSION, HEADER_LEN};
 
 use pinpoint_pta::{ArtifactStore, FuncArtifact};

@@ -25,8 +25,8 @@ use crate::error::PinpointError;
 use crate::seg::ModuleSeg;
 use crate::spec::CheckerKind;
 use crate::vfsummary::{summary_fingerprint, Engine, ModuleSummaries};
-use pinpoint_cache::{config_fp, module_keys, CacheStats, CacheStore, PtaArtifactStore};
-use pinpoint_ir::Module;
+use pinpoint_cache::{config_fp, module_keys_with_graph, CacheStats, CacheStore, PtaArtifactStore};
+use pinpoint_ir::{CallGraph, Module};
 use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
 use pinpoint_pta::{
     analyze_module_cached, analyze_module_par, ModuleAnalysis, PtaConfig, PtaStats,
@@ -69,6 +69,10 @@ pub struct PipelineStats {
     /// [`AnalysisBuilder::build_source`]; zero when the module was built
     /// elsewhere).
     pub front_time: Duration,
+    /// Wall time of the call-graph build (one per build or update).
+    pub callgraph_time: Duration,
+    /// Wall time of the cache-key derivation.
+    pub keys_time: Duration,
     /// Wall time of points-to + transformation.
     pub pta_time: Duration,
     /// Wall time of SEG construction.
@@ -311,7 +315,7 @@ impl AnalysisBuilder {
         // them, and the incremental paths ([`Analysis::update_incremental`],
         // the query cache of [`crate::workspace::Workspace`]) diff them to
         // find what an edit dirtied.
-        let func_keys = module_keys(&module, config_fp(&self.pta));
+        let (callgraph, func_keys) = graph_and_keys(&module, &self.pta, &mut trace, &mut stats);
         let t0 = Instant::now();
         let pta_span = trace.open("pta", "");
         let mut pta = match &mut cache {
@@ -324,13 +328,20 @@ impl AnalysisBuilder {
                     &mut trace,
                     &func_keys,
                     &mut adapter,
+                    &callgraph,
                 );
                 pta
             }
-            None => analyze_module_par(&mut module, &self.pta, self.threads, &mut trace),
+            None => {
+                analyze_module_par(&mut module, &self.pta, self.threads, &mut trace, &callgraph)
+            }
         };
         trace.close(pta_span);
         stats.pta_time = t0.elapsed();
+        debug_assert!(
+            callgraph.describes(&module),
+            "the connector transform must not change the call graph"
+        );
         stats.pta = pta.total_stats();
         let t1 = Instant::now();
         let mut arena = std::mem::take(&mut pta.arena);
@@ -380,6 +391,7 @@ impl AnalysisBuilder {
             module,
             pta,
             segs,
+            callgraph,
             arena: Arc::new(arena),
             verdicts,
             cache_dir: self.cache_dir,
@@ -393,6 +405,28 @@ impl AnalysisBuilder {
             trace,
         })
     }
+}
+
+/// Builds the module's one call graph and derives the per-function cache
+/// keys over it, under the `callgraph` and `keys` spans, recording both
+/// stages' times. Runs against the *pre-transform* module; the
+/// transform leaves the graph unchanged, so every later stage borrows
+/// this one.
+fn graph_and_keys(
+    module: &Module,
+    pta: &PtaConfig,
+    trace: &mut TraceBuf,
+    stats: &mut PipelineStats,
+) -> (Arc<CallGraph>, Vec<u128>) {
+    let t = Instant::now();
+    let callgraph = trace.span("callgraph", "", |_| Arc::new(CallGraph::new(module)));
+    stats.callgraph_time = t.elapsed();
+    let t = Instant::now();
+    let keys = trace.span("keys", "", |_| {
+        module_keys_with_graph(module, config_fp(pta), &callgraph)
+    });
+    stats.keys_time = t.elapsed();
+    (callgraph, keys)
 }
 
 /// What [`Analysis::update_incremental`] reused versus recomputed.
@@ -442,6 +476,11 @@ pub struct Analysis {
     pub pta: ModuleAnalysis,
     /// Per-function SEGs.
     pub segs: ModuleSeg,
+    /// The module's call graph and its SCC condensation: built once per
+    /// build or update from the pre-transform module (the connector
+    /// transform leaves it unchanged) and borrowed by the key
+    /// derivation, the points-to schedule and every summary build.
+    pub callgraph: Arc<CallGraph>,
     /// The module-global term interner. Shared behind an [`Arc`] so
     /// detection workers overlay it ([`TermArena::overlay`]) instead of
     /// deep-cloning: base terms are read in place, per-source scratch
@@ -549,7 +588,6 @@ impl Analysis {
             verdicts,
             verdicts_persisted: 0,
             summaries: std::collections::HashMap::new(),
-            callgraph: None,
         }
     }
 
@@ -603,7 +641,14 @@ impl Analysis {
     /// [`Analysis::update_incremental`] over an already-compiled
     /// (pre-transform) module.
     pub fn update_module_incremental(&mut self, mut new_module: Module) -> UpdateOutcome {
-        let new_keys = module_keys(&new_module, config_fp(&self.pta_config));
+        // Updates are untraced (the artefact's trace is its build's), so
+        // only the stage times are kept.
+        let (callgraph, new_keys) = graph_and_keys(
+            &new_module,
+            &self.pta_config,
+            &mut TraceBuf::off(),
+            &mut self.stats,
+        );
         // Key diffs are caller-closed: an edit anywhere below a function
         // changes that function's transitive key, so the dirty set needs
         // no further closure. A shape change (different function count)
@@ -632,7 +677,13 @@ impl Analysis {
             &self.module,
             old,
             &key_dirty,
+            &callgraph,
         );
+        debug_assert!(
+            callgraph.describes(&new_module),
+            "the connector transform must not change the call graph"
+        );
+        self.callgraph = callgraph;
         let reanalyzed = outcome.reanalyzed.len();
         let dirty: std::collections::HashSet<pinpoint_ir::FuncId> = if outcome.fell_back {
             (0..new_module.funcs.len())
@@ -758,9 +809,6 @@ pub struct DetectSession<'a> {
     /// summary-engine runs, keyed by property fingerprint — the artefact
     /// is immutable, so repeated `check_all`s replay them for free.
     summaries: std::collections::HashMap<u128, ModuleSummaries>,
-    /// Call-graph condensation, built lazily by the first summary-engine
-    /// run and shared by every spec (the artefact is immutable).
-    callgraph: Option<pinpoint_ir::CallGraph>,
 }
 
 impl<'a> DetectSession<'a> {
@@ -854,9 +902,6 @@ impl<'a> DetectSession<'a> {
                 sums
             }
             None => {
-                if self.callgraph.is_none() {
-                    self.callgraph = Some(pinpoint_ir::CallGraph::new(&self.analysis.module));
-                }
                 let mut store = self
                     .analysis
                     .cache_dir
@@ -870,7 +915,7 @@ impl<'a> DetectSession<'a> {
                     store
                         .as_mut()
                         .map(|st| (st, self.analysis.func_keys.as_slice())),
-                    self.callgraph.as_ref().expect("just built"),
+                    &self.analysis.callgraph,
                 )
             }
         }
@@ -1043,6 +1088,14 @@ pub(crate) fn build_metrics(
             .map(|f| f.iter_insts().count() as u64)
             .sum(),
     );
+    m.counter_add("callgraph.time_ns", s.callgraph_time.as_nanos() as u64);
+    m.counter_add("callgraph.edges", analysis.callgraph.edge_count() as u64);
+    m.counter_add("callgraph.sccs", analysis.callgraph.scc_count() as u64);
+    m.counter_add(
+        "callgraph.max_callers",
+        analysis.callgraph.max_callers() as u64,
+    );
+    m.counter_add("keys.time_ns", s.keys_time.as_nanos() as u64);
     m.counter_add("pta.time_ns", s.pta_time.as_nanos() as u64);
     s.pta.record_into(&mut m);
     m.counter_add("seg.time_ns", s.seg_time.as_nanos() as u64);

@@ -842,11 +842,13 @@ mod tests {
             .map(|&t| {
                 let mut m = compile(src).unwrap();
                 let mut trace = pinpoint_obs::TraceBuf::off();
+                let cg = pinpoint_ir::CallGraph::new(&m);
                 let mut a = pinpoint_pta::analyze_module_par(
                     &mut m,
                     &pinpoint_pta::PtaConfig::default(),
                     t,
                     &mut trace,
+                    &cg,
                 );
                 let mut arena = std::mem::take(&mut a.arena);
                 let mut symbols = std::mem::take(&mut a.symbols);

@@ -268,7 +268,7 @@ impl ModuleSummaries {
             // loads from the reuse count).
             let mut pending: Vec<&[FuncId]> = Vec::new();
             for &scc in level {
-                let members = cg.sccs[scc].as_slice();
+                let members = cg.scc(scc);
                 if members.iter().any(|f| funcs[f.0 as usize].is_none()) {
                     for &f in members {
                         if funcs[f.0 as usize].take().is_some() {

@@ -118,9 +118,6 @@ pub struct Workspace {
     /// — consulting the persistent store, where every clean function's
     /// summary is still a hit.
     summaries: HashMap<u128, (u128, ModuleSummaries)>,
-    /// Call-graph condensation for the current artefact, built lazily by
-    /// the first summary-engine query and dropped on every edit.
-    callgraph: Option<pinpoint_ir::CallGraph>,
     counters: WorkspaceCounters,
     detect: DetectStats,
     detect_time: Duration,
@@ -157,7 +154,6 @@ impl Workspace {
             cache: QueryCache::default(),
             config,
             summaries: HashMap::new(),
-            callgraph: None,
             counters: WorkspaceCounters::default(),
             detect: DetectStats::default(),
             detect_time: Duration::ZERO,
@@ -197,7 +193,6 @@ impl Workspace {
     /// is unchanged when it does.
     pub fn update_source(&mut self, new_source: &str) -> Result<UpdateOutcome, PinpointError> {
         let outcome = self.analysis.update_incremental(new_source)?;
-        self.callgraph = None;
         if outcome.fell_back {
             // The artefact (term arena included) was rebuilt from
             // scratch: cached outcomes reference the dead arena lineage.
@@ -284,9 +279,6 @@ impl Workspace {
                 return sums;
             }
         }
-        if self.callgraph.is_none() {
-            self.callgraph = Some(pinpoint_ir::CallGraph::new(&self.analysis.module));
-        }
         let mut store = self
             .analysis
             .cache_dir
@@ -300,7 +292,7 @@ impl Workspace {
             store
                 .as_mut()
                 .map(|st| (st, self.analysis.func_keys.as_slice())),
-            self.callgraph.as_ref().expect("just built"),
+            &self.analysis.callgraph,
         )
     }
 

@@ -29,8 +29,6 @@ pub struct ModuleAnalysis {
     pub arena: TermArena,
     /// Value-to-term cache.
     pub symbols: Symbols,
-    /// The call graph used for ordering.
-    pub callgraph: CallGraph,
     /// Connector shape per function (indexed by `FuncId`).
     pub shapes: Vec<AuxShape>,
     /// Points-to result per function (indexed by `FuncId`).
@@ -96,33 +94,26 @@ impl Default for PtaConfig {
 /// Runs the pipeline with explicit options.
 pub fn analyze_module_with(module: &mut Module, config: &PtaConfig) -> ModuleAnalysis {
     let callgraph = CallGraph::new(module);
+    analyze_module_with_graph(module, config, &callgraph)
+}
+
+/// [`analyze_module_with`] over a caller-supplied call graph of `module`
+/// (the pre-transform graph: the transform never changes it).
+pub fn analyze_module_with_graph(
+    module: &mut Module,
+    config: &PtaConfig,
+    callgraph: &CallGraph,
+) -> ModuleAnalysis {
     let mut arena = TermArena::new();
     let mut symbols = Symbols::new();
     let mut linear = LinearSolver::new();
     let n = module.funcs.len();
     let mut shapes: Vec<AuxShape> = vec![AuxShape::default(); n];
     let mut pta: Vec<Option<FuncPta>> = (0..n).map(|_| None).collect();
-    let module_names: HashMap<String, FuncId> = module
-        .iter_funcs()
-        .map(|(id, f)| (f.name.clone(), id))
-        .collect();
 
-    for &fid in &callgraph.bottom_up.clone() {
+    for &fid in callgraph.bottom_up() {
         // 1. Rewrite call sites against finished callee shapes.
-        {
-            let shapes_ref = &shapes;
-            let cg = &callgraph;
-            let module_names = &module_names;
-            let caller = fid;
-            let lookup = |name: &str| -> Option<&AuxShape> {
-                let target = *module_names.get(name)?;
-                if cg.same_scc(caller, target) {
-                    return None; // recursion: summary unavailable
-                }
-                Some(&shapes_ref[target.0 as usize])
-            };
-            rewrite_call_sites(&mut module.funcs[fid.0 as usize], lookup);
-        }
+        rewrite_calls(module, fid, &shapes, callgraph);
         // 2. Mod/Ref pass (pre-connector body).
         let pass1 = analyze_function_with(
             &mut arena,
@@ -157,11 +148,43 @@ pub fn analyze_module_with(module: &mut Module, config: &PtaConfig) -> ModuleAna
     ModuleAnalysis {
         arena,
         symbols,
-        callgraph,
         shapes,
         pta: pta.into_iter().map(|p| p.unwrap_or_default()).collect(),
         linear,
     }
+}
+
+/// The connector shape `caller`'s call sites to `name` are rewritten
+/// against: `None` for intrinsics, unknown names and same-SCC recursion
+/// (summary unavailable, §4.2).
+fn callee_shape<'a>(
+    module: &Module,
+    caller: FuncId,
+    name: &str,
+    shapes: &'a [AuxShape],
+    callgraph: &CallGraph,
+) -> Option<&'a AuxShape> {
+    let target = module.func_by_name(name)?;
+    if callgraph.same_scc(caller, target) {
+        return None;
+    }
+    Some(&shapes[target.0 as usize])
+}
+
+/// Rewrites `fid`'s call sites in place against the finished callee
+/// `shapes`. The body is detached for the duration so the module stays
+/// borrowable for name resolution.
+pub(crate) fn rewrite_calls(
+    module: &mut Module,
+    fid: FuncId,
+    shapes: &[AuxShape],
+    callgraph: &CallGraph,
+) {
+    let mut body = std::mem::replace(module.func_mut(fid), Function::new(""));
+    rewrite_call_sites(&mut body, |name| {
+        callee_shape(module, fid, name, shapes, callgraph)
+    });
+    *module.func_mut(fid) = body;
 }
 
 /// Output of one function's worker analysis, carried in a private arena
@@ -187,22 +210,13 @@ fn analyze_one(
     f: &mut Function,
     shapes: &[AuxShape],
     callgraph: &CallGraph,
-    names: &HashMap<String, FuncId>,
+    module: &Module,
     prune: bool,
 ) -> FuncResult {
     let mut arena = TermArena::new();
     let mut symbols = Symbols::new();
     let mut linear = LinearSolver::new();
-    {
-        let lookup = |name: &str| -> Option<&AuxShape> {
-            let target = *names.get(name)?;
-            if callgraph.same_scc(fid, target) {
-                return None; // recursion: summary unavailable (§4.2)
-            }
-            Some(&shapes[target.0 as usize])
-        };
-        rewrite_call_sites(f, lookup);
-    }
+    rewrite_call_sites(f, |name| callee_shape(module, fid, name, shapes, callgraph));
     let pass1 = analyze_function_with(&mut arena, &mut symbols, &mut linear, fid, f, &[], prune);
     let shape = insert_connectors(f, &pass1.refs, &pass1.mods);
     let bindings: Vec<AuxParamBinding> = shape
@@ -230,28 +244,21 @@ fn analyze_one(
     }
 }
 
-/// Stratifies the SCC condensation of `callgraph` into parallel levels
-/// (`level(scc) = 1 + max(level of callee SCCs)`); within a level no
-/// function depends on another's connector shape. `bottom_up` lists all
-/// members of a callee SCC before any member of a caller SCC, so one
-/// pass fixes every level, and each level keeps bottom-up order.
+/// The parallel schedule: the functions of each condensation level
+/// ([`CallGraph::scc_levels`]), in bottom-up order. Within a level no
+/// function depends on another's connector shape.
 fn stratify_levels(callgraph: &CallGraph) -> Vec<Vec<FuncId>> {
-    let mut scc_level = vec![0usize; callgraph.sccs.len()];
-    for &f in &callgraph.bottom_up {
-        let sf = callgraph.scc_of[f.0 as usize];
-        for &c in &callgraph.callees[f.0 as usize] {
-            let sc = callgraph.scc_of[c.0 as usize];
-            if sc != sf {
-                scc_level[sf] = scc_level[sf].max(scc_level[sc] + 1);
-            }
-        }
-    }
-    let max_level = scc_level.iter().copied().max().unwrap_or(0);
-    let mut levels: Vec<Vec<FuncId>> = vec![Vec::new(); max_level + 1];
-    for &f in &callgraph.bottom_up {
-        levels[scc_level[callgraph.scc_of[f.0 as usize]]].push(f);
-    }
-    levels
+    callgraph
+        .scc_levels()
+        .iter()
+        .map(|level| {
+            level
+                .iter()
+                .flat_map(|&scc| callgraph.scc(scc))
+                .copied()
+                .collect()
+        })
+        .collect()
 }
 
 /// Fans one level's detached bodies out over `threads` scoped workers.
@@ -261,7 +268,7 @@ fn run_level(
     work: &mut [(FuncId, Function)],
     shapes: &[AuxShape],
     callgraph: &CallGraph,
-    names: &HashMap<String, FuncId>,
+    module: &Module,
     prune: bool,
     threads: usize,
     trace: &mut TraceBuf,
@@ -272,7 +279,7 @@ fn run_level(
             .iter_mut()
             .map(|(fid, f)| {
                 let span = lane.open("pta.func", f.name.clone());
-                let r = analyze_one(*fid, f, shapes, callgraph, names, prune);
+                let r = analyze_one(*fid, f, shapes, callgraph, module, prune);
                 lane.close(span);
                 r
             })
@@ -293,7 +300,7 @@ fn run_level(
                             .iter_mut()
                             .map(|(fid, f)| {
                                 let span = lane.open("pta.func", f.name.clone());
-                                let r = analyze_one(*fid, f, shapes, callgraph, names, prune);
+                                let r = analyze_one(*fid, f, shapes, callgraph, module, prune);
                                 lane.close(span);
                                 r
                             })
@@ -360,7 +367,8 @@ fn merge_one(
     pta[fid.0 as usize] = func_pta;
 }
 
-/// Runs the pipeline with function-level parallelism.
+/// Runs the pipeline with function-level parallelism over `callgraph`,
+/// the call graph of `module`.
 ///
 /// The call graph's SCC condensation is stratified into *levels*
 /// (`level(scc) = 1 + max(level of callee SCCs)`). Within a level no
@@ -384,21 +392,17 @@ pub fn analyze_module_par(
     config: &PtaConfig,
     threads: usize,
     trace: &mut TraceBuf,
+    callgraph: &CallGraph,
 ) -> ModuleAnalysis {
     let threads = threads.max(1);
-    let callgraph = CallGraph::new(module);
     let n = module.funcs.len();
     let mut arena = TermArena::new();
     let mut symbols = Symbols::new();
     let mut linear = LinearSolver::new();
     let mut shapes: Vec<AuxShape> = vec![AuxShape::default(); n];
     let mut pta: Vec<FuncPta> = (0..n).map(|_| FuncPta::default()).collect();
-    let names: HashMap<String, FuncId> = module
-        .iter_funcs()
-        .map(|(id, f)| (f.name.clone(), id))
-        .collect();
 
-    let levels = stratify_levels(&callgraph);
+    let levels = stratify_levels(callgraph);
 
     for level_fids in &levels {
         // Detach the level's bodies so workers can transform them while
@@ -416,8 +420,8 @@ pub fn analyze_module_par(
         let results = run_level(
             &mut work,
             &shapes,
-            &callgraph,
-            &names,
+            callgraph,
+            module,
             config.prune,
             threads,
             trace,
@@ -450,7 +454,6 @@ pub fn analyze_module_par(
     ModuleAnalysis {
         arena,
         symbols,
-        callgraph,
         shapes,
         pta,
         linear,
@@ -509,7 +512,8 @@ pub struct CacheOutcome {
     pub misses: u64,
 }
 
-/// Runs the parallel pipeline against a persistent artifact store.
+/// Runs the parallel pipeline against a persistent artifact store, over
+/// `callgraph`, the call graph of `module`.
 ///
 /// `keys[fid]` must be a content key that changes whenever function
 /// `fid`'s analysis inputs change (its own body, its callee-summary
@@ -526,9 +530,9 @@ pub fn analyze_module_cached(
     trace: &mut TraceBuf,
     keys: &[u128],
     store: &mut dyn ArtifactStore,
+    callgraph: &CallGraph,
 ) -> (ModuleAnalysis, CacheOutcome) {
     let threads = threads.max(1);
-    let callgraph = CallGraph::new(module);
     let n = module.funcs.len();
     assert_eq!(keys.len(), n, "one cache key per function");
     let mut arena = TermArena::new();
@@ -536,13 +540,9 @@ pub fn analyze_module_cached(
     let mut linear = LinearSolver::new();
     let mut shapes: Vec<AuxShape> = vec![AuxShape::default(); n];
     let mut pta: Vec<FuncPta> = (0..n).map(|_| FuncPta::default()).collect();
-    let names: HashMap<String, FuncId> = module
-        .iter_funcs()
-        .map(|(id, f)| (f.name.clone(), id))
-        .collect();
     let mut outcome = CacheOutcome::default();
 
-    let levels = stratify_levels(&callgraph);
+    let levels = stratify_levels(callgraph);
 
     for level_fids in &levels {
         // Probe the store first; hits splice their transformed body into
@@ -569,8 +569,8 @@ pub fn analyze_module_cached(
         let results = run_level(
             &mut work,
             &shapes,
-            &callgraph,
-            &names,
+            callgraph,
+            module,
             config.prune,
             threads,
             trace,
@@ -619,7 +619,6 @@ pub fn analyze_module_cached(
         ModuleAnalysis {
             arena,
             symbols,
-            callgraph,
             shapes,
             pta,
             linear,
@@ -814,7 +813,14 @@ mod tests {
         let mut m_seq = compile(WAVEFRONT_SRC).unwrap();
         let mut m_par = compile(WAVEFRONT_SRC).unwrap();
         let seq = analyze_module(&mut m_seq);
-        let par = analyze_module_par(&mut m_par, &PtaConfig::default(), 4, &mut TraceBuf::off());
+        let cg = CallGraph::new(&m_par);
+        let par = analyze_module_par(
+            &mut m_par,
+            &PtaConfig::default(),
+            4,
+            &mut TraceBuf::off(),
+            &cg,
+        );
         for fid in 0..m_seq.funcs.len() {
             let fid = pinpoint_ir::FuncId(fid as u32);
             assert_eq!(
@@ -843,7 +849,9 @@ mod tests {
             .iter()
             .map(|&t| {
                 let mut m = compile(WAVEFRONT_SRC).unwrap();
-                let a = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut TraceBuf::off());
+                let cg = CallGraph::new(&m);
+                let a =
+                    analyze_module_par(&mut m, &PtaConfig::default(), t, &mut TraceBuf::off(), &cg);
                 (m, a)
             })
             .collect();
@@ -877,7 +885,8 @@ mod tests {
         let run = |t: usize| {
             let mut m = compile(WAVEFRONT_SRC).unwrap();
             let mut trace = TraceBuf::on();
-            let _ = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace);
+            let cg = CallGraph::new(&m);
+            let _ = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace, &cg);
             (trace.records().len(), trace.canonical_json())
         };
         let (n1, c1) = run(1);

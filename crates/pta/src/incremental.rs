@@ -26,9 +26,9 @@
 //! under-approximates, so the incremental result is always identical to a
 //! full re-analysis (asserted by the test-suite on generated projects).
 
-use crate::driver::{analyze_module_with, ModuleAnalysis, PtaConfig};
+use crate::driver::{analyze_module_with_graph, rewrite_calls, ModuleAnalysis, PtaConfig};
 use crate::intra::{analyze_function_with, AuxParamBinding};
-use crate::transform::{insert_connectors, rewrite_call_sites, AuxShape};
+use crate::transform::{insert_connectors, AuxShape};
 use pinpoint_ir::{CallGraph, FuncId, Module};
 use std::collections::HashSet;
 
@@ -60,7 +60,7 @@ pub fn dirty_closure(
     let mut dirty: HashSet<FuncId> = seeds.into_iter().collect();
     let mut work: Vec<FuncId> = dirty.iter().copied().collect();
     while let Some(f) = work.pop() {
-        for &caller in &callgraph.callers[f.0 as usize] {
+        for &caller in callgraph.callers(f) {
             if dirty.insert(caller) {
                 work.push(caller);
             }
@@ -80,8 +80,8 @@ fn same_shape(module: &Module, old_module: &Module) -> bool {
 }
 
 /// The full-reanalysis fallback used when the function set changed.
-fn full_fallback(module: &mut Module) -> IncrementalOutcome {
-    let analysis = analyze_module_with(module, &PtaConfig::default());
+fn full_fallback(module: &mut Module, callgraph: &CallGraph) -> IncrementalOutcome {
+    let analysis = analyze_module_with_graph(module, &PtaConfig::default(), callgraph);
     let n = module.funcs.len();
     IncrementalOutcome {
         analysis,
@@ -103,16 +103,16 @@ pub fn analyze_module_incremental(
     old: ModuleAnalysis,
     changed: &[String],
 ) -> IncrementalOutcome {
-    if !same_shape(module, old_module) {
-        return full_fallback(module);
-    }
     let callgraph = CallGraph::new(module);
+    if !same_shape(module, old_module) {
+        return full_fallback(module, &callgraph);
+    }
     let seeds: Vec<FuncId> = changed
         .iter()
         .filter_map(|n| module.func_by_name(n))
         .collect();
     let dirty = dirty_closure(&callgraph, seeds);
-    reanalyze_dirty(module, old_module, old, callgraph, dirty)
+    reanalyze_dirty(module, old_module, old, &callgraph, dirty)
 }
 
 /// Like [`analyze_module_incremental`], but driven by an explicit set of
@@ -120,18 +120,19 @@ pub fn analyze_module_incremental(
 /// [`pinpoint_ir::module_fingerprints`]-based keys rather than trusting a
 /// hand-written change list. The set is re-closed under transitive
 /// callers ([`dirty_closure`]), so passing an already caller-closed set
-/// (as fingerprint-key diffs are) costs nothing.
+/// (as fingerprint-key diffs are) costs nothing. `callgraph` is the call
+/// graph of the new `module`.
 pub fn analyze_module_incremental_dirty(
     module: &mut Module,
     old_module: &Module,
     old: ModuleAnalysis,
     dirty: &HashSet<FuncId>,
+    callgraph: &CallGraph,
 ) -> IncrementalOutcome {
     if !same_shape(module, old_module) {
-        return full_fallback(module);
+        return full_fallback(module, callgraph);
     }
-    let callgraph = CallGraph::new(module);
-    let dirty = dirty_closure(&callgraph, dirty.iter().copied());
+    let dirty = dirty_closure(callgraph, dirty.iter().copied());
     reanalyze_dirty(module, old_module, old, callgraph, dirty)
 }
 
@@ -142,7 +143,7 @@ fn reanalyze_dirty(
     module: &mut Module,
     old_module: &Module,
     old: ModuleAnalysis,
-    callgraph: CallGraph,
+    callgraph: &CallGraph,
     dirty: HashSet<FuncId>,
 ) -> IncrementalOutcome {
     let ModuleAnalysis {
@@ -151,7 +152,6 @@ fn reanalyze_dirty(
         shapes: old_shapes,
         pta: old_pta,
         mut linear,
-        ..
     } = old;
     let n = module.funcs.len();
     let mut shapes: Vec<AuxShape> = vec![AuxShape::default(); n];
@@ -171,29 +171,13 @@ fn reanalyze_dirty(
         reused += 1;
     }
     // Re-analyse dirty functions bottom-up.
-    let module_names: std::collections::HashMap<String, FuncId> = module
-        .iter_funcs()
-        .map(|(id, f)| (f.name.clone(), id))
-        .collect();
     let mut reanalyzed = Vec::new();
-    for &fid in &callgraph.bottom_up.clone() {
+    for &fid in callgraph.bottom_up() {
         if !dirty.contains(&fid) {
             continue;
         }
         reanalyzed.push(fid);
-        {
-            let shapes_ref = &shapes;
-            let cg = &callgraph;
-            let module_names = &module_names;
-            let lookup = |name: &str| -> Option<&AuxShape> {
-                let target = *module_names.get(name)?;
-                if cg.same_scc(fid, target) {
-                    return None;
-                }
-                Some(&shapes_ref[target.0 as usize])
-            };
-            rewrite_call_sites(&mut module.funcs[fid.0 as usize], lookup);
-        }
+        rewrite_calls(module, fid, &shapes, callgraph);
         let pass1 = analyze_function_with(
             &mut arena,
             &mut symbols,
@@ -225,7 +209,6 @@ fn reanalyze_dirty(
         analysis: ModuleAnalysis {
             arena,
             symbols,
-            callgraph,
             shapes,
             pta: pta.into_iter().map(Option::unwrap_or_default).collect(),
             linear,
@@ -343,7 +326,8 @@ mod tests {
             .map(|i| FuncId(i as u32))
             .collect();
         assert_eq!(dirty.len(), 1, "only leaf_a's body changed");
-        let out = analyze_module_incremental_dirty(&mut new_module, &old_module, old, &dirty);
+        let cg = CallGraph::new(&new_module);
+        let out = analyze_module_incremental_dirty(&mut new_module, &old_module, old, &dirty, &cg);
         assert!(!out.fell_back);
         let names: Vec<&str> = out
             .reanalyzed

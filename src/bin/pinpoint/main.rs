@@ -37,7 +37,8 @@ mod top;
 
 use flags::{Common, CommonFlags};
 use pinpoint::core::export::{leaks_json, reports_json, seg_to_dot};
-use pinpoint::{CheckerKind, PinpointError, Report};
+use pinpoint::{Analysis, CheckerKind, DetectSession, PinpointError, Report};
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -310,6 +311,26 @@ fn fuzz_cmd(args: &[String]) -> Result<bool, CliError> {
     Ok(!outcome.findings.is_empty())
 }
 
+/// The artefact of a one-shot command, never freed: the process exits
+/// right after its output is written, and walking a million-line
+/// artefact's small allocations to free them costs over a second that
+/// the OS reclaims for nothing (see [`finish`]).
+fn leak(analysis: Analysis) -> &'static Analysis {
+    Box::leak(Box::new(analysis))
+}
+
+/// Ends a one-shot command. By now everything it persists is on disk —
+/// reports, the `--stats-json`/`--trace-out` files, and the verdicts each
+/// `check_*` call wrote as it ran; no `Drop` impl persists anything — so
+/// once stdout is flushed the session is forgotten like its artefact.
+fn finish(session: DetectSession<'static>, found_reports: bool) -> bool {
+    std::io::stdout()
+        .flush()
+        .expect("failed printing to stdout");
+    std::mem::forget(session);
+    found_reports
+}
+
 fn check(source: &str, args: &[String]) -> Result<bool, CliError> {
     let mut rest = args.to_vec();
     let common = CommonFlags::extract(
@@ -342,7 +363,7 @@ fn check(source: &str, args: &[String]) -> Result<bool, CliError> {
     if let Some(d) = ctx_depth {
         builder = builder.max_ctx_depth(d);
     }
-    let analysis = builder.build_source(source)?;
+    let analysis = leak(builder.build_source(source)?);
     let mut session = analysis.session();
     if let Some(e) = engine {
         session = session.with_engine(e);
@@ -363,7 +384,7 @@ fn check(source: &str, args: &[String]) -> Result<bool, CliError> {
         }
         println!("{} report(s)", all.len());
     }
-    Ok(!all.is_empty())
+    Ok(finish(session, !all.is_empty()))
 }
 
 fn leaks(source: &str, args: &[String]) -> Result<bool, CliError> {
@@ -379,7 +400,7 @@ fn leaks(source: &str, args: &[String]) -> Result<bool, CliError> {
     )?;
     let json = flags::take_switch(&mut rest, "--json");
     flags::reject_unknown(&rest)?;
-    let analysis = common.builder().build_source(source)?;
+    let analysis = leak(common.builder().build_source(source)?);
     let mut session = analysis.session();
     let reports = session.check_leaks();
     common.write_obs(&session)?;
@@ -398,7 +419,7 @@ fn leaks(source: &str, args: &[String]) -> Result<bool, CliError> {
         }
         println!("{} leak(s)", reports.len());
     }
-    Ok(!reports.is_empty())
+    Ok(finish(session, !reports.is_empty()))
 }
 
 fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
@@ -413,7 +434,7 @@ fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
         ],
     )?;
     flags::reject_unknown(&rest)?;
-    let analysis = common.builder().build_source(source)?;
+    let analysis = leak(common.builder().build_source(source)?);
     let mut session = analysis.session();
     let _ = session.check_all();
     common.write_obs(&session)?;
@@ -439,7 +460,7 @@ fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
         println!("cache misses:     {}", s.cache.misses);
         println!("cache invalid:    {}", s.cache.invalidated);
     }
-    Ok(false)
+    Ok(finish(session, false))
 }
 
 /// `pinpoint profile <file>`: run every checker, then print the top-K
@@ -450,11 +471,11 @@ fn profile(source: &str, args: &[String]) -> Result<bool, CliError> {
     let common = CommonFlags::extract(&mut rest, &[Common::Threads])?;
     let top = flags::take_parsed::<usize>(&mut rest, "--top")?.unwrap_or(10);
     flags::reject_unknown(&rest)?;
-    let analysis = common.builder().build_source(source)?;
+    let analysis = leak(common.builder().build_source(source)?);
     let mut session = analysis.session();
     let _ = session.check_all();
     print!("{}", session.profile(top));
-    Ok(false)
+    Ok(finish(session, false))
 }
 
 fn parse_checker(name: &str) -> Result<CheckerKind, CliError> {

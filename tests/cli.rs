@@ -140,15 +140,32 @@ fn trace_and_stats_outputs() {
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&stats);
     assert!(trace_doc.starts_with("{\"traceEvents\":["), "{trace_doc}");
-    for span in ["frontend", "\"pta\"", "\"seg\"", "\"detect\"", "smt.query"] {
+    for span in [
+        "frontend",
+        "\"callgraph\"",
+        "\"keys\"",
+        "\"pta\"",
+        "\"seg\"",
+        "\"detect\"",
+        "smt.query",
+    ] {
         assert!(trace_doc.contains(span), "trace missing span {span}");
     }
+    assert_eq!(
+        trace_doc.matches("\"name\":\"callgraph\"").count(),
+        1,
+        "one call graph per build"
+    );
     assert!(
         stats_doc.contains("\"schema\":\"pinpoint-stats-v1\""),
         "{stats_doc}"
     );
     for family in [
         "\"frontend\"",
+        "\"callgraph\":{\"edges\":",
+        "\"max_callers\":",
+        "\"sccs\":",
+        "\"keys\":{\"time_ns\":",
         "\"pta\"",
         "\"seg\"",
         "\"detect\"",

@@ -103,10 +103,25 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
         assert_eq!(stats1, stats4, "{file}: canonical stats JSON diverges");
         assert_eq!(trace1, trace4, "{file}: canonical trace JSON diverges");
         saw_queries |= stats1.contains("\"checker\":");
-        for family in ["frontend", "\"pta\"", "\"seg\"", "detect", "smt"] {
+        for family in [
+            "frontend",
+            "\"callgraph\"",
+            "\"keys\"",
+            "\"pta\"",
+            "\"seg\"",
+            "detect",
+            "smt",
+        ] {
             assert!(
                 stats1.contains(family),
                 "{file}: stats JSON missing stage family {family}"
+            );
+        }
+        for span in ["callgraph", "keys"] {
+            assert_eq!(
+                trace1.matches(&format!("\"name\":\"{span}\"")).count(),
+                1,
+                "{file}: exactly one {span} span per build"
             );
         }
     }
