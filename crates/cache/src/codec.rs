@@ -16,7 +16,7 @@ use pinpoint_ir::ir::{
 };
 use pinpoint_ir::{BinOp, Type, UnOp};
 use pinpoint_pta::intra::{GlobalAccess, MemDep, PtaStats};
-use pinpoint_pta::{AccessPath, AuxShape, FuncArtifact, FuncPta, Obj};
+use pinpoint_pta::{AccessPath, AuxShape, FuncArtifact, FuncPta, FuncResult, Obj};
 use pinpoint_smt::term::{Sort, TermArena, TermId, TermKind};
 use std::collections::HashMap;
 
@@ -908,16 +908,17 @@ pub fn get_arena(r: &mut ByteReader) -> Result<TermArena> {
 /// Encodes a complete per-function artifact payload.
 pub fn encode_artifact(a: &FuncArtifact) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    put_arena(&mut w, &a.arena);
+    let r = &a.result;
+    put_arena(&mut w, &r.arena);
     put_function(&mut w, &a.body);
-    put_aux_shape(&mut w, &a.shape);
-    put_func_pta(&mut w, &a.pta);
-    w.len(a.cached_values.len());
-    for v in &a.cached_values {
+    put_aux_shape(&mut w, &r.shape);
+    put_func_pta(&mut w, &r.pta);
+    w.len(r.cached_values.len());
+    for v in &r.cached_values {
         w.u32(v.0);
     }
-    w.u64(a.unsat);
-    w.u64(a.unknown);
+    w.u64(r.unsat);
+    w.u64(r.unknown);
     w.into_bytes()
 }
 
@@ -941,12 +942,14 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<FuncArtifact> {
     }
     Ok(FuncArtifact {
         body,
-        shape,
-        pta,
-        arena,
-        cached_values,
-        unsat,
-        unknown,
+        result: FuncResult {
+            shape,
+            pta,
+            arena,
+            cached_values,
+            unsat,
+            unknown,
+        },
     })
 }
 

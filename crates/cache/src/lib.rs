@@ -22,7 +22,7 @@
 //!   a corrupt one.
 //!
 //! The [`PtaArtifactStore`] adapter plugs a [`CacheStore`] into
-//! [`pinpoint_pta::analyze_module_cached`].
+//! [`pinpoint_pta::analyze_module_par`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

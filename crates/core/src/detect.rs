@@ -359,104 +359,32 @@ fn enumerate_sources(module: &Module, spec: &Spec) -> Vec<(FuncId, SourceSite)> 
         .collect()
 }
 
-/// Runs the given sources through worker searches, sharded contiguously
-/// over `threads`, returning one outcome per source in input order.
-fn run_sources(
-    cx: &SpecContext<'_>,
-    sources: &[(FuncId, SourceSite)],
-    symbols: &Symbols,
-    arena: &Arc<TermArena>,
-    verdicts: &VerdictTable,
-    threads: usize,
-    trace: &mut TraceBuf,
-) -> Vec<SourceOutcome> {
-    if sources.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.max(1);
-    if threads == 1 || sources.len() <= 1 {
-        let mut lane = trace.fork(1);
-        let mut w = Worker::new(
-            cx,
-            symbols.clone(),
-            TermArena::overlay(Arc::clone(arena)),
-            verdicts,
-        );
-        let out = sources
-            .iter()
-            .map(|&(fid, s)| w.run_source(fid, s, &mut lane))
-            .collect();
-        trace.merge(lane);
-        return out;
-    }
-    let chunk = sources.len().div_ceil(threads);
-    let trace_ref = &*trace;
-    let (out, lanes) = std::thread::scope(|sc| {
-        let handles: Vec<_> = sources
-            .chunks(chunk)
-            .enumerate()
-            .map(|(shard_idx, shard)| {
-                let symbols = symbols.clone();
-                let arena = TermArena::overlay(Arc::clone(arena));
-                sc.spawn(move || {
-                    let mut lane = trace_ref.fork(shard_idx as u32 + 1);
-                    let mut w = Worker::new(cx, symbols, arena, verdicts);
-                    let outcomes = shard
-                        .iter()
-                        .map(|&(fid, s)| w.run_source(fid, s, &mut lane))
-                        .collect::<Vec<_>>();
-                    (outcomes, lane)
-                })
-            })
-            .collect();
-        let mut out = Vec::new();
-        let mut lanes = Vec::new();
-        for h in handles {
-            let (outcomes, lane) = h.join().expect("detection worker panicked");
-            out.extend(outcomes);
-            lanes.push(lane);
-        }
-        (out, lanes)
-    });
-    for lane in lanes {
-        trace.merge(lane);
-    }
-    out
+/// Output of one detection pass.
+#[derive(Debug)]
+pub(crate) struct DetectOutput {
+    pub reports: Vec<Report>,
+    /// Per-query attribution, ids in replay order from 0.
+    pub queries: Vec<QueryRecord>,
+    /// The query-cache split of the sources that were not gated (without
+    /// a cache, every one of them counts as re-run).
+    pub reuse: QueryReuse,
+    /// Verdicts newly solved during the pass (fingerprint → verdict).
+    pub new_verdicts: Vec<(u128, Verdict)>,
 }
 
 /// Replays per-source outcomes in canonical source order against a global
-/// seen-set, producing reports, statistics, and query attribution exactly
-/// as a single-threaded pass over the same results would. A pure function
-/// of the outcomes, so replaying a mix of cached and freshly-computed
-/// outcomes is byte-identical to replaying all-fresh ones.
-/// Output of one detection pass: reports, stats, per-query attribution,
-/// and the verdicts newly solved during the pass (fingerprint → verdict).
-pub(crate) type DetectOutput = (
-    Vec<Report>,
-    DetectStats,
-    Vec<QueryRecord>,
-    Vec<(u128, Verdict)>,
-);
-
-/// A [`DetectOutput`] plus the query-cache reuse split of a cached pass.
-pub(crate) type CachedDetectOutput = (
-    Vec<Report>,
-    DetectStats,
-    Vec<QueryRecord>,
-    QueryReuse,
-    Vec<(u128, Verdict)>,
-);
-
+/// seen-set, producing reports, statistics (added onto `stats`), and query
+/// attribution exactly as a single-threaded pass over the same results
+/// would. A pure function of the outcomes, so replaying a mix of cached
+/// and freshly-computed outcomes is byte-identical to replaying all-fresh
+/// ones. ([`DetectOutput::reuse`] is left for the caller to fill.)
 fn merge_outcomes(
     module: &Module,
     spec: &Spec,
-    source_count: usize,
     outcomes: Vec<SourceOutcome>,
+    stats: &mut DetectStats,
 ) -> DetectOutput {
-    let mut stats = DetectStats {
-        sources: source_count as u64,
-        ..DetectStats::default()
-    };
+    stats.sources += outcomes.len() as u64;
     let mut reports = Vec::new();
     let mut queries: Vec<QueryRecord> = Vec::new();
     let mut seen: HashSet<CandidateKey> = HashSet::new();
@@ -523,7 +451,12 @@ fn merge_outcomes(
             }
         }
     }
-    (reports, stats, queries, new_verdicts)
+    DetectOutput {
+        reports,
+        queries,
+        reuse: QueryReuse::default(),
+        new_verdicts,
+    }
 }
 
 /// One detection worker: owns private copies of the condition vocabulary
@@ -569,15 +502,36 @@ struct Worker<'cx, 'a> {
 }
 
 /// Runs one property over the module with `threads` workers, merging
-/// per-source outcomes into reports and statistics that are
-/// byte-identical for any thread count.
+/// per-source outcomes into reports and statistics (added onto `stats`)
+/// that are byte-identical for any thread count, with or without the two
+/// optional reuse inputs.
 ///
-/// Sources are enumerated in module order and partitioned into
-/// contiguous shards. Each worker records *candidate events* (it cannot
-/// know which candidates an earlier source already claimed); the merge
-/// then replays all events in canonical source order against a global
-/// seen-set, counting candidates and emitting reports exactly as a
-/// single-threaded pass over the same per-source results would.
+/// Sources are enumerated in module order. Each is answered by the first
+/// of three means that applies:
+///
+/// 1. `gate` — the summary engine's prebuilt whole-program interface
+///    summaries ([`crate::vfsummary::ModuleSummaries`]): a source the
+///    gate proves fruitless gets a synthesised empty outcome. Gated
+///    sources bypass the query cache entirely (a cached cone would not
+///    cover the summary consultations the gate made) and count in
+///    [`DetectStats::summary_gated`], not in the [`QueryReuse`] split;
+/// 2. `cache` — the per-source [`QueryCache`] with the current
+///    per-function transitive fingerprint keys of the *pre-transform*
+///    module (`pinpoint_cache::module_keys` order): a source whose
+///    recomputed [`cone_fingerprint`] still matches its entry replays
+///    the cached outcome, including the verdict counters and costs
+///    recorded when it was computed (its verdict snapshot may predate
+///    the current one), so solver-side statistics reflect the work
+///    actually performed, not a hypothetical fresh run;
+/// 3. the demand-driven search: the remaining sources are partitioned
+///    into contiguous shards ([`TraceBuf::shard_map`]). Each worker
+///    records *candidate events* (it cannot know which candidates an
+///    earlier source already claimed), and fresh outcomes are written
+///    back to the cache when there is one.
+///
+/// The merge then replays all outcomes in canonical source order against
+/// a global seen-set, counting candidates and emitting reports exactly as
+/// a single-threaded, ungated, uncached pass would.
 ///
 /// Besides reports and statistics, every evaluated candidate — including
 /// those a later dedup suppresses, since each was really solved — comes
@@ -597,16 +551,77 @@ pub(crate) fn run_spec(
     config: DetectConfig,
     threads: usize,
     trace: &mut TraceBuf,
+    stats: &mut DetectStats,
+    gate: Option<&crate::vfsummary::ModuleSummaries>,
+    mut cache: Option<(&[u128], &mut QueryCache)>,
 ) -> DetectOutput {
-    let cx = SpecContext::build(module, segs, spec, kind, config);
+    let spec_fp = spec_fingerprint(spec, &config);
     let sources = enumerate_sources(module, spec);
-    let outcomes = run_sources(&cx, &sources, symbols, arena, verdicts, threads, trace);
-    let (mut reports, stats, queries, new_verdicts) =
-        merge_outcomes(module, spec, sources.len(), outcomes);
-    if threads > 1 && faults::drop_last_report_mt() {
-        reports.pop();
+    let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
+    let mut rerun: Vec<usize> = Vec::new();
+    let mut gated = 0u64;
+    for (i, &(fid, s)) in sources.iter().enumerate() {
+        if gate.is_some_and(|sums| !sums.source_fruitful(module, segs, spec, fid, s)) {
+            gated += 1;
+            slots.push(Some(gated_outcome(fid)));
+            continue;
+        }
+        let hit = cache.as_ref().and_then(|(keys, cache)| {
+            let e = cache.entries.get(&(spec_fp, fid, s.site, s.value))?;
+            (cone_fingerprint(&e.outcome, segs, keys) == Some(e.cone_fp)).then(|| e.outcome.clone())
+        });
+        if hit.is_none() {
+            rerun.push(i);
+        }
+        slots.push(hit);
     }
-    (reports, stats, queries, new_verdicts)
+    let reuse = QueryReuse {
+        reused: sources.len() as u64 - gated - rerun.len() as u64,
+        rerun: rerun.len() as u64,
+    };
+    if !rerun.is_empty() {
+        let cx = SpecContext::build(module, segs, spec, kind, config);
+        // Each shard's worker is its state; an outcome depends on its
+        // source alone (see [`Worker`]).
+        let fresh = trace.shard_map(
+            &mut rerun,
+            threads,
+            || {
+                let overlay = TermArena::overlay(Arc::clone(arena));
+                Worker::new(&cx, symbols.clone(), overlay, verdicts)
+            },
+            |w, &mut i, lane| w.run_source(sources[i].0, sources[i].1, lane),
+        );
+        for (i, outcome) in rerun.into_iter().zip(fresh) {
+            if let Some((keys, cache)) = cache.as_mut() {
+                if let Some(cone_fp) = cone_fingerprint(&outcome, segs, keys) {
+                    let (fid, s) = sources[i];
+                    let entry = CachedSource {
+                        cone_fp,
+                        outcome: outcome.clone(),
+                    };
+                    cache.entries.insert((spec_fp, fid, s.site, s.value), entry);
+                }
+            }
+            slots[i] = Some(outcome);
+        }
+    }
+    let outcomes: Vec<SourceOutcome> = slots
+        .into_iter()
+        .map(|s| s.expect("every source slot filled"))
+        .collect();
+    let mut out = merge_outcomes(module, spec, outcomes, stats);
+    out.reuse = reuse;
+    if let Some(sums) = gate {
+        stats.summary_gated += gated;
+        stats.summary_built += sums.built;
+        stats.summary_reused += sums.reused;
+        stats.summary_composed += sums.composed;
+    }
+    if threads > 1 && faults::drop_last_report_mt() {
+        out.reports.pop();
+    }
+    out
 }
 
 /// Test-only fault injection points.
@@ -785,88 +800,6 @@ fn cone_fingerprint(out: &SourceOutcome, segs: &ModuleSeg, keys: &[u128]) -> Opt
     Some(h.finish())
 }
 
-/// [`run_spec`] with a per-source query cache: sources whose recomputed
-/// cone fingerprint still matches their cached entry are answered from
-/// the cache; only the rest are re-searched. All outcomes — cached and
-/// fresh — feed the same canonical merge, so the reports are
-/// byte-identical to an uncached run. A cached outcome replays the
-/// verdict counters and costs recorded when it was computed (its
-/// verdict snapshot may predate the current one), so solver-side
-/// statistics reflect the work actually performed, not a hypothetical
-/// fresh run.
-///
-/// `keys` are the current per-function transitive fingerprint keys of
-/// the *pre-transform* module (`pinpoint_cache::module_keys` order).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec_cached(
-    module: &Module,
-    segs: &ModuleSeg,
-    symbols: &Symbols,
-    arena: &Arc<TermArena>,
-    verdicts: &VerdictTable,
-    spec: &Spec,
-    kind: Option<CheckerKind>,
-    config: DetectConfig,
-    threads: usize,
-    trace: &mut TraceBuf,
-    keys: &[u128],
-    cache: &mut QueryCache,
-) -> CachedDetectOutput {
-    let spec_fp = spec_fingerprint(spec, &config);
-    let sources = enumerate_sources(module, spec);
-    let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
-    let mut rerun: Vec<(usize, (FuncId, SourceSite))> = Vec::new();
-    for (i, &(fid, s)) in sources.iter().enumerate() {
-        let key = (spec_fp, fid, s.site, s.value);
-        let hit = cache.entries.get(&key).and_then(|e| {
-            (cone_fingerprint(&e.outcome, segs, keys) == Some(e.cone_fp)).then(|| e.outcome.clone())
-        });
-        match hit {
-            Some(outcome) => slots.push(Some(outcome)),
-            None => {
-                slots.push(None);
-                rerun.push((i, (fid, s)));
-            }
-        }
-    }
-    let reuse = QueryReuse {
-        reused: (sources.len() - rerun.len()) as u64,
-        rerun: rerun.len() as u64,
-    };
-    if !rerun.is_empty() {
-        let cx = SpecContext::build(module, segs, spec, kind, config);
-        let rerun_sources: Vec<(FuncId, SourceSite)> = rerun.iter().map(|&(_, src)| src).collect();
-        let fresh = run_sources(
-            &cx,
-            &rerun_sources,
-            symbols,
-            arena,
-            verdicts,
-            threads,
-            trace,
-        );
-        for ((slot, (fid, s)), outcome) in rerun.into_iter().zip(fresh) {
-            if let Some(fp) = cone_fingerprint(&outcome, segs, keys) {
-                cache.entries.insert(
-                    (spec_fp, fid, s.site, s.value),
-                    CachedSource {
-                        cone_fp: fp,
-                        outcome: outcome.clone(),
-                    },
-                );
-            }
-            slots[slot] = Some(outcome);
-        }
-    }
-    let outcomes: Vec<SourceOutcome> = slots
-        .into_iter()
-        .map(|s| s.expect("every source slot filled"))
-        .collect();
-    let (reports, stats, queries, new_verdicts) =
-        merge_outcomes(module, spec, sources.len(), outcomes);
-    (reports, stats, queries, reuse, new_verdicts)
-}
-
 /// The outcome the summary engine synthesises for a gated source: the
 /// whole-program gate proved its search would visit nothing fruitful, so
 /// it contributes no events, no verdicts, and no cost — exactly what the
@@ -885,158 +818,6 @@ fn gated_outcome(fid: FuncId) -> SourceOutcome {
         callers_consulted: Vec::new(),
         globals_consulted: Vec::new(),
     }
-}
-
-/// [`run_spec`] with the summary engine: every source is first tested
-/// against the prebuilt whole-program interface summaries
-/// ([`crate::vfsummary::ModuleSummaries`]); sources the gate proves
-/// fruitless get a synthesised empty outcome, the rest run the unchanged
-/// demand-driven search. All outcomes feed the same canonical merge, so
-/// reports (and query attribution — gated sources evaluate no
-/// candidates) are byte-identical to [`run_spec`] at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec_summary(
-    module: &Module,
-    segs: &ModuleSeg,
-    symbols: &Symbols,
-    arena: &Arc<TermArena>,
-    verdicts: &VerdictTable,
-    spec: &Spec,
-    kind: Option<CheckerKind>,
-    config: DetectConfig,
-    threads: usize,
-    trace: &mut TraceBuf,
-    sums: &crate::vfsummary::ModuleSummaries,
-) -> DetectOutput {
-    let sources = enumerate_sources(module, spec);
-    let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
-    let mut rerun: Vec<(usize, (FuncId, SourceSite))> = Vec::new();
-    for (i, &(fid, s)) in sources.iter().enumerate() {
-        if sums.source_fruitful(module, segs, spec, fid, s) {
-            slots.push(None);
-            rerun.push((i, (fid, s)));
-        } else {
-            slots.push(Some(gated_outcome(fid)));
-        }
-    }
-    let gated = (sources.len() - rerun.len()) as u64;
-    if !rerun.is_empty() {
-        let cx = SpecContext::build(module, segs, spec, kind, config);
-        let rerun_sources: Vec<(FuncId, SourceSite)> = rerun.iter().map(|&(_, src)| src).collect();
-        let fresh = run_sources(
-            &cx,
-            &rerun_sources,
-            symbols,
-            arena,
-            verdicts,
-            threads,
-            trace,
-        );
-        for ((slot, _), outcome) in rerun.into_iter().zip(fresh) {
-            slots[slot] = Some(outcome);
-        }
-    }
-    let outcomes: Vec<SourceOutcome> = slots
-        .into_iter()
-        .map(|s| s.expect("every source slot filled"))
-        .collect();
-    let (mut reports, mut stats, queries, new_verdicts) =
-        merge_outcomes(module, spec, sources.len(), outcomes);
-    stats.summary_gated = gated;
-    stats.summary_built = sums.built;
-    stats.summary_reused = sums.reused;
-    stats.summary_composed = sums.composed;
-    if threads > 1 && faults::drop_last_report_mt() {
-        reports.pop();
-    }
-    (reports, stats, queries, new_verdicts)
-}
-
-/// [`run_spec_cached`] with the summary engine: gated sources bypass the
-/// per-source query cache entirely — their cached cone would not cover
-/// the summary consultations the gate made, so they are neither read
-/// from nor written to it — while fruitful sources go through the normal
-/// cone-fingerprint reuse path. Gated sources count in
-/// [`DetectStats::summary_gated`], not in the [`QueryReuse`] split.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec_summary_cached(
-    module: &Module,
-    segs: &ModuleSeg,
-    symbols: &Symbols,
-    arena: &Arc<TermArena>,
-    verdicts: &VerdictTable,
-    spec: &Spec,
-    kind: Option<CheckerKind>,
-    config: DetectConfig,
-    threads: usize,
-    trace: &mut TraceBuf,
-    keys: &[u128],
-    cache: &mut QueryCache,
-    sums: &crate::vfsummary::ModuleSummaries,
-) -> CachedDetectOutput {
-    let spec_fp = spec_fingerprint(spec, &config);
-    let sources = enumerate_sources(module, spec);
-    let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
-    let mut rerun: Vec<(usize, (FuncId, SourceSite))> = Vec::new();
-    let mut gated = 0u64;
-    for (i, &(fid, s)) in sources.iter().enumerate() {
-        if !sums.source_fruitful(module, segs, spec, fid, s) {
-            gated += 1;
-            slots.push(Some(gated_outcome(fid)));
-            continue;
-        }
-        let key = (spec_fp, fid, s.site, s.value);
-        let hit = cache.entries.get(&key).and_then(|e| {
-            (cone_fingerprint(&e.outcome, segs, keys) == Some(e.cone_fp)).then(|| e.outcome.clone())
-        });
-        match hit {
-            Some(outcome) => slots.push(Some(outcome)),
-            None => {
-                slots.push(None);
-                rerun.push((i, (fid, s)));
-            }
-        }
-    }
-    let reuse = QueryReuse {
-        reused: sources.len() as u64 - gated - rerun.len() as u64,
-        rerun: rerun.len() as u64,
-    };
-    if !rerun.is_empty() {
-        let cx = SpecContext::build(module, segs, spec, kind, config);
-        let rerun_sources: Vec<(FuncId, SourceSite)> = rerun.iter().map(|&(_, src)| src).collect();
-        let fresh = run_sources(
-            &cx,
-            &rerun_sources,
-            symbols,
-            arena,
-            verdicts,
-            threads,
-            trace,
-        );
-        for ((slot, (fid, s)), outcome) in rerun.into_iter().zip(fresh) {
-            if let Some(fp) = cone_fingerprint(&outcome, segs, keys) {
-                cache.entries.insert(
-                    (spec_fp, fid, s.site, s.value),
-                    CachedSource {
-                        cone_fp: fp,
-                        outcome: outcome.clone(),
-                    },
-                );
-            }
-            slots[slot] = Some(outcome);
-        }
-    }
-    let outcomes: Vec<SourceOutcome> = slots
-        .into_iter()
-        .map(|s| s.expect("every source slot filled"))
-        .collect();
-    let (reports, mut stats, queries, new_verdicts) =
-        merge_outcomes(module, spec, sources.len(), outcomes);
-    stats.summary_gated = gated;
-    stats.summary_built = sums.built;
-    stats.summary_reused = sums.reused;
-    stats.summary_composed = sums.composed;
-    (reports, stats, queries, reuse, new_verdicts)
 }
 
 impl<'cx, 'a> Worker<'cx, 'a> {

@@ -20,28 +20,20 @@
 //!   checkers can run concurrently.
 
 use crate::cache_io::SegCacheStore;
-use crate::detect::{run_spec, run_spec_summary, DetectConfig, DetectStats, Report};
+use crate::detect::{run_spec, DetectConfig, DetectStats, QueryCache, QueryReuse, Report};
 use crate::error::PinpointError;
-use crate::seg::ModuleSeg;
+use crate::seg::{ModuleSeg, SegStore};
 use crate::spec::CheckerKind;
-use crate::vfsummary::{summary_fingerprint, Engine, ModuleSummaries};
+use crate::vfsummary::{keys_fingerprint, summary_fingerprint, Engine, ModuleSummaries};
 use pinpoint_cache::{config_fp, module_keys_with_graph, CacheStats, CacheStore, PtaArtifactStore};
 use pinpoint_ir::{CallGraph, Module};
 use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
-use pinpoint_pta::{
-    analyze_module_cached, analyze_module_par, ModuleAnalysis, PtaConfig, PtaStats,
-};
+use pinpoint_pta::{analyze_module_par, ArtifactStore, ModuleAnalysis, PtaConfig, PtaStats};
 use pinpoint_smt::{TermArena, VerdictTable};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// An empty placeholder `ModuleAnalysis` used while swapping state
-/// during incremental updates.
-fn blank_module_analysis() -> ModuleAnalysis {
-    let mut empty = pinpoint_ir::Module::new();
-    pinpoint_pta::analyze_module(&mut empty)
-}
 
 /// The number of workers used when none is configured.
 pub fn default_threads() -> usize {
@@ -318,24 +310,17 @@ impl AnalysisBuilder {
         let (callgraph, func_keys) = graph_and_keys(&module, &self.pta, &mut trace, &mut stats);
         let t0 = Instant::now();
         let pta_span = trace.open("pta", "");
-        let mut pta = match &mut cache {
-            Some(store) => {
-                let mut adapter = PtaArtifactStore::new(store);
-                let (pta, _) = analyze_module_cached(
-                    &mut module,
-                    &self.pta,
-                    self.threads,
-                    &mut trace,
-                    &func_keys,
-                    &mut adapter,
-                    &callgraph,
-                );
-                pta
-            }
-            None => {
-                analyze_module_par(&mut module, &self.pta, self.threads, &mut trace, &callgraph)
-            }
-        };
+        let mut pta_store = cache.as_mut().map(PtaArtifactStore::new);
+        let mut pta = analyze_module_par(
+            &mut module,
+            &self.pta,
+            self.threads,
+            &mut trace,
+            &callgraph,
+            pta_store
+                .as_mut()
+                .map(|st| (func_keys.as_slice(), st as &mut dyn ArtifactStore)),
+        );
         trace.close(pta_span);
         stats.pta_time = t0.elapsed();
         debug_assert!(
@@ -347,29 +332,18 @@ impl AnalysisBuilder {
         let mut arena = std::mem::take(&mut pta.arena);
         let mut symbols = std::mem::take(&mut pta.symbols);
         let seg_span = trace.open("seg", "");
-        let segs = match &mut cache {
-            Some(store) => {
-                let mut adapter = SegCacheStore::new(store);
-                ModuleSeg::build_par_cached(
-                    &module,
-                    &mut arena,
-                    &mut symbols,
-                    &pta.pta,
-                    self.threads,
-                    &mut trace,
-                    &func_keys,
-                    &mut adapter,
-                )
-            }
-            None => ModuleSeg::build_par(
-                &module,
-                &mut arena,
-                &mut symbols,
-                &pta.pta,
-                self.threads,
-                &mut trace,
-            ),
-        };
+        let mut seg_store = cache.as_mut().map(SegCacheStore::new);
+        let segs = ModuleSeg::build_par(
+            &module,
+            &mut arena,
+            &mut symbols,
+            &pta.pta,
+            self.threads,
+            &mut trace,
+            seg_store
+                .as_mut()
+                .map(|st| (func_keys.as_slice(), st as &mut dyn SegStore)),
+        );
         trace.close(seg_span);
         if let Some(store) = &cache {
             stats.cache = store.stats();
@@ -574,20 +548,10 @@ impl Analysis {
     /// borrow the artefact immutably, so several can run concurrently
     /// (from separate threads) without synchronisation.
     pub fn session(&self) -> DetectSession<'_> {
-        let verdicts = self.verdicts.clone();
         DetectSession {
             analysis: self,
             config: self.config,
-            threads: self.threads,
-            engine: self.engine,
-            detect_time: Duration::ZERO,
-            detect: DetectStats::default(),
-            trace: self.trace.clone(),
-            queries: Vec::new(),
-            persisted_len: verdicts.len(),
-            verdicts,
-            verdicts_persisted: 0,
-            summaries: std::collections::HashMap::new(),
+            runner: QueryRunner::new(self),
         }
     }
 
@@ -651,26 +615,19 @@ impl Analysis {
         );
         // Key diffs are caller-closed: an edit anywhere below a function
         // changes that function's transitive key, so the dirty set needs
-        // no further closure. A shape change (different function count)
-        // dirties everything; `analyze_module_incremental_dirty` then
-        // falls back to a full run via its own shape check.
-        let key_dirty: std::collections::HashSet<pinpoint_ir::FuncId> =
-            if new_keys.len() == self.func_keys.len() {
-                new_keys
-                    .iter()
-                    .zip(&self.func_keys)
-                    .enumerate()
-                    .filter(|(_, (n, o))| n != o)
-                    .map(|(i, _)| pinpoint_ir::FuncId(i as u32))
-                    .collect()
-            } else {
-                (0..new_module.funcs.len())
-                    .map(|i| pinpoint_ir::FuncId(i as u32))
-                    .collect()
-            };
+        // no further closure. A shape change makes the incremental
+        // analysis re-run everything from a fresh arena on its own check
+        // (`fell_back`), whatever the diff says.
+        let key_dirty: std::collections::HashSet<pinpoint_ir::FuncId> = new_keys
+            .iter()
+            .zip(&self.func_keys)
+            .enumerate()
+            .filter(|(_, (n, o))| n != o)
+            .map(|(i, _)| pinpoint_ir::FuncId(i as u32))
+            .collect();
         // Reassemble the ModuleAnalysis (the driver holds the arena
         // separately for detection-time term building).
-        let mut old = std::mem::replace(&mut self.pta, blank_module_analysis());
+        let mut old = std::mem::take(&mut self.pta);
         old.arena = self.take_arena();
         let outcome = pinpoint_pta::analyze_module_incremental_dirty(
             &mut new_module,
@@ -678,6 +635,7 @@ impl Analysis {
             old,
             &key_dirty,
             &callgraph,
+            &self.pta_config,
         );
         debug_assert!(
             callgraph.describes(&new_module),
@@ -685,13 +643,8 @@ impl Analysis {
         );
         self.callgraph = callgraph;
         let reanalyzed = outcome.reanalyzed.len();
-        let dirty: std::collections::HashSet<pinpoint_ir::FuncId> = if outcome.fell_back {
-            (0..new_module.funcs.len())
-                .map(|i| pinpoint_ir::FuncId(i as u32))
-                .collect()
-        } else {
-            outcome.reanalyzed.iter().copied().collect()
-        };
+        let dirty: std::collections::HashSet<pinpoint_ir::FuncId> =
+            outcome.reanalyzed.iter().copied().collect();
         self.module = new_module;
         self.pta = outcome.analysis;
         self.stats.pta = self.pta.total_stats();
@@ -699,17 +652,7 @@ impl Analysis {
         let t1 = Instant::now();
         let mut arena = std::mem::take(&mut self.pta.arena);
         let mut symbols = std::mem::take(&mut self.pta.symbols);
-        let old_segs = std::mem::replace(
-            &mut self.segs,
-            ModuleSeg {
-                segs: Vec::new(),
-                callers: std::collections::HashMap::new(),
-                global_stores: std::collections::BTreeMap::new(),
-                global_loads: std::collections::BTreeMap::new(),
-                vertex_count: 0,
-                edge_count: 0,
-            },
-        );
+        let old_segs = std::mem::take(&mut self.segs);
         self.segs = ModuleSeg::build_reusing(
             &self.module,
             &mut arena,
@@ -723,11 +666,10 @@ impl Analysis {
         self.stats.seg_vertices = self.segs.vertex_count;
         self.stats.seg_edges = self.segs.edge_count;
         self.stats.terms = self.arena.len();
-        let reused = self.module.funcs.len().saturating_sub(reanalyzed);
         self.func_keys = new_keys;
         UpdateOutcome {
             reanalyzed,
-            reused,
+            reused: outcome.reused,
             fell_back: outcome.fell_back,
         }
     }
@@ -768,6 +710,291 @@ impl Analysis {
     }
 }
 
+/// The query state machine under both check surfaces: a
+/// [`DetectSession`] is `&Analysis` + a runner, a
+/// [`Workspace`](crate::workspace::Workspace) is `Analysis` + a runner +
+/// the per-source [`QueryCache`] and its counters. The runner owns
+/// everything a sequence of queries accumulates — detection counters,
+/// per-query attribution, the span trace, the verdict table with its
+/// persist watermark, and the in-memory interface summaries — and is
+/// handed the artefact on every call, so it survives the workspace
+/// replacing its artefact under it.
+#[derive(Debug)]
+pub(crate) struct QueryRunner {
+    pub(crate) threads: usize,
+    /// Engine override (`None` = per-query default: demand for single
+    /// checks, summary for whole-program checks).
+    pub(crate) engine: Option<Engine>,
+    detect_time: Duration,
+    detect: DetectStats,
+    /// Build-stage spans (cloned from the artefact) extended with the
+    /// detection spans of this runner's queries.
+    pub(crate) trace: TraceBuf,
+    /// Per-query solver attribution accumulated across checker runs, ids
+    /// in deterministic replay order.
+    pub(crate) queries: Vec<QueryRecord>,
+    /// The accumulating verdict table, seeded from the artefact's
+    /// persisted snapshot. Each run consults the table as it stood when
+    /// the run started and merges what it learned afterwards, so later
+    /// queries reuse earlier verdicts while each run stays thread-count
+    /// invariant. Verdicts survive edits — canonical fingerprints are
+    /// arena-independent, so even a full fallback (which clears the
+    /// per-source query cache) keeps them valid.
+    verdicts: VerdictTable,
+    /// Table size at the last persist — the already-durable prefix.
+    persisted_len: usize,
+    /// Verdicts newly written to the persistent store by this runner.
+    verdicts_persisted: u64,
+    /// Whole-program interface summaries per property fingerprint,
+    /// stamped with the fingerprint of the artefact's per-function keys
+    /// they were built under: an edit changes the keys of exactly the
+    /// edited functions and (via transitive folding) their SCCs' callers,
+    /// so a stale entry rebuilds — consulting the persistent store, where
+    /// every clean function's summary is still a hit. Under a session
+    /// the artefact is immutable and the stamp always matches.
+    summaries: HashMap<u128, (u128, ModuleSummaries)>,
+}
+
+impl QueryRunner {
+    pub(crate) fn new(analysis: &Analysis) -> Self {
+        let verdicts = analysis.verdicts.clone();
+        QueryRunner {
+            threads: analysis.threads,
+            engine: analysis.engine,
+            detect_time: Duration::ZERO,
+            detect: DetectStats::default(),
+            trace: analysis.trace.clone(),
+            queries: Vec::new(),
+            persisted_len: verdicts.len(),
+            verdicts,
+            verdicts_persisted: 0,
+            summaries: HashMap::new(),
+        }
+    }
+
+    /// Builds (or replays) the whole-program interface summaries for
+    /// `spec`, with the key fingerprint they are valid under. A replay is
+    /// a full reuse — the key-fingerprint match proves the table is still
+    /// exact — so its counters report every function as reused. Stale or
+    /// missing tables rebuild through the persistent store when one is
+    /// configured, where per-function entries for clean cones are hits.
+    fn summaries_for(&mut self, a: &Analysis, spec: &crate::spec::Spec) -> (u128, ModuleSummaries) {
+        let keys_fp = keys_fingerprint(&a.func_keys);
+        if let Some((fp, mut sums)) = self.summaries.remove(&summary_fingerprint(spec)) {
+            if fp == keys_fp {
+                sums.reused = sums.len() as u64;
+                sums.built = 0;
+                sums.composed = 0;
+                return (keys_fp, sums);
+            }
+        }
+        let mut store = a
+            .cache_dir
+            .as_deref()
+            .and_then(|dir| CacheStore::open(dir).ok());
+        let sums = ModuleSummaries::build_with_graph(
+            &a.module,
+            &a.segs,
+            spec,
+            self.threads,
+            store.as_mut().map(|st| (st, a.func_keys.as_slice())),
+            &a.callgraph,
+        );
+        (keys_fp, sums)
+    }
+
+    /// Runs one property over `a` under `config` and folds its outcome
+    /// into the accumulated state. The engine is the runner's override,
+    /// else `default_engine` (what the calling query arm prefers);
+    /// `cache` is the workspace's per-source query cache. Returns the
+    /// reports and the cache's reuse split.
+    pub(crate) fn run(
+        &mut self,
+        a: &Analysis,
+        config: DetectConfig,
+        spec: &crate::spec::Spec,
+        kind: Option<CheckerKind>,
+        default_engine: Engine,
+        cache: Option<&mut QueryCache>,
+    ) -> (Vec<Report>, QueryReuse) {
+        let t0 = Instant::now();
+        let span = self.trace.open("detect", spec.name.clone());
+        let base_id = u32::try_from(self.queries.len()).expect("query count fits u32");
+        let sums = match self.engine.unwrap_or(default_engine) {
+            Engine::Demand => None,
+            Engine::Summary => Some(self.summaries_for(a, spec)),
+        };
+        let mut out = run_spec(
+            &a.module,
+            &a.segs,
+            &a.pta.symbols,
+            &a.arena,
+            &self.verdicts,
+            spec,
+            kind,
+            config,
+            self.threads,
+            &mut self.trace,
+            &mut self.detect,
+            sums.as_ref().map(|(_, sums)| sums),
+            cache.map(|c| (a.func_keys.as_slice(), c)),
+        );
+        if let Some(stamped) = sums {
+            self.summaries.insert(summary_fingerprint(spec), stamped);
+        }
+        self.trace.close(span);
+        for q in &mut out.queries {
+            q.id += base_id;
+        }
+        self.queries.extend(out.queries);
+        self.detect_time += t0.elapsed();
+        for (fp, v) in out.new_verdicts {
+            self.verdicts.insert(fp, v);
+        }
+        if let Some(dir) = a.cache_dir.as_deref() {
+            if self.verdicts.len() > self.persisted_len {
+                crate::cache_io::persist_verdicts(dir, &self.verdicts);
+                self.verdicts_persisted += (self.verdicts.len() - self.persisted_len) as u64;
+                self.persisted_len = self.verdicts.len();
+            }
+        }
+        (out.reports, out.reuse)
+    }
+
+    /// Runs the memory-leak checker on private scratch copies of the
+    /// symbol cache and arena. Leak checking is a whole-module graph
+    /// reachability pass without per-source structure, so it is never
+    /// query-cached; under a workspace it is still incremental through
+    /// the spliced SEGs it reads.
+    pub(crate) fn leaks(&mut self, a: &Analysis) -> Vec<crate::leak::LeakReport> {
+        let t0 = Instant::now();
+        let span = self.trace.open("detect", "memory-leak");
+        let mut symbols = a.pta.symbols.clone();
+        let mut arena = (*a.arena).clone();
+        let reports = crate::leak::check_leaks(&a.module, &a.segs, &mut symbols, &mut arena);
+        self.trace.close(span);
+        self.detect_time += t0.elapsed();
+        reports
+    }
+
+    /// The artefact's build stages plus the accumulated detection
+    /// counters and time.
+    pub(crate) fn stats(&self, a: &Analysis) -> PipelineStats {
+        let mut s = a.stats;
+        s.detect = self.detect;
+        s.detect_time = self.detect_time;
+        s
+    }
+
+    /// The unified metrics registry covering all five stage families
+    /// (frontend, pta, seg, detect, smt), absorbing the per-crate stats
+    /// structs into the dotted-name schema.
+    pub(crate) fn metrics(&self, a: &Analysis) -> MetricsRegistry {
+        let s = self.stats(a);
+        let mut m = MetricsRegistry::new();
+        m.counter_add("frontend.time_ns", s.front_time.as_nanos() as u64);
+        m.counter_add("frontend.funcs", a.module.funcs.len() as u64);
+        m.counter_add(
+            "frontend.insts",
+            a.module
+                .funcs
+                .iter()
+                .map(|f| f.iter_insts().count() as u64)
+                .sum(),
+        );
+        m.counter_add("callgraph.time_ns", s.callgraph_time.as_nanos() as u64);
+        m.counter_add("callgraph.edges", a.callgraph.edge_count() as u64);
+        m.counter_add("callgraph.sccs", a.callgraph.scc_count() as u64);
+        m.counter_add("callgraph.max_callers", a.callgraph.max_callers() as u64);
+        m.counter_add("keys.time_ns", s.keys_time.as_nanos() as u64);
+        m.counter_add("pta.time_ns", s.pta_time.as_nanos() as u64);
+        s.pta.record_into(&mut m);
+        m.counter_add("seg.time_ns", s.seg_time.as_nanos() as u64);
+        m.counter_add("seg.vertices", s.seg_vertices as u64);
+        m.counter_add("seg.edges", s.seg_edges as u64);
+        m.counter_add("seg.terms", s.terms as u64);
+        // Always present (zero without a cache directory) so the exported
+        // schema is shape-stable.
+        m.counter_add("cache.hits", s.cache.hits);
+        m.counter_add("cache.misses", s.cache.misses);
+        m.counter_add("cache.invalidated", s.cache.invalidated);
+        m.counter_add("cache.load_ns", s.cache.load_ns);
+        m.counter_add("cache.store_ns", s.cache.store_ns);
+        m.counter_add("detect.time_ns", s.detect_time.as_nanos() as u64);
+        m.counter_add("detect.sources", s.detect.sources);
+        m.counter_add("detect.visited", s.detect.visited);
+        m.counter_add("detect.candidates", s.detect.candidates);
+        m.counter_add("detect.refuted", s.detect.refuted);
+        m.counter_add("detect.linear_refuted", s.detect.linear_refuted);
+        m.counter_add("detect.skipped_descents", s.detect.skipped_descents);
+        m.counter_add("detect.budget_exhausted", s.detect.budget_exhausted);
+        m.counter_add("detect.reports", s.detect.reports);
+        // The whole-program summary engine: interface summaries built cold
+        // vs. reused, the interface edges composed while building, and the
+        // sources the gate answered without a search. All zero under the
+        // demand engine; always present so the schema is shape-stable.
+        m.counter_add("summary.built", s.detect.summary_built);
+        m.counter_add("summary.reused", s.detect.summary_reused);
+        m.counter_add("summary.composed", s.detect.summary_composed);
+        m.counter_add("summary.gated", s.detect.summary_gated);
+        // The SMT family is derived from per-query attribution, so the
+        // aggregate and the query rows can never disagree.
+        m.counter_add("smt.queries", self.queries.len() as u64);
+        for q in &self.queries {
+            m.counter_add("smt.solve_ns", q.cost.solver_ns);
+            m.counter_add("smt.conflicts", q.cost.conflicts);
+            m.counter_add("smt.learned", q.cost.learned);
+            m.counter_add("smt.propagations", q.cost.propagations);
+            m.counter_add("smt.decisions", q.cost.decisions);
+            m.counter_add("smt.theory_checks", q.cost.theory_checks);
+            m.counter_add("smt.theory_conflicts", q.cost.theory_conflicts);
+            m.hist_record("smt.query_ns", q.cost.solver_ns);
+            m.hist_record("smt.conflicts_per_query", q.cost.conflicts);
+        }
+        // Cross-query condition reuse: how often the verdict table answered
+        // for the solver, and how much incremental-session state the misses
+        // inherited.
+        m.counter_add("smt.verdict.hits", s.detect.verdict_hits);
+        m.counter_add("smt.verdict.misses", s.detect.verdict_misses);
+        m.counter_add("smt.verdict.persisted", self.verdicts_persisted);
+        m.counter_add("smt.incremental.reused_clauses", s.detect.reused_clauses);
+        m.counter_add("smt.incremental.sessions", s.detect.sessions);
+        // Keep the family's keys present even with zero queries so the
+        // exported schema is shape-stable.
+        for key in [
+            "smt.solve_ns",
+            "smt.conflicts",
+            "smt.learned",
+            "smt.propagations",
+            "smt.decisions",
+            "smt.theory_checks",
+            "smt.theory_conflicts",
+        ] {
+            m.counter_add(key, 0);
+        }
+        m
+    }
+
+    /// The `pinpoint-stats-v1` document over `metrics` ([`Self::metrics`],
+    /// plus whatever families the caller added): run metadata, per-stage
+    /// counters, histograms, and the per-query attribution rows.
+    /// `canonical` zeroes wall-clock values and omits run metadata,
+    /// making the bytes thread-count invariant.
+    pub(crate) fn stats_json(&self, metrics: &MetricsRegistry, canonical: bool) -> String {
+        metrics.stats_json(
+            &[("threads", self.threads as u64)],
+            Some(&queries_json(&self.queries, canonical)),
+            canonical,
+        )
+    }
+
+    /// Renders the top-`k` rows of the per-`(checker, function)` "where
+    /// did the time go" table.
+    pub(crate) fn profile(&self, k: usize) -> String {
+        ProfileTable::build(&self.queries).render(k)
+    }
+}
+
 /// A detection session: per-query configuration and statistics over an
 /// immutable [`Analysis`].
 ///
@@ -782,33 +1009,7 @@ pub struct DetectSession<'a> {
     /// Detection configuration for this session's queries (starts from
     /// the artefact's build-time configuration).
     pub config: DetectConfig,
-    threads: usize,
-    detect_time: Duration,
-    detect: DetectStats,
-    /// Build-stage spans (cloned from the artefact) extended with this
-    /// session's detection spans.
-    trace: TraceBuf,
-    /// Per-query solver attribution accumulated across this session's
-    /// checker runs, ids in deterministic replay order.
-    queries: Vec<QueryRecord>,
-    /// The session's accumulating verdict table, seeded from the
-    /// artefact's persisted snapshot. Each run consults the table as it
-    /// stood when the run started and merges what it learned afterwards,
-    /// so later queries in a long-lived session reuse earlier verdicts
-    /// while each run stays thread-count invariant.
-    verdicts: VerdictTable,
-    /// Table size at the last persist — the already-durable prefix.
-    persisted_len: usize,
-    /// Verdicts newly written to the persistent store by this session.
-    verdicts_persisted: u64,
-    /// Engine override for this session's queries (`None` = per-query
-    /// default: demand for single checks, summary for whole-program
-    /// checks).
-    engine: Option<Engine>,
-    /// Whole-program interface summaries built by this session's
-    /// summary-engine runs, keyed by property fingerprint — the artefact
-    /// is immutable, so repeated `check_all`s replay them for free.
-    summaries: std::collections::HashMap<u128, ModuleSummaries>,
+    runner: QueryRunner,
 }
 
 impl<'a> DetectSession<'a> {
@@ -819,7 +1020,7 @@ impl<'a> DetectSession<'a> {
 
     /// Overrides the worker count for this session.
     pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
+        self.runner.threads = n.max(1);
         self
     }
 
@@ -832,198 +1033,94 @@ impl<'a> DetectSession<'a> {
     /// Overrides the whole-program engine for this session's queries
     /// (reports are byte-identical either way; only the work differs).
     pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = Some(engine);
+        self.runner.engine = Some(engine);
         self
     }
 
     /// Runs one checker, returning its reports.
     pub fn check(&mut self, kind: CheckerKind) -> Vec<Report> {
-        let spec = kind.spec();
-        let engine = self.engine.unwrap_or(Engine::Demand);
-        self.run(&spec, Some(kind), engine)
+        self.run_kind(kind, Engine::Demand)
     }
 
     /// Runs a user-defined property specification.
     pub fn check_custom(&mut self, spec: &crate::spec::Spec) -> Vec<Report> {
-        let engine = self.engine.unwrap_or(Engine::Demand);
-        self.run(spec, None, engine)
+        let run = self
+            .runner
+            .run(self.analysis, self.config, spec, None, Engine::Demand, None);
+        run.0
     }
 
     /// Runs every supported checker. Whole-program queries default to the
     /// summary engine (reports stay byte-identical to demand).
     pub fn check_all(&mut self) -> Vec<Report> {
-        let engine = self.engine.unwrap_or(Engine::Summary);
         CheckerKind::ALL
             .into_iter()
-            .flat_map(|k| self.run(&k.spec(), Some(k), engine))
+            .flat_map(|k| self.run_kind(k, Engine::Summary))
             .collect()
     }
 
     /// Runs the checkers selected at build time.
     pub fn check_configured(&mut self) -> Vec<Report> {
-        let engine = self.engine.unwrap_or(Engine::Summary);
         self.analysis
             .checkers
-            .clone()
-            .into_iter()
-            .flat_map(|k| self.run(&k.spec(), Some(k), engine))
+            .iter()
+            .flat_map(|&k| self.run_kind(k, Engine::Summary))
             .collect()
+    }
+
+    /// One built-in checker under the engine its query arm defaults to.
+    fn run_kind(&mut self, kind: CheckerKind, default_engine: Engine) -> Vec<Report> {
+        let (spec, kind) = (kind.spec(), Some(kind));
+        let run = self.runner.run(
+            self.analysis,
+            self.config,
+            &spec,
+            kind,
+            default_engine,
+            None,
+        );
+        run.0
     }
 
     /// Runs the memory-leak checker on session-private scratch copies of
     /// the symbol cache and arena.
     pub fn check_leaks(&mut self) -> Vec<crate::leak::LeakReport> {
-        let t0 = Instant::now();
-        let span = self.trace.open("detect", "memory-leak");
-        let mut symbols = self.analysis.pta.symbols.clone();
-        let mut arena = (*self.analysis.arena).clone();
-        let reports = crate::leak::check_leaks(
-            &self.analysis.module,
-            &self.analysis.segs,
-            &mut symbols,
-            &mut arena,
-        );
-        self.trace.close(span);
-        self.detect_time += t0.elapsed();
-        reports
-    }
-
-    /// Builds (or replays) the whole-program interface summaries for
-    /// `spec`, consulting the persistent cache when one is configured.
-    /// An in-session replay is a full reuse: the artefact is immutable,
-    /// so the counters report every function as reused.
-    fn summaries_for(&mut self, spec: &crate::spec::Spec) -> ModuleSummaries {
-        let sum_fp = summary_fingerprint(spec);
-        match self.summaries.remove(&sum_fp) {
-            Some(mut sums) => {
-                sums.reused = sums.len() as u64;
-                sums.built = 0;
-                sums.composed = 0;
-                sums
-            }
-            None => {
-                let mut store = self
-                    .analysis
-                    .cache_dir
-                    .as_deref()
-                    .and_then(|dir| CacheStore::open(dir).ok());
-                ModuleSummaries::build_with_graph(
-                    &self.analysis.module,
-                    &self.analysis.segs,
-                    spec,
-                    self.threads,
-                    store
-                        .as_mut()
-                        .map(|st| (st, self.analysis.func_keys.as_slice())),
-                    &self.analysis.callgraph,
-                )
-            }
-        }
-    }
-
-    fn run(
-        &mut self,
-        spec: &crate::spec::Spec,
-        kind: Option<CheckerKind>,
-        engine: Engine,
-    ) -> Vec<Report> {
-        let t0 = Instant::now();
-        let span = self.trace.open("detect", spec.name.clone());
-        let base_id = u32::try_from(self.queries.len()).expect("query count fits u32");
-        let (reports, stats, mut queries, new_verdicts) = match engine {
-            Engine::Demand => run_spec(
-                &self.analysis.module,
-                &self.analysis.segs,
-                &self.analysis.pta.symbols,
-                &self.analysis.arena,
-                &self.verdicts,
-                spec,
-                kind,
-                self.config,
-                self.threads,
-                &mut self.trace,
-            ),
-            Engine::Summary => {
-                let sums = self.summaries_for(spec);
-                let out = run_spec_summary(
-                    &self.analysis.module,
-                    &self.analysis.segs,
-                    &self.analysis.pta.symbols,
-                    &self.analysis.arena,
-                    &self.verdicts,
-                    spec,
-                    kind,
-                    self.config,
-                    self.threads,
-                    &mut self.trace,
-                    &sums,
-                );
-                self.summaries.insert(summary_fingerprint(spec), sums);
-                out
-            }
-        };
-        self.trace.close(span);
-        for q in &mut queries {
-            q.id += base_id;
-        }
-        self.queries.extend(queries);
-        self.detect_time += t0.elapsed();
-        accumulate_detect(&mut self.detect, &stats);
-        for (fp, v) in new_verdicts {
-            self.verdicts.insert(fp, v);
-        }
-        if let Some(dir) = self.analysis.cache_dir.as_deref() {
-            if self.verdicts.len() > self.persisted_len {
-                crate::cache_io::persist_verdicts(dir, &self.verdicts);
-                self.verdicts_persisted += (self.verdicts.len() - self.persisted_len) as u64;
-                self.persisted_len = self.verdicts.len();
-            }
-        }
-        reports
+        self.runner.leaks(self.analysis)
     }
 
     /// Combined statistics: the artefact's build stages plus this
     /// session's accumulated detection counters and time.
     pub fn stats(&self) -> PipelineStats {
-        let mut s = self.analysis.stats;
-        s.detect = self.detect;
-        s.detect_time = self.detect_time;
-        s
+        self.runner.stats(self.analysis)
     }
 
     /// Per-query solver attribution accumulated so far (ids in the
     /// deterministic replay order they were evaluated in).
     pub fn queries(&self) -> &[QueryRecord] {
-        &self.queries
+        &self.runner.queries
     }
 
     /// The session's span trace: build stages plus this session's
     /// detection spans.
     pub fn trace(&self) -> &TraceBuf {
-        &self.trace
+        &self.runner.trace
     }
 
     /// Chrome trace-event JSON of the session's spans (Perfetto-loadable).
     pub fn trace_json(&self) -> String {
-        self.trace.chrome_json()
+        self.trace().chrome_json()
     }
 
     /// Normalized trace (timings/lanes dropped, rows sorted) —
     /// byte-identical across thread counts.
     pub fn trace_canonical_json(&self) -> String {
-        self.trace.canonical_json()
+        self.trace().canonical_json()
     }
 
     /// The unified metrics registry covering all five stage families
-    /// (frontend, pta, seg, detect, smt), absorbing the per-crate stats
-    /// structs into the dotted-name schema.
+    /// (frontend, pta, seg, detect, smt).
     pub fn metrics(&self) -> MetricsRegistry {
-        build_metrics(
-            self.analysis,
-            &self.stats(),
-            &self.queries,
-            self.verdicts_persisted,
-        )
+        self.runner.metrics(self.analysis)
     }
 
     /// The unified stats document (`pinpoint-stats-v1`): run metadata,
@@ -1031,137 +1128,14 @@ impl<'a> DetectSession<'a> {
     /// rows. `canonical` zeroes wall-clock values and omits run metadata,
     /// making the bytes thread-count invariant.
     pub fn stats_json(&self, canonical: bool) -> String {
-        self.metrics().stats_json(
-            &[("threads", self.threads as u64)],
-            Some(&queries_json(&self.queries, canonical)),
-            canonical,
-        )
+        self.runner.stats_json(&self.metrics(), canonical)
     }
 
     /// Renders the top-`k` rows of the per-`(checker, function)` "where
     /// did the time go" table.
     pub fn profile(&self, k: usize) -> String {
-        ProfileTable::build(&self.queries).render(k)
+        self.runner.profile(k)
     }
-}
-
-/// Field-by-field accumulation of detection counters across checker runs
-/// (shared by [`DetectSession`] and [`crate::workspace::Workspace`]).
-pub(crate) fn accumulate_detect(total: &mut DetectStats, stats: &DetectStats) {
-    total.sources += stats.sources;
-    total.visited += stats.visited;
-    total.candidates += stats.candidates;
-    total.refuted += stats.refuted;
-    total.linear_refuted += stats.linear_refuted;
-    total.skipped_descents += stats.skipped_descents;
-    total.budget_exhausted += stats.budget_exhausted;
-    total.reports += stats.reports;
-    total.verdict_hits += stats.verdict_hits;
-    total.verdict_misses += stats.verdict_misses;
-    total.reused_clauses += stats.reused_clauses;
-    total.sessions += stats.sessions;
-    total.summary_gated += stats.summary_gated;
-    total.summary_built += stats.summary_built;
-    total.summary_reused += stats.summary_reused;
-    total.summary_composed += stats.summary_composed;
-}
-
-/// Builds the unified metrics registry for one artefact + accumulated
-/// detection state. Shared by [`DetectSession::metrics`] and
-/// [`crate::workspace::Workspace::metrics`] so both export the same
-/// `pinpoint-stats-v1` families.
-pub(crate) fn build_metrics(
-    analysis: &Analysis,
-    s: &PipelineStats,
-    queries: &[QueryRecord],
-    verdicts_persisted: u64,
-) -> MetricsRegistry {
-    let mut m = MetricsRegistry::new();
-    m.counter_add("frontend.time_ns", s.front_time.as_nanos() as u64);
-    m.counter_add("frontend.funcs", analysis.module.funcs.len() as u64);
-    m.counter_add(
-        "frontend.insts",
-        analysis
-            .module
-            .funcs
-            .iter()
-            .map(|f| f.iter_insts().count() as u64)
-            .sum(),
-    );
-    m.counter_add("callgraph.time_ns", s.callgraph_time.as_nanos() as u64);
-    m.counter_add("callgraph.edges", analysis.callgraph.edge_count() as u64);
-    m.counter_add("callgraph.sccs", analysis.callgraph.scc_count() as u64);
-    m.counter_add(
-        "callgraph.max_callers",
-        analysis.callgraph.max_callers() as u64,
-    );
-    m.counter_add("keys.time_ns", s.keys_time.as_nanos() as u64);
-    m.counter_add("pta.time_ns", s.pta_time.as_nanos() as u64);
-    s.pta.record_into(&mut m);
-    m.counter_add("seg.time_ns", s.seg_time.as_nanos() as u64);
-    m.counter_add("seg.vertices", s.seg_vertices as u64);
-    m.counter_add("seg.edges", s.seg_edges as u64);
-    m.counter_add("seg.terms", s.terms as u64);
-    // Always present (zero without a cache directory) so the exported
-    // schema is shape-stable.
-    m.counter_add("cache.hits", s.cache.hits);
-    m.counter_add("cache.misses", s.cache.misses);
-    m.counter_add("cache.invalidated", s.cache.invalidated);
-    m.counter_add("cache.load_ns", s.cache.load_ns);
-    m.counter_add("cache.store_ns", s.cache.store_ns);
-    m.counter_add("detect.time_ns", s.detect_time.as_nanos() as u64);
-    m.counter_add("detect.sources", s.detect.sources);
-    m.counter_add("detect.visited", s.detect.visited);
-    m.counter_add("detect.candidates", s.detect.candidates);
-    m.counter_add("detect.refuted", s.detect.refuted);
-    m.counter_add("detect.linear_refuted", s.detect.linear_refuted);
-    m.counter_add("detect.skipped_descents", s.detect.skipped_descents);
-    m.counter_add("detect.budget_exhausted", s.detect.budget_exhausted);
-    m.counter_add("detect.reports", s.detect.reports);
-    // The whole-program summary engine: interface summaries built cold
-    // vs. reused, the interface edges composed while building, and the
-    // sources the gate answered without a search. All zero under the
-    // demand engine; always present so the schema is shape-stable.
-    m.counter_add("summary.built", s.detect.summary_built);
-    m.counter_add("summary.reused", s.detect.summary_reused);
-    m.counter_add("summary.composed", s.detect.summary_composed);
-    m.counter_add("summary.gated", s.detect.summary_gated);
-    // The SMT family is derived from per-query attribution, so the
-    // aggregate and the query rows can never disagree.
-    m.counter_add("smt.queries", queries.len() as u64);
-    for q in queries {
-        m.counter_add("smt.solve_ns", q.cost.solver_ns);
-        m.counter_add("smt.conflicts", q.cost.conflicts);
-        m.counter_add("smt.learned", q.cost.learned);
-        m.counter_add("smt.propagations", q.cost.propagations);
-        m.counter_add("smt.decisions", q.cost.decisions);
-        m.counter_add("smt.theory_checks", q.cost.theory_checks);
-        m.counter_add("smt.theory_conflicts", q.cost.theory_conflicts);
-        m.hist_record("smt.query_ns", q.cost.solver_ns);
-        m.hist_record("smt.conflicts_per_query", q.cost.conflicts);
-    }
-    // Cross-query condition reuse: how often the verdict table answered
-    // for the solver, and how much incremental-session state the misses
-    // inherited.
-    m.counter_add("smt.verdict.hits", s.detect.verdict_hits);
-    m.counter_add("smt.verdict.misses", s.detect.verdict_misses);
-    m.counter_add("smt.verdict.persisted", verdicts_persisted);
-    m.counter_add("smt.incremental.reused_clauses", s.detect.reused_clauses);
-    m.counter_add("smt.incremental.sessions", s.detect.sessions);
-    // Keep the family's keys present even with zero queries so the
-    // exported schema is shape-stable.
-    for key in [
-        "smt.solve_ns",
-        "smt.conflicts",
-        "smt.learned",
-        "smt.propagations",
-        "smt.decisions",
-        "smt.theory_checks",
-        "smt.theory_conflicts",
-    ] {
-        m.counter_add(key, 0);
-    }
-    m
 }
 
 #[cfg(test)]

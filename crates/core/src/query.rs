@@ -39,6 +39,7 @@
 use crate::detect::Report;
 use crate::leak::LeakReport;
 use crate::spec::{CheckerKind, Spec};
+use crate::vfsummary::Engine;
 use crate::workspace::Workspace;
 
 /// One analysis request against a workspace: which property (or
@@ -131,14 +132,18 @@ impl Workspace {
     /// requests for.
     pub fn query(&mut self, query: &Query) -> QueryResponse {
         match query {
-            Query::Check(kind) => QueryResponse::Reports(self.run_kind(*kind)),
+            Query::Check(k) => {
+                QueryResponse::Reports(self.run_property(&k.spec(), Some(*k), Engine::Demand))
+            }
             Query::All => QueryResponse::Reports(
                 CheckerKind::ALL
                     .into_iter()
-                    .flat_map(|k| self.run_kind_all(k))
+                    .flat_map(|k| self.run_property(&k.spec(), Some(k), Engine::Summary))
                     .collect(),
             ),
-            Query::Custom(spec) => QueryResponse::Reports(self.run_custom(spec)),
+            Query::Custom(spec) => {
+                QueryResponse::Reports(self.run_property(spec, None, Engine::Demand))
+            }
             Query::Leaks => QueryResponse::Leaks(self.run_leaks()),
         }
     }

@@ -272,10 +272,11 @@ impl Seg {
 /// One worker's SEG construction output, in a private arena until the
 /// deterministic merge.
 struct SegResult {
-    fid: FuncId,
     seg: Seg,
     arena: TermArena,
-    symbols: Symbols,
+    /// Sorted values the private interner cached: the merge re-derives
+    /// their terms against the shared arena in this order.
+    cached_values: Vec<ValueId>,
 }
 
 /// Builds one function's SEG in a fresh private arena/interner, so the
@@ -285,10 +286,9 @@ fn build_one(fid: FuncId, f: &Function, pta: &FuncPta) -> SegResult {
     let mut symbols = Symbols::new();
     let seg = Seg::build(&mut arena, &mut symbols, fid, f, pta);
     SegResult {
-        fid,
         seg,
         arena,
-        symbols,
+        cached_values: symbols.cached_values(fid),
     }
 }
 
@@ -307,7 +307,7 @@ pub struct SegArtifact {
     pub cached_values: Vec<ValueId>,
 }
 
-/// Where [`ModuleSeg::build_par_cached`] loads and stores per-function
+/// Where [`ModuleSeg::build_par`] loads and stores per-function
 /// SEG artifacts; the same contract as
 /// [`pinpoint_pta::ArtifactStore`] — keys are fully identifying and
 /// store failures must degrade silently.
@@ -320,7 +320,7 @@ pub trait SegStore {
 
 /// The SEGs of a whole module plus the module-level indexes the global
 /// analysis needs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ModuleSeg {
     /// Per-function SEG, indexed by `FuncId`.
     pub segs: Vec<Seg>,
@@ -388,21 +388,32 @@ impl ModuleSeg {
         Self::assemble(module, segs, pta)
     }
 
-    /// Builds every function's SEG with `threads` scoped workers.
+    /// Builds every function's SEG with `threads` workers, optionally
+    /// against a persistent artifact `store`.
     ///
     /// Per-function SEG construction is embarrassingly parallel: each
-    /// worker lowers its functions' gating conditions into a *fresh*
-    /// private arena and symbol interner, so results are bit-identical
-    /// regardless of sharding. The merge walks functions in id order,
-    /// re-derives the symbol cache against the shared arena and rebuilds
-    /// each locally-created edge condition through the translator's
-    /// smart constructors. Memory-edge conditions already live in the
-    /// shared arena (they come from the merged points-to result and are
-    /// never dereferenced during construction), so they pass through
-    /// untouched.
+    /// worker ([`pinpoint_obs::TraceBuf::shard_map`], one `seg.func` span
+    /// per function) lowers its functions' gating conditions into a
+    /// *fresh* private arena and symbol interner, so results are
+    /// bit-identical regardless of sharding. The merge walks functions in
+    /// id order, re-derives the symbol cache against the shared arena and
+    /// rebuilds each locally-created edge condition through the
+    /// translator's smart constructors. Memory-edge conditions already
+    /// live in the shared arena (they come from the merged points-to
+    /// result and are never dereferenced during construction), so they
+    /// pass through untouched.
     ///
-    /// When `trace` is recording, each function gets a `seg.func` span in
-    /// a worker-private buffer, merged back in shard order at the join.
+    /// With a store, `keys[fid]` is the same content key the points-to
+    /// stage used (the persisted SEG depends only on the transformed
+    /// body, which that key covers). A hit splices the stored graph: its
+    /// locally-derived edge conditions are translated from the persisted
+    /// private arena exactly as a fresh result's are, and its memory
+    /// edges are re-derived from the *current* merged points-to result —
+    /// which for a clean function is identical to the cold run's. A miss
+    /// is built as above and its (memory-edge-stripped) artifact written
+    /// back. The result is byte-identical to a storeless run, which
+    /// never materialises a [`SegArtifact`].
+    #[allow(clippy::too_many_arguments)]
     pub fn build_par(
         module: &Module,
         arena: &mut TermArena,
@@ -410,197 +421,79 @@ impl ModuleSeg {
         pta: &[FuncPta],
         threads: usize,
         trace: &mut pinpoint_obs::TraceBuf,
+        mut store: Option<(&[u128], &mut dyn SegStore)>,
     ) -> Self {
-        let work: Vec<(FuncId, &Function)> = module.iter_funcs().collect();
-        let results = Self::run_workers(&work, pta, threads, trace);
-
-        let mut segs: Vec<Seg> = Vec::with_capacity(work.len());
-        for r in results {
-            let seg = Self::merge_result(module, arena, symbols, r);
-            segs.push(seg);
+        if let Some((keys, _)) = &store {
+            assert_eq!(keys.len(), module.funcs.len(), "one cache key per function");
         }
-        Self::assemble(module, segs, pta)
-    }
-
-    /// Fans per-function SEG construction out over `threads` workers;
-    /// results come back in `work` order.
-    fn run_workers(
-        work: &[(FuncId, &Function)],
-        pta: &[FuncPta],
-        threads: usize,
-        trace: &mut pinpoint_obs::TraceBuf,
-    ) -> Vec<SegResult> {
-        let threads = threads.max(1);
-        if threads == 1 || work.len() <= 1 {
-            let mut lane = trace.fork(1);
-            let out = work
-                .iter()
-                .map(|&(fid, f)| {
-                    let span = lane.open("seg.func", f.name.clone());
-                    let r = build_one(fid, f, &pta[fid.0 as usize]);
-                    lane.close(span);
-                    r
-                })
-                .collect();
-            trace.merge(lane);
-            out
-        } else {
-            let chunk = work.len().div_ceil(threads);
-            let trace_ref = &*trace;
-            let (out, lanes) = std::thread::scope(|s| {
-                let handles: Vec<_> = work
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(shard_idx, shard)| {
-                        s.spawn(move || {
-                            let mut lane = trace_ref.fork(shard_idx as u32 + 1);
-                            let results = shard
-                                .iter()
-                                .map(|&(fid, f)| {
-                                    let span = lane.open("seg.func", f.name.clone());
-                                    let r = build_one(fid, f, &pta[fid.0 as usize]);
-                                    lane.close(span);
-                                    r
-                                })
-                                .collect::<Vec<_>>();
-                            (results, lane)
-                        })
-                    })
-                    .collect();
-                let mut out = Vec::new();
-                let mut lanes = Vec::new();
-                for h in handles {
-                    let (results, lane) = h.join().expect("SEG worker panicked");
-                    out.extend(results);
-                    lanes.push(lane);
-                }
-                (out, lanes)
-            });
-            for lane in lanes {
-                trace.merge(lane);
-            }
-            out
-        }
-    }
-
-    /// Merges one worker's private-arena SEG into the shared arena:
-    /// re-derives the symbol cache (sorted value order), then rebuilds
-    /// every locally-created edge condition through the translator's
-    /// smart constructors. Memory-edge conditions already live in the
-    /// shared arena and pass through untouched.
-    fn merge_result(
-        module: &Module,
-        arena: &mut TermArena,
-        symbols: &mut Symbols,
-        r: SegResult,
-    ) -> Seg {
-        let f = module.func(r.fid);
-        for v in r.symbols.cached_values(r.fid) {
-            symbols.value_term(arena, r.fid, f, v);
-        }
-        Self::translate_seg(module, arena, symbols, r.fid, r.seg, &r.arena, None)
-    }
-
-    /// The shared translation step of [`ModuleSeg::merge_result`] and the
-    /// cached splice path: re-derive `cached_values` (when the private
-    /// symbol interner is not at hand), translate every non-memory edge
-    /// condition over sorted vertex keys, and return the merged graph.
-    #[allow(clippy::too_many_arguments)]
-    fn translate_seg(
-        module: &Module,
-        arena: &mut TermArena,
-        symbols: &mut Symbols,
-        fid: FuncId,
-        mut seg: Seg,
-        src_arena: &TermArena,
-        cached_values: Option<&[ValueId]>,
-    ) -> Seg {
-        if let Some(values) = cached_values {
-            let f = module.func(fid);
-            for &v in values {
-                symbols.value_term(arena, fid, f, v);
-            }
-        }
-        let mut tr = TermTranslator::new();
-        for edges in [&mut seg.out_edges, &mut seg.in_edges] {
-            let mut keys: Vec<ValueId> = edges.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                for e in edges.get_mut(&k).expect("key just listed") {
-                    if e.kind != EdgeKind::Memory {
-                        e.cond = tr.translate(src_arena, arena, e.cond);
-                    }
-                }
-            }
-        }
-        seg
-    }
-
-    /// Builds SEGs against a persistent artifact store.
-    ///
-    /// `keys[fid]` is the same content key the points-to stage used (the
-    /// persisted SEG depends only on the transformed body, which that key
-    /// covers). A hit splices the stored graph: its locally-derived edge
-    /// conditions are translated from the persisted private arena exactly
-    /// as a cold merge would, and its memory edges are re-derived from
-    /// the *current* merged points-to result — which for a clean function
-    /// is identical to the cold run's. A miss builds the function fresh
-    /// and writes the (memory-edge-stripped) artifact back. Both paths
-    /// merge in function-id order, so the result is byte-identical to
-    /// [`ModuleSeg::build_par`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_par_cached(
-        module: &Module,
-        arena: &mut TermArena,
-        symbols: &mut Symbols,
-        pta: &[FuncPta],
-        threads: usize,
-        trace: &mut pinpoint_obs::TraceBuf,
-        keys: &[u128],
-        store: &mut dyn SegStore,
-    ) -> Self {
-        assert_eq!(keys.len(), module.funcs.len(), "one cache key per function");
         let mut loaded: HashMap<FuncId, SegArtifact> = HashMap::new();
         let mut work: Vec<(FuncId, &Function)> = Vec::new();
         for (fid, f) in module.iter_funcs() {
-            match store.load(keys[fid.0 as usize]) {
+            let hit = store
+                .as_mut()
+                .and_then(|(keys, st)| st.load(keys[fid.0 as usize]));
+            match hit {
                 Some(art) => {
                     loaded.insert(fid, art);
                 }
                 None => work.push((fid, f)),
             }
         }
-
-        let results = Self::run_workers(&work, pta, threads, trace);
-        let mut built: HashMap<FuncId, SegResult> = HashMap::new();
-        for r in results {
-            let art = SegArtifact {
-                seg: r.seg.without_memory_edges(),
-                arena: r.arena.clone(),
-                cached_values: r.symbols.cached_values(r.fid),
-            };
-            store.store(keys[r.fid.0 as usize], &art);
-            built.insert(r.fid, r);
-        }
+        let mut fresh = trace
+            .shard_map(
+                &mut work,
+                threads,
+                || (),
+                |(), &mut (fid, f), lane| {
+                    lane.span("seg.func", f.name.clone(), |_| {
+                        build_one(fid, f, &pta[fid.0 as usize])
+                    })
+                },
+            )
+            .into_iter();
 
         let mut segs: Vec<Seg> = Vec::with_capacity(module.funcs.len());
-        for (fid, _) in module.iter_funcs() {
-            let seg = if let Some(r) = built.remove(&fid) {
-                Self::merge_result(module, arena, symbols, r)
-            } else {
-                let art = loaded.remove(&fid).expect("function loaded or built");
-                let mut seg = Self::translate_seg(
-                    module,
-                    arena,
-                    symbols,
-                    fid,
-                    art.seg,
-                    &art.arena,
-                    Some(&art.cached_values),
-                );
-                seg.readd_memory_edges(&pta[fid.0 as usize]);
-                seg
+        for (fid, f) in module.iter_funcs() {
+            // A loaded graph arrives without its memory edges.
+            let (mut seg, src_arena, cached_values, stripped) = match loaded.remove(&fid) {
+                Some(art) => (art.seg, art.arena, art.cached_values, true),
+                None => {
+                    let mut r = fresh.next().expect("function loaded or built");
+                    if let Some((keys, st)) = store.as_mut() {
+                        // Arena and values move through the artifact and
+                        // back: the store only borrows them.
+                        let art = SegArtifact {
+                            seg: r.seg.without_memory_edges(),
+                            arena: r.arena,
+                            cached_values: r.cached_values,
+                        };
+                        st.store(keys[fid.0 as usize], &art);
+                        (r.arena, r.cached_values) = (art.arena, art.cached_values);
+                    }
+                    (r.seg, r.arena, r.cached_values, false)
+                }
             };
+            // Merge into the shared arena: re-derive the symbol cache
+            // (sorted value order), then rebuild every locally-created
+            // edge condition over sorted vertex keys.
+            for &v in &cached_values {
+                symbols.value_term(arena, fid, f, v);
+            }
+            let mut tr = TermTranslator::new();
+            for edges in [&mut seg.out_edges, &mut seg.in_edges] {
+                let mut keys: Vec<ValueId> = edges.keys().copied().collect();
+                keys.sort_unstable();
+                for k in keys {
+                    for e in edges.get_mut(&k).expect("key just listed") {
+                        if e.kind != EdgeKind::Memory {
+                            e.cond = tr.translate(&src_arena, arena, e.cond);
+                        }
+                    }
+                }
+            }
+            if stripped {
+                seg.readd_memory_edges(&pta[fid.0 as usize]);
+            }
             segs.push(seg);
         }
         Self::assemble(module, segs, pta)
@@ -837,39 +730,76 @@ mod tests {
                 print(l);
                 return r;
              }";
-        let built: Vec<_> = [1usize, 3, 8]
-            .iter()
-            .map(|&t| {
-                let mut m = compile(src).unwrap();
-                let mut trace = pinpoint_obs::TraceBuf::off();
-                let cg = pinpoint_ir::CallGraph::new(&m);
-                let mut a = pinpoint_pta::analyze_module_par(
-                    &mut m,
-                    &pinpoint_pta::PtaConfig::default(),
-                    t,
-                    &mut trace,
-                    &cg,
-                );
-                let mut arena = std::mem::take(&mut a.arena);
-                let mut symbols = std::mem::take(&mut a.symbols);
-                let ms = ModuleSeg::build_par(&m, &mut arena, &mut symbols, &a.pta, t, &mut trace);
-                (arena.len(), symbols.len(), ms, m)
-            })
-            .collect();
-        let (len0, sym0, ms0, m0) = &built[0];
-        for (len, sym, ms, _m) in &built[1..] {
-            assert_eq!(len0, len, "arena layouts diverge");
-            assert_eq!(sym0, sym);
-            assert_eq!(ms0.edge_count, ms.edge_count);
-            assert_eq!(ms0.vertex_count, ms.vertex_count);
-            for (fid, _) in m0.iter_funcs() {
-                let (s0, s1) = (ms0.seg(fid), ms.seg(fid));
-                let mut k0: Vec<_> = s0.out_edges.iter().collect();
-                let mut k1: Vec<_> = s1.out_edges.iter().collect();
-                k0.sort_by_key(|(v, _)| **v);
-                k1.sort_by_key(|(v, _)| **v);
-                assert_eq!(format!("{k0:?}"), format!("{k1:?}"));
+        /// An in-memory [`SegStore`] counting its traffic.
+        #[derive(Default)]
+        struct MemStore {
+            map: HashMap<u128, SegArtifact>,
+            hits: usize,
+            stores: usize,
+        }
+        impl SegStore for MemStore {
+            fn load(&mut self, key: u128) -> Option<SegArtifact> {
+                let hit = self.map.get(&key).cloned();
+                self.hits += usize::from(hit.is_some());
+                hit
             }
+            fn store(&mut self, key: u128, artifact: &SegArtifact) {
+                self.stores += 1;
+                self.map.insert(key, artifact.clone());
+            }
+        }
+        // Arena/interner sizes plus every function's edges in sorted
+        // vertex order: equal renderings mean identical `TermId`s.
+        let build = |t: usize, store: Option<&mut MemStore>| {
+            let mut m = compile(src).unwrap();
+            let mut trace = pinpoint_obs::TraceBuf::off();
+            let cg = pinpoint_ir::CallGraph::new(&m);
+            let keys: Vec<u128> = (1..=m.funcs.len() as u128).collect();
+            let mut a = pinpoint_pta::analyze_module_par(
+                &mut m,
+                &pinpoint_pta::PtaConfig::default(),
+                t,
+                &mut trace,
+                &cg,
+                None,
+            );
+            let ms = ModuleSeg::build_par(
+                &m,
+                &mut a.arena,
+                &mut a.symbols,
+                &a.pta,
+                t,
+                &mut trace,
+                store.map(|s| (keys.as_slice(), s as &mut dyn SegStore)),
+            );
+            let mut out = format!(
+                "terms={} symbols={} edges={} vertices={}\n",
+                a.arena.len(),
+                a.symbols.len(),
+                ms.edge_count,
+                ms.vertex_count
+            );
+            for (fid, _) in m.iter_funcs() {
+                for edges in [&ms.seg(fid).out_edges, &ms.seg(fid).in_edges] {
+                    let mut sorted: Vec<_> = edges.iter().collect();
+                    sorted.sort_by_key(|(v, _)| **v);
+                    out.push_str(&format!("{sorted:?}\n"));
+                }
+            }
+            out
+        };
+        let storeless = build(1, None);
+        for t in [3usize, 8] {
+            assert_eq!(build(t, None), storeless, "threads={t}");
+        }
+        for t in [1usize, 4] {
+            let mut store = MemStore::default();
+            let cold = build(t, Some(&mut store));
+            assert_eq!((store.hits, store.stores), (0, 3), "threads={t}");
+            let warm = build(t, Some(&mut store));
+            assert_eq!((store.hits, store.stores), (3, 3), "threads={t}");
+            assert_eq!(cold, storeless, "cold-with-store, threads={t}");
+            assert_eq!(warm, storeless, "warm-from-store, threads={t}");
         }
     }
 

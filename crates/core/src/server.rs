@@ -870,7 +870,7 @@ mod tests {
 
     #[test]
     fn open_check_close_roundtrip() {
-        let server = Server::start(ServerConfig {
+        let mut server = Server::start(ServerConfig {
             workers: 2,
             ..ServerConfig::default()
         });
@@ -904,12 +904,14 @@ mod tests {
             other => panic!("expected stats: {other:?}"),
         }
         assert!(matches!(responses[3].reply, Ok(Reply::Closed)));
+        // A worker delivers its reply before it releases the session, so
+        // `sessions_open` is only final once the pool has been joined.
+        server.shutdown_in_place();
         let stats = server.stats();
         assert_eq!(stats.queued, 4);
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.sessions, 1);
         assert_eq!(stats.sessions_open, 0, "close removes the session");
-        server.shutdown();
     }
 
     #[test]

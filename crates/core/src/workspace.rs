@@ -72,20 +72,12 @@
 //! # Ok::<(), pinpoint_core::PinpointError>(())
 //! ```
 
-use crate::detect::{
-    run_spec_cached, run_spec_summary_cached, DetectConfig, DetectStats, QueryCache, Report,
-};
-use crate::driver::{
-    accumulate_detect, build_metrics, Analysis, AnalysisBuilder, PipelineStats, UpdateOutcome,
-};
+use crate::detect::{DetectConfig, QueryCache, Report};
+use crate::driver::{Analysis, AnalysisBuilder, PipelineStats, QueryRunner, UpdateOutcome};
 use crate::error::PinpointError;
 use crate::spec::CheckerKind;
-use crate::vfsummary::{keys_fingerprint, summary_fingerprint, Engine, ModuleSummaries};
-use pinpoint_cache::CacheStore;
-use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
-use pinpoint_smt::VerdictTable;
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use crate::vfsummary::Engine;
+use pinpoint_obs::{MetricsRegistry, QueryRecord};
 
 /// Cumulative reuse counters across a workspace's lifetime.
 #[derive(Debug, Default, Clone, Copy)]
@@ -106,32 +98,15 @@ pub struct WorkspaceCounters {
 #[derive(Debug)]
 pub struct Workspace {
     analysis: Analysis,
+    /// The query state (counters, attribution, trace, verdicts, interface
+    /// summaries); it outlives every artefact replacement.
+    runner: QueryRunner,
     cache: QueryCache,
     /// Detection configuration for this workspace's queries (starts from
     /// the artefact's build-time configuration; see
     /// [`Workspace::set_detect_config`]).
     config: DetectConfig,
-    /// Whole-program interface summaries per property fingerprint,
-    /// validated by the fingerprint of the artefact's per-function keys:
-    /// an edit changes the keys of exactly the edited functions and (via
-    /// transitive folding) their SCCs' callers, so a stale entry rebuilds
-    /// — consulting the persistent store, where every clean function's
-    /// summary is still a hit.
-    summaries: HashMap<u128, (u128, ModuleSummaries)>,
     counters: WorkspaceCounters,
-    detect: DetectStats,
-    detect_time: Duration,
-    queries: Vec<QueryRecord>,
-    trace: TraceBuf,
-    /// The workspace's accumulating verdict table, seeded from the
-    /// artefact's persisted snapshot. Verdicts survive edits — canonical
-    /// fingerprints are arena-independent, so even a full fallback (which
-    /// clears the per-source query cache) keeps them valid.
-    verdicts: VerdictTable,
-    /// Table size at the last persist — the already-durable prefix.
-    persisted_len: usize,
-    /// Verdicts newly written to the persistent store by this workspace.
-    verdicts_persisted: u64,
 }
 
 impl Workspace {
@@ -146,22 +121,12 @@ impl Workspace {
 
     /// Wraps an already-built artefact in a workspace.
     pub fn from_analysis(analysis: Analysis) -> Self {
-        let trace = analysis.trace().clone();
-        let verdicts = analysis.verdicts.clone();
-        let config = analysis.config();
         Workspace {
-            analysis,
+            runner: QueryRunner::new(&analysis),
             cache: QueryCache::default(),
-            config,
-            summaries: HashMap::new(),
+            config: analysis.config(),
             counters: WorkspaceCounters::default(),
-            detect: DetectStats::default(),
-            detect_time: Duration::ZERO,
-            queries: Vec::new(),
-            trace,
-            persisted_len: verdicts.len(),
-            verdicts,
-            verdicts_persisted: 0,
+            analysis,
         }
     }
 
@@ -218,169 +183,47 @@ impl Workspace {
         self.config
     }
 
-    /// One built-in checker (the [`Query::Check`](crate::query::Query)
-    /// arm).
-    pub(crate) fn run_kind(&mut self, kind: CheckerKind) -> Vec<Report> {
-        let spec = kind.spec();
-        let engine = self.analysis.engine().unwrap_or(Engine::Demand);
-        self.run(&spec, Some(kind), engine)
-    }
-
-    /// One built-in checker as part of a whole-program query (the
-    /// [`Query::All`](crate::query::Query) arm) — defaults to the
-    /// summary engine.
-    pub(crate) fn run_kind_all(&mut self, kind: CheckerKind) -> Vec<Report> {
-        let spec = kind.spec();
-        let engine = self.analysis.engine().unwrap_or(Engine::Summary);
-        self.run(&spec, Some(kind), engine)
-    }
-
-    /// A user-defined specification (the
-    /// [`Query::Custom`](crate::query::Query) arm).
-    pub(crate) fn run_custom(&mut self, spec: &crate::spec::Spec) -> Vec<Report> {
-        let engine = self.analysis.engine().unwrap_or(Engine::Demand);
-        self.run(spec, None, engine)
-    }
-
-    /// The memory-leak pass (the [`Query::Leaks`](crate::query::Query)
-    /// arm). Leak checking is a whole-module graph reachability pass
-    /// without per-source structure, so it is not query-cached; it is
-    /// still incremental through layer 1 (it reads the spliced SEGs).
-    pub(crate) fn run_leaks(&mut self) -> Vec<crate::leak::LeakReport> {
-        let t0 = Instant::now();
-        let span = self.trace.open("detect", "memory-leak");
-        let mut symbols = self.analysis.pta.symbols.clone();
-        let mut arena = (*self.analysis.arena).clone();
-        let reports = crate::leak::check_leaks(
-            &self.analysis.module,
-            &self.analysis.segs,
-            &mut symbols,
-            &mut arena,
-        );
-        self.trace.close(span);
-        self.detect_time += t0.elapsed();
-        reports
-    }
-
-    /// In-memory whole-program summaries for `spec`, validated against
-    /// the artefact's current per-function keys (an edit changes the keys
-    /// of every function whose summary could differ, so a key-fingerprint
-    /// match proves the cached table is still exact). Stale or missing
-    /// tables rebuild through the persistent store, where per-function
-    /// entries for clean cones are still hits.
-    fn summaries_for(&mut self, spec: &crate::spec::Spec) -> ModuleSummaries {
-        let sum_fp = summary_fingerprint(spec);
-        let keys_fp = keys_fingerprint(&self.analysis.func_keys);
-        if let Some((fp, mut sums)) = self.summaries.remove(&sum_fp) {
-            if fp == keys_fp {
-                sums.reused = sums.len() as u64;
-                sums.built = 0;
-                sums.composed = 0;
-                return sums;
-            }
-        }
-        let mut store = self
-            .analysis
-            .cache_dir
-            .as_deref()
-            .and_then(|dir| CacheStore::open(dir).ok());
-        ModuleSummaries::build_with_graph(
-            &self.analysis.module,
-            &self.analysis.segs,
-            spec,
-            self.analysis.threads(),
-            store
-                .as_mut()
-                .map(|st| (st, self.analysis.func_keys.as_slice())),
-            &self.analysis.callgraph,
-        )
-    }
-
-    fn run(
+    /// Layer 2 of the [module docs](self): one property (a built-in
+    /// `kind` or a custom spec) through the runner with the per-source
+    /// query cache, counting the reuse split. `default_engine` is what the
+    /// calling [`Query`](crate::query::Query) arm prefers: demand for
+    /// single checks, summary as part of a whole-program `Query::All`.
+    pub(crate) fn run_property(
         &mut self,
         spec: &crate::spec::Spec,
         kind: Option<CheckerKind>,
-        engine: Engine,
+        default_engine: Engine,
     ) -> Vec<Report> {
-        let t0 = Instant::now();
-        let span = self.trace.open("detect", spec.name.clone());
-        let base_id = u32::try_from(self.queries.len()).expect("query count fits u32");
-        let config = self.config;
-        let threads = self.analysis.threads();
-        let (reports, stats, mut queries, reuse, new_verdicts) = match engine {
-            Engine::Demand => run_spec_cached(
-                &self.analysis.module,
-                &self.analysis.segs,
-                &self.analysis.pta.symbols,
-                &self.analysis.arena,
-                &self.verdicts,
-                spec,
-                kind,
-                config,
-                threads,
-                &mut self.trace,
-                &self.analysis.func_keys,
-                &mut self.cache,
-            ),
-            Engine::Summary => {
-                let sums = self.summaries_for(spec);
-                let out = run_spec_summary_cached(
-                    &self.analysis.module,
-                    &self.analysis.segs,
-                    &self.analysis.pta.symbols,
-                    &self.analysis.arena,
-                    &self.verdicts,
-                    spec,
-                    kind,
-                    config,
-                    threads,
-                    &mut self.trace,
-                    &self.analysis.func_keys,
-                    &mut self.cache,
-                    &sums,
-                );
-                let keys_fp = keys_fingerprint(&self.analysis.func_keys);
-                self.summaries
-                    .insert(summary_fingerprint(spec), (keys_fp, sums));
-                out
-            }
-        };
-        self.trace.close(span);
-        for q in &mut queries {
-            q.id += base_id;
-        }
-        self.queries.extend(queries);
-        self.detect_time += t0.elapsed();
-        accumulate_detect(&mut self.detect, &stats);
+        let (reports, reuse) = self.runner.run(
+            &self.analysis,
+            self.config,
+            spec,
+            kind,
+            default_engine,
+            Some(&mut self.cache),
+        );
         self.counters.queries_reused += reuse.reused;
         self.counters.queries_rerun += reuse.rerun;
-        for (fp, v) in new_verdicts {
-            self.verdicts.insert(fp, v);
-        }
-        if let Some(dir) = self.analysis.cache_dir.as_deref() {
-            if self.verdicts.len() > self.persisted_len {
-                crate::cache_io::persist_verdicts(dir, &self.verdicts);
-                self.verdicts_persisted += (self.verdicts.len() - self.persisted_len) as u64;
-                self.persisted_len = self.verdicts.len();
-            }
-        }
         reports
+    }
+
+    /// The memory-leak pass (the [`Query::Leaks`](crate::query::Query)
+    /// arm): not query-cached, incremental through layer 1.
+    pub(crate) fn run_leaks(&mut self) -> Vec<crate::leak::LeakReport> {
+        self.runner.leaks(&self.analysis)
     }
 
     /// Combined statistics: the artefact's build stages plus the
     /// workspace's accumulated detection counters and time.
     pub fn stats(&self) -> PipelineStats {
-        let mut s = self.analysis.stats;
-        s.detect = self.detect;
-        s.detect_time = self.detect_time;
-        s
+        self.runner.stats(&self.analysis)
     }
 
     /// Per-query solver attribution accumulated so far. Cached sources
     /// replay their recorded events, so warm attribution is identical to
     /// a cold run's.
     pub fn queries(&self) -> &[QueryRecord] {
-        &self.queries
+        &self.runner.queries
     }
 
     /// The attribution rows recorded after the first `n` — the slice a
@@ -389,24 +232,20 @@ impl Workspace {
     /// server's slow-query capture). `n` past the end yields an empty
     /// slice.
     pub fn queries_since(&self, n: usize) -> &[QueryRecord] {
-        &self.queries[n.min(self.queries.len())..]
+        let queries = self.queries();
+        &queries[n.min(queries.len())..]
     }
 
     /// The top-`k` most expensive queries so far, rendered as a
     /// "where did the time go" profile table.
     pub fn profile(&self, k: usize) -> String {
-        ProfileTable::build(&self.queries).render(k)
+        self.runner.profile(k)
     }
 
     /// The unified metrics registry: the standard five stage families
     /// plus the `workspace.*` reuse counters.
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = build_metrics(
-            &self.analysis,
-            &self.stats(),
-            &self.queries,
-            self.verdicts_persisted,
-        );
+        let mut m = self.runner.metrics(&self.analysis);
         m.counter_add("workspace.queries.reused", self.counters.queries_reused);
         m.counter_add("workspace.queries.rerun", self.counters.queries_rerun);
         m.counter_add("workspace.funcs.dirty", self.counters.funcs_dirty);
@@ -418,11 +257,7 @@ impl Workspace {
     /// `workspace` stage family. `canonical` zeroes wall-clock values
     /// and omits run metadata.
     pub fn stats_json(&self, canonical: bool) -> String {
-        self.metrics().stats_json(
-            &[("threads", self.analysis.threads() as u64)],
-            Some(&queries_json(&self.queries, canonical)),
-            canonical,
-        )
+        self.runner.stats_json(&self.metrics(), canonical)
     }
 }
 

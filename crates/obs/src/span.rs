@@ -177,6 +177,68 @@ impl TraceBuf {
         }
     }
 
+    /// Maps `work` over `items` on up to `threads` scoped workers and
+    /// returns one result per item, in input order.
+    ///
+    /// This is the one fan-out every parallel stage goes through, and the
+    /// contract their thread-count byte-identity rests on:
+    ///
+    /// * `items` is cut into contiguous shards of `ceil(len / threads)`;
+    ///   shard `i` runs on its own worker with a fresh `init()` state and
+    ///   a [`TraceBuf::fork`]ed lane `i + 1`;
+    /// * results are concatenated, and lanes [`TraceBuf::merge`]d, in
+    ///   shard order — so when `work`'s result depends only on its item
+    ///   (never on what the shard's state saw before), the output and the
+    ///   canonical trace are the same for every `threads`;
+    /// * `threads <= 1` or a single item runs the same steps on the
+    ///   calling thread (lane 1); empty input returns without `init`;
+    /// * a panicking worker is re-raised here once every shard has been
+    ///   joined.
+    pub fn shard_map<T: Send, S, R: Send>(
+        &mut self,
+        items: &mut [T],
+        threads: usize,
+        init: impl Fn() -> S + Sync,
+        work: impl Fn(&mut S, &mut T, &mut TraceBuf) -> R + Sync,
+    ) -> Vec<R> {
+        if items.is_empty() {
+            return Vec::new();
+        }
+        let run = |shard_idx: usize, shard: &mut [T], parent: &TraceBuf| {
+            let mut lane = parent.fork(shard_idx as u32 + 1);
+            let mut state = init();
+            let results: Vec<R> = shard
+                .iter_mut()
+                .map(|item| work(&mut state, item, &mut lane))
+                .collect();
+            (results, lane)
+        };
+        let shards = if threads <= 1 || items.len() == 1 {
+            vec![run(0, items, self)]
+        } else {
+            let chunk = items.len().div_ceil(threads);
+            let (run, parent) = (&run, &*self);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = items
+                    .chunks_mut(chunk)
+                    .enumerate()
+                    .map(|(i, shard)| s.spawn(move || run(i, shard, parent)))
+                    .collect();
+                // Unwinding out of the scope still joins the other shards.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        let mut out = Vec::with_capacity(items.len());
+        for (results, lane) in shards {
+            out.extend(results);
+            self.merge(lane);
+        }
+        out
+    }
+
     /// The recorded spans (empty when off).
     pub fn records(&self) -> &[SpanRecord] {
         match self {
@@ -343,6 +405,68 @@ mod tests {
         };
         assert_eq!(run(1), run(2));
         assert_ne!(run(1), TraceBuf::on().canonical_json());
+    }
+
+    /// Doubles `0..len` through `shard_map`, one `item` span per element.
+    fn shard_doubles(len: u32, threads: usize) -> (Vec<u32>, TraceBuf) {
+        let mut t = TraceBuf::on();
+        let mut items: Vec<u32> = (0..len).collect();
+        let out = t.shard_map(
+            &mut items,
+            threads,
+            || (),
+            |(), item, lane| {
+                let s = lane.open("item", item.to_string());
+                lane.close(s);
+                *item * 2
+            },
+        );
+        (out, t)
+    }
+
+    #[test]
+    fn shard_map_keeps_input_order_and_merges_lanes_in_shard_order() {
+        let len = 7u32;
+        let expected: Vec<u32> = (0..len).map(|i| i * 2).collect();
+        let (_, serial) = shard_doubles(len, 1);
+        for threads in [1usize, 3, len as usize + 1] {
+            let (out, t) = shard_doubles(len, threads);
+            assert_eq!(out, expected, "threads={threads}");
+            // Records sit in item order, so lanes were merged in shard
+            // order; lane ids are the contiguous shard numbering.
+            let details: Vec<&str> = t.records().iter().map(|r| r.detail.as_str()).collect();
+            assert_eq!(details, ["0", "1", "2", "3", "4", "5", "6"]);
+            let chunk = (len as usize).div_ceil(threads);
+            for (i, r) in t.records().iter().enumerate() {
+                assert_eq!(r.lane as usize, i / chunk + 1, "threads={threads}");
+            }
+            assert_eq!(t.canonical_json(), serial.canonical_json());
+        }
+    }
+
+    #[test]
+    fn shard_map_on_empty_input_never_calls_init() {
+        let mut t = TraceBuf::on();
+        let out: Vec<u32> = t.shard_map(
+            &mut Vec::<u32>::new(),
+            4,
+            || -> u32 { panic!("no shard, no state") },
+            |_, item, _| *item,
+        );
+        assert!(out.is_empty());
+        assert!(t.records().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 2 failed")]
+    fn shard_map_propagates_a_worker_panic() {
+        let mut items = [0u32, 1, 2, 3];
+        TraceBuf::off().shard_map(
+            &mut items,
+            4,
+            || (),
+            |(), item, _| assert!(*item != 2, "shard 2 failed"),
+        );
     }
 
     #[test]

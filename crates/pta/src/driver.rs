@@ -23,7 +23,7 @@ use pinpoint_smt::{LinearSolver, TermArena, TermTranslator};
 use std::collections::HashMap;
 
 /// Result of the whole-module pipeline.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ModuleAnalysis {
     /// Shared term arena (conditions of every function live here).
     pub arena: TermArena,
@@ -38,6 +38,17 @@ pub struct ModuleAnalysis {
 }
 
 impl ModuleAnalysis {
+    /// The state every run starts from: a fresh arena and one empty slot
+    /// per function.
+    pub(crate) fn blank(funcs: usize) -> Self {
+        ModuleAnalysis {
+            arena: TermArena::new(),
+            shapes: vec![AuxShape::default(); funcs],
+            pta: (0..funcs).map(|_| FuncPta::default()).collect(),
+            ..ModuleAnalysis::default()
+        }
+    }
+
     /// Aggregated pruning statistics across all functions.
     pub fn total_stats(&self) -> PtaStats {
         let mut total = PtaStats::default();
@@ -91,67 +102,12 @@ impl Default for PtaConfig {
     }
 }
 
-/// Runs the pipeline with explicit options.
+/// Runs the pipeline with explicit options: the serial, shared-arena
+/// algorithm of [`crate::incremental`] with no previous run to splice
+/// from, so every function is analysed.
 pub fn analyze_module_with(module: &mut Module, config: &PtaConfig) -> ModuleAnalysis {
     let callgraph = CallGraph::new(module);
-    analyze_module_with_graph(module, config, &callgraph)
-}
-
-/// [`analyze_module_with`] over a caller-supplied call graph of `module`
-/// (the pre-transform graph: the transform never changes it).
-pub fn analyze_module_with_graph(
-    module: &mut Module,
-    config: &PtaConfig,
-    callgraph: &CallGraph,
-) -> ModuleAnalysis {
-    let mut arena = TermArena::new();
-    let mut symbols = Symbols::new();
-    let mut linear = LinearSolver::new();
-    let n = module.funcs.len();
-    let mut shapes: Vec<AuxShape> = vec![AuxShape::default(); n];
-    let mut pta: Vec<Option<FuncPta>> = (0..n).map(|_| None).collect();
-
-    for &fid in callgraph.bottom_up() {
-        // 1. Rewrite call sites against finished callee shapes.
-        rewrite_calls(module, fid, &shapes, callgraph);
-        // 2. Mod/Ref pass (pre-connector body).
-        let pass1 = analyze_function_with(
-            &mut arena,
-            &mut symbols,
-            &mut linear,
-            fid,
-            module.func(fid),
-            &[],
-            config.prune,
-        );
-        // 3. Insert connectors.
-        let shape = insert_connectors(module.func_mut(fid), &pass1.refs, &pass1.mods);
-        // 4. Final pass on the transformed body.
-        let bindings: Vec<AuxParamBinding> = shape
-            .aux_params
-            .iter()
-            .map(|&(path, value)| AuxParamBinding { path, value })
-            .collect();
-        let pass2 = analyze_function_with(
-            &mut arena,
-            &mut symbols,
-            &mut linear,
-            fid,
-            module.func(fid),
-            &bindings,
-            config.prune,
-        );
-        shapes[fid.0 as usize] = shape;
-        pta[fid.0 as usize] = Some(pass2);
-    }
-
-    ModuleAnalysis {
-        arena,
-        symbols,
-        shapes,
-        pta: pta.into_iter().map(|p| p.unwrap_or_default()).collect(),
-        linear,
-    }
+    crate::incremental::reanalyze(module, None, &callgraph, config).0
 }
 
 /// The connector shape `caller`'s call sites to `name` are rewritten
@@ -171,32 +127,64 @@ fn callee_shape<'a>(
     Some(&shapes[target.0 as usize])
 }
 
-/// Rewrites `fid`'s call sites in place against the finished callee
-/// `shapes`. The body is detached for the duration so the module stays
-/// borrowable for name resolution.
-pub(crate) fn rewrite_calls(
-    module: &mut Module,
+/// Steps 1–4 of the [module docs](self) on `f`, function `fid`'s body
+/// detached from `module` (which stays borrowable for name resolution),
+/// against the finished callee `shapes`. Every build path — serial or
+/// sharded, whole-module or incremental — analyses a function through
+/// here, into whichever arena/interner/solver it hands in.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn analyze_function(
+    arena: &mut TermArena,
+    symbols: &mut Symbols,
+    linear: &mut LinearSolver,
     fid: FuncId,
+    f: &mut Function,
+    module: &Module,
     shapes: &[AuxShape],
     callgraph: &CallGraph,
-) {
-    let mut body = std::mem::replace(module.func_mut(fid), Function::new(""));
-    rewrite_call_sites(&mut body, |name| {
-        callee_shape(module, fid, name, shapes, callgraph)
-    });
-    *module.func_mut(fid) = body;
+    config: &PtaConfig,
+) -> (AuxShape, FuncPta) {
+    // 1. Rewrite call sites against finished callee shapes.
+    rewrite_call_sites(f, |name| callee_shape(module, fid, name, shapes, callgraph));
+    // 2. Mod/Ref pass (pre-connector body).
+    let pass1 = analyze_function_with(arena, symbols, linear, fid, f, &[], config.prune);
+    // 3. Insert connectors.
+    let shape = insert_connectors(f, &pass1.refs, &pass1.mods);
+    // 4. Final pass on the transformed body.
+    let bindings: Vec<AuxParamBinding> = shape
+        .aux_params
+        .iter()
+        .map(|&(path, value)| AuxParamBinding { path, value })
+        .collect();
+    let pta = analyze_function_with(arena, symbols, linear, fid, f, &bindings, config.prune);
+    (shape, pta)
 }
 
-/// Output of one function's worker analysis, carried in a private arena
-/// until the deterministic merge.
-struct FuncResult {
-    fid: FuncId,
-    shape: AuxShape,
-    pta: FuncPta,
-    arena: TermArena,
-    symbols: Symbols,
-    unsat: u64,
-    unknown: u64,
+/// Takes `fid`'s body out of `module`, leaving a blank placeholder, so it
+/// can be transformed while the module is borrowed.
+pub(crate) fn detach(module: &mut Module, fid: FuncId) -> Function {
+    std::mem::replace(module.func_mut(fid), Function::new(""))
+}
+
+/// One function's analysis output in its private term arena: what the
+/// deterministic merge consumes, and (with the transformed body) what the
+/// persistent cache stores.
+#[derive(Debug, Clone)]
+pub struct FuncResult {
+    /// Connector shape.
+    pub shape: AuxShape,
+    /// Points-to result, with conditions in [`FuncResult::arena`].
+    pub pta: FuncPta,
+    /// The private term arena all conditions refer into.
+    pub arena: TermArena,
+    /// Sorted values the symbol interner cached for this function; the
+    /// merge re-derives their terms against the shared arena in exactly
+    /// this order.
+    pub cached_values: Vec<ValueId>,
+    /// Linear-solver unsat verdicts attributed to this function.
+    pub unsat: u64,
+    /// Linear-solver unknown verdicts attributed to this function.
+    pub unknown: u64,
 }
 
 /// Analyzes one function against the finished callee `shapes` with a
@@ -211,34 +199,27 @@ fn analyze_one(
     shapes: &[AuxShape],
     callgraph: &CallGraph,
     module: &Module,
-    prune: bool,
+    config: &PtaConfig,
 ) -> FuncResult {
     let mut arena = TermArena::new();
     let mut symbols = Symbols::new();
     let mut linear = LinearSolver::new();
-    rewrite_call_sites(f, |name| callee_shape(module, fid, name, shapes, callgraph));
-    let pass1 = analyze_function_with(&mut arena, &mut symbols, &mut linear, fid, f, &[], prune);
-    let shape = insert_connectors(f, &pass1.refs, &pass1.mods);
-    let bindings: Vec<AuxParamBinding> = shape
-        .aux_params
-        .iter()
-        .map(|&(path, value)| AuxParamBinding { path, value })
-        .collect();
-    let pta = analyze_function_with(
+    let (shape, pta) = analyze_function(
         &mut arena,
         &mut symbols,
         &mut linear,
         fid,
         f,
-        &bindings,
-        prune,
+        module,
+        shapes,
+        callgraph,
+        config,
     );
     FuncResult {
-        fid,
         shape,
         pta,
         arena,
-        symbols,
+        cached_values: symbols.cached_values(fid),
         unsat: linear.unsat_count,
         unknown: linear.unknown_count,
     }
@@ -261,240 +242,61 @@ fn stratify_levels(callgraph: &CallGraph) -> Vec<Vec<FuncId>> {
         .collect()
 }
 
-/// Fans one level's detached bodies out over `threads` scoped workers.
-/// Results come back in `work` order regardless of sharding, and each
-/// worker's `pta.func` trace spans are merged back in shard order.
-fn run_level(
-    work: &mut [(FuncId, Function)],
-    shapes: &[AuxShape],
-    callgraph: &CallGraph,
-    module: &Module,
-    prune: bool,
-    threads: usize,
-    trace: &mut TraceBuf,
-) -> Vec<FuncResult> {
-    if threads == 1 || work.len() <= 1 {
-        let mut lane = trace.fork(1);
-        let out = work
-            .iter_mut()
-            .map(|(fid, f)| {
-                let span = lane.open("pta.func", f.name.clone());
-                let r = analyze_one(*fid, f, shapes, callgraph, module, prune);
-                lane.close(span);
-                r
-            })
-            .collect();
-        trace.merge(lane);
-        out
-    } else {
-        let chunk = work.len().div_ceil(threads);
-        let trace_ref = &*trace;
-        let (out, lanes) = std::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(shard_idx, shard)| {
-                    s.spawn(move || {
-                        let mut lane = trace_ref.fork(shard_idx as u32 + 1);
-                        let results = shard
-                            .iter_mut()
-                            .map(|(fid, f)| {
-                                let span = lane.open("pta.func", f.name.clone());
-                                let r = analyze_one(*fid, f, shapes, callgraph, module, prune);
-                                lane.close(span);
-                                r
-                            })
-                            .collect::<Vec<_>>();
-                        (results, lane)
-                    })
-                })
-                .collect();
-            let mut out = Vec::new();
-            let mut lanes = Vec::new();
-            for h in handles {
-                let (results, lane) = h.join().expect("points-to worker panicked");
-                out.extend(results);
-                lanes.push(lane);
-            }
-            (out, lanes)
-        });
-        for lane in lanes {
-            trace.merge(lane);
-        }
-        out
-    }
-}
-
 /// Merges one function's private-arena result into the shared state:
 /// re-derives the symbol cache against the shared arena (sorted value
 /// order), then rebuilds every condition term through the translator's
 /// smart constructors so canonical child ordering is restored in the
 /// target arena.
-#[allow(clippy::too_many_arguments)]
-fn merge_one(
-    fid: FuncId,
-    f: &Function,
-    shape: AuxShape,
-    mut func_pta: FuncPta,
-    src_arena: &TermArena,
-    cached_values: &[ValueId],
-    arena: &mut TermArena,
-    symbols: &mut Symbols,
-    shapes: &mut [AuxShape],
-    pta: &mut [FuncPta],
-) {
-    for &v in cached_values {
-        symbols.value_term(arena, fid, f, v);
+fn merge_one(fid: FuncId, f: &Function, r: FuncResult, out: &mut ModuleAnalysis) {
+    let arena = &mut out.arena;
+    for &v in &r.cached_values {
+        out.symbols.value_term(arena, fid, f, v);
     }
+    let mut func_pta = r.pta;
     let mut tr = TermTranslator::new();
     for d in &mut func_pta.mem_deps {
-        d.cond = tr.translate(src_arena, arena, d.cond);
+        d.cond = tr.translate(&r.arena, arena, d.cond);
     }
     let mut keys: Vec<ValueId> = func_pta.points_to.keys().copied().collect();
     keys.sort_unstable();
     for k in keys {
         for (_, c) in func_pta.points_to.get_mut(&k).expect("key just listed") {
-            *c = tr.translate(src_arena, arena, *c);
+            *c = tr.translate(&r.arena, arena, *c);
         }
     }
     for g in &mut func_pta.global_stores {
-        g.cond = tr.translate(src_arena, arena, g.cond);
+        g.cond = tr.translate(&r.arena, arena, g.cond);
     }
     for g in &mut func_pta.global_loads {
-        g.cond = tr.translate(src_arena, arena, g.cond);
+        g.cond = tr.translate(&r.arena, arena, g.cond);
     }
-    shapes[fid.0 as usize] = shape;
-    pta[fid.0 as usize] = func_pta;
+    out.shapes[fid.0 as usize] = r.shape;
+    out.pta[fid.0 as usize] = func_pta;
+    out.linear.unsat_count += r.unsat;
+    out.linear.unknown_count += r.unknown;
 }
 
-/// Runs the pipeline with function-level parallelism over `callgraph`,
-/// the call graph of `module`.
-///
-/// The call graph's SCC condensation is stratified into *levels*
-/// (`level(scc) = 1 + max(level of callee SCCs)`). Within a level no
-/// function depends on another's connector shape — cross-SCC callees sit
-/// strictly below, and same-SCC calls are summary-free (§4.2) — so each
-/// level fans out over `threads` scoped workers. Every worker analyzes
-/// its functions in fresh private arenas; results are merged back into
-/// the shared arena in bottom-up order, so the returned
-/// [`ModuleAnalysis`] is byte-identical for any thread count.
-///
-/// `threads == 1` exercises the same shard-and-merge machinery on a
-/// single worker, which is what makes that guarantee hold by
-/// construction rather than by accident.
-///
-/// When `trace` is recording, every function analysis gets a `pta.func`
-/// span captured in a worker-private buffer ([`TraceBuf::fork`]) and
-/// merged back at the level join in shard order — the same deterministic
-/// order the results themselves are merged in.
-pub fn analyze_module_par(
-    module: &mut Module,
-    config: &PtaConfig,
-    threads: usize,
-    trace: &mut TraceBuf,
-    callgraph: &CallGraph,
-) -> ModuleAnalysis {
-    let threads = threads.max(1);
-    let n = module.funcs.len();
-    let mut arena = TermArena::new();
-    let mut symbols = Symbols::new();
-    let mut linear = LinearSolver::new();
-    let mut shapes: Vec<AuxShape> = vec![AuxShape::default(); n];
-    let mut pta: Vec<FuncPta> = (0..n).map(|_| FuncPta::default()).collect();
-
-    let levels = stratify_levels(callgraph);
-
-    for level_fids in &levels {
-        // Detach the level's bodies so workers can transform them while
-        // the module stays borrowable for the spawn scope.
-        let mut work: Vec<(FuncId, Function)> = level_fids
-            .iter()
-            .map(|&fid| {
-                (
-                    fid,
-                    std::mem::replace(&mut module.funcs[fid.0 as usize], Function::new("")),
-                )
-            })
-            .collect();
-
-        let results = run_level(
-            &mut work,
-            &shapes,
-            callgraph,
-            module,
-            config.prune,
-            threads,
-            trace,
-        );
-
-        for (fid, f) in work {
-            module.funcs[fid.0 as usize] = f;
-        }
-
-        // Deterministic merge, in the level's bottom-up order.
-        for r in results {
-            let cached_values = r.symbols.cached_values(r.fid);
-            merge_one(
-                r.fid,
-                module.func(r.fid),
-                r.shape,
-                r.pta,
-                &r.arena,
-                &cached_values,
-                &mut arena,
-                &mut symbols,
-                &mut shapes,
-                &mut pta,
-            );
-            linear.unsat_count += r.unsat;
-            linear.unknown_count += r.unknown;
-        }
-    }
-
-    ModuleAnalysis {
-        arena,
-        symbols,
-        shapes,
-        pta,
-        linear,
-    }
-}
-
-/// A function's complete per-function analysis output in its private
-/// term arena — everything needed to splice the function into a later
-/// run without re-analyzing it. This is the unit the persistent cache
-/// stores and loads.
+/// A function's complete per-function analysis output — everything needed
+/// to splice the function into a later run without re-analyzing it. This
+/// is the unit the persistent cache stores and loads.
 ///
 /// Because every worker analysis starts from a fresh private arena, the
 /// artifact of a function whose content (and callee-summary cone) is
 /// unchanged is bit-identical across runs; replaying the deterministic
 /// merge over loaded artifacts therefore reconstructs the exact shared
 /// state a cold run would have produced.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FuncArtifact {
     /// The transformed (post-connector, call-site-rewritten) body.
     pub body: Function,
-    /// Connector shape.
-    pub shape: AuxShape,
-    /// Points-to result, with conditions in [`FuncArtifact::arena`].
-    pub pta: FuncPta,
-    /// The private term arena all conditions refer into.
-    pub arena: TermArena,
-    /// Sorted values the symbol interner cached for this function; the
-    /// merge re-derives their terms against the shared arena in exactly
-    /// this order.
-    pub cached_values: Vec<ValueId>,
-    /// Linear-solver unsat verdicts attributed to this function.
-    pub unsat: u64,
-    /// Linear-solver unknown verdicts attributed to this function.
-    pub unknown: u64,
+    /// The analysis of that body, in its private arena.
+    pub result: FuncResult,
 }
 
-/// Where [`analyze_module_cached`] loads and stores per-function
-/// artifacts. Implementations must treat `key` as fully identifying:
-/// a `load` hit is spliced into the run *without verification*, so a
-/// store must never return an artifact for a key it was not stored
-/// under.
+/// Where [`analyze_module_par`] loads and stores per-function artifacts.
+/// Implementations must treat `key` as fully identifying: a `load` hit is
+/// spliced into the run *without verification*, so a store must never
+/// return an artifact for a key it was not stored under.
 pub trait ArtifactStore {
     /// Fetches the artifact stored under `key`, if any.
     fn load(&mut self, key: u128) -> Option<FuncArtifact>;
@@ -503,128 +305,102 @@ pub trait ArtifactStore {
     fn store(&mut self, key: u128, artifact: &FuncArtifact);
 }
 
-/// Outcome counters of a cached run (see [`analyze_module_cached`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheOutcome {
-    /// Functions spliced from the store.
-    pub hits: u64,
-    /// Functions analyzed fresh (and written back).
-    pub misses: u64,
-}
-
-/// Runs the parallel pipeline against a persistent artifact store, over
-/// `callgraph`, the call graph of `module`.
+/// Runs the pipeline with function-level parallelism over `callgraph`,
+/// the call graph of `module`, optionally against a persistent artifact
+/// `store`.
 ///
-/// `keys[fid]` must be a content key that changes whenever function
-/// `fid`'s analysis inputs change (its own body, its callee-summary
-/// cone, the configuration, or the artifact format). For each function,
-/// a store hit splices the persisted transformed body and private-arena
-/// result; a miss analyzes the function exactly as
-/// [`analyze_module_par`] would and writes the artifact back. Hits and
-/// misses then flow through the same deterministic bottom-up merge, so
-/// the result is byte-identical to a cold run.
-pub fn analyze_module_cached(
+/// The call graph's SCC condensation is stratified into *levels*
+/// (`level(scc) = 1 + max(level of callee SCCs)`). Within a level no
+/// function depends on another's connector shape — cross-SCC callees sit
+/// strictly below, and same-SCC calls are summary-free (§4.2) — so each
+/// level fans out over `threads` workers ([`TraceBuf::shard_map`], one
+/// `pta.func` span per function). Every worker analyzes its functions in
+/// fresh private arenas; results are merged back into the shared arena
+/// in bottom-up order, so the returned [`ModuleAnalysis`] is
+/// byte-identical for any thread count. `threads == 1` exercises the
+/// same shard-and-merge machinery on a single worker, which is what
+/// makes that guarantee hold by construction rather than by accident.
+///
+/// With a store, `keys[fid]` must be a content key that changes whenever
+/// function `fid`'s analysis inputs change (its own body, its
+/// callee-summary cone, the configuration, or the artifact format). A
+/// store hit splices the persisted transformed body and private-arena
+/// result; a miss is analyzed as above and written back. Hits and misses
+/// flow through the same merge, so the result is byte-identical to a
+/// storeless run — which never materialises a [`FuncArtifact`].
+pub fn analyze_module_par(
     module: &mut Module,
     config: &PtaConfig,
     threads: usize,
     trace: &mut TraceBuf,
-    keys: &[u128],
-    store: &mut dyn ArtifactStore,
     callgraph: &CallGraph,
-) -> (ModuleAnalysis, CacheOutcome) {
-    let threads = threads.max(1);
+    mut store: Option<(&[u128], &mut dyn ArtifactStore)>,
+) -> ModuleAnalysis {
     let n = module.funcs.len();
-    assert_eq!(keys.len(), n, "one cache key per function");
-    let mut arena = TermArena::new();
-    let mut symbols = Symbols::new();
-    let mut linear = LinearSolver::new();
-    let mut shapes: Vec<AuxShape> = vec![AuxShape::default(); n];
-    let mut pta: Vec<FuncPta> = (0..n).map(|_| FuncPta::default()).collect();
-    let mut outcome = CacheOutcome::default();
+    if let Some((keys, _)) = &store {
+        assert_eq!(keys.len(), n, "one cache key per function");
+    }
+    let mut out = ModuleAnalysis::blank(n);
 
-    let levels = stratify_levels(callgraph);
-
-    for level_fids in &levels {
+    for level_fids in &stratify_levels(callgraph) {
         // Probe the store first; hits splice their transformed body into
         // the module immediately so caller levels rewrite against it.
-        let mut artifacts: HashMap<FuncId, FuncArtifact> = HashMap::new();
+        // Misses are detached so workers can transform them while the
+        // module stays borrowable.
+        let mut hits: HashMap<FuncId, FuncResult> = HashMap::new();
         let mut work: Vec<(FuncId, Function)> = Vec::new();
         for &fid in level_fids {
-            match store.load(keys[fid.0 as usize]) {
+            let hit = store
+                .as_mut()
+                .and_then(|(keys, st)| st.load(keys[fid.0 as usize]));
+            match hit {
                 Some(art) => {
-                    outcome.hits += 1;
-                    module.funcs[fid.0 as usize] = art.body.clone();
-                    artifacts.insert(fid, art);
+                    *module.func_mut(fid) = art.body;
+                    hits.insert(fid, art.result);
                 }
-                None => {
-                    outcome.misses += 1;
-                    work.push((
-                        fid,
-                        std::mem::replace(&mut module.funcs[fid.0 as usize], Function::new("")),
-                    ));
-                }
+                None => work.push((fid, detach(module, fid))),
             }
         }
 
-        let results = run_level(
+        let shapes = &out.shapes;
+        let frozen = &*module;
+        let fresh = trace.shard_map(
             &mut work,
-            &shapes,
-            callgraph,
-            module,
-            config.prune,
             threads,
-            trace,
+            || (),
+            |(), (fid, f), lane| {
+                lane.span("pta.func", f.name.clone(), |_| {
+                    analyze_one(*fid, f, shapes, callgraph, frozen, config)
+                })
+            },
         );
-
         for (fid, f) in work {
-            module.funcs[fid.0 as usize] = f;
-        }
-
-        for r in results {
-            let art = FuncArtifact {
-                body: module.func(r.fid).clone(),
-                shape: r.shape,
-                pta: r.pta,
-                arena: r.arena,
-                cached_values: r.symbols.cached_values(r.fid),
-                unsat: r.unsat,
-                unknown: r.unknown,
-            };
-            store.store(keys[r.fid.0 as usize], &art);
-            artifacts.insert(r.fid, art);
+            *module.func_mut(fid) = f;
         }
 
         // Uniform deterministic merge over hits and misses alike, in the
-        // level's bottom-up order — the same order a cold run uses.
+        // level's bottom-up order (`fresh` is in that order too).
+        let mut fresh = fresh.into_iter();
         for &fid in level_fids {
-            let art = artifacts.remove(&fid).expect("level function analyzed");
-            merge_one(
-                fid,
-                module.func(fid),
-                art.shape,
-                art.pta,
-                &art.arena,
-                &art.cached_values,
-                &mut arena,
-                &mut symbols,
-                &mut shapes,
-                &mut pta,
-            );
-            linear.unsat_count += art.unsat;
-            linear.unknown_count += art.unknown;
+            let r = hits.remove(&fid).unwrap_or_else(|| {
+                let mut r = fresh.next().expect("level function analyzed");
+                if let Some((keys, st)) = store.as_mut() {
+                    // The body moves through the artifact and back: the
+                    // store only borrows it.
+                    let art = FuncArtifact {
+                        body: detach(module, fid),
+                        result: r,
+                    };
+                    st.store(keys[fid.0 as usize], &art);
+                    *module.func_mut(fid) = art.body;
+                    r = art.result;
+                }
+                r
+            });
+            merge_one(fid, module.func(fid), r, &mut out);
         }
     }
-
-    (
-        ModuleAnalysis {
-            arena,
-            symbols,
-            shapes,
-            pta,
-            linear,
-        },
-        outcome,
-    )
+    out
 }
 
 #[cfg(test)]
@@ -820,6 +596,7 @@ mod tests {
             4,
             &mut TraceBuf::off(),
             &cg,
+            None,
         );
         for fid in 0..m_seq.funcs.len() {
             let fid = pinpoint_ir::FuncId(fid as u32);
@@ -850,8 +627,14 @@ mod tests {
             .map(|&t| {
                 let mut m = compile(WAVEFRONT_SRC).unwrap();
                 let cg = CallGraph::new(&m);
-                let a =
-                    analyze_module_par(&mut m, &PtaConfig::default(), t, &mut TraceBuf::off(), &cg);
+                let a = analyze_module_par(
+                    &mut m,
+                    &PtaConfig::default(),
+                    t,
+                    &mut TraceBuf::off(),
+                    &cg,
+                    None,
+                );
                 (m, a)
             })
             .collect();
@@ -880,13 +663,82 @@ mod tests {
         }
     }
 
+    /// An in-memory [`ArtifactStore`] counting its traffic.
+    #[derive(Default)]
+    struct MemStore {
+        map: HashMap<u128, FuncArtifact>,
+        hits: usize,
+        stores: usize,
+    }
+
+    impl ArtifactStore for MemStore {
+        fn load(&mut self, key: u128) -> Option<FuncArtifact> {
+            let hit = self.map.get(&key).cloned();
+            self.hits += usize::from(hit.is_some());
+            hit
+        }
+
+        fn store(&mut self, key: u128, artifact: &FuncArtifact) {
+            self.stores += 1;
+            self.map.insert(key, artifact.clone());
+        }
+    }
+
+    #[test]
+    fn store_backed_runs_match_storeless() {
+        // Everything a later stage reads, rendered for comparison: the
+        // transformed bodies, shapes, every guarded fact, arena layout.
+        let render = |m: &Module, a: &ModuleAnalysis| {
+            let mut out = format!("terms={} symbols={}\n", a.arena.len(), a.symbols.len());
+            for (fid, f) in m.iter_funcs() {
+                let p = a.func_pta(fid);
+                let mut pts: Vec<_> = p.points_to.iter().collect();
+                pts.sort_by_key(|(v, _)| **v);
+                out.push_str(&format!(
+                    "{:?}\n{:?}\n{:?}\n{pts:?}\n{:?}\n{:?}\n{:?}\n",
+                    f.blocks,
+                    a.shape(fid),
+                    p.mem_deps,
+                    p.global_stores,
+                    p.global_loads,
+                    p.stats
+                ));
+            }
+            out
+        };
+        for t in [1usize, 4] {
+            let run = |store: Option<&mut MemStore>| {
+                let mut m = compile(WAVEFRONT_SRC).unwrap();
+                let cg = CallGraph::new(&m);
+                let keys: Vec<u128> = (1..=m.funcs.len() as u128).collect();
+                let a = analyze_module_par(
+                    &mut m,
+                    &PtaConfig::default(),
+                    t,
+                    &mut TraceBuf::off(),
+                    &cg,
+                    store.map(|s| (keys.as_slice(), s as &mut dyn ArtifactStore)),
+                );
+                render(&m, &a)
+            };
+            let storeless = run(None);
+            let mut store = MemStore::default();
+            let cold = run(Some(&mut store));
+            assert_eq!((store.hits, store.stores), (0, 6), "threads={t}");
+            let warm = run(Some(&mut store));
+            assert_eq!((store.hits, store.stores), (6, 6), "threads={t}");
+            assert_eq!(cold, storeless, "cold-with-store, threads={t}");
+            assert_eq!(warm, storeless, "warm-from-store, threads={t}");
+        }
+    }
+
     #[test]
     fn trace_spans_are_thread_count_invariant() {
         let run = |t: usize| {
             let mut m = compile(WAVEFRONT_SRC).unwrap();
             let mut trace = TraceBuf::on();
             let cg = CallGraph::new(&m);
-            let _ = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace, &cg);
+            let _ = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace, &cg, None);
             (trace.records().len(), trace.canonical_json())
         };
         let (n1, c1) = run(1);

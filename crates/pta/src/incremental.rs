@@ -13,9 +13,9 @@
 //!   transitive *callers* of any function whose interface may have
 //!   changed — everything else is spliced from the previous run.
 //!
-//! [`analyze_module_incremental`] takes the previous analysis, a freshly
-//! lowered module, and the set of edited function names (as a build
-//! system reports them). Clean functions' transformed bodies and
+//! [`analyze_module_incremental_dirty`] takes the previous analysis, a
+//! freshly lowered module, and the set of edited functions (typically a
+//! fingerprint-key diff). Clean functions' transformed bodies and
 //! points-to results are copied over; dirty functions are re-analysed
 //! bottom-up, with their stale term-cache entries invalidated (the shared
 //! hash-consed arena is append-only, so all clean terms stay valid).
@@ -25,10 +25,12 @@
 //! untouched would not really need its callers re-analysed — but it never
 //! under-approximates, so the incremental result is always identical to a
 //! full re-analysis (asserted by the test-suite on generated projects).
+//!
+//! A whole-module run is the same algorithm with nothing to splice and
+//! everything dirty: [`crate::analyze_module_with`] and the shape-change
+//! fallback both call [`reanalyze`] without a previous run.
 
-use crate::driver::{analyze_module_with_graph, rewrite_calls, ModuleAnalysis, PtaConfig};
-use crate::intra::{analyze_function_with, AuxParamBinding};
-use crate::transform::{insert_connectors, AuxShape};
+use crate::driver::{analyze_function, detach, ModuleAnalysis, PtaConfig};
 use pinpoint_ir::{CallGraph, FuncId, Module};
 use std::collections::HashSet;
 
@@ -50,8 +52,7 @@ pub struct IncrementalOutcome {
 /// caller's call sites must be re-rewritten against possibly-changed
 /// callee shapes, so any function above an edit is dirty too.
 ///
-/// This is the one dirtying rule both incremental entry points share;
-/// idempotent, so feeding it an already-closed set (e.g. one derived
+/// Idempotent, so feeding it an already-closed set (e.g. one derived
 /// from the transitive fingerprint keys of `pinpoint-cache`) is a no-op.
 pub fn dirty_closure(
     callgraph: &CallGraph,
@@ -79,150 +80,118 @@ fn same_shape(module: &Module, old_module: &Module) -> bool {
             .all(|((_, a), (_, b))| a.name == b.name)
 }
 
-/// The full-reanalysis fallback used when the function set changed.
-fn full_fallback(module: &mut Module, callgraph: &CallGraph) -> IncrementalOutcome {
-    let analysis = analyze_module_with_graph(module, &PtaConfig::default(), callgraph);
-    let n = module.funcs.len();
-    IncrementalOutcome {
-        analysis,
-        reanalyzed: (0..n).map(|i| FuncId(i as u32)).collect(),
-        reused: 0,
-        fell_back: true,
-    }
-}
-
 /// Incrementally re-analyses `module` (freshly lowered, untransformed)
-/// against the previous `old` analysis of `old_module`.
+/// against the previous `old` analysis of `old_module`, under the same
+/// `config` the previous run used.
 ///
-/// `changed` lists edited function names (as a build system reports
-/// them). If the function name sets of the two modules differ
-/// (additions/removals), the function falls back to a full analysis.
-pub fn analyze_module_incremental(
-    module: &mut Module,
-    old_module: &Module,
-    old: ModuleAnalysis,
-    changed: &[String],
-) -> IncrementalOutcome {
-    let callgraph = CallGraph::new(module);
-    if !same_shape(module, old_module) {
-        return full_fallback(module, &callgraph);
-    }
-    let seeds: Vec<FuncId> = changed
-        .iter()
-        .filter_map(|n| module.func_by_name(n))
-        .collect();
-    let dirty = dirty_closure(&callgraph, seeds);
-    reanalyze_dirty(module, old_module, old, &callgraph, dirty)
-}
-
-/// Like [`analyze_module_incremental`], but driven by an explicit set of
-/// dirty [`FuncId`]s — typically derived by diffing
-/// [`pinpoint_ir::module_fingerprints`]-based keys rather than trusting a
-/// hand-written change list. The set is re-closed under transitive
-/// callers ([`dirty_closure`]), so passing an already caller-closed set
-/// (as fingerprint-key diffs are) costs nothing. `callgraph` is the call
-/// graph of the new `module`.
+/// `dirty` is the set of edited [`FuncId`]s — typically derived by
+/// diffing [`pinpoint_ir::module_fingerprints`]-based keys. It is
+/// re-closed under transitive callers ([`dirty_closure`]), so passing an
+/// already caller-closed set (as fingerprint-key diffs are) costs
+/// nothing. `callgraph` is the call graph of the new `module`. If the
+/// function name sequences of the two modules differ
+/// (additions/removals), nothing can be spliced and the whole module is
+/// re-analysed from a fresh arena (`fell_back`).
 pub fn analyze_module_incremental_dirty(
     module: &mut Module,
     old_module: &Module,
     old: ModuleAnalysis,
     dirty: &HashSet<FuncId>,
     callgraph: &CallGraph,
+    config: &PtaConfig,
 ) -> IncrementalOutcome {
-    if !same_shape(module, old_module) {
-        return full_fallback(module, callgraph);
+    let dirty =
+        same_shape(module, old_module).then(|| dirty_closure(callgraph, dirty.iter().copied()));
+    let previous = dirty.as_ref().map(|dirty| (old_module, old, dirty));
+    let (analysis, reanalyzed) = reanalyze(module, previous, callgraph, config);
+    IncrementalOutcome {
+        analysis,
+        reused: module.funcs.len() - reanalyzed.len(),
+        reanalyzed,
+        fell_back: dirty.is_none(),
     }
-    let dirty = dirty_closure(callgraph, dirty.iter().copied());
-    reanalyze_dirty(module, old_module, old, callgraph, dirty)
 }
 
-/// Shared core: splices clean functions from the previous run and
-/// re-analyses the dirty set bottom-up. `dirty` must already be closed
-/// under transitive callers.
-fn reanalyze_dirty(
+/// The serial, shared-arena algorithm: splices every function outside
+/// `dirty` from the `previous` run (transformed body, shape, points-to
+/// facts; the arena, interner and solver counters carry over whole), then
+/// analyses the rest bottom-up in place. Returns the analysis and the
+/// functions it analysed. `dirty` must be closed under transitive
+/// callers; without a previous run everything is analysed, from a fresh
+/// arena.
+pub(crate) fn reanalyze(
     module: &mut Module,
-    old_module: &Module,
-    old: ModuleAnalysis,
+    previous: Option<(&Module, ModuleAnalysis, &HashSet<FuncId>)>,
     callgraph: &CallGraph,
-    dirty: HashSet<FuncId>,
-) -> IncrementalOutcome {
-    let ModuleAnalysis {
-        mut arena,
-        mut symbols,
-        shapes: old_shapes,
-        pta: old_pta,
-        mut linear,
-    } = old;
+    config: &PtaConfig,
+) -> (ModuleAnalysis, Vec<FuncId>) {
     let n = module.funcs.len();
-    let mut shapes: Vec<AuxShape> = vec![AuxShape::default(); n];
-    let mut pta: Vec<Option<crate::intra::FuncPta>> = (0..n).map(|_| None).collect();
-    // Splice clean functions: transformed body + shape + points-to.
-    let mut old_pta: Vec<Option<crate::intra::FuncPta>> = old_pta.into_iter().map(Some).collect();
-    let mut reused = 0;
-    for (i, shape) in old_shapes.into_iter().enumerate() {
-        let fid = FuncId(i as u32);
-        if dirty.contains(&fid) {
-            symbols.invalidate_function(fid);
-            continue;
+    let mut out = ModuleAnalysis::blank(n);
+    let mut clean = vec![false; n];
+    if let Some((old_module, old, dirty)) = previous {
+        (out.arena, out.symbols, out.linear) = (old.arena, old.symbols, old.linear);
+        for (i, (shape, pta)) in old.shapes.into_iter().zip(old.pta).enumerate() {
+            let fid = FuncId(i as u32);
+            if dirty.contains(&fid) {
+                out.symbols.invalidate_function(fid);
+                continue;
+            }
+            module.funcs[i] = old_module.func(fid).clone();
+            (out.shapes[i], out.pta[i], clean[i]) = (shape, pta, true);
         }
-        module.funcs[i] = old_module.func(fid).clone();
-        shapes[i] = shape;
-        pta[i] = old_pta[i].take();
-        reused += 1;
     }
-    // Re-analyse dirty functions bottom-up.
     let mut reanalyzed = Vec::new();
     for &fid in callgraph.bottom_up() {
-        if !dirty.contains(&fid) {
+        if clean[fid.0 as usize] {
             continue;
         }
         reanalyzed.push(fid);
-        rewrite_calls(module, fid, &shapes, callgraph);
-        let pass1 = analyze_function_with(
-            &mut arena,
-            &mut symbols,
-            &mut linear,
+        let mut body = detach(module, fid);
+        let (shape, pta) = analyze_function(
+            &mut out.arena,
+            &mut out.symbols,
+            &mut out.linear,
             fid,
-            module.func(fid),
-            &[],
-            true,
+            &mut body,
+            module,
+            &out.shapes,
+            callgraph,
+            config,
         );
-        let shape = insert_connectors(module.func_mut(fid), &pass1.refs, &pass1.mods);
-        let bindings: Vec<AuxParamBinding> = shape
-            .aux_params
-            .iter()
-            .map(|&(path, value)| AuxParamBinding { path, value })
-            .collect();
-        let pass2 = analyze_function_with(
-            &mut arena,
-            &mut symbols,
-            &mut linear,
-            fid,
-            module.func(fid),
-            &bindings,
-            true,
-        );
-        shapes[fid.0 as usize] = shape;
-        pta[fid.0 as usize] = Some(pass2);
+        *module.func_mut(fid) = body;
+        out.shapes[fid.0 as usize] = shape;
+        out.pta[fid.0 as usize] = pta;
     }
-    IncrementalOutcome {
-        analysis: ModuleAnalysis {
-            arena,
-            symbols,
-            shapes,
-            pta: pta.into_iter().map(Option::unwrap_or_default).collect(),
-            linear,
-        },
-        reanalyzed,
-        reused,
-        fell_back: false,
-    }
+    (out, reanalyzed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::analyze_module;
+
+    /// Seeds the dirty set from edited function names, as a build system
+    /// reports them.
+    fn incremental_by_name(
+        module: &mut Module,
+        old_module: &Module,
+        old: ModuleAnalysis,
+        changed: &[&str],
+    ) -> IncrementalOutcome {
+        let cg = CallGraph::new(module);
+        let seeds: HashSet<FuncId> = changed
+            .iter()
+            .filter_map(|n| module.func_by_name(n))
+            .collect();
+        analyze_module_incremental_dirty(
+            module,
+            old_module,
+            old,
+            &seeds,
+            &cg,
+            &PtaConfig::default(),
+        )
+    }
 
     const BASE: &str = "
         fn leaf_a(p: int*) -> int { let x: int = *p; return x; }
@@ -258,7 +227,7 @@ mod tests {
         let src = edited_leaf_a();
         let mut new_module = pinpoint_ir::compile(&src).unwrap();
         // NOTE: old_module is post-transform; the splice source.
-        let out = analyze_module_incremental(&mut new_module, &old_module, old, &["leaf_a".into()]);
+        let out = incremental_by_name(&mut new_module, &old_module, old, &["leaf_a"]);
         assert!(!out.fell_back);
         let names: Vec<&str> = out
             .reanalyzed
@@ -285,7 +254,7 @@ mod tests {
         let full = analyze_module(&mut full_module);
         // Incremental run.
         let mut inc_module = pinpoint_ir::compile(&src).unwrap();
-        let out = analyze_module_incremental(&mut inc_module, &old_module, old, &["leaf_a".into()]);
+        let out = incremental_by_name(&mut inc_module, &old_module, old, &["leaf_a"]);
         // Shapes must agree function by function.
         for (fid, f) in full_module.iter_funcs() {
             let a = full.shape(fid);
@@ -327,7 +296,14 @@ mod tests {
             .collect();
         assert_eq!(dirty.len(), 1, "only leaf_a's body changed");
         let cg = CallGraph::new(&new_module);
-        let out = analyze_module_incremental_dirty(&mut new_module, &old_module, old, &dirty, &cg);
+        let out = analyze_module_incremental_dirty(
+            &mut new_module,
+            &old_module,
+            old,
+            &dirty,
+            &cg,
+            &PtaConfig::default(),
+        );
         assert!(!out.fell_back);
         let names: Vec<&str> = out
             .reanalyzed
@@ -346,8 +322,7 @@ mod tests {
         let old = analyze_module(&mut old_module);
         let src = format!("{BASE}\nfn brand_new() {{ return; }}");
         let mut new_module = pinpoint_ir::compile(&src).unwrap();
-        let out =
-            analyze_module_incremental(&mut new_module, &old_module, old, &["brand_new".into()]);
+        let out = incremental_by_name(&mut new_module, &old_module, old, &["brand_new"]);
         assert!(out.fell_back);
         assert_eq!(out.reused, 0);
     }
@@ -357,7 +332,7 @@ mod tests {
         let mut old_module = pinpoint_ir::compile(BASE).unwrap();
         let old = analyze_module(&mut old_module);
         let mut new_module = pinpoint_ir::compile(BASE).unwrap();
-        let out = analyze_module_incremental(&mut new_module, &old_module, old, &[]);
+        let out = incremental_by_name(&mut new_module, &old_module, old, &[]);
         assert!(out.reanalyzed.is_empty());
         assert_eq!(out.reused, new_module.funcs.len());
     }

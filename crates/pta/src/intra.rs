@@ -79,7 +79,7 @@ impl PtaStats {
 }
 
 /// Result of analysing one function.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FuncPta {
     /// Conditional memory def-use edges.
     pub mem_deps: Vec<MemDep>,

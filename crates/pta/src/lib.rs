@@ -13,7 +13,14 @@
 //! * [`transform`] — the **connector model** (§3.1.2, Fig. 3): Aux formal
 //!   parameters and Aux return values that expose non-local side effects
 //!   on function interfaces, plus the matching call-site rewriting;
-//! * [`driver`] — the bottom-up module pipeline combining the two;
+//! * [`driver`] — the bottom-up module pipeline combining the two: one
+//!   per-function pipeline, sharded over private arenas and merged
+//!   deterministically, with an optional persistent artifact store
+//!   ([`analyze_module_par`]);
+//! * [`incremental`] — the same per-function pipeline run in place in a
+//!   shared arena, splicing whatever a previous run left clean
+//!   ([`analyze_module_incremental_dirty`]; [`analyze_module`] is this
+//!   with nothing to splice);
 //! * [`andersen`] — a whole-program, flow- and context-insensitive
 //!   inclusion-based points-to analysis: the substrate of the *layered*
 //!   baseline (SVF-style) that the paper's evaluation compares against;
@@ -51,12 +58,10 @@ pub mod symbols;
 pub mod transform;
 
 pub use driver::{
-    analyze_module, analyze_module_cached, analyze_module_par, analyze_module_with, ArtifactStore,
-    CacheOutcome, FuncArtifact, ModuleAnalysis, PtaConfig,
+    analyze_module, analyze_module_par, analyze_module_with, ArtifactStore, FuncArtifact,
+    FuncResult, ModuleAnalysis, PtaConfig,
 };
-pub use incremental::{
-    analyze_module_incremental, analyze_module_incremental_dirty, dirty_closure, IncrementalOutcome,
-};
+pub use incremental::{analyze_module_incremental_dirty, dirty_closure, IncrementalOutcome};
 pub use intra::{FuncPta, GlobalAccess, MemDep, PtaStats};
 pub use object::{AccessPath, Obj, MAX_PATH_DEPTH};
 pub use symbols::{Symbols, SymbolsMark};

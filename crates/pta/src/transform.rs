@@ -20,7 +20,7 @@
 //! the caller's memory with no further special cases.
 
 use crate::object::AccessPath;
-use pinpoint_ir::{Function, Inst, Module, Terminator, Type, ValueId};
+use pinpoint_ir::{Function, Inst, Terminator, Type, ValueId};
 
 /// The connector interface of a transformed function.
 #[derive(Debug, Clone, Default)]
@@ -211,13 +211,6 @@ pub fn rebuild_def_sites(f: &mut Function) {
             f.values[d.0 as usize].def = Some(id);
         }
     }
-}
-
-/// Convenience: transforms all functions of a module bottom-up, returning
-/// each function's [`AuxShape`]. Used directly by tests; the full pipeline
-/// in [`crate::driver`] interleaves this with the points-to passes.
-pub fn transform_module(module: &mut Module) -> Vec<AuxShape> {
-    crate::driver::analyze_module(module).shapes
 }
 
 #[cfg(test)]

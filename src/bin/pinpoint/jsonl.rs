@@ -1,7 +1,7 @@
 //! Line-delimited JSON plumbing shared by the serve transports and the
-//! `top` dashboard client: frame reading with an allocation cap, a flat
-//! JSON object parser (the request side), and a small recursive value
-//! parser (the response side, whose documents nest).
+//! `top` dashboard client: frame reading with an allocation cap and a
+//! small recursive JSON value parser (the response side, whose documents
+//! nest) with a flat-object view over it (the request side).
 
 /// Longest request line a serve transport will buffer (1 MiB). Longer
 /// lines are drained and rejected without allocating for them, and the
@@ -73,94 +73,25 @@ pub fn read_frame(input: &mut impl std::io::BufRead, cap: usize) -> Result<Frame
 /// as their literal text. Enough JSON for the serve protocol — nested
 /// objects and arrays are rejected.
 pub fn parse_json_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
-    fn skip_ws(chars: &mut Chars) {
-        while matches!(chars.peek(), Some(' ' | '\t' | '\r' | '\n')) {
-            chars.next();
-        }
+    let not_object = || "expected a JSON object".to_string();
+    // Checked first so that bare garbage is reported as such, not as
+    // whatever token error its first word runs into.
+    if !line
+        .trim_start_matches([' ', '\t', '\r', '\n'])
+        .starts_with('{')
+    {
+        return Err(not_object());
     }
-    fn parse_string(chars: &mut Chars) -> Result<String, String> {
-        if chars.next() != Some('"') {
-            return Err("expected string".to_string());
-        }
-        let mut s = String::new();
-        loop {
-            match chars.next() {
-                None => return Err("unterminated string".to_string()),
-                Some('"') => return Ok(s),
-                Some('\\') => match chars.next() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('/') => s.push('/'),
-                    Some('n') => s.push('\n'),
-                    Some('t') => s.push('\t'),
-                    Some('r') => s.push('\r'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let c = chars.next().ok_or("truncated \\u escape")?;
-                            code = code * 16 + c.to_digit(16).ok_or("invalid \\u escape")?;
-                        }
-                        s.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                    }
-                    _ => return Err("unsupported escape".to_string()),
-                },
-                Some(c) => s.push(c),
-            }
-        }
-    }
-    let mut chars: Chars = line.chars().peekable();
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected a JSON object".to_string());
-    }
-    let mut fields = Vec::new();
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next() != Some(':') {
-                return Err(format!("expected `:` after key \"{key}\""));
-            }
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some('"') => parse_string(&mut chars)?,
-                Some('{' | '[') => return Err("nested values are not supported".to_string()),
-                _ => {
-                    // Bare literal: number, true/false, null.
-                    let mut v = String::new();
-                    while let Some(&c) = chars.peek() {
-                        if c == ',' || c == '}' {
-                            break;
-                        }
-                        v.push(c);
-                        chars.next();
-                    }
-                    let v = v.trim().to_string();
-                    if v.is_empty() {
-                        return Err(format!("missing value for key \"{key}\""));
-                    }
-                    v
-                }
-            };
-            fields.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                _ => return Err("expected `,` or `}`".to_string()),
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing characters after object".to_string());
-    }
-    Ok(fields)
+    let Json::Obj(fields) = parse_json("object", line)? else {
+        return Err(not_object());
+    };
+    fields
+        .into_iter()
+        .map(|(key, value)| match value {
+            Json::Str(v) | Json::Lit(v) => Ok((key, v)),
+            Json::Obj(_) | Json::Arr(_) => Err("nested values are not supported".to_string()),
+        })
+        .collect()
 }
 
 /// A parsed JSON value — just enough structure for a client to walk the
@@ -230,6 +161,12 @@ impl Json {
 
 /// Parses one complete JSON value (objects, arrays, strings, literals).
 pub fn parse_json_value(text: &str) -> Result<Json, String> {
+    parse_json("value", text)
+}
+
+/// The one tokenizer behind both entry points; `what` names the document
+/// in the trailing-input error.
+fn parse_json(what: &str, text: &str) -> Result<Json, String> {
     type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
     fn skip_ws(chars: &mut Chars) {
         while matches!(chars.peek(), Some(' ' | '\t' | '\r' | '\n')) {
@@ -288,6 +225,10 @@ pub fn parse_json_value(text: &str) -> Result<Json, String> {
                     if chars.next() != Some(':') {
                         return Err(format!("expected `:` after key \"{key}\""));
                     }
+                    skip_ws(chars);
+                    if matches!(chars.peek(), Some(',' | '}')) {
+                        return Err(format!("missing value for key \"{key}\""));
+                    }
                     fields.push((key, parse_value(chars, depth + 1)?));
                     skip_ws(chars);
                     match chars.next() {
@@ -337,7 +278,7 @@ pub fn parse_json_value(text: &str) -> Result<Json, String> {
     let value = parse_value(&mut chars, 0)?;
     skip_ws(&mut chars);
     if chars.next().is_some() {
-        return Err("trailing characters after value".to_string());
+        return Err(format!("trailing characters after {what}"));
     }
     Ok(value)
 }
@@ -360,5 +301,35 @@ mod tests {
         assert_eq!(sessions[0].get("name").and_then(Json::as_str), Some("a"));
         assert!(parse_json_value("{\"x\":}").is_err());
         assert!(parse_json_value("[1,2] trailing").is_err());
+    }
+
+    #[test]
+    fn flat_objects_keep_literals_as_text_and_reject_nesting() {
+        let fields =
+            parse_json_object(r#" {"cmd":"open","threads": 4 ,"ok":true,"s":"a\n\u0041"} "#);
+        let expected = [
+            ("cmd", "open"),
+            ("threads", "4"),
+            ("ok", "true"),
+            ("s", "a\nA"),
+        ];
+        let expected: Vec<(String, String)> = expected
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        assert_eq!(fields, Ok(expected));
+        assert_eq!(parse_json_object("{}"), Ok(Vec::new()));
+        let err = |line: &str| parse_json_object(line).unwrap_err();
+        assert_eq!(err("not json at all"), "expected a JSON object");
+        assert_eq!(err("[1]"), "expected a JSON object");
+        assert_eq!(err(r#"{"a":{"x":1}}"#), "nested values are not supported");
+        assert_eq!(err(r#"{"a":[1]}"#), "nested values are not supported");
+        assert_eq!(err(r#"{"a":}"#), "missing value for key \"a\"");
+        assert_eq!(err(r#"{"a" 1}"#), "expected `:` after key \"a\"");
+        assert_eq!(err(r#"{"a":1"#), "expected `,` or `}`");
+        assert_eq!(err(r#"{"a":1} x"#), "trailing characters after object");
+        assert_eq!(err(r#"{"a":"x"#), "unterminated string");
+        let deep = format!("{{\"a\":{}1{}}}", "[".repeat(100), "]".repeat(100));
+        assert_eq!(err(&deep), "value nests too deeply");
     }
 }

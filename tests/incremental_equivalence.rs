@@ -267,9 +267,12 @@ fn workspace_updates_byte_identical_across_seeded_edits() {
     let mut rng = Mix(0xE511);
     for (name, primed, edited) in edit_set(&project.source, &mut rng) {
         let same_shape = matches!(name, "body-edit" | "connector-edit");
-        for threads in [1usize, 4] {
-            let mut ws = AnalysisBuilder::new()
-                .threads(threads)
+        // `prune(false)` is the builder knob the update path must carry
+        // through to re-analysed functions, fallback included.
+        for (threads, prune) in [(1usize, true), (4, true), (1, false)] {
+            let builder = AnalysisBuilder::new().threads(threads).prune(prune);
+            let mut ws = builder
+                .clone()
                 .open_workspace(&primed)
                 .expect("generated source compiles");
             // Populate the query cache from the pre-edit program.
@@ -282,11 +285,19 @@ fn workspace_updates_byte_identical_across_seeded_edits() {
             let before = ws.counters();
             let warm = render_workspace(&mut ws);
             let after = ws.counters();
-            let cold = build(&edited, threads, None);
+            let cold = builder
+                .build_source(&edited)
+                .expect("edited source compiles");
             assert_eq!(
                 warm,
                 render_reports(&cold),
-                "{name} at {threads} threads must be byte-identical"
+                "{name} at {threads} threads, prune={prune} must be byte-identical"
+            );
+            let (w, c) = (ws.stats().pta, cold.stats.pta);
+            assert_eq!(
+                (w.pruned, w.kept, w.linear_checks),
+                (c.pruned, c.kept, c.linear_checks),
+                "{name} at {threads} threads, prune={prune}: points-to pruning counters"
             );
             if same_shape {
                 assert!(
