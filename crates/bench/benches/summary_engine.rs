@@ -1,13 +1,14 @@
 //! Whole-program engine benchmarks: the demand-driven `check_all`
-//! versus the bottom-up summary engine, at 1 and 4 threads.
+//! versus the summary engine, at 1 and 4 threads.
 //!
-//! The summary engine materialises per-function source→sink interface
-//! summaries bottom-up over the call-graph condensation and uses them to
-//! gate sources whose value flow provably never reaches a sink, a
-//! global, or the function interface — those sources skip the
-//! demand-driven search entirely (reports stay byte-identical). The
-//! `summary-warm` rows re-answer from a session that already holds the
-//! summary tables in memory, isolating the gate's per-query cost.
+//! The summary engine forces per-function source→sink interface
+//! summaries — bottom-up over the call-graph condensation, for the cones
+//! its gate reads — and uses them to gate sources whose value flow
+//! provably never reaches a sink, a global, or the function interface:
+//! those sources skip the demand-driven search entirely (reports stay
+//! byte-identical). The `summary-warm` rows re-answer from a session
+//! that already holds the forced summaries in memory, isolating the
+//! gate's per-query cost.
 
 use pinpoint_bench::harness::{bench, smoke_mode};
 use pinpoint_core::{AnalysisBuilder, Engine};

@@ -15,9 +15,12 @@
 //! paths are reported.
 
 use crate::cond::{CondBuilder, CondConfig, CtxId, CtxInterner, ROOT};
+use crate::driver::Analysis;
 use crate::seg::{EdgeKind, ModuleSeg, SegEdge};
 use crate::spec::{self, CheckerKind, SinkRole, SinkSite, SourceSite, Spec};
-use pinpoint_ir::{Cfg, DomTree, FuncId, InstId, Module, ValueId};
+use crate::summary::ParamSummaries;
+use crate::vfsummary::{ModuleSummaries, SummaryCx};
+use pinpoint_ir::{CallGraph, Cfg, DomTree, FuncId, InstId, Module, ValueId};
 use pinpoint_obs::{QueryCost, QueryOutcome, QueryRecord, TraceBuf};
 use pinpoint_pta::Symbols;
 use pinpoint_smt::{
@@ -161,13 +164,14 @@ pub struct DetectStats {
     /// and answered with an empty outcome, no search run (always 0 under
     /// the demand engine).
     pub summary_gated: u64,
-    /// Function interface summaries computed cold this run (summary
-    /// engine only).
+    /// Function interface summaries the gate demanded and computed cold
+    /// (summary engine only).
     pub summary_built: u64,
-    /// Function interface summaries reused — loaded from the persistent
-    /// store or replayed from a prior in-memory build.
+    /// Function interface summaries the gate demanded and loaded from the
+    /// persistent store. (One already forced by an earlier query of the
+    /// same session or workspace costs nothing and counts nowhere.)
     pub summary_reused: u64,
-    /// Interface edges composed at call sites while building summaries.
+    /// Interface edges composed at call sites while computing summaries.
     pub summary_composed: u64,
 }
 
@@ -301,49 +305,18 @@ struct SourceOutcome {
     globals_consulted: Vec<pinpoint_ir::GlobalId>,
 }
 
-/// Property-wide read-only state shared by every worker.
+/// Property-wide read-only state shared by every worker. Nothing here is
+/// precomputed per property: sink indexes, descent summaries and
+/// dominator trees are filled per function, on first visit, by the
+/// [`Worker`] that needs them.
 #[derive(Debug)]
 struct SpecContext<'a> {
     module: &'a Module,
     segs: &'a ModuleSeg,
+    callgraph: &'a CallGraph,
     spec: &'a Spec,
     kind: Option<CheckerKind>,
     config: DetectConfig,
-    /// Per-function sink index for this property.
-    sink_index: HashMap<FuncId, HashMap<ValueId, Vec<SinkSite>>>,
-    /// Interface summaries of the property being checked (§3.3.2).
-    summaries: Option<crate::summary::ParamSummaries>,
-}
-
-impl<'a> SpecContext<'a> {
-    fn build(
-        module: &'a Module,
-        segs: &'a ModuleSeg,
-        spec: &'a Spec,
-        kind: Option<CheckerKind>,
-        config: DetectConfig,
-    ) -> Self {
-        let summaries = config
-            .use_summaries
-            .then(|| crate::summary::ParamSummaries::build(module, segs, spec));
-        let mut sink_index: HashMap<FuncId, HashMap<ValueId, Vec<SinkSite>>> = HashMap::new();
-        for (fid, f) in module.iter_funcs() {
-            let mut by_value: HashMap<ValueId, Vec<SinkSite>> = HashMap::new();
-            for s in spec::spec_sinks(spec, f) {
-                by_value.entry(s.value).or_default().push(s);
-            }
-            sink_index.insert(fid, by_value);
-        }
-        SpecContext {
-            module,
-            segs,
-            spec,
-            kind,
-            config,
-            sink_index,
-            summaries,
-        }
-    }
 }
 
 /// Enumerates the property's sources in canonical module order — the
@@ -499,9 +472,16 @@ struct Worker<'cx, 'a> {
     linear: pinpoint_smt::LinearSolver,
     /// Per-function dominator trees for the same-function ordering filter.
     doms: HashMap<FuncId, DomTree>,
+    /// Per-function sink index for this property, filled on first visit.
+    sinks: HashMap<FuncId, HashMap<ValueId, Vec<SinkSite>>>,
+    /// Descent summaries of the property being checked (§3.3.2), forced
+    /// for the callee cones the searches actually reach; `None` under the
+    /// summary-free ablation. Worker-private, but a pure function of the
+    /// artefact, so outcomes stay shard-independent.
+    params: Option<ParamSummaries<'a>>,
 }
 
-/// Runs one property over the module with `threads` workers, merging
+/// Runs one property over the artefact `a` with `threads` workers, merging
 /// per-source outcomes into reports and statistics (added onto `stats`)
 /// that are byte-identical for any thread count, with or without the two
 /// optional reuse inputs.
@@ -509,20 +489,20 @@ struct Worker<'cx, 'a> {
 /// Sources are enumerated in module order. Each is answered by the first
 /// of three means that applies:
 ///
-/// 1. `gate` — the summary engine's prebuilt whole-program interface
-///    summaries ([`crate::vfsummary::ModuleSummaries`]): a source the
-///    gate proves fruitless gets a synthesised empty outcome. Gated
-///    sources bypass the query cache entirely (a cached cone would not
-///    cover the summary consultations the gate made) and count in
-///    [`DetectStats::summary_gated`], not in the [`QueryReuse`] split;
-/// 2. `cache` — the per-source [`QueryCache`] with the current
-///    per-function transitive fingerprint keys of the *pre-transform*
-///    module (`pinpoint_cache::module_keys` order): a source whose
-///    recomputed [`cone_fingerprint`] still matches its entry replays
-///    the cached outcome, including the verdict counters and costs
-///    recorded when it was computed (its verdict snapshot may predate
-///    the current one), so solver-side statistics reflect the work
-///    actually performed, not a hypothetical fresh run;
+/// 1. `gate` — the summary engine's whole-program interface summaries
+///    ([`ModuleSummaries`], forced on demand through the [`SummaryCx`]
+///    beside it): a source the gate proves fruitless gets a synthesised
+///    empty outcome. Gated sources bypass the query cache entirely (a
+///    cached cone would not cover the summary consultations the gate
+///    made) and count in [`DetectStats::summary_gated`], not in the
+///    [`QueryReuse`] split;
+/// 2. `cache` — the per-source [`QueryCache`], validated against the
+///    artefact's current per-function transitive fingerprint keys: a
+///    source whose recomputed [`cone_fingerprint`] still matches its
+///    entry replays the cached outcome, including the verdict counters
+///    and costs recorded when it was computed (its verdict snapshot may
+///    predate the current one), so solver-side statistics reflect the
+///    work actually performed, not a hypothetical fresh run;
 /// 3. the demand-driven search: the remaining sources are partitioned
 ///    into contiguous shards ([`TraceBuf::shard_map`]). Each worker
 ///    records *candidate events* (it cannot know which candidates an
@@ -536,15 +516,13 @@ struct Worker<'cx, 'a> {
 /// Besides reports and statistics, every evaluated candidate — including
 /// those a later dedup suppresses, since each was really solved — comes
 /// back as a [`QueryRecord`] with its solver cost, ids assigned in the
-/// replay order. When `trace` is recording, each source search gets a
-/// `detect.source` span (with nested `smt.query` spans per candidate) in
-/// a worker-private buffer merged at the join.
+/// replay order. When `trace` is recording, the gating loop gets one
+/// `detect.gate` span and each source search a `detect.source` span (with
+/// nested `smt.query` spans per candidate) in a worker-private buffer
+/// merged at the join.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_spec(
-    module: &Module,
-    segs: &ModuleSeg,
-    symbols: &Symbols,
-    arena: &Arc<TermArena>,
+    a: &Analysis,
     verdicts: &VerdictTable,
     spec: &Spec,
     kind: Option<CheckerKind>,
@@ -552,21 +530,27 @@ pub(crate) fn run_spec(
     threads: usize,
     trace: &mut TraceBuf,
     stats: &mut DetectStats,
-    gate: Option<&crate::vfsummary::ModuleSummaries>,
-    mut cache: Option<(&[u128], &mut QueryCache)>,
+    mut gate: Option<(&mut ModuleSummaries, SummaryCx<'_>)>,
+    mut cache: Option<&mut QueryCache>,
 ) -> DetectOutput {
+    let (module, segs, keys) = (&a.module, &a.segs, a.func_keys.as_slice());
     let spec_fp = spec_fingerprint(spec, &config);
     let sources = enumerate_sources(module, spec);
     let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
     let mut rerun: Vec<usize> = Vec::new();
     let mut gated = 0u64;
+    let gate_span = gate
+        .is_some()
+        .then(|| trace.open("detect.gate", spec.name.clone()));
     for (i, &(fid, s)) in sources.iter().enumerate() {
-        if gate.is_some_and(|sums| !sums.source_fruitful(module, segs, spec, fid, s)) {
-            gated += 1;
-            slots.push(Some(gated_outcome(fid)));
-            continue;
+        if let Some((sums, cx)) = gate.as_mut() {
+            if !sums.source_fruitful(cx, fid, s) {
+                gated += 1;
+                slots.push(Some(gated_outcome(fid)));
+                continue;
+            }
         }
-        let hit = cache.as_ref().and_then(|(keys, cache)| {
+        let hit = cache.as_ref().and_then(|cache| {
             let e = cache.entries.get(&(spec_fp, fid, s.site, s.value))?;
             (cone_fingerprint(&e.outcome, segs, keys) == Some(e.cone_fp)).then(|| e.outcome.clone())
         });
@@ -575,25 +559,35 @@ pub(crate) fn run_spec(
         }
         slots.push(hit);
     }
+    if let Some(span) = gate_span {
+        trace.close(span);
+    }
     let reuse = QueryReuse {
         reused: sources.len() as u64 - gated - rerun.len() as u64,
         rerun: rerun.len() as u64,
     };
     if !rerun.is_empty() {
-        let cx = SpecContext::build(module, segs, spec, kind, config);
+        let cx = SpecContext {
+            module,
+            segs,
+            callgraph: &a.callgraph,
+            spec,
+            kind,
+            config,
+        };
         // Each shard's worker is its state; an outcome depends on its
         // source alone (see [`Worker`]).
         let fresh = trace.shard_map(
             &mut rerun,
             threads,
             || {
-                let overlay = TermArena::overlay(Arc::clone(arena));
-                Worker::new(&cx, symbols.clone(), overlay, verdicts)
+                let overlay = TermArena::overlay(Arc::clone(&a.arena));
+                Worker::new(&cx, a.pta.symbols.clone(), overlay, verdicts)
             },
             |w, &mut i, lane| w.run_source(sources[i].0, sources[i].1, lane),
         );
         for (i, outcome) in rerun.into_iter().zip(fresh) {
-            if let Some((keys, cache)) = cache.as_mut() {
+            if let Some(cache) = cache.as_mut() {
                 if let Some(cone_fp) = cone_fingerprint(&outcome, segs, keys) {
                     let (fid, s) = sources[i];
                     let entry = CachedSource {
@@ -612,7 +606,7 @@ pub(crate) fn run_spec(
         .collect();
     let mut out = merge_outcomes(module, spec, outcomes, stats);
     out.reuse = reuse;
-    if let Some(sums) = gate {
+    if let Some((sums, _)) = gate {
         stats.summary_gated += gated;
         stats.summary_built += sums.built;
         stats.summary_reused += sums.reused;
@@ -840,7 +834,25 @@ impl<'cx, 'a> Worker<'cx, 'a> {
             reused_clauses: 0,
             linear: pinpoint_smt::LinearSolver::new(),
             doms: HashMap::new(),
+            sinks: HashMap::new(),
+            params: cx
+                .config
+                .use_summaries
+                .then(|| ParamSummaries::new(cx.module, cx.segs, cx.spec, cx.callgraph)),
         }
+    }
+
+    /// The property's sinks consuming `value` in `fid`.
+    fn sinks_at(&mut self, fid: FuncId, value: ValueId) -> Vec<SinkSite> {
+        let cx = self.cx;
+        let index = self.sinks.entry(fid).or_insert_with(|| {
+            let mut by_value: HashMap<ValueId, Vec<SinkSite>> = HashMap::new();
+            for s in spec::spec_sinks(cx.spec, cx.module.func(fid)) {
+                by_value.entry(s.value).or_default().push(s);
+            }
+            by_value
+        });
+        index.get(&value).cloned().unwrap_or_default()
     }
 
     fn dom_of(&mut self, fid: FuncId) -> &DomTree {
@@ -940,14 +952,7 @@ impl<'cx, 'a> Worker<'cx, 'a> {
             out.visited += 1;
             cone.insert(node.func);
             // 1. Sink checks at this vertex.
-            let sinks: Vec<SinkSite> = self
-                .cx
-                .sink_index
-                .get(&node.func)
-                .and_then(|m| m.get(&node.value))
-                .cloned()
-                .unwrap_or_default();
-            for sink in sinks {
+            for sink in self.sinks_at(node.func, node.value) {
                 if node.func == source_func && sink.site == source.site {
                     continue; // the source statement itself
                 }
@@ -1021,7 +1026,7 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                 if gid == node.func {
                     continue; // direct recursion: summary-free (§4.2)
                 }
-                if let Some(s) = &self.cx.summaries {
+                if let Some(s) = &mut self.params {
                     if !s.descend_useful(gid, au.index) {
                         out.skipped_descents += 1;
                         continue; // VF summary: nothing reachable below
@@ -1166,12 +1171,20 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                     }
                 }
             }
-            // 5. Global-cell channels.
+            // 5. Global-cell channels. The per-function store index says
+            // whether any global's list is worth scanning at all.
+            let stores_here = self
+                .cx
+                .segs
+                .global_store_values(node.func)
+                .binary_search(&node.value)
+                .is_ok();
             let stores: Vec<(pinpoint_ir::GlobalId, pinpoint_smt::TermId)> = self
                 .cx
                 .segs
                 .global_stores
                 .iter()
+                .filter(|_| stores_here)
                 .flat_map(|(g, entries)| {
                     entries
                         .iter()

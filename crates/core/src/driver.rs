@@ -24,7 +24,7 @@ use crate::detect::{run_spec, DetectConfig, DetectStats, QueryCache, QueryReuse,
 use crate::error::PinpointError;
 use crate::seg::{ModuleSeg, SegStore};
 use crate::spec::CheckerKind;
-use crate::vfsummary::{keys_fingerprint, summary_fingerprint, Engine, ModuleSummaries};
+use crate::vfsummary::{keys_fingerprint, summary_fingerprint, Engine, ModuleSummaries, SummaryCx};
 use pinpoint_cache::{config_fp, module_keys_with_graph, CacheStats, CacheStore, PtaArtifactStore};
 use pinpoint_ir::{CallGraph, Module};
 use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
@@ -374,6 +374,7 @@ impl AnalysisBuilder {
             threads: self.threads,
             checkers: self.checkers,
             engine: self.engine,
+            keys_fp: keys_fingerprint(&func_keys),
             func_keys,
             stats,
             trace,
@@ -485,6 +486,9 @@ pub struct Analysis {
     /// `FuncId`). Kept current across incremental updates; the query
     /// cache validates cone fingerprints against them.
     pub(crate) func_keys: Vec<u128>,
+    /// [`keys_fingerprint`] of `func_keys`, hashed once per build or
+    /// update: the stamp in-memory interface summaries are valid under.
+    pub(crate) keys_fp: u128,
     /// Build-stage statistics (detection counters stay zero here; see
     /// [`DetectSession::stats`]).
     pub stats: PipelineStats,
@@ -666,6 +670,7 @@ impl Analysis {
         self.stats.seg_vertices = self.segs.vertex_count;
         self.stats.seg_edges = self.segs.edge_count;
         self.stats.terms = self.arena.len();
+        self.keys_fp = keys_fingerprint(&new_keys);
         self.func_keys = new_keys;
         UpdateOutcome {
             reanalyzed,
@@ -745,13 +750,13 @@ pub(crate) struct QueryRunner {
     persisted_len: usize,
     /// Verdicts newly written to the persistent store by this runner.
     verdicts_persisted: u64,
-    /// Whole-program interface summaries per property fingerprint,
-    /// stamped with the fingerprint of the artefact's per-function keys
-    /// they were built under: an edit changes the keys of exactly the
-    /// edited functions and (via transitive folding) their SCCs' callers,
-    /// so a stale entry rebuilds — consulting the persistent store, where
-    /// every clean function's summary is still a hit. Under a session
-    /// the artefact is immutable and the stamp always matches.
+    /// The interface summaries forced so far, per property fingerprint,
+    /// stamped with the artefact's [`Analysis::keys_fp`] they were forced
+    /// under: an edit changes the keys of exactly the edited functions
+    /// and (via transitive folding) their SCCs' callers, so a stale memo
+    /// is dropped and the next gate forces — through the persistent
+    /// store when there is one — only what it reads. Under a session the
+    /// artefact is immutable and the stamp always matches.
     summaries: HashMap<u128, (u128, ModuleSummaries)>,
 }
 
@@ -772,35 +777,19 @@ impl QueryRunner {
         }
     }
 
-    /// Builds (or replays) the whole-program interface summaries for
-    /// `spec`, with the key fingerprint they are valid under. A replay is
-    /// a full reuse — the key-fingerprint match proves the table is still
-    /// exact — so its counters report every function as reused. Stale or
-    /// missing tables rebuild through the persistent store when one is
-    /// configured, where per-function entries for clean cones are hits.
-    fn summaries_for(&mut self, a: &Analysis, spec: &crate::spec::Spec) -> (u128, ModuleSummaries) {
-        let keys_fp = keys_fingerprint(&a.func_keys);
-        if let Some((fp, mut sums)) = self.summaries.remove(&summary_fingerprint(spec)) {
-            if fp == keys_fp {
-                sums.reused = sums.len() as u64;
-                sums.built = 0;
-                sums.composed = 0;
-                return (keys_fp, sums);
+    /// The interface-summary memo for `spec` over `a`: the one an earlier
+    /// query of this runner forced, if the artefact's keys have not
+    /// changed since, else an empty one. Its counters start from zero
+    /// either way, so after the run they are what this query forced —
+    /// summaries already in memory cost nothing and count nowhere.
+    fn summaries_for(&mut self, a: &Analysis, spec: &crate::spec::Spec) -> ModuleSummaries {
+        match self.summaries.remove(&summary_fingerprint(spec)) {
+            Some((stamp, mut sums)) if stamp == a.keys_fp => {
+                (sums.built, sums.reused, sums.composed) = (0, 0, 0);
+                sums
             }
+            _ => ModuleSummaries::new(a.module.funcs.len()),
         }
-        let mut store = a
-            .cache_dir
-            .as_deref()
-            .and_then(|dir| CacheStore::open(dir).ok());
-        let sums = ModuleSummaries::build_with_graph(
-            &a.module,
-            &a.segs,
-            spec,
-            self.threads,
-            store.as_mut().map(|st| (st, a.func_keys.as_slice())),
-            &a.callgraph,
-        );
-        (keys_fp, sums)
     }
 
     /// Runs one property over `a` under `config` and folds its outcome
@@ -820,15 +809,23 @@ impl QueryRunner {
         let t0 = Instant::now();
         let span = self.trace.open("detect", spec.name.clone());
         let base_id = u32::try_from(self.queries.len()).expect("query count fits u32");
-        let sums = match self.engine.unwrap_or(default_engine) {
+        let mut sums = match self.engine.unwrap_or(default_engine) {
             Engine::Demand => None,
             Engine::Summary => Some(self.summaries_for(a, spec)),
         };
+        // Forced summaries persist through the `vfsum` stage; a store
+        // that fails to open degrades to recomputing them.
+        let mut store = sums
+            .as_ref()
+            .and(a.cache_dir.as_deref())
+            .and_then(|dir| CacheStore::open(dir).ok());
+        let gate = sums.as_mut().map(|sums| {
+            let persist = store.as_mut().map(|st| (st, a.func_keys.as_slice()));
+            let cx = SummaryCx::new(&a.module, &a.segs, spec, &a.callgraph, persist);
+            (sums, cx)
+        });
         let mut out = run_spec(
-            &a.module,
-            &a.segs,
-            &a.pta.symbols,
-            &a.arena,
+            a,
             &self.verdicts,
             spec,
             kind,
@@ -836,11 +833,12 @@ impl QueryRunner {
             self.threads,
             &mut self.trace,
             &mut self.detect,
-            sums.as_ref().map(|(_, sums)| sums),
-            cache.map(|c| (a.func_keys.as_slice(), c)),
+            gate,
+            cache,
         );
-        if let Some(stamped) = sums {
-            self.summaries.insert(summary_fingerprint(spec), stamped);
+        if let Some(sums) = sums {
+            self.summaries
+                .insert(summary_fingerprint(spec), (a.keys_fp, sums));
         }
         self.trace.close(span);
         for q in &mut out.queries {

@@ -71,5 +71,5 @@ pub use server::{
 };
 pub use spec::{CheckerKind, SinkRole, SinkSite, SinkSpec, SourceSite, SourceSpec, Spec};
 pub use telemetry::{ServerTelemetry, TelemetryConfig};
-pub use vfsummary::{Engine, ModuleSummaries};
+pub use vfsummary::{Engine, ModuleSummaries, SummaryCx};
 pub use workspace::{Workspace, WorkspaceCounters};

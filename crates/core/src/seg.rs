@@ -333,6 +333,10 @@ pub struct ModuleSeg {
     pub global_stores: BTreeMap<pinpoint_ir::GlobalId, Vec<(FuncId, ValueId, TermId)>>,
     /// Loads out of global cells.
     pub global_loads: BTreeMap<pinpoint_ir::GlobalId, Vec<(FuncId, ValueId, TermId)>>,
+    /// `global_stores` by storing function: the values each function
+    /// writes into some global cell, sorted and distinct. Indexed by
+    /// `FuncId`; read through [`ModuleSeg::global_store_values`].
+    global_store_values: Vec<Vec<ValueId>>,
     /// Total SEG vertices (distinct values touched by edges).
     pub vertex_count: usize,
     /// Total SEG edges.
@@ -534,6 +538,15 @@ impl ModuleSeg {
         for v in callers.values_mut() {
             v.sort_unstable();
         }
+        let global_store_values = pta
+            .iter()
+            .map(|p| {
+                let mut vs: Vec<ValueId> = p.global_stores.iter().map(|ga| ga.value).collect();
+                vs.sort_unstable();
+                vs.dedup();
+                vs
+            })
+            .collect();
         let vertex_count = segs
             .iter()
             .map(|s| {
@@ -554,9 +567,20 @@ impl ModuleSeg {
             callers,
             global_stores,
             global_loads,
+            global_store_values,
             vertex_count,
             edge_count,
         }
+    }
+
+    /// The values `f` stores into global cells (sorted, distinct): the
+    /// per-function view of [`ModuleSeg::global_stores`], so asking "does
+    /// this value escape through a global?" costs a binary search, not a
+    /// scan of every global's store list.
+    pub fn global_store_values(&self, f: FuncId) -> &[ValueId] {
+        self.global_store_values
+            .get(f.0 as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The SEG of `f`.

@@ -8,13 +8,19 @@
 //! inlining a summary-free search would do at every call site.
 //!
 //! This module computes the *existence* form of those summaries for a
-//! given property: for every formal parameter of every function, can a
-//! value arriving there reach (transitively, through callees and the
-//! function's own interface) a sink, a return value, or a global store?
-//! If not, descending into that parameter during the search is provably
-//! fruitless and the detector skips it. The summaries are computed once
-//! per checker by a monotone fixpoint over the call graph (recursion
-//! converges because the domain is boolean).
+//! given property: for a formal parameter of a function, can a value
+//! arriving there reach (transitively, through callees and the function's
+//! own interface) a sink, a return value, or a global store? If not,
+//! descending into that parameter during the search is provably fruitless
+//! and the detector skips it.
+//!
+//! The bits are computed on demand: the first question about a function
+//! forces its SCC and the not-yet-forced SCCs below it, bottom-up over the
+//! call-graph condensation ([`ConeMemo`]), each SCC by a monotone boolean
+//! fixpoint over its members. The least fixpoint of a monotone system
+//! restricted to an SCC whose callees are final equals the whole-module
+//! one, so the bits are a pure function of `(module, segs, property)` —
+//! the same whichever question forced them, in whatever order.
 //!
 //! Summaries are purely boolean, so they mint no terms themselves — but
 //! by pruning the search they bound which conditions ever reach the
@@ -24,149 +30,177 @@
 
 use crate::seg::{EdgeKind, ModuleSeg};
 use crate::spec::{self, Spec};
-use pinpoint_ir::{FuncId, Module, ValueId};
-use std::collections::{HashMap, HashSet};
+use pinpoint_ir::{CallGraph, ConeMemo, FuncId, Module, ValueId};
+use std::collections::HashSet;
 
-/// Per-function, per-parameter interface summaries for one property.
-#[derive(Debug, Default)]
-pub struct ParamSummaries {
-    /// `interesting[f][j]` — a value arriving at parameter `j` of `f` may
-    /// reach a sink, a return position, or a global store.
-    interesting: HashMap<FuncId, Vec<bool>>,
+/// Per-function, per-parameter interface summaries for one property,
+/// forced on first read.
+#[derive(Debug)]
+pub struct ParamSummaries<'a> {
+    module: &'a Module,
+    segs: &'a ModuleSeg,
+    property: &'a Spec,
+    cg: &'a CallGraph,
+    /// `[f][j]` — a value arriving at parameter `j` of `f` may reach a
+    /// sink, a return position, or a global store.
+    interesting: ConeMemo<Vec<bool>>,
 }
 
-impl ParamSummaries {
+impl<'a> ParamSummaries<'a> {
+    /// An empty memo for `property` over `module`; `cg` must be the
+    /// module's call graph.
+    pub fn new(
+        module: &'a Module,
+        segs: &'a ModuleSeg,
+        property: &'a Spec,
+        cg: &'a CallGraph,
+    ) -> Self {
+        ParamSummaries {
+            module,
+            segs,
+            property,
+            cg,
+            interesting: ConeMemo::new(module.funcs.len()),
+        }
+    }
+
+    /// [`ParamSummaries::new`] with every function forced — the
+    /// whole-module table the on-demand bits are tested against.
+    pub fn build(
+        module: &'a Module,
+        segs: &'a ModuleSeg,
+        property: &'a Spec,
+        cg: &'a CallGraph,
+    ) -> Self {
+        let mut all = Self::new(module, segs, property, cg);
+        for &f in cg.bottom_up() {
+            all.force(f);
+        }
+        all
+    }
+
     /// `true` if descending into parameter `j` of `f` can contribute to a
-    /// bug path. Unknown functions default to `true` (conservative).
-    pub fn descend_useful(&self, f: FuncId, param_index: usize) -> bool {
+    /// bug path. Forces `f`'s callee cone on first read; functions outside
+    /// the module default to `true` (conservative).
+    pub fn descend_useful(&mut self, f: FuncId, param_index: usize) -> bool {
+        if f.0 as usize >= self.interesting.len() {
+            return true;
+        }
+        self.force(f);
         self.interesting
-            .get(&f)
+            .get(f)
             .and_then(|v| v.get(param_index))
             .copied()
             .unwrap_or(true)
     }
 
-    /// Number of (function, parameter) pairs summarised as fruitful.
-    pub fn fruitful_count(&self) -> usize {
-        self.interesting
-            .values()
-            .flat_map(|v| v.iter())
-            .filter(|&&b| b)
-            .count()
+    fn force(&mut self, f: FuncId) {
+        let (module, segs, property) = (self.module, self.segs, self.property);
+        self.interesting.force(self.cg, f, |members, done| {
+            scc_fixpoint(module, segs, property, members, done)
+        });
     }
+}
 
-    /// Computes summaries for `spec` by fixpoint.
-    pub fn build(module: &Module, segs: &ModuleSeg, property: &Spec) -> Self {
-        // Sink values per function for this property.
-        let mut sink_values: HashMap<FuncId, HashSet<ValueId>> = HashMap::new();
-        for (fid, f) in module.iter_funcs() {
-            let set: HashSet<ValueId> = spec::spec_sinks(property, f)
+/// The monotone fixpoint over one SCC's members, given the final bits of
+/// every callee outside it: re-evaluate until no parameter flips.
+fn scc_fixpoint(
+    module: &Module,
+    segs: &ModuleSeg,
+    property: &Spec,
+    members: &[FuncId],
+    done: &ConeMemo<Vec<bool>>,
+) -> Vec<Vec<bool>> {
+    let sinks: Vec<HashSet<ValueId>> = members
+        .iter()
+        .map(|&fid| {
+            spec::spec_sinks(property, module.func(fid))
                 .into_iter()
                 .map(|s| s.value)
-                .collect();
-            sink_values.insert(fid, set);
-        }
-        // Global-store values per function.
-        let mut global_store_values: HashMap<FuncId, HashSet<ValueId>> = HashMap::new();
-        for entries in segs.global_stores.values() {
-            for &(fid, v, _) in entries {
-                global_store_values.entry(fid).or_default().insert(v);
-            }
-        }
-        let mut interesting: HashMap<FuncId, Vec<bool>> = module
-            .iter_funcs()
-            .map(|(fid, f)| (fid, vec![false; f.params.len()]))
-            .collect();
-        // Monotone fixpoint: re-evaluate until no parameter flips.
-        let mut changed = true;
-        let mut rounds = 0;
-        while changed && rounds < module.funcs.len() + 2 {
-            changed = false;
-            rounds += 1;
-            for (fid, f) in module.iter_funcs() {
-                for (j, &p) in f.params.iter().enumerate() {
-                    if interesting[&fid][j] {
-                        continue;
-                    }
-                    if Self::param_reaches(
-                        module,
-                        segs,
-                        property,
-                        &sink_values,
-                        &global_store_values,
-                        &interesting,
-                        fid,
-                        p,
-                    ) {
-                        interesting.get_mut(&fid).expect("indexed")[j] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        ParamSummaries { interesting }
-    }
-
-    /// Local forward reachability from `start` in `fid`, consulting callee
-    /// summaries at call sites.
-    #[allow(clippy::too_many_arguments)]
-    fn param_reaches(
-        module: &Module,
-        segs: &ModuleSeg,
-        property: &Spec,
-        sink_values: &HashMap<FuncId, HashSet<ValueId>>,
-        global_store_values: &HashMap<FuncId, HashSet<ValueId>>,
-        interesting: &HashMap<FuncId, Vec<bool>>,
-        fid: FuncId,
-        start: ValueId,
-    ) -> bool {
-        let seg = segs.seg(fid);
-        let sinks = &sink_values[&fid];
-        let gstores = global_store_values.get(&fid);
-        let mut visited: HashSet<ValueId> = HashSet::new();
-        let mut stack = vec![start];
-        while let Some(v) = stack.pop() {
-            if !visited.insert(v) {
-                continue;
-            }
-            if sinks.contains(&v) {
-                return true;
-            }
-            if seg.ret_index.contains_key(&v) {
-                return true; // may flow back to any caller (VF1/VF2)
-            }
-            if gstores.is_some_and(|s| s.contains(&v)) {
-                return true; // escapes through a global channel
-            }
-            if let Some(uses) = seg.arg_uses.get(&v) {
-                for au in uses {
-                    if let Some(gid) = module.func_by_name(&au.callee) {
-                        if interesting
-                            .get(&gid)
-                            .and_then(|ps| ps.get(au.index))
-                            .copied()
-                            .unwrap_or(false)
-                        {
-                            return true; // the callee can do something with it
-                        }
-                    } else if !pinpoint_ir::intrinsics::is_intrinsic(&au.callee) {
-                        // An unresolved, non-intrinsic callee (external or
-                        // undeclared) may do anything with the argument —
-                        // summarising it fruitless would prune paths the
-                        // §4.2 soundiness rules don't license.
-                        return true;
-                    }
-                }
-            }
-            for e in seg.succs(v) {
-                if e.kind == EdgeKind::Transform && !property.traverses_transforms {
+                .collect()
+        })
+        .collect();
+    let mut local: Vec<Vec<bool>> = members
+        .iter()
+        .map(|&fid| vec![false; module.func(fid).params.len()])
+        .collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (m, &fid) in members.iter().enumerate() {
+            for (j, &p) in module.func(fid).params.iter().enumerate() {
+                if local[m][j] {
                     continue;
                 }
-                stack.push(e.dst);
+                // Members ascend by id; everything else is a final callee.
+                let callee_bit = |gid: FuncId, index: usize| {
+                    let bits = match members.binary_search(&gid) {
+                        Ok(i) => local.get(i),
+                        Err(_) => done.get(gid),
+                    };
+                    bits.and_then(|b| b.get(index)).copied().unwrap_or(false)
+                };
+                if param_reaches(module, segs, property, &sinks[m], callee_bit, fid, p) {
+                    local[m][j] = true;
+                    changed = true;
+                }
             }
         }
-        false
     }
+    local
+}
+
+/// Local forward reachability from `start` in `fid`, consulting callee
+/// summaries (`callee_bit`) at call sites.
+fn param_reaches(
+    module: &Module,
+    segs: &ModuleSeg,
+    property: &Spec,
+    sinks: &HashSet<ValueId>,
+    callee_bit: impl Fn(FuncId, usize) -> bool,
+    fid: FuncId,
+    start: ValueId,
+) -> bool {
+    let seg = segs.seg(fid);
+    let gstores = segs.global_store_values(fid);
+    let mut visited: HashSet<ValueId> = HashSet::new();
+    let mut stack = vec![start];
+    while let Some(v) = stack.pop() {
+        if !visited.insert(v) {
+            continue;
+        }
+        if sinks.contains(&v) {
+            return true;
+        }
+        if seg.ret_index.contains_key(&v) {
+            return true; // may flow back to any caller (VF1/VF2)
+        }
+        if gstores.binary_search(&v).is_ok() {
+            return true; // escapes through a global channel
+        }
+        if let Some(uses) = seg.arg_uses.get(&v) {
+            for au in uses {
+                if let Some(gid) = module.func_by_name(&au.callee) {
+                    if callee_bit(gid, au.index) {
+                        return true; // the callee can do something with it
+                    }
+                } else if !pinpoint_ir::intrinsics::is_intrinsic(&au.callee) {
+                    // An unresolved, non-intrinsic callee (external or
+                    // undeclared) may do anything with the argument —
+                    // summarising it fruitless would prune paths the
+                    // §4.2 soundiness rules don't license.
+                    return true;
+                }
+            }
+        }
+        for e in seg.succs(v) {
+            if e.kind == EdgeKind::Transform && !property.traverses_transforms {
+                continue;
+            }
+            stack.push(e.dst);
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -174,62 +208,68 @@ mod tests {
     use super::*;
     use crate::spec::CheckerKind;
 
-    fn summaries(src: &str, kind: CheckerKind) -> (pinpoint_ir::Module, ParamSummaries) {
-        let mut module = pinpoint_ir::compile(src).unwrap();
+    fn artefact(mut module: Module) -> (Module, ModuleSeg, CallGraph) {
         let mut analysis = pinpoint_pta::analyze_module(&mut module);
         let mut arena = std::mem::take(&mut analysis.arena);
         let mut symbols = std::mem::take(&mut analysis.symbols);
         let segs = ModuleSeg::build(&module, &mut arena, &mut symbols, &analysis.pta);
-        let s = ParamSummaries::build(&module, &segs, &kind.spec());
-        (module, s)
+        let cg = CallGraph::new(&module);
+        (module, segs, cg)
+    }
+
+    /// `descend_useful(func, 0)` for `kind` over `src`, forced on demand.
+    fn useful(src: &str, kind: CheckerKind, func: &str) -> bool {
+        let (m, segs, cg) = artefact(pinpoint_ir::compile(src).unwrap());
+        let spec = kind.spec();
+        let f = m.func_by_name(func).unwrap();
+        ParamSummaries::new(&m, &segs, &spec, &cg).descend_useful(f, 0)
     }
 
     #[test]
     fn sinkless_callee_is_fruitless() {
-        let (m, s) = summaries(
-            "fn harmless(p: int*) { print(p); return; }
-             fn main() { let p: int* = malloc(); harmless(p); free(p); return; }",
-            CheckerKind::UseAfterFree,
+        assert!(
+            !useful(
+                "fn harmless(p: int*) { print(p); return; }
+                 fn main() { let p: int* = malloc(); harmless(p); free(p); return; }",
+                CheckerKind::UseAfterFree,
+                "harmless",
+            ),
+            "print is not a UAF sink"
         );
-        let f = m.func_by_name("harmless").unwrap();
-        assert!(!s.descend_useful(f, 0), "print is not a UAF sink");
     }
 
     #[test]
     fn dereferencing_callee_is_fruitful() {
-        let (m, s) = summaries(
+        assert!(useful(
             "fn deref(p: int*) { let x: int = *p; print(x); return; }
              fn main() { let p: int* = malloc(); free(p); deref(p); return; }",
             CheckerKind::UseAfterFree,
-        );
-        let f = m.func_by_name("deref").unwrap();
-        assert!(s.descend_useful(f, 0));
+            "deref",
+        ));
     }
 
     #[test]
     fn returning_callee_is_fruitful() {
         // VF1: the parameter flows back out; the caller may sink it.
-        let (m, s) = summaries(
+        assert!(useful(
             "fn id(p: int*) -> int* { return p; }
              fn main() { let p: int* = malloc(); let q: int* = id(p); print(q); return; }",
             CheckerKind::UseAfterFree,
-        );
-        let f = m.func_by_name("id").unwrap();
-        assert!(s.descend_useful(f, 0));
+            "id",
+        ));
     }
 
     #[test]
     fn transitive_fruitfulness_through_wrappers() {
-        let (m, s) = summaries(
-            "fn inner(p: int*) { free(p); return; }
-             fn wrapper(p: int*) { inner(p); return; }
-             fn main() { let p: int* = malloc(); wrapper(p); return; }",
-            CheckerKind::UseAfterFree,
-        );
-        let w = m.func_by_name("wrapper").unwrap();
         assert!(
-            s.descend_useful(w, 0),
-            "wrapper forwards to a freeing callee (fixpoint round 2)"
+            useful(
+                "fn inner(p: int*) { free(p); return; }
+                 fn wrapper(p: int*) { inner(p); return; }
+                 fn main() { let p: int* = malloc(); wrapper(p); return; }",
+                CheckerKind::UseAfterFree,
+                "wrapper",
+            ),
+            "wrapper forwards to a freeing callee (forced below it first)"
         );
     }
 
@@ -237,11 +277,14 @@ mod tests {
     fn property_specific_summaries_differ() {
         let src = "fn sendit(v: int) { sendto(v); return; }
                    fn main() { let s: int = getpass(); sendit(s); return; }";
-        let (m, uaf) = summaries(src, CheckerKind::UseAfterFree);
-        let (_, dt) = summaries(src, CheckerKind::DataTransmission);
-        let f = m.func_by_name("sendit").unwrap();
-        assert!(!uaf.descend_useful(f, 0), "sendto is not a UAF sink");
-        assert!(dt.descend_useful(f, 0), "sendto is the DT sink");
+        assert!(
+            !useful(src, CheckerKind::UseAfterFree, "sendit"),
+            "sendto is not a UAF sink"
+        );
+        assert!(
+            useful(src, CheckerKind::DataTransmission, "sendit"),
+            "sendto is the DT sink"
+        );
     }
 
     #[test]
@@ -272,34 +315,54 @@ mod tests {
             }
         }
         assert!(retargeted, "wrap must contain the call to retarget");
-        let mut analysis = pinpoint_pta::analyze_module(&mut module);
-        let mut arena = std::mem::take(&mut analysis.arena);
-        let mut symbols = std::mem::take(&mut analysis.symbols);
-        let segs = ModuleSeg::build(&module, &mut arena, &mut symbols, &analysis.pta);
-        let s = ParamSummaries::build(&module, &segs, &CheckerKind::UseAfterFree.spec());
+        let (module, segs, cg) = artefact(module);
+        let spec = CheckerKind::UseAfterFree.spec();
         assert!(
-            s.descend_useful(wrap, 0),
+            ParamSummaries::new(&module, &segs, &spec, &cg).descend_useful(wrap, 0),
             "an unresolved extern callee may do anything with its argument"
         );
         // Intrinsic sinks-by-name are unaffected: print stays fruitless.
-        let (m, s) = summaries(
+        assert!(!useful(
             "fn harmless(p: int*) { print(p); return; }
              fn main() { let p: int* = malloc(); harmless(p); free(p); return; }",
             CheckerKind::UseAfterFree,
-        );
-        let f = m.func_by_name("harmless").unwrap();
-        assert!(!s.descend_useful(f, 0));
+            "harmless",
+        ));
     }
 
     #[test]
     fn global_store_counts_as_escape() {
-        let (m, s) = summaries(
-            "global cell: int*;
-             fn stash(p: int*) { *cell = p; return; }
-             fn main() { let p: int* = malloc(); stash(p); free(p); return; }",
-            CheckerKind::UseAfterFree,
+        assert!(
+            useful(
+                "global cell: int*;
+                 fn stash(p: int*) { *cell = p; return; }
+                 fn main() { let p: int* = malloc(); stash(p); free(p); return; }",
+                CheckerKind::UseAfterFree,
+                "stash",
+            ),
+            "a global store can reach any load"
         );
-        let f = m.func_by_name("stash").unwrap();
-        assert!(s.descend_useful(f, 0), "a global store can reach any load");
+    }
+
+    #[test]
+    fn a_read_forces_only_the_callee_cone() {
+        let (m, segs, cg) = artefact(
+            pinpoint_ir::compile(
+                "fn leaf(p: int*) { free(p); return; }
+                 fn mid(p: int*) { leaf(p); return; }
+                 fn other(p: int*) { print(p); return; }
+                 fn main() { let p: int* = malloc(); mid(p); other(p); return; }",
+            )
+            .unwrap(),
+        );
+        let spec = CheckerKind::UseAfterFree.spec();
+        let mut s = ParamSummaries::new(&m, &segs, &spec, &cg);
+        let id = |n: &str| m.func_by_name(n).unwrap();
+        assert!(s.descend_useful(id("mid"), 0));
+        let forced: Vec<bool> = ["leaf", "mid", "other", "main"]
+            .iter()
+            .map(|n| s.interesting.get(id(n)).is_some())
+            .collect();
+        assert_eq!(forced, [true, true, false, false]);
     }
 }

@@ -3,11 +3,13 @@
 //!
 //! The demand-driven detector answers every query by ascending from each
 //! source through the virtual global SEG. This module materialises the
-//! paper's per-function value-flow summaries *once per (function,
-//! property)* instead, walking the call-graph condensation bottom-up —
-//! independent SCCs of one condensation level in parallel — and then
-//! answers the whole-program question "can this source ever meet a sink?"
-//! by composing interface edges at call sites:
+//! paper's per-function value-flow summaries at most *once per (function,
+//! property)* and answers the whole-program question "can this source
+//! ever meet a sink?" by composing interface edges at call sites. The
+//! summaries are themselves demand-driven: [`ModuleSummaries`] is a memo
+//! over the call-graph condensation, and the gate forces — bottom-up,
+//! callee components first — only the SCCs whose bits it reads. The
+//! interface edges:
 //!
 //! * **VF1 (param → ret)** — a formal parameter reaches a return
 //!   position: recorded as a per-value bitset of reachable return
@@ -34,8 +36,8 @@
 //! very same code — reports are byte-identical to the demand engine at
 //! any thread count, by construction.
 //!
-//! Summaries persist through the artifact cache as the `"vfsum"` stage,
-//! keyed by the function's transitive cone fingerprint
+//! Forced summaries persist through the artifact cache as the `"vfsum"`
+//! stage, keyed by the function's transitive cone fingerprint
 //! ([`pinpoint_cache::module_keys`]) combined with a structural property
 //! fingerprint. The transitive keys fold callee fingerprints over the
 //! condensation, so an edit automatically re-keys the edited functions
@@ -46,7 +48,7 @@
 use crate::seg::{EdgeKind, ModuleSeg};
 use crate::spec::{self, Spec};
 use pinpoint_cache::CacheStore;
-use pinpoint_ir::{CallGraph, FuncId, Module, ValueId};
+use pinpoint_ir::{CallGraph, ConeMemo, FuncId, Module, ValueId};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -191,31 +193,116 @@ pub(crate) fn keys_fingerprint(keys: &[u128]) -> u128 {
 /// The cache stage summaries persist under.
 pub(crate) const STAGE: &str = "vfsum";
 
-/// Every function's interface summary for one property, plus build
-/// accounting.
+/// The `vfsum` stage of a persistent store for one property: records are
+/// addressed by the function's transitive-cone key × the property
+/// fingerprint, one SCC at a time (its members form one fixpoint, so a
+/// partial hit is a miss).
+#[derive(Debug)]
+struct SummaryStore<'a> {
+    store: &'a mut CacheStore,
+    keys: &'a [u128],
+    sum_fp: u128,
+}
+
+impl SummaryStore<'_> {
+    fn key(&self, f: FuncId) -> Option<u128> {
+        Some(summary_key(*self.keys.get(f.0 as usize)?, self.sum_fp))
+    }
+
+    /// Every member's stored summary, each validated against the live
+    /// function's value count — or `None` if any is missing or stale.
+    fn load_scc(&mut self, module: &Module, members: &[FuncId]) -> Option<Vec<FuncSummary>> {
+        members
+            .iter()
+            .map(|&f| {
+                let s = self.store.load_with(STAGE, self.key(f)?, |bytes| {
+                    crate::cache_io::decode_func_summary(bytes).ok()
+                })?;
+                (s.len() == module.func(f).values.len()).then_some(s)
+            })
+            .collect()
+    }
+
+    fn store_scc(&mut self, members: &[FuncId], sums: &[FuncSummary]) {
+        for (&f, s) in members.iter().zip(sums) {
+            if let Some(key) = self.key(f) {
+                self.store
+                    .store(STAGE, key, &crate::cache_io::encode_func_summary(s));
+            }
+        }
+    }
+}
+
+/// What a summary computation reads: the artefact, the property, the
+/// condensation it walks and, optionally, the store it persists through.
+#[derive(Debug)]
+pub struct SummaryCx<'a> {
+    module: &'a Module,
+    segs: &'a ModuleSeg,
+    spec: &'a Spec,
+    cg: &'a CallGraph,
+    store: Option<SummaryStore<'a>>,
+}
+
+impl<'a> SummaryCx<'a> {
+    /// `cg` must be `module`'s call graph. With `persist`, every forced
+    /// SCC is first looked up in the store under its members'
+    /// transitive-cone × property keys (`persist.1`, indexed by
+    /// `FuncId`); misses are computed and stored.
+    pub fn new(
+        module: &'a Module,
+        segs: &'a ModuleSeg,
+        spec: &'a Spec,
+        cg: &'a CallGraph,
+        persist: Option<(&'a mut CacheStore, &'a [u128])>,
+    ) -> Self {
+        let sum_fp = summary_fingerprint(spec);
+        SummaryCx {
+            module,
+            segs,
+            spec,
+            cg,
+            store: persist.map(|(store, keys)| SummaryStore {
+                store,
+                keys,
+                sum_fp,
+            }),
+        }
+    }
+}
+
+/// The interface summaries of one property over one module, forced on
+/// demand, plus accounting of what forcing cost.
+///
+/// A function's summary is a pure function of `(module, segs, spec)` —
+/// identical whichever read forced it, for any thread count and any cache
+/// state — so the memo restricted to what was demanded equals the same
+/// rows of the whole-module table [`ModuleSummaries::build`] produces.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ModuleSummaries {
-    funcs: Vec<FuncSummary>,
-    /// Functions whose summary was computed cold this build.
+    funcs: ConeMemo<FuncSummary>,
+    /// Functions whose summary was computed cold.
     pub built: u64,
-    /// Functions whose summary was loaded from the persistent store (or
-    /// replayed from an in-memory copy by the caller).
+    /// Functions whose summary was loaded from the persistent store.
     pub reused: u64,
-    /// Interface edges composed at call sites while building (VF1–VF4
-    /// compositions applied by the cold computations).
+    /// Interface edges composed at call sites (VF1–VF4 compositions
+    /// applied by the cold computations).
     pub composed: u64,
 }
 
 impl ModuleSummaries {
-    /// Builds (or loads) every function's summary for `spec`,
-    /// bottom-up over the call-graph condensation, processing the
-    /// independent SCCs of each level in parallel on scoped threads.
-    ///
-    /// With `persist`, each function is first looked up in the store
-    /// under its transitive-cone × property key; hits (validated against
-    /// the function's value count) are reused, misses computed and
-    /// stored. Results are a pure function of `(module, segs, spec)` —
-    /// identical for any thread count and any cache state.
+    /// An empty memo over a module of `funcs` functions.
+    pub fn new(funcs: usize) -> Self {
+        ModuleSummaries {
+            funcs: ConeMemo::new(funcs),
+            built: 0,
+            reused: 0,
+            composed: 0,
+        }
+    }
+
+    /// The whole-module table: every function's summary for `spec`. See
+    /// [`ModuleSummaries::build_with_graph`].
     pub fn build(
         module: &Module,
         segs: &ModuleSeg,
@@ -227,81 +314,59 @@ impl ModuleSummaries {
         Self::build_with_graph(module, segs, spec, threads, persist, &cg)
     }
 
-    /// [`ModuleSummaries::build`] with a caller-supplied call graph —
-    /// callers answering several properties over one artefact build the
-    /// condensation once and amortise it across specs.
+    /// The whole-module table over a caller-supplied call graph: an empty
+    /// memo with everything forced, level by level over the condensation,
+    /// the independent SCCs of one level in parallel on scoped threads.
+    /// Detection never needs it — the gate forces what it reads — so it
+    /// survives as the oracle the on-demand bits are tested against and
+    /// as a stand-alone probe of the summary layer.
     pub fn build_with_graph(
         module: &Module,
         segs: &ModuleSeg,
         spec: &Spec,
         threads: usize,
-        mut persist: Option<(&mut CacheStore, &[u128])>,
+        persist: Option<(&mut CacheStore, &[u128])>,
         cg: &CallGraph,
     ) -> Self {
-        let n = module.funcs.len();
-        let sum_fp = summary_fingerprint(spec);
-        let mut funcs: Vec<Option<FuncSummary>> = vec![None; n];
-        let mut reused = 0u64;
-        if let Some((store, keys)) = persist.as_mut() {
-            for (fid, f) in module.iter_funcs() {
-                let Some(&fk) = keys.get(fid.0 as usize) else {
-                    continue;
-                };
-                let loaded = store.load_with(STAGE, summary_key(fk, sum_fp), |bytes| {
-                    crate::cache_io::decode_func_summary(bytes).ok()
-                });
-                if let Some(s) = loaded {
-                    if s.len() == f.values.len() {
-                        funcs[fid.0 as usize] = Some(s);
-                        reused += 1;
-                    }
-                }
-            }
-        }
-        let levels = cg.scc_levels();
-        let mut built = 0u64;
-        let mut composed = 0u64;
-        let mut fresh: Vec<FuncId> = Vec::new();
-        for level in &levels {
-            // An SCC's members form one fixpoint: if any member is
-            // missing, recompute the whole component (dropping partial
-            // loads from the reuse count).
+        let mut all = Self::new(module.funcs.len());
+        all.force_all(
+            &mut SummaryCx::new(module, segs, spec, cg, persist),
+            threads,
+        );
+        all
+    }
+
+    fn force_all(&mut self, cx: &mut SummaryCx<'_>, threads: usize) {
+        let (module, segs, spec, cg) = (cx.module, cx.segs, cx.spec, cx.cg);
+        for level in cg.scc_levels() {
             let mut pending: Vec<&[FuncId]> = Vec::new();
-            for &scc in level {
+            for scc in level {
                 let members = cg.scc(scc);
-                if members.iter().any(|f| funcs[f.0 as usize].is_none()) {
-                    for &f in members {
-                        if funcs[f.0 as usize].take().is_some() {
-                            reused -= 1;
-                        }
-                    }
+                if self.funcs.get(members[0]).is_none() && !self.fill_from_store(cx, members) {
                     pending.push(members);
                 }
-            }
-            if pending.is_empty() {
-                continue;
             }
             // Scoped threads cost more than a small level's fixpoints
             // (one component solves in microseconds): only fan out when
             // the level has enough independent SCCs to keep every spawn
             // busy. The cut-off cannot change output — results are
             // merged in pending order either way.
-            let results: Vec<(FuncId, FuncSummary, u64)> =
+            let done = &self.funcs;
+            let results: Vec<(Vec<FuncSummary>, u64)> =
                 if threads <= 1 || pending.len() < 64 * threads {
                     pending
                         .iter()
-                        .flat_map(|m| compute_scc(module, segs, spec, m, &funcs))
+                        .map(|m| compute_scc(module, segs, spec, m, done))
                         .collect()
                 } else {
                     let chunk = pending.len().div_ceil(threads);
-                    let funcs_ref = &funcs;
                     std::thread::scope(|sc| {
                         let handles: Vec<_> = pending
                             .chunks(chunk)
                             .map(|ch| {
                                 sc.spawn(move || {
                                     ch.iter()
-                                        .flat_map(|m| compute_scc(module, segs, spec, m, funcs_ref))
+                                        .map(|m| compute_scc(module, segs, spec, m, done))
                                         .collect::<Vec<_>>()
                                 })
                             })
@@ -312,43 +377,67 @@ impl ModuleSummaries {
                             .collect()
                     })
                 };
-            for (fid, s, c) in results {
-                built += 1;
-                composed += c;
-                fresh.push(fid);
-                funcs[fid.0 as usize] = Some(s);
+            for (members, (sums, composed)) in pending.into_iter().zip(results) {
+                self.fill_built(cx, members, sums, composed);
             }
-        }
-        if let Some((store, keys)) = persist.as_mut() {
-            for &fid in &fresh {
-                let Some(&fk) = keys.get(fid.0 as usize) else {
-                    continue;
-                };
-                let s = funcs[fid.0 as usize].as_ref().expect("just built");
-                store.store(
-                    STAGE,
-                    summary_key(fk, sum_fp),
-                    &crate::cache_io::encode_func_summary(s),
-                );
-            }
-        }
-        ModuleSummaries {
-            funcs: funcs
-                .into_iter()
-                .map(|s| s.expect("every function summarised"))
-                .collect(),
-            built,
-            reused,
-            composed,
         }
     }
 
-    /// One function's summary.
-    pub fn func(&self, f: FuncId) -> &FuncSummary {
-        &self.funcs[f.0 as usize]
+    /// Fills one SCC from the store, if every member's record is there.
+    fn fill_from_store(&mut self, cx: &mut SummaryCx<'_>, members: &[FuncId]) -> bool {
+        let Some(sums) = cx
+            .store
+            .as_mut()
+            .and_then(|st| st.load_scc(cx.module, members))
+        else {
+            return false;
+        };
+        self.reused += members.len() as u64;
+        self.funcs.fill(members, sums);
+        true
     }
 
-    /// Number of functions summarised.
+    /// Fills one SCC with summaries just computed, writing them through
+    /// to the store when there is one.
+    fn fill_built(
+        &mut self,
+        cx: &mut SummaryCx<'_>,
+        members: &[FuncId],
+        sums: Vec<FuncSummary>,
+        composed: u64,
+    ) {
+        self.built += members.len() as u64;
+        self.composed += composed;
+        if let Some(st) = cx.store.as_mut() {
+            st.store_scc(members, &sums);
+        }
+        self.funcs.fill(members, sums);
+    }
+
+    /// `f`'s summary, forcing the not-yet-forced part of its callee cone
+    /// (from the store where it has the SCC, cold otherwise). `None` for
+    /// a function outside the module the memo was sized for.
+    pub fn force(&mut self, cx: &mut SummaryCx<'_>, f: FuncId) -> Option<&FuncSummary> {
+        if f.0 as usize >= self.funcs.len() {
+            return None;
+        }
+        for scc in self.funcs.unforced_cone(cx.cg, f) {
+            let members = cx.cg.scc(scc);
+            if !self.fill_from_store(cx, members) {
+                let (sums, composed) =
+                    compute_scc(cx.module, cx.segs, cx.spec, members, &self.funcs);
+                self.fill_built(cx, members, sums, composed);
+            }
+        }
+        self.funcs.get(f)
+    }
+
+    /// `f`'s summary, if it has been forced.
+    pub fn get(&self, f: FuncId) -> Option<&FuncSummary> {
+        self.funcs.get(f)
+    }
+
+    /// Number of functions the memo covers (forced or not).
     pub fn len(&self) -> usize {
         self.funcs.len()
     }
@@ -373,31 +462,27 @@ impl ModuleSummaries {
     /// Frames reached upward use the conservative summary bits, which
     /// fold all sink sites together (including the source's own on a
     /// re-entry) — over-approximate, never under.
+    ///
+    /// Every summary the closure reads — the callees the source's value
+    /// is passed to, the callers it ascends into — is forced first
+    /// ([`ModuleSummaries::force`]); nothing else is computed.
     pub fn source_fruitful(
-        &self,
-        module: &Module,
-        segs: &ModuleSeg,
-        spec: &Spec,
+        &mut self,
+        cx: &mut SummaryCx<'_>,
         source_func: FuncId,
         source: crate::spec::SourceSite,
     ) -> bool {
+        let (module, segs, spec) = (cx.module, cx.segs, cx.spec);
         let f = module.func(source_func);
         let seg = segs.seg(source_func);
         let n = f.values.len();
-        // Sink sites and global-store values of the source frame,
-        // re-derived so the source-site skip can be applied per site.
+        // Sink sites of the source frame, re-derived so the source-site
+        // skip can be applied per site.
         let mut sink_sites: HashMap<ValueId, Vec<pinpoint_ir::InstId>> = HashMap::new();
         for s in spec::spec_sinks(spec, f) {
             sink_sites.entry(s.value).or_default().push(s.site);
         }
-        let mut gvals: std::collections::HashSet<ValueId> = std::collections::HashSet::new();
-        for entries in segs.global_stores.values() {
-            for &(gf, v, _) in entries {
-                if gf == source_func {
-                    gvals.insert(v);
-                }
-            }
-        }
+        let gvals = segs.global_store_values(source_func);
         // Interface pairs escaping the source frame, closed over the
         // summary bits below.
         let mut wl: Vec<(FuncId, ValueId)> = Vec::new();
@@ -440,7 +525,7 @@ impl ModuleSummaries {
             {
                 return true;
             }
-            if gvals.contains(&v) {
+            if gvals.binary_search(&v).is_ok() {
                 return true;
             }
             if let Some(uses) = seg.arg_uses.get(&v) {
@@ -454,7 +539,7 @@ impl ModuleSummaries {
                     let Some(&formal) = module.func(gid).params.get(au.index) else {
                         continue;
                     };
-                    let Some(cs) = self.funcs.get(gid.0 as usize) else {
+                    let Some(cs) = self.force(cx, gid) else {
                         return true;
                     };
                     let fi = formal.0 as usize;
@@ -496,7 +581,7 @@ impl ModuleSummaries {
             if !seen.insert((fid, v)) {
                 continue;
             }
-            let Some(fs) = self.funcs.get(fid.0 as usize) else {
+            let Some(fs) = self.force(cx, fid) else {
                 return true; // unknown function: conservatively fruitful
             };
             let i = v.0 as usize;
@@ -537,18 +622,24 @@ impl ModuleSummaries {
     }
 }
 
-/// Fixpoint over one SCC's members (singleton SCCs converge in one
-/// round; mutual recursion iterates until the monotone bits stabilise).
-/// Returns each member's summary and the interface-edge compositions its
-/// final computation applied.
+/// Fixpoint over one SCC's members (mutual recursion iterates until the
+/// monotone bits stabilise), given the final summaries of every callee outside it. Returns the
+/// members' summaries, in member order, and the interface-edge
+/// compositions their final computations applied.
 fn compute_scc(
     module: &Module,
     segs: &ModuleSeg,
     spec: &Spec,
     members: &[FuncId],
-    done: &[Option<FuncSummary>],
-) -> Vec<(FuncId, FuncSummary, u64)> {
+    done: &ConeMemo<FuncSummary>,
+) -> (Vec<FuncSummary>, u64) {
     let mut local: HashMap<FuncId, (FuncSummary, u64)> = HashMap::new();
+    if let &[fid] = members {
+        // Direct recursion is summary-free (§4.2), so a singleton never
+        // reads its own summary: one evaluation is the fixpoint.
+        let (s, c) = compute_one(module, segs, spec, fid, &local, done);
+        return (vec![s], c);
+    }
     loop {
         let mut changed = false;
         for &fid in members {
@@ -563,13 +654,16 @@ fn compute_scc(
             break;
         }
     }
-    members
+    let mut composed = 0;
+    let sums = members
         .iter()
-        .map(|&fid| {
-            let (s, c) = local.remove(&fid).expect("member computed");
-            (fid, s, c)
+        .map(|fid| {
+            let (s, c) = local.remove(fid).expect("member computed");
+            composed += c;
+            s
         })
-        .collect()
+        .collect();
+    (sums, composed)
 }
 
 /// One function's summary, given its callees' summaries: seed the
@@ -582,13 +676,10 @@ fn compute_one(
     spec: &Spec,
     fid: FuncId,
     local: &HashMap<FuncId, (FuncSummary, u64)>,
-    done: &[Option<FuncSummary>],
+    done: &ConeMemo<FuncSummary>,
 ) -> (FuncSummary, u64) {
     let lookup = |g: FuncId| -> Option<&FuncSummary> {
-        local
-            .get(&g)
-            .map(|(s, _)| s)
-            .or_else(|| done.get(g.0 as usize).and_then(Option::as_ref))
+        local.get(&g).map(|(s, _)| s).or_else(|| done.get(g))
     };
     let f = module.func(fid);
     let seg = segs.seg(fid);
@@ -614,13 +705,9 @@ fn compute_one(
             *fl |= SINK;
         }
     }
-    for entries in segs.global_stores.values() {
-        for &(gf, v, _) in entries {
-            if gf == fid {
-                if let Some(fl) = flags.get_mut(v.0 as usize) {
-                    *fl |= GLOBAL;
-                }
-            }
+    for v in segs.global_store_values(fid) {
+        if let Some(fl) = flags.get_mut(v.0 as usize) {
+            *fl |= GLOBAL;
         }
     }
     for (&v, &k) in &seg.ret_index {
@@ -733,6 +820,19 @@ mod tests {
         (module, segs)
     }
 
+    /// The gate's verdict on every source of `func`, from an empty memo:
+    /// each read forces exactly the summaries it needs.
+    fn gate(m: &Module, segs: &ModuleSeg, spec: &Spec, func: &str) -> Vec<bool> {
+        let cg = CallGraph::new(m);
+        let mut cx = SummaryCx::new(m, segs, spec, &cg, None);
+        let mut sums = ModuleSummaries::new(m.funcs.len());
+        let fid = m.func_by_name(func).unwrap();
+        spec::spec_sources(spec, m.func(fid))
+            .into_iter()
+            .map(|s| sums.source_fruitful(&mut cx, fid, s))
+            .collect()
+    }
+
     const WRAPPED_UAF: &str = "fn sinker(p: int*) { let x: int = *p; print(x); return; }
          fn wrapper(p: int*) { sinker(p); return; }
          fn idfn(p: int*) -> int* { return p; }
@@ -761,16 +861,22 @@ mod tests {
         // VF4 at the dereferencing callee, inherited by the wrapper (VF4
         // composed through one level).
         let p_sinker = m.func(sinker).params[0];
-        assert_ne!(sums.func(sinker).flags[p_sinker.0 as usize] & SINK, 0);
+        assert_ne!(
+            sums.get(sinker).unwrap().flags[p_sinker.0 as usize] & SINK,
+            0
+        );
         let p_wrapper = m.func(wrapper).params[0];
-        assert_ne!(sums.func(wrapper).flags[p_wrapper.0 as usize] & SINK, 0);
+        assert_ne!(
+            sums.get(wrapper).unwrap().flags[p_wrapper.0 as usize] & SINK,
+            0
+        );
         // VF1: identity's parameter reaches return index 0.
         let p_id = m.func(idfn).params[0];
-        assert_eq!(sums.func(idfn).rets[p_id.0 as usize] & 1, 1);
+        assert_eq!(sums.get(idfn).unwrap().rets[p_id.0 as usize] & 1, 1);
         // The taint-free helper has no interface reach at all.
         let p_h = m.func(harmless).params[0];
-        assert_eq!(sums.func(harmless).flags[p_h.0 as usize], 0);
-        assert_eq!(sums.func(harmless).rets[p_h.0 as usize], 0);
+        assert_eq!(sums.get(harmless).unwrap().flags[p_h.0 as usize], 0);
+        assert_eq!(sums.get(harmless).unwrap().rets[p_h.0 as usize], 0);
         assert!(sums.built > 0 && sums.reused == 0);
         assert!(sums.composed > 0, "wrapper/idfn call sites compose");
     }
@@ -798,16 +904,8 @@ mod tests {
              }";
         let (m, segs) = artefact(src);
         let spec = CheckerKind::UseAfterFree.spec();
-        let sums = ModuleSummaries::build(&m, &segs, &spec, 1, None);
-        let main = m.func_by_name("main").unwrap();
-        let sources = spec::spec_sources(&spec, m.func(main));
-        assert_eq!(sources.len(), 2, "two freed pointers");
-        let verdicts: Vec<bool> = sources
-            .iter()
-            .map(|&s| sums.source_fruitful(&m, &segs, &spec, main, s))
-            .collect();
         assert_eq!(
-            verdicts,
+            gate(&m, &segs, &spec, "main"),
             vec![true, false],
             "a is dereferenced after free, b's only sink is its own free site"
         );
@@ -830,14 +928,10 @@ mod tests {
              }";
         let (m, segs) = artefact(src);
         let spec = CheckerKind::UseAfterFree.spec();
-        let sums = ModuleSummaries::build(&m, &segs, &spec, 1, None);
         // The source is free's argument — a formal parameter of `freer`,
         // whose only path to the dereference is a VF3 parameter ascent
         // into main followed by local flow through idfn's VF1 edge.
-        let freer = m.func_by_name("freer").unwrap();
-        let sources = spec::spec_sources(&spec, m.func(freer));
-        assert_eq!(sources.len(), 1);
-        assert!(sums.source_fruitful(&m, &segs, &spec, freer, sources[0]));
+        assert_eq!(gate(&m, &segs, &spec, "freer"), vec![true]);
     }
 
     #[test]
@@ -847,12 +941,9 @@ mod tests {
              fn main() { let p: int* = malloc(); free(p); stash(p); return; }";
         let (m, segs) = artefact(src);
         let spec = CheckerKind::UseAfterFree.spec();
-        let sums = ModuleSummaries::build(&m, &segs, &spec, 1, None);
-        let main = m.func_by_name("main").unwrap();
-        let sources = spec::spec_sources(&spec, m.func(main));
-        assert_eq!(sources.len(), 1);
-        assert!(
-            sums.source_fruitful(&m, &segs, &spec, main, sources[0]),
+        assert_eq!(
+            gate(&m, &segs, &spec, "main"),
+            vec![true],
             "the freed pointer escapes through a global store — never gate it"
         );
     }

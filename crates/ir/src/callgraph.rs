@@ -12,6 +12,7 @@
 //! an allocator wrapper, say — costs what its edges cost and no more.
 
 use crate::ir::{intrinsics, FuncId, Inst, Module};
+use std::collections::HashSet;
 
 /// Adjacency in compressed-sparse-row form: row `i` is
 /// `items[offsets[i]..offsets[i + 1]]`.
@@ -217,6 +218,100 @@ impl CallGraph {
             out[l].push(scc);
         }
         out
+    }
+}
+
+/// Per-function values that depend on the values of the function's
+/// callees, computed on demand: reading `f` forces the not-yet-forced SCCs
+/// of `f`'s callee cone — callee components first — and nothing else.
+///
+/// A value is only ever computed from *final* callee values, so what a
+/// function gets does not depend on which read forced it or in what
+/// order: the memo restricted to any forced set equals the table a
+/// force-everything pass over [`CallGraph::sccs`] produces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConeMemo<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> ConeMemo<T> {
+    /// An empty memo over a module of `funcs` functions.
+    pub fn new(funcs: usize) -> Self {
+        ConeMemo {
+            slots: std::iter::repeat_with(|| None).take(funcs).collect(),
+        }
+    }
+
+    /// Number of functions the memo covers (forced or not).
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// `true` for an empty module.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// `f`'s value, if it has been forced.
+    pub fn get(&self, f: FuncId) -> Option<&T> {
+        self.slots.get(f.0 as usize)?.as_ref()
+    }
+
+    /// The not-yet-forced SCCs `f`'s value depends on, `f`'s own included,
+    /// in bottom-up order (Tarjan numbers callee components before their
+    /// callers, so ascending SCC index is a valid schedule). Empty when
+    /// `f` is already forced. Iterative: call chains tens of thousands
+    /// deep must not recurse.
+    pub fn unforced_cone(&self, cg: &CallGraph, f: FuncId) -> Vec<usize> {
+        if self.get(f).is_some() {
+            return Vec::new();
+        }
+        let mut cone = vec![cg.scc_of(f)];
+        let mut seen: HashSet<usize> = cone.iter().copied().collect();
+        let mut next = 0;
+        while let Some(&scc) = cone.get(next) {
+            next += 1;
+            for &member in cg.scc(scc) {
+                for &callee in cg.callees(member) {
+                    // SCCs are filled whole, so one member speaks for all.
+                    let below = cg.scc_of(callee);
+                    if self.get(callee).is_none() && seen.insert(below) {
+                        cone.push(below);
+                    }
+                }
+            }
+        }
+        cone.sort_unstable();
+        cone
+    }
+
+    /// Records one SCC's values, in member order.
+    ///
+    /// # Panics
+    ///
+    /// If `values` is not one value per member.
+    pub fn fill(&mut self, members: &[FuncId], values: Vec<T>) {
+        assert_eq!(members.len(), values.len(), "one value per SCC member");
+        for (&f, v) in members.iter().zip(values) {
+            self.slots[f.0 as usize] = Some(v);
+        }
+    }
+
+    /// Forces `f`: runs `compute` on every SCC of
+    /// [`ConeMemo::unforced_cone`], bottom-up. `compute` gets the SCC's
+    /// members and the memo — in which every callee outside the SCC is
+    /// forced — and returns one value per member, in member order.
+    pub fn force(
+        &mut self,
+        cg: &CallGraph,
+        f: FuncId,
+        mut compute: impl FnMut(&[FuncId], &Self) -> Vec<T>,
+    ) {
+        for scc in self.unforced_cone(cg, f) {
+            let members = cg.scc(scc);
+            let values = compute(members, self);
+            self.fill(members, values);
+        }
     }
 }
 
@@ -429,6 +524,48 @@ mod tests {
         assert_eq!(cg.callers(id(&m, "leaf")), [id(&m, "top")]);
         assert!(cg.callers(id(&m, "top")).is_empty());
         assert_eq!(cg.max_callers(), 1);
+    }
+
+    #[test]
+    fn cone_memo_forces_the_callee_cone_bottom_up_and_nothing_else() {
+        // `even`/`odd` are one SCC above `leaf`; `island` is unrelated.
+        let (m, cg) = build(
+            "fn leaf() { return; }
+             fn even(n: int) { odd(n - 1); leaf(); return; }
+             fn odd(n: int) { even(n - 1); return; }
+             fn top() { even(2); return; }
+             fn island() { leaf(); return; }",
+        );
+        // Each function's value: how many functions were computed before
+        // its SCC — callees must come out strictly lower.
+        let mut memo: ConeMemo<usize> = ConeMemo::new(m.funcs.len());
+        let mut computed = 0;
+        let mut compute = |members: &[FuncId], done: &ConeMemo<usize>| {
+            for &f in members {
+                for &c in cg.callees(f) {
+                    assert!(
+                        cg.same_scc(f, c) || done.get(c).is_some(),
+                        "callee {c:?} of {f:?} not final"
+                    );
+                }
+            }
+            let at = computed;
+            computed += members.len();
+            vec![at; members.len()]
+        };
+        // Entering the SCC through its second member forces all of it.
+        memo.force(&cg, id(&m, "odd"), &mut compute);
+        assert_eq!(memo.get(id(&m, "leaf")), Some(&0));
+        assert_eq!(memo.get(id(&m, "even")), Some(&1));
+        assert_eq!(memo.get(id(&m, "odd")), Some(&1));
+        assert_eq!(memo.get(id(&m, "top")), None);
+        assert_eq!(memo.get(id(&m, "island")), None);
+        // A forced function is not recomputed; a caller adds only itself.
+        memo.force(&cg, id(&m, "even"), &mut compute);
+        memo.force(&cg, id(&m, "top"), &mut compute);
+        assert_eq!(memo.get(id(&m, "top")), Some(&3));
+        assert!(memo.unforced_cone(&cg, id(&m, "top")).is_empty());
+        assert_eq!(memo.unforced_cone(&cg, id(&m, "island")).len(), 1);
     }
 
     /// The builder this module used before it went linear: nested `Vec`s,

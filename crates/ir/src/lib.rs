@@ -48,7 +48,7 @@ pub mod printer;
 pub mod types;
 pub mod verify;
 
-pub use callgraph::CallGraph;
+pub use callgraph::{CallGraph, ConeMemo};
 pub use cfg::Cfg;
 pub use controldep::{ControlDep, ControlDeps};
 pub use dom::{DomTree, PostDomTree};

@@ -141,10 +141,11 @@ const USAGE: &str = "usage:
   corpus-ready reproducers. Exit 0 = clean, 1 = findings.
 
   --engine selects how whole-program checks are answered: `summary`
-  (default for multi-checker runs) gates sources through bottom-up
-  source→sink interface summaries before the demand-driven search runs
-  on the survivors; `demand` searches every source. Reports are
-  byte-identical either way. With --cache-dir, summaries persist per
+  (default for multi-checker runs) gates sources through source→sink
+  interface summaries — computed on demand, bottom-up, for the functions
+  a gate reads — before the demand-driven search runs on the survivors;
+  `demand` searches every source. Reports are byte-identical either
+  way. With --cache-dir, the summaries a run demanded persist per
   (function, property) and are reused across runs and edits.
   --threads N defaults to the available parallelism.
   --cache-dir persists per-function analysis artifacts keyed by content

@@ -147,6 +147,8 @@ fn trace_and_stats_outputs() {
         "\"pta\"",
         "\"seg\"",
         "\"detect\"",
+        "\"detect.gate\"",
+        "detect.source",
         "smt.query",
     ] {
         assert!(trace_doc.contains(span), "trace missing span {span}");

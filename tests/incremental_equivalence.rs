@@ -384,9 +384,10 @@ fn engine_reports(
 /// The summary-engine roundtrip: the demand engine, a cold
 /// summary-engine run, and a warm run replaying the summaries the cold
 /// run persisted must all report byte-identically — with the warm run
-/// loading every summary from the store instead of recomputing. After a
-/// one-function edit, the clean functions' summaries stay store hits
-/// while the dirty cone recomputes, still byte-identical to demand.
+/// loading every summary it demands from the store instead of
+/// recomputing. After a one-function edit inside a demanded cone, the
+/// clean cones' summaries stay store hits while the dirty one
+/// recomputes, still byte-identical to demand.
 #[test]
 fn summary_engine_warm_equals_cold_equals_demand() {
     use pinpoint::Engine;
@@ -397,12 +398,15 @@ fn summary_engine_warm_equals_cold_equals_demand() {
         taint: true,
         ..GenConfig::default().with_target_kloc(10.0)
     });
-    // Bug drivers are uncalled roots: editing one dirties only itself.
+    // Summaries are forced on demand, so the edit must land where a gate
+    // looks: `bug0_release` is the callee the use-after-free defect's
+    // pointer is passed to. Editing it re-keys itself and its caller, the
+    // cone that defect's sources force; every other cone stays clean.
     let edited = edit_in_func(
         &project.source,
-        "fn bug0_driver(",
-        "fn bug0_driver(g: bool) {\n",
-        "fn bug0_driver(g: bool) {\n    let edit_pad: int = 1;\n    print(edit_pad);\n",
+        "fn bug0_release(",
+        "fn bug0_release(p: int*) {",
+        "fn bug0_release(p: int*) {\n    let edit_pad: int = 1;\n    print(edit_pad);\n",
     );
     for threads in [1usize, 4] {
         let dir = temp_cache(&format!("vfsum-{threads}"));
@@ -411,8 +415,8 @@ fn summary_engine_warm_equals_cold_equals_demand() {
         let (cold, cold_stats) = engine_reports(&cold_analysis, Engine::Summary);
         assert_eq!(cold, demand, "cold summary vs demand at {threads} threads");
         assert!(
-            cold_stats.summary_built > 0,
-            "cold run computes summaries: {cold_stats:?}"
+            cold_stats.summary_built > 0 && cold_stats.summary_reused == 0,
+            "cold run computes the summaries it demands: {cold_stats:?}"
         );
         let warm_analysis = build(&project.source, threads, Some(&dir));
         let (warm, warm_stats) = engine_reports(&warm_analysis, Engine::Summary);
@@ -421,7 +425,7 @@ fn summary_engine_warm_equals_cold_equals_demand() {
             warm_stats.summary_reused > 0 && warm_stats.summary_built == 0,
             "warm run must replay persisted summaries: {warm_stats:?}"
         );
-        // Edit one uncalled root: its cone recomputes, the rest replays.
+        // The edited cone recomputes, the rest replays from the store.
         let edited_analysis = build(&edited, threads, Some(&dir));
         let (demand_edited, _) = engine_reports(&edited_analysis, Engine::Demand);
         let (summary_edited, edited_stats) = engine_reports(&edited_analysis, Engine::Summary);

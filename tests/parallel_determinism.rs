@@ -124,6 +124,11 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
                 "{file}: exactly one {span} span per build"
             );
         }
+        assert_eq!(
+            trace1.matches("\"name\":\"detect.gate\"").count(),
+            trace1.matches("\"name\":\"detect\"").count(),
+            "{file}: one gate span per property checked"
+        );
     }
     assert!(
         saw_queries,
