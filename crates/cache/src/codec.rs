@@ -15,10 +15,9 @@ use pinpoint_ir::ir::{
     Block, BlockId, Const, Function, GlobalId, Inst, InstId, Terminator, ValueId, ValueInfo,
 };
 use pinpoint_ir::{BinOp, Type, UnOp};
-use pinpoint_pta::intra::{GlobalAccess, MemDep, PtaStats};
+use pinpoint_pta::intra::{GlobalAccess, MemDep, PointsTo, PtaStats};
 use pinpoint_pta::{AccessPath, AuxShape, FuncArtifact, FuncPta, FuncResult, Obj};
 use pinpoint_smt::term::{Sort, TermArena, TermId, TermKind};
-use std::collections::HashMap;
 
 /// Error raised when a persisted byte stream cannot be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,9 +157,13 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowing it from the stream.
+    pub fn str_ref(&mut self) -> Result<&'a str> {
         let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("invalid utf-8"))
+        std::str::from_utf8(self.take(n)?).map_err(|_| DecodeError("invalid utf-8"))
     }
 
     /// Reads a sequence length prefix, sanity-bounded by the remaining
@@ -620,8 +623,8 @@ fn get_global_access(r: &mut ByteReader, arena_len: usize) -> Result<GlobalAcces
     })
 }
 
-/// Encodes a [`FuncPta`]; `points_to` entries are written sorted by key
-/// so encoding is deterministic.
+/// Encodes a [`FuncPta`]; `points_to` entries are written in ascending
+/// value order so encoding is deterministic.
 pub fn put_func_pta(w: &mut ByteWriter, p: &FuncPta) {
     w.len(p.mem_deps.len());
     for d in &p.mem_deps {
@@ -631,12 +634,9 @@ pub fn put_func_pta(w: &mut ByteWriter, p: &FuncPta) {
         w.u32(d.dst.0);
         put_term_id(w, d.cond);
     }
-    let mut keys: Vec<ValueId> = p.points_to.keys().copied().collect();
-    keys.sort_unstable();
-    w.len(keys.len());
-    for k in keys {
+    w.len(p.points_to.iter().count());
+    for (k, set) in p.points_to.iter() {
         w.u32(k.0);
-        let set = &p.points_to[&k];
         w.len(set.len());
         for &(o, c) in set {
             put_obj(w, o);
@@ -664,9 +664,9 @@ pub fn put_func_pta(w: &mut ByteWriter, p: &FuncPta) {
     w.u64(p.stats.linear_checks);
 }
 
-/// Decodes a [`FuncPta`] whose conditions index an arena of length
-/// `arena_len`.
-pub fn get_func_pta(r: &mut ByteReader, arena_len: usize) -> Result<FuncPta> {
+/// Decodes the [`FuncPta`] of a function with `values` SSA values, whose
+/// conditions index an arena of length `arena_len`.
+pub fn get_func_pta(r: &mut ByteReader, arena_len: usize, values: usize) -> Result<FuncPta> {
     let n = r.len()?;
     let mut mem_deps = Vec::with_capacity(n);
     for _ in 0..n {
@@ -679,15 +679,19 @@ pub fn get_func_pta(r: &mut ByteReader, arena_len: usize) -> Result<FuncPta> {
         });
     }
     let n = r.len()?;
-    let mut points_to = HashMap::with_capacity(n);
+    let mut points_to = PointsTo::new(values);
+    let mut set = Vec::new();
     for _ in 0..n {
         let k = ValueId(r.u32()?);
+        if k.0 as usize >= values {
+            return Err(DecodeError("points-to value out of range"));
+        }
         let m = r.len()?;
-        let mut set = Vec::with_capacity(m);
+        set.clear();
         for _ in 0..m {
             set.push((get_obj(r)?, get_term_id(r, arena_len)?));
         }
-        points_to.insert(k, set);
+        points_to.set(k, &set);
     }
     let n = r.len()?;
     let mut refs = Vec::with_capacity(n);
@@ -929,7 +933,7 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<FuncArtifact> {
     let arena = get_arena(&mut r)?;
     let body = get_function(&mut r)?;
     let shape = get_aux_shape(&mut r)?;
-    let pta = get_func_pta(&mut r, arena.len())?;
+    let pta = get_func_pta(&mut r, arena.len(), body.values.len())?;
     let n = r.len()?;
     let mut cached_values = Vec::with_capacity(n);
     for _ in 0..n {

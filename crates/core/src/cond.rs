@@ -321,8 +321,8 @@ impl<'a> CondBuilder<'a> {
             }
             // φ and loads: guarded equalities over the SEG in-edges.
             Inst::Phi { .. } | Inst::Load { .. } => {
-                let edges: Vec<crate::seg::SegEdge> = self.segs.seg(fid).preds(v).to_vec();
-                for e in edges {
+                let segs = self.segs;
+                for &e in segs.seg(fid).preds(v) {
                     let src_term = self.symbols.value_term(self.arena, fid, f, e.src);
                     let eq = self.arena.eq(term, src_term);
                     let implied = self.arena.implies(e.cond, eq);
@@ -394,9 +394,9 @@ impl<'a> CondBuilder<'a> {
         if !self.visited_cd.insert((fid, block, ctx)) {
             return;
         }
-        let deps: Vec<(ValueId, bool)> = self.segs.seg(fid).control_deps[block.0 as usize].clone();
+        let deps = self.segs.seg(fid).control_deps(block);
         let f = self.module.func(fid);
-        for (cv, pol) in deps {
+        for &(cv, pol) in deps {
             let t = self.symbols.value_term(self.arena, fid, f, cv);
             let lit = if pol { t } else { self.arena.not(t) };
             let cloned = self.clone_term(lit, ctx);

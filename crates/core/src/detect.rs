@@ -736,7 +736,7 @@ pub(crate) fn spec_fingerprint(spec: &Spec, config: &DetectConfig) -> u128 {
 ///   matched ascents read);
 /// * per callers-list consultation (unmatched and parameter ascents):
 ///   the list's entries together with each caller's call-site record
-///   (callee name, actuals, receivers) — exactly the caller-side data an
+///   (callee, actuals, receivers) — exactly the caller-side data an
 ///   ascent reads before the caller itself becomes a cone member;
 /// * per global-channel consultation: the global's load list, including
 ///   the hash-consed condition term ids (content addresses within one
@@ -757,22 +757,22 @@ fn cone_fingerprint(out: &SourceOutcome, segs: &ModuleSeg, keys: &[u128]) -> Opt
     h.write_u64(out.callers_consulted.len() as u64);
     for &fid in &out.callers_consulted {
         h.write_u32(fid.0);
-        let callers = segs.callers.get(&fid).map(Vec::as_slice).unwrap_or(&[]);
+        let callers = segs.callers(fid);
         h.write_u64(callers.len() as u64);
         for &(caller, site) in callers {
             h.write_u32(caller.0);
             h.write_u32(site.block.0);
             h.write_u64(site.index as u64);
-            match segs.seg(caller).call_sites.get(&site) {
-                Some((callee, args, dsts)) => {
+            match segs.seg(caller).call_site(site) {
+                Some(call) => {
                     h.write_u32(1);
-                    h.write_str(callee);
-                    h.write_u64(args.len() as u64);
-                    for a in args {
+                    h.write_u32(call.callee.map_or(u32::MAX, |c| c.0));
+                    h.write_u64(call.args.len() as u64);
+                    for a in call.args {
                         h.write_u32(a.0);
                     }
-                    h.write_u64(dsts.len() as u64);
-                    for d in dsts {
+                    h.write_u64(call.dsts.len() as u64);
+                    for d in call.dsts {
                         h.write_u32(d.0);
                     }
                 }
@@ -1015,12 +1015,11 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                 });
             }
             // 3. Descend into callees through actual arguments.
-            let arg_uses = seg.arg_uses.get(&node.value).cloned().unwrap_or_default();
-            for au in arg_uses {
+            for au in seg.arg_uses(node.value) {
                 if node.depth >= self.cx.config.max_ctx_depth {
                     continue;
                 }
-                let Some(gid) = self.cx.module.func_by_name(&au.callee) else {
+                let Some(gid) = au.callee else {
                     continue;
                 };
                 if gid == node.func {
@@ -1058,7 +1057,7 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                 });
             }
             // 4. Ascend through return values.
-            if let Some(&ret_idx) = seg.ret_index.get(&node.value) {
+            if let Some(ret_idx) = seg.ret_index(node.value) {
                 if let Some(&(caller, caller_ctx, site)) = node.stack.last() {
                     // Matched return: continue at the recorded receiver.
                     let recv = self.receiver_at(caller, site, ret_idx);
@@ -1087,14 +1086,7 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                 } else if node.depth < self.cx.config.max_ctx_depth {
                     // Unmatched: ascend to every caller (VF2-style).
                     callers_consulted.insert(node.func);
-                    let callers = self
-                        .cx
-                        .segs
-                        .callers
-                        .get(&node.func)
-                        .cloned()
-                        .unwrap_or_default();
-                    for (caller, site) in callers {
+                    for &(caller, site) in self.cx.segs.callers(node.func) {
                         if caller == node.func {
                             continue;
                         }
@@ -1131,23 +1123,14 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                 let f = self.cx.module.func(node.func);
                 if let Some(param_idx) = f.params.iter().position(|&p| p == node.value) {
                     callers_consulted.insert(node.func);
-                    let callers = self
-                        .cx
-                        .segs
-                        .callers
-                        .get(&node.func)
-                        .cloned()
-                        .unwrap_or_default();
-                    for (caller, site) in callers {
+                    for &(caller, site) in self.cx.segs.callers(node.func) {
                         if caller == node.func {
                             continue;
                         }
-                        let Some((_, args, _)) =
-                            self.cx.segs.seg(caller).call_sites.get(&site).cloned()
-                        else {
+                        let Some(call) = self.cx.segs.seg(caller).call_site(site) else {
                             continue;
                         };
-                        let Some(&actual) = args.get(param_idx) else {
+                        let Some(&actual) = call.args.get(param_idx) else {
                             continue;
                         };
                         let caller_ctx = ctxs.caller_of(node.ctx, caller, site);
@@ -1240,8 +1223,8 @@ impl<'cx, 'a> Worker<'cx, 'a> {
     }
 
     fn receiver_at(&self, caller: FuncId, site: InstId, ret_idx: usize) -> Option<ValueId> {
-        let (_, _, dsts) = self.cx.segs.seg(caller).call_sites.get(&site)?;
-        dsts.get(ret_idx).copied()
+        let call = self.cx.segs.seg(caller).call_site(site)?;
+        call.dsts.get(ret_idx).copied()
     }
 
     /// Builds the path condition of a candidate and solves it; returns
@@ -1257,6 +1240,12 @@ impl<'cx, 'a> Worker<'cx, 'a> {
         ctxs: &mut CtxInterner,
     ) -> (Option<Report>, bool, LastQueryCost) {
         let depth = self.cx.config.cond.max_depth;
+        // The actual arguments of a call the search walked through.
+        let segs = self.cx.segs;
+        let call_args = |caller: FuncId, site: InstId| -> &[ValueId] {
+            let call = segs.seg(caller).call_site(site);
+            call.expect("trace sites are call sites").args
+        };
         let mut cb = CondBuilder::new(
             self.cx.module,
             self.cx.segs,
@@ -1316,8 +1305,8 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                     callee_ctx,
                     arg_index,
                 } => {
-                    let (_, args, _) = self.cx.segs.seg(*caller).call_sites[site].clone();
-                    cb.bind_params(*caller, *caller_ctx, *callee, *callee_ctx, &args, depth);
+                    let args = call_args(*caller, *site);
+                    cb.bind_params(*caller, *caller_ctx, *callee, *callee_ctx, args, depth);
                     cb.add_control_deps(*caller, site.block, *caller_ctx, depth);
                     let arg = args[*arg_index];
                     steps.push(Step {
@@ -1347,8 +1336,8 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                     );
                     // Bind the call's actuals so callee-side constraints
                     // referring to formals are grounded (Eq. 2 ③).
-                    let (_, args, _) = self.cx.segs.seg(*caller).call_sites[site].clone();
-                    cb.bind_params(*caller, *caller_ctx, *callee, *callee_ctx, &args, depth);
+                    let args = call_args(*caller, *site);
+                    cb.bind_params(*caller, *caller_ctx, *callee, *callee_ctx, args, depth);
                     cb.add_control_deps(*caller, site.block, *caller_ctx, depth);
                     steps.push(Step {
                         func: *callee,
@@ -1366,8 +1355,8 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                     site,
                     actual,
                 } => {
-                    let (_, args, _) = self.cx.segs.seg(*caller).call_sites[site].clone();
-                    cb.bind_params(*caller, *caller_ctx, *callee, *callee_ctx, &args, depth);
+                    let args = call_args(*caller, *site);
+                    cb.bind_params(*caller, *caller_ctx, *callee, *callee_ctx, args, depth);
                     cb.add_control_deps(*caller, site.block, *caller_ctx, depth);
                     steps.push(Step {
                         func: *caller,

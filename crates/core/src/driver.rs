@@ -75,6 +75,9 @@ pub struct PipelineStats {
     pub seg_vertices: usize,
     /// SEG edges.
     pub seg_edges: usize,
+    /// Heap bytes of the SEG tables ([`ModuleSeg::heap_bytes`]): the
+    /// Fig. 8 memory figure, counted from table lengths.
+    pub seg_bytes: usize,
     /// Hash-consed terms allocated.
     pub terms: usize,
     /// Linear-solver statistics from the points-to stage.
@@ -332,7 +335,9 @@ impl AnalysisBuilder {
         let mut arena = std::mem::take(&mut pta.arena);
         let mut symbols = std::mem::take(&mut pta.symbols);
         let seg_span = trace.open("seg", "");
-        let mut seg_store = cache.as_mut().map(SegCacheStore::new);
+        let mut seg_store = cache
+            .as_mut()
+            .map(|store| SegCacheStore::new(store, &module));
         let segs = ModuleSeg::build_par(
             &module,
             &mut arena,
@@ -352,6 +357,7 @@ impl AnalysisBuilder {
         stats.seg_time = t1.elapsed();
         stats.seg_vertices = segs.vertex_count;
         stats.seg_edges = segs.edge_count;
+        stats.seg_bytes = segs.heap_bytes();
         stats.terms = arena.len();
         // Solver verdicts persist through their own store instance on the
         // same directory, so the artifact-cache hit/miss counters above
@@ -647,8 +653,6 @@ impl Analysis {
         );
         self.callgraph = callgraph;
         let reanalyzed = outcome.reanalyzed.len();
-        let dirty: std::collections::HashSet<pinpoint_ir::FuncId> =
-            outcome.reanalyzed.iter().copied().collect();
         self.module = new_module;
         self.pta = outcome.analysis;
         self.stats.pta = self.pta.total_stats();
@@ -662,13 +666,14 @@ impl Analysis {
             &mut arena,
             &mut symbols,
             &self.pta.pta,
-            Some((old_segs, &dirty)),
+            Some((old_segs, &outcome.reanalyzed)),
         );
         self.pta.symbols = symbols;
         self.arena = Arc::new(arena);
         self.stats.seg_time = t1.elapsed();
         self.stats.seg_vertices = self.segs.vertex_count;
         self.stats.seg_edges = self.segs.edge_count;
+        self.stats.seg_bytes = self.segs.heap_bytes();
         self.stats.terms = self.arena.len();
         self.keys_fp = keys_fingerprint(&new_keys);
         self.func_keys = new_keys;
@@ -704,12 +709,7 @@ impl Analysis {
             .pta
             .pta
             .iter()
-            .map(|p| {
-                p.points_to
-                    .values()
-                    .map(|v| v.len() * per_fact)
-                    .sum::<usize>()
-            })
+            .map(|p| p.points_to.fact_count() * per_fact)
             .sum();
         term_bytes + edge_bytes + pt_bytes
     }
@@ -910,6 +910,7 @@ impl QueryRunner {
         m.counter_add("seg.time_ns", s.seg_time.as_nanos() as u64);
         m.counter_add("seg.vertices", s.seg_vertices as u64);
         m.counter_add("seg.edges", s.seg_edges as u64);
+        m.counter_add("seg.bytes", s.seg_bytes as u64);
         m.counter_add("seg.terms", s.terms as u64);
         // Always present (zero without a cache directory) so the exported
         // schema is shape-stable.

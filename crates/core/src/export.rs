@@ -108,38 +108,31 @@ pub fn seg_to_dot(module: &Module, segs: &ModuleSeg, arena: &TermArena, fid: Fun
     let _ = writeln!(out, "  label=\"SEG of {}\";", f.name);
     let _ = writeln!(out, "  node [shape=ellipse, fontsize=10];");
     // Vertices: every value that participates in an edge.
-    let mut vs: Vec<pinpoint_ir::ValueId> = seg
-        .out_edges
-        .keys()
-        .chain(seg.in_edges.keys())
-        .copied()
-        .collect();
-    vs.sort_unstable();
-    vs.dedup();
-    for v in &vs {
-        let _ = writeln!(out, "  v{} [label=\"{}\"];", v.0, escape(&f.value(*v).name));
-    }
-    for edges in seg.out_edges.values() {
-        for e in edges {
-            let style = match e.kind {
-                EdgeKind::Direct => "solid",
-                EdgeKind::Memory => "bold",
-                EdgeKind::Transform => "dashed",
-            };
-            let label = if arena.is_true(e.cond) {
-                String::new()
-            } else {
-                format!(", label=\"{}\"", escape(&arena.display(e.cond)))
-            };
-            let _ = writeln!(
-                out,
-                "  v{} -> v{} [style={style}{label}];",
-                e.src.0, e.dst.0
-            );
+    for v in (0..f.values.len() as u32).map(pinpoint_ir::ValueId) {
+        if !seg.succs(v).is_empty() || !seg.preds(v).is_empty() {
+            let _ = writeln!(out, "  v{} [label=\"{}\"];", v.0, escape(&f.value(v).name));
         }
     }
+    for e in seg.edges() {
+        let style = match e.kind {
+            EdgeKind::Direct => "solid",
+            EdgeKind::Memory => "bold",
+            EdgeKind::Transform => "dashed",
+        };
+        let label = if arena.is_true(e.cond) {
+            String::new()
+        } else {
+            format!(", label=\"{}\"", escape(&arena.display(e.cond)))
+        };
+        let _ = writeln!(
+            out,
+            "  v{} -> v{} [style={style}{label}];",
+            e.src.0, e.dst.0
+        );
+    }
     // Control dependences per block, as dashed edges from a block node.
-    for (bi, deps) in seg.control_deps.iter().enumerate() {
+    for bi in 0..seg.block_count() {
+        let deps = seg.control_deps(pinpoint_ir::BlockId(bi as u32));
         if deps.is_empty() {
             continue;
         }

@@ -203,25 +203,22 @@ fn reachable_frees(module: &Module, segs: &ModuleSeg, fid: FuncId, value: ValueI
             }
         }
         // Descend through calls.
-        if let Some(uses) = seg.arg_uses.get(&cv) {
-            for au in uses {
-                if let Some(gid) = module.func_by_name(&au.callee) {
-                    if let Some(&p) = module.func(gid).params.get(au.index) {
-                        stack.push((gid, p));
-                    }
-                } else if !intrinsics::is_intrinsic(&au.callee) {
-                    return Reachability::Escapes;
-                }
+        for au in seg.arg_uses(cv) {
+            // Uses are of user-function calls only; one whose name does
+            // not resolve is external.
+            let Some(gid) = au.callee else {
+                return Reachability::Escapes;
+            };
+            if let Some(&p) = module.func(gid).params.get(au.index) {
+                stack.push((gid, p));
             }
         }
         // Ascend through returns (to every caller: context-insensitive).
-        if let Some(&idx) = seg.ret_index.get(&cv) {
-            if let Some(callers) = segs.callers.get(&cf) {
-                for &(caller, site) in callers {
-                    if let Some((_, _, dsts)) = segs.seg(caller).call_sites.get(&site) {
-                        if let Some(&recv) = dsts.get(idx) {
-                            stack.push((caller, recv));
-                        }
+        if let Some(idx) = seg.ret_index(cv) {
+            for &(caller, site) in segs.callers(cf) {
+                if let Some(call) = segs.seg(caller).call_site(site) {
+                    if let Some(&recv) = call.dsts.get(idx) {
+                        stack.push((caller, recv));
                     }
                 }
             }

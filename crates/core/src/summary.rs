@@ -140,7 +140,7 @@ fn scc_fixpoint(
                     };
                     bits.and_then(|b| b.get(index)).copied().unwrap_or(false)
                 };
-                if param_reaches(module, segs, property, &sinks[m], callee_bit, fid, p) {
+                if param_reaches(segs, property, &sinks[m], callee_bit, fid, p) {
                     local[m][j] = true;
                     changed = true;
                 }
@@ -153,7 +153,6 @@ fn scc_fixpoint(
 /// Local forward reachability from `start` in `fid`, consulting callee
 /// summaries (`callee_bit`) at call sites.
 fn param_reaches(
-    module: &Module,
     segs: &ModuleSeg,
     property: &Spec,
     sinks: &HashSet<ValueId>,
@@ -172,25 +171,19 @@ fn param_reaches(
         if sinks.contains(&v) {
             return true;
         }
-        if seg.ret_index.contains_key(&v) {
+        if seg.ret_index(v).is_some() {
             return true; // may flow back to any caller (VF1/VF2)
         }
         if gstores.binary_search(&v).is_ok() {
             return true; // escapes through a global channel
         }
-        if let Some(uses) = seg.arg_uses.get(&v) {
-            for au in uses {
-                if let Some(gid) = module.func_by_name(&au.callee) {
-                    if callee_bit(gid, au.index) {
-                        return true; // the callee can do something with it
-                    }
-                } else if !pinpoint_ir::intrinsics::is_intrinsic(&au.callee) {
-                    // An unresolved, non-intrinsic callee (external or
-                    // undeclared) may do anything with the argument —
-                    // summarising it fruitless would prune paths the
-                    // §4.2 soundiness rules don't license.
-                    return true;
-                }
+        for au in seg.arg_uses(v) {
+            // An unresolved callee (external or undeclared; intrinsics
+            // are not recorded as uses) may do anything with the
+            // argument — summarising it fruitless would prune paths the
+            // §4.2 soundiness rules don't license.
+            if au.callee.is_none_or(|gid| callee_bit(gid, au.index)) {
+                return true; // the callee can do something with it
             }
         }
         for e in seg.succs(v) {

@@ -487,23 +487,20 @@ impl ModuleSummaries {
         // summary bits below.
         let mut wl: Vec<(FuncId, ValueId)> = Vec::new();
         let push_ascents = |k: Option<usize>, j: Option<usize>, wl: &mut Vec<(FuncId, ValueId)>| {
-            let Some(callers) = segs.callers.get(&source_func) else {
-                return;
-            };
-            for &(caller, site) in callers {
+            for &(caller, site) in segs.callers(source_func) {
                 if caller == source_func {
                     continue; // direct recursion: summary-free (§4.2)
                 }
-                let Some((_, args, dsts)) = segs.seg(caller).call_sites.get(&site) else {
+                let Some(call) = segs.seg(caller).call_site(site) else {
                     continue;
                 };
                 if let Some(k) = k {
-                    if let Some(&recv) = dsts.get(k) {
+                    if let Some(&recv) = call.dsts.get(k) {
                         wl.push((caller, recv));
                     }
                 }
                 if let Some(j) = j {
-                    if let Some(&actual) = args.get(j) {
+                    if let Some(&actual) = call.args.get(j) {
                         wl.push((caller, actual));
                     }
                 }
@@ -528,40 +525,38 @@ impl ModuleSummaries {
             if gvals.binary_search(&v).is_ok() {
                 return true;
             }
-            if let Some(uses) = seg.arg_uses.get(&v) {
-                for au in uses {
-                    let Some(gid) = module.func_by_name(&au.callee) else {
-                        continue; // the search cannot descend into it either
-                    };
-                    if gid == source_func {
-                        continue; // direct recursion: summary-free (§4.2)
-                    }
-                    let Some(&formal) = module.func(gid).params.get(au.index) else {
-                        continue;
-                    };
-                    let Some(cs) = self.force(cx, gid) else {
-                        return true;
-                    };
-                    let fi = formal.0 as usize;
-                    let Some(&cf) = cs.flags.get(fi) else {
-                        return true;
-                    };
-                    if cf & (SINK | GLOBAL | OVERFLOW) != 0 {
-                        return true;
-                    }
-                    let crets = cs.rets.get(fi).copied().unwrap_or(0);
-                    if crets != 0 {
-                        if let Some((_, _, dsts)) = seg.call_sites.get(&au.site) {
-                            for k in iter_bits(crets) {
-                                if let Some(&dst) = dsts.get(k) {
-                                    local.push(dst);
-                                }
+            for au in seg.arg_uses(v) {
+                let Some(gid) = au.callee else {
+                    continue; // the search cannot descend into it either
+                };
+                if gid == source_func {
+                    continue; // direct recursion: summary-free (§4.2)
+                }
+                let Some(&formal) = module.func(gid).params.get(au.index) else {
+                    continue;
+                };
+                let Some(cs) = self.force(cx, gid) else {
+                    return true;
+                };
+                let fi = formal.0 as usize;
+                let Some(&cf) = cs.flags.get(fi) else {
+                    return true;
+                };
+                if cf & (SINK | GLOBAL | OVERFLOW) != 0 {
+                    return true;
+                }
+                let crets = cs.rets.get(fi).copied().unwrap_or(0);
+                if crets != 0 {
+                    if let Some(call) = seg.call_site(au.site) {
+                        for k in iter_bits(crets) {
+                            if let Some(&dst) = call.dsts.get(k) {
+                                local.push(dst);
                             }
                         }
                     }
                 }
             }
-            if let Some(&k) = seg.ret_index.get(&v) {
+            if let Some(k) = seg.ret_index(v) {
                 push_ascents(Some(k), None, &mut wl);
             }
             if let Some(j) = f.params.iter().position(|&p| p == v) {
@@ -596,23 +591,20 @@ impl ModuleSummaries {
             if rets == 0 && params == 0 {
                 continue;
             }
-            let Some(callers) = segs.callers.get(&fid) else {
-                continue;
-            };
-            for &(caller, site) in callers {
+            for &(caller, site) in segs.callers(fid) {
                 if caller == fid {
                     continue; // direct recursion: summary-free (§4.2)
                 }
-                let Some((_, args, dsts)) = segs.seg(caller).call_sites.get(&site) else {
+                let Some(call) = segs.seg(caller).call_site(site) else {
                     continue;
                 };
                 for k in iter_bits(rets) {
-                    if let Some(&recv) = dsts.get(k) {
+                    if let Some(&recv) = call.dsts.get(k) {
                         wl.push((caller, recv));
                     }
                 }
                 for j in iter_bits(params) {
-                    if let Some(&actual) = args.get(j) {
+                    if let Some(&actual) = call.args.get(j) {
                         wl.push((caller, actual));
                     }
                 }
@@ -710,7 +702,7 @@ fn compute_one(
             *fl |= GLOBAL;
         }
     }
-    for (&v, &k) in &seg.ret_index {
+    for &(v, k) in seg.ret_values() {
         set(&mut rets, v, k, &mut flags);
     }
     for (j, &p) in f.params.iter().enumerate() {
@@ -721,12 +713,9 @@ fn compute_one(
     // each callee return index the formal reaches becomes a pseudo-edge
     // to the call's receiver (VF1), continued locally.
     let mut extra_preds: HashMap<ValueId, Vec<ValueId>> = HashMap::new();
-    for (&v, uses) in &seg.arg_uses {
-        if v.0 as usize >= n {
-            continue;
-        }
-        for au in uses {
-            let Some(gid) = module.func_by_name(&au.callee) else {
+    for v in (0..n as u32).map(ValueId) {
+        for au in seg.arg_uses(v) {
+            let Some(gid) = au.callee else {
                 continue; // the search cannot descend into it either
             };
             if gid == fid {
@@ -746,9 +735,9 @@ fn compute_one(
             }
             let crets = cs.rets.get(fi).copied().unwrap_or(0);
             if crets != 0 {
-                if let Some((_, _, dsts)) = seg.call_sites.get(&au.site) {
+                if let Some(call) = seg.call_site(au.site) {
                     for k in iter_bits(crets) {
-                        if let Some(&dst) = dsts.get(k) {
+                        if let Some(&dst) = call.dsts.get(k) {
                             extra_preds.entry(dst).or_default().push(v);
                             composed += 1;
                         }

@@ -26,10 +26,10 @@ impl Cfg {
         let mut succs = vec![Vec::new(); n];
         let mut preds = vec![Vec::new(); n];
         for (b, blk) in f.blocks.iter().enumerate() {
-            for s in blk.term.successors() {
+            blk.term.for_each_successor(|s| {
                 succs[b].push(s);
                 preds[s.0 as usize].push(BlockId(b as u32));
-            }
+            });
         }
         let mut reachable = vec![false; n];
         let mut stack = vec![f.entry()];

@@ -14,7 +14,6 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::ir::{BlockId, Function, Terminator, ValueId};
-use std::collections::HashMap;
 
 /// A symbolic gating condition over branch-condition values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,38 +65,41 @@ impl Gate {
 /// Computes gating conditions for the φ-incomings of a function.
 #[derive(Debug)]
 pub struct Gating {
-    /// `(join block, predecessor) → gate`.
-    gates: HashMap<(BlockId, BlockId), Gate>,
+    /// Per block: `(predecessor, gate)` for each incoming edge of a join
+    /// block, in [`Cfg::preds`] order; empty for every other block.
+    gates: Vec<Vec<(BlockId, Gate)>>,
 }
 
 impl Gating {
     /// Computes gates for every join block of `f` (blocks with ≥ 2
     /// predecessors).
     pub fn new(f: &Function, cfg: &Cfg, dom: &DomTree) -> Self {
-        let mut gates = HashMap::new();
+        let mut gates = vec![Vec::new(); cfg.len()];
         let topo = cfg.topo_order(f.entry());
         let mut topo_pos = vec![usize::MAX; cfg.len()];
         for (i, &b) in topo.iter().enumerate() {
             topo_pos[b.0 as usize] = i;
         }
+        // Forward reachability conditions of the join being processed,
+        // by block; cleared over the join's window afterwards.
+        let mut reach: Vec<Option<Gate>> = vec![None; cfg.len()];
         for &b in &topo {
             if cfg.preds(b).len() < 2 {
                 continue;
             }
             let Some(d) = dom.idom(b) else { continue };
             // Forward reachability conditions from d within [d, b].
-            let mut reach: HashMap<BlockId, Gate> = HashMap::new();
-            reach.insert(d, Gate::True);
+            reach[d.0 as usize] = Some(Gate::True);
             let lo = topo_pos[d.0 as usize];
             let hi = topo_pos[b.0 as usize];
             for &x in &topo[lo..hi] {
-                let Some(gx) = reach.get(&x).cloned() else {
+                let Some(gx) = reach[x.0 as usize].clone() else {
                     continue;
                 };
                 match &f.block(x).term {
                     Terminator::Jump(s) if topo_pos[s.0 as usize] <= hi => {
-                        let prev = reach.remove(s);
-                        reach.insert(*s, Gate::or(prev, gx));
+                        let prev = reach[s.0 as usize].take();
+                        reach[s.0 as usize] = Some(Gate::or(prev, gx));
                     }
                     Terminator::Branch {
                         cond,
@@ -107,8 +109,8 @@ impl Gating {
                         for (s, pol) in [(then_bb, true), (else_bb, false)] {
                             if topo_pos[s.0 as usize] <= hi {
                                 let edge = Gate::and(gx.clone(), Gate::Lit(*cond, pol));
-                                let prev = reach.remove(s);
-                                reach.insert(*s, Gate::or(prev, edge));
+                                let prev = reach[s.0 as usize].take();
+                                reach[s.0 as usize] = Some(Gate::or(prev, edge));
                             }
                         }
                     }
@@ -116,7 +118,7 @@ impl Gating {
                 }
             }
             for &p in cfg.preds(b) {
-                let base = reach.get(&p).cloned().unwrap_or(Gate::True);
+                let base = reach[p.0 as usize].clone().unwrap_or(Gate::True);
                 let edge_cond = match &f.block(p).term {
                     Terminator::Branch {
                         cond,
@@ -133,7 +135,10 @@ impl Gating {
                     }
                     _ => Gate::True,
                 };
-                gates.insert((b, p), Gate::and(base, edge_cond));
+                gates[b.0 as usize].push((p, Gate::and(base, edge_cond)));
+            }
+            for &x in &topo[lo..=hi] {
+                reach[x.0 as usize] = None;
             }
         }
         Gating { gates }
@@ -141,11 +146,11 @@ impl Gating {
 
     /// The gate of the φ-incoming edge from `pred` into join `block`.
     /// `Gate::True` when the edge is unconditional (single-pred blocks).
-    pub fn gate(&self, block: BlockId, pred: BlockId) -> Gate {
+    pub fn gate(&self, block: BlockId, pred: BlockId) -> &Gate {
         self.gates
-            .get(&(block, pred))
-            .cloned()
-            .unwrap_or(Gate::True)
+            .get(block.0 as usize)
+            .and_then(|row| row.iter().find(|(p, _)| *p == pred))
+            .map_or(&Gate::True, |(_, g)| g)
     }
 }
 
@@ -171,7 +176,7 @@ mod tests {
                 if f.value(*dst).name == name {
                     return incomings
                         .iter()
-                        .map(|&(p, v)| (v, gating.gate(id.block, p)))
+                        .map(|&(p, v)| (v, gating.gate(id.block, p).clone()))
                         .collect();
                 }
             }
@@ -224,7 +229,7 @@ mod tests {
         let (f, cfg, dom) = build("fn f() { return; }");
         let gating = Gating::new(&f, &cfg, &dom);
         assert_eq!(
-            gating.gate(f.entry(), f.entry()),
+            *gating.gate(f.entry(), f.entry()),
             Gate::True,
             "missing edges are unconditional"
         );

@@ -216,8 +216,8 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// The values defined by this instruction, in order.
-    pub fn defs(&self) -> Vec<ValueId> {
+    /// Calls `f` on each value this instruction defines, in order.
+    pub fn for_each_def(&self, mut f: impl FnMut(ValueId)) {
         match self {
             Inst::Const { dst, .. }
             | Inst::Copy { dst, .. }
@@ -226,24 +226,44 @@ impl Inst {
             | Inst::Un { dst, .. }
             | Inst::Load { dst, .. }
             | Inst::Alloc { dst }
-            | Inst::GlobalAddr { dst, .. } => vec![*dst],
-            Inst::Store { .. } => vec![],
-            Inst::Call { dsts, .. } => dsts.clone(),
+            | Inst::GlobalAddr { dst, .. } => f(*dst),
+            Inst::Store { .. } => {}
+            Inst::Call { dsts, .. } => dsts.iter().copied().for_each(f),
         }
+    }
+
+    /// Calls `f` on each value this instruction uses, in operand order.
+    pub fn for_each_use(&self, mut f: impl FnMut(ValueId)) {
+        match self {
+            Inst::Const { .. } | Inst::Alloc { .. } | Inst::GlobalAddr { .. } => {}
+            Inst::Copy { src, .. } => f(*src),
+            Inst::Phi { incomings, .. } => incomings.iter().for_each(|&(_, v)| f(v)),
+            Inst::Bin { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
+            }
+            Inst::Un { operand, .. } => f(*operand),
+            Inst::Load { ptr, .. } => f(*ptr),
+            Inst::Store { ptr, src, .. } => {
+                f(*ptr);
+                f(*src);
+            }
+            Inst::Call { args, .. } => args.iter().copied().for_each(f),
+        }
+    }
+
+    /// The values defined by this instruction, in order.
+    pub fn defs(&self) -> Vec<ValueId> {
+        let mut out = Vec::new();
+        self.for_each_def(|v| out.push(v));
+        out
     }
 
     /// The values used by this instruction.
     pub fn uses(&self) -> Vec<ValueId> {
-        match self {
-            Inst::Const { .. } | Inst::Alloc { .. } | Inst::GlobalAddr { .. } => vec![],
-            Inst::Copy { src, .. } => vec![*src],
-            Inst::Phi { incomings, .. } => incomings.iter().map(|&(_, v)| v).collect(),
-            Inst::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Un { operand, .. } => vec![*operand],
-            Inst::Load { ptr, .. } => vec![*ptr],
-            Inst::Store { ptr, src, .. } => vec![*ptr, *src],
-            Inst::Call { args, .. } => args.clone(),
-        }
+        let mut out = Vec::new();
+        self.for_each_use(|v| out.push(v));
+        out
     }
 }
 
@@ -270,24 +290,41 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
+    /// Calls `f` on each successor block of this terminator, in order.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match self {
-            Terminator::Jump(b) => vec![*b],
+            Terminator::Jump(b) => f(*b),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Return(_) | Terminator::Unreachable => vec![],
+            } => {
+                f(*then_bb);
+                f(*else_bb);
+            }
+            Terminator::Return(_) | Terminator::Unreachable => {}
+        }
+    }
+
+    /// Successor blocks of this terminator.
+    pub fn successors(&self) -> Vec<BlockId> {
+        let mut out = Vec::new();
+        self.for_each_successor(|b| out.push(b));
+        out
+    }
+
+    /// Calls `f` on each value this terminator uses, in order.
+    pub fn for_each_use(&self, mut f: impl FnMut(ValueId)) {
+        match self {
+            Terminator::Branch { cond, .. } => f(*cond),
+            Terminator::Return(vs) => vs.iter().copied().for_each(f),
+            Terminator::Jump(_) | Terminator::Unreachable => {}
         }
     }
 
     /// Values used by this terminator.
     pub fn uses(&self) -> Vec<ValueId> {
-        match self {
-            Terminator::Branch { cond, .. } => vec![*cond],
-            Terminator::Return(vs) => vs.clone(),
-            _ => vec![],
-        }
+        let mut out = Vec::new();
+        self.for_each_use(|v| out.push(v));
+        out
     }
 }
 
@@ -375,9 +412,7 @@ impl Function {
             block,
             index: u32::try_from(idx).expect("too many instructions"),
         };
-        for d in inst.defs() {
-            self.values[d.0 as usize].def = Some(id);
-        }
+        inst.for_each_def(|d| self.values[d.0 as usize].def = Some(id));
         self.blocks[block.0 as usize].insts.push(inst);
         id
     }

@@ -163,7 +163,7 @@ fn phi_gates_are_exhaustive() {
                 .iter()
                 .map(|&(p, _): &(pinpoint_ir::BlockId, ValueId)| {
                     let g = gating.gate(id.block, p);
-                    symbols.gate_term(&mut arena, fid, f, &g)
+                    symbols.gate_term(&mut arena, fid, f, g)
                 })
                 .collect();
             let any = arena.or(gates);

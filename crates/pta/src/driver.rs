@@ -14,13 +14,12 @@
 //!    points-to sets and the conditional memory def-use edges consumed by
 //!    the SEG builder.
 
-use crate::intra::{analyze_function_with, AuxParamBinding, FuncPta, PtaStats};
+use crate::intra::{analyze_function_over, AuxParamBinding, FlowFacts, FuncPta, PtaStats};
 use crate::symbols::Symbols;
 use crate::transform::{insert_connectors, rewrite_call_sites, AuxShape};
-use pinpoint_ir::{CallGraph, FuncId, Function, Module, ValueId};
+use pinpoint_ir::{CallGraph, FuncId, Function, Module, Terminator, ValueId};
 use pinpoint_obs::TraceBuf;
 use pinpoint_smt::{LinearSolver, TermArena, TermTranslator};
-use std::collections::HashMap;
 
 /// Result of the whole-module pipeline.
 #[derive(Debug, Default)]
@@ -110,21 +109,26 @@ pub fn analyze_module_with(module: &mut Module, config: &PtaConfig) -> ModuleAna
     crate::incremental::reanalyze(module, None, &callgraph, config).0
 }
 
-/// The connector shape `caller`'s call sites to `name` are rewritten
-/// against: `None` for intrinsics, unknown names and same-SCC recursion
-/// (summary unavailable, §4.2).
-fn callee_shape<'a>(
-    module: &Module,
+/// The callees whose connectors `caller`'s call sites are rewritten
+/// against, by name (sorted): every callee with a non-empty shape outside
+/// `caller`'s own SCC (same-SCC recursion is summary-free, §4.2). Read off
+/// the call graph, so looking a call's name up costs a few string
+/// comparisons against this short list instead of a hash of the module's
+/// name index — most calls target nothing on it.
+fn connected_callees<'a>(
+    module: &'a Module,
     caller: FuncId,
-    name: &str,
     shapes: &'a [AuxShape],
     callgraph: &CallGraph,
-) -> Option<&'a AuxShape> {
-    let target = module.func_by_name(name)?;
-    if callgraph.same_scc(caller, target) {
-        return None;
-    }
-    Some(&shapes[target.0 as usize])
+) -> Vec<(&'a str, &'a AuxShape)> {
+    let mut connected: Vec<(&str, &AuxShape)> = callgraph
+        .callees(caller)
+        .iter()
+        .filter(|&&c| !shapes[c.0 as usize].is_empty() && !callgraph.same_scc(caller, c))
+        .map(|&c| (module.func(c).name.as_str(), &shapes[c.0 as usize]))
+        .collect();
+    connected.sort_unstable_by_key(|&(name, _)| name);
+    connected
 }
 
 /// Steps 1–4 of the [module docs](self) on `f`, function `fid`'s body
@@ -145,18 +149,50 @@ pub(crate) fn analyze_function(
     config: &PtaConfig,
 ) -> (AuxShape, FuncPta) {
     // 1. Rewrite call sites against finished callee shapes.
-    rewrite_call_sites(f, |name| callee_shape(module, fid, name, shapes, callgraph));
+    let connected = connected_callees(module, fid, shapes, callgraph);
+    rewrite_call_sites(f, |name| {
+        let i = connected.binary_search_by_key(&name, |&(n, _)| n).ok()?;
+        Some(connected[i].1)
+    });
+    // The transform adds instructions and return operands, never blocks,
+    // successors or branch conditions, so one set of control-flow facts
+    // (reach conditions included: their terms are cached from here on)
+    // serves both passes.
+    let flow = FlowFacts::new(arena, symbols, fid, f);
+    let control = |f: &Function| -> Vec<Terminator> {
+        f.blocks
+            .iter()
+            .map(|b| match &b.term {
+                Terminator::Return(_) => Terminator::Return(Vec::new()),
+                other => other.clone(),
+            })
+            .collect()
+    };
+    let control_before = cfg!(debug_assertions).then(|| control(f));
     // 2. Mod/Ref pass (pre-connector body).
-    let pass1 = analyze_function_with(arena, symbols, linear, fid, f, &[], config.prune);
+    let pass1 = analyze_function_over(arena, symbols, linear, fid, f, &[], config.prune, &flow);
     // 3. Insert connectors.
     let shape = insert_connectors(f, &pass1.refs, &pass1.mods);
+    debug_assert!(
+        control_before.is_none_or(|before| before == control(f)),
+        "the connector transform must not change control flow"
+    );
     // 4. Final pass on the transformed body.
     let bindings: Vec<AuxParamBinding> = shape
         .aux_params
         .iter()
         .map(|&(path, value)| AuxParamBinding { path, value })
         .collect();
-    let pta = analyze_function_with(arena, symbols, linear, fid, f, &bindings, config.prune);
+    let pta = analyze_function_over(
+        arena,
+        symbols,
+        linear,
+        fid,
+        f,
+        &bindings,
+        config.prune,
+        &flow,
+    );
     (shape, pta)
 }
 
@@ -257,13 +293,9 @@ fn merge_one(fid: FuncId, f: &Function, r: FuncResult, out: &mut ModuleAnalysis)
     for d in &mut func_pta.mem_deps {
         d.cond = tr.translate(&r.arena, arena, d.cond);
     }
-    let mut keys: Vec<ValueId> = func_pta.points_to.keys().copied().collect();
-    keys.sort_unstable();
-    for k in keys {
-        for (_, c) in func_pta.points_to.get_mut(&k).expect("key just listed") {
-            *c = tr.translate(&r.arena, arena, *c);
-        }
-    }
+    func_pta
+        .points_to
+        .map_conds(|c| tr.translate(&r.arena, arena, c));
     for g in &mut func_pta.global_stores {
         g.cond = tr.translate(&r.arena, arena, g.cond);
     }
@@ -347,7 +379,7 @@ pub fn analyze_module_par(
         // the module immediately so caller levels rewrite against it.
         // Misses are detached so workers can transform them while the
         // module stays borrowable.
-        let mut hits: HashMap<FuncId, FuncResult> = HashMap::new();
+        let mut hits: Vec<Option<FuncResult>> = Vec::with_capacity(level_fids.len());
         let mut work: Vec<(FuncId, Function)> = Vec::new();
         for &fid in level_fids {
             let hit = store
@@ -356,9 +388,12 @@ pub fn analyze_module_par(
             match hit {
                 Some(art) => {
                     *module.func_mut(fid) = art.body;
-                    hits.insert(fid, art.result);
+                    hits.push(Some(art.result));
                 }
-                None => work.push((fid, detach(module, fid))),
+                None => {
+                    hits.push(None);
+                    work.push((fid, detach(module, fid)));
+                }
             }
         }
 
@@ -381,8 +416,8 @@ pub fn analyze_module_par(
         // Uniform deterministic merge over hits and misses alike, in the
         // level's bottom-up order (`fresh` is in that order too).
         let mut fresh = fresh.into_iter();
-        for &fid in level_fids {
-            let r = hits.remove(&fid).unwrap_or_else(|| {
+        for (&fid, hit) in level_fids.iter().zip(hits) {
+            let r = hit.unwrap_or_else(|| {
                 let mut r = fresh.next().expect("level function analyzed");
                 if let Some((keys, st)) = store.as_mut() {
                     // The body moves through the artifact and back: the
@@ -408,6 +443,7 @@ mod tests {
     use super::*;
     use crate::object::AccessPath;
     use pinpoint_ir::{compile, Inst};
+    use std::collections::HashMap;
 
     #[test]
     fn figure2_pipeline_end_to_end() {
@@ -653,11 +689,9 @@ mod tests {
             for fid in 0..m0.funcs.len() {
                 let fid = pinpoint_ir::FuncId(fid as u32);
                 assert_eq!(a0.func_pta(fid).mem_deps, a.func_pta(fid).mem_deps);
-                let mut p0: Vec<_> = a0.func_pta(fid).points_to.iter().collect();
-                let mut p1: Vec<_> = a.func_pta(fid).points_to.iter().collect();
-                p0.sort_by_key(|(v, _)| **v);
-                p1.sort_by_key(|(v, _)| **v);
-                assert_eq!(format!("{p0:?}"), format!("{p1:?}"));
+                let p0: Vec<_> = a0.func_pta(fid).points_to.iter().collect();
+                let p1: Vec<_> = a.func_pta(fid).points_to.iter().collect();
+                assert_eq!(p0, p1);
             }
             assert_eq!(a0.symbols.len(), a.symbols.len());
         }
@@ -692,8 +726,7 @@ mod tests {
             let mut out = format!("terms={} symbols={}\n", a.arena.len(), a.symbols.len());
             for (fid, f) in m.iter_funcs() {
                 let p = a.func_pta(fid);
-                let mut pts: Vec<_> = p.points_to.iter().collect();
-                pts.sort_by_key(|(v, _)| **v);
+                let pts: Vec<_> = p.points_to.iter().collect();
                 out.push_str(&format!(
                     "{:?}\n{:?}\n{:?}\n{pts:?}\n{:?}\n{:?}\n{:?}\n",
                     f.blocks,

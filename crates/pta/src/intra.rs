@@ -13,14 +13,19 @@
 //! sensitivity: no SMT solving happens here, but most infeasible-path
 //! facts never survive into the SEG.
 
+// Analysis state is indexed by the function's dense ids; a hash container
+// here would reintroduce per-process iteration order (see `clippy.toml`).
+#![deny(clippy::disallowed_types)]
+
 use crate::object::{AccessPath, Obj, MAX_PATH_DEPTH};
 use crate::reach::ReachConds;
 use crate::symbols::Symbols;
 use pinpoint_ir::{
-    intrinsics, Cfg, DomTree, FuncId, Function, Gating, GlobalId, Inst, InstId, ValueId,
+    intrinsics, BlockId, Cfg, DomTree, FuncId, Function, Gating, GlobalId, Inst, InstId, ValueId,
 };
 use pinpoint_smt::{LinearSolver, LinearVerdict, TermArena, TermId};
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::collections::BTreeMap;
 
 /// A conditional memory dependence: the value stored at `store_site` flows
 /// to the value loaded at `load_site` when `cond` holds.
@@ -78,13 +83,100 @@ impl PtaStats {
     }
 }
 
+/// One guarded points-to fact: the object and the condition it is
+/// targeted under.
+pub type Fact = (Obj, TermId);
+
+/// The guarded points-to sets of one function's values, indexed by
+/// [`ValueId`]: a `(start, len)` span per value into one fact pool. SSA
+/// values are defined once, so each span is written once and the pool
+/// only grows.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct PointsTo {
+    spans: Vec<(u32, u32)>,
+    facts: Vec<Fact>,
+}
+
+impl PointsTo {
+    /// An all-empty table for a function with `values` SSA values.
+    pub fn new(values: usize) -> Self {
+        PointsTo {
+            spans: vec![(0, 0); values],
+            facts: Vec::new(),
+        }
+    }
+
+    fn span(&self, (start, len): (u32, u32)) -> &[Fact] {
+        &self.facts[start as usize..(start + len) as usize]
+    }
+
+    /// Guarded points-to set of `v` (empty when untracked or out of
+    /// range).
+    pub fn get(&self, v: ValueId) -> &[Fact] {
+        self.spans
+            .get(v.0 as usize)
+            .map_or(&[], |&span| self.span(span))
+    }
+
+    /// Sets the points-to set of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a value of the function the table was sized
+    /// for, or the pool outgrows `u32`.
+    pub fn set(&mut self, v: ValueId, facts: &[Fact]) {
+        let start = u32::try_from(self.facts.len()).expect("points-to pool overflow");
+        let len = u32::try_from(facts.len()).expect("points-to pool overflow");
+        self.facts.extend_from_slice(facts);
+        self.spans[v.0 as usize] = (start, len);
+    }
+
+    /// Gives `dst` the points-to set `src` has now.
+    fn copy(&mut self, dst: ValueId, src: ValueId) {
+        let Some(&(start, len)) = self.spans.get(src.0 as usize) else {
+            return;
+        };
+        if len == 0 {
+            return;
+        }
+        let new_start = u32::try_from(self.facts.len()).expect("points-to pool overflow");
+        self.facts
+            .extend_from_within(start as usize..(start + len) as usize);
+        self.spans[dst.0 as usize] = (new_start, len);
+    }
+
+    /// The tracked values with their sets, in ascending [`ValueId`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (ValueId, &[Fact])> + '_ {
+        self.spans
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, len))| len != 0)
+            .map(|(i, &span)| (ValueId(i as u32), self.span(span)))
+    }
+
+    /// Rewrites every fact's condition through `f`, visiting values in
+    /// ascending [`ValueId`] order and each set in its own order.
+    pub fn map_conds(&mut self, mut f: impl FnMut(TermId) -> TermId) {
+        for &(start, len) in &self.spans {
+            for fact in &mut self.facts[start as usize..(start + len) as usize] {
+                fact.1 = f(fact.1);
+            }
+        }
+    }
+
+    /// Number of facts across all values.
+    pub fn fact_count(&self) -> usize {
+        self.spans.iter().map(|&(_, len)| len as usize).sum()
+    }
+}
+
 /// Result of analysing one function.
 #[derive(Debug, Default, Clone)]
 pub struct FuncPta {
     /// Conditional memory def-use edges.
     pub mem_deps: Vec<MemDep>,
     /// Final guarded points-to sets.
-    pub points_to: HashMap<ValueId, Vec<(Obj, TermId)>>,
+    pub points_to: PointsTo,
     /// Referenced parameter-rooted access paths (Mod/Ref "REF").
     pub refs: Vec<AccessPath>,
     /// Modified parameter-rooted access paths (Mod/Ref "MOD").
@@ -99,8 +191,8 @@ pub struct FuncPta {
 
 impl FuncPta {
     /// Guarded points-to set of `v` (empty slice when untracked).
-    pub fn pt(&self, v: ValueId) -> &[(Obj, TermId)] {
-        self.points_to.get(&v).map_or(&[], Vec::as_slice)
+    pub fn pt(&self, v: ValueId) -> &[Fact] {
+        self.points_to.get(v)
     }
 }
 
@@ -124,6 +216,41 @@ pub struct AuxParamBinding {
     pub path: AccessPath,
     /// The Aux formal parameter value.
     pub value: ValueId,
+}
+
+/// The control-flow facts a points-to pass reads. They depend only on the
+/// function's blocks, successors and branch conditions, so one set serves
+/// every pass over bodies that differ in their other instructions alone.
+#[derive(Debug)]
+pub struct FlowFacts {
+    cfg: Cfg,
+    topo: Vec<BlockId>,
+    /// Reach condition per block, as terms of the arena they were built
+    /// in.
+    reach: ReachConds,
+    /// φ gates, computed at the first φ.
+    gating: OnceCell<Gating>,
+}
+
+impl FlowFacts {
+    /// Computes the facts of `f`, function `fid`, with conditions in
+    /// `arena`.
+    pub fn new(arena: &mut TermArena, symbols: &mut Symbols, fid: FuncId, f: &Function) -> Self {
+        let cfg = Cfg::new(f);
+        let topo = cfg.topo_order(f.entry());
+        let reach = ReachConds::over(arena, symbols, fid, f, &topo);
+        FlowFacts {
+            cfg,
+            topo,
+            reach,
+            gating: OnceCell::new(),
+        }
+    }
+
+    fn gating(&self, f: &Function) -> &Gating {
+        self.gating
+            .get_or_init(|| Gating::new(f, &self.cfg, &DomTree::dominators(f, &self.cfg)))
+    }
 }
 
 /// Runs the quasi path-sensitive points-to analysis over `f`.
@@ -155,67 +282,75 @@ pub fn analyze_function_with(
     aux_params: &[AuxParamBinding],
     prune: bool,
 ) -> FuncPta {
-    let cfg = Cfg::new(f);
-    let dom = DomTree::dominators(f, &cfg);
-    let gating = Gating::new(f, &cfg, &dom);
-    let reach = ReachConds::new(arena, symbols, fid, f, &cfg);
+    let flow = FlowFacts::new(arena, symbols, fid, f);
+    analyze_function_over(arena, symbols, linear, fid, f, aux_params, prune, &flow)
+}
+
+/// [`analyze_function_with`] over control-flow facts the caller computed:
+/// `flow` must describe `f`'s blocks and terminators (see [`FlowFacts`])
+/// and hold its conditions in `arena`.
+#[allow(clippy::too_many_arguments)]
+pub fn analyze_function_over(
+    arena: &mut TermArena,
+    symbols: &mut Symbols,
+    linear: &mut LinearSolver,
+    fid: FuncId,
+    f: &Function,
+    aux_params: &[AuxParamBinding],
+    prune: bool,
+    flow: &FlowFacts,
+) -> FuncPta {
     let mut st = State {
-        arena,
+        pruner: Pruner {
+            arena,
+            linear,
+            prune,
+            stats: PtaStats::default(),
+        },
         symbols,
-        linear,
         fid,
         f,
-        prune,
-        pt: HashMap::new(),
-        mem: HashMap::new(),
+        pt: PointsTo::new(f.values.len()),
+        #[cfg(test)]
+        reference: Default::default(),
+        mem: BTreeMap::new(),
         out: FuncPta::default(),
     };
     // Parameter pseudo-chains: every pointer-typed original parameter
     // points to its depth-1 pseudo object; Aux formals point one past
     // their path.
-    let aux_values: Vec<ValueId> = aux_params.iter().map(|b| b.value).collect();
     for (i, &p) in f.params.iter().enumerate() {
-        if aux_values.contains(&p) {
+        if aux_params.iter().any(|b| b.value == p) {
             continue;
         }
         if f.ty(p).is_ptr() {
-            let t = st.arena.tru();
-            st.pt.insert(
-                p,
-                vec![(
-                    Obj::Param {
-                        root: i as u32,
-                        depth: 1,
-                    },
-                    t,
-                )],
-            );
+            let t = st.pruner.arena.tru();
+            let obj = Obj::Param {
+                root: i as u32,
+                depth: 1,
+            };
+            st.set_pt(p, &[(obj, t)]);
         }
     }
     for b in aux_params {
         if f.ty(b.value).is_ptr() && b.path.depth < MAX_PATH_DEPTH {
-            let t = st.arena.tru();
-            st.pt.insert(
-                b.value,
-                vec![(
-                    Obj::Param {
-                        root: b.path.root,
-                        depth: b.path.depth + 1,
-                    },
-                    t,
-                )],
-            );
+            let t = st.pruner.arena.tru();
+            let obj = Obj::Param {
+                root: b.path.root,
+                depth: b.path.depth + 1,
+            };
+            st.set_pt(b.value, &[(obj, t)]);
         }
     }
     // Single pass in topological order.
-    for b in cfg.topo_order(f.entry()) {
-        let theta = reach.cond(b);
+    for &b in &flow.topo {
+        let theta = flow.reach.cond(b);
         for (idx, inst) in f.block(b).insts.iter().enumerate() {
             let site = InstId {
                 block: b,
                 index: idx as u32,
             };
-            st.step(site, inst, theta, &gating);
+            st.step(site, inst, theta, flow);
         }
     }
     let mut out = st.finish();
@@ -226,26 +361,17 @@ pub fn analyze_function_with(
     out
 }
 
-struct State<'a> {
+/// The guarded-conjunction half of the pass state: everything
+/// [`Pruner::conjoin`] touches, apart from the tables the pass iterates
+/// while conjoining.
+struct Pruner<'a> {
     arena: &'a mut TermArena,
-    symbols: &'a mut Symbols,
     linear: &'a mut LinearSolver,
-    fid: FuncId,
-    f: &'a Function,
     prune: bool,
-    /// Guarded points-to sets of SSA values.
-    pt: HashMap<ValueId, Vec<(Obj, TermId)>>,
-    /// Guarded memory contents.
-    mem: HashMap<Obj, Vec<(MemVal, TermId)>>,
-    out: FuncPta,
+    stats: PtaStats,
 }
 
-impl<'a> State<'a> {
-    fn finish(mut self) -> FuncPta {
-        self.out.points_to = self.pt;
-        self.out
-    }
-
+impl Pruner<'_> {
     /// Guarded conjunction with on-the-spot pruning; `None` when the
     /// linear solver refutes the conjunction.
     fn conjoin(&mut self, a: TermId, b: TermId) -> Option<TermId> {
@@ -254,61 +380,116 @@ impl<'a> State<'a> {
             if self.arena.is_false(c) {
                 return None; // structurally false facts are never useful
             }
-            self.out.stats.kept += 1;
+            self.stats.kept += 1;
             return Some(c);
         }
-        self.out.stats.linear_checks += 1;
+        self.stats.linear_checks += 1;
         match self.linear.check(self.arena, c) {
             LinearVerdict::Unsat => {
-                self.out.stats.pruned += 1;
+                self.stats.pruned += 1;
                 None
             }
             LinearVerdict::Unknown => {
-                self.out.stats.kept += 1;
+                self.stats.kept += 1;
                 Some(c)
             }
         }
     }
 
     /// Quasi path-sensitive feasibility probe: `true` unless the linear
-    /// solver refutes `a ∧ b`. Unlike [`State::conjoin`] the conjunction is
-    /// only tested, not returned — used to prune a dependence against the
-    /// consuming statement's reach condition without baking that condition
-    /// into the edge label (the SEG adds control dependence separately).
+    /// solver refutes `a ∧ b`. Unlike [`Pruner::conjoin`] the conjunction
+    /// is only tested, not returned — used to prune a dependence against
+    /// the consuming statement's reach condition without baking that
+    /// condition into the edge label (the SEG adds control dependence
+    /// separately).
     fn feasible(&mut self, a: TermId, b: TermId) -> bool {
         if !self.prune {
             return true;
         }
         let c = self.arena.and2(a, b);
-        self.out.stats.linear_checks += 1;
+        self.stats.linear_checks += 1;
         match self.linear.check(self.arena, c) {
             LinearVerdict::Unsat => {
-                self.out.stats.pruned += 1;
+                self.stats.pruned += 1;
                 false
             }
             LinearVerdict::Unknown => true,
         }
     }
+}
 
-    fn pt_of(&self, v: ValueId) -> Vec<(Obj, TermId)> {
-        self.pt.get(&v).cloned().unwrap_or_default()
+struct State<'a> {
+    pruner: Pruner<'a>,
+    symbols: &'a mut Symbols,
+    fid: FuncId,
+    f: &'a Function,
+    /// Guarded points-to sets of SSA values.
+    pt: PointsTo,
+    /// The keyed map `pt` replaced, written in step with it: the oracle
+    /// [`State::finish`] compares the dense table against.
+    #[cfg(test)]
+    #[allow(clippy::disallowed_types)]
+    reference: std::collections::HashMap<ValueId, Vec<Fact>>,
+    /// Guarded memory contents. Keyed, not dense: the objects a function
+    /// touches are a sparse subset of sites × globals × parameter paths.
+    mem: BTreeMap<Obj, Vec<(MemVal, TermId)>>,
+    out: FuncPta,
+}
+
+/// The memory contents of `o`, created on first touch: a parameter
+/// pseudo-object starts out pointing down its chain.
+fn mem_entries<'m>(
+    mem: &'m mut BTreeMap<Obj, Vec<(MemVal, TermId)>>,
+    arena: &mut TermArena,
+    o: Obj,
+) -> &'m mut Vec<(MemVal, TermId)> {
+    mem.entry(o).or_insert_with(|| match o {
+        Obj::Param { depth, .. } if depth < MAX_PATH_DEPTH => {
+            let next = o.next_in_chain().expect("param chains extend");
+            vec![(MemVal::InitialPtr(next), arena.tru())]
+        }
+        _ => Vec::new(),
+    })
+}
+
+fn record_path(paths: &mut Vec<AccessPath>, o: Obj) {
+    if let Obj::Param { root, depth } = o {
+        if depth <= MAX_PATH_DEPTH {
+            paths.push(AccessPath { root, depth });
+        }
+    }
+}
+
+impl State<'_> {
+    fn set_pt(&mut self, v: ValueId, facts: &[Fact]) {
+        #[cfg(test)]
+        self.reference.insert(v, facts.to_vec());
+        self.pt.set(v, facts);
     }
 
-    /// Initial memory contents of a pseudo-object chain (lazy).
-    fn mem_entries(&mut self, o: Obj) -> Vec<(MemVal, TermId)> {
-        if let Some(e) = self.mem.get(&o) {
-            return e.clone();
+    fn copy_pt(&mut self, dst: ValueId, src: ValueId) {
+        #[cfg(test)]
+        if let Some(p) = self.reference.get(&src).cloned() {
+            self.reference.insert(dst, p);
         }
-        let init = match o {
-            Obj::Param { depth, .. } if depth < MAX_PATH_DEPTH => {
-                let next = o.next_in_chain().expect("param chains extend");
-                let t = self.arena.tru();
-                vec![(MemVal::InitialPtr(next), t)]
-            }
-            _ => Vec::new(),
-        };
-        self.mem.insert(o, init.clone());
-        init
+        self.pt.copy(dst, src);
+    }
+
+    fn finish(mut self) -> FuncPta {
+        #[cfg(test)]
+        {
+            let mut expected: Vec<(ValueId, &[Fact])> = self
+                .reference
+                .iter()
+                .map(|(&v, set)| (v, set.as_slice()))
+                .collect();
+            expected.sort_unstable_by_key(|&(v, _)| v);
+            let dense: Vec<(ValueId, &[Fact])> = self.pt.iter().collect();
+            assert_eq!(dense, expected, "dense points-to ≠ reference map");
+        }
+        self.out.points_to = self.pt;
+        self.out.stats = self.pruner.stats;
+        self.out
     }
 
     /// Objects targeted by dereferencing `ptr` exactly `depth` times,
@@ -316,29 +497,24 @@ impl<'a> State<'a> {
     ///
     /// Depth 1 returns `pt(ptr)`. Depth k > 1 reads the contents of the
     /// depth-(k−1) targets and resolves them to objects.
-    fn targets_at_depth(
-        &mut self,
-        ptr: ValueId,
-        depth: u32,
-        record_ref: bool,
-    ) -> Vec<(Obj, TermId)> {
-        let mut cur = self.pt_of(ptr);
+    fn targets_at_depth(&mut self, ptr: ValueId, depth: u32) -> Vec<Fact> {
+        let mut cur = self.pt.get(ptr).to_vec();
         for _level in 1..depth {
-            let mut next: Vec<(Obj, TermId)> = Vec::new();
+            let mut next: Vec<Fact> = Vec::new();
             for (o, c) in cur {
-                if record_ref {
-                    self.record_ref(o);
-                }
-                for (val, vc) in self.mem_entries(o) {
-                    let Some(cc) = self.conjoin(c, vc) else {
+                record_path(&mut self.out.refs, o);
+                for &(val, vc) in &*mem_entries(&mut self.mem, self.pruner.arena, o) {
+                    let Some(cc) = self.pruner.conjoin(c, vc) else {
                         continue;
                     };
                     match val {
-                        MemVal::InitialPtr(o2) => push_target(&mut next, o2, cc, self.arena),
+                        MemVal::InitialPtr(o2) => {
+                            push_target(&mut next, o2, cc, self.pruner.arena);
+                        }
                         MemVal::Value(v, _) => {
-                            for (o2, c2) in self.pt_of(v) {
-                                if let Some(c3) = self.conjoin(cc, c2) {
-                                    push_target(&mut next, o2, c3, self.arena);
+                            for &(o2, c2) in self.pt.get(v) {
+                                if let Some(c3) = self.pruner.conjoin(cc, c2) {
+                                    push_target(&mut next, o2, c3, self.pruner.arena);
                                 }
                             }
                         }
@@ -350,62 +526,43 @@ impl<'a> State<'a> {
         cur
     }
 
-    fn record_ref(&mut self, o: Obj) {
-        if let Obj::Param { root, depth } = o {
-            if depth <= MAX_PATH_DEPTH {
-                self.out.refs.push(AccessPath { root, depth });
-            }
-        }
-    }
-
-    fn record_mod(&mut self, o: Obj) {
-        if let Obj::Param { root, depth } = o {
-            if depth <= MAX_PATH_DEPTH {
-                self.out.mods.push(AccessPath { root, depth });
-            }
-        }
-    }
-
-    fn step(&mut self, site: InstId, inst: &Inst, theta: TermId, gating: &Gating) {
+    fn step(&mut self, site: InstId, inst: &Inst, theta: TermId, flow: &FlowFacts) {
         match inst {
             Inst::Const { .. } => {}
-            Inst::Copy { dst, src } => {
-                let p = self.pt_of(*src);
-                if !p.is_empty() {
-                    self.pt.insert(*dst, p);
-                }
-            }
+            Inst::Copy { dst, src } => self.copy_pt(*dst, *src),
             Inst::Phi { dst, incomings } => {
-                let mut set: Vec<(Obj, TermId)> = Vec::new();
+                let mut set: Vec<Fact> = Vec::new();
                 for &(pred, v) in incomings {
-                    let gate = gating.gate(site.block, pred);
-                    let g = self.symbols.gate_term(self.arena, self.fid, self.f, &gate);
-                    for (o, c) in self.pt_of(v) {
-                        if let Some(cc) = self.conjoin(g, c) {
-                            push_target(&mut set, o, cc, self.arena);
+                    let gate = flow.gating(self.f).gate(site.block, pred);
+                    let g = self
+                        .symbols
+                        .gate_term(self.pruner.arena, self.fid, self.f, gate);
+                    for &(o, c) in self.pt.get(v) {
+                        if let Some(cc) = self.pruner.conjoin(g, c) {
+                            push_target(&mut set, o, cc, self.pruner.arena);
                         }
                     }
                 }
                 if !set.is_empty() {
-                    self.pt.insert(*dst, set);
+                    self.set_pt(*dst, &set);
                 }
             }
             Inst::Bin { .. } | Inst::Un { .. } => {}
             Inst::Alloc { dst } => {
-                let t = self.arena.tru();
-                self.pt.insert(*dst, vec![(Obj::Alloc(site), t)]);
+                let t = self.pruner.arena.tru();
+                self.set_pt(*dst, &[(Obj::Alloc(site), t)]);
                 self.mem.entry(Obj::Alloc(site)).or_default();
             }
             Inst::GlobalAddr { dst, global } => {
-                let t = self.arena.tru();
-                self.pt.insert(*dst, vec![(Obj::Global(*global), t)]);
+                let t = self.pruner.arena.tru();
+                self.set_pt(*dst, &[(Obj::Global(*global), t)]);
                 self.mem.entry(Obj::Global(*global)).or_default();
             }
             Inst::Load { dst, ptr, depth } => {
-                let targets = self.targets_at_depth(*ptr, *depth, true);
-                let mut new_pt: Vec<(Obj, TermId)> = Vec::new();
+                let targets = self.targets_at_depth(*ptr, *depth);
+                let mut new_pt: Vec<Fact> = Vec::new();
                 for (o, c) in targets {
-                    self.record_ref(o);
+                    record_path(&mut self.out.refs, o);
                     if let Obj::Global(g) = o {
                         self.out.global_loads.push(GlobalAccess {
                             global: g,
@@ -414,11 +571,11 @@ impl<'a> State<'a> {
                             site,
                         });
                     }
-                    for (val, vc) in self.mem_entries(o) {
-                        let Some(cc) = self.conjoin(c, vc) else {
+                    for &(val, vc) in &*mem_entries(&mut self.mem, self.pruner.arena, o) {
+                        let Some(cc) = self.pruner.conjoin(c, vc) else {
                             continue;
                         };
-                        if !self.feasible(theta, cc) {
+                        if !self.pruner.feasible(theta, cc) {
                             continue; // infeasible on every path to this load
                         }
                         match val {
@@ -430,27 +587,27 @@ impl<'a> State<'a> {
                                     dst: *dst,
                                     cond: cc,
                                 });
-                                for (o2, c2) in self.pt_of(v) {
-                                    if let Some(c3) = self.conjoin(cc, c2) {
-                                        push_target(&mut new_pt, o2, c3, self.arena);
+                                for &(o2, c2) in self.pt.get(v) {
+                                    if let Some(c3) = self.pruner.conjoin(cc, c2) {
+                                        push_target(&mut new_pt, o2, c3, self.pruner.arena);
                                     }
                                 }
                             }
                             MemVal::InitialPtr(o2) => {
-                                push_target(&mut new_pt, o2, cc, self.arena);
+                                push_target(&mut new_pt, o2, cc, self.pruner.arena);
                             }
                         }
                     }
                 }
                 if !new_pt.is_empty() {
-                    self.pt.insert(*dst, new_pt);
+                    self.set_pt(*dst, &new_pt);
                 }
             }
             Inst::Store { ptr, depth, src } => {
-                let targets = self.targets_at_depth(*ptr, *depth, true);
+                let targets = self.targets_at_depth(*ptr, *depth);
                 for (o, c) in targets {
-                    self.record_mod(o);
-                    let Some(guard) = self.conjoin(theta, c) else {
+                    record_path(&mut self.out.mods, o);
+                    let Some(guard) = self.pruner.conjoin(theta, c) else {
                         continue;
                     };
                     if let Obj::Global(g) = o {
@@ -461,17 +618,17 @@ impl<'a> State<'a> {
                             site,
                         });
                     }
-                    let not_guard = self.arena.not(guard);
-                    let mut entries = self.mem_entries(o);
+                    let not_guard = self.pruner.arena.not(guard);
                     // Weaken survivors, dropping refuted ones.
-                    let mut kept: Vec<(MemVal, TermId)> = Vec::new();
-                    for (val, vc) in entries.drain(..) {
-                        if let Some(weak) = self.conjoin(vc, not_guard) {
-                            kept.push((val, weak));
+                    let entries = mem_entries(&mut self.mem, self.pruner.arena, o);
+                    entries.retain_mut(|(_, vc)| match self.pruner.conjoin(*vc, not_guard) {
+                        Some(weak) => {
+                            *vc = weak;
+                            true
                         }
-                    }
-                    kept.push((MemVal::Value(*src, site), guard));
-                    self.mem.insert(o, kept);
+                        None => false,
+                    });
+                    entries.push((MemVal::Value(*src, site), guard));
                 }
             }
             Inst::Call { dsts, callee, .. } => {
@@ -482,8 +639,8 @@ impl<'a> State<'a> {
                 }
                 for (i, &d) in dsts.iter().enumerate() {
                     if self.f.ty(d).is_ptr() {
-                        let t = self.arena.tru();
-                        self.pt.insert(d, vec![(Obj::External(site, i as u32), t)]);
+                        let t = self.pruner.arena.tru();
+                        self.set_pt(d, &[(Obj::External(site, i as u32), t)]);
                         self.mem.entry(Obj::External(site, i as u32)).or_default();
                     }
                 }
@@ -494,7 +651,7 @@ impl<'a> State<'a> {
 
 /// Inserts `(obj, cond)` into a guarded set, disjoining conditions for an
 /// existing object.
-fn push_target(set: &mut Vec<(Obj, TermId)>, o: Obj, c: TermId, arena: &mut TermArena) {
+fn push_target(set: &mut Vec<Fact>, o: Obj, c: TermId, arena: &mut TermArena) {
     for (eo, ec) in set.iter_mut() {
         if *eo == o {
             *ec = arena.or2(*ec, c);
@@ -752,6 +909,79 @@ mod tests {
             })
             .unwrap();
         assert!(matches!(pta.pt(recv)[0].0, Obj::External(..)));
+    }
+}
+
+#[cfg(test)]
+mod table_tests {
+    use super::*;
+    use crate::driver::{analyze_module_par, PtaConfig};
+    use pinpoint_ir::{compile, CallGraph, Module};
+    use pinpoint_workload::fuzzgen::{generate, FuzzGenConfig};
+
+    /// Both build paths over `m`; every pass checks its dense table
+    /// against the keyed reference as it finishes ([`State::finish`]).
+    fn analyze_both_ways(m: &Module) {
+        crate::analyze_module(&mut m.clone());
+        for threads in [1, 4] {
+            let mut m = m.clone();
+            let cg = CallGraph::new(&m);
+            let trace = &mut pinpoint_obs::TraceBuf::off();
+            let a = analyze_module_par(&mut m, &PtaConfig::default(), threads, trace, &cg, None);
+            for (p, f) in a.pta.iter().zip(&m.funcs) {
+                for v in (0..f.values.len() as u32).map(ValueId) {
+                    let listed = p.points_to.iter().find(|&(k, _)| k == v);
+                    assert_eq!(p.pt(v), listed.map_or(&[][..], |(_, set)| set));
+                }
+                assert!(p.pt(ValueId(f.values.len() as u32)).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn dense_points_to_matches_reference_map_on_corpus() {
+        let dir = format!("{}/../../tests/corpus", env!("CARGO_MANIFEST_DIR"));
+        let mut files = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "pp") {
+                analyze_both_ways(&compile(&std::fs::read_to_string(&path).unwrap()).unwrap());
+                files += 1;
+            }
+        }
+        assert!(files >= 20, "corpus not found");
+    }
+
+    #[test]
+    fn dense_points_to_matches_reference_map_on_fuzzgen_seeds() {
+        for seed in 1..=50 {
+            let src = generate(&FuzzGenConfig {
+                seed,
+                recursion: true,
+                ..FuzzGenConfig::default()
+            });
+            analyze_both_ways(&compile(&src).unwrap());
+        }
+    }
+
+    #[test]
+    fn table_reads_are_empty_out_of_range_and_copies_are_independent() {
+        let mut t = PointsTo::new(3);
+        let t0 = TermId::from_index(0);
+        let fact = (Obj::Param { root: 0, depth: 1 }, t0);
+        assert!(t.get(ValueId(1)).is_empty() && t.get(ValueId(9)).is_empty());
+        t.set(ValueId(1), &[fact]);
+        t.copy(ValueId(2), ValueId(1));
+        t.copy(ValueId(0), ValueId(0));
+        t.map_conds(|_| TermId::from_index(7));
+        let moved = (fact.0, TermId::from_index(7));
+        let listed: Vec<_> = t.iter().collect();
+        assert_eq!(
+            listed,
+            [(ValueId(1), &[moved][..]), (ValueId(2), &[moved][..])]
+        );
+        assert_eq!(t.fact_count(), 2);
+        assert!(PointsTo::default().get(ValueId(0)).is_empty());
     }
 }
 

@@ -7,7 +7,7 @@
 //! at merges; the resulting terms are hash-consed and shared.
 
 use crate::symbols::Symbols;
-use pinpoint_ir::{Cfg, FuncId, Function, Terminator};
+use pinpoint_ir::{BlockId, Cfg, FuncId, Function, Terminator};
 use pinpoint_smt::{TermArena, TermId};
 
 /// Per-block reach conditions, indexed by block id.
@@ -25,10 +25,22 @@ impl ReachConds {
         f: &Function,
         cfg: &Cfg,
     ) -> Self {
+        Self::over(arena, symbols, fid, f, &cfg.topo_order(f.entry()))
+    }
+
+    /// [`ReachConds::new`] over an already-computed topological order of
+    /// `f`'s reachable blocks.
+    pub fn over(
+        arena: &mut TermArena,
+        symbols: &mut Symbols,
+        fid: FuncId,
+        f: &Function,
+        topo: &[BlockId],
+    ) -> Self {
         let fls = arena.fls();
-        let mut conds = vec![fls; cfg.len()];
+        let mut conds = vec![fls; f.blocks.len()];
         conds[f.entry().0 as usize] = arena.tru();
-        for b in cfg.topo_order(f.entry()) {
+        for &b in topo {
             let here = conds[b.0 as usize];
             match &f.block(b).term {
                 Terminator::Jump(s) => {
@@ -55,7 +67,7 @@ impl ReachConds {
     }
 
     /// Reach condition of `b`.
-    pub fn cond(&self, b: pinpoint_ir::BlockId) -> TermId {
+    pub fn cond(&self, b: BlockId) -> TermId {
         self.conds[b.0 as usize]
     }
 }

@@ -163,7 +163,7 @@ impl Symbols {
             // Parameter or undefined: opaque.
             return self.opaque(arena, fid, f, v);
         };
-        match f.inst(def).clone() {
+        match *f.inst(def) {
             Inst::Const { value, .. } => match value {
                 Const::Int(k) => arena.int(k),
                 Const::Bool(b) => arena.bool_const(b),

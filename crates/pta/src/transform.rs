@@ -20,7 +20,7 @@
 //! the caller's memory with no further special cases.
 
 use crate::object::AccessPath;
-use pinpoint_ir::{Function, Inst, Terminator, Type, ValueId};
+use pinpoint_ir::{BlockId, Function, Inst, InstId, Terminator, Type, ValueId};
 
 /// The connector interface of a transformed function.
 #[derive(Debug, Clone, Default)]
@@ -97,6 +97,9 @@ pub fn insert_connectors(f: &mut Function, refs: &[AccessPath], mods: &[AccessPa
         });
         extra_rets.push(rp);
     }
+    if entry_stores.is_empty() && exit_loads.is_empty() {
+        return shape; // nothing inserted: every def site stands
+    }
     // Splice: entry stores at the very beginning of the entry block.
     let entry = f.entry();
     let eb = &mut f.blocks[entry.0 as usize];
@@ -119,32 +122,45 @@ pub fn rewrite_call_sites<'a, F>(caller: &mut Function, shape_of: F)
 where
     F: Fn(&str) -> Option<&'a AuxShape>,
 {
+    let connected = |inst: &Inst| match inst {
+        Inst::Call { callee, .. } => shape_of(callee).filter(|shape| !shape.is_empty()),
+        _ => None,
+    };
+    let mut rewritten = false;
+    let mut post_stores: Vec<Inst> = Vec::new();
     for bi in 0..caller.blocks.len() {
-        let old = std::mem::take(&mut caller.blocks[bi].insts);
-        let mut new_insts: Vec<Inst> = Vec::with_capacity(old.len());
+        // A block none of whose calls targets a callee with connectors
+        // stays as it is.
+        let Some(first) = caller.blocks[bi]
+            .insts
+            .iter()
+            .position(|inst| connected(inst).is_some())
+        else {
+            continue;
+        };
+        rewritten = true;
+        let mut old = std::mem::take(&mut caller.blocks[bi].insts);
+        let tail = old.split_off(first);
+        let mut new_insts = old;
+        new_insts.reserve(tail.len());
         // Staged rewrites: (pre-loads, call, post-stores) per call.
-        for inst in old {
+        for inst in tail {
+            let Some(shape) = connected(&inst) else {
+                new_insts.push(inst);
+                continue;
+            };
             let Inst::Call {
                 mut dsts,
                 callee,
                 mut args,
             } = inst
             else {
-                new_insts.push(inst);
-                continue;
+                unreachable!("only calls have connectors");
             };
-            let Some(shape) = shape_of(&callee) else {
-                new_insts.push(Inst::Call { dsts, callee, args });
-                continue;
-            };
-            if shape.is_empty() {
-                new_insts.push(Inst::Call { dsts, callee, args });
-                continue;
-            }
-            let orig_args: Vec<ValueId> = args.clone();
+            let orig_args = args.len();
             // A_i ← *(u_j, k) before the call.
             for (path, _fi) in &shape.aux_params {
-                let Some(&uj) = orig_args.get(path.root as usize) else {
+                let Some(&uj) = args[..orig_args].get(path.root as usize) else {
                     continue;
                 };
                 let Some(ty) = caller.ty(uj).deref(path.depth as usize).cloned() else {
@@ -173,9 +189,8 @@ where
                 let pad = caller.new_value("unused_ret", Type::Int);
                 dsts.push(pad);
             }
-            let mut post_stores: Vec<Inst> = Vec::new();
             for (path, _rp) in &shape.aux_rets {
-                let Some(&uq) = orig_args.get(path.root as usize) else {
+                let Some(&uq) = args[..orig_args].get(path.root as usize) else {
                     continue;
                 };
                 let Some(ty) = caller.ty(uq).deref(path.depth as usize).cloned() else {
@@ -192,11 +207,13 @@ where
                 });
             }
             new_insts.push(Inst::Call { dsts, callee, args });
-            new_insts.extend(post_stores);
+            new_insts.append(&mut post_stores);
         }
         caller.blocks[bi].insts = new_insts;
     }
-    rebuild_def_sites(caller);
+    if rewritten {
+        rebuild_def_sites(caller);
+    }
 }
 
 /// Recomputes every value's defining site after block surgery.
@@ -204,11 +221,14 @@ pub fn rebuild_def_sites(f: &mut Function) {
     for v in &mut f.values {
         v.def = None;
     }
-    let ids: Vec<(pinpoint_ir::InstId, Vec<ValueId>)> =
-        f.iter_insts().map(|(id, inst)| (id, inst.defs())).collect();
-    for (id, defs) in ids {
-        for d in defs {
-            f.values[d.0 as usize].def = Some(id);
+    let Function { blocks, values, .. } = f;
+    for (b, blk) in blocks.iter().enumerate() {
+        for (i, inst) in blk.insts.iter().enumerate() {
+            let id = InstId {
+                block: BlockId(b as u32),
+                index: i as u32,
+            };
+            inst.for_each_def(|d| values[d.0 as usize].def = Some(id));
         }
     }
 }

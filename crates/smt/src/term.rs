@@ -731,7 +731,9 @@ impl fmt::Display for RawTermError {
 /// A memo table makes repeated translation of a shared sub-DAG `O(1)`.
 #[derive(Debug, Default)]
 pub struct TermTranslator {
-    memo: HashMap<TermId, TermId>,
+    /// Target id per source id (indexed by [`TermId::index`]); `None`
+    /// until translated. Grows to the source arena's length on demand.
+    memo: Vec<Option<TermId>>,
 }
 
 impl TermTranslator {
@@ -742,75 +744,72 @@ impl TermTranslator {
 
     /// Translates `t` from `src` into `dst`, returning the target id.
     pub fn translate(&mut self, src: &TermArena, dst: &mut TermArena, t: TermId) -> TermId {
-        if let Some(&done) = self.memo.get(&t) {
+        if let Some(&Some(done)) = self.memo.get(t.index()) {
             return done;
         }
-        let out = match src.kind(t).clone() {
-            TermKind::BoolConst(b) => dst.bool_const(b),
-            TermKind::IntConst(v) => dst.int(v),
-            TermKind::Var(name, sort) => dst.var(name, sort),
+        let many = |this: &mut Self, dst: &mut TermArena, xs: &[TermId]| -> Vec<TermId> {
+            xs.iter().map(|&x| this.translate(src, dst, x)).collect()
+        };
+        let out = match src.kind(t) {
+            TermKind::BoolConst(b) => dst.bool_const(*b),
+            TermKind::IntConst(v) => dst.int(*v),
+            TermKind::Var(name, sort) => dst.var(name.as_str(), *sort),
             TermKind::Not(x) => {
-                let x = self.translate(src, dst, x);
+                let x = self.translate(src, dst, *x);
                 dst.not(x)
             }
             TermKind::And(xs) => {
-                let xs: Vec<TermId> = xs
-                    .into_iter()
-                    .map(|x| self.translate(src, dst, x))
-                    .collect();
+                let xs = many(self, dst, xs);
                 dst.and(xs)
             }
             TermKind::Or(xs) => {
-                let xs: Vec<TermId> = xs
-                    .into_iter()
-                    .map(|x| self.translate(src, dst, x))
-                    .collect();
+                let xs = many(self, dst, xs);
                 dst.or(xs)
             }
             TermKind::Ite(c, a, b) => {
-                let c = self.translate(src, dst, c);
-                let a = self.translate(src, dst, a);
-                let b = self.translate(src, dst, b);
+                let c = self.translate(src, dst, *c);
+                let a = self.translate(src, dst, *a);
+                let b = self.translate(src, dst, *b);
                 dst.ite(c, a, b)
             }
             TermKind::Eq(a, b) => {
-                let a = self.translate(src, dst, a);
-                let b = self.translate(src, dst, b);
+                let a = self.translate(src, dst, *a);
+                let b = self.translate(src, dst, *b);
                 dst.eq(a, b)
             }
             TermKind::Lt(a, b) => {
-                let a = self.translate(src, dst, a);
-                let b = self.translate(src, dst, b);
+                let a = self.translate(src, dst, *a);
+                let b = self.translate(src, dst, *b);
                 dst.lt(a, b)
             }
             TermKind::Le(a, b) => {
-                let a = self.translate(src, dst, a);
-                let b = self.translate(src, dst, b);
+                let a = self.translate(src, dst, *a);
+                let b = self.translate(src, dst, *b);
                 dst.le(a, b)
             }
             TermKind::Add(xs) => {
-                let xs: Vec<TermId> = xs
-                    .into_iter()
-                    .map(|x| self.translate(src, dst, x))
-                    .collect();
+                let xs = many(self, dst, xs);
                 dst.add(xs)
             }
             TermKind::Sub(a, b) => {
-                let a = self.translate(src, dst, a);
-                let b = self.translate(src, dst, b);
+                let a = self.translate(src, dst, *a);
+                let b = self.translate(src, dst, *b);
                 dst.sub(a, b)
             }
             TermKind::Mul(a, b) => {
-                let a = self.translate(src, dst, a);
-                let b = self.translate(src, dst, b);
+                let a = self.translate(src, dst, *a);
+                let b = self.translate(src, dst, *b);
                 dst.mul(a, b)
             }
             TermKind::Neg(a) => {
-                let a = self.translate(src, dst, a);
+                let a = self.translate(src, dst, *a);
                 dst.neg(a)
             }
         };
-        self.memo.insert(t, out);
+        if self.memo.len() < src.len() {
+            self.memo.resize(src.len(), None);
+        }
+        self.memo[t.index()] = Some(out);
         out
     }
 }

@@ -445,6 +445,7 @@ fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
     println!("threads:          {}", analysis.threads());
     println!("SEG vertices:     {}", s.seg_vertices);
     println!("SEG edges:        {}", s.seg_edges);
+    println!("SEG bytes:        {}", s.seg_bytes);
     println!("terms:            {}", s.terms);
     println!("pta time:         {:?}", s.pta_time);
     println!("seg time:         {:?}", s.seg_time);

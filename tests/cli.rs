@@ -169,7 +169,7 @@ fn trace_and_stats_outputs() {
         "\"sccs\":",
         "\"keys\":{\"time_ns\":",
         "\"pta\"",
-        "\"seg\"",
+        "\"seg\":{\"bytes\":",
         "\"detect\"",
         "\"smt\"",
     ] {

@@ -108,7 +108,7 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
             "\"callgraph\"",
             "\"keys\"",
             "\"pta\"",
-            "\"seg\"",
+            "\"seg\":{\"bytes\":",
             "detect",
             "smt",
         ] {
@@ -196,6 +196,7 @@ fn stage_statistics_identical_across_thread_counts() {
     let a4 = build(4);
     assert_eq!(a1.stats.seg_vertices, a4.stats.seg_vertices);
     assert_eq!(a1.stats.seg_edges, a4.stats.seg_edges);
+    assert_eq!(a1.stats.seg_bytes, a4.stats.seg_bytes);
     assert_eq!(a1.stats.terms, a4.stats.terms);
     assert_eq!(a1.structural_bytes(), a4.structural_bytes());
 }
