@@ -14,6 +14,7 @@
 use pinpoint_ir::ir::{
     Block, BlockId, Const, Function, GlobalId, Inst, InstId, Terminator, ValueId, ValueInfo,
 };
+use pinpoint_ir::types::Base;
 use pinpoint_ir::{BinOp, Type, UnOp};
 use pinpoint_pta::intra::{GlobalAccess, MemDep, PointsTo, PtaStats};
 use pinpoint_pta::{AccessPath, AuxShape, FuncArtifact, FuncPta, FuncResult, Obj};
@@ -183,17 +184,10 @@ impl<'a> ByteReader<'a> {
 // ---- IR ----------------------------------------------------------------
 
 fn put_type(w: &mut ByteWriter, ty: &Type) {
-    let mut depth = 0u32;
-    let mut cur = ty;
-    while let Type::Ptr(inner) = cur {
-        depth += 1;
-        cur = inner;
-    }
-    w.u32(depth);
-    w.u8(match cur {
-        Type::Int => 0,
-        Type::Bool => 1,
-        Type::Ptr(_) => unreachable!(),
+    w.u32(ty.indirection() as u32);
+    w.u8(match ty.base() {
+        Base::Int => 0,
+        Base::Bool => 1,
     });
 }
 
@@ -202,15 +196,12 @@ fn get_type(r: &mut ByteReader) -> Result<Type> {
     if depth > 64 {
         return Err(DecodeError("absurd pointer depth"));
     }
-    let mut ty = match r.u8()? {
+    let base = match r.u8()? {
         0 => Type::Int,
         1 => Type::Bool,
         _ => return Err(DecodeError("invalid type tag")),
     };
-    for _ in 0..depth {
-        ty = Type::Ptr(Box::new(ty));
-    }
-    Ok(ty)
+    Ok((0..depth).fold(base, |ty, _| ty.ptr_to()))
 }
 
 fn put_inst_id(w: &mut ByteWriter, id: InstId) {

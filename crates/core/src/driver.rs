@@ -26,7 +26,7 @@ use crate::seg::{ModuleSeg, SegStore};
 use crate::spec::CheckerKind;
 use crate::vfsummary::{keys_fingerprint, summary_fingerprint, Engine, ModuleSummaries, SummaryCx};
 use pinpoint_cache::{config_fp, module_keys_with_graph, CacheStats, CacheStore, PtaArtifactStore};
-use pinpoint_ir::{CallGraph, Module};
+use pinpoint_ir::{CallGraph, Module, Unit};
 use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
 use pinpoint_pta::{analyze_module_par, ArtifactStore, ModuleAnalysis, PtaConfig, PtaStats};
 use pinpoint_smt::{TermArena, VerdictTable};
@@ -42,12 +42,50 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Parses and lowers with typed errors (the facade's `compile` returns a
-/// boxed error; the pipeline wants [`PinpointError`] stages).
-pub(crate) fn compile_typed(src: &str) -> Result<Module, PinpointError> {
-    let program = pinpoint_ir::parser::parse(src)?;
-    let module = pinpoint_ir::lower::lower(&program)?;
-    Ok(module)
+/// What the front end made of one source text.
+#[derive(Debug)]
+pub struct Compiled {
+    /// The lowered, pre-transform module.
+    pub module: Module,
+    /// Tokens in the source (end of input not counted).
+    pub tokens: usize,
+    /// Bytes of source text.
+    pub bytes: usize,
+}
+
+/// The front end as the pipeline runs it, with typed errors: one pass
+/// splits `src` into items (`frontend.split`), then the functions are
+/// parsed and lowered one at a time on up to `threads` workers
+/// ([`TraceBuf::shard_map`], one `frontend.lower` span per function) and
+/// assembled in source order. Every function's result depends on the
+/// source text alone, so the module — and, on failure, the error — is the
+/// same for any `threads`; [`pinpoint_ir::compile`] is the serial loop
+/// over the same steps.
+///
+/// # Errors
+///
+/// [`PinpointError::Parse`] / [`PinpointError::Lower`]: the error the
+/// whole-file order (lex, then parse, then lower) stops at first, see
+/// [`pinpoint_ir::frontend`].
+pub fn compile_source(
+    src: &str,
+    threads: usize,
+    trace: &mut TraceBuf,
+) -> Result<Compiled, PinpointError> {
+    let unit = trace.span("frontend.split", "", |_| Unit::split(src))?;
+    let mut funcs: Vec<usize> = (0..unit.func_count()).collect();
+    let results = trace.shard_map(
+        &mut funcs,
+        threads,
+        || (),
+        |(), &mut i, lane| lane.span("frontend.lower", unit.func_name(i), |_| unit.compile_fn(i)),
+    );
+    let (tokens, bytes) = (unit.tokens(), unit.bytes());
+    Ok(Compiled {
+        module: unit.finish(results)?,
+        tokens,
+        bytes,
+    })
 }
 
 /// Stage timings and structural counters for the evaluation harness.
@@ -61,6 +99,11 @@ pub struct PipelineStats {
     /// [`AnalysisBuilder::build_source`]; zero when the module was built
     /// elsewhere).
     pub front_time: Duration,
+    /// Tokens in the source text (zero like [`Self::front_time`] when the
+    /// module was built elsewhere).
+    pub front_tokens: usize,
+    /// Bytes of source text.
+    pub front_bytes: usize,
     /// Wall time of the call-graph build (one per build or update).
     pub callgraph_time: Duration,
     /// Wall time of the cache-key derivation.
@@ -259,11 +302,13 @@ impl AnalysisBuilder {
         let mut trace = self.make_trace();
         let front_span = trace.open("frontend", "");
         let t = Instant::now();
-        let module = compile_typed(src)?;
+        let compiled = compile_source(src, self.threads, &mut trace)?;
         let front_time = t.elapsed();
         trace.close(front_span);
-        let mut analysis = self.build_module_traced(module, trace)?;
+        let mut analysis = self.build_module_traced(compiled.module, trace)?;
         analysis.stats.front_time = front_time;
+        analysis.stats.front_tokens = compiled.tokens;
+        analysis.stats.front_bytes = compiled.bytes;
         Ok(analysis)
     }
 
@@ -608,8 +653,12 @@ impl Analysis {
     ///
     /// Returns typed front-end errors for the new source.
     pub fn update_incremental(&mut self, new_source: &str) -> Result<UpdateOutcome, PinpointError> {
-        let new_module = compile_typed(new_source)?;
-        Ok(self.update_module_incremental(new_module))
+        let t = Instant::now();
+        let compiled = compile_source(new_source, self.threads, &mut TraceBuf::off())?;
+        self.stats.front_time = t.elapsed();
+        self.stats.front_tokens = compiled.tokens;
+        self.stats.front_bytes = compiled.bytes;
+        Ok(self.update_module_incremental(compiled.module))
     }
 
     /// [`Analysis::update_incremental`] over an already-compiled
@@ -891,6 +940,8 @@ impl QueryRunner {
         let s = self.stats(a);
         let mut m = MetricsRegistry::new();
         m.counter_add("frontend.time_ns", s.front_time.as_nanos() as u64);
+        m.counter_add("frontend.bytes", s.front_bytes as u64);
+        m.counter_add("frontend.tokens", s.front_tokens as u64);
         m.counter_add("frontend.funcs", a.module.funcs.len() as u64);
         m.counter_add(
             "frontend.insts",

@@ -63,6 +63,15 @@ impl From<pinpoint_ir::lower::LowerError> for PinpointError {
     }
 }
 
+impl From<pinpoint_ir::CompileError> for PinpointError {
+    fn from(e: pinpoint_ir::CompileError) -> Self {
+        match e {
+            pinpoint_ir::CompileError::Parse(e) => PinpointError::Parse(e),
+            pinpoint_ir::CompileError::Lower(e) => PinpointError::Lower(e),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

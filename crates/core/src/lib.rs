@@ -63,7 +63,8 @@ pub mod workspace;
 
 pub use detect::{DetectConfig, DetectStats, Report, Step};
 pub use driver::{
-    default_threads, Analysis, AnalysisBuilder, DetectSession, PipelineStats, UpdateOutcome,
+    compile_source, default_threads, Analysis, AnalysisBuilder, Compiled, DetectSession,
+    PipelineStats, UpdateOutcome,
 };
 pub use error::PinpointError;
 pub use leak::{LeakKind, LeakReport};

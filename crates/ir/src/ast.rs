@@ -14,6 +14,10 @@
 //!     return y;
 //! }
 //! ```
+//!
+//! The tree borrows every name from the source text (`'src`): nothing in
+//! it owns a string, and the pipeline keeps one function body alive at a
+//! time (see [`crate::frontend`]).
 
 use crate::types::Type;
 use std::fmt;
@@ -35,7 +39,7 @@ impl fmt::Display for Span {
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'src> {
     /// Integer literal.
     Int(i64),
     /// Boolean literal.
@@ -43,20 +47,20 @@ pub enum Expr {
     /// The null pointer literal.
     Null,
     /// Variable (local, parameter, or global) reference.
-    Var(String, Span),
+    Var(&'src str, Span),
     /// `*e`, possibly nested (`**e` parses as `Deref(Deref(e))`).
-    Deref(Box<Expr>, Span),
+    Deref(Box<Expr<'src>>, Span),
     /// Unary operation.
-    Un(UnOpKind, Box<Expr>, Span),
+    Un(UnOpKind, Box<Expr<'src>>, Span),
     /// Binary operation.
-    Bin(BinOpKind, Box<Expr>, Box<Expr>, Span),
+    Bin(BinOpKind, Box<Expr<'src>>, Box<Expr<'src>>, Span),
     /// Function or intrinsic call.
-    Call(String, Vec<Expr>, Span),
+    Call(&'src str, Vec<Expr<'src>>, Span),
     /// `malloc()` — fresh heap cell.
     Malloc(Span),
 }
 
-impl Expr {
+impl Expr<'_> {
     /// The span of this expression, when it has one.
     pub fn span(&self) -> Span {
         match self {
@@ -110,48 +114,48 @@ pub enum BinOpKind {
 
 /// Statements.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'src> {
     /// `let x: T = e;`.
     Let {
         /// Variable name.
-        name: String,
+        name: &'src str,
         /// Declared type.
         ty: Type,
         /// Initialiser.
-        init: Expr,
+        init: Expr<'src>,
         /// Source location.
         span: Span,
     },
     /// `x = e;`.
     Assign {
         /// Target local.
-        name: String,
+        name: &'src str,
         /// Right-hand side.
-        value: Expr,
+        value: Expr<'src>,
         /// Source location.
         span: Span,
     },
     /// `*x = e;` / `**x = e;` — store through `depth` levels.
     Store {
         /// Pointer-valued expression being stored through.
-        ptr: Expr,
+        ptr: Expr<'src>,
         /// Dereference depth (`*x` is 1).
         depth: u32,
         /// Stored value.
-        value: Expr,
+        value: Expr<'src>,
         /// Source location.
         span: Span,
     },
     /// Expression statement (a call evaluated for effect).
-    Expr(Expr),
+    Expr(Expr<'src>),
     /// `if (c) { … } else { … }`.
     If {
         /// Condition.
-        cond: Expr,
+        cond: Expr<'src>,
         /// Then branch.
-        then_body: Vec<Stmt>,
+        then_body: Vec<Stmt<'src>>,
         /// Else branch (possibly empty).
-        else_body: Vec<Stmt>,
+        else_body: Vec<Stmt<'src>>,
         /// Source location.
         span: Span,
     },
@@ -159,36 +163,63 @@ pub enum Stmt {
     /// (the §4.2 soundiness rule: loops unrolled once).
     While {
         /// Loop condition.
-        cond: Expr,
+        cond: Expr<'src>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'src>>,
         /// Source location.
         span: Span,
     },
     /// `return;` / `return e;`.
-    Return(Option<Expr>, Span),
+    Return(Option<Expr<'src>>, Span),
 }
 
 /// A function definition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FuncDef {
+pub struct FuncDef<'src> {
     /// Function name.
-    pub name: String,
+    pub name: &'src str,
     /// Parameters: `(name, type)`.
-    pub params: Vec<(String, Type)>,
+    pub params: Vec<(&'src str, Type)>,
     /// Return type (`None` for procedures).
     pub ret_ty: Option<Type>,
     /// Body.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'src>>,
+    /// Source location.
+    pub span: Span,
+}
+
+impl<'src> FuncDef<'src> {
+    /// The function's header.
+    pub(crate) fn header(&self) -> FnHeader<'_, 'src> {
+        FnHeader {
+            name: self.name,
+            params: &self.params,
+            ret_ty: self.ret_ty,
+            span: self.span,
+        }
+    }
+}
+
+/// A function's header, borrowed from wherever it was parsed into (a
+/// [`FuncDef`] or an entry of the item table): all that lowering needs to
+/// know of a function besides its body, and all it needs of the others.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FnHeader<'a, 'src> {
+    /// Function name.
+    pub name: &'src str,
+    /// Parameters: `(name, type)`.
+    pub params: &'a [(&'src str, Type)],
+    /// Return type (`None` for procedures).
+    pub ret_ty: Option<Type>,
     /// Source location.
     pub span: Span,
 }
 
 /// A global declaration: `global g: int*;`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GlobalDef {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GlobalDef<'src> {
     /// Global name.
-    pub name: String,
+    pub name: &'src str,
     /// Content type of the global cell.
     pub ty: Type,
     /// Source location.
@@ -197,11 +228,11 @@ pub struct GlobalDef {
 
 /// A whole parsed program.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Program {
+pub struct Program<'src> {
     /// Global declarations.
-    pub globals: Vec<GlobalDef>,
+    pub globals: Vec<GlobalDef<'src>>,
     /// Function definitions.
-    pub funcs: Vec<FuncDef>,
+    pub funcs: Vec<FuncDef<'src>>,
 }
 
 #[cfg(test)]
@@ -212,7 +243,7 @@ mod tests {
     fn expr_span_defaults_for_literals() {
         assert_eq!(Expr::Int(1).span(), Span::default());
         let s = Span { offset: 5, line: 2 };
-        assert_eq!(Expr::Var("x".into(), s).span(), s);
+        assert_eq!(Expr::Var("x", s).span(), s);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! boundary).
 
 use crate::ir::{Const, Function, Global, Inst, Terminator};
-use crate::types::Type;
+use crate::types::{Base, Type};
 
 /// 128-bit FNV-1a hasher (offset basis / prime from the reference spec).
 #[derive(Debug, Clone, Copy)]
@@ -74,17 +74,10 @@ impl Fnv128 {
 fn hash_type(h: &mut Fnv128, ty: &Type) {
     // A `Type` is `Int`/`Bool` behind zero or more pointer levels; encode
     // as (indirection depth, base tag).
-    let mut depth = 0u32;
-    let mut cur = ty;
-    while let Type::Ptr(inner) = cur {
-        depth += 1;
-        cur = inner;
-    }
-    h.write_u32(depth);
-    h.write_u32(match cur {
-        Type::Int => 0,
-        Type::Bool => 1,
-        Type::Ptr(_) => unreachable!(),
+    h.write_u32(ty.indirection() as u32);
+    h.write_u32(match ty.base() {
+        Base::Int => 0,
+        Base::Bool => 1,
     });
 }
 

@@ -507,6 +507,15 @@ impl Module {
         Self::default()
     }
 
+    /// Creates an empty module with room for `funcs` functions.
+    pub fn with_capacity(funcs: usize) -> Self {
+        Module {
+            funcs: Vec::with_capacity(funcs),
+            globals: Vec::new(),
+            name_index: HashMap::with_capacity(funcs),
+        }
+    }
+
     /// Adds a function, indexing it by name.
     ///
     /// # Panics

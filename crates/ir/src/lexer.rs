@@ -1,13 +1,19 @@
 //! Lexer for the mini-language.
+//!
+//! A pull lexer: [`Lexer::next_token`] scans one token at a time straight
+//! off the source text, so no token vector of the file ever exists, and
+//! identifiers are slices of the source ([`Tok::Ident`] borrows). A lexer
+//! can be started at any `(offset, line)` with [`Lexer::at`], which is
+//! how a function body is re-entered without lexing what precedes it.
 
 use crate::ast::Span;
 use std::fmt;
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
-    /// Identifier or keyword body.
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'src> {
+    /// Identifier (a slice of the source).
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     // Keywords
@@ -84,7 +90,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
@@ -95,10 +101,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// The token kind.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// Where it was found.
     pub span: Span,
 }
@@ -120,292 +126,238 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenises `src`.
-///
-/// # Errors
-///
-/// Returns a [`LexError`] on unknown characters or malformed literals.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    let mut line = 1;
-    while i < bytes.len() {
-        let c = bytes[i];
-        let span = Span { offset: i, line };
-        match c {
-            b'\n' => {
-                line += 1;
-                i += 1;
-            }
-            b' ' | b'\t' | b'\r' => i += 1,
-            b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
+/// A pull lexer over one source text.
+#[derive(Debug, Clone)]
+pub struct Lexer<'src> {
+    src: &'src str,
+    pos: usize,
+    line: usize,
+    tokens: usize,
+}
+
+impl<'src> Lexer<'src> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'src str) -> Self {
+        Self::at(src, Span { offset: 0, line: 1 })
+    }
+
+    /// A lexer that resumes at `start`, the span of a token an earlier
+    /// pass over the same text reported.
+    pub fn at(src: &'src str, start: Span) -> Self {
+        Lexer {
+            src,
+            pos: start.offset,
+            line: start.line,
+            tokens: 0,
+        }
+    }
+
+    /// Tokens produced so far, not counting [`Tok::Eof`].
+    pub fn tokens(&self) -> usize {
+        self.tokens
+    }
+
+    /// Scans the rest of the text, keeping nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`LexError`] at or after the current position.
+    pub fn drain(&mut self) -> Result<(), LexError> {
+        while self.next_token()?.tok != Tok::Eof {}
+        Ok(())
+    }
+
+    /// Scans the next token; at end of input returns [`Tok::Eof`], again
+    /// on every further call.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`LexError`] on unknown characters or malformed
+    /// literals. The lexer does not move past an error: the next call
+    /// reports it again.
+    pub fn next_token(&mut self) -> Result<Token<'src>, LexError> {
+        let bytes = self.src.as_bytes();
+        let mut i = self.pos;
+        let mut line = self.line;
+        let (tok, span, end) = loop {
+            let Some(&c) = bytes.get(i) else {
+                self.pos = i;
+                self.line = line;
+                return Ok(Token {
+                    tok: Tok::Eof,
+                    span: Span { offset: i, line },
+                });
+            };
+            let span = Span { offset: i, line };
+            let next = bytes.get(i + 1).copied();
+            let (tok, len) = match c {
+                b'\n' => {
+                    line += 1;
                     i += 1;
+                    continue;
                 }
-            }
-            b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                i += 2;
-                loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(LexError {
-                                message: "unterminated block comment".into(),
-                                span,
-                            })
+                b' ' | b'\t' | b'\r' => {
+                    i += 1;
+                    continue;
+                }
+                b'/' if next == Some(b'/') => {
+                    while i < bytes.len() && bytes[i] != b'\n' {
+                        i += 1;
+                    }
+                    continue;
+                }
+                b'/' if next == Some(b'*') => {
+                    i += 2;
+                    loop {
+                        match bytes.get(i) {
+                            None => {
+                                return Err(LexError {
+                                    message: "unterminated block comment".into(),
+                                    span,
+                                })
+                            }
+                            Some(b'*') if bytes.get(i + 1) == Some(&b'/') => {
+                                i += 2;
+                                break;
+                            }
+                            Some(b'\n') => {
+                                line += 1;
+                                i += 1;
+                            }
+                            Some(_) => i += 1,
                         }
-                        Some(b'*') if bytes.get(i + 1) == Some(&b'/') => {
-                            i += 2;
-                            break;
+                    }
+                    continue;
+                }
+                b'"' => {
+                    // The language has no string type, but a stray quote must
+                    // produce a diagnostic, not cascade into "unexpected
+                    // character" errors on every byte of the literal's body.
+                    i += 1;
+                    loop {
+                        match bytes.get(i) {
+                            None | Some(b'\n') => {
+                                return Err(LexError {
+                                    message: "unterminated string literal".into(),
+                                    span,
+                                })
+                            }
+                            Some(b'\\') => i += 2,
+                            Some(b'"') => {
+                                return Err(LexError {
+                                    message: "string literals are not supported".into(),
+                                    span,
+                                })
+                            }
+                            Some(_) => i += 1,
                         }
-                        Some(b'\n') => {
-                            line += 1;
-                            i += 1;
-                        }
-                        Some(_) => i += 1,
                     }
                 }
-            }
-            b'"' => {
-                // The language has no string type, but a stray quote must
-                // produce a diagnostic, not cascade into "unexpected
-                // character" errors on every byte of the literal's body.
-                i += 1;
-                loop {
-                    match bytes.get(i) {
-                        None | Some(b'\n') => {
-                            return Err(LexError {
-                                message: "unterminated string literal".into(),
-                                span,
-                            })
-                        }
-                        Some(b'\\') => i += 2,
-                        Some(b'"') => {
-                            return Err(LexError {
-                                message: "string literals are not supported".into(),
-                                span,
-                            })
-                        }
-                        Some(_) => i += 1,
-                    }
-                }
-            }
-            b'(' => {
-                out.push(Token {
-                    tok: Tok::LParen,
-                    span,
-                });
-                i += 1;
-            }
-            b')' => {
-                out.push(Token {
-                    tok: Tok::RParen,
-                    span,
-                });
-                i += 1;
-            }
-            b'{' => {
-                out.push(Token {
-                    tok: Tok::LBrace,
-                    span,
-                });
-                i += 1;
-            }
-            b'}' => {
-                out.push(Token {
-                    tok: Tok::RBrace,
-                    span,
-                });
-                i += 1;
-            }
-            b',' => {
-                out.push(Token {
-                    tok: Tok::Comma,
-                    span,
-                });
-                i += 1;
-            }
-            b';' => {
-                out.push(Token {
-                    tok: Tok::Semi,
-                    span,
-                });
-                i += 1;
-            }
-            b':' => {
-                out.push(Token {
-                    tok: Tok::Colon,
-                    span,
-                });
-                i += 1;
-            }
-            b'+' => {
-                out.push(Token {
-                    tok: Tok::Plus,
-                    span,
-                });
-                i += 1;
-            }
-            b'*' => {
-                out.push(Token {
-                    tok: Tok::Star,
-                    span,
-                });
-                i += 1;
-            }
-            b'-' => {
-                if bytes.get(i + 1) == Some(&b'>') {
-                    out.push(Token {
-                        tok: Tok::Arrow,
-                        span,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Token {
-                        tok: Tok::Minus,
-                        span,
-                    });
-                    i += 1;
-                }
-            }
-            b'=' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token {
-                        tok: Tok::EqEq,
-                        span,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Token {
-                        tok: Tok::Assign,
-                        span,
-                    });
-                    i += 1;
-                }
-            }
-            b'!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token {
-                        tok: Tok::NotEq,
-                        span,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Token {
-                        tok: Tok::Bang,
-                        span,
-                    });
-                    i += 1;
-                }
-            }
-            b'<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token { tok: Tok::Le, span });
-                    i += 2;
-                } else {
-                    out.push(Token { tok: Tok::Lt, span });
-                    i += 1;
-                }
-            }
-            b'>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token { tok: Tok::Ge, span });
-                    i += 2;
-                } else {
-                    out.push(Token { tok: Tok::Gt, span });
-                    i += 1;
-                }
-            }
-            b'&' => {
-                if bytes.get(i + 1) == Some(&b'&') {
-                    out.push(Token {
-                        tok: Tok::AndAnd,
-                        span,
-                    });
-                    i += 2;
-                } else {
+                b'(' => (Tok::LParen, 1),
+                b')' => (Tok::RParen, 1),
+                b'{' => (Tok::LBrace, 1),
+                b'}' => (Tok::RBrace, 1),
+                b',' => (Tok::Comma, 1),
+                b';' => (Tok::Semi, 1),
+                b':' => (Tok::Colon, 1),
+                b'+' => (Tok::Plus, 1),
+                b'*' => (Tok::Star, 1),
+                b'-' if next == Some(b'>') => (Tok::Arrow, 2),
+                b'-' => (Tok::Minus, 1),
+                b'=' if next == Some(b'=') => (Tok::EqEq, 2),
+                b'=' => (Tok::Assign, 1),
+                b'!' if next == Some(b'=') => (Tok::NotEq, 2),
+                b'!' => (Tok::Bang, 1),
+                b'<' if next == Some(b'=') => (Tok::Le, 2),
+                b'<' => (Tok::Lt, 1),
+                b'>' if next == Some(b'=') => (Tok::Ge, 2),
+                b'>' => (Tok::Gt, 1),
+                b'&' if next == Some(b'&') => (Tok::AndAnd, 2),
+                b'&' => {
                     return Err(LexError {
                         message: "expected `&&`".into(),
                         span,
-                    });
+                    })
                 }
-            }
-            b'|' => {
-                if bytes.get(i + 1) == Some(&b'|') {
-                    out.push(Token {
-                        tok: Tok::OrOr,
-                        span,
-                    });
-                    i += 2;
-                } else {
+                b'|' if next == Some(b'|') => (Tok::OrOr, 2),
+                b'|' => {
                     return Err(LexError {
                         message: "expected `||`".into(),
                         span,
-                    });
+                    })
                 }
-            }
-            b'0'..=b'9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
+                b'0'..=b'9' => {
+                    let mut end = i;
+                    while end < bytes.len() && bytes[end].is_ascii_digit() {
+                        end += 1;
+                    }
+                    let text = &self.src[i..end];
+                    let v: i64 = text.parse().map_err(|_| LexError {
+                        message: format!("integer literal `{text}` out of range"),
+                        span,
+                    })?;
+                    (Tok::Int(v), end - i)
                 }
-                let text = &src[start..i];
-                let v: i64 = text.parse().map_err(|_| LexError {
-                    message: format!("integer literal `{text}` out of range"),
-                    span,
-                })?;
-                out.push(Token {
-                    tok: Tok::Int(v),
-                    span,
-                });
-            }
-            c if c.is_ascii_alphabetic() || c == b'_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
+                c if c.is_ascii_alphabetic() || c == b'_' => {
+                    let mut end = i;
+                    while end < bytes.len()
+                        && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_')
+                    {
+                        end += 1;
+                    }
+                    let text = &self.src[i..end];
+                    let tok = match text {
+                        "fn" => Tok::Fn,
+                        "let" => Tok::Let,
+                        "if" => Tok::If,
+                        "else" => Tok::Else,
+                        "while" => Tok::While,
+                        "return" => Tok::Return,
+                        "global" => Tok::Global,
+                        "true" => Tok::True,
+                        "false" => Tok::False,
+                        "null" => Tok::Null,
+                        "int" => Tok::TyInt,
+                        "bool" => Tok::TyBool,
+                        "malloc" => Tok::Malloc,
+                        _ => Tok::Ident(text),
+                    };
+                    (tok, end - i)
                 }
-                let text = &src[start..i];
-                let tok = match text {
-                    "fn" => Tok::Fn,
-                    "let" => Tok::Let,
-                    "if" => Tok::If,
-                    "else" => Tok::Else,
-                    "while" => Tok::While,
-                    "return" => Tok::Return,
-                    "global" => Tok::Global,
-                    "true" => Tok::True,
-                    "false" => Tok::False,
-                    "null" => Tok::Null,
-                    "int" => Tok::TyInt,
-                    "bool" => Tok::TyBool,
-                    "malloc" => Tok::Malloc,
-                    _ => Tok::Ident(text.to_string()),
-                };
-                out.push(Token { tok, span });
-            }
-            other => {
-                return Err(LexError {
-                    message: format!("unexpected character `{}`", other as char),
-                    span,
-                })
-            }
-        }
+                other => {
+                    return Err(LexError {
+                        message: format!("unexpected character `{}`", other as char),
+                        span,
+                    })
+                }
+            };
+            break (tok, span, i + len);
+        };
+        self.pos = end;
+        self.line = line;
+        self.tokens += 1;
+        Ok(Token { tok, span })
     }
-    out.push(Token {
-        tok: Tok::Eof,
-        span: Span {
-            offset: bytes.len(),
-            line,
-        },
-    });
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    /// Every token of `src`, `Eof` included.
+    fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
+        let mut lexer = Lexer::new(src);
+        let mut out = Vec::new();
+        loop {
+            let t = lexer.next_token()?;
+            out.push(t);
+            if t.tok == Tok::Eof {
+                return Ok(out);
+            }
+        }
+    }
+
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -416,9 +368,9 @@ mod tests {
             toks,
             vec![
                 Tok::Fn,
-                Tok::Ident("foo".into()),
+                Tok::Ident("foo"),
                 Tok::LParen,
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Colon,
                 Tok::TyInt,
                 Tok::Star,
@@ -504,9 +456,9 @@ mod tests {
         assert_eq!(
             kinds("iffy if fnord fn"),
             vec![
-                Tok::Ident("iffy".into()),
+                Tok::Ident("iffy"),
                 Tok::If,
-                Tok::Ident("fnord".into()),
+                Tok::Ident("fnord"),
                 Tok::Fn,
                 Tok::Eof
             ]

@@ -6,10 +6,14 @@
 //! pointer loads and stores, branches, calls, and returns. This crate
 //! provides that language end to end:
 //!
-//! * a C-like surface syntax ([`lexer`], [`parser`], [`ast`]);
+//! * a C-like surface syntax ([`lexer`], [`parser`], [`ast`]): a pull
+//!   lexer and a syntax tree that borrow every name from the source text;
 //! * [`lower`] — lowering to an SSA control-flow-graph IR ([`ir`]), with
 //!   loops unrolled once (the §4.2 soundiness rule) so every CFG is
 //!   acyclic and every function has a unique return statement;
+//! * [`frontend`] — the pipeline over those: the file is split into items
+//!   once, then each function is parsed, lowered and its tree dropped on
+//!   its own ([`compile`] is the serial loop over it);
 //! * CFG utilities ([`cfg`](mod@cfg)), dominators and post-dominators ([`dom`]),
 //!   control dependence ([`controldep`]), and gating conditions for
 //!   φ-assignments ([`gating`]);
@@ -23,7 +27,8 @@
 //! use pinpoint_ir::{parser, lower};
 //!
 //! let src = "fn main() { let p: int* = malloc(); free(p); return; }";
-//! let program = parser::parse(src)?;
+//! let program = parser::parse(src)?; // borrows its names from `src`
+//! assert_eq!(program.funcs[0].name, "main");
 //! let module = lower::lower(&program)?;
 //! assert_eq!(module.funcs.len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -38,6 +43,7 @@ pub mod cfg;
 pub mod controldep;
 pub mod dom;
 pub mod fingerprint;
+pub mod frontend;
 pub mod gating;
 pub mod ir;
 pub mod lexer;
@@ -53,6 +59,7 @@ pub use cfg::Cfg;
 pub use controldep::{ControlDep, ControlDeps};
 pub use dom::{DomTree, PostDomTree};
 pub use fingerprint::{func_fingerprint, module_fingerprints};
+pub use frontend::{CompileError, Unit};
 pub use gating::{Gate, Gating};
 pub use ir::intrinsics;
 pub use ir::{
@@ -77,6 +84,8 @@ pub use verify::{verify_module, VerifyError};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn compile(src: &str) -> Result<Module, Box<dyn std::error::Error>> {
-    let program = parser::parse(src)?;
-    Ok(lower::lower(&program)?)
+    frontend::compile(src).map_err(|e| match e {
+        CompileError::Parse(e) => e.into(),
+        CompileError::Lower(e) => e.into(),
+    })
 }

@@ -1,4 +1,4 @@
-//! Lowering from the AST to the SSA IR.
+//! Lowering from the AST to the SSA IR, one function at a time.
 //!
 //! Because the surface language is structured, SSA construction is done
 //! directly during lowering: each structured branch is lowered with its own
@@ -12,14 +12,19 @@
 //! source-level returns jump to a dedicated exit block that φ-merges the
 //! returned values, matching the paper's assumption ("with no loss of
 //! generality, we assume each function has only one return statement").
+//!
+//! A function is lowered from its own header and body plus the module's
+//! `Tables` (global and signature tables, built once); nothing else is
+//! shared, so functions lower independently and in any order.
 
-use crate::ast::{BinOpKind, Expr, FuncDef, Program, Span, Stmt, UnOpKind};
+use crate::ast::{BinOpKind, Expr, FnHeader, FuncDef, GlobalDef, Program, Span, Stmt, UnOpKind};
 use crate::ir::{
     intrinsics, BinOp, BlockId, Const, Function, GlobalId, Inst, Module, Terminator, UnOp, ValueId,
 };
 use crate::types::Type;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Semantic error raised during lowering.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,10 +46,107 @@ impl std::error::Error for LowerError {}
 /// Signature of a callable (user function or intrinsic).
 #[derive(Debug, Clone)]
 struct Signature {
-    params: Vec<Type>,
+    /// The parameter types, as a range of [`Tables::param_tys`].
+    params: Range<usize>,
     ret: Option<Type>,
     /// Intrinsics with polymorphic parameters skip strict checking.
     polymorphic: bool,
+}
+
+/// The module-level names a function body can refer to: the globals and
+/// the signature of every callable (intrinsics and functions). Keys are
+/// slices of the source text.
+#[derive(Debug)]
+pub(crate) struct Tables<'src> {
+    globals: HashMap<&'src str, (GlobalId, Type)>,
+    signatures: HashMap<&'src str, Signature>,
+    /// Every signature's parameter types, back to back.
+    param_tys: Vec<Type>,
+}
+
+impl<'src> Tables<'src> {
+    /// Builds the tables of a program from its global declarations and
+    /// function headers, both in source order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first duplicate global, or else the first function
+    /// that redeclares a function or an intrinsic.
+    pub(crate) fn build<'a>(
+        globals: &[GlobalDef<'src>],
+        funcs: impl ExactSizeIterator<Item = FnHeader<'a, 'src>>,
+    ) -> Result<Self, LowerError>
+    where
+        'src: 'a,
+    {
+        let mut tables = Tables {
+            globals: HashMap::with_capacity(globals.len()),
+            signatures: HashMap::with_capacity(INTRINSICS.len() + funcs.len()),
+            param_tys: Vec::new(),
+        };
+        for (i, g) in globals.iter().enumerate() {
+            let id = GlobalId(u32::try_from(i).expect("too many globals"));
+            if tables.globals.insert(g.name, (id, g.ty)).is_some() {
+                return Err(LowerError {
+                    message: format!("duplicate global `{}`", g.name),
+                    span: g.span,
+                });
+            }
+        }
+        for &(name, arity, ret, polymorphic) in INTRINSICS {
+            let params = tables.push_params((0..arity).map(|_| Type::Int));
+            tables.signatures.insert(
+                name,
+                Signature {
+                    params,
+                    ret,
+                    polymorphic,
+                },
+            );
+        }
+        for f in funcs {
+            let sig = Signature {
+                params: tables.push_params(f.params.iter().map(|&(_, t)| t)),
+                ret: f.ret_ty,
+                polymorphic: false,
+            };
+            if tables.signatures.insert(f.name, sig).is_some() {
+                return Err(LowerError {
+                    message: format!("duplicate function `{}`", f.name),
+                    span: f.span,
+                });
+            }
+        }
+        Ok(tables)
+    }
+
+    fn push_params(&mut self, tys: impl Iterator<Item = Type>) -> Range<usize> {
+        let start = self.param_tys.len();
+        self.param_tys.extend(tys);
+        start..self.param_tys.len()
+    }
+}
+
+/// The intrinsics: `(name, parameter count, return type, polymorphic)`.
+const INTRINSICS: &[(&str, usize, Option<Type>, bool)] = &[
+    (intrinsics::FREE, 1, None, true),
+    (intrinsics::PRINT, 1, None, true),
+    (intrinsics::NONDET_BOOL, 0, Some(Type::Bool), false),
+    (intrinsics::NONDET_INT, 0, Some(Type::Int), false),
+    (intrinsics::FGETC, 0, Some(Type::Int), false),
+    (intrinsics::RECV, 0, Some(Type::Int), false),
+    (intrinsics::GETPASS, 0, Some(Type::Int), false),
+    (intrinsics::FOPEN, 1, Some(Type::Int), true),
+    (intrinsics::SENDTO, 1, None, true),
+];
+
+/// An empty module declaring `globals`, ready for `funcs` functions.
+pub(crate) fn module_with_globals(globals: &[GlobalDef<'_>], funcs: usize) -> Module {
+    let mut module = Module::with_capacity(funcs);
+    for g in globals {
+        module.add_global(g.name, g.ty);
+    }
+    module
 }
 
 /// Lowers a parsed program to an SSA module.
@@ -63,103 +165,109 @@ struct Signature {
 /// assert_eq!(module.funcs.len(), 1);
 /// # Ok::<(), pinpoint_ir::lower::LowerError>(())
 /// ```
-pub fn lower(program: &Program) -> Result<Module, LowerError> {
-    let mut module = Module::new();
-    let mut globals: HashMap<String, (GlobalId, Type)> = HashMap::new();
-    for g in &program.globals {
-        let id = module.add_global(&g.name, g.ty.clone());
-        if globals.insert(g.name.clone(), (id, g.ty.clone())).is_some() {
-            return Err(LowerError {
-                message: format!("duplicate global `{}`", g.name),
-                span: g.span,
-            });
-        }
-    }
-    let mut signatures: HashMap<String, Signature> = intrinsic_signatures();
+pub fn lower(program: &Program<'_>) -> Result<Module, LowerError> {
+    let tables = Tables::build(&program.globals, program.funcs.iter().map(FuncDef::header))?;
+    let mut module = module_with_globals(&program.globals, program.funcs.len());
     for f in &program.funcs {
-        let sig = Signature {
-            params: f.params.iter().map(|(_, t)| t.clone()).collect(),
-            ret: f.ret_ty.clone(),
-            polymorphic: false,
-        };
-        if signatures.insert(f.name.clone(), sig).is_some() {
-            return Err(LowerError {
-                message: format!("duplicate function `{}`", f.name),
-                span: f.span,
-            });
-        }
-    }
-    for fdef in &program.funcs {
-        let func = FnLowerer::new(fdef, &signatures, &globals).run()?;
-        module.add_func(func);
+        module.add_func(lower_fn(f.header(), &f.body, &tables)?);
     }
     Ok(module)
 }
 
-fn intrinsic_signatures() -> HashMap<String, Signature> {
-    let mut m = HashMap::new();
-    let poly = |params: usize, ret: Option<Type>| Signature {
-        params: vec![Type::Int; params],
-        ret,
-        polymorphic: true,
-    };
-    m.insert(intrinsics::FREE.into(), poly(1, None));
-    m.insert(intrinsics::PRINT.into(), poly(1, None));
-    m.insert(
-        intrinsics::NONDET_BOOL.into(),
-        Signature {
-            params: vec![],
-            ret: Some(Type::Bool),
-            polymorphic: false,
-        },
-    );
-    m.insert(
-        intrinsics::NONDET_INT.into(),
-        Signature {
-            params: vec![],
-            ret: Some(Type::Int),
-            polymorphic: false,
-        },
-    );
-    m.insert(
-        intrinsics::FGETC.into(),
-        Signature {
-            params: vec![],
-            ret: Some(Type::Int),
-            polymorphic: false,
-        },
-    );
-    m.insert(
-        intrinsics::RECV.into(),
-        Signature {
-            params: vec![],
-            ret: Some(Type::Int),
-            polymorphic: false,
-        },
-    );
-    m.insert(
-        intrinsics::GETPASS.into(),
-        Signature {
-            params: vec![],
-            ret: Some(Type::Int),
-            polymorphic: false,
-        },
-    );
-    m.insert(intrinsics::FOPEN.into(), poly(1, Some(Type::Int)));
-    m.insert(intrinsics::SENDTO.into(), poly(1, None));
-    m
+/// Lowers one function, given its header, its parsed body and the
+/// module's tables.
+///
+/// # Errors
+///
+/// Returns the first [`LowerError`] in the function.
+pub(crate) fn lower_fn<'src>(
+    header: FnHeader<'_, 'src>,
+    body: &[Stmt<'src>],
+    tables: &Tables<'src>,
+) -> Result<Function, LowerError> {
+    FnLowerer::new(header, tables).run(body)
 }
 
-/// Variable environment: source name → current SSA value. Ordered so
-/// φ-merges iterate variables in one canonical (name) order: φ emission
-/// order numbers the join block's values, and every content fingerprint
-/// downstream assumes lowering is a pure function of the source text.
-type Env = BTreeMap<String, ValueId>;
+/// Variable environment: source name → current SSA value, plus an undo
+/// log of the bindings made since the function began. A branch arm is
+/// lowered in place and then rolled back ([`Env::end_arm`]), leaving the
+/// list of variables it changed: the cost of a branch is what its arms
+/// assign, not how many variables are live, and nothing is copied.
+#[derive(Debug)]
+struct Env<'src> {
+    vars: HashMap<&'src str, ValueId>,
+    /// `(name, binding it replaced)`, oldest first.
+    log: Vec<(&'src str, Option<ValueId>)>,
+}
 
-struct FnLowerer<'a> {
-    def: &'a FuncDef,
-    sigs: &'a HashMap<String, Signature>,
-    globals: &'a HashMap<String, (GlobalId, Type)>,
+/// What one branch arm did to one variable.
+#[derive(Debug, Clone, Copy)]
+struct Change<'src> {
+    name: &'src str,
+    /// The binding when the arm began; `None` if the arm declared it.
+    before: Option<ValueId>,
+    /// The binding when the arm ended.
+    after: ValueId,
+}
+
+impl<'src> Env<'src> {
+    fn with_capacity(vars: usize) -> Self {
+        Env {
+            vars: HashMap::with_capacity(vars),
+            log: Vec::new(),
+        }
+    }
+
+    fn get(&self, name: &str) -> Option<ValueId> {
+        self.vars.get(name).copied()
+    }
+
+    fn bind(&mut self, name: &'src str, v: ValueId) {
+        let replaced = self.vars.insert(name, v);
+        self.log.push((name, replaced));
+    }
+
+    /// Where an arm that starts now begins in the log.
+    fn begin_arm(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Ends the arm begun at `mark`: restores the bindings it started
+    /// from and returns what it changed, one entry per variable, in name
+    /// order — the one canonical order φ-merges are emitted in (φ
+    /// emission order numbers the join block's values, and every content
+    /// fingerprint downstream assumes lowering is a pure function of the
+    /// source text).
+    fn end_arm(&mut self, mark: usize) -> Vec<Change<'src>> {
+        let mut changes: Vec<Change<'src>> = Vec::new();
+        // Newest first: a variable's first entry carries its final value,
+        // its last the binding the arm started from.
+        for (name, replaced) in self.log.drain(mark..).rev() {
+            let undone = match replaced {
+                Some(v) => self.vars.insert(name, v),
+                None => self.vars.remove(name),
+            };
+            changes.push(Change {
+                name,
+                before: replaced,
+                after: undone.expect("a logged variable is bound"),
+            });
+        }
+        changes.sort_by_key(|c| c.name); // stable: newest first per name
+        changes.dedup_by(|later, first| {
+            let same = later.name == first.name;
+            if same {
+                first.before = later.before;
+            }
+            same
+        });
+        changes
+    }
+}
+
+struct FnLowerer<'a, 'src> {
+    header: FnHeader<'a, 'src>,
+    tables: &'a Tables<'src>,
     f: Function,
     cur: BlockId,
     /// Return sites: (predecessor block, returned value).
@@ -168,18 +276,13 @@ struct FnLowerer<'a> {
     terminated: bool,
 }
 
-impl<'a> FnLowerer<'a> {
-    fn new(
-        def: &'a FuncDef,
-        sigs: &'a HashMap<String, Signature>,
-        globals: &'a HashMap<String, (GlobalId, Type)>,
-    ) -> Self {
-        let f = Function::new(&def.name);
+impl<'a, 'src> FnLowerer<'a, 'src> {
+    fn new(header: FnHeader<'a, 'src>, tables: &'a Tables<'src>) -> Self {
+        let f = Function::new(header.name);
         let cur = f.entry();
         FnLowerer {
-            def,
-            sigs,
-            globals,
+            header,
+            tables,
             f,
             cur,
             ret_sites: Vec::new(),
@@ -187,26 +290,29 @@ impl<'a> FnLowerer<'a> {
         }
     }
 
-    fn run(mut self) -> Result<Function, LowerError> {
-        let mut env: Env = Env::new();
-        for (name, ty) in &self.def.params {
-            let v = self.f.new_value(name.clone(), ty.clone());
+    fn run(mut self, body: &[Stmt<'src>]) -> Result<Function, LowerError> {
+        // Room for the parameters and the body's own declarations (what
+        // nested blocks declare comes and goes): no rehash while lowering.
+        let declared = body.iter().filter(|s| matches!(s, Stmt::Let { .. }));
+        let mut env = Env::with_capacity(self.header.params.len() + declared.count());
+        for &(name, ty) in self.header.params {
+            let v = self.f.new_value(name, ty);
             self.f.params.push(v);
-            env.insert(name.clone(), v);
+            env.bind(name, v);
         }
-        if let Some(rt) = &self.def.ret_ty {
-            self.f.ret_tys.push(rt.clone());
+        if let Some(rt) = self.header.ret_ty {
+            self.f.ret_tys.push(rt);
         }
-        self.lower_stmts(&self.def.body, &mut env)?;
+        self.lower_stmts(body, &mut env)?;
         // Implicit `return;` for procedures that fall off the end.
         if !self.terminated {
-            if self.def.ret_ty.is_some() {
+            if self.header.ret_ty.is_some() {
                 return Err(LowerError {
                     message: format!(
                         "function `{}` may fall off the end without returning a value",
-                        self.def.name
+                        self.header.name
                     ),
-                    span: self.def.span,
+                    span: self.header.span,
                 });
             }
             let cur = self.cur;
@@ -218,7 +324,7 @@ impl<'a> FnLowerer<'a> {
         for &(pred, _) in &self.ret_sites {
             self.f.set_term(pred, Terminator::Jump(exit));
         }
-        let ret_vals: Vec<ValueId> = if let Some(rt) = &self.def.ret_ty {
+        let ret_vals: Vec<ValueId> = if let Some(rt) = self.header.ret_ty {
             let vals: Vec<(BlockId, ValueId)> = self
                 .ret_sites
                 .iter()
@@ -227,7 +333,7 @@ impl<'a> FnLowerer<'a> {
             let merged = if vals.len() == 1 {
                 vals[0].1
             } else {
-                let dst = self.f.new_value("ret", rt.clone());
+                let dst = self.f.new_value("ret", rt);
                 self.f.push_inst(
                     exit,
                     Inst::Phi {
@@ -252,7 +358,7 @@ impl<'a> FnLowerer<'a> {
         }
     }
 
-    fn lower_stmts(&mut self, stmts: &[Stmt], env: &mut Env) -> Result<(), LowerError> {
+    fn lower_stmts(&mut self, stmts: &[Stmt<'src>], env: &mut Env<'src>) -> Result<(), LowerError> {
         for s in stmts {
             if self.terminated {
                 break; // unreachable code after return: ignore
@@ -262,110 +368,117 @@ impl<'a> FnLowerer<'a> {
         Ok(())
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt, env: &mut Env) -> Result<(), LowerError> {
-        match stmt {
+    fn lower_stmt(&mut self, stmt: &Stmt<'src>, env: &mut Env<'src>) -> Result<(), LowerError> {
+        match *stmt {
             Stmt::Let {
                 name,
                 ty,
-                init,
+                ref init,
                 span,
             } => {
                 let v = self.lower_expr(init, env)?;
-                let vt = self.f.ty(v).clone();
-                if !types_compatible(ty, &vt) {
+                let vt = *self.f.ty(v);
+                if !types_compatible(ty, vt) {
                     return Err(self.err(
                         format!("type mismatch in `let {name}`: declared {ty}, got {vt}"),
-                        *span,
+                        span,
                     ));
                 }
-                let named = self.f.new_value(name.clone(), ty.clone());
+                let named = self.f.new_value(name, ty);
                 self.f
                     .push_inst(self.cur, Inst::Copy { dst: named, src: v });
-                env.insert(name.clone(), named);
+                env.bind(name, named);
                 Ok(())
             }
-            Stmt::Assign { name, value, span } => {
-                let old = *env
+            Stmt::Assign {
+                name,
+                ref value,
+                span,
+            } => {
+                let old = env
                     .get(name)
-                    .ok_or_else(|| self.err(format!("unknown variable `{name}`"), *span))?;
-                let old_ty = self.f.ty(old).clone();
+                    .ok_or_else(|| self.err(format!("unknown variable `{name}`"), span))?;
+                let old_ty = *self.f.ty(old);
                 let v = self.lower_expr(value, env)?;
-                let vt = self.f.ty(v).clone();
-                if !types_compatible(&old_ty, &vt) {
+                let vt = *self.f.ty(v);
+                if !types_compatible(old_ty, vt) {
                     return Err(self.err(
                         format!("type mismatch assigning `{name}`: {old_ty} vs {vt}"),
-                        *span,
+                        span,
                     ));
                 }
-                let named = self.f.new_value(name.clone(), old_ty);
+                let named = self.f.new_value(name, old_ty);
                 self.f
                     .push_inst(self.cur, Inst::Copy { dst: named, src: v });
-                env.insert(name.clone(), named);
+                env.bind(name, named);
                 Ok(())
             }
             Stmt::Store {
-                ptr,
+                ref ptr,
                 depth,
-                value,
+                ref value,
                 span,
             } => {
                 let p = self.lower_expr(ptr, env)?;
-                let pt = self.f.ty(p).clone();
-                let Some(target_ty) = pt.deref(*depth as usize) else {
-                    return Err(self.err(format!("cannot dereference {pt} {depth} time(s)"), *span));
+                let pt = *self.f.ty(p);
+                let Some(target_ty) = pt.deref(depth as usize) else {
+                    return Err(self.err(format!("cannot dereference {pt} {depth} time(s)"), span));
                 };
-                let target_ty = target_ty.clone();
                 let v = self.lower_expr(value, env)?;
-                let vt = self.f.ty(v).clone();
-                if !types_compatible(&target_ty, &vt) {
+                let vt = *self.f.ty(v);
+                if !types_compatible(target_ty, vt) {
                     return Err(self.err(
                         format!("type mismatch in store: cell is {target_ty}, value is {vt}"),
-                        *span,
+                        span,
                     ));
                 }
                 self.f.push_inst(
                     self.cur,
                     Inst::Store {
                         ptr: p,
-                        depth: *depth,
+                        depth,
                         src: v,
                     },
                 );
                 Ok(())
             }
-            Stmt::Expr(e) => {
+            Stmt::Expr(ref e) => {
                 let _ = self.lower_expr_allow_void(e, env)?;
                 Ok(())
             }
             Stmt::If {
-                cond,
-                then_body,
-                else_body,
+                ref cond,
+                ref then_body,
+                ref else_body,
                 span,
-            } => self.lower_if(cond, then_body, else_body, *span, env),
-            Stmt::While { cond, body, span } => {
+            } => self.lower_if(cond, then_body, else_body, span, env),
+            Stmt::While {
+                ref cond,
+                ref body,
+                span,
+            } => {
                 // Soundiness: analyse one guarded iteration.
-                self.lower_if(cond, body, &[], *span, env)
+                self.lower_if(cond, body, &[], span, env)
             }
-            Stmt::Return(e, span) => {
-                let v = match (e, &self.def.ret_ty) {
+            Stmt::Return(ref e, span) => {
+                let v = match (e, self.header.ret_ty) {
                     (Some(e), Some(rt)) => {
                         let v = self.lower_expr(e, env)?;
-                        let vt = self.f.ty(v).clone();
-                        if !types_compatible(rt, &vt) {
+                        let vt = *self.f.ty(v);
+                        if !types_compatible(rt, vt) {
                             return Err(self.err(
                                 format!("return type mismatch: expected {rt}, got {vt}"),
-                                *span,
+                                span,
                             ));
                         }
                         Some(v)
                     }
                     (None, None) => None,
                     (Some(_), None) => {
-                        return Err(self.err("returning a value from a procedure", *span))
+                        return Err(self.err("returning a value from a procedure", span))
                     }
                     (None, Some(_)) => {
-                        return Err(self.err("missing return value", *span));
+                        return Err(self.err("missing return value", span));
                     }
                 };
                 self.ret_sites.push((self.cur, v));
@@ -375,13 +488,29 @@ impl<'a> FnLowerer<'a> {
         }
     }
 
+    /// Lowers one arm of a branch into `bb`, leaving `env` as it found
+    /// it; returns what the arm changed and, unless it returned, the
+    /// block it falls out of.
+    fn lower_arm(
+        &mut self,
+        bb: BlockId,
+        body: &[Stmt<'src>],
+        env: &mut Env<'src>,
+    ) -> Result<(Vec<Change<'src>>, Option<BlockId>), LowerError> {
+        let mark = env.begin_arm();
+        self.cur = bb;
+        self.terminated = false;
+        self.lower_stmts(body, env)?;
+        Ok((env.end_arm(mark), (!self.terminated).then_some(self.cur)))
+    }
+
     fn lower_if(
         &mut self,
-        cond: &Expr,
-        then_body: &[Stmt],
-        else_body: &[Stmt],
+        cond: &Expr<'src>,
+        then_body: &[Stmt<'src>],
+        else_body: &[Stmt<'src>],
         span: Span,
-        env: &mut Env,
+        env: &mut Env<'src>,
     ) -> Result<(), LowerError> {
         let c = self.lower_expr(cond, env)?;
         if *self.f.ty(c) != Type::Bool {
@@ -397,147 +526,116 @@ impl<'a> FnLowerer<'a> {
                 else_bb,
             },
         );
-        // Then arm.
-        let mut then_env = env.clone();
-        self.cur = then_bb;
-        self.terminated = false;
-        self.lower_stmts(then_body, &mut then_env)?;
-        let then_exit = if self.terminated {
-            None
-        } else {
-            Some(self.cur)
-        };
-        // Else arm.
-        let mut else_env = env.clone();
-        self.cur = else_bb;
-        self.terminated = false;
-        self.lower_stmts(else_body, &mut else_env)?;
-        let else_exit = if self.terminated {
-            None
-        } else {
-            Some(self.cur)
-        };
-        // Join.
-        match (then_exit, else_exit) {
+        let (then_changes, then_exit) = self.lower_arm(then_bb, then_body, env)?;
+        let (else_changes, else_exit) = self.lower_arm(else_bb, else_body, env)?;
+        let (tb, eb) = match (then_exit, else_exit) {
             (None, None) => {
                 // Both arms returned; the code after the if is unreachable.
                 self.terminated = true;
-                Ok(())
+                return Ok(());
             }
-            (Some(b), None) => {
-                let join = self.f.new_block();
-                self.f.set_term(b, Terminator::Jump(join));
-                self.cur = join;
-                self.terminated = false;
-                *env = then_env;
-                Ok(())
-            }
-            (None, Some(b)) => {
-                let join = self.f.new_block();
-                self.f.set_term(b, Terminator::Jump(join));
-                self.cur = join;
-                self.terminated = false;
-                *env = else_env;
-                Ok(())
-            }
-            (Some(tb), Some(eb)) => {
-                let join = self.f.new_block();
-                self.f.set_term(tb, Terminator::Jump(join));
-                self.f.set_term(eb, Terminator::Jump(join));
-                self.cur = join;
-                self.terminated = false;
-                // φ-merge differing variables.
-                let mut merged = Env::new();
-                for (name, &tv) in &then_env {
-                    let Some(&ev) = else_env.get(name) else {
-                        continue; // declared only in the then-arm: out of scope
-                    };
-                    if tv == ev {
-                        merged.insert(name.clone(), tv);
-                    } else {
-                        let ty = self.f.ty(tv).clone();
-                        let dst = self.f.new_value(name.clone(), ty);
-                        self.f.push_inst(
-                            join,
-                            Inst::Phi {
-                                dst,
-                                incomings: vec![(tb, tv), (eb, ev)],
-                            },
-                        );
-                        merged.insert(name.clone(), dst);
-                    }
+            // One arm returned: the variables bound before the branch
+            // carry on with the other arm's values, and that arm's own
+            // declarations end with it.
+            (Some(b), None) | (None, Some(b)) => {
+                self.join(&[b]);
+                let changes = if then_exit.is_some() {
+                    then_changes
+                } else {
+                    else_changes
+                };
+                for c in changes.iter().filter(|c| c.before.is_some()) {
+                    env.bind(c.name, c.after);
                 }
-                *env = merged;
-                Ok(())
+                return Ok(());
             }
+            (Some(tb), Some(eb)) => (tb, eb),
+        };
+        let join = self.join(&[tb, eb]);
+        // φ-merge the variables the arms left different, in name order. A
+        // variable only one arm knows is out of scope after the branch.
+        let mut then_changes = then_changes.iter().peekable();
+        let mut else_changes = else_changes.iter().peekable();
+        while let Some(name) = match (then_changes.peek(), else_changes.peek()) {
+            (Some(t), Some(e)) => Some(t.name.min(e.name)),
+            (t, e) => t.or(e).map(|c| c.name),
+        } {
+            let t = then_changes.next_if(|c| c.name == name);
+            let e = else_changes.next_if(|c| c.name == name);
+            let before = t.or(e).expect("one arm changed it").before;
+            let (Some(tv), Some(ev)) =
+                (t.map(|c| c.after).or(before), e.map(|c| c.after).or(before))
+            else {
+                continue;
+            };
+            debug_assert_ne!(tv, ev, "an arm binds values of its own making");
+            let dst = self.f.new_value(name, *self.f.ty(tv));
+            self.f.push_inst(
+                join,
+                Inst::Phi {
+                    dst,
+                    incomings: vec![(tb, tv), (eb, ev)],
+                },
+            );
+            env.bind(name, dst);
         }
+        Ok(())
     }
 
-    fn lower_expr(&mut self, e: &Expr, env: &Env) -> Result<ValueId, LowerError> {
+    /// Opens the block after a branch, entered from `preds`.
+    fn join(&mut self, preds: &[BlockId]) -> BlockId {
+        let join = self.f.new_block();
+        for &b in preds {
+            self.f.set_term(b, Terminator::Jump(join));
+        }
+        self.cur = join;
+        self.terminated = false;
+        join
+    }
+
+    fn lower_expr(&mut self, e: &Expr<'src>, env: &Env<'src>) -> Result<ValueId, LowerError> {
         match self.lower_expr_allow_void(e, env)? {
             Some(v) => Ok(v),
             None => Err(self.err("void call used as a value", e.span())),
         }
     }
 
+    fn emit_const(&mut self, name: &str, ty: Type, value: Const) -> ValueId {
+        let dst = self.f.new_value(name, ty);
+        self.f.push_inst(self.cur, Inst::Const { dst, value });
+        dst
+    }
+
     fn lower_expr_allow_void(
         &mut self,
-        e: &Expr,
-        env: &Env,
+        e: &Expr<'src>,
+        env: &Env<'src>,
     ) -> Result<Option<ValueId>, LowerError> {
-        match e {
-            Expr::Int(v) => {
-                let dst = self.f.new_value("c", Type::Int);
-                self.f.push_inst(
-                    self.cur,
-                    Inst::Const {
-                        dst,
-                        value: Const::Int(*v),
-                    },
-                );
-                Ok(Some(dst))
-            }
-            Expr::Bool(b) => {
-                let dst = self.f.new_value("c", Type::Bool);
-                self.f.push_inst(
-                    self.cur,
-                    Inst::Const {
-                        dst,
-                        value: Const::Bool(*b),
-                    },
-                );
-                Ok(Some(dst))
-            }
-            Expr::Null => {
-                let dst = self.f.new_value("null", Type::Int.ptr_to());
-                self.f.push_inst(
-                    self.cur,
-                    Inst::Const {
-                        dst,
-                        value: Const::Null,
-                    },
-                );
-                Ok(Some(dst))
-            }
+        match *e {
+            Expr::Int(v) => Ok(Some(self.emit_const("c", Type::Int, Const::Int(v)))),
+            Expr::Bool(b) => Ok(Some(self.emit_const("c", Type::Bool, Const::Bool(b)))),
+            Expr::Null => Ok(Some(self.emit_const(
+                "null",
+                Type::Int.ptr_to(),
+                Const::Null,
+            ))),
             Expr::Var(name, span) => {
-                if let Some(&v) = env.get(name) {
+                if let Some(v) = env.get(name) {
                     return Ok(Some(v));
                 }
-                if let Some((gid, ty)) = self.globals.get(name) {
-                    let dst = self.f.new_value(name.clone(), ty.clone().ptr_to());
-                    self.f
-                        .push_inst(self.cur, Inst::GlobalAddr { dst, global: *gid });
+                if let Some(&(global, ty)) = self.tables.globals.get(name) {
+                    let dst = self.f.new_value(name, ty.ptr_to());
+                    self.f.push_inst(self.cur, Inst::GlobalAddr { dst, global });
                     return Ok(Some(dst));
                 }
-                Err(self.err(format!("unknown variable `{name}`"), *span))
+                Err(self.err(format!("unknown variable `{name}`"), span))
             }
-            Expr::Deref(inner, span) => {
+            Expr::Deref(ref inner, span) => {
                 let p = self.lower_expr(inner, env)?;
-                let pt = self.f.ty(p).clone();
+                let pt = *self.f.ty(p);
                 let Some(pointee) = pt.pointee() else {
-                    return Err(self.err(format!("cannot dereference non-pointer {pt}"), *span));
+                    return Err(self.err(format!("cannot dereference non-pointer {pt}"), span));
                 };
-                let pointee = pointee.clone();
                 let dst = self.f.new_value("ld", pointee);
                 self.f.push_inst(
                     self.cur,
@@ -549,15 +647,15 @@ impl<'a> FnLowerer<'a> {
                 );
                 Ok(Some(dst))
             }
-            Expr::Un(op, inner, span) => {
+            Expr::Un(op, ref inner, span) => {
                 let v = self.lower_expr(inner, env)?;
-                let vt = self.f.ty(v).clone();
+                let vt = *self.f.ty(v);
                 let (irop, want, out) = match op {
                     UnOpKind::Neg => (UnOp::Neg, Type::Int, Type::Int),
                     UnOpKind::Not => (UnOp::Not, Type::Bool, Type::Bool),
                 };
                 if vt != want {
-                    return Err(self.err(format!("operand of `{irop}` must be {want}"), *span));
+                    return Err(self.err(format!("operand of `{irop}` must be {want}"), span));
                 }
                 let dst = self.f.new_value("t", out);
                 self.f.push_inst(
@@ -570,30 +668,29 @@ impl<'a> FnLowerer<'a> {
                 );
                 Ok(Some(dst))
             }
-            Expr::Bin(op, l, r, span) => {
+            Expr::Bin(op, ref l, ref r, span) => {
                 let lv = self.lower_expr(l, env)?;
                 let rv = self.lower_expr(r, env)?;
-                let lt = self.f.ty(lv).clone();
-                let rt = self.f.ty(rv).clone();
                 // Gt/Ge lower to swapped Lt/Le.
-                let (irop, lv, rv, lt, rt) = match op {
-                    BinOpKind::Gt => (BinOp::Lt, rv, lv, rt, lt),
-                    BinOpKind::Ge => (BinOp::Le, rv, lv, rt, lt),
-                    BinOpKind::Add => (BinOp::Add, lv, rv, lt, rt),
-                    BinOpKind::Sub => (BinOp::Sub, lv, rv, lt, rt),
-                    BinOpKind::Mul => (BinOp::Mul, lv, rv, lt, rt),
-                    BinOpKind::Eq => (BinOp::Eq, lv, rv, lt, rt),
-                    BinOpKind::Ne => (BinOp::Ne, lv, rv, lt, rt),
-                    BinOpKind::Lt => (BinOp::Lt, lv, rv, lt, rt),
-                    BinOpKind::Le => (BinOp::Le, lv, rv, lt, rt),
-                    BinOpKind::And => (BinOp::And, lv, rv, lt, rt),
-                    BinOpKind::Or => (BinOp::Or, lv, rv, lt, rt),
+                let (irop, lv, rv) = match op {
+                    BinOpKind::Gt => (BinOp::Lt, rv, lv),
+                    BinOpKind::Ge => (BinOp::Le, rv, lv),
+                    BinOpKind::Add => (BinOp::Add, lv, rv),
+                    BinOpKind::Sub => (BinOp::Sub, lv, rv),
+                    BinOpKind::Mul => (BinOp::Mul, lv, rv),
+                    BinOpKind::Eq => (BinOp::Eq, lv, rv),
+                    BinOpKind::Ne => (BinOp::Ne, lv, rv),
+                    BinOpKind::Lt => (BinOp::Lt, lv, rv),
+                    BinOpKind::Le => (BinOp::Le, lv, rv),
+                    BinOpKind::And => (BinOp::And, lv, rv),
+                    BinOpKind::Or => (BinOp::Or, lv, rv),
                 };
+                let (lt, rt) = (*self.f.ty(lv), *self.f.ty(rv));
                 let out_ty = match irop {
                     BinOp::Add | BinOp::Sub | BinOp::Mul => {
                         if lt != Type::Int || rt != Type::Int {
                             return Err(
-                                self.err(format!("arithmetic on non-int: {lt} {irop} {rt}"), *span)
+                                self.err(format!("arithmetic on non-int: {lt} {irop} {rt}"), span)
                             );
                         }
                         Type::Int
@@ -601,23 +698,23 @@ impl<'a> FnLowerer<'a> {
                     BinOp::Lt | BinOp::Le => {
                         if lt != Type::Int || rt != Type::Int {
                             return Err(
-                                self.err(format!("comparison on non-int: {lt} {irop} {rt}"), *span)
+                                self.err(format!("comparison on non-int: {lt} {irop} {rt}"), span)
                             );
                         }
                         Type::Bool
                     }
                     BinOp::Eq | BinOp::Ne => {
-                        if !types_compatible(&lt, &rt) {
+                        if !types_compatible(lt, rt) {
                             return Err(self.err(
                                 format!("equality between incompatible types {lt} and {rt}"),
-                                *span,
+                                span,
                             ));
                         }
                         Type::Bool
                     }
                     BinOp::And | BinOp::Or => {
                         if lt != Type::Bool || rt != Type::Bool {
-                            return Err(self.err("logical op on non-bool", *span));
+                            return Err(self.err("logical op on non-bool", span));
                         }
                         Type::Bool
                     }
@@ -642,27 +739,28 @@ impl<'a> FnLowerer<'a> {
                 self.f.push_inst(self.cur, Inst::Alloc { dst });
                 Ok(Some(dst))
             }
-            Expr::Call(name, args, span) => {
-                let sig = self
-                    .sigs
+            Expr::Call(name, ref args, span) => {
+                let tables = self.tables;
+                let sig = tables
+                    .signatures
                     .get(name)
-                    .ok_or_else(|| self.err(format!("unknown function `{name}`"), *span))?
-                    .clone();
-                if args.len() != sig.params.len() {
+                    .ok_or_else(|| self.err(format!("unknown function `{name}`"), span))?;
+                let params = &tables.param_tys[sig.params.clone()];
+                if args.len() != params.len() {
                     return Err(self.err(
                         format!(
                             "`{name}` expects {} argument(s), got {}",
-                            sig.params.len(),
+                            params.len(),
                             args.len()
                         ),
-                        *span,
+                        span,
                     ));
                 }
                 let mut argv = Vec::with_capacity(args.len());
-                for (a, pt) in args.iter().zip(&sig.params) {
+                for (a, &pt) in args.iter().zip(params) {
                     let v = self.lower_expr(a, env)?;
-                    let vt = self.f.ty(v).clone();
-                    if !sig.polymorphic && !types_compatible(pt, &vt) {
+                    let vt = *self.f.ty(v);
+                    if !sig.polymorphic && !types_compatible(pt, vt) {
                         return Err(self.err(
                             format!("argument type mismatch for `{name}`: expected {pt}, got {vt}"),
                             a.span(),
@@ -670,19 +768,12 @@ impl<'a> FnLowerer<'a> {
                     }
                     argv.push(v);
                 }
-                let dsts = match &sig.ret {
-                    Some(rt) => {
-                        let dst = self.f.new_value("r", rt.clone());
-                        vec![dst]
-                    }
-                    None => vec![],
-                };
-                let ret = dsts.first().copied();
+                let ret = sig.ret.map(|rt| self.f.new_value("r", rt));
                 self.f.push_inst(
                     self.cur,
                     Inst::Call {
-                        dsts,
-                        callee: name.clone(),
+                        dsts: ret.into_iter().collect(),
+                        callee: name.to_string(),
                         args: argv,
                     },
                 );
@@ -694,8 +785,8 @@ impl<'a> FnLowerer<'a> {
 
 /// Type compatibility: exact match, or a `malloc` cell (`int*`) used at any
 /// pointer type, or `null` (`int*`) used at any pointer type.
-fn types_compatible(expected: &Type, got: &Type) -> bool {
-    expected == got || (expected.is_ptr() && *got == Type::Int.ptr_to())
+fn types_compatible(expected: Type, got: Type) -> bool {
+    expected == got || (expected.is_ptr() && got == Type::int_ptr(1))
 }
 
 #[cfg(test)]
@@ -937,6 +1028,42 @@ mod tests {
                 .count(),
             0
         );
+    }
+
+    #[test]
+    fn arm_declarations_end_with_the_arm() {
+        // Also when the other arm returns and nothing is merged.
+        for src in [
+            "fn f(c: bool) -> int { if (c) { let y: int = 1; } return y; }",
+            "fn f(c: bool) -> int { if (c) { let y: int = 1; } else { return 0; } return y; }",
+            "fn f(c: bool) -> int { if (c) { return 0; } else { let y: int = 1; } return y; }",
+            "fn f(c: bool) -> int { while (c) { let y: int = 1; } return y; }",
+        ] {
+            let e = lower_err(src);
+            assert_eq!(e.message, "unknown variable `y`", "{src}");
+        }
+        // Variables bound before the branch take the surviving arm's value.
+        let m = lower_src(
+            "fn f(c: bool) -> int {
+                let y: int = 0;
+                if (c) { y = 1; } else { return 2; }
+                return y;
+            }",
+        );
+        let f = &m.funcs[0];
+        let Some(Inst::Phi { incomings, .. }) = f.block(f.return_block().unwrap()).insts.first()
+        else {
+            panic!("the two returns merge");
+        };
+        let returned: Vec<&str> = incomings
+            .iter()
+            .map(|&(_, v)| f.value(v).name.as_str())
+            .collect();
+        assert_eq!(returned, ["c", "y"], "`return 2` then `return y`");
+        let Some(Inst::Copy { dst, .. }) = f.block(BlockId(1)).insts.last() else {
+            panic!("`y = 1` ends the then-arm");
+        };
+        assert_eq!(incomings[1].1, *dst, "the arm's `y`, not the outer one");
     }
 
     #[test]

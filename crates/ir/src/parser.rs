@@ -1,7 +1,15 @@
-//! Recursive-descent parser for the mini-language.
+//! Recursive-descent parser for the mini-language, in two steps.
+//!
+//! `split` makes one streaming pass over the file: it parses `global`
+//! items and `fn` headers with the ordinary productions and steps over
+//! each body by brace depth, leaving an item table (`Items`).
+//! `parse_body` then parses one function's body from where the table
+//! says it starts. Both run the same `Parser` over a two-token window
+//! of the pull [`Lexer`]; no token vector of the file exists, and the
+//! tree borrows its names from the source.
 
-use crate::ast::{BinOpKind, Expr, FuncDef, GlobalDef, Program, Span, Stmt, UnOpKind};
-use crate::lexer::{lex, LexError, Tok, Token};
+use crate::ast::{BinOpKind, Expr, FnHeader, FuncDef, GlobalDef, Program, Span, Stmt, UnOpKind};
+use crate::lexer::{LexError, Lexer, Tok, Token};
 use crate::types::Type;
 use std::fmt;
 
@@ -31,6 +39,96 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// One `fn` item as [`split`] leaves it: the parsed header and where the
+/// body starts.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct FuncItem<'src> {
+    /// Function name.
+    pub name: &'src str,
+    /// Parameters: `(name, type)`.
+    pub params: Vec<(&'src str, Type)>,
+    /// Return type (`None` for procedures).
+    pub ret_ty: Option<Type>,
+    /// Location of the `fn` keyword.
+    pub span: Span,
+    /// Location of the body's opening brace ([`parse_body`] starts here).
+    pub body_at: Span,
+}
+
+impl<'src> FuncItem<'src> {
+    /// The function's header.
+    pub(crate) fn header(&self) -> FnHeader<'_, 'src> {
+        FnHeader {
+            name: self.name,
+            params: &self.params,
+            ret_ty: self.ret_ty,
+            span: self.span,
+        }
+    }
+}
+
+/// The item table of one source file.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Items<'src> {
+    /// Global declarations, in source order.
+    pub globals: Vec<GlobalDef<'src>>,
+    /// Function items, in source order.
+    pub funcs: Vec<FuncItem<'src>>,
+    /// Tokens in the file (end of input not counted).
+    pub tokens: usize,
+}
+
+/// Splits `src` into its top-level items without parsing function bodies.
+///
+/// # Errors
+///
+/// The error the whole-file parse of `src` would report, when it lies
+/// outside the function bodies of the returned table: the first lexing
+/// error anywhere in the file; otherwise, when an item header is
+/// malformed, the first parse error in file order, which is the error of
+/// an earlier body if one fails to parse and the header's own otherwise.
+/// `Ok` therefore promises that the whole file lexes and that every
+/// remaining parse error is inside the body of a returned item.
+pub(crate) fn split(src: &str) -> Result<Items<'_>, ParseError> {
+    let mut items = Items::default();
+    let mut p = Parser::at(src, Span { offset: 0, line: 1 })?;
+    let malformed = loop {
+        match p.item(&mut items) {
+            Ok(true) => {}
+            Ok(false) => break None,
+            // A lexing error later in the file outranks a parse error
+            // here. (When `e` itself came from the lexer, the lexer has
+            // not moved past it and reports it again.)
+            Err(e) => {
+                p.lexer.drain()?;
+                break Some(e);
+            }
+        }
+    };
+    if let Some(e) = malformed {
+        // Held back until the bodies before it have parsed: one of them
+        // failing is the earlier error.
+        for item in &items.funcs {
+            parse_body(src, item)?;
+        }
+        return Err(e);
+    }
+    items.tokens = p.lexer.tokens();
+    Ok(items)
+}
+
+/// Parses the body of one function item of `src`'s table.
+///
+/// # Errors
+///
+/// Returns the first parse error inside the body.
+pub(crate) fn parse_body<'src>(
+    src: &'src str,
+    item: &FuncItem<'src>,
+) -> Result<Vec<Stmt<'src>>, ParseError> {
+    Parser::at(src, item.body_at)?.block()
+}
+
 /// Parses a whole program.
 ///
 /// # Errors
@@ -43,16 +141,26 @@ impl From<LexError> for ParseError {
 /// let src = "fn main() { let x: int = 1; return; }";
 /// let program = pinpoint_ir::parser::parse(src)?;
 /// assert_eq!(program.funcs.len(), 1);
+/// assert_eq!(program.funcs[0].name, "main");
 /// # Ok::<(), pinpoint_ir::parser::ParseError>(())
 /// ```
-pub fn parse(src: &str) -> Result<Program, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-    };
-    p.program()
+pub fn parse(src: &str) -> Result<Program<'_>, ParseError> {
+    let items = split(src)?;
+    let mut funcs = Vec::with_capacity(items.funcs.len());
+    for item in items.funcs {
+        let body = parse_body(src, &item)?;
+        funcs.push(FuncDef {
+            name: item.name,
+            params: item.params,
+            ret_ty: item.ret_ty,
+            body,
+            span: item.span,
+        });
+    }
+    Ok(Program {
+        globals: items.globals,
+        funcs,
+    })
 }
 
 /// Maximum statement/expression nesting depth. The parser is recursive
@@ -63,32 +171,48 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 /// statement nesting the most) inside a 2 MiB test-thread stack.
 const MAX_NESTING_DEPTH: usize = 128;
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// The productions, over a two-token window (`cur`, `next`) of the lexer.
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    cur: Token<'src>,
+    next: Token<'src>,
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].tok
+impl<'src> Parser<'src> {
+    /// A parser whose current token is the one at `start`.
+    fn at(src: &'src str, start: Span) -> Result<Self, ParseError> {
+        let mut lexer = Lexer::at(src, start);
+        let cur = lexer.next_token()?;
+        let next = lexer.next_token()?;
+        Ok(Parser {
+            lexer,
+            cur,
+            next,
+            depth: 0,
+        })
+    }
+
+    fn peek(&self) -> Tok<'src> {
+        self.cur.tok
     }
 
     fn span(&self) -> Span {
-        self.tokens[self.pos].span
+        self.cur.span
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+    /// Consumes the current token. End of input is never consumed: the
+    /// lexer keeps answering with it.
+    fn bump(&mut self) -> Result<Tok<'src>, ParseError> {
+        let t = self.cur.tok;
+        self.cur = self.next;
+        self.next = self.lexer.next_token()?;
+        Ok(t)
     }
 
-    fn expect(&mut self, want: Tok) -> Result<(), ParseError> {
-        if *self.peek() == want {
-            self.bump();
+    fn expect(&mut self, want: Tok<'src>) -> Result<(), ParseError> {
+        if self.peek() == want {
+            self.bump()?;
             Ok(())
         } else {
             Err(self.error(format!("expected {want}, found {}", self.peek())))
@@ -120,32 +244,29 @@ impl Parser {
         self.depth -= 1;
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn ident(&mut self) -> Result<&'src str, ParseError> {
+        match self.peek() {
             Tok::Ident(s) => {
-                self.bump();
+                self.bump()?;
                 Ok(s)
             }
             other => Err(self.error(format!("expected identifier, found {other}"))),
         }
     }
 
-    fn program(&mut self) -> Result<Program, ParseError> {
-        let mut prog = Program::default();
-        loop {
-            match self.peek() {
-                Tok::Eof => break,
-                Tok::Global => prog.globals.push(self.global()?),
-                Tok::Fn => prog.funcs.push(self.func()?),
-                other => {
-                    return Err(self.error(format!("expected `fn` or `global`, found {other}")))
-                }
-            }
+    /// Parses the next top-level item into `items`; `false` at end of
+    /// input.
+    fn item(&mut self, items: &mut Items<'src>) -> Result<bool, ParseError> {
+        match self.peek() {
+            Tok::Eof => return Ok(false),
+            Tok::Global => items.globals.push(self.global()?),
+            Tok::Fn => items.funcs.push(self.func_item()?),
+            other => return Err(self.error(format!("expected `fn` or `global`, found {other}"))),
         }
-        Ok(prog)
+        Ok(true)
     }
 
-    fn global(&mut self) -> Result<GlobalDef, ParseError> {
+    fn global(&mut self) -> Result<GlobalDef<'src>, ParseError> {
         let span = self.span();
         self.expect(Tok::Global)?;
         let name = self.ident()?;
@@ -155,77 +276,99 @@ impl Parser {
         Ok(GlobalDef { name, ty, span })
     }
 
-    fn func(&mut self) -> Result<FuncDef, ParseError> {
+    /// A function header, then its body stepped over.
+    fn func_item(&mut self) -> Result<FuncItem<'src>, ParseError> {
         let span = self.span();
         self.expect(Tok::Fn)?;
         let name = self.ident()?;
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
-        if *self.peek() != Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
                 let pname = self.ident()?;
                 self.expect(Tok::Colon)?;
                 let ty = self.ty()?;
                 params.push((pname, ty));
-                if *self.peek() == Tok::Comma {
-                    self.bump();
+                if self.peek() == Tok::Comma {
+                    self.bump()?;
                 } else {
                     break;
                 }
             }
         }
         self.expect(Tok::RParen)?;
-        let ret_ty = if *self.peek() == Tok::Arrow {
-            self.bump();
+        let ret_ty = if self.peek() == Tok::Arrow {
+            self.bump()?;
             Some(self.ty()?)
         } else {
             None
         };
-        let body = self.block()?;
-        Ok(FuncDef {
+        let body_at = self.span();
+        self.expect(Tok::LBrace)?;
+        self.skip_block()?;
+        Ok(FuncItem {
             name,
             params,
             ret_ty,
-            body,
             span,
+            body_at,
         })
     }
 
+    /// Steps over the rest of a block whose `{` was just consumed, to
+    /// the token after the matching `}`. A loop, not a recursion: input
+    /// nesting costs no stack here. Braces are only ever consumed by
+    /// [`Parser::block`], so where the body parses at all this is where
+    /// its parse ends; end of input first means the body cannot parse,
+    /// and [`parse_body`] says why.
+    fn skip_block(&mut self) -> Result<(), ParseError> {
+        let mut open = 1usize;
+        while open > 0 {
+            match self.bump()? {
+                Tok::LBrace => open += 1,
+                Tok::RBrace => open -= 1,
+                Tok::Eof => break,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     fn ty(&mut self) -> Result<Type, ParseError> {
-        let mut base = match self.bump() {
+        let mut base = match self.bump()? {
             Tok::TyInt => Type::Int,
             Tok::TyBool => Type::Bool,
             other => return Err(self.error(format!("expected type, found {other}"))),
         };
-        while *self.peek() == Tok::Star {
-            self.bump();
+        while self.peek() == Tok::Star {
+            self.bump()?;
             base = base.ptr_to();
         }
         Ok(base)
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn block(&mut self) -> Result<Vec<Stmt<'src>>, ParseError> {
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
-        while *self.peek() != Tok::RBrace {
+        while self.peek() != Tok::RBrace {
             stmts.push(self.stmt()?);
         }
         self.expect(Tok::RBrace)?;
         Ok(stmts)
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn stmt(&mut self) -> Result<Stmt<'src>, ParseError> {
         self.enter()?;
         let result = self.stmt_inner();
         self.leave();
         result
     }
 
-    fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
+    fn stmt_inner(&mut self) -> Result<Stmt<'src>, ParseError> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Let => {
-                self.bump();
+                self.bump()?;
                 let name = self.ident()?;
                 self.expect(Tok::Colon)?;
                 let ty = self.ty()?;
@@ -240,14 +383,14 @@ impl Parser {
                 })
             }
             Tok::If => {
-                self.bump();
+                self.bump()?;
                 self.expect(Tok::LParen)?;
                 let cond = self.expr()?;
                 self.expect(Tok::RParen)?;
                 let then_body = self.block()?;
-                let else_body = if *self.peek() == Tok::Else {
-                    self.bump();
-                    if *self.peek() == Tok::If {
+                let else_body = if self.peek() == Tok::Else {
+                    self.bump()?;
+                    if self.peek() == Tok::If {
                         vec![self.stmt()?]
                     } else {
                         self.block()?
@@ -263,7 +406,7 @@ impl Parser {
                 })
             }
             Tok::While => {
-                self.bump();
+                self.bump()?;
                 self.expect(Tok::LParen)?;
                 let cond = self.expr()?;
                 self.expect(Tok::RParen)?;
@@ -271,9 +414,9 @@ impl Parser {
                 Ok(Stmt::While { cond, body, span })
             }
             Tok::Return => {
-                self.bump();
-                if *self.peek() == Tok::Semi {
-                    self.bump();
+                self.bump()?;
+                if self.peek() == Tok::Semi {
+                    self.bump()?;
                     Ok(Stmt::Return(None, span))
                 } else {
                     let e = self.expr()?;
@@ -284,8 +427,8 @@ impl Parser {
             Tok::Star => {
                 // Store: one or more `*` then a primary expr, `=`, value.
                 let mut depth = 0u32;
-                while *self.peek() == Tok::Star {
-                    self.bump();
+                while self.peek() == Tok::Star {
+                    self.bump()?;
                     depth += 1;
                 }
                 let ptr = self.primary()?;
@@ -301,9 +444,9 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 // Assignment or expression statement (call).
-                if self.tokens[self.pos + 1].tok == Tok::Assign {
-                    self.bump();
-                    self.bump();
+                if self.next.tok == Tok::Assign {
+                    self.bump()?;
+                    self.bump()?;
                     let value = self.expr()?;
                     self.expect(Tok::Semi)?;
                     Ok(Stmt::Assign { name, value, span })
@@ -318,36 +461,36 @@ impl Parser {
     }
 
     // Precedence climbing: or < and < cmp < add < mul < unary < primary.
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<Expr<'src>, ParseError> {
         self.enter()?;
         let result = self.or_expr();
         self.leave();
         result
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
+    fn or_expr(&mut self) -> Result<Expr<'src>, ParseError> {
         let mut lhs = self.and_expr()?;
-        while *self.peek() == Tok::OrOr {
+        while self.peek() == Tok::OrOr {
             let span = self.span();
-            self.bump();
+            self.bump()?;
             let rhs = self.and_expr()?;
             lhs = Expr::Bin(BinOpKind::Or, Box::new(lhs), Box::new(rhs), span);
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
+    fn and_expr(&mut self) -> Result<Expr<'src>, ParseError> {
         let mut lhs = self.cmp_expr()?;
-        while *self.peek() == Tok::AndAnd {
+        while self.peek() == Tok::AndAnd {
             let span = self.span();
-            self.bump();
+            self.bump()?;
             let rhs = self.cmp_expr()?;
             lhs = Expr::Bin(BinOpKind::And, Box::new(lhs), Box::new(rhs), span);
         }
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
+    fn cmp_expr(&mut self) -> Result<Expr<'src>, ParseError> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             Tok::EqEq => Some(BinOpKind::Eq),
@@ -360,7 +503,7 @@ impl Parser {
         };
         if let Some(op) = op {
             let span = self.span();
-            self.bump();
+            self.bump()?;
             let rhs = self.add_expr()?;
             Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs), span))
         } else {
@@ -368,7 +511,7 @@ impl Parser {
         }
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
+    fn add_expr(&mut self) -> Result<Expr<'src>, ParseError> {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -377,46 +520,46 @@ impl Parser {
                 _ => break,
             };
             let span = self.span();
-            self.bump();
+            self.bump()?;
             let rhs = self.mul_expr()?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs), span);
         }
         Ok(lhs)
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+    fn mul_expr(&mut self) -> Result<Expr<'src>, ParseError> {
         let mut lhs = self.unary()?;
-        while *self.peek() == Tok::Star {
+        while self.peek() == Tok::Star {
             let span = self.span();
-            self.bump();
+            self.bump()?;
             let rhs = self.unary()?;
             lhs = Expr::Bin(BinOpKind::Mul, Box::new(lhs), Box::new(rhs), span);
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<Expr<'src>, ParseError> {
         self.enter()?;
         let result = self.unary_inner();
         self.leave();
         result
     }
 
-    fn unary_inner(&mut self) -> Result<Expr, ParseError> {
+    fn unary_inner(&mut self) -> Result<Expr<'src>, ParseError> {
         let span = self.span();
         match self.peek() {
             Tok::Minus => {
-                self.bump();
+                self.bump()?;
                 let e = self.unary()?;
                 Ok(Expr::Un(UnOpKind::Neg, Box::new(e), span))
             }
             Tok::Bang => {
-                self.bump();
+                self.bump()?;
                 let e = self.unary()?;
                 Ok(Expr::Un(UnOpKind::Not, Box::new(e), span))
             }
             Tok::Star => {
-                self.bump();
+                self.bump()?;
                 let e = self.unary()?;
                 Ok(Expr::Deref(Box::new(e), span))
             }
@@ -424,9 +567,9 @@ impl Parser {
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<Expr<'src>, ParseError> {
         let span = self.span();
-        match self.bump() {
+        match self.bump()? {
             Tok::Int(v) => Ok(Expr::Int(v)),
             Tok::True => Ok(Expr::Bool(true)),
             Tok::False => Ok(Expr::Bool(false)),
@@ -442,14 +585,14 @@ impl Parser {
                 Ok(e)
             }
             Tok::Ident(name) => {
-                if *self.peek() == Tok::LParen {
-                    self.bump();
+                if self.peek() == Tok::LParen {
+                    self.bump()?;
                     let mut args = Vec::new();
-                    if *self.peek() != Tok::RParen {
+                    if self.peek() != Tok::RParen {
                         loop {
                             args.push(self.expr()?);
-                            if *self.peek() == Tok::Comma {
-                                self.bump();
+                            if self.peek() == Tok::Comma {
+                                self.bump()?;
                             } else {
                                 break;
                             }

@@ -57,6 +57,91 @@ fn parser_is_total_on_token_soup() {
     }
 }
 
+/// Runs `f` on a thread with the 2 MiB stack test threads get by default
+/// (stated, so the bound does not depend on how the test is launched).
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("thread spawns")
+        .join()
+        .expect("no stack overflow, no panic")
+}
+
+/// Brace nesting costs the item splitter no stack (it counts, it does not
+/// recurse), and the body parser gives up at its nesting bound: hostile
+/// nesting is an error, never an overflow.
+#[test]
+fn hostile_nesting_errors_on_a_small_stack() {
+    let message = |src: String| {
+        on_small_stack(move || {
+            pinpoint_ir::compile(&src)
+                .expect_err("hostile input does not compile")
+                .to_string()
+        })
+    };
+    let braces = "{".repeat(1 << 20);
+    assert!(message(braces.clone()).contains("expected `fn` or `global`, found LBrace"));
+    assert!(message(format!("fn f() {braces}")).contains("expected statement, found LBrace"));
+    let ifs = format!("fn f(c: bool) {{ {}", "if (c) { ".repeat(100_000));
+    assert!(message(ifs.clone()).contains("nesting too deep"));
+    let closed = format!("{ifs}{} return; }}", "} ".repeat(100_000));
+    assert!(message(closed).contains("nesting too deep"));
+    assert!(message("}".repeat(1 << 20)).contains("expected `fn` or `global`, found RBrace"));
+    assert!(message("fn f() { return; } }".to_string())
+        .contains("expected `fn` or `global`, found RBrace"));
+}
+
+/// Linear-time guard, unoptimised: one function of 200 000 statements —
+/// 50 000 variables, 50 000 two-armed branches each merging one of them —
+/// and a file of 200 000 one-line functions. A front end that copies the
+/// environment per branch, or looks anything up by scanning, takes
+/// minutes on these.
+#[test]
+fn huge_function_and_huge_item_table_compile_in_linear_time() {
+    use std::fmt::Write;
+    let mut one_function = String::from("fn f(c: bool) {\n");
+    for i in 0..50_000 {
+        writeln!(
+            one_function,
+            "let v{i}: int = {i};\nv{i} = v{i} + 1;\n\
+             if (c) {{ v{i} = 0; }} else {{ v{i} = 1; }}\nprint(v{i});"
+        )
+        .unwrap();
+    }
+    one_function.push_str("return;\n}\n");
+    let mut many_functions = String::new();
+    for i in 0..200_000 {
+        writeln!(many_functions, "fn f{i}() {{ return; }}").unwrap();
+    }
+    for (what, src, funcs, phis) in [
+        ("one function", one_function, 1, 50_000),
+        ("many functions", many_functions, 200_000, 0),
+    ] {
+        // Up to three runs, the fastest counts: the bound is about the
+        // algorithm, and a shared host can slow any one run down by half.
+        const LIMIT: std::time::Duration = std::time::Duration::from_secs(2);
+        let mut fastest = std::time::Duration::MAX;
+        for _ in 0..3 {
+            let t = std::time::Instant::now();
+            let module = pinpoint_ir::compile(&src).unwrap();
+            fastest = fastest.min(t.elapsed());
+            assert_eq!(module.funcs.len(), funcs, "{what}");
+            let phi_count = module
+                .funcs
+                .iter()
+                .flat_map(|f| f.iter_insts())
+                .filter(|(_, i)| matches!(i, pinpoint_ir::Inst::Phi { .. }))
+                .count();
+            assert_eq!(phi_count, phis, "{what}");
+            if fastest < LIMIT {
+                break;
+            }
+        }
+        assert!(fastest < LIMIT, "{what}: {fastest:?}");
+    }
+}
+
 /// A small pool of well-formed programs exercising varied control flow.
 fn program_pool() -> Vec<&'static str> {
     vec![

@@ -120,7 +120,7 @@ impl Symbols {
 
     /// The SMT sort corresponding to a value's type (pointers are ints).
     pub fn sort_of(f: &Function, v: ValueId) -> Sort {
-        match f.ty(v) {
+        match *f.ty(v) {
             pinpoint_ir::Type::Bool => Sort::Bool,
             _ => Sort::Int,
         }

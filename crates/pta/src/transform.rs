@@ -53,7 +53,7 @@ pub fn insert_connectors(f: &mut Function, refs: &[AccessPath], mods: &[AccessPa
     };
     let path_ty = |f: &Function, p: &AccessPath| -> Option<Type> {
         let root = *f.params.get(p.root as usize)?;
-        f.ty(root).deref(p.depth as usize).cloned()
+        f.ty(root).deref(p.depth as usize)
     };
     // Aux formal parameters, with entry stores *(v_j, k) ← F_i in
     // increasing depth order (shallow cells must be written first so that
@@ -87,7 +87,7 @@ pub fn insert_connectors(f: &mut Function, refs: &[AccessPath], mods: &[AccessPa
             continue;
         };
         let name = format!("aux_out_p{}d{}", path.root, path.depth);
-        let rp = f.new_value(name, ty.clone());
+        let rp = f.new_value(name, ty);
         f.ret_tys.push(ty);
         shape.aux_rets.push((path, rp));
         exit_loads.push(Inst::Load {
@@ -163,7 +163,7 @@ where
                 let Some(&uj) = args[..orig_args].get(path.root as usize) else {
                     continue;
                 };
-                let Some(ty) = caller.ty(uj).deref(path.depth as usize).cloned() else {
+                let Some(ty) = caller.ty(uj).deref(path.depth as usize) else {
                     // Should not happen on type-correct programs; pass a
                     // null-equivalent placeholder to keep arity aligned.
                     let placeholder = caller.new_value("aux_arg_null", Type::Int.ptr_to());
@@ -193,7 +193,7 @@ where
                 let Some(&uq) = args[..orig_args].get(path.root as usize) else {
                     continue;
                 };
-                let Some(ty) = caller.ty(uq).deref(path.depth as usize).cloned() else {
+                let Some(ty) = caller.ty(uq).deref(path.depth as usize) else {
                     let pad = caller.new_value("aux_recv_dead", Type::Int);
                     dsts.push(pad);
                     continue;

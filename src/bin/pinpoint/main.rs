@@ -440,6 +440,8 @@ fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
     let _ = session.check_all();
     common.write_obs(&session)?;
     let s = session.stats();
+    println!("source bytes:     {}", s.front_bytes);
+    println!("tokens:           {}", s.front_tokens);
     println!("functions:        {}", analysis.module.funcs.len());
     println!("instructions:     {}", analysis.module.inst_count());
     println!("threads:          {}", analysis.threads());
@@ -447,6 +449,7 @@ fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
     println!("SEG edges:        {}", s.seg_edges);
     println!("SEG bytes:        {}", s.seg_bytes);
     println!("terms:            {}", s.terms);
+    println!("frontend time:    {:?}", s.front_time);
     println!("pta time:         {:?}", s.pta_time);
     println!("seg time:         {:?}", s.seg_time);
     println!("detect time:      {:?}", s.detect_time);

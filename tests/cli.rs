@@ -141,7 +141,9 @@ fn trace_and_stats_outputs() {
     let _ = std::fs::remove_file(&stats);
     assert!(trace_doc.starts_with("{\"traceEvents\":["), "{trace_doc}");
     for span in [
-        "frontend",
+        "\"frontend\"",
+        "\"frontend.split\"",
+        "\"frontend.lower\"",
         "\"callgraph\"",
         "\"keys\"",
         "\"pta\"",
@@ -163,7 +165,8 @@ fn trace_and_stats_outputs() {
         "{stats_doc}"
     );
     for family in [
-        "\"frontend\"",
+        "\"frontend\":{\"bytes\":",
+        "\"tokens\":",
         "\"callgraph\":{\"edges\":",
         "\"max_callers\":",
         "\"sccs\":",

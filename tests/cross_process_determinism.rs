@@ -131,6 +131,25 @@ fn assert_process_invariant(tag: &str, source: &str) {
         reference.1.starts_with("[{"),
         "{tag}: input must produce reports"
     );
+    // The front end's counters describe the source text, so every run
+    // below repeats them whatever its thread count or cache state.
+    let tokens = {
+        let mut lexer = pinpoint::ir::lexer::Lexer::new(source);
+        lexer.drain().expect("input lexes");
+        lexer.tokens()
+    };
+    let front = format!("\"frontend\":{{\"bytes\":{},\"funcs\":", source.len());
+    assert!(
+        reference.2.contains(&front),
+        "{tag}: {front}\n{}",
+        reference.2
+    );
+    let front = format!("\"tokens\":{tokens}}}");
+    assert!(
+        reference.2.contains(&front),
+        "{tag}: {front}\n{}",
+        reference.2
+    );
     for threads in THREADS {
         for run in 0..RUNS {
             let got = check(&input, threads, None, &stats);

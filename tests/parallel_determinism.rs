@@ -104,7 +104,8 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
         assert_eq!(trace1, trace4, "{file}: canonical trace JSON diverges");
         saw_queries |= stats1.contains("\"checker\":");
         for family in [
-            "frontend",
+            "\"frontend\":{\"bytes\":",
+            "\"tokens\":",
             "\"callgraph\"",
             "\"keys\"",
             "\"pta\"",
@@ -117,13 +118,22 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
                 "{file}: stats JSON missing stage family {family}"
             );
         }
-        for span in ["callgraph", "keys"] {
+        for span in ["frontend", "frontend.split", "callgraph", "keys"] {
             assert_eq!(
                 trace1.matches(&format!("\"name\":\"{span}\"")).count(),
                 1,
                 "{file}: exactly one {span} span per build"
             );
         }
+        let funcs = stats1
+            .split_once("\"funcs\":")
+            .and_then(|(_, rest)| rest.split(',').next()?.parse::<usize>().ok())
+            .expect("frontend.funcs counter");
+        assert_eq!(
+            trace1.matches("\"name\":\"frontend.lower\"").count(),
+            funcs,
+            "{file}: one frontend.lower span per function, whatever the shard"
+        );
         assert_eq!(
             trace1.matches("\"name\":\"detect.gate\"").count(),
             trace1.matches("\"name\":\"detect\"").count(),
