@@ -79,60 +79,7 @@ fn bench_parallel() {
     );
 }
 
-/// Cold vs warm builds through the persistent artifact cache: the warm
-/// row re-runs the full pipeline with every per-function artifact
-/// already on disk, so it pays only fingerprinting, loading, and the
-/// deterministic merge. Reports must be byte-identical either way.
-fn bench_cache() {
-    println!("# group: cache");
-    let kloc = if smoke_mode() { 1.0 } else { 10.0 };
-    let project = generate(&GenConfig {
-        seed: 11,
-        real_bugs: 2,
-        decoys: 2,
-        taint: false,
-        ..GenConfig::default().with_target_kloc(kloc)
-    });
-    let dir = std::env::temp_dir().join(format!("pinpoint-bench-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    bench(&format!("build/{kloc}kloc/cold"), 5, || {
-        AnalysisBuilder::new()
-            .threads(1)
-            .build_source(&project.source)
-            .unwrap()
-            .arena
-            .len()
-    });
-    // Prime the cache once, then measure fully-warm rebuilds (detection
-    // is per-query and deliberately uncached, so only the build stages
-    // are timed here).
-    let cold = AnalysisBuilder::new()
-        .threads(1)
-        .cache_dir(&dir)
-        .build_source(&project.source)
-        .unwrap();
-    bench(&format!("build/{kloc}kloc/warm"), 5, || {
-        let analysis = AnalysisBuilder::new()
-            .threads(1)
-            .cache_dir(&dir)
-            .build_source(&project.source)
-            .unwrap();
-        assert_eq!(analysis.stats.cache.misses, 0, "warm run must hit fully");
-        analysis.arena.len()
-    });
-    let warm = AnalysisBuilder::new()
-        .threads(1)
-        .cache_dir(&dir)
-        .build_source(&project.source)
-        .unwrap();
-    let cold_reports: Vec<String> = cold.check_all().iter().map(ToString::to_string).collect();
-    let warm_reports: Vec<String> = warm.check_all().iter().map(ToString::to_string).collect();
-    assert_eq!(cold_reports, warm_reports, "cache must not change reports");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 fn main() {
     bench_builds();
     bench_parallel();
-    bench_cache();
 }

@@ -1,33 +1,36 @@
-//! Cache-key derivation.
+//! Function-key derivation.
 //!
-//! A function's artifact is valid exactly when every input of its
-//! analysis is unchanged. Those inputs are:
+//! A function's analysis result is unchanged exactly when every input of
+//! its analysis is unchanged, and the key is a hash of those inputs — so
+//! diffing two builds' keys finds what an edit dirtied
+//! (`Analysis::update_incremental`), a query-cache entry is valid while
+//! the keys of the functions its search visited are, and a fold over all
+//! of them stamps the in-memory interface summaries. The inputs are:
 //!
 //! * its own lowered body ([`pinpoint_ir::func_fingerprint`]);
 //! * the summary shapes of its transitive callees — covered by a
 //!   *transitive SCC fingerprint* folded bottom-up over the call-graph
 //!   condensation, so any edit below a function changes its key;
-//! * the configuration that shapes artifacts ([`config_fp`]: the
+//! * the configuration that shapes results ([`config_fp`]: the
 //!   [`PtaConfig`] knobs, the access-path depth bound, and the on-disk
 //!   [`FORMAT_VERSION`]);
-//! * its `FuncId`. Persisted private arenas name opaque values
-//!   `f{fid}.v{vid}`, so an artifact is only byte-compatible at the same
-//!   function index. Including the id makes index shifts (function
-//!   insertions/deletions) conservative invalidations rather than wrong
-//!   splices.
+//! * its `FuncId`. Opaque values are named `f{fid}.v{vid}`, so a result
+//!   only carries over at the same function index. Including the id
+//!   makes index shifts (function insertions/deletions) conservative
+//!   invalidations rather than wrong reuse.
 //!
 //! Detection-stage knobs (`DetectConfig`) are deliberately *excluded*:
-//! artifacts capture the points-to/SEG stages only, which detection
-//! consumes read-only.
+//! the keys cover the points-to/SEG stages only, which detection
+//! consumes read-only. Keys never leave the process.
 
 use crate::store::FORMAT_VERSION;
 use pinpoint_ir::fingerprint::Fnv128;
 use pinpoint_ir::{module_fingerprints, CallGraph, Module};
 use pinpoint_pta::{PtaConfig, MAX_PATH_DEPTH};
 
-/// Fingerprint of everything configuration-shaped that flows into
-/// artifacts: the points-to knobs, the path-depth bound, and the
-/// artifact format version.
+/// Fingerprint of everything configuration-shaped that flows into a
+/// function's analysis: the points-to knobs, the path-depth bound, and
+/// the format version.
 pub fn config_fp(config: &PtaConfig) -> u128 {
     let mut h = Fnv128::new();
     h.write_u32(FORMAT_VERSION);
@@ -36,7 +39,7 @@ pub fn config_fp(config: &PtaConfig) -> u128 {
     h.finish()
 }
 
-/// Derives the cache key of every function in `module` (indexed by
+/// Derives the key of every function in `module` (indexed by
 /// `FuncId`), against the *pre-transform* module.
 ///
 /// The transitive SCC fingerprint is computed bottom-up over the

@@ -1,28 +1,24 @@
-//! `pinpoint-cache`: a dependency-free persistent analysis cache for the
+//! `pinpoint-cache`: the dependency-free persistence layer of the
 //! Pinpoint reproduction (PLDI 2018).
 //!
-//! The paper's industrial requirement — checking millions of lines in
-//! hours (§5) — demands that repeated runs not pay the whole-program
-//! price. The bottom-up, per-function architecture makes that possible:
-//! each function's analysis depends only on its own lowered body, the
-//! summary shapes of its (transitive) callees, and the configuration.
-//! This crate persists those per-function artifacts on disk, keyed by a
-//! content hash of exactly those inputs, so a warm re-run re-analyzes
-//! only the edited caller chain and splices everything else.
+//! Pinpoint's premise is that everything before the demand-driven search
+//! is a cheap, local, per-function pass and that the cost sits in
+//! deciding path conditions. Measured on this code base that holds
+//! across runs too: recomputing a function's points-to result and SEG is
+//! faster than reading them back from disk, so the one thing worth
+//! persisting is what the solver established — the verdict table
+//! (`pinpoint-core` encodes it; this crate frames and stores it).
 //!
-//! * [`keys`] — derives the cache key per function: a 128-bit FNV hash
-//!   of `(format version ⊕ config, transitive SCC fingerprint, own
-//!   fingerprint, function id)`;
-//! * [`codec`] — a hand-rolled binary codec (no serde) for the artifact
-//!   types: transformed bodies, connector shapes, guarded points-to
-//!   results, and private term arenas;
+//! * [`keys`] — derives a key per function: a 128-bit FNV hash of
+//!   `(format version ⊕ config, transitive SCC fingerprint, own
+//!   fingerprint, function id)`. In memory these drive incremental
+//!   dirtying and query-cache validation; they never reach the disk;
+//! * [`codec`] — the hand-rolled byte-stream writer and bounds-checked
+//!   reader (no serde) payloads are encoded with;
 //! * [`store`] — the on-disk object store with atomic (temp file +
 //!   rename) writes, per-entry checksums, and hit/miss/invalidation
 //!   counters; a crashed or concurrent run degrades to a cold run, never
 //!   a corrupt one.
-//!
-//! The [`PtaArtifactStore`] adapter plugs a [`CacheStore`] into
-//! [`pinpoint_pta::analyze_module_par`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -34,31 +30,3 @@ pub mod store;
 pub use codec::{ByteReader, ByteWriter, DecodeError};
 pub use keys::{config_fp, module_keys, module_keys_with_graph};
 pub use store::{CacheInfo, CacheStats, CacheStore, VerifyOutcome, FORMAT_VERSION, HEADER_LEN};
-
-use pinpoint_pta::{ArtifactStore, FuncArtifact};
-
-/// Adapter implementing [`pinpoint_pta::ArtifactStore`] over a
-/// [`CacheStore`], using the `"pta"` stage namespace.
-#[derive(Debug)]
-pub struct PtaArtifactStore<'a> {
-    store: &'a mut CacheStore,
-}
-
-impl<'a> PtaArtifactStore<'a> {
-    /// Wraps `store`.
-    pub fn new(store: &'a mut CacheStore) -> Self {
-        PtaArtifactStore { store }
-    }
-}
-
-impl ArtifactStore for PtaArtifactStore<'_> {
-    fn load(&mut self, key: u128) -> Option<FuncArtifact> {
-        self.store
-            .load_with("pta", key, |bytes| codec::decode_artifact(bytes).ok())
-    }
-
-    fn store(&mut self, key: u128, artifact: &FuncArtifact) {
-        let payload = codec::encode_artifact(artifact);
-        self.store.store("pta", key, &payload);
-    }
-}

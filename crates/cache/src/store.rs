@@ -1,27 +1,33 @@
 //! The on-disk object store.
 //!
 //! Layout: `<dir>/objects/<stage>-<key as 032x hex>.bin`, one file per
-//! artifact. Every file carries a header — magic, format version, an
+//! object. Every file carries a header — magic, format version, an
 //! echo of the key it was stored under, and an FNV-1a checksum of the
 //! payload — so any torn, truncated, stale, or foreign file is detected
 //! on load and counted as an invalidation (and a miss), never trusted.
 //!
-//! Writes go to a process-unique `.tmp-*` file first and are moved into
-//! place with an atomic rename: a crashed writer leaves only an ignored
-//! temp file, and two concurrent writers of the same key race to
-//! install byte-identical content (artifacts are deterministic
-//! functions of their key). Store failures are swallowed — the worst
-//! outcome of any filesystem trouble is a cold run.
+//! Writes go to a `.tmp-*` file of their own — named by process *and* by
+//! a per-process write counter, since the sessions of one server persist
+//! under one key — and are moved into place with an atomic rename: a
+//! crashed writer leaves only an ignored temp file, and concurrent
+//! writers of the same key each install a whole frame, the last rename
+//! winning. Store failures are swallowed — the worst outcome of any
+//! filesystem trouble is a cold run.
 
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Version of the on-disk artifact format. Bump on any codec or
-/// key-derivation change; it participates both in every file header and
-/// in every cache key (via [`crate::keys::config_fp`]).
+/// Version of the on-disk format. Bump on any codec or key-derivation
+/// change; it participates both in every file header and in every
+/// function key (via [`crate::keys::config_fp`]).
 pub const FORMAT_VERSION: u32 = 1;
+
+/// Distinguishes the temp files of one process's writers; it publishes
+/// nothing, so `Relaxed` is enough.
+static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
 
 const MAGIC: [u8; 4] = *b"PPCF";
 /// Size in bytes of a cache frame's header: magic, format version,
@@ -41,11 +47,11 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// `cache.*` metrics family.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Artifacts loaded and accepted.
+    /// Objects loaded and accepted.
     pub hits: u64,
-    /// Keys with no usable stored artifact.
+    /// Keys with no usable stored object.
     pub misses: u64,
-    /// Stored artifacts rejected (bad magic/version/key/checksum or
+    /// Stored objects rejected (bad magic/version/key/checksum or
     /// undecodable payload); each also counts as a miss.
     pub invalidated: u64,
     /// Wall-clock nanoseconds spent probing and loading.
@@ -74,7 +80,7 @@ pub struct VerifyOutcome {
     pub corrupt: Vec<PathBuf>,
 }
 
-/// A directory-backed artifact store with hit/miss accounting.
+/// A directory-backed object store with hit/miss accounting.
 #[derive(Debug)]
 pub struct CacheStore {
     objects: PathBuf,
@@ -190,9 +196,11 @@ impl CacheStore {
         frame.extend_from_slice(&key.to_le_bytes());
         frame.extend_from_slice(&fnv64(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        let tmp = self
-            .objects
-            .join(format!(".tmp-{key:032x}-{}", std::process::id()));
+        let tmp = self.objects.join(format!(
+            ".tmp-{key:032x}-{}-{}",
+            std::process::id(),
+            NEXT_TEMP.fetch_add(1, Ordering::Relaxed)
+        ));
         let final_path = self.object_path(stage, key);
         let result = fs::File::create(&tmp)
             .and_then(|mut f| f.write_all(&frame))
@@ -315,8 +323,8 @@ mod tests {
     fn roundtrip_hit_after_store() {
         let dir = tmp_dir("roundtrip");
         let mut store = CacheStore::open(&dir).unwrap();
-        store.store("pta", 42, b"payload");
-        let got = store.load_with("pta", 42, |b| Some(b.to_vec()));
+        store.store("verdicts", 42, b"payload");
+        let got = store.load_with("verdicts", 42, |b| Some(b.to_vec()));
         assert_eq!(got.as_deref(), Some(&b"payload"[..]));
         assert_eq!(store.stats().hits, 1);
         assert_eq!(store.stats().misses, 0);
@@ -327,7 +335,9 @@ mod tests {
     fn absent_key_is_a_plain_miss() {
         let dir = tmp_dir("miss");
         let mut store = CacheStore::open(&dir).unwrap();
-        assert!(store.load_with("pta", 7, |b| Some(b.to_vec())).is_none());
+        assert!(store
+            .load_with("verdicts", 7, |b| Some(b.to_vec()))
+            .is_none());
         assert_eq!(store.stats().misses, 1);
         assert_eq!(store.stats().invalidated, 0);
         let _ = fs::remove_dir_all(&dir);
@@ -337,13 +347,17 @@ mod tests {
     fn corrupt_frames_invalidate() {
         let dir = tmp_dir("corrupt");
         let mut store = CacheStore::open(&dir).unwrap();
-        store.store("pta", 1, b"data");
+        store.store("verdicts", 1, b"data");
         // Flip a payload byte: checksum fails.
-        let path = dir.join("objects").join(format!("pta-{:032x}.bin", 1u128));
+        let path = dir
+            .join("objects")
+            .join(format!("verdicts-{:032x}.bin", 1u128));
         let mut bytes = fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        assert!(store.load_with("pta", 1, |b| Some(b.to_vec())).is_none());
+        assert!(store
+            .load_with("verdicts", 1, |b| Some(b.to_vec()))
+            .is_none());
         assert_eq!(store.stats().invalidated, 1);
         assert_eq!(store.stats().misses, 1);
         let _ = fs::remove_dir_all(&dir);
@@ -353,8 +367,8 @@ mod tests {
     fn maintenance_info_clear_verify() {
         let dir = tmp_dir("maint");
         let mut store = CacheStore::open(&dir).unwrap();
-        store.store("pta", 1, b"one");
-        store.store("seg", 2, b"two");
+        store.store("verdicts", 1, b"one");
+        store.store("verdicts", 2, b"two");
         fs::write(dir.join("objects").join(".tmp-dead-1"), b"partial").unwrap();
         let info = CacheStore::info(&dir).unwrap();
         assert_eq!(info.entries, 2);
@@ -365,6 +379,39 @@ mod tests {
         let removed = CacheStore::clear(&dir).unwrap();
         assert_eq!(removed, 3);
         assert_eq!(CacheStore::info(&dir).unwrap().entries, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_key_install_whole_frames() {
+        // The sessions of one server: same process, same key, each with
+        // its own table. Whoever renames last wins; nobody's frame is
+        // ever a mixture of two.
+        const WRITERS: usize = 4;
+        let dir = tmp_dir("same-key");
+        let payloads: Vec<Vec<u8>> = (0..WRITERS)
+            .map(|t| vec![t as u8; 1 << (2 * t + 4)])
+            .collect();
+        for round in 0..100 {
+            let barrier = std::sync::Barrier::new(WRITERS);
+            std::thread::scope(|s| {
+                for payload in &payloads {
+                    let (dir, barrier) = (&dir, &barrier);
+                    s.spawn(move || {
+                        let mut store = CacheStore::open(dir).unwrap();
+                        barrier.wait();
+                        store.store("verdicts", 7, payload);
+                    });
+                }
+            });
+            let mut store = CacheStore::open(&dir).unwrap();
+            let got = store.load_with("verdicts", 7, |b| Some(b.to_vec()));
+            assert_eq!(store.stats().invalidated, 0, "round {round}: torn frame");
+            let got = got.expect("someone's frame is in place");
+            assert!(payloads.contains(&got), "round {round}: nobody wrote this");
+        }
+        let info = CacheStore::info(&dir).unwrap();
+        assert_eq!((info.entries, info.temp_files), (1, 0), "no debris");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -164,13 +164,10 @@ pub struct DetectStats {
     /// and answered with an empty outcome, no search run (always 0 under
     /// the demand engine).
     pub summary_gated: u64,
-    /// Function interface summaries the gate demanded and computed cold
-    /// (summary engine only).
+    /// Function interface summaries the gate demanded and computed
+    /// (summary engine only). One already forced by an earlier query of
+    /// the same session or workspace costs nothing and counts nowhere.
     pub summary_built: u64,
-    /// Function interface summaries the gate demanded and loaded from the
-    /// persistent store. (One already forced by an earlier query of the
-    /// same session or workspace costs nothing and counts nowhere.)
-    pub summary_reused: u64,
     /// Interface edges composed at call sites while computing summaries.
     pub summary_composed: u64,
 }
@@ -490,12 +487,11 @@ struct Worker<'cx, 'a> {
 /// of three means that applies:
 ///
 /// 1. `gate` — the summary engine's whole-program interface summaries
-///    ([`ModuleSummaries`], forced on demand through the [`SummaryCx`]
-///    beside it): a source the gate proves fruitless gets a synthesised
-///    empty outcome. Gated sources bypass the query cache entirely (a
-///    cached cone would not cover the summary consultations the gate
-///    made) and count in [`DetectStats::summary_gated`], not in the
-///    [`QueryReuse`] split;
+///    ([`ModuleSummaries`], forced on demand): a source the gate proves
+///    fruitless gets a synthesised empty outcome. Gated sources bypass
+///    the query cache entirely (a cached cone would not cover the summary
+///    consultations the gate made) and count in
+///    [`DetectStats::summary_gated`], not in the [`QueryReuse`] split;
 /// 2. `cache` — the per-source [`QueryCache`], validated against the
 ///    artefact's current per-function transitive fingerprint keys: a
 ///    source whose recomputed [`cone_fingerprint`] still matches its
@@ -530,7 +526,7 @@ pub(crate) fn run_spec(
     threads: usize,
     trace: &mut TraceBuf,
     stats: &mut DetectStats,
-    mut gate: Option<(&mut ModuleSummaries, SummaryCx<'_>)>,
+    mut gate: Option<&mut ModuleSummaries>,
     mut cache: Option<&mut QueryCache>,
 ) -> DetectOutput {
     let (module, segs, keys) = (&a.module, &a.segs, a.func_keys.as_slice());
@@ -542,9 +538,10 @@ pub(crate) fn run_spec(
     let gate_span = gate
         .is_some()
         .then(|| trace.open("detect.gate", spec.name.clone()));
+    let summary_cx = SummaryCx::new(module, segs, spec, &a.callgraph);
     for (i, &(fid, s)) in sources.iter().enumerate() {
-        if let Some((sums, cx)) = gate.as_mut() {
-            if !sums.source_fruitful(cx, fid, s) {
+        if let Some(sums) = gate.as_mut() {
+            if !sums.source_fruitful(&summary_cx, fid, s) {
                 gated += 1;
                 slots.push(Some(gated_outcome(fid)));
                 continue;
@@ -606,10 +603,9 @@ pub(crate) fn run_spec(
         .collect();
     let mut out = merge_outcomes(module, spec, outcomes, stats);
     out.reuse = reuse;
-    if let Some((sums, _)) = gate {
+    if let Some(sums) = gate {
         stats.summary_gated += gated;
         stats.summary_built += sums.built;
-        stats.summary_reused += sums.reused;
         stats.summary_composed += sums.composed;
     }
     if threads > 1 && faults::drop_last_report_mt() {

@@ -19,19 +19,19 @@
 //!   statistics). Sessions are created from `&Analysis`, so any number of
 //!   checkers can run concurrently.
 
-use crate::cache_io::SegCacheStore;
+use crate::cache_io::{load_verdicts, persist_verdicts};
 use crate::detect::{run_spec, DetectConfig, DetectStats, QueryCache, QueryReuse, Report};
 use crate::error::PinpointError;
-use crate::seg::{ModuleSeg, SegStore};
+use crate::seg::ModuleSeg;
 use crate::spec::CheckerKind;
-use crate::vfsummary::{keys_fingerprint, summary_fingerprint, Engine, ModuleSummaries, SummaryCx};
-use pinpoint_cache::{config_fp, module_keys_with_graph, CacheStats, CacheStore, PtaArtifactStore};
+use crate::vfsummary::{keys_fingerprint, summary_fingerprint, Engine, ModuleSummaries};
+use pinpoint_cache::{config_fp, module_keys_with_graph, CacheStats, CacheStore};
 use pinpoint_ir::{CallGraph, Module, Unit};
 use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
-use pinpoint_pta::{analyze_module_par, ArtifactStore, ModuleAnalysis, PtaConfig, PtaStats};
+use pinpoint_pta::{analyze_module_par, ModuleAnalysis, PtaConfig, PtaStats};
 use pinpoint_smt::{TermArena, VerdictTable};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -127,8 +127,9 @@ pub struct PipelineStats {
     pub pta: PtaStats,
     /// Detection statistics (accumulated over checkers).
     pub detect: DetectStats,
-    /// Persistent-cache counters (all zero unless the builder set
-    /// [`AnalysisBuilder::cache_dir`]).
+    /// Traffic of the persistent verdict store: the load at build time
+    /// and, on a session's or workspace's copy, its persists (all zero
+    /// unless the builder set [`AnalysisBuilder::cache_dir`]).
     pub cache: CacheStats,
 }
 
@@ -196,12 +197,15 @@ impl AnalysisBuilder {
         self
     }
 
-    /// Persists per-function analysis artifacts under `dir` and reuses
-    /// them on later builds whose cache keys match, so a warm re-run
-    /// pays only for the edited functions and their callers. Results are
-    /// byte-identical to a cold build; a missing, corrupt, or unwritable
-    /// cache silently degrades to a cold run (see
-    /// [`PipelineStats::cache`] for hit/miss/invalidation counters).
+    /// Persists solver verdicts under `dir`: the build loads the table
+    /// earlier runs left there, and every query that establishes new
+    /// verdicts writes the grown table back, so a later run — of this or
+    /// an edited program — solves only conditions no run has decided yet.
+    /// Nothing else is kept between runs: the points-to and SEG stages
+    /// recompute faster than they reload. Reports are byte-identical to a
+    /// run without a directory; a missing, corrupt, or unwritable one
+    /// silently degrades to a cold run (see [`PipelineStats::cache`] for
+    /// hit/miss/invalidation counters).
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -344,31 +348,15 @@ impl AnalysisBuilder {
             }
         }
         let mut stats = PipelineStats::default();
-        // A cache directory that fails to open (permissions, not a
-        // directory, …) silently degrades to a cold run.
-        let mut cache = self
-            .cache_dir
-            .as_deref()
-            .and_then(|dir| CacheStore::open(dir).ok());
         // Per-function transitive fingerprint keys of the *pre-transform*
-        // module: the persistent cache validates stored artifacts against
-        // them, and the incremental paths ([`Analysis::update_incremental`],
+        // module: the incremental paths ([`Analysis::update_incremental`],
         // the query cache of [`crate::workspace::Workspace`]) diff them to
         // find what an edit dirtied.
         let (callgraph, func_keys) = graph_and_keys(&module, &self.pta, &mut trace, &mut stats);
         let t0 = Instant::now();
         let pta_span = trace.open("pta", "");
-        let mut pta_store = cache.as_mut().map(PtaArtifactStore::new);
-        let mut pta = analyze_module_par(
-            &mut module,
-            &self.pta,
-            self.threads,
-            &mut trace,
-            &callgraph,
-            pta_store
-                .as_mut()
-                .map(|st| (func_keys.as_slice(), st as &mut dyn ArtifactStore)),
-        );
+        let mut pta =
+            analyze_module_par(&mut module, &self.pta, self.threads, &mut trace, &callgraph);
         trace.close(pta_span);
         stats.pta_time = t0.elapsed();
         debug_assert!(
@@ -380,9 +368,6 @@ impl AnalysisBuilder {
         let mut arena = std::mem::take(&mut pta.arena);
         let mut symbols = std::mem::take(&mut pta.symbols);
         let seg_span = trace.open("seg", "");
-        let mut seg_store = cache
-            .as_mut()
-            .map(|store| SegCacheStore::new(store, &module));
         let segs = ModuleSeg::build_par(
             &module,
             &mut arena,
@@ -390,28 +375,21 @@ impl AnalysisBuilder {
             &pta.pta,
             self.threads,
             &mut trace,
-            seg_store
-                .as_mut()
-                .map(|st| (func_keys.as_slice(), st as &mut dyn SegStore)),
         );
         trace.close(seg_span);
-        if let Some(store) = &cache {
-            stats.cache = store.stats();
-        }
         pta.symbols = symbols;
         stats.seg_time = t1.elapsed();
         stats.seg_vertices = segs.vertex_count;
         stats.seg_edges = segs.edge_count;
         stats.seg_bytes = segs.heap_bytes();
         stats.terms = arena.len();
-        // Solver verdicts persist through their own store instance on the
-        // same directory, so the artifact-cache hit/miss counters above
-        // stay exactly the artifact traffic.
-        let verdicts = self
-            .cache_dir
-            .as_deref()
-            .map(crate::cache_io::load_verdicts)
-            .unwrap_or_default();
+        // A cache directory that fails to open (permissions, not a
+        // directory, …) silently degrades to a cold run.
+        let mut verdicts = VerdictTable::new();
+        if let Some(mut store) = open_store(self.cache_dir.as_deref()) {
+            verdicts = load_verdicts(&mut store);
+            stats.cache = store.stats();
+        }
         Ok(Analysis {
             module,
             pta,
@@ -431,6 +409,11 @@ impl AnalysisBuilder {
             trace,
         })
     }
+}
+
+/// The verdict store under `dir`, if there is a directory and it opens.
+fn open_store(dir: Option<&Path>) -> Option<CacheStore> {
+    CacheStore::open(dir?).ok()
 }
 
 /// Builds the module's one call graph and derives the per-function cache
@@ -513,7 +496,7 @@ pub struct Analysis {
     /// terms live in the overlay.
     pub arena: Arc<TermArena>,
     /// Solver verdicts known at build time (loaded from the persistent
-    /// cache when a cache directory is configured; empty otherwise).
+    /// store when a cache directory is configured; empty otherwise).
     /// Sessions and workspaces seed their own accumulating tables from
     /// this snapshot.
     pub(crate) verdicts: VerdictTable,
@@ -799,13 +782,15 @@ pub(crate) struct QueryRunner {
     persisted_len: usize,
     /// Verdicts newly written to the persistent store by this runner.
     verdicts_persisted: u64,
+    /// Where new verdicts persist: the artefact's cache directory, if it
+    /// has one and it opened.
+    store: Option<CacheStore>,
     /// The interface summaries forced so far, per property fingerprint,
     /// stamped with the artefact's [`Analysis::keys_fp`] they were forced
     /// under: an edit changes the keys of exactly the edited functions
     /// and (via transitive folding) their SCCs' callers, so a stale memo
-    /// is dropped and the next gate forces — through the persistent
-    /// store when there is one — only what it reads. Under a session the
-    /// artefact is immutable and the stamp always matches.
+    /// is dropped and the next gate forces only what it reads. Under a
+    /// session the artefact is immutable and the stamp always matches.
     summaries: HashMap<u128, (u128, ModuleSummaries)>,
 }
 
@@ -822,6 +807,7 @@ impl QueryRunner {
             persisted_len: verdicts.len(),
             verdicts,
             verdicts_persisted: 0,
+            store: open_store(analysis.cache_dir.as_deref()),
             summaries: HashMap::new(),
         }
     }
@@ -834,7 +820,7 @@ impl QueryRunner {
     fn summaries_for(&mut self, a: &Analysis, spec: &crate::spec::Spec) -> ModuleSummaries {
         match self.summaries.remove(&summary_fingerprint(spec)) {
             Some((stamp, mut sums)) if stamp == a.keys_fp => {
-                (sums.built, sums.reused, sums.composed) = (0, 0, 0);
+                (sums.built, sums.composed) = (0, 0);
                 sums
             }
             _ => ModuleSummaries::new(a.module.funcs.len()),
@@ -862,17 +848,6 @@ impl QueryRunner {
             Engine::Demand => None,
             Engine::Summary => Some(self.summaries_for(a, spec)),
         };
-        // Forced summaries persist through the `vfsum` stage; a store
-        // that fails to open degrades to recomputing them.
-        let mut store = sums
-            .as_ref()
-            .and(a.cache_dir.as_deref())
-            .and_then(|dir| CacheStore::open(dir).ok());
-        let gate = sums.as_mut().map(|sums| {
-            let persist = store.as_mut().map(|st| (st, a.func_keys.as_slice()));
-            let cx = SummaryCx::new(&a.module, &a.segs, spec, &a.callgraph, persist);
-            (sums, cx)
-        });
         let mut out = run_spec(
             a,
             &self.verdicts,
@@ -882,7 +857,7 @@ impl QueryRunner {
             self.threads,
             &mut self.trace,
             &mut self.detect,
-            gate,
+            sums.as_mut(),
             cache,
         );
         if let Some(sums) = sums {
@@ -898,9 +873,9 @@ impl QueryRunner {
         for (fp, v) in out.new_verdicts {
             self.verdicts.insert(fp, v);
         }
-        if let Some(dir) = a.cache_dir.as_deref() {
+        if let Some(store) = self.store.as_mut() {
             if self.verdicts.len() > self.persisted_len {
-                crate::cache_io::persist_verdicts(dir, &self.verdicts);
+                persist_verdicts(store, &self.verdicts);
                 self.verdicts_persisted += (self.verdicts.len() - self.persisted_len) as u64;
                 self.persisted_len = self.verdicts.len();
             }
@@ -930,6 +905,10 @@ impl QueryRunner {
         let mut s = a.stats;
         s.detect = self.detect;
         s.detect_time = self.detect_time;
+        if let Some(store) = &self.store {
+            // This handle only ever writes.
+            s.cache.store_ns += store.stats().store_ns;
+        }
         s
     }
 
@@ -979,12 +958,11 @@ impl QueryRunner {
         m.counter_add("detect.skipped_descents", s.detect.skipped_descents);
         m.counter_add("detect.budget_exhausted", s.detect.budget_exhausted);
         m.counter_add("detect.reports", s.detect.reports);
-        // The whole-program summary engine: interface summaries built cold
-        // vs. reused, the interface edges composed while building, and the
-        // sources the gate answered without a search. All zero under the
-        // demand engine; always present so the schema is shape-stable.
+        // The whole-program summary engine: interface summaries built, the
+        // interface edges composed while building, and the sources the
+        // gate answered without a search. All zero under the demand
+        // engine; always present so the schema is shape-stable.
         m.counter_add("summary.built", s.detect.summary_built);
-        m.counter_add("summary.reused", s.detect.summary_reused);
         m.counter_add("summary.composed", s.detect.summary_composed);
         m.counter_add("summary.gated", s.detect.summary_gated);
         // The SMT family is derived from per-query attribution, so the
@@ -1315,26 +1293,37 @@ mod tests {
             }";
         let dir = std::env::temp_dir().join(format!("pinpoint-drv-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cold = AnalysisBuilder::new()
-            .cache_dir(&dir)
-            .build_source(src)
-            .unwrap();
-        assert_eq!(cold.stats.cache.hits, 0);
-        assert!(cold.stats.cache.misses > 0);
-        let warm = AnalysisBuilder::new()
-            .cache_dir(&dir)
-            .build_source(src)
-            .unwrap();
-        // Every function is clean: both stages hit for every function.
-        assert_eq!(warm.stats.cache.misses, 0, "{:?}", warm.stats.cache);
-        assert_eq!(warm.stats.cache.hits, 2 * cold.module.funcs.len() as u64);
+        let build = || {
+            AnalysisBuilder::new()
+                .cache_dir(&dir)
+                .build_source(src)
+                .unwrap()
+        };
+        let render = |s: &mut DetectSession| -> Vec<String> {
+            s.check_all().iter().map(ToString::to_string).collect()
+        };
         let plain = AnalysisBuilder::new().build_source(src).unwrap();
-        for a in [&cold, &warm] {
-            assert_eq!(a.arena.len(), plain.arena.len());
-            let ra: Vec<String> = a.check_all().iter().map(ToString::to_string).collect();
-            let rp: Vec<String> = plain.check_all().iter().map(ToString::to_string).collect();
-            assert_eq!(ra, rp);
-        }
+        assert_eq!(plain.stats.cache, CacheStats::default());
+        let expected = render(&mut plain.session());
+        // The one object the store holds is the verdict table: nothing to
+        // load before the first check, which then persists it.
+        let cold = build();
+        let c = cold.stats.cache;
+        assert_eq!((c.hits, c.misses, c.invalidated), (0, 1, 0), "{c:?}");
+        assert!(cold.verdicts.is_empty());
+        let mut session = cold.session();
+        assert_eq!(render(&mut session), expected);
+        assert!(session.stats().cache.store_ns > 0, "the session persisted");
+        // One hit after it, and every verdict the warm run needs is on
+        // disk: nothing new to persist.
+        let warm = build();
+        let c = warm.stats.cache;
+        assert_eq!((c.hits, c.misses, c.invalidated), (1, 0, 0), "{c:?}");
+        assert!(!warm.verdicts.is_empty());
+        assert_eq!(warm.arena.len(), plain.arena.len());
+        let mut session = warm.session();
+        assert_eq!(render(&mut session), expected);
+        assert_eq!(session.stats().cache.store_ns, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

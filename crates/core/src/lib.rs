@@ -69,7 +69,7 @@ pub use driver::{
 pub use error::PinpointError;
 pub use leak::{LeakKind, LeakReport};
 pub use query::{Query, QueryResponse};
-pub use seg::{EdgeKind, ModuleSeg, Seg, SegArtifact, SegEdge, SegStore};
+pub use seg::{EdgeKind, ModuleSeg, Seg, SegEdge};
 pub use server::{
     ErrorCode, Op, Reply, Request, Response, Server, ServerConfig, ServerError, ServerStats,
 };

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// `(site, callee name, position)` of an argument use or a receiver.
 type Boundary = (InstId, String, usize);
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(super) struct RefSeg {
     out_edges: HashMap<ValueId, Vec<SegEdge>>,
     in_edges: HashMap<ValueId, Vec<SegEdge>>,
@@ -86,7 +86,9 @@ impl RefSeg {
                 _ => {}
             }
         }
-        seg.readd_memory_edges(pta);
+        for dep in &pta.mem_deps {
+            seg.add_edge(dep.src, dep.dst, dep.cond, EdgeKind::Memory);
+        }
         if let Some(rb) = f.return_block() {
             if let Terminator::Return(vals) = &f.block(rb).term {
                 for (i, &v) in vals.iter().enumerate() {
@@ -107,24 +109,6 @@ impl RefSeg {
         self.out_edges.entry(src).or_default().push(e);
         self.in_edges.entry(dst).or_default().push(e);
         self.edge_count += 1;
-    }
-
-    pub(super) fn without_memory_edges(&self) -> RefSeg {
-        let mut out = self.clone();
-        for edges in [&mut out.out_edges, &mut out.in_edges] {
-            for v in edges.values_mut() {
-                v.retain(|e| e.kind != EdgeKind::Memory);
-            }
-            edges.retain(|_, v| !v.is_empty());
-        }
-        out.edge_count = out.out_edges.values().map(Vec::len).sum();
-        out
-    }
-
-    pub(super) fn readd_memory_edges(&mut self, pta: &FuncPta) {
-        for dep in &pta.mem_deps {
-            self.add_edge(dep.src, dep.dst, dep.cond, EdgeKind::Memory);
-        }
     }
 
     /// The merge of a private-arena graph into the shared arena: every
@@ -231,7 +215,7 @@ impl RefSeg {
 
 /// The module-level indexes, as `assemble` derived them from the maps.
 pub(super) struct RefModule {
-    pub(super) segs: Vec<RefSeg>,
+    segs: Vec<RefSeg>,
     callers: HashMap<FuncId, Vec<(FuncId, InstId)>>,
 }
 
@@ -266,31 +250,22 @@ impl RefModule {
     }
 
     /// The sharded build's result: every function in a fresh private
-    /// arena, merged in id order. With `through_store`, each graph takes
-    /// the warm path: stripped of its memory edges before the merge and
-    /// given them back after it.
+    /// arena, merged in id order.
     pub(super) fn build_merged(
         module: &Module,
         arena: &mut TermArena,
         symbols: &mut Symbols,
         pta: &[FuncPta],
-        through_store: bool,
     ) -> Self {
         let mut segs = Vec::new();
         for (fid, f) in module.iter_funcs() {
             let pta = &pta[fid.0 as usize];
             let (mut private, mut interner) = (TermArena::new(), Symbols::new());
             let mut seg = RefSeg::build(&mut private, &mut interner, fid, f, pta);
-            if through_store {
-                seg = seg.without_memory_edges();
-            }
             for v in interner.cached_values(fid) {
                 symbols.value_term(arena, fid, f, v);
             }
             seg.translate(&private, arena);
-            if through_store {
-                seg.readd_memory_edges(pta);
-            }
             segs.push(seg);
         }
         Self::assemble(module, segs)

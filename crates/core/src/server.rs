@@ -298,8 +298,9 @@ pub struct ServerConfig {
     /// it are shed with [`ErrorCode::Overloaded`].
     pub queue_capacity: usize,
     /// Template for each session's workspace (analysis threads, solver
-    /// toggles, persistent cache directory — the cache store is shared
-    /// across sessions through the directory).
+    /// toggles, persistent cache directory — every session loads the
+    /// verdict table from it and persists its own back, whole, under the
+    /// one key the solver configuration gives).
     pub builder: AnalysisBuilder,
     /// Live-telemetry parameters (flight-recorder capacity, slow-query
     /// threshold, rolling-window geometry).

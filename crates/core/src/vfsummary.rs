@@ -36,18 +36,14 @@
 //! very same code — reports are byte-identical to the demand engine at
 //! any thread count, by construction.
 //!
-//! Forced summaries persist through the artifact cache as the `"vfsum"`
-//! stage, keyed by the function's transitive cone fingerprint
-//! ([`pinpoint_cache::module_keys`]) combined with a structural property
-//! fingerprint. The transitive keys fold callee fingerprints over the
-//! condensation, so an edit automatically re-keys the edited functions
-//! *and* every SCC above them — exactly the invalidation the bottom-up
-//! computation needs. A corrupt or stale record decodes to a miss and
-//! the summary is recomputed cold, never wrong.
+//! Forced summaries live as long as the session or workspace that forced
+//! them, stamped with [`keys_fingerprint`] of the per-function transitive
+//! keys ([`pinpoint_cache::module_keys`]): those fold callee fingerprints
+//! over the condensation, so any edit that could change a summary changes
+//! the stamp and the memo is dropped.
 
 use crate::seg::{EdgeKind, ModuleSeg};
 use crate::spec::{self, Spec};
-use pinpoint_cache::CacheStore;
 use pinpoint_ir::{CallGraph, ConeMemo, FuncId, Module, ValueId};
 use std::collections::HashMap;
 use std::fmt;
@@ -166,16 +162,6 @@ pub(crate) fn summary_fingerprint(spec: &Spec) -> u128 {
     h.finish()
 }
 
-/// Cache key of one function's summary: transitive cone key × property
-/// fingerprint.
-fn summary_key(func_key: u128, sum_fp: u128) -> u128 {
-    use pinpoint_ir::fingerprint::Fnv128;
-    let mut h = Fnv128::new();
-    h.write_u128(func_key);
-    h.write_u128(sum_fp);
-    h.finish()
-}
-
 /// Fingerprint of the artefact's whole per-function key vector — the
 /// validity stamp for an in-memory [`ModuleSummaries`]: keys fold callee
 /// fingerprints over the call-graph condensation, so any edit that could
@@ -190,83 +176,24 @@ pub(crate) fn keys_fingerprint(keys: &[u128]) -> u128 {
     h.finish()
 }
 
-/// The cache stage summaries persist under.
-pub(crate) const STAGE: &str = "vfsum";
-
-/// The `vfsum` stage of a persistent store for one property: records are
-/// addressed by the function's transitive-cone key × the property
-/// fingerprint, one SCC at a time (its members form one fixpoint, so a
-/// partial hit is a miss).
-#[derive(Debug)]
-struct SummaryStore<'a> {
-    store: &'a mut CacheStore,
-    keys: &'a [u128],
-    sum_fp: u128,
-}
-
-impl SummaryStore<'_> {
-    fn key(&self, f: FuncId) -> Option<u128> {
-        Some(summary_key(*self.keys.get(f.0 as usize)?, self.sum_fp))
-    }
-
-    /// Every member's stored summary, each validated against the live
-    /// function's value count — or `None` if any is missing or stale.
-    fn load_scc(&mut self, module: &Module, members: &[FuncId]) -> Option<Vec<FuncSummary>> {
-        members
-            .iter()
-            .map(|&f| {
-                let s = self.store.load_with(STAGE, self.key(f)?, |bytes| {
-                    crate::cache_io::decode_func_summary(bytes).ok()
-                })?;
-                (s.len() == module.func(f).values.len()).then_some(s)
-            })
-            .collect()
-    }
-
-    fn store_scc(&mut self, members: &[FuncId], sums: &[FuncSummary]) {
-        for (&f, s) in members.iter().zip(sums) {
-            if let Some(key) = self.key(f) {
-                self.store
-                    .store(STAGE, key, &crate::cache_io::encode_func_summary(s));
-            }
-        }
-    }
-}
-
-/// What a summary computation reads: the artefact, the property, the
-/// condensation it walks and, optionally, the store it persists through.
-#[derive(Debug)]
+/// What a summary computation reads: the artefact, the property and the
+/// condensation it walks.
+#[derive(Debug, Clone, Copy)]
 pub struct SummaryCx<'a> {
     module: &'a Module,
     segs: &'a ModuleSeg,
     spec: &'a Spec,
     cg: &'a CallGraph,
-    store: Option<SummaryStore<'a>>,
 }
 
 impl<'a> SummaryCx<'a> {
-    /// `cg` must be `module`'s call graph. With `persist`, every forced
-    /// SCC is first looked up in the store under its members'
-    /// transitive-cone × property keys (`persist.1`, indexed by
-    /// `FuncId`); misses are computed and stored.
-    pub fn new(
-        module: &'a Module,
-        segs: &'a ModuleSeg,
-        spec: &'a Spec,
-        cg: &'a CallGraph,
-        persist: Option<(&'a mut CacheStore, &'a [u128])>,
-    ) -> Self {
-        let sum_fp = summary_fingerprint(spec);
+    /// `cg` must be `module`'s call graph.
+    pub fn new(module: &'a Module, segs: &'a ModuleSeg, spec: &'a Spec, cg: &'a CallGraph) -> Self {
         SummaryCx {
             module,
             segs,
             spec,
             cg,
-            store: persist.map(|(store, keys)| SummaryStore {
-                store,
-                keys,
-                sum_fp,
-            }),
         }
     }
 }
@@ -275,18 +202,16 @@ impl<'a> SummaryCx<'a> {
 /// demand, plus accounting of what forcing cost.
 ///
 /// A function's summary is a pure function of `(module, segs, spec)` —
-/// identical whichever read forced it, for any thread count and any cache
-/// state — so the memo restricted to what was demanded equals the same
-/// rows of the whole-module table [`ModuleSummaries::build`] produces.
+/// identical whichever read forced it, for any thread count — so the memo
+/// restricted to what was demanded equals the same rows of the
+/// whole-module table [`ModuleSummaries::build`] produces.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ModuleSummaries {
     funcs: ConeMemo<FuncSummary>,
-    /// Functions whose summary was computed cold.
+    /// Functions whose summary was computed.
     pub built: u64,
-    /// Functions whose summary was loaded from the persistent store.
-    pub reused: u64,
     /// Interface edges composed at call sites (VF1–VF4 compositions
-    /// applied by the cold computations).
+    /// applied by those computations).
     pub composed: u64,
 }
 
@@ -296,22 +221,15 @@ impl ModuleSummaries {
         ModuleSummaries {
             funcs: ConeMemo::new(funcs),
             built: 0,
-            reused: 0,
             composed: 0,
         }
     }
 
     /// The whole-module table: every function's summary for `spec`. See
     /// [`ModuleSummaries::build_with_graph`].
-    pub fn build(
-        module: &Module,
-        segs: &ModuleSeg,
-        spec: &Spec,
-        threads: usize,
-        persist: Option<(&mut CacheStore, &[u128])>,
-    ) -> Self {
+    pub fn build(module: &Module, segs: &ModuleSeg, spec: &Spec, threads: usize) -> Self {
         let cg = CallGraph::new(module);
-        Self::build_with_graph(module, segs, spec, threads, persist, &cg)
+        Self::build_with_graph(module, segs, spec, threads, None, &cg)
     }
 
     /// The whole-module table over a caller-supplied call graph: an empty
@@ -320,38 +238,28 @@ impl ModuleSummaries {
     /// Detection never needs it — the gate forces what it reads — so it
     /// survives as the oracle the on-demand bits are tested against and
     /// as a stand-alone probe of the summary layer.
+    ///
+    /// `_retired` was the persistent summary store; only `None` inhabits
+    /// it now. The slot is kept because the frozen `pinbench` probe calls
+    /// this with six arguments, and goes with the benchmark-only
+    /// follow-up that re-points that probe.
     pub fn build_with_graph(
         module: &Module,
         segs: &ModuleSeg,
         spec: &Spec,
         threads: usize,
-        persist: Option<(&mut CacheStore, &[u128])>,
+        _retired: Option<std::convert::Infallible>,
         cg: &CallGraph,
     ) -> Self {
         let mut all = Self::new(module.funcs.len());
-        all.force_all(
-            &mut SummaryCx::new(module, segs, spec, cg, persist),
-            threads,
-        );
-        all
-    }
-
-    fn force_all(&mut self, cx: &mut SummaryCx<'_>, threads: usize) {
-        let (module, segs, spec, cg) = (cx.module, cx.segs, cx.spec, cx.cg);
         for level in cg.scc_levels() {
-            let mut pending: Vec<&[FuncId]> = Vec::new();
-            for scc in level {
-                let members = cg.scc(scc);
-                if self.funcs.get(members[0]).is_none() && !self.fill_from_store(cx, members) {
-                    pending.push(members);
-                }
-            }
+            let pending: Vec<&[FuncId]> = level.iter().map(|&scc| cg.scc(scc)).collect();
             // Scoped threads cost more than a small level's fixpoints
             // (one component solves in microseconds): only fan out when
             // the level has enough independent SCCs to keep every spawn
             // busy. The cut-off cannot change output — results are
             // merged in pending order either way.
-            let done = &self.funcs;
+            let done = &all.funcs;
             let results: Vec<(Vec<FuncSummary>, u64)> =
                 if threads <= 1 || pending.len() < 64 * threads {
                     pending
@@ -378,56 +286,29 @@ impl ModuleSummaries {
                     })
                 };
             for (members, (sums, composed)) in pending.into_iter().zip(results) {
-                self.fill_built(cx, members, sums, composed);
+                all.fill_built(members, sums, composed);
             }
         }
+        all
     }
 
-    /// Fills one SCC from the store, if every member's record is there.
-    fn fill_from_store(&mut self, cx: &mut SummaryCx<'_>, members: &[FuncId]) -> bool {
-        let Some(sums) = cx
-            .store
-            .as_mut()
-            .and_then(|st| st.load_scc(cx.module, members))
-        else {
-            return false;
-        };
-        self.reused += members.len() as u64;
-        self.funcs.fill(members, sums);
-        true
-    }
-
-    /// Fills one SCC with summaries just computed, writing them through
-    /// to the store when there is one.
-    fn fill_built(
-        &mut self,
-        cx: &mut SummaryCx<'_>,
-        members: &[FuncId],
-        sums: Vec<FuncSummary>,
-        composed: u64,
-    ) {
+    /// Fills one SCC with summaries just computed.
+    fn fill_built(&mut self, members: &[FuncId], sums: Vec<FuncSummary>, composed: u64) {
         self.built += members.len() as u64;
         self.composed += composed;
-        if let Some(st) = cx.store.as_mut() {
-            st.store_scc(members, &sums);
-        }
         self.funcs.fill(members, sums);
     }
 
-    /// `f`'s summary, forcing the not-yet-forced part of its callee cone
-    /// (from the store where it has the SCC, cold otherwise). `None` for
-    /// a function outside the module the memo was sized for.
-    pub fn force(&mut self, cx: &mut SummaryCx<'_>, f: FuncId) -> Option<&FuncSummary> {
+    /// `f`'s summary, forcing the not-yet-forced part of its callee cone.
+    /// `None` for a function outside the module the memo was sized for.
+    pub fn force(&mut self, cx: &SummaryCx<'_>, f: FuncId) -> Option<&FuncSummary> {
         if f.0 as usize >= self.funcs.len() {
             return None;
         }
         for scc in self.funcs.unforced_cone(cx.cg, f) {
             let members = cx.cg.scc(scc);
-            if !self.fill_from_store(cx, members) {
-                let (sums, composed) =
-                    compute_scc(cx.module, cx.segs, cx.spec, members, &self.funcs);
-                self.fill_built(cx, members, sums, composed);
-            }
+            let (sums, composed) = compute_scc(cx.module, cx.segs, cx.spec, members, &self.funcs);
+            self.fill_built(members, sums, composed);
         }
         self.funcs.get(f)
     }
@@ -468,7 +349,7 @@ impl ModuleSummaries {
     /// ([`ModuleSummaries::force`]); nothing else is computed.
     pub fn source_fruitful(
         &mut self,
-        cx: &mut SummaryCx<'_>,
+        cx: &SummaryCx<'_>,
         source_func: FuncId,
         source: crate::spec::SourceSite,
     ) -> bool {
@@ -813,12 +694,12 @@ mod tests {
     /// each read forces exactly the summaries it needs.
     fn gate(m: &Module, segs: &ModuleSeg, spec: &Spec, func: &str) -> Vec<bool> {
         let cg = CallGraph::new(m);
-        let mut cx = SummaryCx::new(m, segs, spec, &cg, None);
+        let cx = SummaryCx::new(m, segs, spec, &cg);
         let mut sums = ModuleSummaries::new(m.funcs.len());
         let fid = m.func_by_name(func).unwrap();
         spec::spec_sources(spec, m.func(fid))
             .into_iter()
-            .map(|s| sums.source_fruitful(&mut cx, fid, s))
+            .map(|s| sums.source_fruitful(&cx, fid, s))
             .collect()
     }
 
@@ -842,7 +723,7 @@ mod tests {
     fn interface_bits_compose_through_wrappers() {
         let (m, segs) = artefact(WRAPPED_UAF);
         let spec = CheckerKind::UseAfterFree.spec();
-        let sums = ModuleSummaries::build(&m, &segs, &spec, 1, None);
+        let sums = ModuleSummaries::build(&m, &segs, &spec, 1);
         let sinker = m.func_by_name("sinker").unwrap();
         let wrapper = m.func_by_name("wrapper").unwrap();
         let idfn = m.func_by_name("idfn").unwrap();
@@ -866,7 +747,7 @@ mod tests {
         let p_h = m.func(harmless).params[0];
         assert_eq!(sums.get(harmless).unwrap().flags[p_h.0 as usize], 0);
         assert_eq!(sums.get(harmless).unwrap().rets[p_h.0 as usize], 0);
-        assert!(sums.built > 0 && sums.reused == 0);
+        assert!(sums.built > 0);
         assert!(sums.composed > 0, "wrapper/idfn call sites compose");
     }
 
@@ -874,8 +755,8 @@ mod tests {
     fn summaries_are_thread_count_invariant() {
         let (m, segs) = artefact(WRAPPED_UAF);
         let spec = CheckerKind::UseAfterFree.spec();
-        let one = ModuleSummaries::build(&m, &segs, &spec, 1, None);
-        let four = ModuleSummaries::build(&m, &segs, &spec, 4, None);
+        let one = ModuleSummaries::build(&m, &segs, &spec, 1);
+        let four = ModuleSummaries::build(&m, &segs, &spec, 4);
         assert_eq!(one.funcs, four.funcs);
         assert_eq!(one.composed, four.composed);
     }

@@ -1,7 +1,8 @@
 //! Stable content fingerprints for lowered functions.
 //!
-//! The persistent analysis cache keys each function's artifact by a
-//! structural hash of its *pre-transform* SSA body. The hash covers
+//! Function keys (`pinpoint-cache`) — what incremental updates and the
+//! query cache compare — start from a structural hash of each function's
+//! *pre-transform* SSA body. The hash covers
 //! everything the per-function analysis can observe — signature, blocks,
 //! instructions, terminators, the values table, and the `(id, name, type)`
 //! of every global the body references — and nothing it cannot (block and

@@ -462,6 +462,17 @@ impl Function {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
+    /// Drops the spare capacity of the block, instruction, value and
+    /// parameter tables, for a body that will not grow again.
+    pub fn shrink_to_fit(&mut self) {
+        for b in &mut self.blocks {
+            b.insts.shrink_to_fit();
+        }
+        self.blocks.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.params.shrink_to_fit();
+    }
+
     /// The unique return terminator's block, if the function returns.
     pub fn return_block(&self) -> Option<BlockId> {
         self.blocks

@@ -183,7 +183,7 @@ pub(crate) fn analyze_function(
         .iter()
         .map(|&(path, value)| AuxParamBinding { path, value })
         .collect();
-    let pta = analyze_function_over(
+    let mut pta = analyze_function_over(
         arena,
         symbols,
         linear,
@@ -193,6 +193,10 @@ pub(crate) fn analyze_function(
         config.prune,
         &flow,
     );
+    // Both outlive the build by the life of the analysis, and the passes
+    // grew them by doubling: give the slack back.
+    pta.shrink_to_fit();
+    f.shrink_to_fit();
     (shape, pta)
 }
 
@@ -203,24 +207,22 @@ pub(crate) fn detach(module: &mut Module, fid: FuncId) -> Function {
 }
 
 /// One function's analysis output in its private term arena: what the
-/// deterministic merge consumes, and (with the transformed body) what the
-/// persistent cache stores.
-#[derive(Debug, Clone)]
-pub struct FuncResult {
+/// deterministic merge consumes.
+struct FuncResult {
     /// Connector shape.
-    pub shape: AuxShape,
+    shape: AuxShape,
     /// Points-to result, with conditions in [`FuncResult::arena`].
-    pub pta: FuncPta,
+    pta: FuncPta,
     /// The private term arena all conditions refer into.
-    pub arena: TermArena,
+    arena: TermArena,
     /// Sorted values the symbol interner cached for this function; the
     /// merge re-derives their terms against the shared arena in exactly
     /// this order.
-    pub cached_values: Vec<ValueId>,
+    cached_values: Vec<ValueId>,
     /// Linear-solver unsat verdicts attributed to this function.
-    pub unsat: u64,
+    unsat: u64,
     /// Linear-solver unknown verdicts attributed to this function.
-    pub unknown: u64,
+    unknown: u64,
 }
 
 /// Analyzes one function against the finished callee `shapes` with a
@@ -308,131 +310,59 @@ fn merge_one(fid: FuncId, f: &Function, r: FuncResult, out: &mut ModuleAnalysis)
     out.linear.unknown_count += r.unknown;
 }
 
-/// A function's complete per-function analysis output — everything needed
-/// to splice the function into a later run without re-analyzing it. This
-/// is the unit the persistent cache stores and loads.
-///
-/// Because every worker analysis starts from a fresh private arena, the
-/// artifact of a function whose content (and callee-summary cone) is
-/// unchanged is bit-identical across runs; replaying the deterministic
-/// merge over loaded artifacts therefore reconstructs the exact shared
-/// state a cold run would have produced.
-#[derive(Debug, Clone)]
-pub struct FuncArtifact {
-    /// The transformed (post-connector, call-site-rewritten) body.
-    pub body: Function,
-    /// The analysis of that body, in its private arena.
-    pub result: FuncResult,
-}
-
-/// Where [`analyze_module_par`] loads and stores per-function artifacts.
-/// Implementations must treat `key` as fully identifying: a `load` hit is
-/// spliced into the run *without verification*, so a store must never
-/// return an artifact for a key it was not stored under.
-pub trait ArtifactStore {
-    /// Fetches the artifact stored under `key`, if any.
-    fn load(&mut self, key: u128) -> Option<FuncArtifact>;
-    /// Persists `artifact` under `key`. Failures must be swallowed
-    /// (degrading to a miss on the next run), not surfaced.
-    fn store(&mut self, key: u128, artifact: &FuncArtifact);
-}
+/// Functions analysed per worker between two merges. Every analysed
+/// function holds a private arena until it is merged, so this — not the
+/// width of a call-graph level — bounds what is in flight.
+const MERGE_EVERY: usize = 256;
 
 /// Runs the pipeline with function-level parallelism over `callgraph`,
-/// the call graph of `module`, optionally against a persistent artifact
-/// `store`.
+/// the call graph of `module`.
 ///
 /// The call graph's SCC condensation is stratified into *levels*
 /// (`level(scc) = 1 + max(level of callee SCCs)`). Within a level no
 /// function depends on another's connector shape — cross-SCC callees sit
 /// strictly below, and same-SCC calls are summary-free (§4.2) — so each
 /// level fans out over `threads` workers ([`TraceBuf::shard_map`], one
-/// `pta.func` span per function). Every worker analyzes its functions in
-/// fresh private arenas; results are merged back into the shared arena
-/// in bottom-up order, so the returned [`ModuleAnalysis`] is
-/// byte-identical for any thread count. `threads == 1` exercises the
-/// same shard-and-merge machinery on a single worker, which is what
-/// makes that guarantee hold by construction rather than by accident.
-///
-/// With a store, `keys[fid]` must be a content key that changes whenever
-/// function `fid`'s analysis inputs change (its own body, its
-/// callee-summary cone, the configuration, or the artifact format). A
-/// store hit splices the persisted transformed body and private-arena
-/// result; a miss is analyzed as above and written back. Hits and misses
-/// flow through the same merge, so the result is byte-identical to a
-/// storeless run — which never materialises a [`FuncArtifact`].
+/// `pta.func` span per function), a contiguous chunk of the level at a
+/// time. Every worker analyzes its functions in fresh private arenas;
+/// results are merged back into the shared arena in bottom-up order, so
+/// the returned [`ModuleAnalysis`] is byte-identical for any thread count
+/// and any chunk size. `threads == 1` exercises the same shard-and-merge
+/// machinery on a single worker, which is what makes that guarantee hold
+/// by construction rather than by accident.
 pub fn analyze_module_par(
     module: &mut Module,
     config: &PtaConfig,
     threads: usize,
     trace: &mut TraceBuf,
     callgraph: &CallGraph,
-    mut store: Option<(&[u128], &mut dyn ArtifactStore)>,
 ) -> ModuleAnalysis {
-    let n = module.funcs.len();
-    if let Some((keys, _)) = &store {
-        assert_eq!(keys.len(), n, "one cache key per function");
-    }
-    let mut out = ModuleAnalysis::blank(n);
-
+    let mut out = ModuleAnalysis::blank(module.funcs.len());
     for level_fids in &stratify_levels(callgraph) {
-        // Probe the store first; hits splice their transformed body into
-        // the module immediately so caller levels rewrite against it.
-        // Misses are detached so workers can transform them while the
-        // module stays borrowable.
-        let mut hits: Vec<Option<FuncResult>> = Vec::with_capacity(level_fids.len());
-        let mut work: Vec<(FuncId, Function)> = Vec::new();
-        for &fid in level_fids {
-            let hit = store
-                .as_mut()
-                .and_then(|(keys, st)| st.load(keys[fid.0 as usize]));
-            match hit {
-                Some(art) => {
-                    *module.func_mut(fid) = art.body;
-                    hits.push(Some(art.result));
-                }
-                None => {
-                    hits.push(None);
-                    work.push((fid, detach(module, fid)));
-                }
+        for chunk in level_fids.chunks(MERGE_EVERY * threads.max(1)) {
+            // Detached so workers can transform the bodies while the
+            // module stays borrowable.
+            let mut work: Vec<(FuncId, Function)> = chunk
+                .iter()
+                .map(|&fid| (fid, detach(module, fid)))
+                .collect();
+            let shapes = &out.shapes;
+            let frozen = &*module;
+            let results = trace.shard_map(
+                &mut work,
+                threads,
+                || (),
+                |(), (fid, f), lane| {
+                    lane.span("pta.func", f.name.clone(), |_| {
+                        analyze_one(*fid, f, shapes, callgraph, frozen, config)
+                    })
+                },
+            );
+            // Deterministic merge in the level's bottom-up order.
+            for ((fid, f), r) in work.into_iter().zip(results) {
+                *module.func_mut(fid) = f;
+                merge_one(fid, module.func(fid), r, &mut out);
             }
-        }
-
-        let shapes = &out.shapes;
-        let frozen = &*module;
-        let fresh = trace.shard_map(
-            &mut work,
-            threads,
-            || (),
-            |(), (fid, f), lane| {
-                lane.span("pta.func", f.name.clone(), |_| {
-                    analyze_one(*fid, f, shapes, callgraph, frozen, config)
-                })
-            },
-        );
-        for (fid, f) in work {
-            *module.func_mut(fid) = f;
-        }
-
-        // Uniform deterministic merge over hits and misses alike, in the
-        // level's bottom-up order (`fresh` is in that order too).
-        let mut fresh = fresh.into_iter();
-        for (&fid, hit) in level_fids.iter().zip(hits) {
-            let r = hit.unwrap_or_else(|| {
-                let mut r = fresh.next().expect("level function analyzed");
-                if let Some((keys, st)) = store.as_mut() {
-                    // The body moves through the artifact and back: the
-                    // store only borrows it.
-                    let art = FuncArtifact {
-                        body: detach(module, fid),
-                        result: r,
-                    };
-                    st.store(keys[fid.0 as usize], &art);
-                    *module.func_mut(fid) = art.body;
-                    r = art.result;
-                }
-                r
-            });
-            merge_one(fid, module.func(fid), r, &mut out);
         }
     }
     out
@@ -443,7 +373,6 @@ mod tests {
     use super::*;
     use crate::object::AccessPath;
     use pinpoint_ir::{compile, Inst};
-    use std::collections::HashMap;
 
     #[test]
     fn figure2_pipeline_end_to_end() {
@@ -632,7 +561,6 @@ mod tests {
             4,
             &mut TraceBuf::off(),
             &cg,
-            None,
         );
         for fid in 0..m_seq.funcs.len() {
             let fid = pinpoint_ir::FuncId(fid as u32);
@@ -663,14 +591,8 @@ mod tests {
             .map(|&t| {
                 let mut m = compile(WAVEFRONT_SRC).unwrap();
                 let cg = CallGraph::new(&m);
-                let a = analyze_module_par(
-                    &mut m,
-                    &PtaConfig::default(),
-                    t,
-                    &mut TraceBuf::off(),
-                    &cg,
-                    None,
-                );
+                let a =
+                    analyze_module_par(&mut m, &PtaConfig::default(), t, &mut TraceBuf::off(), &cg);
                 (m, a)
             })
             .collect();
@@ -697,81 +619,13 @@ mod tests {
         }
     }
 
-    /// An in-memory [`ArtifactStore`] counting its traffic.
-    #[derive(Default)]
-    struct MemStore {
-        map: HashMap<u128, FuncArtifact>,
-        hits: usize,
-        stores: usize,
-    }
-
-    impl ArtifactStore for MemStore {
-        fn load(&mut self, key: u128) -> Option<FuncArtifact> {
-            let hit = self.map.get(&key).cloned();
-            self.hits += usize::from(hit.is_some());
-            hit
-        }
-
-        fn store(&mut self, key: u128, artifact: &FuncArtifact) {
-            self.stores += 1;
-            self.map.insert(key, artifact.clone());
-        }
-    }
-
-    #[test]
-    fn store_backed_runs_match_storeless() {
-        // Everything a later stage reads, rendered for comparison: the
-        // transformed bodies, shapes, every guarded fact, arena layout.
-        let render = |m: &Module, a: &ModuleAnalysis| {
-            let mut out = format!("terms={} symbols={}\n", a.arena.len(), a.symbols.len());
-            for (fid, f) in m.iter_funcs() {
-                let p = a.func_pta(fid);
-                let pts: Vec<_> = p.points_to.iter().collect();
-                out.push_str(&format!(
-                    "{:?}\n{:?}\n{:?}\n{pts:?}\n{:?}\n{:?}\n{:?}\n",
-                    f.blocks,
-                    a.shape(fid),
-                    p.mem_deps,
-                    p.global_stores,
-                    p.global_loads,
-                    p.stats
-                ));
-            }
-            out
-        };
-        for t in [1usize, 4] {
-            let run = |store: Option<&mut MemStore>| {
-                let mut m = compile(WAVEFRONT_SRC).unwrap();
-                let cg = CallGraph::new(&m);
-                let keys: Vec<u128> = (1..=m.funcs.len() as u128).collect();
-                let a = analyze_module_par(
-                    &mut m,
-                    &PtaConfig::default(),
-                    t,
-                    &mut TraceBuf::off(),
-                    &cg,
-                    store.map(|s| (keys.as_slice(), s as &mut dyn ArtifactStore)),
-                );
-                render(&m, &a)
-            };
-            let storeless = run(None);
-            let mut store = MemStore::default();
-            let cold = run(Some(&mut store));
-            assert_eq!((store.hits, store.stores), (0, 6), "threads={t}");
-            let warm = run(Some(&mut store));
-            assert_eq!((store.hits, store.stores), (6, 6), "threads={t}");
-            assert_eq!(cold, storeless, "cold-with-store, threads={t}");
-            assert_eq!(warm, storeless, "warm-from-store, threads={t}");
-        }
-    }
-
     #[test]
     fn trace_spans_are_thread_count_invariant() {
         let run = |t: usize| {
             let mut m = compile(WAVEFRONT_SRC).unwrap();
             let mut trace = TraceBuf::on();
             let cg = CallGraph::new(&m);
-            let _ = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace, &cg, None);
+            let _ = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace, &cg);
             (trace.records().len(), trace.canonical_json())
         };
         let (n1, c1) = run(1);

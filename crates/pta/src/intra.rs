@@ -88,9 +88,9 @@ impl PtaStats {
 pub type Fact = (Obj, TermId);
 
 /// The guarded points-to sets of one function's values, indexed by
-/// [`ValueId`]: a `(start, len)` span per value into one fact pool. SSA
-/// values are defined once, so each span is written once and the pool
-/// only grows.
+/// [`ValueId`]: a `(start, len)` span per value into one fact pool. A
+/// pass only appends to the pool — overwriting a set leaves the old one
+/// behind — until [`PointsTo::compact`] drops what no span refers to.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PointsTo {
     spans: Vec<(u32, u32)>,
@@ -168,6 +168,20 @@ impl PointsTo {
     pub fn fact_count(&self) -> usize {
         self.spans.iter().map(|&(_, len)| len as usize).sum()
     }
+
+    /// Repacks the pool to exactly the facts some span refers to, in
+    /// ascending [`ValueId`] order, with no spare capacity. Every set
+    /// reads as before.
+    fn compact(&mut self) {
+        let mut facts = Vec::with_capacity(self.fact_count());
+        for span in &mut self.spans {
+            let (start, len) = *span;
+            // Fits: the live facts are a subset of a pool `u32` indexed.
+            *span = (facts.len() as u32, len);
+            facts.extend_from_slice(&self.facts[start as usize..(start + len) as usize]);
+        }
+        self.facts = facts;
+    }
 }
 
 /// Result of analysing one function.
@@ -193,6 +207,15 @@ impl FuncPta {
     /// Guarded points-to set of `v` (empty slice when untracked).
     pub fn pt(&self, v: ValueId) -> &[Fact] {
         self.points_to.get(v)
+    }
+
+    /// Drops the dead points-to facts and spare capacity a pass leaves
+    /// behind, for a result that is kept.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.points_to.compact();
+        self.mem_deps.shrink_to_fit();
+        self.global_stores.shrink_to_fit();
+        self.global_loads.shrink_to_fit();
     }
 }
 
@@ -927,7 +950,7 @@ mod table_tests {
             let mut m = m.clone();
             let cg = CallGraph::new(&m);
             let trace = &mut pinpoint_obs::TraceBuf::off();
-            let a = analyze_module_par(&mut m, &PtaConfig::default(), threads, trace, &cg, None);
+            let a = analyze_module_par(&mut m, &PtaConfig::default(), threads, trace, &cg);
             for (p, f) in a.pta.iter().zip(&m.funcs) {
                 for v in (0..f.values.len() as u32).map(ValueId) {
                     let listed = p.points_to.iter().find(|&(k, _)| k == v);

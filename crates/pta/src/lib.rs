@@ -15,8 +15,7 @@
 //!   on function interfaces, plus the matching call-site rewriting;
 //! * [`driver`] — the bottom-up module pipeline combining the two: one
 //!   per-function pipeline, sharded over private arenas and merged
-//!   deterministically, with an optional persistent artifact store
-//!   ([`analyze_module_par`]);
+//!   deterministically ([`analyze_module_par`]);
 //! * [`incremental`] — the same per-function pipeline run in place in a
 //!   shared arena, splicing whatever a previous run left clean
 //!   ([`analyze_module_incremental_dirty`]; [`analyze_module`] is this
@@ -61,8 +60,7 @@ pub mod symbols;
 pub mod transform;
 
 pub use driver::{
-    analyze_module, analyze_module_par, analyze_module_with, ArtifactStore, FuncArtifact,
-    FuncResult, ModuleAnalysis, PtaConfig,
+    analyze_module, analyze_module_par, analyze_module_with, ModuleAnalysis, PtaConfig,
 };
 pub use incremental::{analyze_module_incremental_dirty, dirty_closure, IncrementalOutcome};
 pub use intra::{FuncPta, GlobalAccess, MemDep, PointsTo, PtaStats};

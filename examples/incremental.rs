@@ -15,9 +15,11 @@
 //!    functions' artefacts, and re-answers checks reusing every cached
 //!    per-source query whose *cone* (the set of functions its search
 //!    visited) the edit did not touch;
-//! 2. **cross-run** — [`AnalysisBuilder::cache_dir`] persists
-//!    per-function artifacts keyed by content fingerprints, so even a
-//!    fresh process re-analyzes only what changed.
+//! 2. **cross-run** — [`AnalysisBuilder::cache_dir`] persists what the
+//!    solver decided, keyed by condition fingerprint, so even a fresh
+//!    process solves only the conditions the edit changed. (The cheap
+//!    stages — points-to, SEG — are recomputed: that is faster than
+//!    reading them back.)
 //!
 //! ```sh
 //! cargo run --release --example incremental
@@ -87,37 +89,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total
     );
 
-    // The same reuse across *runs*: a persistent cache keyed by content
-    // fingerprints. The first build populates it; a later build (here,
-    // of the edited source — imagine a fresh process after the edit)
-    // loads every clean function's artifacts from disk.
+    // Reuse across *runs*: the verdict table persists, keyed by condition
+    // fingerprint. The first check fills it; a later run (here, of the
+    // edited source — imagine a fresh process after the edit) replays
+    // every verdict whose condition the edit left alone.
     let dir = std::env::temp_dir().join(format!("pinpoint-example-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let t2 = Instant::now();
     let cold = AnalysisBuilder::new()
         .cache_dir(&dir)
         .build_source(&project.source)?;
-    let populate_time = t2.elapsed();
-    let t3 = Instant::now();
+    let mut first = cold.session();
+    let t2 = Instant::now();
+    let first_reports = first.check_all().len();
+    let first_time = t2.elapsed();
+    let solved = first.stats().detect.verdict_misses;
     let warm = AnalysisBuilder::new()
         .cache_dir(&dir)
         .build_source(&edited)?;
-    let warm_time = t3.elapsed();
-    let c = warm.stats.cache;
+    let mut second = warm.session();
+    let t3 = Instant::now();
+    let second_reports = second.check_all().len();
+    let second_time = t3.elapsed();
+    let d = second.stats().detect;
     println!(
-        "\npersistent cache ({}):\n  populate run: {populate_time:?} ({} artifacts stored)\n  \
-         warm run after the edit: {warm_time:?} — {} hits, {} misses ({:.1}% reuse)",
+        "\npersistent verdicts ({}):\n  first check_all: {first_time:?} ({solved} conditions solved \
+         and stored)\n  check_all of a fresh build after the edit: {second_time:?} — {} replayed, {} solved",
         dir.display(),
-        cold.stats.cache.misses,
-        c.hits,
-        c.misses,
-        100.0 * c.hits as f64 / (c.hits + c.misses) as f64,
+        d.verdict_hits,
+        d.verdict_misses,
     );
-    assert_eq!(
-        warm.check(CheckerKind::UseAfterFree).len(),
-        baseline,
-        "warm verdicts identical"
-    );
+    assert_eq!(warm.stats.cache.hits, 1, "the stored table was loaded");
+    assert!(d.verdict_misses < solved, "the second run solves less");
+    assert_eq!(first_reports, second_reports, "warm verdicts identical");
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

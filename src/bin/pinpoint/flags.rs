@@ -21,7 +21,7 @@ use pinpoint::AnalysisBuilder;
 pub enum Common {
     /// `--threads N` — analysis worker count (≥ 1).
     Threads,
-    /// `--cache-dir DIR` — persistent artifact cache directory.
+    /// `--cache-dir DIR` — persistent verdict store directory.
     CacheDir,
     /// `--no-solve` — skip SMT path-condition discharge.
     NoSolve,

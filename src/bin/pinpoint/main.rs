@@ -10,7 +10,7 @@
 //! pinpoint dump-seg program.pp foo          # SEG of `foo` as Graphviz
 //! pinpoint stats program.pp                 # pipeline statistics
 //! pinpoint profile program.pp --top 10      # per-query solver attribution
-//! pinpoint cache info .pinpoint-cache       # persistent-cache maintenance
+//! pinpoint cache info .pinpoint-cache       # verdict-store maintenance
 //! pinpoint serve                            # concurrent sessions on stdio
 //! pinpoint serve --listen /tmp/pp.sock      # …or on a Unix socket
 //! ```
@@ -21,8 +21,9 @@
 //! single-session v1 protocol. See the [`serve`] module.
 //!
 //! `check`, `leaks`, and `stats` accept `--cache-dir DIR` to persist
-//! per-function analysis artifacts across runs: warm re-runs re-analyze
-//! only edited functions and their callers, with byte-identical results.
+//! solver verdicts across runs: a later run, also of an edited program,
+//! solves only the conditions no earlier run decided, with byte-identical
+//! results.
 //!
 //! `check`, `leaks`, and `stats` additionally accept `--trace-out FILE`
 //! (Chrome trace-event JSON, loadable in Perfetto) and
@@ -145,13 +146,16 @@ const USAGE: &str = "usage:
   interface summaries — computed on demand, bottom-up, for the functions
   a gate reads — before the demand-driven search runs on the survivors;
   `demand` searches every source. Reports are byte-identical either
-  way. With --cache-dir, the summaries a run demanded persist per
-  (function, property) and are reused across runs and edits.
+  way.
   --threads N defaults to the available parallelism.
-  --cache-dir persists per-function analysis artifacts keyed by content
-  fingerprints, so a warm re-run only re-analyzes edited functions and
-  their callers (results stay byte-identical; a corrupt or missing cache
-  degrades to a cold run).
+  --cache-dir persists solver verdicts — one checksummed object, keyed
+  by condition fingerprint — so a later run, also of an edited program,
+  solves only conditions no earlier run decided. Everything else is
+  recomputed, which is faster than reloading it (results stay
+  byte-identical; a corrupt or missing directory degrades to a cold
+  run). `cache info|clear|verify` inspect, empty and check a directory;
+  objects older versions left there (pta-*, seg-*, vfsum-*) are never
+  read — `cache clear` reclaims them.
   --trace-out writes hierarchical span data as Chrome trace-event JSON
   (open in Perfetto / chrome://tracing); --stats-json writes the unified
   pinpoint-stats-v1 metrics document including per-query attribution.";

@@ -1,4 +1,4 @@
-//! Crash-safety tests for the persistent analysis cache: every corrupted
+//! Crash-safety tests for the persistent verdict store: every corrupted
 //! or torn on-disk state must degrade to a correct cold run — identical
 //! reports, bumped `invalidated`/`misses` counters, never a panic or a
 //! wrong result.
@@ -40,26 +40,34 @@ fn render(analysis: &Analysis) -> String {
     out.join("\n")
 }
 
-fn object_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("objects"))
+/// Checks the program with the store at `dir`, which leaves the verdict
+/// table there.
+fn prime(dir: &Path) {
+    render(&build(Some(dir)));
+}
+
+/// The one object a primed store holds.
+fn verdict_object(dir: &Path) -> PathBuf {
+    let files: Vec<PathBuf> = std::fs::read_dir(dir.join("objects"))
         .expect("objects dir")
         .filter_map(Result::ok)
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|x| x == "bin"))
         .collect();
-    files.sort();
-    assert!(!files.is_empty(), "cache must have been primed");
-    files
+    let [file] = files.as_slice() else {
+        panic!("a primed store holds exactly the verdict table: {files:?}");
+    };
+    let name = file.file_name().unwrap().to_string_lossy();
+    assert!(name.starts_with("verdicts-"), "{name}");
+    file.clone()
 }
 
-/// Primes a cache, corrupts it via `mutate`, and asserts the warm run
+/// Primes a store, corrupts it via `mutate`, and asserts the warm run
 /// still matches the cold baseline while counting invalidations.
 fn corruption_degrades_to_cold(tag: &str, mutate: impl Fn(&Path)) -> pinpoint::cache::CacheStats {
     let dir = temp_cache(tag);
-    build(Some(&dir));
-    for f in object_files(&dir) {
-        mutate(&f);
-    }
+    prime(&dir);
+    mutate(&verdict_object(&dir));
     let warm = build(Some(&dir));
     let cold = build(None);
     assert_eq!(
@@ -135,7 +143,7 @@ fn flipped_payload_byte_falls_back_cold() {
 #[test]
 fn interrupted_write_debris_is_ignored() {
     let dir = temp_cache("torn");
-    build(Some(&dir));
+    prime(&dir);
     std::fs::write(dir.join("objects/.tmp-deadbeef-42"), b"partial write").unwrap();
     let warm = build(Some(&dir));
     let cold = build(None);
@@ -153,31 +161,30 @@ fn interrupted_write_debris_is_ignored() {
 #[test]
 fn verify_reports_corrupt_entries() {
     let dir = temp_cache("verify");
-    build(Some(&dir));
-    let files = object_files(&dir);
-    let victim = &files[0];
-    let mut bytes = std::fs::read(victim).unwrap();
+    prime(&dir);
+    assert_eq!(CacheStore::verify(&dir).unwrap().ok, 1);
+    let victim = verdict_object(&dir);
+    let mut bytes = std::fs::read(&victim).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xFF;
-    std::fs::write(victim, &bytes).unwrap();
+    std::fs::write(&victim, &bytes).unwrap();
     let outcome = CacheStore::verify(&dir).unwrap();
-    assert_eq!(outcome.corrupt, vec![victim.clone()]);
-    assert_eq!(outcome.ok as usize, files.len() - 1);
+    assert_eq!(outcome.corrupt, vec![victim]);
+    assert_eq!(outcome.ok, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A cache primed from *different* source shares no keys: every probe
-/// is a clean miss (no invalidations — the entries are valid, just for
-/// other fingerprints), and the run equals cold.
+/// A table stored under another key — what a build with a different
+/// solver configuration leaves behind — is never looked at: the probe is
+/// a clean miss (no invalidation — the entry is valid, just for another
+/// key), and the run equals cold.
 #[test]
 fn stale_fingerprints_miss_cleanly() {
     let dir = temp_cache("stale");
-    let other = "fn main() { let x: int = 1; print(x); return; }";
-    AnalysisBuilder::new()
-        .threads(1)
-        .cache_dir(&dir)
-        .build_source(other)
-        .unwrap();
+    prime(&dir);
+    let object = verdict_object(&dir);
+    let stale = object.with_file_name(format!("verdicts-{:032x}.bin", 0xDEAD_BEEF_u128));
+    std::fs::rename(&object, &stale).unwrap();
     let warm = build(Some(&dir));
     let cold = build(None);
     assert_eq!(render(&warm), render(&cold));

@@ -173,11 +173,22 @@ fn trace_and_stats_outputs() {
         "\"keys\":{\"time_ns\":",
         "\"pta\"",
         "\"seg\":{\"bytes\":",
+        "\"cache\":{\"hits\":0,\"invalidated\":0,\"load_ns\":0,\"misses\":0,\"store_ns\":0}",
         "\"detect\"",
         "\"smt\"",
+        "\"summary\":{\"built\":",
     ] {
         assert!(stats_doc.contains(family), "stats missing family {family}");
     }
+    let summary = stats_doc
+        .split_once("\"summary\":{")
+        .expect("summary family")
+        .1;
+    let keys: Vec<&str> = summary[..summary.find('}').expect("family closes")]
+        .split(',')
+        .filter_map(|field| field.split(':').next())
+        .collect();
+    assert_eq!(keys, ["\"built\"", "\"composed\"", "\"gated\""]);
     assert!(stats_doc.contains("\"queries\":["), "{stats_doc}");
     assert!(
         stats_doc.contains("\"checker\":\"use-after-free\""),

@@ -12,13 +12,15 @@
 //! * identical `check --json` stdout and exit code, across *all*
 //!   configurations;
 //! * identical canonical `--stats-json` documents (wall-clock values
-//!   zeroed, run metadata dropped) within a cache state — cache traffic
-//!   and persisted-verdict counters legitimately differ between states;
-//! * byte-identical cache directories after a cold run: object names are
-//!   the `pinpoint_cache::module_keys`, the summary cone keys and the
-//!   verdict-store key, object bytes are the private-arena artifacts and
-//!   the verdict table keyed by condition fingerprint — and the `pta-*`
-//!   names equal the keys this (sixth) process derives itself.
+//!   zeroed, run metadata dropped) within a cache state — store traffic
+//!   and verdict hit/miss/persisted counters legitimately differ between
+//!   states;
+//! * byte-identical cache directories after a cold run: one object, named
+//!   by the verdict-store key, whose bytes are the verdict table keyed by
+//!   condition fingerprint.
+//!
+//! The same harness shows what a directory from before the `pta`/`seg`/
+//! `vfsum` stages were retired means to a run: nothing.
 
 use pinpoint::workload::{generate, GenConfig};
 use std::collections::BTreeMap;
@@ -181,22 +183,10 @@ fn assert_process_invariant(tag: &str, source: &str) {
         }
     }
     let (_, objects) = cold.expect("cold runs happened");
-    let module = pinpoint::compile(source).unwrap();
-    let config = pinpoint::cache::config_fp(&pinpoint::pta::PtaConfig::default());
-    let mut keys: Vec<String> = pinpoint::cache::module_keys(&module, config)
-        .iter()
-        .map(|k| format!("pta-{k:032x}.bin"))
-        .collect();
-    keys.sort();
-    let stored: Vec<&String> = objects.keys().filter(|n| n.starts_with("pta-")).collect();
-    assert_eq!(
-        stored,
-        keys.iter().collect::<Vec<_>>(),
-        "{tag}: module_keys"
-    );
+    let names: Vec<&String> = objects.keys().collect();
     assert!(
-        objects.keys().any(|n| n.starts_with("verdicts-")),
-        "{tag}: verdicts persisted"
+        matches!(names.as_slice(), [name] if name.starts_with("verdicts-")),
+        "{tag}: the verdict table and nothing else: {names:?}"
     );
 
     // Warm cache: one directory, filled once, read by every process.
@@ -209,11 +199,13 @@ fn assert_process_invariant(tag: &str, source: &str) {
             let got = check(&input, threads, Some(&warm_dir), &stats);
             let what = format!("{tag}: warm cache, threads={threads}, run {run}");
             assert_eq!((got.0, &got.1), (reference.0, &reference.1), "{what}");
-            assert!(
-                got.2.contains("\"misses\":0"),
-                "{what}: fully warm\n{}",
-                got.2
-            );
+            for counters in ["\"cache\":{\"hits\":1,", "\"verdict.misses\":0,"] {
+                assert!(
+                    got.2.contains(counters),
+                    "{what}: fully warm, {counters}\n{}",
+                    got.2
+                );
+            }
             assert_eq!(
                 &got,
                 warm.get_or_insert_with(|| got.clone()),
@@ -234,19 +226,81 @@ fn corpus_program_is_process_invariant() {
     assert_process_invariant("corpus", &std::fs::read_to_string(path).unwrap());
 }
 
+/// The source `gen_project --kloc 20` writes.
+fn kloc20_project() -> String {
+    let config = GenConfig {
+        real_bugs: 2,
+        decoys: 2,
+        taint: true,
+        ..GenConfig::default()
+    };
+    generate(&config.with_target_kloc(20.0)).source
+}
+
 #[test]
 fn generated_project_is_process_invariant() {
-    // `gen_project --kloc 20`.
-    let project = generate(
-        &GenConfig {
-            real_bugs: 2,
-            decoys: 2,
-            taint: true,
-            ..GenConfig::default()
-        }
-        .with_target_kloc(20.0),
+    assert_process_invariant("project", &kloc20_project());
+}
+
+/// `pinpoint cache <action> <dir>`: exit code and stdout.
+fn cache_cmd(action: &str, dir: &Path) -> (i32, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_pinpoint"))
+        .args(["cache", action])
+        .arg(dir)
+        .output()
+        .expect("pinpoint runs");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    (out.status.code().expect("pinpoint exits"), stdout)
+}
+
+#[test]
+fn retired_stage_objects_are_never_read_but_counted_and_cleared() {
+    let scratch = Scratch::new("retired");
+    let input = scratch.0.join("input.pp");
+    std::fs::write(&input, kloc20_project()).unwrap();
+    let stats = scratch.0.join("stats.json");
+
+    let empty = scratch.0.join("empty");
+    let from_empty = check(&input, 1, Some(&empty), &stats);
+    let names: Vec<String> = snapshot(&empty).into_keys().collect();
+    assert!(
+        matches!(names.as_slice(), [name] if name.starts_with("verdicts-")),
+        "one object, the verdict table: {names:?}"
     );
-    assert_process_invariant("project", &project.source);
+
+    // What an older version's run left behind, as far as a lookup could
+    // tell: the right names, any bytes.
+    let old = scratch.0.join("old");
+    std::fs::create_dir_all(old.join("objects")).unwrap();
+    let retired: Vec<PathBuf> = ["pta", "seg", "vfsum"]
+        .iter()
+        .flat_map(|stage| (1..=3u128).map(move |key| format!("{stage}-{key:032x}.bin")))
+        .map(|name| old.join("objects").join(name))
+        .collect();
+    for path in &retired {
+        std::fs::write(path, b"not a frame").unwrap();
+    }
+    assert_eq!(
+        check(&input, 1, Some(&old), &stats),
+        from_empty,
+        "reports and every counter as on an empty directory"
+    );
+    for path in &retired {
+        assert_eq!(
+            std::fs::read(path).unwrap(),
+            b"not a frame",
+            "left untouched"
+        );
+    }
+    let (code, info) = cache_cmd("info", &old);
+    assert_eq!(code, 0);
+    assert!(
+        info.contains("entries:     10"),
+        "9 retired + 1 table: {info}"
+    );
+    let (code, cleared) = cache_cmd("clear", &old);
+    assert_eq!((code, cleared.trim()), (0, "removed 10 entries"));
+    assert!(snapshot(&old).is_empty());
 }
 
 #[test]

@@ -6,11 +6,9 @@
 //! tables — `ModuleSummaries::build_with_graph`, `ParamSummaries::build` —
 //! run the same per-SCC computation over every function, so they are the
 //! reference the on-demand bits must equal, in any forcing order, at any
-//! thread count, with or without a persistent store. The work-bound tests
-//! then pin the point of the exercise with counters: a check forces what
-//! its sources reach, not the module.
+//! thread count. The work-bound tests then pin the point of the exercise
+//! with counters: a check forces what its sources reach, not the module.
 
-use pinpoint::cache::{config_fp, module_keys, CacheStore};
 use pinpoint::core::summary::ParamSummaries;
 use pinpoint::core::{ModuleSeg, ModuleSummaries, Spec, SummaryCx};
 use pinpoint::ir::{CallGraph, FuncId, Module};
@@ -19,15 +17,14 @@ use pinpoint::workload::rng::SmallRng;
 use pinpoint::{AnalysisBuilder, CheckerKind, Engine, Query, Workspace};
 use std::path::PathBuf;
 
-/// Module, SEGs, call graph and per-function cache keys of `src`, as the
-/// stand-alone layer entry points build them.
-fn artefact(src: &str) -> (Module, ModuleSeg, CallGraph, Vec<u128>) {
+/// Module, SEGs and call graph of `src`, as the stand-alone layer entry
+/// points build them.
+fn artefact(src: &str) -> (Module, ModuleSeg, CallGraph) {
     let mut module = pinpoint::compile(src).expect("source compiles");
-    let keys = module_keys(&module, config_fp(&pinpoint::pta::PtaConfig::default()));
     let mut pta = pinpoint::pta::analyze_module(&mut module);
     let segs = ModuleSeg::build(&module, &mut pta.arena, &mut pta.symbols, &pta.pta);
     let cg = CallGraph::new(&module);
-    (module, segs, cg, keys)
+    (module, segs, cg)
 }
 
 /// Every function id of `m` in a seeded shuffled order.
@@ -40,16 +37,10 @@ fn shuffled(m: &Module, seed: u64) -> Vec<FuncId> {
     order
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pinpoint-demand-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Forces every function one at a time in `order`, checking each summary
 /// against the oracle's the moment it is forced.
 fn force_each(
-    cx: &mut SummaryCx<'_>,
+    cx: &SummaryCx<'_>,
     funcs: usize,
     order: &[FuncId],
     oracle: &ModuleSummaries,
@@ -63,41 +54,19 @@ fn force_each(
 }
 
 /// Lazy ≡ eager on one program, for one property: interface summaries
-/// field for field (storeless, cold with a store, warm from it) and
-/// descent bits, the eager tables at 1 and 4 threads.
+/// field for field and descent bits, the eager tables at 1 and 4 threads.
 fn assert_lazy_equals_eager(src: &str, spec: &Spec, seed: u64, what: &str) {
-    let (m, segs, cg, keys) = artefact(src);
+    let (m, segs, cg) = artefact(src);
     let n = m.funcs.len();
     let order = shuffled(&m, seed);
     let eager = ModuleSummaries::build_with_graph(&m, &segs, spec, 1, None, &cg);
     let eager4 = ModuleSummaries::build_with_graph(&m, &segs, spec, 4, None, &cg);
     assert_eq!(eager, eager4, "{what}: eager table at 1 vs 4 threads");
-    assert_eq!((eager.built, eager.reused), (n as u64, 0), "{what}");
+    assert_eq!(eager.built, n as u64, "{what}");
 
-    let mut cx = SummaryCx::new(&m, &segs, spec, &cg, None);
-    let lazy = force_each(&mut cx, n, &order, &eager, what);
-    assert_eq!(lazy, eager, "{what}: storeless lazy table and counters");
-
-    let dir = temp_dir(&format!("oracle-{seed}"));
-    let mut store = CacheStore::open(&dir).expect("temp store opens");
-    let mut cx = SummaryCx::new(&m, &segs, spec, &cg, Some((&mut store, &keys)));
-    let cold = force_each(&mut cx, n, &order, &eager, what);
-    assert_eq!(cold, eager, "{what}: cold-with-store");
-    let mut cx = SummaryCx::new(&m, &segs, spec, &cg, Some((&mut store, &keys)));
-    let warm = force_each(&mut cx, n, &order, &eager, what);
-    assert_eq!(
-        (warm.built, warm.reused, warm.composed),
-        (0, n as u64, 0),
-        "{what}: warm-from-store loads everything"
-    );
-    for (fid, _) in m.iter_funcs() {
-        assert_eq!(warm.get(fid), eager.get(fid), "{what}: warm {fid:?}");
-    }
-    // The whole-module build reads the same records.
-    let warm_eager =
-        ModuleSummaries::build_with_graph(&m, &segs, spec, 4, Some((&mut store, &keys)), &cg);
-    assert_eq!(warm_eager, warm, "{what}: eager warm-from-store");
-    let _ = std::fs::remove_dir_all(&dir);
+    let cx = SummaryCx::new(&m, &segs, spec, &cg);
+    let lazy = force_each(&cx, n, &order, &eager, what);
+    assert_eq!(lazy, eager, "{what}: lazy table and counters");
 
     let mut all = ParamSummaries::build(&m, &segs, spec, &cg);
     let mut lazy = ParamSummaries::new(&m, &segs, spec, &cg);
@@ -153,7 +122,7 @@ fn scc_forced_through_either_member_gives_the_same_summaries() {
          fn ping(p: int*, n: int) -> int* { let q: int* = pong(p, n); return q; }
          fn pong(p: int*, n: int) -> int* { leaf(p); let q: int* = ping(p, n); return p; }
          fn main() { let a: int* = malloc(); let b: int* = ping(a, 3); print(b); return; }";
-    let (m, segs, cg, _) = artefact(src);
+    let (m, segs, cg) = artefact(src);
     let (ping, pong) = (
         m.func_by_name("ping").unwrap(),
         m.func_by_name("pong").unwrap(),
@@ -163,9 +132,9 @@ fn scc_forced_through_either_member_gives_the_same_summaries() {
         let spec = kind.spec();
         let eager = ModuleSummaries::build_with_graph(&m, &segs, &spec, 1, None, &cg);
         for first in [pong, ping] {
-            let mut cx = SummaryCx::new(&m, &segs, &spec, &cg, None);
+            let cx = SummaryCx::new(&m, &segs, &spec, &cg);
             let mut lazy = ModuleSummaries::new(m.funcs.len());
-            lazy.force(&mut cx, first);
+            lazy.force(&cx, first);
             assert_eq!(lazy.built, 3, "{kind}: the SCC and the leaf below it");
             for f in [ping, pong, m.func_by_name("leaf").unwrap()] {
                 assert_eq!(lazy.get(f), eager.get(f), "{kind}: {f:?} via {first:?}");
@@ -184,12 +153,12 @@ fn hundred_thousand_deep_chain_forces_on_a_test_thread_stack() {
     for i in 1..DEPTH {
         src.push_str(&format!("fn f{i}(p: int*) {{ f{}(p); return; }}\n", i - 1));
     }
-    let (m, segs, cg, _) = artefact(&src);
+    let (m, segs, cg) = artefact(&src);
     let spec = CheckerKind::UseAfterFree.spec();
     let top = m.func_by_name(&format!("f{}", DEPTH - 1)).unwrap();
-    let mut cx = SummaryCx::new(&m, &segs, &spec, &cg, None);
+    let cx = SummaryCx::new(&m, &segs, &spec, &cg);
     let mut sums = ModuleSummaries::new(m.funcs.len());
-    assert!(sums.force(&mut cx, top).is_some());
+    assert!(sums.force(&cx, top).is_some());
     assert_eq!(sums.built, DEPTH as u64, "the whole chain is one cone");
     assert!(
         ParamSummaries::new(&m, &segs, &spec, &cg).descend_useful(top, 0),
@@ -216,11 +185,6 @@ fn needle_in_haystack(unrelated: usize) -> String {
 /// a source (fewer when the first callee read already settles the gate).
 const DEMANDED: u64 = 2;
 
-/// Summaries forced so far, computed or loaded.
-fn forced(stats: &pinpoint::core::DetectStats) -> u64 {
-    stats.summary_built + stats.summary_reused
-}
-
 fn render(reports: &[pinpoint::Report]) -> Vec<String> {
     reports.iter().map(|r| format!("{r:?}")).collect()
 }
@@ -239,12 +203,12 @@ fn check_all_forces_only_what_its_sources_reach() {
     assert_eq!(render(&summary.check_all()), expected);
     let stats = summary.stats().detect;
     assert!(
-        (1..=DEMANDED).contains(&forced(&stats)),
+        (1..=DEMANDED).contains(&stats.summary_built),
         "20 003 functions, at most two demanded: {stats:?}"
     );
     // A second whole-program check finds them in memory.
     assert_eq!(render(&summary.check_all()), expected);
-    assert_eq!(forced(&summary.stats().detect), forced(&stats));
+    assert_eq!(summary.stats().detect.summary_built, stats.summary_built);
 }
 
 #[test]
@@ -252,7 +216,7 @@ fn workspace_update_rebuilds_no_summary_that_is_not_demanded() {
     let src = needle_in_haystack(20_000);
     let mut ws = Workspace::open(&src).unwrap();
     let cold = render(&ws.query(&Query::All).into_reports());
-    let before = forced(&ws.stats().detect);
+    let before = ws.stats().detect.summary_built;
     assert!((1..=DEMANDED).contains(&before));
     let edited = src.replace(
         "fn u7(v: int) {",
@@ -263,7 +227,7 @@ fn workspace_update_rebuilds_no_summary_that_is_not_demanded() {
     assert_eq!(render(&ws.query(&Query::All).into_reports()), cold);
     let stats = ws.stats().detect;
     assert_eq!(
-        forced(&stats),
+        stats.summary_built,
         2 * before,
         "the edit re-keys the module, so the gate forces the same callees \
          again — and nothing else: {stats:?}"

@@ -110,8 +110,10 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
             "\"keys\"",
             "\"pta\"",
             "\"seg\":{\"bytes\":",
+            "\"cache\":{\"hits\":0,",
             "detect",
             "smt",
+            "\"summary\":{\"built\":",
         ] {
             assert!(
                 stats1.contains(family),
