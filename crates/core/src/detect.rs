@@ -160,13 +160,12 @@ pub struct DetectStats {
     /// Incremental solver sessions that performed at least one solve
     /// (one session per source search that missed the verdict table).
     pub sessions: u64,
-    /// Sources the summary engine's whole-program gate proved fruitless
-    /// and answered with an empty outcome, no search run (always 0 under
-    /// the demand engine).
+    /// Sources the whole-program summary gate proved fruitless and
+    /// answered with an empty outcome, no search run.
     pub summary_gated: u64,
-    /// Function interface summaries the gate demanded and computed
-    /// (summary engine only). One already forced by an earlier query of
-    /// the same session or workspace costs nothing and counts nowhere.
+    /// Function interface summaries the gate demanded and computed. One
+    /// already forced by an earlier query of the same session or
+    /// workspace costs nothing and counts nowhere.
     pub summary_built: u64,
     /// Interface edges composed at call sites while computing summaries.
     pub summary_composed: u64,
@@ -486,8 +485,9 @@ struct Worker<'cx, 'a> {
 /// Sources are enumerated in module order. Each is answered by the first
 /// of three means that applies:
 ///
-/// 1. `gate` — the summary engine's whole-program interface summaries
-///    ([`ModuleSummaries`], forced on demand): a source the gate proves
+/// 1. `gate` — the whole-program interface summaries
+///    ([`ModuleSummaries`], forced on demand; `None` only for the
+///    ungated reference search): a source the gate proves
 ///    fruitless gets a synthesised empty outcome. Gated sources bypass
 ///    the query cache entirely (a cached cone would not cover the summary
 ///    consultations the gate made) and count in
@@ -790,7 +790,7 @@ fn cone_fingerprint(out: &SourceOutcome, segs: &ModuleSeg, keys: &[u128]) -> Opt
     Some(h.finish())
 }
 
-/// The outcome the summary engine synthesises for a gated source: the
+/// The outcome synthesised for a gated source: the
 /// whole-program gate proved its search would visit nothing fruitful, so
 /// it contributes no events, no verdicts, and no cost — exactly what the
 /// demand search would have produced, minus the walking.

@@ -24,7 +24,7 @@ use crate::detect::{run_spec, DetectConfig, DetectStats, QueryCache, QueryReuse,
 use crate::error::PinpointError;
 use crate::seg::ModuleSeg;
 use crate::spec::CheckerKind;
-use crate::vfsummary::{keys_fingerprint, summary_fingerprint, Engine, ModuleSummaries};
+use crate::vfsummary::{keys_fingerprint, summary_fingerprint, ModuleSummaries};
 use pinpoint_cache::{config_fp, module_keys_with_graph, CacheStats, CacheStore};
 use pinpoint_ir::{CallGraph, Module, Unit};
 use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
@@ -162,7 +162,6 @@ pub struct AnalysisBuilder {
     verify: bool,
     trace: bool,
     cache_dir: Option<PathBuf>,
-    engine: Option<Engine>,
 }
 
 impl Default for AnalysisBuilder {
@@ -183,18 +182,7 @@ impl AnalysisBuilder {
             verify: false,
             trace: false,
             cache_dir: None,
-            engine: None,
         }
-    }
-
-    /// Forces a whole-program engine for every query of the built
-    /// artefact. Without an override, single checks use
-    /// [`Engine::Demand`] and whole-program checks (`check_all`,
-    /// `check_configured`, `Query::All`) use [`Engine::Summary`]; both
-    /// produce byte-identical reports at any thread count.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = Some(engine);
-        self
     }
 
     /// Persists solver verdicts under `dir`: the build loads the table
@@ -402,7 +390,6 @@ impl AnalysisBuilder {
             pta_config: self.pta,
             threads: self.threads,
             checkers: self.checkers,
-            engine: self.engine,
             keys_fp: keys_fingerprint(&func_keys),
             func_keys,
             stats,
@@ -512,9 +499,6 @@ pub struct Analysis {
     threads: usize,
     /// Checker selection (from the builder).
     checkers: Vec<CheckerKind>,
-    /// Engine override (from the builder); `None` = per-query default
-    /// (demand for single checks, summary for whole-program checks).
-    engine: Option<Engine>,
     /// Per-function transitive fingerprint keys of the pre-transform
     /// module ([`pinpoint_cache::module_keys`] order, indexed by
     /// `FuncId`). Kept current across incremental updates; the query
@@ -562,13 +546,6 @@ impl Analysis {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The engine override configured at build time (`None` = per-query
-    /// default: demand for single checks, summary for whole-program
-    /// checks).
-    pub fn engine(&self) -> Option<Engine> {
-        self.engine
     }
 
     /// The checkers [`Analysis::check_configured`] runs.
@@ -673,7 +650,7 @@ impl Analysis {
         old.arena = self.take_arena();
         let outcome = pinpoint_pta::analyze_module_incremental_dirty(
             &mut new_module,
-            &self.module,
+            std::mem::take(&mut self.module),
             old,
             &key_dirty,
             &callgraph,
@@ -759,9 +736,9 @@ impl Analysis {
 #[derive(Debug)]
 pub(crate) struct QueryRunner {
     pub(crate) threads: usize,
-    /// Engine override (`None` = per-query default: demand for single
-    /// checks, summary for whole-program checks).
-    pub(crate) engine: Option<Engine>,
+    /// Skip the summary gate and search every source: the reference the
+    /// gated search is compared against ([`DetectSession::ungated`]).
+    ungated: bool,
     detect_time: Duration,
     detect: DetectStats,
     /// Build-stage spans (cloned from the artefact) extended with the
@@ -799,7 +776,7 @@ impl QueryRunner {
         let verdicts = analysis.verdicts.clone();
         QueryRunner {
             threads: analysis.threads,
-            engine: analysis.engine,
+            ungated: false,
             detect_time: Duration::ZERO,
             detect: DetectStats::default(),
             trace: analysis.trace.clone(),
@@ -828,26 +805,21 @@ impl QueryRunner {
     }
 
     /// Runs one property over `a` under `config` and folds its outcome
-    /// into the accumulated state. The engine is the runner's override,
-    /// else `default_engine` (what the calling query arm prefers);
-    /// `cache` is the workspace's per-source query cache. Returns the
-    /// reports and the cache's reuse split.
+    /// into the accumulated state: gate, then query cache (`cache`, the
+    /// workspace's), then search. Returns the reports and the cache's
+    /// reuse split.
     pub(crate) fn run(
         &mut self,
         a: &Analysis,
         config: DetectConfig,
         spec: &crate::spec::Spec,
         kind: Option<CheckerKind>,
-        default_engine: Engine,
         cache: Option<&mut QueryCache>,
     ) -> (Vec<Report>, QueryReuse) {
         let t0 = Instant::now();
         let span = self.trace.open("detect", spec.name.clone());
         let base_id = u32::try_from(self.queries.len()).expect("query count fits u32");
-        let mut sums = match self.engine.unwrap_or(default_engine) {
-            Engine::Demand => None,
-            Engine::Summary => Some(self.summaries_for(a, spec)),
-        };
+        let mut sums = (!self.ungated).then(|| self.summaries_for(a, spec));
         let mut out = run_spec(
             a,
             &self.verdicts,
@@ -958,10 +930,9 @@ impl QueryRunner {
         m.counter_add("detect.skipped_descents", s.detect.skipped_descents);
         m.counter_add("detect.budget_exhausted", s.detect.budget_exhausted);
         m.counter_add("detect.reports", s.detect.reports);
-        // The whole-program summary engine: interface summaries built, the
-        // interface edges composed while building, and the sources the
-        // gate answered without a search. All zero under the demand
-        // engine; always present so the schema is shape-stable.
+        // The summary gate: interface summaries built, the interface
+        // edges composed while building, and the sources the gate
+        // answered without a search.
         m.counter_add("summary.built", s.detect.summary_built);
         m.counter_add("summary.composed", s.detect.summary_composed);
         m.counter_add("summary.gated", s.detect.summary_gated);
@@ -1058,56 +1029,48 @@ impl<'a> DetectSession<'a> {
         self
     }
 
-    /// Overrides the whole-program engine for this session's queries
-    /// (reports are byte-identical either way; only the work differs).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.runner.engine = Some(engine);
+    /// The reference search: every source is searched, none gated by the
+    /// interface summaries. Reports are byte-identical either way; this
+    /// exists so the `engines` fuzz oracle and the tests can say so.
+    #[doc(hidden)]
+    pub fn ungated(mut self) -> Self {
+        self.runner.ungated = true;
         self
     }
 
     /// Runs one checker, returning its reports.
     pub fn check(&mut self, kind: CheckerKind) -> Vec<Report> {
-        self.run_kind(kind, Engine::Demand)
+        let spec = kind.spec();
+        let run = self
+            .runner
+            .run(self.analysis, self.config, &spec, Some(kind), None);
+        run.0
     }
 
     /// Runs a user-defined property specification.
     pub fn check_custom(&mut self, spec: &crate::spec::Spec) -> Vec<Report> {
         let run = self
             .runner
-            .run(self.analysis, self.config, spec, None, Engine::Demand, None);
+            .run(self.analysis, self.config, spec, None, None);
         run.0
     }
 
-    /// Runs every supported checker. Whole-program queries default to the
-    /// summary engine (reports stay byte-identical to demand).
+    /// Runs every supported checker.
     pub fn check_all(&mut self) -> Vec<Report> {
         CheckerKind::ALL
             .into_iter()
-            .flat_map(|k| self.run_kind(k, Engine::Summary))
+            .flat_map(|k| self.check(k))
             .collect()
     }
 
     /// Runs the checkers selected at build time.
     pub fn check_configured(&mut self) -> Vec<Report> {
-        self.analysis
+        let analysis = self.analysis;
+        analysis
             .checkers
             .iter()
-            .flat_map(|&k| self.run_kind(k, Engine::Summary))
+            .flat_map(|&k| self.check(k))
             .collect()
-    }
-
-    /// One built-in checker under the engine its query arm defaults to.
-    fn run_kind(&mut self, kind: CheckerKind, default_engine: Engine) -> Vec<Report> {
-        let (spec, kind) = (kind.spec(), Some(kind));
-        let run = self.runner.run(
-            self.analysis,
-            self.config,
-            &spec,
-            kind,
-            default_engine,
-            None,
-        );
-        run.0
     }
 
     /// Runs the memory-leak checker on session-private scratch copies of

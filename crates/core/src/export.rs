@@ -6,30 +6,9 @@ use crate::detect::Report;
 use crate::leak::LeakReport;
 use crate::seg::{EdgeKind, ModuleSeg};
 use pinpoint_ir::{FuncId, Module};
+use pinpoint_obs::json;
 use pinpoint_smt::TermArena;
 use std::fmt::Write;
-
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            // Any other control character would break the one-line
-            // framing of the serve protocols.
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders value-flow reports as the JSON array used by `pinpoint check
 /// --json` and the serve protocol's `reports` events: one object per
@@ -44,7 +23,7 @@ pub fn reports_json(module: &Module, reports: &[Report]) -> String {
         let witness: Vec<String> = r
             .witness
             .iter()
-            .map(|(n, v)| format!("{{\"var\":\"{}\",\"value\":{v}}}", json_escape(n)))
+            .map(|(n, v)| format!("{{\"var\":\"{}\",\"value\":{v}}}", json::escape(n)))
             .collect();
         let path: Vec<String> = r
             .path
@@ -53,18 +32,18 @@ pub fn reports_json(module: &Module, reports: &[Report]) -> String {
                 let f = module.func(s.func);
                 format!(
                     "{{\"function\":\"{}\",\"value\":\"{}\",\"note\":\"{}\"}}",
-                    json_escape(&f.name),
-                    json_escape(&f.value(s.value).name),
-                    json_escape(s.note)
+                    json::escape(&f.name),
+                    json::escape(&f.value(s.value).name),
+                    json::escape(s.note)
                 )
             })
             .collect();
         let _ = write!(
             out,
             "{{\"property\":\"{}\",\"source_function\":\"{}\",\"sink_function\":\"{}\",\"sink_role\":\"{:?}\",\"path\":[{}],\"witness\":[{}]}}",
-            json_escape(&r.property),
-            json_escape(&r.source_func_name),
-            json_escape(&r.sink_func_name),
+            json::escape(&r.property),
+            json::escape(&r.source_func_name),
+            json::escape(&r.sink_func_name),
             r.sink_role,
             path.join(","),
             witness.join(",")
@@ -85,7 +64,7 @@ pub fn leaks_json(module: &Module, reports: &[LeakReport]) -> String {
         let _ = write!(
             out,
             "{{\"function\":\"{}\",\"kind\":\"{:?}\",\"site\":\"{}\"}}",
-            json_escape(&module.func(r.func).name),
+            json::escape(&module.func(r.func).name),
             r.kind,
             r.alloc_site
         );

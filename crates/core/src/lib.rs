@@ -75,5 +75,5 @@ pub use server::{
 };
 pub use spec::{CheckerKind, SinkRole, SinkSite, SinkSpec, SourceSite, SourceSpec, Spec};
 pub use telemetry::{ServerTelemetry, TelemetryConfig};
-pub use vfsummary::{Engine, ModuleSummaries, SummaryCx};
+pub use vfsummary::{ModuleSummaries, SummaryCx};
 pub use workspace::{Workspace, WorkspaceCounters};

@@ -39,7 +39,6 @@
 use crate::detect::Report;
 use crate::leak::LeakReport;
 use crate::spec::{CheckerKind, Spec};
-use crate::vfsummary::Engine;
 use crate::workspace::Workspace;
 
 /// One analysis request against a workspace: which property (or
@@ -132,18 +131,14 @@ impl Workspace {
     /// requests for.
     pub fn query(&mut self, query: &Query) -> QueryResponse {
         match query {
-            Query::Check(k) => {
-                QueryResponse::Reports(self.run_property(&k.spec(), Some(*k), Engine::Demand))
-            }
+            Query::Check(k) => QueryResponse::Reports(self.run_property(&k.spec(), Some(*k))),
             Query::All => QueryResponse::Reports(
                 CheckerKind::ALL
                     .into_iter()
-                    .flat_map(|k| self.run_property(&k.spec(), Some(k), Engine::Summary))
+                    .flat_map(|k| self.run_property(&k.spec(), Some(k)))
                     .collect(),
             ),
-            Query::Custom(spec) => {
-                QueryResponse::Reports(self.run_property(spec, None, Engine::Demand))
-            }
+            Query::Custom(spec) => QueryResponse::Reports(self.run_property(spec, None)),
             Query::Leaks => QueryResponse::Leaks(self.run_leaks()),
         }
     }
@@ -161,6 +156,20 @@ mod tests {
         print(x);
         return;
     }";
+
+    /// One use-after-free, and one freed pointer the gate must read
+    /// `show`'s summary to prove harmless.
+    const GATED: &str = "fn show(p: int*) { print(p); return; }
+        fn main() {
+            let p: int* = malloc();
+            free(p);
+            let x: int = *p;
+            print(x);
+            let q: int* = malloc();
+            free(q);
+            show(q);
+            return;
+        }";
 
     #[test]
     fn query_shapes_match_session_equivalents() {
@@ -194,6 +203,25 @@ mod tests {
                 QueryResponse::Leaks(l) => l.iter().map(|x| format!("{x:?}")).collect(),
             };
             assert_eq!(unified, reference(&q), "query {} diverges", q.label());
+        }
+        // One path, one answer: a single-checker query is gated exactly
+        // like the session call it stands for.
+        let summary =
+            |d: crate::detect::DetectStats| (d.summary_built, d.summary_composed, d.summary_gated);
+        let a = crate::driver::Analysis::from_source(GATED).unwrap();
+        for k in CheckerKind::ALL {
+            let mut ws = Workspace::open(GATED).unwrap();
+            let mut session = a.session();
+            assert_eq!(
+                ws.query(&Query::Check(k)).len(),
+                session.check(k).len(),
+                "{k}"
+            );
+            let counters = summary(ws.stats().detect);
+            assert_eq!(counters, summary(session.stats().detect), "{k}");
+            if k == CheckerKind::UseAfterFree {
+                assert!(counters.0 > 0 && counters.2 > 0, "{counters:?}");
+            }
         }
     }
 

@@ -74,11 +74,11 @@
 //! ```
 
 use crate::driver::AnalysisBuilder;
-use crate::export::{json_escape, leaks_json, reports_json};
+use crate::export::{leaks_json, reports_json};
 use crate::query::{Query, QueryResponse};
 use crate::telemetry::{ServerTelemetry, TelemetryConfig};
 use crate::workspace::Workspace;
-use pinpoint_obs::json::{Arr, Obj};
+use pinpoint_obs::json::{escape, Arr, Obj};
 use pinpoint_obs::{prometheus_text, queries_json, FlightEventKind, FlightSample, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,8 +145,7 @@ impl ServerError {
         }
     }
 
-    /// The canonical no-workspace error (message matches the v1
-    /// protocol's string, which transports reuse verbatim).
+    /// The canonical no-workspace error.
     pub fn no_workspace() -> Self {
         ServerError::new(
             ErrorCode::NoWorkspace,
@@ -159,7 +158,7 @@ impl ServerError {
         format!(
             "{{\"code\":\"{}\",\"message\":\"{}\"}}",
             self.code.as_str(),
-            json_escape(&self.message)
+            escape(&self.message)
         )
     }
 }

@@ -1,15 +1,16 @@
-//! Whole-program interface summaries and the summary-based `check_all`
-//! engine (§3.3.2 materialised bottom-up).
+//! Whole-program interface summaries: the gate in front of every search
+//! (§3.3.2 materialised bottom-up).
 //!
-//! The demand-driven detector answers every query by ascending from each
+//! The demand-driven detector answers a query by ascending from each
 //! source through the virtual global SEG. This module materialises the
 //! paper's per-function value-flow summaries at most *once per (function,
 //! property)* and answers the whole-program question "can this source
-//! ever meet a sink?" by composing interface edges at call sites. The
-//! summaries are themselves demand-driven: [`ModuleSummaries`] is a memo
-//! over the call-graph condensation, and the gate forces — bottom-up,
-//! callee components first — only the SCCs whose bits it reads. The
-//! interface edges:
+//! ever meet a sink?" by composing interface edges at call sites — for
+//! every query, built-in checker or custom spec alike. The summaries are
+//! themselves demand-driven: [`ModuleSummaries`] is a memo over the
+//! call-graph condensation, and the gate forces — bottom-up, callee
+//! components first — only the SCCs whose bits it reads. The interface
+//! edges:
 //!
 //! * **VF1 (param → ret)** — a formal parameter reaches a return
 //!   position: recorded as a per-value bitset of reachable return
@@ -33,8 +34,10 @@
 //! a strict superset of the demand search's reachability (it ignores
 //! context-depth limits, dominance filters, and vertex budgets), gating
 //! never suppresses a report, and non-gated sources are searched by the
-//! very same code — reports are byte-identical to the demand engine at
-//! any thread count, by construction.
+//! very same code — reports are byte-identical to the ungated search at
+//! any thread count, by construction. That search is kept as the
+//! reference (`DetectSession::ungated`, hidden) the `engines` fuzz oracle
+//! and `tests/demand_summaries.rs` compare against.
 //!
 //! Forced summaries live as long as the session or workspace that forced
 //! them, stamped with [`keys_fingerprint`] of the per-function transitive
@@ -46,42 +49,6 @@ use crate::seg::{EdgeKind, ModuleSeg};
 use crate::spec::{self, Spec};
 use pinpoint_ir::{CallGraph, ConeMemo, FuncId, Module, ValueId};
 use std::collections::HashMap;
-use std::fmt;
-
-/// Which whole-program engine answers a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Demand-driven per-source search (the reference implementation).
-    Demand,
-    /// Bottom-up interface summaries gate the sources; survivors run the
-    /// same demand-driven search. Byte-identical reports, less work.
-    Summary,
-}
-
-impl Engine {
-    /// Parses a CLI-facing engine name.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "demand" => Some(Engine::Demand),
-            "summary" => Some(Engine::Summary),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing engine name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Demand => "demand",
-            Engine::Summary => "summary",
-        }
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Value reaches a property sink (in this function or through callees).
 pub(crate) const SINK: u8 = 1;
@@ -816,13 +783,5 @@ mod tests {
             vec![true],
             "the freed pointer escapes through a global store — never gate it"
         );
-    }
-
-    #[test]
-    fn engine_names_roundtrip() {
-        for e in [Engine::Demand, Engine::Summary] {
-            assert_eq!(Engine::parse(e.name()), Some(e));
-        }
-        assert_eq!(Engine::parse("warp"), None);
     }
 }

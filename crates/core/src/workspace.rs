@@ -76,7 +76,6 @@ use crate::detect::{DetectConfig, QueryCache, Report};
 use crate::driver::{Analysis, AnalysisBuilder, PipelineStats, QueryRunner, UpdateOutcome};
 use crate::error::PinpointError;
 use crate::spec::CheckerKind;
-use crate::vfsummary::Engine;
 use pinpoint_obs::{MetricsRegistry, QueryRecord};
 
 /// Cumulative reuse counters across a workspace's lifetime.
@@ -185,21 +184,17 @@ impl Workspace {
 
     /// Layer 2 of the [module docs](self): one property (a built-in
     /// `kind` or a custom spec) through the runner with the per-source
-    /// query cache, counting the reuse split. `default_engine` is what the
-    /// calling [`Query`](crate::query::Query) arm prefers: demand for
-    /// single checks, summary as part of a whole-program `Query::All`.
+    /// query cache, counting the reuse split.
     pub(crate) fn run_property(
         &mut self,
         spec: &crate::spec::Spec,
         kind: Option<CheckerKind>,
-        default_engine: Engine,
     ) -> Vec<Report> {
         let (reports, reuse) = self.runner.run(
             &self.analysis,
             self.config,
             spec,
             kind,
-            default_engine,
             Some(&mut self.cache),
         );
         self.counters.queries_reused += reuse.reused;

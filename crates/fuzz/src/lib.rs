@@ -65,10 +65,11 @@ pub enum OracleKind {
     /// `verify_module` invariants must hold after lowering and after
     /// IR optimisation.
     Verify,
-    /// The summary engine's whole-program reports must be byte-identical
-    /// to the demand engine's — at 1 and N threads, and on an
-    /// alpha-renamed rebuild (helper renaming permutes `FuncId`s, so the
-    /// bottom-up SCC schedule runs in a different order).
+    /// The gated search (every built-in checker and custom spec) must
+    /// report byte-identically to the ungated reference search — at 1
+    /// and N threads, and on an alpha-renamed rebuild (helper renaming
+    /// permutes `FuncId`s, so the bottom-up SCC schedule runs in a
+    /// different order).
     Engines,
 }
 

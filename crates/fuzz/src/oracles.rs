@@ -8,7 +8,8 @@
 
 use crate::{formula, OracleKind};
 use pinpoint_baseline::{layered_check_uaf, Fsvfg};
-use pinpoint_core::{Analysis, AnalysisBuilder, CheckerKind, Query, Workspace};
+use pinpoint_core::spec::{SinkSpec, SourceSpec, Spec};
+use pinpoint_core::{Analysis, AnalysisBuilder, CheckerKind, DetectSession, Query, Workspace};
 use pinpoint_workload::fuzzgen;
 use pinpoint_workload::rng::SmallRng;
 use std::collections::HashSet;
@@ -299,19 +300,46 @@ fn cache_roundtrip(src: &str, dir: &std::path::Path) -> CheckResult {
     Ok(())
 }
 
-/// Oracle (f): the bottom-up summary engine must answer whole-program
-/// checks byte-identically to the demand-driven reference — at 1 and N
-/// threads, and again after alpha-renaming every generated helper
-/// (`fK` → `rK`), which permutes `FuncId` assignment and therefore runs
-/// the SCC schedule in a different function order.
+/// Oracle (f): the summary gate in front of every search must never
+/// change an answer — every built-in checker and every spec of
+/// [`custom_specs`] reports byte-identically to the ungated reference
+/// search, at 1 and N threads, and again after alpha-renaming every
+/// generated helper (`fK` → `rK`), which permutes `FuncId` assignment and
+/// therefore runs the SCC schedule in a different function order.
 fn engines_oracle(src: &str, threads: usize) -> CheckResult {
     engines_compare(src, 1, "as generated")?;
     engines_compare(src, threads.max(2), "as generated")?;
     engines_compare(&alpha_rename_helpers(src), 1, "alpha-renamed")
 }
 
+/// Custom properties the generated programs have sources and sinks for,
+/// one per [`SourceSpec`] shape: the specs the gate is checked on next
+/// to the built-in checkers.
+pub fn custom_specs() -> [Spec; 3] {
+    let print = || SinkSpec::Calls(vec!["print".into()]);
+    [
+        Spec {
+            name: "free-to-print".into(),
+            source: SourceSpec::FreeArgument,
+            sink: print(),
+            traverses_transforms: false,
+        },
+        Spec {
+            name: "nondet-to-print".into(),
+            source: SourceSpec::CallReceiver(vec!["nondet_int".into()]),
+            sink: print(),
+            traverses_transforms: true,
+        },
+        Spec {
+            name: "null-to-deref".into(),
+            source: SourceSpec::NullConstant,
+            sink: SinkSpec::Derefs,
+            traverses_transforms: false,
+        },
+    ]
+}
+
 fn engines_compare(src: &str, threads: usize, variant: &str) -> CheckResult {
-    use pinpoint_core::Engine;
     let analysis = match AnalysisBuilder::new().threads(threads).build_source(src) {
         Ok(a) => a,
         Err(e) => {
@@ -321,15 +349,20 @@ fn engines_compare(src: &str, threads: usize, variant: &str) -> CheckResult {
             )
         }
     };
-    let mut demand_session = analysis.session().with_engine(Engine::Demand);
-    let demand = render(&demand_session.check_all());
-    let mut summary_session = analysis.session().with_engine(Engine::Summary);
-    let summary = render(&summary_session.check_all());
-    if demand != summary {
+    let run = |mut session: DetectSession<'_>| {
+        let mut reports = session.check_all();
+        for spec in custom_specs() {
+            reports.extend(session.check_custom(&spec));
+        }
+        render(&reports)
+    };
+    let ungated = run(analysis.session().ungated());
+    let gated = run(analysis.session());
+    if ungated != gated {
         return fail(
             "engine-mismatch",
             format!(
-                "summary engine disagrees with demand engine ({variant}, threads={threads}):\n--- demand\n{demand}\n--- summary\n{summary}"
+                "gated search disagrees with the ungated reference ({variant}, threads={threads}):\n--- ungated\n{ungated}\n--- gated\n{gated}"
             ),
         );
     }

@@ -251,20 +251,6 @@ impl Inst {
             Inst::Call { args, .. } => args.iter().copied().for_each(f),
         }
     }
-
-    /// The values defined by this instruction, in order.
-    pub fn defs(&self) -> Vec<ValueId> {
-        let mut out = Vec::new();
-        self.for_each_def(|v| out.push(v));
-        out
-    }
-
-    /// The values used by this instruction.
-    pub fn uses(&self) -> Vec<ValueId> {
-        let mut out = Vec::new();
-        self.for_each_use(|v| out.push(v));
-        out
-    }
 }
 
 /// Block terminator.
@@ -318,13 +304,6 @@ impl Terminator {
             Terminator::Return(vs) => vs.iter().copied().for_each(f),
             Terminator::Jump(_) | Terminator::Unreachable => {}
         }
-    }
-
-    /// Values used by this terminator.
-    pub fn uses(&self) -> Vec<ValueId> {
-        let mut out = Vec::new();
-        self.for_each_use(|v| out.push(v));
-        out
     }
 }
 
@@ -628,16 +607,26 @@ mod tests {
         let mut f = Function::new("t");
         let x = f.new_value("x", Type::Int);
         let y = f.new_value("y", Type::Int);
+        let defs = |i: &Inst| {
+            let mut out = Vec::new();
+            i.for_each_def(|v| out.push(v));
+            out
+        };
+        let uses = |i: &Inst| {
+            let mut out = Vec::new();
+            i.for_each_use(|v| out.push(v));
+            out
+        };
         let inst = Inst::Copy { dst: y, src: x };
-        assert_eq!(inst.defs(), vec![y]);
-        assert_eq!(inst.uses(), vec![x]);
+        assert_eq!(defs(&inst), vec![y]);
+        assert_eq!(uses(&inst), vec![x]);
         let store = Inst::Store {
             ptr: x,
             depth: 1,
             src: y,
         };
-        assert!(store.defs().is_empty());
-        assert_eq!(store.uses(), vec![x, y]);
+        assert!(defs(&store).is_empty());
+        assert_eq!(uses(&store), vec![x, y]);
     }
 
     #[test]
@@ -689,7 +678,9 @@ mod tests {
             else_bb: b2,
         };
         assert_eq!(t.successors(), vec![b1, b2]);
-        assert_eq!(t.uses(), vec![c]);
+        let mut uses = Vec::new();
+        t.for_each_use(|v| uses.push(v));
+        assert_eq!(uses, vec![c]);
         assert!(Terminator::Return(vec![]).successors().is_empty());
     }
 

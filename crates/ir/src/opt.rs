@@ -234,11 +234,14 @@ fn prune_dead_phi_incomings(f: &mut Function) {
 pub fn eliminate_dead_code(f: &mut Function) -> OptStats {
     let mut stats = OptStats::default();
     let mut used: HashSet<ValueId> = HashSet::new();
+    let mut mark = |v| {
+        used.insert(v);
+    };
     for (_, inst) in f.iter_insts() {
-        used.extend(inst.uses());
+        inst.for_each_use(&mut mark);
     }
     for blk in &f.blocks {
-        used.extend(blk.term.uses());
+        blk.term.for_each_use(&mut mark);
     }
     for blk in &mut f.blocks {
         let before = blk.insts.len();
@@ -247,7 +250,11 @@ pub fn eliminate_dead_code(f: &mut Function) -> OptStats {
             Inst::Store { .. } | Inst::Call { .. } | Inst::Alloc { .. } => true,
             // Loads may trap (null deref) — they are checker sinks; keep.
             Inst::Load { .. } => true,
-            other => other.defs().iter().any(|d| used.contains(d)),
+            other => {
+                let mut live = false;
+                other.for_each_def(|d| live |= used.contains(&d));
+                live
+            }
         });
         stats.dead_removed += before - blk.insts.len();
     }
@@ -267,12 +274,12 @@ pub mod transform_support {
         for v in &mut f.values {
             v.def = None;
         }
-        let ids: Vec<(InstId, Vec<ValueId>)> =
-            f.iter_insts().map(|(id, i)| (id, i.defs())).collect();
-        for (id, defs) in ids {
-            for d in defs {
-                f.values[d.0 as usize].def = Some(id);
-            }
+        let mut defs: Vec<(InstId, ValueId)> = Vec::new();
+        for (id, inst) in f.iter_insts() {
+            inst.for_each_def(|d| defs.push((id, d)));
+        }
+        for (id, d) in defs {
+            f.values[d.0 as usize].def = Some(id);
         }
     }
 }

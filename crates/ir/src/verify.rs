@@ -54,13 +54,13 @@ pub fn verify_function(module: &Module, f: &Function, errors: &mut Vec<VerifyErr
         err(errors, "duplicate parameter value".into());
     }
     for (id, inst) in f.iter_insts() {
-        for d in inst.defs() {
+        inst.for_each_def(|d| {
             if !valid_value(d) {
                 err(
                     errors,
                     format!("instruction {id} defines unknown value {d:?}"),
                 );
-                continue;
+                return;
             }
             if !defined.insert(d) {
                 err(
@@ -77,7 +77,7 @@ pub fn verify_function(module: &Module, f: &Function, errors: &mut Vec<VerifyErr
                     ),
                 );
             }
-        }
+        });
     }
 
     // 2. Terminator targets must be in range before any CFG-based check
@@ -101,12 +101,13 @@ pub fn verify_function(module: &Module, f: &Function, errors: &mut Vec<VerifyErr
     let cfg = Cfg::new(f);
     let dom = DomTree::dominators(f, &cfg);
     for (id, inst) in f.iter_insts() {
-        let uses: Vec<(ValueId, Option<crate::ir::BlockId>)> = match inst {
+        let mut uses: Vec<(ValueId, Option<crate::ir::BlockId>)> = Vec::new();
+        match inst {
             Inst::Phi { incomings, .. } => {
-                incomings.iter().map(|&(pred, v)| (v, Some(pred))).collect()
+                uses.extend(incomings.iter().map(|&(pred, v)| (v, Some(pred))));
             }
-            other => other.uses().into_iter().map(|v| (v, None)).collect(),
-        };
+            other => other.for_each_use(|v| uses.push((v, None))),
+        }
         for (v, phi_pred) in uses {
             if !valid_value(v) {
                 err(errors, format!("instruction {id} uses unknown value {v:?}"));
@@ -248,8 +249,9 @@ pub fn verify_function(module: &Module, f: &Function, errors: &mut Vec<VerifyErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{BlockId, Const, InstId};
+    use crate::ir::{BlockId, Const};
     use crate::lower::lower;
+    use crate::opt::transform_support::rebuild_def_sites;
     use crate::parser::parse;
     use crate::types::Type;
 
@@ -314,16 +316,7 @@ mod tests {
         }
         f.ret_tys.push(Type::Int.ptr_to());
         // Fix def sites after surgery.
-        for v in 0..f.values.len() {
-            f.values[v].def = None;
-        }
-        let ids: Vec<(InstId, Vec<ValueId>)> =
-            f.iter_insts().map(|(id, i)| (id, i.defs())).collect();
-        for (id, defs) in ids {
-            for d in defs {
-                f.values[d.0 as usize].def = Some(id);
-            }
-        }
+        rebuild_def_sites(f);
         // Rewrite main's call site to receive it.
         let main = m.func_by_name("main").unwrap();
         let f = m.func_mut(main);
@@ -337,16 +330,7 @@ mod tests {
                 }
             }
         }
-        for v in 0..f.values.len() {
-            f.values[v].def = None;
-        }
-        let ids: Vec<(InstId, Vec<ValueId>)> =
-            f.iter_insts().map(|(id, i)| (id, i.defs())).collect();
-        for (id, defs) in ids {
-            for d in defs {
-                f.values[d.0 as usize].def = Some(id);
-            }
-        }
+        rebuild_def_sites(f);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! [`analyze_module_incremental_dirty`] takes the previous analysis, a
 //! freshly lowered module, and the set of edited functions (typically a
 //! fingerprint-key diff). Clean functions' transformed bodies and
-//! points-to results are copied over; dirty functions are re-analysed
+//! points-to results are moved over; dirty functions are re-analysed
 //! bottom-up, with their stale term-cache entries invalidated (the shared
 //! hash-consed arena is append-only, so all clean terms stay valid).
 //!
@@ -81,8 +81,9 @@ fn same_shape(module: &Module, old_module: &Module) -> bool {
 }
 
 /// Incrementally re-analyses `module` (freshly lowered, untransformed)
-/// against the previous `old` analysis of `old_module`, under the same
-/// `config` the previous run used.
+/// against the previous `old` analysis of `old_module` — both consumed:
+/// what is clean moves into the result — under the same `config` the
+/// previous run used.
 ///
 /// `dirty` is the set of edited [`FuncId`]s — typically derived by
 /// diffing [`pinpoint_ir::module_fingerprints`]-based keys. It is
@@ -94,14 +95,14 @@ fn same_shape(module: &Module, old_module: &Module) -> bool {
 /// re-analysed from a fresh arena (`fell_back`).
 pub fn analyze_module_incremental_dirty(
     module: &mut Module,
-    old_module: &Module,
+    old_module: Module,
     old: ModuleAnalysis,
     dirty: &HashSet<FuncId>,
     callgraph: &CallGraph,
     config: &PtaConfig,
 ) -> IncrementalOutcome {
     let dirty =
-        same_shape(module, old_module).then(|| dirty_closure(callgraph, dirty.iter().copied()));
+        same_shape(module, &old_module).then(|| dirty_closure(callgraph, dirty.iter().copied()));
     let previous = dirty.as_ref().map(|dirty| (old_module, old, dirty));
     let (analysis, reanalyzed) = reanalyze(module, previous, callgraph, config);
     IncrementalOutcome {
@@ -121,7 +122,7 @@ pub fn analyze_module_incremental_dirty(
 /// arena.
 pub(crate) fn reanalyze(
     module: &mut Module,
-    previous: Option<(&Module, ModuleAnalysis, &HashSet<FuncId>)>,
+    previous: Option<(Module, ModuleAnalysis, &HashSet<FuncId>)>,
     callgraph: &CallGraph,
     config: &PtaConfig,
 ) -> (ModuleAnalysis, Vec<FuncId>) {
@@ -130,13 +131,15 @@ pub(crate) fn reanalyze(
     let mut clean = vec![false; n];
     if let Some((old_module, old, dirty)) = previous {
         (out.arena, out.symbols, out.linear) = (old.arena, old.symbols, old.linear);
-        for (i, (shape, pta)) in old.shapes.into_iter().zip(old.pta).enumerate() {
+        let bodies = old_module.funcs.into_iter();
+        for (i, ((shape, pta), body)) in old.shapes.into_iter().zip(old.pta).zip(bodies).enumerate()
+        {
             let fid = FuncId(i as u32);
             if dirty.contains(&fid) {
                 out.symbols.invalidate_function(fid);
                 continue;
             }
-            module.funcs[i] = old_module.func(fid).clone();
+            module.funcs[i] = body;
             (out.shapes[i], out.pta[i], clean[i]) = (shape, pta, true);
         }
     }
@@ -174,7 +177,7 @@ mod tests {
     /// reports them.
     fn incremental_by_name(
         module: &mut Module,
-        old_module: &Module,
+        old_module: Module,
         old: ModuleAnalysis,
         changed: &[&str],
     ) -> IncrementalOutcome {
@@ -227,7 +230,7 @@ mod tests {
         let src = edited_leaf_a();
         let mut new_module = pinpoint_ir::compile(&src).unwrap();
         // NOTE: old_module is post-transform; the splice source.
-        let out = incremental_by_name(&mut new_module, &old_module, old, &["leaf_a"]);
+        let out = incremental_by_name(&mut new_module, old_module, old, &["leaf_a"]);
         assert!(!out.fell_back);
         let names: Vec<&str> = out
             .reanalyzed
@@ -254,7 +257,7 @@ mod tests {
         let full = analyze_module(&mut full_module);
         // Incremental run.
         let mut inc_module = pinpoint_ir::compile(&src).unwrap();
-        let out = incremental_by_name(&mut inc_module, &old_module, old, &["leaf_a"]);
+        let out = incremental_by_name(&mut inc_module, old_module, old, &["leaf_a"]);
         // Shapes must agree function by function.
         for (fid, f) in full_module.iter_funcs() {
             let a = full.shape(fid);
@@ -298,7 +301,7 @@ mod tests {
         let cg = CallGraph::new(&new_module);
         let out = analyze_module_incremental_dirty(
             &mut new_module,
-            &old_module,
+            old_module,
             old,
             &dirty,
             &cg,
@@ -322,7 +325,7 @@ mod tests {
         let old = analyze_module(&mut old_module);
         let src = format!("{BASE}\nfn brand_new() {{ return; }}");
         let mut new_module = pinpoint_ir::compile(&src).unwrap();
-        let out = incremental_by_name(&mut new_module, &old_module, old, &["brand_new"]);
+        let out = incremental_by_name(&mut new_module, old_module, old, &["brand_new"]);
         assert!(out.fell_back);
         assert_eq!(out.reused, 0);
     }
@@ -332,7 +335,7 @@ mod tests {
         let mut old_module = pinpoint_ir::compile(BASE).unwrap();
         let old = analyze_module(&mut old_module);
         let mut new_module = pinpoint_ir::compile(BASE).unwrap();
-        let out = incremental_by_name(&mut new_module, &old_module, old, &[]);
+        let out = incremental_by_name(&mut new_module, old_module, old, &[]);
         assert!(out.reanalyzed.is_empty());
         assert_eq!(out.reused, new_module.funcs.len());
     }

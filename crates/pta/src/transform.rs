@@ -382,14 +382,14 @@ mod tests {
         rewrite_call_sites(m.func_mut(f), |n| (n == "g").then_some(&shape));
         for func in [m.func(f), m.func(g)] {
             for (id, inst) in func.iter_insts() {
-                for d in inst.defs() {
+                inst.for_each_def(|d| {
                     assert_eq!(
                         func.value(d).def,
                         Some(id),
                         "def site of {d:?} in {}",
                         func.name
                     );
-                }
+                });
             }
         }
     }

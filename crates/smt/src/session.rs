@@ -1,8 +1,9 @@
 //! Incremental SMT sessions: one long-lived solver answering many
 //! related queries.
 //!
-//! [`crate::solver::SmtSolver`] builds a fresh CDCL instance per query,
-//! re-encoding and re-learning everything from scratch. Pinpoint's
+//! This is the crate's one DPLL(T) loop. [`crate::solver::SmtSolver`]
+//! runs each query in a session of its own — no assumptions, a fresh CDCL
+//! instance, everything re-encoded and re-learned from scratch. Pinpoint's
 //! detection stage poses hundreds of queries per source whose conditions
 //! share most of their structure (§3.1), so an [`SmtSession`] keeps one
 //! Tseitin encoder and one SAT core alive across queries:

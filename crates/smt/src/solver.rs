@@ -7,11 +7,13 @@
 //! [`crate::theory::check_conjunction`]. Inconsistent models are excluded
 //! with a blocking clause and the loop repeats until either a
 //! theory-consistent model is found (`Sat`) or the CNF becomes
-//! unsatisfiable (`Unsat`).
+//! unsatisfiable (`Unsat`). That loop exists once, in [`SmtSession`]; the
+//! one-shot [`SmtSolver`] here runs each query in a fresh session with no
+//! assumptions.
 
-use crate::sat::{BVar, Lit, SatResult as CoreResult, SatSolver};
+use crate::sat::{BVar, Lit, SatSolver};
+use crate::session::SmtSession;
 use crate::term::{TermArena, TermId, TermKind};
-use crate::theory::{check_conjunction, TheoryLit, TheoryVerdict};
 use std::collections::HashMap;
 
 /// Result of an SMT query.
@@ -73,8 +75,8 @@ pub struct LastQueryCost {
 /// branch conditions are what a bug report's witness needs.
 pub type BoolModel = Vec<(String, bool)>;
 
-/// A fresh solver instance per query keeps the implementation simple; this
-/// wrapper owns cross-query statistics.
+/// The one-shot solver: every query runs in a fresh [`SmtSession`], so
+/// nothing is carried from one query to the next but the statistics.
 ///
 /// # Examples
 ///
@@ -133,103 +135,14 @@ impl SmtSolver {
         arena: &TermArena,
         formula: TermId,
     ) -> (SmtResult, BoolModel) {
-        assert_eq!(
-            arena.sort(formula),
-            crate::term::Sort::Bool,
-            "SMT query must be boolean"
-        );
-        self.stats.queries += 1;
-        let theory_checks_before = self.stats.theory_checks;
-        let theory_conflicts_before = self.stats.theory_conflicts;
-        let started = std::time::Instant::now();
-        let (result, model, core) = self.check_inner(arena, formula);
-        self.last_cost = LastQueryCost {
-            solver_ns: started.elapsed().as_nanos() as u64,
-            conflicts: core.conflicts,
-            learned: core.learned,
-            propagations: core.propagations,
-            decisions: core.decisions,
-            theory_checks: self.stats.theory_checks - theory_checks_before,
-            theory_conflicts: self.stats.theory_conflicts - theory_conflicts_before,
-        };
-        self.stats.conflicts += core.conflicts;
-        self.stats.learned += core.learned;
-        self.stats.propagations += core.propagations;
-        self.stats.decisions += core.decisions;
-        match result {
-            SmtResult::Sat => self.stats.sat += 1,
-            SmtResult::Unsat => self.stats.unsat += 1,
-        }
-        (result, model)
-    }
-
-    fn check_inner(
-        &mut self,
-        arena: &TermArena,
-        formula: TermId,
-    ) -> (SmtResult, BoolModel, crate::sat::SatStats) {
-        if arena.is_true(formula) {
-            return (SmtResult::Sat, Vec::new(), crate::sat::SatStats::default());
-        }
-        if arena.is_false(formula) {
-            return (
-                SmtResult::Unsat,
-                Vec::new(),
-                crate::sat::SatStats::default(),
-            );
-        }
-        let mut enc = Encoder::new();
-        let root = enc.encode(arena, formula);
-        enc.sat.add_clause(vec![root]);
-        let mut rounds = 0u32;
-        loop {
-            match enc.sat.solve() {
-                CoreResult::Unsat => return (SmtResult::Unsat, Vec::new(), enc.sat.stats),
-                CoreResult::Sat => {
-                    // Collect asserted theory literals from the model.
-                    let mut lits: Vec<TheoryLit> = Vec::new();
-                    let mut blocking: Vec<Lit> = Vec::new();
-                    for (&term, &bvar) in &enc.atom_vars {
-                        if let Some(value) = enc.sat.value(bvar) {
-                            // Plain boolean variables carry no theory
-                            // content; only Eq/Lt/Le atoms do.
-                            if matches!(
-                                arena.kind(term),
-                                TermKind::Eq(..) | TermKind::Lt(..) | TermKind::Le(..)
-                            ) {
-                                lits.push(TheoryLit {
-                                    atom: term,
-                                    positive: value,
-                                });
-                                blocking.push(Lit::new(bvar, !value));
-                            }
-                        }
-                    }
-                    self.stats.theory_checks += 1;
-                    match check_conjunction(arena, &lits) {
-                        TheoryVerdict::Consistent => {
-                            let model = enc.bool_model(arena);
-                            return (SmtResult::Sat, model, enc.sat.stats);
-                        }
-                        TheoryVerdict::Conflict => {
-                            self.stats.theory_conflicts += 1;
-                            if blocking.is_empty() {
-                                // No atoms to refute: should not happen, but
-                                // avoid an infinite loop.
-                                return (SmtResult::Unsat, Vec::new(), enc.sat.stats);
-                            }
-                            enc.sat.add_clause(blocking);
-                        }
-                    }
-                }
-            }
-            rounds += 1;
-            if rounds >= self.max_rounds {
-                // Give up: treat as satisfiable (conservative for bug
-                // finding — may yield a false positive, never lose a path).
-                return (SmtResult::Sat, Vec::new(), enc.sat.stats);
-            }
-        }
+        let mut session = SmtSession::new();
+        session.max_rounds = self.max_rounds;
+        // The session adds this query onto the running totals.
+        session.stats = self.stats;
+        let answer = session.check_with_model(arena, formula);
+        self.stats = session.stats;
+        self.last_cost = session.last_cost;
+        answer
     }
 }
 
@@ -331,22 +244,6 @@ impl Encoder {
         let v = self.sat.new_var();
         self.term_vars.insert(t, v);
         v
-    }
-
-    /// Extracts the current assignment of free boolean variables.
-    fn bool_model(&self, arena: &TermArena) -> BoolModel {
-        let mut model: BoolModel = self
-            .atom_vars
-            .iter()
-            .filter_map(|(&term, &bvar)| match arena.kind(term) {
-                TermKind::Var(name, crate::term::Sort::Bool) => {
-                    self.sat.value(bvar).map(|value| (name.clone(), value))
-                }
-                _ => None,
-            })
-            .collect();
-        model.sort();
-        model
     }
 }
 

@@ -16,9 +16,8 @@
 //! ```
 //!
 //! `serve` speaks line-delimited JSON: the versioned `pinpoint-rpc-v2`
-//! protocol (sessions, request ids, typed errors — negotiated by a
-//! `hello` handshake) with a byte-compatible fallback to the legacy
-//! single-session v1 protocol. See the [`serve`] module.
+//! protocol (sessions, request ids, typed errors), opened by a `hello`
+//! handshake. See the [`serve`] module.
 //!
 //! `check`, `leaks`, and `stats` accept `--cache-dir DIR` to persist
 //! solver verdicts across runs: a later run, also of an edited program,
@@ -93,7 +92,7 @@ impl From<&str> for CliError {
 }
 
 const USAGE: &str = "usage:
-  pinpoint check <file> [--checker uaf|taint-pt|taint-dt|null] [--engine demand|summary] [--json] [--no-solve] [--ctx-depth N] [--threads N] [--cache-dir DIR] [--trace-out FILE] [--stats-json FILE]
+  pinpoint check <file> [--checker uaf|taint-pt|taint-dt|null] [--json] [--no-solve] [--ctx-depth N] [--threads N] [--cache-dir DIR] [--trace-out FILE] [--stats-json FILE]
   pinpoint leaks <file> [--json] [--threads N] [--cache-dir DIR] [--trace-out FILE] [--stats-json FILE]
   pinpoint dump-ir <file>
   pinpoint dump-seg <file> <function> [--threads N]
@@ -105,13 +104,14 @@ const USAGE: &str = "usage:
   pinpoint fuzz [--seed N] [--iters N] [--time-budget SECS] [--oracle NAME]... [--threads N] [--out-dir DIR] [--stats-json FILE]
 
   serve reads line-delimited JSON requests (stdin, or a Unix socket with
-  --listen) and answers one JSON object per line. A first request of
-  {\"cmd\":\"hello\"} negotiates the concurrent pinpoint-rpc-v2 protocol:
+  --listen) and answers one JSON object per line in the concurrent
+  pinpoint-rpc-v2 protocol. The first request must be {\"cmd\":\"hello\"}:
     {\"cmd\":\"hello\",\"id\":\"0\",\"proto\":\"pinpoint-rpc-v2\"}
-    {\"cmd\":\"open\",\"id\":\"1\",\"session\":\"a\",\"path\":\"prog.pp\"}
-    {\"cmd\":\"check\",\"id\":\"2\",\"session\":\"a\",\"checker\":\"uaf\"}
-    {\"cmd\":\"stats\",\"id\":\"3\",\"session\":\"a\"}   server.* counters included
-    {\"cmd\":\"quit\",\"id\":\"4\"}
+    {\"cmd\":\"open\",\"id\":\"1\",\"session\":\"a\",\"path\":\"prog.pp\"}   or \"source\":\"...\"
+    {\"cmd\":\"update\",\"id\":\"2\",\"session\":\"a\",\"path\":\"prog.pp\"}   re-analyzes only what changed
+    {\"cmd\":\"check\",\"id\":\"3\",\"session\":\"a\"}   every checker (or \"checker\":\"uaf\")
+    {\"cmd\":\"stats\",\"id\":\"4\",\"session\":\"a\"}   pinpoint-stats-v1 document, server.* counters included
+    {\"cmd\":\"quit\",\"id\":\"5\"}
   Sessions run concurrently on --workers threads (per-session FIFO);
   replies echo the request id and session; errors are typed
   {\"code\":...,\"message\":...} objects, and submissions past --queue-cap
@@ -124,13 +124,8 @@ const USAGE: &str = "usage:
   land in the flight recorder with per-query solver attribution.
   `pinpoint top` renders status as a refreshing terminal dashboard
   (--connect dials a --listen socket; --prometheus prints the scrape
-  body instead). Without a hello, the legacy single-session v1 protocol
-  applies unchanged:
-    {\"cmd\":\"open\",\"path\":\"prog.pp\"}     or {\"cmd\":\"open\",\"source\":\"...\"}
-    {\"cmd\":\"update\",\"path\":\"prog.pp\"}   re-analyzes only what changed
-    {\"cmd\":\"check\"}                      every checker (or \"checker\":\"uaf\")
-    {\"cmd\":\"stats\"}                      pinpoint-stats-v1 document
-    {\"cmd\":\"quit\"}
+  body instead). A connection that ends — quit, shutdown or hang-up —
+  closes the sessions it opened.
   Warm checks reuse cached per-source queries whose searched functions
   the edit did not touch; results are byte-identical to a cold run.
 
@@ -141,12 +136,6 @@ const USAGE: &str = "usage:
   are minimized by delta debugging and, with --out-dir, written as
   corpus-ready reproducers. Exit 0 = clean, 1 = findings.
 
-  --engine selects how whole-program checks are answered: `summary`
-  (default for multi-checker runs) gates sources through source→sink
-  interface summaries — computed on demand, bottom-up, for the functions
-  a gate reads — before the demand-driven search runs on the survivors;
-  `demand` searches every source. Reports are byte-identical either
-  way.
   --threads N defaults to the available parallelism.
   --cache-dir persists solver verdicts — one checksummed object, keyed
   by condition fingerprint — so a later run, also of an edited program,
@@ -350,12 +339,6 @@ fn check(source: &str, args: &[String]) -> Result<bool, CliError> {
     )?;
     let json = flags::take_switch(&mut rest, "--json");
     let ctx_depth = flags::take_parsed::<u32>(&mut rest, "--ctx-depth")?;
-    let engine = match flags::take_value(&mut rest, "--engine")? {
-        Some(name) => {
-            Some(pinpoint::Engine::parse(&name).ok_or_else(|| format!("unknown engine `{name}`"))?)
-        }
-        None => None,
-    };
     let mut kinds: Vec<CheckerKind> = Vec::new();
     while let Some(name) = flags::take_value(&mut rest, "--checker")? {
         kinds.push(parse_checker(&name)?);
@@ -370,9 +353,6 @@ fn check(source: &str, args: &[String]) -> Result<bool, CliError> {
     }
     let analysis = leak(builder.build_source(source)?);
     let mut session = analysis.session();
-    if let Some(e) = engine {
-        session = session.with_engine(e);
-    }
     let all: Vec<Report> = session.check_configured();
     common.write_obs(&session)?;
     if json {

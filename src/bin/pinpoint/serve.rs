@@ -6,34 +6,32 @@
 //! into typed [`Request`]s, submit them, and render [`Response`]s back
 //! to one line each.
 //!
-//! The protocol is negotiated per connection by the first request line:
-//!
-//! * `{"cmd":"hello",...}` selects **`pinpoint-rpc-v2`** — every
-//!   request carries a client-chosen `id` (echoed in its reply) and a
-//!   `session` name (requests of one session execute FIFO; sessions run
-//!   concurrently on the server's worker pool). Errors are typed
-//!   objects: `{"ok":false,"id":..,"session":..,"error":{"code":..,
-//!   "message":..}}`.
-//! * anything else falls back to the **v1** protocol: a single implicit
-//!   session, flat `{"ok":true,"event":..}` / `{"ok":false,
-//!   "error":"msg"}` replies, byte-compatible with pre-v2 clients.
+//! The protocol is **`pinpoint-rpc-v2`**. A connection opens with
+//! `{"cmd":"hello",...}`; any other frame before it is refused. After
+//! that every request carries a client-chosen `id` (echoed in its reply)
+//! and a `session` name (requests of one session execute FIFO; sessions
+//! run concurrently on the server's worker pool). Errors are typed
+//! objects: `{"ok":false,"id":..,"session":..,"error":{"code":..,
+//! "message":..}}`. When a connection ends, however it ends, the
+//! sessions it opened are closed.
 //!
 //! Malformed and oversized (> 1 MiB) request lines never kill a
-//! connection: they get a `protocol_error` reply and the stream
-//! resynchronizes at the next newline.
+//! connection, before `hello` or after: they get a `protocol_error`
+//! reply and the stream resynchronizes at the next newline.
 
 use crate::flags::{self, Common, CommonFlags};
 use crate::jsonl::{parse_json_object, read_frame, Frame, MAX_SERVE_LINE};
-use pinpoint::core::export::json_escape;
 use pinpoint::core::server::PROTOCOL;
+use pinpoint::obs::json::escape;
 use pinpoint::{
     CheckerKind, ErrorCode, Op, Query, Reply, Request, Response, Server, ServerConfig, ServerError,
 };
+use std::collections::BTreeSet;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-/// Capabilities advertised by the `hello` reply: the v2 command set.
+/// Capabilities advertised by the `hello` reply: the command set.
 /// `status` and `metrics` are answered by the transport itself — never
 /// a worker — so they work even on a saturated pool.
 const CAPABILITIES: [&str; 10] = [
@@ -101,19 +99,39 @@ pub fn serve(args: &[String]) -> Result<bool, String> {
 enum LoopEnd {
     /// `quit` (or end of input): only this connection ends.
     Quit,
-    /// v2 `shutdown`: the whole server should stop accepting.
+    /// `shutdown`: the whole server should stop accepting.
     Shutdown,
 }
 
 /// Accept loop for `--listen PATH`: one thread per connection, all
 /// multiplexed onto the shared server. Sessions are namespaced per
-/// connection, so two clients' `"main"` sessions never collide. A v2
+/// connection, so two clients' `"main"` sessions never collide. A
 /// `shutdown` request stops the accept loop; connections still open at
 /// that point are severed when the process exits.
 fn listen_unix(server: &Arc<Server>, path: &str) -> Result<(), String> {
-    use std::os::unix::net::UnixListener;
-    // A previous run's socket file would make bind fail.
-    let _ = std::fs::remove_file(path);
+    use std::os::unix::fs::FileTypeExt;
+    use std::os::unix::net::{UnixListener, UnixStream};
+    // A previous run's socket file would make bind fail. Only that is
+    // unlinked: a socket nobody answers on — never some other file, never
+    // a live server's address.
+    if let Ok(meta) = std::fs::symlink_metadata(path) {
+        if !meta.file_type().is_socket() {
+            return Err(format!(
+                "cannot listen on `{path}`: it exists and is not a socket"
+            ));
+        }
+        match UnixStream::connect(path) {
+            Ok(_) => {
+                return Err(format!(
+                    "cannot listen on `{path}`: a server is already listening there"
+                ))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
+                let _ = std::fs::remove_file(path);
+            }
+            Err(e) => return Err(format!("cannot listen on `{path}`: {e}")),
+        }
+    }
     let listener =
         UnixListener::bind(path).map_err(|e| format!("cannot listen on `{path}`: {e}"))?;
     listener
@@ -160,9 +178,10 @@ fn listen_unix(server: &Arc<Server>, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Serves one connection: negotiates the protocol on the first frame,
-/// then runs the matching loop. `prefix` namespaces this connection's
-/// sessions inside the shared server.
+/// Serves one connection. `prefix` namespaces this connection's sessions
+/// inside the shared server. Until a `hello` arrives every other frame is
+/// refused; when the connection ends — end of input, `quit`, `shutdown`,
+/// a read error — every session it opened is closed.
 fn serve_connection<R, W>(
     server: &Arc<Server>,
     prefix: String,
@@ -173,36 +192,135 @@ where
     R: BufRead,
     W: Write + Send + 'static,
 {
-    // Peek the first non-empty frame: a parsable `hello` selects v2,
-    // anything else (including an oversized line) replays through v1.
-    let mut pending: Option<Frame> = None;
-    let hello = loop {
-        match read_frame(&mut input, MAX_SERVE_LINE)? {
-            Frame::Eof => return Ok(LoopEnd::Quit),
-            Frame::Oversized => {
-                pending = Some(Frame::Oversized);
-                break None;
+    // One writer thread renders every response — computed replies from
+    // the server's workers and protocol errors from this reader — so
+    // output lines never interleave. Before `hello` nothing is in flight
+    // and the reader answers directly.
+    let out = Arc::new(Mutex::new(out));
+    let (tx, rx) = mpsc::channel::<Response>();
+    let writer = {
+        let (out, prefix) = (Arc::clone(&out), prefix.clone());
+        std::thread::spawn(move || {
+            for resp in rx {
+                write_line(&out, &render(&resp, &prefix));
             }
-            Frame::Line(bytes) => {
-                if std::str::from_utf8(&bytes).is_ok_and(|s| s.trim().is_empty()) {
-                    continue;
-                }
-                let fields = std::str::from_utf8(&bytes)
-                    .ok()
-                    .and_then(|s| parse_json_object(s).ok());
-                match fields {
-                    Some(f) if field(&f, "cmd") == Some("hello") => break Some(f),
-                    _ => {
-                        pending = Some(Frame::Line(bytes));
-                        break None;
-                    }
-                }
+        })
+    };
+
+    let mut greeted = false;
+    // Sessions this connection sent an `open` for (only `open` creates one).
+    let mut opened: BTreeSet<String> = BTreeSet::new();
+    let mut bye_id = None;
+    let end = loop {
+        let line = match read_frame(&mut input, MAX_SERVE_LINE) {
+            Err(e) => break Err(e),
+            Ok(Frame::Eof) => break Ok(LoopEnd::Quit),
+            Ok(Frame::Oversized) => Err(format!("request line exceeds {MAX_SERVE_LINE} bytes")),
+            Ok(Frame::Line(bytes)) => {
+                String::from_utf8(bytes).map_err(|_| "request is not valid UTF-8".to_string())
             }
+        };
+        if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
+            continue;
+        }
+        if !greeted {
+            let fields = line
+                .ok()
+                .and_then(|l| parse_json_object(&l).ok())
+                .unwrap_or_default();
+            let id = field(&fields, "id").unwrap_or_default();
+            let refuse = |msg: &str| {
+                let session = field(&fields, "session").unwrap_or_default();
+                let refusal = protocol_error(&prefix, id, session, msg);
+                write_line(&out, &render(&refusal, &prefix));
+            };
+            if field(&fields, "cmd") != Some("hello") {
+                refuse("expected `hello` as the first request of a connection");
+                continue;
+            }
+            if let Some(proto) = field(&fields, "proto").filter(|p| *p != PROTOCOL) {
+                // Version negotiation failed: say what we speak and end
+                // the connection so the client can reconnect with that.
+                refuse(&format!(
+                    "unsupported protocol `{proto}` (this server speaks {PROTOCOL})"
+                ));
+                break Ok(LoopEnd::Quit);
+            }
+            write_line(&out, &hello_line(server, id));
+            greeted = true;
+            continue;
+        }
+        let stop = match line {
+            Ok(line) => request_line(server, &prefix, &line, &tx, &mut opened),
+            Err(msg) => {
+                let _ = tx.send(protocol_error(&prefix, "", "", &msg));
+                None
+            }
+        };
+        if let Some((end, id)) = stop {
+            bye_id = Some(id);
+            break Ok(end);
         }
     };
-    match hello {
-        Some(fields) => v2_loop(server, &prefix, input, out, &fields),
-        None => v1_loop(server, &prefix, input, out, pending),
+    // Hang up. Sessions are FIFO, so each `close` runs after the
+    // connection's in-flight requests; once those drop their channel
+    // clones the writer sees the channel close and exits, and `bye` is
+    // the last line.
+    close_sessions(server, &opened);
+    drop(tx);
+    let _ = writer.join();
+    if let Some(id) = bye_id {
+        write_line(
+            &out,
+            &format!(
+                "{{\"ok\":true,\"id\":\"{}\",\"event\":\"bye\"}}",
+                escape(&id)
+            ),
+        );
+    }
+    end
+}
+
+/// Writes one reply line. Write errors are ignored: a client that stopped
+/// reading still has its requests drained and its sessions closed.
+fn write_line<W: Write>(out: &Mutex<W>, line: &str) {
+    let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = writeln!(out, "{line}");
+    let _ = out.flush();
+}
+
+/// The reply to an accepted `hello`.
+fn hello_line(server: &Server, id: &str) -> String {
+    let caps: Vec<String> = CAPABILITIES.iter().map(|c| format!("\"{c}\"")).collect();
+    format!(
+        "{{\"ok\":true,\"id\":\"{}\",\"event\":\"hello\",\"proto\":\"{PROTOCOL}\",\"capabilities\":[{}],\"max_line_bytes\":{MAX_SERVE_LINE},\"workers\":{},\"queue_capacity\":{}}}",
+        escape(id),
+        caps.join(","),
+        server.workers(),
+        server.queue_capacity()
+    )
+}
+
+/// Closes every session of an ended connection so a client that vanished
+/// without `close` leaks nothing. Replies are discarded, except that a
+/// `close` shed by a full queue is retried until it is accepted.
+fn close_sessions(server: &Server, sessions: &BTreeSet<String>) {
+    let (tx, rx) = mpsc::channel();
+    for session in sessions {
+        loop {
+            let close = Request {
+                id: String::new(),
+                session: session.clone(),
+                op: Op::Close,
+            };
+            server.submit(close, &tx);
+            match rx.recv() {
+                Ok(Response { reply: Err(e), .. }) if e.code == ErrorCode::Overloaded => {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                _ => break,
+            }
+        }
     }
 }
 
@@ -213,7 +331,7 @@ fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-/// Resolves `source`/`path` into program text (shared by v1 and v2).
+/// Resolves `source`/`path` into program text.
 fn load_source(fields: &[(String, String)]) -> Result<String, String> {
     if let Some(s) = field(fields, "source") {
         Ok(s.to_string())
@@ -234,150 +352,9 @@ fn parse_query(fields: &[(String, String)]) -> Result<Query, String> {
     }
 }
 
-/// Submits one request and waits for its reply — the synchronous shape
-/// used by the v1 loop, where responses must interleave with nothing.
-fn roundtrip(server: &Server, session: &str, op: Op) -> Response {
-    let (tx, rx) = mpsc::channel();
-    server.submit(
-        Request {
-            id: String::new(),
-            session: session.to_string(),
-            op,
-        },
-        &tx,
-    );
-    rx.recv().unwrap_or_else(|_| Response {
-        id: String::new(),
-        session: session.to_string(),
-        reply: Err(ServerError::new(
-            ErrorCode::Internal,
-            "server dropped the request",
-        )),
-    })
-}
-
-// ---------------------------------------------------------------------
-// v1: the legacy single-session protocol, byte-compatible.
-// ---------------------------------------------------------------------
-
-/// Keys the v1 protocol accepts; anything else is rejected so a typo
-/// like `sorce` errors instead of being ignored.
-const KNOWN_KEYS_V1: [&str; 4] = ["cmd", "path", "source", "checker"];
-
-fn v1_loop<R: BufRead, W: Write>(
-    server: &Arc<Server>,
-    prefix: &str,
-    mut input: R,
-    mut out: W,
-    mut pending: Option<Frame>,
-) -> Result<LoopEnd, String> {
-    let session = format!("{prefix}/v1");
-    let reply = |out: &mut W, line: &str| -> Result<(), String> {
-        writeln!(out, "{line}").map_err(|e| format!("cannot write output: {e}"))?;
-        out.flush().map_err(|e| format!("cannot write output: {e}"))
-    };
-    loop {
-        let frame = match pending.take() {
-            Some(f) => f,
-            None => read_frame(&mut input, MAX_SERVE_LINE)?,
-        };
-        let line = match frame {
-            Frame::Eof => break,
-            Frame::Oversized => {
-                let msg = format!("request line exceeds {MAX_SERVE_LINE} bytes");
-                reply(
-                    &mut out,
-                    &format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(&msg)),
-                )?;
-                continue;
-            }
-            Frame::Line(bytes) => match String::from_utf8(bytes) {
-                Ok(s) => s,
-                Err(_) => {
-                    reply(
-                        &mut out,
-                        "{\"ok\":false,\"error\":\"request is not valid UTF-8\"}",
-                    )?;
-                    continue;
-                }
-            },
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match v1_line(server, &session, &line) {
-            Ok(Some(resp)) => resp,
-            Ok(None) => {
-                reply(&mut out, "{\"ok\":true,\"event\":\"bye\"}")?;
-                break;
-            }
-            Err(msg) => format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(&msg)),
-        };
-        reply(&mut out, &response)?;
-    }
-    // Free the implicit session's workspace (a no-op when nothing was
-    // ever opened).
-    let _ = roundtrip(server, &session, Op::Close);
-    Ok(LoopEnd::Quit)
-}
-
-/// Handles one v1 request line. `Ok(None)` means `quit`.
-fn v1_line(server: &Server, session: &str, line: &str) -> Result<Option<String>, String> {
-    let fields = parse_json_object(line)?;
-    if let Some((k, _)) = fields
-        .iter()
-        .find(|(k, _)| !KNOWN_KEYS_V1.contains(&k.as_str()))
-    {
-        return Err(format!("unknown key `{k}`"));
-    }
-    let op = match field(&fields, "cmd").ok_or("missing \"cmd\" field")? {
-        "open" => Op::Open {
-            source: load_source(&fields)?,
-        },
-        "update" => Op::Update {
-            source: load_source(&fields)?,
-        },
-        "check" => Op::Query(parse_query(&fields)?),
-        "stats" => Op::Stats { canonical: false },
-        "quit" => return Ok(None),
-        other => return Err(format!("unknown cmd `{other}`")),
-    };
-    match roundtrip(server, session, op).reply {
-        Ok(Reply::Opened { funcs }) => Ok(Some(format!(
-            "{{\"ok\":true,\"event\":\"opened\",\"funcs\":{funcs}}}"
-        ))),
-        Ok(Reply::Updated {
-            reanalyzed,
-            reused,
-            fell_back,
-        }) => Ok(Some(format!(
-            "{{\"ok\":true,\"event\":\"updated\",\"reanalyzed\":{reanalyzed},\"reused\":{reused},\"fell_back\":{fell_back}}}"
-        ))),
-        Ok(Reply::Reports { json, reused, rerun }) => Ok(Some(format!(
-            "{{\"ok\":true,\"event\":\"reports\",\"reports\":{json},\"queries_reused\":{reused},\"queries_rerun\":{rerun}}}"
-        ))),
-        Ok(Reply::Leaks { json }) => Ok(Some(format!(
-            "{{\"ok\":true,\"event\":\"leaks\",\"leaks\":{json}}}"
-        ))),
-        Ok(Reply::Stats { json }) => Ok(Some(format!(
-            "{{\"ok\":true,\"event\":\"stats\",\"stats\":{json}}}"
-        ))),
-        Ok(Reply::Closed) => Ok(Some("{\"ok\":true,\"event\":\"closed\"}".to_string())),
-        // The v1 command set never produces transport-level replies.
-        Ok(Reply::Status { .. }) | Ok(Reply::Metrics { .. }) => {
-            Err("status/metrics require the v2 protocol (send `hello` first)".to_string())
-        }
-        // v1 errors are plain strings; the typed code is a v2 affordance.
-        Err(e) => Err(e.message),
-    }
-}
-
-// ---------------------------------------------------------------------
-// v2: pinpoint-rpc-v2 — sessions, ids, typed errors.
-// ---------------------------------------------------------------------
-
-/// Keys a v2 request may carry.
-const KNOWN_KEYS_V2: [&str; 8] = [
+/// Keys a request may carry; anything else is rejected so a typo like
+/// `sorce` errors instead of being ignored.
+const KNOWN_KEYS: [&str; 8] = [
     "cmd",
     "id",
     "session",
@@ -388,153 +365,41 @@ const KNOWN_KEYS_V2: [&str; 8] = [
     "tail",
 ];
 
-fn v2_loop<R, W>(
-    server: &Arc<Server>,
-    prefix: &str,
-    mut input: R,
-    mut out: W,
-    hello: &[(String, String)],
-) -> Result<LoopEnd, String>
-where
-    R: BufRead,
-    W: Write + Send + 'static,
-{
-    let hello_id = field(hello, "id").unwrap_or_default();
-    if let Some(proto) = field(hello, "proto") {
-        if proto != PROTOCOL {
-            // Version negotiation failed: say what we speak and end the
-            // connection so the client can reconnect with a protocol it
-            // understands (or without a hello, for v1).
-            let err = ServerError::new(
-                ErrorCode::ProtocolError,
-                format!(
-                    "unsupported protocol `{proto}` (this server speaks {PROTOCOL} and legacy v1)"
-                ),
-            );
-            let _ = writeln!(
-                out,
-                "{{\"ok\":false,\"id\":\"{}\",\"session\":\"\",\"error\":{}}}",
-                json_escape(hello_id),
-                err.to_json()
-            );
-            let _ = out.flush();
-            return Ok(LoopEnd::Quit);
-        }
-    }
-    let caps: Vec<String> = CAPABILITIES.iter().map(|c| format!("\"{c}\"")).collect();
-    writeln!(
-        out,
-        "{{\"ok\":true,\"id\":\"{}\",\"event\":\"hello\",\"proto\":\"{PROTOCOL}\",\"capabilities\":[{}],\"max_line_bytes\":{MAX_SERVE_LINE},\"workers\":{},\"queue_capacity\":{}}}",
-        json_escape(hello_id),
-        caps.join(","),
-        server.workers(),
-        server.queue_capacity()
-    )
-    .map_err(|e| format!("cannot write output: {e}"))?;
-    out.flush()
-        .map_err(|e| format!("cannot write output: {e}"))?;
-
-    // One writer thread renders every response — computed replies from
-    // the server's workers and protocol errors from this reader — so
-    // output lines never interleave. The final `bye` is written when
-    // the channel drains, which (senders being dropped per-request)
-    // can only happen after every outstanding reply was delivered.
-    let (tx, rx) = mpsc::channel::<Response>();
-    let bye_id: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let writer = {
-        let prefix = prefix.to_string();
-        let bye_id = Arc::clone(&bye_id);
-        std::thread::spawn(move || {
-            for resp in rx {
-                let _ = writeln!(out, "{}", v2_render(&resp, &prefix));
-                let _ = out.flush();
-            }
-            let bye = bye_id.lock().unwrap_or_else(|e| e.into_inner()).take();
-            if let Some(id) = bye {
-                let _ = writeln!(
-                    out,
-                    "{{\"ok\":true,\"id\":\"{}\",\"event\":\"bye\"}}",
-                    json_escape(&id)
-                );
-                let _ = out.flush();
-            }
-        })
-    };
-
-    let mut end = LoopEnd::Quit;
-    loop {
-        let line = match read_frame(&mut input, MAX_SERVE_LINE)? {
-            Frame::Eof => break,
-            Frame::Oversized => {
-                protocol_error(
-                    &tx,
-                    prefix,
-                    "",
-                    "",
-                    &format!("request line exceeds {MAX_SERVE_LINE} bytes"),
-                );
-                continue;
-            }
-            Frame::Line(bytes) => match String::from_utf8(bytes) {
-                Ok(s) => s,
-                Err(_) => {
-                    protocol_error(&tx, prefix, "", "", "request is not valid UTF-8");
-                    continue;
-                }
-            },
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match v2_line(server, prefix, &line, &tx) {
-            None => {}
-            Some(e) => {
-                *bye_id.lock().unwrap_or_else(|err| err.into_inner()) = Some(e.1);
-                end = e.0;
-                break;
-            }
-        }
-    }
-    // Hang up: once in-flight requests drop their channel clones the
-    // writer sees the channel close, emits `bye`, and exits.
-    drop(tx);
-    let _ = writer.join();
-    Ok(end)
-}
-
-/// Sends a typed `protocol_error` response through the writer channel.
-fn protocol_error(tx: &mpsc::Sender<Response>, prefix: &str, id: &str, session: &str, msg: &str) {
-    let _ = tx.send(Response {
+/// A typed `protocol_error` response.
+fn protocol_error(prefix: &str, id: &str, session: &str, msg: &str) -> Response {
+    Response {
         id: id.to_string(),
         session: format!("{prefix}/{session}"),
         reply: Err(ServerError::new(ErrorCode::ProtocolError, msg)),
-    });
+    }
 }
 
-/// Handles one v2 request line; returns `Some((end, id))` when the
-/// connection should stop (`quit`/`shutdown`).
-fn v2_line(
+/// Handles one request line; returns `Some((end, id))` when the
+/// connection should stop (`quit`/`shutdown`). Sessions it submits an
+/// `open` to are added to `opened`.
+fn request_line(
     server: &Server,
     prefix: &str,
     line: &str,
     tx: &mpsc::Sender<Response>,
+    opened: &mut BTreeSet<String>,
 ) -> Option<(LoopEnd, String)> {
     let fields = match parse_json_object(line) {
         Ok(f) => f,
         Err(msg) => {
-            protocol_error(tx, prefix, "", "", &msg);
+            let _ = tx.send(protocol_error(prefix, "", "", &msg));
             return None;
         }
     };
     let id = field(&fields, "id").unwrap_or_default().to_string();
     let session = field(&fields, "session").unwrap_or_default().to_string();
     let proto_err = |msg: &str| {
-        protocol_error(tx, prefix, &id, &session, msg);
+        let _ = tx.send(protocol_error(prefix, &id, &session, msg));
         None
     };
     if let Some((k, _)) = fields
         .iter()
-        .find(|(k, _)| !KNOWN_KEYS_V2.contains(&k.as_str()))
+        .find(|(k, _)| !KNOWN_KEYS.contains(&k.as_str()))
     {
         return proto_err(&format!("unknown key `{k}`"));
     }
@@ -589,20 +454,17 @@ fn v2_line(
         Some("shutdown") => return Some((LoopEnd::Shutdown, id)),
         Some(other) => return proto_err(&format!("unknown cmd `{other}`")),
     };
-    server.submit(
-        Request {
-            id,
-            session: format!("{prefix}/{session}"),
-            op,
-        },
-        tx,
-    );
+    let session = format!("{prefix}/{session}");
+    if matches!(op, Op::Open { .. }) {
+        opened.insert(session.clone());
+    }
+    server.submit(Request { id, session, op }, tx);
     None
 }
 
-/// Renders one v2 response line, stripping the connection prefix off
-/// the session before echoing it.
-fn v2_render(resp: &Response, prefix: &str) -> String {
+/// Renders one response line, stripping the connection prefix off the
+/// session before echoing it.
+fn render(resp: &Response, prefix: &str) -> String {
     let session = resp
         .session
         .strip_prefix(prefix)
@@ -610,8 +472,8 @@ fn v2_render(resp: &Response, prefix: &str) -> String {
         .unwrap_or(&resp.session);
     let head = format!(
         "\"id\":\"{}\",\"session\":\"{}\"",
-        json_escape(&resp.id),
-        json_escape(session)
+        escape(&resp.id),
+        escape(session)
     );
     match &resp.reply {
         Ok(Reply::Opened { funcs }) => {
@@ -638,7 +500,7 @@ fn v2_render(resp: &Response, prefix: &str) -> String {
         }
         Ok(Reply::Metrics { body }) => format!(
             "{{\"ok\":true,{head},\"event\":\"metrics\",\"format\":\"prometheus\",\"body\":\"{}\"}}",
-            json_escape(body)
+            escape(body)
         ),
         Ok(Reply::Closed) => format!("{{\"ok\":true,{head},\"event\":\"closed\"}}"),
         Err(e) => format!("{{\"ok\":false,{head},\"error\":{}}}", e.to_json()),

@@ -74,7 +74,7 @@ pub use pinpoint_smt as smt;
 pub use pinpoint_workload as workload;
 
 pub use pinpoint_core::{
-    default_threads, Analysis, AnalysisBuilder, CheckerKind, DetectConfig, DetectSession, Engine,
+    default_threads, Analysis, AnalysisBuilder, CheckerKind, DetectConfig, DetectSession,
     ErrorCode, Op, PinpointError, Query, QueryResponse, Reply, Report, Request, Response, Server,
     ServerConfig, ServerError, ServerStats, ServerTelemetry, TelemetryConfig, UpdateOutcome,
     Workspace, WorkspaceCounters,

@@ -243,10 +243,9 @@ fn no_solve_flag_admits_infeasible() {
 
 #[test]
 fn serve_session_reuses_warm_queries() {
-    use std::process::Stdio;
-    // An open → check → check → update → check → stats → quit session:
-    // the second check of the unchanged program must answer every source
-    // query from the workspace cache.
+    // A check → open → check → check → update → check → stats → quit
+    // session: the second check of the unchanged program must answer
+    // every source query from the workspace cache.
     let base = BUGGY;
     let edited = BUGGY.replace(
         "let x: int = *p;",
@@ -256,14 +255,15 @@ fn serve_session_reuses_warm_queries() {
     std::fs::write(&src_file.0, base).expect("write source");
     let requests = format!(
         concat!(
-            "{{\"cmd\":\"check\"}}\n",
-            "{{\"cmd\":\"open\",\"path\":\"{file}\"}}\n",
-            "{{\"cmd\":\"check\"}}\n",
-            "{{\"cmd\":\"check\"}}\n",
-            "{{\"cmd\":\"update\",\"source\":\"{edited}\"}}\n",
-            "{{\"cmd\":\"check\",\"checker\":\"uaf\"}}\n",
-            "{{\"cmd\":\"stats\"}}\n",
-            "{{\"cmd\":\"quit\"}}\n",
+            "{{\"cmd\":\"hello\",\"id\":\"0\"}}\n",
+            "{{\"cmd\":\"check\",\"id\":\"1\",\"session\":\"s\"}}\n",
+            "{{\"cmd\":\"open\",\"id\":\"2\",\"session\":\"s\",\"path\":\"{file}\"}}\n",
+            "{{\"cmd\":\"check\",\"id\":\"3\",\"session\":\"s\"}}\n",
+            "{{\"cmd\":\"check\",\"id\":\"4\",\"session\":\"s\"}}\n",
+            "{{\"cmd\":\"update\",\"id\":\"5\",\"session\":\"s\",\"source\":\"{edited}\"}}\n",
+            "{{\"cmd\":\"check\",\"id\":\"6\",\"session\":\"s\",\"checker\":\"uaf\"}}\n",
+            "{{\"cmd\":\"stats\",\"id\":\"7\",\"session\":\"s\"}}\n",
+            "{{\"cmd\":\"quit\",\"id\":\"8\"}}\n",
         ),
         file = src_file.0,
         edited = edited
@@ -271,27 +271,13 @@ fn serve_session_reuses_warm_queries() {
             .replace('"', "\\\"")
             .replace('\n', "\\n"),
     );
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_pinpoint"))
-        .args(["serve", "--threads", "2"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    child
-        .stdin
-        .take()
-        .expect("stdin piped")
-        .write_all(requests.as_bytes())
-        .expect("write requests");
-    let out = child.wait_with_output().expect("serve exits");
+    let lines = serve_stdio(&["--threads", "2"], requests.as_bytes());
     src_file.1 = true;
     let _ = std::fs::remove_file(&src_file.0);
-    assert_eq!(out.status.code(), Some(0), "serve exits cleanly");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 8, "one response per request: {stdout}");
-    // check before open is a protocol error, not a crash.
+    // One session, so replies come back in request order.
+    let lines = &lines[1..];
+    assert_eq!(lines.len(), 8, "one response per request: {lines:?}");
+    // check before open is a typed error, not a crash.
     assert!(lines[0].contains("\"ok\":false"), "{}", lines[0]);
     assert!(lines[1].contains("\"event\":\"opened\""), "{}", lines[1]);
     // Cold check runs every query…
@@ -310,50 +296,91 @@ fn serve_session_reuses_warm_queries() {
 
 #[test]
 fn serve_survives_hostile_stdin() {
-    use std::process::Stdio;
     // Malformed frames — invalid UTF-8, an oversized line, unknown JSON
-    // keys, nested values, bare garbage — must each get an error reply
-    // while the session keeps answering well-formed requests.
-    let mut requests: Vec<u8> = Vec::new();
-    requests.extend_from_slice(b"{\"cmd\":\"open\",\"source\":\"fn main() { return; }\"}\n");
-    requests.extend_from_slice(b"\xff\xfe{\"cmd\":\"check\"}\n");
+    // keys, nested values, bare garbage — must each get exactly one typed
+    // error reply, before the `hello` handshake and after it, while the
+    // session keeps answering well-formed requests.
+    let mut hostile: Vec<u8> = Vec::new();
+    hostile.extend_from_slice(b"\xff\xfe{\"cmd\":\"check\"}\n");
     let huge = format!(
         "{{\"cmd\":\"open\",\"source\":\"{}\"}}\n",
         "a".repeat(2 * 1024 * 1024)
     );
-    requests.extend_from_slice(huge.as_bytes());
-    requests.extend_from_slice(b"{\"cmd\":\"check\",\"sorce\":\"x\"}\n");
-    requests.extend_from_slice(b"{\"cmd\":\"check\",\"opts\":{\"x\":1}}\n");
-    requests.extend_from_slice(b"not json at all\n");
-    requests.extend_from_slice(b"{\"cmd\":\"check\"}\n");
-    requests.extend_from_slice(b"{\"cmd\":\"quit\"}\n");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pinpoint"))
-        .arg("serve")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    child
-        .stdin
-        .take()
-        .expect("stdin piped")
-        .write_all(&requests)
-        .expect("write requests");
-    let out = child.wait_with_output().expect("serve exits");
-    assert_eq!(out.status.code(), Some(0), "serve exits cleanly");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 8, "one response per request: {stdout}");
-    assert!(lines[0].contains("\"event\":\"opened\""), "{}", lines[0]);
-    assert!(lines[1].contains("not valid UTF-8"), "{}", lines[1]);
-    assert!(lines[2].contains("exceeds"), "{}", lines[2]);
-    assert!(lines[3].contains("unknown key `sorce`"), "{}", lines[3]);
-    assert!(lines[4].contains("\"ok\":false"), "{}", lines[4]);
-    assert!(lines[5].contains("\"ok\":false"), "{}", lines[5]);
-    // The session is still healthy after five hostile frames.
-    assert!(lines[6].contains("\"event\":\"reports\""), "{}", lines[6]);
-    assert!(lines[7].contains("\"event\":\"bye\""), "{}", lines[7]);
+    hostile.extend_from_slice(huge.as_bytes());
+    hostile.extend_from_slice(b"{\"cmd\":\"check\",\"sorce\":\"x\"}\n");
+    hostile.extend_from_slice(b"{\"cmd\":\"check\",\"opts\":{\"x\":1}}\n");
+    hostile.extend_from_slice(b"not json at all\n");
+    let mut requests = hostile.clone();
+    requests.extend_from_slice(b"{\"cmd\":\"hello\",\"id\":\"h\"}\n");
+    requests.extend_from_slice(
+        b"{\"cmd\":\"open\",\"id\":\"o\",\"session\":\"s\",\"source\":\"fn main() { return; }\"}\n",
+    );
+    requests.extend_from_slice(&hostile);
+    requests.extend_from_slice(b"{\"cmd\":\"check\",\"id\":\"c\",\"session\":\"s\"}\n");
+    requests.extend_from_slice(b"{\"cmd\":\"quit\",\"id\":\"q\"}\n");
+    let lines = serve_stdio(&[], &requests);
+    assert_eq!(lines.len(), 14, "one response per request: {lines:?}");
+    // Nothing is in flight before `hello`: its refusals come in order.
+    for l in &lines[..5] {
+        assert!(l.contains("\"code\":\"protocol_error\""), "{l}");
+        assert!(l.contains("expected `hello`"), "{l}");
+    }
+    assert!(lines[5].contains("\"event\":\"hello\""), "{}", lines[5]);
+    // Afterwards the `opened` reply may land anywhere among the errors,
+    // which keep their own order.
+    let errors: Vec<&String> = lines[6..]
+        .iter()
+        .filter(|l| l.contains("\"code\":\"protocol_error\""))
+        .collect();
+    assert_eq!(errors.len(), 5, "each hostile frame errors once: {lines:?}");
+    assert!(errors[0].contains("not valid UTF-8"), "{}", errors[0]);
+    assert!(errors[1].contains("exceeds"), "{}", errors[1]);
+    assert!(errors[2].contains("unknown key `sorce`"), "{}", errors[2]);
+    let find = |id: &str| {
+        lines
+            .iter()
+            .find(|l| l.contains(&format!("\"id\":\"{id}\"")))
+            .unwrap_or_else(|| panic!("no reply with id {id}: {lines:?}"))
+    };
+    assert!(find("o").contains("\"event\":\"opened\""));
+    // The session is still healthy after ten hostile frames.
+    assert!(find("c").contains("\"event\":\"reports\""));
+    assert!(lines[13].contains("\"event\":\"bye\""), "{}", lines[13]);
+}
+
+#[test]
+fn serve_refuses_requests_before_hello() {
+    // A well-formed request is no handshake: it is refused with its id
+    // echoed and creates no session; the connection works after `hello`.
+    let open =
+        "{\"cmd\":\"open\",\"id\":\"early\",\"session\":\"s\",\"source\":\"fn main() { return; }\"}\n";
+    let requests = [
+        open,
+        "{\"cmd\":\"hello\",\"id\":\"h\"}\n",
+        "{\"cmd\":\"check\",\"id\":\"c1\",\"session\":\"s\"}\n",
+        &open.replace("early", "o"),
+        "{\"cmd\":\"check\",\"id\":\"c2\",\"session\":\"s\"}\n",
+        "{\"cmd\":\"quit\",\"id\":\"q\"}\n",
+    ]
+    .concat();
+    let lines = serve_stdio(&[], requests.as_bytes());
+    assert_eq!(lines.len(), 6, "one response per request: {lines:?}");
+    assert!(
+        lines[0].contains("\"code\":\"protocol_error\""),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[0].contains("expected `hello`"), "{}", lines[0]);
+    assert!(lines[0].contains("\"id\":\"early\""), "{}", lines[0]);
+    assert!(lines[1].contains("\"event\":\"hello\""), "{}", lines[1]);
+    assert!(
+        lines[2].contains("\"code\":\"no_workspace\""),
+        "{}",
+        lines[2]
+    );
+    assert!(lines[3].contains("\"event\":\"opened\""), "{}", lines[3]);
+    assert!(lines[4].contains("\"event\":\"reports\""), "{}", lines[4]);
+    assert!(lines[5].contains("\"event\":\"bye\""), "{}", lines[5]);
 }
 
 /// Runs `pinpoint serve` over stdio with the given extra flags, feeds
@@ -508,48 +535,80 @@ fn serve_v2_protocol_errors_are_typed_and_resync() {
     assert!(lines[11].contains("\"id\":\"q9\""), "{}", lines[11]);
 }
 
-#[test]
-fn serve_v2_listen_unix_socket() {
-    use std::io::{BufRead, BufReader};
-    use std::os::unix::net::UnixStream;
-    use std::process::Stdio;
-    let sock = std::env::temp_dir()
-        .join(format!("pinpoint_serve_{}.sock", std::process::id()))
+/// A fresh socket path for `--listen`, unique per test.
+fn socket_path(tag: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("pinpoint_{tag}_{}.sock", std::process::id()))
         .to_string_lossy()
-        .into_owned();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pinpoint"))
-        .args(["serve", "--listen", &sock, "--workers", "2"])
+        .into_owned()
+}
+
+/// Starts `pinpoint serve --listen sock`.
+fn listen(sock: &str) -> std::process::Child {
+    use std::process::Stdio;
+    Command::new(env!("CARGO_BIN_EXE_pinpoint"))
+        .args(["serve", "--listen", sock, "--workers", "2"])
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("binary runs");
-    // The socket appears once the listener is bound.
-    let mut stream = None;
+        .expect("binary runs")
+}
+
+/// Connects to a `--listen` socket, which appears once the listener is
+/// bound.
+fn connect(sock: &str) -> std::os::unix::net::UnixStream {
     for _ in 0..200 {
-        match UnixStream::connect(&sock) {
-            Ok(s) => {
-                stream = Some(s);
-                break;
-            }
+        match std::os::unix::net::UnixStream::connect(sock) {
+            Ok(s) => return s,
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(25)),
         }
     }
-    let stream = stream.expect("server binds the socket");
-    let mut writer = stream.try_clone().expect("clone stream");
-    writer
-        .write_all(
-            concat!(
-                "{\"cmd\":\"hello\",\"id\":\"h\"}\n",
-                "{\"cmd\":\"open\",\"id\":\"1\",\"session\":\"m\",\"source\":\"fn main() { return; }\"}\n",
-                "{\"cmd\":\"check\",\"id\":\"2\",\"session\":\"m\"}\n",
-                "{\"cmd\":\"shutdown\",\"id\":\"3\"}\n",
-            )
-            .as_bytes(),
-        )
+    panic!("server never bound {sock}");
+}
+
+/// Sends `requests` on a new connection, ends its input, and returns
+/// every reply line.
+fn exchange(sock: &str, requests: &str) -> Vec<String> {
+    use std::io::{BufRead, BufReader};
+    let mut stream = connect(sock);
+    stream
+        .write_all(requests.as_bytes())
         .expect("write requests");
-    let reader = BufReader::new(stream);
-    let lines: Vec<String> = reader.lines().map(|l| l.expect("read reply")).collect();
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    BufReader::new(stream)
+        .lines()
+        .map(|l| l.expect("read reply"))
+        .collect()
+}
+
+/// Waits for a server that was told to shut down; its exit code.
+fn wait_exit(mut child: std::process::Child) -> Option<i32> {
+    for _ in 0..400 {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            return status.code();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    let _ = child.kill();
+    None
+}
+
+#[test]
+fn serve_v2_listen_unix_socket() {
+    let sock = socket_path("serve");
+    let child = listen(&sock);
+    let lines = exchange(
+        &sock,
+        concat!(
+            "{\"cmd\":\"hello\",\"id\":\"h\"}\n",
+            "{\"cmd\":\"open\",\"id\":\"1\",\"session\":\"m\",\"source\":\"fn main() { return; }\"}\n",
+            "{\"cmd\":\"check\",\"id\":\"2\",\"session\":\"m\"}\n",
+            "{\"cmd\":\"shutdown\",\"id\":\"3\"}\n",
+        ),
+    );
     assert_eq!(lines.len(), 4, "hello, opened, reports, bye: {lines:?}");
     assert!(lines[0].contains("\"event\":\"hello\""), "{}", lines[0]);
     assert!(lines[1].contains("\"event\":\"opened\""), "{}", lines[1]);
@@ -557,19 +616,91 @@ fn serve_v2_listen_unix_socket() {
     assert!(lines[3].contains("\"event\":\"bye\""), "{}", lines[3]);
     assert!(lines[3].contains("\"id\":\"3\""), "{}", lines[3]);
     // `shutdown` stops the accept loop and the process exits cleanly.
-    let mut code = None;
-    for _ in 0..400 {
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            code = status.code();
+    assert_eq!(
+        wait_exit(child),
+        Some(0),
+        "serve exits cleanly after shutdown"
+    );
+    assert!(!std::path::Path::new(&sock).exists(), "socket file removed");
+}
+
+#[test]
+fn serve_closes_the_sessions_of_a_dropped_connection() {
+    // Sessions are namespaced per connection, so what a vanished client
+    // opened is unreachable: the server must close it, not keep it until
+    // the process exits.
+    let sock = socket_path("drop");
+    let child = listen(&sock);
+    for _ in 0..3 {
+        let mut stream = connect(&sock);
+        stream
+            .write_all(
+                concat!(
+                    "{\"cmd\":\"hello\",\"id\":\"h\"}\n",
+                    "{\"cmd\":\"open\",\"id\":\"1\",\"session\":\"m\",\"source\":\"fn main() { return; }\"}\n",
+                )
+                .as_bytes(),
+            )
+            .expect("write requests");
+    }
+    let status = "{\"cmd\":\"hello\",\"id\":\"h\"}\n{\"cmd\":\"status\",\"id\":\"s\",\"tail\":0}\n";
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    loop {
+        let lines = exchange(&sock, status);
+        assert_eq!(lines.len(), 2, "hello, status: {lines:?}");
+        if lines[1].contains("\"sessions_open\":0,") {
+            // Every one of them was opened first, then closed.
+            assert!(lines[1].contains("\"sessions\":3,"), "{}", lines[1]);
             break;
         }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "sessions of dropped connections still open: {}",
+            lines[1]
+        );
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
-    if code.is_none() {
-        let _ = child.kill();
-    }
-    assert_eq!(code, Some(0), "serve exits cleanly after shutdown");
-    assert!(!std::path::Path::new(&sock).exists(), "socket file removed");
+    exchange(
+        &sock,
+        "{\"cmd\":\"hello\"}\n{\"cmd\":\"shutdown\",\"id\":\"q\"}\n",
+    );
+    assert_eq!(wait_exit(child), Some(0));
+}
+
+#[test]
+fn serve_listen_unlinks_only_a_dead_socket() {
+    // A regular file at the path is not ours to remove.
+    let file = socket_path("notes");
+    std::fs::write(&file, "keep me").expect("write file");
+    let out = Command::new(env!("CARGO_BIN_EXE_pinpoint"))
+        .args(["serve", "--listen", &file])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&file), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&file).expect("survives"), "keep me");
+    let _ = std::fs::remove_file(&file);
+
+    // Nor is a live server's address: the second server fails and the
+    // first keeps answering.
+    let sock = socket_path("live");
+    let first = listen(&sock);
+    drop(connect(&sock));
+    let second = Command::new(env!("CARGO_BIN_EXE_pinpoint"))
+        .args(["serve", "--listen", &sock])
+        .output()
+        .expect("binary runs");
+    assert_eq!(second.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert!(stderr.contains(&sock), "{stderr}");
+    let lines = exchange(
+        &sock,
+        "{\"cmd\":\"hello\",\"id\":\"h\"}\n{\"cmd\":\"shutdown\",\"id\":\"q\"}\n",
+    );
+    assert_eq!(lines.len(), 2, "hello, bye: {lines:?}");
+    assert!(lines[0].contains("\"event\":\"hello\""), "{}", lines[0]);
+    assert_eq!(wait_exit(first), Some(0));
 }
 
 #[test]

@@ -20,9 +20,11 @@
 //!   condition fingerprint.
 //!
 //! The same harness shows what a directory from before the `pta`/`seg`/
-//! `vfsum` stages were retired means to a run: nothing.
+//! `vfsum` stages were retired means to a run: nothing. And `pinpoint
+//! leaks`, whose conditions go through the one-shot solver, is held to the
+//! same bar on a grammar-generated module.
 
-use pinpoint::workload::{generate, GenConfig};
+use pinpoint::workload::{fuzzgen, generate, GenConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -57,8 +59,19 @@ type Objects = BTreeMap<String, Vec<u8>>;
 
 /// Runs one `pinpoint check` process.
 fn check(input: &Path, threads: usize, cache: Option<&Path>, stats: &Path) -> Outcome {
+    run("check", input, threads, cache, stats)
+}
+
+/// Runs one `pinpoint <subcommand> --json` process.
+fn run(
+    subcommand: &str,
+    input: &Path,
+    threads: usize,
+    cache: Option<&Path>,
+    stats: &Path,
+) -> Outcome {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pinpoint"));
-    cmd.arg("check").arg(input).arg("--json");
+    cmd.arg(subcommand).arg(input).arg("--json");
     cmd.args(["--threads", &threads.to_string()]);
     cmd.arg("--stats-json").arg(stats);
     if let Some(dir) = cache {
@@ -240,6 +253,35 @@ fn kloc20_project() -> String {
 #[test]
 fn generated_project_is_process_invariant() {
     assert_process_invariant("project", &kloc20_project());
+}
+
+#[test]
+fn leaks_are_process_invariant() {
+    // What `gen_project --kloc 3 --seed 7 --fuzz` writes: malloc/free-heavy
+    // code, so the leak checker has conditions to decide.
+    let source = fuzzgen::generate(&fuzzgen::FuzzGenConfig {
+        seed: 7,
+        functions: 166,
+        max_stmts: 10,
+        globals: 4,
+        recursion: true,
+    });
+    let scratch = Scratch::new("leaks");
+    let input = scratch.0.join("input.pp");
+    std::fs::write(&input, source).unwrap();
+    let stats = scratch.0.join("stats.json");
+    let reference = run("leaks", &input, 1, None, &stats);
+    assert!(
+        reference.1.contains("\"kind\":\"ConditionallyFreed\""),
+        "the solver must have had a say: {}",
+        reference.1
+    );
+    for threads in THREADS {
+        for run_no in 0..RUNS {
+            let got = run("leaks", &input, threads, None, &stats);
+            assert_eq!(got, reference, "leaks, threads={threads}, run {run_no}");
+        }
+    }
 }
 
 /// `pinpoint cache <action> <dir>`: exit code and stdout.

@@ -11,10 +11,11 @@
 
 use pinpoint::core::summary::ParamSummaries;
 use pinpoint::core::{ModuleSeg, ModuleSummaries, Spec, SummaryCx};
+use pinpoint::fuzz::oracles::custom_specs;
 use pinpoint::ir::{CallGraph, FuncId, Module};
 use pinpoint::workload::fuzzgen::{generate, FuzzGenConfig};
 use pinpoint::workload::rng::SmallRng;
-use pinpoint::{AnalysisBuilder, CheckerKind, Engine, Query, Workspace};
+use pinpoint::{AnalysisBuilder, CheckerKind, Query, Workspace};
 use std::path::PathBuf;
 
 /// Module, SEGs and call graph of `src`, as the stand-alone layer entry
@@ -81,8 +82,8 @@ fn assert_lazy_equals_eager(src: &str, spec: &Spec, seed: u64, what: &str) {
     }
 }
 
-#[test]
-fn lazy_equals_eager_on_corpus_and_fuzzgen() {
+/// The corpus programs followed by 50 seeded `fuzzgen` programs, by name.
+fn corpus_and_fuzzgen() -> Vec<(String, String)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
     let mut programs: Vec<(String, String)> = std::fs::read_dir(&dir)
         .expect("corpus dir")
@@ -107,12 +108,53 @@ fn lazy_equals_eager_on_corpus_and_fuzzgen() {
         });
         programs.push((format!("fuzzgen seed {seed}"), src));
     }
-    for (i, (name, src)) in programs.iter().enumerate() {
+    programs
+}
+
+#[test]
+fn lazy_equals_eager_on_corpus_and_fuzzgen() {
+    for (i, (name, src)) in corpus_and_fuzzgen().iter().enumerate() {
         for kind in CheckerKind::ALL {
             let what = format!("{name} / {kind}");
             assert_lazy_equals_eager(src, &kind.spec(), i as u64 + 1, &what);
         }
     }
+}
+
+#[test]
+fn gated_equals_ungated_for_builtin_and_custom_specs() {
+    // Every query is gated, custom specs included; the ungated search is
+    // the reference. The three custom specs cover each source shape
+    // (free argument, call receiver through transforms, null constant).
+    let (mut reports, mut gated) = ([0usize; 3], [0u64; 3]);
+    let mut programs = corpus_and_fuzzgen();
+    // The generated programs never print a pointer.
+    programs.push(("needle".into(), needle_in_haystack(3)));
+    for (name, src) in programs {
+        let a = AnalysisBuilder::new()
+            .threads(1)
+            .build_source(&src)
+            .unwrap();
+        for kind in CheckerKind::ALL {
+            assert_eq!(
+                render(&a.session().check(kind)),
+                render(&a.session().ungated().check(kind)),
+                "{name} / {kind}"
+            );
+        }
+        for (i, spec) in custom_specs().iter().enumerate() {
+            let mut session = a.session();
+            let got = render(&session.check_custom(spec));
+            let expected = render(&a.session().ungated().check_custom(spec));
+            assert_eq!(got, expected, "{name} / {}", spec.name);
+            reports[i] += got.len();
+            gated[i] += session.stats().detect.summary_gated;
+        }
+    }
+    assert!(
+        reports.iter().all(|&n| n > 0) && gated.iter().all(|&n| n > 0),
+        "each custom spec must both report and gate somewhere: {reports:?} {gated:?}"
+    );
 }
 
 #[test]
@@ -196,10 +238,9 @@ fn check_all_forces_only_what_its_sources_reach() {
         .threads(1)
         .build_source(&src)
         .unwrap();
-    let mut demand = a.session().with_engine(Engine::Demand);
-    let expected = render(&demand.check_all());
+    let expected = render(&a.session().ungated().check_all());
     assert_eq!(expected.len(), 1);
-    let mut summary = a.session().with_engine(Engine::Summary);
+    let mut summary = a.session();
     assert_eq!(render(&summary.check_all()), expected);
     let stats = summary.stats().detect;
     assert!(

@@ -336,13 +336,11 @@ fn warm_workspace_check_reruns_only_affected_queries() {
     }
 }
 
-/// Whole-program reports rendered through one explicit engine, plus the
-/// session's detection counters.
-fn engine_reports(
-    analysis: &Analysis,
-    engine: pinpoint::Engine,
+/// Whole-program reports of `session` rendered with their witnesses,
+/// plus the session's detection counters.
+fn session_reports(
+    mut session: pinpoint::DetectSession<'_>,
 ) -> (String, pinpoint::core::DetectStats) {
-    let mut session = analysis.session().with_engine(engine);
     let mut out = String::new();
     for r in session.check_all() {
         out.push_str(&r.to_string());
@@ -354,15 +352,14 @@ fn engine_reports(
     (out, session.stats().detect)
 }
 
-/// The summary engine across cache states: the demand engine, a
-/// summary-engine run on an empty cache directory, and one on the
-/// directory the first left behind must all report byte-identically.
+/// The summary gate across cache states: the ungated reference search,
+/// a gated run on an empty cache directory, and one on the directory the
+/// first left behind must all report byte-identically.
 /// Summaries are never persisted — the second run computes exactly what
 /// the first did — while its conditions replay from the verdict store.
 /// After a one-function edit inside a demanded cone the same holds.
 #[test]
 fn summary_engine_warm_equals_cold_equals_demand() {
-    use pinpoint::Engine;
     let project = generate(&GenConfig {
         seed: 47,
         real_bugs: 2,
@@ -381,17 +378,18 @@ fn summary_engine_warm_equals_cold_equals_demand() {
     );
     for threads in [1usize, 4] {
         let dir = temp_cache(&format!("vfsum-{threads}"));
-        let (demand, _) = engine_reports(&build(&project.source, threads, None), Engine::Demand);
+        let (ungated, _) =
+            session_reports(build(&project.source, threads, None).session().ungated());
         let cold_analysis = build(&project.source, threads, Some(&dir));
-        let (cold, cold_stats) = engine_reports(&cold_analysis, Engine::Summary);
-        assert_eq!(cold, demand, "cold summary vs demand at {threads} threads");
+        let (cold, cold_stats) = session_reports(cold_analysis.session());
+        assert_eq!(cold, ungated, "cold gated vs ungated at {threads} threads");
         assert!(
             cold_stats.summary_built > 0 && cold_stats.summary_gated > 0,
             "cold run computes the summaries it demands: {cold_stats:?}"
         );
         let warm_analysis = build(&project.source, threads, Some(&dir));
-        let (warm, warm_stats) = engine_reports(&warm_analysis, Engine::Summary);
-        assert_eq!(warm, demand, "warm summary vs demand at {threads} threads");
+        let (warm, warm_stats) = session_reports(warm_analysis.session());
+        assert_eq!(warm, ungated, "warm gated vs ungated at {threads} threads");
         assert_eq!(
             (warm_stats.summary_built, warm_stats.summary_gated),
             (cold_stats.summary_built, cold_stats.summary_gated),
@@ -402,11 +400,11 @@ fn summary_engine_warm_equals_cold_equals_demand() {
             "every condition was decided by the cold run: {warm_stats:?}"
         );
         let edited_analysis = build(&edited, threads, Some(&dir));
-        let (demand_edited, _) = engine_reports(&edited_analysis, Engine::Demand);
-        let (summary_edited, edited_stats) = engine_reports(&edited_analysis, Engine::Summary);
+        let (ungated_edited, _) = session_reports(edited_analysis.session().ungated());
+        let (gated_edited, edited_stats) = session_reports(edited_analysis.session());
         assert_eq!(
-            summary_edited, demand_edited,
-            "post-edit summary vs demand at {threads} threads"
+            gated_edited, ungated_edited,
+            "post-edit gated vs ungated at {threads} threads"
         );
         assert!(
             edited_stats.summary_built > 0,
