@@ -397,6 +397,7 @@ fn merge_outcomes(
                     decisions: ev.cost.decisions,
                     theory_checks: ev.cost.theory_checks,
                     theory_conflicts: ev.cost.theory_conflicts,
+                    budget_exhausted: ev.cost.budget_exhausted,
                 },
             });
             if !seen.insert(ev.key) {
@@ -1491,7 +1492,7 @@ impl<'cx, 'a> Worker<'cx, 'a> {
         self.reused_clauses += self.session.num_learnt() as u64;
         let (result, model) = self.session.check_with_model(&self.arena, cond);
         *cost = self.session.last_cost;
-        if !self.session.last_budget_exhausted {
+        if self.session.last_cost.budget_exhausted == 0 {
             let verdict = match result {
                 SmtResult::Unsat => Verdict::Unsat,
                 SmtResult::Sat => {

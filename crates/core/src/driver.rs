@@ -947,6 +947,7 @@ impl QueryRunner {
             m.counter_add("smt.decisions", q.cost.decisions);
             m.counter_add("smt.theory_checks", q.cost.theory_checks);
             m.counter_add("smt.theory_conflicts", q.cost.theory_conflicts);
+            m.counter_add("smt.budget_exhausted", q.cost.budget_exhausted);
             m.hist_record("smt.query_ns", q.cost.solver_ns);
             m.hist_record("smt.conflicts_per_query", q.cost.conflicts);
         }
@@ -968,6 +969,7 @@ impl QueryRunner {
             "smt.decisions",
             "smt.theory_checks",
             "smt.theory_conflicts",
+            "smt.budget_exhausted",
         ] {
             m.counter_add(key, 0);
         }

@@ -57,6 +57,9 @@ pub struct QueryCost {
     pub theory_checks: u64,
     /// Theory conflicts (blocking clauses added).
     pub theory_conflicts: u64,
+    /// 1 if the solver ran out of rounds and assumed the query feasible.
+    /// Summed into `smt.budget_exhausted`; not a column of the JSON row.
+    pub budget_exhausted: u64,
 }
 
 impl QueryCost {
@@ -69,6 +72,7 @@ impl QueryCost {
         self.decisions += other.decisions;
         self.theory_checks += other.theory_checks;
         self.theory_conflicts += other.theory_conflicts;
+        self.budget_exhausted += other.budget_exhausted;
     }
 }
 
@@ -223,6 +227,13 @@ impl ProfileTable {
         if self.rows.len() > k {
             out.push_str(&format!("... {} more rows\n", self.rows.len() - k));
         }
+        // Over all rows, shown or not: the queries whose report stands only
+        // because the solver ran out of rounds.
+        let exhausted: u64 = self.rows.iter().map(|r| r.cost.budget_exhausted).sum();
+        let queries: u64 = self.rows.iter().map(|r| r.queries).sum();
+        out.push_str(&format!(
+            "solver budget exhausted: {exhausted} of {queries} queries\n"
+        ));
         out
     }
 }
@@ -273,6 +284,7 @@ mod tests {
         let rendered = t.render(2);
         assert!(rendered.contains("use-after-free"));
         assert!(rendered.contains("... 1 more rows"));
+        assert!(rendered.ends_with("solver budget exhausted: 0 of 4 queries\n"));
     }
 
     #[test]

@@ -66,7 +66,6 @@ enum Value {
 #[derive(Debug, Clone)]
 struct Clause {
     lits: Vec<Lit>,
-    learnt: bool,
 }
 
 /// Reason for an assignment: either a decision or a propagating clause.
@@ -122,6 +121,8 @@ pub struct SatSolver {
     activity_inc: f64,
     saved_phase: Vec<bool>,
     seen: Vec<bool>,
+    /// Learnt clauses stored in `clauses` (none is ever deleted).
+    learnt: usize,
     unsat: bool,
     /// Statistics for the harness.
     pub stats: SatStats,
@@ -213,10 +214,7 @@ impl SatSolver {
                 let idx = self.clauses.len();
                 self.watches[filtered[0].negate().code()].push(idx);
                 self.watches[filtered[1].negate().code()].push(idx);
-                self.clauses.push(Clause {
-                    lits: filtered,
-                    learnt: false,
-                });
+                self.clauses.push(Clause { lits: filtered });
             }
         }
     }
@@ -454,10 +452,8 @@ impl SatSolver {
                     let idx = self.clauses.len();
                     self.watches[clause[0].negate().code()].push(idx);
                     self.watches[clause[1].negate().code()].push(idx);
-                    self.clauses.push(Clause {
-                        lits: clause,
-                        learnt: true,
-                    });
+                    self.clauses.push(Clause { lits: clause });
+                    self.learnt += 1;
                     let ok = self.enqueue(asserting, Reason::Clause(idx));
                     debug_assert!(ok, "asserting literal must be enqueueable");
                 }
@@ -521,7 +517,7 @@ impl SatSolver {
 
     /// Number of learnt (conflict-derived) clauses in the database.
     pub fn num_learnt(&self) -> usize {
-        self.clauses.iter().filter(|c| c.learnt).count()
+        self.learnt
     }
 
     /// Returns `true` once the instance is known UNSAT.

@@ -46,6 +46,9 @@ pub struct SmtStats {
     pub propagations: u64,
     /// Branching decisions across all queries' SAT cores.
     pub decisions: u64,
+    /// Queries answered `Sat` only because they ran out of DPLL(T)
+    /// rounds (`max_rounds`).
+    pub budget_exhausted: u64,
 }
 
 /// Cost snapshot of the most recent [`SmtSolver::check`] call, for
@@ -67,6 +70,9 @@ pub struct LastQueryCost {
     pub theory_checks: u64,
     /// Theory conflicts (blocking clauses).
     pub theory_conflicts: u64,
+    /// 1 if the check stopped at the round budget and answered a
+    /// conservative `Sat` (never to be cached as a verdict), else 0.
+    pub budget_exhausted: u64,
 }
 
 /// A witness assignment for the boolean variables of a satisfiable query,

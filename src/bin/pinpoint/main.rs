@@ -442,7 +442,13 @@ fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
     println!("search visited:   {}", s.detect.visited);
     println!("candidates:       {}", s.detect.candidates);
     println!("SMT-refuted:      {}", s.detect.refuted);
-    println!("budget exhausted: {}", s.detect.budget_exhausted);
+    println!("search budget:    {}", s.detect.budget_exhausted);
+    let solver_budget: u64 = session
+        .queries()
+        .iter()
+        .map(|q| q.cost.budget_exhausted)
+        .sum();
+    println!("solver budget:    {solver_budget}");
     println!("reports:          {}", s.detect.reports);
     if common.cache_dir.is_some() {
         println!("cache hits:       {}", s.cache.hits);

@@ -116,6 +116,8 @@ fn stats_subcommand() {
     assert_eq!(code, 0);
     assert!(stdout.contains("SEG edges:"), "{stdout}");
     assert!(stdout.contains("candidates:"), "{stdout}");
+    assert!(stdout.contains("search budget:    0"), "{stdout}");
+    assert!(stdout.contains("solver budget:    0"), "{stdout}");
 }
 
 #[test]
@@ -180,15 +182,36 @@ fn trace_and_stats_outputs() {
     ] {
         assert!(stats_doc.contains(family), "stats missing family {family}");
     }
-    let summary = stats_doc
-        .split_once("\"summary\":{")
-        .expect("summary family")
-        .1;
-    let keys: Vec<&str> = summary[..summary.find('}').expect("family closes")]
-        .split(',')
-        .filter_map(|field| field.split(':').next())
-        .collect();
-    assert_eq!(keys, ["\"built\"", "\"composed\"", "\"gated\""]);
+    let family_keys = |family: &str| -> Vec<String> {
+        let body = stats_doc
+            .split_once(&format!("\"{family}\":{{"))
+            .unwrap_or_else(|| panic!("{family} family"))
+            .1;
+        body[..body.find('}').expect("family closes")]
+            .split(',')
+            .filter_map(|field| Some(field.split(':').next()?.trim_matches('"').to_string()))
+            .collect()
+    };
+    assert_eq!(family_keys("summary"), ["built", "composed", "gated"]);
+    assert_eq!(
+        family_keys("smt"),
+        [
+            "budget_exhausted",
+            "conflicts",
+            "decisions",
+            "incremental.reused_clauses",
+            "incremental.sessions",
+            "learned",
+            "propagations",
+            "queries",
+            "solve_ns",
+            "theory_checks",
+            "theory_conflicts",
+            "verdict.hits",
+            "verdict.misses",
+            "verdict.persisted",
+        ]
+    );
     assert!(stats_doc.contains("\"queries\":["), "{stats_doc}");
     assert!(
         stats_doc.contains("\"checker\":\"use-after-free\""),
@@ -203,6 +226,10 @@ fn profile_subcommand() {
     assert!(stdout.contains("checker"), "{stdout}");
     assert!(stdout.contains("use-after-free"), "{stdout}");
     assert!(stdout.contains("main"), "{stdout}");
+    assert!(
+        stdout.contains("solver budget exhausted: 0 of "),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -648,9 +675,9 @@ fn serve_closes_the_sessions_of_a_dropped_connection() {
     loop {
         let lines = exchange(&sock, status);
         assert_eq!(lines.len(), 2, "hello, status: {lines:?}");
-        if lines[1].contains("\"sessions_open\":0,") {
-            // Every one of them was opened first, then closed.
-            assert!(lines[1].contains("\"sessions\":3,"), "{}", lines[1]);
+        // Every one of them opened first, then closed. The server may not
+        // have read every connection yet, so wait for all three opens.
+        if lines[1].contains("\"sessions_open\":0,") && lines[1].contains("\"sessions\":3,") {
             break;
         }
         assert!(

@@ -120,6 +120,35 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
                 "{file}: stats JSON missing stage family {family}"
             );
         }
+        let smt = stats1
+            .split_once("\"smt\":{")
+            .and_then(|(_, rest)| rest.split_once('}'))
+            .expect("smt family")
+            .0;
+        let keys: Vec<&str> = smt
+            .split(',')
+            .filter_map(|field| field.split(':').next())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "\"budget_exhausted\"",
+                "\"conflicts\"",
+                "\"decisions\"",
+                "\"incremental.reused_clauses\"",
+                "\"incremental.sessions\"",
+                "\"learned\"",
+                "\"propagations\"",
+                "\"queries\"",
+                "\"solve_ns\"",
+                "\"theory_checks\"",
+                "\"theory_conflicts\"",
+                "\"verdict.hits\"",
+                "\"verdict.misses\"",
+                "\"verdict.persisted\"",
+            ],
+            "{file}: the smt family's keys"
+        );
         for span in ["frontend", "frontend.split", "callgraph", "keys"] {
             assert_eq!(
                 trace1.matches(&format!("\"name\":\"{span}\"")).count(),
