@@ -5,9 +5,10 @@
 //! What it pins: while an [`Analysis`](pinpoint_core::Analysis) is built,
 //! the heap never holds much more than the analysis being returned, and
 //! the excess does not grow with the input. A build's transients are the
-//! private arenas of the functions analysed but not yet merged, which the
-//! points-to and SEG stages bound by a constant; what it returns carries
-//! no dead points-to facts and no spare capacity.
+//! points-to stage's private arenas of the functions analysed but not yet
+//! merged, which it bounds by a constant (the SEG is built straight into
+//! the shared arena); what it returns carries no dead points-to facts and
+//! no spare capacity.
 
 use pinpoint_bench::CountingAlloc;
 use pinpoint_core::AnalysisBuilder;

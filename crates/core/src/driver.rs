@@ -3,10 +3,13 @@
 //! Mirrors the architecture figure of §4: Mod/Ref + local quasi points-to
 //! analysis → SEG building → compositional global value-flow analysis,
 //! with the linear-time solver embedded in the first stage and the SMT
-//! solver in the last. All three stages are parallel at function /
-//! source-site granularity (the paper's §6 scaling argument): workers own
-//! private term arenas and symbol interners and are merged
-//! deterministically, so results are byte-identical for any thread count.
+//! solver in the last. The front end, points-to and detection are parallel
+//! at function / source-site granularity (the paper's §6 scaling
+//! argument): workers own private term arenas and symbol interners and
+//! are merged deterministically, so results are byte-identical for any
+//! thread count. The SEG is built one function at a time straight into the
+//! shared arena. A build and an incremental update run the same stage
+//! sequence ([`run_stages`]); an update just has a previous run to splice.
 //!
 //! The public shape is a builder/artefact/session triple:
 //!
@@ -26,9 +29,9 @@ use crate::seg::ModuleSeg;
 use crate::spec::CheckerKind;
 use crate::vfsummary::{keys_fingerprint, summary_fingerprint, ModuleSummaries};
 use pinpoint_cache::{config_fp, module_keys_with_graph, CacheStats, CacheStore};
-use pinpoint_ir::{CallGraph, Module, Unit};
+use pinpoint_ir::{CallGraph, FuncId, Module, Unit};
 use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
-use pinpoint_pta::{analyze_module_par, ModuleAnalysis, PtaConfig, PtaStats};
+use pinpoint_pta::{analyze_module_par, ModuleAnalysis, PreviousRun, PtaConfig, PtaStats};
 use pinpoint_smt::{TermArena, VerdictTable};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -208,7 +211,8 @@ impl AnalysisBuilder {
         self
     }
 
-    /// Number of workers for every pipeline stage (clamped to ≥ 1).
+    /// Number of workers (clamped to ≥ 1) the sharded stages — front end,
+    /// points-to, detection — fan out over.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -325,7 +329,7 @@ impl AnalysisBuilder {
 
     fn build_module_traced(
         self,
-        mut module: Module,
+        module: Module,
         mut trace: TraceBuf,
     ) -> Result<Analysis, PinpointError> {
         self.validate()?;
@@ -336,41 +340,14 @@ impl AnalysisBuilder {
             }
         }
         let mut stats = PipelineStats::default();
-        // Per-function transitive fingerprint keys of the *pre-transform*
-        // module: the incremental paths ([`Analysis::update_incremental`],
-        // the query cache of [`crate::workspace::Workspace`]) diff them to
-        // find what an edit dirtied.
-        let (callgraph, func_keys) = graph_and_keys(&module, &self.pta, &mut trace, &mut stats);
-        let t0 = Instant::now();
-        let pta_span = trace.open("pta", "");
-        let mut pta =
-            analyze_module_par(&mut module, &self.pta, self.threads, &mut trace, &callgraph);
-        trace.close(pta_span);
-        stats.pta_time = t0.elapsed();
-        debug_assert!(
-            callgraph.describes(&module),
-            "the connector transform must not change the call graph"
-        );
-        stats.pta = pta.total_stats();
-        let t1 = Instant::now();
-        let mut arena = std::mem::take(&mut pta.arena);
-        let mut symbols = std::mem::take(&mut pta.symbols);
-        let seg_span = trace.open("seg", "");
-        let segs = ModuleSeg::build_par(
-            &module,
-            &mut arena,
-            &mut symbols,
-            &pta.pta,
+        let built = run_stages(
+            module,
+            None,
+            &self.pta,
             self.threads,
             &mut trace,
+            &mut stats,
         );
-        trace.close(seg_span);
-        pta.symbols = symbols;
-        stats.seg_time = t1.elapsed();
-        stats.seg_vertices = segs.vertex_count;
-        stats.seg_edges = segs.edge_count;
-        stats.seg_bytes = segs.heap_bytes();
-        stats.terms = arena.len();
         // A cache directory that fails to open (permissions, not a
         // directory, …) silently degrades to a cold run.
         let mut verdicts = VerdictTable::new();
@@ -379,19 +356,19 @@ impl AnalysisBuilder {
             stats.cache = store.stats();
         }
         Ok(Analysis {
-            module,
-            pta,
-            segs,
-            callgraph,
-            arena: Arc::new(arena),
+            module: built.module,
+            pta: built.pta,
+            segs: built.segs,
+            callgraph: built.callgraph,
+            arena: Arc::new(built.arena),
             verdicts,
             cache_dir: self.cache_dir,
             config: self.config,
             pta_config: self.pta,
             threads: self.threads,
             checkers: self.checkers,
-            keys_fp: keys_fingerprint(&func_keys),
-            func_keys,
+            func_keys: built.func_keys,
+            keys_fp: built.keys_fp,
             stats,
             trace,
         })
@@ -423,6 +400,115 @@ fn graph_and_keys(
     });
     stats.keys_time = t.elapsed();
     (callgraph, keys)
+}
+
+/// What one run of the build stages leaves for the next to splice from:
+/// an artefact's transformed module, points-to analysis (arena included),
+/// SEGs, and the fingerprint keys of its pre-transform functions.
+struct Previous {
+    module: Module,
+    pta: ModuleAnalysis,
+    segs: ModuleSeg,
+    func_keys: Vec<u128>,
+}
+
+/// What the build stages produce: the artefact minus its configuration.
+struct Built {
+    module: Module,
+    /// Points-to artefacts, the arena moved out into [`Built::arena`].
+    pta: ModuleAnalysis,
+    segs: ModuleSeg,
+    callgraph: Arc<CallGraph>,
+    arena: TermArena,
+    func_keys: Vec<u128>,
+    keys_fp: u128,
+    outcome: UpdateOutcome,
+}
+
+/// The build stages over the pre-transform `module`, in order: call graph
+/// and keys, points-to, SEG, then the structural statistics — recording
+/// spans into `trace` and times and counters into `stats`.
+///
+/// A build is an edit with nothing to splice. With a `previous` run, the
+/// functions whose keys changed are the dirty set: both stages splice
+/// everything else from it and analyse only those (see
+/// [`pinpoint_pta::incremental`]). A changed function set splices nothing
+/// (`fell_back`), so that run is a cold build.
+fn run_stages(
+    mut module: Module,
+    previous: Option<Previous>,
+    config: &PtaConfig,
+    threads: usize,
+    trace: &mut TraceBuf,
+    stats: &mut PipelineStats,
+) -> Built {
+    let (callgraph, func_keys) = graph_and_keys(&module, config, trace, stats);
+    // Key diffs are caller-closed: an edit anywhere below a function
+    // changes that function's transitive key, so the dirty set needs no
+    // further closure.
+    let (previous, old_segs) = match previous {
+        Some(p) => {
+            let dirty = func_keys
+                .iter()
+                .zip(&p.func_keys)
+                .enumerate()
+                .filter(|(_, (new, old))| new != old)
+                .map(|(i, _)| FuncId(i as u32))
+                .collect();
+            let run = PreviousRun {
+                module: p.module,
+                analysis: p.pta,
+                dirty,
+            };
+            (Some(run), Some(p.segs))
+        }
+        None => (None, None),
+    };
+    let t = Instant::now();
+    let span = trace.open("pta", "");
+    let out = analyze_module_par(&mut module, config, threads, trace, &callgraph, previous);
+    trace.close(span);
+    stats.pta_time = t.elapsed();
+    debug_assert!(
+        callgraph.describes(&module),
+        "the connector transform must not change the call graph"
+    );
+    let mut pta = out.analysis;
+    stats.pta = pta.total_stats();
+    let t = Instant::now();
+    let mut arena = std::mem::take(&mut pta.arena);
+    let reuse = old_segs
+        .filter(|_| !out.fell_back)
+        .map(|segs| (segs, out.reanalyzed.as_slice()));
+    let span = trace.open("seg", "");
+    let segs = ModuleSeg::build_reusing(
+        &module,
+        &mut arena,
+        &mut pta.symbols,
+        &pta.pta,
+        reuse,
+        trace,
+    );
+    trace.close(span);
+    stats.seg_time = t.elapsed();
+    stats.seg_vertices = segs.vertex_count;
+    stats.seg_edges = segs.edge_count;
+    stats.seg_bytes = segs.heap_bytes();
+    stats.terms = arena.len();
+    Built {
+        module,
+        pta,
+        segs,
+        callgraph,
+        arena,
+        keys_fp: keys_fingerprint(&func_keys),
+        func_keys,
+        outcome: UpdateOutcome {
+            reanalyzed: out.reanalyzed.len(),
+            reused: out.reused,
+            fell_back: out.fell_back,
+        },
+    }
 }
 
 /// What [`Analysis::update_incremental`] reused versus recomputed.
@@ -623,74 +709,33 @@ impl Analysis {
 
     /// [`Analysis::update_incremental`] over an already-compiled
     /// (pre-transform) module.
-    pub fn update_module_incremental(&mut self, mut new_module: Module) -> UpdateOutcome {
+    pub fn update_module_incremental(&mut self, new_module: Module) -> UpdateOutcome {
+        let mut pta = std::mem::take(&mut self.pta);
+        pta.arena = self.take_arena();
+        let previous = Previous {
+            module: std::mem::take(&mut self.module),
+            pta,
+            segs: std::mem::take(&mut self.segs),
+            func_keys: std::mem::take(&mut self.func_keys),
+        };
         // Updates are untraced (the artefact's trace is its build's), so
         // only the stage times are kept.
-        let (callgraph, new_keys) = graph_and_keys(
-            &new_module,
+        let built = run_stages(
+            new_module,
+            Some(previous),
             &self.pta_config,
+            self.threads,
             &mut TraceBuf::off(),
             &mut self.stats,
         );
-        // Key diffs are caller-closed: an edit anywhere below a function
-        // changes that function's transitive key, so the dirty set needs
-        // no further closure. A shape change makes the incremental
-        // analysis re-run everything from a fresh arena on its own check
-        // (`fell_back`), whatever the diff says.
-        let key_dirty: std::collections::HashSet<pinpoint_ir::FuncId> = new_keys
-            .iter()
-            .zip(&self.func_keys)
-            .enumerate()
-            .filter(|(_, (n, o))| n != o)
-            .map(|(i, _)| pinpoint_ir::FuncId(i as u32))
-            .collect();
-        // Reassemble the ModuleAnalysis (the driver holds the arena
-        // separately for detection-time term building).
-        let mut old = std::mem::take(&mut self.pta);
-        old.arena = self.take_arena();
-        let outcome = pinpoint_pta::analyze_module_incremental_dirty(
-            &mut new_module,
-            std::mem::take(&mut self.module),
-            old,
-            &key_dirty,
-            &callgraph,
-            &self.pta_config,
-        );
-        debug_assert!(
-            callgraph.describes(&new_module),
-            "the connector transform must not change the call graph"
-        );
-        self.callgraph = callgraph;
-        let reanalyzed = outcome.reanalyzed.len();
-        self.module = new_module;
-        self.pta = outcome.analysis;
-        self.stats.pta = self.pta.total_stats();
-        // Rebuild SEGs only for the re-analysed functions.
-        let t1 = Instant::now();
-        let mut arena = std::mem::take(&mut self.pta.arena);
-        let mut symbols = std::mem::take(&mut self.pta.symbols);
-        let old_segs = std::mem::take(&mut self.segs);
-        self.segs = ModuleSeg::build_reusing(
-            &self.module,
-            &mut arena,
-            &mut symbols,
-            &self.pta.pta,
-            Some((old_segs, &outcome.reanalyzed)),
-        );
-        self.pta.symbols = symbols;
-        self.arena = Arc::new(arena);
-        self.stats.seg_time = t1.elapsed();
-        self.stats.seg_vertices = self.segs.vertex_count;
-        self.stats.seg_edges = self.segs.edge_count;
-        self.stats.seg_bytes = self.segs.heap_bytes();
-        self.stats.terms = self.arena.len();
-        self.keys_fp = keys_fingerprint(&new_keys);
-        self.func_keys = new_keys;
-        UpdateOutcome {
-            reanalyzed,
-            reused: outcome.reused,
-            fell_back: outcome.fell_back,
-        }
+        self.module = built.module;
+        self.pta = built.pta;
+        self.segs = built.segs;
+        self.callgraph = built.callgraph;
+        self.arena = Arc::new(built.arena);
+        self.func_keys = built.func_keys;
+        self.keys_fp = built.keys_fp;
+        built.outcome
     }
 
     /// Takes the interner out of its shared handle for mutation. The

@@ -33,8 +33,9 @@ use pinpoint_ir::{
     intrinsics, BlockId, Cfg, ControlDeps, DomTree, FuncId, Function, Gating, GlobalId, Inst,
     InstId, Module, PostDomTree, ValueId,
 };
+use pinpoint_obs::TraceBuf;
 use pinpoint_pta::{FuncPta, MemDep, Symbols};
-use pinpoint_smt::{TermArena, TermId, TermTranslator};
+use pinpoint_smt::{TermArena, TermId};
 use std::collections::BTreeMap;
 use std::mem::size_of;
 
@@ -537,46 +538,6 @@ impl Seg {
             + self.calls.len() * size_of::<CallRecord>()
             + self.call_values.len() * size_of::<ValueId>()
     }
-
-    /// Rewrites the condition of every non-memory edge through `f`,
-    /// visiting edges in [`Seg::edges`] order first.
-    fn map_local_conds(&mut self, mut f: impl FnMut(TermId) -> TermId) {
-        for rows in [&mut self.out, &mut self.inc] {
-            for e in &mut rows.data {
-                if e.kind != EdgeKind::Memory {
-                    e.cond = f(e.cond);
-                }
-            }
-        }
-    }
-}
-
-/// One worker's SEG construction output, in a private arena until the
-/// deterministic merge.
-struct SegResult {
-    seg: Seg,
-    arena: TermArena,
-    /// Sorted values the private interner cached: the merge re-derives
-    /// their terms against the shared arena in this order.
-    cached_values: Vec<ValueId>,
-}
-
-/// Functions built per worker between two merges: every built graph
-/// holds a private arena until it is merged, so this — not the size of
-/// the module — bounds what is in flight.
-const MERGE_EVERY: usize = 256;
-
-/// Builds one function's SEG in a fresh private arena/interner, so the
-/// result is bit-identical no matter which worker runs it.
-fn build_one(module: &Module, fid: FuncId, f: &Function, pta: &FuncPta) -> SegResult {
-    let mut arena = TermArena::new();
-    let mut symbols = Symbols::new();
-    let seg = Seg::build(&mut arena, &mut symbols, module, fid, f, pta);
-    SegResult {
-        seg,
-        arena,
-        cached_values: symbols.cached_values(fid),
-    }
 }
 
 /// A cross-function global-cell access: `(function, value, condition)`.
@@ -609,100 +570,55 @@ pub struct ModuleSeg {
 }
 
 impl ModuleSeg {
-    /// Builds every function's SEG.
+    /// Builds every function's SEG: [`ModuleSeg::build_reusing`] with
+    /// nothing to reuse and no trace.
     pub fn build(
         module: &Module,
         arena: &mut TermArena,
         symbols: &mut Symbols,
         pta: &[FuncPta],
     ) -> Self {
-        Self::build_reusing(module, arena, symbols, pta, None)
+        Self::build_reusing(module, arena, symbols, pta, None, &mut TraceBuf::off())
     }
 
-    /// Builds SEGs, splicing unchanged functions' graphs from a previous
-    /// build. `reuse` provides the old graphs plus the functions that
-    /// must be rebuilt; module-level indexes are recomputed from the
-    /// merged set (cheap relative to graph construction). A spliced graph
+    /// Builds the SEGs of `module`, one function after another in id
+    /// order, straight into the shared `arena` and `symbols` (one
+    /// `seg.func` span per function built), then the module-level indexes.
+    ///
+    /// `reuse` provides an edit's previous graphs plus the functions that
+    /// must be rebuilt; every other graph is spliced. A spliced graph
     /// keeps the callee ids it was built with, so the old build's module
-    /// must have had the same functions in the same order.
+    /// must have had the same functions in the same order. Module-level
+    /// indexes are recomputed from the whole set (cheap relative to graph
+    /// construction).
     pub fn build_reusing(
         module: &Module,
         arena: &mut TermArena,
         symbols: &mut Symbols,
         pta: &[FuncPta],
         reuse: Option<(ModuleSeg, &[FuncId])>,
+        trace: &mut TraceBuf,
     ) -> Self {
-        let mut old_segs: Vec<Option<Seg>> = match reuse {
-            Some((old, dirty)) => {
-                let mut segs: Vec<Option<Seg>> = old.segs.into_iter().map(Some).collect();
-                for f in dirty {
-                    if let Some(slot) = segs.get_mut(f.0 as usize) {
-                        *slot = None;
-                    }
+        let mut old_segs: Option<Vec<Option<Seg>>> = reuse.map(|(old, dirty)| {
+            let mut segs: Vec<Option<Seg>> = old.segs.into_iter().map(Some).collect();
+            for f in dirty {
+                if let Some(slot) = segs.get_mut(f.0 as usize) {
+                    *slot = None;
                 }
-                segs
             }
-            None => Vec::new(),
-        };
-        old_segs.resize_with(module.funcs.len(), || None);
+            segs
+        });
         let mut segs = Vec::with_capacity(module.funcs.len());
         for (fid, f) in module.iter_funcs() {
-            let seg = match old_segs[fid.0 as usize].take() {
-                Some(seg) => seg,
-                None => Seg::build(arena, symbols, module, fid, f, &pta[fid.0 as usize]),
-            };
+            let spliced = old_segs
+                .as_mut()
+                .and_then(|old| old.get_mut(fid.0 as usize)?.take());
+            let seg = spliced.unwrap_or_else(|| {
+                trace.span("seg.func", f.name.as_str(), |_| {
+                    Seg::build(arena, symbols, module, fid, f, &pta[fid.0 as usize])
+                })
+            });
             segs.push(seg);
-        }
-        Self::assemble(module, segs, pta)
-    }
-
-    /// Builds every function's SEG with `threads` workers.
-    ///
-    /// Per-function SEG construction is embarrassingly parallel: each
-    /// worker ([`pinpoint_obs::TraceBuf::shard_map`], one `seg.func` span
-    /// per function) lowers its functions' gating conditions into a
-    /// *fresh* private arena and symbol interner, so results are
-    /// bit-identical regardless of sharding. The merge walks functions in
-    /// id order — a contiguous chunk of the function list is built, then
-    /// merged, then the next, so only a chunk's private arenas are alive
-    /// at once — re-derives the symbol cache against the shared arena and
-    /// rebuilds each locally-created edge condition through the
-    /// translator's smart constructors, in [`Seg::edges`] order.
-    /// Memory-edge conditions already live in the shared arena (they come
-    /// from the merged points-to result and are never dereferenced during
-    /// construction), so they pass through untouched.
-    pub fn build_par(
-        module: &Module,
-        arena: &mut TermArena,
-        symbols: &mut Symbols,
-        pta: &[FuncPta],
-        threads: usize,
-        trace: &mut pinpoint_obs::TraceBuf,
-    ) -> Self {
-        let mut work: Vec<(FuncId, &Function)> = module.iter_funcs().collect();
-        let mut segs: Vec<Seg> = Vec::with_capacity(work.len());
-        for chunk in work.chunks_mut(MERGE_EVERY * threads.max(1)) {
-            let built = trace.shard_map(
-                chunk,
-                threads,
-                || (),
-                |(), &mut (fid, f), lane| {
-                    lane.span("seg.func", f.name.as_str(), |_| {
-                        build_one(module, fid, f, &pta[fid.0 as usize])
-                    })
-                },
-            );
-            for (&(fid, f), mut r) in chunk.iter().zip(built) {
-                // Merge into the shared arena: re-derive the symbol cache
-                // (sorted value order), then rebuild every locally-created
-                // edge condition in one pass over the edges.
-                for &v in &r.cached_values {
-                    symbols.value_term(arena, fid, f, v);
-                }
-                let mut tr = TermTranslator::new();
-                r.seg.map_local_conds(|c| tr.translate(&r.arena, arena, c));
-                segs.push(r.seg);
-            }
         }
         Self::assemble(module, segs, pta)
     }
@@ -793,8 +709,8 @@ mod reference;
 mod tests {
     use super::reference::RefModule;
     use super::*;
-    use pinpoint_ir::{compile, CallGraph, Terminator, Type};
-    use pinpoint_pta::{analyze_module, analyze_module_par, ModuleAnalysis, PtaConfig};
+    use pinpoint_ir::{compile, Terminator, Type};
+    use pinpoint_pta::{analyze_module, ModuleAnalysis};
 
     fn build(src: &str) -> (Module, ModuleAnalysis, ModuleSeg) {
         let mut m = compile(src).unwrap();
@@ -953,20 +869,20 @@ mod tests {
         // Arena/interner sizes plus every function's edges per vertex:
         // equal renderings mean identical `TermId`s.
         let build = |t: usize| {
-            let mut m = compile(src).unwrap();
-            let mut trace = pinpoint_obs::TraceBuf::off();
-            let cg = CallGraph::new(&m);
-            let mut a = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace, &cg);
-            let ms = ModuleSeg::build_par(&m, &mut a.arena, &mut a.symbols, &a.pta, t, &mut trace);
+            let a = crate::AnalysisBuilder::new()
+                .threads(t)
+                .build_source(src)
+                .unwrap();
+            let ms = &a.segs;
             let mut out = format!(
                 "terms={} symbols={} edges={} vertices={} bytes={}\n",
                 a.arena.len(),
-                a.symbols.len(),
+                a.pta.symbols.len(),
                 ms.edge_count,
                 ms.vertex_count,
                 ms.heap_bytes(),
             );
-            for (fid, f) in m.iter_funcs() {
+            for (fid, f) in a.module.iter_funcs() {
                 for v in (0..f.values.len() as u32).map(ValueId) {
                     let seg = ms.seg(fid);
                     out.push_str(&format!("{:?}\n{:?}\n", seg.succs(v), seg.preds(v)));
@@ -992,36 +908,21 @@ mod tests {
         assert!(ms.vertex_count >= 2);
     }
 
-    /// Every way of building `module`'s graphs ≡ the keyed-map reference,
-    /// field for field: the serial shared-arena build, and the sharded
-    /// build at 1 and 4 threads.
+    /// The graphs of `module` ≡ the keyed-map reference, field for field,
+    /// and both grow the arena and the interner alike.
     fn assert_matches_reference(mut module: Module, what: &str) {
-        let cg = CallGraph::new(&module);
-        let config = PtaConfig::default();
-        let off = &mut pinpoint_obs::TraceBuf::off();
-        let a = analyze_module_par(&mut module, &config, 1, off, &cg);
+        let a = analyze_module(&mut module);
         let m = &module;
-
         let (mut arena, mut symbols) = (a.arena.clone(), a.symbols.clone());
         let ms = ModuleSeg::build(m, &mut arena, &mut symbols, &a.pta);
         let (mut ref_arena, mut ref_symbols) = (a.arena.clone(), a.symbols.clone());
         let reference = RefModule::build(m, &mut ref_arena, &mut ref_symbols, &a.pta);
-        reference.assert_matches(&ms, m, &a.pta, &format!("{what} serial"));
+        reference.assert_matches(&ms, m, &a.pta, what);
         assert_eq!(
             (arena.len(), symbols.len()),
-            (ref_arena.len(), ref_symbols.len())
+            (ref_arena.len(), ref_symbols.len()),
+            "{what}: terms, symbols"
         );
-
-        let (mut ref_arena, mut ref_symbols) = (a.arena.clone(), a.symbols.clone());
-        let reference = RefModule::build_merged(m, &mut ref_arena, &mut ref_symbols, &a.pta);
-        for threads in [1usize, 4] {
-            let (mut arena, mut symbols) = (a.arena.clone(), a.symbols.clone());
-            let ms = ModuleSeg::build_par(m, &mut arena, &mut symbols, &a.pta, threads, off);
-            let what = format!("{what} sharded t={threads}");
-            reference.assert_matches(&ms, m, &a.pta, &what);
-            assert_eq!(arena.len(), ref_arena.len(), "{what}: terms");
-            assert_eq!(symbols.len(), ref_symbols.len(), "{what}: symbols");
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use pinpoint_ir::{
     PostDomTree, Terminator, ValueId,
 };
 use pinpoint_pta::{FuncPta, Symbols};
-use pinpoint_smt::{TermArena, TermTranslator};
+use pinpoint_smt::TermArena;
 use std::collections::HashMap;
 
 /// `(site, callee name, position)` of an argument use or a receiver.
@@ -109,24 +109,6 @@ impl RefSeg {
         self.out_edges.entry(src).or_default().push(e);
         self.in_edges.entry(dst).or_default().push(e);
         self.edge_count += 1;
-    }
-
-    /// The merge of a private-arena graph into the shared arena: every
-    /// locally created condition rebuilt over sorted vertex keys, the
-    /// out-edge map first.
-    fn translate(&mut self, src: &TermArena, dst: &mut TermArena) {
-        let mut tr = TermTranslator::new();
-        for edges in [&mut self.out_edges, &mut self.in_edges] {
-            let mut keys: Vec<ValueId> = edges.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                for e in edges.get_mut(&k).expect("key just listed") {
-                    if e.kind != EdgeKind::Memory {
-                        e.cond = tr.translate(src, dst, e.cond);
-                    }
-                }
-            }
-        }
     }
 
     fn vertex_count(&self) -> usize {
@@ -235,7 +217,7 @@ impl RefModule {
         RefModule { segs, callers }
     }
 
-    /// The serial build: every function straight into the shared arena.
+    /// Every function straight into the shared arena, in id order.
     pub(super) fn build(
         module: &Module,
         arena: &mut TermArena,
@@ -246,28 +228,6 @@ impl RefModule {
             .iter_funcs()
             .map(|(fid, f)| RefSeg::build(arena, symbols, fid, f, &pta[fid.0 as usize]))
             .collect();
-        Self::assemble(module, segs)
-    }
-
-    /// The sharded build's result: every function in a fresh private
-    /// arena, merged in id order.
-    pub(super) fn build_merged(
-        module: &Module,
-        arena: &mut TermArena,
-        symbols: &mut Symbols,
-        pta: &[FuncPta],
-    ) -> Self {
-        let mut segs = Vec::new();
-        for (fid, f) in module.iter_funcs() {
-            let pta = &pta[fid.0 as usize];
-            let (mut private, mut interner) = (TermArena::new(), Symbols::new());
-            let mut seg = RefSeg::build(&mut private, &mut interner, fid, f, pta);
-            for v in interner.cached_values(fid) {
-                symbols.value_term(arena, fid, f, v);
-            }
-            seg.translate(&private, arena);
-            segs.push(seg);
-        }
         Self::assemble(module, segs)
     }
 

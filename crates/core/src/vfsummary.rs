@@ -48,6 +48,7 @@
 use crate::seg::{EdgeKind, ModuleSeg};
 use crate::spec::{self, Spec};
 use pinpoint_ir::{CallGraph, ConeMemo, FuncId, Module, ValueId};
+use pinpoint_obs::TraceBuf;
 use std::collections::HashMap;
 
 /// Value reaches a property sink (in this function or through callees).
@@ -201,7 +202,8 @@ impl ModuleSummaries {
 
     /// The whole-module table over a caller-supplied call graph: an empty
     /// memo with everything forced, level by level over the condensation,
-    /// the independent SCCs of one level in parallel on scoped threads.
+    /// the independent SCCs of one level sharded over `threads` workers
+    /// ([`TraceBuf::shard_map`]).
     /// Detection never needs it — the gate forces what it reads — so it
     /// survives as the oracle the on-demand bits are tested against and
     /// as a stand-alone probe of the summary layer.
@@ -220,38 +222,24 @@ impl ModuleSummaries {
     ) -> Self {
         let mut all = Self::new(module.funcs.len());
         for level in cg.scc_levels() {
-            let pending: Vec<&[FuncId]> = level.iter().map(|&scc| cg.scc(scc)).collect();
-            // Scoped threads cost more than a small level's fixpoints
-            // (one component solves in microseconds): only fan out when
-            // the level has enough independent SCCs to keep every spawn
-            // busy. The cut-off cannot change output — results are
-            // merged in pending order either way.
+            let mut pending: Vec<&[FuncId]> = level.iter().map(|&scc| cg.scc(scc)).collect();
+            // A worker costs more than a small level's fixpoints (one
+            // component solves in microseconds): only fan out when the
+            // level has enough independent SCCs to keep every worker busy.
+            // The cut-off cannot change output — results come back in
+            // pending order either way.
+            let workers = if pending.len() < 64 * threads {
+                1
+            } else {
+                threads
+            };
             let done = &all.funcs;
-            let results: Vec<(Vec<FuncSummary>, u64)> =
-                if threads <= 1 || pending.len() < 64 * threads {
-                    pending
-                        .iter()
-                        .map(|m| compute_scc(module, segs, spec, m, done))
-                        .collect()
-                } else {
-                    let chunk = pending.len().div_ceil(threads);
-                    std::thread::scope(|sc| {
-                        let handles: Vec<_> = pending
-                            .chunks(chunk)
-                            .map(|ch| {
-                                sc.spawn(move || {
-                                    ch.iter()
-                                        .map(|m| compute_scc(module, segs, spec, m, done))
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("summary worker panicked"))
-                            .collect()
-                    })
-                };
+            let results = TraceBuf::off().shard_map(
+                &mut pending,
+                workers,
+                || (),
+                |(), members, _| compute_scc(module, segs, spec, members, done),
+            );
             for (members, (sums, composed)) in pending.into_iter().zip(results) {
                 all.fill_built(members, sums, composed);
             }

@@ -14,6 +14,7 @@
 //!    points-to sets and the conditional memory def-use edges consumed by
 //!    the SEG builder.
 
+use crate::incremental::{splice, IncrementalOutcome, PreviousRun};
 use crate::intra::{analyze_function_over, AuxParamBinding, FlowFacts, FuncPta, PtaStats};
 use crate::symbols::Symbols;
 use crate::transform::{insert_connectors, rewrite_call_sites, AuxShape};
@@ -70,7 +71,8 @@ impl ModuleAnalysis {
     }
 }
 
-/// Runs the pipeline, transforming `module` in place.
+/// Runs the pipeline, transforming `module` in place: one worker, no
+/// previous run, no trace — [`analyze_module_par`] with nothing to splice.
 ///
 /// # Examples
 ///
@@ -84,7 +86,9 @@ impl ModuleAnalysis {
 /// assert_eq!(analysis.shape(fid).aux_rets.len(), 1);
 /// ```
 pub fn analyze_module(module: &mut Module) -> ModuleAnalysis {
-    analyze_module_with(module, &PtaConfig::default())
+    let callgraph = CallGraph::new(module);
+    let config = PtaConfig::default();
+    analyze_module_par(module, &config, 1, &mut TraceBuf::off(), &callgraph, None).analysis
 }
 
 /// Points-to pipeline options.
@@ -99,14 +103,6 @@ impl Default for PtaConfig {
     fn default() -> Self {
         PtaConfig { prune: true }
     }
-}
-
-/// Runs the pipeline with explicit options: the serial, shared-arena
-/// algorithm of [`crate::incremental`] with no previous run to splice
-/// from, so every function is analysed.
-pub fn analyze_module_with(module: &mut Module, config: &PtaConfig) -> ModuleAnalysis {
-    let callgraph = CallGraph::new(module);
-    crate::incremental::reanalyze(module, None, &callgraph, config).0
 }
 
 /// The callees whose connectors `caller`'s call sites are rewritten
@@ -131,78 +127,9 @@ fn connected_callees<'a>(
     connected
 }
 
-/// Steps 1–4 of the [module docs](self) on `f`, function `fid`'s body
-/// detached from `module` (which stays borrowable for name resolution),
-/// against the finished callee `shapes`. Every build path — serial or
-/// sharded, whole-module or incremental — analyses a function through
-/// here, into whichever arena/interner/solver it hands in.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn analyze_function(
-    arena: &mut TermArena,
-    symbols: &mut Symbols,
-    linear: &mut LinearSolver,
-    fid: FuncId,
-    f: &mut Function,
-    module: &Module,
-    shapes: &[AuxShape],
-    callgraph: &CallGraph,
-    config: &PtaConfig,
-) -> (AuxShape, FuncPta) {
-    // 1. Rewrite call sites against finished callee shapes.
-    let connected = connected_callees(module, fid, shapes, callgraph);
-    rewrite_call_sites(f, |name| {
-        let i = connected.binary_search_by_key(&name, |&(n, _)| n).ok()?;
-        Some(connected[i].1)
-    });
-    // The transform adds instructions and return operands, never blocks,
-    // successors or branch conditions, so one set of control-flow facts
-    // (reach conditions included: their terms are cached from here on)
-    // serves both passes.
-    let flow = FlowFacts::new(arena, symbols, fid, f);
-    let control = |f: &Function| -> Vec<Terminator> {
-        f.blocks
-            .iter()
-            .map(|b| match &b.term {
-                Terminator::Return(_) => Terminator::Return(Vec::new()),
-                other => other.clone(),
-            })
-            .collect()
-    };
-    let control_before = cfg!(debug_assertions).then(|| control(f));
-    // 2. Mod/Ref pass (pre-connector body).
-    let pass1 = analyze_function_over(arena, symbols, linear, fid, f, &[], config.prune, &flow);
-    // 3. Insert connectors.
-    let shape = insert_connectors(f, &pass1.refs, &pass1.mods);
-    debug_assert!(
-        control_before.is_none_or(|before| before == control(f)),
-        "the connector transform must not change control flow"
-    );
-    // 4. Final pass on the transformed body.
-    let bindings: Vec<AuxParamBinding> = shape
-        .aux_params
-        .iter()
-        .map(|&(path, value)| AuxParamBinding { path, value })
-        .collect();
-    let mut pta = analyze_function_over(
-        arena,
-        symbols,
-        linear,
-        fid,
-        f,
-        &bindings,
-        config.prune,
-        &flow,
-    );
-    // Both outlive the build by the life of the analysis, and the passes
-    // grew them by doubling: give the slack back.
-    pta.shrink_to_fit();
-    f.shrink_to_fit();
-    (shape, pta)
-}
-
 /// Takes `fid`'s body out of `module`, leaving a blank placeholder, so it
 /// can be transformed while the module is borrowed.
-pub(crate) fn detach(module: &mut Module, fid: FuncId) -> Function {
+fn detach(module: &mut Module, fid: FuncId) -> Function {
     std::mem::replace(module.func_mut(fid), Function::new(""))
 }
 
@@ -225,8 +152,10 @@ struct FuncResult {
     unknown: u64,
 }
 
-/// Analyzes one function against the finished callee `shapes` with a
-/// *fresh* private arena/interner/linear solver.
+/// Steps 1–4 of the [module docs](self) on `f`, function `fid`'s body
+/// detached from `module` (which stays borrowable for name resolution),
+/// against the finished callee `shapes`, in a *fresh* private
+/// arena/interner/linear solver.
 ///
 /// Because every function starts from an empty arena, its result is
 /// bit-identical no matter which worker runs it or how functions are
@@ -242,17 +171,65 @@ fn analyze_one(
     let mut arena = TermArena::new();
     let mut symbols = Symbols::new();
     let mut linear = LinearSolver::new();
-    let (shape, pta) = analyze_function(
+    // 1. Rewrite call sites against finished callee shapes.
+    let connected = connected_callees(module, fid, shapes, callgraph);
+    rewrite_call_sites(f, |name| {
+        let i = connected.binary_search_by_key(&name, |&(n, _)| n).ok()?;
+        Some(connected[i].1)
+    });
+    // The transform adds instructions and return operands, never blocks,
+    // successors or branch conditions, so one set of control-flow facts
+    // (reach conditions included: their terms are cached from here on)
+    // serves both passes.
+    let flow = FlowFacts::new(&mut arena, &mut symbols, fid, f);
+    let control = |f: &Function| -> Vec<Terminator> {
+        f.blocks
+            .iter()
+            .map(|b| match &b.term {
+                Terminator::Return(_) => Terminator::Return(Vec::new()),
+                other => other.clone(),
+            })
+            .collect()
+    };
+    let control_before = cfg!(debug_assertions).then(|| control(f));
+    let prune = config.prune;
+    // 2. Mod/Ref pass (pre-connector body).
+    let pass1 = analyze_function_over(
         &mut arena,
         &mut symbols,
         &mut linear,
         fid,
         f,
-        module,
-        shapes,
-        callgraph,
-        config,
+        &[],
+        prune,
+        &flow,
     );
+    // 3. Insert connectors.
+    let shape = insert_connectors(f, &pass1.refs, &pass1.mods);
+    debug_assert!(
+        control_before.is_none_or(|before| before == control(f)),
+        "the connector transform must not change control flow"
+    );
+    // 4. Final pass on the transformed body.
+    let bindings: Vec<AuxParamBinding> = shape
+        .aux_params
+        .iter()
+        .map(|&(path, value)| AuxParamBinding { path, value })
+        .collect();
+    let mut pta = analyze_function_over(
+        &mut arena,
+        &mut symbols,
+        &mut linear,
+        fid,
+        f,
+        &bindings,
+        prune,
+        &flow,
+    );
+    // Both outlive the build by the life of the analysis, and the passes
+    // grew them by doubling: give the slack back.
+    pta.shrink_to_fit();
+    f.shrink_to_fit();
     FuncResult {
         shape,
         pta,
@@ -315,31 +292,42 @@ fn merge_one(fid: FuncId, f: &Function, r: FuncResult, out: &mut ModuleAnalysis)
 /// width of a call-graph level — bounds what is in flight.
 const MERGE_EVERY: usize = 256;
 
-/// Runs the pipeline with function-level parallelism over `callgraph`,
-/// the call graph of `module`.
+/// Runs the pipeline over `callgraph`, the call graph of `module`: the
+/// one points-to algorithm, for builds and edits alike.
 ///
-/// The call graph's SCC condensation is stratified into *levels*
-/// (`level(scc) = 1 + max(level of callee SCCs)`). Within a level no
-/// function depends on another's connector shape — cross-SCC callees sit
-/// strictly below, and same-SCC calls are summary-free (§4.2) — so each
-/// level fans out over `threads` workers ([`TraceBuf::shard_map`], one
-/// `pta.func` span per function), a contiguous chunk of the level at a
-/// time. Every worker analyzes its functions in fresh private arenas;
-/// results are merged back into the shared arena in bottom-up order, so
-/// the returned [`ModuleAnalysis`] is byte-identical for any thread count
-/// and any chunk size. `threads == 1` exercises the same shard-and-merge
-/// machinery on a single worker, which is what makes that guarantee hold
-/// by construction rather than by accident.
+/// With a `previous` run of the same function set, every function outside
+/// its dirty set is spliced first ([`crate::incremental`]: transformed
+/// body, shape and facts move over; the arena, interner and solver
+/// counters carry over whole). Without one — or when the function set
+/// changed (`fell_back`) — nothing is spliced and every function is
+/// analysed from a fresh arena, so a fallback is a cold build.
+///
+/// The functions left to analyse are taken level by level over the call
+/// graph's SCC condensation (`level(scc) = 1 + max(level of callee
+/// SCCs)`). Within a level no function depends on another's connector
+/// shape — cross-SCC callees sit strictly below, and same-SCC calls are
+/// summary-free (§4.2) — so each level fans out over `threads` workers
+/// ([`TraceBuf::shard_map`], one `pta.func` span per function), a
+/// contiguous chunk of the level at a time. Every worker analyzes its
+/// functions in fresh private arenas; results are merged back into the
+/// shared arena in the level's bottom-up order, so the returned
+/// [`ModuleAnalysis`] is byte-identical for any thread count and any chunk
+/// size. `threads == 1` runs the same shard-and-merge steps on the calling
+/// thread, which is what makes that guarantee hold by construction rather
+/// than by accident.
 pub fn analyze_module_par(
     module: &mut Module,
     config: &PtaConfig,
     threads: usize,
     trace: &mut TraceBuf,
     callgraph: &CallGraph,
-) -> ModuleAnalysis {
-    let mut out = ModuleAnalysis::blank(module.funcs.len());
-    for level_fids in &stratify_levels(callgraph) {
-        for chunk in level_fids.chunks(MERGE_EVERY * threads.max(1)) {
+    previous: Option<PreviousRun>,
+) -> IncrementalOutcome {
+    let (mut out, clean, fell_back) = splice(module, callgraph, previous);
+    let mut reanalyzed = Vec::new();
+    for level in stratify_levels(callgraph) {
+        let dirty: Vec<FuncId> = level.into_iter().filter(|f| !clean[f.0 as usize]).collect();
+        for chunk in dirty.chunks(MERGE_EVERY * threads.max(1)) {
             // Detached so workers can transform the bodies while the
             // module stays borrowable.
             let mut work: Vec<(FuncId, Function)> = chunk
@@ -364,8 +352,14 @@ pub fn analyze_module_par(
                 merge_one(fid, module.func(fid), r, &mut out);
             }
         }
+        reanalyzed.extend(dirty);
     }
-    out
+    IncrementalOutcome {
+        analysis: out,
+        reused: module.funcs.len() - reanalyzed.len(),
+        reanalyzed,
+        fell_back,
+    }
 }
 
 #[cfg(test)]
@@ -550,49 +544,15 @@ mod tests {
         "#;
 
     #[test]
-    fn parallel_matches_sequential_results() {
-        let mut m_seq = compile(WAVEFRONT_SRC).unwrap();
-        let mut m_par = compile(WAVEFRONT_SRC).unwrap();
-        let seq = analyze_module(&mut m_seq);
-        let cg = CallGraph::new(&m_par);
-        let par = analyze_module_par(
-            &mut m_par,
-            &PtaConfig::default(),
-            4,
-            &mut TraceBuf::off(),
-            &cg,
-        );
-        for fid in 0..m_seq.funcs.len() {
-            let fid = pinpoint_ir::FuncId(fid as u32);
-            assert_eq!(
-                seq.shape(fid).aux_params,
-                par.shape(fid).aux_params,
-                "aux params of {}",
-                m_seq.func(fid).name
-            );
-            assert_eq!(seq.shape(fid).aux_rets, par.shape(fid).aux_rets);
-            assert_eq!(
-                seq.func_pta(fid).mem_deps.len(),
-                par.func_pta(fid).mem_deps.len(),
-                "mem-dep count of {}",
-                m_seq.func(fid).name
-            );
-        }
-        let (s, p) = (seq.total_stats(), par.total_stats());
-        assert_eq!(s.pruned, p.pruned);
-        assert_eq!(s.kept, p.kept);
-        assert_eq!(s.linear_checks, p.linear_checks);
-    }
-
-    #[test]
     fn parallel_is_byte_identical_across_thread_counts() {
         let analyses: Vec<(Module, ModuleAnalysis)> = [1usize, 2, 4, 7]
             .iter()
             .map(|&t| {
                 let mut m = compile(WAVEFRONT_SRC).unwrap();
                 let cg = CallGraph::new(&m);
-                let a =
-                    analyze_module_par(&mut m, &PtaConfig::default(), t, &mut TraceBuf::off(), &cg);
+                let config = PtaConfig::default();
+                let off = &mut TraceBuf::off();
+                let a = analyze_module_par(&mut m, &config, t, off, &cg, None).analysis;
                 (m, a)
             })
             .collect();
@@ -625,7 +585,7 @@ mod tests {
             let mut m = compile(WAVEFRONT_SRC).unwrap();
             let mut trace = TraceBuf::on();
             let cg = CallGraph::new(&m);
-            let _ = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace, &cg);
+            let _ = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace, &cg, None);
             (trace.records().len(), trace.canonical_json())
         };
         let (n1, c1) = run(1);

@@ -13,39 +13,58 @@
 //!   transitive *callers* of any function whose interface may have
 //!   changed — everything else is spliced from the previous run.
 //!
-//! [`analyze_module_incremental_dirty`] takes the previous analysis, a
-//! freshly lowered module, and the set of edited functions (typically a
-//! fingerprint-key diff). Clean functions' transformed bodies and
-//! points-to results are moved over; dirty functions are re-analysed
-//! bottom-up, with their stale term-cache entries invalidated (the shared
-//! hash-consed arena is append-only, so all clean terms stay valid).
+//! An edit is a build with something to splice: [`crate::analyze_module_par`]
+//! takes an optional [`PreviousRun`] — the previous analysis, its
+//! transformed module, and the set of edited functions (typically a
+//! fingerprint-key diff). Clean functions' transformed bodies, points-to
+//! results and symbol caches are moved over, and the shared hash-consed
+//! arena with them (it is append-only, so every clean term stays valid);
+//! dirty functions then go through the same analyse-in-a-private-arena,
+//! merge-in-level-order steps as a cold build, with their stale
+//! term-cache entries invalidated first. A run whose function set changed
+//! splices nothing (`fell_back`) and *is* a cold build.
 //!
 //! The conservative dirtying rule (all transitive callers of an edit) can
 //! over-approximate — a body edit that leaves the connector shape
 //! untouched would not really need its callers re-analysed — but it never
-//! under-approximates, so the incremental result is always identical to a
-//! full re-analysis (asserted by the test-suite on generated projects).
-//!
-//! A whole-module run is the same algorithm with nothing to splice and
-//! everything dirty: [`crate::analyze_module_with`] and the shape-change
-//! fallback both call [`reanalyze`] without a previous run.
+//! under-approximates, so every function's shape, body and facts are a
+//! cold build's (asserted by the test-suite on generated projects). The
+//! `TermId`s of re-analysed functions' terms are new ones appended to the
+//! previous arena, so they can differ from a cold build's numbering.
 
-use crate::driver::{analyze_function, detach, ModuleAnalysis, PtaConfig};
+use crate::driver::ModuleAnalysis;
 use pinpoint_ir::{CallGraph, FuncId, Module};
 use std::collections::HashSet;
 
-/// Outcome of an incremental run.
+/// Outcome of a points-to run.
 #[derive(Debug)]
 pub struct IncrementalOutcome {
-    /// The merged analysis (same shape as a full run's).
+    /// The analysis (same shape whether or not anything was spliced).
     pub analysis: ModuleAnalysis,
-    /// Functions that were actually re-analysed.
+    /// Functions that were analysed, in merge order.
     pub reanalyzed: Vec<FuncId>,
     /// Functions spliced from the previous run.
     pub reused: usize,
-    /// `true` if the incremental path was abandoned for a full run
-    /// (function set changed).
+    /// `true` if a previous run was given but nothing could be spliced
+    /// from it (function set changed).
     pub fell_back: bool,
+}
+
+/// A previous run to splice from: its transformed module and analysis,
+/// both consumed — what is clean moves into the new run — and the
+/// functions an edit dirtied. The previous run must have used the same
+/// [`crate::PtaConfig`].
+#[derive(Debug)]
+pub struct PreviousRun {
+    /// The previous run's transformed module.
+    pub module: Module,
+    /// The previous run's analysis.
+    pub analysis: ModuleAnalysis,
+    /// The edited [`FuncId`]s of the *new* module — typically derived by
+    /// diffing [`pinpoint_ir::module_fingerprints`]-based keys. Re-closed
+    /// under transitive callers ([`dirty_closure`]), so an already
+    /// caller-closed set (as fingerprint-key diffs are) costs nothing.
+    pub dirty: HashSet<FuncId>,
 }
 
 /// Closes a seed set of dirty functions under transitive callers: a
@@ -80,98 +99,75 @@ fn same_shape(module: &Module, old_module: &Module) -> bool {
             .all(|((_, a), (_, b))| a.name == b.name)
 }
 
-/// Incrementally re-analyses `module` (freshly lowered, untransformed)
-/// against the previous `old` analysis of `old_module` — both consumed:
-/// what is clean moves into the result — under the same `config` the
-/// previous run used.
-///
-/// `dirty` is the set of edited [`FuncId`]s — typically derived by
-/// diffing [`pinpoint_ir::module_fingerprints`]-based keys. It is
-/// re-closed under transitive callers ([`dirty_closure`]), so passing an
-/// already caller-closed set (as fingerprint-key diffs are) costs
-/// nothing. `callgraph` is the call graph of the new `module`. If the
-/// function name sequences of the two modules differ
-/// (additions/removals), nothing can be spliced and the whole module is
-/// re-analysed from a fresh arena (`fell_back`).
-pub fn analyze_module_incremental_dirty(
+/// The state a run starts from: splices every function outside the
+/// caller-closed dirty set of `previous` into `module` (transformed body)
+/// and the returned analysis (shape, points-to facts; the arena, interner
+/// and solver counters carry over whole, minus the dirty functions'
+/// cached symbols). Returns that analysis, which functions are clean, and
+/// whether a previous run had to be discarded because the function set
+/// changed. Without a usable previous run everything is dirty and the
+/// arena is fresh.
+pub(crate) fn splice(
     module: &mut Module,
-    old_module: Module,
-    old: ModuleAnalysis,
-    dirty: &HashSet<FuncId>,
     callgraph: &CallGraph,
-    config: &PtaConfig,
-) -> IncrementalOutcome {
-    let dirty =
-        same_shape(module, &old_module).then(|| dirty_closure(callgraph, dirty.iter().copied()));
-    let previous = dirty.as_ref().map(|dirty| (old_module, old, dirty));
-    let (analysis, reanalyzed) = reanalyze(module, previous, callgraph, config);
-    IncrementalOutcome {
-        analysis,
-        reused: module.funcs.len() - reanalyzed.len(),
-        reanalyzed,
-        fell_back: dirty.is_none(),
-    }
-}
-
-/// The serial, shared-arena algorithm: splices every function outside
-/// `dirty` from the `previous` run (transformed body, shape, points-to
-/// facts; the arena, interner and solver counters carry over whole), then
-/// analyses the rest bottom-up in place. Returns the analysis and the
-/// functions it analysed. `dirty` must be closed under transitive
-/// callers; without a previous run everything is analysed, from a fresh
-/// arena.
-pub(crate) fn reanalyze(
-    module: &mut Module,
-    previous: Option<(Module, ModuleAnalysis, &HashSet<FuncId>)>,
-    callgraph: &CallGraph,
-    config: &PtaConfig,
-) -> (ModuleAnalysis, Vec<FuncId>) {
+    previous: Option<PreviousRun>,
+) -> (ModuleAnalysis, Vec<bool>, bool) {
     let n = module.funcs.len();
     let mut out = ModuleAnalysis::blank(n);
     let mut clean = vec![false; n];
-    if let Some((old_module, old, dirty)) = previous {
-        (out.arena, out.symbols, out.linear) = (old.arena, old.symbols, old.linear);
-        let bodies = old_module.funcs.into_iter();
-        for (i, ((shape, pta), body)) in old.shapes.into_iter().zip(old.pta).zip(bodies).enumerate()
-        {
-            let fid = FuncId(i as u32);
-            if dirty.contains(&fid) {
-                out.symbols.invalidate_function(fid);
-                continue;
-            }
-            module.funcs[i] = body;
-            (out.shapes[i], out.pta[i], clean[i]) = (shape, pta, true);
-        }
+    let Some(previous) = previous else {
+        return (out, clean, false);
+    };
+    if !same_shape(module, &previous.module) {
+        return (out, clean, true);
     }
-    let mut reanalyzed = Vec::new();
-    for &fid in callgraph.bottom_up() {
-        if clean[fid.0 as usize] {
+    let dirty = dirty_closure(callgraph, previous.dirty);
+    let old = previous.analysis;
+    (out.arena, out.symbols, out.linear) = (old.arena, old.symbols, old.linear);
+    let bodies = previous.module.funcs.into_iter();
+    for (i, ((shape, pta), body)) in old.shapes.into_iter().zip(old.pta).zip(bodies).enumerate() {
+        let fid = FuncId(i as u32);
+        if dirty.contains(&fid) {
+            out.symbols.invalidate_function(fid);
             continue;
         }
-        reanalyzed.push(fid);
-        let mut body = detach(module, fid);
-        let (shape, pta) = analyze_function(
-            &mut out.arena,
-            &mut out.symbols,
-            &mut out.linear,
-            fid,
-            &mut body,
-            module,
-            &out.shapes,
-            callgraph,
-            config,
-        );
-        *module.func_mut(fid) = body;
-        out.shapes[fid.0 as usize] = shape;
-        out.pta[fid.0 as usize] = pta;
+        module.funcs[i] = body;
+        (out.shapes[i], out.pta[i], clean[i]) = (shape, pta, true);
     }
-    (out, reanalyzed)
+    (out, clean, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::analyze_module;
+    use crate::driver::{analyze_module, analyze_module_par, PtaConfig};
+    use pinpoint_obs::TraceBuf;
+
+    /// Re-analyses `module` against the previous run of `old_module`,
+    /// dirty set `dirty`, at `threads` workers.
+    fn incremental(
+        module: &mut Module,
+        old_module: Module,
+        old: ModuleAnalysis,
+        dirty: HashSet<FuncId>,
+        threads: usize,
+    ) -> IncrementalOutcome {
+        let cg = CallGraph::new(module);
+        let previous = PreviousRun {
+            module: old_module,
+            analysis: old,
+            dirty,
+        };
+        let config = PtaConfig::default();
+        analyze_module_par(
+            module,
+            &config,
+            threads,
+            &mut TraceBuf::off(),
+            &cg,
+            Some(previous),
+        )
+    }
 
     /// Seeds the dirty set from edited function names, as a build system
     /// reports them.
@@ -181,19 +177,11 @@ mod tests {
         old: ModuleAnalysis,
         changed: &[&str],
     ) -> IncrementalOutcome {
-        let cg = CallGraph::new(module);
         let seeds: HashSet<FuncId> = changed
             .iter()
             .filter_map(|n| module.func_by_name(n))
             .collect();
-        analyze_module_incremental_dirty(
-            module,
-            old_module,
-            old,
-            &seeds,
-            &cg,
-            &PtaConfig::default(),
-        )
+        incremental(module, old_module, old, seeds, 1)
     }
 
     const BASE: &str = "
@@ -298,15 +286,7 @@ mod tests {
             .map(|i| FuncId(i as u32))
             .collect();
         assert_eq!(dirty.len(), 1, "only leaf_a's body changed");
-        let cg = CallGraph::new(&new_module);
-        let out = analyze_module_incremental_dirty(
-            &mut new_module,
-            old_module,
-            old,
-            &dirty,
-            &cg,
-            &PtaConfig::default(),
-        );
+        let out = incremental(&mut new_module, old_module, old, dirty, 1);
         assert!(!out.fell_back);
         let names: Vec<&str> = out
             .reanalyzed
@@ -328,6 +308,11 @@ mod tests {
         let out = incremental_by_name(&mut new_module, old_module, old, &["brand_new"]);
         assert!(out.fell_back);
         assert_eq!(out.reused, 0);
+        // Nothing spliced, so the run is a cold build, term for term.
+        let mut cold_module = pinpoint_ir::compile(&src).unwrap();
+        let cold = analyze_module(&mut cold_module);
+        assert_eq!(out.analysis.arena.len(), cold.arena.len());
+        assert_eq!(format!("{:?}", out.analysis.pta), format!("{:?}", cold.pta));
     }
 
     #[test]

@@ -942,15 +942,16 @@ mod table_tests {
     use pinpoint_ir::{compile, CallGraph, Module};
     use pinpoint_workload::fuzzgen::{generate, FuzzGenConfig};
 
-    /// Both build paths over `m`; every pass checks its dense table
-    /// against the keyed reference as it finishes ([`State::finish`]).
+    /// The module pipeline over `m` at 1 and 4 threads; every pass checks
+    /// its dense table against the keyed reference as it finishes
+    /// ([`State::finish`]).
     fn analyze_both_ways(m: &Module) {
-        crate::analyze_module(&mut m.clone());
         for threads in [1, 4] {
             let mut m = m.clone();
             let cg = CallGraph::new(&m);
             let trace = &mut pinpoint_obs::TraceBuf::off();
-            let a = analyze_module_par(&mut m, &PtaConfig::default(), threads, trace, &cg);
+            let config = PtaConfig::default();
+            let a = analyze_module_par(&mut m, &config, threads, trace, &cg, None).analysis;
             for (p, f) in a.pta.iter().zip(&m.funcs) {
                 for v in (0..f.values.len() as u32).map(ValueId) {
                     let listed = p.points_to.iter().find(|&(k, _)| k == v);

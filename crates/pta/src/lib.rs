@@ -13,13 +13,15 @@
 //! * [`transform`] — the **connector model** (§3.1.2, Fig. 3): Aux formal
 //!   parameters and Aux return values that expose non-local side effects
 //!   on function interfaces, plus the matching call-site rewriting;
-//! * [`driver`] — the bottom-up module pipeline combining the two: one
-//!   per-function pipeline, sharded over private arenas and merged
-//!   deterministically ([`analyze_module_par`]);
-//! * [`incremental`] — the same per-function pipeline run in place in a
-//!   shared arena, splicing whatever a previous run left clean
-//!   ([`analyze_module_incremental_dirty`]; [`analyze_module`] is this
-//!   with nothing to splice);
+//! * [`driver`] — the bottom-up module pipeline combining the two, the
+//!   one algorithm for builds and edits ([`analyze_module_par`]): every
+//!   function to analyse runs in a private arena, sharded level by level
+//!   over the call graph, and is merged into the shared arena in a fixed
+//!   order ([`analyze_module`] is this at one thread with nothing to
+//!   splice);
+//! * [`incremental`] — what an edit adds to a build: the previous run
+//!   ([`PreviousRun`]) whose clean functions are spliced before the rest
+//!   are analysed;
 //! * [`andersen`] — a whole-program, flow- and context-insensitive
 //!   inclusion-based points-to analysis: the substrate of the *layered*
 //!   baseline (SVF-style) that the paper's evaluation compares against;
@@ -59,10 +61,8 @@ pub mod reach;
 pub mod symbols;
 pub mod transform;
 
-pub use driver::{
-    analyze_module, analyze_module_par, analyze_module_with, ModuleAnalysis, PtaConfig,
-};
-pub use incremental::{analyze_module_incremental_dirty, dirty_closure, IncrementalOutcome};
+pub use driver::{analyze_module, analyze_module_par, ModuleAnalysis, PtaConfig};
+pub use incremental::{dirty_closure, IncrementalOutcome, PreviousRun};
 pub use intra::{FuncPta, GlobalAccess, MemDep, PointsTo, PtaStats};
 pub use object::{AccessPath, Obj, MAX_PATH_DEPTH};
 pub use symbols::{Symbols, SymbolsMark};

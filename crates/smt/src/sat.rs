@@ -370,7 +370,6 @@ impl SatSolver {
                 self.assign[l.var().0 as usize] = Value::Undef;
             }
         }
-        self.queue_head = self.trail.len().min(self.queue_head);
         self.queue_head = self.trail.len();
     }
 

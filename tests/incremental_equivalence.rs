@@ -9,7 +9,9 @@
 //!   query cache.
 //!
 //! Both across seeded edit sets — body edits, connector-shape edits,
-//! added and deleted functions — and across thread counts.
+//! added and deleted functions — and across thread counts. An update that
+//! changes the function set is a cold build, and an edit's analysis does
+//! not depend on the thread count either.
 
 use pinpoint::workload::{generate, GenConfig};
 use pinpoint::{Analysis, AnalysisBuilder, Query, Workspace};
@@ -420,4 +422,108 @@ fn summary_engine_warm_equals_cold_equals_demand() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The `gen_project --fuzz` module of `seed` with `functions` helpers.
+fn fuzz_module(seed: u64, functions: usize) -> String {
+    pinpoint::workload::fuzzgen::generate(&pinpoint::workload::fuzzgen::FuzzGenConfig {
+        seed,
+        functions,
+        max_stmts: 10,
+        globals: 4,
+        recursion: true,
+    })
+}
+
+/// An update that adds a function splices nothing, so it must *be* a cold
+/// build: same arena, same witnesses. The smallest grammar module found
+/// where re-running points-to in place instead gave a different witness.
+#[test]
+fn function_set_change_equals_a_cold_build() {
+    let base = fuzz_module(791, 6);
+    let edited = format!("{base}\nfn brand_new() {{ return; }}\n");
+    for threads in [1usize, 4] {
+        let builder = AnalysisBuilder::new().threads(threads);
+        let mut ws = builder
+            .clone()
+            .open_workspace(&base)
+            .expect("generated source compiles");
+        let outcome = ws.update_source(&edited).expect("edited source compiles");
+        assert!(outcome.fell_back, "{outcome:?}");
+        let cold = builder
+            .build_source(&edited)
+            .expect("edited source compiles");
+        assert_eq!(
+            render_workspace(&mut ws),
+            render_reports(&cold),
+            "added function at {threads} threads"
+        );
+        assert_eq!(ws.analysis().arena.len(), cold.arena.len());
+    }
+}
+
+/// Everything an edit analyses — arena, interner, shapes, points-to facts,
+/// graphs — down to the `TermId`, rendered for comparison.
+fn render_analysis(a: &Analysis) -> String {
+    format!(
+        "terms={} symbols={}\n{:?}\n{:?}\n{:?}\n",
+        a.arena.len(),
+        a.pta.symbols.len(),
+        a.pta.shapes,
+        a.pta.pta,
+        a.segs.segs,
+    )
+}
+
+/// Edits shard like builds do: a connector-shape edit, which re-analyses
+/// the edited function and its callers, leaves byte-identical analyses at
+/// 1 and 4 threads.
+#[test]
+fn edits_are_thread_count_invariant() {
+    let project = generate(&GenConfig {
+        seed: 21,
+        functions: 24,
+        stmts_per_function: 8,
+        real_bugs: 2,
+        decoys: 2,
+        taint: true,
+    });
+    let mut rng = Mix(0xE511);
+    let edits = edit_set(&project.source, &mut rng);
+    let (_, base, edited) = &edits[1];
+    let updated = |threads: usize| {
+        let mut ws = AnalysisBuilder::new()
+            .threads(threads)
+            .open_workspace(base)
+            .expect("generated source compiles");
+        let outcome = ws.update_source(edited).expect("edited source compiles");
+        assert!(!outcome.fell_back && outcome.reanalyzed > 1, "{outcome:?}");
+        render_analysis(ws.analysis())
+    };
+    assert_eq!(updated(1), updated(4));
+}
+
+/// A known limit, not a regression: after a check, a one-function edit of
+/// the seed-16 dense module through `update_source` gives 4 witnesses that
+/// differ from a cold check of the same text. The edited function's terms
+/// are appended to the previous arena, so they are numbered differently
+/// than a cold build numbers them, and the SAT models that become
+/// witnesses follow `TermId` order.
+#[test]
+#[ignore = "needs fingerprint-ordered atoms, which change pinned report digests"]
+fn one_function_edit_after_a_check_equals_a_cold_build() {
+    let base = fuzz_module(16, 555);
+    let edited = edit_in_func(&base, "fn f256(", "let v0: int = 3;", "let v0: int = 41;");
+    let builder = AnalysisBuilder::new().threads(1);
+    let mut ws = builder
+        .clone()
+        .open_workspace(&base)
+        .expect("generated source compiles");
+    let _ = render_workspace(&mut ws);
+    let outcome = ws.update_source(&edited).expect("edited source compiles");
+    assert!(!outcome.fell_back && outcome.reanalyzed == 1, "{outcome:?}");
+    let cold = builder
+        .build_source(&edited)
+        .expect("edited source compiles");
+    assert_eq!(render_workspace(&mut ws), render_reports(&cold));
 }
