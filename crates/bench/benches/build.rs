@@ -6,7 +6,7 @@
 //! large generated workload.
 
 use pinpoint_bench::harness::{bench, smoke_mode};
-use pinpoint_core::{default_threads, AnalysisBuilder};
+use pinpoint_core::{default_threads, AnalysisBuilder, Query};
 use pinpoint_workload::{generate, GenConfig};
 
 fn bench_builds() {
@@ -59,7 +59,7 @@ fn bench_parallel() {
                 .threads(threads)
                 .build_source(&project.source)
                 .unwrap();
-            analysis.check_all().len()
+            analysis.session().query(&Query::All).into_reports().len()
         });
         let analysis = AnalysisBuilder::new()
             .threads(threads)
@@ -67,7 +67,9 @@ fn bench_parallel() {
             .unwrap();
         report_renderings.push(
             analysis
-                .check_all()
+                .session()
+                .query(&Query::All)
+                .into_reports()
                 .iter()
                 .map(ToString::to_string)
                 .collect(),

@@ -2,7 +2,7 @@
 //! baselines on the same generated project (Tables 1/3 cost columns).
 
 use pinpoint_bench::harness::bench;
-use pinpoint_core::{Analysis, CheckerKind};
+use pinpoint_core::{Analysis, CheckerKind, Query};
 use pinpoint_workload::{generate, generate_juliet, GenConfig};
 
 fn bench_checkers() {
@@ -16,11 +16,21 @@ fn bench_checkers() {
     });
     bench("pinpoint_uaf_2kloc", 10, || {
         let a = Analysis::from_source(&project.source).unwrap();
-        a.check(CheckerKind::UseAfterFree).len()
+        a.session()
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports()
+            .len()
     });
     bench("pinpoint_taint_2kloc", 10, || {
         let a = Analysis::from_source(&project.source).unwrap();
-        a.check(CheckerKind::PathTraversal).len() + a.check(CheckerKind::DataTransmission).len()
+        a.session()
+            .query(&Query::Check(CheckerKind::PathTraversal))
+            .into_reports()
+            .len()
+            + a.session()
+                .query(&Query::Check(CheckerKind::DataTransmission))
+                .into_reports()
+                .len()
     });
     bench("layered_uaf_2kloc", 10, || {
         let module = pinpoint_ir::compile(&project.source).unwrap();
@@ -34,7 +44,10 @@ fn bench_checkers() {
     let juliet = generate_juliet(2);
     bench("juliet_102_cases", 10, || {
         let a = Analysis::from_source(&juliet.source).unwrap();
-        a.check(CheckerKind::UseAfterFree).len()
+        a.session()
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports()
+            .len()
     });
 }
 

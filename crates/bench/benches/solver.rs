@@ -4,7 +4,7 @@
 //! of the price).
 
 use pinpoint_bench::harness::{bench, smoke_mode};
-use pinpoint_core::AnalysisBuilder;
+use pinpoint_core::{AnalysisBuilder, Query};
 use pinpoint_smt::{LinearSolver, SmtSolver, Sort, TermArena, TermId};
 use pinpoint_workload::{generate, GenConfig};
 
@@ -64,7 +64,7 @@ fn bench_solvers() {
     }
 }
 
-/// Cold-vs-warm end-to-end solver cost: the same `check_all` workload
+/// Cold-vs-warm end-to-end solver cost: the same `Query::All` workload
 /// with an empty verdict table versus one preloaded from a persisted
 /// verdict store (`--cache-dir`). The warm rows replay cached verdicts
 /// by canonical fingerprint instead of re-running CDCL, so the delta is
@@ -93,7 +93,7 @@ fn bench_solver_reuse() {
             .cache_dir(&dir)
             .build_source(&project.source)
             .unwrap();
-        a.check_all();
+        a.session().query(&Query::All);
     }
 
     // Cold: no cache directory, so every session starts from an empty
@@ -106,7 +106,12 @@ fn bench_solver_reuse() {
     let mut cold_misses = 0u64;
     bench(&format!("cold-check_all/{kloc}kloc"), 5, || {
         let mut s = cold.session();
-        cold_reports = s.check_all().iter().map(ToString::to_string).collect();
+        cold_reports = s
+            .query(&Query::All)
+            .into_reports()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
         cold_misses = s.stats().detect.verdict_misses;
         cold_reports.len()
     });
@@ -123,7 +128,12 @@ fn bench_solver_reuse() {
     let mut warm_misses = 0u64;
     bench(&format!("warm-check_all/{kloc}kloc"), 5, || {
         let mut s = warm.session();
-        warm_reports = s.check_all().iter().map(ToString::to_string).collect();
+        warm_reports = s
+            .query(&Query::All)
+            .into_reports()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
         let d = s.stats().detect;
         warm_hits = d.verdict_hits;
         warm_misses = d.verdict_misses;

@@ -14,7 +14,7 @@
 //! Xeon); the *shape* claims are what each experiment checks.
 
 use pinpoint_bench::{fit, measure, CountingAlloc, Measurement};
-use pinpoint_core::{Analysis, CheckerKind, Report};
+use pinpoint_core::{Analysis, CheckerKind, DetectConfig, Query, Report, Workspace};
 use pinpoint_workload::{
     generate, generate_juliet, generate_subject, GenConfig, Subject, SUBJECTS,
 };
@@ -127,6 +127,13 @@ fn fmt_mib(m: &Measurement) -> String {
 }
 
 /// Builds Pinpoint's SEG stage only (points-to + transformation + SEG).
+/// The use-after-free checker's reports through `session`.
+fn uaf(session: &mut Workspace<&Analysis>) -> Vec<Report> {
+    session
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports()
+}
+
 fn build_seg(source: &str) -> (Analysis, Measurement) {
     let module = pinpoint_ir::compile(source).expect("subject compiles");
     measure(move || Analysis::from_module(module))
@@ -222,7 +229,7 @@ fn fig9(opts: &Options) {
         let kloc = project.lines as f64 / 1000.0;
         let (reports, pp_m) = measure(|| {
             let a = Analysis::from_source(&project.source).expect("compiles");
-            a.check(CheckerKind::UseAfterFree).len()
+            uaf(&mut a.session()).len()
         });
         let (layered, base_m) = measure(|| {
             let module = pinpoint_ir::compile(&project.source).expect("compiles");
@@ -259,7 +266,7 @@ fn fig10(opts: &Options) {
         let kloc = project.lines as f64 / 1000.0;
         let (_r, m) = measure(|| {
             let a = Analysis::from_source(&project.source).expect("compiles");
-            a.check(CheckerKind::UseAfterFree).len()
+            uaf(&mut a.session()).len()
         });
         println!("{:>9.1} {:>12} {:>12}", kloc, fmt_dur(m.time), fmt_mib(&m));
         time_pts.push((kloc, m.time.as_secs_f64()));
@@ -315,7 +322,7 @@ fn table1(opts: &Options) {
         let project = generate_subject(s, opts.scale);
         let kloc = project.lines as f64 / 1000.0;
         let analysis = Analysis::from_source(&project.source).expect("compiles");
-        let reports = analysis.check(CheckerKind::UseAfterFree);
+        let reports = uaf(&mut analysis.session());
         // FP accounting against ground truth: a report is a false positive
         // when it matches a decoy marker or no marker at all.
         let fp = reports
@@ -410,7 +417,7 @@ fn table2(opts: &Options) {
     ] {
         let ((reports, fp), m) = measure(|| {
             let a = Analysis::from_source(&project.source).expect("compiles");
-            let reports = a.check(kind);
+            let reports = a.session().query(&Query::Check(kind)).into_reports();
             let fp = reports
                 .iter()
                 .filter(|r| {
@@ -497,7 +504,7 @@ fn juliet() {
     let suite = generate_juliet(28);
     let (result, m) = measure(|| {
         let analysis = Analysis::from_source(&suite.source).expect("suite compiles");
-        let reports = analysis.check(CheckerKind::UseAfterFree);
+        let reports = uaf(&mut analysis.session());
         let mut missed = Vec::new();
         for case in &suite.cases {
             let found = reports.iter().any(|r| {
@@ -538,9 +545,12 @@ fn linear_solver(opts: &Options) {
     let subject = SUBJECTS.iter().find(|s| s.name == "tmux").expect("tmux");
     let project = generate_subject(subject, opts.scale / 4.0);
     let analysis = Analysis::from_source(&project.source).expect("compiles");
-    let mut session = analysis.session();
-    session.config.measure_linear = true;
-    let _ = session.check(CheckerKind::UseAfterFree);
+    let config = DetectConfig {
+        measure_linear: true,
+        ..analysis.config()
+    };
+    let mut session = analysis.session().with_config(config);
+    uaf(&mut session);
     let stats = session.stats();
     let pta = stats.pta;
     let det = stats.detect;
@@ -617,9 +627,12 @@ fn ablations() {
     );
     for use_summaries in [true, false] {
         let analysis = Analysis::from_source(&fanout_src).expect("fanout compiles");
-        let mut session = analysis.session();
-        session.config.use_summaries = use_summaries;
-        let (n, m) = measure(|| session.check(CheckerKind::UseAfterFree).len());
+        let config = DetectConfig {
+            use_summaries,
+            ..analysis.config()
+        };
+        let mut session = analysis.session().with_config(config);
+        let (n, m) = measure(|| uaf(&mut session).len());
         let det = session.stats().detect;
         println!(
             "VF summaries {:>3}: {n} reports, {} vertices visited, {} descents skipped, detect {}",
@@ -633,9 +646,12 @@ fn ablations() {
     // (b) SMT solving on/off: report counts (path sensitivity).
     for solve in [true, false] {
         let analysis = Analysis::from_source(&project.source).expect("compiles");
-        let mut session = analysis.session();
-        session.config.solve = solve;
-        let reports = session.check(CheckerKind::UseAfterFree);
+        let config = DetectConfig {
+            solve,
+            ..analysis.config()
+        };
+        let mut session = analysis.session().with_config(config);
+        let reports = uaf(&mut session);
         println!(
             "SMT path-feasibility {:>3}: {} reports ({} candidates)",
             if solve { "ON" } else { "OFF" },
@@ -664,9 +680,12 @@ fn ablations() {
     }
     for depth in [1u32, 2, 4, 6] {
         let analysis = Analysis::from_source(&ladder).expect("ladder compiles");
-        let mut session = analysis.session();
-        session.config.max_ctx_depth = depth;
-        let (n, m) = measure(|| session.check(CheckerKind::UseAfterFree).len());
+        let config = DetectConfig {
+            max_ctx_depth: depth,
+            ..analysis.config()
+        };
+        let mut session = analysis.session().with_config(config);
+        let (n, m) = measure(|| uaf(&mut session).len());
         println!(
             "context depth {depth}: {n}/6 ladder bugs found, detect {}",
             fmt_dur(m.time)
@@ -683,7 +702,7 @@ fn ablations() {
     });
     let (outcome, full_m) =
         measure(|| Analysis::from_source(&inc_project.source).expect("compiles"));
-    let mut analysis = outcome;
+    let mut ws = Workspace::from_analysis(outcome);
     let edited = {
         let needle = "fn filler1(";
         let start = inc_project.source.find(needle).expect("filler1");
@@ -694,14 +713,10 @@ fn ablations() {
             &inc_project.source[brace..]
         )
     };
-    let (outcome, inc_m) = measure(|| {
-        analysis
-            .update_incremental(&edited)
-            .expect("incremental update")
-    });
+    let (outcome, inc_m) = measure(|| ws.update_source(&edited).expect("incremental update"));
     println!(
         "incremental: 1-function edit on {} functions → {} re-analysed; full build {} vs incremental update {}",
-        analysis.module.funcs.len(),
+        ws.analysis().module.funcs.len(),
         outcome.reanalyzed,
         fmt_dur(full_m.time),
         fmt_dur(inc_m.time)

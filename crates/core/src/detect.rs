@@ -19,7 +19,7 @@ use crate::driver::Analysis;
 use crate::seg::{EdgeKind, ModuleSeg, SegEdge};
 use crate::spec::{self, CheckerKind, SinkRole, SinkSite, SourceSite, Spec};
 use crate::summary::ParamSummaries;
-use crate::vfsummary::{ModuleSummaries, SummaryCx};
+use crate::vfsummary::{summary_fingerprint, ModuleSummaries, SummaryCx};
 use pinpoint_ir::{CallGraph, Cfg, DomTree, FuncId, InstId, Module, ValueId};
 use pinpoint_obs::{QueryCost, QueryOutcome, QueryRecord, TraceBuf};
 use pinpoint_pta::Symbols;
@@ -626,7 +626,7 @@ pub(crate) fn run_spec(
 pub mod faults {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// When set, [`super::run_spec`] silently drops the last merged
+    /// When set, the detection pass silently drops the last merged
     /// report — but only when running with more than one worker. This
     /// models a lost report in a racy merge, the bug class the
     /// 1-vs-N-thread byte-identity oracle exists to catch.
@@ -683,35 +683,13 @@ impl QueryCache {
 }
 
 /// Fingerprint of everything that selects and parameterises a property's
-/// searches: the spec itself plus every detection knob that can change a
-/// search or its evaluation.
+/// searches: the spec's shape ([`summary_fingerprint`]) and name, plus
+/// every detection knob that can change a search or its evaluation.
 pub(crate) fn spec_fingerprint(spec: &Spec, config: &DetectConfig) -> u128 {
     use pinpoint_ir::fingerprint::Fnv128;
     let mut h = Fnv128::new();
+    h.write_u128(summary_fingerprint(spec));
     h.write_str(&spec.name);
-    match &spec.source {
-        spec::SourceSpec::CallReceiver(names) => {
-            h.write_u32(0);
-            h.write_u64(names.len() as u64);
-            for n in names {
-                h.write_str(n);
-            }
-        }
-        spec::SourceSpec::FreeArgument => h.write_u32(1),
-        spec::SourceSpec::NullConstant => h.write_u32(2),
-    }
-    match &spec.sink {
-        spec::SinkSpec::DerefsAndFrees => h.write_u32(0),
-        spec::SinkSpec::Derefs => h.write_u32(1),
-        spec::SinkSpec::Calls(names) => {
-            h.write_u32(2);
-            h.write_u64(names.len() as u64);
-            for n in names {
-                h.write_str(n);
-            }
-        }
-    }
-    h.write_u32(spec.traverses_transforms as u32);
     h.write_u32(config.max_ctx_depth);
     h.write_u64(config.max_visited_per_source as u64);
     h.write_u32(config.cond.max_depth);
@@ -1546,11 +1524,12 @@ impl<'cx, 'a> Worker<'cx, 'a> {
 mod tests {
     use super::*;
     use crate::driver::Analysis;
+    use crate::query::Query;
     use crate::spec::CheckerKind;
 
     fn check(src: &str, kind: CheckerKind) -> (Analysis, Vec<Report>) {
         let a = Analysis::from_source(src).expect("compiles");
-        let reports = a.check(kind);
+        let reports = a.session().query(&Query::Check(kind)).into_reports();
         (a, reports)
     }
 
@@ -1614,7 +1593,9 @@ mod tests {
         )
         .expect("compiles");
         let mut session = a.session();
-        let reports = session.check(CheckerKind::UseAfterFree);
+        let reports = session
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports();
         assert!(reports.is_empty(), "{reports:?}");
         assert!(
             session.stats().detect.refuted > 0,
@@ -1895,7 +1876,9 @@ mod tests {
         )
         .expect("compiles");
         let mut session = a.session();
-        let reports = session.check(CheckerKind::UseAfterFree);
+        let reports = session
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports();
         assert_eq!(reports.len(), 1);
         let stats = session.stats();
         assert_eq!(stats.detect.sources, 1);
@@ -1911,11 +1894,18 @@ mod tests {
             if (!c) { let x: int = *p; print(x); }
             return;
         }";
+        let config = DetectConfig {
+            solve: false,
+            ..DetectConfig::default()
+        };
         let a = crate::AnalysisBuilder::new()
-            .solve(false)
+            .detect_config(config)
             .build_source(src)
             .unwrap();
-        let reports = a.check(CheckerKind::UseAfterFree);
+        let reports = a
+            .session()
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports();
         assert_eq!(
             reports.len(),
             1,
@@ -1965,21 +1955,26 @@ mod tests {
 
 #[cfg(test)]
 mod witness_tests {
+    use crate::detect::Report;
     use crate::driver::Analysis;
+    use crate::query::Query;
     use crate::spec::CheckerKind;
+
+    fn uaf(src: &str) -> Vec<Report> {
+        let a = Analysis::from_source(src).unwrap();
+        a.session()
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports()
+    }
 
     #[test]
     fn witness_names_the_deciding_branch() {
-        let a = Analysis::from_source(
-            "fn main(enabled: bool) {
+        let reports = uaf("fn main(enabled: bool) {
                 let p: int* = malloc();
                 if (enabled) { free(p); }
                 if (enabled) { let x: int = *p; print(x); }
                 return;
-            }",
-        )
-        .unwrap();
-        let reports = a.check(CheckerKind::UseAfterFree);
+            }");
         assert_eq!(reports.len(), 1);
         let w = &reports[0].witness;
         assert!(
@@ -1990,16 +1985,12 @@ mod witness_tests {
 
     #[test]
     fn unconditional_bug_has_minimal_witness() {
-        let a = Analysis::from_source(
-            "fn main() {
+        let reports = uaf("fn main() {
                 let p: int* = malloc();
                 free(p);
                 free(p);
                 return;
-            }",
-        )
-        .unwrap();
-        let reports = a.check(CheckerKind::UseAfterFree);
+            }");
         assert_eq!(reports.len(), 1);
         // No branch variables exist; the witness carries no branch names.
         assert!(reports[0].witness.is_empty(), "{:?}", reports[0].witness);
@@ -2008,41 +1999,42 @@ mod witness_tests {
 
 #[cfg(test)]
 mod ordering_tests {
+    use crate::detect::Report;
     use crate::driver::Analysis;
+    use crate::query::Query;
     use crate::spec::CheckerKind;
+
+    fn uaf(src: &str) -> Vec<Report> {
+        let a = Analysis::from_source(src).unwrap();
+        a.session()
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports()
+    }
 
     /// The danger-onset filter generalises across function boundaries: a
     /// use ordered strictly before the call that frees cannot be a UAF.
     #[test]
     fn use_before_freeing_call_not_reported() {
-        let a = Analysis::from_source(
-            "fn release(x: int*) { free(x); return; }
+        let reports = uaf("fn release(x: int*) { free(x); return; }
              fn main() {
                 let p: int* = malloc();
                 *p = 1;
                 release(p);
                 return;
-             }",
-        )
-        .unwrap();
-        let reports = a.check(CheckerKind::UseAfterFree);
+             }");
         assert!(reports.is_empty(), "store precedes the call: {reports:?}");
     }
 
     /// …but a use after the freeing call is reported.
     #[test]
     fn use_after_freeing_call_reported() {
-        let a = Analysis::from_source(
-            "fn release(x: int*) { free(x); return; }
+        let reports = uaf("fn release(x: int*) { free(x); return; }
              fn main() {
                 let p: int* = malloc();
                 release(p);
                 *p = 1;
                 return;
-             }",
-        )
-        .unwrap();
-        let reports = a.check(CheckerKind::UseAfterFree);
+             }");
         assert_eq!(reports.len(), 1, "{reports:?}");
     }
 
@@ -2050,17 +2042,13 @@ mod ordering_tests {
     /// not dominated-before, so it must still be reported when feasible.
     #[test]
     fn non_dominating_order_still_reported() {
-        let a = Analysis::from_source(
-            "fn release(x: int*) { free(x); return; }
+        let reports = uaf("fn release(x: int*) { free(x); return; }
              fn main(c: bool) {
                 let p: int* = malloc();
                 if (c) { release(p); }
                 *p = 1;
                 return;
-             }",
-        )
-        .unwrap();
-        let reports = a.check(CheckerKind::UseAfterFree);
+             }");
         assert_eq!(
             reports.len(),
             1,
@@ -2089,7 +2077,10 @@ mod ordering_tests {
              }",
         )
         .unwrap();
-        let reports = a.check(CheckerKind::UseAfterFree);
+        let reports = a
+            .session()
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports();
         assert_eq!(reports.len(), 1, "{reports:?}");
         assert_eq!(
             a.module.func(reports[0].sink_func).name,

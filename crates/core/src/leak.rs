@@ -49,7 +49,7 @@ pub struct LeakReport {
 }
 
 /// Runs leak detection over a finished analysis.
-pub fn check_leaks(
+pub fn find_leaks(
     module: &Module,
     segs: &ModuleSeg,
     symbols: &mut Symbols,
@@ -250,10 +250,11 @@ fn friendly(module: &Module, raw: &str) -> Option<String> {
 mod tests {
     use super::*;
     use crate::driver::Analysis;
+    use crate::query::Query;
 
     fn leaks(src: &str) -> (Analysis, Vec<LeakReport>) {
         let a = Analysis::from_source(src).expect("compiles");
-        let reports = a.check_leaks();
+        let reports = a.session().query(&Query::Leaks).into_leaks();
         (a, reports)
     }
 

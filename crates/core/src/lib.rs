@@ -23,7 +23,7 @@
 //! Detecting the inter-procedural use-after-free of the paper's Fig. 1:
 //!
 //! ```
-//! use pinpoint_core::{Analysis, CheckerKind};
+//! use pinpoint_core::{Analysis, CheckerKind, Query};
 //!
 //! let src = "
 //!     fn main() {
@@ -34,7 +34,7 @@
 //!         return;
 //!     }";
 //! let analysis = Analysis::from_source(src)?;
-//! let reports = analysis.check(CheckerKind::UseAfterFree);
+//! let reports = analysis.session().query(&Query::Check(CheckerKind::UseAfterFree));
 //! assert_eq!(reports.len(), 1);
 //! # Ok::<(), pinpoint_core::PinpointError>(())
 //! ```
@@ -63,8 +63,8 @@ pub mod workspace;
 
 pub use detect::{DetectConfig, DetectStats, Report, Step};
 pub use driver::{
-    compile_source, default_threads, Analysis, AnalysisBuilder, Compiled, DetectSession,
-    PipelineStats, UpdateOutcome,
+    compile_source, default_threads, Analysis, AnalysisBuilder, Compiled, PipelineStats,
+    UpdateOutcome,
 };
 pub use error::PinpointError;
 pub use leak::{LeakKind, LeakReport};

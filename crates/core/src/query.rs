@@ -1,24 +1,17 @@
-//! A unified, data-driven query API over a [`Workspace`].
-//!
-//! Before this module, every caller of the workspace — the CLI, the
-//! serving layer, the benches, the tests — built check requests by
-//! picking one of four differently-shaped methods
-//! (`check`/`check_custom`/`check_all`/`check_leaks`). [`Query`] folds
-//! those shapes into one request value and [`QueryResponse`] into one
-//! response value, so a request can be constructed in one place (a
-//! protocol decoder, a traffic generator, a test table) and executed in
-//! another ([`Workspace::query`]) without a per-shape dispatch at every
-//! call site.
-//!
-//! The old per-shape `check*` methods went through one deprecation
-//! release and are gone; [`Workspace::query`] is the only entry point.
+//! The one request type: every question the analysis answers is a
+//! [`Query`] value, and every answer a [`QueryResponse`], executed by
+//! [`Workspace::query`] — the one method that runs a checker, for a
+//! borrowed one-shot workspace and an owned, editable one alike. A
+//! request can be constructed in one place (a protocol decoder, a
+//! command-line flag, a traffic generator, a test table) and executed in
+//! another without a per-shape dispatch at every call site.
 //!
 //! # Examples
 //!
 //! ```
-//! use pinpoint_core::{CheckerKind, Query, QueryResponse, Workspace};
+//! use pinpoint_core::{Analysis, CheckerKind, Query, QueryResponse};
 //!
-//! let mut ws = Workspace::open(
+//! let analysis = Analysis::from_source(
 //!     "fn main() {
 //!         let p: int* = malloc();
 //!         free(p);
@@ -27,7 +20,9 @@
 //!         return;
 //!     }",
 //! )?;
-//! let response = ws.query(&Query::Check(CheckerKind::UseAfterFree));
+//! let response = analysis
+//!     .session()
+//!     .query(&Query::Check(CheckerKind::UseAfterFree));
 //! assert_eq!(response.len(), 1);
 //! let QueryResponse::Reports(reports) = response else {
 //!     unreachable!("check queries answer with reports")
@@ -37,9 +32,11 @@
 //! ```
 
 use crate::detect::Report;
+use crate::driver::Analysis;
 use crate::leak::LeakReport;
 use crate::spec::{CheckerKind, Spec};
 use crate::workspace::Workspace;
+use std::borrow::Borrow;
 
 /// One analysis request against a workspace: which property (or
 /// properties) to evaluate over the current program state.
@@ -124,11 +121,11 @@ impl QueryResponse {
     }
 }
 
-impl Workspace {
-    /// Executes one [`Query`] with the workspace's full two-layer reuse
-    /// (see the [workspace docs](crate::workspace)). This is the single
-    /// entry point the serving layer, the CLI, and the tests build
-    /// requests for.
+impl<A: Borrow<Analysis>> Workspace<A> {
+    /// Executes one [`Query`] — with the two-layer reuse of the
+    /// [workspace docs](crate::workspace) when the workspace owns its
+    /// artefact. This is the single entry point the serving layer, the
+    /// CLI, and the tests build requests for.
     pub fn query(&mut self, query: &Query) -> QueryResponse {
         match query {
             Query::Check(k) => QueryResponse::Reports(self.run_property(&k.spec(), Some(*k))),
@@ -171,58 +168,90 @@ mod tests {
             return;
         }";
 
-    #[test]
-    fn query_shapes_match_session_equivalents() {
-        // Every query arm must agree with the session-level API run on a
-        // fresh artefact of the same program — the workspace adds reuse,
-        // never different answers.
-        let mut q_ws = Workspace::open(UAF).unwrap();
-        let reference = |q: &Query| -> Vec<String> {
-            let a = crate::driver::Analysis::from_source(UAF).unwrap();
-            match q {
-                Query::Check(k) => a.check(*k).iter().map(ToString::to_string).collect(),
-                Query::All => a.check_all().iter().map(ToString::to_string).collect(),
-                Query::Custom(s) => a.check_custom(s).iter().map(ToString::to_string).collect(),
-                Query::Leaks => a.check_leaks().iter().map(|l| format!("{l:?}")).collect(),
+    /// The canonical stats document without the `workspace` family,
+    /// which only a workspace with a query cache emits.
+    fn shared_stats<A: Borrow<Analysis>>(ws: &Workspace<A>) -> String {
+        let json = ws.stats_json(true);
+        match json.find(",\"workspace\":{") {
+            Some(at) => {
+                let end = at + json[at..].find('}').expect("family closes") + 1;
+                format!("{}{}", &json[..at], &json[end..])
             }
-        };
+            None => json,
+        }
+    }
+
+    fn render(response: QueryResponse) -> Vec<String> {
+        match response {
+            QueryResponse::Reports(r) => r.iter().map(|x| format!("{x:?}")).collect(),
+            QueryResponse::Leaks(l) => l.iter().map(|x| format!("{x:?}")).collect(),
+        }
+    }
+
+    #[test]
+    fn borrowed_and_owned_workspaces_answer_alike() {
+        // Every query arm, asked of one artefact through a borrowed
+        // workspace and of an equal one through an owned workspace, gets
+        // the same reports and the same statistics: the owned kind adds
+        // reuse, never different answers.
         let custom = Query::Custom(Spec {
             name: "free-to-print".into(),
             source: SourceSpec::FreeArgument,
             sink: SinkSpec::Calls(vec!["print".into()]),
             traverses_transforms: false,
         });
-        for q in [
+        let arms = [
             Query::Check(CheckerKind::UseAfterFree),
             Query::All,
             custom,
             Query::Leaks,
-        ] {
-            let unified: Vec<String> = match q_ws.query(&q) {
-                QueryResponse::Reports(r) => r.iter().map(ToString::to_string).collect(),
-                QueryResponse::Leaks(l) => l.iter().map(|x| format!("{x:?}")).collect(),
-            };
-            assert_eq!(unified, reference(&q), "query {} diverges", q.label());
-        }
-        // One path, one answer: a single-checker query is gated exactly
-        // like the session call it stands for.
-        let summary =
-            |d: crate::detect::DetectStats| (d.summary_built, d.summary_composed, d.summary_gated);
-        let a = crate::driver::Analysis::from_source(GATED).unwrap();
-        for k in CheckerKind::ALL {
-            let mut ws = Workspace::open(GATED).unwrap();
-            let mut session = a.session();
-            assert_eq!(
-                ws.query(&Query::Check(k)).len(),
-                session.check(k).len(),
-                "{k}"
-            );
-            let counters = summary(ws.stats().detect);
-            assert_eq!(counters, summary(session.stats().detect), "{k}");
-            if k == CheckerKind::UseAfterFree {
-                assert!(counters.0 > 0 && counters.2 > 0, "{counters:?}");
+        ];
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let mut sources: Vec<(String, String)> = std::fs::read_dir(&corpus)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "pp"))
+            .map(|p| {
+                (
+                    p.display().to_string(),
+                    std::fs::read_to_string(&p).unwrap(),
+                )
+            })
+            .collect();
+        assert!(sources.len() >= 20, "corpus found at {}", corpus.display());
+        let config = pinpoint_workload::fuzzgen::FuzzGenConfig {
+            seed: 27,
+            ..Default::default()
+        };
+        sources.push((
+            "fuzzgen".into(),
+            pinpoint_workload::fuzzgen::generate(&config),
+        ));
+        sources.push(("gated".into(), GATED.into()));
+        for (name, src) in &sources {
+            let analysis = Analysis::from_source(src).unwrap();
+            for q in &arms {
+                let mut borrowed = analysis.session();
+                let mut owned = Workspace::from_analysis(Analysis::from_source(src).unwrap());
+                let what = format!("{name}: query {}", q.label());
+                assert_eq!(render(borrowed.query(q)), render(owned.query(q)), "{what}");
+                assert_eq!(shared_stats(&borrowed), shared_stats(&owned), "{what}");
+                // Only the owned workspace kept a query cache, so only it
+                // counts reuse.
+                let has_family = |m: pinpoint_obs::MetricsRegistry| {
+                    m.counters().any(|(k, _)| k.starts_with("workspace."))
+                };
+                assert!(!has_family(borrowed.metrics()), "{what}");
+                assert!(has_family(owned.metrics()), "{what}");
             }
         }
+        // The gate answers on both: `show`'s summary proves the second
+        // freed pointer harmless.
+        let a = Analysis::from_source(GATED).unwrap();
+        let mut session = a.session();
+        session.query(&Query::Check(CheckerKind::UseAfterFree));
+        let d = session.stats().detect;
+        assert!(d.summary_built > 0 && d.summary_gated > 0, "{d:?}");
     }
 
     #[test]

@@ -240,8 +240,7 @@ pub enum Reply {
     },
     /// Value-flow reports (for `Check`/`All`/`Custom` queries).
     Reports {
-        /// The rendered JSON array (see
-        /// [`reports_json`](crate::export::reports_json)).
+        /// The rendered JSON array (see [`reports_json`]).
         json: String,
         /// Source queries replayed from the workspace cache.
         reused: u64,
@@ -250,8 +249,7 @@ pub enum Reply {
     },
     /// Memory-leak reports (for `Leaks` queries).
     Leaks {
-        /// The rendered JSON array (see
-        /// [`leaks_json`](crate::export::leaks_json)).
+        /// The rendered JSON array (see [`leaks_json`]).
         json: String,
     },
     /// The unified stats document.

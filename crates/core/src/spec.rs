@@ -383,6 +383,7 @@ mod tests {
 mod custom_spec_tests {
     use super::*;
     use crate::driver::Analysis;
+    use crate::query::Query;
 
     #[test]
     fn custom_null_source_with_deref_sinks() {
@@ -406,7 +407,7 @@ mod custom_spec_tests {
              }",
         )
         .unwrap();
-        let reports = a.check_custom(&spec);
+        let reports = a.session().query(&Query::Custom(spec)).into_reports();
         assert_eq!(reports.len(), 1, "{reports:?}");
         assert_eq!(reports[0].property, "null-into-api");
         assert!(reports[0]
@@ -435,7 +436,7 @@ mod custom_spec_tests {
              }",
         )
         .unwrap();
-        let reports = a.check_custom(&spec);
+        let reports = a.session().query(&Query::Custom(spec)).into_reports();
         assert_eq!(reports.len(), 1, "{reports:?}");
     }
 }

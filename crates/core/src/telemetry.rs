@@ -20,8 +20,9 @@
 //! The **slow-query log** threads through here too: a request whose
 //! wall-clock duration reaches [`TelemetryConfig::slow_query_ns`] has
 //! its per-query solver attribution captured as the detail payload of a
-//! [`FlightEventKind::SlowQuery`] event, so "why was that slow" is
-//! answerable after the fact from the flight tail.
+//! [`FlightEventKind::SlowQuery`](pinpoint_obs::FlightEventKind::SlowQuery)
+//! event, so "why was that slow" is answerable after the fact from the
+//! flight tail.
 
 use pinpoint_obs::json::Obj;
 use pinpoint_obs::{prometheus_text, FlightRecorder, FlightSample, MetricsRegistry, RollingSet};

@@ -36,11 +36,11 @@
 //! never suppresses a report, and non-gated sources are searched by the
 //! very same code — reports are byte-identical to the ungated search at
 //! any thread count, by construction. That search is kept as the
-//! reference (`DetectSession::ungated`, hidden) the `engines` fuzz oracle
+//! reference (`Workspace::ungated`, hidden) the `engines` fuzz oracle
 //! and `tests/demand_summaries.rs` compare against.
 //!
-//! Forced summaries live as long as the session or workspace that forced
-//! them, stamped with [`keys_fingerprint`] of the per-function transitive
+//! Forced summaries live as long as the workspace that forced them,
+//! stamped with `keys_fingerprint` of the per-function transitive
 //! keys ([`pinpoint_cache::module_keys`]): those fold callee fingerprints
 //! over the condensation, so any edit that could change a summary changes
 //! the stamp and the memo is dropped.

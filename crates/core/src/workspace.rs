@@ -1,7 +1,16 @@
-//! A long-lived, incrementally-updatable analysis engine.
+//! The one query surface: a [`Workspace`] holds an [`Analysis`] and
+//! answers [`Query`]s against it.
 //!
-//! [`Workspace`] owns an [`Analysis`] across edits and reuses work at two
-//! layers when the program changes:
+//! How it holds the artefact is fixed by the constructor:
+//!
+//! * **borrowed** — [`Analysis::session`] gives a `Workspace<&Analysis>`,
+//!   the one-shot kind. The artefact is immutable under it, so any number
+//!   of borrowed workspaces can query one artefact from separate threads.
+//!   It keeps no query cache: a check computes no cone fingerprints and
+//!   stores no outcomes.
+//! * **owned** — [`Workspace::open`] and [`Workspace::from_analysis`]
+//!   give a `Workspace` (that is, `Workspace<Analysis>`), which accepts
+//!   edits and reuses work at two layers when the program changes:
 //!
 //! 1. **Artefact layer** — [`Workspace::update_source`] diffs the new
 //!    module's per-function transitive fingerprint keys
@@ -12,14 +21,20 @@
 //!    construction). Clean functions' transformed bodies, points-to
 //!    facts, SEGs, and hash-consed terms are spliced from the previous
 //!    artefact.
-//! 2. **Query layer** — each `check*` call caches every per-source
-//!    search outcome keyed by `(spec fingerprint, source site)` together
-//!    with a *cone fingerprint*: a hash of every artefact datum the
-//!    search consulted (the keys of all functions it visited, the caller
-//!    lists it ascended through, the global load lists it followed). On
-//!    a warm check, a source whose recomputed cone fingerprint still
-//!    matches is answered from the cache; only sources whose cone
-//!    intersects the edit's dirty set re-run.
+//! 2. **Query layer** — each query caches every per-source search
+//!    outcome keyed by `(spec fingerprint, source site)` together with a
+//!    *cone fingerprint*: a hash of every artefact datum the search
+//!    consulted (the keys of all functions it visited, the caller lists
+//!    it ascended through, the global load lists it followed). On a warm
+//!    check, a source whose recomputed cone fingerprint still matches is
+//!    answered from the cache; only sources whose cone intersects the
+//!    edit's dirty set re-run.
+//!
+//! Both kinds accumulate the same state across queries — detection
+//! counters, per-query attribution, the span trace, the verdict table
+//! with its persist watermark, and the in-memory interface summaries —
+//! and answer every query through the same code; the owned kind adds the
+//! query cache and the `workspace.*` metrics family that counts it.
 //!
 //! # Determinism
 //!
@@ -72,11 +87,21 @@
 //! # Ok::<(), pinpoint_core::PinpointError>(())
 //! ```
 
-use crate::detect::{DetectConfig, QueryCache, Report};
-use crate::driver::{Analysis, AnalysisBuilder, PipelineStats, QueryRunner, UpdateOutcome};
+use crate::cache_io::persist_verdicts;
+use crate::detect::{run_spec, DetectConfig, DetectStats, QueryCache, Report};
+use crate::driver::{
+    compile_source, open_store, Analysis, AnalysisBuilder, PipelineStats, UpdateOutcome,
+};
 use crate::error::PinpointError;
-use crate::spec::CheckerKind;
-use pinpoint_obs::{MetricsRegistry, QueryRecord};
+use crate::query::Query;
+use crate::spec::{CheckerKind, Spec};
+use crate::vfsummary::{summary_fingerprint, ModuleSummaries};
+use pinpoint_cache::CacheStore;
+use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
+use pinpoint_smt::VerdictTable;
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// Cumulative reuse counters across a workspace's lifetime.
 #[derive(Debug, Default, Clone, Copy)]
@@ -92,20 +117,366 @@ pub struct WorkspaceCounters {
     pub funcs_reused: u64,
 }
 
-/// A long-lived analysis engine: owns the artefact, accepts edits, and
-/// answers checks incrementally (see the [module docs](self)).
+/// The analysis engine every query goes through: an [`Analysis`], held
+/// borrowed (`A = &Analysis`, from [`Analysis::session`]) or owned (the
+/// default, from [`Workspace::open`]), plus the state its queries
+/// accumulate (see the [module docs](self)).
+///
+/// Each query shards its sources over the artefact's worker count;
+/// workers own private arenas and solver instances, and their outcomes
+/// are merged in canonical `(function, site)` order, so reports are
+/// byte-identical for any thread count.
 #[derive(Debug)]
-pub struct Workspace {
-    analysis: Analysis,
-    /// The query state (counters, attribution, trace, verdicts, interface
-    /// summaries); it outlives every artefact replacement.
-    runner: QueryRunner,
-    cache: QueryCache,
+pub struct Workspace<A: Borrow<Analysis> = Analysis> {
+    analysis: A,
     /// Detection configuration for this workspace's queries (starts from
-    /// the artefact's build-time configuration; see
-    /// [`Workspace::set_detect_config`]).
+    /// the artefact's build-time configuration).
     config: DetectConfig,
+    /// The per-source query cache: owned workspaces only, since only they
+    /// can be edited and so ever ask the same question twice of a
+    /// changed program.
+    cache: Option<QueryCache>,
     counters: WorkspaceCounters,
+    /// Skip the summary gate and search every source: the reference the
+    /// gated search is compared against ([`Workspace::ungated`]).
+    ungated: bool,
+    detect_time: Duration,
+    detect: DetectStats,
+    /// Build-stage spans (cloned from the artefact) extended with the
+    /// detection spans of this workspace's queries.
+    trace: TraceBuf,
+    /// Per-query solver attribution accumulated across checker runs, ids
+    /// in deterministic replay order.
+    queries: Vec<QueryRecord>,
+    /// The accumulating verdict table, seeded from the artefact's
+    /// persisted snapshot. Each run consults the table as it stood when
+    /// the run started and merges what it learned afterwards, so later
+    /// queries reuse earlier verdicts while each run stays thread-count
+    /// invariant. Verdicts survive edits — canonical fingerprints are
+    /// arena-independent, so even a full fallback (which clears the
+    /// per-source query cache) keeps them valid.
+    verdicts: VerdictTable,
+    /// Table size at the last persist — the already-durable prefix.
+    persisted_len: usize,
+    /// Verdicts newly written to the persistent store by this workspace.
+    verdicts_persisted: u64,
+    /// Where new verdicts persist: the artefact's cache directory, if it
+    /// has one and it opened.
+    store: Option<CacheStore>,
+    /// The interface summaries forced so far, per property fingerprint,
+    /// stamped with the artefact's keys fingerprint they were forced
+    /// under: an edit changes the keys of exactly the edited functions
+    /// and (via transitive folding) their SCCs' callers, so a stale memo
+    /// is dropped and the next gate forces only what it reads. Under a
+    /// borrowed artefact the stamp always matches.
+    summaries: HashMap<u128, (u128, ModuleSummaries)>,
+}
+
+impl<A: Borrow<Analysis>> Workspace<A> {
+    fn new(analysis: A, cache: Option<QueryCache>) -> Self {
+        let a = analysis.borrow();
+        let verdicts = a.verdicts.clone();
+        Workspace {
+            config: a.config(),
+            cache,
+            counters: WorkspaceCounters::default(),
+            ungated: false,
+            detect_time: Duration::ZERO,
+            detect: DetectStats::default(),
+            trace: a.trace().clone(),
+            queries: Vec::new(),
+            persisted_len: verdicts.len(),
+            verdicts,
+            verdicts_persisted: 0,
+            store: open_store(a.cache_dir.as_deref()),
+            summaries: HashMap::new(),
+            analysis,
+        }
+    }
+
+    /// The artefact this workspace queries.
+    pub fn analysis(&self) -> &Analysis {
+        self.analysis.borrow()
+    }
+
+    /// Overrides the detection configuration for this workspace's
+    /// queries. The query cache is keyed by the spec *and* configuration
+    /// fingerprint (budgets included), so outcomes computed under another
+    /// configuration — truncated searches in particular — are never
+    /// replayed as answers for this one.
+    pub fn with_config(mut self, config: DetectConfig) -> Self {
+        self.config = config;
+        self
+    }
+
+    /// The detection configuration current queries run under.
+    pub fn detect_config(&self) -> DetectConfig {
+        self.config
+    }
+
+    /// The reference search: every source is searched, none gated by the
+    /// interface summaries. Reports are byte-identical either way; this
+    /// exists so the `engines` fuzz oracle and the tests can say so.
+    #[doc(hidden)]
+    pub fn ungated(mut self) -> Self {
+        self.ungated = true;
+        self
+    }
+
+    /// Every built-in checker: `query(&Query::All).into_reports()`.
+    pub fn check_all(&mut self) -> Vec<Report> {
+        self.query(&Query::All).into_reports()
+    }
+
+    /// The interface-summary memo for `spec`: the one an earlier query
+    /// forced, if the artefact's keys have not changed since, else an
+    /// empty one. Its counters start from zero either way, so after the
+    /// run they are what this query forced — summaries already in memory
+    /// cost nothing and count nowhere.
+    fn summaries_for(&mut self, spec: &Spec) -> ModuleSummaries {
+        let a = self.analysis.borrow();
+        match self.summaries.remove(&summary_fingerprint(spec)) {
+            Some((stamp, mut sums)) if stamp == a.keys_fp => {
+                (sums.built, sums.composed) = (0, 0);
+                sums
+            }
+            _ => ModuleSummaries::new(a.module.funcs.len()),
+        }
+    }
+
+    /// Runs one property (a built-in `kind` or a custom spec) and folds
+    /// its outcome into the accumulated state: gate, then query cache
+    /// (layer 2 of the [module docs](self), owned workspaces only), then
+    /// search.
+    pub(crate) fn run_property(&mut self, spec: &Spec, kind: Option<CheckerKind>) -> Vec<Report> {
+        let t0 = Instant::now();
+        let span = self.trace.open("detect", spec.name.clone());
+        let base_id = u32::try_from(self.queries.len()).expect("query count fits u32");
+        let mut sums = (!self.ungated).then(|| self.summaries_for(spec));
+        let a = self.analysis.borrow();
+        let mut out = run_spec(
+            a,
+            &self.verdicts,
+            spec,
+            kind,
+            self.config,
+            a.threads(),
+            &mut self.trace,
+            &mut self.detect,
+            sums.as_mut(),
+            self.cache.as_mut(),
+        );
+        if let Some(sums) = sums {
+            self.summaries
+                .insert(summary_fingerprint(spec), (a.keys_fp, sums));
+        }
+        self.trace.close(span);
+        for q in &mut out.queries {
+            q.id += base_id;
+        }
+        self.queries.extend(out.queries);
+        self.detect_time += t0.elapsed();
+        for (fp, v) in out.new_verdicts {
+            self.verdicts.insert(fp, v);
+        }
+        if let Some(store) = self.store.as_mut() {
+            if self.verdicts.len() > self.persisted_len {
+                persist_verdicts(store, &self.verdicts);
+                self.verdicts_persisted += (self.verdicts.len() - self.persisted_len) as u64;
+                self.persisted_len = self.verdicts.len();
+            }
+        }
+        self.counters.queries_reused += out.reuse.reused;
+        self.counters.queries_rerun += out.reuse.rerun;
+        out.reports
+    }
+
+    /// The memory-leak pass (the [`Query::Leaks`] arm), on private scratch
+    /// copies of the symbol cache and arena. Leak checking is a
+    /// whole-module graph reachability pass without per-source structure,
+    /// so it is never query-cached; under an owned workspace it is still
+    /// incremental through the spliced SEGs it reads.
+    pub(crate) fn run_leaks(&mut self) -> Vec<crate::leak::LeakReport> {
+        let t0 = Instant::now();
+        let span = self.trace.open("detect", "memory-leak");
+        let a = self.analysis.borrow();
+        let mut symbols = a.pta.symbols.clone();
+        let mut arena = (*a.arena).clone();
+        let reports = crate::leak::find_leaks(&a.module, &a.segs, &mut symbols, &mut arena);
+        self.trace.close(span);
+        self.detect_time += t0.elapsed();
+        reports
+    }
+
+    /// Cumulative reuse counters.
+    pub fn counters(&self) -> WorkspaceCounters {
+        self.counters
+    }
+
+    /// Combined statistics: the artefact's build stages plus the
+    /// accumulated detection counters and time.
+    pub fn stats(&self) -> PipelineStats {
+        let mut s = self.analysis().stats;
+        s.detect = self.detect;
+        s.detect_time = self.detect_time;
+        if let Some(store) = &self.store {
+            // This handle only ever writes.
+            s.cache.store_ns += store.stats().store_ns;
+        }
+        s
+    }
+
+    /// Per-query solver attribution accumulated so far (ids in the
+    /// deterministic replay order they were evaluated in). Cached sources
+    /// replay their recorded events, so warm attribution is identical to
+    /// a cold run's.
+    pub fn queries(&self) -> &[QueryRecord] {
+        &self.queries
+    }
+
+    /// The attribution rows recorded after the first `n` — the slice a
+    /// caller that snapshotted `queries().len()` before an operation
+    /// uses to attribute exactly that operation's solver work (the
+    /// server's slow-query capture). `n` past the end yields an empty
+    /// slice.
+    pub fn queries_since(&self, n: usize) -> &[QueryRecord] {
+        &self.queries[n.min(self.queries.len())..]
+    }
+
+    /// The span trace: build stages plus this workspace's detection
+    /// spans.
+    pub fn trace(&self) -> &TraceBuf {
+        &self.trace
+    }
+
+    /// Chrome trace-event JSON of the spans (Perfetto-loadable).
+    pub fn trace_json(&self) -> String {
+        self.trace.chrome_json()
+    }
+
+    /// Normalized trace (timings/lanes dropped, rows sorted) —
+    /// byte-identical across thread counts.
+    pub fn trace_canonical_json(&self) -> String {
+        self.trace.canonical_json()
+    }
+
+    /// The top-`k` rows of the per-`(checker, function)` "where did the
+    /// time go" table.
+    pub fn profile(&self, k: usize) -> String {
+        ProfileTable::build(&self.queries).render(k)
+    }
+
+    /// The unified metrics registry covering the stage families
+    /// (frontend, callgraph, keys, pta, seg, cache, detect, summary, smt),
+    /// plus the `workspace.*` reuse counters on a workspace with a query
+    /// cache.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let a = self.analysis();
+        let s = self.stats();
+        let mut m = MetricsRegistry::new();
+        m.counter_add("frontend.time_ns", s.front_time.as_nanos() as u64);
+        m.counter_add("frontend.bytes", s.front_bytes as u64);
+        m.counter_add("frontend.tokens", s.front_tokens as u64);
+        m.counter_add("frontend.funcs", a.module.funcs.len() as u64);
+        m.counter_add(
+            "frontend.insts",
+            a.module
+                .funcs
+                .iter()
+                .map(|f| f.iter_insts().count() as u64)
+                .sum(),
+        );
+        m.counter_add("callgraph.time_ns", s.callgraph_time.as_nanos() as u64);
+        m.counter_add("callgraph.edges", a.callgraph.edge_count() as u64);
+        m.counter_add("callgraph.sccs", a.callgraph.scc_count() as u64);
+        m.counter_add("callgraph.max_callers", a.callgraph.max_callers() as u64);
+        m.counter_add("keys.time_ns", s.keys_time.as_nanos() as u64);
+        m.counter_add("pta.time_ns", s.pta_time.as_nanos() as u64);
+        s.pta.record_into(&mut m);
+        m.counter_add("seg.time_ns", s.seg_time.as_nanos() as u64);
+        m.counter_add("seg.vertices", s.seg_vertices as u64);
+        m.counter_add("seg.edges", s.seg_edges as u64);
+        m.counter_add("seg.bytes", s.seg_bytes as u64);
+        m.counter_add("seg.terms", s.terms as u64);
+        // Always present (zero without a cache directory) so the exported
+        // schema is shape-stable.
+        m.counter_add("cache.hits", s.cache.hits);
+        m.counter_add("cache.misses", s.cache.misses);
+        m.counter_add("cache.invalidated", s.cache.invalidated);
+        m.counter_add("cache.load_ns", s.cache.load_ns);
+        m.counter_add("cache.store_ns", s.cache.store_ns);
+        m.counter_add("detect.time_ns", s.detect_time.as_nanos() as u64);
+        m.counter_add("detect.sources", s.detect.sources);
+        m.counter_add("detect.visited", s.detect.visited);
+        m.counter_add("detect.candidates", s.detect.candidates);
+        m.counter_add("detect.refuted", s.detect.refuted);
+        m.counter_add("detect.linear_refuted", s.detect.linear_refuted);
+        m.counter_add("detect.skipped_descents", s.detect.skipped_descents);
+        m.counter_add("detect.budget_exhausted", s.detect.budget_exhausted);
+        m.counter_add("detect.reports", s.detect.reports);
+        // The summary gate: interface summaries built, the interface
+        // edges composed while building, and the sources the gate
+        // answered without a search.
+        m.counter_add("summary.built", s.detect.summary_built);
+        m.counter_add("summary.composed", s.detect.summary_composed);
+        m.counter_add("summary.gated", s.detect.summary_gated);
+        // The SMT family is derived from per-query attribution, so the
+        // aggregate and the query rows can never disagree.
+        m.counter_add("smt.queries", self.queries.len() as u64);
+        for q in &self.queries {
+            m.counter_add("smt.solve_ns", q.cost.solver_ns);
+            m.counter_add("smt.conflicts", q.cost.conflicts);
+            m.counter_add("smt.learned", q.cost.learned);
+            m.counter_add("smt.propagations", q.cost.propagations);
+            m.counter_add("smt.decisions", q.cost.decisions);
+            m.counter_add("smt.theory_checks", q.cost.theory_checks);
+            m.counter_add("smt.theory_conflicts", q.cost.theory_conflicts);
+            m.counter_add("smt.budget_exhausted", q.cost.budget_exhausted);
+            m.hist_record("smt.query_ns", q.cost.solver_ns);
+            m.hist_record("smt.conflicts_per_query", q.cost.conflicts);
+        }
+        // Cross-query condition reuse: how often the verdict table answered
+        // for the solver, and how much incremental-session state the misses
+        // inherited.
+        m.counter_add("smt.verdict.hits", s.detect.verdict_hits);
+        m.counter_add("smt.verdict.misses", s.detect.verdict_misses);
+        m.counter_add("smt.verdict.persisted", self.verdicts_persisted);
+        m.counter_add("smt.incremental.reused_clauses", s.detect.reused_clauses);
+        m.counter_add("smt.incremental.sessions", s.detect.sessions);
+        // Keep the family's keys present even with zero queries so the
+        // exported schema is shape-stable.
+        for key in [
+            "smt.solve_ns",
+            "smt.conflicts",
+            "smt.learned",
+            "smt.propagations",
+            "smt.decisions",
+            "smt.theory_checks",
+            "smt.theory_conflicts",
+            "smt.budget_exhausted",
+        ] {
+            m.counter_add(key, 0);
+        }
+        if self.cache.is_some() {
+            m.counter_add("workspace.queries.reused", self.counters.queries_reused);
+            m.counter_add("workspace.queries.rerun", self.counters.queries_rerun);
+            m.counter_add("workspace.funcs.dirty", self.counters.funcs_dirty);
+            m.counter_add("workspace.funcs.reused", self.counters.funcs_reused);
+        }
+        m
+    }
+
+    /// The unified stats document (`pinpoint-stats-v1`): run metadata,
+    /// per-stage counters ([`Self::metrics`]), histograms, and the
+    /// per-query attribution rows. `canonical` zeroes wall-clock values
+    /// and omits run metadata, making the bytes thread-count invariant.
+    pub fn stats_json(&self, canonical: bool) -> String {
+        self.metrics().stats_json(
+            &[("threads", self.analysis().threads() as u64)],
+            Some(&queries_json(&self.queries, canonical)),
+            canonical,
+        )
+    }
 }
 
 impl Workspace {
@@ -118,37 +489,23 @@ impl Workspace {
         AnalysisBuilder::new().open_workspace(src)
     }
 
-    /// Wraps an already-built artefact in a workspace.
+    /// Wraps an already-built artefact in a workspace that owns it.
     pub fn from_analysis(analysis: Analysis) -> Self {
-        Workspace {
-            runner: QueryRunner::new(&analysis),
-            cache: QueryCache::default(),
-            config: analysis.config(),
-            counters: WorkspaceCounters::default(),
-            analysis,
-        }
-    }
-
-    /// The current artefact (replaced in place by
-    /// [`Workspace::update_source`]).
-    pub fn analysis(&self) -> &Analysis {
-        &self.analysis
-    }
-
-    /// Cumulative reuse counters.
-    pub fn counters(&self) -> WorkspaceCounters {
-        self.counters
+        Workspace::new(analysis, Some(QueryCache::default()))
     }
 
     /// Number of per-source outcomes currently cached.
     pub fn cached_queries(&self) -> usize {
-        self.cache.len()
+        self.cache.as_ref().map_or(0, QueryCache::len)
     }
 
     /// Replaces the program with an edited version, reusing the previous
     /// artefact for everything the edit did not dirty (layer 1 of the
-    /// [module docs](self)). The query cache survives — entries are
-    /// validated per source on the next check — except on a full
+    /// [module docs](self)): the new module's per-function fingerprint
+    /// keys are diffed against the previous build's, and exactly the
+    /// functions whose keys changed are re-analysed (see
+    /// [`pinpoint_pta::incremental`]). The query cache survives — entries
+    /// are validated per source on the next check — except on a full
     /// fallback, which rebuilds the term arena and therefore clears it.
     ///
     /// # Errors
@@ -156,103 +513,30 @@ impl Workspace {
     /// Returns typed front-end errors for the new source; the workspace
     /// is unchanged when it does.
     pub fn update_source(&mut self, new_source: &str) -> Result<UpdateOutcome, PinpointError> {
-        let outcome = self.analysis.update_incremental(new_source)?;
-        if outcome.fell_back {
+        let a = &mut self.analysis;
+        let t = Instant::now();
+        let compiled = compile_source(new_source, a.threads(), &mut TraceBuf::off())?;
+        a.stats.front_time = t.elapsed();
+        a.stats.front_tokens = compiled.tokens;
+        a.stats.front_bytes = compiled.bytes;
+        let outcome = a.update_module_incremental(compiled.module);
+        if let Some(cache) = self.cache.as_mut().filter(|_| outcome.fell_back) {
             // The artefact (term arena included) was rebuilt from
             // scratch: cached outcomes reference the dead arena lineage.
-            self.cache.clear();
+            cache.clear();
         }
         self.counters.funcs_dirty += outcome.reanalyzed as u64;
         self.counters.funcs_reused += outcome.reused as u64;
         Ok(outcome)
     }
+}
 
-    /// Replaces the detection configuration for subsequent queries.
-    /// Because the per-source query cache is keyed by the spec *and*
-    /// configuration fingerprint (budgets included), outcomes computed
-    /// under the old configuration — truncated searches in particular —
-    /// are never replayed as answers for the new one; they simply stop
-    /// being found and the affected sources re-run.
-    pub fn set_detect_config(&mut self, config: DetectConfig) {
-        self.config = config;
-    }
-
-    /// The detection configuration current queries run under.
-    pub fn detect_config(&self) -> DetectConfig {
-        self.config
-    }
-
-    /// Layer 2 of the [module docs](self): one property (a built-in
-    /// `kind` or a custom spec) through the runner with the per-source
-    /// query cache, counting the reuse split.
-    pub(crate) fn run_property(
-        &mut self,
-        spec: &crate::spec::Spec,
-        kind: Option<CheckerKind>,
-    ) -> Vec<Report> {
-        let (reports, reuse) = self.runner.run(
-            &self.analysis,
-            self.config,
-            spec,
-            kind,
-            Some(&mut self.cache),
-        );
-        self.counters.queries_reused += reuse.reused;
-        self.counters.queries_rerun += reuse.rerun;
-        reports
-    }
-
-    /// The memory-leak pass (the [`Query::Leaks`](crate::query::Query)
-    /// arm): not query-cached, incremental through layer 1.
-    pub(crate) fn run_leaks(&mut self) -> Vec<crate::leak::LeakReport> {
-        self.runner.leaks(&self.analysis)
-    }
-
-    /// Combined statistics: the artefact's build stages plus the
-    /// workspace's accumulated detection counters and time.
-    pub fn stats(&self) -> PipelineStats {
-        self.runner.stats(&self.analysis)
-    }
-
-    /// Per-query solver attribution accumulated so far. Cached sources
-    /// replay their recorded events, so warm attribution is identical to
-    /// a cold run's.
-    pub fn queries(&self) -> &[QueryRecord] {
-        &self.runner.queries
-    }
-
-    /// The attribution rows recorded after the first `n` — the slice a
-    /// caller that snapshotted `queries().len()` before an operation
-    /// uses to attribute exactly that operation's solver work (the
-    /// server's slow-query capture). `n` past the end yields an empty
-    /// slice.
-    pub fn queries_since(&self, n: usize) -> &[QueryRecord] {
-        let queries = self.queries();
-        &queries[n.min(queries.len())..]
-    }
-
-    /// The top-`k` most expensive queries so far, rendered as a
-    /// "where did the time go" profile table.
-    pub fn profile(&self, k: usize) -> String {
-        self.runner.profile(k)
-    }
-
-    /// The unified metrics registry: the standard five stage families
-    /// plus the `workspace.*` reuse counters.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = self.runner.metrics(&self.analysis);
-        m.counter_add("workspace.queries.reused", self.counters.queries_reused);
-        m.counter_add("workspace.queries.rerun", self.counters.queries_rerun);
-        m.counter_add("workspace.funcs.dirty", self.counters.funcs_dirty);
-        m.counter_add("workspace.funcs.reused", self.counters.funcs_reused);
-        m
-    }
-
-    /// The unified stats document (`pinpoint-stats-v1`) including the
-    /// `workspace` stage family. `canonical` zeroes wall-clock values
-    /// and omits run metadata.
-    pub fn stats_json(&self, canonical: bool) -> String {
-        self.runner.stats_json(&self.metrics(), canonical)
+impl Analysis {
+    /// A borrowed workspace over this artefact for one-shot queries: it
+    /// keeps no query cache. Several can run concurrently from separate
+    /// threads without synchronisation.
+    pub fn session(&self) -> Workspace<&Analysis> {
+        Workspace::new(self, None)
     }
 }
 
@@ -270,7 +554,6 @@ impl AnalysisBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Query;
 
     const UAF: &str = "fn helper(q: int*) { free(q); return; }
         fn main() {
@@ -406,10 +689,12 @@ mod tests {
                 print(x);
                 return;
             }";
-        let mut ws = Workspace::open(chain).unwrap();
-        let mut tight = ws.detect_config();
-        tight.max_visited_per_source = 1;
-        ws.set_detect_config(tight);
+        let ws = Workspace::open(chain).unwrap();
+        let tight = DetectConfig {
+            max_visited_per_source: 1,
+            ..ws.detect_config()
+        };
+        let mut ws = ws.with_config(tight);
         let starved = ws
             .query(&Query::Check(CheckerKind::UseAfterFree))
             .into_reports();
@@ -419,7 +704,7 @@ mod tests {
         // Restore the default budget: the truncated outcome is keyed to
         // the old configuration fingerprint, so the source re-runs
         // instead of replaying its truncated (empty) answer.
-        ws.set_detect_config(DetectConfig::default());
+        let mut ws = ws.with_config(DetectConfig::default());
         let full = ws
             .query(&Query::Check(CheckerKind::UseAfterFree))
             .into_reports();

@@ -9,7 +9,7 @@
 use crate::{formula, OracleKind};
 use pinpoint_baseline::{layered_check_uaf, Fsvfg};
 use pinpoint_core::spec::{SinkSpec, SourceSpec, Spec};
-use pinpoint_core::{Analysis, AnalysisBuilder, CheckerKind, DetectSession, Query, Workspace};
+use pinpoint_core::{Analysis, AnalysisBuilder, CheckerKind, Query, Workspace};
 use pinpoint_workload::fuzzgen;
 use pinpoint_workload::rng::SmallRng;
 use std::collections::HashSet;
@@ -163,7 +163,8 @@ fn baseline_oracle(src: &str) -> CheckResult {
             )
         }
     };
-    let reports = analysis.check(CheckerKind::UseAfterFree);
+    let uaf = Query::Check(CheckerKind::UseAfterFree);
+    let reports = analysis.session().query(&uaf).into_reports();
     if reports.is_empty() {
         return Ok(());
     }
@@ -213,16 +214,17 @@ fn threads_oracle(src: &str, threads: usize) -> CheckResult {
         Ok(a) => a,
         Err(e) => return fail("frontend-reject", format!("threads={n} rejected: {e}")),
     };
-    let r1 = render(&one.check_all());
-    let rn = render(&many.check_all());
+    let (mut one, mut many) = (one.session(), many.session());
+    let r1 = render(&one.query(&Query::All).into_reports());
+    let rn = render(&many.query(&Query::All).into_reports());
     if r1 != rn {
         return fail(
             "mismatch",
             format!("reports differ between 1 and {n} threads:\n--- 1 thread\n{r1}\n--- {n} threads\n{rn}"),
         );
     }
-    let l1 = format!("{:?}", one.check_leaks());
-    let ln = format!("{:?}", many.check_leaks());
+    let l1 = format!("{:?}", one.query(&Query::Leaks).leaks());
+    let ln = format!("{:?}", many.query(&Query::Leaks).leaks());
     if l1 != ln {
         return fail(
             "leak-mismatch",
@@ -278,7 +280,7 @@ fn warm_oracle(src: &str, seed: u64) -> CheckResult {
 
 fn cache_roundtrip(src: &str, dir: &std::path::Path) -> CheckResult {
     let plain = match AnalysisBuilder::new().threads(1).build_source(src) {
-        Ok(a) => render(&a.check_all()),
+        Ok(a) => render(&a.session().query(&Query::All).into_reports()),
         Err(e) => return fail("frontend-reject", format!("{e}")),
     };
     for round in 0..2 {
@@ -287,7 +289,7 @@ fn cache_roundtrip(src: &str, dir: &std::path::Path) -> CheckResult {
             .cache_dir(dir)
             .build_source(src)
         {
-            Ok(a) => render(&a.check_all()),
+            Ok(a) => render(&a.session().query(&Query::All).into_reports()),
             Err(e) => return fail("cache-reject", format!("cache round {round}: {e}")),
         };
         if cached != plain {
@@ -349,10 +351,10 @@ fn engines_compare(src: &str, threads: usize, variant: &str) -> CheckResult {
             )
         }
     };
-    let run = |mut session: DetectSession<'_>| {
-        let mut reports = session.check_all();
+    let run = |mut session: Workspace<&Analysis>| {
+        let mut reports = session.query(&Query::All).into_reports();
         for spec in custom_specs() {
-            reports.extend(session.check_custom(&spec));
+            reports.extend(session.query(&Query::Custom(spec)).into_reports());
         }
         render(&reports)
     };
@@ -447,14 +449,14 @@ fn verify_oracle(src: &str) -> CheckResult {
 pub fn reference_expectations(src: &str) -> Option<String> {
     catch_unwind(AssertUnwindSafe(|| {
         let analysis = Analysis::from_source(src).ok()?;
-        let count = |k: CheckerKind| analysis.check(k).len();
+        let count = |q: Query| analysis.session().query(&q).len();
         Some(format!(
             "uaf={} taint-pt={} taint-dt={} null={} leak={}",
-            count(CheckerKind::UseAfterFree),
-            count(CheckerKind::PathTraversal),
-            count(CheckerKind::DataTransmission),
-            count(CheckerKind::NullDeref),
-            analysis.check_leaks().len()
+            count(Query::Check(CheckerKind::UseAfterFree)),
+            count(Query::Check(CheckerKind::PathTraversal)),
+            count(Query::Check(CheckerKind::DataTransmission)),
+            count(Query::Check(CheckerKind::NullDeref)),
+            count(Query::Leaks)
         ))
     }))
     .ok()

@@ -90,7 +90,7 @@ pub type Fact = (Obj, TermId);
 /// The guarded points-to sets of one function's values, indexed by
 /// [`ValueId`]: a `(start, len)` span per value into one fact pool. A
 /// pass only appends to the pool — overwriting a set leaves the old one
-/// behind — until [`PointsTo::compact`] drops what no span refers to.
+/// behind — until `PointsTo::compact` drops what no span refers to.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PointsTo {
     spans: Vec<(u32, u32)>,

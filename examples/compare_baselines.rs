@@ -9,7 +9,7 @@
 
 use pinpoint::baseline::{dense_check, layered_check_uaf, Fsvfg};
 use pinpoint::workload::{generate, GenConfig};
-use pinpoint::{AnalysisBuilder, CheckerKind};
+use pinpoint::{AnalysisBuilder, CheckerKind, Query};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let project = generate(&GenConfig {
@@ -28,7 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Pinpoint.
     let analysis = AnalysisBuilder::new().build_source(&project.source)?;
-    let reports = analysis.check(CheckerKind::UseAfterFree);
+    let reports = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports();
     let hit = |marker: &str| {
         reports.iter().any(|r| {
             analysis.module.func(r.source_func).name.contains(marker)

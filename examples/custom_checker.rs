@@ -12,7 +12,7 @@
 //! ```
 
 use pinpoint::core::spec::{SinkSpec, SourceSpec, Spec};
-use pinpoint::AnalysisBuilder;
+use pinpoint::{AnalysisBuilder, Query};
 
 const APP: &str = r#"
     // The project's own API surface (ordinary functions).
@@ -65,7 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let analysis = AnalysisBuilder::new().build_source(APP)?;
-    let reports = analysis.check_custom(&spec);
+    let reports = analysis
+        .session()
+        .query(&Query::Custom(spec.clone()))
+        .into_reports();
 
     println!(
         "custom checker `{}`: {} report(s)",

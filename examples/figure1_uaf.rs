@@ -14,7 +14,7 @@
 //! cargo run --example figure1_uaf
 //! ```
 
-use pinpoint::{AnalysisBuilder, CheckerKind};
+use pinpoint::{AnalysisBuilder, CheckerKind, Query};
 
 const FIGURE1: &str = r#"
     global gb: int;
@@ -73,7 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shape.aux_rets.len()
     );
 
-    let reports = analysis.check(CheckerKind::UseAfterFree);
+    let reports = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports();
     println!("\nuse-after-free reports: {}", reports.len());
     for r in &reports {
         println!("  {r}");

@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build_source(&project.source)?;
     let mut first = cold.session();
     let t2 = Instant::now();
-    let first_reports = first.check_all().len();
+    let first_reports = first.query(&Query::All).into_reports().len();
     let first_time = t2.elapsed();
     let solved = first.stats().detect.verdict_misses;
     let warm = AnalysisBuilder::new()
@@ -108,12 +108,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build_source(&edited)?;
     let mut second = warm.session();
     let t3 = Instant::now();
-    let second_reports = second.check_all().len();
+    let second_reports = second.query(&Query::All).into_reports().len();
     let second_time = t3.elapsed();
     let d = second.stats().detect;
     println!(
-        "\npersistent verdicts ({}):\n  first check_all: {first_time:?} ({solved} conditions solved \
-         and stored)\n  check_all of a fresh build after the edit: {second_time:?} — {} replayed, {} solved",
+        "\npersistent verdicts ({}):\n  first check: {first_time:?} ({solved} conditions solved \
+         and stored)\n  the check of a fresh build after the edit: {second_time:?} — {} replayed, {} solved",
         dir.display(),
         d.verdict_hits,
         d.verdict_misses,

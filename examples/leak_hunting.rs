@@ -7,7 +7,7 @@
 //! ```
 
 use pinpoint::core::LeakKind;
-use pinpoint::AnalysisBuilder;
+use pinpoint::{AnalysisBuilder, Query};
 
 const MANAGER: &str = r#"
     // A connection manager: sessions are pooled, buffers are scratch.
@@ -58,7 +58,7 @@ const MANAGER: &str = r#"
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = AnalysisBuilder::new().build_source(MANAGER)?;
-    let leaks = analysis.check_leaks();
+    let leaks = analysis.session().query(&Query::Leaks).into_leaks();
 
     println!("{} leak(s) found:\n", leaks.len());
     for l in &leaks {

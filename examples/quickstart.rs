@@ -4,7 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use pinpoint::{AnalysisBuilder, CheckerKind};
+use pinpoint::{AnalysisBuilder, CheckerKind, Query};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = r#"
@@ -31,9 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     "#;
 
-    // The builder configures the pipeline (worker count, solver budgets,
-    // checker selection); the artefact it produces is immutable and
-    // queried through `&self`.
+    // The builder configures the pipeline (worker count, detection
+    // configuration, cache directory); the artefact it produces is
+    // immutable, so any number of sessions can query it.
     let analysis = AnalysisBuilder::new().build_source(source)?;
     println!(
         "analysed {} functions / {} instructions ({} SEG edges, {} terms)\n",
@@ -43,11 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analysis.stats.terms,
     );
 
-    // Per-query scratch state lives on a session, which also accumulates
-    // detection statistics across the checkers it runs.
+    // A session is a workspace borrowing the artefact: it answers
+    // `Query` values and accumulates detection statistics across them.
     let mut session = analysis.session();
     for kind in CheckerKind::ALL {
-        let reports = session.check(kind);
+        let reports = session.query(&Query::Check(kind)).into_reports();
         println!("{kind}: {} report(s)", reports.len());
         for r in &reports {
             println!("  {r}"); // reports are self-describing

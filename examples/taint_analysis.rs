@@ -5,7 +5,7 @@
 //! cargo run --example taint_analysis
 //! ```
 
-use pinpoint::{AnalysisBuilder, CheckerKind};
+use pinpoint::{AnalysisBuilder, CheckerKind, Query};
 
 const SERVER: &str = r#"
     // A request handler: reads a path component from the network,
@@ -60,14 +60,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = AnalysisBuilder::new().build_source(SERVER)?;
     let mut session = analysis.session();
 
-    let pt = session.check(CheckerKind::PathTraversal);
+    let pt = session
+        .query(&Query::Check(CheckerKind::PathTraversal))
+        .into_reports();
     println!("path-traversal reports: {}", pt.len());
     for r in &pt {
         println!("  {r}");
     }
     assert_eq!(pt.len(), 1, "recv → fopen across two functions");
 
-    let dt = session.check(CheckerKind::DataTransmission);
+    let dt = session
+        .query(&Query::Check(CheckerKind::DataTransmission))
+        .into_reports();
     println!("\ndata-transmission reports: {}", dt.len());
     for r in &dt {
         println!("  {r}");

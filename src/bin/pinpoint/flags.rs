@@ -13,7 +13,7 @@
 //! * `--threads must be at least 1`
 //! * `` unknown flag `--frob` ``
 
-use pinpoint::AnalysisBuilder;
+use pinpoint::{Analysis, AnalysisBuilder, DetectConfig, Workspace};
 
 /// The common flags a subcommand may accept; pass the subset to
 /// [`CommonFlags::extract`].
@@ -80,8 +80,12 @@ impl CommonFlags {
     /// (threads, solver toggle, cache directory, tracing when a trace
     /// output was requested).
     pub fn builder(&self) -> AnalysisBuilder {
+        let config = DetectConfig {
+            solve: !self.no_solve,
+            ..DetectConfig::default()
+        };
         let mut b = AnalysisBuilder::new()
-            .solve(!self.no_solve)
+            .detect_config(config)
             .trace(self.trace_out.is_some());
         if let Some(n) = self.threads {
             b = b.threads(n);
@@ -94,7 +98,7 @@ impl CommonFlags {
 
     /// Writes the requested observability artifacts of a finished
     /// session.
-    pub fn write_obs(&self, session: &pinpoint::DetectSession) -> Result<(), String> {
+    pub fn write_obs(&self, session: &Workspace<&Analysis>) -> Result<(), String> {
         if let Some(path) = &self.trace_out {
             std::fs::write(path, session.trace_json())
                 .map_err(|e| format!("cannot write `{path}`: {e}"))?;

@@ -37,7 +37,7 @@ mod top;
 
 use flags::{Common, CommonFlags};
 use pinpoint::core::export::{leaks_json, reports_json, seg_to_dot};
-use pinpoint::{Analysis, CheckerKind, DetectSession, PinpointError, Report};
+use pinpoint::{Analysis, CheckerKind, PinpointError, Query, Report, Workspace};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -316,9 +316,9 @@ fn leak(analysis: Analysis) -> &'static Analysis {
 
 /// Ends a one-shot command. By now everything it persists is on disk —
 /// reports, the `--stats-json`/`--trace-out` files, and the verdicts each
-/// `check_*` call wrote as it ran; no `Drop` impl persists anything — so
-/// once stdout is flushed the session is forgotten like its artefact.
-fn finish(session: DetectSession<'static>, found_reports: bool) -> bool {
+/// query wrote as it ran; no `Drop` impl persists anything — so once
+/// stdout is flushed the session is forgotten like its artefact.
+fn finish(session: Workspace<&'static Analysis>, found_reports: bool) -> bool {
     std::io::stdout()
         .flush()
         .expect("failed printing to stdout");
@@ -348,13 +348,16 @@ fn check(source: &str, args: &[String]) -> Result<bool, CliError> {
     if kinds.is_empty() {
         kinds.extend(CheckerKind::ALL);
     }
-    let mut builder = common.builder().checkers(kinds);
+    let analysis = leak(common.builder().build_source(source)?);
+    let mut config = analysis.config();
     if let Some(d) = ctx_depth {
-        builder = builder.max_ctx_depth(d);
+        config.max_ctx_depth = d;
     }
-    let analysis = leak(builder.build_source(source)?);
-    let mut session = analysis.session();
-    let all: Vec<Report> = session.check_configured();
+    let mut session = analysis.session().with_config(config);
+    let all: Vec<Report> = kinds
+        .into_iter()
+        .flat_map(|k| session.query(&Query::Check(k)).into_reports())
+        .collect();
     common.write_obs(&session)?;
     if json {
         println!("{}", reports_json(&analysis.module, &all));
@@ -388,7 +391,7 @@ fn leaks(source: &str, args: &[String]) -> Result<bool, CliError> {
     flags::reject_unknown(&rest)?;
     let analysis = leak(common.builder().build_source(source)?);
     let mut session = analysis.session();
-    let reports = session.check_leaks();
+    let reports = session.query(&Query::Leaks).into_leaks();
     common.write_obs(&session)?;
     if json {
         println!("{}", leaks_json(&analysis.module, &reports));
@@ -422,7 +425,7 @@ fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
     flags::reject_unknown(&rest)?;
     let analysis = leak(common.builder().build_source(source)?);
     let mut session = analysis.session();
-    let _ = session.check_all();
+    session.query(&Query::All);
     common.write_obs(&session)?;
     let s = session.stats();
     println!("source bytes:     {}", s.front_bytes);
@@ -469,7 +472,7 @@ fn profile(source: &str, args: &[String]) -> Result<bool, CliError> {
     flags::reject_unknown(&rest)?;
     let analysis = leak(common.builder().build_source(source)?);
     let mut session = analysis.session();
-    let _ = session.check_all();
+    session.query(&Query::All);
     print!("{}", session.profile(top));
     Ok(finish(session, false))
 }

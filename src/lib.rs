@@ -26,14 +26,16 @@
 //! # Quick start
 //!
 //! The pipeline is configured by [`AnalysisBuilder`] (worker count,
-//! solver budgets, checker selection) and produces an immutable
-//! [`Analysis`] artefact; queries go through `&self`, so concurrent
-//! checkers are safe. All three stages — points-to, SEG construction,
-//! detection — run on `threads` workers with deterministic merges:
-//! reports are byte-identical for any thread count.
+//! detection configuration, cache directory) and produces an immutable
+//! [`Analysis`] artefact. Every question goes to it as a [`Query`]
+//! through a [`Workspace`]: [`Analysis::session`] borrows the artefact
+//! for one-shot checks (so concurrent checkers are safe), and
+//! [`Workspace::open`] owns one that accepts edits. The front end,
+//! points-to and detection run on `threads` workers with deterministic
+//! merges: reports are byte-identical for any thread count.
 //!
 //! ```
-//! use pinpoint::{AnalysisBuilder, CheckerKind};
+//! use pinpoint::{AnalysisBuilder, CheckerKind, Query};
 //!
 //! let source = "
 //!     fn main() {
@@ -44,20 +46,12 @@
 //!         return;
 //!     }";
 //! let analysis = AnalysisBuilder::new().threads(4).build_source(source)?;
-//! let reports = analysis.check(CheckerKind::UseAfterFree);
-//! assert_eq!(reports.len(), 1);
-//! println!("{}", reports[0]); // reports are self-describing
-//! # Ok::<(), pinpoint::PinpointError>(())
-//! ```
-//!
-//! Per-query configuration and statistics live on a [`DetectSession`]:
-//!
-//! ```
-//! # let source = "fn main() { let p: int* = malloc(); free(p); let x: int = *p; print(x); return; }";
-//! # let analysis = pinpoint::Analysis::from_source(source)?;
 //! let mut session = analysis.session();
-//! let reports = session.check(pinpoint::CheckerKind::UseAfterFree);
-//! assert_eq!(session.stats().detect.reports, reports.len() as u64);
+//! let reports = session.query(&Query::Check(CheckerKind::UseAfterFree));
+//! assert_eq!(reports.len(), 1);
+//! println!("{}", reports.reports()[0]); // reports are self-describing
+//! // Statistics accumulate on the workspace across queries.
+//! assert_eq!(session.stats().detect.reports, 1);
 //! # Ok::<(), pinpoint::PinpointError>(())
 //! ```
 
@@ -74,9 +68,9 @@ pub use pinpoint_smt as smt;
 pub use pinpoint_workload as workload;
 
 pub use pinpoint_core::{
-    default_threads, Analysis, AnalysisBuilder, CheckerKind, DetectConfig, DetectSession,
-    ErrorCode, Op, PinpointError, Query, QueryResponse, Reply, Report, Request, Response, Server,
-    ServerConfig, ServerError, ServerStats, ServerTelemetry, TelemetryConfig, UpdateOutcome,
-    Workspace, WorkspaceCounters,
+    default_threads, Analysis, AnalysisBuilder, CheckerKind, DetectConfig, ErrorCode, Op,
+    PinpointError, Query, QueryResponse, Reply, Report, Request, Response, Server, ServerConfig,
+    ServerError, ServerStats, ServerTelemetry, TelemetryConfig, UpdateOutcome, Workspace,
+    WorkspaceCounters,
 };
 pub use pinpoint_ir::compile;

@@ -5,7 +5,7 @@
 
 use pinpoint::baseline::{dense_check, layered_check_uaf, Fsvfg};
 use pinpoint::workload::{generate, GenConfig};
-use pinpoint::{Analysis, CheckerKind};
+use pinpoint::{Analysis, CheckerKind, Query};
 
 fn project(seed: u64) -> pinpoint::workload::Generated {
     generate(&GenConfig {
@@ -21,7 +21,11 @@ fn project(seed: u64) -> pinpoint::workload::Generated {
 fn layered_overreports_pinpoint() {
     let p = project(31);
     let analysis = Analysis::from_source(&p.source).unwrap();
-    let pinpoint_reports = analysis.check(CheckerKind::UseAfterFree).len();
+    let pinpoint_reports = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports()
+        .len();
     let module = pinpoint::compile(&p.source).unwrap();
     let g = Fsvfg::build(&module);
     let layered = layered_check_uaf(&module, &g).len();
@@ -71,7 +75,11 @@ fn dense_misses_cross_function_bugs() {
     assert!(dense_check(&module).is_empty(), "per-unit checker is blind");
     let analysis = Analysis::from_source(src).unwrap();
     assert_eq!(
-        analysis.check(CheckerKind::UseAfterFree).len(),
+        analysis
+            .session()
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports()
+            .len(),
         1,
         "pinpoint sees across the call"
     );
@@ -88,7 +96,10 @@ fn pinpoint_false_positive_rate_low_on_ground_truth() {
     for seed in [41, 42, 43] {
         let p = project(seed);
         let analysis = Analysis::from_source(&p.source).unwrap();
-        let reports = analysis.check(CheckerKind::UseAfterFree);
+        let reports = analysis
+            .session()
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports();
         for b in &p.bugs {
             let hit = reports.iter().any(|r| {
                 analysis.module.func(r.source_func).name.contains(&b.marker)

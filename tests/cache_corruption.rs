@@ -4,7 +4,7 @@
 //! wrong result.
 
 use pinpoint::cache::{CacheStore, HEADER_LEN};
-use pinpoint::{Analysis, AnalysisBuilder};
+use pinpoint::{Analysis, AnalysisBuilder, Query};
 use std::path::{Path, PathBuf};
 
 const SRC: &str = "fn release(x: int*) { free(x); return; }
@@ -32,7 +32,9 @@ fn build(cache: Option<&Path>) -> Analysis {
 
 fn render(analysis: &Analysis) -> String {
     let mut out: Vec<String> = analysis
-        .check_all()
+        .session()
+        .query(&Query::All)
+        .into_reports()
         .iter()
         .map(ToString::to_string)
         .collect();

@@ -86,6 +86,40 @@ fn specific_checker_selection() {
     // Only the taint checker: the UAF must not be reported.
     let (stdout, _, code) = run(&["check", "--checker", "taint-pt"], BUGGY);
     assert_eq!(code, 0, "{stdout}");
+    // Several checkers run in the order given, each reporting only its
+    // own property.
+    let both = "fn main() {
+        let p: int* = malloc();
+        free(p);
+        let x: int = *p;
+        print(x);
+        let input: int = fgetc();
+        let h: int = fopen(input);
+        print(h);
+        return;
+    }";
+    let properties = |checkers: &[&str]| -> Vec<String> {
+        let mut args = vec!["check", "--json"];
+        for c in checkers {
+            args.extend(["--checker", c]);
+        }
+        let (stdout, _, code) = run(&args, both);
+        assert_eq!(code, 1, "{stdout}");
+        stdout
+            .split("\"property\":\"")
+            .skip(1)
+            .map(|rest| rest.split('"').next().unwrap().to_string())
+            .collect()
+    };
+    assert_eq!(
+        properties(&["uaf", "taint-pt"]),
+        ["use-after-free", "path-traversal"]
+    );
+    assert_eq!(
+        properties(&["taint-pt", "uaf"]),
+        ["path-traversal", "use-after-free"]
+    );
+    assert_eq!(properties(&["uaf"]), ["use-after-free"]);
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! `tests/corpus/fuzz-regressions/` and are picked up the same way, so
 //! every fuzz-found bug stays pinned after its fix.
 
-use pinpoint::{Analysis, CheckerKind};
+use pinpoint::{Analysis, CheckerKind, Query};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -67,14 +67,18 @@ fn check_counts(
     failures: &mut Vec<String>,
 ) {
     for (&kind, &want) in expected {
-        let got = analysis.check(kind).len();
+        let got = analysis
+            .session()
+            .query(&Query::Check(kind))
+            .into_reports()
+            .len();
         if got != want {
             failures.push(format!(
                 "{file} [{label}] {kind}: expected {want}, got {got}"
             ));
         }
     }
-    let got_leaks = analysis.check_leaks().len();
+    let got_leaks = analysis.session().query(&Query::Leaks).into_leaks().len();
     if got_leaks != expected_leaks {
         failures.push(format!(
             "{file} [{label}] leaks: expected {expected_leaks}, got {got_leaks}"

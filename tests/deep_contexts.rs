@@ -2,8 +2,14 @@
 //! the paper's §5.2 highlights a MySQL use-after-free whose control flow
 //! spans 36 functions across 11 compilation units.
 
-use pinpoint::{Analysis, CheckerKind};
+use pinpoint::{Analysis, CheckerKind, DetectConfig, Query, Report, Workspace};
 use std::fmt::Write;
+
+const UAF: Query = Query::Check(CheckerKind::UseAfterFree);
+
+fn uaf(a: &Analysis) -> Vec<Report> {
+    a.session().query(&UAF).into_reports()
+}
 
 /// Builds a program where the freed pointer travels through a chain of
 /// `n` forwarding functions (each stores it into a fresh cell and loads
@@ -44,7 +50,7 @@ fn chain_program(n: usize) -> String {
 fn bug_across_six_functions_found_at_default_depth() {
     let src = chain_program(5); // 5 hops + main = 6 functions
     let a = Analysis::from_source(&src).unwrap();
-    let reports = a.check(CheckerKind::UseAfterFree);
+    let reports = uaf(&a);
     assert_eq!(reports.len(), 1, "{reports:?}");
     // The path crosses from hop0 (the free) back out to main (the deref).
     let r = &reports[0];
@@ -59,9 +65,11 @@ fn mysql_class_chain_found_with_deep_contexts() {
     // beyond the default 6.
     let src = chain_program(35);
     let a = Analysis::from_source(&src).unwrap();
-    let mut session = a.session();
-    session.config.max_ctx_depth = 40;
-    let reports = session.check(CheckerKind::UseAfterFree);
+    let config = DetectConfig {
+        max_ctx_depth: 40,
+        ..a.config()
+    };
+    let reports = a.session().with_config(config).query(&UAF).into_reports();
     assert_eq!(reports.len(), 1, "{reports:?}");
     assert!(
         reports[0].path.len() > 35,
@@ -76,7 +84,7 @@ fn default_depth_misses_overdeep_chain() {
     // 35-hop chain is out of budget.
     let src = chain_program(35);
     let a = Analysis::from_source(&src).unwrap();
-    let reports = a.check(CheckerKind::UseAfterFree);
+    let reports = uaf(&a);
     assert!(
         reports.is_empty(),
         "depth-6 budget cannot span 36 functions: {reports:?}"
@@ -108,7 +116,7 @@ fn wide_fanout_remains_fast() {
     src.push_str(&main);
     let a = Analysis::from_source(&src).unwrap();
     let mut session = a.session();
-    let reports = session.check(CheckerKind::UseAfterFree);
+    let reports = session.query(&UAF).into_reports();
     assert_eq!(reports.len(), 1);
     let det = session.stats().detect;
     assert!(
@@ -134,9 +142,10 @@ fn incremental_update_preserves_verdicts() {
         ..GenConfig::default().with_target_kloc(1.0)
     });
     // Full analysis of the original.
-    let mut analysis = Analysis::from_source(&project.source).unwrap();
-    let before: Vec<String> = analysis
-        .check(CheckerKind::UseAfterFree)
+    let mut ws = Workspace::open(&project.source).unwrap();
+    let before: Vec<String> = ws
+        .query(&UAF)
+        .reports()
         .iter()
         .map(|r| r.to_string())
         .collect();
@@ -152,15 +161,16 @@ fn incremental_update_preserves_verdicts() {
             &project.source[brace..]
         )
     };
-    let outcome = analysis.update_incremental(&edited).unwrap();
+    let outcome = ws.update_source(&edited).unwrap();
     let reanalyzed = outcome.reanalyzed;
-    let total = analysis.module.funcs.len();
+    let total = ws.analysis().module.funcs.len();
     assert!(
         reanalyzed < total / 2,
         "incremental reuse: {reanalyzed}/{total} re-analysed"
     );
-    let after: Vec<String> = analysis
-        .check(CheckerKind::UseAfterFree)
+    let after: Vec<String> = ws
+        .query(&UAF)
+        .reports()
         .iter()
         .map(|r| r.to_string())
         .collect();

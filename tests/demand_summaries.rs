@@ -136,17 +136,19 @@ fn gated_equals_ungated_for_builtin_and_custom_specs() {
             .build_source(&src)
             .unwrap();
         for kind in CheckerKind::ALL {
+            let q = Query::Check(kind);
             assert_eq!(
-                render(&a.session().check(kind)),
-                render(&a.session().ungated().check(kind)),
+                render(a.session().query(&q).reports()),
+                render(a.session().ungated().query(&q).reports()),
                 "{name} / {kind}"
             );
         }
-        for (i, spec) in custom_specs().iter().enumerate() {
+        for (i, spec) in custom_specs().into_iter().enumerate() {
+            let q = Query::Custom(spec);
             let mut session = a.session();
-            let got = render(&session.check_custom(spec));
-            let expected = render(&a.session().ungated().check_custom(spec));
-            assert_eq!(got, expected, "{name} / {}", spec.name);
+            let got = render(session.query(&q).reports());
+            let expected = render(a.session().ungated().query(&q).reports());
+            assert_eq!(got, expected, "{name} / {}", q.label());
             reports[i] += got.len();
             gated[i] += session.stats().detect.summary_gated;
         }
@@ -238,17 +240,17 @@ fn check_all_forces_only_what_its_sources_reach() {
         .threads(1)
         .build_source(&src)
         .unwrap();
-    let expected = render(&a.session().ungated().check_all());
+    let expected = render(a.session().ungated().query(&Query::All).reports());
     assert_eq!(expected.len(), 1);
     let mut summary = a.session();
-    assert_eq!(render(&summary.check_all()), expected);
+    assert_eq!(render(summary.query(&Query::All).reports()), expected);
     let stats = summary.stats().detect;
     assert!(
         (1..=DEMANDED).contains(&stats.summary_built),
         "20 003 functions, at most two demanded: {stats:?}"
     );
     // A second whole-program check finds them in memory.
-    assert_eq!(render(&summary.check_all()), expected);
+    assert_eq!(render(summary.query(&Query::All).reports()), expected);
     assert_eq!(summary.stats().detect.summary_built, stats.summary_built);
 }
 

@@ -2,7 +2,7 @@
 //! pipeline, report matching.
 
 use pinpoint::workload::{generate, BugKind, GenConfig};
-use pinpoint::{Analysis, CheckerKind};
+use pinpoint::{Analysis, CheckerKind, Query};
 
 /// Matches reports back to ground-truth markers by function names.
 fn hits(analysis: &Analysis, reports: &[pinpoint::Report], marker: &str) -> usize {
@@ -25,7 +25,10 @@ fn all_real_memory_bugs_found_no_decoys_flagged() {
         ..GenConfig::default().with_target_kloc(1.0)
     });
     let analysis = Analysis::from_source(&project.source).expect("compiles");
-    let reports = analysis.check(CheckerKind::UseAfterFree);
+    let reports = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports();
     for bug in &project.bugs {
         let n = hits(&analysis, &reports, &bug.marker);
         if bug.real {
@@ -47,8 +50,14 @@ fn taint_bugs_found_decoys_refuted() {
         ..GenConfig::default()
     });
     let analysis = Analysis::from_source(&project.source).expect("compiles");
-    let pt = analysis.check(CheckerKind::PathTraversal);
-    let dt = analysis.check(CheckerKind::DataTransmission);
+    let pt = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::PathTraversal))
+        .into_reports();
+    let dt = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::DataTransmission))
+        .into_reports();
     for bug in &project.bugs {
         let reports = match bug.kind {
             BugKind::PathTraversal => &pt,
@@ -74,7 +83,9 @@ fn analysis_is_deterministic() {
     let run = || {
         let a = Analysis::from_source(&project.source).unwrap();
         let mut reports: Vec<String> = a
-            .check(CheckerKind::UseAfterFree)
+            .session()
+            .query(&Query::Check(CheckerKind::UseAfterFree))
+            .into_reports()
             .iter()
             .map(|r| r.to_string())
             .collect();
@@ -97,7 +108,7 @@ fn multiple_seeds_analyse_cleanly() {
         });
         let analysis =
             Analysis::from_source(&project.source).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let reports = analysis.check_all();
+        let reports = analysis.session().query(&Query::All).into_reports();
         // Every real bug's marker appears; no panic, no runaway.
         let real = project.bugs.iter().filter(|b| b.real).count();
         assert!(
@@ -119,7 +130,9 @@ fn stats_are_consistent() {
     });
     let analysis = Analysis::from_source(&project.source).unwrap();
     let mut session = analysis.session();
-    let reports = session.check(CheckerKind::UseAfterFree);
+    let reports = session
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports();
     let s = session.stats();
     assert_eq!(s.detect.reports as usize, reports.len());
     assert_eq!(

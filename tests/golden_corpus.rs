@@ -9,7 +9,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_corpus
 //! ```
 
-use pinpoint::{Analysis, CheckerKind};
+use pinpoint::{Analysis, CheckerKind, Query};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -28,7 +28,7 @@ fn render(source: &str) -> String {
     let analysis = Analysis::from_source(source).expect("corpus file compiles");
     let mut out = String::new();
     for kind in CheckerKind::ALL {
-        for r in analysis.check(kind) {
+        for r in analysis.session().query(&Query::Check(kind)).into_reports() {
             let _ = writeln!(out, "{r}");
             for s in &r.path {
                 let f = analysis.module.func(s.func);
@@ -45,7 +45,7 @@ fn render(source: &str) -> String {
             }
         }
     }
-    for l in analysis.check_leaks() {
+    for l in analysis.session().query(&Query::Leaks).into_leaks() {
         let _ = writeln!(
             out,
             "[leak:{:?}] allocation at {} in `{}`",

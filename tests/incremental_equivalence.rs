@@ -44,14 +44,14 @@ fn temp_cache(tag: &str) -> PathBuf {
 /// reports (with witnesses) plus leak reports, in deterministic order.
 fn render(analysis: &Analysis) -> String {
     let mut out = String::new();
-    for r in analysis.check_all() {
+    for r in analysis.session().query(&Query::All).into_reports() {
         out.push_str(&r.to_string());
         for (name, value) in &r.witness {
             out.push_str(&format!(" {name}={value}"));
         }
         out.push('\n');
     }
-    for l in analysis.check_leaks() {
+    for l in analysis.session().query(&Query::Leaks).into_leaks() {
         out.push_str(&format!(
             "[leak:{:?}] {} in {}\n",
             l.kind,
@@ -209,7 +209,7 @@ fn warm_runs_byte_identical_across_seeded_edits() {
             assert_eq!(warm.stats.cache.hits, 1, "{:?}", warm.stats.cache);
             let solved = |a: &Analysis| {
                 let mut s = a.session();
-                s.check_all();
+                s.query(&Query::All);
                 s.stats().detect
             };
             let (w, c) = (solved(&warm), solved(&cold));
@@ -340,11 +340,9 @@ fn warm_workspace_check_reruns_only_affected_queries() {
 
 /// Whole-program reports of `session` rendered with their witnesses,
 /// plus the session's detection counters.
-fn session_reports(
-    mut session: pinpoint::DetectSession<'_>,
-) -> (String, pinpoint::core::DetectStats) {
+fn session_reports(mut session: Workspace<&Analysis>) -> (String, pinpoint::core::DetectStats) {
     let mut out = String::new();
-    for r in session.check_all() {
+    for r in session.query(&Query::All).into_reports() {
         out.push_str(&r.to_string());
         for (name, value) in &r.witness {
             out.push_str(&format!(" {name}={value}"));

@@ -4,13 +4,16 @@
 //! slice asserts 100% recall per variant.
 
 use pinpoint::workload::generate_juliet;
-use pinpoint::{Analysis, CheckerKind};
+use pinpoint::{Analysis, CheckerKind, Query};
 
 #[test]
 fn every_flaw_variant_detected() {
     let suite = generate_juliet(1); // one case per variant: 51 cases
     let analysis = Analysis::from_source(&suite.source).expect("suite compiles");
-    let reports = analysis.check(CheckerKind::UseAfterFree);
+    let reports = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports();
     let mut missed = Vec::new();
     for case in &suite.cases {
         let found = reports.iter().any(|r| {
@@ -39,7 +42,10 @@ fn every_flaw_variant_detected() {
 fn suite_reports_match_case_count_order() {
     let suite = generate_juliet(2);
     let analysis = Analysis::from_source(&suite.source).expect("compiles");
-    let reports = analysis.check(CheckerKind::UseAfterFree);
+    let reports = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports();
     // Every case is a real defect; reports must be at least one per case
     // (a case may yield more than one source/sink pairing).
     assert!(

@@ -7,7 +7,7 @@ use pinpoint::core::seg::{EdgeKind, ModuleSeg};
 use pinpoint::ir::{Inst, Module};
 use pinpoint::pta::{ModuleAnalysis, Symbols};
 use pinpoint::smt::{SmtResult, SmtSolver, TermArena};
-use pinpoint::{Analysis, CheckerKind};
+use pinpoint::{Analysis, CheckerKind, Query};
 
 /// The paper's bar function (Fig. 2 / Fig. 4), with θ₃ = (*q ≠ 0) and
 /// θ₄ opaque.
@@ -117,13 +117,19 @@ fn example_3_7_dd_closure_grounds_theta3() {
     // The original BAR: y = *q is a load through q, not through the
     // freed c; y itself is only printed. No use-after-free.
     let analysis = Analysis::from_source(BAR).unwrap();
-    let reports = analysis.check(CheckerKind::UseAfterFree);
+    let reports = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports();
     assert!(reports.is_empty(), "y is never dereferenced: {reports:?}");
 
     // With `print(*y)` the freed value is dereferenced under θ₃.
     let deref_src = BAR.replace("print(y);", "print(*y);");
     let analysis = Analysis::from_source(&deref_src).unwrap();
-    let reports = analysis.check(CheckerKind::UseAfterFree);
+    let reports = analysis
+        .session()
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports();
     assert_eq!(reports.len(), 1, "{reports:?}");
     assert!(
         reports[0].condition_size > 0,
@@ -205,7 +211,9 @@ fn section_2_exactly_one_candidate() {
         }";
     let analysis = Analysis::from_source(src).unwrap();
     let mut session = analysis.session();
-    let reports = session.check(CheckerKind::UseAfterFree);
+    let reports = session
+        .query(&Query::Check(CheckerKind::UseAfterFree))
+        .into_reports();
     assert_eq!(reports.len(), 1);
     let det = session.stats().detect;
     assert_eq!(
@@ -265,7 +273,10 @@ fn cloning_keeps_call_sites_independent() {
         sink: SinkSpec::Calls(vec!["print".into()]),
         traverses_transforms: true,
     };
-    let reports = analysis.check_custom(&spec);
+    let reports = analysis
+        .session()
+        .query(&Query::Custom(spec))
+        .into_reports();
     // Both receivers flow into print's argument: two reports, and both
     // survive SMT (the conditions of the two contexts must not collide —
     // a shared namespace would conflate c1/c2 selections of a/b and could

@@ -4,7 +4,7 @@
 //! workload and on every program in the regression corpus.
 
 use pinpoint::workload::{generate, GenConfig};
-use pinpoint::{AnalysisBuilder, CheckerKind};
+use pinpoint::{AnalysisBuilder, CheckerKind, Query};
 use std::path::PathBuf;
 
 /// Renders every checker's reports (in checker order) to one string per
@@ -17,7 +17,13 @@ fn all_reports(source: &str, threads: usize) -> Vec<String> {
     let mut session = analysis.session();
     let mut out = Vec::new();
     for kind in CheckerKind::ALL {
-        out.extend(session.check(kind).iter().map(ToString::to_string));
+        out.extend(
+            session
+                .query(&Query::Check(kind))
+                .reports()
+                .iter()
+                .map(ToString::to_string),
+        );
     }
     out
 }
@@ -75,7 +81,7 @@ fn canonical_obs(source: &str, threads: usize) -> (String, String) {
         .build_source(source)
         .expect("source compiles");
     let mut session = analysis.session();
-    let _ = session.check_all();
+    session.query(&Query::All);
     (session.stats_json(true), session.trace_canonical_json())
 }
 
@@ -192,7 +198,7 @@ fn profile_table_identical_across_thread_counts() {
             .build_source(&project.source)
             .expect("compiles");
         let mut session = analysis.session();
-        let _ = session.check_all();
+        session.query(&Query::All);
         assert!(
             !session.queries().is_empty(),
             "workload must produce queries"

@@ -4,7 +4,7 @@
 
 use pinpoint::smt::{LinearSolver, LinearVerdict, SmtResult, SmtSolver, Sort, TermArena, TermId};
 use pinpoint::workload::{generate, GenConfig};
-use pinpoint::{Analysis, CheckerKind};
+use pinpoint::{Analysis, CheckerKind, Query};
 
 /// Minimal SplitMix64 so the fuzz loops below are deterministic without
 /// an external PRNG dependency.
@@ -403,7 +403,7 @@ fn pipeline_total_on_generated_projects() {
         let analysis =
             Analysis::from_source(&project.source).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let mut session = analysis.session();
-        let _ = session.check(CheckerKind::UseAfterFree);
+        session.query(&Query::Check(CheckerKind::UseAfterFree));
         let s = session.stats();
         assert_eq!(s.detect.candidates, s.detect.reports + s.detect.refuted);
     }
