@@ -208,7 +208,8 @@ where
     };
 
     let mut greeted = false;
-    // Sessions this connection sent an `open` for (only `open` creates one).
+    // Sessions this connection sent an `open` for (only `open` creates one)
+    // and no accepted `close` since.
     let mut opened: BTreeSet<String> = BTreeSet::new();
     let mut bye_id = None;
     let end = loop {
@@ -376,7 +377,8 @@ fn protocol_error(prefix: &str, id: &str, session: &str, msg: &str) -> Response 
 
 /// Handles one request line; returns `Some((end, id))` when the
 /// connection should stop (`quit`/`shutdown`). Sessions it submits an
-/// `open` to are added to `opened`.
+/// `open` to are added to `opened`; an accepted `close` removes its
+/// session again (a shed one stays, to be retried at hang-up).
 fn request_line(
     server: &Server,
     prefix: &str,
@@ -455,10 +457,18 @@ fn request_line(
         Some(other) => return proto_err(&format!("unknown cmd `{other}`")),
     };
     let session = format!("{prefix}/{session}");
+    let close = matches!(op, Op::Close);
     if matches!(op, Op::Open { .. }) {
         opened.insert(session.clone());
     }
-    server.submit(Request { id, session, op }, tx);
+    let req = Request {
+        id,
+        session: session.clone(),
+        op,
+    };
+    if server.submit(req, tx) && close {
+        opened.remove(&session);
+    }
     None
 }
 

@@ -729,6 +729,58 @@ fn serve_closes_the_sessions_of_a_dropped_connection() {
 }
 
 #[test]
+fn serve_hang_up_closes_only_the_sessions_still_open() {
+    // One connection cycles sessions `a` and `b` through open and close,
+    // opens `c`, and hangs up without reading a reply. Only `c` is left
+    // for the hang-up to close: five requests of its own plus one close.
+    // A hang-up that also re-closed `a` and `b` would queue one more
+    // close for each it found still alive behind the slow opens.
+    let program: String = (0..300)
+        .map(|i| format!("fn f{i}() {{ let p: int* = malloc(); free(p); let x: int = *p; print(x); return; }} "))
+        .collect();
+    let open = |id: &str, s: &str| {
+        format!(
+            "{{\"cmd\":\"open\",\"id\":\"{id}\",\"session\":\"{s}\",\"source\":\"{program}\"}}\n"
+        )
+    };
+    let close =
+        |id: &str, s: &str| format!("{{\"cmd\":\"close\",\"id\":\"{id}\",\"session\":\"{s}\"}}\n");
+    let requests = [
+        "{\"cmd\":\"hello\",\"id\":\"h\"}\n".to_string(),
+        open("1", "a"),
+        close("2", "a"),
+        open("3", "b"),
+        close("4", "b"),
+        open("5", "c"),
+    ]
+    .concat();
+    let sock = socket_path("cycle");
+    let child = listen(&sock);
+    let lines = exchange(&sock, &requests);
+    assert_eq!(lines.len(), 6, "hello and five replies: {lines:?}");
+    assert!(lines.iter().all(|l| l.contains("\"ok\":true")), "{lines:?}");
+    // The hang-up waits for its closes, so the counters are final.
+    let status = exchange(
+        &sock,
+        "{\"cmd\":\"hello\",\"id\":\"h\"}\n{\"cmd\":\"status\",\"id\":\"s\",\"tail\":0}\n",
+    );
+    let status = &status[1];
+    for want in [
+        "\"sessions_open\":0,",
+        "\"queued\":6,",
+        "\"sessions\":3,",
+        "\"completed\":6}",
+    ] {
+        assert!(status.contains(want), "{want} in {status}");
+    }
+    exchange(
+        &sock,
+        "{\"cmd\":\"hello\"}\n{\"cmd\":\"shutdown\",\"id\":\"q\"}\n",
+    );
+    assert_eq!(wait_exit(child), Some(0));
+}
+
+#[test]
 fn serve_listen_unlinks_only_a_dead_socket() {
     // A regular file at the path is not ours to remove.
     let file = socket_path("notes");
