@@ -651,7 +651,10 @@ impl Analysis {
             module: std::mem::take(&mut self.module),
             pta,
             segs: std::mem::take(&mut self.segs),
-            keys: self.keys.take().expect("an owned workspace's artefact has keys"),
+            keys: self
+                .keys
+                .take()
+                .expect("an owned workspace's artefact has keys"),
         };
         // Updates are untraced (the artefact's trace is its build's), so
         // only the stage times are kept.
@@ -694,12 +697,7 @@ impl Analysis {
         let per_fact = std::mem::size_of::<(pinpoint_pta::Obj, pinpoint_smt::TermId)>();
         let term_bytes = self.arena.len() * per_term;
         let edge_bytes = self.stats.seg_edges * std::mem::size_of::<crate::seg::SegEdge>();
-        let pt_bytes: usize = self
-            .pta
-            .pta
-            .iter()
-            .map(|p| p.points_to.fact_count() * per_fact)
-            .sum();
+        let pt_bytes: usize = self.pta.pta.iter().map(|p| p.pt_facts * per_fact).sum();
         term_bytes + edge_bytes + pt_bytes
     }
 }

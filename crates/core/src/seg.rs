@@ -115,9 +115,7 @@ pub struct CallSite<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CallRecord {
     site: InstId,
-    /// Always `Some`: the `Option` keeps the row at the width
-    /// `stages.seg.bytes` has always counted.
-    callee: Option<FuncId>,
+    callee: FuncId,
     start: u32,
     args: u32,
     dsts: u32,
@@ -296,7 +294,7 @@ impl SegParts {
         }
         self.calls.push(CallRecord {
             site,
-            callee: Some(callee),
+            callee,
             start: to_u32(self.call_values.len()),
             args: to_u32(call.args.len()),
             dsts: to_u32(call.dsts.len()),
@@ -472,7 +470,7 @@ impl Seg {
         let call = &self.calls[row as usize];
         RecvDef {
             site: call.site,
-            callee: call.callee.expect("a user function"),
+            callee: call.callee,
             index: index as usize,
         }
     }
@@ -503,7 +501,7 @@ impl Seg {
         let (start, args, dsts) = (c.start as usize, c.args as usize, c.dsts as usize);
         CallSite {
             site: c.site,
-            callee: c.callee.expect("a user function"),
+            callee: c.callee,
             args: &self.call_values[start..start + args],
             dsts: &self.call_values[start + args..start + args + dsts],
         }

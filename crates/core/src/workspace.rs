@@ -406,6 +406,7 @@ impl<A: Borrow<Analysis>> Workspace<A> {
         m.counter_add("keys.time_ns", s.keys_time.as_nanos() as u64);
         m.counter_add("pta.time_ns", s.pta_time.as_nanos() as u64);
         s.pta.record_into(&mut m);
+        m.counter_add("pta.final_passes", a.pta.final_passes() as u64);
         m.counter_add("seg.time_ns", s.seg_time.as_nanos() as u64);
         m.counter_add("seg.vertices", s.seg_vertices as u64);
         m.counter_add("seg.edges", s.seg_edges as u64);
@@ -622,7 +623,9 @@ mod tests {
         assert_eq!(one_shot.stats.keys_time, Duration::ZERO);
         let mut owned = Workspace::open(UAF).unwrap();
         assert!(owned.analysis().keys.is_some());
-        owned.update_source(&format!("{UAF}\nfn extra() {{ return; }}")).unwrap();
+        owned
+            .update_source(&format!("{UAF}\nfn extra() {{ return; }}"))
+            .unwrap();
         assert!(owned.analysis().keys.is_some());
     }
 

@@ -10,12 +10,22 @@
 //!    referenced/modified parameter-rooted access paths (Mod/Ref);
 //! 3. connectors (Aux formal parameters / Aux return values) are inserted
 //!    (Fig. 3(a));
-//! 4. a second pass over the transformed body produces the final guarded
-//!    points-to sets and the conditional memory def-use edges consumed by
-//!    the SEG builder.
+//! 4. if step 3 inserted any, a second pass over the transformed body
+//!    produces the final guarded points-to sets and the conditional memory
+//!    def-use edges consumed by the SEG builder. If it inserted none, the
+//!    body, the (empty) Aux bindings and the flow facts are the ones step
+//!    2 read, and its terms are already in the function's arena, so step
+//!    2's output *is* the final one, term for term.
+//!
+//! What a build keeps per function is what the SEG builder and an edit's
+//! splice read: the memory edges, the global accesses and the counters
+//! ([`FuncPta`]). The points-to sets and Mod/Ref paths are dropped once
+//! the merge has translated their conditions into the shared arena.
 
 use crate::incremental::{splice, IncrementalOutcome, PreviousRun};
-use crate::intra::{analyze_function_over, AuxParamBinding, FlowFacts, FuncPta, PtaStats};
+use crate::intra::{
+    analyze_function_over, AuxParamBinding, FlowFacts, FuncPta, PassOutput, PtaStats,
+};
 use crate::symbols::Symbols;
 use crate::transform::{insert_connectors, rewrite_call_sites, AuxShape};
 use pinpoint_ir::{CallGraph, FuncId, Function, Module, Terminator, ValueId};
@@ -33,8 +43,6 @@ pub struct ModuleAnalysis {
     pub shapes: Vec<AuxShape>,
     /// Points-to result per function (indexed by `FuncId`).
     pub pta: Vec<FuncPta>,
-    /// The linear-time solver, retaining its statistics.
-    pub linear: LinearSolver,
 }
 
 impl ModuleAnalysis {
@@ -58,6 +66,12 @@ impl ModuleAnalysis {
             total.linear_checks += p.stats.linear_checks;
         }
         total
+    }
+
+    /// Functions whose connector transform inserted something: those the
+    /// final pass ran on ([module docs](self), step 4).
+    pub fn final_passes(&self) -> usize {
+        self.shapes.iter().filter(|s| !s.is_empty()).count()
     }
 
     /// Connector shape of `f`.
@@ -116,18 +130,14 @@ fn detach(module: &mut Module, fid: FuncId) -> Function {
 struct FuncResult {
     /// Connector shape.
     shape: AuxShape,
-    /// Points-to result, with conditions in [`FuncResult::arena`].
-    pta: FuncPta,
+    /// The final pass's output, with conditions in [`FuncResult::arena`].
+    pass: PassOutput,
     /// The private term arena all conditions refer into.
     arena: TermArena,
     /// Sorted values the symbol interner cached for this function; the
     /// merge re-derives their terms against the shared arena in exactly
     /// this order.
     cached_values: Vec<ValueId>,
-    /// Linear-solver unsat verdicts attributed to this function.
-    unsat: u64,
-    /// Linear-solver unknown verdicts attributed to this function.
-    unknown: u64,
 }
 
 /// Steps 1–4 of the [module docs](self) on `f`, function `fid`'s body
@@ -187,33 +197,35 @@ fn analyze_one(
         control_before.is_none_or(|before| before == control(f)),
         "the connector transform must not change control flow"
     );
-    // 4. Final pass on the transformed body.
-    let bindings: Vec<AuxParamBinding> = shape
-        .aux_params
-        .iter()
-        .map(|&(path, value)| AuxParamBinding { path, value })
-        .collect();
-    let mut pta = analyze_function_over(
-        &mut arena,
-        &mut symbols,
-        &mut linear,
-        fid,
-        f,
-        &bindings,
-        prune,
-        &flow,
-    );
+    // 4. Final pass on the transformed body, if the transform changed it.
+    let mut pass = if shape.is_empty() {
+        pass1
+    } else {
+        let bindings: Vec<AuxParamBinding> = shape
+            .aux_params
+            .iter()
+            .map(|&(path, value)| AuxParamBinding { path, value })
+            .collect();
+        analyze_function_over(
+            &mut arena,
+            &mut symbols,
+            &mut linear,
+            fid,
+            f,
+            &bindings,
+            prune,
+            &flow,
+        )
+    };
     // Both outlive the build by the life of the analysis, and the passes
     // grew them by doubling: give the slack back.
-    pta.shrink_to_fit();
+    pass.kept.shrink_to_fit();
     f.shrink_to_fit();
     FuncResult {
         shape,
-        pta,
+        pass,
         arena,
         cached_values: symbols.cached_values(fid),
-        unsat: linear.unsat_count,
-        unknown: linear.unknown_count,
     }
 }
 
@@ -238,20 +250,25 @@ fn stratify_levels(callgraph: &CallGraph) -> Vec<Vec<FuncId>> {
 /// re-derives the symbol cache against the shared arena (sorted value
 /// order), then rebuilds every condition term through the translator's
 /// smart constructors so canonical child ordering is restored in the
-/// target arena.
+/// target arena. Only the kept part of the result survives the merge.
 fn merge_one(fid: FuncId, f: &Function, r: FuncResult, out: &mut ModuleAnalysis) {
     let arena = &mut out.arena;
     for &v in &r.cached_values {
         out.symbols.value_term(arena, fid, f, v);
     }
-    let mut func_pta = r.pta;
+    let mut func_pta = r.pass.kept;
     let mut tr = TermTranslator::new();
     for d in &mut func_pta.mem_deps {
         d.cond = tr.translate(&r.arena, arena, d.cond);
     }
-    func_pta
-        .points_to
-        .map_conds(|c| tr.translate(&r.arena, arena, c));
+    // No points-to set outlives the merge, but their conditions are
+    // translated all the same: the terms they add are part of the shared
+    // arena's numbering, which orders the SAT variables of every query.
+    for (_, set) in r.pass.points_to.iter() {
+        for &(_, c) in set {
+            tr.translate(&r.arena, arena, c);
+        }
+    }
     for g in &mut func_pta.global_stores {
         g.cond = tr.translate(&r.arena, arena, g.cond);
     }
@@ -260,8 +277,6 @@ fn merge_one(fid: FuncId, f: &Function, r: FuncResult, out: &mut ModuleAnalysis)
     }
     out.shapes[fid.0 as usize] = r.shape;
     out.pta[fid.0 as usize] = func_pta;
-    out.linear.unsat_count += r.unsat;
-    out.linear.unknown_count += r.unknown;
 }
 
 /// Functions analysed per worker between two merges. Every analysed
@@ -274,10 +289,10 @@ const MERGE_EVERY: usize = 256;
 ///
 /// With a `previous` run of the same function set, every function outside
 /// its dirty set is spliced first ([`crate::incremental`]: transformed
-/// body, shape and facts move over; the arena, interner and solver
-/// counters carry over whole). Without one — or when the function set
-/// changed (`fell_back`) — nothing is spliced and every function is
-/// analysed from a fresh arena, so a fallback is a cold build.
+/// body, shape and kept result move over; the arena and interner carry
+/// over whole). Without one — or when the function set changed
+/// (`fell_back`) — nothing is spliced and every function is analysed from
+/// a fresh arena, so a fallback is a cold build.
 ///
 /// The functions left to analyse are taken level by level over the call
 /// graph's SCC condensation (`level(scc) = 1 + max(level of callee
@@ -300,6 +315,24 @@ pub fn analyze_module_par(
     callgraph: &CallGraph,
     previous: Option<PreviousRun>,
 ) -> IncrementalOutcome {
+    let analyze = &analyze_one;
+    run(module, config, threads, trace, callgraph, previous, analyze)
+}
+
+/// [`analyze_module_par`] with `analyze` as the per-function step:
+/// [`analyze_one`], or in tests the reference or an instrumented copy.
+fn run<A>(
+    module: &mut Module,
+    config: &PtaConfig,
+    threads: usize,
+    trace: &mut TraceBuf,
+    callgraph: &CallGraph,
+    previous: Option<PreviousRun>,
+    analyze: &A,
+) -> IncrementalOutcome
+where
+    A: Fn(FuncId, &mut Function, &[AuxShape], &CallGraph, &PtaConfig) -> FuncResult + Sync,
+{
     let (mut out, clean, fell_back) = splice(module, callgraph, previous);
     let mut reanalyzed = Vec::new();
     for level in stratify_levels(callgraph) {
@@ -317,7 +350,7 @@ pub fn analyze_module_par(
                 || (),
                 |(), (fid, f), lane| {
                     lane.span("pta.func", f.name.clone(), |_| {
-                        analyze_one(*fid, f, shapes, callgraph, config)
+                        analyze(*fid, f, shapes, callgraph, config)
                     })
                 },
             );
@@ -337,11 +370,95 @@ pub fn analyze_module_par(
     }
 }
 
+/// The pipeline over `module` at `threads` workers, returning beside the
+/// analysis every function's final pass output (conditions in its private
+/// arena), which a build drops at the merge.
+#[cfg(test)]
+pub(crate) fn analyze_recording(
+    module: &mut Module,
+    threads: usize,
+) -> (ModuleAnalysis, Vec<PassOutput>) {
+    let callgraph = CallGraph::new(module);
+    let passes = std::sync::Mutex::new(vec![PassOutput::default(); module.funcs.len()]);
+    let record =
+        |fid: FuncId, f: &mut Function, shapes: &[AuxShape], cg: &CallGraph, c: &PtaConfig| {
+            let r = analyze_one(fid, f, shapes, cg, c);
+            passes.lock().expect("no recorder panicked")[fid.0 as usize] = r.pass.clone();
+            r
+        };
+    let config = PtaConfig::default();
+    let off = &mut TraceBuf::off();
+    let analysis = run(module, &config, threads, off, &callgraph, None, &record).analysis;
+    (analysis, passes.into_inner().expect("no recorder panicked"))
+}
+
+/// The per-function step as it was before the final pass became
+/// conditional: every function runs it, whatever the transform inserted.
+/// Kept as the oracle the skip is tested against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn analyze_one(
+        fid: FuncId,
+        f: &mut Function,
+        shapes: &[AuxShape],
+        callgraph: &CallGraph,
+        config: &PtaConfig,
+    ) -> FuncResult {
+        let mut arena = TermArena::new();
+        let mut symbols = Symbols::new();
+        let mut linear = LinearSolver::new();
+        rewrite_call_sites(f, |callee| {
+            let c = callee.as_func()?;
+            (!callgraph.same_scc(fid, c)).then(|| &shapes[c.0 as usize])
+        });
+        let flow = FlowFacts::new(&mut arena, &mut symbols, fid, f);
+        let prune = config.prune;
+        let pass1 = analyze_function_over(
+            &mut arena,
+            &mut symbols,
+            &mut linear,
+            fid,
+            f,
+            &[],
+            prune,
+            &flow,
+        );
+        let shape = insert_connectors(f, &pass1.refs, &pass1.mods);
+        let bindings: Vec<AuxParamBinding> = shape
+            .aux_params
+            .iter()
+            .map(|&(path, value)| AuxParamBinding { path, value })
+            .collect();
+        let mut pass = analyze_function_over(
+            &mut arena,
+            &mut symbols,
+            &mut linear,
+            fid,
+            f,
+            &bindings,
+            prune,
+            &flow,
+        );
+        pass.kept.shrink_to_fit();
+        f.shrink_to_fit();
+        FuncResult {
+            shape,
+            pass,
+            arena,
+            cached_values: symbols.cached_values(fid),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::object::AccessPath;
     use pinpoint_ir::{compile, Inst};
+    use pinpoint_workload::fuzzgen::{self, FuzzGenConfig};
+    use pinpoint_workload::{generate, GenConfig};
 
     #[test]
     fn figure2_pipeline_end_to_end() {
@@ -515,21 +632,23 @@ mod tests {
         }
         "#;
 
+    /// Every value's guarded points-to set, in ascending value order.
+    fn sets(p: &PassOutput) -> Vec<(ValueId, Vec<crate::intra::Fact>)> {
+        p.points_to.iter().map(|(v, s)| (v, s.to_vec())).collect()
+    }
+
     #[test]
     fn parallel_is_byte_identical_across_thread_counts() {
-        let analyses: Vec<(Module, ModuleAnalysis)> = [1usize, 2, 4, 7]
+        let runs: Vec<(Module, ModuleAnalysis, Vec<PassOutput>)> = [1usize, 2, 4, 7]
             .iter()
             .map(|&t| {
                 let mut m = compile(WAVEFRONT_SRC).unwrap();
-                let cg = CallGraph::new(&m);
-                let config = PtaConfig::default();
-                let off = &mut TraceBuf::off();
-                let a = analyze_module_par(&mut m, &config, t, off, &cg, None).analysis;
-                (m, a)
+                let (a, passes) = analyze_recording(&mut m, t);
+                (m, a, passes)
             })
             .collect();
-        let (m0, a0) = &analyses[0];
-        for (m, a) in &analyses[1..] {
+        let (m0, a0, p0) = &runs[0];
+        for (m, a, p) in &runs[1..] {
             // The transformed modules agree instruction-for-instruction.
             for (fid, f) in m0.iter_funcs() {
                 assert_eq!(
@@ -538,14 +657,11 @@ mod tests {
                 );
             }
             // The shared arenas have identical layouts, so every TermId
-            // in the results means the same term.
+            // in the kept results means the same term.
             assert_eq!(a0.arena.len(), a.arena.len());
-            for fid in 0..m0.funcs.len() {
-                let fid = pinpoint_ir::FuncId(fid as u32);
-                assert_eq!(a0.func_pta(fid).mem_deps, a.func_pta(fid).mem_deps);
-                let p0: Vec<_> = a0.func_pta(fid).points_to.iter().collect();
-                let p1: Vec<_> = a.func_pta(fid).points_to.iter().collect();
-                assert_eq!(p0, p1);
+            assert_eq!(a0.pta, a.pta);
+            for (x, y) in p0.iter().zip(p) {
+                assert_eq!(sets(x), sets(y));
             }
             assert_eq!(a0.symbols.len(), a.symbols.len());
         }
@@ -591,6 +707,126 @@ mod tests {
         assert!(
             dep_srcs.iter().any(|n| n.starts_with("aux_in")),
             "v = *q reads F: {dep_srcs:?}"
+        );
+    }
+
+    /// [`analyze_one`] checked against [`reference::analyze_one`] run on a
+    /// copy of the body: same transformed body, shape, Mod/Ref paths, kept
+    /// result, points-to sets, private-arena length and symbol cache.
+    fn checked_one(
+        fid: FuncId,
+        f: &mut Function,
+        shapes: &[AuxShape],
+        callgraph: &CallGraph,
+        config: &PtaConfig,
+    ) -> FuncResult {
+        let mut copy = f.clone();
+        let want = reference::analyze_one(fid, &mut copy, shapes, callgraph, config);
+        let got = analyze_one(fid, f, shapes, callgraph, config);
+        let name = &f.name;
+        assert_eq!(format!("{f:?}"), format!("{copy:?}"), "{name}: body");
+        assert_eq!(
+            format!("{:?}", got.shape),
+            format!("{:?}", want.shape),
+            "{name}: shape"
+        );
+        assert_eq!(got.pass.refs, want.pass.refs, "{name}: Mod/Ref");
+        assert_eq!(got.pass.mods, want.pass.mods, "{name}: Mod/Ref");
+        assert_eq!(got.pass.kept, want.pass.kept, "{name}: kept result");
+        assert_eq!(sets(&got.pass), sets(&want.pass), "{name}: points-to");
+        assert_eq!(got.arena.len(), want.arena.len(), "{name}: arena");
+        assert_eq!(got.cached_values, want.cached_values, "{name}: symbols");
+        got
+    }
+
+    /// The pipeline over a copy of `m` at `threads` workers with
+    /// `analyze` as the per-function step.
+    fn pipeline<A>(m: &Module, threads: usize, analyze: &A) -> ModuleAnalysis
+    where
+        A: Fn(FuncId, &mut Function, &[AuxShape], &CallGraph, &PtaConfig) -> FuncResult + Sync,
+    {
+        let mut m = m.clone();
+        let cg = CallGraph::new(&m);
+        let (config, off) = (PtaConfig::default(), &mut TraceBuf::off());
+        run(&mut m, &config, threads, off, &cg, None, analyze).analysis
+    }
+
+    /// Asserts that skipping the final pass changes nothing on `m`,
+    /// function by function ([`checked_one`]) and module-wide, at 1 and 4
+    /// threads. Returns how many of its functions ran the final pass.
+    fn assert_skip_is_exact(m: &Module) -> usize {
+        let mut final_passes = Vec::new();
+        for threads in [1, 4] {
+            let want = pipeline(m, threads, &reference::analyze_one);
+            let got = pipeline(m, threads, &checked_one);
+            assert_eq!(got.arena.len(), want.arena.len(), "shared arena");
+            assert_eq!(got.symbols.len(), want.symbols.len(), "symbols");
+            assert_eq!(
+                format!("{:?}", got.shapes),
+                format!("{:?}", want.shapes),
+                "shapes"
+            );
+            assert_eq!(got.pta, want.pta, "kept results");
+            final_passes.push(got.final_passes());
+        }
+        assert_eq!(final_passes[0], final_passes[1]);
+        final_passes[0]
+    }
+
+    #[test]
+    fn skipping_the_final_pass_is_exact_on_the_corpus() {
+        let dir = format!("{}/../../tests/corpus", env!("CARGO_MANIFEST_DIR"));
+        let (mut files, mut ran, mut funcs) = (0, 0, 0);
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "pp") {
+                let m = compile(&std::fs::read_to_string(&path).unwrap()).unwrap();
+                ran += assert_skip_is_exact(&m);
+                funcs += m.funcs.len();
+                files += 1;
+            }
+        }
+        assert!(files >= 20, "corpus not found");
+        assert!(
+            0 < ran && ran < funcs,
+            "{ran} of {funcs} ran the final pass"
+        );
+    }
+
+    #[test]
+    fn skipping_the_final_pass_is_exact_on_fuzzgen_seeds() {
+        let (mut ran, mut funcs) = (0, 0);
+        for seed in 1..=50 {
+            let src = fuzzgen::generate(&FuzzGenConfig {
+                seed,
+                recursion: true,
+                ..FuzzGenConfig::default()
+            });
+            let m = compile(&src).unwrap();
+            ran += assert_skip_is_exact(&m);
+            funcs += m.funcs.len();
+        }
+        assert!(
+            0 < ran && ran < funcs,
+            "{ran} of {funcs} ran the final pass"
+        );
+    }
+
+    #[test]
+    fn skipping_the_final_pass_is_exact_on_a_generated_project() {
+        // The module `gen_project --kloc 3` prints.
+        let project = generate(&GenConfig {
+            real_bugs: 2,
+            decoys: 2,
+            taint: true,
+            ..GenConfig::default().with_target_kloc(3.0)
+        });
+        let m = compile(&project.source).unwrap();
+        let ran = assert_skip_is_exact(&m);
+        let funcs = m.funcs.len();
+        assert!(
+            0 < ran && ran < funcs,
+            "{ran} of {funcs} ran the final pass"
         );
     }
 }

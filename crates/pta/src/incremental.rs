@@ -101,9 +101,8 @@ fn same_shape(module: &Module, old_module: &Module) -> bool {
 
 /// The state a run starts from: splices every function outside the
 /// caller-closed dirty set of `previous` into `module` (transformed body)
-/// and the returned analysis (shape, points-to facts; the arena, interner
-/// and solver counters carry over whole, minus the dirty functions'
-/// cached symbols). Returns that analysis, which functions are clean, and
+/// and the returned analysis (shape, kept points-to result; the arena and
+/// interner carry over whole, minus the dirty functions' cached symbols). Returns that analysis, which functions are clean, and
 /// whether a previous run had to be discarded because the function set
 /// changed. Without a usable previous run everything is dirty and the
 /// arena is fresh.
@@ -123,7 +122,7 @@ pub(crate) fn splice(
     }
     let dirty = dirty_closure(callgraph, previous.dirty);
     let old = previous.analysis;
-    (out.arena, out.symbols, out.linear) = (old.arena, old.symbols, old.linear);
+    (out.arena, out.symbols) = (old.arena, old.symbols);
     let bodies = previous.module.funcs.into_iter();
     for (i, ((shape, pta), body)) in old.shapes.into_iter().zip(old.pta).zip(bodies).enumerate() {
         let fid = FuncId(i as u32);

@@ -63,7 +63,7 @@ pub struct GlobalAccess {
 }
 
 /// Counters reported by the evaluation harness.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PtaStats {
     /// Dependence/points-to facts pruned by the linear solver.
     pub pruned: u64,
@@ -90,7 +90,7 @@ pub type Fact = (Obj, TermId);
 /// The guarded points-to sets of one function's values, indexed by
 /// [`ValueId`]: a `(start, len)` span per value into one fact pool. A
 /// pass only appends to the pool — overwriting a set leaves the old one
-/// behind — until `PointsTo::compact` drops what no span refers to.
+/// behind; the table lives only until the driver has merged its pass.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PointsTo {
     spans: Vec<(u32, u32)>,
@@ -154,68 +154,59 @@ impl PointsTo {
             .map(|(i, &span)| (ValueId(i as u32), self.span(span)))
     }
 
-    /// Rewrites every fact's condition through `f`, visiting values in
-    /// ascending [`ValueId`] order and each set in its own order.
-    pub fn map_conds(&mut self, mut f: impl FnMut(TermId) -> TermId) {
-        for &(start, len) in &self.spans {
-            for fact in &mut self.facts[start as usize..(start + len) as usize] {
-                fact.1 = f(fact.1);
-            }
-        }
-    }
-
     /// Number of facts across all values.
     pub fn fact_count(&self) -> usize {
         self.spans.iter().map(|&(_, len)| len as usize).sum()
     }
-
-    /// Repacks the pool to exactly the facts some span refers to, in
-    /// ascending [`ValueId`] order, with no spare capacity. Every set
-    /// reads as before.
-    fn compact(&mut self) {
-        let mut facts = Vec::with_capacity(self.fact_count());
-        for span in &mut self.spans {
-            let (start, len) = *span;
-            // Fits: the live facts are a subset of a pool `u32` indexed.
-            *span = (facts.len() as u32, len);
-            facts.extend_from_slice(&self.facts[start as usize..(start + len) as usize]);
-        }
-        self.facts = facts;
-    }
 }
 
-/// Result of analysing one function.
-#[derive(Debug, Default, Clone)]
+/// What a build keeps of one function's points-to analysis: what the SEG
+/// builder and an edit's splice read.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FuncPta {
     /// Conditional memory def-use edges.
     pub mem_deps: Vec<MemDep>,
+    /// Stores into global cells.
+    pub global_stores: Vec<GlobalAccess>,
+    /// Loads out of global cells.
+    pub global_loads: Vec<GlobalAccess>,
+    /// Number of guarded points-to facts the pass ended with (the sets
+    /// themselves stay in its [`PassOutput`]).
+    pub pt_facts: usize,
+    /// Prune statistics.
+    pub stats: PtaStats,
+}
+
+impl FuncPta {
+    /// Drops the spare capacity a pass leaves behind, for a result that
+    /// is kept.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.mem_deps.shrink_to_fit();
+        self.global_stores.shrink_to_fit();
+        self.global_loads.shrink_to_fit();
+    }
+}
+
+/// Everything one points-to pass computes: the result a build keeps, plus
+/// the guarded points-to sets and Mod/Ref paths only the driver reads.
+/// The connector transform reads the paths; the merge translates the
+/// sets' conditions into the shared arena and then drops both.
+#[derive(Debug, Default, Clone)]
+pub struct PassOutput {
+    /// The part a build keeps.
+    pub kept: FuncPta,
     /// Final guarded points-to sets.
     pub points_to: PointsTo,
     /// Referenced parameter-rooted access paths (Mod/Ref "REF").
     pub refs: Vec<AccessPath>,
     /// Modified parameter-rooted access paths (Mod/Ref "MOD").
     pub mods: Vec<AccessPath>,
-    /// Stores into global cells.
-    pub global_stores: Vec<GlobalAccess>,
-    /// Loads out of global cells.
-    pub global_loads: Vec<GlobalAccess>,
-    /// Prune statistics.
-    pub stats: PtaStats,
 }
 
-impl FuncPta {
+impl PassOutput {
     /// Guarded points-to set of `v` (empty slice when untracked).
     pub fn pt(&self, v: ValueId) -> &[Fact] {
         self.points_to.get(v)
-    }
-
-    /// Drops the dead points-to facts and spare capacity a pass leaves
-    /// behind, for a result that is kept.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.points_to.compact();
-        self.mem_deps.shrink_to_fit();
-        self.global_stores.shrink_to_fit();
-        self.global_loads.shrink_to_fit();
     }
 }
 
@@ -288,7 +279,7 @@ pub fn analyze_function(
     fid: FuncId,
     f: &Function,
     aux_params: &[AuxParamBinding],
-) -> FuncPta {
+) -> PassOutput {
     analyze_function_with(arena, symbols, linear, fid, f, aux_params, true)
 }
 
@@ -304,7 +295,7 @@ pub fn analyze_function_with(
     f: &Function,
     aux_params: &[AuxParamBinding],
     prune: bool,
-) -> FuncPta {
+) -> PassOutput {
     let flow = FlowFacts::new(arena, symbols, fid, f);
     analyze_function_over(arena, symbols, linear, fid, f, aux_params, prune, &flow)
 }
@@ -322,7 +313,7 @@ pub fn analyze_function_over(
     aux_params: &[AuxParamBinding],
     prune: bool,
     flow: &FlowFacts,
-) -> FuncPta {
+) -> PassOutput {
     let mut st = State {
         pruner: Pruner {
             arena,
@@ -337,7 +328,7 @@ pub fn analyze_function_over(
         #[cfg(test)]
         reference: Default::default(),
         mem: BTreeMap::new(),
-        out: FuncPta::default(),
+        out: PassOutput::default(),
     };
     // Parameter pseudo-chains: every pointer-typed original parameter
     // points to its depth-1 pseudo object; Aux formals point one past
@@ -456,7 +447,7 @@ struct State<'a> {
     /// Guarded memory contents. Keyed, not dense: the objects a function
     /// touches are a sparse subset of sites × globals × parameter paths.
     mem: BTreeMap<Obj, Vec<(MemVal, TermId)>>,
-    out: FuncPta,
+    out: PassOutput,
 }
 
 /// The memory contents of `o`, created on first touch: a parameter
@@ -498,7 +489,7 @@ impl State<'_> {
         self.pt.copy(dst, src);
     }
 
-    fn finish(mut self) -> FuncPta {
+    fn finish(mut self) -> PassOutput {
         #[cfg(test)]
         {
             let mut expected: Vec<(ValueId, &[Fact])> = self
@@ -510,8 +501,9 @@ impl State<'_> {
             let dense: Vec<(ValueId, &[Fact])> = self.pt.iter().collect();
             assert_eq!(dense, expected, "dense points-to ≠ reference map");
         }
+        self.out.kept.pt_facts = self.pt.fact_count();
+        self.out.kept.stats = self.pruner.stats;
         self.out.points_to = self.pt;
-        self.out.stats = self.pruner.stats;
         self.out
     }
 
@@ -587,7 +579,7 @@ impl State<'_> {
                 for (o, c) in targets {
                     record_path(&mut self.out.refs, o);
                     if let Obj::Global(g) = o {
-                        self.out.global_loads.push(GlobalAccess {
+                        self.out.kept.global_loads.push(GlobalAccess {
                             global: g,
                             value: *dst,
                             cond: c,
@@ -603,7 +595,7 @@ impl State<'_> {
                         }
                         match val {
                             MemVal::Value(v, store_site) => {
-                                self.out.mem_deps.push(MemDep {
+                                self.out.kept.mem_deps.push(MemDep {
                                     store_site,
                                     src: v,
                                     load_site: site,
@@ -634,7 +626,7 @@ impl State<'_> {
                         continue;
                     };
                     if let Obj::Global(g) = o {
-                        self.out.global_stores.push(GlobalAccess {
+                        self.out.kept.global_stores.push(GlobalAccess {
                             global: g,
                             value: *src,
                             cond: guard,
@@ -690,7 +682,7 @@ mod tests {
     use super::*;
     use pinpoint_ir::compile;
 
-    fn analyze(src: &str, name: &str) -> (FuncPta, TermArena, pinpoint_ir::Module) {
+    fn analyze(src: &str, name: &str) -> (PassOutput, TermArena, pinpoint_ir::Module) {
         let m = compile(src).unwrap();
         let fid = m.func_by_name(name).unwrap();
         let mut arena = TermArena::new();
@@ -711,8 +703,8 @@ mod tests {
             }",
             "f",
         );
-        assert_eq!(pta.mem_deps.len(), 1);
-        let dep = pta.mem_deps[0];
+        assert_eq!(pta.kept.mem_deps.len(), 1);
+        let dep = pta.kept.mem_deps[0];
         let f = m.func(m.func_by_name("f").unwrap());
         assert_eq!(f.value_name(dep.src), "a");
         assert!(arena.is_true(dep.cond));
@@ -729,9 +721,9 @@ mod tests {
             }",
             "f",
         );
-        assert_eq!(pta.mem_deps.len(), 2, "both stores may reach the load");
+        assert_eq!(pta.kept.mem_deps.len(), 2, "both stores may reach the load");
         let f = m.func(m.func_by_name("f").unwrap());
-        for dep in &pta.mem_deps {
+        for dep in &pta.kept.mem_deps {
             let name = f.value_name(dep.src);
             assert!(name == "a" || name == "b");
             assert!(!arena.is_true(dep.cond), "guards must be conditional");
@@ -759,6 +751,7 @@ mod tests {
         let f = m.func(m.func_by_name("f").unwrap());
         // The only dep into q is from the unconditional store of a.
         let q_deps: Vec<_> = pta
+            .kept
             .mem_deps
             .iter()
             .filter(|d| f.value_name(d.dst) == "ld" || f.value_name(d.dst) == "q")
@@ -766,7 +759,7 @@ mod tests {
         assert_eq!(q_deps.len(), 1);
         assert_eq!(f.value_name(q_deps[0].src), "a");
         assert!(
-            pta.stats.pruned > 0,
+            pta.kept.stats.pruned > 0,
             "the sibling store kill must be pruned"
         );
     }
@@ -785,7 +778,7 @@ mod tests {
         );
         let f = m.func(m.func_by_name("f").unwrap());
         // Only b can reach q: the unconditional second store kills a.
-        let deps: Vec<_> = pta.mem_deps.iter().collect();
+        let deps: Vec<_> = pta.kept.mem_deps.iter().collect();
         assert_eq!(deps.len(), 1, "killed store pruned: {deps:?}");
         assert_eq!(f.value_name(deps[0].src), "b");
     }
@@ -863,7 +856,7 @@ mod tests {
         // g's address is stored into *p (a param path): a MOD, and no
         // global store (we store the global's address, not into it).
         assert!(pta.mods.contains(&AccessPath { root: 0, depth: 1 }));
-        assert!(pta.global_stores.is_empty());
+        assert!(pta.kept.global_stores.is_empty());
     }
 
     #[test]
@@ -876,7 +869,7 @@ mod tests {
              }",
             "f",
         );
-        assert_eq!(pta.global_stores.len(), 1);
+        assert_eq!(pta.kept.global_stores.len(), 1);
     }
 
     #[test]
@@ -936,21 +929,19 @@ mod tests {
 #[cfg(test)]
 mod table_tests {
     use super::*;
-    use crate::driver::{analyze_module_par, PtaConfig};
-    use pinpoint_ir::{compile, CallGraph, Module};
+    use crate::driver::analyze_recording;
+    use pinpoint_ir::{compile, Module};
     use pinpoint_workload::fuzzgen::{generate, FuzzGenConfig};
 
     /// The module pipeline over `m` at 1 and 4 threads; every pass checks
     /// its dense table against the keyed reference as it finishes
-    /// ([`State::finish`]).
+    /// ([`State::finish`]), and every final pass's table reads alike
+    /// through `get` and `iter`.
     fn analyze_both_ways(m: &Module) {
         for threads in [1, 4] {
             let mut m = m.clone();
-            let cg = CallGraph::new(&m);
-            let trace = &mut pinpoint_obs::TraceBuf::off();
-            let config = PtaConfig::default();
-            let a = analyze_module_par(&mut m, &config, threads, trace, &cg, None).analysis;
-            for (p, f) in a.pta.iter().zip(&m.funcs) {
+            let (_, passes) = analyze_recording(&mut m, threads);
+            for (p, f) in passes.iter().zip(&m.funcs) {
                 for v in (0..f.values.len() as u32).map(ValueId) {
                     let listed = p.points_to.iter().find(|&(k, _)| k == v);
                     assert_eq!(p.pt(v), listed.map_or(&[][..], |(_, set)| set));
@@ -995,12 +986,12 @@ mod table_tests {
         t.set(ValueId(1), &[fact]);
         t.copy(ValueId(2), ValueId(1));
         t.copy(ValueId(0), ValueId(0));
-        t.map_conds(|_| TermId::from_index(7));
         let moved = (fact.0, TermId::from_index(7));
+        t.set(ValueId(1), &[moved]);
         let listed: Vec<_> = t.iter().collect();
         assert_eq!(
             listed,
-            [(ValueId(1), &[moved][..]), (ValueId(2), &[moved][..])]
+            [(ValueId(1), &[moved][..]), (ValueId(2), &[fact][..])]
         );
         assert_eq!(t.fact_count(), 2);
         assert!(PointsTo::default().get(ValueId(0)).is_empty());
@@ -1012,7 +1003,7 @@ mod depth_tests {
     use super::*;
     use pinpoint_ir::compile;
 
-    fn analyze(src: &str, name: &str) -> FuncPta {
+    fn analyze(src: &str, name: &str) -> PassOutput {
         let m = compile(src).unwrap();
         let fid = m.func_by_name(name).unwrap();
         let mut arena = TermArena::new();
@@ -1076,6 +1067,6 @@ mod depth_tests {
             }",
             "f",
         );
-        assert_eq!(pta.mem_deps.len(), 1);
+        assert_eq!(pta.kept.mem_deps.len(), 1);
     }
 }

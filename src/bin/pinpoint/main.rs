@@ -442,6 +442,7 @@ fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
     println!("seg time:         {:?}", s.seg_time);
     println!("detect time:      {:?}", s.detect_time);
     println!("linear checks:    {}", s.pta.linear_checks);
+    println!("final passes:     {}", analysis.pta.final_passes());
     println!("linear pruned:    {}", s.pta.pruned);
     println!("search visited:   {}", s.detect.visited);
     println!("candidates:       {}", s.detect.candidates);

@@ -231,6 +231,10 @@ fn trace_and_stats_outputs() {
     };
     assert_eq!(family_keys("summary"), ["built", "composed", "gated"]);
     assert_eq!(
+        family_keys("pta"),
+        ["final_passes", "kept", "linear_checks", "pruned", "time_ns"]
+    );
+    assert_eq!(
         family_keys("smt"),
         [
             "budget_exhausted",

@@ -155,6 +155,26 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
             ],
             "{file}: the smt family's keys"
         );
+        let pta = stats1
+            .split_once("\"pta\":{")
+            .and_then(|(_, rest)| rest.split_once('}'))
+            .expect("pta family")
+            .0;
+        let keys: Vec<&str> = pta
+            .split(',')
+            .filter_map(|field| field.split(':').next())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "\"final_passes\"",
+                "\"kept\"",
+                "\"linear_checks\"",
+                "\"pruned\"",
+                "\"time_ns\"",
+            ],
+            "{file}: the pta family's keys"
+        );
         for span in ["frontend", "frontend.split", "callgraph"] {
             assert_eq!(
                 trace1.matches(&format!("\"name\":\"{span}\"")).count(),
