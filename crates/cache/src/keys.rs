@@ -25,7 +25,7 @@
 
 use crate::store::FORMAT_VERSION;
 use pinpoint_ir::fingerprint::Fnv128;
-use pinpoint_ir::{module_fingerprints, CallGraph, Module};
+use pinpoint_ir::{module_fingerprints, CallGraph, FuncId, Module};
 use pinpoint_pta::{PtaConfig, MAX_PATH_DEPTH};
 
 /// Fingerprint of everything configuration-shaped that flows into a
@@ -40,7 +40,21 @@ pub fn config_fp(config: &PtaConfig) -> u128 {
 }
 
 /// Derives the key of every function in `module` (indexed by
-/// `FuncId`), against the *pre-transform* module.
+/// `FuncId`), against the *pre-transform* module: its
+/// [`module_fingerprints`] folded over its call graph by
+/// [`keys_from_fingerprints`].
+pub fn module_keys(module: &Module, config_fp: u128) -> Vec<u128> {
+    keys_from_fingerprints(
+        &module_fingerprints(module),
+        config_fp,
+        &CallGraph::new(module),
+    )
+}
+
+/// The key of every function (indexed by `FuncId`) from each function's
+/// local fingerprint `fps` ([`pinpoint_ir::func_fingerprint`] of its
+/// pre-transform body) and the module's call graph `cg`. The caller may
+/// have kept the fingerprints of functions it did not lower again.
 ///
 /// The transitive SCC fingerprint is computed bottom-up over the
 /// condensation: `tfp(scc) = H(sorted member fingerprints, sorted
@@ -48,13 +62,7 @@ pub fn config_fp(config: &PtaConfig) -> u128 {
 /// from callee *names* resolved against the module, adding or removing
 /// a function that changes any resolution changes the affected callers'
 /// edge sets and hence their keys.
-pub fn module_keys(module: &Module, config_fp: u128) -> Vec<u128> {
-    module_keys_with_graph(module, config_fp, &CallGraph::new(module))
-}
-
-/// [`module_keys`] over a caller-supplied call graph of `module`.
-pub fn module_keys_with_graph(module: &Module, config_fp: u128, cg: &CallGraph) -> Vec<u128> {
-    let fps = module_fingerprints(module);
+pub fn keys_from_fingerprints(fps: &[u128], config_fp: u128, cg: &CallGraph) -> Vec<u128> {
     // `sccs` is emitted in reverse topological order of the condensation
     // (callee components first), so one forward pass sees every callee
     // tfp before it is needed.
@@ -82,13 +90,14 @@ pub fn module_keys_with_graph(module: &Module, config_fp: u128, cg: &CallGraph) 
         }
         scc_tfp[si] = h.finish();
     }
-    module
-        .iter_funcs()
-        .map(|(fid, _)| {
+    fps.iter()
+        .enumerate()
+        .map(|(i, &fp)| {
+            let fid = FuncId(i as u32);
             let mut h = Fnv128::new();
             h.write_u128(config_fp);
             h.write_u128(scc_tfp[cg.scc_of(fid)]);
-            h.write_u128(fps[fid.0 as usize]);
+            h.write_u128(fp);
             h.write_u32(fid.0);
             h.finish()
         })

@@ -30,8 +30,11 @@ use crate::seg::ModuleSeg;
 use crate::vfsummary::keys_fingerprint;
 #[cfg(doc)]
 use crate::workspace::Workspace;
-use pinpoint_cache::{config_fp, module_keys_with_graph, CacheStats, CacheStore};
-use pinpoint_ir::{CallGraph, FuncId, Module, Unit};
+use pinpoint_cache::{config_fp, keys_from_fingerprints, CacheStats, CacheStore};
+use pinpoint_ir::frontend::first_error;
+use pinpoint_ir::{
+    func_fingerprint, module_fingerprints, CallGraph, CompileError, FuncId, Function, Module, Unit,
+};
 use pinpoint_obs::TraceBuf;
 use pinpoint_pta::{analyze_module_par, ModuleAnalysis, PreviousRun, PtaConfig, PtaStats};
 use pinpoint_smt::{TermArena, VerdictTable};
@@ -76,20 +79,43 @@ pub fn compile_source(
     threads: usize,
     trace: &mut TraceBuf,
 ) -> Result<Compiled, PinpointError> {
+    Ok(compile_keeping(src, false, threads, trace)?.0)
+}
+
+/// [`compile_source`], also returning the slices an owned workspace keeps
+/// for its first update when `keep` is set.
+fn compile_keeping(
+    src: &str,
+    keep: bool,
+    threads: usize,
+    trace: &mut TraceBuf,
+) -> Result<(Compiled, Option<Slices>), PinpointError> {
     let unit = trace.span("frontend.split", "", |_| Unit::split(src))?;
-    let mut funcs: Vec<usize> = (0..unit.func_count()).collect();
-    let results = trace.shard_map(
-        &mut funcs,
-        threads,
-        || (),
-        |(), &mut i, lane| lane.span("frontend.lower", unit.func_name(i), |_| unit.compile_fn(i)),
-    );
+    let slices = keep.then(|| Slices::of(&unit));
+    let results = lower_fns(&unit, (0..unit.func_count()).collect(), threads, trace);
     let (tokens, bytes) = (unit.tokens(), unit.bytes());
-    Ok(Compiled {
+    let compiled = Compiled {
         module: unit.finish(results)?,
         tokens,
         bytes,
-    })
+    };
+    Ok((compiled, slices))
+}
+
+/// Parses and lowers functions `ids` of `unit` on up to `threads` workers,
+/// one `frontend.lower` span each; the results are in `ids` order.
+fn lower_fns(
+    unit: &Unit<'_>,
+    mut ids: Vec<usize>,
+    threads: usize,
+    trace: &mut TraceBuf,
+) -> Vec<Result<Function, CompileError>> {
+    trace.shard_map(
+        &mut ids,
+        threads,
+        || (),
+        |(), &mut i, lane| lane.span("frontend.lower", unit.func_name(i), |_| unit.compile_fn(i)),
+    )
 }
 
 /// Stage timings and structural counters for the evaluation harness.
@@ -99,9 +125,11 @@ pub fn compile_source(
 /// through [`Workspace::stats`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PipelineStats {
-    /// Wall time of parsing + lowering (only populated by
-    /// [`AnalysisBuilder::build_source`]; zero when the module was built
-    /// elsewhere).
+    /// Wall time of parsing + lowering: of the whole file after
+    /// [`AnalysisBuilder::build_source`], and after
+    /// [`Workspace::update_source`] of what the update lowered (the split
+    /// of the whole file, the changed functions and the callers it
+    /// dirtied); zero when the module was built elsewhere.
     pub front_time: Duration,
     /// Tokens in the source text (zero like [`Self::front_time`] when the
     /// module was built elsewhere).
@@ -275,10 +303,10 @@ impl AnalysisBuilder {
         let mut trace = self.make_trace();
         let front_span = trace.open("frontend", "");
         let t = Instant::now();
-        let compiled = compile_source(src, self.threads, &mut trace)?;
+        let (compiled, slices) = compile_keeping(src, self.keys, self.threads, &mut trace)?;
         let front_time = t.elapsed();
         trace.close(front_span);
-        let mut analysis = self.build_module_traced(compiled.module, trace)?;
+        let mut analysis = self.build_module_traced(compiled.module, slices, trace)?;
         analysis.stats.front_time = front_time;
         analysis.stats.front_tokens = compiled.tokens;
         analysis.stats.front_bytes = compiled.bytes;
@@ -293,7 +321,7 @@ impl AnalysisBuilder {
     /// [`PinpointError::SolverBudget`] for unusable budgets.
     pub fn build_module(self, module: Module) -> Result<Analysis, PinpointError> {
         let trace = self.make_trace();
-        self.build_module_traced(module, trace)
+        self.build_module_traced(module, None, trace)
     }
 
     fn make_trace(&self) -> TraceBuf {
@@ -304,9 +332,12 @@ impl AnalysisBuilder {
         }
     }
 
+    /// The stages after the front end; `slices` (an owned workspace's
+    /// build) makes them derive keys.
     fn build_module_traced(
         self,
         module: Module,
+        slices: Option<Slices>,
         mut trace: TraceBuf,
     ) -> Result<Analysis, PinpointError> {
         self.validate()?;
@@ -319,8 +350,8 @@ impl AnalysisBuilder {
         let mut stats = PipelineStats::default();
         let built = run_stages(
             module,
+            slices,
             None,
-            self.keys,
             &self.pta,
             self.threads,
             &mut trace,
@@ -356,8 +387,8 @@ pub(crate) fn open_store(dir: Option<&Path>) -> Option<CacheStore> {
     CacheStore::open(dir?).ok()
 }
 
-/// The function keys of an artefact: what an owned workspace compares
-/// across edits.
+/// The function keys of an artefact, and the front-end state they were
+/// derived from: what an owned workspace compares across edits.
 #[derive(Debug)]
 pub(crate) struct Keys {
     /// Per-function transitive fingerprint keys of the pre-transform
@@ -368,35 +399,99 @@ pub(crate) struct Keys {
     /// `keys_fingerprint` of [`Keys::func`]: the stamp in-memory
     /// interface summaries are valid under.
     pub(crate) fp: u128,
+    /// Each function's local fingerprint
+    /// ([`pinpoint_ir::func_fingerprint`] of its pre-transform body): what
+    /// [`Keys::func`] folds, kept for the functions the next update does
+    /// not lower.
+    pub(crate) local: Vec<u128>,
+    /// The source the keys are of, slice by slice.
+    slices: Slices,
 }
 
-/// Derives the per-function cache keys over the module's call graph,
-/// under the `keys` span, recording the stage's time. Runs against the
-/// *pre-transform* module, so the keys of an artefact are derived while
-/// it is built or never.
+/// What the front end keeps of a source text so the next update lowers
+/// only what changed: a hash of every function's slice and the tables
+/// fingerprint ([`pinpoint_ir::frontend`] says why these are all that
+/// lowering reads).
+#[derive(Debug)]
+struct Slices {
+    /// [`Unit::slice_hash`] of every function, in function order.
+    hashes: Vec<u128>,
+    /// [`Unit::tables_fingerprint`].
+    tables: u128,
+}
+
+impl Slices {
+    fn of(unit: &Unit<'_>) -> Self {
+        Slices {
+            hashes: (0..unit.func_count()).map(|i| unit.slice_hash(i)).collect(),
+            tables: unit.tables_fingerprint(),
+        }
+    }
+
+    /// Whether function `i` of `new` lowers to what function `i` of these
+    /// slices lowered to: its slice, the tables and the function count
+    /// are the same.
+    fn unchanged(&self, new: &Slices, i: usize) -> bool {
+        self.tables == new.tables
+            && self.hashes.len() == new.hashes.len()
+            && self.hashes[i] == new.hashes[i]
+    }
+}
+
+/// Derives the per-function cache keys of the pre-transform `module`
+/// over its call graph, under the `keys` span, recording the stage's
+/// time. `kept` is an update's `(lowered, local fingerprints of the
+/// previous keys)`: a function the update did not lower holds its
+/// previous transformed body, and its fingerprint is the kept one.
 fn derive_keys(
     module: &Module,
+    kept: Option<(&[bool], &[u128])>,
+    slices: Slices,
     callgraph: &CallGraph,
     pta: &PtaConfig,
     trace: &mut TraceBuf,
     stats: &mut PipelineStats,
 ) -> Keys {
     let t = Instant::now();
-    let func = trace.span("keys", "", |_| {
-        module_keys_with_graph(module, config_fp(pta), callgraph)
+    let (local, func) = trace.span("keys", "", |_| {
+        let local: Vec<u128> = match kept {
+            Some((lowered, fps)) => module
+                .funcs
+                .iter()
+                .zip(lowered.iter().zip(fps))
+                .map(|(f, (&lowered, &fp))| {
+                    if lowered {
+                        func_fingerprint(f, module)
+                    } else {
+                        fp
+                    }
+                })
+                .collect(),
+            None => module_fingerprints(module),
+        };
+        let func = keys_from_fingerprints(&local, config_fp(pta), callgraph);
+        (local, func)
     });
     stats.keys_time = t.elapsed();
     Keys {
         fp: keys_fingerprint(&func),
         func,
+        local,
+        slices,
     }
 }
 
-/// What one run of the build stages leaves for the next to splice from:
-/// an artefact's transformed module, points-to analysis (arena included),
-/// SEGs, and the fingerprint keys of its pre-transform functions.
-struct Previous {
-    module: Module,
+/// What an update splices from, beside its module: the previous
+/// artefact's points-to analysis (arena included), SEGs and keys, and
+/// the new source, to lower what the key diff dirties.
+struct Previous<'u, 'src> {
+    unit: &'u Unit<'src>,
+    /// Per function: whether the module holds a body lowered from
+    /// [`Previous::unit`] (else it holds the previous transformed one).
+    lowered: Vec<bool>,
+    /// The previous transformed bodies of the functions in
+    /// [`Previous::lowered`]; the others moved into the module.
+    bodies: Vec<Option<Function>>,
     pta: ModuleAnalysis,
     segs: ModuleSeg,
     keys: Keys,
@@ -414,21 +509,24 @@ struct Built {
     outcome: UpdateOutcome,
 }
 
-/// The build stages over the pre-transform `module`, in order: call graph,
-/// keys (when `with_keys`, which an update always sets), points-to, SEG,
-/// then the structural statistics — recording spans into `trace` and
-/// times and counters into `stats`. The transform leaves the call graph
+/// The build stages over `module`, in order: call graph, keys (with
+/// `slices`, which an owned workspace always has), points-to, SEG, then
+/// the structural statistics — recording spans into `trace` and times
+/// and counters into `stats`. The transform leaves the call graph
 /// unchanged, so every stage borrows the one built first.
 ///
-/// A build is an edit with nothing to splice. With a `previous` run, the
-/// functions whose keys changed are the dirty set: both stages splice
-/// everything else from it and analyse only those (see
-/// [`pinpoint_pta::incremental`]). A changed function set splices nothing
-/// (`fell_back`), so that run is a cold build.
+/// A build is an edit with nothing to splice, and its module is the
+/// pre-transform one. With a `previous` run, the module holds the
+/// previous transformed body of each function the front end did not
+/// lower again, and the functions whose keys changed are the dirty set:
+/// a dirty function not lowered yet is lowered now, a clean one gets its
+/// previous transformed body back, and both stages splice everything
+/// clean from the previous run and analyse only the dirty functions (see
+/// [`pinpoint_pta::incremental`]).
 fn run_stages(
     mut module: Module,
-    previous: Option<Previous>,
-    with_keys: bool,
+    slices: Option<Slices>,
+    previous: Option<Previous<'_, '_>>,
     config: &PtaConfig,
     threads: usize,
     trace: &mut TraceBuf,
@@ -438,25 +536,45 @@ fn run_stages(
     let callgraph = trace.span("callgraph", "", |_| Arc::new(CallGraph::new(&module)));
     stats.callgraph_time = t.elapsed();
     stats.keys_time = Duration::ZERO;
-    let keys = with_keys.then(|| derive_keys(&module, &callgraph, config, trace, stats));
+    let kept = previous
+        .as_ref()
+        .map(|p| (p.lowered.as_slice(), p.keys.local.as_slice()));
+    let keys = slices.map(|s| derive_keys(&module, kept, s, &callgraph, config, trace, stats));
+    let mut lowered = module.funcs.len();
     // Key diffs are caller-closed: an edit anywhere below a function
     // changes that function's transitive key, so the dirty set needs no
     // further closure.
     let (previous, old_segs) = match previous {
         Some(p) => {
             let keys = keys.as_ref().expect("an update derives keys");
-            let dirty = keys
+            let dirty: Vec<bool> = keys
                 .func
                 .iter()
                 .zip(&p.keys.func)
-                .enumerate()
-                .filter(|(_, (new, old))| new != old)
-                .map(|(i, _)| FuncId(i as u32))
+                .map(|(a, b)| a != b)
                 .collect();
+            let t = Instant::now();
+            let late: Vec<usize> = (0..dirty.len())
+                .filter(|&i| dirty[i] && !p.lowered[i])
+                .collect();
+            let results = lower_fns(p.unit, late.clone(), threads, trace);
+            for (i, f) in late.iter().zip(results) {
+                module.funcs[*i] = f.expect("an unchanged slice lowers as it did before");
+            }
+            let mut bodies = p.bodies;
+            for (i, body) in bodies.iter_mut().enumerate() {
+                if !dirty[i] && p.lowered[i] {
+                    module.funcs[i] = body.take().expect("a lowered function's old body is kept");
+                }
+            }
+            stats.front_time += t.elapsed();
+            lowered = p.lowered.iter().filter(|&&l| l).count() + late.len();
             let run = PreviousRun {
-                module: p.module,
                 analysis: p.pta,
-                dirty,
+                dirty: (0..dirty.len())
+                    .filter(|&i| dirty[i])
+                    .map(|i| FuncId(i as u32))
+                    .collect(),
             };
             (Some(run), Some(p.segs))
         }
@@ -475,9 +593,7 @@ fn run_stages(
     stats.pta = pta.total_stats();
     let t = Instant::now();
     let mut arena = std::mem::take(&mut pta.arena);
-    let reuse = old_segs
-        .filter(|_| !out.fell_back)
-        .map(|segs| (segs, out.reanalyzed.as_slice()));
+    let reuse = old_segs.map(|segs| (segs, out.reanalyzed.as_slice()));
     let span = trace.open("seg", "");
     let segs = ModuleSeg::build_reusing(
         &module,
@@ -503,13 +619,14 @@ fn run_stages(
         outcome: UpdateOutcome {
             reanalyzed: out.reanalyzed.len(),
             reused: out.reused,
-            fell_back: out.fell_back,
+            fell_back: false,
+            lowered,
         },
     }
 }
 
 /// What [`Workspace::update_source`] reused versus recomputed.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateOutcome {
     /// Functions whose points-to/SEG artefacts were re-analysed (the
     /// edited functions plus their transitive callers).
@@ -519,6 +636,10 @@ pub struct UpdateOutcome {
     /// `true` when the incremental path was abandoned for a full rebuild
     /// (the function set changed shape).
     pub fell_back: bool,
+    /// Functions the front end parsed and lowered: those whose source
+    /// slice changed (all of them when a global or a function header
+    /// did) plus the callers the edit dirtied.
+    pub lowered: usize,
 }
 
 /// The immutable Pinpoint analysis artefact, ready to be queried.
@@ -635,45 +756,152 @@ impl Analysis {
         &self.trace
     }
 
-    /// Splices an edited, already-compiled (pre-transform) module into
-    /// this artefact: the body of [`Workspace::update_source`] after the
-    /// front end (see [`pinpoint_pta::incremental`]). The new module's
-    /// per-function fingerprint keys are diffed against the previous
-    /// build's, and exactly the functions whose keys changed — the edited
-    /// ones plus, because keys are transitive over the call graph, their
-    /// transitive callers — are re-analysed. Everything else (transformed
-    /// bodies, points-to results, SEGs, hash-consed terms) is spliced from
-    /// the previous artefact.
-    pub(crate) fn update_module_incremental(&mut self, new_module: Module) -> UpdateOutcome {
-        let mut pta = std::mem::take(&mut self.pta);
-        pta.arena = self.take_arena();
-        let previous = Previous {
-            module: std::mem::take(&mut self.module),
-            pta,
-            segs: std::mem::take(&mut self.segs),
-            keys: self
-                .keys
-                .take()
-                .expect("an owned workspace's artefact has keys"),
-        };
+    /// Replaces the program with `src`, splicing from this artefact: the
+    /// body of [`Workspace::update_source`]. The front end lowers only the
+    /// functions whose source slice changed against the kept
+    /// [`Slices`] (every function when a global or a header did); every
+    /// other function keeps its fingerprint and moves its transformed
+    /// body into the new module. The per-function keys are then diffed
+    /// against the previous build's, and exactly the functions whose keys
+    /// changed — the edited ones plus, because keys are transitive over
+    /// the call graph, their transitive callers — are re-analysed (see
+    /// [`run_stages`]). Everything else (transformed bodies, points-to
+    /// results, SEGs, hash-consed terms) is spliced from this artefact.
+    ///
+    /// An error is the one a whole-file compile of `src` gives: a slice
+    /// that did not change compiled cleanly against the same tables
+    /// before, so the first error in file order lies in a changed one.
+    /// The artefact is untouched when there is one.
+    pub(crate) fn update_source(&mut self, src: &str) -> Result<UpdateOutcome, PinpointError> {
+        let t = Instant::now();
         // Updates are untraced (the artefact's trace is its build's), so
         // only the stage times are kept.
+        let trace = &mut TraceBuf::off();
+        let unit = Unit::split(src)?;
+        let slices = Slices::of(&unit);
+        let kept = &self
+            .keys
+            .as_ref()
+            .expect("an owned workspace's artefact has keys")
+            .slices;
+        let n = unit.func_count();
+        let lowered: Vec<bool> = (0..n).map(|i| !kept.unchanged(&slices, i)).collect();
+        let ids = (0..n).filter(|&i| lowered[i]).collect();
+        let results = lower_fns(&unit, ids, self.threads, trace);
+        if let Some(e) = first_error(&results) {
+            return Err(e.clone().into());
+        }
+        // Nothing fails from here on: take the previous artefact apart.
+        let same_shape = self.module.funcs.len() == n
+            && (0..n).all(|i| self.module.funcs[i].name == unit.func_name(i));
+        let mut bodies: Vec<Option<Function>> = std::mem::take(&mut self.module)
+            .funcs
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut fresh = results.into_iter().flatten();
+        let funcs = (0..n).map(|i| {
+            if lowered[i] {
+                fresh.next().expect("one result per lowered function")
+            } else {
+                bodies[i].take().expect("an unchanged slice keeps its body")
+            }
+        });
+        let module = unit.module(funcs);
+        self.stats.front_time = t.elapsed();
+        self.stats.front_tokens = unit.tokens();
+        self.stats.front_bytes = unit.bytes();
+        let keys = self.keys.take().expect("checked above");
+        let mut pta = std::mem::take(&mut self.pta);
+        pta.arena = self.take_arena();
+        let segs = std::mem::take(&mut self.segs);
+        // A changed function set splices nothing: every function was
+        // lowered (the tables changed), and the run is a cold build.
+        let previous = same_shape.then_some(Previous {
+            unit: &unit,
+            lowered,
+            bodies,
+            pta,
+            segs,
+            keys,
+        });
         let built = run_stages(
-            new_module,
-            Some(previous),
-            true,
+            module,
+            Some(slices),
+            previous,
+            &self.pta_config,
+            self.threads,
+            trace,
+            &mut self.stats,
+        );
+        let outcome = UpdateOutcome {
+            fell_back: !same_shape,
+            ..built.outcome
+        };
+        self.install(built);
+        Ok(outcome)
+    }
+
+    /// The whole-file update, the reference [`Analysis::update_source`]
+    /// is compared against: the whole file is compiled, every function
+    /// fingerprinted and keyed from scratch
+    /// ([`pinpoint_cache::module_keys`]), and every clean function's
+    /// freshly lowered body replaced by its previous transformed one.
+    #[cfg(test)]
+    pub(crate) fn update_source_whole_file(
+        &mut self,
+        src: &str,
+    ) -> Result<UpdateOutcome, PinpointError> {
+        let module = compile_source(src, self.threads, &mut TraceBuf::off())?.module;
+        let unit = Unit::split(src)?;
+        let slices = Slices::of(&unit);
+        let old = self
+            .keys
+            .take()
+            .expect("an owned workspace's artefact has keys");
+        let same_shape = self.module.funcs.len() == module.funcs.len()
+            && module
+                .iter_funcs()
+                .all(|(f, g)| self.module.func(f).name == g.name);
+        let func = pinpoint_cache::module_keys(&module, config_fp(&self.pta_config));
+        let mut pta = std::mem::take(&mut self.pta);
+        pta.arena = self.take_arena();
+        let bodies = std::mem::take(&mut self.module).funcs;
+        let previous = same_shape.then_some(Previous {
+            unit: &unit,
+            lowered: vec![true; module.funcs.len()],
+            bodies: bodies.into_iter().map(Some).collect(),
+            pta,
+            segs: std::mem::take(&mut self.segs),
+            keys: old,
+        });
+        let built = run_stages(
+            module,
+            Some(slices),
+            previous,
             &self.pta_config,
             self.threads,
             &mut TraceBuf::off(),
             &mut self.stats,
         );
+        assert_eq!(built.keys.as_ref().map(|k| &k.func), Some(&func));
+        let outcome = UpdateOutcome {
+            fell_back: !same_shape,
+            ..built.outcome
+        };
+        self.install(built);
+        Ok(outcome)
+    }
+
+    /// Makes `built` this artefact's module, analyses, call graph, arena
+    /// and keys.
+    fn install(&mut self, built: Built) {
         self.module = built.module;
         self.pta = built.pta;
         self.segs = built.segs;
         self.callgraph = built.callgraph;
         self.arena = Arc::new(built.arena);
         self.keys = built.keys;
-        built.outcome
     }
 
     /// Takes the interner out of its shared handle for mutation. The

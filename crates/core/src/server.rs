@@ -237,6 +237,9 @@ pub enum Reply {
         reused: usize,
         /// `true` when the engine fell back to a full rebuild.
         fell_back: bool,
+        /// Functions the front end lowered (changed slices plus dirtied
+        /// callers).
+        lowered: usize,
     },
     /// Value-flow reports (for `Check`/`All`/`Custom` queries).
     Reports {
@@ -798,6 +801,7 @@ fn process(op: &Op, ws: &mut Option<Workspace>, shared: &Shared) -> Result<Reply
                 reanalyzed: o.reanalyzed,
                 reused: o.reused,
                 fell_back: o.fell_back,
+                lowered: o.lowered,
             })
         }
         Op::Query(q) => {

@@ -14,15 +14,20 @@
 //!   edits and reuses work at two layers when the program changes. Its
 //!   artefact is built with the function keys both layers compare:
 //!
-//! 1. **Artefact layer** — [`Workspace::update_source`] diffs the new
-//!    module's per-function transitive fingerprint keys
-//!    ([`pinpoint_cache::module_keys`]) against the previous build's and
-//!    re-analyses exactly the functions whose keys changed (the edited
-//!    ones plus their transitive callers; keys fold callee fingerprints
-//!    over the call-graph condensation, so the diff is caller-closed by
+//! 1. **Artefact layer** — [`Workspace::update_source`] splits the new
+//!    source into function slices and lowers only those whose text
+//!    changed, or all of them when a global or a function header did;
+//!    every other function keeps its fingerprint and its previous
+//!    transformed body. It then diffs the per-function transitive
+//!    fingerprint keys ([`pinpoint_cache::module_keys`]) against the
+//!    previous build's and re-analyses exactly the functions whose keys
+//!    changed (the edited ones plus their transitive callers, which are
+//!    lowered again at that point; keys fold callee fingerprints over the
+//!    call-graph condensation, so the diff is caller-closed by
 //!    construction). Clean functions' transformed bodies, points-to
 //!    facts, SEGs, and hash-consed terms are spliced from the previous
-//!    artefact.
+//!    artefact. The module, keys and reports are those of a whole-file
+//!    update, which a test keeps as the reference.
 //! 2. **Query layer** — each query caches every per-source search
 //!    outcome keyed by `(spec fingerprint, source site)` together with a
 //!    *cone fingerprint*: a hash of every artefact datum the search
@@ -91,9 +96,7 @@
 
 use crate::cache_io::persist_verdicts;
 use crate::detect::{run_spec, DetectConfig, DetectStats, QueryCache, Report};
-use crate::driver::{
-    compile_source, open_store, Analysis, AnalysisBuilder, PipelineStats, UpdateOutcome,
-};
+use crate::driver::{open_store, Analysis, AnalysisBuilder, Keys, PipelineStats, UpdateOutcome};
 use crate::error::PinpointError;
 use crate::query::Query;
 use crate::spec::{CheckerKind, Spec};
@@ -117,6 +120,9 @@ pub struct WorkspaceCounters {
     /// Functions spliced from the previous artefact by
     /// [`Workspace::update_source`] calls.
     pub funcs_reused: u64,
+    /// Functions parsed and lowered by [`Workspace::update_source`]
+    /// calls (see [`UpdateOutcome::lowered`]).
+    pub funcs_lowered: u64,
 }
 
 /// The analysis engine every query goes through: an [`Analysis`], held
@@ -476,6 +482,7 @@ impl<A: Borrow<Analysis>> Workspace<A> {
             m.counter_add("workspace.queries.rerun", self.counters.queries_rerun);
             m.counter_add("workspace.funcs.dirty", self.counters.funcs_dirty);
             m.counter_add("workspace.funcs.reused", self.counters.funcs_reused);
+            m.counter_add("workspace.funcs.lowered", self.counters.funcs_lowered);
         }
         m
     }
@@ -510,9 +517,11 @@ impl Workspace {
 
     /// Replaces the program with an edited version, reusing the previous
     /// artefact for everything the edit did not dirty (layer 1 of the
-    /// [module docs](self)): the new module's per-function fingerprint
-    /// keys are diffed against the previous build's, and exactly the
-    /// functions whose keys changed are re-analysed (see
+    /// [module docs](self)): only the changed function slices are lowered
+    /// ([`UpdateOutcome::lowered`] counts them with the callers the edit
+    /// dirtied), the new module's per-function fingerprint keys are
+    /// diffed against the previous build's, and exactly the functions
+    /// whose keys changed are re-analysed (see
     /// [`pinpoint_pta::incremental`]). The query cache survives — entries
     /// are validated per source on the next check — except on a full
     /// fallback, which rebuilds the term arena and therefore clears it.
@@ -522,13 +531,23 @@ impl Workspace {
     /// Returns typed front-end errors for the new source; the workspace
     /// is unchanged when it does.
     pub fn update_source(&mut self, new_source: &str) -> Result<UpdateOutcome, PinpointError> {
-        let a = &mut self.analysis;
-        let t = Instant::now();
-        let compiled = compile_source(new_source, a.threads(), &mut TraceBuf::off())?;
-        a.stats.front_time = t.elapsed();
-        a.stats.front_tokens = compiled.tokens;
-        a.stats.front_bytes = compiled.bytes;
-        let outcome = a.update_module_incremental(compiled.module);
+        let outcome = self.analysis.update_source(new_source)?;
+        Ok(self.absorb(outcome))
+    }
+
+    /// [`Workspace::update_source`] through the whole-file reference
+    /// update ([`Analysis::update_source_whole_file`]).
+    #[cfg(test)]
+    pub(crate) fn update_source_whole_file(
+        &mut self,
+        new_source: &str,
+    ) -> Result<UpdateOutcome, PinpointError> {
+        let outcome = self.analysis.update_source_whole_file(new_source)?;
+        Ok(self.absorb(outcome))
+    }
+
+    /// Accounts for an update of the artefact.
+    fn absorb(&mut self, outcome: UpdateOutcome) -> UpdateOutcome {
         if let Some(cache) = self.cache.as_mut().filter(|_| outcome.fell_back) {
             // The artefact (term arena included) was rebuilt from
             // scratch: cached outcomes reference the dead arena lineage.
@@ -536,7 +555,29 @@ impl Workspace {
         }
         self.counters.funcs_dirty += outcome.reanalyzed as u64;
         self.counters.funcs_reused += outcome.reused as u64;
-        Ok(outcome)
+        self.counters.funcs_lowered += outcome.lowered as u64;
+        outcome
+    }
+
+    /// The artefact's function keys, indexed by `FuncId`: what updates
+    /// diff and the query cache validates against.
+    #[doc(hidden)]
+    pub fn func_keys(&self) -> &[u128] {
+        &self.keys().func
+    }
+
+    /// The local fingerprint of every function's pre-transform body,
+    /// indexed by `FuncId`: what [`Workspace::func_keys`] fold.
+    #[doc(hidden)]
+    pub fn func_fingerprints(&self) -> &[u128] {
+        &self.keys().local
+    }
+
+    fn keys(&self) -> &Keys {
+        self.analysis
+            .keys
+            .as_ref()
+            .expect("an owned workspace's artefact has keys")
     }
 }
 
@@ -759,6 +800,232 @@ mod tests {
         assert!(ws.counters().queries_rerun > rerun_before);
     }
 
+    /// A program every edit kind of the script below applies to: globals,
+    /// a helper with four callers, an uncalled function whose header can
+    /// change, and defects so that there are reports to compare.
+    const EDIT_BASE: &str = "global counter: int;
+global cell: int*;
+fn helper(p: int*) -> int { let v: int = *p; return v; }
+fn leaf(q: int**) { *q = null; return; }
+fn user_a(p: int*) -> int { let a: int = helper(p); return a; }
+fn user_b(p: int*) -> int { let b: int = helper(p); print(b); return b; }
+fn user_c(c: bool) {
+    let p: int* = malloc();
+    if (c) { free(p); }
+    let x: int = helper(p);
+    print(x);
+    return;
+}
+fn stash(p: int*) { *cell = p; return; }
+fn lone(c: bool) -> int { let x: int = 1; if (c) { x = 2; } return x; }
+fn main(c: bool) {
+    let p: int* = malloc();
+    let q: int** = malloc();
+    *q = p;
+    leaf(q);
+    let a: int = user_a(p);
+    let b: int = user_b(p);
+    user_c(c);
+    stash(p);
+    free(p);
+    let y: int = helper(p);
+    print(y);
+    return;
+}
+";
+
+    /// The edit script: each step rewrites the previous step's source and
+    /// names the functions the update must lower (`None` for every
+    /// function, and for a rejected edit, which lowers nothing that
+    /// stays).
+    fn edit_script() -> Vec<(&'static str, String, Option<usize>)> {
+        fn edit(src: &str, from: &str, to: &str) -> String {
+            assert!(src.contains(from), "`{from}` not in\n{src}");
+            src.replacen(from, to, 1)
+        }
+        let mut steps: Vec<(&'static str, String, Option<usize>)> = Vec::new();
+        let mut push = |name, f: &dyn Fn(&str) -> String, lowered| {
+            let prev = steps
+                .iter()
+                .rev()
+                .find(|(n, _, _): &&(&str, String, Option<usize>)| !n.starts_with("error"))
+                .map_or(EDIT_BASE.to_string(), |(_, s, _)| s.clone());
+            steps.push((name, f(&prev), lowered));
+        };
+        push(
+            "body",
+            &|s| edit(s, "let x: int = 1;", "let x: int = 3;"),
+            Some(1),
+        );
+        push(
+            "comment",
+            &|s| {
+                edit(
+                    &edit(s, "fn stash(", "// between\nfn stash("),
+                    "    leaf(q);",
+                    "    // inside\n    leaf(q);",
+                )
+            },
+            Some(1),
+        );
+        push(
+            "param-type",
+            &|s| {
+                edit(
+                    s,
+                    "fn lone(c: bool) -> int { let x: int = 3; if (c)",
+                    "fn lone(c: int) -> int { let x: int = 3; if (c > 0)",
+                )
+            },
+            None,
+        );
+        push(
+            "return-type",
+            &|s| {
+                edit(
+                    s,
+                    "fn lone(c: int) -> int { let x: int = 3; if (c > 0) { x = 2; } return x; }",
+                    "fn lone(c: int) -> bool { return c > 0; }",
+                )
+            },
+            None,
+        );
+        push(
+            "global-added",
+            &|s| format!("global extra: bool;\n{s}"),
+            None,
+        );
+        push(
+            "global-retyped",
+            &|s| edit(s, "global counter: int;", "global counter: bool;"),
+            None,
+        );
+        push(
+            "function-added",
+            &|s| {
+                edit(
+                    s,
+                    "// between\n",
+                    "fn added(p: int*) { free(p); return; }\n// between\n",
+                )
+            },
+            None,
+        );
+        push(
+            "function-removed",
+            &|s| edit(s, "fn added(p: int*) { free(p); return; }\n", ""),
+            None,
+        );
+        push(
+            "reordered",
+            &|s| {
+                let leaf = "fn leaf(q: int**) { *q = null; return; }\n";
+                edit(
+                    &edit(s, leaf, ""),
+                    "fn helper(",
+                    &format!("{leaf}fn helper("),
+                )
+            },
+            None,
+        );
+        push(
+            "error-parse",
+            &|s| edit(s, "print(y);", "print(y;"),
+            Some(0),
+        );
+        push(
+            "error-lower",
+            &|s| edit(s, "print(y);", "print(zz);"),
+            Some(0),
+        );
+        push("fix", &|s| edit(s, "print(y);", "print(a);"), Some(1));
+        push(
+            "helper",
+            &|s| {
+                edit(
+                    s,
+                    "let v: int = *p; return v;",
+                    "let w: int = 0; let v: int = *p + w; return v;",
+                )
+            },
+            Some(5),
+        );
+        push("unchanged", &|s| s.to_string(), Some(0));
+        steps
+    }
+
+    /// Everything an update leaves that a user or the next update reads:
+    /// reports with witnesses, the transformed module, keys and
+    /// fingerprints, the arena's length and the reuse counters.
+    fn snapshot(ws: &mut Workspace) -> String {
+        let reports: Vec<String> = ws
+            .query(&Query::All)
+            .into_reports()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        let c = ws.counters();
+        format!(
+            "{}\n{}\nkeys {:x?}\nlocal {:x?}\nterms {}\nreuse {:?}",
+            reports.join("\n"),
+            pinpoint_ir::printer::print_module(&ws.analysis().module),
+            ws.func_keys(),
+            ws.func_fingerprints(),
+            ws.analysis().arena.len(),
+            (
+                c.queries_reused,
+                c.queries_rerun,
+                c.funcs_dirty,
+                c.funcs_reused
+            ),
+        )
+    }
+
+    #[test]
+    fn updates_equal_the_whole_file_reference() {
+        for threads in [1, 2] {
+            let open = || {
+                AnalysisBuilder::new()
+                    .threads(threads)
+                    .open_workspace(EDIT_BASE)
+                    .unwrap()
+            };
+            let (mut ws, mut reference) = (open(), open());
+            assert_eq!(snapshot(&mut ws), snapshot(&mut reference));
+            for (step, src, lowered) in edit_script() {
+                let before = snapshot(&mut ws);
+                assert_eq!(snapshot(&mut reference), before);
+                let got = ws.update_source(&src);
+                let want = reference.update_source_whole_file(&src);
+                let at = format!("{step} at {threads} threads");
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        let n = ws.analysis().module.funcs.len();
+                        assert_eq!(got.lowered, lowered.unwrap_or(n), "{at}: {got:?}");
+                        assert_eq!(want.lowered, n, "{at}");
+                        assert_eq!(UpdateOutcome { lowered: n, ..got }, want, "{at}");
+                    }
+                    (Err(got), Err(want)) => {
+                        assert!(step.starts_with("error"), "{at}: {got}");
+                        assert_eq!(got.to_string(), want.to_string(), "{at}");
+                        let cold = Workspace::open(&src).unwrap_err();
+                        assert_eq!(got.to_string(), cold.to_string(), "{at}");
+                        let after = snapshot(&mut ws);
+                        let reuse = |s: &str| s[..s.rfind("reuse").unwrap()].to_string();
+                        assert_eq!(
+                            reuse(&after),
+                            reuse(&before),
+                            "{at}: an error changes nothing"
+                        );
+                        snapshot(&mut reference);
+                    }
+                    (got, want) => panic!("{at}: {got:?} vs {want:?}"),
+                }
+                assert_eq!(snapshot(&mut ws), snapshot(&mut reference), "{at}");
+            }
+        }
+    }
+
     #[test]
     fn stats_json_exports_workspace_family() {
         let mut ws = Workspace::open(UAF).unwrap();
@@ -771,6 +1038,7 @@ mod tests {
         assert!(json.contains("\"queries.rerun\""), "{json}");
         assert!(json.contains("\"funcs.dirty\""), "{json}");
         assert!(json.contains("\"funcs.reused\""), "{json}");
+        assert!(json.contains("\"funcs.lowered\""), "{json}");
         assert!(json.contains("\"budget_exhausted\""), "{json}");
     }
 }

@@ -237,6 +237,13 @@ fn threads_oracle(src: &str, threads: usize) -> CheckResult {
 /// Oracle (c): a warm [`Workspace`] stepped through a random edit
 /// script must agree with a cold build at every step, and a
 /// persistent-cache rebuild must agree with a cache-less build.
+///
+/// The script is two [`fuzzgen::mutate`] edits, then an edit that changes
+/// the tables every function lowers against (a parameter added to `main`
+/// or a global declared ahead of the others), which the update must
+/// lower whole. Just before it comes a broken edit (a syntax or a
+/// lowering error): it must be rejected with the error a cold compile
+/// gives and change nothing, so the valid edit after it is its fix.
 fn warm_oracle(src: &str, seed: u64) -> CheckResult {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x57A7_E0F5_EEDC_0DE5);
     let mut ws = match Workspace::open(src) {
@@ -250,8 +257,21 @@ fn warm_oracle(src: &str, seed: u64) -> CheckResult {
     };
     let _ = ws.query(&Query::All);
     let mut cur = src.to_string();
-    for step in 0..2 {
-        cur = fuzzgen::mutate(&cur, &mut rng);
+    for step in 0..3 {
+        if step == 2 {
+            let broken = break_edit(&cur, &mut rng);
+            let cold = Workspace::open(&broken).err().map(|e| e.to_string());
+            let warm = ws.update_source(&broken).err().map(|e| e.to_string());
+            if cold.is_none() || warm != cold {
+                return fail(
+                    "warm-error-mismatch",
+                    format!("broken edit: warm {warm:?}, cold {cold:?}"),
+                );
+            }
+            cur = tables_edit(&cur, &mut rng);
+        } else {
+            cur = fuzzgen::mutate(&cur, &mut rng);
+        }
         if let Err(e) = ws.update_source(&cur) {
             return fail("mutant-reject", format!("edit {step} rejected: {e}"));
         }
@@ -276,6 +296,36 @@ fn warm_oracle(src: &str, seed: u64) -> CheckResult {
         result?;
     }
     Ok(())
+}
+
+/// A valid edit of a generated program that changes what every function
+/// lowers against: an unused parameter for the uncalled `main`, or else
+/// (and at random) a global declared first, shifting every global's id.
+fn tables_edit(src: &str, rng: &mut SmallRng) -> String {
+    let k = rng.gen_range(0..1000);
+    match src.find("fn main(") {
+        Some(at) if rng.gen_range(0..2) == 0 => {
+            let at = at + "fn main(".len();
+            let sep = if src[at..].starts_with(')') { "" } else { ", " };
+            format!("{}hdr{k}: int{sep}{}", &src[..at], &src[at..])
+        }
+        _ => format!("global gfirst{k}: int;\n{src}"),
+    }
+}
+
+/// `src` with its first `print(` made a syntax error or an unknown name
+/// (a whole-file `global` declaration's error when there is no call).
+fn break_edit(src: &str, rng: &mut SmallRng) -> String {
+    let broken = if rng.gen_range(0..2) == 0 {
+        "print((("
+    } else {
+        "print(no_such_variable + "
+    };
+    if src.contains("print(") {
+        src.replacen("print(", broken, 1)
+    } else {
+        format!("global: int;\n{src}")
+    }
 }
 
 fn cache_roundtrip(src: &str, dir: &std::path::Path) -> CheckResult {

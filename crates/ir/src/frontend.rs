@@ -11,6 +11,18 @@
 //! [`compile`] is the serial caller; the analysis driver shards the same
 //! calls over its workers.
 //!
+//! # What a function's lowering reads
+//!
+//! Its slice of the file ([`Unit::slice`]: the `fn` item from the keyword
+//! to the closing brace) and the tables, which come from the globals
+//! (name, type, order) and the function headers (name, parameter types,
+//! return type, order) alone ([`Unit::tables_fingerprint`]). Source
+//! positions reach only error messages, never the IR. So a slice whose
+//! text and tables are those of an earlier, successful compile lowers to
+//! the same function again, wherever in the file it now sits: an editor
+//! that kept the earlier result can skip it ([`Unit::module`] assembles
+//! a module from some functions lowered here and the rest brought in).
+//!
 //! # Which error is reported
 //!
 //! Always the one the whole-file pipeline (lex everything, parse
@@ -26,6 +38,7 @@
 //!    order ([`Unit::split`], once every body has parsed);
 //! 4. else the first lowering error in function order ([`Unit::finish`]).
 
+use crate::fingerprint::{hash_type, Fnv128};
 use crate::ir::{Function, Module};
 use crate::lower::{self, LowerError, Tables};
 use crate::parser::{self, FuncItem, Items, ParseError};
@@ -114,6 +127,50 @@ impl<'src> Unit<'src> {
         self.src.len()
     }
 
+    /// The text of function `i`: from its `fn` keyword to its body's
+    /// closing brace.
+    pub fn slice(&self, i: usize) -> &'src str {
+        let item = &self.items.funcs[i];
+        &self.src[item.span.offset..item.end]
+    }
+
+    /// A 128-bit hash of [`Unit::slice`]`(i)` ([`Fnv128::write_text`]).
+    pub fn slice_hash(&self, i: usize) -> u128 {
+        let mut h = Fnv128::new();
+        h.write_text(self.slice(i).as_bytes());
+        h.finish()
+    }
+
+    /// A hash of everything lowering reads besides a function's own
+    /// slice: each global's name and type and each function's name,
+    /// parameter types and return type, in declaration order (a
+    /// function's id is its position, and a call is checked against the
+    /// callee's signature).
+    pub fn tables_fingerprint(&self) -> u128 {
+        let mut h = Fnv128::new();
+        h.write_u64(self.items.globals.len() as u64);
+        for g in &self.items.globals {
+            h.write_str(g.name);
+            hash_type(&mut h, &g.ty);
+        }
+        h.write_u64(self.items.funcs.len() as u64);
+        for f in &self.items.funcs {
+            h.write_str(f.name);
+            h.write_u64(f.params.len() as u64);
+            for (_, ty) in &f.params {
+                hash_type(&mut h, ty);
+            }
+            match &f.ret_ty {
+                Some(ty) => {
+                    h.write_u32(1);
+                    hash_type(&mut h, ty);
+                }
+                None => h.write_u32(0),
+            }
+        }
+        h.finish()
+    }
+
     /// Parses and lowers function `i`. The syntax tree of its body lives
     /// for the duration of this call.
     ///
@@ -143,26 +200,55 @@ impl<'src> Unit<'src> {
         results: Vec<Result<Function, CompileError>>,
     ) -> Result<Module, CompileError> {
         assert_eq!(results.len(), self.func_count(), "one result per function");
+        if let Some(e) = first_error(&results) {
+            return Err(e.clone());
+        }
         // The item and signature tables are done with: give their memory
         // back before the module takes the functions over.
         let Unit { items, tables, .. } = self;
         drop(tables);
         let mut module = lower::module_with_globals(&items.globals, results.len());
         drop(items);
-        let mut lower_error = None;
-        for result in results {
-            match result {
-                Ok(f) => {
-                    module.add_func(f);
-                }
-                Err(e @ CompileError::Parse(_)) => return Err(e),
-                Err(e @ CompileError::Lower(_)) => {
-                    lower_error.get_or_insert(e);
-                }
+        for f in results.into_iter().flatten() {
+            module.add_func(f);
+        }
+        Ok(module)
+    }
+
+    /// Assembles a module of this unit's globals and `funcs`, one per
+    /// function in function order, whatever lowered them: the caller of
+    /// [`Unit::compile_fn`] for some functions that brings the others
+    /// from an earlier compile (see the [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `funcs` does not hold one function per item, or if a
+    /// name repeats.
+    pub fn module(&self, funcs: impl ExactSizeIterator<Item = Function>) -> Module {
+        assert_eq!(funcs.len(), self.func_count(), "one function per item");
+        let mut module = lower::module_with_globals(&self.items.globals, funcs.len());
+        for f in funcs {
+            module.add_func(f);
+        }
+        module
+    }
+}
+
+/// The error the whole-file pipeline reports among the outcomes of
+/// [`Unit::compile_fn`] for some functions, in function order: the first
+/// parse error, else the first lowering error. Functions left out must
+/// be ones that compile.
+pub fn first_error(results: &[Result<Function, CompileError>]) -> Option<&CompileError> {
+    let mut lower_error = None;
+    for e in results.iter().filter_map(|r| r.as_ref().err()) {
+        match e {
+            CompileError::Parse(_) => return Some(e),
+            CompileError::Lower(_) => {
+                lower_error.get_or_insert(e);
             }
         }
-        lower_error.map_or(Ok(module), Err)
     }
+    lower_error
 }
 
 /// Parses and lowers `src`, one function after the other.
@@ -243,6 +329,75 @@ mod tests {
             message("fn a() { } }"),
             "parse error at line 1: expected `fn` or `global`, found RBrace"
         );
+    }
+
+    #[test]
+    fn a_slice_runs_from_the_keyword_to_the_closing_brace() {
+        let src = "global g: int;\nfn a(x: int) -> int { return x; } // tail\nfn b() { if (true) { return; } return; }";
+        let unit = Unit::split(src).unwrap();
+        assert_eq!(unit.slice(0), "fn a(x: int) -> int { return x; }");
+        assert_eq!(unit.slice(1), "fn b() { if (true) { return; } return; }");
+        // An unterminated body runs to the end of the file.
+        let open = "fn a() { return; }\nfn b() { if (c) {";
+        let unit = Unit::split(open).unwrap();
+        assert_eq!(unit.slice(1), "fn b() { if (c) {");
+    }
+
+    #[test]
+    fn a_function_lowers_alike_wherever_its_slice_sits() {
+        let f = "fn f(p: int*) -> int { let x: int = *p; if (x > 0) { *stash = p; } return x; }";
+        let a = format!("global stash: int*;\n{f}\nfn main() {{ return; }}");
+        let b = format!(
+            "global stash: int*;\n// moved\n\n\n{f}\nfn main() {{ let y: int = 1; print(y); return; }}"
+        );
+        let (ua, ub) = (Unit::split(&a).unwrap(), Unit::split(&b).unwrap());
+        assert_eq!(ua.tables_fingerprint(), ub.tables_fingerprint());
+        assert_eq!(ua.slice_hash(0), ub.slice_hash(0));
+        assert_ne!(ua.slice_hash(1), ub.slice_hash(1));
+        let (fa, fb) = (ua.compile_fn(0).unwrap(), ub.compile_fn(0).unwrap());
+        assert_eq!(format!("{fa:?}"), format!("{fb:?}"));
+        // The module assembled from per-function results is `compile`'s.
+        let funcs = (0..ub.func_count()).map(|i| ub.compile_fn(i).unwrap());
+        assert_eq!(
+            format!("{:?}", ub.module(funcs).funcs),
+            format!("{:?}", compile(&b).unwrap().funcs)
+        );
+    }
+
+    #[test]
+    fn the_tables_fingerprint_covers_globals_and_headers_only() {
+        let fp = |src: &str| Unit::split(src).unwrap().tables_fingerprint();
+        let base = "global g: int;\nfn a(x: int) -> int { return x; }\nfn b() { return; }";
+        // Bodies and parameter names are in the slices.
+        assert_eq!(
+            fp(base),
+            fp(&base.replace("{ return x;", "{ let y: int = x; return y;"))
+        );
+        assert_eq!(
+            fp(base),
+            fp(&base.replace("(x: int) -> int { return x;", "(z: int) -> int { return z;"))
+        );
+        for changed in [
+            base.replace("g: int", "g: int*"),
+            format!("global h: bool;\n{base}"),
+            base.replace("x: int)", "x: int*)"),
+            base.replace("-> int", "-> bool"),
+            base.replace("fn b()", "fn c()"),
+            format!("{base}\nfn c() {{ return; }}"),
+            "global g: int;\nfn b() { return; }\nfn a(x: int) -> int { return x; }".to_string(),
+        ] {
+            assert_ne!(fp(base), fp(&changed), "{changed}");
+        }
+    }
+
+    #[test]
+    fn first_error_prefers_a_parse_error_in_any_later_function() {
+        let src = "fn a() { x = 1; return; }\nfn b() { return; }\nfn c() { return }";
+        let unit = Unit::split(src).unwrap();
+        let results: Vec<_> = [0, 2].iter().map(|&i| unit.compile_fn(i)).collect();
+        let e = first_error(&results).unwrap();
+        assert_eq!(e.to_string(), message(src));
+        assert!(first_error(&[unit.compile_fn(1)]).is_none());
     }
 
     #[test]

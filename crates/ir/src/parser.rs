@@ -39,8 +39,8 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// One `fn` item as [`split`] leaves it: the parsed header and where the
-/// body starts.
+/// One `fn` item as [`split`] leaves it: the parsed header, where the
+/// body starts, and where the item ends.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FuncItem<'src> {
     /// Function name.
@@ -53,6 +53,10 @@ pub(crate) struct FuncItem<'src> {
     pub span: Span,
     /// Location of the body's opening brace ([`parse_body`] starts here).
     pub body_at: Span,
+    /// Byte offset just past the body's closing brace (the end of input
+    /// when the body is unterminated). `span.offset..end` is the item's
+    /// text.
+    pub end: usize,
 }
 
 impl<'src> FuncItem<'src> {
@@ -305,33 +309,40 @@ impl<'src> Parser<'src> {
         };
         let body_at = self.span();
         self.expect(Tok::LBrace)?;
-        self.skip_block()?;
+        let end = self.skip_block()?;
         Ok(FuncItem {
             name,
             params,
             ret_ty,
             span,
             body_at,
+            end,
         })
     }
 
     /// Steps over the rest of a block whose `{` was just consumed, to
-    /// the token after the matching `}`. A loop, not a recursion: input
-    /// nesting costs no stack here. Braces are only ever consumed by
-    /// [`Parser::block`], so where the body parses at all this is where
-    /// its parse ends; end of input first means the body cannot parse,
-    /// and [`parse_body`] says why.
-    fn skip_block(&mut self) -> Result<(), ParseError> {
+    /// the token after the matching `}`, and returns the byte offset just
+    /// past that `}`. A loop, not a recursion: input nesting costs no
+    /// stack here. Braces are only ever consumed by [`Parser::block`], so
+    /// where the body parses at all this is where its parse ends; end of
+    /// input first means the body cannot parse, and [`parse_body`] says
+    /// why.
+    fn skip_block(&mut self) -> Result<usize, ParseError> {
         let mut open = 1usize;
-        while open > 0 {
+        loop {
+            let at = self.span().offset;
             match self.bump()? {
                 Tok::LBrace => open += 1,
-                Tok::RBrace => open -= 1,
-                Tok::Eof => break,
+                Tok::RBrace => {
+                    open -= 1;
+                    if open == 0 {
+                        return Ok(at + 1);
+                    }
+                }
+                Tok::Eof => return Ok(at),
                 _ => {}
             }
         }
-        Ok(())
     }
 
     fn ty(&mut self) -> Result<Type, ParseError> {

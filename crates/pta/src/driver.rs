@@ -288,11 +288,11 @@ const MERGE_EVERY: usize = 256;
 /// one points-to algorithm, for builds and edits alike.
 ///
 /// With a `previous` run of the same function set, every function outside
-/// its dirty set is spliced first ([`crate::incremental`]: transformed
-/// body, shape and kept result move over; the arena and interner carry
-/// over whole). Without one — or when the function set changed
-/// (`fell_back`) — nothing is spliced and every function is analysed from
-/// a fresh arena, so a fallback is a cold build.
+/// its dirty set is spliced first ([`crate::incremental`]: shape and kept
+/// result move over, the arena and interner carry over whole, and
+/// `module` already holds the function's transformed body). Without one
+/// nothing is spliced and every function is analysed from a fresh arena,
+/// so a run whose function set changed is a cold build.
 ///
 /// The functions left to analyse are taken level by level over the call
 /// graph's SCC condensation (`level(scc) = 1 + max(level of callee
@@ -333,7 +333,7 @@ fn run<A>(
 where
     A: Fn(FuncId, &mut Function, &[AuxShape], &CallGraph, &PtaConfig) -> FuncResult + Sync,
 {
-    let (mut out, clean, fell_back) = splice(module, callgraph, previous);
+    let (mut out, clean) = splice(module, callgraph, previous);
     let mut reanalyzed = Vec::new();
     for level in stratify_levels(callgraph) {
         let dirty: Vec<FuncId> = level.into_iter().filter(|f| !clean[f.0 as usize]).collect();
@@ -366,7 +366,6 @@ where
         analysis: out,
         reused: module.funcs.len() - reanalyzed.len(),
         reanalyzed,
-        fell_back,
     }
 }
 

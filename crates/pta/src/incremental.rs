@@ -14,15 +14,21 @@
 //!   changed — everything else is spliced from the previous run.
 //!
 //! An edit is a build with something to splice: [`crate::analyze_module_par`]
-//! takes an optional [`PreviousRun`] — the previous analysis, its
-//! transformed module, and the set of edited functions (typically a
-//! fingerprint-key diff). Clean functions' transformed bodies, points-to
-//! results and symbol caches are moved over, and the shared hash-consed
-//! arena with them (it is append-only, so every clean term stays valid);
-//! dirty functions then go through the same analyse-in-a-private-arena,
+//! takes an optional [`PreviousRun`] — the previous analysis and the set
+//! of edited functions (typically a fingerprint-key diff) — over a module
+//! in which every clean function already holds its previous
+//! *transformed* body. The caller puts those bodies there: the front end
+//! of an update moves them over for the functions whose source did not
+//! change rather than lowering them again, and the transform never
+//! changes a call, so the call graph the caller builds over that mixed
+//! module is the pre-transform one. Clean functions' points-to results
+//! and symbol caches are moved over, and the shared hash-consed arena
+//! with them (it is append-only, so every clean term stays valid); dirty
+//! functions then go through the same analyse-in-a-private-arena,
 //! merge-in-level-order steps as a cold build, with their stale
-//! term-cache entries invalidated first. A run whose function set changed
-//! splices nothing (`fell_back`) and *is* a cold build.
+//! term-cache entries invalidated first. A previous run covers the same
+//! function set as the new module; a caller whose function set changed
+//! passes none, and that run is a cold build.
 //!
 //! The conservative dirtying rule (all transitive callers of an edit) can
 //! over-approximate — a body edit that leaves the connector shape
@@ -45,19 +51,16 @@ pub struct IncrementalOutcome {
     pub reanalyzed: Vec<FuncId>,
     /// Functions spliced from the previous run.
     pub reused: usize,
-    /// `true` if a previous run was given but nothing could be spliced
-    /// from it (function set changed).
-    pub fell_back: bool,
 }
 
-/// A previous run to splice from: its transformed module and analysis,
-/// both consumed — what is clean moves into the new run — and the
-/// functions an edit dirtied. The previous run must have used the same
-/// [`crate::PtaConfig`].
+/// A previous run to splice from: its analysis, consumed — what is clean
+/// moves into the new run — and the functions an edit dirtied. The
+/// previous run must have used the same [`crate::PtaConfig`] over the
+/// same function set, and the module of the new run must hold every
+/// clean function's previous transformed body (see the
+/// [module docs](self)).
 #[derive(Debug)]
 pub struct PreviousRun {
-    /// The previous run's transformed module.
-    pub module: Module,
     /// The previous run's analysis.
     pub analysis: ModuleAnalysis,
     /// The edited [`FuncId`]s of the *new* module — typically derived by
@@ -89,51 +92,41 @@ pub fn dirty_closure(
     dirty
 }
 
-/// `true` when the two modules have the same function names in the same
-/// order — the precondition for splicing per-function artifacts.
-fn same_shape(module: &Module, old_module: &Module) -> bool {
-    module.funcs.len() == old_module.funcs.len()
-        && module
-            .iter_funcs()
-            .zip(old_module.iter_funcs())
-            .all(|((_, a), (_, b))| a.name == b.name)
-}
-
-/// The state a run starts from: splices every function outside the
-/// caller-closed dirty set of `previous` into `module` (transformed body)
-/// and the returned analysis (shape, kept points-to result; the arena and
-/// interner carry over whole, minus the dirty functions' cached symbols). Returns that analysis, which functions are clean, and
-/// whether a previous run had to be discarded because the function set
-/// changed. Without a usable previous run everything is dirty and the
-/// arena is fresh.
+/// The state a run starts from: splices the points-to result of every
+/// function outside the caller-closed dirty set of `previous` into the
+/// returned analysis (shape, kept points-to result; the arena and
+/// interner carry over whole, minus the dirty functions' cached symbols).
+/// Returns that analysis and which functions are clean. Without a
+/// previous run everything is dirty and the arena is fresh.
+///
+/// # Panics
+///
+/// Panics if `previous` covers another number of functions than
+/// `module`.
 pub(crate) fn splice(
-    module: &mut Module,
+    module: &Module,
     callgraph: &CallGraph,
     previous: Option<PreviousRun>,
-) -> (ModuleAnalysis, Vec<bool>, bool) {
+) -> (ModuleAnalysis, Vec<bool>) {
     let n = module.funcs.len();
     let mut out = ModuleAnalysis::blank(n);
     let mut clean = vec![false; n];
     let Some(previous) = previous else {
-        return (out, clean, false);
+        return (out, clean);
     };
-    if !same_shape(module, &previous.module) {
-        return (out, clean, true);
-    }
-    let dirty = dirty_closure(callgraph, previous.dirty);
     let old = previous.analysis;
+    assert_eq!(old.pta.len(), n, "a previous run covers the same functions");
+    let dirty = dirty_closure(callgraph, previous.dirty);
     (out.arena, out.symbols) = (old.arena, old.symbols);
-    let bodies = previous.module.funcs.into_iter();
-    for (i, ((shape, pta), body)) in old.shapes.into_iter().zip(old.pta).zip(bodies).enumerate() {
+    for (i, (shape, pta)) in old.shapes.into_iter().zip(old.pta).enumerate() {
         let fid = FuncId(i as u32);
         if dirty.contains(&fid) {
             out.symbols.invalidate_function(fid);
             continue;
         }
-        module.funcs[i] = body;
         (out.shapes[i], out.pta[i], clean[i]) = (shape, pta, true);
     }
-    (out, clean, false)
+    (out, clean)
 }
 
 #[cfg(test)]
@@ -143,7 +136,9 @@ mod tests {
     use pinpoint_obs::TraceBuf;
 
     /// Re-analyses `module` against the previous run of `old_module`,
-    /// dirty set `dirty`, at `threads` workers.
+    /// dirty set `dirty`, at `threads` workers, first moving the
+    /// transformed body of every function outside the dirty set's caller
+    /// closure over from `old_module`, as the caller of a splice does.
     fn incremental(
         module: &mut Module,
         old_module: Module,
@@ -152,8 +147,13 @@ mod tests {
         threads: usize,
     ) -> IncrementalOutcome {
         let cg = CallGraph::new(module);
+        let closed = dirty_closure(&cg, dirty.iter().copied());
+        for (i, body) in old_module.funcs.into_iter().enumerate() {
+            if !closed.contains(&FuncId(i as u32)) {
+                module.funcs[i] = body;
+            }
+        }
         let previous = PreviousRun {
-            module: old_module,
             analysis: old,
             dirty,
         };
@@ -218,7 +218,6 @@ mod tests {
         let mut new_module = pinpoint_ir::compile(&src).unwrap();
         // NOTE: old_module is post-transform; the splice source.
         let out = incremental_by_name(&mut new_module, old_module, old, &["leaf_a"]);
-        assert!(!out.fell_back);
         let names: Vec<&str> = out
             .reanalyzed
             .iter()
@@ -286,7 +285,6 @@ mod tests {
             .collect();
         assert_eq!(dirty.len(), 1, "only leaf_a's body changed");
         let out = incremental(&mut new_module, old_module, old, dirty, 1);
-        assert!(!out.fell_back);
         let names: Vec<&str> = out
             .reanalyzed
             .iter()
@@ -296,22 +294,6 @@ mod tests {
         assert!(names.contains(&"mid"), "{names:?}");
         assert!(names.contains(&"top"), "{names:?}");
         assert_eq!(out.reused, 2, "leaf_b and unrelated spliced");
-    }
-
-    #[test]
-    fn function_set_change_falls_back() {
-        let mut old_module = pinpoint_ir::compile(BASE).unwrap();
-        let old = analyze_module(&mut old_module);
-        let src = format!("{BASE}\nfn brand_new() {{ return; }}");
-        let mut new_module = pinpoint_ir::compile(&src).unwrap();
-        let out = incremental_by_name(&mut new_module, old_module, old, &["brand_new"]);
-        assert!(out.fell_back);
-        assert_eq!(out.reused, 0);
-        // Nothing spliced, so the run is a cold build, term for term.
-        let mut cold_module = pinpoint_ir::compile(&src).unwrap();
-        let cold = analyze_module(&mut cold_module);
-        assert_eq!(out.analysis.arena.len(), cold.arena.len());
-        assert_eq!(format!("{:?}", out.analysis.pta), format!("{:?}", cold.pta));
     }
 
     #[test]

@@ -493,8 +493,9 @@ fn render(resp: &Response, prefix: &str) -> String {
             reanalyzed,
             reused,
             fell_back,
+            lowered,
         }) => format!(
-            "{{\"ok\":true,{head},\"event\":\"updated\",\"reanalyzed\":{reanalyzed},\"reused\":{reused},\"fell_back\":{fell_back}}}"
+            "{{\"ok\":true,{head},\"event\":\"updated\",\"reanalyzed\":{reanalyzed},\"reused\":{reused},\"fell_back\":{fell_back},\"lowered\":{lowered}}}"
         ),
         Ok(Reply::Reports { json, reused, rerun }) => format!(
             "{{\"ok\":true,{head},\"event\":\"reports\",\"reports\":{json},\"queries_reused\":{reused},\"queries_rerun\":{rerun}}}"

@@ -97,6 +97,24 @@ fn render_workspace(ws: &mut Workspace) -> String {
     out
 }
 
+/// The keys an owned workspace keeps never drift from those of a cold
+/// compile of the source it holds: its local fingerprints are the cold
+/// module's, and so are its function keys (under pruning `prune`).
+fn assert_keys_fresh(ws: &Workspace, src: &str, prune: bool) {
+    let cold = pinpoint::compile(src).expect("source compiles");
+    assert_eq!(
+        ws.func_fingerprints(),
+        pinpoint::ir::module_fingerprints(&cold),
+        "local fingerprints drifted"
+    );
+    let config = pinpoint::cache::config_fp(&pinpoint::pta::PtaConfig { prune });
+    assert_eq!(
+        ws.func_keys(),
+        pinpoint::cache::module_keys(&cold, config),
+        "function keys drifted"
+    );
+}
+
 fn build(src: &str, threads: usize, cache: Option<&Path>) -> Analysis {
     let mut b = AnalysisBuilder::new().threads(threads);
     if let Some(dir) = cache {
@@ -253,6 +271,7 @@ fn workspace_updates_byte_identical_across_seeded_edits() {
             // Populate the query cache from the pre-edit program.
             let _ = render_workspace(&mut ws);
             let outcome = ws.update_source(&edited).expect("edited source compiles");
+            assert_keys_fresh(&ws, &edited, prune);
             assert_eq!(
                 outcome.fell_back, !same_shape,
                 "{name}: fallback iff the function set changed shape"
@@ -280,6 +299,53 @@ fn workspace_updates_byte_identical_across_seeded_edits() {
                     "{name} at {threads} threads: expected query reuse, got {after:?}"
                 );
             }
+        }
+    }
+}
+
+/// One workspace absorbing a cumulative script — a body edit, a connector
+/// edit, a global declared ahead of the others (every global id shifts,
+/// so every function is lowered again), an appended function and its
+/// removal — reports like a cold build after every step, with keys that
+/// never drift from the cold compile's.
+#[test]
+fn cumulative_edits_keep_reports_and_keys_cold() {
+    let project = generate(&GenConfig {
+        seed: 21,
+        functions: 24,
+        stmts_per_function: 8,
+        real_bugs: 2,
+        decoys: 2,
+        taint: true,
+    });
+    let mut rng = Mix(0xE511);
+    let f = pick_filler(&project.source, &mut rng, &["let x0: int = 1;"]);
+    let body = edit_in_func(&project.source, &f, "let x0: int = 1;", "let x0: int = 3;");
+    let f = pick_filler(&body, &mut rng, &["(q: int**)", "    return p0;"]);
+    let connector = edit_in_func(&body, &f, "    return p0;", "    *q = p0;\n    return p0;");
+    let global = format!("global edit_first: int;\n{connector}");
+    let extra = "fn appended_extra(p: int*) {\n    free(p);\n    return;\n}\n";
+    let appended = format!("{global}{extra}");
+    let script = [body, connector, global.clone(), appended, global];
+    for threads in [1usize, 2] {
+        let builder = AnalysisBuilder::new().threads(threads);
+        let mut ws = builder
+            .clone()
+            .open_workspace(&project.source)
+            .expect("generated source compiles");
+        let _ = render_workspace(&mut ws);
+        for (step, src) in script.iter().enumerate() {
+            let outcome = ws.update_source(src).expect("edited source compiles");
+            assert_keys_fresh(&ws, src, true);
+            let cold = builder
+                .clone()
+                .build_source(src)
+                .expect("edited source compiles");
+            assert_eq!(
+                render_workspace(&mut ws),
+                render_reports(&cold),
+                "step {step} at {threads} threads: {outcome:?}"
+            );
         }
     }
 }
@@ -312,7 +378,12 @@ fn warm_workspace_check_reruns_only_affected_queries() {
             .expect("generated source compiles");
         let _ = render_workspace(&mut ws);
         let outcome = ws.update_source(&edited).expect("edited source compiles");
+        assert_keys_fresh(&ws, &edited, true);
         assert!(!outcome.fell_back);
+        assert_eq!(
+            outcome.lowered, outcome.reanalyzed,
+            "a root's edit lowers the root alone: {outcome:?}"
+        );
         assert!(
             outcome.reused > outcome.reanalyzed,
             "one-function edit splices most artefacts: {outcome:?}"
@@ -447,6 +518,7 @@ fn function_set_change_equals_a_cold_build() {
             .open_workspace(&base)
             .expect("generated source compiles");
         let outcome = ws.update_source(&edited).expect("edited source compiles");
+        assert_keys_fresh(&ws, &edited, true);
         assert!(outcome.fell_back, "{outcome:?}");
         let cold = builder
             .build_source(&edited)
@@ -495,6 +567,7 @@ fn edits_are_thread_count_invariant() {
             .open_workspace(base)
             .expect("generated source compiles");
         let outcome = ws.update_source(edited).expect("edited source compiles");
+        assert_keys_fresh(&ws, edited, true);
         assert!(!outcome.fell_back && outcome.reanalyzed > 1, "{outcome:?}");
         render_analysis(ws.analysis())
     };
@@ -519,6 +592,7 @@ fn one_function_edit_after_a_check_equals_a_cold_build() {
         .expect("generated source compiles");
     let _ = render_workspace(&mut ws);
     let outcome = ws.update_source(&edited).expect("edited source compiles");
+    assert_keys_fresh(&ws, &edited, true);
     assert!(!outcome.fell_back && outcome.reanalyzed == 1, "{outcome:?}");
     let cold = builder
         .build_source(&edited)

@@ -40,7 +40,10 @@ fn render(resp: &Response) -> String {
             reanalyzed,
             reused,
             fell_back,
-        }) => format!("updated reanalyzed={reanalyzed} reused={reused} fell_back={fell_back}"),
+            lowered,
+        }) => format!(
+            "updated reanalyzed={reanalyzed} reused={reused} fell_back={fell_back} lowered={lowered}"
+        ),
         Ok(Reply::Reports {
             json,
             reused,
