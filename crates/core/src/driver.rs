@@ -33,7 +33,8 @@ use crate::workspace::Workspace;
 use pinpoint_cache::{config_fp, keys_from_fingerprints, CacheStats, CacheStore};
 use pinpoint_ir::frontend::first_error;
 use pinpoint_ir::{
-    func_fingerprint, module_fingerprints, CallGraph, CompileError, FuncId, Function, Module, Unit,
+    func_fingerprint, module_fingerprints, CallGraph, CompileError, FuncId, Function, Module,
+    Snapshot, Unit,
 };
 use pinpoint_obs::TraceBuf;
 use pinpoint_pta::{analyze_module_par, ModuleAnalysis, PreviousRun, PtaConfig, PtaStats};
@@ -128,7 +129,7 @@ pub struct PipelineStats {
     /// Wall time of parsing + lowering: of the whole file after
     /// [`AnalysisBuilder::build_source`], and after
     /// [`Workspace::update_source`] of what the update lowered (the split
-    /// of the whole file, the changed functions and the callers it
+    /// around the edit, the changed functions and the callers it
     /// dirtied); zero when the module was built elsewhere.
     pub front_time: Duration,
     /// Tokens in the source text (zero like [`Self::front_time`] when the
@@ -405,17 +406,18 @@ pub(crate) struct Keys {
     /// not lower.
     pub(crate) local: Vec<u128>,
     /// The source the keys are of, slice by slice.
-    slices: Slices,
+    pub(crate) slices: Slices,
 }
 
-/// What the front end keeps of a source text so the next update lowers
-/// only what changed: a hash of every function's slice and the tables
-/// fingerprint ([`pinpoint_ir::frontend`] says why these are all that
-/// lowering reads).
-#[derive(Debug)]
-struct Slices {
-    /// [`Unit::slice_hash`] of every function, in function order.
-    hashes: Vec<u128>,
+/// What the front end keeps of a source text so the next update splits
+/// only around the edit and lowers only what changed: the text with its
+/// item table, and the tables fingerprint ([`pinpoint_ir::frontend`] says
+/// why the slices and the tables are all that lowering reads).
+#[derive(Debug, Default)]
+pub(crate) struct Slices {
+    /// [`Unit::snapshot`]: what [`Unit::resplit`] reads, and the previous
+    /// text of every function's slice.
+    pub(crate) source: Snapshot,
     /// [`Unit::tables_fingerprint`].
     tables: u128,
 }
@@ -423,18 +425,18 @@ struct Slices {
 impl Slices {
     fn of(unit: &Unit<'_>) -> Self {
         Slices {
-            hashes: (0..unit.func_count()).map(|i| unit.slice_hash(i)).collect(),
+            source: unit.snapshot(),
             tables: unit.tables_fingerprint(),
         }
     }
 
-    /// Whether function `i` of `new` lowers to what function `i` of these
-    /// slices lowered to: its slice, the tables and the function count
-    /// are the same.
-    fn unchanged(&self, new: &Slices, i: usize) -> bool {
-        self.tables == new.tables
-            && self.hashes.len() == new.hashes.len()
-            && self.hashes[i] == new.hashes[i]
+    /// Whether function `i` of `unit`, whose tables fingerprint is
+    /// `tables`, lowers to what function `i` of these slices lowered to:
+    /// its slice, the tables and the function count are the same.
+    fn unchanged(&self, unit: &Unit<'_>, tables: u128, i: usize) -> bool {
+        self.tables == tables
+            && self.source.func_count() == unit.func_count()
+            && self.source.slice(i) == unit.slice(i)
     }
 }
 
@@ -621,6 +623,7 @@ fn run_stages(
             reused: out.reused,
             fell_back: false,
             lowered,
+            split_bytes: 0,
         },
     }
 }
@@ -640,6 +643,10 @@ pub struct UpdateOutcome {
     /// slice changed (all of them when a global or a function header
     /// did) plus the callers the edit dirtied.
     pub lowered: usize,
+    /// Bytes of the new source the update's split lexed: the edited
+    /// range out to the item boundaries around it (see
+    /// [`Unit::resplit`]).
+    pub split_bytes: usize,
 }
 
 /// The immutable Pinpoint analysis artefact, ready to be queried.
@@ -757,9 +764,10 @@ impl Analysis {
     }
 
     /// Replaces the program with `src`, splicing from this artefact: the
-    /// body of [`Workspace::update_source`]. The front end lowers only the
-    /// functions whose source slice changed against the kept
-    /// [`Slices`] (every function when a global or a header did); every
+    /// body of [`Workspace::update_source`]. The front end splits only
+    /// around the edit ([`Unit::resplit`] of the kept [`Slices`]) and
+    /// lowers only the functions whose source slice changed against the
+    /// kept one (every function when a global or a header did); every
     /// other function keeps its fingerprint and moves its transformed
     /// body into the new module. The per-function keys are then diffed
     /// against the previous build's, and exactly the functions whose keys
@@ -777,21 +785,26 @@ impl Analysis {
         // Updates are untraced (the artefact's trace is its build's), so
         // only the stage times are kept.
         let trace = &mut TraceBuf::off();
-        let unit = Unit::split(src)?;
-        let slices = Slices::of(&unit);
         let kept = &self
             .keys
             .as_ref()
             .expect("an owned workspace's artefact has keys")
             .slices;
+        let (unit, split_bytes) = Unit::resplit(src, &kept.source)?;
+        let tables = unit.tables_fingerprint();
         let n = unit.func_count();
-        let lowered: Vec<bool> = (0..n).map(|i| !kept.unchanged(&slices, i)).collect();
+        let lowered: Vec<bool> = (0..n).map(|i| !kept.unchanged(&unit, tables, i)).collect();
         let ids = (0..n).filter(|&i| lowered[i]).collect();
         let results = lower_fns(&unit, ids, self.threads, trace);
         if let Some(e) = first_error(&results) {
             return Err(e.clone().into());
         }
-        // Nothing fails from here on: take the previous artefact apart.
+        // Nothing fails from here on: take the previous artefact apart,
+        // the new text going where the old one was kept.
+        let mut keys = self.keys.take().expect("checked above");
+        let mut slices = std::mem::take(&mut keys.slices);
+        unit.snapshot_into(&mut slices.source);
+        slices.tables = tables;
         let same_shape = self.module.funcs.len() == n
             && (0..n).all(|i| self.module.funcs[i].name == unit.func_name(i));
         let mut bodies: Vec<Option<Function>> = std::mem::take(&mut self.module)
@@ -811,7 +824,6 @@ impl Analysis {
         self.stats.front_time = t.elapsed();
         self.stats.front_tokens = unit.tokens();
         self.stats.front_bytes = unit.bytes();
-        let keys = self.keys.take().expect("checked above");
         let mut pta = std::mem::take(&mut self.pta);
         pta.arena = self.take_arena();
         let segs = std::mem::take(&mut self.segs);
@@ -836,6 +848,7 @@ impl Analysis {
         );
         let outcome = UpdateOutcome {
             fell_back: !same_shape,
+            split_bytes,
             ..built.outcome
         };
         self.install(built);
@@ -887,6 +900,7 @@ impl Analysis {
         assert_eq!(built.keys.as_ref().map(|k| &k.func), Some(&func));
         let outcome = UpdateOutcome {
             fell_back: !same_shape,
+            split_bytes: src.len(),
             ..built.outcome
         };
         self.install(built);

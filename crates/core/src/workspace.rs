@@ -123,6 +123,9 @@ pub struct WorkspaceCounters {
     /// Functions parsed and lowered by [`Workspace::update_source`]
     /// calls (see [`UpdateOutcome::lowered`]).
     pub funcs_lowered: u64,
+    /// Bytes the splits of [`Workspace::update_source`] calls lexed (see
+    /// [`UpdateOutcome::split_bytes`]).
+    pub split_bytes: u64,
 }
 
 /// The analysis engine every query goes through: an [`Analysis`], held
@@ -483,6 +486,7 @@ impl<A: Borrow<Analysis>> Workspace<A> {
             m.counter_add("workspace.funcs.dirty", self.counters.funcs_dirty);
             m.counter_add("workspace.funcs.reused", self.counters.funcs_reused);
             m.counter_add("workspace.funcs.lowered", self.counters.funcs_lowered);
+            m.counter_add("workspace.split.bytes", self.counters.split_bytes);
         }
         m
     }
@@ -556,6 +560,7 @@ impl Workspace {
         self.counters.funcs_dirty += outcome.reanalyzed as u64;
         self.counters.funcs_reused += outcome.reused as u64;
         self.counters.funcs_lowered += outcome.lowered as u64;
+        self.counters.split_bytes += outcome.split_bytes as u64;
         outcome
     }
 
@@ -950,13 +955,60 @@ fn main(c: bool) {
             },
             Some(5),
         );
+        push("byte-0", &|s| format!("// head\n{s}"), Some(0));
+        push("eof", &|s| format!("{s}// tail"), Some(0));
+        push(
+            "comment-added",
+            &|s| edit(s, "// between\n", "// between\n/* a note */\n"),
+            Some(0),
+        );
+        push(
+            "in-comment",
+            &|s| edit(s, "/* a note */", "/* a longer\n note */"),
+            Some(0),
+        );
+        push(
+            "error-open-comment",
+            &|s| edit(s, "/* a longer\n note */", "/* a longer\n note"),
+            Some(0),
+        );
+        // An unmatched brace runs the re-split to the end of the file.
+        push(
+            "error-unmatched-brace",
+            &|s| edit(s, "if (c) { free(p); }", "if (c) { { free(p); }"),
+            Some(0),
+        );
+        push(
+            "brace-matched",
+            &|s| edit(s, "if (c) { free(p); }", "if (c) { if (c) { free(p); } }"),
+            Some(2),
+        );
+        push(
+            "error-header",
+            &|s| edit(s, "fn leaf(q: int**) {", "fn leaf(q: int** {"),
+            Some(0),
+        );
+        // The body error comes first in the file, so it outranks the
+        // malformed header the re-split stops at.
+        push(
+            "error-body-then-header",
+            &|s| {
+                edit(
+                    &edit(s, "let a: int = helper(p);", "let a: int = helper(p)"),
+                    "fn stash(p: int*) {",
+                    "fn stash(p: int* {",
+                )
+            },
+            Some(0),
+        );
         push("unchanged", &|s| s.to_string(), Some(0));
         steps
     }
 
     /// Everything an update leaves that a user or the next update reads:
-    /// reports with witnesses, the transformed module, keys and
-    /// fingerprints, the arena's length and the reuse counters.
+    /// reports with witnesses, the transformed module, the kept source
+    /// and item table, keys and fingerprints, the arena's length and the
+    /// reuse counters.
     fn snapshot(ws: &mut Workspace) -> String {
         let reports: Vec<String> = ws
             .query(&Query::All)
@@ -966,9 +1018,10 @@ fn main(c: bool) {
             .collect();
         let c = ws.counters();
         format!(
-            "{}\n{}\nkeys {:x?}\nlocal {:x?}\nterms {}\nreuse {:?}",
+            "{}\n{}\n{:?}\nkeys {:x?}\nlocal {:x?}\nterms {}\nreuse {:?}",
             reports.join("\n"),
             pinpoint_ir::printer::print_module(&ws.analysis().module),
+            ws.keys().slices.source,
             ws.func_keys(),
             ws.func_fingerprints(),
             ws.analysis().arena.len(),
@@ -1000,10 +1053,17 @@ fn main(c: bool) {
                 let at = format!("{step} at {threads} threads");
                 match (got, want) {
                     (Ok(got), Ok(want)) => {
+                        assert!(!step.starts_with("error"), "{at}: accepted");
                         let n = ws.analysis().module.funcs.len();
                         assert_eq!(got.lowered, lowered.unwrap_or(n), "{at}: {got:?}");
                         assert_eq!(want.lowered, n, "{at}");
-                        assert_eq!(UpdateOutcome { lowered: n, ..got }, want, "{at}");
+                        assert!(got.split_bytes <= src.len(), "{at}: {got:?}");
+                        let whole = UpdateOutcome {
+                            lowered: n,
+                            split_bytes: src.len(),
+                            ..got
+                        };
+                        assert_eq!(whole, want, "{at}");
                     }
                     (Err(got), Err(want)) => {
                         assert!(step.starts_with("error"), "{at}: {got}");
@@ -1039,6 +1099,7 @@ fn main(c: bool) {
         assert!(json.contains("\"funcs.dirty\""), "{json}");
         assert!(json.contains("\"funcs.reused\""), "{json}");
         assert!(json.contains("\"funcs.lowered\""), "{json}");
+        assert!(json.contains("\"split.bytes\""), "{json}");
         assert!(json.contains("\"budget_exhausted\""), "{json}");
     }
 }

@@ -10,6 +10,7 @@ use crate::{formula, OracleKind};
 use pinpoint_baseline::{layered_check_uaf, Fsvfg};
 use pinpoint_core::spec::{SinkSpec, SourceSpec, Spec};
 use pinpoint_core::{Analysis, AnalysisBuilder, CheckerKind, Query, Workspace};
+use pinpoint_ir::Unit;
 use pinpoint_workload::fuzzgen;
 use pinpoint_workload::rng::SmallRng;
 use std::collections::HashSet;
@@ -244,6 +245,10 @@ fn threads_oracle(src: &str, threads: usize) -> CheckResult {
 /// lower whole. Just before it comes a broken edit (a syntax or a
 /// lowering error): it must be rejected with the error a cold compile
 /// gives and change nothing, so the valid edit after it is its fix.
+/// Then come random byte-range splices ([`splice_edit`]): the re-split
+/// of each ([`Unit::resplit`]) must give the items or the error of a
+/// cold [`Unit::split`], and the update the error or the reports of a
+/// cold compile.
 fn warm_oracle(src: &str, seed: u64) -> CheckResult {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x57A7_E0F5_EEDC_0DE5);
     let mut ws = match Workspace::open(src) {
@@ -288,6 +293,50 @@ fn warm_oracle(src: &str, seed: u64) -> CheckResult {
             );
         }
     }
+    for step in 0..3 {
+        let spliced = splice_edit(&cur, &mut rng);
+        let previous = match Unit::split(&cur) {
+            Ok(unit) => unit.snapshot(),
+            Err(e) => {
+                return fail(
+                    "mutant-reject",
+                    format!("accepted text fails to split: {e}"),
+                )
+            }
+        };
+        let resplit = Unit::resplit(&spliced, &previous).map(|(unit, _)| unit.snapshot());
+        let whole = Unit::split(&spliced).map(|unit| unit.snapshot());
+        if resplit != whole {
+            return fail(
+                "resplit-mismatch",
+                format!("splice {step}: re-split {resplit:?}\nwhole-file split {whole:?}"),
+            );
+        }
+        match (ws.update_source(&spliced), Workspace::open(&spliced)) {
+            (Ok(_), Ok(mut cold_ws)) => {
+                let warm = render(&ws.query(&Query::All).into_reports());
+                let cold = render(&cold_ws.query(&Query::All).into_reports());
+                if warm != cold {
+                    return fail(
+                        "warm-mismatch",
+                        format!("splice {step}: warm workspace disagrees with cold build\n--- warm\n{warm}\n--- cold\n{cold}"),
+                    );
+                }
+                cur = spliced;
+            }
+            (Err(warm), Err(cold)) if warm.to_string() == cold.to_string() => {}
+            (warm, cold) => {
+                return fail(
+                    "warm-error-mismatch",
+                    format!(
+                        "splice {step}: warm {:?}, cold {:?}",
+                        warm.err().map(|e| e.to_string()),
+                        cold.err().map(|e| e.to_string())
+                    ),
+                )
+            }
+        }
+    }
     // Persistent cache roundtrip (every 8th seed: it does real IO).
     if seed.is_multiple_of(8) {
         let dir = std::env::temp_dir().join(format!("pinpoint-fuzz-cache-{seed:016x}"));
@@ -311,6 +360,47 @@ fn tables_edit(src: &str, rng: &mut SmallRng) -> String {
         }
         _ => format!("global gfirst{k}: int;\n{src}"),
     }
+}
+
+/// `src` with a random byte range of up to 24 bytes replaced by a token
+/// fragment or by a piece of up to 80 bytes of `src` itself (a moved or
+/// duplicated item, half a comment, a stray brace).
+fn splice_edit(src: &str, rng: &mut SmallRng) -> String {
+    const PIECES: &[&str] = &[
+        "",
+        " ",
+        "\n",
+        "{",
+        "}",
+        ";",
+        "/*",
+        "*/",
+        "//",
+        "fn ",
+        "global ",
+        "(",
+        ")",
+        "x",
+        "print(x);",
+        "fn spliced() { return; }\n",
+        "global spliced: int;\n",
+        "let spliced: int = 1;",
+    ];
+    let boundary = |mut at: usize| {
+        while !src.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    };
+    let from = boundary(rng.gen_range(0..src.len() + 1));
+    let to = boundary((from + rng.gen_range(0..25)).min(src.len())).max(from);
+    let with = if rng.gen_range(0..3) == 0 {
+        let at = boundary(rng.gen_range(0..src.len() + 1));
+        &src[at..boundary((at + rng.gen_range(0..81)).min(src.len())).max(at)]
+    } else {
+        PIECES[rng.gen_range(0..PIECES.len())]
+    };
+    format!("{}{with}{}", &src[..from], &src[to..])
 }
 
 /// `src` with its first `print(` made a syntax error or an unknown name

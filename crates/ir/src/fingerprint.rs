@@ -65,23 +65,6 @@ impl Fnv128 {
         self.write(&v.to_le_bytes());
     }
 
-    /// Absorbs `bytes`, length-prefixed, eight at a time: each
-    /// little-endian 64-bit word is one FNV-1a symbol (the tail, byte by
-    /// byte), so a long text costs one multiply per word instead of one
-    /// per byte. Every absorbing step is a bijection of the state, so two
-    /// inputs of one length that differ in one word never collide. A
-    /// different hash of the same bytes than [`Fnv128::write`].
-    pub fn write_text(&mut self, bytes: &[u8]) {
-        self.write_u64(bytes.len() as u64);
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let w = u64::from_le_bytes(w.try_into().expect("an eight-byte chunk"));
-            self.0 ^= w as u128;
-            self.0 = self.0.wrapping_mul(FNV128_PRIME);
-        }
-        self.write(words.remainder());
-    }
-
     /// Absorbs a length-prefixed string (prefix prevents ambiguity
     /// between adjacent fields).
     pub fn write_str(&mut self, s: &str) {
@@ -292,23 +275,6 @@ pub fn module_fingerprints(module: &Module) -> Vec<u128> {
 mod tests {
     use super::*;
     use crate::compile;
-
-    #[test]
-    fn write_text_tells_one_changed_byte_and_a_length_apart() {
-        let hash = |bytes: &[u8]| {
-            let mut h = Fnv128::new();
-            h.write_text(bytes);
-            h.finish()
-        };
-        let text = b"fn f(p: int*) { free(p); return; } // a tail";
-        for i in 0..text.len() {
-            let mut t = text.to_vec();
-            t[i] ^= 1;
-            assert_ne!(hash(&t), hash(text), "byte {i}");
-        }
-        assert_ne!(hash(b"abcdefgh"), hash(b"abcdefgh\0"));
-        assert_ne!(hash(b""), hash(b"\0"));
-    }
 
     #[test]
     fn module_fingerprints_index_by_func_id() {

@@ -11,6 +11,11 @@
 //! [`compile`] is the serial caller; the analysis driver shards the same
 //! calls over its workers.
 //!
+//! An editor that kept a [`Snapshot`] of the unit of the previous text
+//! ([`Unit::snapshot`]: the text and its item table) splits the next one
+//! with [`Unit::resplit`], which lexes the edited byte range out to the
+//! item boundaries around it and gives the unit [`Unit::split`] would.
+//!
 //! # What a function's lowering reads
 //!
 //! Its slice of the file ([`Unit::slice`]: the `fn` item from the keyword
@@ -41,7 +46,7 @@
 use crate::fingerprint::{hash_type, Fnv128};
 use crate::ir::{Function, Module};
 use crate::lower::{self, LowerError, Tables};
-use crate::parser::{self, FuncItem, Items, ParseError};
+use crate::parser::{self, FuncItem, ItemTable, Items, ParseError};
 use std::fmt;
 
 /// A front-end error: the source did not parse, or did not lower.
@@ -94,7 +99,30 @@ impl<'src> Unit<'src> {
     /// function body: classes 1 and 3, and of class 2 the malformed
     /// headers (or the parse error of an earlier body that outranks one).
     pub fn split(src: &'src str) -> Result<Self, CompileError> {
-        let items = parser::split(src)?;
+        Self::of_items(src, parser::split(src)?)
+    }
+
+    /// [`Unit::split`] of `src`, an edit of the text `previous` is of,
+    /// that lexes only around the edit: the items of `previous` that
+    /// start before the first changed byte are kept, the item table is
+    /// split again from the last of them up to the first item boundary
+    /// the edit left where `previous` had one, and every item after that
+    /// is kept, moved by what the edit added. Also returns the number of
+    /// bytes it lexed (the whole file when the re-split range holds an
+    /// error: the error is then the one [`Unit::split`] reports).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Unit::split`].
+    pub fn resplit(src: &'src str, previous: &Snapshot) -> Result<(Self, usize), CompileError> {
+        match parser::resplit(src, &previous.text, &previous.items) {
+            Ok((items, lexed)) => Ok((Self::of_items(src, items)?, lexed.len())),
+            Err(_) => Ok((Self::split(src)?, src.len())),
+        }
+    }
+
+    /// The unit of `items`, the item table of `src`.
+    fn of_items(src: &'src str, items: Items<'src>) -> Result<Self, CompileError> {
         match Tables::build(&items.globals, items.funcs.iter().map(FuncItem::header)) {
             Ok(tables) => Ok(Unit { src, items, tables }),
             Err(duplicate) => {
@@ -105,6 +133,23 @@ impl<'src> Unit<'src> {
                 Err(duplicate.into())
             }
         }
+    }
+
+    /// What [`Unit::resplit`] of an edit of this unit's text reads: a
+    /// copy of the text and the item table in offset form.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snapshot = Snapshot::default();
+        self.snapshot_into(&mut snapshot);
+        snapshot
+    }
+
+    /// [`Unit::snapshot`] into `snapshot`, in the memory it holds: an
+    /// editor that replaces the previous snapshot allocates nothing for
+    /// a text no longer than the one before.
+    pub fn snapshot_into(&self, snapshot: &mut Snapshot) {
+        snapshot.text.clear();
+        snapshot.text.push_str(self.src);
+        snapshot.items.fill(self.src, &self.items);
     }
 
     /// Number of functions; [`Unit::compile_fn`] takes `0..func_count()`.
@@ -132,13 +177,6 @@ impl<'src> Unit<'src> {
     pub fn slice(&self, i: usize) -> &'src str {
         let item = &self.items.funcs[i];
         &self.src[item.span.offset..item.end]
-    }
-
-    /// A 128-bit hash of [`Unit::slice`]`(i)` ([`Fnv128::write_text`]).
-    pub fn slice_hash(&self, i: usize) -> u128 {
-        let mut h = Fnv128::new();
-        h.write_text(self.slice(i).as_bytes());
-        h.finish()
     }
 
     /// A hash of everything lowering reads besides a function's own
@@ -231,6 +269,29 @@ impl<'src> Unit<'src> {
             module.add_func(f);
         }
         module
+    }
+}
+
+/// A source text and its item table, kept apart from any [`Unit`]
+/// ([`Unit::snapshot`]) so that an edit of the text can be split against
+/// it ([`Unit::resplit`]). Two snapshots are equal when their texts are
+/// and [`Unit::split`] of them made equal items: the same spans, lines,
+/// names, types, body starts and ends, and token counts.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Snapshot {
+    text: String,
+    items: ItemTable,
+}
+
+impl Snapshot {
+    /// Number of functions.
+    pub fn func_count(&self) -> usize {
+        self.items.func_count()
+    }
+
+    /// The text of function `i`, as [`Unit::slice`] gave it.
+    pub fn slice(&self, i: usize) -> &str {
+        &self.text[self.items.func_range(i)]
     }
 }
 
@@ -352,8 +413,8 @@ mod tests {
         );
         let (ua, ub) = (Unit::split(&a).unwrap(), Unit::split(&b).unwrap());
         assert_eq!(ua.tables_fingerprint(), ub.tables_fingerprint());
-        assert_eq!(ua.slice_hash(0), ub.slice_hash(0));
-        assert_ne!(ua.slice_hash(1), ub.slice_hash(1));
+        assert_eq!(ua.slice(0), ub.slice(0));
+        assert_ne!(ua.slice(1), ub.slice(1));
         let (fa, fb) = (ua.compile_fn(0).unwrap(), ub.compile_fn(0).unwrap());
         assert_eq!(format!("{fa:?}"), format!("{fb:?}"));
         // The module assembled from per-function results is `compile`'s.

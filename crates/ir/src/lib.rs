@@ -59,7 +59,7 @@ pub use cfg::Cfg;
 pub use controldep::{ControlDep, ControlDeps};
 pub use dom::{DomTree, PostDomTree};
 pub use fingerprint::{func_fingerprint, module_fingerprints};
-pub use frontend::{CompileError, Unit};
+pub use frontend::{CompileError, Snapshot, Unit};
 pub use gating::{Gate, Gating};
 pub use ir::intrinsics;
 pub use ir::{

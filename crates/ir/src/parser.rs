@@ -7,11 +7,16 @@
 //! says it starts. Both run the same `Parser` over a two-token window
 //! of the pull [`Lexer`]; no token vector of the file exists, and the
 //! tree borrows its names from the source.
+//!
+//! `resplit` is `split` of an edited text that an earlier `split` left
+//! an `ItemTable` for: it runs the same productions over the changed
+//! byte range only (see its docs for why the result is `split`'s).
 
 use crate::ast::{BinOpKind, Expr, FnHeader, FuncDef, GlobalDef, Program, Span, Stmt, UnOpKind};
 use crate::lexer::{LexError, Lexer, Tok, Token};
 use crate::types::Type;
 use std::fmt;
+use std::ops::Range;
 
 /// Parse error.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +85,9 @@ pub(crate) struct Items<'src> {
     pub funcs: Vec<FuncItem<'src>>,
     /// Tokens in the file (end of input not counted).
     pub tokens: usize,
+    /// The ordinal of each item's first token (the number of tokens
+    /// before it), globals and functions together in source order.
+    pub ordinals: Vec<usize>,
 }
 
 /// Splits `src` into its top-level items without parsing function bodies.
@@ -131,6 +139,276 @@ pub(crate) fn parse_body<'src>(
     item: &FuncItem<'src>,
 ) -> Result<Vec<Stmt<'src>>, ParseError> {
     Parser::at(src, item.body_at)?.block()
+}
+
+/// An item table in offset form: what [`Items`] says of a text, with
+/// every name a byte range of it instead of a borrow, so that the table
+/// outlives the text and carries over to an edit of it ([`resplit`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ItemTable {
+    /// Globals and functions together, in source order.
+    items: Vec<Item>,
+    /// Every function's parameters back to back: name and type.
+    params: Vec<(Range<usize>, Type)>,
+    /// The position in [`ItemTable::items`] of each function.
+    funcs: Vec<usize>,
+    /// Tokens in the text (end of input not counted).
+    tokens: usize,
+}
+
+/// One entry of an [`ItemTable`].
+#[derive(Debug, Clone, PartialEq)]
+struct Item {
+    /// Location of the item's keyword.
+    span: Span,
+    /// The number of tokens before the keyword.
+    ordinal: usize,
+    name: Range<usize>,
+    kind: ItemKind,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum ItemKind {
+    /// A global and its content type.
+    Global(Type),
+    /// A function: its parameters (a range of [`ItemTable::params`]) and
+    /// the rest of its [`FuncItem`].
+    Fn {
+        params: Range<usize>,
+        ret_ty: Option<Type>,
+        body_at: Span,
+        end: usize,
+    },
+}
+
+/// How far the items after an edit moved: the byte, line and token
+/// counts the edit added (negative when it removed).
+#[derive(Debug, Clone, Copy, Default)]
+struct Shift {
+    bytes: isize,
+    lines: isize,
+    tokens: isize,
+}
+
+impl Shift {
+    fn offset(self, at: usize) -> usize {
+        at.wrapping_add_signed(self.bytes)
+    }
+
+    fn span(self, span: Span) -> Span {
+        Span {
+            offset: self.offset(span.offset),
+            line: span.line.wrapping_add_signed(self.lines),
+        }
+    }
+
+    fn range(self, r: &Range<usize>) -> Range<usize> {
+        self.offset(r.start)..self.offset(r.end)
+    }
+}
+
+impl ItemTable {
+    /// Makes this the offset form of `items`, the table of `src`, reusing
+    /// its memory.
+    pub(crate) fn fill(&mut self, src: &str, items: &Items<'_>) {
+        // Every name is a slice of `src`, so its place is its address.
+        let range = |name: &str| {
+            let at = name.as_ptr() as usize - src.as_ptr() as usize;
+            debug_assert_eq!(&src[at..at + name.len()], name);
+            at..at + name.len()
+        };
+        self.items.clear();
+        self.params.clear();
+        self.funcs.clear();
+        self.tokens = items.tokens;
+        let (mut globals, mut funcs) = (items.globals.iter().peekable(), items.funcs.iter());
+        for &ordinal in &items.ordinals {
+            let next_fn = funcs.as_slice().first().map(|f| f.span.offset);
+            let item = match globals.next_if(|g| next_fn.is_none_or(|f| g.span.offset < f)) {
+                Some(g) => Item {
+                    span: g.span,
+                    ordinal,
+                    name: range(g.name),
+                    kind: ItemKind::Global(g.ty),
+                },
+                None => {
+                    let f = funcs.next().expect("one ordinal per item");
+                    let start = self.params.len();
+                    self.params
+                        .extend(f.params.iter().map(|&(name, ty)| (range(name), ty)));
+                    self.funcs.push(self.items.len());
+                    Item {
+                        span: f.span,
+                        ordinal,
+                        name: range(f.name),
+                        kind: ItemKind::Fn {
+                            params: start..self.params.len(),
+                            ret_ty: f.ret_ty,
+                            body_at: f.body_at,
+                            end: f.end,
+                        },
+                    }
+                }
+            };
+            self.items.push(item);
+        }
+    }
+
+    /// Number of functions.
+    pub(crate) fn func_count(&self) -> usize {
+        self.funcs.len()
+    }
+
+    /// The byte range of function `i`'s item, as [`FuncItem`] gives it.
+    pub(crate) fn func_range(&self, i: usize) -> Range<usize> {
+        let item = &self.items[self.funcs[i]];
+        match item.kind {
+            ItemKind::Fn { end, .. } => item.span.offset..end,
+            ItemKind::Global(_) => unreachable!("`funcs` holds functions"),
+        }
+    }
+
+    /// Appends item `i`, moved by `shift`, to `items`, its names
+    /// borrowed from `src`.
+    fn push_to<'src>(&self, i: usize, shift: Shift, src: &'src str, items: &mut Items<'src>) {
+        let item = &self.items[i];
+        let name = &src[shift.range(&item.name)];
+        let span = shift.span(item.span);
+        match &item.kind {
+            &ItemKind::Global(ty) => items.globals.push(GlobalDef { name, ty, span }),
+            ItemKind::Fn {
+                params,
+                ret_ty,
+                body_at,
+                end,
+            } => items.funcs.push(FuncItem {
+                name,
+                params: self.params[params.clone()]
+                    .iter()
+                    .map(|(name, ty)| (&src[shift.range(name)], *ty))
+                    .collect(),
+                ret_ty: *ret_ty,
+                span,
+                body_at: shift.span(*body_at),
+                end: shift.offset(*end),
+            }),
+        }
+        items
+            .ordinals
+            .push(item.ordinal.wrapping_add_signed(shift.tokens));
+    }
+}
+
+/// [`split`] of `src`, an edit of `old_src` whose [`split`] gave `old`,
+/// lexing only around the edit; also returns the byte range of `src` it
+/// ran the productions over.
+///
+/// Let `src` and `old_src` share their first `prefix` and their last
+/// `suffix` bytes (the two may overlap). The old items that start at or
+/// before byte `prefix` reached their keywords through equal text, so
+/// [`split`] of `src` reaches them too: all of them but the last are kept
+/// as they are, and the productions re-run from the last one (or from the
+/// start of the file). A top-level item start is a token boundary at
+/// which the lexer carries no state but its position and line, and the
+/// parser none but the table it appends to; so when the re-run reaches
+/// one inside the shared suffix where an old item started, [`split`] of
+/// the rest of `src` is that of the rest of `old_src`, which succeeded:
+/// every old item from there on is kept, moved by the byte, line and
+/// token counts the edit added. Without such a resync the productions run
+/// to the end of the file.
+///
+/// # Errors
+///
+/// The first error of the productions over the re-run range. It need not
+/// be the one [`split`] of `src` reports (a later lexing error outranks a
+/// malformed header); the caller asks [`split`] for that.
+pub(crate) fn resplit<'src>(
+    src: &'src str,
+    old_src: &str,
+    old: &ItemTable,
+) -> Result<(Items<'src>, Range<usize>), ParseError> {
+    let (new, prev) = (src.as_bytes(), old_src.as_bytes());
+    let prefix = common_prefix(new, prev);
+    let suffix = common_suffix(new, prev);
+    let bytes = src.len() as isize - old_src.len() as isize;
+    let (kept, start, base) = match old
+        .items
+        .partition_point(|it| it.span.offset <= prefix)
+        .checked_sub(1)
+    {
+        Some(k) => (k, old.items[k].span, old.items[k].ordinal),
+        None => (0, Span { offset: 0, line: 1 }, 0),
+    };
+    let mut items = Items::default();
+    for i in 0..kept {
+        old.push_to(i, Shift::default(), src, &mut items);
+    }
+    let mut p = Parser::at(src, start)?;
+    let shared_from = src.len() - suffix;
+    let resync = loop {
+        let at = p.span();
+        if at.offset >= shared_from {
+            let old_at = at.offset.wrapping_add_signed(-bytes);
+            if let Ok(r) = old.items[kept..].binary_search_by_key(&old_at, |it| it.span.offset) {
+                break Some((kept + r, at));
+            }
+        }
+        if !p.item(&mut items)? {
+            break None;
+        }
+    };
+    for ordinal in &mut items.ordinals[kept..] {
+        *ordinal += base;
+    }
+    let end = match resync {
+        Some((r, at)) => {
+            let first = &old.items[r];
+            let shift = Shift {
+                bytes,
+                lines: at.line as isize - first.span.line as isize,
+                tokens: (base + p.ordinal()) as isize - first.ordinal as isize,
+            };
+            for i in r..old.items.len() {
+                old.push_to(i, shift, src, &mut items);
+            }
+            items.tokens = old.tokens.wrapping_add_signed(shift.tokens);
+            at.offset
+        }
+        None => {
+            items.tokens = base + p.lexer.tokens();
+            src.len()
+        }
+    };
+    Ok((items, start.offset..end))
+}
+
+/// Bytes compared at a time by [`common_prefix`] and [`common_suffix`].
+const BLOCK: usize = 256;
+
+/// The length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + BLOCK <= n && a[i..i + BLOCK] == b[i..i + BLOCK] {
+        i += BLOCK;
+    }
+    i + a[i..n]
+        .iter()
+        .zip(&b[i..n])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The length of the longest common suffix of `a` and `b`.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let mut i = n;
+    while i >= BLOCK && a[i - BLOCK..i] == b[i - BLOCK..i] {
+        i -= BLOCK;
+    }
+    let tail = a[..i].iter().rev().zip(b[..i].iter().rev());
+    n - i + tail.take_while(|(x, y)| x == y).count()
 }
 
 /// Parses a whole program.
@@ -258,15 +536,24 @@ impl<'src> Parser<'src> {
         }
     }
 
+    /// The number of tokens this parser's lexer produced before the
+    /// current one.
+    fn ordinal(&self) -> usize {
+        let lexed = |t: Token<'_>| usize::from(t.tok != Tok::Eof);
+        self.lexer.tokens() - lexed(self.cur) - lexed(self.next)
+    }
+
     /// Parses the next top-level item into `items`; `false` at end of
     /// input.
     fn item(&mut self, items: &mut Items<'src>) -> Result<bool, ParseError> {
+        let ordinal = self.ordinal();
         match self.peek() {
             Tok::Eof => return Ok(false),
             Tok::Global => items.globals.push(self.global()?),
             Tok::Fn => items.funcs.push(self.func_item()?),
             other => return Err(self.error(format!("expected `fn` or `global`, found {other}"))),
         }
+        items.ordinals.push(ordinal);
         Ok(true)
     }
 

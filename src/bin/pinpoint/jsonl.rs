@@ -164,10 +164,57 @@ pub fn parse_json_value(text: &str) -> Result<Json, String> {
     parse_json("value", text)
 }
 
+/// A cursor over the characters of a document.
+struct Chars<'a> {
+    text: &'a str,
+    /// Byte offset of the next character.
+    pos: usize,
+}
+
+impl<'a> Chars<'a> {
+    /// The text from the next character on.
+    fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
+    }
+
+    fn peek(&self) -> Option<char> {
+        self.rest().chars().next()
+    }
+
+    fn next(&mut self) -> Option<char> {
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        Some(c)
+    }
+}
+
+/// The position of the first `"` or `\` in `bytes`, found eight bytes
+/// at a time: in a word XOR-ed with the sought byte repeated, that byte
+/// is the first zero byte, and `(x - 0x01…01) & !x & 0x80…80` sets the
+/// top bit of the first zero byte of `x` (and maybe of later ones, never
+/// of an earlier one).
+fn quote_or_backslash(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const TOPS: u64 = u64::from_le_bytes([0x80; 8]);
+    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & TOPS;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("an eight-byte chunk"));
+        let hits =
+            zero_bytes(w ^ (ONES * u64::from(b'"'))) | zero_bytes(w ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let mut tail = words.remainder().iter();
+    tail.position(|&b| b == b'"' || b == b'\\').map(|i| at + i)
+}
+
 /// The one tokenizer behind both entry points; `what` names the document
 /// in the trailing-input error.
 fn parse_json(what: &str, text: &str) -> Result<Json, String> {
-    type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
     fn skip_ws(chars: &mut Chars) {
         while matches!(chars.peek(), Some(' ' | '\t' | '\r' | '\n')) {
             chars.next();
@@ -179,9 +226,14 @@ fn parse_json(what: &str, text: &str) -> Result<Json, String> {
         }
         let mut s = String::new();
         loop {
+            // Everything up to the next quote or backslash is copied as
+            // it is, in one piece.
+            let rest = chars.rest();
+            let run = quote_or_backslash(rest.as_bytes()).unwrap_or(rest.len());
+            s.push_str(&rest[..run]);
+            chars.pos += run;
             match chars.next() {
                 None => return Err("unterminated string".to_string()),
-                Some('"') => return Ok(s),
                 Some('\\') => match chars.next() {
                     Some('"') => s.push('"'),
                     Some('\\') => s.push('\\'),
@@ -199,7 +251,8 @@ fn parse_json(what: &str, text: &str) -> Result<Json, String> {
                     }
                     _ => return Err("unsupported escape".to_string()),
                 },
-                Some(c) => s.push(c),
+                // The closing quote.
+                Some(_) => return Ok(s),
             }
         }
     }
@@ -214,7 +267,7 @@ fn parse_json(what: &str, text: &str) -> Result<Json, String> {
                 chars.next();
                 let mut fields = Vec::new();
                 skip_ws(chars);
-                if chars.peek() == Some(&'}') {
+                if chars.peek() == Some('}') {
                     chars.next();
                     return Ok(Json::Obj(fields));
                 }
@@ -242,7 +295,7 @@ fn parse_json(what: &str, text: &str) -> Result<Json, String> {
                 chars.next();
                 let mut items = Vec::new();
                 skip_ws(chars);
-                if chars.peek() == Some(&']') {
+                if chars.peek() == Some(']') {
                     chars.next();
                     return Ok(Json::Arr(items));
                 }
@@ -258,7 +311,7 @@ fn parse_json(what: &str, text: &str) -> Result<Json, String> {
             }
             Some(_) => {
                 let mut v = String::new();
-                while let Some(&c) = chars.peek() {
+                while let Some(c) = chars.peek() {
                     if matches!(c, ',' | '}' | ']' | ' ' | '\t' | '\r' | '\n') {
                         break;
                     }
@@ -274,7 +327,7 @@ fn parse_json(what: &str, text: &str) -> Result<Json, String> {
             None => Err("unexpected end of input".to_string()),
         }
     }
-    let mut chars: Chars = text.chars().peekable();
+    let mut chars = Chars { text, pos: 0 };
     let value = parse_value(&mut chars, 0)?;
     skip_ws(&mut chars);
     if chars.next().is_some() {
@@ -331,5 +384,35 @@ mod tests {
         assert_eq!(err(r#"{"a":"x"#), "unterminated string");
         let deep = format!("{{\"a\":{}1{}}}", "[".repeat(100), "]".repeat(100));
         assert_eq!(err(&deep), "value nests too deeply");
+        assert_eq!(err(r#"{"a":"\q"}"#), "unsupported escape");
+        assert_eq!(err(r#"{"a":"\u12"}"#), "invalid \\u escape");
+        assert_eq!(err(r#"{"a":"\u12"#), "truncated \\u escape");
+        assert_eq!(err(r#"{"a":"\ud800"}"#), "invalid \\u code point");
+        assert_eq!(err(r#"{"a":"x\"#), "unsupported escape");
+    }
+
+    #[test]
+    fn escaped_strings_round_trip() {
+        use pinpoint::obs::json::escape;
+        use pinpoint::workload::{generate, GenConfig};
+        let project = generate(
+            &GenConfig {
+                seed: 1,
+                real_bugs: 2,
+                decoys: 2,
+                taint: true,
+                ..GenConfig::default()
+            }
+            .with_target_kloc(20.0),
+        );
+        let every_escape = "q\"b\\s/n\nt\tr\r\u{1}\u{1f} é ß λ → 🦀 end";
+        for text in [project.source.as_str(), every_escape] {
+            let line = format!("{{\"source\":\"{}\"}}", escape(text));
+            let fields = parse_json_object(&line).unwrap();
+            assert_eq!(fields, [("source".to_string(), text.to_string())]);
+        }
+        // Escapes the writer never emits decode too.
+        let fields = parse_json_object(r#"{"s":"\/\u00e9\u0041\u03bb"}"#).unwrap();
+        assert_eq!(fields, [("s".to_string(), "/éAλ".to_string())]);
     }
 }
