@@ -18,7 +18,6 @@ use crate::cond::{CondBuilder, CondConfig, CtxId, CtxInterner, ROOT};
 use crate::driver::Analysis;
 use crate::seg::{EdgeKind, ModuleSeg, SegEdge};
 use crate::spec::{CheckerKind, ResolvedSpec, SinkRole, SinkSite, SourceSite, Spec};
-use crate::summary::ParamSummaries;
 use crate::vfsummary::{summary_fingerprint, ModuleSummaries, SummaryCx};
 use pinpoint_ir::{CallGraph, Cfg, DomTree, FuncId, InstId, Module, ValueId};
 use pinpoint_obs::{QueryCost, QueryOutcome, QueryRecord, TraceBuf};
@@ -47,8 +46,10 @@ pub struct DetectConfig {
     /// condition, recording how many of the SMT-refuted conditions it
     /// would have caught (the §3.1.1 "easy constraints" measurement).
     pub measure_linear: bool,
-    /// Use compositional VF summaries (§3.3.2) to prune fruitless
-    /// descents (`false` is the summary-free ablation).
+    /// Use the compositional VF summaries (§3.3.2): gate sources that
+    /// cannot meet a sink and prune descents into callees that cannot
+    /// contribute. `false` is the summary-free reference search, which
+    /// reports byte-identically.
     pub use_summaries: bool,
 }
 
@@ -467,11 +468,12 @@ struct Worker<'cx, 'a> {
     doms: HashMap<FuncId, DomTree>,
     /// Per-function sink index for this property, filled on first visit.
     sinks: HashMap<FuncId, HashMap<ValueId, Vec<SinkSite>>>,
-    /// Descent summaries of the property being checked (§3.3.2), forced
-    /// for the callee cones the searches actually reach; `None` under the
-    /// summary-free ablation. Worker-private, but a pure function of the
-    /// artefact, so outcomes stay shard-independent.
-    params: Option<ParamSummaries<'a>>,
+    /// The interface summaries of the property being checked (§3.3.2),
+    /// read for descent pruning and forced for the callee cones the
+    /// searches actually reach; `None` under the summary-free reference.
+    /// Worker-private (and its forcing counted nowhere), but a pure
+    /// function of the artefact, so outcomes stay shard-independent.
+    params: Option<(SummaryCx<'a>, ModuleSummaries)>,
 }
 
 /// Runs one property over the artefact `a` with `threads` workers, merging
@@ -484,7 +486,7 @@ struct Worker<'cx, 'a> {
 ///
 /// 1. `gate` — the whole-program interface summaries
 ///    ([`ModuleSummaries`], forced on demand; `None` only for the
-///    ungated reference search): a source the gate proves
+///    summary-free reference search): a source the gate proves
 ///    fruitless gets a synthesised empty outcome. Gated sources bypass
 ///    the query cache entirely (a cached cone would not cover the summary
 ///    consultations the gate made) and count in
@@ -504,7 +506,7 @@ struct Worker<'cx, 'a> {
 ///
 /// The merge then replays all outcomes in canonical source order against
 /// a global seen-set, counting candidates and emitting reports exactly as
-/// a single-threaded, ungated, uncached pass would.
+/// a single-threaded, summary-free, uncached pass would.
 ///
 /// Besides reports and statistics, every evaluated candidate — including
 /// those a later dedup suppresses, since each was really solved — comes
@@ -810,10 +812,10 @@ impl<'cx, 'a> Worker<'cx, 'a> {
             linear: pinpoint_smt::LinearSolver::new(),
             doms: HashMap::new(),
             sinks: HashMap::new(),
-            params: cx
-                .config
-                .use_summaries
-                .then(|| ParamSummaries::new(cx.module, cx.segs, cx.property.spec, cx.callgraph)),
+            params: cx.config.use_summaries.then(|| {
+                let scx = SummaryCx::new(cx.module, cx.segs, cx.property.spec, cx.callgraph);
+                (scx, ModuleSummaries::new(cx.module.funcs.len()))
+            }),
         }
     }
 
@@ -998,8 +1000,8 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                 if gid == node.func {
                     continue; // direct recursion: summary-free (§4.2)
                 }
-                if let Some(s) = &mut self.params {
-                    if !s.descend_useful(gid, au.index) {
+                if let Some((scx, sums)) = &mut self.params {
+                    if !sums.param_fruitful(scx, gid, au.index) {
                         out.skipped_descents += 1;
                         continue; // VF summary: nothing reachable below
                     }

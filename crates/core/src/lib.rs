@@ -56,7 +56,6 @@ pub mod query;
 pub mod seg;
 pub mod server;
 pub mod spec;
-pub mod summary;
 pub mod telemetry;
 pub mod vfsummary;
 pub mod workspace;

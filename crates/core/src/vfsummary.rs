@@ -25,19 +25,26 @@
 //!   (directly or through callees): a per-value flag, composed through
 //!   call sites so callers inherit it at their actuals.
 //!
-//! A source whose upward closure over these edges never reaches a sink
-//! (or a global store, which can feed any load) is *gated*: the detector
-//! emits an empty outcome for it without searching. A source that
-//! passes the gate runs the unchanged demand-driven search — including
-//! its path-condition construction in the shared term interner, so the
-//! verdict table applies exactly as before. Because the gate closure is
-//! a strict superset of the demand search's reachability (it ignores
-//! context-depth limits, dominance filters, and vertex budgets), gating
-//! never suppresses a report, and non-gated sources are searched by the
-//! very same code — reports are byte-identical to the ungated search at
-//! any thread count, by construction. That search is kept as the
-//! reference (`Workspace::ungated`, hidden) the `engines` fuzz oracle
-//! and `tests/demand_summaries.rs` compare against.
+//! The same bits serve the detector twice:
+//!
+//! * **The gate.** A source whose upward closure over these edges never
+//!   reaches a sink (or a global store, which can feed any load) is
+//!   *gated*: the detector emits an empty outcome for it without
+//!   searching ([`ModuleSummaries::source_fruitful`]).
+//! * **Descent pruning.** Inside a search, a descent into formal `j` of a
+//!   callee is skipped when that formal's flags hold no sink, global or
+//!   overflow bit and its return set is empty
+//!   ([`ModuleSummaries::param_fruitful`]).
+//!
+//! Both closures are supersets of what the demand search can reach (they
+//! ignore context-depth limits, dominance filters and vertex budgets), so
+//! neither suppresses a report; DESIGN.md "One summary lattice" argues it
+//! rule by rule. A source that passes the gate runs the demand-driven
+//! search with its path-condition construction in the shared term
+//! interner, so the verdict table applies exactly as before. The
+//! reference is the same search with `DetectConfig::use_summaries` off
+//! (no gate, no pruning): the `engines` fuzz oracle and
+//! `tests/demand_summaries.rs` compare against it.
 //!
 //! Forced summaries live as long as the workspace that forced them,
 //! stamped with `keys_fingerprint` of the per-function transitive
@@ -172,7 +179,7 @@ impl<'a> SummaryCx<'a> {
 /// A function's summary is a pure function of `(module, segs, spec)` —
 /// identical whichever read forced it, for any thread count — so the memo
 /// restricted to what was demanded equals the same rows of the
-/// whole-module table [`ModuleSummaries::build`] produces.
+/// whole-module table [`ModuleSummaries::build_with_graph`] produces.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ModuleSummaries {
     funcs: ConeMemo<FuncSummary>,
@@ -191,13 +198,6 @@ impl ModuleSummaries {
             built: 0,
             composed: 0,
         }
-    }
-
-    /// The whole-module table: every function's summary for `spec`. See
-    /// [`ModuleSummaries::build_with_graph`].
-    pub fn build(module: &Module, segs: &ModuleSeg, spec: &Spec, threads: usize) -> Self {
-        let cg = CallGraph::new(module);
-        Self::build_with_graph(module, segs, spec, threads, None, &cg)
     }
 
     /// The whole-module table over a caller-supplied call graph: an empty
@@ -242,17 +242,12 @@ impl ModuleSummaries {
                 |(), members, _| compute_scc(module, segs, spec, members, done),
             );
             for (members, (sums, composed)) in pending.into_iter().zip(results) {
-                all.fill_built(members, sums, composed);
+                all.built += members.len() as u64;
+                all.composed += composed;
+                all.funcs.fill(members, sums);
             }
         }
         all
-    }
-
-    /// Fills one SCC with summaries just computed.
-    fn fill_built(&mut self, members: &[FuncId], sums: Vec<FuncSummary>, composed: u64) {
-        self.built += members.len() as u64;
-        self.composed += composed;
-        self.funcs.fill(members, sums);
     }
 
     /// `f`'s summary, forcing the not-yet-forced part of its callee cone.
@@ -261,12 +256,34 @@ impl ModuleSummaries {
         if f.0 as usize >= self.funcs.len() {
             return None;
         }
-        for scc in self.funcs.unforced_cone(cx.cg, f) {
-            let members = cx.cg.scc(scc);
-            let (sums, composed) = compute_scc(cx.module, cx.segs, &cx.spec, members, &self.funcs);
-            self.fill_built(members, sums, composed);
-        }
+        let (built, composed) = (&mut self.built, &mut self.composed);
+        self.funcs.force(cx.cg, f, |members, done| {
+            let (sums, c) = compute_scc(cx.module, cx.segs, &cx.spec, members, done);
+            *built += members.len() as u64;
+            *composed += c;
+            sums
+        });
         self.funcs.get(f)
+    }
+
+    /// The descent bit (VF1 + VF4 at one formal): `true` when a value
+    /// arriving at parameter `j` of `g` may reach a sink, a global store
+    /// or one of `g`'s returns — so a search descending there can find
+    /// something. `false` proves the descended subtree holds no candidate
+    /// and no step of any candidate's path. Forces `g`'s callee cone as
+    /// [`ModuleSummaries::force`] does; a function outside the module or
+    /// a formal `g` does not have answers `true`.
+    pub fn param_fruitful(&mut self, cx: &SummaryCx<'_>, g: FuncId, j: usize) -> bool {
+        let Some(s) = self.force(cx, g) else {
+            return true;
+        };
+        let Some(i) = cx.module.func(g).params.get(j).map(|p| p.0 as usize) else {
+            return true;
+        };
+        match (s.flags.get(i), s.rets.get(i)) {
+            (Some(&flags), Some(&rets)) => flags & (SINK | GLOBAL | OVERFLOW) != 0 || rets != 0,
+            _ => true,
+        }
     }
 
     /// `f`'s summary, if it has been forced.
@@ -676,7 +693,8 @@ mod tests {
     fn interface_bits_compose_through_wrappers() {
         let (m, segs) = artefact(WRAPPED_UAF);
         let spec = CheckerKind::UseAfterFree.spec();
-        let sums = ModuleSummaries::build(&m, &segs, &spec, 1);
+        let cg = CallGraph::new(&m);
+        let sums = ModuleSummaries::build_with_graph(&m, &segs, &spec, 1, None, &cg);
         let sinker = m.func_by_name("sinker").unwrap();
         let wrapper = m.func_by_name("wrapper").unwrap();
         let idfn = m.func_by_name("idfn").unwrap();
@@ -708,8 +726,9 @@ mod tests {
     fn summaries_are_thread_count_invariant() {
         let (m, segs) = artefact(WRAPPED_UAF);
         let spec = CheckerKind::UseAfterFree.spec();
-        let one = ModuleSummaries::build(&m, &segs, &spec, 1);
-        let four = ModuleSummaries::build(&m, &segs, &spec, 4);
+        let cg = CallGraph::new(&m);
+        let one = ModuleSummaries::build_with_graph(&m, &segs, &spec, 1, None, &cg);
+        let four = ModuleSummaries::build_with_graph(&m, &segs, &spec, 4, None, &cg);
         assert_eq!(one.funcs, four.funcs);
         assert_eq!(one.composed, four.composed);
     }
@@ -768,6 +787,127 @@ mod tests {
             gate(&m, &segs, &spec, "main"),
             vec![true],
             "the freed pointer escapes through a global store — never gate it"
+        );
+    }
+
+    /// `param_fruitful(func, 0)` for `kind` over `src`, from an empty memo.
+    fn fruitful(src: &str, kind: CheckerKind, func: &str) -> bool {
+        let (m, segs) = artefact(src);
+        let (spec, cg) = (kind.spec(), CallGraph::new(&m));
+        let cx = SummaryCx::new(&m, &segs, &spec, &cg);
+        let f = m.func_by_name(func).unwrap();
+        ModuleSummaries::new(m.funcs.len()).param_fruitful(&cx, f, 0)
+    }
+
+    #[test]
+    fn sinkless_callee_is_fruitless() {
+        assert!(
+            !fruitful(
+                "fn harmless(p: int*) { print(p); return; }
+                 fn main() { let p: int* = malloc(); harmless(p); free(p); return; }",
+                CheckerKind::UseAfterFree,
+                "harmless",
+            ),
+            "print is not a UAF sink"
+        );
+    }
+
+    #[test]
+    fn dereferencing_callee_is_fruitful() {
+        assert!(fruitful(
+            "fn deref(p: int*) { let x: int = *p; print(x); return; }
+             fn main() { let p: int* = malloc(); free(p); deref(p); return; }",
+            CheckerKind::UseAfterFree,
+            "deref",
+        ));
+    }
+
+    #[test]
+    fn returning_callee_is_fruitful() {
+        // VF1: the parameter flows back out; the caller may sink it.
+        assert!(fruitful(
+            "fn id(p: int*) -> int* { return p; }
+             fn main() { let p: int* = malloc(); let q: int* = id(p); print(q); return; }",
+            CheckerKind::UseAfterFree,
+            "id",
+        ));
+    }
+
+    #[test]
+    fn transitive_fruitfulness_through_wrappers() {
+        assert!(
+            fruitful(
+                "fn inner(p: int*) { free(p); return; }
+                 fn wrapper(p: int*) { inner(p); return; }
+                 fn main() { let p: int* = malloc(); wrapper(p); return; }",
+                CheckerKind::UseAfterFree,
+                "wrapper",
+            ),
+            "wrapper forwards to a freeing callee (forced below it first)"
+        );
+    }
+
+    #[test]
+    fn property_specific_summaries_differ() {
+        let src = "fn sendit(v: int) { sendto(v); return; }
+                   fn main() { let s: int = getpass(); sendit(s); return; }";
+        assert!(
+            !fruitful(src, CheckerKind::UseAfterFree, "sendit"),
+            "sendto is not a UAF sink"
+        );
+        assert!(
+            fruitful(src, CheckerKind::DataTransmission, "sendit"),
+            "sendto is the DT sink"
+        );
+    }
+
+    #[test]
+    fn an_intrinsic_that_is_no_sink_stays_fruitless() {
+        // `print` is not a use-after-free sink, and an intrinsic call is
+        // no argument use: a parameter that only reaches it is fruitless.
+        assert!(!fruitful(
+            "fn harmless(p: int*) { print(p); return; }
+             fn main() { let p: int* = malloc(); harmless(p); free(p); return; }",
+            CheckerKind::UseAfterFree,
+            "harmless",
+        ));
+    }
+
+    #[test]
+    fn global_store_counts_as_escape() {
+        assert!(
+            fruitful(
+                "global cell: int*;
+                 fn stash(p: int*) { *cell = p; return; }
+                 fn main() { let p: int* = malloc(); stash(p); free(p); return; }",
+                CheckerKind::UseAfterFree,
+                "stash",
+            ),
+            "a global store can reach any load"
+        );
+    }
+
+    #[test]
+    fn a_read_forces_only_the_callee_cone() {
+        let (m, segs) = artefact(
+            "fn leaf(p: int*) { free(p); return; }
+             fn mid(p: int*) { leaf(p); return; }
+             fn other(p: int*) { print(p); return; }
+             fn main() { let p: int* = malloc(); mid(p); other(p); return; }",
+        );
+        let (spec, cg) = (CheckerKind::UseAfterFree.spec(), CallGraph::new(&m));
+        let cx = SummaryCx::new(&m, &segs, &spec, &cg);
+        let mut sums = ModuleSummaries::new(m.funcs.len());
+        let id = |n: &str| m.func_by_name(n).unwrap();
+        assert!(sums.param_fruitful(&cx, id("mid"), 0));
+        let forced: Vec<bool> = ["leaf", "mid", "other", "main"]
+            .iter()
+            .map(|n| sums.get(id(n)).is_some())
+            .collect();
+        assert_eq!(forced, [true, true, false, false]);
+        assert!(
+            sums.param_fruitful(&cx, id("mid"), 1) && sums.param_fruitful(&cx, FuncId(99), 0),
+            "a formal or a function that does not exist answers fruitful"
         );
     }
 }

@@ -148,9 +148,6 @@ pub struct Workspace<A: Borrow<Analysis> = Analysis> {
     /// changed program.
     cache: Option<QueryCache>,
     counters: WorkspaceCounters,
-    /// Skip the summary gate and search every source: the reference the
-    /// gated search is compared against ([`Workspace::ungated`]).
-    ungated: bool,
     detect_time: Duration,
     detect: DetectStats,
     /// Build-stage spans (cloned from the artefact) extended with the
@@ -198,7 +195,6 @@ impl<A: Borrow<Analysis>> Workspace<A> {
             config: a.config(),
             cache,
             counters: WorkspaceCounters::default(),
-            ungated: false,
             detect_time: Duration::ZERO,
             detect: DetectStats::default(),
             trace: a.trace().clone(),
@@ -232,15 +228,6 @@ impl<A: Borrow<Analysis>> Workspace<A> {
         self.config
     }
 
-    /// The reference search: every source is searched, none gated by the
-    /// interface summaries. Reports are byte-identical either way; this
-    /// exists so the `engines` fuzz oracle and the tests can say so.
-    #[doc(hidden)]
-    pub fn ungated(mut self) -> Self {
-        self.ungated = true;
-        self
-    }
-
     /// Every built-in checker: `query(&Query::All).into_reports()`.
     pub fn check_all(&mut self) -> Vec<Report> {
         self.query(&Query::All).into_reports()
@@ -265,12 +252,13 @@ impl<A: Borrow<Analysis>> Workspace<A> {
     /// Runs one property (a built-in `kind` or a custom spec) and folds
     /// its outcome into the accumulated state: gate, then query cache
     /// (layer 2 of the [module docs](self), owned workspaces only), then
-    /// search.
+    /// search. With [`DetectConfig::use_summaries`] off no summary is
+    /// forced and every source is searched: the reference run.
     pub(crate) fn run_property(&mut self, spec: &Spec, kind: Option<CheckerKind>) -> Vec<Report> {
         let t0 = Instant::now();
         let span = self.trace.open("detect", spec.name.clone());
         let base_id = u32::try_from(self.queries.len()).expect("query count fits u32");
-        let mut sums = (!self.ungated).then(|| self.summaries_for(spec));
+        let mut sums = self.config.use_summaries.then(|| self.summaries_for(spec));
         let a = self.analysis.borrow();
         let mut out = run_spec(
             a,

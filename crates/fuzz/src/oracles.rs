@@ -9,7 +9,7 @@
 use crate::{formula, OracleKind};
 use pinpoint_baseline::{layered_check_uaf, Fsvfg};
 use pinpoint_core::spec::{SinkSpec, SourceSpec, Spec};
-use pinpoint_core::{Analysis, AnalysisBuilder, CheckerKind, Query, Workspace};
+use pinpoint_core::{Analysis, AnalysisBuilder, CheckerKind, DetectConfig, Query, Workspace};
 use pinpoint_ir::Unit;
 use pinpoint_workload::fuzzgen;
 use pinpoint_workload::rng::SmallRng;
@@ -442,12 +442,14 @@ fn cache_roundtrip(src: &str, dir: &std::path::Path) -> CheckResult {
     Ok(())
 }
 
-/// Oracle (f): the summary gate in front of every search must never
-/// change an answer — every built-in checker and every spec of
-/// [`custom_specs`] reports byte-identically to the ungated reference
-/// search, at 1 and N threads, and again after alpha-renaming every
-/// generated helper (`fK` → `rK`), which permutes `FuncId` assignment and
-/// therefore runs the SCC schedule in a different function order.
+/// Oracle (f): the interface summaries — the gate in front of every
+/// search and the descent pruning inside it — must never change an
+/// answer: every built-in checker and every spec of [`custom_specs`]
+/// reports byte-identically to the summary-free reference search
+/// (`use_summaries: false`), at 1 and N threads, and again after
+/// alpha-renaming every generated helper (`fK` → `rK`), which permutes
+/// `FuncId` assignment and therefore runs the SCC schedule in a
+/// different function order.
 fn engines_oracle(src: &str, threads: usize) -> CheckResult {
     engines_compare(src, 1, "as generated")?;
     engines_compare(src, threads.max(2), "as generated")?;
@@ -498,13 +500,16 @@ fn engines_compare(src: &str, threads: usize, variant: &str) -> CheckResult {
         }
         render(&reports)
     };
-    let ungated = run(analysis.session().ungated());
-    let gated = run(analysis.session());
-    if ungated != gated {
+    let reference = run(analysis.session().with_config(DetectConfig {
+        use_summaries: false,
+        ..analysis.config()
+    }));
+    let summarised = run(analysis.session());
+    if reference != summarised {
         return fail(
             "engine-mismatch",
             format!(
-                "gated search disagrees with the ungated reference ({variant}, threads={threads}):\n--- ungated\n{ungated}\n--- gated\n{gated}"
+                "the summarised search disagrees with the summary-free reference ({variant}, threads={threads}):\n--- summary-free\n{reference}\n--- summarised\n{summarised}"
             ),
         );
     }

@@ -259,7 +259,7 @@ impl<T> ConeMemo<T> {
     /// callers, so ascending SCC index is a valid schedule). Empty when
     /// `f` is already forced. Iterative: call chains tens of thousands
     /// deep must not recurse.
-    pub fn unforced_cone(&self, cg: &CallGraph, f: FuncId) -> Vec<usize> {
+    fn unforced_cone(&self, cg: &CallGraph, f: FuncId) -> Vec<usize> {
         if self.get(f).is_some() {
             return Vec::new();
         }
@@ -294,8 +294,8 @@ impl<T> ConeMemo<T> {
         }
     }
 
-    /// Forces `f`: runs `compute` on every SCC of
-    /// [`ConeMemo::unforced_cone`], bottom-up. `compute` gets the SCC's
+    /// Forces `f`: runs `compute` on every not-yet-forced SCC of `f`'s
+    /// callee cone, `f`'s own included, bottom-up. `compute` gets the SCC's
     /// members and the memo — in which every callee outside the SCC is
     /// forced — and returns one value per member, in member order.
     pub fn force(

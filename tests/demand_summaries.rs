@@ -1,21 +1,23 @@
 //! The demand-driven detect stage against its oracles.
 //!
-//! Interface summaries (`ModuleSummaries`) and descent summaries
-//! (`ParamSummaries`) are memos over the call-graph condensation: a read
-//! forces the callee cone below it and nothing else. The whole-module
-//! tables — `ModuleSummaries::build_with_graph`, `ParamSummaries::build` —
-//! run the same per-SCC computation over every function, so they are the
-//! reference the on-demand bits must equal, in any forcing order, at any
-//! thread count. The work-bound tests then pin the point of the exercise
-//! with counters: a check forces what its sources reach, not the module.
+//! The interface summaries (`ModuleSummaries`) are a memo over the
+//! call-graph condensation: a read — the gate's, or a search's descent
+//! bit (`param_fruitful`) — forces the callee cone below it and nothing
+//! else. The whole-module table `ModuleSummaries::build_with_graph` runs
+//! the same per-SCC computation over every function, so it is the
+//! reference the on-demand summaries must equal, in any forcing order, at
+//! any thread count. Reports are checked against the summary-free
+//! reference search (`use_summaries: false`: no gate, no descent
+//! pruning), including on programs built to trip the descent bits. The
+//! work-bound tests then pin the point of the exercise with counters: a
+//! check forces what its sources reach, not the module.
 
-use pinpoint::core::summary::ParamSummaries;
 use pinpoint::core::{ModuleSeg, ModuleSummaries, Spec, SummaryCx};
 use pinpoint::fuzz::oracles::custom_specs;
 use pinpoint::ir::{CallGraph, FuncId, Module};
 use pinpoint::workload::fuzzgen::{generate, FuzzGenConfig};
 use pinpoint::workload::rng::SmallRng;
-use pinpoint::{AnalysisBuilder, CheckerKind, Query, Workspace};
+use pinpoint::{Analysis, AnalysisBuilder, CheckerKind, DetectConfig, Query, Workspace};
 use std::path::PathBuf;
 
 /// Module, SEGs and call graph of `src`, as the stand-alone layer entry
@@ -55,7 +57,8 @@ fn force_each(
 }
 
 /// Lazy ≡ eager on one program, for one property: interface summaries
-/// field for field and descent bits, the eager tables at 1 and 4 threads.
+/// field for field (the descent bits included), the eager tables at 1 and
+/// 4 threads.
 fn assert_lazy_equals_eager(src: &str, spec: &Spec, seed: u64, what: &str) {
     let (m, segs, cg) = artefact(src);
     let n = m.funcs.len();
@@ -68,18 +71,6 @@ fn assert_lazy_equals_eager(src: &str, spec: &Spec, seed: u64, what: &str) {
     let cx = SummaryCx::new(&m, &segs, spec, &cg);
     let lazy = force_each(&cx, n, &order, &eager, what);
     assert_eq!(lazy, eager, "{what}: lazy table and counters");
-
-    let mut all = ParamSummaries::build(&m, &segs, spec, &cg);
-    let mut lazy = ParamSummaries::new(&m, &segs, spec, &cg);
-    for &f in &order {
-        for j in 0..m.func(f).params.len() {
-            assert_eq!(
-                lazy.descend_useful(f, j),
-                all.descend_useful(f, j),
-                "{what}: descend_useful({f:?}, {j})"
-            );
-        }
-    }
 }
 
 /// The corpus programs followed by 50 seeded `fuzzgen` programs, by name.
@@ -121,12 +112,22 @@ fn lazy_equals_eager_on_corpus_and_fuzzgen() {
     }
 }
 
+/// The summary-free reference search over `a`: no gate, no descent
+/// pruning, every other setting as built.
+fn reference(a: &Analysis) -> Workspace<&Analysis> {
+    a.session().with_config(DetectConfig {
+        use_summaries: false,
+        ..a.config()
+    })
+}
+
 #[test]
-fn gated_equals_ungated_for_builtin_and_custom_specs() {
-    // Every query is gated, custom specs included; the ungated search is
-    // the reference. The three custom specs cover each source shape
-    // (free argument, call receiver through transforms, null constant).
-    let (mut reports, mut gated) = ([0usize; 3], [0u64; 3]);
+fn summaries_equal_the_summary_free_reference_for_builtin_and_custom_specs() {
+    // Every query is gated and prunes descents, custom specs included;
+    // the summary-free search is the reference. The three custom specs
+    // cover each source shape (free argument, call receiver through
+    // transforms, null constant).
+    let (mut reports, mut gated, mut skipped) = ([0usize; 3], [0u64; 3], 0u64);
     let mut programs = corpus_and_fuzzgen();
     // The generated programs never print a pointer.
     programs.push(("needle".into(), needle_in_haystack(3)));
@@ -137,17 +138,19 @@ fn gated_equals_ungated_for_builtin_and_custom_specs() {
             .unwrap();
         for kind in CheckerKind::ALL {
             let q = Query::Check(kind);
+            let mut session = a.session();
             assert_eq!(
-                render(a.session().query(&q).reports()),
-                render(a.session().ungated().query(&q).reports()),
+                render(session.query(&q).reports()),
+                render(reference(&a).query(&q).reports()),
                 "{name} / {kind}"
             );
+            skipped += session.stats().detect.skipped_descents;
         }
         for (i, spec) in custom_specs().into_iter().enumerate() {
             let q = Query::Custom(spec);
             let mut session = a.session();
             let got = render(session.query(&q).reports());
-            let expected = render(a.session().ungated().query(&q).reports());
+            let expected = render(reference(&a).query(&q).reports());
             assert_eq!(got, expected, "{name} / {}", q.label());
             reports[i] += got.len();
             gated[i] += session.stats().detect.summary_gated;
@@ -157,6 +160,7 @@ fn gated_equals_ungated_for_builtin_and_custom_specs() {
         reports.iter().all(|&n| n > 0) && gated.iter().all(|&n| n > 0),
         "each custom spec must both report and gate somewhere: {reports:?} {gated:?}"
     );
+    assert!(skipped > 0, "some built-in search must prune a descent");
 }
 
 #[test]
@@ -204,9 +208,14 @@ fn hundred_thousand_deep_chain_forces_on_a_test_thread_stack() {
     let mut sums = ModuleSummaries::new(m.funcs.len());
     assert!(sums.force(&cx, top).is_some());
     assert_eq!(sums.built, DEPTH as u64, "the whole chain is one cone");
+    let mut fresh = ModuleSummaries::new(m.funcs.len());
     assert!(
-        ParamSummaries::new(&m, &segs, &spec, &cg).descend_useful(top, 0),
+        fresh.param_fruitful(&cx, top, 0),
         "the free at the bottom is reachable from the top"
+    );
+    assert_eq!(
+        fresh.built, DEPTH as u64,
+        "the descent bit forces the same cone"
     );
 }
 
@@ -240,7 +249,7 @@ fn check_all_forces_only_what_its_sources_reach() {
         .threads(1)
         .build_source(&src)
         .unwrap();
-    let expected = render(a.session().ungated().query(&Query::All).reports());
+    let expected = render(reference(&a).query(&Query::All).reports());
     assert_eq!(expected.len(), 1);
     let mut summary = a.session();
     assert_eq!(render(summary.query(&Query::All).reports()), expected);
@@ -275,4 +284,182 @@ fn workspace_update_rebuilds_no_summary_that_is_not_demanded() {
         "the edit re-keys the module, so the gate forces the same callees \
          again — and nothing else: {stats:?}"
     );
+}
+
+/// The descent bit of formal `j` of `func` for use-after-free over `src`,
+/// from an empty memo.
+fn descent_bit(src: &str, func: &str, j: usize) -> bool {
+    let (m, segs, cg) = artefact(src);
+    let spec = CheckerKind::UseAfterFree.spec();
+    let cx = SummaryCx::new(&m, &segs, &spec, &cg);
+    let f = m.func_by_name(func).expect("function exists");
+    ModuleSummaries::new(m.funcs.len()).param_fruitful(&cx, f, j)
+}
+
+/// Every checker over `src` with the summaries and without them, at 1 and
+/// 2 threads: the reports must be equal. Returns the summarised run's
+/// report count and skipped descents.
+fn against_reference(src: &str) -> (usize, u64) {
+    let mut seen = None;
+    for threads in [1, 2] {
+        let a = AnalysisBuilder::new()
+            .threads(threads)
+            .build_source(src)
+            .unwrap();
+        let mut session = a.session();
+        let got = render(session.query(&Query::All).reports());
+        let expected = render(reference(&a).query(&Query::All).reports());
+        assert_eq!(
+            got, expected,
+            "summarised vs summary-free at {threads} threads"
+        );
+        let now = (got.len(), session.stats().detect.skipped_descents);
+        assert_eq!(*seen.get_or_insert(now), now, "{threads} threads");
+    }
+    seen.expect("ran")
+}
+
+#[test]
+fn a_formal_reaching_a_sink_and_the_return_is_descended() {
+    let src = "fn use_and_pass(p: int*) -> int* { let x: int = *p; print(x); return p; }
+         fn main() {
+             let p: int* = malloc();
+             free(p);
+             let q: int* = use_and_pass(p);
+             let y: int = *q;
+             print(y);
+             return;
+         }";
+    assert!(descent_bit(src, "use_and_pass", 0));
+    let (reports, skipped) = against_reference(src);
+    assert_eq!(
+        (reports, skipped),
+        (2, 0),
+        "both dereferences, nothing pruned"
+    );
+}
+
+#[test]
+fn a_formal_reaching_only_a_dead_receiver_is_pruned() {
+    // `drop_it`'s formal reaches `id`'s return, whose receiver in
+    // `drop_it` is never read: the descent can find nothing. A lattice
+    // that counts "reaches a callee's return" as fruitful descends.
+    let src = "fn id(p: int*) -> int* { return p; }
+         fn drop_it(p: int*) { let q: int* = id(p); return; }
+         fn main() {
+             let p: int* = malloc();
+             free(p);
+             drop_it(p);
+             let x: int = *p;
+             print(x);
+             return;
+         }";
+    assert!(descent_bit(src, "id", 0), "id returns its formal");
+    assert!(!descent_bit(src, "drop_it", 0));
+    let (reports, skipped) = against_reference(src);
+    assert_eq!(reports, 1, "the dereference in main");
+    assert!(skipped > 0, "the descent into drop_it is pruned");
+}
+
+#[test]
+fn overflow_keeps_descents_past_the_sixty_third_formal() {
+    const WIDTH: usize = 70;
+    let formals: Vec<String> = (0..WIDTH).map(|i| format!("p{i}: int*")).collect();
+    let actuals: Vec<&str> = (0..WIDTH)
+        .map(|i| if i == 65 { "p" } else { "o" })
+        .collect();
+    let src = format!(
+        "fn wide({}) {{ let x: int = *p65; print(x); return; }}
+         fn main() {{
+             let p: int* = malloc();
+             let o: int* = malloc();
+             free(p);
+             wide({});
+             return;
+         }}",
+        formals.join(", "),
+        actuals.join(", ")
+    );
+    assert!(descent_bit(&src, "wide", 65), "the dereferenced formal");
+    assert!(
+        descent_bit(&src, "wide", 64),
+        "an index past 62 has no bit of its own: OVERFLOW answers fruitful"
+    );
+    assert!(
+        !descent_bit(&src, "wide", 0),
+        "a formal below 63 that reaches nothing"
+    );
+    let (reports, _) = against_reference(&src);
+    assert_eq!(reports, 1, "the use after free through formal 65");
+}
+
+#[test]
+fn direct_recursion_is_summary_free_like_the_search() {
+    // `p` reaches the dereference only as `q` of the recursive call. The
+    // search never follows a direct self-call (§4.2), and neither does
+    // the summary: the descent into `p` is pruned and nothing is lost.
+    let src = "fn rec(p: int*, q: int*, n: int) {
+             if (n > 0) { rec(q, p, n - 1); }
+             if (n == 0) { let x: int = *q; print(x); }
+             return;
+         }
+         fn main() {
+             let a: int* = malloc();
+             let b: int* = malloc();
+             free(a);
+             rec(a, b, 3);
+             let y: int = *a;
+             print(y);
+             return;
+         }";
+    assert!(!descent_bit(src, "rec", 0));
+    assert!(descent_bit(src, "rec", 1));
+    let (reports, skipped) = against_reference(src);
+    assert_eq!(reports, 1, "the dereference in main");
+    assert!(skipped > 0, "the descent into rec's first formal is pruned");
+}
+
+#[test]
+fn a_mutual_recursion_scc_answers_alike_through_either_member() {
+    // `ping`/`pong` reach `leaf`'s dereference; `bounce_a`/`bounce_b`
+    // reach nothing. Each SCC is entered from `main` through both members.
+    let src = "fn leaf(p: int*) { let x: int = *p; print(x); return; }
+         fn ping(p: int*, n: int) { if (n > 0) { pong(p, n - 1); } return; }
+         fn pong(p: int*, n: int) { if (n > 0) { ping(p, n - 1); } leaf(p); return; }
+         fn bounce_a(p: int*, n: int) { if (n > 0) { bounce_b(p, n - 1); } return; }
+         fn bounce_b(p: int*, n: int) { if (n > 0) { bounce_a(p, n - 1); } return; }
+         fn main() {
+             let a: int* = malloc();
+             free(a);
+             ping(a, 3);
+             bounce_a(a, 3);
+             let b: int* = malloc();
+             free(b);
+             pong(b, 3);
+             bounce_b(b, 3);
+             let x: int = *a;
+             let y: int = *b;
+             print(x);
+             print(y);
+             return;
+         }";
+    let (m, segs, cg) = artefact(src);
+    let spec = CheckerKind::UseAfterFree.spec();
+    let cx = SummaryCx::new(&m, &segs, &spec, &cg);
+    let id = |n: &str| m.func_by_name(n).unwrap();
+    let mut eager = ModuleSummaries::build_with_graph(&m, &segs, &spec, 1, None, &cg);
+    for (members, fruitful) in [(["ping", "pong"], true), (["bounce_a", "bounce_b"], false)] {
+        for order in [[0, 1], [1, 0]] {
+            let mut lazy = ModuleSummaries::new(m.funcs.len());
+            for i in order {
+                let f = id(members[i]);
+                assert_eq!(lazy.param_fruitful(&cx, f, 0), fruitful, "{}", members[i]);
+                let eager_bit = eager.param_fruitful(&cx, f, 0);
+                assert_eq!(eager_bit, fruitful, "{} in the eager table", members[i]);
+            }
+        }
+    }
+    let (reports, skipped) = against_reference(src);
+    assert_eq!(reports, 4, "each pointer through the SCC and in main");
+    assert!(skipped > 0, "the bounce SCC is pruned from either side");
 }

@@ -14,7 +14,7 @@
 //! not depend on the thread count either.
 
 use pinpoint::workload::{generate, GenConfig};
-use pinpoint::{Analysis, AnalysisBuilder, Query, Workspace};
+use pinpoint::{Analysis, AnalysisBuilder, DetectConfig, Query, Workspace};
 use std::path::{Path, PathBuf};
 
 /// Minimal SplitMix64 (the workspace vendors no PRNG dependency).
@@ -423,9 +423,19 @@ fn session_reports(mut session: Workspace<&Analysis>) -> (String, pinpoint::core
     (out, session.stats().detect)
 }
 
-/// The summary gate across cache states: the ungated reference search,
-/// a gated run on an empty cache directory, and one on the directory the
-/// first left behind must all report byte-identically.
+/// The summary-free reference search over `a`: no gate, no descent
+/// pruning, every other setting as built.
+fn summary_free(a: &Analysis) -> Workspace<&Analysis> {
+    a.session().with_config(DetectConfig {
+        use_summaries: false,
+        ..a.config()
+    })
+}
+
+/// The interface summaries across cache states: the summary-free
+/// reference search, a summarised run on an empty cache directory, and
+/// one on the directory the first left behind must all report
+/// byte-identically.
 /// Summaries are never persisted — the second run computes exactly what
 /// the first did — while its conditions replay from the verdict store.
 /// After a one-function edit inside a demanded cone the same holds.
@@ -449,18 +459,17 @@ fn summary_engine_warm_equals_cold_equals_demand() {
     );
     for threads in [1usize, 4] {
         let dir = temp_cache(&format!("vfsum-{threads}"));
-        let (ungated, _) =
-            session_reports(build(&project.source, threads, None).session().ungated());
+        let (reference, _) = session_reports(summary_free(&build(&project.source, threads, None)));
         let cold_analysis = build(&project.source, threads, Some(&dir));
         let (cold, cold_stats) = session_reports(cold_analysis.session());
-        assert_eq!(cold, ungated, "cold gated vs ungated at {threads} threads");
+        assert_eq!(cold, reference, "cold vs summary-free at {threads} threads");
         assert!(
             cold_stats.summary_built > 0 && cold_stats.summary_gated > 0,
             "cold run computes the summaries it demands: {cold_stats:?}"
         );
         let warm_analysis = build(&project.source, threads, Some(&dir));
         let (warm, warm_stats) = session_reports(warm_analysis.session());
-        assert_eq!(warm, ungated, "warm gated vs ungated at {threads} threads");
+        assert_eq!(warm, reference, "warm vs summary-free at {threads} threads");
         assert_eq!(
             (warm_stats.summary_built, warm_stats.summary_gated),
             (cold_stats.summary_built, cold_stats.summary_gated),
@@ -471,11 +480,11 @@ fn summary_engine_warm_equals_cold_equals_demand() {
             "every condition was decided by the cold run: {warm_stats:?}"
         );
         let edited_analysis = build(&edited, threads, Some(&dir));
-        let (ungated_edited, _) = session_reports(edited_analysis.session().ungated());
-        let (gated_edited, edited_stats) = session_reports(edited_analysis.session());
+        let (reference_edited, _) = session_reports(summary_free(&edited_analysis));
+        let (summarised_edited, edited_stats) = session_reports(edited_analysis.session());
         assert_eq!(
-            gated_edited, ungated_edited,
-            "post-edit gated vs ungated at {threads} threads"
+            summarised_edited, reference_edited,
+            "post-edit vs summary-free at {threads} threads"
         );
         assert!(
             edited_stats.summary_built > 0,
