@@ -43,16 +43,6 @@ impl Fsvfg {
         Self::build_with(module, &pt)
     }
 
-    /// Like [`Fsvfg::build`], but gives up when `deadline` passes —
-    /// reproducing the timeout band of the paper's Fig. 7/8 on large
-    /// subjects.
-    pub fn build_with_deadline(
-        module: &Module,
-        deadline: Option<std::time::Instant>,
-    ) -> Option<Self> {
-        Self::build_within(module, deadline, None)
-    }
-
     /// Like [`Fsvfg::build`], bounded by an optional wall-clock deadline
     /// *and* an optional edge budget. The edge budget models memory
     /// exhaustion: the paper's layered baseline fails some subjects by

@@ -597,7 +597,7 @@ fn ablations() {
             let cg = pinpoint_ir::CallGraph::new(&module);
             let config = pinpoint_pta::PtaConfig { prune };
             let off = &mut pinpoint_obs::TraceBuf::off();
-            let pta = pinpoint_pta::analyze_module_par(&mut module, &config, 1, off, &cg, None);
+            let pta = pinpoint_pta::analyze_module_with(&mut module, &config, off, &cg, None);
             let pta = pta.analysis;
             let deps: usize = pta.pta.iter().map(|p| p.mem_deps.len()).sum();
             deps

@@ -9,18 +9,15 @@
 //!   accounting.
 //!
 //! The `reproduce` binary (see `src/bin/reproduce.rs`) drives the
-//! experiments; `cargo bench` runs the [`harness`]-based
-//! micro-benchmarks under `benches/`.
+//! experiments; `pinbench/` is the benchmark with bounds.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod alloc;
 pub mod fit;
-pub mod harness;
 pub mod measure;
 
 pub use alloc::CountingAlloc;
 pub use fit::{linear_fit, Fit};
-pub use harness::{bench, Timing};
 pub use measure::{measure, Measurement};

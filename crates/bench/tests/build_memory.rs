@@ -5,10 +5,10 @@
 //! What it pins: while an [`Analysis`](pinpoint_core::Analysis) is built,
 //! the heap never holds much more than the analysis being returned, and
 //! the excess does not grow with the input; and what it returns stays
-//! within a fixed number of heap bytes per IR instruction. A build's transients are the
-//! points-to stage's private arenas of the functions analysed but not yet
-//! merged, which it bounds by a constant (the SEG is built straight into
-//! the shared arena); what it returns carries no points-to tables (a build
+//! within a fixed number of heap bytes per IR instruction. A build's
+//! points-to transient is one function's private arena, in flight from
+//! its analysis to its merge (the SEG is built straight into the shared
+//! arena); what it returns carries no points-to tables (a build
 //! keeps only the memory edges, global accesses and counters the SEG and
 //! an edit read) and no spare capacity.
 

@@ -25,7 +25,7 @@
 //! flight tail.
 
 use pinpoint_obs::json::Obj;
-use pinpoint_obs::{prometheus_text, FlightRecorder, FlightSample, MetricsRegistry, RollingSet};
+use pinpoint_obs::{FlightRecorder, FlightSample, MetricsRegistry, RollingSet};
 use std::sync::Mutex;
 
 /// Telemetry construction parameters.
@@ -37,19 +37,18 @@ pub struct TelemetryConfig {
     /// query, in nanoseconds. `u64::MAX` disables the slow-query log;
     /// 0 logs every request (useful to force coverage in smoke tests).
     pub slow_query_ns: u64,
-    /// Width of one rolling-window slot in nanoseconds.
-    pub rolling_slot_ns: u64,
-    /// Number of rolling-window slots (window = slots × slot width).
-    pub rolling_slots: usize,
 }
+
+/// Width of one rolling-window slot: 1 s…
+const ROLLING_SLOT_NS: u64 = 1_000_000_000;
+/// …over a window of ten slots.
+const ROLLING_SLOTS: usize = 10;
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             flight_capacity: 256,
             slow_query_ns: u64::MAX,
-            rolling_slot_ns: 1_000_000_000, // 1 s slots…
-            rolling_slots: 10,              // …over a 10 s window
         }
     }
 }
@@ -78,8 +77,8 @@ impl ServerTelemetry {
             flight: FlightRecorder::new(config.flight_capacity),
             slow_query_ns: config.slow_query_ns,
             rolling: Mutex::new(RollingState {
-                per_op: RollingSet::new(config.rolling_slot_ns, config.rolling_slots),
-                per_session: RollingSet::new(config.rolling_slot_ns, config.rolling_slots),
+                per_op: RollingSet::new(ROLLING_SLOT_NS, ROLLING_SLOTS),
+                per_session: RollingSet::new(ROLLING_SLOT_NS, ROLLING_SLOTS),
                 latency: MetricsRegistry::new(),
             }),
         }
@@ -158,16 +157,6 @@ impl ServerTelemetry {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
-
-/// Renders `m` (server counters/gauges plus folded latency histograms)
-/// as Prometheus text exposition. Thin re-export point so transports
-/// need not depend on `pinpoint-obs` directly.
-pub fn render_prometheus(m: &MetricsRegistry) -> String {
-    prometheus_text(m)
-}
-
-// Re-exported for transports that build flight samples themselves.
-pub use pinpoint_obs::flight::FlightEvent;
 
 #[cfg(test)]
 mod tests {

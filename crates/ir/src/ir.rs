@@ -190,16 +190,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    /// `true` for operators producing a boolean.
-    pub fn is_predicate(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::And | BinOp::Or
-        )
-    }
-}
-
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -698,6 +688,24 @@ impl Function {
                 )
             })
         })
+    }
+
+    /// Recomputes every value's defining site after block surgery (dead
+    /// code removal, the connector transform).
+    pub fn rebuild_def_sites(&mut self) {
+        for v in &mut self.values {
+            v.def = None;
+        }
+        let Function { blocks, values, .. } = self;
+        for (b, blk) in blocks.iter().enumerate() {
+            for (i, inst) in blk.insts.iter().enumerate() {
+                let id = InstId {
+                    block: BlockId(b as u32),
+                    index: i as u32,
+                };
+                inst.for_each_def(|d| values[d.0 as usize].def = Some(id));
+            }
+        }
     }
 
     /// Number of instructions across all blocks.

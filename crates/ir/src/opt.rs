@@ -267,29 +267,9 @@ pub fn eliminate_dead_code(f: &mut Function) -> OptStats {
         stats.dead_removed += before - blk.insts.len();
     }
     if stats.dead_removed > 0 {
-        transform_support::rebuild_def_sites(f);
+        f.rebuild_def_sites();
     }
     stats
-}
-
-/// Shared def-site rebuilding (also used by the connector transformation
-/// in `pinpoint-pta`).
-pub mod transform_support {
-    use crate::ir::{Function, InstId, ValueId};
-
-    /// Recomputes every value's defining site after block surgery.
-    pub fn rebuild_def_sites(f: &mut Function) {
-        for v in &mut f.values {
-            v.def = None;
-        }
-        let mut defs: Vec<(InstId, ValueId)> = Vec::new();
-        for (id, inst) in f.iter_insts() {
-            inst.for_each_def(|d| defs.push((id, d)));
-        }
-        for (id, d) in defs {
-            f.values[d.0 as usize].def = Some(id);
-        }
-    }
 }
 
 #[cfg(test)]

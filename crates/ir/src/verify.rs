@@ -256,7 +256,6 @@ mod tests {
     use super::*;
     use crate::ir::{BlockId, Callee, Const, FuncId};
     use crate::lower::lower;
-    use crate::opt::transform_support::rebuild_def_sites;
     use crate::parser::parse;
     use crate::types::Type;
 
@@ -321,7 +320,7 @@ mod tests {
         }
         f.ret_tys.push(Type::Int.ptr_to());
         // Fix def sites after surgery.
-        rebuild_def_sites(f);
+        f.rebuild_def_sites();
         // Rewrite main's call site to receive it.
         let main = m.func_by_name("main").unwrap();
         let f = m.func_mut(main);
@@ -335,7 +334,7 @@ mod tests {
                 }
             }
         }
-        rebuild_def_sites(f);
+        f.rebuild_def_sites();
     }
 
     #[test]

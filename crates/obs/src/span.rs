@@ -87,11 +87,6 @@ impl TraceBuf {
         })
     }
 
-    /// `true` when recording.
-    pub fn is_on(&self) -> bool {
-        matches!(self, TraceBuf::On(_))
-    }
-
     /// A fresh empty buffer sharing this trace's epoch, for a parallel
     /// worker. Forking [`TraceBuf::Off`] yields `Off`.
     pub fn fork(&self, lane: u32) -> TraceBuf {

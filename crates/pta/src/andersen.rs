@@ -53,14 +53,6 @@ impl Andersen {
             .copied()
     }
 
-    /// `true` if `a` and `b` may alias (their sets intersect).
-    pub fn may_alias(&self, a: Node, b: Node) -> bool {
-        let (Some(sa), Some(sb)) = (self.points_to.get(&a), self.points_to.get(&b)) else {
-            return false;
-        };
-        sa.iter().any(|o| sb.contains(o))
-    }
-
     /// Total points-to facts (for memory accounting in the evaluation).
     pub fn fact_count(&self) -> usize {
         self.points_to.values().map(HashSet::len).sum()

@@ -17,6 +17,12 @@
 //!    2 read, and its terms are already in the function's arena, so step
 //!    2's output *is* the final one, term for term.
 //!
+//! The steps run on the calling thread, one function at a time, each in a
+//! private term arena that is merged into the shared one before the next
+//! function starts. The merge order fixes the shared arena's numbering,
+//! which the witnesses of every query follow; a sharded schedule of the
+//! same merges took longer at two threads than at one, so there is none.
+//!
 //! What a build keeps per function is what the SEG builder and an edit's
 //! splice read: the memory edges, the global accesses and the counters
 //! ([`FuncPta`]). The points-to sets and Mod/Ref paths are dropped once
@@ -85,8 +91,8 @@ impl ModuleAnalysis {
     }
 }
 
-/// Runs the pipeline, transforming `module` in place: one worker, no
-/// previous run, no trace — [`analyze_module_par`] with nothing to splice.
+/// Runs the pipeline, transforming `module` in place: no previous run, no
+/// trace — [`analyze_module_with`] with nothing to splice.
 ///
 /// # Examples
 ///
@@ -102,7 +108,7 @@ impl ModuleAnalysis {
 pub fn analyze_module(module: &mut Module) -> ModuleAnalysis {
     let callgraph = CallGraph::new(module);
     let config = PtaConfig::default();
-    analyze_module_par(module, &config, 1, &mut TraceBuf::off(), &callgraph, None).analysis
+    analyze_module_with(module, &config, &mut TraceBuf::off(), &callgraph, None).analysis
 }
 
 /// Points-to pipeline options.
@@ -117,12 +123,6 @@ impl Default for PtaConfig {
     fn default() -> Self {
         PtaConfig { prune: true }
     }
-}
-
-/// Takes `fid`'s body out of `module`, leaving a blank placeholder, so it
-/// can be transformed while the module is borrowed.
-fn detach(module: &mut Module, fid: FuncId) -> Function {
-    std::mem::replace(module.func_mut(fid), Function::new(""))
 }
 
 /// One function's analysis output in its private term arena: what the
@@ -140,13 +140,14 @@ struct FuncResult {
     cached_values: Vec<ValueId>,
 }
 
-/// Steps 1–4 of the [module docs](self) on `f`, function `fid`'s body
-/// detached from the module, against the finished callee `shapes`, in a
-/// *fresh* private arena/interner/linear solver.
+/// Steps 1–4 of the [module docs](self) on `f`, function `fid`'s body,
+/// against the finished callee `shapes`, in a *fresh* private
+/// arena/interner/linear solver.
 ///
-/// Because every function starts from an empty arena, its result is
-/// bit-identical no matter which worker runs it or how functions are
-/// sharded — determinism is then purely a property of the merge order.
+/// Because every function starts from an empty arena, its result depends
+/// on its body and its callees' shapes alone, and the shared arena's
+/// numbering — which orders the SAT variables, and hence the witnesses, of
+/// every query — is purely a property of the merge order.
 fn analyze_one(
     fid: FuncId,
     f: &mut Function,
@@ -229,21 +230,13 @@ fn analyze_one(
     }
 }
 
-/// The parallel schedule: the functions of each condensation level
-/// ([`CallGraph::scc_levels`]), in bottom-up order. Within a level no
-/// function depends on another's connector shape.
-fn stratify_levels(callgraph: &CallGraph) -> Vec<Vec<FuncId>> {
-    callgraph
-        .scc_levels()
-        .iter()
-        .map(|level| {
-            level
-                .iter()
-                .flat_map(|&scc| callgraph.scc(scc))
-                .copied()
-                .collect()
-        })
-        .collect()
+/// The functions in bottom-up order: those of each condensation level
+/// ([`CallGraph::scc_levels`]) in turn, so every cross-SCC callee comes
+/// before its callers. The merge numbers the shared arena in this order.
+fn bottom_up(callgraph: &CallGraph) -> Vec<FuncId> {
+    let levels = callgraph.scc_levels();
+    let sccs = levels.iter().flatten();
+    sccs.flat_map(|&scc| callgraph.scc(scc)).copied().collect()
 }
 
 /// Merges one function's private-arena result into the shared state:
@@ -279,11 +272,6 @@ fn merge_one(fid: FuncId, f: &Function, r: FuncResult, out: &mut ModuleAnalysis)
     out.pta[fid.0 as usize] = func_pta;
 }
 
-/// Functions analysed per worker between two merges. Every analysed
-/// function holds a private arena until it is merged, so this — not the
-/// width of a call-graph level — bounds what is in flight.
-const MERGE_EVERY: usize = 256;
-
 /// Runs the pipeline over `callgraph`, the call graph of `module`: the
 /// one points-to algorithm, for builds and edits alike.
 ///
@@ -294,73 +282,49 @@ const MERGE_EVERY: usize = 256;
 /// nothing is spliced and every function is analysed from a fresh arena,
 /// so a run whose function set changed is a cold build.
 ///
-/// The functions left to analyse are taken level by level over the call
-/// graph's SCC condensation (`level(scc) = 1 + max(level of callee
-/// SCCs)`). Within a level no function depends on another's connector
-/// shape — cross-SCC callees sit strictly below, and same-SCC calls are
-/// summary-free (§4.2) — so each level fans out over `threads` workers
-/// ([`TraceBuf::shard_map`], one `pta.func` span per function), a
-/// contiguous chunk of the level at a time. Every worker analyzes its
-/// functions in fresh private arenas; results are merged back into the
-/// shared arena in the level's bottom-up order, so the returned
-/// [`ModuleAnalysis`] is byte-identical for any thread count and any chunk
-/// size. `threads == 1` runs the same shard-and-merge steps on the calling
-/// thread, which is what makes that guarantee hold by construction rather
-/// than by accident.
-pub fn analyze_module_par(
+/// The functions left to analyse are taken bottom-up over the call
+/// graph's SCC condensation, one at a time on the calling thread (one
+/// `pta.func` span each): each is analysed in a fresh private arena
+/// against its callees' finished shapes, then merged straight into the
+/// shared arena. The merge order alone fixes the shared arena's numbering,
+/// so the returned [`ModuleAnalysis`] is the same whatever else the caller
+/// runs in parallel.
+pub fn analyze_module_with(
     module: &mut Module,
     config: &PtaConfig,
-    threads: usize,
     trace: &mut TraceBuf,
     callgraph: &CallGraph,
     previous: Option<PreviousRun>,
 ) -> IncrementalOutcome {
-    let analyze = &analyze_one;
-    run(module, config, threads, trace, callgraph, previous, analyze)
+    run(module, config, trace, callgraph, previous, analyze_one)
 }
 
-/// [`analyze_module_par`] with `analyze` as the per-function step:
+/// [`analyze_module_with`] with `analyze` as the per-function step:
 /// [`analyze_one`], or in tests the reference or an instrumented copy.
 fn run<A>(
     module: &mut Module,
     config: &PtaConfig,
-    threads: usize,
     trace: &mut TraceBuf,
     callgraph: &CallGraph,
     previous: Option<PreviousRun>,
-    analyze: &A,
+    mut analyze: A,
 ) -> IncrementalOutcome
 where
-    A: Fn(FuncId, &mut Function, &[AuxShape], &CallGraph, &PtaConfig) -> FuncResult + Sync,
+    A: FnMut(FuncId, &mut Function, &[AuxShape], &CallGraph, &PtaConfig) -> FuncResult,
 {
     let (mut out, clean) = splice(module, callgraph, previous);
     let mut reanalyzed = Vec::new();
-    for level in stratify_levels(callgraph) {
-        let dirty: Vec<FuncId> = level.into_iter().filter(|f| !clean[f.0 as usize]).collect();
-        for chunk in dirty.chunks(MERGE_EVERY * threads.max(1)) {
-            // Detached so workers can transform the bodies in parallel.
-            let mut work: Vec<(FuncId, Function)> = chunk
-                .iter()
-                .map(|&fid| (fid, detach(module, fid)))
-                .collect();
-            let shapes = &out.shapes;
-            let results = trace.shard_map(
-                &mut work,
-                threads,
-                || (),
-                |(), (fid, f), lane| {
-                    lane.span("pta.func", f.name.clone(), |_| {
-                        analyze(*fid, f, shapes, callgraph, config)
-                    })
-                },
-            );
-            // Deterministic merge in the level's bottom-up order.
-            for ((fid, f), r) in work.into_iter().zip(results) {
-                *module.func_mut(fid) = f;
-                merge_one(fid, module.func(fid), r, &mut out);
-            }
+    for fid in bottom_up(callgraph) {
+        if clean[fid.0 as usize] {
+            continue;
         }
-        reanalyzed.extend(dirty);
+        let f = module.func_mut(fid);
+        let shapes = &out.shapes;
+        let r = trace.span("pta.func", f.name.clone(), |_| {
+            analyze(fid, f, shapes, callgraph, config)
+        });
+        merge_one(fid, module.func(fid), r, &mut out);
+        reanalyzed.push(fid);
     }
     IncrementalOutcome {
         analysis: out,
@@ -369,26 +333,23 @@ where
     }
 }
 
-/// The pipeline over `module` at `threads` workers, returning beside the
-/// analysis every function's final pass output (conditions in its private
-/// arena), which a build drops at the merge.
+/// The pipeline over `module`, returning beside the analysis every
+/// function's final pass output (conditions in its private arena), which
+/// a build drops at the merge.
 #[cfg(test)]
-pub(crate) fn analyze_recording(
-    module: &mut Module,
-    threads: usize,
-) -> (ModuleAnalysis, Vec<PassOutput>) {
+pub(crate) fn analyze_recording(module: &mut Module) -> (ModuleAnalysis, Vec<PassOutput>) {
     let callgraph = CallGraph::new(module);
-    let passes = std::sync::Mutex::new(vec![PassOutput::default(); module.funcs.len()]);
+    let mut passes = vec![PassOutput::default(); module.funcs.len()];
     let record =
         |fid: FuncId, f: &mut Function, shapes: &[AuxShape], cg: &CallGraph, c: &PtaConfig| {
             let r = analyze_one(fid, f, shapes, cg, c);
-            passes.lock().expect("no recorder panicked")[fid.0 as usize] = r.pass.clone();
+            passes[fid.0 as usize] = r.pass.clone();
             r
         };
     let config = PtaConfig::default();
     let off = &mut TraceBuf::off();
-    let analysis = run(module, &config, threads, off, &callgraph, None, &record).analysis;
-    (analysis, passes.into_inner().expect("no recorder panicked"))
+    let analysis = run(module, &config, off, &callgraph, None, record).analysis;
+    (analysis, passes)
 }
 
 /// The per-function step as it was before the final pass became
@@ -600,86 +561,54 @@ mod tests {
         assert!(stats.kept > 0);
     }
 
-    const WAVEFRONT_SRC: &str = r#"
-        global gb: int;
-        fn foo(a: int*) {
-            let ptr: int** = malloc();
-            *ptr = a;
-            if (nondet_bool()) { bar(ptr); } else { qux(ptr); }
-            let f: int* = *ptr;
-            if (nondet_bool()) { print(*f); }
-            return;
-        }
-        fn bar(q: int**) {
-            let c: int* = malloc();
-            if (*q != null) { *q = c; free(c); }
-            else { if (nondet_bool()) { *q = gb; } }
-            return;
-        }
-        fn qux(r: int**) {
-            if (nondet_bool()) { *r = null; } else { *r = null; }
-            return;
-        }
-        fn even(n: int, q: int**) { odd(n - 1, q); *q = null; return; }
-        fn odd(n: int, q: int**) { even(n - 1, q); return; }
-        fn top(x: int*) {
-            let p: int** = malloc();
-            *p = x;
-            foo(x);
-            even(3, p);
-            return;
-        }
-        "#;
-
     /// Every value's guarded points-to set, in ascending value order.
     fn sets(p: &PassOutput) -> Vec<(ValueId, Vec<crate::intra::Fact>)> {
         p.points_to.iter().map(|(v, s)| (v, s.to_vec())).collect()
     }
 
-    #[test]
-    fn parallel_is_byte_identical_across_thread_counts() {
-        let runs: Vec<(Module, ModuleAnalysis, Vec<PassOutput>)> = [1usize, 2, 4, 7]
-            .iter()
-            .map(|&t| {
-                let mut m = compile(WAVEFRONT_SRC).unwrap();
-                let (a, passes) = analyze_recording(&mut m, t);
-                (m, a, passes)
+    /// FNV-1a (64-bit) over the debug form of every term, in arena order.
+    fn arena_digest(arena: &TermArena) -> u64 {
+        arena
+            .kinds()
+            .fold(0xcbf2_9ce4_8422_2325, |h, (kind, sort)| {
+                format!("{kind:?}/{sort:?}")
+                    .bytes()
+                    .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
             })
-            .collect();
-        let (m0, a0, p0) = &runs[0];
-        for (m, a, p) in &runs[1..] {
-            // The transformed modules agree instruction-for-instruction.
-            for (fid, f) in m0.iter_funcs() {
-                assert_eq!(
-                    format!("{:?}", f.blocks),
-                    format!("{:?}", m.func(fid).blocks)
-                );
-            }
-            // The shared arenas have identical layouts, so every TermId
-            // in the kept results means the same term.
-            assert_eq!(a0.arena.len(), a.arena.len());
-            assert_eq!(a0.pta, a.pta);
-            for (x, y) in p0.iter().zip(p) {
-                assert_eq!(sets(x), sets(y));
-            }
-            assert_eq!(a0.symbols.len(), a.symbols.len());
-        }
     }
 
+    /// The shared arena's numbering orders the SAT variables of every
+    /// query, so witnesses follow the merge order. Pinned on the module
+    /// `gen_project --kloc 20 --seed 1` prints and on the `cold_dense`
+    /// module `gen_project --fuzz --kloc 10 --seed 15` prints.
     #[test]
-    fn trace_spans_are_thread_count_invariant() {
-        let run = |t: usize| {
-            let mut m = compile(WAVEFRONT_SRC).unwrap();
-            let mut trace = TraceBuf::on();
-            let cg = CallGraph::new(&m);
-            let _ = analyze_module_par(&mut m, &PtaConfig::default(), t, &mut trace, &cg, None);
-            (trace.records().len(), trace.canonical_json())
-        };
-        let (n1, c1) = run(1);
-        let (n4, c4) = run(4);
-        assert_eq!(n1, 6, "one pta.func span per function");
-        assert_eq!(n1, n4);
-        assert_eq!(c1, c4, "canonical trace is thread-count invariant");
+    fn shared_arena_numbering_is_pinned() {
+        let project = generate(
+            &GenConfig {
+                seed: 1,
+                real_bugs: 2,
+                decoys: 2,
+                taint: true,
+                ..GenConfig::default()
+            }
+            .with_target_kloc(20.0),
+        );
+        let dense = fuzzgen::generate(&FuzzGenConfig {
+            seed: 15,
+            functions: 555,
+            max_stmts: 10,
+            globals: 4,
+            recursion: true,
+        });
+        let pins = [
+            (&project.source, 767, 0x0d4e_c419_3336_e8fc),
+            (&dense, 1240, 0xb4f0_7fc5_fffa_e259),
+        ];
+        for (src, len, digest) in pins {
+            let mut m = compile(src).unwrap();
+            let a = analyze_module(&mut m);
+            assert_eq!((a.arena.len(), arena_digest(&a.arena)), (len, digest));
+        }
     }
 
     #[test]
@@ -738,38 +667,33 @@ mod tests {
         got
     }
 
-    /// The pipeline over a copy of `m` at `threads` workers with
-    /// `analyze` as the per-function step.
-    fn pipeline<A>(m: &Module, threads: usize, analyze: &A) -> ModuleAnalysis
+    /// The pipeline over a copy of `m` with `analyze` as the
+    /// per-function step.
+    fn pipeline<A>(m: &Module, analyze: A) -> ModuleAnalysis
     where
-        A: Fn(FuncId, &mut Function, &[AuxShape], &CallGraph, &PtaConfig) -> FuncResult + Sync,
+        A: FnMut(FuncId, &mut Function, &[AuxShape], &CallGraph, &PtaConfig) -> FuncResult,
     {
         let mut m = m.clone();
         let cg = CallGraph::new(&m);
         let (config, off) = (PtaConfig::default(), &mut TraceBuf::off());
-        run(&mut m, &config, threads, off, &cg, None, analyze).analysis
+        run(&mut m, &config, off, &cg, None, analyze).analysis
     }
 
     /// Asserts that skipping the final pass changes nothing on `m`,
-    /// function by function ([`checked_one`]) and module-wide, at 1 and 4
-    /// threads. Returns how many of its functions ran the final pass.
+    /// function by function ([`checked_one`]) and module-wide. Returns how
+    /// many of its functions ran the final pass.
     fn assert_skip_is_exact(m: &Module) -> usize {
-        let mut final_passes = Vec::new();
-        for threads in [1, 4] {
-            let want = pipeline(m, threads, &reference::analyze_one);
-            let got = pipeline(m, threads, &checked_one);
-            assert_eq!(got.arena.len(), want.arena.len(), "shared arena");
-            assert_eq!(got.symbols.len(), want.symbols.len(), "symbols");
-            assert_eq!(
-                format!("{:?}", got.shapes),
-                format!("{:?}", want.shapes),
-                "shapes"
-            );
-            assert_eq!(got.pta, want.pta, "kept results");
-            final_passes.push(got.final_passes());
-        }
-        assert_eq!(final_passes[0], final_passes[1]);
-        final_passes[0]
+        let want = pipeline(m, reference::analyze_one);
+        let got = pipeline(m, checked_one);
+        assert_eq!(got.arena.len(), want.arena.len(), "shared arena");
+        assert_eq!(got.symbols.len(), want.symbols.len(), "symbols");
+        assert_eq!(
+            format!("{:?}", got.shapes),
+            format!("{:?}", want.shapes),
+            "shapes"
+        );
+        assert_eq!(got.pta, want.pta, "kept results");
+        got.final_passes()
     }
 
     #[test]

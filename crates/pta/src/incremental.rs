@@ -13,7 +13,7 @@
 //!   transitive *callers* of any function whose interface may have
 //!   changed — everything else is spliced from the previous run.
 //!
-//! An edit is a build with something to splice: [`crate::analyze_module_par`]
+//! An edit is a build with something to splice: [`crate::analyze_module_with`]
 //! takes an optional [`PreviousRun`] — the previous analysis and the set
 //! of edited functions (typically a fingerprint-key diff) — over a module
 //! in which every clean function already holds its previous
@@ -132,7 +132,7 @@ pub(crate) fn splice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{analyze_module, analyze_module_par, PtaConfig};
+    use crate::driver::{analyze_module, analyze_module_with, PtaConfig};
     use pinpoint_obs::TraceBuf;
 
     /// Re-analyses `module` against the previous run of `old_module`,
@@ -144,7 +144,6 @@ mod tests {
         old_module: Module,
         old: ModuleAnalysis,
         dirty: HashSet<FuncId>,
-        threads: usize,
     ) -> IncrementalOutcome {
         let cg = CallGraph::new(module);
         let closed = dirty_closure(&cg, dirty.iter().copied());
@@ -158,14 +157,7 @@ mod tests {
             dirty,
         };
         let config = PtaConfig::default();
-        analyze_module_par(
-            module,
-            &config,
-            threads,
-            &mut TraceBuf::off(),
-            &cg,
-            Some(previous),
-        )
+        analyze_module_with(module, &config, &mut TraceBuf::off(), &cg, Some(previous))
     }
 
     /// Seeds the dirty set from edited function names, as a build system
@@ -180,7 +172,7 @@ mod tests {
             .iter()
             .filter_map(|n| module.func_by_name(n))
             .collect();
-        incremental(module, old_module, old, seeds, 1)
+        incremental(module, old_module, old, seeds)
     }
 
     const BASE: &str = "
@@ -284,7 +276,7 @@ mod tests {
             .map(|i| FuncId(i as u32))
             .collect();
         assert_eq!(dirty.len(), 1, "only leaf_a's body changed");
-        let out = incremental(&mut new_module, old_module, old, dirty, 1);
+        let out = incremental(&mut new_module, old_module, old, dirty);
         let names: Vec<&str> = out
             .reanalyzed
             .iter()

@@ -933,21 +933,18 @@ mod table_tests {
     use pinpoint_ir::{compile, Module};
     use pinpoint_workload::fuzzgen::{generate, FuzzGenConfig};
 
-    /// The module pipeline over `m` at 1 and 4 threads; every pass checks
-    /// its dense table against the keyed reference as it finishes
-    /// ([`State::finish`]), and every final pass's table reads alike
-    /// through `get` and `iter`.
+    /// The module pipeline over `m`; every pass checks its dense table
+    /// against the keyed reference as it finishes ([`State::finish`]), and
+    /// every final pass's table reads alike through `get` and `iter`.
     fn analyze_both_ways(m: &Module) {
-        for threads in [1, 4] {
-            let mut m = m.clone();
-            let (_, passes) = analyze_recording(&mut m, threads);
-            for (p, f) in passes.iter().zip(&m.funcs) {
-                for v in (0..f.values.len() as u32).map(ValueId) {
-                    let listed = p.points_to.iter().find(|&(k, _)| k == v);
-                    assert_eq!(p.pt(v), listed.map_or(&[][..], |(_, set)| set));
-                }
-                assert!(p.pt(ValueId(f.values.len() as u32)).is_empty());
+        let mut m = m.clone();
+        let (_, passes) = analyze_recording(&mut m);
+        for (p, f) in passes.iter().zip(&m.funcs) {
+            for v in (0..f.values.len() as u32).map(ValueId) {
+                let listed = p.points_to.iter().find(|&(k, _)| k == v);
+                assert_eq!(p.pt(v), listed.map_or(&[][..], |(_, set)| set));
             }
+            assert!(p.pt(ValueId(f.values.len() as u32)).is_empty());
         }
     }
 

@@ -14,11 +14,11 @@
 //!   parameters and Aux return values that expose non-local side effects
 //!   on function interfaces, plus the matching call-site rewriting;
 //! * [`driver`] — the bottom-up module pipeline combining the two, the
-//!   one algorithm for builds and edits ([`analyze_module_par`]): every
-//!   function to analyse runs in a private arena, sharded level by level
-//!   over the call graph, and is merged into the shared arena in a fixed
-//!   order ([`analyze_module`] is this at one thread with nothing to
-//!   splice);
+//!   one algorithm for builds and edits ([`analyze_module_with`]): the
+//!   functions to analyse are taken bottom-up over the call graph on the
+//!   calling thread, each in a private arena that is merged into the
+//!   shared arena before the next starts ([`analyze_module`] is this with
+//!   nothing to splice);
 //! * [`incremental`] — what an edit adds to a build: the previous run
 //!   ([`PreviousRun`]) whose clean functions are spliced before the rest
 //!   are analysed;
@@ -61,7 +61,7 @@ pub mod reach;
 pub mod symbols;
 pub mod transform;
 
-pub use driver::{analyze_module, analyze_module_par, ModuleAnalysis, PtaConfig};
+pub use driver::{analyze_module, analyze_module_with, ModuleAnalysis, PtaConfig};
 pub use incremental::{dirty_closure, IncrementalOutcome, PreviousRun};
 pub use intra::{FuncPta, GlobalAccess, MemDep, PointsTo, PtaStats};
 pub use object::{AccessPath, Obj, MAX_PATH_DEPTH};

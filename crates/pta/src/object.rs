@@ -48,11 +48,6 @@ impl Obj {
             _ => None,
         }
     }
-
-    /// `true` if this object is rooted at a formal parameter.
-    pub fn is_param(self) -> bool {
-        matches!(self, Obj::Param { .. })
-    }
 }
 
 impl fmt::Display for Obj {

@@ -24,7 +24,7 @@
 //! however many call sites use it.
 
 use crate::object::AccessPath;
-use pinpoint_ir::{BlockId, Callee, Function, Inst, InstId, Terminator, Type, ValueId};
+use pinpoint_ir::{Callee, Function, Inst, Terminator, Type, ValueId};
 use std::collections::HashMap;
 
 /// The connector interface of a transformed function.
@@ -115,7 +115,7 @@ pub fn insert_connectors(f: &mut Function, refs: &[AccessPath], mods: &[AccessPa
     if let Terminator::Return(vals) = &mut f.blocks[ret_block.0 as usize].term {
         vals.extend(extra_rets);
     }
-    rebuild_def_sites(f);
+    f.rebuild_def_sites();
     shape
 }
 
@@ -261,24 +261,7 @@ where
         caller.blocks[bi].insts = new_insts;
     }
     if rewritten {
-        rebuild_def_sites(caller);
-    }
-}
-
-/// Recomputes every value's defining site after block surgery.
-pub fn rebuild_def_sites(f: &mut Function) {
-    for v in &mut f.values {
-        v.def = None;
-    }
-    let Function { blocks, values, .. } = f;
-    for (b, blk) in blocks.iter().enumerate() {
-        for (i, inst) in blk.insts.iter().enumerate() {
-            let id = InstId {
-                block: BlockId(b as u32),
-                index: i as u32,
-            };
-            inst.for_each_def(|d| values[d.0 as usize].def = Some(id));
-        }
+        caller.rebuild_def_sites();
     }
 }
 

@@ -136,8 +136,8 @@ const USAGE: &str = "usage:
   are minimized by delta debugging and, with --out-dir, written as
   corpus-ready reproducers. Exit 0 = clean, 1 = findings.
 
-  --threads N shards the front end, points-to and detection; it
-  defaults to the available parallelism.
+  --threads N shards the front end and detection (points-to and the
+  SEG run on one thread); it defaults to the available parallelism.
   --cache-dir persists solver verdicts — one checksummed object, keyed
   by condition fingerprint — so a later run, also of an edited program,
   solves only conditions no earlier run decided. Everything else is

@@ -30,9 +30,10 @@
 //! [`Analysis`] artefact. Every question goes to it as a [`Query`]
 //! through a [`Workspace`]: [`Analysis::session`] borrows the artefact
 //! for one-shot checks (so concurrent checkers are safe), and
-//! [`Workspace::open`] owns one that accepts edits. The front end,
-//! points-to and detection run on `threads` workers with deterministic
-//! merges: reports are byte-identical for any thread count.
+//! [`Workspace::open`] owns one that accepts edits. The front end and
+//! detection run on `threads` workers with deterministic merges, and
+//! points-to and the SEG run on the calling thread in between: reports
+//! are byte-identical for any thread count.
 //!
 //! ```
 //! use pinpoint::{AnalysisBuilder, CheckerKind, Query};
