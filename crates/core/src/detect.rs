@@ -12,18 +12,23 @@
 //!
 //! A completed source→sink path is turned into an *efficient path
 //! condition* (Eq. 1–3) and handed to the SMT solver; only satisfiable
-//! paths are reported.
+//! paths are reported. Per source these are four stages with typed
+//! hand-offs: [`Worker::search`] yields a [`Candidate`],
+//! [`PathCondition::build`] its condition, [`Worker::decide`] a
+//! [`Decision`], and [`Worker::record`] the [`CandidateEvent`] the merge
+//! replays.
 
 use crate::cond::{CondBuilder, CondConfig, CtxId, CtxInterner, ROOT};
 use crate::driver::Analysis;
 use crate::seg::{EdgeKind, ModuleSeg, SegEdge};
 use crate::spec::{CheckerKind, ResolvedSpec, SinkRole, SinkSite, SourceSite, Spec};
 use crate::vfsummary::{summary_fingerprint, ModuleSummaries, SummaryCx};
-use pinpoint_ir::{CallGraph, Cfg, DomTree, FuncId, InstId, Module, ValueId};
+use pinpoint_ir::{CallGraph, Cfg, DomTree, FuncId, GlobalId, InstId, Module, ValueId};
 use pinpoint_obs::{QueryCost, QueryOutcome, QueryRecord, TraceBuf};
 use pinpoint_pta::Symbols;
 use pinpoint_smt::{
-    canon_info, LastQueryCost, SmtResult, SmtSession, TermArena, Verdict, VerdictTable,
+    canon_info, LinearSolver, LinearVerdict, SmtResult, SmtSession, TermArena, TermId, Verdict,
+    VerdictTable,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -67,7 +72,7 @@ impl Default for DetectConfig {
 }
 
 /// One step of a reported value-flow path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Step {
     /// The function the value lives in.
     pub func: FuncId,
@@ -172,15 +177,19 @@ pub struct DetectStats {
     pub summary_composed: u64,
 }
 
+/// A calling-stack frame to return into: (caller func, caller ctx, call
+/// site).
+type Frame = (FuncId, CtxId, InstId);
+
 /// One node of the search: a value in a function under a context, with the
 /// calling stack for return matching.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     func: FuncId,
     value: ValueId,
     ctx: CtxId,
-    /// Frames to return into: (caller func, caller ctx, call site).
-    stack: Rc<Vec<(FuncId, CtxId, InstId)>>,
+    /// Frames to return into.
+    stack: Rc<Vec<Frame>>,
     /// Parent pointer for path/condition reconstruction.
     trace: Rc<Trace>,
     depth: u32,
@@ -200,69 +209,130 @@ enum Trace {
         func: FuncId,
         ctx: CtxId,
     },
-    Descend {
+    /// A call-boundary crossing: a descent from an actual argument into
+    /// the callee's formal, a return ascent from the returned value to the
+    /// call's receiver, or a (VF3-style) parameter ascent from a formal
+    /// back to the caller's actual. Each binds the call's actuals to the
+    /// callee's formals and adds the call site's control dependences.
+    Call {
         parent: Rc<Trace>,
-        caller: FuncId,
-        caller_ctx: CtxId,
-        site: InstId,
-        callee: FuncId,
-        callee_ctx: CtxId,
-        arg_index: usize,
-    },
-    Ascend {
-        parent: Rc<Trace>,
-        callee: FuncId,
-        callee_ctx: CtxId,
-        ret_value: ValueId,
-        caller: FuncId,
-        caller_ctx: CtxId,
-        site: InstId,
-        recv: ValueId,
+        crossing: Crossing,
     },
     GlobalChannel {
         parent: Rc<Trace>,
         src_func: FuncId,
         src_value: ValueId,
-        src_cond: pinpoint_smt::TermId,
+        src_cond: TermId,
         dst_func: FuncId,
         dst_value: ValueId,
-        dst_cond: pinpoint_smt::TermId,
+        dst_cond: TermId,
     },
-    /// VF3-style ascent: a dangerous formal parameter maps back to the
-    /// caller's actual argument.
-    ParamAscend {
-        parent: Rc<Trace>,
-        callee: FuncId,
-        callee_ctx: CtxId,
-        caller: FuncId,
-        caller_ctx: CtxId,
-        site: InstId,
-        actual: ValueId,
-    },
+}
+
+/// One call-boundary crossing of the search (see [`Trace::Call`]).
+#[derive(Debug, Clone, Copy)]
+struct Crossing {
+    caller: FuncId,
+    caller_ctx: CtxId,
+    site: InstId,
+    callee: FuncId,
+    callee_ctx: CtxId,
+    /// The path step the crossing contributes.
+    step: Step,
+    /// A return ascent's `(returned value, receiver)`: the one crossing
+    /// that also equates a caller value with a callee value.
+    ret: Option<(ValueId, ValueId)>,
+}
+
+impl Node {
+    /// The trace of taking `crossing` from this node.
+    fn cross(&self, crossing: Crossing) -> Rc<Trace> {
+        Rc::new(Trace::Call {
+            parent: Rc::clone(&self.trace),
+            crossing,
+        })
+    }
+
+    /// The node an ascent across `c` reaches: `value` in the caller,
+    /// under the caller's context, dangerous from the call site on.
+    fn ascent(&self, c: Crossing, value: ValueId, stack: Rc<Vec<Frame>>, depth: u32) -> Node {
+        Node {
+            func: c.caller,
+            value,
+            ctx: c.caller_ctx,
+            stack,
+            trace: self.cross(c),
+            depth,
+            since: Some(c.site),
+        }
+    }
 }
 
 /// A candidate source→sink pair key: `(source func, source site, sink
 /// func, sink site)`.
 type CandidateKey = (FuncId, InstId, FuncId, InstId);
 
-/// One candidate found during a worker's search, in per-source discovery
+/// Stage 1's hand-off: the search reached `node`, where `sink` consumes
+/// the dangerous value.
+#[derive(Debug, Clone, Copy)]
+struct Candidate<'n> {
+    node: &'n Node,
+    sink: SinkSite,
+    key: CandidateKey,
+    /// The mirrored key a free→free pair also suppresses (double-free
+    /// symmetry).
+    mirror: Option<CandidateKey>,
+}
+
+/// Stage 2's hand-off: a candidate's efficient path condition (Eq. 1–3).
+#[derive(Debug)]
+struct PathCondition {
+    cond: TermId,
+    /// Number of conjuncts.
+    size: usize,
+    /// The value-flow path, source value first.
+    steps: Vec<Step>,
+}
+
+/// How [`Worker::decide`] answered a path condition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// The condition is a constant: the session answers it without the
+    /// verdict table (free either way, and kept out of its counters).
+    Constant,
+    /// The run's snapshot, or an earlier candidate of the same source,
+    /// had the verdict.
+    Table,
+    /// A CDCL solve on the source's session; its verdict is recorded.
+    Cdcl,
+    /// A CDCL solve that ran out of rounds and answered a conservative
+    /// `Sat`, never recorded.
+    Budget,
+}
+
+/// Stage 3's hand-off.
+#[derive(Debug)]
+struct Decision {
+    result: SmtResult,
+    /// The witness of a `Sat` result, by internal variable name.
+    model: Vec<(String, bool)>,
+    via: Via,
+}
+
+/// Stage 4's product: one evaluated candidate, in per-source discovery
 /// order. Recorded instead of immediately reported so the merge can
 /// replay cross-source deduplication deterministically.
 #[derive(Debug, Clone)]
 struct CandidateEvent {
     key: CandidateKey,
-    /// The mirrored key a free→free pair also suppresses (double-free
-    /// symmetry).
     mirror: Option<CandidateKey>,
+    outcome: QueryOutcome,
+    /// The DPLL(T) cost of evaluating the path condition (all zero when
+    /// solving was disabled or answered from the verdict table).
+    cost: QueryCost,
     /// The report, when the path condition was satisfiable (or solving
-    /// was disabled); `None` means the SMT solver refuted it.
+    /// was disabled).
     report: Option<Report>,
-    /// Whether the linear-time solver alone would have refuted it
-    /// (only computed under [`DetectConfig::measure_linear`]).
-    linear_refuted: bool,
-    /// The DPLL(T) cost of evaluating this candidate's path condition
-    /// (all zero when solving was disabled or trivially short-circuited).
-    cost: LastQueryCost,
 }
 
 /// Everything one source's search produced.
@@ -276,7 +346,7 @@ struct CandidateEvent {
 /// transitive per-function fingerprint keys, these determine the search
 /// result completely (see [`cone_fingerprint`]), which is what makes
 /// per-source caching across edits sound.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SourceOutcome {
     events: Vec<CandidateEvent>,
     visited: u64,
@@ -291,6 +361,8 @@ struct SourceOutcome {
     /// Verdicts this source's solves established, in discovery order,
     /// excluding fingerprints already answered by the run's snapshot.
     new_verdicts: Vec<(u128, Verdict)>,
+    /// `new_verdicts` by fingerprint, for reuse within the source.
+    local_idx: HashMap<u128, usize>,
     /// The search stopped early on the vertex budget.
     truncated: bool,
     /// Sorted, deduplicated functions visited (always contains the
@@ -299,7 +371,20 @@ struct SourceOutcome {
     /// Sorted functions whose `ModuleSeg::callers` lists were read.
     callers_consulted: Vec<FuncId>,
     /// Sorted globals whose `ModuleSeg::global_loads` lists were read.
-    globals_consulted: Vec<pinpoint_ir::GlobalId>,
+    globals_consulted: Vec<GlobalId>,
+}
+
+impl SourceOutcome {
+    /// The outcome of a source in `fid` before its search runs: no
+    /// events, no verdicts, no cost, a cone of `fid` alone. A source the
+    /// summary gate proves fruitless keeps exactly this — what the demand
+    /// search would have produced, minus the walking.
+    fn new(fid: FuncId) -> Self {
+        SourceOutcome {
+            cone: vec![fid],
+            ..SourceOutcome::default()
+        }
+    }
 }
 
 /// Property-wide read-only state shared by every worker. Nothing here is
@@ -381,21 +466,8 @@ fn merge_outcomes(
                 checker: spec.name.clone(),
                 source_func: module.func(ev.key.0).name.clone(),
                 sink_func: module.func(ev.key.2).name.clone(),
-                outcome: match (&ev.report, ev.linear_refuted) {
-                    (Some(_), _) => QueryOutcome::Reported,
-                    (None, true) => QueryOutcome::LinearRefuted,
-                    (None, false) => QueryOutcome::SmtRefuted,
-                },
-                cost: QueryCost {
-                    solver_ns: ev.cost.solver_ns,
-                    conflicts: ev.cost.conflicts,
-                    learned: ev.cost.learned,
-                    propagations: ev.cost.propagations,
-                    decisions: ev.cost.decisions,
-                    theory_checks: ev.cost.theory_checks,
-                    theory_conflicts: ev.cost.theory_conflicts,
-                    budget_exhausted: ev.cost.budget_exhausted,
-                },
+                outcome: ev.outcome,
+                cost: ev.cost,
             });
             if !seen.insert(ev.key) {
                 continue; // claimed by an earlier source
@@ -411,9 +483,7 @@ fn merge_outcomes(
                 }
                 None => {
                     stats.refuted += 1;
-                    if ev.linear_refuted {
-                        stats.linear_refuted += 1;
-                    }
+                    stats.linear_refuted += u64::from(ev.outcome == QueryOutcome::LinearRefuted);
                 }
             }
         }
@@ -453,17 +523,9 @@ struct Worker<'cx, 'a> {
     /// The run-wide verdict snapshot, consulted before every solve.
     /// Read-only during the run so lookups are shard-independent.
     verdicts: &'cx VerdictTable,
-    /// Verdicts established by the current source's solves, in discovery
-    /// order, with an index by fingerprint for intra-source reuse.
-    new_verdicts: Vec<(u128, Verdict)>,
-    local_idx: HashMap<u128, usize>,
-    /// Per-source counters mirrored into the [`SourceOutcome`].
-    verdict_hits: u64,
-    verdict_misses: u64,
-    reused_clauses: u64,
     /// Fresh per source: its memo is keyed by `TermId`, which rollback
     /// recycles.
-    linear: pinpoint_smt::LinearSolver,
+    linear: LinearSolver,
     /// Per-function dominator trees for the same-function ordering filter.
     doms: HashMap<FuncId, DomTree>,
     /// Per-function sink index for this property, filled on first visit.
@@ -499,10 +561,12 @@ struct Worker<'cx, 'a> {
 ///    predate the current one), so solver-side statistics reflect the
 ///    work actually performed, not a hypothetical fresh run;
 /// 3. the demand-driven search: the remaining sources are partitioned
-///    into contiguous shards ([`TraceBuf::shard_map`]). Each worker
-///    records *candidate events* (it cannot know which candidates an
-///    earlier source already claimed), and fresh outcomes are written
-///    back to the cache when there is one.
+///    into contiguous shards ([`TraceBuf::shard_map`]). Each worker runs
+///    a source through the four stages of [`Worker::run_source`] —
+///    search, path condition, decision, record — and keeps one
+///    [`CandidateEvent`] per evaluated candidate (it cannot know which
+///    candidates an earlier source already claimed). Fresh outcomes are
+///    written back to the cache when there is one.
 ///
 /// The merge then replays all outcomes in canonical source order against
 /// a global seen-set, counting candidates and emitting reports exactly as
@@ -512,9 +576,11 @@ struct Worker<'cx, 'a> {
 /// those a later dedup suppresses, since each was really solved — comes
 /// back as a [`QueryRecord`] with its solver cost, ids assigned in the
 /// replay order. When `trace` is recording, the gating loop gets one
-/// `detect.gate` span and each source search a `detect.source` span (with
-/// nested `smt.query` spans per candidate) in a worker-private buffer
-/// merged at the join.
+/// `detect.gate` span, each searched source one `detect.source` span and
+/// each evaluated candidate one `smt.query` span nested in it, in a
+/// worker-private buffer merged at the join. Without a cache, a pass has
+/// exactly as many `smt.query` spans as [`QueryRecord`]s, and as many
+/// `detect.source` spans as sources the gate let through.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_spec(
     a: &Analysis,
@@ -546,7 +612,7 @@ pub(crate) fn run_spec(
         if let Some(sums) = gate.as_mut() {
             if !sums.source_fruitful(&summary_cx, fid, s) {
                 gated += 1;
-                slots.push(Some(gated_outcome(fid)));
+                slots.push(Some(SourceOutcome::new(fid)));
                 continue;
             }
         }
@@ -771,24 +837,31 @@ fn cone_fingerprint(out: &SourceOutcome, segs: &ModuleSeg, keys: &[u128]) -> Opt
     Some(h.finish())
 }
 
-/// The outcome synthesised for a gated source: the
-/// whole-program gate proved its search would visit nothing fruitful, so
-/// it contributes no events, no verdicts, and no cost — exactly what the
-/// demand search would have produced, minus the walking.
-fn gated_outcome(fid: FuncId) -> SourceOutcome {
-    SourceOutcome {
-        events: Vec::new(),
-        visited: 0,
-        skipped_descents: 0,
-        verdict_hits: 0,
-        verdict_misses: 0,
-        reused_clauses: 0,
-        new_verdicts: Vec::new(),
-        truncated: false,
-        cone: vec![fid],
-        callers_consulted: Vec::new(),
-        globals_consulted: Vec::new(),
-    }
+/// The search's work list and the consultation record it keeps besides
+/// the visited functions: every function whose artefact data a search
+/// reads (its *cone*), plus the caller lists and global load lists it
+/// consults outside the cone. Together these determine the search, which
+/// is what makes the outcome cacheable.
+struct Walk {
+    stack: Vec<Node>,
+    /// Calling contexts, interned per source.
+    ctxs: CtxInterner,
+    cone: HashSet<FuncId>,
+    callers_consulted: HashSet<FuncId>,
+    globals_consulted: HashSet<GlobalId>,
+}
+
+/// Sorts a consultation set into its outcome field.
+fn sorted<T: Ord>(set: HashSet<T>) -> Vec<T> {
+    let mut v: Vec<T> = set.into_iter().collect();
+    v.sort_unstable();
+    v
+}
+
+/// `func@b{block}.i{index}`: the label of a source or sink span.
+fn site_label(module: &Module, func: FuncId, site: InstId) -> String {
+    let name = &module.func(func).name;
+    format!("{name}@b{}.i{}", site.block.0, site.index)
 }
 
 impl<'cx, 'a> Worker<'cx, 'a> {
@@ -804,12 +877,7 @@ impl<'cx, 'a> Worker<'cx, 'a> {
             arena,
             session: SmtSession::new(),
             verdicts,
-            new_verdicts: Vec::new(),
-            local_idx: HashMap::new(),
-            verdict_hits: 0,
-            verdict_misses: 0,
-            reused_clauses: 0,
-            linear: pinpoint_smt::LinearSolver::new(),
+            linear: LinearSolver::new(),
             doms: HashMap::new(),
             sinks: HashMap::new(),
             params: cx.config.use_summaries.then(|| {
@@ -832,102 +900,108 @@ impl<'cx, 'a> Worker<'cx, 'a> {
         index.get(&value).cloned().unwrap_or_default()
     }
 
-    fn dom_of(&mut self, fid: FuncId) -> &DomTree {
-        let module = self.cx.module;
-        self.doms.entry(fid).or_insert_with(|| {
-            let f = module.func(fid);
-            let cfg = Cfg::new(f);
-            DomTree::dominators(f, &cfg)
-        })
-    }
-
     /// `true` if the sink is ordered strictly before the source within the
     /// same function (use-before-free on every path — not a bug).
     fn sink_precedes_source(&mut self, fid: FuncId, sink: InstId, source: InstId) -> bool {
         if sink.block == source.block {
             return sink.index < source.index;
         }
-        let dom = self.dom_of(fid);
+        let module = self.cx.module;
+        let dom = self.doms.entry(fid).or_insert_with(|| {
+            let f = module.func(fid);
+            DomTree::dominators(f, &Cfg::new(f))
+        });
         dom.dominates(sink.block, source.block)
     }
 
-    /// Searches from one source, recording candidate events. The worker's
-    /// arena and symbol cache are restored afterwards, so every source is
-    /// evaluated from the pristine artefact state.
-    #[allow(clippy::too_many_lines)]
+    /// Runs the four stages for one source: [`Worker::search`] hands each
+    /// candidate to [`PathCondition::build`], [`Worker::decide`] and
+    /// [`Worker::record`] as it is found. The worker's arena and symbol
+    /// cache are restored afterwards, so every source is evaluated from
+    /// the pristine artefact state.
     fn run_source(
         &mut self,
         source_func: FuncId,
         source: SourceSite,
         lane: &mut TraceBuf,
     ) -> SourceOutcome {
+        let module = self.cx.module;
         let source_span = lane.open(
             "detect.source",
-            format!(
-                "{}@b{}.i{}",
-                self.cx.module.func(source_func).name,
-                source.site.block.0,
-                source.site.index
-            ),
+            site_label(module, source_func, source.site),
         );
         let mark = self.arena.mark();
         let ckpt = self.symbols.checkpoint();
-        self.linear = pinpoint_smt::LinearSolver::new();
-        // Fresh incremental session and verdict scratch per source: the
-        // session's state (and hence every query's cost attribution) is a
-        // pure function of this source alone, and the verdicts it learns
-        // are published only through the deterministic merge.
+        // A fresh session per source: its state (and hence every query's
+        // cost attribution) is a pure function of this source alone.
         self.session = SmtSession::new();
-        self.new_verdicts.clear();
-        self.local_idx.clear();
-        self.verdict_hits = 0;
-        self.verdict_misses = 0;
-        self.reused_clauses = 0;
-        let mut out = SourceOutcome {
-            events: Vec::new(),
-            visited: 0,
-            skipped_descents: 0,
-            verdict_hits: 0,
-            verdict_misses: 0,
-            reused_clauses: 0,
-            new_verdicts: Vec::new(),
-            truncated: false,
-            cone: Vec::new(),
-            callers_consulted: Vec::new(),
-            globals_consulted: Vec::new(),
+        self.linear = LinearSolver::new();
+        let mut out = SourceOutcome::new(source_func);
+        self.search(source_func, source, &mut out, |w, ctxs, out, cand| {
+            let span = lane.open(
+                "smt.query",
+                site_label(module, cand.node.func, cand.sink.site),
+            );
+            let pc = PathCondition::build(w, ctxs, source_func, source, &cand);
+            let decision = w.cx.config.solve.then(|| w.decide(pc.cond, out));
+            let event = w.record(source_func, source, cand, pc, decision);
+            lane.close(span);
+            out.events.push(event);
+        });
+        self.arena.truncate_to(mark);
+        self.symbols.rollback(ckpt);
+        lane.close(source_span);
+        out
+    }
+
+    /// Stage 1, the demand search from one source (transition 1, sink
+    /// checks, here; 2–5 in [`Worker::expand`]). Each candidate goes to
+    /// `on_candidate` the moment it is found, not after the walk: the
+    /// condition builder interns calling contexts into the walk's
+    /// interner and appends to the worker's arena, so context ids and
+    /// term ids (and the witnesses, which follow term order) depend on
+    /// evaluation running in discovery order.
+    fn search(
+        &mut self,
+        source_func: FuncId,
+        source: SourceSite,
+        out: &mut SourceOutcome,
+        mut on_candidate: impl FnMut(&mut Self, &mut CtxInterner, &mut SourceOutcome, Candidate<'_>),
+    ) {
+        let budget = self.cx.config.max_visited_per_source;
+        let mut walk = Walk {
+            stack: vec![Node {
+                func: source_func,
+                value: source.value,
+                ctx: ROOT,
+                stack: Rc::new(Vec::new()),
+                trace: Rc::new(Trace::Start),
+                depth: 0,
+                since: Some(source.site),
+            }],
+            ctxs: CtxInterner::new(),
+            cone: HashSet::from([source_func]),
+            callers_consulted: HashSet::new(),
+            globals_consulted: HashSet::new(),
         };
-        // The consultation record: every function whose artefact data this
-        // search reads (its *cone*), plus the caller lists and global load
-        // lists it consults outside the cone. Together these determine the
-        // search, which is what makes the outcome cacheable.
-        let mut cone: HashSet<FuncId> = HashSet::new();
-        cone.insert(source_func);
-        let mut callers_consulted: HashSet<FuncId> = HashSet::new();
-        let mut globals_consulted: HashSet<pinpoint_ir::GlobalId> = HashSet::new();
+        let mut visited: HashSet<(FuncId, ValueId, CtxId)> = HashSet::new();
         // Local deduplication only; the cross-source pass happens at the
         // merge replay.
         let mut local_seen: HashSet<CandidateKey> = HashSet::new();
-        let mut ctxs = CtxInterner::new();
-        let mut visited: HashSet<(FuncId, ValueId, CtxId)> = HashSet::new();
-        let mut stack: Vec<Node> = vec![Node {
-            func: source_func,
-            value: source.value,
-            ctx: ROOT,
-            stack: Rc::new(Vec::new()),
-            trace: Rc::new(Trace::Start),
-            depth: 0,
-            since: Some(source.site),
-        }];
-        while let Some(node) = stack.pop() {
-            if visited.len() > self.cx.config.max_visited_per_source {
+        while let Some(node) = walk.stack.pop() {
+            // The budget refuses a new vertex, never a revisit.
+            let vertex = (node.func, node.value, node.ctx);
+            if visited.len() < budget {
+                if !visited.insert(vertex) {
+                    continue;
+                }
+            } else if visited.contains(&vertex) {
+                continue;
+            } else {
                 out.truncated = true;
                 break;
             }
-            if !visited.insert((node.func, node.value, node.ctx)) {
-                continue;
-            }
-            out.visited += 1;
-            cone.insert(node.func);
+            walk.cone.insert(node.func);
             // 1. Sink checks at this vertex.
             for sink in self.sinks_at(node.func, node.value) {
                 if node.func == source_func && sink.site == source.site {
@@ -950,221 +1024,202 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                     local_seen.insert(m);
                     m
                 });
-                let query_span = lane.open(
-                    "smt.query",
-                    format!(
-                        "{}@b{}.i{}",
-                        self.cx.module.func(node.func).name,
-                        sink.site.block.0,
-                        sink.site.index
-                    ),
-                );
-                let (report, linear_refuted, cost) =
-                    self.evaluate(source_func, source, &node, sink, &mut ctxs);
-                lane.close(query_span);
-                out.events.push(CandidateEvent {
+                let cand = Candidate {
+                    node: &node,
+                    sink,
                     key,
                     mirror,
-                    report,
-                    linear_refuted,
-                    cost,
-                });
-            }
-            // 2. Local SEG edges.
-            let seg = self.cx.segs.seg(node.func);
-            for e in seg.succs(node.value) {
-                if e.kind == EdgeKind::Transform && !self.cx.property.spec.traverses_transforms {
-                    continue;
-                }
-                stack.push(Node {
-                    func: node.func,
-                    value: e.dst,
-                    ctx: node.ctx,
-                    stack: Rc::clone(&node.stack),
-                    trace: Rc::new(Trace::Local {
-                        parent: Rc::clone(&node.trace),
-                        edge: *e,
-                        func: node.func,
-                        ctx: node.ctx,
-                    }),
-                    depth: node.depth,
-                    since: node.since,
-                });
-            }
-            // 3. Descend into callees through actual arguments.
-            for au in seg.arg_uses(node.value) {
-                if node.depth >= self.cx.config.max_ctx_depth {
-                    continue;
-                }
-                let gid = au.callee;
-                if gid == node.func {
-                    continue; // direct recursion: summary-free (§4.2)
-                }
-                if let Some((scx, sums)) = &mut self.params {
-                    if !sums.param_fruitful(scx, gid, au.index) {
-                        out.skipped_descents += 1;
-                        continue; // VF summary: nothing reachable below
-                    }
-                }
-                let g = self.cx.module.func(gid);
-                let Some(&formal) = g.params.get(au.index) else {
-                    continue;
                 };
-                let callee_ctx = ctxs.callee_of(node.ctx, node.func, au.site);
-                let mut new_stack = (*node.stack).clone();
-                new_stack.push((node.func, node.ctx, au.site));
-                stack.push(Node {
-                    func: gid,
-                    value: formal,
-                    ctx: callee_ctx,
-                    stack: Rc::new(new_stack),
-                    trace: Rc::new(Trace::Descend {
-                        parent: Rc::clone(&node.trace),
-                        caller: node.func,
-                        caller_ctx: node.ctx,
-                        site: au.site,
-                        callee: gid,
-                        callee_ctx,
-                        arg_index: au.index,
-                    }),
-                    depth: node.depth + 1,
-                    since: None,
-                });
+                on_candidate(self, &mut walk.ctxs, out, cand);
             }
-            // 4. Ascend through return values.
-            if let Some(ret_idx) = seg.ret_index(node.value) {
-                if let Some(&(caller, caller_ctx, site)) = node.stack.last() {
-                    // Matched return: continue at the recorded receiver.
-                    let recv = self.receiver_at(caller, site, ret_idx);
-                    if let Some(recv) = recv {
-                        let mut new_stack = (*node.stack).clone();
-                        new_stack.pop();
-                        stack.push(Node {
-                            func: caller,
-                            value: recv,
-                            ctx: caller_ctx,
-                            stack: Rc::new(new_stack),
-                            trace: Rc::new(Trace::Ascend {
-                                parent: Rc::clone(&node.trace),
-                                callee: node.func,
-                                callee_ctx: node.ctx,
-                                ret_value: node.value,
-                                caller,
-                                caller_ctx,
-                                site,
-                                recv,
-                            }),
-                            depth: node.depth.saturating_sub(1),
-                            since: Some(site),
-                        });
-                    }
-                } else if node.depth < self.cx.config.max_ctx_depth {
-                    // Unmatched: ascend to every caller (VF2-style).
-                    callers_consulted.insert(node.func);
-                    for &(caller, site) in self.cx.segs.callers(node.func) {
-                        if caller == node.func {
-                            continue;
-                        }
-                        let Some(recv) = self.receiver_at(caller, site, ret_idx) else {
-                            continue;
-                        };
-                        let caller_ctx = ctxs.caller_of(node.ctx, caller, site);
-                        stack.push(Node {
-                            func: caller,
-                            value: recv,
-                            ctx: caller_ctx,
-                            stack: Rc::new(Vec::new()),
-                            trace: Rc::new(Trace::Ascend {
-                                parent: Rc::clone(&node.trace),
-                                callee: node.func,
-                                callee_ctx: node.ctx,
-                                ret_value: node.value,
-                                caller,
-                                caller_ctx,
-                                site,
-                                recv,
-                            }),
-                            depth: node.depth + 1,
-                            since: Some(site),
-                        });
-                    }
+            self.expand(&node, &mut walk, out);
+        }
+        out.visited = visited.len() as u64;
+        out.cone = sorted(walk.cone);
+        out.callers_consulted = sorted(walk.callers_consulted);
+        out.globals_consulted = sorted(walk.globals_consulted);
+    }
+
+    /// Transitions 2–5 of the search: pushes every successor of `node`.
+    fn expand(&mut self, node: &Node, walk: &mut Walk, out: &mut SourceOutcome) {
+        let cx = self.cx;
+        let seg = cx.segs.seg(node.func);
+        // 2. Local SEG edges.
+        for e in seg.succs(node.value) {
+            if e.kind == EdgeKind::Transform && !cx.property.spec.traverses_transforms {
+                continue;
+            }
+            walk.stack.push(Node {
+                func: node.func,
+                value: e.dst,
+                ctx: node.ctx,
+                stack: Rc::clone(&node.stack),
+                trace: Rc::new(Trace::Local {
+                    parent: Rc::clone(&node.trace),
+                    edge: *e,
+                    func: node.func,
+                    ctx: node.ctx,
+                }),
+                depth: node.depth,
+                since: node.since,
+            });
+        }
+        // 3. Descend into callees through actual arguments.
+        for au in seg.arg_uses(node.value) {
+            if node.depth >= cx.config.max_ctx_depth {
+                continue;
+            }
+            let gid = au.callee;
+            if gid == node.func {
+                continue; // direct recursion: summary-free (§4.2)
+            }
+            if let Some((scx, sums)) = &mut self.params {
+                if !sums.param_fruitful(scx, gid, au.index) {
+                    out.skipped_descents += 1;
+                    continue; // VF summary: nothing reachable below
                 }
             }
-            // 4b. VF3-style parameter ascent: when the dangerous value
-            // is a formal parameter of an un-entered frame, the callers'
-            // actual arguments hold the same (dangerous) value after the
-            // call — this is what a VF3 summary communicates upward.
-            if node.stack.is_empty() && node.depth < self.cx.config.max_ctx_depth {
-                let f = self.cx.module.func(node.func);
-                if let Some(param_idx) = f.params.iter().position(|&p| p == node.value) {
-                    callers_consulted.insert(node.func);
-                    for &(caller, site) in self.cx.segs.callers(node.func) {
-                        if caller == node.func {
-                            continue;
-                        }
-                        let Some(call) = self.cx.segs.seg(caller).call_site(site) else {
-                            continue;
-                        };
-                        let Some(&actual) = call.args.get(param_idx) else {
-                            continue;
-                        };
-                        let caller_ctx = ctxs.caller_of(node.ctx, caller, site);
-                        stack.push(Node {
-                            func: caller,
-                            value: actual,
-                            ctx: caller_ctx,
-                            stack: Rc::new(Vec::new()),
-                            trace: Rc::new(Trace::ParamAscend {
-                                parent: Rc::clone(&node.trace),
-                                callee: node.func,
-                                callee_ctx: node.ctx,
-                                caller,
-                                caller_ctx,
-                                site,
-                                actual,
-                            }),
-                            depth: node.depth + 1,
-                            since: Some(site),
-                        });
+            let Some(&formal) = cx.module.func(gid).params.get(au.index) else {
+                continue;
+            };
+            let callee_ctx = walk.ctxs.callee_of(node.ctx, node.func, au.site);
+            let mut stack = (*node.stack).clone();
+            stack.push((node.func, node.ctx, au.site));
+            let crossing = Crossing {
+                caller: node.func,
+                caller_ctx: node.ctx,
+                site: au.site,
+                callee: gid,
+                callee_ctx,
+                step: Step {
+                    func: node.func,
+                    value: node.value,
+                    note: "call →",
+                },
+                ret: None,
+            };
+            walk.stack.push(Node {
+                func: gid,
+                value: formal,
+                ctx: callee_ctx,
+                stack: Rc::new(stack),
+                trace: node.cross(crossing),
+                depth: node.depth + 1,
+                since: None,
+            });
+        }
+        self.ascend(node, walk);
+        self.cross_globals(node, walk);
+    }
+
+    /// Transition 4, return ascents: a matched return continues at the
+    /// receiver of the frame on the stack, an unmatched one (VF2-style)
+    /// at every caller's receiver. Transition 4b, parameter ascents
+    /// (VF3-style): a dangerous formal of an un-entered frame means the
+    /// callers' actual arguments hold the same value after the call.
+    fn ascend(&mut self, node: &Node, walk: &mut Walk) {
+        let cx = self.cx;
+        let segs = cx.segs;
+        let deep = node.depth >= cx.config.max_ctx_depth;
+        // A crossing from `node` up into `caller` at `site`.
+        let up = |caller, caller_ctx, site, step, ret| Crossing {
+            caller,
+            caller_ctx,
+            site,
+            callee: node.func,
+            callee_ctx: node.ctx,
+            step,
+            ret,
+        };
+        if let Some(ret_idx) = segs.seg(node.func).ret_index(node.value) {
+            let receiver = |caller: FuncId, site: InstId| {
+                segs.seg(caller).call_site(site)?.dsts.get(ret_idx).copied()
+            };
+            let step = Step {
+                func: node.func,
+                value: node.value,
+                note: "return ←",
+            };
+            if let Some(&(caller, caller_ctx, site)) = node.stack.last() {
+                // Matched return: continue at the recorded receiver.
+                if let Some(recv) = receiver(caller, site) {
+                    let mut stack = (*node.stack).clone();
+                    stack.pop();
+                    let c = up(caller, caller_ctx, site, step, Some((node.value, recv)));
+                    let depth = node.depth.saturating_sub(1);
+                    walk.stack.push(node.ascent(c, recv, Rc::new(stack), depth));
+                }
+            } else if !deep {
+                // Unmatched: ascend to every caller (VF2-style).
+                walk.callers_consulted.insert(node.func);
+                for &(caller, site) in segs.callers(node.func) {
+                    if caller == node.func {
+                        continue;
                     }
+                    let Some(recv) = receiver(caller, site) else {
+                        continue;
+                    };
+                    let caller_ctx = walk.ctxs.caller_of(node.ctx, caller, site);
+                    let c = up(caller, caller_ctx, site, step, Some((node.value, recv)));
+                    walk.stack
+                        .push(node.ascent(c, recv, Rc::default(), node.depth + 1));
                 }
             }
-            // 5. Global-cell channels. The per-function store index says
-            // whether any global's list is worth scanning at all.
-            let stores_here = self
-                .cx
-                .segs
-                .global_store_values(node.func)
-                .binary_search(&node.value)
-                .is_ok();
-            let stores: Vec<(pinpoint_ir::GlobalId, pinpoint_smt::TermId)> = self
-                .cx
-                .segs
-                .global_stores
+        }
+        if !node.stack.is_empty() || deep {
+            return;
+        }
+        let f = cx.module.func(node.func);
+        let Some(param_idx) = f.params.iter().position(|&p| p == node.value) else {
+            return;
+        };
+        walk.callers_consulted.insert(node.func);
+        for &(caller, site) in segs.callers(node.func) {
+            if caller == node.func {
+                continue;
+            }
+            let Some(call) = segs.seg(caller).call_site(site) else {
+                continue;
+            };
+            let Some(&actual) = call.args.get(param_idx) else {
+                continue;
+            };
+            let caller_ctx = walk.ctxs.caller_of(node.ctx, caller, site);
+            let step = Step {
+                func: caller,
+                value: actual,
+                note: "arg ←",
+            };
+            let c = up(caller, caller_ctx, site, step, None);
+            walk.stack
+                .push(node.ascent(c, actual, Rc::default(), node.depth + 1));
+        }
+    }
+
+    /// Transition 5, global-cell channels. The per-function store index
+    /// says whether any global's list is worth scanning at all.
+    fn cross_globals(&mut self, node: &Node, walk: &mut Walk) {
+        let segs = self.cx.segs;
+        if segs
+            .global_store_values(node.func)
+            .binary_search(&node.value)
+            .is_err()
+        {
+            return;
+        }
+        for (&g, entries) in &segs.global_stores {
+            let here = entries
                 .iter()
-                .filter(|_| stores_here)
-                .flat_map(|(g, entries)| {
-                    entries
-                        .iter()
-                        .filter(|(f, v, _)| *f == node.func && *v == node.value)
-                        .map(|(_, _, c)| (*g, *c))
-                })
-                .collect();
-            for (g, store_cond) in stores {
-                globals_consulted.insert(g);
-                let loads = self
-                    .cx
-                    .segs
-                    .global_loads
-                    .get(&g)
-                    .cloned()
-                    .unwrap_or_default();
-                for (lf, lv, load_cond) in loads {
-                    stack.push(Node {
+                .filter(|(f, v, _)| *f == node.func && *v == node.value);
+            for &(_, _, store_cond) in here {
+                walk.globals_consulted.insert(g);
+                let loads = segs.global_loads.get(&g).map_or(&[][..], Vec::as_slice);
+                for &(lf, lv, load_cond) in loads {
+                    walk.stack.push(Node {
                         func: lf,
                         value: lv,
                         ctx: ROOT,
-                        stack: Rc::new(Vec::new()),
+                        stack: Rc::default(),
                         trace: Rc::new(Trace::GlobalChannel {
                             parent: Rc::clone(&node.trace),
                             src_func: node.func,
@@ -1180,186 +1235,158 @@ impl<'cx, 'a> Worker<'cx, 'a> {
                 }
             }
         }
-        // Restore the pristine artefact state for the next source.
-        self.arena.truncate_to(mark);
-        self.symbols.rollback(ckpt);
-        lane.close(source_span);
-        out.verdict_hits = self.verdict_hits;
-        out.verdict_misses = self.verdict_misses;
-        out.reused_clauses = self.reused_clauses;
-        out.new_verdicts = std::mem::take(&mut self.new_verdicts);
-        out.cone = cone.into_iter().collect();
-        out.cone.sort_unstable();
-        out.callers_consulted = callers_consulted.into_iter().collect();
-        out.callers_consulted.sort_unstable();
-        out.globals_consulted = globals_consulted.into_iter().collect();
-        out.globals_consulted.sort_unstable();
-        out
     }
 
-    fn receiver_at(&self, caller: FuncId, site: InstId, ret_idx: usize) -> Option<ValueId> {
-        let call = self.cx.segs.seg(caller).call_site(site)?;
-        call.dsts.get(ret_idx).copied()
+    /// Stage 3: answers a path condition. A constant goes straight to the
+    /// session. Otherwise the canonical fingerprint is looked up in the
+    /// run snapshot, then in this source's earlier verdicts; a hit replays
+    /// the recorded verdict, rebinding a `Sat` witness from canonical
+    /// variable indices to this instance's names, so it yields
+    /// byte-identical output to the solve it replaces. A miss runs CDCL on
+    /// the source's incremental session and records the verdict, unless
+    /// the round budget forced a conservative answer. The outcome's
+    /// verdict counters follow from the decision's [`Via`].
+    fn decide(&mut self, cond: TermId, out: &mut SourceOutcome) -> Decision {
+        let resident = self.session.num_learnt() as u64;
+        let (result, model, via) = if self.arena.is_true(cond) || self.arena.is_false(cond) {
+            let (result, model) = self.session.check_with_model(&self.arena, cond);
+            (result, model, Via::Constant)
+        } else {
+            let info = canon_info(&self.arena, cond);
+            let fp = info.fingerprint;
+            let local = out.local_idx.get(&fp).map(|&i| &out.new_verdicts[i].1);
+            match self.verdicts.get(fp).or(local) {
+                Some(Verdict::Unsat) => (SmtResult::Unsat, Vec::new(), Via::Table),
+                Some(Verdict::Sat(vals)) => (SmtResult::Sat, info.rebind(vals), Via::Table),
+                None => {
+                    let (result, model) = self.session.check_with_model(&self.arena, cond);
+                    if self.session.last_cost.budget_exhausted > 0 {
+                        (result, model, Via::Budget)
+                    } else {
+                        out.local_idx.insert(fp, out.new_verdicts.len());
+                        out.new_verdicts.push((fp, info.verdict(result, &model)));
+                        (result, model, Via::Cdcl)
+                    }
+                }
+            }
+        };
+        match via {
+            Via::Constant => {}
+            Via::Table => out.verdict_hits += 1,
+            Via::Cdcl | Via::Budget => {
+                out.verdict_misses += 1;
+                out.reused_clauses += resident;
+            }
+        }
+        Decision { result, model, via }
     }
 
-    /// Builds the path condition of a candidate and solves it; returns
-    /// the report when satisfiable (or when solving is disabled), whether
-    /// the linear-time solver alone would have refuted it, and the
-    /// solver's cost snapshot for attribution.
-    fn evaluate(
+    /// Stage 4: the candidate's event. A feasible (or unsolved) path
+    /// becomes a report with its witness; a refuted one records whether
+    /// the linear-time solver alone would have refuted it (the §3.1.1
+    /// measurement, only under [`DetectConfig::measure_linear`]).
+    fn record(
         &mut self,
         source_func: FuncId,
         source: SourceSite,
-        node: &Node,
-        sink: SinkSite,
-        ctxs: &mut CtxInterner,
-    ) -> (Option<Report>, bool, LastQueryCost) {
-        let depth = self.cx.config.cond.max_depth;
-        // The actual arguments of a call the search walked through.
-        let segs = self.cx.segs;
-        let call_args = |caller: FuncId, site: InstId| -> &[ValueId] {
-            let call = segs.seg(caller).call_site(site);
-            call.expect("trace sites are call sites").args
+        cand: Candidate<'_>,
+        pc: PathCondition,
+        decision: Option<Decision>,
+    ) -> CandidateEvent {
+        let module = self.cx.module;
+        let cost = match &decision {
+            Some(d) if d.via != Via::Table => self.session.last_cost,
+            _ => QueryCost::default(),
         };
-        let mut cb = CondBuilder::new(
-            self.cx.module,
-            self.cx.segs,
-            &mut self.symbols,
-            &mut self.arena,
-            ctxs,
-            self.cx.config.cond,
-        );
-        // CD of the source and the sink statements.
+        let (outcome, witness) = match decision {
+            Some(d) if d.result == SmtResult::Unsat => {
+                let linear = self.cx.config.measure_linear
+                    && self.linear.check(&self.arena, pc.cond) == LinearVerdict::Unsat;
+                let refuted = if linear {
+                    QueryOutcome::LinearRefuted
+                } else {
+                    QueryOutcome::SmtRefuted
+                };
+                (refuted, Vec::new())
+            }
+            Some(d) => {
+                let named = |(name, value): (String, bool)| {
+                    Some((Symbols::witness_name(module, &name)?, value))
+                };
+                (
+                    QueryOutcome::Reported,
+                    d.model.into_iter().filter_map(named).collect(),
+                )
+            }
+            None => (QueryOutcome::Reported, Vec::new()),
+        };
+        let report = (outcome == QueryOutcome::Reported).then(|| {
+            let rendered: Vec<String> = pc
+                .steps
+                .iter()
+                .map(|s| {
+                    let f = module.func(s.func);
+                    format!("{}:{}", f.name, f.value_name(s.value))
+                })
+                .collect();
+            let property = self.cx.property.spec.name.clone();
+            let description = format!("[{}] {}", property, rendered.join(" → "));
+            let sink_func = cand.node.func;
+            Report {
+                kind: self.cx.kind,
+                property,
+                source_func,
+                source_site: source.site,
+                sink_func,
+                sink_site: cand.sink.site,
+                sink_role: cand.sink.role,
+                path: pc.steps,
+                condition_size: pc.size,
+                witness,
+                source_func_name: module.func(source_func).name.clone(),
+                sink_func_name: module.func(sink_func).name.clone(),
+                description,
+            }
+        });
+        CandidateEvent {
+            key: cand.key,
+            mirror: cand.mirror,
+            outcome,
+            cost,
+            report,
+        }
+    }
+}
+
+impl PathCondition {
+    /// Stage 2: the candidate's path condition: the control dependences
+    /// of the source and sink statements and the source value's closure,
+    /// then each trace step's constraints ([`Trace::constrain`]), walking
+    /// back from the sink.
+    fn build(
+        w: &mut Worker<'_, '_>,
+        ctxs: &mut CtxInterner,
+        source_func: FuncId,
+        source: SourceSite,
+        cand: &Candidate<'_>,
+    ) -> PathCondition {
+        let cx = w.cx;
+        let depth = cx.config.cond.max_depth;
+        let (node, sink) = (cand.node, cand.sink);
+        let (symbols, arena) = (&mut w.symbols, &mut w.arena);
+        let mut cb = CondBuilder::new(cx.module, cx.segs, symbols, arena, ctxs, cx.config.cond);
         cb.add_control_deps(source_func, source.site.block, ROOT, depth);
         cb.add_control_deps(node.func, sink.site.block, node.ctx, depth);
         cb.add_value_closure(source_func, source.value, ROOT, depth);
-        // Walk the trace, collecting steps (reversed) and constraints.
         let mut steps = vec![Step {
             func: node.func,
             value: node.value,
             note: "sink",
         }];
         let mut cur: &Trace = &node.trace;
-        loop {
-            match cur {
-                Trace::Start => break,
-                Trace::Local {
-                    parent,
-                    edge,
-                    func,
-                    ctx,
-                } => {
-                    cb.add_constraint(*func, edge.cond, *ctx, depth);
-                    // Transform edges relate operand and result through the
-                    // operator's own term structure; asserting equality
-                    // would wrongly claim `x + 1 = x`.
-                    if edge.kind != EdgeKind::Transform {
-                        cb.add_flow_equality(*func, edge.dst, *ctx, *func, edge.src, *ctx);
-                    }
-                    let f = self.cx.module.func(*func);
-                    if let Some(def) = f.value(edge.dst).def {
-                        cb.add_control_deps(*func, def.block, *ctx, depth);
-                    }
-                    steps.push(Step {
-                        func: *func,
-                        value: edge.src,
-                        note: match edge.kind {
-                            EdgeKind::Direct => "flow",
-                            EdgeKind::Memory => "store/load",
-                            EdgeKind::Transform => "op",
-                        },
-                    });
-                    cur = parent;
-                }
-                Trace::Descend {
-                    parent,
-                    caller,
-                    caller_ctx,
-                    site,
-                    callee,
-                    callee_ctx,
-                    arg_index,
-                } => {
-                    let args = call_args(*caller, *site);
-                    cb.bind_params(*caller, *caller_ctx, *callee, *callee_ctx, args, depth);
-                    cb.add_control_deps(*caller, site.block, *caller_ctx, depth);
-                    let arg = args[*arg_index];
-                    steps.push(Step {
-                        func: *caller,
-                        value: arg,
-                        note: "call →",
-                    });
-                    cur = parent;
-                }
-                Trace::Ascend {
-                    parent,
-                    callee,
-                    callee_ctx,
-                    ret_value,
-                    caller,
-                    caller_ctx,
-                    site,
-                    recv,
-                } => {
-                    cb.add_flow_equality(
-                        *caller,
-                        *recv,
-                        *caller_ctx,
-                        *callee,
-                        *ret_value,
-                        *callee_ctx,
-                    );
-                    // Bind the call's actuals so callee-side constraints
-                    // referring to formals are grounded (Eq. 2 ③).
-                    let args = call_args(*caller, *site);
-                    cb.bind_params(*caller, *caller_ctx, *callee, *callee_ctx, args, depth);
-                    cb.add_control_deps(*caller, site.block, *caller_ctx, depth);
-                    steps.push(Step {
-                        func: *callee,
-                        value: *ret_value,
-                        note: "return ←",
-                    });
-                    cur = parent;
-                }
-                Trace::ParamAscend {
-                    parent,
-                    callee,
-                    callee_ctx,
-                    caller,
-                    caller_ctx,
-                    site,
-                    actual,
-                } => {
-                    let args = call_args(*caller, *site);
-                    cb.bind_params(*caller, *caller_ctx, *callee, *callee_ctx, args, depth);
-                    cb.add_control_deps(*caller, site.block, *caller_ctx, depth);
-                    steps.push(Step {
-                        func: *caller,
-                        value: *actual,
-                        note: "arg ←",
-                    });
-                    cur = parent;
-                }
-                Trace::GlobalChannel {
-                    parent,
-                    src_func,
-                    src_value,
-                    src_cond,
-                    dst_func,
-                    dst_value,
-                    dst_cond,
-                } => {
-                    cb.add_constraint(*src_func, *src_cond, ROOT, depth);
-                    cb.add_constraint(*dst_func, *dst_cond, ROOT, depth);
-                    cb.add_flow_equality(*dst_func, *dst_value, ROOT, *src_func, *src_value, ROOT);
-                    steps.push(Step {
-                        func: *src_func,
-                        value: *src_value,
-                        note: "global",
-                    });
-                    cur = parent;
-                }
-            }
+        while let Some((step, parent)) = cur.constrain(&mut cb, cx) {
+            steps.push(step);
+            cur = parent;
         }
         steps.push(Step {
             func: source_func,
@@ -1367,157 +1394,87 @@ impl<'cx, 'a> Worker<'cx, 'a> {
             note: "source",
         });
         steps.reverse();
-        let condition_size = cb.len();
+        let size = cb.len();
         let cond = cb.condition();
-        let mut witness = Vec::new();
-        let mut cost = LastQueryCost::default();
-        if self.cx.config.solve {
-            let (result, model) = self.solve_candidate(cond, &mut cost);
-            witness = model
-                .into_iter()
-                .filter_map(|(name, value)| Some((self.friendly_var_name(&name)?, value)))
-                .collect();
-            match result {
-                SmtResult::Unsat => {
-                    let linear_refuted = self.cx.config.measure_linear
-                        && self.linear.check(&self.arena, cond)
-                            == pinpoint_smt::LinearVerdict::Unsat;
-                    return (None, linear_refuted, cost);
-                }
-                SmtResult::Sat => {}
-            }
-        }
-        let module = self.cx.module;
-        let rendered: Vec<String> = steps
-            .iter()
-            .map(|s| {
-                let f = module.func(s.func);
-                format!("{}:{}", f.name, f.value_name(s.value))
-            })
-            .collect();
-        let property = self.cx.property.spec.name.clone();
-        let description = format!("[{}] {}", property, rendered.join(" → "));
-        (
-            Some(Report {
-                kind: self.cx.kind,
-                property,
-                source_func,
-                source_site: source.site,
-                sink_func: node.func,
-                sink_site: sink.site,
-                sink_role: sink.role,
-                path: steps,
-                condition_size,
-                witness,
-                source_func_name: module.func(source_func).name.clone(),
-                sink_func_name: module.func(node.func).name.clone(),
-                description,
-            }),
-            false,
-            cost,
-        )
+        PathCondition { cond, size, steps }
     }
+}
 
-    /// Solves one candidate path condition through the verdict table.
-    ///
-    /// Constant conditions short-circuit without touching the table (they
-    /// are free either way and would only pollute the hit/miss counters).
-    /// Otherwise the condition is canonicalised; a fingerprint already in
-    /// the run snapshot — or already solved by an earlier candidate of
-    /// this source — replays its recorded verdict, rebinding a recorded
-    /// SAT witness from canonical variable indices to this instance's
-    /// names, so a hit yields byte-identical output to the solve it
-    /// replaced. A genuine miss runs on the source's incremental session
-    /// and records the verdict (unless the round budget forced a
-    /// conservative answer, which is never cached).
-    fn solve_candidate(
-        &mut self,
-        cond: pinpoint_smt::TermId,
-        cost: &mut LastQueryCost,
-    ) -> (SmtResult, Vec<(String, bool)>) {
-        if self.arena.is_true(cond) || self.arena.is_false(cond) {
-            let (result, model) = self.session.check_with_model(&self.arena, cond);
-            *cost = self.session.last_cost;
-            return (result, model);
-        }
-        let info = canon_info(&self.arena, cond);
-        let cached: Option<Verdict> = self.verdicts.get(info.fingerprint).cloned().or_else(|| {
-            self.local_idx
-                .get(&info.fingerprint)
-                .map(|&i| self.new_verdicts[i].1.clone())
-        });
-        if let Some(verdict) = cached {
-            self.verdict_hits += 1;
-            return match verdict {
-                Verdict::Unsat => (SmtResult::Unsat, Vec::new()),
-                Verdict::Sat(vals) => {
-                    // Rebind the recorded witness to this instance's
-                    // variables, sorted by name exactly as a fresh
-                    // solve's model would be.
-                    let mut model: Vec<(String, bool)> = vals
-                        .iter()
-                        .filter_map(|&(idx, value)| {
-                            let (name, _) = info.vars.get(idx as usize)?;
-                            Some((name.clone(), value))
-                        })
-                        .collect();
-                    model.sort();
-                    (SmtResult::Sat, model)
+impl Trace {
+    /// Adds this step's constraints to `cb` and returns its path step and
+    /// the trace before it (`None` at the start). A local edge adds its
+    /// condition, flow equality (not across an operator) and the
+    /// destination's control dependences; a call crossing binds the
+    /// call's parameters and adds the call site's control dependences,
+    /// plus the return-value equality of a return ascent; a global
+    /// channel adds its store and load conditions and their equality.
+    fn constrain(&self, cb: &mut CondBuilder<'_>, cx: &SpecContext<'_>) -> Option<(Step, &Trace)> {
+        let depth = cx.config.cond.max_depth;
+        match self {
+            Trace::Start => None,
+            Trace::Local {
+                parent,
+                edge,
+                func,
+                ctx,
+            } => {
+                cb.add_constraint(*func, edge.cond, *ctx, depth);
+                // Transform edges relate operand and result through the
+                // operator's own term structure; asserting equality would
+                // wrongly claim `x + 1 = x`.
+                if edge.kind != EdgeKind::Transform {
+                    cb.add_flow_equality(*func, edge.dst, *ctx, *func, edge.src, *ctx);
                 }
-            };
-        }
-        self.verdict_misses += 1;
-        self.reused_clauses += self.session.num_learnt() as u64;
-        let (result, model) = self.session.check_with_model(&self.arena, cond);
-        *cost = self.session.last_cost;
-        if self.session.last_cost.budget_exhausted == 0 {
-            let verdict = match result {
-                SmtResult::Unsat => Verdict::Unsat,
-                SmtResult::Sat => {
-                    let mut vals: Vec<(u32, bool)> = model
-                        .iter()
-                        .filter_map(|(name, value)| {
-                            let idx = info.vars.iter().position(|(n, _)| n == name)?;
-                            Some((u32::try_from(idx).ok()?, *value))
-                        })
-                        .collect();
-                    vals.sort_unstable();
-                    Verdict::Sat(vals)
+                if let Some(def) = cx.module.func(*func).value(edge.dst).def {
+                    cb.add_control_deps(*func, def.block, *ctx, depth);
                 }
-            };
-            if let std::collections::hash_map::Entry::Vacant(e) =
-                self.local_idx.entry(info.fingerprint)
-            {
-                e.insert(self.new_verdicts.len());
-                self.new_verdicts.push((info.fingerprint, verdict));
+                let note = match edge.kind {
+                    EdgeKind::Direct => "flow",
+                    EdgeKind::Memory => "store/load",
+                    EdgeKind::Transform => "op",
+                };
+                let step = Step {
+                    func: *func,
+                    value: edge.src,
+                    note,
+                };
+                Some((step, parent))
+            }
+            Trace::Call {
+                parent,
+                crossing: c,
+            } => {
+                if let Some((ret, recv)) = c.ret {
+                    cb.add_flow_equality(c.caller, recv, c.caller_ctx, c.callee, ret, c.callee_ctx);
+                }
+                // Bind the call's actuals so callee-side constraints
+                // referring to formals are grounded (Eq. 2 ③).
+                let call = cx.segs.seg(c.caller).call_site(c.site);
+                let args = call.expect("trace sites are call sites").args;
+                cb.bind_params(c.caller, c.caller_ctx, c.callee, c.callee_ctx, args, depth);
+                cb.add_control_deps(c.caller, c.site.block, c.caller_ctx, depth);
+                Some((c.step, parent))
+            }
+            Trace::GlobalChannel {
+                parent,
+                src_func,
+                src_value,
+                src_cond,
+                dst_func,
+                dst_value,
+                dst_cond,
+            } => {
+                cb.add_constraint(*src_func, *src_cond, ROOT, depth);
+                cb.add_constraint(*dst_func, *dst_cond, ROOT, depth);
+                cb.add_flow_equality(*dst_func, *dst_value, ROOT, *src_func, *src_value, ROOT);
+                let step = Step {
+                    func: *src_func,
+                    value: *src_value,
+                    note: "global",
+                };
+                Some((step, parent))
             }
         }
-        (result, model)
-    }
-
-    /// Maps an internal variable name (`f3.v12` or `f3.v12|c7`) back to
-    /// `function:variable`, dropping aux temporaries.
-    fn friendly_var_name(&self, raw: &str) -> Option<String> {
-        let base = raw.split('|').next()?;
-        let rest = base.strip_prefix('f')?;
-        let (fid_str, vid_str) = rest.split_once(".v")?;
-        let fid: u32 = fid_str.parse().ok()?;
-        let vid: u32 = vid_str.parse().ok()?;
-        let f = self.cx.module.funcs.get(fid as usize)?;
-        let info = f.values.get(vid as usize)?;
-        let name = f.names.get(info.name);
-        if name.starts_with("aux_") {
-            return None; // connector plumbing, not user-visible
-        }
-        // Constants never carry useful witness information (their value
-        // is fixed); skip them by def-site rather than by name so user
-        // variables that happen to share the temp naming stay visible.
-        if let Some(def) = info.def {
-            if matches!(f.inst(def), pinpoint_ir::Inst::Const { .. }) {
-                return None;
-            }
-        }
-        Some(format!("{}:{name}", f.name))
     }
 }
 
@@ -1951,6 +1908,40 @@ mod tests {
         // unrolled call graph only one free is seen; no false double-free
         // within a single unrolling, and no hang.
         let _ = reports;
+    }
+
+    #[test]
+    fn search_budget_bounds_the_visited_vertices() {
+        use crate::workspace::Workspace;
+        // The one source (the free in f3) visits 10 vertices unbounded.
+        let chain = "fn f3(r: int*) { free(r); return; }
+            fn f2(q: int*) { f3(q); return; }
+            fn f1(p: int*) { f2(p); return; }
+            fn main() {
+                let p: int* = malloc();
+                f1(p);
+                let x: int = *p;
+                print(x);
+                return;
+            }";
+        for k in 0..=12 {
+            let ws = Workspace::open(chain).unwrap();
+            let config = DetectConfig {
+                max_visited_per_source: k,
+                ..ws.detect_config()
+            };
+            let mut ws = ws.with_config(config);
+            let reports = ws
+                .query(&Query::Check(CheckerKind::UseAfterFree))
+                .into_reports();
+            let stats = ws.stats().detect;
+            assert_eq!(stats.sources, 1, "k = {k}");
+            assert_eq!(stats.visited, k.min(10) as u64, "k = {k}");
+            assert_eq!(stats.budget_exhausted, u64::from(k < 10), "k = {k}");
+            if k >= 10 {
+                assert_eq!(reports.len(), 1, "k = {k}: {reports:?}");
+            }
+        }
     }
 }
 

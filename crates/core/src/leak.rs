@@ -124,7 +124,9 @@ pub fn find_leaks(
                     if result == SmtResult::Sat {
                         let witness = model
                             .into_iter()
-                            .filter_map(|(name, value)| Some((friendly(module, &name)?, value)))
+                            .filter_map(|(name, value)| {
+                                Some((Symbols::witness_name(module, &name)?, value))
+                            })
                             .collect();
                         reports.push(LeakReport {
                             func: fid,
@@ -219,26 +221,6 @@ fn reachable_frees(module: &Module, segs: &ModuleSeg, fid: FuncId, value: ValueI
         }
     }
     Reachability::Frees(frees)
-}
-
-fn friendly(module: &Module, raw: &str) -> Option<String> {
-    let base = raw.split('|').next()?;
-    let rest = base.strip_prefix('f')?;
-    let (fid_str, vid_str) = rest.split_once(".v")?;
-    let fid: u32 = fid_str.parse().ok()?;
-    let vid: u32 = vid_str.parse().ok()?;
-    let f = module.funcs.get(fid as usize)?;
-    let info = f.values.get(vid as usize)?;
-    let name = f.names.get(info.name);
-    if name.starts_with("aux_") {
-        return None;
-    }
-    if let Some(def) = info.def {
-        if matches!(f.inst(def), Inst::Const { .. }) {
-            return None;
-        }
-    }
-    Some(format!("{}:{name}", f.name))
 }
 
 #[cfg(test)]

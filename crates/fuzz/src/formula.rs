@@ -307,20 +307,7 @@ pub fn verdicts_oracle(seed: u64) -> Result<(), (String, String)> {
         let info = canon_info(&arena, t);
         let mut smt = SmtSolver::new();
         let (got, model) = smt.check_with_model(&arena, t);
-        let verdict = match got {
-            SmtResult::Unsat => Verdict::Unsat,
-            SmtResult::Sat => {
-                let mut vals: Vec<(u32, bool)> = model
-                    .iter()
-                    .filter_map(|(name, v)| {
-                        let idx = info.vars.iter().position(|(n, _)| n == name)?;
-                        Some((u32::try_from(idx).ok()?, *v))
-                    })
-                    .collect();
-                vals.sort_unstable();
-                Verdict::Sat(vals)
-            }
-        };
+        let verdict = info.verdict(got, &model);
         table.insert(info.fingerprint, verdict);
     }
 

@@ -41,6 +41,8 @@ impl QueryOutcome {
 }
 
 /// Solver-side cost of one query (all zero when the solver never ran).
+/// Every counter is a deterministic function of the query; `solver_ns` is
+/// wall time and varies run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Wall time inside the SMT check, nanoseconds.

@@ -13,7 +13,7 @@
 //! appends a context suffix when cloning summaries (§3.3.1 achieves
 //! context-sensitivity by cloning).
 
-use pinpoint_ir::{Const, FuncId, Function, Inst, UnOp, ValueId};
+use pinpoint_ir::{Const, FuncId, Function, Inst, Module, UnOp, ValueId};
 use pinpoint_smt::{Sort, TermArena, TermId};
 use std::collections::HashMap;
 
@@ -116,6 +116,29 @@ impl Symbols {
     /// Canonical variable name for a value of a function.
     pub fn var_name(fid: FuncId, v: ValueId) -> String {
         format!("f{}.v{}", fid.0, v.0)
+    }
+
+    /// Decodes a [`Symbols::var_name`] back to `function:variable` for a
+    /// witness, ignoring the `|c<id>` suffix a calling-context clone
+    /// appends. `None` for any other name and for values that carry no
+    /// witness information: connector plumbing (`aux_*`) and constants
+    /// (skipped by def site, not by name, so user variables that share
+    /// the temporaries' naming stay visible).
+    pub fn witness_name(module: &Module, raw: &str) -> Option<String> {
+        let base = raw.split('|').next()?;
+        let (fid, vid) = base.strip_prefix('f')?.split_once(".v")?;
+        let f = module.funcs.get(fid.parse::<usize>().ok()?)?;
+        let info = f.values.get(vid.parse::<usize>().ok()?)?;
+        let name = f.names.get(info.name);
+        if name.starts_with("aux_") {
+            return None;
+        }
+        if let Some(def) = info.def {
+            if matches!(f.inst(def), Inst::Const { .. }) {
+                return None;
+            }
+        }
+        Some(format!("{}:{name}", f.name))
     }
 
     /// The SMT sort corresponding to a value's type (pointers are ints).
@@ -262,6 +285,31 @@ mod tests {
         let printed = arena.display(t);
         assert!(printed.contains("(not (="), "got {printed}");
         assert!(printed.contains(" 0)"), "got {printed}");
+    }
+
+    #[test]
+    fn witness_name_decodes_var_name() {
+        let m = compile(
+            "fn f(flag: bool) -> int { let k: int = 3; if (flag) { return k; } return 0; }",
+        )
+        .unwrap();
+        let fid = m.func_by_name("f").unwrap();
+        let f = m.func(fid);
+        let raw = Symbols::var_name(fid, f.params[0]);
+        let name = |raw: &str| Symbols::witness_name(&m, raw);
+        assert_eq!(name(&raw).as_deref(), Some("f:flag"));
+        assert_eq!(name(&format!("{raw}|c3")).as_deref(), Some("f:flag"));
+        let konst = (0..f.values.len() as u32)
+            .map(ValueId)
+            .find(|&v| {
+                f.value(v)
+                    .def
+                    .is_some_and(|d| matches!(f.inst(d), Inst::Const { .. }))
+            })
+            .expect("a constant");
+        assert_eq!(name(&Symbols::var_name(fid, konst)), None);
+        assert_eq!(name("f9.v0"), None);
+        assert_eq!(name("flag"), None);
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! (rarely) fingerprint differently. That direction only costs a cache
 //! miss, never a wrong verdict.
 
+use crate::solver::{BoolModel, SmtResult};
 use crate::term::{Sort, TermArena, TermId, TermKind};
+use crate::verdict::Verdict;
 use std::collections::HashMap;
 
 /// Version of the canonicalisation scheme, mixed into every fingerprint
@@ -49,6 +51,38 @@ pub struct CanonInfo {
     /// canonical indices is rebound to concrete variables through this
     /// table.
     pub vars: Vec<(String, Sort)>,
+}
+
+impl CanonInfo {
+    /// The verdict of a full solve of this formula: `model` (by variable
+    /// name) rewritten to canonical indices.
+    pub fn verdict(&self, result: SmtResult, model: &BoolModel) -> Verdict {
+        match result {
+            SmtResult::Unsat => Verdict::Unsat,
+            SmtResult::Sat => {
+                let mut vals: Vec<(u32, bool)> = model
+                    .iter()
+                    .filter_map(|(name, value)| {
+                        let idx = self.vars.iter().position(|(n, _)| n == name)?;
+                        Some((u32::try_from(idx).ok()?, *value))
+                    })
+                    .collect();
+                vals.sort_unstable();
+                Verdict::Sat(vals)
+            }
+        }
+    }
+
+    /// A recorded `Sat` witness rebound to this instance's variable
+    /// names, sorted by name exactly as a fresh solve's model is.
+    pub fn rebind(&self, vals: &[(u32, bool)]) -> BoolModel {
+        let mut model: BoolModel = vals
+            .iter()
+            .filter_map(|&(idx, value)| Some((self.vars.get(idx as usize)?.0.clone(), value)))
+            .collect();
+        model.sort();
+        model
+    }
 }
 
 /// 128-bit FNV-1a.

@@ -49,6 +49,6 @@ pub mod verdict;
 pub use canon::{canon_info, CanonInfo, CANON_VERSION};
 pub use linear::{LinearSolver, LinearVerdict};
 pub use session::SmtSession;
-pub use solver::{LastQueryCost, SmtResult, SmtSolver};
+pub use solver::{SmtResult, SmtSolver};
 pub use term::{RawTermError, Sort, TermArena, TermId, TermKind, TermMark, TermTranslator};
 pub use verdict::{verdict_config_fp, Verdict, VerdictTable};

@@ -13,7 +13,8 @@
 //! negatively), using the rules from the paper:
 //!
 //! * `C = a` (atomic): `P = {a}`, `N = ∅`;
-//! * `C = ¬C₁`: `P = N(C₁)`, `N = P(C₁)`;
+//! * `C = ¬C₁`: `P = N(C₁)`, `N = P(C₁)` (exact only when `C₁` is an
+//!   atom; see [`LinearSolver`]);
 //! * `C = C₁ ∧ C₂`: `P = P₁ ∪ P₂`, `N = N₁ ∪ N₂`;
 //! * `C = C₁ ∨ C₂`: `P = P₁ ∩ P₂`, `N = N₁ ∩ N₂`.
 //!
@@ -93,6 +94,12 @@ fn overlaps(a: &AtomSet, b: &AtomSet) -> bool {
 }
 
 /// Linear-time contradiction checker with memoisation across queries.
+///
+/// The `¬` rule is exact only on atoms. `N(¬(a ∧ b)) = P(a ∧ b) = {a, b}`
+/// claims both atoms false where one suffices, so `a ∧ ¬(a ∧ b)`, which
+/// `a = true, b = false` satisfies, comes back `Unsat`. A `¬` over a
+/// conjunction or disjunction can therefore make the answer wrong toward
+/// *infeasible*.
 ///
 /// The per-term `(P, N)` sets are cached, so repeatedly checking conditions
 /// that share structure (the common case on a symbolic expression graph,
@@ -352,6 +359,22 @@ mod tests {
             .push_raw(TermKind::And(vec![a, na]), Sort::Bool)
             .expect("fresh raw term");
         assert_eq!(s.check(&arena, contra), LinearVerdict::Unsat);
+    }
+
+    /// `¬` over a conjunction: `N(¬(a ∧ b))` must not be `P(a ∧ b)`.
+    #[test]
+    #[ignore = "ROADMAP item 18"]
+    fn negated_conjunction_is_not_refuted() {
+        let mut arena = TermArena::new();
+        let a = arena.var("a", Sort::Bool);
+        let b = arena.var("b", Sort::Bool);
+        let both = arena.and2(a, b);
+        let not_both = arena.not(both);
+        let c = arena.and2(a, not_both);
+        let mut cdcl = crate::solver::SmtSolver::new();
+        assert_eq!(cdcl.check(&arena, c), crate::solver::SmtResult::Sat);
+        let mut s = LinearSolver::new();
+        assert_ne!(s.check(&arena, c), LinearVerdict::Unsat);
     }
 
     #[test]

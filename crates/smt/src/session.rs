@@ -27,9 +27,10 @@
 //! independent of how sources are scheduled across worker threads.
 
 use crate::sat::{BVar, Lit, SatResult as CoreResult};
-use crate::solver::{BoolModel, Encoder, LastQueryCost, SmtResult, SmtStats};
+use crate::solver::{BoolModel, Encoder, SmtResult, SmtStats};
 use crate::term::{Sort, TermArena, TermId, TermKind};
 use crate::theory::{check_conjunction, TheoryContext, TheoryLit, TheoryVerdict};
+use pinpoint_obs::QueryCost;
 use std::collections::HashSet;
 
 /// A persistent, assumption-based incremental SMT solver.
@@ -66,12 +67,12 @@ pub struct SmtSession {
     assumption_terms: Vec<TermId>,
     /// Bound on DPLL(T) model-refutation rounds per query; an exceeded
     /// bound conservatively answers `Sat` and counts in
-    /// [`LastQueryCost::budget_exhausted`].
+    /// [`QueryCost::budget_exhausted`].
     pub max_rounds: u32,
     /// Aggregate statistics across the session's queries.
     pub stats: SmtStats,
     /// Cost of the most recent query (zeroed at the start of each check).
-    pub last_cost: LastQueryCost,
+    pub last_cost: QueryCost,
 }
 
 impl Default for SmtSession {
@@ -89,7 +90,7 @@ impl SmtSession {
             assumption_terms: Vec::new(),
             max_rounds: 10_000,
             stats: SmtStats::default(),
-            last_cost: LastQueryCost::default(),
+            last_cost: QueryCost::default(),
         }
     }
 
@@ -151,7 +152,7 @@ impl SmtSession {
         let started = std::time::Instant::now();
         let (result, model, exhausted) = self.check_inner(arena, formula);
         let sat_after = self.enc.sat.stats;
-        self.last_cost = LastQueryCost {
+        self.last_cost = QueryCost {
             solver_ns: started.elapsed().as_nanos() as u64,
             conflicts: sat_after.conflicts - sat_before.conflicts,
             learned: sat_after.learned - sat_before.learned,

@@ -14,6 +14,7 @@
 use crate::sat::{BVar, Lit, SatSolver};
 use crate::session::SmtSession;
 use crate::term::{TermArena, TermId, TermKind};
+use pinpoint_obs::QueryCost;
 use std::collections::HashMap;
 
 /// Result of an SMT query.
@@ -51,30 +52,6 @@ pub struct SmtStats {
     pub budget_exhausted: u64,
 }
 
-/// Cost snapshot of the most recent [`SmtSolver::check`] call, for
-/// per-query attribution. All counters are deterministic functions of
-/// the query; `solver_ns` is wall time and varies run to run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LastQueryCost {
-    /// Wall time of the check, nanoseconds.
-    pub solver_ns: u64,
-    /// CDCL conflicts.
-    pub conflicts: u64,
-    /// Learned clauses.
-    pub learned: u64,
-    /// Unit propagations.
-    pub propagations: u64,
-    /// Branching decisions.
-    pub decisions: u64,
-    /// Theory-consistency checks (DPLL(T) rounds).
-    pub theory_checks: u64,
-    /// Theory conflicts (blocking clauses).
-    pub theory_conflicts: u64,
-    /// 1 if the check stopped at the round budget and answered a
-    /// conservative `Sat` (never to be cached as a verdict), else 0.
-    pub budget_exhausted: u64,
-}
-
 /// A witness assignment for the boolean variables of a satisfiable query,
 /// mapping variable names to their values. Integer-sorted variables are
 /// not included (their theory models are not materialised); boolean
@@ -108,7 +85,7 @@ pub struct SmtSolver {
     /// conservatively answers `Sat` (a possibly-spurious bug report).
     pub max_rounds: u32,
     /// Cost of the most recent query (zeroed at the start of each check).
-    pub last_cost: LastQueryCost,
+    pub last_cost: QueryCost,
 }
 
 impl SmtSolver {
@@ -117,7 +94,7 @@ impl SmtSolver {
         Self {
             stats: SmtStats::default(),
             max_rounds: 10_000,
-            last_cost: LastQueryCost::default(),
+            last_cost: QueryCost::default(),
         }
     }
 

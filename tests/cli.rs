@@ -986,3 +986,82 @@ fn fuzz_rejects_unknown_oracle() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown oracle"), "{stderr}");
 }
+
+/// One `smt.query` span per query record and one `detect.source` span per
+/// source the summary gate let through, at every thread count: detection
+/// evaluates each candidate exactly once, inside its source's span.
+#[test]
+fn one_span_per_evaluated_candidate_and_searched_source() {
+    use pinpoint_workload::{generate, generate_fuzz, FuzzGenConfig, GenConfig};
+    let sparse = generate(
+        &GenConfig {
+            real_bugs: 2,
+            decoys: 2,
+            taint: true,
+            ..GenConfig::default()
+        }
+        .with_target_kloc(20.0),
+    )
+    .source;
+    let dense = generate_fuzz(&FuzzGenConfig {
+        seed: 15,
+        functions: 110,
+        max_stmts: 10,
+        globals: 4,
+        recursion: true,
+    });
+    let n = std::process::id();
+    // The number after `"key":` in the first occurrence past `from`.
+    let number = |doc: &str, from: &str, key: &str| -> usize {
+        let rest = &doc[doc.find(from).unwrap_or_else(|| panic!("{from}"))..];
+        let rest = &rest[rest.find(key).unwrap_or_else(|| panic!("{key}")) + key.len()..];
+        let end = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        rest[..end].parse().expect("a count")
+    };
+    for (name, source) in [("sparse", &sparse), ("dense", &dense)] {
+        for threads in ["1", "2"] {
+            let trace =
+                std::env::temp_dir().join(format!("pinpoint_spans_{n}_{name}_{threads}.json"));
+            let stats =
+                std::env::temp_dir().join(format!("pinpoint_spans_{n}_{name}_{threads}.stats"));
+            let (stdout, stderr, code) = run(
+                &[
+                    "check",
+                    "--threads",
+                    threads,
+                    "--trace-out",
+                    trace.to_str().unwrap(),
+                    "--stats-json",
+                    stats.to_str().unwrap(),
+                ],
+                source,
+            );
+            assert!(code <= 1, "{name} --threads {threads}: {stdout}{stderr}");
+            let trace_doc = std::fs::read_to_string(&trace).expect("trace written");
+            let stats_doc = std::fs::read_to_string(&stats).expect("stats written");
+            let _ = std::fs::remove_file(&trace);
+            let _ = std::fs::remove_file(&stats);
+            let queries = stats_doc
+                .split_once("\"queries\":[")
+                .expect("queries array")
+                .1
+                .matches("{\"id\":")
+                .count();
+            let sources = number(&stats_doc, "\"detect\":{", "\"sources\":");
+            let gated = number(&stats_doc, "\"summary\":{", "\"gated\":");
+            assert!(
+                queries > 0 && gated > 0,
+                "{name}: {queries} queries, {gated} gated"
+            );
+            let spans = |span: &str| trace_doc.matches(&format!("\"name\":\"{span}\"")).count();
+            assert_eq!(spans("smt.query"), queries, "{name} --threads {threads}");
+            assert_eq!(
+                spans("detect.source"),
+                sources - gated,
+                "{name} --threads {threads}"
+            );
+        }
+    }
+}
