@@ -27,6 +27,7 @@ use crate::store::FORMAT_VERSION;
 use pinpoint_ir::fingerprint::Fnv128;
 use pinpoint_ir::{module_fingerprints, CallGraph, FuncId, Module};
 use pinpoint_pta::{PtaConfig, MAX_PATH_DEPTH};
+use std::collections::BTreeSet;
 
 /// Fingerprint of everything configuration-shaped that flows into a
 /// function's analysis: the points-to knobs, the path-depth bound, and
@@ -42,66 +43,126 @@ pub fn config_fp(config: &PtaConfig) -> u128 {
 /// Derives the key of every function in `module` (indexed by
 /// `FuncId`), against the *pre-transform* module: its
 /// [`module_fingerprints`] folded over its call graph by
-/// [`keys_from_fingerprints`].
+/// [`FoldedKeys::fold`].
 pub fn module_keys(module: &Module, config_fp: u128) -> Vec<u128> {
-    keys_from_fingerprints(
-        &module_fingerprints(module),
-        config_fp,
-        &CallGraph::new(module),
-    )
+    let fps = module_fingerprints(module);
+    FoldedKeys::fold(&fps, config_fp, &CallGraph::new(module)).func
 }
 
-/// The key of every function (indexed by `FuncId`) from each function's
-/// local fingerprint `fps` ([`pinpoint_ir::func_fingerprint`] of its
-/// pre-transform body) and the module's call graph `cg`. The caller may
-/// have kept the fingerprints of functions it did not lower again.
-///
-/// The transitive SCC fingerprint is computed bottom-up over the
-/// condensation: `tfp(scc) = H(sorted member fingerprints, sorted
-/// distinct callee-SCC tfps)`. Because call-graph edges are derived
-/// from callee *names* resolved against the module, adding or removing
-/// a function that changes any resolution changes the affected callers'
-/// edge sets and hence their keys.
-pub fn keys_from_fingerprints(fps: &[u128], config_fp: u128, cg: &CallGraph) -> Vec<u128> {
-    // `sccs` is emitted in reverse topological order of the condensation
-    // (callee components first), so one forward pass sees every callee
-    // tfp before it is needed.
-    let mut scc_tfp = vec![0u128; cg.scc_count()];
-    for (si, members) in cg.sccs().enumerate() {
-        let mut member_fps: Vec<u128> = members.iter().map(|f| fps[f.0 as usize]).collect();
-        member_fps.sort_unstable();
-        let mut callee_tfps: Vec<u128> = members
+/// Function keys together with the transitive fingerprint of every SCC
+/// they were folded from: what [`FoldedKeys::refold`] starts from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FoldedKeys {
+    /// The key of every function, indexed by `FuncId`.
+    pub func: Vec<u128>,
+    /// The transitive fingerprint of every SCC, indexed like
+    /// [`CallGraph::scc`].
+    pub scc: Vec<u128>,
+}
+
+impl FoldedKeys {
+    /// The key of every function from each function's local fingerprint
+    /// `fps` ([`pinpoint_ir::func_fingerprint`] of its pre-transform
+    /// body) and the module's call graph `cg`. The caller may have kept
+    /// the fingerprints of functions it did not lower again.
+    ///
+    /// The transitive SCC fingerprint is computed bottom-up over the
+    /// condensation: `tfp(scc) = H(sorted member fingerprints, sorted
+    /// distinct callee-SCC tfps)`. Because call-graph edges are derived
+    /// from callee *names* resolved against the module, adding or
+    /// removing a function that changes any resolution changes the
+    /// affected callers' edge sets and hence their keys.
+    pub fn fold(fps: &[u128], config_fp: u128, cg: &CallGraph) -> Self {
+        // `sccs` is emitted in reverse topological order of the
+        // condensation (callee components first), so one forward pass
+        // sees every callee tfp before it is needed.
+        let mut scc = vec![0u128; cg.scc_count()];
+        for si in 0..scc.len() {
+            scc[si] = scc_fingerprint(si, fps, &scc, cg);
+        }
+        let func = fps
             .iter()
-            .flat_map(|&f| cg.callees(f))
-            .map(|&c| cg.scc_of(c))
-            .filter(|&sc| sc != si)
-            .map(|sc| scc_tfp[sc])
+            .enumerate()
+            .map(|(i, &fp)| func_key(config_fp, scc[cg.scc_of(FuncId(i as u32))], fp, i))
             .collect();
-        callee_tfps.sort_unstable();
-        callee_tfps.dedup();
-        let mut h = Fnv128::new();
-        h.write_u64(member_fps.len() as u64);
-        for fp in member_fps {
-            h.write_u128(fp);
-        }
-        h.write_u64(callee_tfps.len() as u64);
-        for fp in callee_tfps {
-            h.write_u128(fp);
-        }
-        scc_tfp[si] = h.finish();
+        FoldedKeys { func, scc }
     }
-    fps.iter()
-        .enumerate()
-        .map(|(i, &fp)| {
-            let fid = FuncId(i as u32);
-            let mut h = Fnv128::new();
-            h.write_u128(config_fp);
-            h.write_u128(scc_tfp[cg.scc_of(fid)]);
-            h.write_u128(fp);
-            h.write_u32(fid.0);
-            h.finish()
-        })
-        .collect()
+
+    /// Re-keys after the local fingerprints of the `changed` functions
+    /// became those in `fps`, over the call graph `cg` these keys were
+    /// folded over, and returns how many functions got new keys.
+    ///
+    /// A key reads only its SCC's member fingerprints and the transitive
+    /// fingerprints of its callee SCCs, so refolding the SCCs that hold a
+    /// changed fingerprint, then the callers of every SCC whose
+    /// fingerprint moved, callee components first, gives what
+    /// [`FoldedKeys::fold`] gives; only the members of the refolded SCCs
+    /// are re-keyed.
+    pub fn refold(
+        &mut self,
+        fps: &[u128],
+        changed: &[FuncId],
+        config_fp: u128,
+        cg: &CallGraph,
+    ) -> usize {
+        // Callers' SCCs come after their callees' in Tarjan's order, so
+        // ascending index is a bottom-up schedule.
+        let mut pending: BTreeSet<usize> = changed.iter().map(|&f| cg.scc_of(f)).collect();
+        let mut rekeyed = 0;
+        while let Some(si) = pending.pop_first() {
+            let tfp = scc_fingerprint(si, fps, &self.scc, cg);
+            let members = cg.scc(si);
+            for &f in members {
+                let i = f.0 as usize;
+                self.func[i] = func_key(config_fp, tfp, fps[i], i);
+            }
+            rekeyed += members.len();
+            if tfp != self.scc[si] {
+                self.scc[si] = tfp;
+                let callers = members.iter().flat_map(|&f| cg.callers(f));
+                pending.extend(callers.map(|&c| cg.scc_of(c)).filter(|&sc| sc != si));
+            }
+        }
+        rekeyed
+    }
+}
+
+/// `tfp(si)` from its members' fingerprints and the already folded
+/// transitive fingerprints `scc` of its callee SCCs.
+fn scc_fingerprint(si: usize, fps: &[u128], scc: &[u128], cg: &CallGraph) -> u128 {
+    let members = cg.scc(si);
+    let mut member_fps: Vec<u128> = members.iter().map(|f| fps[f.0 as usize]).collect();
+    member_fps.sort_unstable();
+    let mut callee_tfps: Vec<u128> = members
+        .iter()
+        .flat_map(|&f| cg.callees(f))
+        .map(|&c| cg.scc_of(c))
+        .filter(|&sc| sc != si)
+        .map(|sc| scc[sc])
+        .collect();
+    callee_tfps.sort_unstable();
+    callee_tfps.dedup();
+    let mut h = Fnv128::new();
+    h.write_u64(member_fps.len() as u64);
+    for fp in member_fps {
+        h.write_u128(fp);
+    }
+    h.write_u64(callee_tfps.len() as u64);
+    for fp in callee_tfps {
+        h.write_u128(fp);
+    }
+    h.finish()
+}
+
+/// The key of function `i`, whose SCC's transitive fingerprint is `tfp`
+/// and whose local fingerprint is `fp`.
+fn func_key(config_fp: u128, tfp: u128, fp: u128, i: usize) -> u128 {
+    let mut h = Fnv128::new();
+    h.write_u128(config_fp);
+    h.write_u128(tfp);
+    h.write_u128(fp);
+    h.write_u32(i as u32);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -234,6 +295,51 @@ mod tests {
             assert_eq!(name, pinned_name, "inputs moved; now:\n{table}");
             assert_eq!(*digest, pinned, "{name}: cache keys moved; now:\n{table}");
         }
+    }
+
+    #[test]
+    fn refold_equals_the_full_fold() {
+        let fuzz =
+            pinpoint_workload::fuzzgen::generate(&pinpoint_workload::fuzzgen::FuzzGenConfig {
+                seed: 3,
+                functions: 60,
+                max_stmts: 10,
+                globals: 2,
+                recursion: true,
+            });
+        // The grammar recurses only directly; add a two-function cycle
+        // with a callee below it and a caller above it.
+        let cycle = "fn leaf(n: int) -> int { return n; }
+            fn even(n: int) -> int { let a: int = odd(n - 1); let b: int = leaf(a); return b; }
+            fn odd(n: int) -> int { let a: int = even(n - 1); return a; }
+            fn top(n: int) -> int { let a: int = even(n); return a; }";
+        let m = pinpoint_ir::compile(&format!("{fuzz}\n{cycle}")).unwrap();
+        let cg = CallGraph::new(&m);
+        assert!(
+            cg.sccs().any(|members| members.len() > 1),
+            "no recursion cycle"
+        );
+        let cfg = config_fp(&PtaConfig::default());
+        let fps = module_fingerprints(&m);
+        let base = FoldedKeys::fold(&fps, cfg, &cg);
+        let n = m.funcs.len();
+        // Every function alone, then pairs far apart, then everything.
+        let mut edits: Vec<Vec<FuncId>> = (0..n).map(|i| vec![FuncId(i as u32)]).collect();
+        edits.extend((0..n / 2).map(|i| vec![FuncId(i as u32), FuncId((n - 1 - i) as u32)]));
+        edits.push((0..n).map(|i| FuncId(i as u32)).collect());
+        for changed in edits {
+            let mut edited = fps.clone();
+            for f in &changed {
+                edited[f.0 as usize] ^= 1;
+            }
+            let mut refolded = base.clone();
+            let keyed = refolded.refold(&edited, &changed, cfg, &cg);
+            assert_eq!(refolded, FoldedKeys::fold(&edited, cfg, &cg), "{changed:?}");
+            let moved = base.func.iter().zip(&refolded.func).filter(|(a, b)| a != b);
+            assert!(keyed >= moved.count() && keyed <= n, "{changed:?}: {keyed}");
+        }
+        // Nothing changed: nothing is refolded.
+        assert_eq!(base.clone().refold(&fps, &[], cfg, &cg), 0);
     }
 
     #[test]

@@ -28,5 +28,5 @@ pub mod keys;
 pub mod store;
 
 pub use codec::{ByteReader, ByteWriter, DecodeError};
-pub use keys::{config_fp, keys_from_fingerprints, module_keys};
+pub use keys::{config_fp, module_keys, FoldedKeys};
 pub use store::{CacheInfo, CacheStats, CacheStore, VerifyOutcome, FORMAT_VERSION, HEADER_LEN};

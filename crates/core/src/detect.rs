@@ -401,15 +401,6 @@ struct SpecContext<'a> {
     config: DetectConfig,
 }
 
-/// Enumerates the property's sources in canonical module order — the
-/// order the merge replays and the query cache is keyed in.
-fn enumerate_sources(module: &Module, property: &ResolvedSpec) -> Vec<(FuncId, SourceSite)> {
-    module
-        .iter_funcs()
-        .flat_map(|(fid, f)| property.sources(f).into_iter().map(move |s| (fid, s)))
-        .collect()
-}
-
 /// Output of one detection pass.
 #[derive(Debug)]
 pub(crate) struct DetectOutput {
@@ -543,8 +534,9 @@ struct Worker<'cx, 'a> {
 /// that are byte-identical for any thread count, with or without the two
 /// optional reuse inputs.
 ///
-/// Sources are enumerated in module order. Each is answered by the first
-/// of three means that applies:
+/// Sources are read from the SEG's source index
+/// ([`ResolvedSpec::sources`]) in module order. Each is answered by the
+/// first of three means that applies:
 ///
 /// 1. `gate` — the whole-program interface summaries
 ///    ([`ModuleSummaries`], forced on demand; `None` only for the
@@ -600,7 +592,9 @@ pub(crate) fn run_spec(
     let keys: &[u128] = a.keys.as_ref().map_or(&[], |k| &k.func);
     let spec_fp = spec_fingerprint(spec, &config);
     let property = ResolvedSpec::new(spec, module);
-    let sources = enumerate_sources(module, &property);
+    // Canonical `(function, site)` order: the merge replays it, and its
+    // seen-set keeps the first claim of a candidate.
+    let sources = property.sources(segs);
     let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
     let mut rerun: Vec<usize> = Vec::new();
     let mut gated = 0u64;

@@ -31,7 +31,7 @@ use crate::seg::ModuleSeg;
 use crate::vfsummary::keys_fingerprint;
 #[cfg(doc)]
 use crate::workspace::Workspace;
-use pinpoint_cache::{config_fp, keys_from_fingerprints, CacheStats, CacheStore};
+use pinpoint_cache::{config_fp, CacheStats, CacheStore, FoldedKeys};
 use pinpoint_ir::frontend::first_error;
 use pinpoint_ir::{
     func_fingerprint, module_fingerprints, CallGraph, CompileError, FuncId, Function, Module,
@@ -399,6 +399,10 @@ pub(crate) struct Keys {
     /// `FuncId`). The query cache validates cone fingerprints against
     /// them, and an update diffs them to find what an edit dirtied.
     pub(crate) func: Vec<u128>,
+    /// The transitive fingerprint of every SCC of the call graph the
+    /// keys were folded over: what an update that keeps the graph
+    /// refolds from.
+    scc: Vec<u128>,
     /// `keys_fingerprint` of [`Keys::func`]: the stamp in-memory
     /// interface summaries are valid under.
     pub(crate) fp: u128,
@@ -444,45 +448,59 @@ impl Slices {
 
 /// Derives the per-function cache keys of the pre-transform `module`
 /// over its call graph, under the `keys` span, recording the stage's
-/// time. `kept` is an update's `(lowered, local fingerprints of the
-/// previous keys)`: a function the update did not lower holds its
-/// previous transformed body, and its fingerprint is the kept one.
+/// time, and returns them with the number of functions keyed. `kept` is
+/// an update's `(lowered, previous keys)`: a function the update did not
+/// lower holds its previous transformed body, and its fingerprint is the
+/// kept one. When `refold` says the update kept the previous call graph,
+/// only the SCCs above a changed fingerprint are refolded
+/// ([`FoldedKeys::refold`]); otherwise every SCC is.
+#[allow(clippy::too_many_arguments)]
 fn derive_keys(
     module: &Module,
-    kept: Option<(&[bool], &[u128])>,
+    kept: Option<(&[bool], &Keys)>,
+    refold: bool,
     slices: Slices,
     callgraph: &CallGraph,
     pta: &PtaConfig,
     trace: &mut TraceBuf,
     stats: &mut PipelineStats,
-) -> Keys {
+) -> (Keys, usize) {
     let t = Instant::now();
-    let (local, func) = trace.span("keys", "", |_| {
-        let local: Vec<u128> = match kept {
-            Some((lowered, fps)) => module
-                .funcs
-                .iter()
-                .zip(lowered.iter().zip(fps))
-                .map(|(f, (&lowered, &fp))| {
-                    if lowered {
-                        func_fingerprint(f, module)
-                    } else {
-                        fp
-                    }
-                })
-                .collect(),
-            None => module_fingerprints(module),
+    let (local, folded, keyed) = trace.span("keys", "", |_| {
+        let Some((lowered, old)) = kept else {
+            let local = module_fingerprints(module);
+            let folded = FoldedKeys::fold(&local, config_fp(pta), callgraph);
+            return (local, folded, module.funcs.len());
         };
-        let func = keys_from_fingerprints(&local, config_fp(pta), callgraph);
-        (local, func)
+        let mut local = old.local.clone();
+        let mut changed = Vec::new();
+        for (i, _) in lowered.iter().enumerate().filter(|(_, &l)| l) {
+            let fp = func_fingerprint(&module.funcs[i], module);
+            if fp != local[i] {
+                local[i] = fp;
+                changed.push(FuncId(i as u32));
+            }
+        }
+        if !refold {
+            let folded = FoldedKeys::fold(&local, config_fp(pta), callgraph);
+            return (local, folded, module.funcs.len());
+        }
+        let mut folded = FoldedKeys {
+            func: old.func.clone(),
+            scc: old.scc.clone(),
+        };
+        let keyed = folded.refold(&local, &changed, config_fp(pta), callgraph);
+        (local, folded, keyed)
     });
     stats.keys_time = t.elapsed();
-    Keys {
-        fp: keys_fingerprint(&func),
-        func,
+    let keys = Keys {
+        fp: keys_fingerprint(&folded.func),
+        func: folded.func,
+        scc: folded.scc,
         local,
         slices,
-    }
+    };
+    (keys, keyed)
 }
 
 /// What an update splices from, beside its module: the previous
@@ -499,6 +517,9 @@ struct Previous<'u, 'src> {
     pta: ModuleAnalysis,
     segs: ModuleSeg,
     keys: Keys,
+    /// The previous call graph, which the update keeps if no lowered
+    /// function changed its row; `None` builds a new one.
+    callgraph: Option<Arc<CallGraph>>,
 }
 
 /// What the build stages produce: the artefact minus its configuration.
@@ -526,7 +547,9 @@ struct Built {
 /// a dirty function not lowered yet is lowered now, a clean one gets its
 /// previous transformed body back, and both stages splice everything
 /// clean from the previous run and analyse only the dirty functions (see
-/// [`pinpoint_pta::incremental`]).
+/// [`pinpoint_pta::incremental`]). The previous call graph is kept when
+/// every lowered function has its previous callee row, and the keys are
+/// then refolded only above the edit.
 fn run_stages(
     mut module: Module,
     slices: Option<Slices>,
@@ -537,13 +560,34 @@ fn run_stages(
     stats: &mut PipelineStats,
 ) -> Built {
     let t = Instant::now();
-    let callgraph = trace.span("callgraph", "", |_| Arc::new(CallGraph::new(&module)));
+    let (callgraph, graph_kept) = trace.span("callgraph", "", |_| {
+        let kept = previous.as_ref().and_then(|p| {
+            let cg = p.callgraph.as_ref()?;
+            let mut lowered = p.lowered.iter().enumerate().filter(|(_, &l)| l);
+            lowered
+                .all(|(i, _)| cg.keeps_callees(FuncId(i as u32), &module.funcs[i]))
+                .then(|| Arc::clone(cg))
+        });
+        match kept {
+            Some(cg) => {
+                debug_assert!(cg.describes(&module), "a kept call graph is the module's");
+                (cg, true)
+            }
+            None => (Arc::new(CallGraph::new(&module)), false),
+        }
+    });
     stats.callgraph_time = t.elapsed();
     stats.keys_time = Duration::ZERO;
-    let kept = previous
-        .as_ref()
-        .map(|p| (p.lowered.as_slice(), p.keys.local.as_slice()));
-    let keys = slices.map(|s| derive_keys(&module, kept, s, &callgraph, config, trace, stats));
+    let kept = previous.as_ref().map(|p| (p.lowered.as_slice(), &p.keys));
+    let (keys, keys_refolded) = match slices {
+        Some(s) => {
+            let (keys, keyed) = derive_keys(
+                &module, kept, graph_kept, s, &callgraph, config, trace, stats,
+            );
+            (Some(keys), keyed)
+        }
+        None => (None, 0),
+    };
     let mut lowered = module.funcs.len();
     // Key diffs are caller-closed: an edit anywhere below a function
     // changes that function's transitive key, so the dirty set needs no
@@ -626,6 +670,8 @@ fn run_stages(
             fell_back: false,
             lowered,
             split_bytes: 0,
+            callgraph_kept: graph_kept,
+            keys_refolded,
         },
     }
 }
@@ -649,6 +695,13 @@ pub struct UpdateOutcome {
     /// range out to the item boundaries around it (see
     /// [`Unit::resplit`]).
     pub split_bytes: usize,
+    /// `true` when no lowered function changed its user callees, so the
+    /// update kept the previous call graph.
+    pub callgraph_kept: bool,
+    /// Functions the update derived new keys for: those in the SCCs above
+    /// a changed fingerprint when the call graph was kept, every function
+    /// otherwise.
+    pub keys_refolded: usize,
 }
 
 /// The immutable Pinpoint analysis artefact, ready to be queried.
@@ -838,6 +891,7 @@ impl Analysis {
             pta,
             segs,
             keys,
+            callgraph: Some(Arc::clone(&self.callgraph)),
         });
         let built = run_stages(
             module,
@@ -889,6 +943,7 @@ impl Analysis {
             pta,
             segs: std::mem::take(&mut self.segs),
             keys: old,
+            callgraph: None,
         });
         let built = run_stages(
             module,

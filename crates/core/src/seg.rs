@@ -22,16 +22,19 @@
 //!
 //! The SEG also indexes everything the demand-driven global analysis
 //! (§3.3) needs at function boundaries: actual-argument uses, call
-//! receivers, return positions, and call sites.
+//! receivers, return positions, and call sites. [`ModuleSeg`] adds the
+//! source index: the sites a checker's source spec can name, so a check
+//! finds its sources without scanning the module.
 
 // Every table below is indexed by an id that is already dense; a hash
 // container here would reintroduce per-process iteration order and a
 // heap allocation per key (see `clippy.toml`).
 #![deny(clippy::disallowed_types)]
 
+use crate::spec::SourceSite;
 use pinpoint_ir::{
-    BlockId, Cfg, ControlDeps, DomTree, FuncId, Function, Gating, GlobalId, Inst, InstId, Module,
-    PostDomTree, ValueId,
+    BlockId, Cfg, Const, ControlDeps, DomTree, FuncId, Function, Gating, GlobalId, Inst, InstId,
+    Intrinsic, Module, PostDomTree, ValueId,
 };
 use pinpoint_obs::TraceBuf;
 use pinpoint_pta::{FuncPta, MemDep, Symbols};
@@ -119,6 +122,32 @@ struct CallRecord {
     start: u32,
     args: u32,
     dsts: u32,
+}
+
+/// What makes an instruction a source site a checker can name, besides
+/// a call of a user function (those are [`ModuleSeg::callers`]): a row
+/// of the source index ([`ModuleSeg::source_sites`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SiteKind {
+    /// A `null` constant; the site's value is the constant.
+    Null,
+    /// A call of `free`; the value is its first argument.
+    Freed,
+    /// A call of an intrinsic; the value is its first receiver.
+    Received(Intrinsic),
+}
+
+impl SiteKind {
+    /// Number of rows of the source index.
+    const ROWS: usize = 2 + Intrinsic::ALL.len();
+
+    fn row(self) -> usize {
+        match self {
+            SiteKind::Null => 0,
+            SiteKind::Freed => 1,
+            SiteKind::Received(i) => 2 + i as usize,
+        }
+    }
 }
 
 fn to_u32(n: usize) -> u32 {
@@ -340,13 +369,15 @@ fn dedup_keep_last<T>(table: &mut Vec<T>, key: impl Fn(&T) -> ValueId) {
 }
 
 impl Seg {
-    /// Builds the SEG of `f` (function `fid`) from its points-to result.
+    /// Builds the SEG of `f` (function `fid`) from its points-to result,
+    /// appending `f`'s source sites to `sources` in site order.
     pub fn build(
         arena: &mut TermArena,
         symbols: &mut Symbols,
         fid: FuncId,
         f: &Function,
         pta: &FuncPta,
+        sources: &mut Vec<(SiteKind, SourceSite)>,
     ) -> Self {
         let cfg = Cfg::new(f);
         let pdt = PostDomTree::new(f, &cfg);
@@ -396,11 +427,24 @@ impl Seg {
                     edge(*rhs, *dst, tru, EdgeKind::Transform);
                 }
                 Inst::Un { dst, operand, .. } => edge(*operand, *dst, tru, EdgeKind::Transform),
+                Inst::Const {
+                    dst,
+                    value: Const::Null,
+                } => sources.push((SiteKind::Null, SourceSite { value: *dst, site })),
                 Inst::Call { callee, .. } => {
-                    let Some(callee) = callee.as_func() else {
-                        continue; // an intrinsic
-                    };
                     let call = inst.as_call().expect("a call");
+                    let Some(callee) = callee.as_func() else {
+                        let intrinsic = callee.as_intrinsic().expect("an intrinsic");
+                        let freed = call.args.first().filter(|_| intrinsic == Intrinsic::Free);
+                        if let Some(&value) = freed {
+                            sources.push((SiteKind::Freed, SourceSite { value, site }));
+                        }
+                        if let Some(&value) = call.dsts.first() {
+                            let kind = SiteKind::Received(intrinsic);
+                            sources.push((kind, SourceSite { value, site }));
+                        }
+                        continue;
+                    };
                     parts.push_call(CallSite {
                         site,
                         callee,
@@ -544,6 +588,9 @@ pub struct ModuleSeg {
     /// Call sites of each function, a row per callee `FuncId`:
     /// `(caller, site)` in ascending order.
     callers: Rows<(FuncId, InstId)>,
+    /// The source index: every site of each [`SiteKind`], a row per
+    /// kind, `(function, site)` in ascending order.
+    sources: Vec<Vec<(FuncId, SourceSite)>>,
     /// Cross-function global-cell flows: for each global, the stores into
     /// it and the loads out of it. Ordered maps: the detection search
     /// iterates them whole, so their order feeds DFS exploration order
@@ -578,10 +625,11 @@ impl ModuleSeg {
     /// `seg.func` span per function built), then the module-level indexes.
     ///
     /// `reuse` provides an edit's previous graphs plus the functions that
-    /// must be rebuilt; every other graph is spliced. A spliced graph
-    /// keeps the callee ids it was built with, so the old build's module
-    /// must have had the same functions in the same order. Module-level
-    /// indexes are recomputed from the whole set (cheap relative to graph
+    /// must be rebuilt; every other graph, and its rows of the source
+    /// index, is spliced. A spliced graph keeps the callee ids it was
+    /// built with, so the old build's module must have had the same
+    /// functions in the same order. The other module-level indexes are
+    /// recomputed from the whole set (cheap relative to graph
     /// construction).
     pub fn build_reusing(
         module: &Module,
@@ -591,6 +639,7 @@ impl ModuleSeg {
         reuse: Option<(ModuleSeg, &[FuncId])>,
         trace: &mut TraceBuf,
     ) -> Self {
+        let mut sources = vec![Vec::new(); SiteKind::ROWS];
         let mut old_segs: Option<Vec<Option<Seg>>> = reuse.map(|(old, dirty)| {
             let mut segs: Vec<Option<Seg>> = old.segs.into_iter().map(Some).collect();
             for f in dirty {
@@ -598,26 +647,50 @@ impl ModuleSeg {
                     *slot = None;
                 }
             }
+            sources = old.sources;
+            for row in &mut sources {
+                row.retain(|(f, _)| segs.get(f.0 as usize).is_some_and(Option::is_some));
+            }
             segs
         });
+        let splicing = old_segs.is_some();
         let mut segs = Vec::with_capacity(module.funcs.len());
+        let mut own: Vec<(SiteKind, SourceSite)> = Vec::new();
         for (fid, f) in module.iter_funcs() {
             let spliced = old_segs
                 .as_mut()
                 .and_then(|old| old.get_mut(fid.0 as usize)?.take());
             let seg = spliced.unwrap_or_else(|| {
-                trace.span("seg.func", f.name.as_str(), |_| {
-                    Seg::build(arena, symbols, fid, f, &pta[fid.0 as usize])
-                })
+                let seg = trace.span("seg.func", f.name.as_str(), |_| {
+                    Seg::build(arena, symbols, fid, f, &pta[fid.0 as usize], &mut own)
+                });
+                for (kind, site) in own.drain(..) {
+                    sources[kind.row()].push((fid, site));
+                }
+                seg
             });
             segs.push(seg);
         }
-        Self::assemble(module, segs, pta)
+        for row in &mut sources {
+            // Rebuilt sites arrive in `(function, site)` order, after the
+            // spliced ones.
+            if splicing {
+                row.sort_by_key(|&(f, s)| (f, s.site));
+            }
+            row.shrink_to_fit();
+        }
+        Self::assemble(module, segs, sources, pta)
     }
 
     /// Computes the module-level indexes (callers, global channels,
-    /// vertex/edge totals) over finished per-function graphs.
-    fn assemble(module: &Module, segs: Vec<Seg>, pta: &[FuncPta]) -> Self {
+    /// vertex/edge totals) over finished per-function graphs and their
+    /// source index.
+    fn assemble(
+        module: &Module,
+        segs: Vec<Seg>,
+        sources: Vec<Vec<(FuncId, SourceSite)>>,
+        pta: &[FuncPta],
+    ) -> Self {
         // Functions in id order, each function's sites in order: every
         // callee's row comes out sorted by `(caller, site)`.
         let (mut targets, mut sites) = (Vec::new(), Vec::new());
@@ -653,6 +726,7 @@ impl ModuleSeg {
         ModuleSeg {
             segs,
             callers,
+            sources,
             global_stores,
             global_loads,
             global_store_values,
@@ -664,6 +738,12 @@ impl ModuleSeg {
     /// The call sites of `f`: `(caller, site)` in ascending order.
     pub fn callers(&self, f: FuncId) -> &[(FuncId, InstId)] {
         self.callers.row(f.0 as usize)
+    }
+
+    /// The sites of `kind` in every function: `(function, site)` in
+    /// ascending order, the order a scan of the module meets them in.
+    pub fn source_sites(&self, kind: SiteKind) -> &[(FuncId, SourceSite)] {
+        self.sources.get(kind.row()).map_or(&[], Vec::as_slice)
     }
 
     /// The values `f` stores into global cells (sorted, distinct): the
@@ -683,7 +763,9 @@ impl ModuleSeg {
 
     /// Bytes of heap the per-function graphs and the callers index hold,
     /// counted from table lengths: the Fig. 8 memory figure as a counter
-    /// that is the same for every thread count and allocator.
+    /// that is the same for every thread count and allocator. The source
+    /// index is a checker's lookup table, not part of the graph, and is
+    /// not counted.
     pub fn heap_bytes(&self) -> usize {
         self.segs.len() * size_of::<Seg>()
             + self.segs.iter().map(Seg::heap_bytes).sum::<usize>()

@@ -23,7 +23,8 @@
 //! against a module once per query, so matching a call compares callee
 //! ids.
 
-use pinpoint_ir::{intrinsics, Callee, Const, Function, Inst, InstId, Intrinsic, Module, ValueId};
+use crate::seg::{ModuleSeg, SiteKind};
+use pinpoint_ir::{intrinsics, Callee, FuncId, Function, Inst, InstId, Intrinsic, Module, ValueId};
 use std::fmt;
 
 /// The property a checker looks for.
@@ -233,30 +234,67 @@ impl<'a> ResolvedSpec<'a> {
         }
     }
 
-    /// Extracts the source vertices of the spec in `f`.
-    pub fn sources(&self, f: &Function) -> Vec<SourceSite> {
+    /// The source vertices of the spec in every function, read from the
+    /// SEG's source index and the callers of its user-function callees:
+    /// `(function, site)` ascending, the order a scan of the module
+    /// meets them in (the tests keep that scan as
+    /// `ResolvedSpec::reference_sources`).
+    pub fn sources(&self, segs: &ModuleSeg) -> Vec<(FuncId, SourceSite)> {
+        let callees = match &self.spec.source {
+            SourceSpec::FreeArgument => return segs.source_sites(SiteKind::Freed).to_vec(),
+            SourceSpec::NullConstant => return segs.source_sites(SiteKind::Null).to_vec(),
+            SourceSpec::CallReceiver(_) => &self.source_calls,
+        };
         let mut out = Vec::new();
-        for (site, inst) in f.iter_insts() {
-            let value = match (&self.spec.source, inst) {
-                (SourceSpec::FreeArgument, _) => inst
-                    .as_call()
-                    .filter(|c| c.callee.is(Intrinsic::Free))
-                    .and_then(|c| c.args.first()),
-                (SourceSpec::CallReceiver(_), _) => inst
-                    .as_call()
-                    .filter(|c| self.source_calls.contains(&c.callee))
-                    .and_then(|c| c.dsts.first()),
-                (
-                    SourceSpec::NullConstant,
-                    Inst::Const {
-                        dst,
-                        value: Const::Null,
-                    },
-                ) => Some(dst),
-                _ => None,
+        for callee in callees {
+            let Some(f) = callee.as_func() else {
+                let intrinsic = callee.as_intrinsic().expect("an intrinsic");
+                out.extend_from_slice(segs.source_sites(SiteKind::Received(intrinsic)));
+                continue;
             };
-            if let Some(&value) = value {
-                out.push(SourceSite { value, site });
+            out.extend(segs.callers(f).iter().filter_map(|&(caller, site)| {
+                let call = segs.seg(caller).call_site(site)?;
+                let value = *call.dsts.first()?;
+                Some((caller, SourceSite { value, site }))
+            }));
+        }
+        // Each callee's sites ascend; a site has one callee, and a name
+        // listed twice resolves twice.
+        if callees.len() > 1 {
+            out.sort_by_key(|&(f, s)| (f, s.site));
+            out.dedup();
+        }
+        out
+    }
+
+    /// The scan [`ResolvedSpec::sources`] replaces, kept as its oracle:
+    /// every instruction of every function, in module order.
+    #[cfg(test)]
+    pub(crate) fn reference_sources(&self, module: &Module) -> Vec<(FuncId, SourceSite)> {
+        let mut out = Vec::new();
+        for (fid, f) in module.iter_funcs() {
+            for (site, inst) in f.iter_insts() {
+                let value = match (&self.spec.source, inst) {
+                    (SourceSpec::FreeArgument, _) => inst
+                        .as_call()
+                        .filter(|c| c.callee.is(Intrinsic::Free))
+                        .and_then(|c| c.args.first()),
+                    (SourceSpec::CallReceiver(_), _) => inst
+                        .as_call()
+                        .filter(|c| self.source_calls.contains(&c.callee))
+                        .and_then(|c| c.dsts.first()),
+                    (
+                        SourceSpec::NullConstant,
+                        Inst::Const {
+                            dst,
+                            value: pinpoint_ir::Const::Null,
+                        },
+                    ) => Some(dst),
+                    _ => None,
+                };
+                if let Some(&value) = value {
+                    out.push((fid, SourceSite { value, site }));
+                }
             }
         }
         out
@@ -300,12 +338,6 @@ impl<'a> ResolvedSpec<'a> {
     }
 }
 
-/// Extracts the source vertices of built-in checker `kind` in function
-/// `f` of `module`.
-pub fn sources(kind: CheckerKind, module: &Module, f: &Function) -> Vec<SourceSite> {
-    ResolvedSpec::new(&kind.spec(), module).sources(f)
-}
-
 /// `true` for loads/stores inserted by the Fig. 3 connector
 /// transformation: they move values between memory and the function
 /// interface and are not programmer-written dereferences, so they must
@@ -331,10 +363,66 @@ pub fn sinks(kind: CheckerKind, module: &Module, f: &Function) -> Vec<SinkSite> 
     ResolvedSpec::new(&kind.spec(), module).sinks(f)
 }
 
+/// Asserts that [`ResolvedSpec::sources`] gives what the scan gives, in
+/// the same order, on `module` and its SEGs for the built-in specs and
+/// for custom receiver specs naming a user function (one some call
+/// receives from), an intrinsic, and both with a name listed twice.
+/// Returns whether some function had sources in several blocks, the case
+/// in which only `(function, site)` order passes.
+#[cfg(test)]
+pub(crate) fn assert_source_index_matches_scan(
+    module: &Module,
+    segs: &ModuleSeg,
+    what: &str,
+) -> bool {
+    let user = module
+        .iter_funcs()
+        .flat_map(|(_, f)| f.iter_insts())
+        .find_map(|(_, inst)| {
+            let call = inst.as_call().filter(|c| !c.dsts.is_empty())?;
+            Some(module.func(call.callee.as_func()?).name.clone())
+        });
+    let receiver = |name: &str, names: Vec<String>| Spec {
+        name: name.into(),
+        source: SourceSpec::CallReceiver(names),
+        sink: SinkSpec::Derefs,
+        traverses_transforms: false,
+    };
+    let mut specs: Vec<Spec> = CheckerKind::ALL.map(CheckerKind::spec).into();
+    specs.push(receiver("user", user.iter().cloned().collect()));
+    specs.push(receiver("intrinsic", vec![intrinsics::NONDET_INT.into()]));
+    let mixed = [
+        user.as_deref(),
+        Some(intrinsics::NONDET_INT),
+        Some(intrinsics::FGETC),
+        user.as_deref(),
+    ];
+    specs.push(receiver(
+        "mixed",
+        mixed.into_iter().flatten().map(String::from).collect(),
+    ));
+    let mut several_blocks = false;
+    for spec in &specs {
+        let resolved = ResolvedSpec::new(spec, module);
+        let scan = resolved.reference_sources(module);
+        assert_eq!(resolved.sources(segs), scan, "{what}: {}", spec.name);
+        several_blocks |= scan
+            .windows(2)
+            .any(|w| w[0].0 == w[1].0 && w[0].1.site.block != w[1].1.site.block);
+    }
+    several_blocks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Analysis;
     use pinpoint_ir::compile;
+
+    /// The sources of built-in checker `kind` in `module`, by the scan.
+    fn sources(kind: CheckerKind, module: &Module) -> Vec<(FuncId, SourceSite)> {
+        ResolvedSpec::new(&kind.spec(), module).reference_sources(module)
+    }
 
     #[test]
     fn uaf_sources_and_sinks() {
@@ -349,7 +437,7 @@ mod tests {
         )
         .unwrap();
         let f = &m.funcs[0];
-        let srcs = sources(CheckerKind::UseAfterFree, &m, f);
+        let srcs = sources(CheckerKind::UseAfterFree, &m);
         assert_eq!(srcs.len(), 2, "both frees are sources");
         let sks = sinks(CheckerKind::UseAfterFree, &m, f);
         let derefs = sks.iter().filter(|s| s.role == SinkRole::Deref).count();
@@ -370,9 +458,9 @@ mod tests {
         )
         .unwrap();
         let f = &m.funcs[0];
-        assert_eq!(sources(CheckerKind::PathTraversal, &m, f).len(), 1);
+        assert_eq!(sources(CheckerKind::PathTraversal, &m).len(), 1);
         assert_eq!(sinks(CheckerKind::PathTraversal, &m, f).len(), 1);
-        assert!(sources(CheckerKind::DataTransmission, &m, f).is_empty());
+        assert!(sources(CheckerKind::DataTransmission, &m).is_empty());
     }
 
     #[test]
@@ -386,7 +474,7 @@ mod tests {
         )
         .unwrap();
         let f = &m.funcs[0];
-        assert_eq!(sources(CheckerKind::DataTransmission, &m, f).len(), 1);
+        assert_eq!(sources(CheckerKind::DataTransmission, &m).len(), 1);
         assert_eq!(sinks(CheckerKind::DataTransmission, &m, f).len(), 1);
     }
 
@@ -401,8 +489,72 @@ mod tests {
         )
         .unwrap();
         let f = &m.funcs[0];
-        assert_eq!(sources(CheckerKind::NullDeref, &m, f).len(), 1);
+        assert_eq!(sources(CheckerKind::NullDeref, &m).len(), 1);
         assert_eq!(sinks(CheckerKind::NullDeref, &m, f).len(), 1);
+    }
+
+    #[test]
+    fn source_index_matches_the_scan_on_corpus() {
+        let dir = format!("{}/../../tests/corpus", env!("CARGO_MANIFEST_DIR"));
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "pp"))
+            .collect();
+        paths.sort();
+        assert_eq!(paths.len(), 22, "corpus moved");
+        for path in paths {
+            let a = Analysis::from_source(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            assert_source_index_matches_scan(&a.module, &a.segs, &path.display().to_string());
+        }
+    }
+
+    #[test]
+    fn source_index_interleaves_callees_in_site_order() {
+        // The mixed spec's sources alternate between `src` and
+        // `nondet_int` across three blocks of `f`.
+        let a = Analysis::from_source(
+            "fn src() -> int { let v: int = nondet_int(); return v; }
+             fn f(c: bool) {
+                let a: int = src();
+                if (c) {
+                    let b: int = nondet_int();
+                    print(b);
+                    let p: int* = null;
+                    free(p);
+                }
+                let d: int = src();
+                let e: int = nondet_int();
+                print(a + d + e);
+                return;
+             }",
+        )
+        .unwrap();
+        assert!(assert_source_index_matches_scan(
+            &a.module,
+            &a.segs,
+            "interleaved"
+        ));
+    }
+
+    #[test]
+    fn source_index_matches_the_scan_on_fuzzgen_seeds() {
+        use pinpoint_workload::fuzzgen::{generate, FuzzGenConfig};
+        let mut several_blocks = false;
+        for seed in 13..=24 {
+            // `gen_project --fuzz --kloc 1`.
+            let src = generate(&FuzzGenConfig {
+                seed,
+                functions: 1000 / 18,
+                max_stmts: 10,
+                globals: 4,
+                recursion: true,
+            });
+            let a = Analysis::from_source(&src).unwrap();
+            let what = format!("seed {seed}");
+            several_blocks |= assert_source_index_matches_scan(&a.module, &a.segs, &what);
+        }
+        assert!(several_blocks, "no function has sources in several blocks");
     }
 
     #[test]

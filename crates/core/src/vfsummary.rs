@@ -667,9 +667,10 @@ mod tests {
         let mut sums = ModuleSummaries::new(m.funcs.len());
         let fid = m.func_by_name(func).unwrap();
         ResolvedSpec::new(spec, m)
-            .sources(m.func(fid))
+            .sources(segs)
             .into_iter()
-            .map(|s| sums.source_fruitful(&cx, fid, s))
+            .filter(|&(f, _)| f == fid)
+            .map(|(_, s)| sums.source_fruitful(&cx, fid, s))
             .collect()
     }
 

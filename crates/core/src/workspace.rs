@@ -126,6 +126,12 @@ pub struct WorkspaceCounters {
     /// Bytes the splits of [`Workspace::update_source`] calls lexed (see
     /// [`UpdateOutcome::split_bytes`]).
     pub split_bytes: u64,
+    /// [`Workspace::update_source`] calls that kept the previous call
+    /// graph (see [`UpdateOutcome::callgraph_kept`]).
+    pub callgraph_kept: u64,
+    /// Functions [`Workspace::update_source`] calls derived new keys for
+    /// (see [`UpdateOutcome::keys_refolded`]).
+    pub keys_refolded: u64,
 }
 
 /// The analysis engine every query goes through: an [`Analysis`], held
@@ -472,6 +478,8 @@ impl<A: Borrow<Analysis>> Workspace<A> {
             m.counter_add("workspace.queries.reused", self.counters.queries_reused);
             m.counter_add("workspace.queries.rerun", self.counters.queries_rerun);
             m.counter_add("workspace.funcs.dirty", self.counters.funcs_dirty);
+            m.counter_add("workspace.callgraph.kept", self.counters.callgraph_kept);
+            m.counter_add("workspace.keys.refolded", self.counters.keys_refolded);
             m.counter_add("workspace.funcs.reused", self.counters.funcs_reused);
             m.counter_add("workspace.funcs.lowered", self.counters.funcs_lowered);
             m.counter_add("workspace.split.bytes", self.counters.split_bytes);
@@ -549,6 +557,8 @@ impl Workspace {
         self.counters.funcs_reused += outcome.reused as u64;
         self.counters.funcs_lowered += outcome.lowered as u64;
         self.counters.split_bytes += outcome.split_bytes as u64;
+        self.counters.callgraph_kept += u64::from(outcome.callgraph_kept);
+        self.counters.keys_refolded += outcome.keys_refolded as u64;
         outcome
     }
 
@@ -601,6 +611,7 @@ impl AnalysisBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     const UAF: &str = "fn helper(q: int*) { free(q); return; }
         fn main() {
@@ -989,6 +1000,41 @@ fn main(c: bool) {
             },
             Some(0),
         );
+        // Call-structure edits: the call graph changes although the
+        // function set does not. `stash` and `user_a` have `main` as their
+        // one caller, and `lone` none.
+        push(
+            "call-added",
+            &|s| edit(s, "*cell = p; return;", "*cell = p; lone(1); return;"),
+            Some(2),
+        );
+        push(
+            "call-removed",
+            &|s| edit(s, "let a: int = helper(p);", "let a: int = *p;"),
+            Some(2),
+        );
+        push(
+            "cycle-closed",
+            &|s| {
+                edit(
+                    s,
+                    "-> bool { return c > 0; }",
+                    "-> bool { let p: int* = malloc(); stash(p); return c > 0; }",
+                )
+            },
+            Some(3),
+        );
+        push(
+            "cycle-broken",
+            &|s| {
+                edit(
+                    s,
+                    "-> bool { let p: int* = malloc(); stash(p); return c > 0; }",
+                    "-> bool { return c > 0; }",
+                )
+            },
+            Some(3),
+        );
         push("unchanged", &|s| s.to_string(), Some(0));
         steps
     }
@@ -1036,6 +1082,8 @@ fn main(c: bool) {
             for (step, src, lowered) in edit_script() {
                 let before = snapshot(&mut ws);
                 assert_eq!(snapshot(&mut reference), before);
+                let graph = Arc::clone(&ws.analysis().callgraph);
+                let keys = ws.func_keys().to_vec();
                 let got = ws.update_source(&src);
                 let want = reference.update_source_whole_file(&src);
                 let at = format!("{step} at {threads} threads");
@@ -1046,12 +1094,37 @@ fn main(c: bool) {
                         assert_eq!(got.lowered, lowered.unwrap_or(n), "{at}: {got:?}");
                         assert_eq!(want.lowered, n, "{at}");
                         assert!(got.split_bytes <= src.len(), "{at}: {got:?}");
+                        // The graph is kept exactly when the reference
+                        // builds an equal one over the same functions.
+                        let same_graph = *graph == *reference.analysis().callgraph;
+                        assert_eq!(got.callgraph_kept, !got.fell_back && same_graph, "{at}");
+                        if got.callgraph_kept {
+                            let rekeyed = (keys.iter().zip(ws.func_keys()))
+                                .filter(|(a, b)| a != b)
+                                .count();
+                            assert!(got.keys_refolded >= rekeyed, "{at}: {got:?}");
+                        } else {
+                            assert_eq!(got.keys_refolded, n, "{at}: {got:?}");
+                        }
+                        match step {
+                            "body" => {
+                                assert_eq!((got.callgraph_kept, got.keys_refolded), (true, 1))
+                            }
+                            s if s.starts_with("call-") || s.starts_with("cycle-") => {
+                                assert!(!got.callgraph_kept, "{at}")
+                            }
+                            _ => {}
+                        }
                         let whole = UpdateOutcome {
                             lowered: n,
                             split_bytes: src.len(),
+                            callgraph_kept: false,
+                            keys_refolded: n,
                             ..got
                         };
                         assert_eq!(whole, want, "{at}");
+                        let a = ws.analysis();
+                        crate::spec::assert_source_index_matches_scan(&a.module, &a.segs, &at);
                     }
                     (Err(got), Err(want)) => {
                         assert!(step.starts_with("error"), "{at}: {got}");
@@ -1078,6 +1151,10 @@ fn main(c: bool) {
     fn stats_json_exports_workspace_family() {
         let mut ws = Workspace::open(UAF).unwrap();
         ws.query(&Query::All).into_reports();
+        // A body edit of `main`, the one caller of `helper`: the graph is
+        // kept, and only `main`'s SCC is refolded.
+        ws.update_source(&UAF.replace("print(x);", "print(x); print(x);"))
+            .unwrap();
         ws.query(&Query::All).into_reports();
         let json = ws.stats_json(true);
         // Families are nested by their first dot segment in the document.
@@ -1085,6 +1162,8 @@ fn main(c: bool) {
         assert!(json.contains("\"queries.reused\""), "{json}");
         assert!(json.contains("\"queries.rerun\""), "{json}");
         assert!(json.contains("\"funcs.dirty\""), "{json}");
+        assert!(json.contains("\"callgraph.kept\":1"), "{json}");
+        assert!(json.contains("\"keys.refolded\":1"), "{json}");
         assert!(json.contains("\"funcs.reused\""), "{json}");
         assert!(json.contains("\"funcs.lowered\""), "{json}");
         assert!(json.contains("\"split.bytes\""), "{json}");

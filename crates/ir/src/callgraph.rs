@@ -11,7 +11,7 @@
 //! SCC members), so a hub function with tens of thousands of callers —
 //! an allocator wrapper, say — costs what its edges cost and no more.
 
-use crate::ir::{FuncId, Inst, Module};
+use crate::ir::{FuncId, Function, Inst, Module};
 use std::collections::HashSet;
 
 /// Adjacency in compressed-sparse-row form: row `i` is
@@ -121,6 +121,28 @@ impl CallGraph {
     /// (intrinsics excluded).
     pub fn callees(&self, f: FuncId) -> &[FuncId] {
         self.callees.row(f.0 as usize)
+    }
+
+    /// `true` if `body`, as function `f`, has `f`'s row of this graph:
+    /// the same distinct user-defined callees in the same
+    /// first-occurrence order. The graph is a function of these rows
+    /// alone, so over the same function set it is still the graph of a
+    /// module whose changed bodies all keep their rows.
+    pub fn keeps_callees(&self, f: FuncId, body: &Function) -> bool {
+        let mut row = self.callees(f).iter();
+        let mut seen: HashSet<FuncId> = HashSet::new();
+        for (_, inst) in body.iter_insts() {
+            let Inst::Call { callee, .. } = inst else {
+                continue;
+            };
+            let Some(target) = callee.as_func() else {
+                continue;
+            };
+            if seen.insert(target) && row.next() != Some(&target) {
+                return false;
+            }
+        }
+        row.next().is_none()
     }
 
     /// Distinct callers of `f`, ascending.
