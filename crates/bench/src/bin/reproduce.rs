@@ -612,8 +612,7 @@ fn ablations() {
 
     // (a2) VF summaries on/off (§3.3.2 compositionality): the freed
     // pointer is handed to many helpers, only one of which can sink it;
-    // the summaries gate sources that meet no sink and let the search
-    // skip entering the harmless helpers.
+    // the summaries let the search skip entering the harmless helpers.
     let mut helpers = String::new();
     let mut calls = String::new();
     for i in 0..40 {
@@ -636,11 +635,10 @@ fn ablations() {
         let (n, m) = measure(|| uaf(&mut session).len());
         let det = session.stats().detect;
         println!(
-            "VF summaries (gate + descents) {:>3}: {n} reports, {} vertices visited, \
-             {} sources gated, {} descents skipped, detect {}",
+            "VF summaries (descents) {:>3}: {n} reports, {} vertices visited, \
+             {} descents skipped, detect {}",
             if use_summaries { "ON" } else { "OFF" },
             det.visited,
-            det.summary_gated,
             det.skipped_descents,
             fmt_dur(m.time)
         );

@@ -3,9 +3,8 @@
 //! A function's analysis result is unchanged exactly when every input of
 //! its analysis is unchanged, and the key is a hash of those inputs — so
 //! diffing two builds' keys finds what an edit dirtied
-//! (`Workspace::update_source`), a query-cache entry is valid while
-//! the keys of the functions its search visited are, and a fold over all
-//! of them stamps the in-memory interface summaries. The inputs are:
+//! (`Workspace::update_source`), and a query-cache entry is valid while
+//! the keys of the functions its search visited are. The inputs are:
 //!
 //! * its own lowered body ([`pinpoint_ir::func_fingerprint`]);
 //! * the summary shapes of its transitive callees — covered by a

@@ -9,6 +9,9 @@
 //! crossing reuses the callee's memoised constraints instead of
 //! re-analysing it (the VF/RV summaries of §3.3.2 correspond to the edges
 //! this search follows and the closures [`crate::cond`] instantiates).
+//! Every source is searched; the interface summaries of
+//! [`crate::vfsummary`] are read only inside a search, to skip a descent
+//! into a callee formal that can reach no sink, global store or return.
 //!
 //! A completed source→sink path is turned into an *efficient path
 //! condition* (Eq. 1–3) and handed to the SMT solver; only satisfiable
@@ -21,8 +24,10 @@
 use crate::cond::{CondBuilder, CondConfig, CtxId, CtxInterner, ROOT};
 use crate::driver::Analysis;
 use crate::seg::{EdgeKind, ModuleSeg, SegEdge};
-use crate::spec::{CheckerKind, ResolvedSpec, SinkRole, SinkSite, SourceSite, Spec};
-use crate::vfsummary::{summary_fingerprint, ModuleSummaries, SummaryCx};
+use crate::spec::{
+    CheckerKind, ResolvedSpec, SinkRole, SinkSite, SinkSpec, SourceSite, SourceSpec, Spec,
+};
+use crate::vfsummary::{ModuleSummaries, SummaryCx};
 use pinpoint_ir::{CallGraph, Cfg, DomTree, FuncId, GlobalId, InstId, Module, ValueId};
 use pinpoint_obs::{QueryCost, QueryOutcome, QueryRecord, TraceBuf};
 use pinpoint_pta::Symbols;
@@ -51,10 +56,9 @@ pub struct DetectConfig {
     /// condition, recording how many of the SMT-refuted conditions it
     /// would have caught (the §3.1.1 "easy constraints" measurement).
     pub measure_linear: bool,
-    /// Use the compositional VF summaries (§3.3.2): gate sources that
-    /// cannot meet a sink and prune descents into callees that cannot
-    /// contribute. `false` is the summary-free reference search, which
-    /// reports byte-identically.
+    /// Use the compositional VF summaries (§3.3.2) to prune descents into
+    /// callee formals that cannot contribute. `false` is the summary-free
+    /// reference search, which reports byte-identically.
     pub use_summaries: bool,
 }
 
@@ -166,15 +170,10 @@ pub struct DetectStats {
     /// Incremental solver sessions that performed at least one solve
     /// (one session per source search that missed the verdict table).
     pub sessions: u64,
-    /// Sources the whole-program summary gate proved fruitless and
-    /// answered with an empty outcome, no search run.
+    /// Always zero: the source gate it counted is gone, and every source
+    /// is searched. Kept only because the frozen `pinbench` probe reads
+    /// it; the benchmark-only change of ROADMAP item 1 removes it.
     pub summary_gated: u64,
-    /// Function interface summaries the gate demanded and computed. One
-    /// already forced by an earlier query of the same session or
-    /// workspace costs nothing and counts nowhere.
-    pub summary_built: u64,
-    /// Interface edges composed at call sites while computing summaries.
-    pub summary_composed: u64,
 }
 
 /// A calling-stack frame to return into: (caller func, caller ctx, call
@@ -376,9 +375,7 @@ struct SourceOutcome {
 
 impl SourceOutcome {
     /// The outcome of a source in `fid` before its search runs: no
-    /// events, no verdicts, no cost, a cone of `fid` alone. A source the
-    /// summary gate proves fruitless keeps exactly this — what the demand
-    /// search would have produced, minus the walking.
+    /// events, no verdicts, no cost, a cone of `fid` alone.
     fn new(fid: FuncId) -> Self {
         SourceOutcome {
             cone: vec![fid],
@@ -407,8 +404,8 @@ pub(crate) struct DetectOutput {
     pub reports: Vec<Report>,
     /// Per-query attribution, ids in replay order from 0.
     pub queries: Vec<QueryRecord>,
-    /// The query-cache split of the sources that were not gated (without
-    /// a cache, every one of them counts as re-run).
+    /// The query-cache split of the sources (without a cache, every one
+    /// of them counts as re-run).
     pub reuse: QueryReuse,
     /// Verdicts newly solved during the pass (fingerprint → verdict).
     pub new_verdicts: Vec<(u128, Verdict)>,
@@ -531,28 +528,21 @@ struct Worker<'cx, 'a> {
 
 /// Runs one property over the artefact `a` with `threads` workers, merging
 /// per-source outcomes into reports and statistics (added onto `stats`)
-/// that are byte-identical for any thread count, with or without the two
-/// optional reuse inputs.
+/// that are byte-identical for any thread count, with or without the
+/// optional query cache.
 ///
 /// Sources are read from the SEG's source index
 /// ([`ResolvedSpec::sources`]) in module order. Each is answered by the
-/// first of three means that applies:
+/// first of two means that applies:
 ///
-/// 1. `gate` — the whole-program interface summaries
-///    ([`ModuleSummaries`], forced on demand; `None` only for the
-///    summary-free reference search): a source the gate proves
-///    fruitless gets a synthesised empty outcome. Gated sources bypass
-///    the query cache entirely (a cached cone would not cover the summary
-///    consultations the gate made) and count in
-///    [`DetectStats::summary_gated`], not in the [`QueryReuse`] split;
-/// 2. `cache` — the per-source [`QueryCache`], validated against the
+/// 1. `cache` — the per-source [`QueryCache`], validated against the
 ///    artefact's current per-function transitive fingerprint keys: a
 ///    source whose recomputed [`cone_fingerprint`] still matches its
 ///    entry replays the cached outcome, including the verdict counters
 ///    and costs recorded when it was computed (its verdict snapshot may
 ///    predate the current one), so solver-side statistics reflect the
 ///    work actually performed, not a hypothetical fresh run;
-/// 3. the demand-driven search: the remaining sources are partitioned
+/// 2. the demand-driven search: the remaining sources are partitioned
 ///    into contiguous shards ([`TraceBuf::shard_map`]). Each worker runs
 ///    a source through the four stages of [`Worker::run_source`] —
 ///    search, path condition, decision, record — and keeps one
@@ -567,12 +557,11 @@ struct Worker<'cx, 'a> {
 /// Besides reports and statistics, every evaluated candidate — including
 /// those a later dedup suppresses, since each was really solved — comes
 /// back as a [`QueryRecord`] with its solver cost, ids assigned in the
-/// replay order. When `trace` is recording, the gating loop gets one
-/// `detect.gate` span, each searched source one `detect.source` span and
-/// each evaluated candidate one `smt.query` span nested in it, in a
-/// worker-private buffer merged at the join. Without a cache, a pass has
-/// exactly as many `smt.query` spans as [`QueryRecord`]s, and as many
-/// `detect.source` spans as sources the gate let through.
+/// replay order. When `trace` is recording, each searched source gets one
+/// `detect.source` span and each evaluated candidate one `smt.query` span
+/// nested in it, in a worker-private buffer merged at the join. Without a
+/// cache, a pass has exactly as many `smt.query` spans as
+/// [`QueryRecord`]s, and one `detect.source` span per source.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_spec(
     a: &Analysis,
@@ -583,7 +572,6 @@ pub(crate) fn run_spec(
     threads: usize,
     trace: &mut TraceBuf,
     stats: &mut DetectStats,
-    mut gate: Option<&mut ModuleSummaries>,
     mut cache: Option<&mut QueryCache>,
 ) -> DetectOutput {
     let (module, segs) = (&a.module, &a.segs);
@@ -597,19 +585,7 @@ pub(crate) fn run_spec(
     let sources = property.sources(segs);
     let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
     let mut rerun: Vec<usize> = Vec::new();
-    let mut gated = 0u64;
-    let gate_span = gate
-        .is_some()
-        .then(|| trace.open("detect.gate", spec.name.clone()));
-    let summary_cx = SummaryCx::new(module, segs, spec, &a.callgraph);
     for (i, &(fid, s)) in sources.iter().enumerate() {
-        if let Some(sums) = gate.as_mut() {
-            if !sums.source_fruitful(&summary_cx, fid, s) {
-                gated += 1;
-                slots.push(Some(SourceOutcome::new(fid)));
-                continue;
-            }
-        }
         let hit = cache.as_ref().and_then(|cache| {
             let e = cache.entries.get(&(spec_fp, fid, s.site, s.value))?;
             (cone_fingerprint(&e.outcome, segs, keys) == Some(e.cone_fp)).then(|| e.outcome.clone())
@@ -619,11 +595,8 @@ pub(crate) fn run_spec(
         }
         slots.push(hit);
     }
-    if let Some(span) = gate_span {
-        trace.close(span);
-    }
     let reuse = QueryReuse {
-        reused: sources.len() as u64 - gated - rerun.len() as u64,
+        reused: sources.len() as u64 - rerun.len() as u64,
         rerun: rerun.len() as u64,
     };
     if !rerun.is_empty() {
@@ -666,11 +639,6 @@ pub(crate) fn run_spec(
         .collect();
     let mut out = merge_outcomes(module, spec, outcomes, stats);
     out.reuse = reuse;
-    if let Some(sums) = gate {
-        stats.summary_gated += gated;
-        stats.summary_built += sums.built;
-        stats.summary_composed += sums.composed;
-    }
     if threads > 1 && faults::drop_last_report_mt() {
         out.reports.pop();
     }
@@ -744,13 +712,45 @@ impl QueryCache {
     }
 }
 
+/// Structural fingerprint of a spec's shape: its sources, sinks and
+/// transform traversal.
+fn shape_fingerprint(spec: &Spec) -> u128 {
+    use pinpoint_ir::fingerprint::Fnv128;
+    let mut h = Fnv128::new();
+    h.write_u32(1); // codec/schema version
+    match &spec.source {
+        SourceSpec::CallReceiver(names) => {
+            h.write_u32(0);
+            h.write_u64(names.len() as u64);
+            for n in names {
+                h.write_str(n);
+            }
+        }
+        SourceSpec::FreeArgument => h.write_u32(1),
+        SourceSpec::NullConstant => h.write_u32(2),
+    }
+    match &spec.sink {
+        SinkSpec::DerefsAndFrees => h.write_u32(0),
+        SinkSpec::Derefs => h.write_u32(1),
+        SinkSpec::Calls(names) => {
+            h.write_u32(2);
+            h.write_u64(names.len() as u64);
+            for n in names {
+                h.write_str(n);
+            }
+        }
+    }
+    h.write_u32(spec.traverses_transforms as u32);
+    h.finish()
+}
+
 /// Fingerprint of everything that selects and parameterises a property's
-/// searches: the spec's shape ([`summary_fingerprint`]) and name, plus
+/// searches: the spec's shape ([`shape_fingerprint`]) and name, plus
 /// every detection knob that can change a search or its evaluation.
 pub(crate) fn spec_fingerprint(spec: &Spec, config: &DetectConfig) -> u128 {
     use pinpoint_ir::fingerprint::Fnv128;
     let mut h = Fnv128::new();
-    h.write_u128(summary_fingerprint(spec));
+    h.write_u128(shape_fingerprint(spec));
     h.write_str(&spec.name);
     h.write_u32(config.max_ctx_depth);
     h.write_u64(config.max_visited_per_source as u64);

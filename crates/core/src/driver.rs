@@ -28,7 +28,6 @@ use crate::cache_io::load_verdicts;
 use crate::detect::{DetectConfig, DetectStats};
 use crate::error::PinpointError;
 use crate::seg::ModuleSeg;
-use crate::vfsummary::keys_fingerprint;
 #[cfg(doc)]
 use crate::workspace::Workspace;
 use pinpoint_cache::{config_fp, CacheStats, CacheStore, FoldedKeys};
@@ -403,9 +402,6 @@ pub(crate) struct Keys {
     /// keys were folded over: what an update that keeps the graph
     /// refolds from.
     scc: Vec<u128>,
-    /// `keys_fingerprint` of [`Keys::func`]: the stamp in-memory
-    /// interface summaries are valid under.
-    pub(crate) fp: u128,
     /// Each function's local fingerprint
     /// ([`pinpoint_ir::func_fingerprint`] of its pre-transform body): what
     /// [`Keys::func`] folds, kept for the functions the next update does
@@ -494,7 +490,6 @@ fn derive_keys(
     });
     stats.keys_time = t.elapsed();
     let keys = Keys {
-        fp: keys_fingerprint(&folded.func),
         func: folded.func,
         scc: folded.scc,
         local,
@@ -769,7 +764,7 @@ pub struct Analysis {
     /// ([`AnalysisBuilder::open_workspace`]) and by every update, and kept
     /// current across updates. A build for one-shot queries has none: a
     /// borrowed workspace keeps no query cache, and its artefact never
-    /// changes under the summaries it stamps.
+    /// changes.
     pub(crate) keys: Option<Keys>,
     /// Build-stage statistics (detection counters stay zero here; see
     /// [`Workspace::stats`]).

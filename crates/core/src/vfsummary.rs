@@ -1,59 +1,47 @@
-//! Whole-program interface summaries: the gate in front of every search
+//! Whole-program interface summaries: the descent bits of every search
 //! (§3.3.2 materialised bottom-up).
 //!
 //! The demand-driven detector answers a query by ascending from each
 //! source through the virtual global SEG. This module materialises the
 //! paper's per-function value-flow summaries at most *once per (function,
-//! property)* and answers the whole-program question "can this source
-//! ever meet a sink?" by composing interface edges at call sites — for
+//! property)* per detect worker and answers, at every descent into a
+//! callee formal, "can a value arriving here ever meet a sink?" — for
 //! every query, built-in checker or custom spec alike. The summaries are
 //! themselves demand-driven: [`ModuleSummaries`] is a memo over the
-//! call-graph condensation, and the gate forces — bottom-up, callee
-//! components first — only the SCCs whose bits it reads. The interface
-//! edges:
+//! call-graph condensation, and a descent forces — bottom-up, callee
+//! components first — only the SCCs below the formal it reads. The
+//! interface edges:
 //!
 //! * **VF1 (param → ret)** — a formal parameter reaches a return
 //!   position: recorded as a per-value bitset of reachable return
 //!   indices, composed at call sites as a pseudo-edge from the actual
 //!   argument to the call's receiver.
 //! * **VF2 (source → ret)** — any value (sources included) reaching a
-//!   return position: the same bitset, read at the source's value.
-//! * **VF3 (param → source)** — a dangerous formal parameter maps back
-//!   to caller actuals: recorded as a per-value bitset of the function's
-//!   own formal indices, expanded upward through caller argument lists.
+//!   return position: the same bitset.
 //! * **VF4 (param → sink)** — a parameter reaches a property sink
 //!   (directly or through callees): a per-value flag, composed through
 //!   call sites so callers inherit it at their actuals.
 //!
-//! The same bits serve the detector twice:
+//! (VF3, param → source, is the search's own parameter ascent: nothing
+//! reads it as a summary bit, so none is kept.)
 //!
-//! * **The gate.** A source whose upward closure over these edges never
-//!   reaches a sink (or a global store, which can feed any load) is
-//!   *gated*: the detector emits an empty outcome for it without
-//!   searching ([`ModuleSummaries::source_fruitful`]).
-//! * **Descent pruning.** Inside a search, a descent into formal `j` of a
-//!   callee is skipped when that formal's flags hold no sink, global or
-//!   overflow bit and its return set is empty
-//!   ([`ModuleSummaries::param_fruitful`]).
+//! **Descent pruning.** Inside a search, a descent into formal `j` of a
+//! callee is skipped when that formal's flags hold no sink, global or
+//! overflow bit and its return set is empty
+//! ([`ModuleSummaries::param_fruitful`]). The closure is a superset of
+//! what the demand search can reach below that formal (it ignores
+//! context-depth limits, dominance filters and vertex budgets), so it
+//! never suppresses a report; DESIGN.md "One summary lattice" argues it
+//! rule by rule. The reference is the same search with
+//! `DetectConfig::use_summaries` off (no pruning): the `engines` fuzz
+//! oracle and `tests/demand_summaries.rs` compare against it.
 //!
-//! Both closures are supersets of what the demand search can reach (they
-//! ignore context-depth limits, dominance filters and vertex budgets), so
-//! neither suppresses a report; DESIGN.md "One summary lattice" argues it
-//! rule by rule. A source that passes the gate runs the demand-driven
-//! search with its path-condition construction in the shared term
-//! interner, so the verdict table applies exactly as before. The
-//! reference is the same search with `DetectConfig::use_summaries` off
-//! (no gate, no pruning): the `engines` fuzz oracle and
-//! `tests/demand_summaries.rs` compare against it.
-//!
-//! Forced summaries live as long as the workspace that forced them,
-//! stamped with `keys_fingerprint` of the per-function transitive
-//! keys ([`pinpoint_cache::module_keys`]): those fold callee fingerprints
-//! over the condensation, so any edit that could change a summary changes
-//! the stamp and the memo is dropped.
+//! A memo lives as long as the detect worker that forced it — one
+//! property's pass over one artefact — so no edit can outdate it and it
+//! carries no validity stamp.
 
 use crate::seg::{EdgeKind, ModuleSeg};
-use crate::spec::{self, ResolvedSpec, Spec};
+use crate::spec::{ResolvedSpec, Spec};
 use pinpoint_ir::{CallGraph, ConeMemo, FuncId, Module, ValueId};
 use pinpoint_obs::TraceBuf;
 use std::collections::HashMap;
@@ -75,9 +63,6 @@ pub struct FuncSummary {
     /// Per-value bitset of the function's own return indices the value
     /// reaches (VF1/VF2; bits 0..63).
     pub(crate) rets: Vec<u64>,
-    /// Per-value bitset of the function's own formal-parameter indices
-    /// the value covers (VF3; bits 0..63).
-    pub(crate) params: Vec<u64>,
 }
 
 impl FuncSummary {
@@ -104,53 +89,6 @@ fn iter_bits(mut bits: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Structural fingerprint of the property parts the summaries depend on
-/// (sources, sinks, transform traversal — detection budgets deliberately
-/// excluded: the bits are budget-independent).
-pub(crate) fn summary_fingerprint(spec: &Spec) -> u128 {
-    use pinpoint_ir::fingerprint::Fnv128;
-    let mut h = Fnv128::new();
-    h.write_u32(1); // codec/schema version
-    match &spec.source {
-        spec::SourceSpec::CallReceiver(names) => {
-            h.write_u32(0);
-            h.write_u64(names.len() as u64);
-            for n in names {
-                h.write_str(n);
-            }
-        }
-        spec::SourceSpec::FreeArgument => h.write_u32(1),
-        spec::SourceSpec::NullConstant => h.write_u32(2),
-    }
-    match &spec.sink {
-        spec::SinkSpec::DerefsAndFrees => h.write_u32(0),
-        spec::SinkSpec::Derefs => h.write_u32(1),
-        spec::SinkSpec::Calls(names) => {
-            h.write_u32(2);
-            h.write_u64(names.len() as u64);
-            for n in names {
-                h.write_str(n);
-            }
-        }
-    }
-    h.write_u32(spec.traverses_transforms as u32);
-    h.finish()
-}
-
-/// Fingerprint of the artefact's whole per-function key vector — the
-/// validity stamp for an in-memory [`ModuleSummaries`]: keys fold callee
-/// fingerprints over the call-graph condensation, so any edit that could
-/// change any function's summary changes this value.
-pub(crate) fn keys_fingerprint(keys: &[u128]) -> u128 {
-    use pinpoint_ir::fingerprint::Fnv128;
-    let mut h = Fnv128::new();
-    h.write_u64(keys.len() as u64);
-    for &k in keys {
-        h.write_u128(k);
-    }
-    h.finish()
-}
-
 /// What a summary computation reads: the artefact, the property and the
 /// condensation it walks.
 #[derive(Debug, Clone)]
@@ -174,7 +112,7 @@ impl<'a> SummaryCx<'a> {
 }
 
 /// The interface summaries of one property over one module, forced on
-/// demand, plus accounting of what forcing cost.
+/// demand, with a count of what forcing computed.
 ///
 /// A function's summary is a pure function of `(module, segs, spec)` —
 /// identical whichever read forced it, for any thread count — so the memo
@@ -185,9 +123,6 @@ pub struct ModuleSummaries {
     funcs: ConeMemo<FuncSummary>,
     /// Functions whose summary was computed.
     pub built: u64,
-    /// Interface edges composed at call sites (VF1–VF4 compositions
-    /// applied by those computations).
-    pub composed: u64,
 }
 
 impl ModuleSummaries {
@@ -196,7 +131,6 @@ impl ModuleSummaries {
         ModuleSummaries {
             funcs: ConeMemo::new(funcs),
             built: 0,
-            composed: 0,
         }
     }
 
@@ -204,9 +138,9 @@ impl ModuleSummaries {
     /// memo with everything forced, level by level over the condensation,
     /// the independent SCCs of one level sharded over `threads` workers
     /// ([`TraceBuf::shard_map`]).
-    /// Detection never needs it — the gate forces what it reads — so it
-    /// survives as the oracle the on-demand bits are tested against and
-    /// as a stand-alone probe of the summary layer.
+    /// Detection never needs it — each descent forces what it reads — so
+    /// it survives as the oracle the on-demand bits are tested against
+    /// and as a stand-alone probe of the summary layer.
     ///
     /// `_retired` was the persistent summary store; only `None` inhabits
     /// it now. The slot is kept because the frozen `pinbench` probe calls
@@ -241,9 +175,8 @@ impl ModuleSummaries {
                 || (),
                 |(), members, _| compute_scc(module, segs, spec, members, done),
             );
-            for (members, (sums, composed)) in pending.into_iter().zip(results) {
+            for (members, sums) in pending.into_iter().zip(results) {
                 all.built += members.len() as u64;
-                all.composed += composed;
                 all.funcs.fill(members, sums);
             }
         }
@@ -256,12 +189,10 @@ impl ModuleSummaries {
         if f.0 as usize >= self.funcs.len() {
             return None;
         }
-        let (built, composed) = (&mut self.built, &mut self.composed);
+        let built = &mut self.built;
         self.funcs.force(cx.cg, f, |members, done| {
-            let (sums, c) = compute_scc(cx.module, cx.segs, &cx.spec, members, done);
             *built += members.len() as u64;
-            *composed += c;
-            sums
+            compute_scc(cx.module, cx.segs, &cx.spec, members, done)
         });
         self.funcs.get(f)
     }
@@ -300,218 +231,43 @@ impl ModuleSummaries {
     pub fn is_empty(&self) -> bool {
         self.funcs.is_empty()
     }
-
-    /// The whole-program gate: `true` when the source's upward closure
-    /// over interface edges may reach a sink — i.e. the demand-driven
-    /// search *could* produce a candidate, so it must run. `false` is a
-    /// proof that the search would find nothing: the closure follows a
-    /// superset of the search's transitions (local SEG edges, call-site
-    /// compositions, unmatched return ascents, parameter ascents, global
-    /// channels) with none of its depth, budget, or ordering limits.
-    ///
-    /// The source's own frame is walked locally (not through the
-    /// per-value bits) so the search's source-statement skip — a sink at
-    /// exactly the source site never fires — applies: without it, every
-    /// `free`-argument source would gate in through its own `free`.
-    /// Frames reached upward use the conservative summary bits, which
-    /// fold all sink sites together (including the source's own on a
-    /// re-entry) — over-approximate, never under.
-    ///
-    /// Every summary the closure reads — the callees the source's value
-    /// is passed to, the callers it ascends into — is forced first
-    /// ([`ModuleSummaries::force`]); nothing else is computed.
-    pub fn source_fruitful(
-        &mut self,
-        cx: &SummaryCx<'_>,
-        source_func: FuncId,
-        source: crate::spec::SourceSite,
-    ) -> bool {
-        let (module, segs, spec) = (cx.module, cx.segs, &cx.spec);
-        let f = module.func(source_func);
-        let seg = segs.seg(source_func);
-        let n = f.values.len();
-        // Sink sites of the source frame, re-derived so the source-site
-        // skip can be applied per site.
-        let mut sink_sites: HashMap<ValueId, Vec<pinpoint_ir::InstId>> = HashMap::new();
-        for s in spec.sinks(f) {
-            sink_sites.entry(s.value).or_default().push(s.site);
-        }
-        let gvals = segs.global_store_values(source_func);
-        // Interface pairs escaping the source frame, closed over the
-        // summary bits below.
-        let mut wl: Vec<(FuncId, ValueId)> = Vec::new();
-        let push_ascents = |k: Option<usize>, j: Option<usize>, wl: &mut Vec<(FuncId, ValueId)>| {
-            for &(caller, site) in segs.callers(source_func) {
-                if caller == source_func {
-                    continue; // direct recursion: summary-free (§4.2)
-                }
-                let Some(call) = segs.seg(caller).call_site(site) else {
-                    continue;
-                };
-                if let Some(k) = k {
-                    if let Some(&recv) = call.dsts.get(k) {
-                        wl.push((caller, recv));
-                    }
-                }
-                if let Some(j) = j {
-                    if let Some(&actual) = call.args.get(j) {
-                        wl.push((caller, actual));
-                    }
-                }
-            }
-        };
-        // Local forward walk of the source frame.
-        let mut local_seen: std::collections::HashSet<ValueId> = std::collections::HashSet::new();
-        let mut local = vec![source.value];
-        while let Some(v) = local.pop() {
-            if !local_seen.insert(v) {
-                continue;
-            }
-            if v.0 as usize >= n {
-                return true; // out-of-range value: conservatively fruitful
-            }
-            if sink_sites
-                .get(&v)
-                .is_some_and(|sites| sites.iter().any(|&site| site != source.site))
-            {
-                return true;
-            }
-            if gvals.binary_search(&v).is_ok() {
-                return true;
-            }
-            for au in seg.arg_uses(v) {
-                let gid = au.callee;
-                if gid == source_func {
-                    continue; // direct recursion: summary-free (§4.2)
-                }
-                let Some(&formal) = module.func(gid).params.get(au.index) else {
-                    continue;
-                };
-                let Some(cs) = self.force(cx, gid) else {
-                    return true;
-                };
-                let fi = formal.0 as usize;
-                let Some(&cf) = cs.flags.get(fi) else {
-                    return true;
-                };
-                if cf & (SINK | GLOBAL | OVERFLOW) != 0 {
-                    return true;
-                }
-                let crets = cs.rets.get(fi).copied().unwrap_or(0);
-                if crets != 0 {
-                    if let Some(call) = seg.call_site(au.site) {
-                        for k in iter_bits(crets) {
-                            if let Some(&dst) = call.dsts.get(k) {
-                                local.push(dst);
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(k) = seg.ret_index(v) {
-                push_ascents(Some(k), None, &mut wl);
-            }
-            if let Some(j) = f.params.iter().position(|&p| p == v) {
-                push_ascents(None, Some(j), &mut wl);
-            }
-            for e in seg.succs(v) {
-                if e.kind == EdgeKind::Transform && !spec.spec.traverses_transforms {
-                    continue;
-                }
-                local.push(e.dst);
-            }
-        }
-        // Upward closure over the per-value summary bits.
-        let mut seen: std::collections::HashSet<(FuncId, ValueId)> =
-            std::collections::HashSet::new();
-        while let Some((fid, v)) = wl.pop() {
-            if !seen.insert((fid, v)) {
-                continue;
-            }
-            let Some(fs) = self.force(cx, fid) else {
-                return true; // unknown function: conservatively fruitful
-            };
-            let i = v.0 as usize;
-            let Some(&flags) = fs.flags.get(i) else {
-                return true; // out-of-range value: conservatively fruitful
-            };
-            if flags & (SINK | GLOBAL | OVERFLOW) != 0 {
-                return true;
-            }
-            let rets = fs.rets[i];
-            let params = fs.params[i];
-            if rets == 0 && params == 0 {
-                continue;
-            }
-            for &(caller, site) in segs.callers(fid) {
-                if caller == fid {
-                    continue; // direct recursion: summary-free (§4.2)
-                }
-                let Some(call) = segs.seg(caller).call_site(site) else {
-                    continue;
-                };
-                for k in iter_bits(rets) {
-                    if let Some(&recv) = call.dsts.get(k) {
-                        wl.push((caller, recv));
-                    }
-                }
-                for j in iter_bits(params) {
-                    if let Some(&actual) = call.args.get(j) {
-                        wl.push((caller, actual));
-                    }
-                }
-            }
-        }
-        false
-    }
 }
 
 /// Fixpoint over one SCC's members (mutual recursion iterates until the
-/// monotone bits stabilise), given the final summaries of every callee outside it. Returns the
-/// members' summaries, in member order, and the interface-edge
-/// compositions their final computations applied.
+/// monotone bits stabilise), given the final summaries of every callee
+/// outside it. Returns the members' summaries, in member order.
 fn compute_scc(
     module: &Module,
     segs: &ModuleSeg,
     spec: &ResolvedSpec,
     members: &[FuncId],
     done: &ConeMemo<FuncSummary>,
-) -> (Vec<FuncSummary>, u64) {
-    let mut local: HashMap<FuncId, (FuncSummary, u64)> = HashMap::new();
+) -> Vec<FuncSummary> {
+    let mut local: HashMap<FuncId, FuncSummary> = HashMap::new();
     if let &[fid] = members {
         // Direct recursion is summary-free (§4.2), so a singleton never
         // reads its own summary: one evaluation is the fixpoint.
-        let (s, c) = compute_one(module, segs, spec, fid, &local, done);
-        return (vec![s], c);
+        return vec![compute_one(module, segs, spec, fid, &local, done)];
     }
     loop {
         let mut changed = false;
         for &fid in members {
-            let (s, c) = compute_one(module, segs, spec, fid, &local, done);
-            match local.get(&fid) {
-                Some((prev, _)) if *prev == s => {}
-                _ => changed = true,
-            }
-            local.insert(fid, (s, c));
+            let s = compute_one(module, segs, spec, fid, &local, done);
+            changed |= local.get(&fid) != Some(&s);
+            local.insert(fid, s);
         }
         if !changed {
             break;
         }
     }
-    let mut composed = 0;
-    let sums = members
+    members
         .iter()
-        .map(|fid| {
-            let (s, c) = local.remove(fid).expect("member computed");
-            composed += c;
-            s
-        })
-        .collect();
-    (sums, composed)
+        .map(|fid| local.remove(fid).expect("member computed"))
+        .collect()
 }
 
 /// One function's summary, given its callees' summaries: seed the
-/// interface values (sinks, global stores, returns, formals) plus the
+/// interface values (sinks, global stores, returns, wide formals) plus the
 /// call-site compositions, then propagate backward over the function's
 /// SEG to a local fixpoint.
 fn compute_one(
@@ -519,30 +275,15 @@ fn compute_one(
     segs: &ModuleSeg,
     spec: &ResolvedSpec,
     fid: FuncId,
-    local: &HashMap<FuncId, (FuncSummary, u64)>,
+    local: &HashMap<FuncId, FuncSummary>,
     done: &ConeMemo<FuncSummary>,
-) -> (FuncSummary, u64) {
-    let lookup = |g: FuncId| -> Option<&FuncSummary> {
-        local.get(&g).map(|(s, _)| s).or_else(|| done.get(g))
-    };
+) -> FuncSummary {
+    let lookup = |g: FuncId| -> Option<&FuncSummary> { local.get(&g).or_else(|| done.get(g)) };
     let f = module.func(fid);
     let seg = segs.seg(fid);
     let n = f.values.len();
     let mut flags = vec![0u8; n];
     let mut rets = vec![0u64; n];
-    let mut params = vec![0u64; n];
-    let mut composed = 0u64;
-    let set = |slot: &mut Vec<u64>, v: ValueId, idx: usize, flags: &mut Vec<u8>| {
-        let i = v.0 as usize;
-        if i >= n {
-            return;
-        }
-        if idx < 63 {
-            slot[i] |= 1u64 << idx;
-        } else {
-            flags[i] |= OVERFLOW;
-        }
-    };
     // Interface seeds.
     for s in spec.sinks(f) {
         if let Some(fl) = flags.get_mut(s.value.0 as usize) {
@@ -555,10 +296,21 @@ fn compute_one(
         }
     }
     for &(v, k) in seg.ret_values() {
-        set(&mut rets, v, k, &mut flags);
+        let i = v.0 as usize;
+        if i >= n {
+            continue;
+        }
+        if k < 63 {
+            rets[i] |= 1u64 << k;
+        } else {
+            flags[i] |= OVERFLOW;
+        }
     }
-    for (j, &p) in f.params.iter().enumerate() {
-        set(&mut params, p, j, &mut flags);
+    // A formal past the 63rd has no interface bit: it answers fruitful.
+    for &p in f.params.iter().skip(63) {
+        if let Some(fl) = flags.get_mut(p.0 as usize) {
+            *fl |= OVERFLOW;
+        }
     }
     // Call-site compositions: the actual argument inherits the callee
     // formal's sink/global reach (VF4, and VF2 via deeper returns), and
@@ -579,17 +331,13 @@ fn compute_one(
             };
             let fi = formal.0 as usize;
             let inherited = cs.flags.get(fi).copied().unwrap_or(0) & (SINK | GLOBAL | OVERFLOW);
-            if inherited != 0 {
-                flags[v.0 as usize] |= inherited;
-                composed += 1;
-            }
+            flags[v.0 as usize] |= inherited;
             let crets = cs.rets.get(fi).copied().unwrap_or(0);
             if crets != 0 {
                 if let Some(call) = seg.call_site(au.site) {
                     for k in iter_bits(crets) {
                         if let Some(&dst) = call.dsts.get(k) {
                             extra_preds.entry(dst).or_default().push(v);
-                            composed += 1;
                         }
                     }
                 }
@@ -600,12 +348,12 @@ fn compute_one(
     // everything its successors (local SEG edges and composition
     // pseudo-edges) reach.
     let mut wl: Vec<ValueId> = (0..n)
-        .filter(|&i| flags[i] != 0 || rets[i] != 0 || params[i] != 0)
+        .filter(|&i| flags[i] != 0 || rets[i] != 0)
         .map(|i| ValueId(i as u32))
         .collect();
     while let Some(w) = wl.pop() {
         let wi = w.0 as usize;
-        let (wf, wr, wp) = (flags[wi], rets[wi], params[wi]);
+        let (wf, wr) = (flags[wi], rets[wi]);
         for e in seg.preds(w) {
             if e.kind == EdgeKind::Transform && !spec.spec.traverses_transforms {
                 continue;
@@ -614,35 +362,26 @@ fn compute_one(
             if pi >= n {
                 continue;
             }
-            let (nf, nr, np) = (flags[pi] | wf, rets[pi] | wr, params[pi] | wp);
-            if nf != flags[pi] || nr != rets[pi] || np != params[pi] {
+            let (nf, nr) = (flags[pi] | wf, rets[pi] | wr);
+            if nf != flags[pi] || nr != rets[pi] {
                 flags[pi] = nf;
                 rets[pi] = nr;
-                params[pi] = np;
                 wl.push(e.src);
             }
         }
         if let Some(srcs) = extra_preds.get(&w) {
             for &p in srcs {
                 let pi = p.0 as usize;
-                let (nf, nr, np) = (flags[pi] | wf, rets[pi] | wr, params[pi] | wp);
-                if nf != flags[pi] || nr != rets[pi] || np != params[pi] {
+                let (nf, nr) = (flags[pi] | wf, rets[pi] | wr);
+                if nf != flags[pi] || nr != rets[pi] {
                     flags[pi] = nf;
                     rets[pi] = nr;
-                    params[pi] = np;
                     wl.push(p);
                 }
             }
         }
     }
-    (
-        FuncSummary {
-            flags,
-            rets,
-            params,
-        },
-        composed,
-    )
+    FuncSummary { flags, rets }
 }
 
 #[cfg(test)]
@@ -657,21 +396,6 @@ mod tests {
         let mut symbols = std::mem::take(&mut analysis.symbols);
         let segs = ModuleSeg::build(&module, &mut arena, &mut symbols, &analysis.pta);
         (module, segs)
-    }
-
-    /// The gate's verdict on every source of `func`, from an empty memo:
-    /// each read forces exactly the summaries it needs.
-    fn gate(m: &Module, segs: &ModuleSeg, spec: &Spec, func: &str) -> Vec<bool> {
-        let cg = CallGraph::new(m);
-        let cx = SummaryCx::new(m, segs, spec, &cg);
-        let mut sums = ModuleSummaries::new(m.funcs.len());
-        let fid = m.func_by_name(func).unwrap();
-        ResolvedSpec::new(spec, m)
-            .sources(segs)
-            .into_iter()
-            .filter(|&(f, _)| f == fid)
-            .map(|(_, s)| sums.source_fruitful(&cx, fid, s))
-            .collect()
     }
 
     const WRAPPED_UAF: &str = "fn sinker(p: int*) { let x: int = *p; print(x); return; }
@@ -719,8 +443,7 @@ mod tests {
         let p_h = m.func(harmless).params[0];
         assert_eq!(sums.get(harmless).unwrap().flags[p_h.0 as usize], 0);
         assert_eq!(sums.get(harmless).unwrap().rets[p_h.0 as usize], 0);
-        assert!(sums.built > 0);
-        assert!(sums.composed > 0, "wrapper/idfn call sites compose");
+        assert_eq!(sums.built, m.funcs.len() as u64);
     }
 
     #[test]
@@ -730,65 +453,7 @@ mod tests {
         let cg = CallGraph::new(&m);
         let one = ModuleSummaries::build_with_graph(&m, &segs, &spec, 1, None, &cg);
         let four = ModuleSummaries::build_with_graph(&m, &segs, &spec, 4, None, &cg);
-        assert_eq!(one.funcs, four.funcs);
-        assert_eq!(one.composed, four.composed);
-    }
-
-    #[test]
-    fn gate_admits_fruitful_and_rejects_fruitless_sources() {
-        let src = "fn deref(p: int*) { let x: int = *p; print(x); return; }
-             fn main() {
-                 let a: int* = malloc();
-                 free(a);
-                 deref(a);
-                 let b: int* = malloc();
-                 free(b);
-                 return;
-             }";
-        let (m, segs) = artefact(src);
-        let spec = CheckerKind::UseAfterFree.spec();
-        assert_eq!(
-            gate(&m, &segs, &spec, "main"),
-            vec![true, false],
-            "a is dereferenced after free, b's only sink is its own free site"
-        );
-    }
-
-    #[test]
-    fn gate_follows_return_composition_upward() {
-        // The source value only reaches a sink through VF1 composition:
-        // free(p) in a callee, dereference of the identity's return in
-        // the caller.
-        let src = "fn idfn(p: int*) -> int* { return p; }
-             fn freer(p: int*) { free(p); return; }
-             fn main() {
-                 let a: int* = malloc();
-                 freer(a);
-                 let b: int* = idfn(a);
-                 let x: int = *b;
-                 print(x);
-                 return;
-             }";
-        let (m, segs) = artefact(src);
-        let spec = CheckerKind::UseAfterFree.spec();
-        // The source is free's argument — a formal parameter of `freer`,
-        // whose only path to the dereference is a VF3 parameter ascent
-        // into main followed by local flow through idfn's VF1 edge.
-        assert_eq!(gate(&m, &segs, &spec, "freer"), vec![true]);
-    }
-
-    #[test]
-    fn global_escape_is_fruitful() {
-        let src = "global cell: int*;
-             fn stash(p: int*) { *cell = p; return; }
-             fn main() { let p: int* = malloc(); free(p); stash(p); return; }";
-        let (m, segs) = artefact(src);
-        let spec = CheckerKind::UseAfterFree.spec();
-        assert_eq!(
-            gate(&m, &segs, &spec, "main"),
-            vec![true],
-            "the freed pointer escapes through a global store — never gate it"
-        );
+        assert_eq!(one, four);
     }
 
     /// `param_fruitful(func, 0)` for `kind` over `src`, from an empty memo.
@@ -831,6 +496,19 @@ mod tests {
              fn main() { let p: int* = malloc(); let q: int* = id(p); print(q); return; }",
             CheckerKind::UseAfterFree,
             "id",
+        ));
+    }
+
+    #[test]
+    fn return_composition_at_a_call_site_is_fruitful() {
+        // The formal reaches a sink only through VF1 composition: it is
+        // passed through the identity, whose receiver is dereferenced.
+        assert!(fruitful(
+            "fn idfn(p: int*) -> int* { return p; }
+             fn user(p: int*) { let q: int* = idfn(p); let x: int = *q; print(x); return; }
+             fn main() { let p: int* = malloc(); free(p); user(p); return; }",
+            CheckerKind::UseAfterFree,
+            "user",
         ));
     }
 

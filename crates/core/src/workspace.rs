@@ -38,10 +38,10 @@
 //!    edit's dirty set re-run.
 //!
 //! Both kinds accumulate the same state across queries — detection
-//! counters, per-query attribution, the span trace, the verdict table
-//! with its persist watermark, and the in-memory interface summaries —
-//! and answer every query through the same code; the owned kind adds the
-//! query cache and the `workspace.*` metrics family that counts it.
+//! counters, per-query attribution, the span trace, and the verdict
+//! table with its persist watermark — and answer every query through the
+//! same code; the owned kind adds the query cache and the `workspace.*`
+//! metrics family that counts it.
 //!
 //! # Determinism
 //!
@@ -100,12 +100,10 @@ use crate::driver::{open_store, Analysis, AnalysisBuilder, Keys, PipelineStats, 
 use crate::error::PinpointError;
 use crate::query::Query;
 use crate::spec::{CheckerKind, Spec};
-use crate::vfsummary::{summary_fingerprint, ModuleSummaries};
 use pinpoint_cache::CacheStore;
 use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
 use pinpoint_smt::VerdictTable;
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Cumulative reuse counters across a workspace's lifetime.
@@ -177,20 +175,6 @@ pub struct Workspace<A: Borrow<Analysis> = Analysis> {
     /// Where new verdicts persist: the artefact's cache directory, if it
     /// has one and it opened.
     store: Option<CacheStore>,
-    /// The interface summaries forced so far, per property fingerprint,
-    /// stamped with the artefact's keys fingerprint they were forced
-    /// under: an edit changes the keys of exactly the edited functions
-    /// and (via transitive folding) their SCCs' callers, so a stale memo
-    /// is dropped and the next gate forces only what it reads. Under a
-    /// borrowed artefact the stamp always matches.
-    summaries: HashMap<u128, (u128, ModuleSummaries)>,
-}
-
-/// The stamp interface summaries forced over `a` are valid under: its
-/// keys fingerprint. An artefact without keys is only ever borrowed, so
-/// it never changes under its stamp.
-fn keys_stamp(a: &Analysis) -> u128 {
-    a.keys.as_ref().map_or(0, |k| k.fp)
 }
 
 impl<A: Borrow<Analysis>> Workspace<A> {
@@ -209,7 +193,6 @@ impl<A: Borrow<Analysis>> Workspace<A> {
             verdicts,
             verdicts_persisted: 0,
             store: open_store(a.cache_dir.as_deref()),
-            summaries: HashMap::new(),
             analysis,
         }
     }
@@ -239,32 +222,15 @@ impl<A: Borrow<Analysis>> Workspace<A> {
         self.query(&Query::All).into_reports()
     }
 
-    /// The interface-summary memo for `spec`: the one an earlier query
-    /// forced, if the artefact's keys have not changed since, else an
-    /// empty one. Its counters start from zero either way, so after the
-    /// run they are what this query forced — summaries already in memory
-    /// cost nothing and count nowhere.
-    fn summaries_for(&mut self, spec: &Spec) -> ModuleSummaries {
-        let a = self.analysis.borrow();
-        match self.summaries.remove(&summary_fingerprint(spec)) {
-            Some((stamp, mut sums)) if stamp == keys_stamp(a) => {
-                (sums.built, sums.composed) = (0, 0);
-                sums
-            }
-            _ => ModuleSummaries::new(a.module.funcs.len()),
-        }
-    }
-
     /// Runs one property (a built-in `kind` or a custom spec) and folds
-    /// its outcome into the accumulated state: gate, then query cache
-    /// (layer 2 of the [module docs](self), owned workspaces only), then
-    /// search. With [`DetectConfig::use_summaries`] off no summary is
-    /// forced and every source is searched: the reference run.
+    /// its outcome into the accumulated state: query cache (layer 2 of the
+    /// [module docs](self), owned workspaces only), then search. With
+    /// [`DetectConfig::use_summaries`] off no descent is pruned: the
+    /// reference run.
     pub(crate) fn run_property(&mut self, spec: &Spec, kind: Option<CheckerKind>) -> Vec<Report> {
         let t0 = Instant::now();
         let span = self.trace.open("detect", spec.name.clone());
         let base_id = u32::try_from(self.queries.len()).expect("query count fits u32");
-        let mut sums = self.config.use_summaries.then(|| self.summaries_for(spec));
         let a = self.analysis.borrow();
         let mut out = run_spec(
             a,
@@ -275,13 +241,8 @@ impl<A: Borrow<Analysis>> Workspace<A> {
             a.threads(),
             &mut self.trace,
             &mut self.detect,
-            sums.as_mut(),
             self.cache.as_mut(),
         );
-        if let Some(sums) = sums {
-            self.summaries
-                .insert(summary_fingerprint(spec), (keys_stamp(a), sums));
-        }
         self.trace.close(span);
         for q in &mut out.queries {
             q.id += base_id;
@@ -383,7 +344,7 @@ impl<A: Borrow<Analysis>> Workspace<A> {
     }
 
     /// The unified metrics registry covering the stage families
-    /// (frontend, callgraph, keys, pta, seg, cache, detect, summary, smt),
+    /// (frontend, callgraph, keys, pta, seg, cache, detect, smt),
     /// plus the `workspace.*` reuse counters on a workspace with a query
     /// cache.
     pub fn metrics(&self) -> MetricsRegistry {
@@ -431,12 +392,6 @@ impl<A: Borrow<Analysis>> Workspace<A> {
         m.counter_add("detect.skipped_descents", s.detect.skipped_descents);
         m.counter_add("detect.budget_exhausted", s.detect.budget_exhausted);
         m.counter_add("detect.reports", s.detect.reports);
-        // The summary gate: interface summaries built, the interface
-        // edges composed while building, and the sources the gate
-        // answered without a search.
-        m.counter_add("summary.built", s.detect.summary_built);
-        m.counter_add("summary.composed", s.detect.summary_composed);
-        m.counter_add("summary.gated", s.detect.summary_gated);
         // The SMT family is derived from per-query attribution, so the
         // aggregate and the query rows can never disagree.
         m.counter_add("smt.queries", self.queries.len() as u64);

@@ -65,8 +65,8 @@ pub enum OracleKind {
     /// `verify_module` invariants must hold after lowering and after
     /// IR optimisation.
     Verify,
-    /// The search with the interface summaries (gate and descent
-    /// pruning; every built-in checker and custom spec) must report
+    /// The search with the interface summaries (descent pruning; every
+    /// built-in checker and custom spec) must report
     /// byte-identically to the summary-free reference search — at 1
     /// and N threads, and on an alpha-renamed rebuild (helper renaming
     /// permutes `FuncId`s, so the bottom-up SCC schedule runs in a

@@ -442,9 +442,8 @@ fn cache_roundtrip(src: &str, dir: &std::path::Path) -> CheckResult {
     Ok(())
 }
 
-/// Oracle (f): the interface summaries — the gate in front of every
-/// search and the descent pruning inside it — must never change an
-/// answer: every built-in checker and every spec of [`custom_specs`]
+/// Oracle (f): the interface summaries — the descent pruning inside
+/// every search — must never change an answer: every built-in checker and every spec of [`custom_specs`]
 /// reports byte-identically to the summary-free reference search
 /// (`use_summaries: false`), at 1 and N threads, and again after
 /// alpha-renaming every generated helper (`fK` → `rK`), which permutes
@@ -457,8 +456,8 @@ fn engines_oracle(src: &str, threads: usize) -> CheckResult {
 }
 
 /// Custom properties the generated programs have sources and sinks for,
-/// one per [`SourceSpec`] shape: the specs the gate is checked on next
-/// to the built-in checkers.
+/// one per [`SourceSpec`] shape: the specs descent pruning is checked
+/// on next to the built-in checkers.
 pub fn custom_specs() -> [Spec; 3] {
     let print = || SinkSpec::Calls(vec!["print".into()]);
     [

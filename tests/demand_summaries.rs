@@ -1,16 +1,14 @@
 //! The demand-driven detect stage against its oracles.
 //!
 //! The interface summaries (`ModuleSummaries`) are a memo over the
-//! call-graph condensation: a read — the gate's, or a search's descent
-//! bit (`param_fruitful`) — forces the callee cone below it and nothing
+//! call-graph condensation: a read — a search's descent bit
+//! (`param_fruitful`) — forces the callee cone below it and nothing
 //! else. The whole-module table `ModuleSummaries::build_with_graph` runs
 //! the same per-SCC computation over every function, so it is the
 //! reference the on-demand summaries must equal, in any forcing order, at
 //! any thread count. Reports are checked against the summary-free
-//! reference search (`use_summaries: false`: no gate, no descent
-//! pruning), including on programs built to trip the descent bits. The
-//! work-bound tests then pin the point of the exercise with counters: a
-//! check forces what its sources reach, not the module.
+//! reference search (`use_summaries: false`: no descent pruning),
+//! including on programs built to trip the descent bits.
 
 use pinpoint::core::{ModuleSeg, ModuleSummaries, Spec, SummaryCx};
 use pinpoint::fuzz::oracles::custom_specs;
@@ -112,8 +110,8 @@ fn lazy_equals_eager_on_corpus_and_fuzzgen() {
     }
 }
 
-/// The summary-free reference search over `a`: no gate, no descent
-/// pruning, every other setting as built.
+/// The summary-free reference search over `a`: no descent pruning,
+/// every other setting as built.
 fn reference(a: &Analysis) -> Workspace<&Analysis> {
     a.session().with_config(DetectConfig {
         use_summaries: false,
@@ -123,11 +121,11 @@ fn reference(a: &Analysis) -> Workspace<&Analysis> {
 
 #[test]
 fn summaries_equal_the_summary_free_reference_for_builtin_and_custom_specs() {
-    // Every query is gated and prunes descents, custom specs included;
-    // the summary-free search is the reference. The three custom specs
-    // cover each source shape (free argument, call receiver through
+    // Every query prunes descents, custom specs included; the
+    // summary-free search is the reference. The three custom specs cover
+    // each source shape (free argument, call receiver through
     // transforms, null constant).
-    let (mut reports, mut gated, mut skipped) = ([0usize; 3], [0u64; 3], 0u64);
+    let (mut reports, mut pruned, mut skipped) = ([0usize; 3], [0u64; 3], 0u64);
     let mut programs = corpus_and_fuzzgen();
     // The generated programs never print a pointer.
     programs.push(("needle".into(), needle_in_haystack(3)));
@@ -153,12 +151,12 @@ fn summaries_equal_the_summary_free_reference_for_builtin_and_custom_specs() {
             let expected = render(reference(&a).query(&q).reports());
             assert_eq!(got, expected, "{name} / {}", q.label());
             reports[i] += got.len();
-            gated[i] += session.stats().detect.summary_gated;
+            pruned[i] += session.stats().detect.skipped_descents;
         }
     }
     assert!(
-        reports.iter().all(|&n| n > 0) && gated.iter().all(|&n| n > 0),
-        "each custom spec must both report and gate somewhere: {reports:?} {gated:?}"
+        reports.iter().all(|&n| n > 0) && pruned.iter().all(|&n| n > 0),
+        "each custom spec must both report and prune somewhere: {reports:?} {pruned:?}"
     );
     assert!(skipped > 0, "some built-in search must prune a descent");
 }
@@ -233,57 +231,8 @@ fn needle_in_haystack(unrelated: usize) -> String {
     src
 }
 
-/// The most summaries one whole-program check may force on
-/// [`needle_in_haystack`]: the two callees, for the one checker that has
-/// a source (fewer when the first callee read already settles the gate).
-const DEMANDED: u64 = 2;
-
 fn render(reports: &[pinpoint::Report]) -> Vec<String> {
     reports.iter().map(|r| format!("{r:?}")).collect()
-}
-
-#[test]
-fn check_all_forces_only_what_its_sources_reach() {
-    let src = needle_in_haystack(20_000);
-    let a = AnalysisBuilder::new()
-        .threads(1)
-        .build_source(&src)
-        .unwrap();
-    let expected = render(reference(&a).query(&Query::All).reports());
-    assert_eq!(expected.len(), 1);
-    let mut summary = a.session();
-    assert_eq!(render(summary.query(&Query::All).reports()), expected);
-    let stats = summary.stats().detect;
-    assert!(
-        (1..=DEMANDED).contains(&stats.summary_built),
-        "20 003 functions, at most two demanded: {stats:?}"
-    );
-    // A second whole-program check finds them in memory.
-    assert_eq!(render(summary.query(&Query::All).reports()), expected);
-    assert_eq!(summary.stats().detect.summary_built, stats.summary_built);
-}
-
-#[test]
-fn workspace_update_rebuilds_no_summary_that_is_not_demanded() {
-    let src = needle_in_haystack(20_000);
-    let mut ws = Workspace::open(&src).unwrap();
-    let cold = render(&ws.query(&Query::All).into_reports());
-    let before = ws.stats().detect.summary_built;
-    assert!((1..=DEMANDED).contains(&before));
-    let edited = src.replace(
-        "fn u7(v: int) {",
-        "fn u7(v: int) { let pad: int = 1; print(pad);",
-    );
-    let outcome = ws.update_source(&edited).unwrap();
-    assert!(!outcome.fell_back && outcome.reanalyzed == 1, "{outcome:?}");
-    assert_eq!(render(&ws.query(&Query::All).into_reports()), cold);
-    let stats = ws.stats().detect;
-    assert_eq!(
-        stats.summary_built,
-        2 * before,
-        "the edit re-keys the module, so the gate forces the same callees \
-         again — and nothing else: {stats:?}"
-    );
 }
 
 /// The descent bit of formal `j` of `func` for use-after-free over `src`,

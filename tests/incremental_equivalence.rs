@@ -423,8 +423,8 @@ fn session_reports(mut session: Workspace<&Analysis>) -> (String, pinpoint::core
     (out, session.stats().detect)
 }
 
-/// The summary-free reference search over `a`: no gate, no descent
-/// pruning, every other setting as built.
+/// The summary-free reference search over `a`: no descent pruning,
+/// every other setting as built.
 fn summary_free(a: &Analysis) -> Workspace<&Analysis> {
     a.session().with_config(DetectConfig {
         use_summaries: false,
@@ -448,9 +448,9 @@ fn summary_engine_warm_equals_cold_equals_demand() {
         taint: true,
         ..GenConfig::default().with_target_kloc(10.0)
     });
-    // Summaries are forced on demand, so the edit must land where a gate
-    // looks: `bug0_release` is the callee the use-after-free defect's
-    // pointer is passed to.
+    // Summaries are forced on demand, so the edit must land where a
+    // descent looks: `bug0_release` is the callee the use-after-free
+    // defect's pointer is passed to.
     let edited = edit_in_func(
         &project.source,
         "fn bug0_release(",
@@ -459,20 +459,21 @@ fn summary_engine_warm_equals_cold_equals_demand() {
     );
     for threads in [1usize, 4] {
         let dir = temp_cache(&format!("vfsum-{threads}"));
-        let (reference, _) = session_reports(summary_free(&build(&project.source, threads, None)));
+        let (reference, reference_stats) =
+            session_reports(summary_free(&build(&project.source, threads, None)));
         let cold_analysis = build(&project.source, threads, Some(&dir));
         let (cold, cold_stats) = session_reports(cold_analysis.session());
         assert_eq!(cold, reference, "cold vs summary-free at {threads} threads");
         assert!(
-            cold_stats.summary_built > 0 && cold_stats.summary_gated > 0,
-            "cold run computes the summaries it demands: {cold_stats:?}"
+            cold_stats.visited <= reference_stats.visited,
+            "descent pruning only removes vertices: {cold_stats:?} vs {reference_stats:?}"
         );
         let warm_analysis = build(&project.source, threads, Some(&dir));
         let (warm, warm_stats) = session_reports(warm_analysis.session());
         assert_eq!(warm, reference, "warm vs summary-free at {threads} threads");
         assert_eq!(
-            (warm_stats.summary_built, warm_stats.summary_gated),
-            (cold_stats.summary_built, cold_stats.summary_gated),
+            (warm_stats.skipped_descents, warm_stats.visited),
+            (cold_stats.skipped_descents, cold_stats.visited),
             "summaries are recomputed, not reloaded: {warm_stats:?}"
         );
         assert_eq!(
@@ -480,15 +481,16 @@ fn summary_engine_warm_equals_cold_equals_demand() {
             "every condition was decided by the cold run: {warm_stats:?}"
         );
         let edited_analysis = build(&edited, threads, Some(&dir));
-        let (reference_edited, _) = session_reports(summary_free(&edited_analysis));
+        let (reference_edited, reference_edited_stats) =
+            session_reports(summary_free(&edited_analysis));
         let (summarised_edited, edited_stats) = session_reports(edited_analysis.session());
         assert_eq!(
             summarised_edited, reference_edited,
             "post-edit vs summary-free at {threads} threads"
         );
         assert!(
-            edited_stats.summary_built > 0,
-            "post-edit run forces what its gates read: {edited_stats:?}"
+            edited_stats.visited <= reference_edited_stats.visited,
+            "post-edit pruning only removes vertices: {edited_stats:?}"
         );
         let only_objects: Vec<String> = std::fs::read_dir(dir.join("objects"))
             .unwrap()

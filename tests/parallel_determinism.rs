@@ -119,7 +119,6 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
             "\"cache\":{\"hits\":0,",
             "detect",
             "smt",
-            "\"summary\":{\"built\":",
         ] {
             assert!(
                 stats1.contains(family),
@@ -195,10 +194,15 @@ fn canonical_stats_and_trace_identical_across_thread_counts() {
             funcs,
             "{file}: one frontend.lower span per function, whatever the shard"
         );
+        let sources = stats1
+            .split_once("\"detect\":{")
+            .and_then(|(_, rest)| rest.split_once("\"sources\":"))
+            .and_then(|(_, rest)| rest.split([',', '}']).next()?.parse::<usize>().ok())
+            .expect("detect.sources counter");
         assert_eq!(
-            trace1.matches("\"name\":\"detect.gate\"").count(),
-            trace1.matches("\"name\":\"detect\"").count(),
-            "{file}: one gate span per property checked"
+            trace1.matches("\"name\":\"detect.source\"").count(),
+            sources,
+            "{file}: one detect.source span per source"
         );
     }
     assert!(
