@@ -9,6 +9,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 static TOUCHED: AtomicBool = AtomicBool::new(false);
 
 /// Counting allocator; install with `#[global_allocator]`.
@@ -24,6 +26,16 @@ impl CountingAlloc {
     /// Peak live bytes since the last [`CountingAlloc::reset_peak`].
     pub fn peak() -> usize {
         PEAK.load(Ordering::Relaxed)
+    }
+
+    /// Allocation calls (`alloc` and `realloc`) serviced so far.
+    pub fn calls() -> usize {
+        CALLS.load(Ordering::Relaxed)
+    }
+
+    /// Bytes those calls asked for (a `realloc` counts its new size).
+    pub fn bytes() -> usize {
+        BYTES.load(Ordering::Relaxed)
     }
 
     /// Resets the peak to the current live size.
@@ -46,6 +58,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = System.alloc(layout);
         if !p.is_null() {
             TOUCHED.store(true, Ordering::Relaxed);
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
         }
@@ -60,6 +74,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size, Ordering::Relaxed);
             if new_size >= layout.size() {
                 let live = LIVE.fetch_add(new_size - layout.size(), Ordering::Relaxed) + new_size
                     - layout.size();

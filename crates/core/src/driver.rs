@@ -83,16 +83,16 @@ pub fn compile_source(
     Ok(compile_keeping(src, false, threads, trace)?.0)
 }
 
-/// [`compile_source`], also returning the slices an owned workspace keeps
-/// for its first update when `keep` is set.
+/// [`compile_source`], also returning the snapshot an owned workspace
+/// keeps for its first update when `keep` is set.
 fn compile_keeping(
     src: &str,
     keep: bool,
     threads: usize,
     trace: &mut TraceBuf,
-) -> Result<(Compiled, Option<Slices>), PinpointError> {
+) -> Result<(Compiled, Option<Snapshot>), PinpointError> {
     let unit = trace.span("frontend.split", "", |_| Unit::split(src))?;
-    let slices = keep.then(|| Slices::of(&unit));
+    let source = keep.then(|| unit.snapshot());
     let results = lower_fns(&unit, (0..unit.func_count()).collect(), threads, trace);
     let (tokens, bytes) = (unit.tokens(), unit.bytes());
     let compiled = Compiled {
@@ -100,7 +100,7 @@ fn compile_keeping(
         tokens,
         bytes,
     };
-    Ok((compiled, slices))
+    Ok((compiled, source))
 }
 
 /// Parses and lowers functions `ids` of `unit` on up to `threads` workers,
@@ -305,10 +305,10 @@ impl AnalysisBuilder {
         let mut trace = self.make_trace();
         let front_span = trace.open("frontend", "");
         let t = Instant::now();
-        let (compiled, slices) = compile_keeping(src, self.keys, self.threads, &mut trace)?;
+        let (compiled, source) = compile_keeping(src, self.keys, self.threads, &mut trace)?;
         let front_time = t.elapsed();
         trace.close(front_span);
-        let mut analysis = self.build_module_traced(compiled.module, slices, trace)?;
+        let mut analysis = self.build_module_traced(compiled.module, source, trace)?;
         analysis.stats.front_time = front_time;
         analysis.stats.front_tokens = compiled.tokens;
         analysis.stats.front_bytes = compiled.bytes;
@@ -334,12 +334,12 @@ impl AnalysisBuilder {
         }
     }
 
-    /// The stages after the front end; `slices` (an owned workspace's
-    /// build) makes them derive keys.
+    /// The stages after the front end; a `source` snapshot (an owned
+    /// workspace's build) makes them derive keys.
     fn build_module_traced(
         self,
         module: Module,
-        slices: Option<Slices>,
+        source: Option<Snapshot>,
         mut trace: TraceBuf,
     ) -> Result<Analysis, PinpointError> {
         self.validate()?;
@@ -352,7 +352,7 @@ impl AnalysisBuilder {
         let mut stats = PipelineStats::default();
         let built = run_stages(
             module,
-            slices,
+            source.is_some(),
             None,
             &self.pta,
             self.threads,
@@ -378,6 +378,7 @@ impl AnalysisBuilder {
             pta_config: self.pta,
             threads: self.threads,
             keys: built.keys,
+            source,
             stats,
             trace,
         })
@@ -389,8 +390,8 @@ pub(crate) fn open_store(dir: Option<&Path>) -> Option<CacheStore> {
     CacheStore::open(dir?).ok()
 }
 
-/// The function keys of an artefact, and the front-end state they were
-/// derived from: what an owned workspace compares across edits.
+/// The function keys of an artefact: what an owned workspace compares
+/// across edits.
 #[derive(Debug)]
 pub(crate) struct Keys {
     /// Per-function transitive fingerprint keys of the pre-transform
@@ -407,39 +408,6 @@ pub(crate) struct Keys {
     /// [`Keys::func`] folds, kept for the functions the next update does
     /// not lower.
     pub(crate) local: Vec<u128>,
-    /// The source the keys are of, slice by slice.
-    pub(crate) slices: Slices,
-}
-
-/// What the front end keeps of a source text so the next update splits
-/// only around the edit and lowers only what changed: the text with its
-/// item table, and the tables fingerprint ([`pinpoint_ir::frontend`] says
-/// why the slices and the tables are all that lowering reads).
-#[derive(Debug, Default)]
-pub(crate) struct Slices {
-    /// [`Unit::snapshot`]: what [`Unit::resplit`] reads, and the previous
-    /// text of every function's slice.
-    pub(crate) source: Snapshot,
-    /// [`Unit::tables_fingerprint`].
-    tables: u128,
-}
-
-impl Slices {
-    fn of(unit: &Unit<'_>) -> Self {
-        Slices {
-            source: unit.snapshot(),
-            tables: unit.tables_fingerprint(),
-        }
-    }
-
-    /// Whether function `i` of `unit`, whose tables fingerprint is
-    /// `tables`, lowers to what function `i` of these slices lowered to:
-    /// its slice, the tables and the function count are the same.
-    fn unchanged(&self, unit: &Unit<'_>, tables: u128, i: usize) -> bool {
-        self.tables == tables
-            && self.source.func_count() == unit.func_count()
-            && self.source.slice(i) == unit.slice(i)
-    }
 }
 
 /// Derives the per-function cache keys of the pre-transform `module`
@@ -450,12 +418,10 @@ impl Slices {
 /// kept one. When `refold` says the update kept the previous call graph,
 /// only the SCCs above a changed fingerprint are refolded
 /// ([`FoldedKeys::refold`]); otherwise every SCC is.
-#[allow(clippy::too_many_arguments)]
 fn derive_keys(
     module: &Module,
     kept: Option<(&[bool], &Keys)>,
     refold: bool,
-    slices: Slices,
     callgraph: &CallGraph,
     pta: &PtaConfig,
     trace: &mut TraceBuf,
@@ -493,7 +459,6 @@ fn derive_keys(
         func: folded.func,
         scc: folded.scc,
         local,
-        slices,
     };
     (keys, keyed)
 }
@@ -507,8 +472,9 @@ struct Previous<'u, 'src> {
     /// [`Previous::unit`] (else it holds the previous transformed one).
     lowered: Vec<bool>,
     /// The previous transformed bodies of the functions in
-    /// [`Previous::lowered`]; the others moved into the module.
-    bodies: Vec<Option<Function>>,
+    /// [`Previous::lowered`], by function, ascending; the others are in
+    /// the module.
+    replaced: Vec<(usize, Function)>,
     pta: ModuleAnalysis,
     segs: ModuleSeg,
     keys: Keys,
@@ -529,8 +495,8 @@ struct Built {
     outcome: UpdateOutcome,
 }
 
-/// The build stages over `module`, in order: call graph, keys (with
-/// `slices`, which an owned workspace always has), points-to, SEG, then
+/// The build stages over `module`, in order: call graph, keys (when
+/// `keys` is set, as it always is for an owned workspace), points-to, SEG, then
 /// the structural statistics — recording spans into `trace` and times
 /// and counters into `stats`. The transform leaves the call graph
 /// unchanged, so every stage borrows the one built first.
@@ -547,7 +513,7 @@ struct Built {
 /// then refolded only above the edit.
 fn run_stages(
     mut module: Module,
-    slices: Option<Slices>,
+    keys: bool,
     previous: Option<Previous<'_, '_>>,
     config: &PtaConfig,
     threads: usize,
@@ -574,14 +540,12 @@ fn run_stages(
     stats.callgraph_time = t.elapsed();
     stats.keys_time = Duration::ZERO;
     let kept = previous.as_ref().map(|p| (p.lowered.as_slice(), &p.keys));
-    let (keys, keys_refolded) = match slices {
-        Some(s) => {
-            let (keys, keyed) = derive_keys(
-                &module, kept, graph_kept, s, &callgraph, config, trace, stats,
-            );
-            (Some(keys), keyed)
-        }
-        None => (None, 0),
+    let (keys, keys_refolded) = if keys {
+        let (keys, keyed) =
+            derive_keys(&module, kept, graph_kept, &callgraph, config, trace, stats);
+        (Some(keys), keyed)
+    } else {
+        (None, 0)
     };
     let mut lowered = module.funcs.len();
     // Key diffs are caller-closed: an edit anywhere below a function
@@ -604,20 +568,16 @@ fn run_stages(
             for (i, f) in late.iter().zip(results) {
                 module.funcs[*i] = f.expect("an unchanged slice lowers as it did before");
             }
-            let mut bodies = p.bodies;
-            for (i, body) in bodies.iter_mut().enumerate() {
-                if !dirty[i] && p.lowered[i] {
-                    module.funcs[i] = body.take().expect("a lowered function's old body is kept");
+            for (i, body) in p.replaced {
+                if !dirty[i] {
+                    module.funcs[i] = body;
                 }
             }
             stats.front_time += t.elapsed();
             lowered = p.lowered.iter().filter(|&&l| l).count() + late.len();
             let run = PreviousRun {
                 analysis: p.pta,
-                dirty: (0..dirty.len())
-                    .filter(|&i| dirty[i])
-                    .map(|i| FuncId(i as u32))
-                    .collect(),
+                dirty,
             };
             (Some(run), Some(p.segs))
         }
@@ -766,6 +726,11 @@ pub struct Analysis {
     /// borrowed workspace keeps no query cache, and its artefact never
     /// changes.
     pub(crate) keys: Option<Keys>,
+    /// The source text the artefact is of, with its item table and
+    /// tables ([`Unit::snapshot`]): what the next update splits against
+    /// ([`Unit::resplit`]). Kept, like [`Analysis::keys`], for an owned
+    /// workspace only.
+    pub(crate) source: Option<Snapshot>,
     /// Build-stage statistics (detection counters stay zero here; see
     /// [`Workspace::stats`]).
     pub stats: PipelineStats,
@@ -815,14 +780,16 @@ impl Analysis {
 
     /// Replaces the program with `src`, splicing from this artefact: the
     /// body of [`Workspace::update_source`]. The front end splits only
-    /// around the edit ([`Unit::resplit`] of the kept [`Slices`]) and
-    /// lowers only the functions whose source slice changed against the
-    /// kept one (every function when a global or a header did); every
-    /// other function keeps its fingerprint and moves its transformed
-    /// body into the new module. The per-function keys are then diffed
-    /// against the previous build's, and exactly the functions whose keys
-    /// changed — the edited ones plus, because keys are transitive over
-    /// the call graph, their transitive callers — are re-analysed (see
+    /// around the edit ([`Unit::resplit`] of the kept [`Snapshot`]) and
+    /// lowers only the functions of the re-split window whose source slice
+    /// changed (every function when a global or a header changed the
+    /// tables fingerprint). With the same fingerprint the function set is
+    /// the same, so the lowered bodies are swapped into the module in
+    /// place and every other function keeps its transformed body and its
+    /// fingerprint. The per-function keys are then diffed against the
+    /// previous build's, and exactly the functions whose keys changed —
+    /// the edited ones plus, because keys are transitive over the call
+    /// graph, their transitive callers — are re-analysed (see
     /// [`run_stages`]). Everything else (transformed bodies, points-to
     /// results, SEGs, hash-consed terms) is spliced from this artefact.
     ///
@@ -835,42 +802,45 @@ impl Analysis {
         // Updates are untraced (the artefact's trace is its build's), so
         // only the stage times are kept.
         let trace = &mut TraceBuf::off();
-        let kept = &self
-            .keys
+        let kept = self
+            .source
             .as_ref()
-            .expect("an owned workspace's artefact has keys")
-            .slices;
-        let (unit, split_bytes) = Unit::resplit(src, &kept.source)?;
-        let tables = unit.tables_fingerprint();
+            .expect("an owned workspace's artefact keeps its source");
+        let (unit, split_bytes) = Unit::resplit(src, kept)?;
         let n = unit.func_count();
-        let lowered: Vec<bool> = (0..n).map(|i| !kept.unchanged(&unit, tables, i)).collect();
-        let ids = (0..n).filter(|&i| lowered[i]).collect();
-        let results = lower_fns(&unit, ids, self.threads, trace);
+        // The fingerprint covers every declaration in order: the same one
+        // means the same functions at the same ids, and outside the
+        // window the same slices.
+        let same_tables = unit.tables_fingerprint() == kept.tables_fingerprint();
+        let window = unit.window();
+        let lowered: Vec<bool> = (0..n)
+            .map(|i| !same_tables || (window.contains(&i) && unit.slice(i) != kept.slice(i)))
+            .collect();
+        let ids: Vec<usize> = (0..n).filter(|&i| lowered[i]).collect();
+        let results = lower_fns(&unit, ids.clone(), self.threads, trace);
         if let Some(e) = first_error(&results) {
             return Err(e.clone().into());
         }
-        // Nothing fails from here on: take the previous artefact apart,
-        // the new text going where the old one was kept.
-        let mut keys = self.keys.take().expect("checked above");
-        let mut slices = std::mem::take(&mut keys.slices);
-        unit.snapshot_into(&mut slices.source);
-        slices.tables = tables;
-        let same_shape = self.module.funcs.len() == n
-            && (0..n).all(|i| self.module.funcs[i].name == unit.func_name(i));
-        let mut bodies: Vec<Option<Function>> = std::mem::take(&mut self.module)
-            .funcs
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut fresh = results.into_iter().flatten();
-        let funcs = (0..n).map(|i| {
-            if lowered[i] {
-                fresh.next().expect("one result per lowered function")
-            } else {
-                bodies[i].take().expect("an unchanged slice keeps its body")
+        // Nothing fails from here on: take the previous artefact apart.
+        let keys = self
+            .keys
+            .take()
+            .expect("an owned workspace's artefact has keys");
+        let same_shape = same_tables
+            || (self.module.funcs.len() == n
+                && (0..n).all(|i| self.module.funcs[i].name == unit.func_name(i)));
+        let mut module = std::mem::take(&mut self.module);
+        let fresh = results.into_iter().map(|r| r.expect("checked above"));
+        let mut replaced = Vec::with_capacity(ids.len());
+        if same_tables {
+            for (&i, f) in ids.iter().zip(fresh) {
+                replaced.push((i, std::mem::replace(&mut module.funcs[i], f)));
             }
-        });
-        let module = unit.module(funcs);
+        } else {
+            // Every function was lowered.
+            let old = std::mem::replace(&mut module, unit.module(fresh));
+            replaced.extend(old.funcs.into_iter().enumerate());
+        }
         self.stats.front_time = t.elapsed();
         self.stats.front_tokens = unit.tokens();
         self.stats.front_bytes = unit.bytes();
@@ -882,7 +852,7 @@ impl Analysis {
         let previous = same_shape.then_some(Previous {
             unit: &unit,
             lowered,
-            bodies,
+            replaced,
             pta,
             segs,
             keys,
@@ -890,7 +860,7 @@ impl Analysis {
         });
         let built = run_stages(
             module,
-            Some(slices),
+            true,
             previous,
             &self.pta_config,
             self.threads,
@@ -902,6 +872,7 @@ impl Analysis {
             split_bytes,
             ..built.outcome
         };
+        unit.into_snapshot(self.source.as_mut().expect("checked above"));
         self.install(built);
         Ok(outcome)
     }
@@ -918,7 +889,6 @@ impl Analysis {
     ) -> Result<UpdateOutcome, PinpointError> {
         let module = compile_source(src, self.threads, &mut TraceBuf::off())?.module;
         let unit = Unit::split(src)?;
-        let slices = Slices::of(&unit);
         let old = self
             .keys
             .take()
@@ -934,15 +904,15 @@ impl Analysis {
         let previous = same_shape.then_some(Previous {
             unit: &unit,
             lowered: vec![true; module.funcs.len()],
-            bodies: bodies.into_iter().map(Some).collect(),
+            replaced: bodies.into_iter().enumerate().collect(),
             pta,
             segs: std::mem::take(&mut self.segs),
             keys: old,
             callgraph: None,
         });
-        let built = run_stages(
+        let mut built = run_stages(
             module,
-            Some(slices),
+            true,
             previous,
             &self.pta_config,
             self.threads,
@@ -950,11 +920,16 @@ impl Analysis {
             &mut self.stats,
         );
         assert_eq!(built.keys.as_ref().map(|k| &k.func), Some(&func));
+        // The SEG's module-level indexes are recomputed from the graphs,
+        // so that the splice of the update under test meets a reference
+        // that did not splice.
+        built.segs = built.segs.reindexed(&built.module, &built.pta.pta);
         let outcome = UpdateOutcome {
             fell_back: !same_shape,
             split_bytes: src.len(),
             ..built.outcome
         };
+        self.source = Some(unit.snapshot());
         self.install(built);
         Ok(outcome)
     }

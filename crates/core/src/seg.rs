@@ -201,6 +201,36 @@ impl<T: Copy> Rows<T> {
         Rows { offsets, data }
     }
 
+    /// Row by row, the items of these rows that `keep` accepts merged
+    /// with those of `fresh`'s, each row of both sorted: `fresh` itself
+    /// when there are no rows here.
+    fn merged(&self, fresh: Rows<T>, keep: impl Fn(&T) -> bool) -> Rows<T>
+    where
+        T: Ord,
+    {
+        if self.offsets.is_empty() {
+            return fresh;
+        }
+        let mut offsets = Vec::with_capacity(fresh.offsets.len());
+        let mut data = Vec::with_capacity(self.data.len() + fresh.data.len());
+        offsets.push(0);
+        for r in 0..fresh.rows() {
+            let mut kept = self.row(r).iter().filter(|x| keep(x)).peekable();
+            let mut new = fresh.row(r).iter().peekable();
+            loop {
+                let next = match (kept.peek(), new.peek()) {
+                    (Some(a), Some(b)) if a <= b => kept.next(),
+                    (_, Some(_)) => new.next(),
+                    (Some(_), None) => kept.next(),
+                    (None, None) => break,
+                };
+                data.extend(next.copied());
+            }
+            offsets.push(to_u32(data.len()));
+        }
+        Rows { offsets, data }
+    }
+
     /// Appends a row after the existing ones.
     fn push_row(&mut self, items: impl IntoIterator<Item = T>) {
         if self.offsets.is_empty() {
@@ -606,6 +636,8 @@ pub struct ModuleSeg {
     pub vertex_count: usize,
     /// Total SEG edges.
     pub edge_count: usize,
+    /// Sum of the graphs' [`Seg::heap_bytes`].
+    graph_bytes: usize,
 }
 
 impl ModuleSeg {
@@ -622,15 +654,17 @@ impl ModuleSeg {
 
     /// Builds the SEGs of `module`, one function after another in id
     /// order, straight into the shared `arena` and `symbols` (one
-    /// `seg.func` span per function built), then the module-level indexes.
+    /// `seg.func` span per function built), and splices each into the
+    /// module-level indexes.
     ///
     /// `reuse` provides an edit's previous graphs plus the functions that
-    /// must be rebuilt; every other graph, and its rows of the source
-    /// index, is spliced. A spliced graph keeps the callee ids it was
-    /// built with, so the old build's module must have had the same
-    /// functions in the same order. The other module-level indexes are
-    /// recomputed from the whole set (cheap relative to graph
-    /// construction).
+    /// must be rebuilt. Every other graph stays where it is, with its
+    /// rows of the callers, source and global-channel indexes and its
+    /// share of the totals; the rebuilt functions' entries are taken out
+    /// of each and their new ones put in. A kept graph keeps the callee
+    /// ids it was built with, so the old build's module must have had the
+    /// same functions in the same order. A build is a splice into nothing
+    /// of every function.
     pub fn build_reusing(
         module: &Module,
         arena: &mut TermArena,
@@ -639,100 +673,102 @@ impl ModuleSeg {
         reuse: Option<(ModuleSeg, &[FuncId])>,
         trace: &mut TraceBuf,
     ) -> Self {
-        let mut sources = vec![Vec::new(); SiteKind::ROWS];
-        let mut old_segs: Option<Vec<Option<Seg>>> = reuse.map(|(old, dirty)| {
-            let mut segs: Vec<Option<Seg>> = old.segs.into_iter().map(Some).collect();
-            for f in dirty {
-                if let Some(slot) = segs.get_mut(f.0 as usize) {
-                    *slot = None;
-                }
+        let n = module.funcs.len();
+        let (mut out, rebuilt) = match reuse {
+            Some((old, dirty)) => {
+                let mut rebuilt = dirty.to_vec();
+                rebuilt.sort_unstable();
+                rebuilt.dedup();
+                (old, rebuilt)
             }
-            sources = old.sources;
-            for row in &mut sources {
-                row.retain(|(f, _)| segs.get(f.0 as usize).is_some_and(Option::is_some));
+            None => {
+                let empty = ModuleSeg {
+                    segs: Vec::with_capacity(n),
+                    sources: vec![Vec::new(); SiteKind::ROWS],
+                    global_store_values: vec![Vec::new(); n],
+                    ..ModuleSeg::default()
+                };
+                (empty, (0..n).map(|i| FuncId(i as u32)).collect())
             }
-            segs
-        });
-        let splicing = old_segs.is_some();
-        let mut segs = Vec::with_capacity(module.funcs.len());
-        let mut own: Vec<(SiteKind, SourceSite)> = Vec::new();
-        for (fid, f) in module.iter_funcs() {
-            let spliced = old_segs
-                .as_mut()
-                .and_then(|old| old.get_mut(fid.0 as usize)?.take());
-            let seg = spliced.unwrap_or_else(|| {
-                let seg = trace.span("seg.func", f.name.as_str(), |_| {
-                    Seg::build(arena, symbols, fid, f, &pta[fid.0 as usize], &mut own)
-                });
-                for (kind, site) in own.drain(..) {
-                    sources[kind.row()].push((fid, site));
-                }
-                seg
-            });
-            segs.push(seg);
+        };
+        let mut is_rebuilt = vec![false; n];
+        for &f in &rebuilt {
+            if let Some(seg) = out.segs.get(f.0 as usize) {
+                out.vertex_count -= seg.vertex_count();
+                out.edge_count -= seg.edge_count();
+                out.graph_bytes -= seg.heap_bytes();
+            }
+            is_rebuilt[f.0 as usize] = true;
         }
-        for row in &mut sources {
-            // Rebuilt sites arrive in `(function, site)` order, after the
-            // spliced ones.
-            if splicing {
-                row.sort_by_key(|&(f, s)| (f, s.site));
+        for row in &mut out.sources {
+            row.retain(|&(f, _)| !is_rebuilt[f.0 as usize]);
+        }
+        for flows in out
+            .global_stores
+            .values_mut()
+            .chain(out.global_loads.values_mut())
+        {
+            flows.retain(|&(f, ..)| !is_rebuilt[f.0 as usize]);
+        }
+        let mut own: Vec<(SiteKind, SourceSite)> = Vec::new();
+        for &fid in &rebuilt {
+            let (i, f) = (fid.0 as usize, module.func(fid));
+            let seg = trace.span("seg.func", f.name.as_str(), |_| {
+                Seg::build(arena, symbols, fid, f, &pta[i], &mut own)
+            });
+            for (kind, site) in own.drain(..) {
+                out.sources[kind.row()].push((fid, site));
             }
+            out.vertex_count += seg.vertex_count();
+            out.edge_count += seg.edge_count();
+            out.graph_bytes += seg.heap_bytes();
+            // A build has no graph here yet and takes the functions in
+            // order.
+            match out.segs.get_mut(i) {
+                Some(slot) => *slot = seg,
+                None => out.segs.push(seg),
+            }
+            // Each channel lists its flows by function, each function's in
+            // the order its points-to result has them.
+            let channels = [
+                (&mut out.global_stores, &pta[i].global_stores),
+                (&mut out.global_loads, &pta[i].global_loads),
+            ];
+            for (channel, accesses) in channels {
+                for ga in accesses {
+                    let flows = channel.entry(ga.global).or_default();
+                    let at = flows.partition_point(|&(g, ..)| g <= fid);
+                    flows.insert(at, (fid, ga.value, ga.cond));
+                }
+            }
+            let mut vs: Vec<ValueId> = pta[i].global_stores.iter().map(|ga| ga.value).collect();
+            vs.sort_unstable();
+            vs.dedup();
+            out.global_store_values[i] = vs;
+        }
+        out.global_stores.retain(|_, flows| !flows.is_empty());
+        out.global_loads.retain(|_, flows| !flows.is_empty());
+        for row in &mut out.sources {
+            // Rebuilt sites arrive in `(function, site)` order, after the
+            // kept ones.
+            row.sort_by_key(|&(f, s)| (f, s.site));
             row.shrink_to_fit();
         }
-        Self::assemble(module, segs, sources, pta)
-    }
-
-    /// Computes the module-level indexes (callers, global channels,
-    /// vertex/edge totals) over finished per-function graphs and their
-    /// source index.
-    fn assemble(
-        module: &Module,
-        segs: Vec<Seg>,
-        sources: Vec<Vec<(FuncId, SourceSite)>>,
-        pta: &[FuncPta],
-    ) -> Self {
-        // Functions in id order, each function's sites in order: every
-        // callee's row comes out sorted by `(caller, site)`.
+        // The rebuilt functions' call sites, grouped by callee: each row
+        // comes out sorted by `(caller, site)`, and so does its merge with
+        // the kept sites of the previous row.
         let (mut targets, mut sites) = (Vec::new(), Vec::new());
-        let mut global_stores: BTreeMap<GlobalId, Vec<GlobalFlow>> = BTreeMap::new();
-        let mut global_loads: BTreeMap<GlobalId, Vec<GlobalFlow>> = BTreeMap::new();
-        for (fid, _) in module.iter_funcs() {
-            let i = fid.0 as usize;
-            for call in segs[i].call_sites() {
+        for &fid in &rebuilt {
+            for call in out.segs[fid.0 as usize].call_sites() {
                 targets.push(call.callee);
                 sites.push((fid, call.site));
             }
-            for ga in &pta[i].global_stores {
-                let flows = global_stores.entry(ga.global).or_default();
-                flows.push((fid, ga.value, ga.cond));
-            }
-            for ga in &pta[i].global_loads {
-                let flows = global_loads.entry(ga.global).or_default();
-                flows.push((fid, ga.value, ga.cond));
-            }
         }
-        let callers = Rows::group(module.funcs.len(), &sites, |i| targets[i].0 as usize);
-        let global_store_values = pta
-            .iter()
-            .map(|p| {
-                let mut vs: Vec<ValueId> = p.global_stores.iter().map(|ga| ga.value).collect();
-                vs.sort_unstable();
-                vs.dedup();
-                vs
-            })
-            .collect();
-        let vertex_count = segs.iter().map(Seg::vertex_count).sum();
-        let edge_count = segs.iter().map(Seg::edge_count).sum();
-        ModuleSeg {
-            segs,
-            callers,
-            sources,
-            global_stores,
-            global_loads,
-            global_store_values,
-            vertex_count,
-            edge_count,
-        }
+        let fresh = Rows::group(n, &sites, |i| targets[i].0 as usize);
+        out.callers = out
+            .callers
+            .merged(fresh, |&(f, _)| !is_rebuilt[f.0 as usize]);
+        out
     }
 
     /// The call sites of `f`: `(caller, site)` in ascending order.
@@ -767,9 +803,54 @@ impl ModuleSeg {
     /// index is a checker's lookup table, not part of the graph, and is
     /// not counted.
     pub fn heap_bytes(&self) -> usize {
-        self.segs.len() * size_of::<Seg>()
-            + self.segs.iter().map(Seg::heap_bytes).sum::<usize>()
-            + self.callers.heap_bytes()
+        self.segs.len() * size_of::<Seg>() + self.graph_bytes + self.callers.heap_bytes()
+    }
+}
+
+#[cfg(test)]
+impl ModuleSeg {
+    /// These graphs with every module-level index and total recomputed
+    /// from the graphs and `pta` alone, in one pass over the module: the
+    /// reference [`ModuleSeg::build_reusing`]'s splice is tested against.
+    /// The source index has its own oracle (`spec::tests`) and is kept.
+    pub(crate) fn reindexed(self, module: &Module, pta: &[FuncPta]) -> Self {
+        let (mut targets, mut sites) = (Vec::new(), Vec::new());
+        let mut global_stores: BTreeMap<GlobalId, Vec<GlobalFlow>> = BTreeMap::new();
+        let mut global_loads: BTreeMap<GlobalId, Vec<GlobalFlow>> = BTreeMap::new();
+        for (fid, _) in module.iter_funcs() {
+            let i = fid.0 as usize;
+            for call in self.segs[i].call_sites() {
+                targets.push(call.callee);
+                sites.push((fid, call.site));
+            }
+            for ga in &pta[i].global_stores {
+                let flows = global_stores.entry(ga.global).or_default();
+                flows.push((fid, ga.value, ga.cond));
+            }
+            for ga in &pta[i].global_loads {
+                let flows = global_loads.entry(ga.global).or_default();
+                flows.push((fid, ga.value, ga.cond));
+            }
+        }
+        let global_store_values = pta
+            .iter()
+            .map(|p| {
+                let mut vs: Vec<ValueId> = p.global_stores.iter().map(|ga| ga.value).collect();
+                vs.sort_unstable();
+                vs.dedup();
+                vs
+            })
+            .collect();
+        ModuleSeg {
+            callers: Rows::group(module.funcs.len(), &sites, |i| targets[i].0 as usize),
+            global_stores,
+            global_loads,
+            global_store_values,
+            vertex_count: self.segs.iter().map(Seg::vertex_count).sum(),
+            edge_count: self.segs.iter().map(Seg::edge_count).sum(),
+            graph_bytes: self.segs.iter().map(Seg::heap_bytes).sum(),
+            ..self
+        }
     }
 }
 

@@ -995,9 +995,10 @@ fn main(c: bool) {
     }
 
     /// Everything an update leaves that a user or the next update reads:
-    /// reports with witnesses, the transformed module, the kept source
-    /// and item table, keys and fingerprints, the arena's length and the
-    /// reuse counters.
+    /// reports with witnesses, the transformed module, the kept source,
+    /// item table and tables fingerprint, keys and fingerprints, the SEG's
+    /// module-level indexes and totals, the arena's length and the reuse
+    /// counters.
     fn snapshot(ws: &mut Workspace) -> String {
         let reports: Vec<String> = ws
             .query(&Query::All)
@@ -1006,14 +1007,35 @@ fn main(c: bool) {
             .map(|r| format!("{r:?}"))
             .collect();
         let c = ws.counters();
+        let a = ws.analysis();
+        let source = a
+            .source
+            .as_ref()
+            .expect("an owned workspace keeps its source");
+        let segs = &a.segs;
+        let funcs = (0..a.module.funcs.len()).map(|i| pinpoint_ir::FuncId(i as u32));
+        let rows: Vec<String> = funcs
+            .map(|f| {
+                let (callers, stores) = (segs.callers(f), segs.global_store_values(f));
+                format!("{f:?} callers {callers:?} stores {stores:?}")
+            })
+            .collect();
         format!(
-            "{}\n{}\n{:?}\nkeys {:x?}\nlocal {:x?}\nterms {}\nreuse {:?}",
+            "{}\n{}\n{:?}\ntables {:x}\nkeys {:x?}\nlocal {:x?}\n{}\nchannels {:?} {:?}\n\
+             seg {} {} {}\nterms {}\nreuse {:?}",
             reports.join("\n"),
-            pinpoint_ir::printer::print_module(&ws.analysis().module),
-            ws.keys().slices.source,
+            pinpoint_ir::printer::print_module(&a.module),
+            source,
+            source.tables_fingerprint(),
             ws.func_keys(),
             ws.func_fingerprints(),
-            ws.analysis().arena.len(),
+            rows.join("\n"),
+            segs.global_stores,
+            segs.global_loads,
+            segs.vertex_count,
+            segs.edge_count,
+            segs.heap_bytes(),
+            a.arena.len(),
             (
                 c.queries_reused,
                 c.queries_rerun,

@@ -49,6 +49,8 @@ pub struct CallGraph {
     /// (callee components first). The concatenated rows are the
     /// bottom-up function order.
     sccs: Csr,
+    /// The functions level by level ([`CallGraph::schedule`]).
+    schedule: Vec<FuncId>,
 }
 
 fn offset(len: usize) -> u32 {
@@ -109,12 +111,17 @@ impl CallGraph {
         }
         let callers = Csr { offsets, items };
         let (scc_of, sccs) = tarjan(&callees);
-        CallGraph {
+        let mut cg = CallGraph {
             callees,
             callers,
             scc_of,
             sccs,
-        }
+            schedule: Vec::new(),
+        };
+        let levels = cg.scc_levels();
+        let schedule = levels.iter().flatten().flat_map(|&scc| cg.scc(scc));
+        cg.schedule = schedule.copied().collect();
+        cg
     }
 
     /// Distinct user-defined callees of `f`, in first-occurrence order
@@ -176,6 +183,15 @@ impl CallGraph {
     /// condensation are deterministic inputs.
     pub fn bottom_up(&self) -> &[FuncId] {
         &self.sccs.items
+    }
+
+    /// Functions level by level: those of each condensation level
+    /// ([`CallGraph::scc_levels`]) in turn, each level's SCCs in order, so
+    /// every cross-SCC callee comes before its callers. Computed once with
+    /// the graph: the points-to stage numbers the shared arena in this
+    /// order, and an update that keeps the graph keeps it.
+    pub fn schedule(&self) -> &[FuncId] {
+        &self.schedule
     }
 
     /// Number of distinct caller → callee edges.

@@ -43,11 +43,14 @@
 //!    order ([`Unit::split`], once every body has parsed);
 //! 4. else the first lowering error in function order ([`Unit::finish`]).
 
-use crate::fingerprint::{hash_type, Fnv128};
+use crate::ast::FnHeader;
 use crate::ir::{Function, Module};
 use crate::lower::{self, LowerError, Tables};
-use crate::parser::{self, FuncItem, ItemTable, Items, ParseError};
+use crate::parser::{self, ItemTable, ParseError};
+use crate::types::Type;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A front-end error: the source did not parse, or did not lower.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,8 +89,12 @@ impl From<LowerError> for CompileError {
 #[derive(Debug)]
 pub struct Unit<'src> {
     src: &'src str,
-    items: Items<'src>,
-    tables: Tables<'src>,
+    items: ItemTable,
+    /// Shared with the [`Snapshot`] this unit was re-split from when the
+    /// edit left every declaration as it was.
+    tables: Arc<Tables>,
+    /// The functions whose items the split ran the productions over.
+    window: Range<usize>,
 }
 
 impl<'src> Unit<'src> {
@@ -99,7 +106,15 @@ impl<'src> Unit<'src> {
     /// function body: classes 1 and 3, and of class 2 the malformed
     /// headers (or the parse error of an earlier body that outranks one).
     pub fn split(src: &'src str) -> Result<Self, CompileError> {
-        Self::of_items(src, parser::split(src)?)
+        let items = parser::split(src)?;
+        let tables = Arc::new(tables_of(src, &items)?);
+        let window = 0..items.func_count();
+        Ok(Unit {
+            src,
+            items,
+            tables,
+            window,
+        })
     }
 
     /// [`Unit::split`] of `src`, an edit of the text `previous` is of,
@@ -107,64 +122,83 @@ impl<'src> Unit<'src> {
     /// start before the first changed byte are kept, the item table is
     /// split again from the last of them up to the first item boundary
     /// the edit left where `previous` had one, and every item after that
-    /// is kept, moved by what the edit added. Also returns the number of
-    /// bytes it lexed (the whole file when the re-split range holds an
-    /// error: the error is then the one [`Unit::split`] reports).
+    /// is kept, moved by what the edit added. When the items split again
+    /// declare what the ones they replace did, the tables of `previous`
+    /// (and their fingerprint) are kept too; otherwise they are built
+    /// again. Also returns the number of bytes it lexed (the whole file
+    /// when the re-split range holds an error: the error is then the one
+    /// [`Unit::split`] reports).
     ///
     /// # Errors
     ///
     /// Those of [`Unit::split`].
     pub fn resplit(src: &'src str, previous: &Snapshot) -> Result<(Self, usize), CompileError> {
-        match parser::resplit(src, &previous.text, &previous.items) {
-            Ok((items, lexed)) => Ok((Self::of_items(src, items)?, lexed.len())),
-            Err(_) => Ok((Self::split(src)?, src.len())),
-        }
-    }
-
-    /// The unit of `items`, the item table of `src`.
-    fn of_items(src: &'src str, items: Items<'src>) -> Result<Self, CompileError> {
-        match Tables::build(&items.globals, items.funcs.iter().map(FuncItem::header)) {
-            Ok(tables) => Ok(Unit { src, items, tables }),
-            Err(duplicate) => {
-                // Names are checked once the whole file has parsed.
-                for item in &items.funcs {
-                    parser::parse_body(src, item)?;
-                }
-                Err(duplicate.into())
-            }
-        }
+        let Ok(re) = parser::resplit(src, &previous.text, &previous.items) else {
+            return Ok((Self::split(src)?, src.len()));
+        };
+        let tables = if re.table.same_declarations(
+            src,
+            re.kept..re.new_end,
+            &previous.items,
+            &previous.text,
+            re.kept..re.old_end,
+        ) {
+            Arc::clone(&previous.tables)
+        } else {
+            Arc::new(tables_of(src, &re.table)?)
+        };
+        let unit = Unit {
+            src,
+            window: re.table.funcs_among(re.kept..re.new_end),
+            items: re.table,
+            tables,
+        };
+        Ok((unit, re.lexed.len()))
     }
 
     /// What [`Unit::resplit`] of an edit of this unit's text reads: a
-    /// copy of the text and the item table in offset form.
+    /// copy of the text, the item table in offset form and the tables.
     pub fn snapshot(&self) -> Snapshot {
-        let mut snapshot = Snapshot::default();
-        self.snapshot_into(&mut snapshot);
-        snapshot
+        Snapshot {
+            text: self.src.to_string(),
+            items: self.items.clone(),
+            tables: Arc::clone(&self.tables),
+        }
     }
 
-    /// [`Unit::snapshot`] into `snapshot`, in the memory it holds: an
-    /// editor that replaces the previous snapshot allocates nothing for
-    /// a text no longer than the one before.
-    pub fn snapshot_into(&self, snapshot: &mut Snapshot) {
+    /// [`Unit::snapshot`] into `snapshot`, moving the item table and the
+    /// tables there and copying the text into the memory it holds: an
+    /// editor that replaces the previous snapshot allocates nothing for a
+    /// text no longer than the one before.
+    pub fn into_snapshot(self, snapshot: &mut Snapshot) {
         snapshot.text.clear();
         snapshot.text.push_str(self.src);
-        snapshot.items.fill(self.src, &self.items);
+        snapshot.items = self.items;
+        snapshot.tables = self.tables;
     }
 
     /// Number of functions; [`Unit::compile_fn`] takes `0..func_count()`.
     pub fn func_count(&self) -> usize {
-        self.items.funcs.len()
+        self.items.func_count()
     }
 
     /// Name of function `i`.
     pub fn func_name(&self, i: usize) -> &'src str {
-        self.items.funcs[i].name
+        &self.src[self.items.func(i).name]
+    }
+
+    /// The functions whose items the split parsed: all of them after
+    /// [`Unit::split`]. After [`Unit::resplit`] every function outside
+    /// has the text of its item in the previous snapshot, at the same
+    /// index when the [tables fingerprint](Unit::tables_fingerprint) is
+    /// the previous one.
+    pub fn window(&self) -> Range<usize> {
+        self.window.clone()
     }
 
     /// Tokens in the file (end of input not counted).
     pub fn tokens(&self) -> usize {
-        self.items.tokens
+        self.items.tokens()
     }
 
     /// Bytes of source text.
@@ -175,8 +209,7 @@ impl<'src> Unit<'src> {
     /// The text of function `i`: from its `fn` keyword to its body's
     /// closing brace.
     pub fn slice(&self, i: usize) -> &'src str {
-        let item = &self.items.funcs[i];
-        &self.src[item.span.offset..item.end]
+        &self.src[self.items.func_range(i)]
     }
 
     /// A hash of everything lowering reads besides a function's own
@@ -185,28 +218,7 @@ impl<'src> Unit<'src> {
     /// function's id is its position, and a call is checked against the
     /// callee's signature).
     pub fn tables_fingerprint(&self) -> u128 {
-        let mut h = Fnv128::new();
-        h.write_u64(self.items.globals.len() as u64);
-        for g in &self.items.globals {
-            h.write_str(g.name);
-            hash_type(&mut h, &g.ty);
-        }
-        h.write_u64(self.items.funcs.len() as u64);
-        for f in &self.items.funcs {
-            h.write_str(f.name);
-            h.write_u64(f.params.len() as u64);
-            for (_, ty) in &f.params {
-                hash_type(&mut h, ty);
-            }
-            match &f.ret_ty {
-                Some(ty) => {
-                    h.write_u32(1);
-                    hash_type(&mut h, ty);
-                }
-                None => h.write_u32(0),
-            }
-        }
-        h.finish()
+        self.tables.fingerprint()
     }
 
     /// Parses and lowers function `i`. The syntax tree of its body lives
@@ -217,9 +229,17 @@ impl<'src> Unit<'src> {
     /// Returns the function's first parse error, or else its first
     /// lowering error.
     pub fn compile_fn(&self, i: usize) -> Result<Function, CompileError> {
-        let item = &self.items.funcs[i];
-        let body = parser::parse_body(self.src, item)?;
-        Ok(lower::lower_fn(item.header(), &body, &self.tables)?)
+        let f = self.items.func(i);
+        let body = parser::parse_body(self.src, f.body_at)?;
+        let names = f.param_names.iter().map(|r| &self.src[r.clone()]);
+        let params: Vec<(&str, Type)> = names.zip(f.param_tys.iter().copied()).collect();
+        let header = FnHeader {
+            name: &self.src[f.name],
+            params: &params,
+            ret_ty: f.ret_ty,
+            span: f.span,
+        };
+        Ok(lower::lower_fn(header, &body, &self.tables)?)
     }
 
     /// Assembles the module from `results`, the outcome of
@@ -241,12 +261,15 @@ impl<'src> Unit<'src> {
         if let Some(e) = first_error(&results) {
             return Err(e.clone());
         }
-        // The item and signature tables are done with: give their memory
-        // back before the module takes the functions over.
-        let Unit { items, tables, .. } = self;
-        drop(tables);
-        let mut module = lower::module_with_globals(&items.globals, results.len());
-        drop(items);
+        // The tables are done with: give their memory back before the
+        // module takes the functions over.
+        drop(self.tables);
+        let globals = self
+            .items
+            .globals()
+            .map(|(name, ty, _)| (&self.src[name], ty));
+        let mut module = lower::module_with_globals(globals, results.len());
+        drop(self.items);
         for f in results.into_iter().flatten() {
             module.add_func(f);
         }
@@ -264,7 +287,11 @@ impl<'src> Unit<'src> {
     /// name repeats.
     pub fn module(&self, funcs: impl ExactSizeIterator<Item = Function>) -> Module {
         assert_eq!(funcs.len(), self.func_count(), "one function per item");
-        let mut module = lower::module_with_globals(&self.items.globals, funcs.len());
+        let globals = self
+            .items
+            .globals()
+            .map(|(name, ty, _)| (&self.src[name], ty));
+        let mut module = lower::module_with_globals(globals, funcs.len());
         for f in funcs {
             module.add_func(f);
         }
@@ -272,26 +299,54 @@ impl<'src> Unit<'src> {
     }
 }
 
-/// A source text and its item table, kept apart from any [`Unit`]
-/// ([`Unit::snapshot`]) so that an edit of the text can be split against
-/// it ([`Unit::resplit`]). Two snapshots are equal when their texts are
-/// and [`Unit::split`] of them made equal items: the same spans, lines,
-/// names, types, body starts and ends, and token counts.
+/// The tables of `items`, the item table of `src`.
+///
+/// # Errors
+///
+/// A duplicate global or function, once every body has parsed (a parse
+/// error in a body outranks it).
+fn tables_of(src: &str, items: &ItemTable) -> Result<Tables, CompileError> {
+    let globals = items
+        .globals()
+        .map(|(name, ty, span)| (&src[name], ty, span));
+    let funcs = items.funcs().map(|f| {
+        let params = f.param_tys.iter().copied();
+        (&src[f.name], params, f.ret_ty, f.span)
+    });
+    Tables::build(globals, funcs).map_err(|duplicate| {
+        // Names are checked once the whole file has parsed.
+        match items
+            .funcs()
+            .find_map(|f| parser::parse_body(src, f.body_at).err())
+        {
+            Some(e) => e.into(),
+            None => duplicate.into(),
+        }
+    })
+}
+
+/// A source text, its item table and its tables, kept apart from any
+/// [`Unit`] ([`Unit::snapshot`]) so that an edit of the text can be split
+/// against it ([`Unit::resplit`]). Two snapshots are equal when their
+/// texts are and [`Unit::split`] of them made equal items and tables: the
+/// same spans, lines, names, types, body starts and ends, token counts
+/// and signatures.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     text: String,
     items: ItemTable,
+    tables: Arc<Tables>,
 }
 
 impl Snapshot {
-    /// Number of functions.
-    pub fn func_count(&self) -> usize {
-        self.items.func_count()
-    }
-
     /// The text of function `i`, as [`Unit::slice`] gave it.
     pub fn slice(&self, i: usize) -> &str {
         &self.text[self.items.func_range(i)]
+    }
+
+    /// [`Unit::tables_fingerprint`] of the unit this is a snapshot of.
+    pub fn tables_fingerprint(&self) -> u128 {
+        self.tables.fingerprint()
     }
 }
 

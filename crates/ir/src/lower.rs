@@ -21,7 +21,8 @@
 //! (functions are numbered in item order, as the module will hold them),
 //! and each distinct value name enters the function's name table once.
 
-use crate::ast::{BinOpKind, Expr, FnHeader, FuncDef, GlobalDef, Program, Span, Stmt, UnOpKind};
+use crate::ast::{BinOpKind, Expr, FnHeader, Program, Span, Stmt, UnOpKind};
+use crate::fingerprint::{hash_type, Fnv128};
 use crate::ir::{
     BinOp, BlockId, Callee, Const, FuncId, Function, GlobalId, Inst, Intrinsic, Module, Terminator,
     UnOp, ValueId,
@@ -49,7 +50,7 @@ impl fmt::Display for LowerError {
 impl std::error::Error for LowerError {}
 
 /// Signature of a callable (user function or intrinsic).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Signature {
     /// What a call of it names.
     callee: Callee,
@@ -61,50 +62,65 @@ struct Signature {
 }
 
 /// The module-level names a function body can refer to: the globals and
-/// the signature of every callable (intrinsics and functions). Keys are
-/// slices of the source text; function `i` of the item table is
-/// `FuncId(i)`.
-#[derive(Debug)]
-pub(crate) struct Tables<'src> {
-    globals: HashMap<&'src str, (GlobalId, Type)>,
-    signatures: HashMap<&'src str, Signature>,
+/// the signature of every callable (intrinsics and functions). Function
+/// `i` of the item table is `FuncId(i)`. The names are owned, so an
+/// editor can keep the tables for the next text while its declarations
+/// stay the same.
+#[derive(Default, PartialEq)]
+pub(crate) struct Tables {
+    globals: HashMap<Box<str>, (GlobalId, Type)>,
+    signatures: HashMap<Box<str>, Signature>,
     /// Every signature's parameter types, back to back.
     param_tys: Vec<Type>,
+    /// A hash of what the tables are built from (see
+    /// [`Tables::fingerprint`]).
+    fingerprint: u128,
 }
 
-impl<'src> Tables<'src> {
-    /// Builds the tables of a program from its global declarations and
-    /// function headers, both in source order.
+/// The fingerprint stands for the maps, whose iteration order is not a
+/// function of their contents.
+impl fmt::Debug for Tables {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tables")
+            .field("fingerprint", &format_args!("{:x}", self.fingerprint))
+            .finish_non_exhaustive()
+    }
+}
+
+impl Tables {
+    /// Builds the tables of a program from its global declarations
+    /// (name, type, location) and function headers (name, parameter
+    /// types, return type, location), both in source order.
     ///
     /// # Errors
     ///
     /// Returns the first duplicate global, or else the first function
     /// that redeclares a function or an intrinsic.
-    pub(crate) fn build<'a>(
-        globals: &[GlobalDef<'src>],
-        funcs: impl ExactSizeIterator<Item = FnHeader<'a, 'src>>,
-    ) -> Result<Self, LowerError>
-    where
-        'src: 'a,
-    {
+    pub(crate) fn build<'a, P: IntoIterator<Item = Type>>(
+        globals: impl Iterator<Item = (&'a str, Type, Span)>,
+        funcs: impl ExactSizeIterator<Item = (&'a str, P, Option<Type>, Span)>,
+    ) -> Result<Self, LowerError> {
         let mut tables = Tables {
-            globals: HashMap::with_capacity(globals.len()),
             signatures: HashMap::with_capacity(INTRINSICS.len() + funcs.len()),
-            param_tys: Vec::new(),
+            ..Tables::default()
         };
-        for (i, g) in globals.iter().enumerate() {
+        let mut h = Fnv128::new();
+        for (i, (name, ty, span)) in globals.enumerate() {
+            h.write_str(name);
+            hash_type(&mut h, &ty);
             let id = GlobalId(u32::try_from(i).expect("too many globals"));
-            if tables.globals.insert(g.name, (id, g.ty)).is_some() {
+            if tables.globals.insert(name.into(), (id, ty)).is_some() {
                 return Err(LowerError {
-                    message: format!("duplicate global `{}`", g.name),
-                    span: g.span,
+                    message: format!("duplicate global `{name}`"),
+                    span,
                 });
             }
         }
+        h.write_u64(tables.globals.len() as u64);
         for &(intrinsic, arity, ret, polymorphic) in INTRINSICS {
             let params = tables.push_params((0..arity).map(|_| Type::Int));
             tables.signatures.insert(
-                intrinsic.name(),
+                intrinsic.name().into(),
                 Signature {
                     callee: Callee::intrinsic(intrinsic),
                     params,
@@ -113,21 +129,46 @@ impl<'src> Tables<'src> {
                 },
             );
         }
-        for (i, f) in funcs.enumerate() {
+        let funcs_len = funcs.len();
+        for (i, (name, params, ret, span)) in funcs.enumerate() {
+            let params = tables.push_params(params.into_iter());
+            h.write_str(name);
+            h.write_u64(params.len() as u64);
+            for ty in &tables.param_tys[params.clone()] {
+                hash_type(&mut h, ty);
+            }
+            match &ret {
+                Some(ty) => {
+                    h.write_u32(1);
+                    hash_type(&mut h, ty);
+                }
+                None => h.write_u32(0),
+            }
             let sig = Signature {
                 callee: Callee::func(FuncId(u32::try_from(i).expect("too many functions"))),
-                params: tables.push_params(f.params.iter().map(|&(_, t)| t)),
-                ret: f.ret_ty,
+                params,
+                ret,
                 polymorphic: false,
             };
-            if tables.signatures.insert(f.name, sig).is_some() {
+            if tables.signatures.insert(name.into(), sig).is_some() {
                 return Err(LowerError {
-                    message: format!("duplicate function `{}`", f.name),
-                    span: f.span,
+                    message: format!("duplicate function `{name}`"),
+                    span,
                 });
             }
         }
+        h.write_u64(funcs_len as u64);
+        tables.fingerprint = h.finish();
         Ok(tables)
+    }
+
+    /// A hash of everything lowering reads besides a function's own
+    /// slice: each global's name and type and each function's name,
+    /// parameter types and return type, in declaration order (a
+    /// function's id is its position, and a call is checked against the
+    /// callee's signature).
+    pub(crate) fn fingerprint(&self) -> u128 {
+        self.fingerprint
     }
 
     fn push_params(&mut self, tys: impl Iterator<Item = Type>) -> Range<usize> {
@@ -151,11 +192,15 @@ const INTRINSICS: &[(Intrinsic, usize, Option<Type>, bool)] = &[
     (Intrinsic::Sendto, 1, None, true),
 ];
 
-/// An empty module declaring `globals`, ready for `funcs` functions.
-pub(crate) fn module_with_globals(globals: &[GlobalDef<'_>], funcs: usize) -> Module {
+/// An empty module declaring `globals` (name, type), ready for `funcs`
+/// functions.
+pub(crate) fn module_with_globals<'a>(
+    globals: impl Iterator<Item = (&'a str, Type)>,
+    funcs: usize,
+) -> Module {
     let mut module = Module::with_capacity(funcs);
-    for g in globals {
-        module.add_global(g.name, g.ty);
+    for (name, ty) in globals {
+        module.add_global(name, ty);
     }
     module
 }
@@ -177,8 +222,14 @@ pub(crate) fn module_with_globals(globals: &[GlobalDef<'_>], funcs: usize) -> Mo
 /// # Ok::<(), pinpoint_ir::lower::LowerError>(())
 /// ```
 pub fn lower(program: &Program<'_>) -> Result<Module, LowerError> {
-    let tables = Tables::build(&program.globals, program.funcs.iter().map(FuncDef::header))?;
-    let mut module = module_with_globals(&program.globals, program.funcs.len());
+    let globals = program.globals.iter().map(|g| (g.name, g.ty, g.span));
+    let funcs = program.funcs.iter().map(|f| {
+        let params = f.params.iter().map(|&(_, ty)| ty);
+        (f.name, params, f.ret_ty, f.span)
+    });
+    let tables = Tables::build(globals, funcs)?;
+    let globals = program.globals.iter().map(|g| (g.name, g.ty));
+    let mut module = module_with_globals(globals, program.funcs.len());
     for f in &program.funcs {
         module.add_func(lower_fn(f.header(), &f.body, &tables)?);
     }
@@ -194,7 +245,7 @@ pub fn lower(program: &Program<'_>) -> Result<Module, LowerError> {
 pub(crate) fn lower_fn<'src>(
     header: FnHeader<'_, 'src>,
     body: &[Stmt<'src>],
-    tables: &Tables<'src>,
+    tables: &Tables,
 ) -> Result<Function, LowerError> {
     FnLowerer::new(header, tables).run(body)
 }
@@ -302,7 +353,7 @@ impl<'src> Env<'src> {
 
 struct FnLowerer<'a, 'src> {
     header: FnHeader<'a, 'src>,
-    tables: &'a Tables<'src>,
+    tables: &'a Tables,
     f: Function,
     cur: BlockId,
     /// Return sites: (predecessor block, returned value).
@@ -312,7 +363,7 @@ struct FnLowerer<'a, 'src> {
 }
 
 impl<'a, 'src> FnLowerer<'a, 'src> {
-    fn new(header: FnHeader<'a, 'src>, tables: &'a Tables<'src>) -> Self {
+    fn new(header: FnHeader<'a, 'src>, tables: &'a Tables) -> Self {
         let f = Function::new(header.name);
         let cur = f.entry();
         FnLowerer {

@@ -2,9 +2,9 @@
 //!
 //! `split` makes one streaming pass over the file: it parses `global`
 //! items and `fn` headers with the ordinary productions and steps over
-//! each body by brace depth, leaving an item table (`Items`).
-//! `parse_body` then parses one function's body from where the table
-//! says it starts. Both run the same `Parser` over a two-token window
+//! each body by brace depth, leaving an item table (`ItemTable`, names
+//! as byte ranges). `parse_body` then parses one function's body from
+//! where the table says it starts. Both run the same `Parser` over a two-token window
 //! of the pull [`Lexer`]; no token vector of the file exists, and the
 //! tree borrows its names from the source.
 //!
@@ -12,7 +12,7 @@
 //! an `ItemTable` for: it runs the same productions over the changed
 //! byte range only (see its docs for why the result is `split`'s).
 
-use crate::ast::{BinOpKind, Expr, FnHeader, FuncDef, GlobalDef, Program, Span, Stmt, UnOpKind};
+use crate::ast::{BinOpKind, Expr, FuncDef, GlobalDef, Program, Span, Stmt, UnOpKind};
 use crate::lexer::{LexError, Lexer, Tok, Token};
 use crate::types::Type;
 use std::fmt;
@@ -44,52 +44,6 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// One `fn` item as [`split`] leaves it: the parsed header, where the
-/// body starts, and where the item ends.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FuncItem<'src> {
-    /// Function name.
-    pub name: &'src str,
-    /// Parameters: `(name, type)`.
-    pub params: Vec<(&'src str, Type)>,
-    /// Return type (`None` for procedures).
-    pub ret_ty: Option<Type>,
-    /// Location of the `fn` keyword.
-    pub span: Span,
-    /// Location of the body's opening brace ([`parse_body`] starts here).
-    pub body_at: Span,
-    /// Byte offset just past the body's closing brace (the end of input
-    /// when the body is unterminated). `span.offset..end` is the item's
-    /// text.
-    pub end: usize,
-}
-
-impl<'src> FuncItem<'src> {
-    /// The function's header.
-    pub(crate) fn header(&self) -> FnHeader<'_, 'src> {
-        FnHeader {
-            name: self.name,
-            params: &self.params,
-            ret_ty: self.ret_ty,
-            span: self.span,
-        }
-    }
-}
-
-/// The item table of one source file.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct Items<'src> {
-    /// Global declarations, in source order.
-    pub globals: Vec<GlobalDef<'src>>,
-    /// Function items, in source order.
-    pub funcs: Vec<FuncItem<'src>>,
-    /// Tokens in the file (end of input not counted).
-    pub tokens: usize,
-    /// The ordinal of each item's first token (the number of tokens
-    /// before it), globals and functions together in source order.
-    pub ordinals: Vec<usize>,
-}
-
 /// Splits `src` into its top-level items without parsing function bodies.
 ///
 /// # Errors
@@ -101,11 +55,11 @@ pub(crate) struct Items<'src> {
 /// an earlier body if one fails to parse and the header's own otherwise.
 /// `Ok` therefore promises that the whole file lexes and that every
 /// remaining parse error is inside the body of a returned item.
-pub(crate) fn split(src: &str) -> Result<Items<'_>, ParseError> {
-    let mut items = Items::default();
+pub(crate) fn split(src: &str) -> Result<ItemTable, ParseError> {
+    let mut table = ItemTable::default();
     let mut p = Parser::at(src, Span { offset: 0, line: 1 })?;
     let malformed = loop {
-        match p.item(&mut items) {
+        match p.item(&mut table) {
             Ok(true) => {}
             Ok(false) => break None,
             // A lexing error later in the file outranks a parse error
@@ -120,36 +74,37 @@ pub(crate) fn split(src: &str) -> Result<Items<'_>, ParseError> {
     if let Some(e) = malformed {
         // Held back until the bodies before it have parsed: one of them
         // failing is the earlier error.
-        for item in &items.funcs {
-            parse_body(src, item)?;
+        for i in 0..table.func_count() {
+            parse_body(src, table.func(i).body_at)?;
         }
         return Err(e);
     }
-    items.tokens = p.lexer.tokens();
-    Ok(items)
+    table.tokens = p.lexer.tokens();
+    Ok(table)
 }
 
-/// Parses the body of one function item of `src`'s table.
+/// Parses the body of a function of `src` whose opening brace is at
+/// `body_at` ([`FuncEntry::body_at`]).
 ///
 /// # Errors
 ///
 /// Returns the first parse error inside the body.
-pub(crate) fn parse_body<'src>(
-    src: &'src str,
-    item: &FuncItem<'src>,
-) -> Result<Vec<Stmt<'src>>, ParseError> {
-    Parser::at(src, item.body_at)?.block()
+pub(crate) fn parse_body(src: &str, body_at: Span) -> Result<Vec<Stmt<'_>>, ParseError> {
+    Parser::at(src, body_at)?.block()
 }
 
-/// An item table in offset form: what [`Items`] says of a text, with
-/// every name a byte range of it instead of a borrow, so that the table
-/// outlives the text and carries over to an edit of it ([`resplit`]).
+/// The item table of a text: where each top-level item is and what its
+/// header says, with every name a byte range of the text instead of a
+/// borrow, so that the table outlives the text and carries over to an
+/// edit of it ([`resplit`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ItemTable {
     /// Globals and functions together, in source order.
     items: Vec<Item>,
-    /// Every function's parameters back to back: name and type.
-    params: Vec<(Range<usize>, Type)>,
+    /// Every function's parameter names, back to back.
+    param_names: Vec<Range<usize>>,
+    /// Their types, alongside.
+    param_tys: Vec<Type>,
     /// The position in [`ItemTable::items`] of each function.
     funcs: Vec<usize>,
     /// Tokens in the text (end of input not counted).
@@ -171,14 +126,34 @@ struct Item {
 enum ItemKind {
     /// A global and its content type.
     Global(Type),
-    /// A function: its parameters (a range of [`ItemTable::params`]) and
-    /// the rest of its [`FuncItem`].
+    /// A function: its parameters (a range of the table's parameter
+    /// lists) and the rest of its [`FuncEntry`].
     Fn {
         params: Range<usize>,
         ret_ty: Option<Type>,
         body_at: Span,
         end: usize,
     },
+}
+
+/// One function of an [`ItemTable`], its names byte ranges of the text.
+#[derive(Debug, Clone)]
+pub(crate) struct FuncEntry<'t> {
+    pub name: Range<usize>,
+    /// Parameter names.
+    pub param_names: &'t [Range<usize>],
+    /// Parameter types.
+    pub param_tys: &'t [Type],
+    /// Return type (`None` for procedures).
+    pub ret_ty: Option<Type>,
+    /// Location of the `fn` keyword.
+    pub span: Span,
+    /// Location of the body's opening brace ([`parse_body`] starts here).
+    pub body_at: Span,
+    /// Byte offset just past the body's closing brace (the end of input
+    /// when the body is unterminated). `span.offset..end` is the item's
+    /// text.
+    pub end: usize,
 }
 
 /// How far the items after an edit moved: the byte, line and token
@@ -208,100 +183,166 @@ impl Shift {
 }
 
 impl ItemTable {
-    /// Makes this the offset form of `items`, the table of `src`, reusing
-    /// its memory.
-    pub(crate) fn fill(&mut self, src: &str, items: &Items<'_>) {
-        // Every name is a slice of `src`, so its place is its address.
-        let range = |name: &str| {
-            let at = name.as_ptr() as usize - src.as_ptr() as usize;
-            debug_assert_eq!(&src[at..at + name.len()], name);
-            at..at + name.len()
-        };
-        self.items.clear();
-        self.params.clear();
-        self.funcs.clear();
-        self.tokens = items.tokens;
-        let (mut globals, mut funcs) = (items.globals.iter().peekable(), items.funcs.iter());
-        for &ordinal in &items.ordinals {
-            let next_fn = funcs.as_slice().first().map(|f| f.span.offset);
-            let item = match globals.next_if(|g| next_fn.is_none_or(|f| g.span.offset < f)) {
-                Some(g) => Item {
-                    span: g.span,
-                    ordinal,
-                    name: range(g.name),
-                    kind: ItemKind::Global(g.ty),
-                },
-                None => {
-                    let f = funcs.next().expect("one ordinal per item");
-                    let start = self.params.len();
-                    self.params
-                        .extend(f.params.iter().map(|&(name, ty)| (range(name), ty)));
-                    self.funcs.push(self.items.len());
-                    Item {
-                        span: f.span,
-                        ordinal,
-                        name: range(f.name),
-                        kind: ItemKind::Fn {
-                            params: start..self.params.len(),
-                            ret_ty: f.ret_ty,
-                            body_at: f.body_at,
-                            end: f.end,
-                        },
-                    }
-                }
-            };
-            self.items.push(item);
-        }
-    }
-
     /// Number of functions.
     pub(crate) fn func_count(&self) -> usize {
         self.funcs.len()
     }
 
-    /// The byte range of function `i`'s item, as [`FuncItem`] gives it.
-    pub(crate) fn func_range(&self, i: usize) -> Range<usize> {
-        let item = &self.items[self.funcs[i]];
-        match item.kind {
-            ItemKind::Fn { end, .. } => item.span.offset..end,
-            ItemKind::Global(_) => unreachable!("`funcs` holds functions"),
-        }
+    /// Tokens in the text (end of input not counted).
+    pub(crate) fn tokens(&self) -> usize {
+        self.tokens
     }
 
-    /// Appends item `i`, moved by `shift`, to `items`, its names
-    /// borrowed from `src`.
-    fn push_to<'src>(&self, i: usize, shift: Shift, src: &'src str, items: &mut Items<'src>) {
-        let item = &self.items[i];
-        let name = &src[shift.range(&item.name)];
-        let span = shift.span(item.span);
+    /// Function `i`.
+    pub(crate) fn func(&self, i: usize) -> FuncEntry<'_> {
+        let item = &self.items[self.funcs[i]];
         match &item.kind {
-            &ItemKind::Global(ty) => items.globals.push(GlobalDef { name, ty, span }),
             ItemKind::Fn {
                 params,
                 ret_ty,
                 body_at,
                 end,
-            } => items.funcs.push(FuncItem {
-                name,
-                params: self.params[params.clone()]
-                    .iter()
-                    .map(|(name, ty)| (&src[shift.range(name)], *ty))
-                    .collect(),
+            } => FuncEntry {
+                name: item.name.clone(),
+                param_names: &self.param_names[params.clone()],
+                param_tys: &self.param_tys[params.clone()],
                 ret_ty: *ret_ty,
-                span,
-                body_at: shift.span(*body_at),
-                end: shift.offset(*end),
-            }),
+                span: item.span,
+                body_at: *body_at,
+                end: *end,
+            },
+            ItemKind::Global(_) => unreachable!("`funcs` holds functions"),
         }
-        items
-            .ordinals
-            .push(item.ordinal.wrapping_add_signed(shift.tokens));
+    }
+
+    /// The byte range of function `i`'s item: from its `fn` keyword to
+    /// its body's closing brace.
+    pub(crate) fn func_range(&self, i: usize) -> Range<usize> {
+        let f = self.func(i);
+        f.span.offset..f.end
+    }
+
+    /// Every function, in source order.
+    pub(crate) fn funcs(&self) -> impl ExactSizeIterator<Item = FuncEntry<'_>> + '_ {
+        (0..self.func_count()).map(|i| self.func(i))
+    }
+
+    /// Every global in source order: name, content type and location.
+    pub(crate) fn globals(&self) -> impl Iterator<Item = (Range<usize>, Type, Span)> + '_ {
+        self.items.iter().filter_map(|item| match item.kind {
+            ItemKind::Global(ty) => Some((item.name.clone(), ty, item.span)),
+            ItemKind::Fn { .. } => None,
+        })
+    }
+
+    /// The functions among items `items` (positions in source order),
+    /// as a range of function indices.
+    pub(crate) fn funcs_among(&self, items: Range<usize>) -> Range<usize> {
+        let at = |i: usize| self.funcs.partition_point(|&p| p < i);
+        at(items.start)..at(items.end)
+    }
+
+    /// Whether items `mine` of this table, of text `src`, declare what
+    /// items `theirs` of `other`, of text `other_src`, do as far as the
+    /// tables lowering reads go: the same kinds in the same order, the
+    /// same names, global types, parameter types and return types.
+    /// Parameter names, places and bodies may differ.
+    pub(crate) fn same_declarations(
+        &self,
+        src: &str,
+        mine: Range<usize>,
+        other: &ItemTable,
+        other_src: &str,
+        theirs: Range<usize>,
+    ) -> bool {
+        mine.len() == theirs.len()
+            && self.items[mine]
+                .iter()
+                .zip(&other.items[theirs])
+                .all(|(a, b)| {
+                    src[a.name.clone()] == other_src[b.name.clone()]
+                        && match (&a.kind, &b.kind) {
+                            (ItemKind::Global(x), ItemKind::Global(y)) => x == y,
+                            (
+                                ItemKind::Fn {
+                                    params: p,
+                                    ret_ty: r,
+                                    ..
+                                },
+                                ItemKind::Fn {
+                                    params: q,
+                                    ret_ty: t,
+                                    ..
+                                },
+                            ) => r == t && self.param_tys[p.clone()] == other.param_tys[q.clone()],
+                            _ => false,
+                        }
+                })
+    }
+
+    /// Appends a parsed item.
+    fn push(&mut self, item: Item) {
+        if matches!(item.kind, ItemKind::Fn { .. }) {
+            self.funcs.push(self.items.len());
+        }
+        self.items.push(item);
+    }
+
+    /// Appends items `range` of `old`, moved by `shift`, with their
+    /// parameter lists.
+    fn extend_from(&mut self, old: &ItemTable, range: Range<usize>, shift: Shift) {
+        for item in &old.items[range] {
+            let kind = match &item.kind {
+                &ItemKind::Global(ty) => ItemKind::Global(ty),
+                ItemKind::Fn {
+                    params,
+                    ret_ty,
+                    body_at,
+                    end,
+                } => {
+                    let start = self.param_tys.len();
+                    let names = old.param_names[params.clone()].iter();
+                    self.param_names.extend(names.map(|r| shift.range(r)));
+                    self.param_tys
+                        .extend_from_slice(&old.param_tys[params.clone()]);
+                    ItemKind::Fn {
+                        params: start..self.param_tys.len(),
+                        ret_ty: *ret_ty,
+                        body_at: shift.span(*body_at),
+                        end: shift.offset(*end),
+                    }
+                }
+            };
+            self.push(Item {
+                span: shift.span(item.span),
+                ordinal: item.ordinal.wrapping_add_signed(shift.tokens),
+                name: shift.range(&item.name),
+                kind,
+            });
+        }
     }
 }
 
+/// What [`resplit`] made of an edit: the new text's item table, and
+/// where it differs from the old one.
+#[derive(Debug)]
+pub(crate) struct Resplit {
+    /// The item table of the new text.
+    pub table: ItemTable,
+    /// The byte range of the new text the productions ran over.
+    pub lexed: Range<usize>,
+    /// Items `kept..new_end` of [`Resplit::table`] came from the
+    /// productions and stand where items `kept..old_end` of the old
+    /// table stood; every other item is an old one, moved.
+    pub kept: usize,
+    /// See [`Resplit::kept`].
+    pub old_end: usize,
+    /// See [`Resplit::kept`].
+    pub new_end: usize,
+}
+
 /// [`split`] of `src`, an edit of `old_src` whose [`split`] gave `old`,
-/// lexing only around the edit; also returns the byte range of `src` it
-/// ran the productions over.
+/// lexing only around the edit.
 ///
 /// Let `src` and `old_src` share their first `prefix` and their last
 /// `suffix` bytes (the two may overlap). The old items that start at or
@@ -322,11 +363,7 @@ impl ItemTable {
 /// The first error of the productions over the re-run range. It need not
 /// be the one [`split`] of `src` reports (a later lexing error outranks a
 /// malformed header); the caller asks [`split`] for that.
-pub(crate) fn resplit<'src>(
-    src: &'src str,
-    old_src: &str,
-    old: &ItemTable,
-) -> Result<(Items<'src>, Range<usize>), ParseError> {
+pub(crate) fn resplit(src: &str, old_src: &str, old: &ItemTable) -> Result<Resplit, ParseError> {
     let (new, prev) = (src.as_bytes(), old_src.as_bytes());
     let prefix = common_prefix(new, prev);
     let suffix = common_suffix(new, prev);
@@ -339,10 +376,8 @@ pub(crate) fn resplit<'src>(
         Some(k) => (k, old.items[k].span, old.items[k].ordinal),
         None => (0, Span { offset: 0, line: 1 }, 0),
     };
-    let mut items = Items::default();
-    for i in 0..kept {
-        old.push_to(i, Shift::default(), src, &mut items);
-    }
+    let mut table = ItemTable::default();
+    table.extend_from(old, 0..kept, Shift::default());
     let mut p = Parser::at(src, start)?;
     let shared_from = src.len() - suffix;
     let resync = loop {
@@ -353,14 +388,15 @@ pub(crate) fn resplit<'src>(
                 break Some((kept + r, at));
             }
         }
-        if !p.item(&mut items)? {
+        if !p.item(&mut table)? {
             break None;
         }
     };
-    for ordinal in &mut items.ordinals[kept..] {
-        *ordinal += base;
+    for item in &mut table.items[kept..] {
+        item.ordinal += base;
     }
-    let end = match resync {
+    let new_end = table.items.len();
+    let (old_end, end) = match resync {
         Some((r, at)) => {
             let first = &old.items[r];
             let shift = Shift {
@@ -368,18 +404,22 @@ pub(crate) fn resplit<'src>(
                 lines: at.line as isize - first.span.line as isize,
                 tokens: (base + p.ordinal()) as isize - first.ordinal as isize,
             };
-            for i in r..old.items.len() {
-                old.push_to(i, shift, src, &mut items);
-            }
-            items.tokens = old.tokens.wrapping_add_signed(shift.tokens);
-            at.offset
+            table.extend_from(old, r..old.items.len(), shift);
+            table.tokens = old.tokens.wrapping_add_signed(shift.tokens);
+            (r, at.offset)
         }
         None => {
-            items.tokens = base + p.lexer.tokens();
-            src.len()
+            table.tokens = base + p.lexer.tokens();
+            (old.items.len(), src.len())
         }
     };
-    Ok((items, start.offset..end))
+    Ok(Resplit {
+        table,
+        lexed: start.offset..end,
+        kept,
+        old_end,
+        new_end,
+    })
 }
 
 /// Bytes compared at a time by [`common_prefix`] and [`common_suffix`].
@@ -427,20 +467,26 @@ fn common_suffix(a: &[u8], b: &[u8]) -> usize {
 /// # Ok::<(), pinpoint_ir::parser::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<Program<'_>, ParseError> {
-    let items = split(src)?;
-    let mut funcs = Vec::with_capacity(items.funcs.len());
-    for item in items.funcs {
-        let body = parse_body(src, &item)?;
+    let table = split(src)?;
+    let mut funcs = Vec::with_capacity(table.func_count());
+    for f in table.funcs() {
+        let body = parse_body(src, f.body_at)?;
+        let names = f.param_names.iter().map(|r| &src[r.clone()]);
         funcs.push(FuncDef {
-            name: item.name,
-            params: item.params,
-            ret_ty: item.ret_ty,
+            name: &src[f.name],
+            params: names.zip(f.param_tys.iter().copied()).collect(),
+            ret_ty: f.ret_ty,
             body,
-            span: item.span,
+            span: f.span,
         });
     }
+    let globals = table.globals().map(|(name, ty, span)| GlobalDef {
+        name: &src[name],
+        ty,
+        span,
+    });
     Ok(Program {
-        globals: items.globals,
+        globals: globals.collect(),
         funcs,
     })
 }
@@ -543,43 +589,64 @@ impl<'src> Parser<'src> {
         self.lexer.tokens() - lexed(self.cur) - lexed(self.next)
     }
 
-    /// Parses the next top-level item into `items`; `false` at end of
+    /// An identifier, as its byte range of the text.
+    fn name(&mut self) -> Result<Range<usize>, ParseError> {
+        let at = self.span().offset;
+        let name = self.ident()?;
+        Ok(at..at + name.len())
+    }
+
+    /// Parses the next top-level item into `table`; `false` at end of
     /// input.
-    fn item(&mut self, items: &mut Items<'src>) -> Result<bool, ParseError> {
+    fn item(&mut self, table: &mut ItemTable) -> Result<bool, ParseError> {
         let ordinal = self.ordinal();
-        match self.peek() {
+        let span = self.span();
+        let (name, kind) = match self.peek() {
             Tok::Eof => return Ok(false),
-            Tok::Global => items.globals.push(self.global()?),
-            Tok::Fn => items.funcs.push(self.func_item()?),
+            Tok::Global => self.global()?,
+            Tok::Fn => {
+                let params = table.param_tys.len();
+                let item = self.func_item(table);
+                if item.is_err() {
+                    table.param_names.truncate(params);
+                    table.param_tys.truncate(params);
+                }
+                item?
+            }
             other => return Err(self.error(format!("expected `fn` or `global`, found {other}"))),
-        }
-        items.ordinals.push(ordinal);
+        };
+        table.push(Item {
+            span,
+            ordinal,
+            name,
+            kind,
+        });
         Ok(true)
     }
 
-    fn global(&mut self) -> Result<GlobalDef<'src>, ParseError> {
-        let span = self.span();
+    fn global(&mut self) -> Result<(Range<usize>, ItemKind), ParseError> {
         self.expect(Tok::Global)?;
-        let name = self.ident()?;
+        let name = self.name()?;
         self.expect(Tok::Colon)?;
         let ty = self.ty()?;
         self.expect(Tok::Semi)?;
-        Ok(GlobalDef { name, ty, span })
+        Ok((name, ItemKind::Global(ty)))
     }
 
-    /// A function header, then its body stepped over.
-    fn func_item(&mut self) -> Result<FuncItem<'src>, ParseError> {
-        let span = self.span();
+    /// A function header, its parameters appended to `table`'s lists,
+    /// then its body stepped over.
+    fn func_item(&mut self, table: &mut ItemTable) -> Result<(Range<usize>, ItemKind), ParseError> {
         self.expect(Tok::Fn)?;
-        let name = self.ident()?;
+        let name = self.name()?;
         self.expect(Tok::LParen)?;
-        let mut params = Vec::new();
+        let start = table.param_tys.len();
         if self.peek() != Tok::RParen {
             loop {
-                let pname = self.ident()?;
+                let pname = self.name()?;
                 self.expect(Tok::Colon)?;
                 let ty = self.ty()?;
-                params.push((pname, ty));
+                table.param_names.push(pname);
+                table.param_tys.push(ty);
                 if self.peek() == Tok::Comma {
                     self.bump()?;
                 } else {
@@ -597,14 +664,13 @@ impl<'src> Parser<'src> {
         let body_at = self.span();
         self.expect(Tok::LBrace)?;
         let end = self.skip_block()?;
-        Ok(FuncItem {
-            name,
-            params,
+        let kind = ItemKind::Fn {
+            params: start..table.param_tys.len(),
             ret_ty,
-            span,
             body_at,
             end,
-        })
+        };
+        Ok((name, kind))
     }
 
     /// Steps over the rest of a block whose `{` was just consumed, to

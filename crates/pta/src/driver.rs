@@ -49,6 +49,9 @@ pub struct ModuleAnalysis {
     pub shapes: Vec<AuxShape>,
     /// Points-to result per function (indexed by `FuncId`).
     pub pta: Vec<FuncPta>,
+    /// The sum of every function's [`FuncPta::stats`], kept as functions
+    /// are spliced out and merged in.
+    totals: PtaStats,
 }
 
 impl ModuleAnalysis {
@@ -65,13 +68,15 @@ impl ModuleAnalysis {
 
     /// Aggregated pruning statistics across all functions.
     pub fn total_stats(&self) -> PtaStats {
-        let mut total = PtaStats::default();
-        for p in &self.pta {
-            total.pruned += p.stats.pruned;
-            total.kept += p.stats.kept;
-            total.linear_checks += p.stats.linear_checks;
-        }
-        total
+        self.totals
+    }
+
+    /// Empties function `i`'s entries (shape and points-to result), taking
+    /// its counters out of the totals, before it is analysed again.
+    pub(crate) fn clear(&mut self, i: usize) {
+        self.totals.sub(self.pta[i].stats);
+        self.shapes[i] = AuxShape::default();
+        self.pta[i] = FuncPta::default();
     }
 
     /// Functions whose connector transform inserted something: those the
@@ -230,15 +235,6 @@ fn analyze_one(
     }
 }
 
-/// The functions in bottom-up order: those of each condensation level
-/// ([`CallGraph::scc_levels`]) in turn, so every cross-SCC callee comes
-/// before its callers. The merge numbers the shared arena in this order.
-fn bottom_up(callgraph: &CallGraph) -> Vec<FuncId> {
-    let levels = callgraph.scc_levels();
-    let sccs = levels.iter().flatten();
-    sccs.flat_map(|&scc| callgraph.scc(scc)).copied().collect()
-}
-
 /// Merges one function's private-arena result into the shared state:
 /// re-derives the symbol cache against the shared arena (sorted value
 /// order), then rebuilds every condition term through the translator's
@@ -268,6 +264,7 @@ fn merge_one(fid: FuncId, f: &Function, r: FuncResult, out: &mut ModuleAnalysis)
     for g in &mut func_pta.global_loads {
         g.cond = tr.translate(&r.arena, arena, g.cond);
     }
+    out.totals.add(func_pta.stats);
     out.shapes[fid.0 as usize] = r.shape;
     out.pta[fid.0 as usize] = func_pta;
 }
@@ -312,10 +309,11 @@ fn run<A>(
 where
     A: FnMut(FuncId, &mut Function, &[AuxShape], &CallGraph, &PtaConfig) -> FuncResult,
 {
-    let (mut out, clean) = splice(module, callgraph, previous);
+    let (mut out, dirty) = splice(module, callgraph, previous);
     let mut reanalyzed = Vec::new();
-    for fid in bottom_up(callgraph) {
-        if clean[fid.0 as usize] {
+    // Bottom-up: the merge numbers the shared arena in this order.
+    for &fid in callgraph.schedule() {
+        if !dirty[fid.0 as usize] {
             continue;
         }
         let f = module.func_mut(fid);

@@ -21,12 +21,13 @@
 //! of an update moves them over for the functions whose source did not
 //! change rather than lowering them again, and the transform never
 //! changes a call, so the call graph the caller builds over that mixed
-//! module is the pre-transform one. Clean functions' points-to results
-//! and symbol caches are moved over, and the shared hash-consed arena
-//! with them (it is append-only, so every clean term stays valid); dirty
-//! functions then go through the same analyse-in-a-private-arena,
-//! merge-in-level-order steps as a cold build, with their stale
-//! term-cache entries invalidated first. A previous run covers the same
+//! module is the pre-transform one. The previous analysis becomes the
+//! new one in place: clean functions' points-to results and symbol
+//! caches stay where they are, and so does the shared hash-consed arena
+//! (it is append-only, so every clean term stays valid); the dirty
+//! functions' entries are cleared, and they go through the same
+//! analyse-in-a-private-arena, merge-in-level-order steps as a cold
+//! build, in the call graph's [`CallGraph::schedule`] order. A previous run covers the same
 //! function set as the new module; a caller whose function set changed
 //! passes none, and that run is a cold build.
 //!
@@ -40,7 +41,6 @@
 
 use crate::driver::ModuleAnalysis;
 use pinpoint_ir::{CallGraph, FuncId, Module};
-use std::collections::HashSet;
 
 /// Outcome of a points-to run.
 #[derive(Debug)]
@@ -54,8 +54,8 @@ pub struct IncrementalOutcome {
 }
 
 /// A previous run to splice from: its analysis, consumed — what is clean
-/// moves into the new run — and the functions an edit dirtied. The
-/// previous run must have used the same [`crate::PtaConfig`] over the
+/// stays in place in the new run — and the functions an edit dirtied.
+/// The previous run must have used the same [`crate::PtaConfig`] over the
 /// same function set, and the module of the new run must hold every
 /// clean function's previous transformed body (see the
 /// [module docs](self)).
@@ -63,41 +63,43 @@ pub struct IncrementalOutcome {
 pub struct PreviousRun {
     /// The previous run's analysis.
     pub analysis: ModuleAnalysis,
-    /// The edited [`FuncId`]s of the *new* module — typically derived by
-    /// diffing [`pinpoint_ir::module_fingerprints`]-based keys. Re-closed
-    /// under transitive callers ([`dirty_closure`]), so an already
-    /// caller-closed set (as fingerprint-key diffs are) costs nothing.
-    pub dirty: HashSet<FuncId>,
+    /// Per [`FuncId`] of the *new* module, whether an edit dirtied it —
+    /// typically from diffing [`pinpoint_ir::module_fingerprints`]-based
+    /// keys. Re-closed under transitive callers ([`dirty_closure`]), so an
+    /// already caller-closed set (as fingerprint-key diffs are) gains
+    /// nothing.
+    pub dirty: Vec<bool>,
 }
 
-/// Closes a seed set of dirty functions under transitive callers: a
-/// caller's call sites must be re-rewritten against possibly-changed
-/// callee shapes, so any function above an edit is dirty too.
+/// Closes the dirty set `dirty` (indexed by [`FuncId`]) under transitive
+/// callers: a caller's call sites must be re-rewritten against
+/// possibly-changed callee shapes, so any function above an edit is
+/// dirty too.
 ///
 /// Idempotent, so feeding it an already-closed set (e.g. one derived
-/// from the transitive fingerprint keys of `pinpoint-cache`) is a no-op.
-pub fn dirty_closure(
-    callgraph: &CallGraph,
-    seeds: impl IntoIterator<Item = FuncId>,
-) -> HashSet<FuncId> {
-    let mut dirty: HashSet<FuncId> = seeds.into_iter().collect();
-    let mut work: Vec<FuncId> = dirty.iter().copied().collect();
+/// from the transitive fingerprint keys of `pinpoint-cache`) changes
+/// nothing.
+pub fn dirty_closure(callgraph: &CallGraph, dirty: &mut [bool]) {
+    let mut work: Vec<FuncId> = (0..dirty.len())
+        .filter(|&i| dirty[i])
+        .map(|i| FuncId(i as u32))
+        .collect();
     while let Some(f) = work.pop() {
         for &caller in callgraph.callers(f) {
-            if dirty.insert(caller) {
+            let seen = &mut dirty[caller.0 as usize];
+            if !*seen {
+                *seen = true;
                 work.push(caller);
             }
         }
     }
-    dirty
 }
 
-/// The state a run starts from: splices the points-to result of every
-/// function outside the caller-closed dirty set of `previous` into the
-/// returned analysis (shape, kept points-to result; the arena and
-/// interner carry over whole, minus the dirty functions' cached symbols).
-/// Returns that analysis and which functions are clean. Without a
-/// previous run everything is dirty and the arena is fresh.
+/// The state a run starts from: the analysis of `previous` with every
+/// function of its caller-closed dirty set cleared in place (shape,
+/// points-to result, cached symbols; the arena and every clean function's
+/// entries stay as they are), and the dirty set. Without a previous run
+/// everything is dirty and the arena is fresh.
 ///
 /// # Panics
 ///
@@ -109,24 +111,21 @@ pub(crate) fn splice(
     previous: Option<PreviousRun>,
 ) -> (ModuleAnalysis, Vec<bool>) {
     let n = module.funcs.len();
-    let mut out = ModuleAnalysis::blank(n);
-    let mut clean = vec![false; n];
-    let Some(previous) = previous else {
-        return (out, clean);
+    let Some(PreviousRun {
+        analysis: mut out,
+        mut dirty,
+    }) = previous
+    else {
+        return (ModuleAnalysis::blank(n), vec![true; n]);
     };
-    let old = previous.analysis;
-    assert_eq!(old.pta.len(), n, "a previous run covers the same functions");
-    let dirty = dirty_closure(callgraph, previous.dirty);
-    (out.arena, out.symbols) = (old.arena, old.symbols);
-    for (i, (shape, pta)) in old.shapes.into_iter().zip(old.pta).enumerate() {
-        let fid = FuncId(i as u32);
-        if dirty.contains(&fid) {
-            out.symbols.invalidate_function(fid);
-            continue;
-        }
-        (out.shapes[i], out.pta[i], clean[i]) = (shape, pta, true);
+    assert_eq!(out.pta.len(), n, "a previous run covers the same functions");
+    assert_eq!(dirty.len(), n, "one dirty flag per function");
+    dirty_closure(callgraph, &mut dirty);
+    out.symbols.invalidate_functions(&dirty);
+    for i in (0..n).filter(|&i| dirty[i]) {
+        out.clear(i);
     }
-    (out, clean)
+    (out, dirty)
 }
 
 #[cfg(test)]
@@ -136,19 +135,20 @@ mod tests {
     use pinpoint_obs::TraceBuf;
 
     /// Re-analyses `module` against the previous run of `old_module`,
-    /// dirty set `dirty`, at `threads` workers, first moving the
-    /// transformed body of every function outside the dirty set's caller
-    /// closure over from `old_module`, as the caller of a splice does.
+    /// dirty set `dirty`, first moving the transformed body of every
+    /// function outside the dirty set's caller closure over from
+    /// `old_module`, as the caller of a splice does.
     fn incremental(
         module: &mut Module,
         old_module: Module,
         old: ModuleAnalysis,
-        dirty: HashSet<FuncId>,
+        dirty: Vec<bool>,
     ) -> IncrementalOutcome {
         let cg = CallGraph::new(module);
-        let closed = dirty_closure(&cg, dirty.iter().copied());
+        let mut closed = dirty.clone();
+        dirty_closure(&cg, &mut closed);
         for (i, body) in old_module.funcs.into_iter().enumerate() {
-            if !closed.contains(&FuncId(i as u32)) {
+            if !closed[i] {
                 module.funcs[i] = body;
             }
         }
@@ -168,10 +168,10 @@ mod tests {
         old: ModuleAnalysis,
         changed: &[&str],
     ) -> IncrementalOutcome {
-        let seeds: HashSet<FuncId> = changed
-            .iter()
-            .filter_map(|n| module.func_by_name(n))
-            .collect();
+        let mut seeds = vec![false; module.funcs.len()];
+        for f in changed.iter().filter_map(|n| module.func_by_name(n)) {
+            seeds[f.0 as usize] = true;
+        }
         incremental(module, old_module, old, seeds)
     }
 
@@ -271,11 +271,12 @@ mod tests {
         let mut new_module = pinpoint_ir::compile(&src).unwrap();
         let before = pinpoint_ir::module_fingerprints(&old_pristine);
         let after = pinpoint_ir::module_fingerprints(&new_module);
-        let dirty: HashSet<FuncId> = (0..after.len())
-            .filter(|&i| before[i] != after[i])
-            .map(|i| FuncId(i as u32))
-            .collect();
-        assert_eq!(dirty.len(), 1, "only leaf_a's body changed");
+        let dirty: Vec<bool> = (0..after.len()).map(|i| before[i] != after[i]).collect();
+        assert_eq!(
+            dirty.iter().filter(|&&d| d).count(),
+            1,
+            "only leaf_a's body changed"
+        );
         let out = incremental(&mut new_module, old_module, old, dirty);
         let names: Vec<&str> = out
             .reanalyzed

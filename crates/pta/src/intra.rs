@@ -74,6 +74,20 @@ pub struct PtaStats {
 }
 
 impl PtaStats {
+    /// Adds `other`'s counters to these.
+    pub(crate) fn add(&mut self, other: PtaStats) {
+        self.pruned += other.pruned;
+        self.kept += other.kept;
+        self.linear_checks += other.linear_checks;
+    }
+
+    /// Takes `other`'s counters, a part of these, out of them.
+    pub(crate) fn sub(&mut self, other: PtaStats) {
+        self.pruned -= other.pruned;
+        self.kept -= other.kept;
+        self.linear_checks -= other.linear_checks;
+    }
+
     /// Publishes the counters into the unified metrics registry under the
     /// `pta.` stage prefix.
     pub fn record_into(&self, metrics: &mut pinpoint_obs::MetricsRegistry) {

@@ -93,12 +93,13 @@ impl Symbols {
         vs
     }
 
-    /// Drops every cached term of function `fid` — required when a
-    /// function's IR is replaced (incremental re-analysis): the same
-    /// `ValueId`s may now mean different things.
-    pub fn invalidate_function(&mut self, fid: FuncId) {
-        self.map.retain(|&(f, _), _| f != fid);
-        self.origins.retain(|_, &mut (f, _)| f != fid);
+    /// Drops every cached term of each function `f` with `dirty[f]` —
+    /// required when a function's IR is replaced (incremental
+    /// re-analysis): the same `ValueId`s may now mean different things.
+    pub fn invalidate_functions(&mut self, dirty: &[bool]) {
+        let dirty = |f: FuncId| dirty.get(f.0 as usize).copied().unwrap_or(false);
+        self.map.retain(|&(f, _), _| !dirty(f));
+        self.origins.retain(|_, &mut (f, _)| !dirty(f));
         // Bulk removal cannot be replayed entry-wise; outstanding
         // checkpoints are void after an invalidation (none are held across
         // incremental updates).

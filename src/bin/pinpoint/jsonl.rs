@@ -8,22 +8,32 @@
 /// stream resynchronizes at the next newline.
 pub const MAX_SERVE_LINE: usize = 1 << 20;
 
+/// Bytes a serve transport reads from its stream at a time: a 0.5 MB
+/// `update` frame is eight reads, not sixty-four.
+pub const READ_CHUNK: usize = 1 << 16;
+
 /// One input frame.
 pub enum Frame {
-    /// A complete line (without the trailing newline), raw bytes.
-    Line(Vec<u8>),
+    /// A complete line, now in the caller's buffer without its newline.
+    Line,
     /// The line exceeded [`MAX_SERVE_LINE`]; its bytes were discarded.
     Oversized,
     /// End of input.
     Eof,
 }
 
-/// Reads one newline-delimited frame without assuming valid UTF-8 and
-/// without buffering more than `cap` bytes — the remainder of an
-/// oversized line is consumed and thrown away so the next frame starts
-/// clean.
-pub fn read_frame(input: &mut impl std::io::BufRead, cap: usize) -> Result<Frame, String> {
-    let mut buf: Vec<u8> = Vec::new();
+/// Reads one newline-delimited frame into `line` without assuming valid
+/// UTF-8 and without buffering more than `cap` bytes — the remainder of
+/// an oversized line is consumed and thrown away so the next frame
+/// starts clean. `line` is the connection's one buffer, cleared here and
+/// reused from frame to frame; the newline is found eight bytes at a
+/// time ([`first_of`]).
+pub fn read_frame(
+    input: &mut impl std::io::BufRead,
+    cap: usize,
+    line: &mut Vec<u8>,
+) -> Result<Frame, String> {
+    line.clear();
     let mut oversized = false;
     loop {
         let chunk = input
@@ -32,38 +42,28 @@ pub fn read_frame(input: &mut impl std::io::BufRead, cap: usize) -> Result<Frame
         if chunk.is_empty() {
             return Ok(if oversized {
                 Frame::Oversized
-            } else if buf.is_empty() {
+            } else if line.is_empty() {
                 Frame::Eof
             } else {
-                Frame::Line(buf)
+                Frame::Line
             });
         }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                if !oversized {
-                    buf.extend_from_slice(&chunk[..i]);
-                    if buf.len() > cap {
-                        oversized = true;
-                    }
-                }
-                input.consume(i + 1);
-                return Ok(if oversized {
-                    Frame::Oversized
-                } else {
-                    Frame::Line(buf)
-                });
+        let newline = first_of(chunk, [b'\n']);
+        let (take, consumed) = newline.map_or((chunk.len(), chunk.len()), |i| (i, i + 1));
+        if !oversized {
+            line.extend_from_slice(&chunk[..take]);
+            if line.len() > cap {
+                oversized = true;
+                line.clear();
             }
-            None => {
-                let len = chunk.len();
-                if !oversized {
-                    buf.extend_from_slice(chunk);
-                    if buf.len() > cap {
-                        oversized = true;
-                        buf = Vec::new();
-                    }
-                }
-                input.consume(len);
-            }
+        }
+        input.consume(consumed);
+        if newline.is_some() {
+            return Ok(if oversized {
+                Frame::Oversized
+            } else {
+                Frame::Line
+            });
         }
     }
 }
@@ -188,12 +188,12 @@ impl<'a> Chars<'a> {
     }
 }
 
-/// The position of the first `"` or `\` in `bytes`, found eight bytes
-/// at a time: in a word XOR-ed with the sought byte repeated, that byte
-/// is the first zero byte, and `(x - 0x01…01) & !x & 0x80…80` sets the
-/// top bit of the first zero byte of `x` (and maybe of later ones, never
-/// of an earlier one).
-fn quote_or_backslash(bytes: &[u8]) -> Option<usize> {
+/// The position of the first byte of `bytes` that is one of `sought`,
+/// found eight bytes at a time: in a word XOR-ed with a sought byte
+/// repeated, that byte is a zero byte, and `(x - 0x01…01) & !x & 0x80…80`
+/// sets the top bit of the first zero byte of `x` (and maybe of later
+/// ones, never of an earlier one).
+fn first_of<const N: usize>(bytes: &[u8], sought: [u8; N]) -> Option<usize> {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
     const TOPS: u64 = u64::from_le_bytes([0x80; 8]);
     let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & TOPS;
@@ -201,15 +201,16 @@ fn quote_or_backslash(bytes: &[u8]) -> Option<usize> {
     let mut at = 0;
     for word in &mut words {
         let w = u64::from_le_bytes(word.try_into().expect("an eight-byte chunk"));
-        let hits =
-            zero_bytes(w ^ (ONES * u64::from(b'"'))) | zero_bytes(w ^ (ONES * u64::from(b'\\')));
+        let hits = sought
+            .iter()
+            .fold(0, |hits, &b| hits | zero_bytes(w ^ (ONES * u64::from(b))));
         if hits != 0 {
             return Some(at + hits.trailing_zeros() as usize / 8);
         }
         at += 8;
     }
     let mut tail = words.remainder().iter();
-    tail.position(|&b| b == b'"' || b == b'\\').map(|i| at + i)
+    tail.position(|b| sought.contains(b)).map(|i| at + i)
 }
 
 /// The one tokenizer behind both entry points; `what` names the document
@@ -220,39 +221,52 @@ fn parse_json(what: &str, text: &str) -> Result<Json, String> {
             chars.next();
         }
     }
+    /// A string token, decoded a run at a time: the bytes up to the next
+    /// quote or backslash are copied in one piece, and an escape is
+    /// decoded from its bytes. The first escape reserves room for the
+    /// rest of the document, which the decoded value cannot outgrow, so a
+    /// long escaped value allocates once; a short one gives the slack
+    /// back.
     fn parse_string(chars: &mut Chars) -> Result<String, String> {
         if chars.next() != Some('"') {
             return Err("expected string".to_string());
         }
         let mut s = String::new();
         loop {
-            // Everything up to the next quote or backslash is copied as
-            // it is, in one piece.
             let rest = chars.rest();
-            let run = quote_or_backslash(rest.as_bytes()).unwrap_or(rest.len());
+            let bytes = rest.as_bytes();
+            let Some(run) = first_of(bytes, [b'"', b'\\']) else {
+                return Err("unterminated string".to_string());
+            };
             s.push_str(&rest[..run]);
-            chars.pos += run;
-            match chars.next() {
-                None => return Err("unterminated string".to_string()),
-                Some('\\') => match chars.next() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('/') => s.push('/'),
-                    Some('n') => s.push('\n'),
-                    Some('t') => s.push('\t'),
-                    Some('r') => s.push('\r'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let c = chars.next().ok_or("truncated \\u escape")?;
-                            code = code * 16 + c.to_digit(16).ok_or("invalid \\u escape")?;
-                        }
-                        s.push(char::from_u32(code).ok_or("invalid \\u code point")?);
+            chars.pos += run + 1;
+            if bytes[run] == b'"' {
+                if s.capacity() > 2 * s.len() + 64 {
+                    s.shrink_to_fit();
+                }
+                return Ok(s);
+            }
+            s.reserve(rest.len() - run);
+            let escape = bytes.get(run + 1).copied();
+            chars.pos += 1;
+            match escape {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'/') => s.push('/'),
+                Some(b'n') => s.push('\n'),
+                Some(b't') => s.push('\t'),
+                Some(b'r') => s.push('\r'),
+                Some(b'u') => {
+                    let mut code = 0u32;
+                    for i in 0..4 {
+                        let b = bytes.get(run + 2 + i).ok_or("truncated \\u escape")?;
+                        let digit = char::from(*b).to_digit(16);
+                        code = code * 16 + digit.ok_or("invalid \\u escape")?;
                     }
-                    _ => return Err("unsupported escape".to_string()),
-                },
-                // The closing quote.
-                Some(_) => return Ok(s),
+                    chars.pos += 4;
+                    s.push(char::from_u32(code).ok_or("invalid \\u code point")?);
+                }
+                _ => return Err("unsupported escape".to_string()),
             }
         }
     }
@@ -389,6 +403,66 @@ mod tests {
         assert_eq!(err(r#"{"a":"\u12"#), "truncated \\u escape");
         assert_eq!(err(r#"{"a":"\ud800"}"#), "invalid \\u code point");
         assert_eq!(err(r#"{"a":"x\"#), "unsupported escape");
+    }
+
+    /// Every frame of `input`, read through a buffer of `capacity` bytes
+    /// into one reused line buffer: lines as text, and the other frames
+    /// by name.
+    fn frames(input: &[u8], capacity: usize, cap: usize) -> Vec<String> {
+        let mut reader = std::io::BufReader::with_capacity(capacity, input);
+        let mut line = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            match read_frame(&mut reader, cap, &mut line).unwrap() {
+                Frame::Line => out.push(String::from_utf8(line.clone()).unwrap()),
+                Frame::Oversized => out.push("<oversized>".to_string()),
+                Frame::Eof => return out,
+            }
+        }
+    }
+
+    #[test]
+    fn frames_decode_alike_through_every_buffer_size() {
+        // Escapes and multi-byte characters at every offset: with buffers
+        // of 1 to 17 bytes some chunk boundary falls inside each of them.
+        let value = r#"q\"b\\s\u00e9\u03bbx é λ 🦀 end"#;
+        let input = format!(
+            "{{\"cmd\":\"update\",\"source\":\"{value}\"}}\n\n{}\n{{\"tail\":1}}",
+            r#"{"s":"🦀\\\""}"#
+        );
+        let want = frames(input.as_bytes(), READ_CHUNK, MAX_SERVE_LINE);
+        assert_eq!(want.len(), 4, "{want:?}");
+        assert_eq!(want[1], "");
+        let source = &parse_json_object(&want[0]).unwrap()[1].1;
+        assert_eq!(source, "q\"b\\s\u{e9}\u{3bb}x é λ 🦀 end");
+        for capacity in 1..=17 {
+            assert_eq!(
+                frames(input.as_bytes(), capacity, MAX_SERVE_LINE),
+                want,
+                "{capacity}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_reused_buffer_holds_exactly_the_current_frame() {
+        let short = "{\"cmd\":\"status\"}";
+        let at_cap = "x".repeat(MAX_SERVE_LINE);
+        let over_cap = "x".repeat(MAX_SERVE_LINE + 1);
+        let input = format!("{at_cap}\n{short}\n{over_cap}\n{short}\n{short}{short}\n{short}\n");
+        let got = frames(input.as_bytes(), READ_CHUNK, MAX_SERVE_LINE);
+        let want = [
+            at_cap.as_str(),
+            short,
+            "<oversized>",
+            short,
+            &format!("{short}{short}"),
+            short,
+        ];
+        assert_eq!(got, want);
+        // An oversized line with no newline before the end of input.
+        let got = frames(format!("{short}\n{over_cap}").as_bytes(), 7, MAX_SERVE_LINE);
+        assert_eq!(got, [short, "<oversized>"]);
     }
 
     #[test]

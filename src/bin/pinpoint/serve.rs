@@ -20,7 +20,7 @@
 //! reply and the stream resynchronizes at the next newline.
 
 use crate::flags::{self, Common, CommonFlags};
-use crate::jsonl::{parse_json_object, read_frame, Frame, MAX_SERVE_LINE};
+use crate::jsonl::{parse_json_object, read_frame, Frame, MAX_SERVE_LINE, READ_CHUNK};
 use pinpoint::core::server::PROTOCOL;
 use pinpoint::obs::json::escape;
 use pinpoint::{
@@ -80,13 +80,8 @@ pub fn serve(args: &[String]) -> Result<bool, String> {
     match listen {
         Some(path) => listen_unix(&server, &path)?,
         None => {
-            let stdin = std::io::stdin();
-            let _ = serve_connection(
-                &server,
-                "stdio".to_string(),
-                stdin.lock(),
-                std::io::stdout(),
-            )?;
+            let stdin = std::io::BufReader::with_capacity(READ_CHUNK, std::io::stdin().lock());
+            let _ = serve_connection(&server, "stdio".to_string(), stdin, std::io::stdout())?;
         }
     }
     // Dropping the last handle drains queued requests and joins the pool.
@@ -152,7 +147,7 @@ fn listen_unix(server: &Arc<Server>, path: &str) -> Result<(), String> {
                     let Ok(write_half) = stream.try_clone() else {
                         return;
                     };
-                    let input = std::io::BufReader::new(stream);
+                    let input = std::io::BufReader::with_capacity(READ_CHUNK, stream);
                     match serve_connection(&server, prefix, input, write_half) {
                         Ok(LoopEnd::Shutdown) => stop.store(true, Ordering::Relaxed),
                         Ok(LoopEnd::Quit) | Err(_) => {}
@@ -212,13 +207,15 @@ where
     // and no accepted `close` since.
     let mut opened: BTreeSet<String> = BTreeSet::new();
     let mut bye_id = None;
+    // The connection's one frame buffer, reused from line to line.
+    let mut frame = Vec::new();
     let end = loop {
-        let line = match read_frame(&mut input, MAX_SERVE_LINE) {
+        let line = match read_frame(&mut input, MAX_SERVE_LINE, &mut frame) {
             Err(e) => break Err(e),
             Ok(Frame::Eof) => break Ok(LoopEnd::Quit),
             Ok(Frame::Oversized) => Err(format!("request line exceeds {MAX_SERVE_LINE} bytes")),
-            Ok(Frame::Line(bytes)) => {
-                String::from_utf8(bytes).map_err(|_| "request is not valid UTF-8".to_string())
+            Ok(Frame::Line) => {
+                std::str::from_utf8(&frame).map_err(|_| "request is not valid UTF-8".to_string())
             }
         };
         if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
@@ -227,7 +224,7 @@ where
         if !greeted {
             let fields = line
                 .ok()
-                .and_then(|l| parse_json_object(&l).ok())
+                .and_then(|l| parse_json_object(l).ok())
                 .unwrap_or_default();
             let id = field(&fields, "id").unwrap_or_default();
             let refuse = |msg: &str| {
@@ -252,7 +249,7 @@ where
             continue;
         }
         let stop = match line {
-            Ok(line) => request_line(server, &prefix, &line, &tx, &mut opened),
+            Ok(line) => request_line(server, &prefix, line, &tx, &mut opened),
             Err(msg) => {
                 let _ = tx.send(protocol_error(&prefix, "", "", &msg));
                 None
@@ -282,11 +279,15 @@ where
     end
 }
 
-/// Writes one reply line. Write errors are ignored: a client that stopped
+/// Writes one reply line and its newline in one write, so a client never
+/// wakes on half a reply. Write errors are ignored: a client that stopped
 /// reading still has its requests drained and its sessions closed.
 fn write_line<W: Write>(out: &Mutex<W>, line: &str) {
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
     let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = writeln!(out, "{line}");
+    let _ = out.write_all(&bytes);
     let _ = out.flush();
 }
 
@@ -332,10 +333,11 @@ fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-/// Resolves `source`/`path` into program text.
-fn load_source(fields: &[(String, String)]) -> Result<String, String> {
-    if let Some(s) = field(fields, "source") {
-        Ok(s.to_string())
+/// Resolves `source`/`path` into program text; a `source` is moved out of
+/// `fields`, not copied.
+fn load_source(fields: &mut [(String, String)]) -> Result<String, String> {
+    if let Some((_, s)) = fields.iter_mut().find(|(name, _)| name == "source") {
+        Ok(std::mem::take(s))
     } else if let Some(p) = field(fields, "path") {
         std::fs::read_to_string(p).map_err(|e| format!("cannot read `{p}`: {e}"))
     } else {
@@ -386,7 +388,7 @@ fn request_line(
     tx: &mpsc::Sender<Response>,
     opened: &mut BTreeSet<String>,
 ) -> Option<(LoopEnd, String)> {
-    let fields = match parse_json_object(line) {
+    let mut fields = match parse_json_object(line) {
         Ok(f) => f,
         Err(msg) => {
             let _ = tx.send(protocol_error(prefix, "", "", &msg));
@@ -408,11 +410,11 @@ fn request_line(
     let op = match field(&fields, "cmd") {
         None => return proto_err("missing \"cmd\" field"),
         Some("hello") => return proto_err("hello was already negotiated on this connection"),
-        Some("open") => match load_source(&fields) {
+        Some("open") => match load_source(&mut fields) {
             Ok(source) => Op::Open { source },
             Err(msg) => return proto_err(&msg),
         },
-        Some("update") => match load_source(&fields) {
+        Some("update") => match load_source(&mut fields) {
             Ok(source) => Op::Update { source },
             Err(msg) => return proto_err(&msg),
         },
@@ -515,5 +517,34 @@ fn render(resp: &Response, prefix: &str) -> String {
         ),
         Ok(Reply::Closed) => format!("{{\"ok\":true,{head},\"event\":\"closed\"}}"),
         Err(e) => format!("{{\"ok\":false,{head},\"error\":{}}}", e.to_json()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that records every `write` call it gets.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_and_its_newline_are_one_write() {
+        let out = Mutex::new(Writes::default());
+        write_line(&out, r#"{"ok":true}"#);
+        write_line(&out, "");
+        let writes = out.into_inner().unwrap().0;
+        assert_eq!(writes, [b"{\"ok\":true}\n".to_vec(), b"\n".to_vec()]);
     }
 }
