@@ -1,10 +1,10 @@
-//! Function-key derivation.
+//! Function-key derivation: the reference statement of what an edit
+//! dirties.
 //!
 //! A function's analysis result is unchanged exactly when every input of
-//! its analysis is unchanged, and the key is a hash of those inputs — so
-//! diffing two builds' keys finds what an edit dirtied
-//! (`Workspace::update_source`), and a query-cache entry is valid while
-//! the keys of the functions its search visited are. The inputs are:
+//! its analysis is unchanged, and the key is a hash of those inputs, so
+//! the functions whose keys differ between two modules are the ones an
+//! edit from one to the other dirtied. The inputs are:
 //!
 //! * its own lowered body ([`pinpoint_ir::func_fingerprint`]);
 //! * the summary shapes of its transitive callees — covered by a
@@ -18,6 +18,14 @@
 //!   makes index shifts (function insertions/deletions) conservative
 //!   invalidations rather than wrong reuse.
 //!
+//! An update does not fold keys: it closes the functions whose own
+//! fingerprint changed over their callers on the new call graph
+//! (`pinpoint_pta::dirty_closure`), which gives the same set (the key of
+//! a function moves exactly when something in its callee closure, itself
+//! included, changed its fingerprint), and the query cache validates
+//! against the update stamps of that closure. The key diff stays the
+//! reference the update's tests compare that closure against.
+//!
 //! Detection-stage knobs (`DetectConfig`) are deliberately *excluded*:
 //! the keys cover the points-to/SEG stages only, which detection
 //! consumes read-only. Keys never leave the process.
@@ -26,7 +34,6 @@ use crate::store::FORMAT_VERSION;
 use pinpoint_ir::fingerprint::Fnv128;
 use pinpoint_ir::{module_fingerprints, CallGraph, FuncId, Module};
 use pinpoint_pta::{PtaConfig, MAX_PATH_DEPTH};
-use std::collections::BTreeSet;
 
 /// Fingerprint of everything configuration-shaped that flows into a
 /// function's analysis: the points-to knobs, the path-depth bound, and
@@ -41,89 +48,37 @@ pub fn config_fp(config: &PtaConfig) -> u128 {
 
 /// Derives the key of every function in `module` (indexed by
 /// `FuncId`), against the *pre-transform* module: its
-/// [`module_fingerprints`] folded over its call graph by
-/// [`FoldedKeys::fold`].
+/// [`module_fingerprints`] folded over its call graph by [`fold_keys`].
 pub fn module_keys(module: &Module, config_fp: u128) -> Vec<u128> {
-    let fps = module_fingerprints(module);
-    FoldedKeys::fold(&fps, config_fp, &CallGraph::new(module)).func
+    fold_keys(
+        &module_fingerprints(module),
+        config_fp,
+        &CallGraph::new(module),
+    )
 }
 
-/// Function keys together with the transitive fingerprint of every SCC
-/// they were folded from: what [`FoldedKeys::refold`] starts from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FoldedKeys {
-    /// The key of every function, indexed by `FuncId`.
-    pub func: Vec<u128>,
-    /// The transitive fingerprint of every SCC, indexed like
-    /// [`CallGraph::scc`].
-    pub scc: Vec<u128>,
-}
-
-impl FoldedKeys {
-    /// The key of every function from each function's local fingerprint
-    /// `fps` ([`pinpoint_ir::func_fingerprint`] of its pre-transform
-    /// body) and the module's call graph `cg`. The caller may have kept
-    /// the fingerprints of functions it did not lower again.
-    ///
-    /// The transitive SCC fingerprint is computed bottom-up over the
-    /// condensation: `tfp(scc) = H(sorted member fingerprints, sorted
-    /// distinct callee-SCC tfps)`. Because call-graph edges are derived
-    /// from callee *names* resolved against the module, adding or
-    /// removing a function that changes any resolution changes the
-    /// affected callers' edge sets and hence their keys.
-    pub fn fold(fps: &[u128], config_fp: u128, cg: &CallGraph) -> Self {
-        // `sccs` is emitted in reverse topological order of the
-        // condensation (callee components first), so one forward pass
-        // sees every callee tfp before it is needed.
-        let mut scc = vec![0u128; cg.scc_count()];
-        for si in 0..scc.len() {
-            scc[si] = scc_fingerprint(si, fps, &scc, cg);
-        }
-        let func = fps
-            .iter()
-            .enumerate()
-            .map(|(i, &fp)| func_key(config_fp, scc[cg.scc_of(FuncId(i as u32))], fp, i))
-            .collect();
-        FoldedKeys { func, scc }
+/// The key of every function, indexed by `FuncId`, from each function's
+/// local fingerprint `fps` ([`pinpoint_ir::func_fingerprint`] of its
+/// pre-transform body) and the module's call graph `cg`.
+///
+/// The transitive SCC fingerprint is computed bottom-up over the
+/// condensation: `tfp(scc) = H(sorted member fingerprints, sorted
+/// distinct callee-SCC tfps)`. Because call-graph edges are derived
+/// from callee *names* resolved against the module, adding or removing
+/// a function that changes any resolution changes the affected callers'
+/// edge sets and hence their keys.
+pub fn fold_keys(fps: &[u128], config_fp: u128, cg: &CallGraph) -> Vec<u128> {
+    // `sccs` is emitted in reverse topological order of the
+    // condensation (callee components first), so one forward pass sees
+    // every callee tfp before it is needed.
+    let mut scc = vec![0u128; cg.scc_count()];
+    for si in 0..scc.len() {
+        scc[si] = scc_fingerprint(si, fps, &scc, cg);
     }
-
-    /// Re-keys after the local fingerprints of the `changed` functions
-    /// became those in `fps`, over the call graph `cg` these keys were
-    /// folded over, and returns how many functions got new keys.
-    ///
-    /// A key reads only its SCC's member fingerprints and the transitive
-    /// fingerprints of its callee SCCs, so refolding the SCCs that hold a
-    /// changed fingerprint, then the callers of every SCC whose
-    /// fingerprint moved, callee components first, gives what
-    /// [`FoldedKeys::fold`] gives; only the members of the refolded SCCs
-    /// are re-keyed.
-    pub fn refold(
-        &mut self,
-        fps: &[u128],
-        changed: &[FuncId],
-        config_fp: u128,
-        cg: &CallGraph,
-    ) -> usize {
-        // Callers' SCCs come after their callees' in Tarjan's order, so
-        // ascending index is a bottom-up schedule.
-        let mut pending: BTreeSet<usize> = changed.iter().map(|&f| cg.scc_of(f)).collect();
-        let mut rekeyed = 0;
-        while let Some(si) = pending.pop_first() {
-            let tfp = scc_fingerprint(si, fps, &self.scc, cg);
-            let members = cg.scc(si);
-            for &f in members {
-                let i = f.0 as usize;
-                self.func[i] = func_key(config_fp, tfp, fps[i], i);
-            }
-            rekeyed += members.len();
-            if tfp != self.scc[si] {
-                self.scc[si] = tfp;
-                let callers = members.iter().flat_map(|&f| cg.callers(f));
-                pending.extend(callers.map(|&c| cg.scc_of(c)).filter(|&sc| sc != si));
-            }
-        }
-        rekeyed
-    }
+    fps.iter()
+        .enumerate()
+        .map(|(i, &fp)| func_key(config_fp, scc[cg.scc_of(FuncId(i as u32))], fp, i))
+        .collect()
 }
 
 /// `tfp(si)` from its members' fingerprints and the already folded
@@ -296,8 +251,11 @@ mod tests {
         }
     }
 
+    /// The key diff of an edit is the callers-closure of the functions
+    /// whose fingerprint it changed: the rule an update applies instead
+    /// of folding keys.
     #[test]
-    fn refold_equals_the_full_fold() {
+    fn key_diff_equals_the_callers_closure() {
         let fuzz =
             pinpoint_workload::fuzzgen::generate(&pinpoint_workload::fuzzgen::FuzzGenConfig {
                 seed: 3,
@@ -320,25 +278,24 @@ mod tests {
         );
         let cfg = config_fp(&PtaConfig::default());
         let fps = module_fingerprints(&m);
-        let base = FoldedKeys::fold(&fps, cfg, &cg);
+        let base = fold_keys(&fps, cfg, &cg);
         let n = m.funcs.len();
-        // Every function alone, then pairs far apart, then everything.
-        let mut edits: Vec<Vec<FuncId>> = (0..n).map(|i| vec![FuncId(i as u32)]).collect();
-        edits.extend((0..n / 2).map(|i| vec![FuncId(i as u32), FuncId((n - 1 - i) as u32)]));
-        edits.push((0..n).map(|i| FuncId(i as u32)).collect());
+        // Nothing, every function alone, pairs far apart, everything.
+        let mut edits: Vec<Vec<usize>> = vec![vec![]];
+        edits.extend((0..n).map(|i| vec![i]));
+        edits.extend((0..n / 2).map(|i| vec![i, n - 1 - i]));
+        edits.push((0..n).collect());
         for changed in edits {
-            let mut edited = fps.clone();
-            for f in &changed {
-                edited[f.0 as usize] ^= 1;
+            let (mut edited, mut closed) = (fps.clone(), vec![false; n]);
+            for &i in &changed {
+                edited[i] ^= 1;
+                closed[i] = true;
             }
-            let mut refolded = base.clone();
-            let keyed = refolded.refold(&edited, &changed, cfg, &cg);
-            assert_eq!(refolded, FoldedKeys::fold(&edited, cfg, &cg), "{changed:?}");
-            let moved = base.func.iter().zip(&refolded.func).filter(|(a, b)| a != b);
-            assert!(keyed >= moved.count() && keyed <= n, "{changed:?}: {keyed}");
+            pinpoint_pta::dirty_closure(&cg, &mut closed);
+            let keys = fold_keys(&edited, cfg, &cg);
+            let moved: Vec<bool> = base.iter().zip(&keys).map(|(a, b)| a != b).collect();
+            assert_eq!(moved, closed, "{changed:?}");
         }
-        // Nothing changed: nothing is refolded.
-        assert_eq!(base.clone().refold(&fps, &[], cfg, &cg), 0);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! * [`keys`] — derives a key per function: a 128-bit FNV hash of
 //!   `(format version ⊕ config, transitive SCC fingerprint, own
-//!   fingerprint, function id)`. In memory these drive incremental
-//!   dirtying and query-cache validation; they never reach the disk;
+//!   fingerprint, function id)`. Their diff between two modules is the
+//!   reference statement of what an edit dirties, which tests hold an
+//!   update's callers closure to; they never reach the disk;
 //! * [`codec`] — the hand-rolled byte-stream writer and bounds-checked
 //!   reader (no serde) payloads are encoded with;
 //! * [`store`] — the on-disk object store with atomic (temp file +
@@ -28,5 +29,5 @@ pub mod keys;
 pub mod store;
 
 pub use codec::{ByteReader, ByteWriter, DecodeError};
-pub use keys::{config_fp, module_keys, FoldedKeys};
+pub use keys::{config_fp, fold_keys, module_keys};
 pub use store::{CacheInfo, CacheStats, CacheStore, VerifyOutcome, FORMAT_VERSION, HEADER_LEN};

@@ -342,7 +342,7 @@ struct CandidateEvent {
 /// list the search consulted for an unmatched or parameter ascent
 /// (`callers_consulted`), and every global whose load list fed a
 /// global-cell channel (`globals_consulted`). Together with the
-/// transitive per-function fingerprint keys, these determine the search
+/// per-function update stamps, these determine the search
 /// result completely (see [`cone_fingerprint`]), which is what makes
 /// per-source caching across edits sound.
 #[derive(Debug, Clone, Default)]
@@ -536,7 +536,7 @@ struct Worker<'cx, 'a> {
 /// first of two means that applies:
 ///
 /// 1. `cache` — the per-source [`QueryCache`], validated against the
-///    artefact's current per-function transitive fingerprint keys: a
+///    artefact's current per-function update stamps: a
 ///    source whose recomputed [`cone_fingerprint`] still matches its
 ///    entry replays the cached outcome, including the verdict counters
 ///    and costs recorded when it was computed (its verdict snapshot may
@@ -577,7 +577,7 @@ pub(crate) fn run_spec(
     let (module, segs) = (&a.module, &a.segs);
     // Only an owned workspace passes a cache, and its artefact has keys.
     debug_assert!(cache.is_none() || a.keys.is_some());
-    let keys: &[u128] = a.keys.as_ref().map_or(&[], |k| &k.func);
+    let stamps: &[u64] = a.keys.as_ref().map_or(&[], |k| &k.stamps);
     let spec_fp = spec_fingerprint(spec, &config);
     let property = ResolvedSpec::new(spec, module);
     // Canonical `(function, site)` order: the merge replays it, and its
@@ -588,7 +588,8 @@ pub(crate) fn run_spec(
     for (i, &(fid, s)) in sources.iter().enumerate() {
         let hit = cache.as_ref().and_then(|cache| {
             let e = cache.entries.get(&(spec_fp, fid, s.site, s.value))?;
-            (cone_fingerprint(&e.outcome, segs, keys) == Some(e.cone_fp)).then(|| e.outcome.clone())
+            (cone_fingerprint(&e.outcome, segs, stamps) == Some(e.cone_fp))
+                .then(|| e.outcome.clone())
         });
         if hit.is_none() {
             rerun.push(i);
@@ -621,7 +622,7 @@ pub(crate) fn run_spec(
         );
         for (i, outcome) in rerun.into_iter().zip(fresh) {
             if let Some(cache) = cache.as_mut() {
-                if let Some(cone_fp) = cone_fingerprint(&outcome, segs, keys) {
+                if let Some(cone_fp) = cone_fingerprint(&outcome, segs, stamps) {
                     let (fid, s) = sources[i];
                     let entry = CachedSource {
                         cone_fp,
@@ -765,12 +766,13 @@ pub(crate) fn spec_fingerprint(spec: &Spec, config: &DetectConfig) -> u128 {
 /// Combined fingerprint of every artefact datum a source's search
 /// consulted, recomputed against the *current* artefact:
 ///
-/// * per cone member: its transitive per-function key (covers the
-///   member's body, its SEG/sinks/dominators, and — because the keys
-///   fold callee fingerprints over the call-graph condensation — the
-///   bodies and connector shapes of everything it can call, which is
-///   what sink checks, local edges, descents, summary consultations, and
-///   matched ascents read);
+/// * per cone member: the number of the update that last re-analysed it
+///   (its stamp; see `Keys::update`). An update re-analyses exactly the
+///   callers-closure of the functions whose body it changed, so the
+///   stamp moves whenever the member's body, its SEG/sinks/dominators,
+///   or the body or connector shape of anything it can call moves —
+///   which is what sink checks, local edges, descents, summary
+///   consultations, and matched ascents read;
 /// * per callers-list consultation (unmatched and parameter ascents):
 ///   the list's entries together with each caller's call-site record
 ///   (callee, actuals, receivers) — exactly the caller-side data an
@@ -783,13 +785,13 @@ pub(crate) fn spec_fingerprint(spec: &Spec, config: &DetectConfig) -> u128 {
 /// identically and produce the same [`SourceOutcome`]. Returns `None`
 /// when an id is out of range for the current artefact (stale entry
 /// after a shape change — callers treat that as a miss).
-fn cone_fingerprint(out: &SourceOutcome, segs: &ModuleSeg, keys: &[u128]) -> Option<u128> {
+fn cone_fingerprint(out: &SourceOutcome, segs: &ModuleSeg, stamps: &[u64]) -> Option<u128> {
     use pinpoint_ir::fingerprint::Fnv128;
     let mut h = Fnv128::new();
     h.write_u64(out.cone.len() as u64);
     for &fid in &out.cone {
         h.write_u32(fid.0);
-        h.write_u128(*keys.get(fid.0 as usize)?);
+        h.write_u64(*stamps.get(fid.0 as usize)?);
     }
     h.write_u64(out.callers_consulted.len() as u64);
     for &fid in &out.callers_consulted {

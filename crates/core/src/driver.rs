@@ -30,14 +30,18 @@ use crate::error::PinpointError;
 use crate::seg::ModuleSeg;
 #[cfg(doc)]
 use crate::workspace::Workspace;
-use pinpoint_cache::{config_fp, CacheStats, CacheStore, FoldedKeys};
+#[cfg(test)]
+use pinpoint_cache::config_fp;
+use pinpoint_cache::{CacheStats, CacheStore};
 use pinpoint_ir::frontend::first_error;
 use pinpoint_ir::{
     func_fingerprint, module_fingerprints, CallGraph, CompileError, FuncId, Function, Module,
     Snapshot, Unit,
 };
 use pinpoint_obs::TraceBuf;
-use pinpoint_pta::{analyze_module_with, ModuleAnalysis, PreviousRun, PtaConfig, PtaStats};
+use pinpoint_pta::{
+    analyze_module_with, dirty_closure, ModuleAnalysis, PreviousRun, PtaConfig, PtaStats,
+};
 use pinpoint_smt::{TermArena, VerdictTable};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -139,8 +143,10 @@ pub struct PipelineStats {
     pub front_bytes: usize,
     /// Wall time of the call-graph build (one per build or update).
     pub callgraph_time: Duration,
-    /// Wall time of the cache-key derivation (zero for an artefact built
-    /// for one-shot queries, which derives no keys).
+    /// Wall time of the keys stage: an owned workspace's build
+    /// fingerprints every function, an update diffs the fingerprints of
+    /// what it lowered and closes the changes over callers (zero for an
+    /// artefact built for one-shot queries, which keeps no keys).
     pub keys_time: Duration,
     /// Wall time of points-to + transformation.
     pub pta_time: Duration,
@@ -350,9 +356,16 @@ impl AnalysisBuilder {
             }
         }
         let mut stats = PipelineStats::default();
+        let (callgraph, _) = call_graph(&module, None, &mut trace, &mut stats);
+        let keys = source.is_some().then(|| {
+            let t = Instant::now();
+            let keys = trace.span("keys", "", |_| Keys::new(&module, 0));
+            stats.keys_time = t.elapsed();
+            keys
+        });
         let built = run_stages(
             module,
-            source.is_some(),
+            callgraph,
             None,
             &self.pta,
             self.threads,
@@ -377,7 +390,7 @@ impl AnalysisBuilder {
             config: self.config,
             pta_config: self.pta,
             threads: self.threads,
-            keys: built.keys,
+            keys,
             source,
             stats,
             trace,
@@ -390,82 +403,96 @@ pub(crate) fn open_store(dir: Option<&Path>) -> Option<CacheStore> {
     CacheStore::open(dir?).ok()
 }
 
-/// The function keys of an artefact: what an owned workspace compares
-/// across edits.
+/// What an owned workspace compares across edits: each function's local
+/// fingerprint, and the update that last re-analysed it.
 #[derive(Debug)]
 pub(crate) struct Keys {
-    /// Per-function transitive fingerprint keys of the pre-transform
-    /// module ([`pinpoint_cache::module_keys`] order, indexed by
-    /// `FuncId`). The query cache validates cone fingerprints against
-    /// them, and an update diffs them to find what an edit dirtied.
-    pub(crate) func: Vec<u128>,
-    /// The transitive fingerprint of every SCC of the call graph the
-    /// keys were folded over: what an update that keeps the graph
-    /// refolds from.
-    scc: Vec<u128>,
     /// Each function's local fingerprint
-    /// ([`pinpoint_ir::func_fingerprint`] of its pre-transform body): what
-    /// [`Keys::func`] folds, kept for the functions the next update does
-    /// not lower.
+    /// ([`pinpoint_ir::func_fingerprint`] of its pre-transform body),
+    /// indexed by `FuncId`: what an update diffs the functions it lowers
+    /// against, kept for the ones it does not lower.
     pub(crate) local: Vec<u128>,
+    /// Per function, the number of the update that last re-analysed it
+    /// (0: the build): what the query cache's cone fingerprints hash.
+    pub(crate) stamps: Vec<u64>,
+    /// The number of the last update (0: none yet).
+    updates: u64,
 }
 
-/// Derives the per-function cache keys of the pre-transform `module`
-/// over its call graph, under the `keys` span, recording the stage's
-/// time, and returns them with the number of functions keyed. `kept` is
-/// an update's `(lowered, previous keys)`: a function the update did not
-/// lower holds its previous transformed body, and its fingerprint is the
-/// kept one. When `refold` says the update kept the previous call graph,
-/// only the SCCs above a changed fingerprint are refolded
-/// ([`FoldedKeys::refold`]); otherwise every SCC is.
-fn derive_keys(
-    module: &Module,
-    kept: Option<(&[bool], &Keys)>,
-    refold: bool,
-    callgraph: &CallGraph,
-    pta: &PtaConfig,
-    trace: &mut TraceBuf,
-    stats: &mut PipelineStats,
-) -> (Keys, usize) {
-    let t = Instant::now();
-    let (local, folded, keyed) = trace.span("keys", "", |_| {
-        let Some((lowered, old)) = kept else {
-            let local = module_fingerprints(module);
-            let folded = FoldedKeys::fold(&local, config_fp(pta), callgraph);
-            return (local, folded, module.funcs.len());
-        };
-        let mut local = old.local.clone();
-        let mut changed = Vec::new();
-        for (i, _) in lowered.iter().enumerate().filter(|(_, &l)| l) {
+impl Keys {
+    /// The keys of a module every function of which update number
+    /// `update` analysed (0: a build).
+    fn new(module: &Module, update: u64) -> Keys {
+        Keys {
+            local: module_fingerprints(module),
+            stamps: vec![update; module.funcs.len()],
+            updates: update,
+        }
+    }
+
+    /// Applies an update over the same function set and returns what it
+    /// dirtied: the `lowered` functions whose fingerprint moved (patched
+    /// into [`Keys::local`] in place), closed over their callers on the
+    /// new call graph `callgraph`, which [`Keys::stamp`] then stamps. A
+    /// function's connector shape, points-to result and transformed body
+    /// depend only on its own body and its callees' shapes, so this is
+    /// exactly what the edit invalidates (see
+    /// [`pinpoint_pta::incremental`]).
+    fn update(&mut self, module: &Module, lowered: &[bool], callgraph: &CallGraph) -> Vec<bool> {
+        let mut dirty = vec![false; lowered.len()];
+        for i in (0..lowered.len()).filter(|&i| lowered[i]) {
             let fp = func_fingerprint(&module.funcs[i], module);
-            if fp != local[i] {
-                local[i] = fp;
-                changed.push(FuncId(i as u32));
+            if fp != self.local[i] {
+                self.local[i] = fp;
+                dirty[i] = true;
             }
         }
-        if !refold {
-            let folded = FoldedKeys::fold(&local, config_fp(pta), callgraph);
-            return (local, folded, module.funcs.len());
+        dirty_closure(callgraph, &mut dirty);
+        self.stamp(&dirty);
+        dirty
+    }
+
+    /// Numbers a new update and stamps the `dirty` functions with it.
+    fn stamp(&mut self, dirty: &[bool]) {
+        self.updates += 1;
+        for i in (0..dirty.len()).filter(|&i| dirty[i]) {
+            self.stamps[i] = self.updates;
         }
-        let mut folded = FoldedKeys {
-            func: old.func.clone(),
-            scc: old.scc.clone(),
-        };
-        let keyed = folded.refold(&local, &changed, config_fp(pta), callgraph);
-        (local, folded, keyed)
+    }
+}
+
+/// The call graph of the pre-transform `module`, under the `callgraph`
+/// span, recording the stage's time, and whether it is `kept`: an
+/// update's previous graph and its lowered flags. The previous graph is
+/// kept when every lowered function has its previous callee row; a
+/// build, or any other update, gets a new one.
+fn call_graph(
+    module: &Module,
+    kept: Option<(&Arc<CallGraph>, &[bool])>,
+    trace: &mut TraceBuf,
+    stats: &mut PipelineStats,
+) -> (Arc<CallGraph>, bool) {
+    let t = Instant::now();
+    let graph = trace.span("callgraph", "", |_| {
+        let (cg, lowered) = kept?;
+        let mut lowered = lowered.iter().enumerate().filter(|(_, &l)| l);
+        lowered
+            .all(|(i, _)| cg.keeps_callees(FuncId(i as u32), &module.funcs[i]))
+            .then(|| Arc::clone(cg))
     });
-    stats.keys_time = t.elapsed();
-    let keys = Keys {
-        func: folded.func,
-        scc: folded.scc,
-        local,
-    };
-    (keys, keyed)
+    stats.callgraph_time = t.elapsed();
+    match graph {
+        Some(cg) => {
+            debug_assert!(cg.describes(module), "a kept call graph is the module's");
+            (cg, true)
+        }
+        None => (Arc::new(CallGraph::new(module)), false),
+    }
 }
 
 /// What an update splices from, beside its module: the previous
-/// artefact's points-to analysis (arena included), SEGs and keys, and
-/// the new source, to lower what the key diff dirties.
+/// artefact's points-to analysis (arena included) and SEGs, the new
+/// source, to lower what the edit dirtied, and the dirty set.
 struct Previous<'u, 'src> {
     unit: &'u Unit<'src>,
     /// Per function: whether the module holds a body lowered from
@@ -477,13 +504,13 @@ struct Previous<'u, 'src> {
     replaced: Vec<(usize, Function)>,
     pta: ModuleAnalysis,
     segs: ModuleSeg,
-    keys: Keys,
-    /// The previous call graph, which the update keeps if no lowered
-    /// function changed its row; `None` builds a new one.
-    callgraph: Option<Arc<CallGraph>>,
+    /// Per function: whether the edit dirtied it, closed over callers
+    /// ([`Keys::update`]).
+    dirty: Vec<bool>,
 }
 
-/// What the build stages produce: the artefact minus its configuration.
+/// What the build stages produce: the artefact minus its configuration
+/// and keys.
 struct Built {
     module: Module,
     /// Points-to artefacts, the arena moved out into [`Built::arena`].
@@ -491,85 +518,45 @@ struct Built {
     segs: ModuleSeg,
     callgraph: Arc<CallGraph>,
     arena: TermArena,
-    keys: Option<Keys>,
     outcome: UpdateOutcome,
 }
 
-/// The build stages over `module`, in order: call graph, keys (when
-/// `keys` is set, as it always is for an owned workspace), points-to, SEG, then
-/// the structural statistics — recording spans into `trace` and times
-/// and counters into `stats`. The transform leaves the call graph
-/// unchanged, so every stage borrows the one built first.
+/// The build stages after the call graph (and, for an owned workspace,
+/// the keys) over `module`, in order: points-to, SEG, then the
+/// structural statistics — recording spans into `trace` and times and
+/// counters into `stats`. The transform leaves the call graph unchanged,
+/// so every stage borrows `callgraph`.
 ///
 /// A build is an edit with nothing to splice, and its module is the
 /// pre-transform one. With a `previous` run, the module holds the
 /// previous transformed body of each function the front end did not
-/// lower again, and the functions whose keys changed are the dirty set:
-/// a dirty function not lowered yet is lowered now, a clean one gets its
+/// lower again, and [`Previous::dirty`] is the dirty set: a dirty
+/// function not lowered yet is lowered now, a clean one gets its
 /// previous transformed body back, and both stages splice everything
 /// clean from the previous run and analyse only the dirty functions (see
-/// [`pinpoint_pta::incremental`]). The previous call graph is kept when
-/// every lowered function has its previous callee row, and the keys are
-/// then refolded only above the edit.
+/// [`pinpoint_pta::incremental`]).
 fn run_stages(
     mut module: Module,
-    keys: bool,
+    callgraph: Arc<CallGraph>,
     previous: Option<Previous<'_, '_>>,
     config: &PtaConfig,
     threads: usize,
     trace: &mut TraceBuf,
     stats: &mut PipelineStats,
 ) -> Built {
-    let t = Instant::now();
-    let (callgraph, graph_kept) = trace.span("callgraph", "", |_| {
-        let kept = previous.as_ref().and_then(|p| {
-            let cg = p.callgraph.as_ref()?;
-            let mut lowered = p.lowered.iter().enumerate().filter(|(_, &l)| l);
-            lowered
-                .all(|(i, _)| cg.keeps_callees(FuncId(i as u32), &module.funcs[i]))
-                .then(|| Arc::clone(cg))
-        });
-        match kept {
-            Some(cg) => {
-                debug_assert!(cg.describes(&module), "a kept call graph is the module's");
-                (cg, true)
-            }
-            None => (Arc::new(CallGraph::new(&module)), false),
-        }
-    });
-    stats.callgraph_time = t.elapsed();
-    stats.keys_time = Duration::ZERO;
-    let kept = previous.as_ref().map(|p| (p.lowered.as_slice(), &p.keys));
-    let (keys, keys_refolded) = if keys {
-        let (keys, keyed) =
-            derive_keys(&module, kept, graph_kept, &callgraph, config, trace, stats);
-        (Some(keys), keyed)
-    } else {
-        (None, 0)
-    };
     let mut lowered = module.funcs.len();
-    // Key diffs are caller-closed: an edit anywhere below a function
-    // changes that function's transitive key, so the dirty set needs no
-    // further closure.
     let (previous, old_segs) = match previous {
         Some(p) => {
-            let keys = keys.as_ref().expect("an update derives keys");
-            let dirty: Vec<bool> = keys
-                .func
-                .iter()
-                .zip(&p.keys.func)
-                .map(|(a, b)| a != b)
-                .collect();
             let t = Instant::now();
-            let late: Vec<usize> = (0..dirty.len())
-                .filter(|&i| dirty[i] && !p.lowered[i])
+            let late: Vec<usize> = (0..p.dirty.len())
+                .filter(|&i| p.dirty[i] && !p.lowered[i])
                 .collect();
             let results = lower_fns(p.unit, late.clone(), threads, trace);
             for (i, f) in late.iter().zip(results) {
                 module.funcs[*i] = f.expect("an unchanged slice lowers as it did before");
             }
             for (i, body) in p.replaced {
-                if !dirty[i] {
+                if !p.dirty[i] {
                     module.funcs[i] = body;
                 }
             }
@@ -577,7 +564,7 @@ fn run_stages(
             lowered = p.lowered.iter().filter(|&&l| l).count() + late.len();
             let run = PreviousRun {
                 analysis: p.pta,
-                dirty,
+                dirty: p.dirty,
             };
             (Some(run), Some(p.segs))
         }
@@ -618,15 +605,13 @@ fn run_stages(
         segs,
         callgraph,
         arena,
-        keys,
         outcome: UpdateOutcome {
             reanalyzed: out.reanalyzed.len(),
             reused: out.reused,
             fell_back: false,
             lowered,
             split_bytes: 0,
-            callgraph_kept: graph_kept,
-            keys_refolded,
+            callgraph_kept: false,
         },
     }
 }
@@ -653,10 +638,6 @@ pub struct UpdateOutcome {
     /// `true` when no lowered function changed its user callees, so the
     /// update kept the previous call graph.
     pub callgraph_kept: bool,
-    /// Functions the update derived new keys for: those in the SCCs above
-    /// a changed fingerprint when the call graph was kept, every function
-    /// otherwise.
-    pub keys_refolded: usize,
 }
 
 /// The immutable Pinpoint analysis artefact, ready to be queried.
@@ -715,14 +696,14 @@ pub struct Analysis {
     /// The detection configuration workspaces start from (from the
     /// builder).
     config: DetectConfig,
-    /// Points-to configuration (from the builder) — needed to recompute
-    /// fingerprint keys after incremental updates.
+    /// Points-to configuration (from the builder), which an update
+    /// re-analyses under.
     pta_config: PtaConfig,
     /// Worker count (from the builder).
     threads: usize,
-    /// The function keys, derived by a build for an owned workspace
-    /// ([`AnalysisBuilder::open_workspace`]) and by every update, and kept
-    /// current across updates. A build for one-shot queries has none: a
+    /// The function fingerprints and update stamps, derived by a build
+    /// for an owned workspace ([`AnalysisBuilder::open_workspace`]) and
+    /// kept current by every update. A build for one-shot queries has none: a
     /// borrowed workspace keeps no query cache, and its artefact never
     /// changes.
     pub(crate) keys: Option<Keys>,
@@ -786,11 +767,12 @@ impl Analysis {
     /// tables fingerprint). With the same fingerprint the function set is
     /// the same, so the lowered bodies are swapped into the module in
     /// place and every other function keeps its transformed body and its
-    /// fingerprint. The per-function keys are then diffed against the
-    /// previous build's, and exactly the functions whose keys changed —
-    /// the edited ones plus, because keys are transitive over the call
-    /// graph, their transitive callers — are re-analysed (see
-    /// [`run_stages`]). Everything else (transformed bodies, points-to
+    /// fingerprint. The fingerprints of the lowered functions are then
+    /// diffed against the kept ones, and the functions whose fingerprint
+    /// changed, closed once over their callers on the new call graph
+    /// ([`Keys::update`]), are the dirty set: they are lowered if they
+    /// were not, re-analysed (see [`run_stages`]) and stamped for the
+    /// query cache. Everything else (transformed bodies, points-to
     /// results, SEGs, hash-consed terms) is spliced from this artefact.
     ///
     /// An error is the one a whole-file compile of `src` gives: a slice
@@ -822,7 +804,7 @@ impl Analysis {
             return Err(e.clone().into());
         }
         // Nothing fails from here on: take the previous artefact apart.
-        let keys = self
+        let mut keys = self
             .keys
             .take()
             .expect("an owned workspace's artefact has keys");
@@ -849,18 +831,27 @@ impl Analysis {
         let segs = std::mem::take(&mut self.segs);
         // A changed function set splices nothing: every function was
         // lowered (the tables changed), and the run is a cold build.
-        let previous = same_shape.then_some(Previous {
-            unit: &unit,
-            lowered,
-            replaced,
-            pta,
-            segs,
-            keys,
-            callgraph: Some(Arc::clone(&self.callgraph)),
-        });
+        let kept = same_shape.then_some((&self.callgraph, lowered.as_slice()));
+        let (callgraph, callgraph_kept) = call_graph(&module, kept, trace, &mut self.stats);
+        let t = Instant::now();
+        let previous = if same_shape {
+            let dirty = keys.update(&module, &lowered, &callgraph);
+            Some(Previous {
+                unit: &unit,
+                lowered,
+                replaced,
+                pta,
+                segs,
+                dirty,
+            })
+        } else {
+            keys = Keys::new(&module, keys.updates + 1);
+            None
+        };
+        self.stats.keys_time = t.elapsed();
         let built = run_stages(
             module,
-            true,
+            callgraph,
             previous,
             &self.pta_config,
             self.threads,
@@ -870,18 +861,20 @@ impl Analysis {
         let outcome = UpdateOutcome {
             fell_back: !same_shape,
             split_bytes,
+            callgraph_kept,
             ..built.outcome
         };
         unit.into_snapshot(self.source.as_mut().expect("checked above"));
-        self.install(built);
+        self.install(built, keys);
         Ok(outcome)
     }
 
     /// The whole-file update, the reference [`Analysis::update_source`]
-    /// is compared against: the whole file is compiled, every function
-    /// fingerprinted and keyed from scratch
-    /// ([`pinpoint_cache::module_keys`]), and every clean function's
-    /// freshly lowered body replaced by its previous transformed one.
+    /// is compared against: the whole file is compiled and every function
+    /// fingerprinted, the dirty set is the diff of the transitive keys
+    /// ([`pinpoint_cache::module_keys`]) of the previous and the new
+    /// module, and every clean function's freshly lowered body is
+    /// replaced by its previous transformed one.
     #[cfg(test)]
     pub(crate) fn update_source_whole_file(
         &mut self,
@@ -889,7 +882,7 @@ impl Analysis {
     ) -> Result<UpdateOutcome, PinpointError> {
         let module = compile_source(src, self.threads, &mut TraceBuf::off())?.module;
         let unit = Unit::split(src)?;
-        let old = self
+        let mut keys = self
             .keys
             .take()
             .expect("an owned workspace's artefact has keys");
@@ -897,29 +890,41 @@ impl Analysis {
             && module
                 .iter_funcs()
                 .all(|(f, g)| self.module.func(f).name == g.name);
-        let func = pinpoint_cache::module_keys(&module, config_fp(&self.pta_config));
         let mut pta = std::mem::take(&mut self.pta);
         pta.arena = self.take_arena();
         let bodies = std::mem::take(&mut self.module).funcs;
-        let previous = same_shape.then_some(Previous {
-            unit: &unit,
-            lowered: vec![true; module.funcs.len()],
-            replaced: bodies.into_iter().enumerate().collect(),
-            pta,
-            segs: std::mem::take(&mut self.segs),
-            keys: old,
-            callgraph: None,
-        });
+        let previous = if same_shape {
+            // The previous pre-transform module's keys are its
+            // fingerprints folded over its call graph, which the
+            // transform left unchanged.
+            let config = config_fp(&self.pta_config);
+            let old = pinpoint_cache::fold_keys(&keys.local, config, &self.callgraph);
+            let new = pinpoint_cache::module_keys(&module, config);
+            let dirty: Vec<bool> = old.iter().zip(&new).map(|(a, b)| a != b).collect();
+            keys.local = module_fingerprints(&module);
+            keys.stamp(&dirty);
+            Some(Previous {
+                unit: &unit,
+                lowered: vec![true; module.funcs.len()],
+                replaced: bodies.into_iter().enumerate().collect(),
+                pta,
+                segs: std::mem::take(&mut self.segs),
+                dirty,
+            })
+        } else {
+            keys = Keys::new(&module, keys.updates + 1);
+            None
+        };
+        let callgraph = Arc::new(CallGraph::new(&module));
         let mut built = run_stages(
             module,
-            true,
+            callgraph,
             previous,
             &self.pta_config,
             self.threads,
             &mut TraceBuf::off(),
             &mut self.stats,
         );
-        assert_eq!(built.keys.as_ref().map(|k| &k.func), Some(&func));
         // The SEG's module-level indexes are recomputed from the graphs,
         // so that the splice of the update under test meets a reference
         // that did not splice.
@@ -930,19 +935,19 @@ impl Analysis {
             ..built.outcome
         };
         self.source = Some(unit.snapshot());
-        self.install(built);
+        self.install(built, keys);
         Ok(outcome)
     }
 
-    /// Makes `built` this artefact's module, analyses, call graph, arena
-    /// and keys.
-    fn install(&mut self, built: Built) {
+    /// Makes `built` this artefact's module, analyses, call graph and
+    /// arena, and `keys` its keys.
+    fn install(&mut self, built: Built, keys: Keys) {
         self.module = built.module;
         self.pta = built.pta;
         self.segs = built.segs;
         self.callgraph = built.callgraph;
         self.arena = Arc::new(built.arena);
-        self.keys = built.keys;
+        self.keys = Some(keys);
     }
 
     /// Takes the interner out of its shared handle for mutation. The

@@ -12,30 +12,34 @@
 //! * **owned** — [`Workspace::open`] and [`AnalysisBuilder::open_workspace`]
 //!   give a `Workspace` (that is, `Workspace<Analysis>`), which accepts
 //!   edits and reuses work at two layers when the program changes. Its
-//!   artefact is built with the function keys both layers compare:
+//!   artefact keeps each function's local fingerprint and update stamp,
+//!   which both layers read:
 //!
 //! 1. **Artefact layer** — [`Workspace::update_source`] splits the new
 //!    source into function slices and lowers only those whose text
 //!    changed, or all of them when a global or a function header did;
 //!    every other function keeps its fingerprint and its previous
-//!    transformed body. It then diffs the per-function transitive
-//!    fingerprint keys ([`pinpoint_cache::module_keys`]) against the
-//!    previous build's and re-analyses exactly the functions whose keys
-//!    changed (the edited ones plus their transitive callers, which are
-//!    lowered again at that point; keys fold callee fingerprints over the
-//!    call-graph condensation, so the diff is caller-closed by
-//!    construction). Clean functions' transformed bodies, points-to
-//!    facts, SEGs, and hash-consed terms are spliced from the previous
-//!    artefact. The module, keys and reports are those of a whole-file
-//!    update, which a test keeps as the reference.
+//!    transformed body. It then diffs the fingerprints of the lowered
+//!    functions against the kept ones and closes the changed set over
+//!    callers once, on the new call graph: a function's connector shape,
+//!    points-to result and transformed body depend only on its own body
+//!    and its callees' shapes, so that closure is what the edit dirtied.
+//!    It re-analyses exactly those functions (lowering the callers among
+//!    them again) and stamps each with the update's number. Clean
+//!    functions' transformed bodies, points-to facts, SEGs, and
+//!    hash-consed terms are spliced from the previous artefact. The
+//!    module, fingerprints, stamps and reports are those of a whole-file
+//!    update that dirties the diff of the transitive keys
+//!    ([`pinpoint_cache::module_keys`]), which a test keeps as the
+//!    reference.
 //! 2. **Query layer** — each query caches every per-source search
 //!    outcome keyed by `(spec fingerprint, source site)` together with a
 //!    *cone fingerprint*: a hash of every artefact datum the search
-//!    consulted (the keys of all functions it visited, the caller lists
-//!    it ascended through, the global load lists it followed). On a warm
-//!    check, a source whose recomputed cone fingerprint still matches is
-//!    answered from the cache; only sources whose cone intersects the
-//!    edit's dirty set re-run.
+//!    consulted (the update stamps of all functions it visited, the
+//!    caller lists it ascended through, the global load lists it
+//!    followed). On a warm check, a source whose recomputed cone
+//!    fingerprint still matches is answered from the cache; only sources
+//!    whose cone meets a function an edit dirtied since re-run.
 //!
 //! Both kinds accumulate the same state across queries — detection
 //! counters, per-query attribution, the span trace, and the verdict
@@ -102,8 +106,9 @@ use crate::query::Query;
 use crate::spec::{CheckerKind, Spec};
 use pinpoint_cache::CacheStore;
 use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
-use pinpoint_smt::VerdictTable;
+use pinpoint_smt::{TermArena, VerdictTable};
 use std::borrow::Borrow;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cumulative reuse counters across a workspace's lifetime.
@@ -127,9 +132,6 @@ pub struct WorkspaceCounters {
     /// [`Workspace::update_source`] calls that kept the previous call
     /// graph (see [`UpdateOutcome::callgraph_kept`]).
     pub callgraph_kept: u64,
-    /// Functions [`Workspace::update_source`] calls derived new keys for
-    /// (see [`UpdateOutcome::keys_refolded`]).
-    pub keys_refolded: u64,
 }
 
 /// The analysis engine every query goes through: an [`Analysis`], held
@@ -278,7 +280,10 @@ impl<A: Borrow<Analysis>> Workspace<A> {
         let span = self.trace.open("detect", "memory-leak");
         let a = self.analysis.borrow();
         let mut symbols = a.pta.symbols.clone();
-        let mut arena = (*a.arena).clone();
+        // Leak conditions are scratch terms over the shared arena, like
+        // a detection worker's: an overlay numbers them as a deep clone
+        // would.
+        let mut arena = TermArena::overlay(Arc::clone(&a.arena));
         let reports = crate::leak::find_leaks(&a.module, &a.segs, &mut symbols, &mut arena);
         self.trace.close(span);
         self.detect_time += t0.elapsed();
@@ -434,7 +439,6 @@ impl<A: Borrow<Analysis>> Workspace<A> {
             m.counter_add("workspace.queries.rerun", self.counters.queries_rerun);
             m.counter_add("workspace.funcs.dirty", self.counters.funcs_dirty);
             m.counter_add("workspace.callgraph.kept", self.counters.callgraph_kept);
-            m.counter_add("workspace.keys.refolded", self.counters.keys_refolded);
             m.counter_add("workspace.funcs.reused", self.counters.funcs_reused);
             m.counter_add("workspace.funcs.lowered", self.counters.funcs_lowered);
             m.counter_add("workspace.split.bytes", self.counters.split_bytes);
@@ -474,9 +478,8 @@ impl Workspace {
     /// artefact for everything the edit did not dirty (layer 1 of the
     /// [module docs](self)): only the changed function slices are lowered
     /// ([`UpdateOutcome::lowered`] counts them with the callers the edit
-    /// dirtied), the new module's per-function fingerprint keys are
-    /// diffed against the previous build's, and exactly the functions
-    /// whose keys changed are re-analysed (see
+    /// dirtied), and exactly the functions whose fingerprint changed and
+    /// their transitive callers are re-analysed (see
     /// [`pinpoint_pta::incremental`]). The query cache survives — entries
     /// are validated per source on the next check — except on a full
     /// fallback, which rebuilds the term arena and therefore clears it.
@@ -513,22 +516,23 @@ impl Workspace {
         self.counters.funcs_lowered += outcome.lowered as u64;
         self.counters.split_bytes += outcome.split_bytes as u64;
         self.counters.callgraph_kept += u64::from(outcome.callgraph_kept);
-        self.counters.keys_refolded += outcome.keys_refolded as u64;
         outcome
     }
 
-    /// The artefact's function keys, indexed by `FuncId`: what updates
-    /// diff and the query cache validates against.
-    #[doc(hidden)]
-    pub fn func_keys(&self) -> &[u128] {
-        &self.keys().func
-    }
-
     /// The local fingerprint of every function's pre-transform body,
-    /// indexed by `FuncId`: what [`Workspace::func_keys`] fold.
+    /// indexed by `FuncId`: what an update diffs the functions it lowers
+    /// against.
     #[doc(hidden)]
     pub fn func_fingerprints(&self) -> &[u128] {
         &self.keys().local
+    }
+
+    /// The number of the update that last re-analysed each function (0:
+    /// the build), indexed by `FuncId`: what the query cache validates
+    /// against.
+    #[doc(hidden)]
+    pub fn func_stamps(&self) -> &[u64] {
+        &self.keys().stamps
     }
 
     fn keys(&self) -> &Keys {
@@ -566,7 +570,6 @@ impl AnalysisBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     const UAF: &str = "fn helper(q: int*) { free(q); return; }
         fn main() {
@@ -696,6 +699,29 @@ mod tests {
         let fresh: Vec<String> = fresh.iter().map(ToString::to_string).collect();
         assert_eq!(warm, fresh);
         let _ = cold;
+    }
+
+    /// A cached search that skipped a descent into a callee through its
+    /// VF summary is stale once the callee changes: the callee's stamp
+    /// moves, and with it the cone fingerprint of every search that
+    /// visited its caller.
+    #[test]
+    fn a_callee_edit_reruns_a_cached_search_that_skipped_it() {
+        let base = "fn g(q: int*) { return; }
+            fn main() { let p: int* = malloc(); free(p); g(p); return; }";
+        let edited = base.replace("{ return; }", "{ let v: int = *q; print(v); return; }");
+        let uaf = Query::Check(CheckerKind::UseAfterFree);
+        let reports = |ws: &mut Workspace| -> Vec<String> {
+            let reports = ws.query(&uaf).into_reports();
+            reports.iter().map(|r| format!("{r:?}")).collect()
+        };
+        let mut ws = Workspace::open(base).unwrap();
+        assert!(reports(&mut ws).is_empty());
+        assert_eq!(ws.stats().detect.skipped_descents, 1);
+        ws.update_source(&edited).unwrap();
+        let warm = reports(&mut ws);
+        assert_eq!(warm.len(), 1, "{warm:?}");
+        assert_eq!(warm, reports(&mut Workspace::open(&edited).unwrap()));
     }
 
     #[test]
@@ -996,7 +1022,7 @@ fn main(c: bool) {
 
     /// Everything an update leaves that a user or the next update reads:
     /// reports with witnesses, the transformed module, the kept source,
-    /// item table and tables fingerprint, keys and fingerprints, the SEG's
+    /// item table and tables fingerprint, fingerprints and stamps, the SEG's
     /// module-level indexes and totals, the arena's length and the reuse
     /// counters.
     fn snapshot(ws: &mut Workspace) -> String {
@@ -1021,14 +1047,14 @@ fn main(c: bool) {
             })
             .collect();
         format!(
-            "{}\n{}\n{:?}\ntables {:x}\nkeys {:x?}\nlocal {:x?}\n{}\nchannels {:?} {:?}\n\
+            "{}\n{}\n{:?}\ntables {:x}\nlocal {:x?}\nstamps {:?}\n{}\nchannels {:?} {:?}\n\
              seg {} {} {}\nterms {}\nreuse {:?}",
             reports.join("\n"),
             pinpoint_ir::printer::print_module(&a.module),
             source,
             source.tables_fingerprint(),
-            ws.func_keys(),
             ws.func_fingerprints(),
+            ws.func_stamps(),
             rows.join("\n"),
             segs.global_stores,
             segs.global_loads,
@@ -1060,7 +1086,6 @@ fn main(c: bool) {
                 let before = snapshot(&mut ws);
                 assert_eq!(snapshot(&mut reference), before);
                 let graph = Arc::clone(&ws.analysis().callgraph);
-                let keys = ws.func_keys().to_vec();
                 let got = ws.update_source(&src);
                 let want = reference.update_source_whole_file(&src);
                 let at = format!("{step} at {threads} threads");
@@ -1075,18 +1100,8 @@ fn main(c: bool) {
                         // builds an equal one over the same functions.
                         let same_graph = *graph == *reference.analysis().callgraph;
                         assert_eq!(got.callgraph_kept, !got.fell_back && same_graph, "{at}");
-                        if got.callgraph_kept {
-                            let rekeyed = (keys.iter().zip(ws.func_keys()))
-                                .filter(|(a, b)| a != b)
-                                .count();
-                            assert!(got.keys_refolded >= rekeyed, "{at}: {got:?}");
-                        } else {
-                            assert_eq!(got.keys_refolded, n, "{at}: {got:?}");
-                        }
                         match step {
-                            "body" => {
-                                assert_eq!((got.callgraph_kept, got.keys_refolded), (true, 1))
-                            }
+                            "body" => assert!(got.callgraph_kept, "{at}"),
                             s if s.starts_with("call-") || s.starts_with("cycle-") => {
                                 assert!(!got.callgraph_kept, "{at}")
                             }
@@ -1096,7 +1111,6 @@ fn main(c: bool) {
                             lowered: n,
                             split_bytes: src.len(),
                             callgraph_kept: false,
-                            keys_refolded: n,
                             ..got
                         };
                         assert_eq!(whole, want, "{at}");
@@ -1129,7 +1143,7 @@ fn main(c: bool) {
         let mut ws = Workspace::open(UAF).unwrap();
         ws.query(&Query::All).into_reports();
         // A body edit of `main`, the one caller of `helper`: the graph is
-        // kept, and only `main`'s SCC is refolded.
+        // kept, and only `main`, which has no callers, is dirtied.
         ws.update_source(&UAF.replace("print(x);", "print(x); print(x);"))
             .unwrap();
         ws.query(&Query::All).into_reports();
@@ -1138,9 +1152,8 @@ fn main(c: bool) {
         assert!(json.contains("\"workspace\":{"), "{json}");
         assert!(json.contains("\"queries.reused\""), "{json}");
         assert!(json.contains("\"queries.rerun\""), "{json}");
-        assert!(json.contains("\"funcs.dirty\""), "{json}");
+        assert!(json.contains("\"funcs.dirty\":1"), "{json}");
         assert!(json.contains("\"callgraph.kept\":1"), "{json}");
-        assert!(json.contains("\"keys.refolded\":1"), "{json}");
         assert!(json.contains("\"funcs.reused\""), "{json}");
         assert!(json.contains("\"funcs.lowered\""), "{json}");
         assert!(json.contains("\"split.bytes\""), "{json}");

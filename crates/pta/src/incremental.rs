@@ -14,12 +14,14 @@
 //!   changed — everything else is spliced from the previous run.
 //!
 //! An edit is a build with something to splice: [`crate::analyze_module_with`]
-//! takes an optional [`PreviousRun`] — the previous analysis and the set
-//! of edited functions (typically a fingerprint-key diff) — over a module
-//! in which every clean function already holds its previous
-//! *transformed* body. The caller puts those bodies there: the front end
-//! of an update moves them over for the functions whose source did not
-//! change rather than lowering them again, and the transform never
+//! takes an optional [`PreviousRun`] — the previous analysis and the
+//! dirty set: the functions whose own fingerprint the edit changed,
+//! closed over their callers once by the caller ([`dirty_closure`]) on
+//! the new call graph — over a module in which every clean function
+//! already holds its previous *transformed* body. The caller puts those
+//! bodies there: the front end of an update moves them over for the
+//! functions whose source did not change rather than lowering them
+//! again, and the transform never
 //! changes a call, so the call graph the caller builds over that mixed
 //! module is the pre-transform one. The previous analysis becomes the
 //! new one in place: clean functions' points-to results and symbol
@@ -31,7 +33,10 @@
 //! function set as the new module; a caller whose function set changed
 //! passes none, and that run is a cold build.
 //!
-//! The conservative dirtying rule (all transitive callers of an edit) can
+//! The caller reads the same closed set for every other reuse layer (the
+//! SEG's rebuild set, the stamps a query cache validates against), so
+//! this is the one statement of what an edit invalidates. The
+//! conservative dirtying rule (all transitive callers of an edit) can
 //! over-approximate — a body edit that leaves the connector shape
 //! untouched would not really need its callers re-analysed — but it never
 //! under-approximates, so every function's shape, body and facts are a
@@ -63,11 +68,9 @@ pub struct IncrementalOutcome {
 pub struct PreviousRun {
     /// The previous run's analysis.
     pub analysis: ModuleAnalysis,
-    /// Per [`FuncId`] of the *new* module, whether an edit dirtied it —
-    /// typically from diffing [`pinpoint_ir::module_fingerprints`]-based
-    /// keys. Re-closed under transitive callers ([`dirty_closure`]), so an
-    /// already caller-closed set (as fingerprint-key diffs are) gains
-    /// nothing.
+    /// Per [`FuncId`] of the *new* module, whether an edit dirtied it:
+    /// the functions whose own fingerprint changed, already closed under
+    /// transitive callers on the new call graph ([`dirty_closure`]).
     pub dirty: Vec<bool>,
 }
 
@@ -76,9 +79,7 @@ pub struct PreviousRun {
 /// possibly-changed callee shapes, so any function above an edit is
 /// dirty too.
 ///
-/// Idempotent, so feeding it an already-closed set (e.g. one derived
-/// from the transitive fingerprint keys of `pinpoint-cache`) changes
-/// nothing.
+/// Idempotent: an already closed set gains nothing.
 pub fn dirty_closure(callgraph: &CallGraph, dirty: &mut [bool]) {
     let mut work: Vec<FuncId> = (0..dirty.len())
         .filter(|&i| dirty[i])
@@ -96,15 +97,16 @@ pub fn dirty_closure(callgraph: &CallGraph, dirty: &mut [bool]) {
 }
 
 /// The state a run starts from: the analysis of `previous` with every
-/// function of its caller-closed dirty set cleared in place (shape,
-/// points-to result, cached symbols; the arena and every clean function's
-/// entries stay as they are), and the dirty set. Without a previous run
-/// everything is dirty and the arena is fresh.
+/// function of its dirty set, which the caller closed over callers,
+/// cleared in place (shape, points-to result, cached symbols; the arena
+/// and every clean function's entries stay as they are), and the dirty
+/// set. Without a previous run everything is dirty and the arena is
+/// fresh.
 ///
 /// # Panics
 ///
 /// Panics if `previous` covers another number of functions than
-/// `module`.
+/// `module`; a debug build also if its dirty set is not caller-closed.
 pub(crate) fn splice(
     module: &Module,
     callgraph: &CallGraph,
@@ -113,19 +115,32 @@ pub(crate) fn splice(
     let n = module.funcs.len();
     let Some(PreviousRun {
         analysis: mut out,
-        mut dirty,
+        dirty,
     }) = previous
     else {
         return (ModuleAnalysis::blank(n), vec![true; n]);
     };
     assert_eq!(out.pta.len(), n, "a previous run covers the same functions");
     assert_eq!(dirty.len(), n, "one dirty flag per function");
-    dirty_closure(callgraph, &mut dirty);
+    debug_assert!(
+        is_caller_closed(callgraph, &dirty),
+        "a previous run's dirty set is closed over callers"
+    );
     out.symbols.invalidate_functions(&dirty);
     for i in (0..n).filter(|&i| dirty[i]) {
         out.clear(i);
     }
     (out, dirty)
+}
+
+/// Whether every caller of a function in `dirty` is in it too.
+fn is_caller_closed(callgraph: &CallGraph, dirty: &[bool]) -> bool {
+    (0..dirty.len()).filter(|&i| dirty[i]).all(|i| {
+        callgraph
+            .callers(FuncId(i as u32))
+            .iter()
+            .all(|c| dirty[c.0 as usize])
+    })
 }
 
 #[cfg(test)]
@@ -135,20 +150,19 @@ mod tests {
     use pinpoint_obs::TraceBuf;
 
     /// Re-analyses `module` against the previous run of `old_module`,
-    /// dirty set `dirty`, first moving the transformed body of every
-    /// function outside the dirty set's caller closure over from
-    /// `old_module`, as the caller of a splice does.
+    /// seeded by `dirty`, closing it over callers and moving the
+    /// transformed body of every function outside the closure over from
+    /// `old_module` first, as the caller of a splice does.
     fn incremental(
         module: &mut Module,
         old_module: Module,
         old: ModuleAnalysis,
-        dirty: Vec<bool>,
+        mut dirty: Vec<bool>,
     ) -> IncrementalOutcome {
         let cg = CallGraph::new(module);
-        let mut closed = dirty.clone();
-        dirty_closure(&cg, &mut closed);
+        dirty_closure(&cg, &mut dirty);
         for (i, body) in old_module.funcs.into_iter().enumerate() {
-            if !closed[i] {
+            if !dirty[i] {
                 module.funcs[i] = body;
             }
         }

@@ -97,21 +97,37 @@ fn render_workspace(ws: &mut Workspace) -> String {
     out
 }
 
-/// The keys an owned workspace keeps never drift from those of a cold
-/// compile of the source it holds: its local fingerprints are the cold
-/// module's, and so are its function keys (under pruning `prune`).
-fn assert_keys_fresh(ws: &Workspace, src: &str, prune: bool) {
-    let cold = pinpoint::compile(src).expect("source compiles");
+/// After an update of `ws` from `old` to `src`, with `stamps` its update
+/// stamps before: the fingerprints it keeps never drift from a cold
+/// compile of `src`, and the functions it re-analysed (those whose
+/// stamps moved) are those whose transitive keys
+/// ([`pinpoint::cache::module_keys`]) differ between cold compiles of
+/// `old` and `src` — every function when the function set changed.
+fn assert_keys_fresh(ws: &Workspace, stamps: &[u64], old: &str, src: &str) {
+    let compile = |src: &str| pinpoint::compile(src).expect("source compiles");
+    let (old, cold) = (compile(old), compile(src));
     assert_eq!(
         ws.func_fingerprints(),
         pinpoint::ir::module_fingerprints(&cold),
         "local fingerprints drifted"
     );
-    let config = pinpoint::cache::config_fp(&pinpoint::pta::PtaConfig { prune });
-    assert_eq!(
-        ws.func_keys(),
+    let config = pinpoint::cache::config_fp(&pinpoint::pta::PtaConfig::default());
+    let (was, now) = (
+        pinpoint::cache::module_keys(&old, config),
         pinpoint::cache::module_keys(&cold, config),
-        "function keys drifted"
+    );
+    let names =
+        |m: &pinpoint::ir::Module| m.funcs.iter().map(|f| f.name.clone()).collect::<Vec<_>>();
+    let same_shape = names(&old) == names(&cold);
+    let keyed: Vec<bool> = (0..now.len())
+        .map(|i| !same_shape || was[i] != now[i])
+        .collect();
+    let stamped: Vec<bool> = (ws.func_stamps().iter().enumerate())
+        .map(|(i, s)| stamps.get(i) != Some(s))
+        .collect();
+    assert_eq!(
+        stamped, keyed,
+        "the re-analysed functions are not the key diff"
     );
 }
 
@@ -270,8 +286,9 @@ fn workspace_updates_byte_identical_across_seeded_edits() {
                 .expect("generated source compiles");
             // Populate the query cache from the pre-edit program.
             let _ = render_workspace(&mut ws);
+            let stamps = ws.func_stamps().to_vec();
             let outcome = ws.update_source(&edited).expect("edited source compiles");
-            assert_keys_fresh(&ws, &edited, prune);
+            assert_keys_fresh(&ws, &stamps, &primed, &edited);
             assert_eq!(
                 outcome.fell_back, !same_shape,
                 "{name}: fallback iff the function set changed shape"
@@ -334,9 +351,12 @@ fn cumulative_edits_keep_reports_and_keys_cold() {
             .open_workspace(&project.source)
             .expect("generated source compiles");
         let _ = render_workspace(&mut ws);
+        let mut old = &project.source;
         for (step, src) in script.iter().enumerate() {
+            let stamps = ws.func_stamps().to_vec();
             let outcome = ws.update_source(src).expect("edited source compiles");
-            assert_keys_fresh(&ws, src, true);
+            assert_keys_fresh(&ws, &stamps, old, src);
+            old = src;
             let cold = builder
                 .clone()
                 .build_source(src)
@@ -377,8 +397,9 @@ fn warm_workspace_check_reruns_only_affected_queries() {
             .open_workspace(&project.source)
             .expect("generated source compiles");
         let _ = render_workspace(&mut ws);
+        let stamps = ws.func_stamps().to_vec();
         let outcome = ws.update_source(&edited).expect("edited source compiles");
-        assert_keys_fresh(&ws, &edited, true);
+        assert_keys_fresh(&ws, &stamps, &project.source, &edited);
         assert!(!outcome.fell_back);
         assert_eq!(
             outcome.lowered, outcome.reanalyzed,
@@ -515,6 +536,142 @@ fn fuzz_module(seed: u64, functions: usize) -> String {
     })
 }
 
+/// Line ranges `(header line, closing line)` of the helpers `f0`, `f1`,
+/// … of a fuzz-grammar module, by helper index.
+fn fuzz_helpers(lines: &[&str]) -> Vec<(usize, usize)> {
+    let mut helpers = Vec::new();
+    while let Some(start) = lines
+        .iter()
+        .position(|l| l.starts_with(&format!("fn f{}(", helpers.len())))
+    {
+        let end = start + lines[start..].iter().position(|l| *l == "}").unwrap();
+        helpers.push((start, end));
+    }
+    helpers
+}
+
+/// The helpers `fK` that `text` calls, as `K`s.
+fn helper_calls(text: &str) -> impl Iterator<Item = usize> + '_ {
+    text.match_indices('f').filter_map(|(i, _)| {
+        let before = text[..i].chars().next_back();
+        if before.is_some_and(|c| c.is_alphanumeric() || c == '_') {
+            return None;
+        }
+        let digits = text[i + 1..].find(|c: char| !c.is_ascii_digit())?;
+        let rest = &text[i + 1 + digits..];
+        (digits > 0 && rest.starts_with('(')).then(|| text[i + 1..i + 1 + digits].parse().unwrap())
+    })
+}
+
+/// Whether `line` is a top-level call statement of a helper body: the
+/// grammar's `v = fK(…);`, `fK(…);` and `print(fK(…));`, or a guarded call
+/// [`fuzz_edit`] inserted.
+fn is_call_statement(line: &str) -> bool {
+    let Some(stmt) = line.strip_prefix("    ") else {
+        return false;
+    };
+    let plain = !stmt.starts_with(' ') && !stmt.starts_with("let ") && !stmt.starts_with("return");
+    plain && helper_calls(stmt).next().is_some()
+}
+
+/// One seeded edit of a fuzz-grammar module: a body pad (`step` 0 mod 4),
+/// a deleted call statement (1), a copied call statement (2), or a
+/// guarded call from a helper to one of its callers, which merges their
+/// SCCs (3; deleting that call later splits them again). A kind with
+/// nothing to edit falls back to a pad.
+fn fuzz_edit(src: &str, rng: &mut Mix, step: usize) -> String {
+    let mut lines: Vec<&str> = src.lines().collect();
+    let helpers = fuzz_helpers(&lines);
+    let calls: Vec<usize> = (helpers.iter())
+        .flat_map(|&(start, end)| start + 1..end)
+        .filter(|&i| is_call_statement(lines[i]))
+        .collect();
+    // (callee, caller) helper pairs.
+    let n = helpers.len();
+    let mut edges: Vec<(usize, usize)> = (0..n)
+        .flat_map(|c| {
+            let (start, end) = helpers[c];
+            let body = lines[start + 1..end].iter().flat_map(|l| helper_calls(l));
+            body.filter(move |&g| g != c && g < n).map(move |g| (g, c))
+        })
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let (guarded, pad);
+    match step % 4 {
+        1 if !calls.is_empty() => {
+            lines.remove(calls[rng.below(calls.len())]);
+        }
+        2 if !calls.is_empty() => {
+            let at = calls[rng.below(calls.len())];
+            lines.insert(at, lines[at]);
+        }
+        3 if !edges.is_empty() => {
+            let (g, c) = edges[rng.below(edges.len())];
+            // The caller's shape fixes its arguments and result; every
+            // helper declares `v0`, `v1`, `b0`, `m0` and `w0`.
+            let call = match c % 7 {
+                0 => format!("v1 = f{c}();"),
+                1 => format!("v1 = f{c}(v0, v1);"),
+                2 => format!("v1 = f{c}(m0);"),
+                3 => format!("m0 = f{c}(w0);"),
+                4 => format!("b0 = f{c}(b0, v0);"),
+                5 => format!("f{c}(m0, w0);"),
+                _ => format!("m0 = f{c}();"),
+            };
+            guarded = format!("    if (nondet_bool()) {{ {call} }}");
+            lines.insert(helpers[g].1 - 1, &guarded);
+        }
+        _ => {
+            let (start, _) = helpers[rng.below(n)];
+            pad = format!("    let pad{step}: int = {step};\n    print(pad{step});");
+            lines.insert(start + 1, &pad);
+        }
+    }
+    let mut out = lines.join("\n");
+    out.push('\n');
+    out
+}
+
+/// Cumulative edits of recursive fuzz-grammar modules that merge and
+/// split SCCs: after every step the functions an update re-analysed are
+/// the diff of the transitive keys, and the reports are a cold build's.
+#[test]
+fn scc_merging_edits_reanalyse_the_key_diff() {
+    let mut scc_moves = 0;
+    for seed in 1..=6 {
+        let mut rng = Mix(seed);
+        let mut src = fuzz_module(seed, 40);
+        let builder = AnalysisBuilder::new().threads(1);
+        let mut ws = builder
+            .clone()
+            .open_workspace(&src)
+            .expect("generated source compiles");
+        let _ = render_workspace(&mut ws);
+        for step in 0..16 {
+            let edited = fuzz_edit(&src, &mut rng, step);
+            let (stamps, sccs) = (
+                ws.func_stamps().to_vec(),
+                ws.analysis().callgraph.scc_count(),
+            );
+            let outcome = ws.update_source(&edited).expect("edited source compiles");
+            assert_keys_fresh(&ws, &stamps, &src, &edited);
+            scc_moves += usize::from(ws.analysis().callgraph.scc_count() != sccs);
+            let cold = builder.clone().build_source(&edited).unwrap();
+            assert_eq!(
+                render_workspace(&mut ws),
+                render_reports(&cold),
+                "seed {seed} step {step}: {outcome:?}"
+            );
+            src = edited;
+        }
+    }
+    assert!(
+        scc_moves >= 10,
+        "the edits merged or split {scc_moves} SCCs"
+    );
+}
+
 /// An update that adds a function splices nothing, so it must *be* a cold
 /// build: same arena, same witnesses. The smallest grammar module found
 /// where re-running points-to in place instead gave a different witness.
@@ -528,8 +685,9 @@ fn function_set_change_equals_a_cold_build() {
             .clone()
             .open_workspace(&base)
             .expect("generated source compiles");
+        let stamps = ws.func_stamps().to_vec();
         let outcome = ws.update_source(&edited).expect("edited source compiles");
-        assert_keys_fresh(&ws, &edited, true);
+        assert_keys_fresh(&ws, &stamps, &base, &edited);
         assert!(outcome.fell_back, "{outcome:?}");
         let cold = builder
             .build_source(&edited)
@@ -577,8 +735,9 @@ fn edits_are_thread_count_invariant() {
             .threads(threads)
             .open_workspace(base)
             .expect("generated source compiles");
+        let stamps = ws.func_stamps().to_vec();
         let outcome = ws.update_source(edited).expect("edited source compiles");
-        assert_keys_fresh(&ws, edited, true);
+        assert_keys_fresh(&ws, &stamps, base, edited);
         assert!(!outcome.fell_back && outcome.reanalyzed > 1, "{outcome:?}");
         render_analysis(ws.analysis())
     };
@@ -602,8 +761,9 @@ fn one_function_edit_after_a_check_equals_a_cold_build() {
         .open_workspace(&base)
         .expect("generated source compiles");
     let _ = render_workspace(&mut ws);
+    let stamps = ws.func_stamps().to_vec();
     let outcome = ws.update_source(&edited).expect("edited source compiles");
-    assert_keys_fresh(&ws, &edited, true);
+    assert_keys_fresh(&ws, &stamps, &base, &edited);
     assert!(!outcome.fell_back && outcome.reanalyzed == 1, "{outcome:?}");
     let cold = builder
         .build_source(&edited)
