@@ -202,7 +202,6 @@ pub struct AnalysisBuilder {
     threads: usize,
     config: DetectConfig,
     pta: PtaConfig,
-    verify: bool,
     trace: bool,
     cache_dir: Option<PathBuf>,
     /// Derive the function keys an owned workspace reads (set by
@@ -223,7 +222,6 @@ impl AnalysisBuilder {
             threads: default_threads(),
             config: DetectConfig::default(),
             pta: PtaConfig::default(),
-            verify: false,
             trace: false,
             cache_dir: None,
             keys: false,
@@ -275,13 +273,6 @@ impl AnalysisBuilder {
         self
     }
 
-    /// Runs IR well-formedness verification after lowering, failing the
-    /// build with [`PinpointError::Verify`] on violations.
-    pub fn verify_ir(mut self, on: bool) -> Self {
-        self.verify = on;
-        self
-    }
-
     fn validate(&self) -> Result<(), PinpointError> {
         if self.config.max_visited_per_source == 0 {
             return Err(PinpointError::SolverBudget(
@@ -305,8 +296,7 @@ impl AnalysisBuilder {
     /// # Errors
     ///
     /// [`PinpointError::Parse`] / [`PinpointError::Lower`] from the front
-    /// end, [`PinpointError::Verify`] under [`AnalysisBuilder::verify_ir`],
-    /// and [`PinpointError::SolverBudget`] for unusable budgets.
+    /// end and [`PinpointError::SolverBudget`] for unusable budgets.
     pub fn build_source(self, src: &str) -> Result<Analysis, PinpointError> {
         let mut trace = self.make_trace();
         let front_span = trace.open("frontend", "");
@@ -325,7 +315,6 @@ impl AnalysisBuilder {
     ///
     /// # Errors
     ///
-    /// [`PinpointError::Verify`] under [`AnalysisBuilder::verify_ir`] and
     /// [`PinpointError::SolverBudget`] for unusable budgets.
     pub fn build_module(self, module: Module) -> Result<Analysis, PinpointError> {
         let trace = self.make_trace();
@@ -349,12 +338,6 @@ impl AnalysisBuilder {
         mut trace: TraceBuf,
     ) -> Result<Analysis, PinpointError> {
         self.validate()?;
-        if self.verify {
-            let errors = pinpoint_ir::verify_module(&module);
-            if !errors.is_empty() {
-                return Err(PinpointError::Verify(errors));
-            }
-        }
         let mut stats = PipelineStats::default();
         let (callgraph, _) = call_graph(&module, None, &mut trace, &mut stats);
         let keys = source.is_some().then(|| {
@@ -1031,12 +1014,6 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, PinpointError::SolverBudget(_)), "{err:?}");
         }
-    }
-
-    #[test]
-    fn verify_ir_accepts_wellformed_modules() {
-        let a = AnalysisBuilder::new().verify_ir(true).build_source(UAF);
-        assert!(a.is_ok(), "{:?}", a.err());
     }
 
     #[test]

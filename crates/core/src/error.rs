@@ -5,7 +5,6 @@
 //! [`PinpointError`] instead of a boxed trait object, so callers can
 //! match on the failure stage programmatically.
 
-use pinpoint_ir::VerifyError;
 use std::fmt;
 
 /// An error from the analysis pipeline, tagged by the stage it arose in.
@@ -15,8 +14,6 @@ pub enum PinpointError {
     Parse(pinpoint_ir::parser::ParseError),
     /// The parsed program could not be lowered to the SSA IR.
     Lower(pinpoint_ir::lower::LowerError),
-    /// The lowered module failed IR well-formedness verification.
-    Verify(Vec<VerifyError>),
     /// A solver or search budget in the builder configuration is
     /// unusable (for example a zero vertex budget, which would make
     /// every search return nothing).
@@ -28,13 +25,6 @@ impl fmt::Display for PinpointError {
         match self {
             PinpointError::Parse(e) => write!(f, "parse error: {e}"),
             PinpointError::Lower(e) => write!(f, "lowering error: {e}"),
-            PinpointError::Verify(errs) => {
-                write!(f, "IR verification failed ({} error(s))", errs.len())?;
-                for e in errs {
-                    write!(f, "\n  {e}")?;
-                }
-                Ok(())
-            }
             PinpointError::SolverBudget(msg) => write!(f, "invalid solver budget: {msg}"),
         }
     }
@@ -45,7 +35,6 @@ impl std::error::Error for PinpointError {
         match self {
             PinpointError::Parse(e) => Some(e),
             PinpointError::Lower(e) => Some(e),
-            PinpointError::Verify(errs) => errs.first().map(|e| e as _),
             PinpointError::SolverBudget(_) => None,
         }
     }

@@ -33,6 +33,20 @@
 //! request produces exactly one [`Response`] — errors included — and
 //! every response echoes the client-chosen request `id` and session.
 //!
+//! # Telemetry
+//!
+//! Each scheduling event (accepted, shed, started, completed, session
+//! open/close, worker panic, slow query) is recorded once, into the
+//! server's one ledger ([`ServerTelemetry`]), which keeps the `server.*`
+//! counters, the latency histograms and the flight ring under one lock.
+//! The ledger lock is only ever taken inside or after the scheduler
+//! lock, never the other way round. A request's terminal event is
+//! recorded before its reply is delivered. [`Server::status_json`],
+//! [`Server::metrics_registry`] and [`Server::stats`] all read the
+//! ledger; a session's `stats` reply is its own workspace's document
+//! and carries none of the server-wide family, so it depends only on
+//! that session's requests.
+//!
 //! # Examples
 //!
 //! ```
@@ -76,12 +90,11 @@
 use crate::driver::AnalysisBuilder;
 use crate::export::{leaks_json, reports_json};
 use crate::query::{Query, QueryResponse};
-use crate::telemetry::{ServerTelemetry, TelemetryConfig};
+use crate::telemetry::{counter_name, ServerTelemetry, TelemetryConfig};
 use crate::workspace::Workspace;
 use pinpoint_obs::json::{escape, Arr, Obj};
-use pinpoint_obs::{prometheus_text, queries_json, FlightEventKind, FlightSample, MetricsRegistry};
+use pinpoint_obs::{prometheus_text, queries_json, FlightEvent, FlightEventKind, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -184,8 +197,8 @@ pub enum Op {
     },
     /// Runs one unified [`Query`] with the workspace's two-layer reuse.
     Query(Query),
-    /// Exports the session's `pinpoint-stats-v1` document, including
-    /// the `server.*` counter family.
+    /// Exports the session's own `pinpoint-stats-v1` document (the
+    /// server-wide `server.*` family is in `status` and `metrics`).
     Stats {
         /// Zero wall-clock values and omit run metadata (byte-stable).
         canonical: bool,
@@ -318,7 +331,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// A point-in-time snapshot of the server's counters.
+/// A point-in-time snapshot of the server's counters, read from the
+/// ledger ([`ServerTelemetry`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Requests accepted into the queue (cumulative).
@@ -331,6 +345,20 @@ pub struct ServerStats {
     pub completed: u64,
     /// Sessions currently alive.
     pub sessions_open: u64,
+}
+
+impl ServerStats {
+    /// Reads the cumulative counters out of the ledger's registry.
+    fn read(m: &MetricsRegistry, sessions_open: u64) -> Self {
+        let count = |kind| counter_name(kind).map_or(0, |name| m.counter(name));
+        ServerStats {
+            queued: count(FlightEventKind::Accepted),
+            shed: count(FlightEventKind::Shed),
+            sessions: count(FlightEventKind::SessionOpen),
+            completed: count(FlightEventKind::Completed),
+            sessions_open,
+        }
+    }
 }
 
 /// One session: its workspace (None until a successful `open`) and its
@@ -367,10 +395,6 @@ struct Shared {
     builder: AnalysisBuilder,
     workers: usize,
     queue_capacity: usize,
-    queued: AtomicU64,
-    shed: AtomicU64,
-    sessions_created: AtomicU64,
-    completed: AtomicU64,
     telemetry: ServerTelemetry,
 }
 
@@ -382,17 +406,6 @@ impl Shared {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn snapshot(&self) -> ServerStats {
-        let open = self.lock().sessions.len() as u64;
-        ServerStats {
-            queued: self.queued.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            sessions: self.sessions_created.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            sessions_open: open,
-        }
     }
 }
 
@@ -414,10 +427,6 @@ impl Server {
             builder: config.builder,
             workers: config.workers.max(1),
             queue_capacity: config.queue_capacity.max(1),
-            queued: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            sessions_created: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
             telemetry: ServerTelemetry::new(&config.telemetry),
         });
         let workers = (0..shared.workers)
@@ -456,13 +465,12 @@ impl Server {
         if st.pending >= self.shared.queue_capacity {
             let depth = st.pending as u64;
             drop(st);
-            self.shared.shed.fetch_add(1, Ordering::Relaxed);
-            self.shared.telemetry.record(FlightSample {
+            self.shared.telemetry.record(FlightEvent {
                 session: req.session.clone(),
                 request_id: req.id.clone(),
-                op: req.op.label().to_string(),
+                op: req.op.label(),
                 queue_depth: depth,
-                ..FlightSample::of(FlightEventKind::Shed)
+                ..FlightEvent::of(FlightEventKind::Shed)
             });
             return refuse(
                 req,
@@ -481,10 +489,9 @@ impl Server {
         if !st.sessions.contains_key(&req.session) {
             if matches!(req.op, Op::Open { .. }) {
                 st.sessions.insert(req.session.clone(), Session::default());
-                self.shared.sessions_created.fetch_add(1, Ordering::Relaxed);
-                self.shared.telemetry.record(FlightSample {
+                self.shared.telemetry.record(FlightEvent {
                     session: req.session.clone(),
-                    ..FlightSample::of(FlightEventKind::SessionOpen)
+                    ..FlightEvent::of(FlightEventKind::SessionOpen)
                 });
             } else {
                 drop(st);
@@ -493,13 +500,12 @@ impl Server {
         }
         let key = req.session.clone();
         st.pending += 1;
-        self.shared.queued.fetch_add(1, Ordering::Relaxed);
-        self.shared.telemetry.record(FlightSample {
+        self.shared.telemetry.record(FlightEvent {
             session: req.session.clone(),
             request_id: req.id.clone(),
-            op: req.op.label().to_string(),
+            op: req.op.label(),
             queue_depth: st.pending as u64,
-            ..FlightSample::of(FlightEventKind::Accepted)
+            ..FlightEvent::of(FlightEventKind::Accepted)
         });
         let sess = st.sessions.get_mut(&key).expect("session just ensured");
         sess.queue.push_back((req, reply.clone()));
@@ -513,7 +519,8 @@ impl Server {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> ServerStats {
-        self.shared.snapshot()
+        let sessions_open = self.shared.lock().sessions.len() as u64;
+        ServerStats::read(&self.shared.telemetry.metrics(), sessions_open)
     }
 
     /// The configured worker-pool size.
@@ -526,17 +533,18 @@ impl Server {
         self.shared.queue_capacity
     }
 
-    /// The live-telemetry hub (flight recorder, rolling latencies).
+    /// The server's ledger (counters, flight recorder, latencies).
     pub fn telemetry(&self) -> &ServerTelemetry {
         &self.shared.telemetry
     }
 
     /// The `pinpoint-status-v1` document: uptime, pool/queue occupancy,
-    /// per-session queue depths, rolling latencies, and the newest
-    /// `tail` flight events. Built from the scheduler mutex and the
-    /// telemetry hub only — **never** the worker pool — so it answers
-    /// even when every worker is busy and the queue is saturated.
-    /// `canonical` zeroes wall-clock values for byte-stable output.
+    /// per-session queue depths, the ledger's counters, rolling
+    /// latencies, and the newest `tail` flight events. Built from the
+    /// scheduler mutex and the ledger only — **never** the worker pool —
+    /// so it answers even when every worker is busy and the queue is
+    /// saturated. `canonical` zeroes wall-clock values for byte-stable
+    /// output.
     pub fn status_json(&self, tail: usize, canonical: bool) -> String {
         let (queue_depth, shutting_down, sessions) = {
             let st = self.shared.lock();
@@ -557,8 +565,8 @@ impl Server {
             }
             (st.pending as u64, st.shutting_down, rows)
         };
-        let s = self.shared.snapshot();
         let t = &self.shared.telemetry;
+        let s = ServerStats::read(&t.metrics(), sessions.len() as u64);
         let mut counters = Obj::new();
         counters
             .u64("queued", s.queued)
@@ -588,26 +596,20 @@ impl Server {
         o.finish()
     }
 
-    /// The server's metrics registry: `server.*` cumulative counters,
-    /// point-in-time gauges, and the cumulative latency histograms the
-    /// telemetry hub accumulated. Like [`Server::status_json`] this
-    /// never touches the worker pool.
+    /// The server's metrics registry: the ledger's `server.*`
+    /// cumulative counters and latency histograms, plus point-in-time
+    /// gauges. Like [`Server::status_json`] this never touches the
+    /// worker pool.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let (queue_depth, sessions_open) = {
             let st = self.shared.lock();
             (st.pending as u64, st.sessions.len() as u64)
         };
-        let s = self.shared.snapshot();
-        let mut m = MetricsRegistry::new();
-        m.counter_add("server.queued", s.queued);
-        m.counter_add("server.shed", s.shed);
-        m.counter_add("server.sessions", s.sessions);
-        m.counter_add("server.completed", s.completed);
+        let mut m = self.shared.telemetry.metrics();
         m.gauge_set("server.workers", self.shared.workers as u64);
         m.gauge_set("server.queue_depth", queue_depth);
         m.gauge_set("server.queue_capacity", self.shared.queue_capacity as u64);
         m.gauge_set("server.sessions_open", sessions_open);
-        self.shared.telemetry.fold_latency_into(&mut m);
         m
     }
 
@@ -679,12 +681,12 @@ fn worker_loop(shared: &Shared) {
         // Snapshot the attribution cursor so a slow request can capture
         // exactly its own solver work afterwards.
         let queries_before = ws.as_ref().map_or(0, |w| w.queries().len());
-        shared.telemetry.record(FlightSample {
+        shared.telemetry.record(FlightEvent {
             session: req.session.clone(),
             request_id: req.id.clone(),
-            op: op_label.to_string(),
+            op: op_label,
             queue_depth: depth,
-            ..FlightSample::of(FlightEventKind::Started)
+            ..FlightEvent::of(FlightEventKind::Started)
         });
         let t0 = shared.telemetry.now_ns();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -704,25 +706,22 @@ fn worker_loop(shared: &Shared) {
                 ))
             }
         };
-        // Count completion before delivering, so a client that has its
-        // reply in hand never reads a `completed` that excludes it.
-        shared.completed.fetch_add(1, Ordering::Relaxed);
-        // Record telemetry before delivering too: a synchronous client
-        // that acts on the reply must find its request's terminal event
-        // already in the flight tail.
+        // Record the terminal event — and with it `completed` — before
+        // delivering, so a client that has its reply in hand never reads
+        // a `completed` that excludes it, nor a flight tail without it.
         let depth_now = shared.lock().pending as u64;
-        let terminal = FlightSample {
+        let terminal = FlightEvent {
             session: req.session.clone(),
             request_id: req.id.clone(),
-            op: op_label.to_string(),
+            op: op_label,
             queue_depth: depth_now,
             duration_ns,
-            ..FlightSample::default()
+            ..FlightEvent::of(FlightEventKind::Completed)
         };
         if panicked {
-            shared.telemetry.record(FlightSample {
-                kind: Some(FlightEventKind::WorkerPanic),
-                ..terminal.clone()
+            shared.telemetry.record(FlightEvent {
+                kind: FlightEventKind::WorkerPanic,
+                ..terminal
             });
         } else {
             if duration_ns >= shared.telemetry.slow_query_ns() {
@@ -730,19 +729,13 @@ fn worker_loop(shared: &Shared) {
                     .as_ref()
                     .map(|w| queries_json(w.queries_since(queries_before), true))
                     .unwrap_or_default();
-                shared.telemetry.record(FlightSample {
-                    kind: Some(FlightEventKind::SlowQuery),
+                shared.telemetry.record(FlightEvent {
+                    kind: FlightEventKind::SlowQuery,
                     detail,
                     ..terminal.clone()
                 });
             }
-            shared
-                .telemetry
-                .observe_latency(op_label, &req.session, duration_ns);
-            shared.telemetry.record(FlightSample {
-                kind: Some(FlightEventKind::Completed),
-                ..terminal
-            });
+            shared.telemetry.record(terminal);
         }
         // Deliver before releasing the session: the next request of
         // this session must not produce its response first.
@@ -768,9 +761,9 @@ fn worker_loop(shared: &Shared) {
         };
         if remove {
             st.sessions.remove(&key);
-            shared.telemetry.record(FlightSample {
+            shared.telemetry.record(FlightEvent {
                 session: key.clone(),
-                ..FlightSample::of(FlightEventKind::SessionClose)
+                ..FlightEvent::of(FlightEventKind::SessionClose)
             });
         } else if st.sessions[&key].scheduled {
             st.ready.push_back(key);
@@ -822,24 +815,7 @@ fn process(op: &Op, ws: &mut Option<Workspace>, shared: &Shared) -> Result<Reply
         }
         Op::Stats { canonical } => {
             let w = ws.as_ref().ok_or_else(ServerError::no_workspace)?;
-            let mut m = w.metrics();
-            let s = shared.snapshot();
-            m.counter_add("server.queued", s.queued);
-            m.counter_add("server.shed", s.shed);
-            m.counter_add("server.sessions", s.sessions);
-            m.counter_add("server.completed", s.completed);
-            // Point-in-time values are gauges, not counters: a counter
-            // would inflate on every repeated stats snapshot.
-            m.gauge_set("server.workers", shared.workers as u64);
-            m.gauge_set("server.sessions_open", s.sessions_open);
-            let json = m.stats_json(
-                &[
-                    ("threads", w.analysis().threads() as u64),
-                    ("workers", shared.workers as u64),
-                ],
-                Some(&queries_json(w.queries(), *canonical)),
-                *canonical,
-            );
+            let json = w.stats_json_with(&[("workers", shared.workers as u64)], *canonical);
             Ok(Reply::Stats { json })
         }
         Op::Close => {
@@ -898,10 +874,9 @@ mod tests {
         }
         match &responses[2].reply {
             Ok(Reply::Stats { json }) => {
-                assert!(json.contains("\"server\":{"), "{json}");
-                assert!(json.contains("\"queued\""), "{json}");
-                assert!(json.contains("\"shed\""), "{json}");
-                assert!(json.contains("\"sessions\""), "{json}");
+                assert!(json.contains("\"workspace\":{"), "{json}");
+                assert!(!json.contains("\"server\":{"), "{json}");
+                assert!(!json.contains("server."), "{json}");
             }
             other => panic!("expected stats: {other:?}"),
         }

@@ -1,32 +1,44 @@
-//! Live telemetry for the serving layer.
+//! The serving layer's one ledger.
 //!
-//! [`ServerTelemetry`] bundles the observability surfaces a long-running
-//! [`Server`](crate::Server) exposes while it is serving:
+//! [`ServerTelemetry`] is where a long-running [`Server`](crate::Server)
+//! records what happens to it. Each server event — a request accepted,
+//! shed, started or completed, a session opened or closed, a worker
+//! panic, a slow query — is one [`FlightEvent`] handed to
+//! [`ServerTelemetry::record`], which takes the ledger's one lock and,
+//! under it:
 //!
-//! * a [`FlightRecorder`] of structured scheduling events (accepted /
-//!   started / completed / shed, session lifecycle, worker panics,
-//!   slow queries);
-//! * rolling-window latency histograms, keyed per operation kind and per
-//!   session ([`RollingSet`]), for "what are latencies like right now";
-//! * cumulative per-op latency histograms in a [`MetricsRegistry`],
-//!   which the Prometheus exposition scrapes.
+//! * bumps the event kind's cumulative counter in one
+//!   [`MetricsRegistry`] (`Accepted` → `server.queued`, `Shed` →
+//!   `server.shed`, `SessionOpen` → `server.sessions`, `Completed` and
+//!   `WorkerPanic` → `server.completed`);
+//! * on `Completed`, records the latency into the rolling windows keyed
+//!   per operation kind and per session ([`RollingSet`], "what are
+//!   latencies like right now") and into the cumulative
+//!   `server.latency_ns` / `server.latency_ns.<op>` histograms the
+//!   Prometheus exposition scrapes;
+//! * stamps the event and pushes it into the [`FlightRecorder`] ring.
 //!
-//! Everything here is designed to be read *without* the worker pool:
-//! the recorder and the rolling state sit behind their own short-hold
-//! mutexes, so `status`/`metrics` requests are answered on the
-//! transport thread even when every worker is busy and the queue is
-//! saturated — an overloaded server stays inspectable.
+//! So one event is written once, and the counters, the latencies and the
+//! flight tail can never disagree. The counters count even when the ring
+//! is disabled (`flight_capacity: 0`).
+//!
+//! The `status`/`metrics` readers copy what they need under the lock and
+//! format it outside, and never touch the worker pool, so an overloaded
+//! server stays inspectable. The server takes this lock while holding
+//! its scheduler lock (scheduler → ledger), never the reverse.
 //!
 //! The **slow-query log** threads through here too: a request whose
 //! wall-clock duration reaches [`TelemetryConfig::slow_query_ns`] has
 //! its per-query solver attribution captured as the detail payload of a
-//! [`FlightEventKind::SlowQuery`](pinpoint_obs::FlightEventKind::SlowQuery)
-//! event, so "why was that slow" is answerable after the fact from the
-//! flight tail.
+//! [`FlightEventKind::SlowQuery`] event, so "why was that slow" is
+//! answerable after the fact from the flight tail.
 
-use pinpoint_obs::json::Obj;
-use pinpoint_obs::{FlightRecorder, FlightSample, MetricsRegistry, RollingSet};
-use std::sync::Mutex;
+use pinpoint_obs::json::{Arr, Obj};
+use pinpoint_obs::{
+    FlightEvent, FlightEventKind, FlightRecorder, Histogram, MetricsRegistry, RollingSet,
+};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Telemetry construction parameters.
 #[derive(Debug, Clone)]
@@ -53,40 +65,61 @@ impl Default for TelemetryConfig {
     }
 }
 
-#[derive(Debug)]
-struct RollingState {
-    per_op: RollingSet,
-    per_session: RollingSet,
-    /// Cumulative latency histograms (`server.latency_ns`,
-    /// `server.latency_ns.<op>`) for the Prometheus exposition.
-    latency: MetricsRegistry,
+/// The cumulative `server.*` counter an event kind bumps, if any.
+pub(crate) fn counter_name(kind: FlightEventKind) -> Option<&'static str> {
+    match kind {
+        FlightEventKind::Accepted => Some("server.queued"),
+        FlightEventKind::Shed => Some("server.shed"),
+        FlightEventKind::SessionOpen => Some("server.sessions"),
+        FlightEventKind::Completed | FlightEventKind::WorkerPanic => Some("server.completed"),
+        FlightEventKind::Started | FlightEventKind::SessionClose | FlightEventKind::SlowQuery => {
+            None
+        }
+    }
 }
 
-/// The serving layer's live-telemetry hub (see the [module docs](self)).
+/// Everything the ledger's lock guards.
+#[derive(Debug)]
+struct Ledger {
+    /// The `server.*` counters and cumulative latency histograms.
+    metrics: MetricsRegistry,
+    per_op: RollingSet,
+    per_session: RollingSet,
+    flight: FlightRecorder,
+}
+
+/// The serving layer's one ledger (see the [module docs](self)).
 #[derive(Debug)]
 pub struct ServerTelemetry {
-    flight: FlightRecorder,
+    start: Instant,
     slow_query_ns: u64,
-    rolling: Mutex<RollingState>,
+    ledger: Mutex<Ledger>,
 }
 
 impl ServerTelemetry {
-    /// Builds the hub from its configuration.
+    /// Builds the ledger from its configuration. Every counter exists
+    /// from the start, so a scrape shows `server.shed 0` rather than
+    /// nothing.
     pub fn new(config: &TelemetryConfig) -> Self {
+        let mut metrics = MetricsRegistry::new();
+        for kind in [
+            FlightEventKind::Accepted,
+            FlightEventKind::Shed,
+            FlightEventKind::SessionOpen,
+            FlightEventKind::Completed,
+        ] {
+            metrics.counter_add(counter_name(kind).expect("counted kind"), 0);
+        }
         ServerTelemetry {
-            flight: FlightRecorder::new(config.flight_capacity),
+            start: Instant::now(),
             slow_query_ns: config.slow_query_ns,
-            rolling: Mutex::new(RollingState {
+            ledger: Mutex::new(Ledger {
+                metrics,
                 per_op: RollingSet::new(ROLLING_SLOT_NS, ROLLING_SLOTS),
                 per_session: RollingSet::new(ROLLING_SLOT_NS, ROLLING_SLOTS),
-                latency: MetricsRegistry::new(),
+                flight: FlightRecorder::new(config.flight_capacity),
             }),
         }
-    }
-
-    /// The flight recorder.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     /// The slow-query threshold in nanoseconds.
@@ -94,81 +127,115 @@ impl ServerTelemetry {
         self.slow_query_ns
     }
 
-    /// Nanoseconds since the telemetry hub (and therefore the server)
-    /// started — the clock the flight recorder and rolling windows use.
+    /// Nanoseconds since the ledger (and therefore the server) started —
+    /// the clock of the flight events and the rolling windows.
     pub fn now_ns(&self) -> u64 {
-        self.flight.now_ns()
+        self.start.elapsed().as_nanos() as u64
     }
 
-    /// Records one flight event.
-    pub fn record(&self, sample: FlightSample) {
-        self.flight.record(sample);
-    }
-
-    /// Records one completed request's latency into the rolling windows
-    /// (per-op and per-session) and the cumulative histograms.
-    pub fn observe_latency(&self, op: &str, session: &str, duration_ns: u64) {
+    /// Records one event: its counter, its latency (completions only)
+    /// and its flight row, all under one lock hold.
+    pub fn record(&self, mut event: FlightEvent) {
         let now = self.now_ns();
-        let mut r = self.lock();
-        r.per_op.record(op, now, duration_ns);
-        r.per_session.record(session, now, duration_ns);
-        r.latency.hist_record("server.latency_ns", duration_ns);
-        r.latency
-            .hist_record(&format!("server.latency_ns.{op}"), duration_ns);
+        event.t_ns = now;
+        let mut l = self.lock();
+        if let Some(name) = counter_name(event.kind) {
+            l.metrics.counter_add(name, 1);
+        }
+        if event.kind == FlightEventKind::Completed {
+            let d = event.duration_ns;
+            l.per_op.record(event.op, now, d);
+            l.per_session.record(&event.session, now, d);
+            l.metrics.hist_record("server.latency_ns", d);
+            l.metrics
+                .hist_record(&format!("server.latency_ns.{}", event.op), d);
+        }
+        l.flight.record(event);
+    }
+
+    /// A copy of the ledger's registry: the `server.*` counters and the
+    /// cumulative latency histograms.
+    pub(crate) fn metrics(&self) -> MetricsRegistry {
+        self.lock().metrics.clone()
     }
 
     /// The `"rolling"` JSON object:
     /// `{"window_ns":N,"per_op":{...},"per_session":{...}}`, each entry
     /// a `{count,sum,p50,p95,p99,max}` summary over the current window.
+    /// With `canonical` the values are zeroed and only the keys remain.
     pub fn rolling_json(&self, canonical: bool) -> String {
         let now = self.now_ns();
-        let r = self.lock();
+        let (window_ns, per_op, per_session) = {
+            let l = self.lock();
+            (
+                l.per_op.window_ns(),
+                l.per_op.snapshots(now),
+                l.per_session.snapshots(now),
+            )
+        };
+        let summaries = |rows: &[(String, Histogram)]| {
+            let mut o = Obj::new();
+            for (k, h) in rows {
+                o.raw(k, &h.summary_json(canonical));
+            }
+            o.finish()
+        };
         let mut o = Obj::new();
-        o.u64(
-            "window_ns",
-            if canonical { 0 } else { r.per_op.window_ns() },
-        )
-        .raw("per_op", &r.per_op.summary_json(now, canonical))
-        .raw("per_session", &r.per_session.summary_json(now, canonical));
+        o.u64("window_ns", if canonical { 0 } else { window_ns })
+            .raw("per_op", &summaries(&per_op))
+            .raw("per_session", &summaries(&per_session));
         o.finish()
-    }
-
-    /// Folds the cumulative latency histograms into `m` (the registry a
-    /// Prometheus scrape renders).
-    pub fn fold_latency_into(&self, m: &mut MetricsRegistry) {
-        m.merge(&self.lock().latency);
     }
 
     /// The `"flight"` JSON object: ring totals plus the newest `tail`
     /// events, oldest first. Canonical zeroes per-event times (see
-    /// [`FlightRecorder::tail_json`]).
+    /// [`FlightEvent::json`]).
     pub fn flight_json(&self, tail: usize, canonical: bool) -> String {
+        let (capacity, recorded, dropped, events) = {
+            let l = self.lock();
+            (
+                l.flight.capacity(),
+                l.flight.recorded(),
+                l.flight.dropped(),
+                l.flight.tail(tail),
+            )
+        };
+        let mut rows = Arr::new();
+        for ev in &events {
+            rows.raw(&ev.json(canonical));
+        }
         let mut o = Obj::new();
-        o.u64("capacity", self.flight.capacity() as u64)
-            .u64("recorded", self.flight.recorded())
-            .u64("dropped", self.flight.dropped())
-            .raw("tail", &self.flight.tail_json(tail, canonical));
+        o.u64("capacity", capacity as u64)
+            .u64("recorded", recorded)
+            .u64("dropped", dropped)
+            .raw("tail", &rows.finish());
         o.finish()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RollingState> {
-        self.rolling
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinpoint_obs::FlightEventKind;
+
+    fn completed(op: &'static str, session: &str, duration_ns: u64) -> FlightEvent {
+        FlightEvent {
+            session: session.into(),
+            op,
+            duration_ns,
+            ..FlightEvent::of(FlightEventKind::Completed)
+        }
+    }
 
     #[test]
     fn latency_lands_in_rolling_and_cumulative() {
         let t = ServerTelemetry::new(&TelemetryConfig::default());
-        t.observe_latency("check", "alice", 1_000);
-        t.observe_latency("check", "alice", 2_000);
-        t.observe_latency("open", "bob", 8_000);
+        t.record(completed("check", "alice", 1_000));
+        t.record(completed("check", "alice", 2_000));
+        t.record(completed("open", "bob", 8_000));
         let json = t.rolling_json(false);
         assert!(
             json.contains("\"per_op\":{\"check\":{\"count\":2"),
@@ -179,10 +246,10 @@ mod tests {
             json.contains("\"per_session\":{\"alice\":{\"count\":2"),
             "{json}"
         );
-        let mut m = MetricsRegistry::new();
-        t.fold_latency_into(&mut m);
+        let m = t.metrics();
         assert_eq!(m.histogram("server.latency_ns").unwrap().count(), 3);
         assert_eq!(m.histogram("server.latency_ns.open").unwrap().count(), 1);
+        assert_eq!(m.counter("server.completed"), 3);
     }
 
     #[test]
@@ -192,12 +259,13 @@ mod tests {
             ..TelemetryConfig::default()
         });
         for _ in 0..3 {
-            t.record(FlightSample::of(FlightEventKind::Accepted));
+            t.record(FlightEvent::of(FlightEventKind::Accepted));
         }
         let json = t.flight_json(8, true);
         assert!(json.contains("\"capacity\":2"), "{json}");
         assert!(json.contains("\"recorded\":3"), "{json}");
         assert!(json.contains("\"dropped\":1"), "{json}");
         assert!(json.contains("\"kind\":\"accepted\""), "{json}");
+        assert_eq!(t.metrics().counter("server.queued"), 3);
     }
 }

@@ -451,8 +451,16 @@ impl<A: Borrow<Analysis>> Workspace<A> {
     /// per-query attribution rows. `canonical` zeroes wall-clock values
     /// and omits run metadata, making the bytes thread-count invariant.
     pub fn stats_json(&self, canonical: bool) -> String {
+        self.stats_json_with(&[], canonical)
+    }
+
+    /// [`Self::stats_json`] with `run` appended to the run metadata
+    /// (the server adds its pool size).
+    pub(crate) fn stats_json_with(&self, run: &[(&str, u64)], canonical: bool) -> String {
+        let mut meta = vec![("threads", self.analysis().threads() as u64)];
+        meta.extend_from_slice(run);
         self.metrics().stats_json(
-            &[("threads", self.analysis().threads() as u64)],
+            &meta,
             Some(&queries_json(&self.queries, canonical)),
             canonical,
         )

@@ -8,21 +8,21 @@
 //! session open / close, worker panic, slow query — each tagged with
 //! its session, request id, operation kind, the queue depth at the
 //! instant of the event, and (for completions) the request's wall-clock
-//! duration. Recording is one short mutex hold and an O(1) slot
-//! overwrite; nothing allocates beyond the event's own strings, and a
-//! capacity of 0 disables recording entirely (the push is a single
-//! branch).
+//! duration. Recording is an O(1) slot overwrite through `&mut self`;
+//! the ring has no lock of its own, because the server's one ledger
+//! (`ServerTelemetry` in `pinpoint-core`) owns it and records every
+//! event under its own lock. Nothing allocates beyond the event's own
+//! strings, and a capacity of 0 disables recording entirely (the push
+//! is a single branch).
 //!
-//! The tail is exported as a JSON array. The *canonical* form zeroes
-//! the per-event timestamp and duration, so a deterministic request
+//! Each event renders as one JSON row. The *canonical* form zeroes the
+//! per-event timestamp and duration, so a deterministic request
 //! sequence (e.g. one synchronous session) produces byte-identical
 //! tails at any worker-pool size — the same invariant the stats
 //! document keeps.
 
-use crate::json::{Arr, Obj};
+use crate::json::Obj;
 use std::collections::VecDeque;
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// What happened. Wire names are [`FlightEventKind::label`] — stable
 /// snake_case strings, never the Rust variant names.
@@ -66,12 +66,13 @@ impl FlightEventKind {
 /// One recorded event. `seq` is a global monotonically increasing
 /// sequence number (events older than `capacity` are overwritten but
 /// their numbers are never reused), `t_ns` is nanoseconds since the
-/// recorder was created.
+/// server started. Callers build an event with [`FlightEvent::of`];
+/// the server's ledger stamps `t_ns` and the ring stamps `seq`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Global sequence number (assigned by the recorder).
+    /// Global sequence number (assigned by the ring).
     pub seq: u64,
-    /// Nanoseconds since recorder creation (assigned by the recorder).
+    /// Nanoseconds since the server started (assigned by the ledger).
     pub t_ns: u64,
     /// What happened.
     pub kind: FlightEventKind,
@@ -80,7 +81,7 @@ pub struct FlightEvent {
     /// Client-chosen request id (empty for session-level events).
     pub request_id: String,
     /// Operation kind label (`open`, `update`, `check`, `stats`, …).
-    pub op: String,
+    pub op: &'static str,
     /// Requests waiting across all sessions at the instant of the event.
     pub queue_depth: u64,
     /// Request wall-clock duration (0 unless the kind carries one).
@@ -92,6 +93,21 @@ pub struct FlightEvent {
 }
 
 impl FlightEvent {
+    /// An event of the given kind with everything else empty/zero.
+    pub fn of(kind: FlightEventKind) -> Self {
+        FlightEvent {
+            seq: 0,
+            t_ns: 0,
+            kind,
+            session: String::new(),
+            request_id: String::new(),
+            op: "",
+            queue_depth: 0,
+            duration_ns: 0,
+            detail: String::new(),
+        }
+    }
+
     /// JSON row. With `canonical`, `t_ns` and `duration_ns` are zeroed;
     /// everything else (including `seq` and `queue_depth`) is already
     /// deterministic for a deterministic request sequence.
@@ -102,7 +118,7 @@ impl FlightEvent {
             .str("kind", self.kind.label())
             .str("session", &self.session)
             .str("id", &self.request_id)
-            .str("op", &self.op)
+            .str("op", self.op)
             .u64("queue_depth", self.queue_depth)
             .u64("duration_ns", if canonical { 0 } else { self.duration_ns });
         if !self.detail.is_empty() {
@@ -112,47 +128,13 @@ impl FlightEvent {
     }
 }
 
-/// What a caller records; the recorder assigns `seq` and `t_ns`.
-#[derive(Debug, Clone, Default)]
-pub struct FlightSample {
-    /// What happened.
-    pub kind: Option<FlightEventKind>,
-    /// Session name.
-    pub session: String,
-    /// Request id.
-    pub request_id: String,
-    /// Operation kind label.
-    pub op: String,
-    /// Queue depth at the event.
-    pub queue_depth: u64,
-    /// Wall-clock duration, when the kind carries one.
-    pub duration_ns: u64,
-    /// Already-rendered JSON payload (or empty).
-    pub detail: String,
-}
-
-impl FlightSample {
-    /// A sample of the given kind with everything else empty/zero.
-    pub fn of(kind: FlightEventKind) -> Self {
-        FlightSample {
-            kind: Some(kind),
-            ..FlightSample::default()
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Ring {
-    events: VecDeque<FlightEvent>,
-    seq: u64,
-}
-
-/// The fixed-capacity event ring (see the [module docs](self)).
+/// The fixed-capacity event ring (see the [module docs](self)). It has
+/// no lock of its own: the server's ledger owns it and guards it.
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
-    start: Instant,
-    ring: Mutex<Ring>,
+    events: VecDeque<FlightEvent>,
+    seq: u64,
 }
 
 impl FlightRecorder {
@@ -162,11 +144,8 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {
             capacity,
-            start: Instant::now(),
-            ring: Mutex::new(Ring {
-                events: VecDeque::with_capacity(capacity),
-                seq: 0,
-            }),
+            events: VecDeque::with_capacity(capacity),
+            seq: 0,
         }
     }
 
@@ -175,69 +154,34 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Nanoseconds since the recorder was created (the `t_ns` clock).
-    pub fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    /// Records one event, overwriting the oldest once full.
-    pub fn record(&self, sample: FlightSample) {
-        let Some(kind) = sample.kind else { return };
+    /// Records one event under the next sequence number, overwriting
+    /// the oldest once full.
+    pub fn record(&mut self, mut event: FlightEvent) {
         if self.capacity == 0 {
             return;
         }
-        let t_ns = self.now_ns();
-        let mut ring = self.lock();
-        let seq = ring.seq;
-        ring.seq += 1;
-        if ring.events.len() == self.capacity {
-            ring.events.pop_front();
+        event.seq = self.seq;
+        self.seq += 1;
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
         }
-        ring.events.push_back(FlightEvent {
-            seq,
-            t_ns,
-            kind,
-            session: sample.session,
-            request_id: sample.request_id,
-            op: sample.op,
-            queue_depth: sample.queue_depth,
-            duration_ns: sample.duration_ns,
-            detail: sample.detail,
-        });
+        self.events.push_back(event);
     }
 
     /// The last `n` events, oldest first.
     pub fn tail(&self, n: usize) -> Vec<FlightEvent> {
-        let ring = self.lock();
-        let skip = ring.events.len().saturating_sub(n);
-        ring.events.iter().skip(skip).cloned().collect()
+        let skip = self.events.len().saturating_sub(n);
+        self.events.iter().skip(skip).cloned().collect()
     }
 
     /// Total events ever recorded (retained or overwritten).
     pub fn recorded(&self) -> u64 {
-        self.lock().seq
+        self.seq
     }
 
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        let ring = self.lock();
-        ring.seq - ring.events.len() as u64
-    }
-
-    /// The last `n` events as a JSON array, oldest first. See
-    /// [`FlightEvent::json`] for the `canonical` contract.
-    pub fn tail_json(&self, n: usize, canonical: bool) -> String {
-        let mut a = Arr::new();
-        for ev in self.tail(n) {
-            a.raw(&ev.json(canonical));
-        }
-        a.finish()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Ring> {
-        self.ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.seq - self.events.len() as u64
     }
 }
 
@@ -245,20 +189,20 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn sample(kind: FlightEventKind, id: &str) -> FlightSample {
-        FlightSample {
+    fn event(kind: FlightEventKind, id: &str) -> FlightEvent {
+        FlightEvent {
             request_id: id.to_string(),
             session: "s".to_string(),
-            op: "check".to_string(),
-            ..FlightSample::of(kind)
+            op: "check",
+            ..FlightEvent::of(kind)
         }
     }
 
     #[test]
     fn ring_overwrites_oldest_and_keeps_sequence() {
-        let fr = FlightRecorder::new(3);
+        let mut fr = FlightRecorder::new(3);
         for i in 0..5 {
-            fr.record(sample(FlightEventKind::Completed, &i.to_string()));
+            fr.record(event(FlightEventKind::Completed, &i.to_string()));
         }
         let tail = fr.tail(10);
         assert_eq!(tail.len(), 3);
@@ -276,28 +220,29 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_recording() {
-        let fr = FlightRecorder::new(0);
-        fr.record(sample(FlightEventKind::Accepted, "x"));
+        let mut fr = FlightRecorder::new(0);
+        fr.record(event(FlightEventKind::Accepted, "x"));
         assert_eq!(fr.recorded(), 0);
-        assert_eq!(fr.tail_json(8, true), "[]");
+        assert!(fr.tail(8).is_empty());
     }
 
     #[test]
     fn canonical_json_zeroes_times_only() {
-        let fr = FlightRecorder::new(4);
-        fr.record(FlightSample {
+        let ev = FlightEvent {
+            t_ns: 5,
             queue_depth: 2,
             duration_ns: 999,
             detail: "[{\"id\":0}]".to_string(),
-            ..sample(FlightEventKind::SlowQuery, "q1")
-        });
-        let json = fr.tail_json(4, true);
+            ..event(FlightEventKind::SlowQuery, "q1")
+        };
+        let json = ev.json(true);
         assert!(json.contains(r#""kind":"slow_query""#), "{json}");
         assert!(json.contains(r#""t_ns":0"#), "{json}");
         assert!(json.contains(r#""duration_ns":0"#), "{json}");
         assert!(json.contains(r#""queue_depth":2"#), "{json}");
         assert!(json.contains(r#""detail":[{"id":0}]"#), "{json}");
-        let real = fr.tail_json(4, false);
+        let real = ev.json(false);
         assert!(real.contains(r#""duration_ns":999"#), "{real}");
+        assert!(real.contains(r#""t_ns":5"#), "{real}");
     }
 }

@@ -22,6 +22,12 @@
 //! * [`prom::prometheus_text`] — Prometheus text exposition of a
 //!   [`metrics::MetricsRegistry`], next to the pinpoint-stats-v1 JSON.
 //!
+//! None of these types holds a lock. The server keeps one ring, two
+//! rolling sets and one registry behind one lock and records each event
+//! into all of them in one call (`ServerTelemetry::record` in
+//! `pinpoint-core`), so a request's counters, latencies and flight rows
+//! can never disagree.
+//!
 //! Everything is behind enums/plain structs (no trait objects per
 //! event): a disabled [`span::TraceBuf::Off`] recorder is a branch and a
 //! return. Both the trace and the stats documents have *canonical*
@@ -40,7 +46,7 @@ pub mod rolling;
 pub mod span;
 
 pub use attr::{queries_json, ProfileTable, QueryCost, QueryOutcome, QueryRecord};
-pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, FlightSample};
+pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use prom::prometheus_text;
 pub use rolling::{RollingSet, RollingWindow};

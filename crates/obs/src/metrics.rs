@@ -190,10 +190,11 @@ impl MetricsRegistry {
 
     /// Adds `v` to counter `name` (created at 0 on first use).
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        if v != 0 {
-            *self.counters.entry(name.to_string()).or_insert(0) += v;
-        } else {
-            self.counters.entry(name.to_string()).or_insert(0);
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                self.counters.insert(name.to_string(), v);
+            }
         }
     }
 

@@ -16,7 +16,6 @@
 //! [`RollingSet`] is the keyed form (one window per op kind or per
 //! session) the server uses.
 
-use crate::json::Obj;
 use crate::metrics::Histogram;
 use std::collections::BTreeMap;
 
@@ -130,18 +129,6 @@ impl RollingSet {
             .filter(|(_, h)| h.count() > 0)
             .collect()
     }
-
-    /// JSON object `{key: {count,sum,p50,p95,p99,max}, ...}` of the
-    /// non-empty windows at `now_ns`. With `canonical` the value-derived
-    /// fields are zeroed (rolling latencies are never reproducible, but
-    /// canonical consumers may still want the key set).
-    pub fn summary_json(&self, now_ns: u64, canonical: bool) -> String {
-        let mut o = Obj::new();
-        for (k, h) in self.snapshots(now_ns) {
-            o.raw(&k, &h.summary_json(canonical));
-        }
-        o.finish()
-    }
 }
 
 #[cfg(test)]
@@ -215,10 +202,12 @@ mod tests {
         assert_eq!(snaps[0].1.count(), 2);
         assert_eq!(snaps[1].1.count(), 1);
         // After "update"'s sample ages out, only "check"'s fresh slot
-        // remains and empty windows disappear from the summary.
+        // remains and empty windows disappear from the snapshots.
         set.record("check", 5 * S, 300);
-        let json = set.summary_json(5 * S, false);
-        assert!(json.contains("\"check\""), "{json}");
-        assert!(!json.contains("\"update\""), "{json}");
+        let later = set.snapshots(5 * S);
+        assert_eq!(
+            later.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
+            vec!["check"]
+        );
     }
 }

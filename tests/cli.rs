@@ -532,7 +532,10 @@ fn serve_v2_hello_multiplexes_sessions() {
     assert!(lines[b2].contains("\"session\":\"beta\""), "{}", lines[b2]);
     assert!(lines[b2].contains("\"reports\":[]"), "{}", lines[b2]);
     assert!(lines[a3].contains("pinpoint-stats-v1"), "{}", lines[a3]);
-    assert!(lines[a3].contains("\"server\":{"), "{}", lines[a3]);
+    // A session's stats are its own workspace's document: the
+    // server-wide family is in `status`/`metrics` only.
+    assert!(lines[a3].contains("\"workspace\":{"), "{}", lines[a3]);
+    assert!(!lines[a3].contains("\"server\":{"), "{}", lines[a3]);
     assert!(lines[6].contains("\"event\":\"bye\""), "{}", lines[6]);
     assert!(lines[6].contains("\"id\":\"z9\""), "{}", lines[6]);
 }

@@ -115,6 +115,10 @@ fn ten_concurrent_sessions_match_serial_runs() {
         clients: 10,
         edits_per_client: 2,
         kloc: 0.25,
+        // Every script ends in a canonical `stats` request: a session's
+        // document must depend on its own requests only, not on the
+        // server-wide counters other sessions move.
+        stats_at_end: true,
         ..TrafficConfig::default()
     });
     // Ground truth: each session alone on its own single-worker server.
@@ -141,7 +145,10 @@ fn ten_concurrent_sessions_match_serial_runs() {
 
 #[test]
 fn server_counters_land_in_stats_schema() {
-    let server = Server::start(ServerConfig::default());
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
     let (tx, rx) = mpsc::channel();
     let src = "fn main() {
         let p: int* = malloc();
@@ -168,29 +175,43 @@ fn server_counters_land_in_stats_schema() {
     let Ok(Reply::Stats { json }) = &responses[2].reply else {
         panic!("expected stats reply: {:?}", responses[2].reply);
     };
+    // The session's document is its own workspace's: no server stage,
+    // no server gauges.
     assert!(json.contains("\"schema\":\"pinpoint-stats-v1\""), "{json}");
-    // The server.* counter family sits in its own stage, zero-valued
+    assert!(!json.contains("\"server\":{"), "{json}");
+    assert!(!json.contains("server."), "{json}");
+    // The server.* family lives in the server's registry, zero-valued
     // counters included (shed is 0 here but must still be visible).
-    let server_stage = json
-        .split("\"server\":{")
-        .nth(1)
-        .unwrap_or_else(|| panic!("no server stage in {json}"))
-        .split('}')
-        .next()
-        .unwrap();
-    for key in ["queued", "shed", "sessions", "completed"] {
-        assert!(server_stage.contains(&format!("\"{key}\":")), "{json}");
-    }
-    assert!(server_stage.contains("\"shed\":0"), "{json}");
-    assert!(server_stage.contains("\"sessions\":1"), "{json}");
-    // Point-in-time values moved out of the counter stage into gauges,
-    // where repeated snapshots can never inflate them; canonical zeroes
-    // their values but keeps their names.
-    assert!(!server_stage.contains("\"workers\":"), "{json}");
-    assert!(
-        json.contains("\"gauges\":{\"server.sessions_open\":0,\"server.workers\":0}"),
-        "{json}"
+    let m = server.metrics_registry();
+    let counters: BTreeMap<&str, u64> = m
+        .counters()
+        .filter(|(name, _)| name.starts_with("server."))
+        .collect();
+    assert_eq!(
+        counters.keys().copied().collect::<Vec<_>>(),
+        [
+            "server.completed",
+            "server.queued",
+            "server.sessions",
+            "server.shed"
+        ],
+        "{counters:?}"
     );
+    assert_eq!(counters["server.shed"], 0);
+    assert_eq!(counters["server.sessions"], 1);
+    assert_eq!(counters["server.queued"], 3);
+    assert_eq!(counters["server.completed"], 3);
+    // Point-in-time values are gauges, where repeated snapshots can
+    // never inflate them.
+    assert_eq!(m.gauge("server.workers"), 2);
+    assert_eq!(m.gauge("server.sessions_open"), 1);
+    // `status` reads the same ledger.
+    let status = server.status_json(0, true);
+    assert!(
+        status.contains("\"counters\":{\"queued\":3,\"shed\":0,\"sessions\":1,\"completed\":3}"),
+        "{status}"
+    );
+    assert!(status.contains("\"sessions_open\":1"), "{status}");
 }
 
 #[test]

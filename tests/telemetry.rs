@@ -214,30 +214,17 @@ fn canonical_flight_and_stats_are_identical_across_worker_counts() {
 
 #[test]
 fn repeated_snapshots_do_not_inflate_gauges() {
-    // `server.workers` et al. are point-in-time gauges now: asking for
-    // stats (or a scrape) twice must report the same value, not twice
+    // `server.workers` et al. are point-in-time gauges: asking for the
+    // registry (or a scrape) twice must report the same value, not twice
     // the value — the counter-abuse bug this family of metrics had.
     let server = Server::start(ServerConfig {
         workers: 3,
         ..ServerConfig::default()
     });
-    let responses = replay(
-        &server,
-        "s",
-        vec![
-            Op::Open { source: SRC.into() },
-            Op::Stats { canonical: false },
-            Op::Stats { canonical: false },
-        ],
-    );
-    let gauge = |r: &Response| -> u64 {
-        let Ok(Reply::Stats { json }) = &r.reply else {
-            panic!("expected stats reply: {:?}", r.reply);
-        };
-        field_u64(json, "server.workers")
-    };
-    assert_eq!(gauge(&responses[1]), 3);
-    assert_eq!(gauge(&responses[2]), 3, "second snapshot must not inflate");
+    replay(&server, "s", vec![Op::Open { source: SRC.into() }]);
+    let gauge = || server.metrics_registry().gauge("server.workers");
+    assert_eq!(gauge(), 3);
+    assert_eq!(gauge(), 3, "second snapshot must not inflate");
     let scrape1 = server.prometheus();
     let scrape2 = server.prometheus();
     let line = |s: &str| {
@@ -247,6 +234,41 @@ fn repeated_snapshots_do_not_inflate_gauges() {
     };
     assert_eq!(line(&scrape1), Some("pinpoint_server_workers 3".into()));
     assert_eq!(line(&scrape1), line(&scrape2));
+}
+
+#[test]
+fn a_disabled_flight_ring_still_counts() {
+    // The counters live in the ledger, not in the ring: at capacity 0
+    // nothing is kept in the flight tail, but every surface still counts
+    // every request, and they all agree.
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        telemetry: TelemetryConfig {
+            flight_capacity: 0,
+            ..TelemetryConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    replay(
+        &server,
+        "s",
+        vec![
+            Op::Open { source: SRC.into() },
+            Op::Query(Query::All),
+            Op::Close,
+        ],
+    );
+    let completed = server.stats().completed;
+    assert_eq!(completed, 3);
+    let status = server.status_json(64, false);
+    assert_eq!(field_u64(&status, "completed"), completed, "{status}");
+    let prom = server.prometheus();
+    assert!(
+        prom.contains(&format!("\npinpoint_server_completed {completed}\n")),
+        "{prom}"
+    );
+    assert!(status.contains("\"tail\":[]"), "{status}");
+    assert_eq!(field_u64(&status, "recorded"), 0, "{status}");
 }
 
 #[test]
