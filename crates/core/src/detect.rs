@@ -16,10 +16,9 @@
 //! A completed source→sink path is turned into an *efficient path
 //! condition* (Eq. 1–3) and handed to the SMT solver; only satisfiable
 //! paths are reported. Per source these are four stages with typed
-//! hand-offs: [`Worker::search`] yields a [`Candidate`],
-//! [`PathCondition::build`] its condition, [`Worker::decide`] a
-//! [`Decision`], and [`Worker::record`] the [`CandidateEvent`] the merge
-//! replays.
+//! hand-offs: the worker's search yields a candidate path, the path
+//! condition builder its condition, the worker's decision step a verdict,
+//! and its record step the candidate event the merge replays.
 
 use crate::cond::{CondBuilder, CondConfig, CtxId, CtxInterner, ROOT};
 use crate::driver::Analysis;

@@ -84,19 +84,19 @@ pub fn compile_source(
     threads: usize,
     trace: &mut TraceBuf,
 ) -> Result<Compiled, PinpointError> {
-    Ok(compile_keeping(src, false, threads, trace)?.0)
+    Ok(compile_keeping(src, None, threads, trace)?.0)
 }
 
 /// [`compile_source`], also returning the snapshot an owned workspace
-/// keeps for its first update when `keep` is set.
+/// keeps for its first update when it `keep`s `src`'s text.
 fn compile_keeping(
     src: &str,
-    keep: bool,
+    keep: Option<Arc<String>>,
     threads: usize,
     trace: &mut TraceBuf,
 ) -> Result<(Compiled, Option<Snapshot>), PinpointError> {
     let unit = trace.span("frontend.split", "", |_| Unit::split(src))?;
-    let source = keep.then(|| unit.snapshot());
+    let source = keep.map(|text| unit.snapshot(text));
     let results = lower_fns(&unit, (0..unit.func_count()).collect(), threads, trace);
     let (tokens, bytes) = (unit.tokens(), unit.bytes());
     let compiled = Compiled {
@@ -204,9 +204,6 @@ pub struct AnalysisBuilder {
     pta: PtaConfig,
     trace: bool,
     cache_dir: Option<PathBuf>,
-    /// Derive the function keys an owned workspace reads (set by
-    /// [`AnalysisBuilder::open_workspace`]).
-    pub(crate) keys: bool,
 }
 
 impl Default for AnalysisBuilder {
@@ -224,7 +221,6 @@ impl AnalysisBuilder {
             pta: PtaConfig::default(),
             trace: false,
             cache_dir: None,
-            keys: false,
         }
     }
 
@@ -298,10 +294,20 @@ impl AnalysisBuilder {
     /// [`PinpointError::Parse`] / [`PinpointError::Lower`] from the front
     /// end and [`PinpointError::SolverBudget`] for unusable budgets.
     pub fn build_source(self, src: &str) -> Result<Analysis, PinpointError> {
+        self.build_keeping(src, None)
+    }
+
+    /// [`AnalysisBuilder::build_source`]; an owned workspace's build
+    /// `keep`s the text `src` is, and derives the function keys.
+    pub(crate) fn build_keeping(
+        self,
+        src: &str,
+        keep: Option<Arc<String>>,
+    ) -> Result<Analysis, PinpointError> {
         let mut trace = self.make_trace();
         let front_span = trace.open("frontend", "");
         let t = Instant::now();
-        let (compiled, source) = compile_keeping(src, self.keys, self.threads, &mut trace)?;
+        let (compiled, source) = compile_keeping(src, keep, self.threads, &mut trace)?;
         let front_time = t.elapsed();
         trace.close(front_span);
         let mut analysis = self.build_module_traced(compiled.module, source, trace)?;
@@ -742,8 +748,9 @@ impl Analysis {
         &self.trace
     }
 
-    /// Replaces the program with `src`, splicing from this artefact: the
-    /// body of [`Workspace::update_source`]. The front end splits only
+    /// Replaces the program with `text`, splicing from this artefact: the
+    /// body of [`Workspace::update_source`]. The kept [`Snapshot`] takes
+    /// `text` itself, not a copy. The front end splits only
     /// around the edit ([`Unit::resplit`] of the kept [`Snapshot`]) and
     /// lowers only the functions of the re-split window whose source slice
     /// changed (every function when a global or a header changed the
@@ -762,7 +769,10 @@ impl Analysis {
     /// that did not change compiled cleanly against the same tables
     /// before, so the first error in file order lies in a changed one.
     /// The artefact is untouched when there is one.
-    pub(crate) fn update_source(&mut self, src: &str) -> Result<UpdateOutcome, PinpointError> {
+    pub(crate) fn update_source(
+        &mut self,
+        text: Arc<String>,
+    ) -> Result<UpdateOutcome, PinpointError> {
         let t = Instant::now();
         // Updates are untraced (the artefact's trace is its build's), so
         // only the stage times are kept.
@@ -771,7 +781,7 @@ impl Analysis {
             .source
             .as_ref()
             .expect("an owned workspace's artefact keeps its source");
-        let (unit, split_bytes) = Unit::resplit(src, kept)?;
+        let (unit, split_bytes) = Unit::resplit(&text, kept)?;
         let n = unit.func_count();
         // The fingerprint covers every declaration in order: the same one
         // means the same functions at the same ids, and outside the
@@ -847,7 +857,7 @@ impl Analysis {
             callgraph_kept,
             ..built.outcome
         };
-        unit.into_snapshot(self.source.as_mut().expect("checked above"));
+        self.source = Some(unit.into_snapshot(Arc::clone(&text)));
         self.install(built, keys);
         Ok(outcome)
     }
@@ -917,7 +927,7 @@ impl Analysis {
             split_bytes: src.len(),
             ..built.outcome
         };
-        self.source = Some(unit.snapshot());
+        self.source = Some(unit.snapshot(Arc::new(src.to_string())));
         self.install(built, keys);
         Ok(outcome)
     }

@@ -182,18 +182,21 @@ impl std::fmt::Display for ServerError {
     }
 }
 
-/// One operation against a session.
+/// One operation against a session. `S` is the type of its program
+/// text: a `String`, or an `Arc<String>` that the session's workspace then
+/// keeps as it is, shared with the caller (the serve transport's source
+/// memo keeps the same string) instead of a copy.
 #[derive(Debug, Clone)]
-pub enum Op {
+pub enum Op<S = String> {
     /// Opens (or replaces) the session's workspace over `source`.
     Open {
         /// Program text.
-        source: String,
+        source: S,
     },
     /// Applies an edited program incrementally.
     Update {
         /// New program text.
-        source: String,
+        source: S,
     },
     /// Runs one unified [`Query`] with the workspace's two-layer reuse.
     Query(Query),
@@ -207,7 +210,7 @@ pub enum Op {
     Close,
 }
 
-impl Op {
+impl<S> Op<S> {
     /// A short stable label of the operation kind, used by the flight
     /// recorder and the per-op rolling latency windows.
     pub fn label(&self) -> &'static str {
@@ -222,16 +225,33 @@ impl Op {
     }
 }
 
+impl Op {
+    /// The operation with its program text as a shared string.
+    fn shared(self) -> Op<Arc<String>> {
+        match self {
+            Op::Open { source } => Op::Open {
+                source: Arc::new(source),
+            },
+            Op::Update { source } => Op::Update {
+                source: Arc::new(source),
+            },
+            Op::Query(q) => Op::Query(q),
+            Op::Stats { canonical } => Op::Stats { canonical },
+            Op::Close => Op::Close,
+        }
+    }
+}
+
 /// One request: a client-chosen `id` echoed in the reply, the session
 /// it belongs to, and the operation.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub struct Request<S = String> {
     /// Client-chosen correlation id, echoed verbatim in the response.
     pub id: String,
     /// Session name; requests with the same session execute FIFO.
     pub session: String,
     /// The operation to execute.
-    pub op: Op,
+    pub op: Op<S>,
 }
 
 /// A successful operation's payload.
@@ -366,7 +386,7 @@ impl ServerStats {
 #[derive(Debug, Default)]
 struct Session {
     ws: Option<Workspace>,
-    queue: VecDeque<(Request, mpsc::Sender<Response>)>,
+    queue: VecDeque<(Request<Arc<String>>, mpsc::Sender<Response>)>,
     /// A worker is currently executing this session's request.
     active: bool,
     /// The session sits in the ready list (invariant: `scheduled` ⇔
@@ -444,9 +464,22 @@ impl Server {
     /// Submits one request; never blocks. Returns `true` when the
     /// request was queued; `false` when it was answered immediately
     /// with a typed error (overload shed, unknown session, shutdown).
-    /// Either way exactly one [`Response`] is delivered to `reply`.
+    /// Either way exactly one [`Response`] is delivered to `reply`. A
+    /// program text becomes, without a copy, the string the session's
+    /// workspace keeps.
     pub fn submit(&self, req: Request, reply: &mpsc::Sender<Response>) -> bool {
-        let refuse = |req: Request, err: ServerError| {
+        let req = Request {
+            id: req.id,
+            session: req.session,
+            op: req.op.shared(),
+        };
+        self.submit_shared(req, reply)
+    }
+
+    /// [`Server::submit`] of a request whose program text the session's
+    /// workspace keeps as it is, shared with the caller.
+    pub fn submit_shared(&self, req: Request<Arc<String>>, reply: &mpsc::Sender<Response>) -> bool {
+        let refuse = |req: Request<Arc<String>>, err: ServerError| {
             let _ = reply.send(Response {
                 id: req.id,
                 session: req.session,
@@ -773,13 +806,17 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Executes one operation against a session's workspace slot.
-fn process(op: &Op, ws: &mut Option<Workspace>, shared: &Shared) -> Result<Reply, ServerError> {
+fn process(
+    op: &Op<Arc<String>>,
+    ws: &mut Option<Workspace>,
+    shared: &Shared,
+) -> Result<Reply, ServerError> {
     match op {
         Op::Open { source } => {
             let w = shared
                 .builder
                 .clone()
-                .open_workspace(source)
+                .open_text(Arc::clone(source))
                 .map_err(|e| ServerError::new(ErrorCode::BuildError, e.to_string()))?;
             let funcs = w.analysis().module.funcs.len();
             *ws = Some(w);
@@ -788,7 +825,7 @@ fn process(op: &Op, ws: &mut Option<Workspace>, shared: &Shared) -> Result<Reply
         Op::Update { source } => {
             let w = ws.as_mut().ok_or_else(ServerError::no_workspace)?;
             let o = w
-                .update_source(source)
+                .update_text(Arc::clone(source))
                 .map_err(|e| ServerError::new(ErrorCode::BuildError, e.to_string()))?;
             Ok(Reply::Updated {
                 reanalyzed: o.reanalyzed,

@@ -37,6 +37,7 @@ use pinpoint_obs::json::{Arr, Obj};
 use pinpoint_obs::{
     FlightEvent, FlightEventKind, FlightRecorder, Histogram, MetricsRegistry, RollingSet,
 };
+use std::borrow::Cow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -86,6 +87,24 @@ struct Ledger {
     per_op: RollingSet,
     per_session: RollingSet,
     flight: FlightRecorder,
+}
+
+/// The cumulative latency histogram of an op label ([`crate::Op::label`]):
+/// `server.latency_ns.<op>`, a static name for every label the server
+/// gives, so a completion formats nothing.
+fn latency_histogram(op: &'static str) -> Cow<'static, str> {
+    const NAMES: [(&str, &str); 6] = [
+        ("open", "server.latency_ns.open"),
+        ("update", "server.latency_ns.update"),
+        ("check", "server.latency_ns.check"),
+        ("leaks", "server.latency_ns.leaks"),
+        ("stats", "server.latency_ns.stats"),
+        ("close", "server.latency_ns.close"),
+    ];
+    match NAMES.iter().find(|(label, _)| *label == op) {
+        Some((_, name)) => Cow::Borrowed(name),
+        None => Cow::Owned(format!("server.latency_ns.{op}")),
+    }
 }
 
 /// The serving layer's one ledger (see the [module docs](self)).
@@ -147,8 +166,7 @@ impl ServerTelemetry {
             l.per_op.record(event.op, now, d);
             l.per_session.record(&event.session, now, d);
             l.metrics.hist_record("server.latency_ns", d);
-            l.metrics
-                .hist_record(&format!("server.latency_ns.{}", event.op), d);
+            l.metrics.hist_record(&latency_histogram(event.op), d);
         }
         l.flight.record(event);
     }

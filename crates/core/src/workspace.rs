@@ -497,7 +497,16 @@ impl Workspace {
     /// Returns typed front-end errors for the new source; the workspace
     /// is unchanged when it does.
     pub fn update_source(&mut self, new_source: &str) -> Result<UpdateOutcome, PinpointError> {
-        let outcome = self.analysis.update_source(new_source)?;
+        self.update_text(Arc::new(new_source.to_string()))
+    }
+
+    /// [`Workspace::update_source`] of a text the workspace then keeps
+    /// as it is, shared with the caller rather than copied.
+    pub(crate) fn update_text(
+        &mut self,
+        text: Arc<String>,
+    ) -> Result<UpdateOutcome, PinpointError> {
+        let outcome = self.analysis.update_source(text)?;
         Ok(self.absorb(outcome))
     }
 
@@ -568,9 +577,14 @@ impl AnalysisBuilder {
     /// # Errors
     ///
     /// Same as [`AnalysisBuilder::build_source`].
-    pub fn open_workspace(mut self, src: &str) -> Result<Workspace, PinpointError> {
-        self.keys = true;
-        let analysis = self.build_source(src)?;
+    pub fn open_workspace(self, src: &str) -> Result<Workspace, PinpointError> {
+        self.open_text(Arc::new(src.to_string()))
+    }
+
+    /// [`AnalysisBuilder::open_workspace`] over a text the workspace
+    /// keeps as it is, shared with the caller rather than copied.
+    pub(crate) fn open_text(self, text: Arc<String>) -> Result<Workspace, PinpointError> {
+        let analysis = self.build_keeping(&text, Some(Arc::clone(&text)))?;
         Ok(Workspace::new(analysis, Some(QueryCache::default())))
     }
 }

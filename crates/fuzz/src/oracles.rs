@@ -15,6 +15,7 @@ use pinpoint_workload::fuzzgen;
 use pinpoint_workload::rng::SmallRng;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::sync::Mutex;
 
 /// Result of one oracle run on one program.
@@ -296,7 +297,7 @@ fn warm_oracle(src: &str, seed: u64) -> CheckResult {
     for step in 0..3 {
         let spliced = splice_edit(&cur, &mut rng);
         let previous = match Unit::split(&cur) {
-            Ok(unit) => unit.snapshot(),
+            Ok(unit) => unit.snapshot(Arc::new(cur.clone())),
             Err(e) => {
                 return fail(
                     "mutant-reject",
@@ -304,8 +305,9 @@ fn warm_oracle(src: &str, seed: u64) -> CheckResult {
                 )
             }
         };
-        let resplit = Unit::resplit(&spliced, &previous).map(|(unit, _)| unit.snapshot());
-        let whole = Unit::split(&spliced).map(|unit| unit.snapshot());
+        let resplit = Unit::resplit(&spliced, &previous)
+            .map(|(unit, _)| unit.snapshot(Arc::new(spliced.clone())));
+        let whole = Unit::split(&spliced).map(|unit| unit.snapshot(Arc::new(spliced.clone())));
         if resplit != whole {
             return fail(
                 "resplit-mismatch",

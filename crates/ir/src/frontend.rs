@@ -156,25 +156,42 @@ impl<'src> Unit<'src> {
         Ok((unit, re.lexed.len()))
     }
 
-    /// What [`Unit::resplit`] of an edit of this unit's text reads: a
-    /// copy of the text, the item table in offset form and the tables.
-    pub fn snapshot(&self) -> Snapshot {
+    /// What [`Unit::resplit`] of an edit of this unit's text reads: the
+    /// text, the item table in offset form and the tables. `text` is this
+    /// unit's text, shared rather than copied.
+    ///
+    /// # Panics
+    ///
+    /// If `text` is not the text this unit was split from.
+    pub fn snapshot(&self, text: Arc<String>) -> Snapshot {
+        assert!(
+            text.as_str() == self.src,
+            "a snapshot keeps its unit's text"
+        );
         Snapshot {
-            text: self.src.to_string(),
+            text,
             items: self.items.clone(),
             tables: Arc::clone(&self.tables),
         }
     }
 
-    /// [`Unit::snapshot`] into `snapshot`, moving the item table and the
-    /// tables there and copying the text into the memory it holds: an
-    /// editor that replaces the previous snapshot allocates nothing for a
-    /// text no longer than the one before.
-    pub fn into_snapshot(self, snapshot: &mut Snapshot) {
-        snapshot.text.clear();
-        snapshot.text.push_str(self.src);
-        snapshot.items = self.items;
-        snapshot.tables = self.tables;
+    /// [`Unit::snapshot`], moving the item table and the tables into it.
+    /// `text` must be the text the unit borrows, which is not compared:
+    /// the check is that the two are one string.
+    ///
+    /// # Panics
+    ///
+    /// If `text` is another string than the one the unit borrows.
+    pub fn into_snapshot(self, text: Arc<String>) -> Snapshot {
+        assert!(
+            std::ptr::eq(text.as_str(), self.src),
+            "a snapshot keeps its unit's text"
+        );
+        Snapshot {
+            text,
+            items: self.items,
+            tables: self.tables,
+        }
     }
 
     /// Number of functions; [`Unit::compile_fn`] takes `0..func_count()`.
@@ -333,7 +350,7 @@ fn tables_of(src: &str, items: &ItemTable) -> Result<Tables, CompileError> {
 /// and signatures.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    text: String,
+    text: Arc<String>,
     items: ItemTable,
     tables: Arc<Tables>,
 }

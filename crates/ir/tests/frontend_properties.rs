@@ -92,53 +92,65 @@ fn hostile_nesting_errors_on_a_small_stack() {
         .contains("expected `fn` or `global`, found RBrace"));
 }
 
-/// Linear-time guard, unoptimised: one function of 200 000 statements —
-/// 50 000 variables, 50 000 two-armed branches each merging one of them —
-/// and a file of 200 000 one-line functions. A front end that copies the
-/// environment per branch, or looks anything up by scanning, takes
-/// minutes on these.
+/// Linear-time guard, unoptimised, as a doubling ratio rather than a
+/// wall-clock bound: one function of `4n` statements — `n` variables, `n`
+/// two-armed branches each merging one of them — and a file of `4n`
+/// one-line functions, compiled at `n` and at `2n`. Linear work doubles;
+/// a front end that copies the environment per branch, or looks anything
+/// up by scanning, quadruples. The fastest of three runs at each size
+/// counts, so a slow spell of a shared host moves neither much.
 #[test]
 fn huge_function_and_huge_item_table_compile_in_linear_time() {
     use std::fmt::Write;
-    let mut one_function = String::from("fn f(c: bool) {\n");
-    for i in 0..50_000 {
-        writeln!(
-            one_function,
-            "let v{i}: int = {i};\nv{i} = v{i} + 1;\n\
-             if (c) {{ v{i} = 0; }} else {{ v{i} = 1; }}\nprint(v{i});"
-        )
-        .unwrap();
-    }
-    one_function.push_str("return;\n}\n");
-    let mut many_functions = String::new();
-    for i in 0..200_000 {
-        writeln!(many_functions, "fn f{i}() {{ return; }}").unwrap();
-    }
-    for (what, src, funcs, phis) in [
-        ("one function", one_function, 1, 50_000),
-        ("many functions", many_functions, 200_000, 0),
-    ] {
-        // Up to three runs, the fastest counts: the bound is about the
-        // algorithm, and a shared host can slow any one run down by half.
-        const LIMIT: std::time::Duration = std::time::Duration::from_secs(2);
-        let mut fastest = std::time::Duration::MAX;
+    use std::time::{Duration, Instant};
+    /// Doubling the input may cost at most this factor.
+    const LIMIT: f64 = 3.0;
+    // What each input is called, its text, its functions and its phis.
+    let inputs = |n: usize| {
+        let mut one_function = String::from("fn f(c: bool) {\n");
+        for i in 0..n {
+            writeln!(
+                one_function,
+                "let v{i}: int = {i};\nv{i} = v{i} + 1;\n\
+                 if (c) {{ v{i} = 0; }} else {{ v{i} = 1; }}\nprint(v{i});"
+            )
+            .unwrap();
+        }
+        one_function.push_str("return;\n}\n");
+        let mut many_functions = String::new();
+        for i in 0..4 * n {
+            writeln!(many_functions, "fn f{i}() {{ return; }}").unwrap();
+        }
+        [
+            ("one function", one_function, 1, n),
+            ("many functions", many_functions, 4 * n, 0),
+        ]
+    };
+    let fastest = |(what, src, funcs, phis): &(&str, String, usize, usize)| {
+        let mut fastest = Duration::MAX;
         for _ in 0..3 {
-            let t = std::time::Instant::now();
-            let module = pinpoint_ir::compile(&src).unwrap();
+            let t = Instant::now();
+            let module = pinpoint_ir::compile(src).unwrap();
             fastest = fastest.min(t.elapsed());
-            assert_eq!(module.funcs.len(), funcs, "{what}");
+            assert_eq!(module.funcs.len(), *funcs, "{what}");
             let phi_count = module
                 .funcs
                 .iter()
                 .flat_map(|f| f.iter_insts())
                 .filter(|(_, i)| matches!(i, pinpoint_ir::Inst::Phi { .. }))
                 .count();
-            assert_eq!(phi_count, phis, "{what}");
-            if fastest < LIMIT {
-                break;
-            }
+            assert_eq!(phi_count, *phis, "{what}");
         }
-        assert!(fastest < LIMIT, "{what}: {fastest:?}");
+        fastest.as_secs_f64()
+    };
+    let n = 5_000;
+    for (small, large) in inputs(n).iter().zip(&inputs(2 * n)) {
+        let ratio = fastest(large) / fastest(small);
+        assert!(
+            ratio < LIMIT,
+            "{}: doubling the input cost {ratio:.2}x",
+            small.0
+        );
     }
 }
 

@@ -3,6 +3,7 @@
 //! spans, lines, body starts and ends, token count, tables and errors.
 
 use pinpoint_ir::{Snapshot, Unit};
+use std::sync::Arc;
 
 const BASE: &str = "global counter: int;
 global cell: int*;
@@ -35,7 +36,11 @@ fn main(c: bool) {
 fn check(previous: &Snapshot, src: &str, at: &str) -> (Option<(Snapshot, bool)>, usize) {
     match (Unit::split(src), Unit::resplit(src, previous)) {
         (Ok(whole), Ok((re, lexed))) => {
-            assert_eq!(re.snapshot(), whole.snapshot(), "{at}: items");
+            assert_eq!(
+                re.snapshot(text(src)),
+                whole.snapshot(text(src)),
+                "{at}: items"
+            );
             assert_eq!(re.tokens(), whole.tokens(), "{at}: tokens");
             assert_eq!(
                 re.tables_fingerprint(),
@@ -50,7 +55,7 @@ fn check(previous: &Snapshot, src: &str, at: &str) -> (Option<(Snapshot, bool)>,
                 compiles &= error.is_none();
             }
             assert!(lexed <= src.len(), "{at}: {lexed} of {}", src.len());
-            (Some((re.snapshot(), compiles)), lexed)
+            (Some((re.snapshot(text(src)), compiles)), lexed)
         }
         (Err(whole), Err(re)) => {
             assert_eq!(re, whole, "{at}: error");
@@ -60,6 +65,11 @@ fn check(previous: &Snapshot, src: &str, at: &str) -> (Option<(Snapshot, bool)>,
     }
 }
 
+/// `src` as the shared string a snapshot keeps.
+fn text(src: &str) -> Arc<String> {
+    Arc::new(src.to_string())
+}
+
 fn edit(src: &str, from: &str, to: &str) -> String {
     assert!(src.contains(from), "`{from}` not in\n{src}");
     src.replacen(from, to, 1)
@@ -67,7 +77,7 @@ fn edit(src: &str, from: &str, to: &str) -> String {
 
 #[test]
 fn edit_steps_resplit_like_the_whole_file() {
-    let mut snapshot = Unit::split(BASE).unwrap().snapshot();
+    let mut snapshot = Unit::split(BASE).unwrap().snapshot(text(BASE));
     let mut text = BASE.to_string();
     // Each step edits the last text that split. The window, when a step
     // pins it, runs from the first text to the second in the edited
@@ -238,7 +248,7 @@ fn random_splices_resplit_like_the_whole_file() {
         "\"",
     ];
     let mut rng = Mix(0x5EED);
-    let mut snapshot = Unit::split(BASE).unwrap().snapshot();
+    let mut snapshot = Unit::split(BASE).unwrap().snapshot(text(BASE));
     let mut text = BASE.to_string();
     let mut accepted = 0;
     for round in 0..600 {

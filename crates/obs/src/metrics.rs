@@ -221,12 +221,17 @@ impl MetricsRegistry {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Records a sample into histogram `name`.
+    /// Records a sample into histogram `name`, allocating the name only
+    /// the first time.
     pub fn hist_record(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(v),
+            None => self
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .record(v),
+        }
     }
 
     /// Looks up a histogram.

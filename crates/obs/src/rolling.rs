@@ -112,12 +112,15 @@ impl RollingSet {
         self.slot_ns.saturating_mul(self.slots as u64)
     }
 
-    /// Records a sample for `key` observed at `now_ns`.
+    /// Records a sample for `key` observed at `now_ns`, allocating the
+    /// key only the first time.
     pub fn record(&mut self, key: &str, now_ns: u64, v: u64) {
-        self.windows
-            .entry(key.to_string())
-            .or_insert_with(|| RollingWindow::new(self.slot_ns, self.slots))
-            .record(now_ns, v);
+        if let Some(window) = self.windows.get_mut(key) {
+            return window.record(now_ns, v);
+        }
+        let mut window = RollingWindow::new(self.slot_ns, self.slots);
+        window.record(now_ns, v);
+        self.windows.insert(key.to_string(), window);
     }
 
     /// Snapshots every key's window at `now_ns`, in name order. Keys

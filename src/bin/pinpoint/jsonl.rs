@@ -1,7 +1,12 @@
 //! Line-delimited JSON plumbing shared by the serve transports and the
-//! `top` dashboard client: frame reading with an allocation cap and a
-//! small recursive JSON value parser (the response side, whose documents
-//! nest) with a flat-object view over it (the request side).
+//! `top` dashboard client: frame reading with an allocation cap, a small
+//! recursive JSON value parser (the response side, whose documents nest)
+//! with a flat-object view over it (the request side), and the
+//! [`SourceMemo`] a serve transport decodes each session's `source`
+//! strings through, so that decoding an edited program costs the edit.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Longest request line a serve transport will buffer (1 MiB). Longer
 /// lines are drained and rejected without allocating for them, and the
@@ -11,6 +16,10 @@ pub const MAX_SERVE_LINE: usize = 1 << 20;
 /// Bytes a serve transport reads from its stream at a time: a 0.5 MB
 /// `update` frame is eight reads, not sixty-four.
 pub const READ_CHUNK: usize = 1 << 16;
+
+/// The error of a frame that is not UTF-8, which takes precedence over
+/// every other error of the frame.
+pub const NOT_UTF8: &str = "request is not valid UTF-8";
 
 /// One input frame.
 pub enum Frame {
@@ -26,8 +35,8 @@ pub enum Frame {
 /// UTF-8 and without buffering more than `cap` bytes — the remainder of
 /// an oversized line is consumed and thrown away so the next frame
 /// starts clean. `line` is the connection's one buffer, cleared here and
-/// reused from frame to frame; the newline is found eight bytes at a
-/// time ([`first_of`]).
+/// reused from frame to frame; the newline is found a block at a time
+/// ([`first_of`]).
 pub fn read_frame(
     input: &mut impl std::io::BufRead,
     cap: usize,
@@ -73,25 +82,58 @@ pub fn read_frame(
 /// as their literal text. Enough JSON for the serve protocol — nested
 /// objects and arrays are rejected.
 pub fn parse_json_object(line: &str) -> Result<Vec<(String, String)>, String> {
+    Ok(parse_flat(line.as_bytes(), false)?.fields)
+}
+
+/// A request frame parsed as a flat object whose first `source` field, if
+/// its value is a string, was left escaped for a [`SourceMemo`].
+pub struct RequestFrame {
+    /// The fields in frame order; the escaped `source` field's value is
+    /// empty.
+    pub fields: Vec<(String, String)>,
+    /// Where the escaped string's bytes after its opening quote, closing
+    /// quote included, lie in the frame.
+    pub source: Option<Range<usize>>,
+}
+
+/// [`parse_json_object`] of a frame that was not checked to be UTF-8 as a
+/// whole: every byte it decodes is checked, and the first `source`
+/// string's end is found by its quote, leaving its bytes to a
+/// [`SourceMemo`], which checks the ones it did not see before. When both
+/// succeed the fields are what [`parse_json_object`] gives; on an error,
+/// the frame's error is what `parse_json_object` reports after a UTF-8
+/// check of the whole frame ([`NOT_UTF8`]).
+pub fn parse_request(frame: &[u8]) -> Result<RequestFrame, String> {
+    parse_flat(frame, true)
+}
+
+fn parse_flat(text: &[u8], escaped_source: bool) -> Result<RequestFrame, String> {
     let not_object = || "expected a JSON object".to_string();
     // Checked first so that bare garbage is reported as such, not as
     // whatever token error its first word runs into.
-    if !line
-        .trim_start_matches([' ', '\t', '\r', '\n'])
-        .starts_with('{')
-    {
+    if text.iter().find(|b| !is_ws(**b)) != Some(&b'{') {
         return Err(not_object());
     }
-    let Json::Obj(fields) = parse_json("object", line)? else {
+    let mut cursor = Cursor {
+        bytes: text,
+        pos: 0,
+        escaped_source,
+        source: None,
+    };
+    let Json::Obj(fields) = parse_json("object", &mut cursor)? else {
         return Err(not_object());
     };
-    fields
+    let fields = fields
         .into_iter()
         .map(|(key, value)| match value {
             Json::Str(v) | Json::Lit(v) => Ok((key, v)),
             Json::Obj(_) | Json::Arr(_) => Err("nested values are not supported".to_string()),
         })
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok(RequestFrame {
+        fields,
+        source: cursor.source,
+    })
 }
 
 /// A parsed JSON value — just enough structure for a client to walk the
@@ -161,43 +203,67 @@ impl Json {
 
 /// Parses one complete JSON value (objects, arrays, strings, literals).
 pub fn parse_json_value(text: &str) -> Result<Json, String> {
-    parse_json("value", text)
+    let mut cursor = Cursor {
+        bytes: text.as_bytes(),
+        pos: 0,
+        escaped_source: false,
+        source: None,
+    };
+    parse_json("value", &mut cursor)
 }
 
-/// A cursor over the characters of a document.
-struct Chars<'a> {
-    text: &'a str,
-    /// Byte offset of the next character.
+/// A cursor over the bytes of a document.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    /// Offset of the next byte.
     pos: usize,
+    /// Whether the top-level object's first `source` field, if a string,
+    /// is still to be left escaped.
+    escaped_source: bool,
+    /// The range of that field's string after the opening quote, closing
+    /// quote included.
+    source: Option<Range<usize>>,
 }
 
-impl<'a> Chars<'a> {
-    /// The text from the next character on.
-    fn rest(&self) -> &'a str {
-        &self.text[self.pos..]
+impl<'a> Cursor<'a> {
+    /// The bytes from the next one on.
+    fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
     }
 
-    fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
+    fn next(&mut self) -> Option<u8> {
+        let b = self.peek()?;
+        self.pos += 1;
+        Some(b)
     }
 }
 
-/// The position of the first byte of `bytes` that is one of `sought`,
-/// found eight bytes at a time: in a word XOR-ed with a sought byte
-/// repeated, that byte is a zero byte, and `(x - 0x01…01) & !x & 0x80…80`
-/// sets the top bit of the first zero byte of `x` (and maybe of later
-/// ones, never of an earlier one).
+/// JSON's whitespace.
+fn is_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
+}
+
+/// The position of the first byte of `bytes` that is one of `sought`.
+/// The first 64 bytes are searched eight at a time: in a word XOR-ed with
+/// a sought byte repeated, that byte is a zero byte, and
+/// `(x - 0x01…01) & !x & 0x80…80` sets the top bit of the first zero byte
+/// of `x` (and maybe of later ones, never of an earlier one). Past them,
+/// whole 64-byte blocks are tested without an early exit, which the
+/// compiler turns into vector compares, and only the block with a hit is
+/// searched byte by byte: a newline or a closing quote half a megabyte
+/// away is found at memory speed, an escape a few bytes away at once.
 fn first_of<const N: usize>(bytes: &[u8], sought: [u8; N]) -> Option<usize> {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
     const TOPS: u64 = u64::from_le_bytes([0x80; 8]);
+    const BLOCK: usize = 64;
     let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & TOPS;
-    let mut words = bytes.chunks_exact(8);
+    let is_sought = |b: u8| sought.iter().fold(false, |hit, &s| hit | (b == s));
+    let head = bytes.len().min(BLOCK);
+    let mut words = bytes[..head].chunks_exact(8);
     let mut at = 0;
     for word in &mut words {
         let w = u64::from_le_bytes(word.try_into().expect("an eight-byte chunk"));
@@ -209,150 +275,450 @@ fn first_of<const N: usize>(bytes: &[u8], sought: [u8; N]) -> Option<usize> {
         }
         at += 8;
     }
-    let mut tail = words.remainder().iter();
-    tail.position(|b| sought.contains(b)).map(|i| at + i)
+    for block in bytes[at..].chunks_exact(BLOCK) {
+        let block: &[u8; BLOCK] = block.try_into().expect("a whole block");
+        if block
+            .iter()
+            .fold(0u8, |any, &b| any | u8::from(is_sought(b)))
+            != 0
+        {
+            break;
+        }
+        at += BLOCK;
+    }
+    bytes[at..]
+        .iter()
+        .position(|&b| is_sought(b))
+        .map(|i| at + i)
 }
 
-/// The one tokenizer behind both entry points; `what` names the document
-/// in the trailing-input error.
-fn parse_json(what: &str, text: &str) -> Result<Json, String> {
-    fn skip_ws(chars: &mut Chars) {
-        while matches!(chars.peek(), Some(' ' | '\t' | '\r' | '\n')) {
-            chars.next();
+/// The offset of the quote that closes a string whose bytes after the
+/// opening quote are `bytes`: the first `"` after an even run of
+/// backslashes. A backslash run starts after a byte that no escape can end
+/// with a pending backslash, so it pairs up from its first byte, and a
+/// quote after an odd run is escaped. In a string that decodes, this is
+/// the quote the decoder stops at; only quotes are visited, never the
+/// other escapes.
+fn closing_quote(bytes: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    loop {
+        let quote = from + first_of(&bytes[from..], [b'"'])?;
+        let run = bytes[..quote]
+            .iter()
+            .rev()
+            .take_while(|&&b| b == b'\\')
+            .count();
+        if run % 2 == 0 {
+            return Some(quote);
+        }
+        from = quote + 1;
+    }
+}
+
+/// The four hex digits of a `\u` escape at `bytes[at..]`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let mut code = 0;
+    for i in 0..4 {
+        let b = bytes.get(at + i).ok_or("truncated \\u escape")?;
+        code = code * 16 + char::from(*b).to_digit(16).ok_or("invalid \\u escape")?;
+    }
+    Ok(code)
+}
+
+/// Decodes the string bytes at the start of `text` up to its first
+/// unescaped `"`, appending them to `out`, and returns the quote's offset,
+/// or `None` if `text` ends first. The bytes up to the next quote or
+/// backslash are copied in one piece, and an escape is decoded from its
+/// bytes; a `\u` high surrogate must be followed by a `\u` low one, and
+/// the pair is one character. The first escape reserves room for the
+/// rest of `text`, which the decoded value cannot outgrow.
+///
+/// With `marks`, the first [safe cut](SourceMemo) after each backslash is
+/// recorded if it falls inside the run of bytes that follows the escape:
+/// the first character boundary twelve bytes after the backslash, as
+/// offsets into `text` and `out`.
+fn unescape(
+    text: &str,
+    out: &mut String,
+    mut marks: Option<&mut Vec<Mark>>,
+) -> Result<Option<usize>, String> {
+    let bytes = text.as_bytes();
+    let lone = |code: u32| format!("lone surrogate \\u{code:04x}");
+    let mut pos = 0;
+    // The last backslash of the previous escape.
+    let mut backslash = None;
+    loop {
+        let stop = first_of(&bytes[pos..], [b'"', b'\\']).map(|n| pos + n);
+        let end = stop.unwrap_or(bytes.len());
+        if let (Some(marks), Some(b)) = (marks.as_deref_mut(), backslash) {
+            let mut cut = b + SAFE_CUT;
+            while cut < end && !text.is_char_boundary(cut) {
+                cut += 1;
+            }
+            if cut < end {
+                marks.push(Mark::new(cut, out.len() + cut - pos));
+            }
+        }
+        out.push_str(&text[pos..end]);
+        let Some(at) = stop else {
+            return Ok(None);
+        };
+        if bytes[at] == b'"' {
+            return Ok(Some(at));
+        }
+        out.reserve(bytes.len() - at);
+        backslash = Some(at);
+        pos = at + 2;
+        match bytes.get(at + 1) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => {
+                out.push('\\');
+                backslash = Some(at + 1);
+            }
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'u') => {
+                let high = hex4(bytes, at + 2)?;
+                pos = at + 6;
+                let code = match high {
+                    0xD800..=0xDBFF => {
+                        let low = if bytes[pos..].starts_with(b"\\u") {
+                            hex4(bytes, pos + 2)?
+                        } else {
+                            0
+                        };
+                        if !(0xDC00..=0xDFFF).contains(&low) {
+                            return Err(lone(high));
+                        }
+                        backslash = Some(pos);
+                        pos += 6;
+                        0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+                    }
+                    0xDC00..=0xDFFF => return Err(lone(high)),
+                    code => code,
+                };
+                out.push(char::from_u32(code).expect("not a surrogate"));
+            }
+            _ => return Err("unsupported escape".to_string()),
         }
     }
-    /// A string token, decoded a run at a time: the bytes up to the next
-    /// quote or backslash are copied in one piece, and an escape is
-    /// decoded from its bytes. The first escape reserves room for the
-    /// rest of the document, which the decoded value cannot outgrow, so a
-    /// long escaped value allocates once; a short one gives the slack
-    /// back.
-    fn parse_string(chars: &mut Chars) -> Result<String, String> {
-        if chars.next() != Some('"') {
+}
+
+/// The one tokenizer behind every entry point; `what` names the document
+/// in the trailing-input error.
+fn parse_json(what: &str, cursor: &mut Cursor) -> Result<Json, String> {
+    fn skip_ws(cursor: &mut Cursor) {
+        while cursor.peek().is_some_and(is_ws) {
+            cursor.pos += 1;
+        }
+    }
+    /// A string token. Its end is found by its quote and only its bytes
+    /// are checked to be UTF-8; a long decoded value allocates once, and a
+    /// short one gives the slack back.
+    fn parse_string(cursor: &mut Cursor) -> Result<String, String> {
+        if cursor.next() != Some(b'"') {
             return Err("expected string".to_string());
         }
+        let rest = cursor.rest();
+        let token = closing_quote(rest).map_or(rest, |q| &rest[..=q]);
+        let token = std::str::from_utf8(token).map_err(|_| NOT_UTF8.to_string())?;
         let mut s = String::new();
-        loop {
-            let rest = chars.rest();
-            let bytes = rest.as_bytes();
-            let Some(run) = first_of(bytes, [b'"', b'\\']) else {
-                return Err("unterminated string".to_string());
-            };
-            s.push_str(&rest[..run]);
-            chars.pos += run + 1;
-            if bytes[run] == b'"' {
-                if s.capacity() > 2 * s.len() + 64 {
-                    s.shrink_to_fit();
-                }
-                return Ok(s);
-            }
-            s.reserve(rest.len() - run);
-            let escape = bytes.get(run + 1).copied();
-            chars.pos += 1;
-            match escape {
-                Some(b'"') => s.push('"'),
-                Some(b'\\') => s.push('\\'),
-                Some(b'/') => s.push('/'),
-                Some(b'n') => s.push('\n'),
-                Some(b't') => s.push('\t'),
-                Some(b'r') => s.push('\r'),
-                Some(b'u') => {
-                    let mut code = 0u32;
-                    for i in 0..4 {
-                        let b = bytes.get(run + 2 + i).ok_or("truncated \\u escape")?;
-                        let digit = char::from(*b).to_digit(16);
-                        code = code * 16 + digit.ok_or("invalid \\u escape")?;
-                    }
-                    chars.pos += 4;
-                    s.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                }
-                _ => return Err("unsupported escape".to_string()),
-            }
+        let Some(end) = unescape(token, &mut s, None)? else {
+            return Err("unterminated string".to_string());
+        };
+        cursor.pos += end + 1;
+        if s.capacity() > 2 * s.len() + 64 {
+            s.shrink_to_fit();
         }
+        Ok(s)
     }
-    fn parse_value(chars: &mut Chars, depth: usize) -> Result<Json, String> {
+    fn parse_value(cursor: &mut Cursor, depth: usize) -> Result<Json, String> {
         if depth > 64 {
             return Err("value nests too deeply".to_string());
         }
-        skip_ws(chars);
-        match chars.peek() {
-            Some('"') => Ok(Json::Str(parse_string(chars)?)),
-            Some('{') => {
-                chars.next();
+        skip_ws(cursor);
+        match cursor.peek() {
+            Some(b'"') => Ok(Json::Str(parse_string(cursor)?)),
+            Some(b'{') => {
+                cursor.next();
                 let mut fields = Vec::new();
-                skip_ws(chars);
-                if chars.peek() == Some('}') {
-                    chars.next();
+                skip_ws(cursor);
+                if cursor.peek() == Some(b'}') {
+                    cursor.next();
                     return Ok(Json::Obj(fields));
                 }
                 loop {
-                    skip_ws(chars);
-                    let key = parse_string(chars)?;
-                    skip_ws(chars);
-                    if chars.next() != Some(':') {
+                    skip_ws(cursor);
+                    let key = parse_string(cursor)?;
+                    skip_ws(cursor);
+                    if cursor.next() != Some(b':') {
                         return Err(format!("expected `:` after key \"{key}\""));
                     }
-                    skip_ws(chars);
-                    if matches!(chars.peek(), Some(',' | '}')) {
+                    skip_ws(cursor);
+                    if matches!(cursor.peek(), Some(b',' | b'}')) {
                         return Err(format!("missing value for key \"{key}\""));
                     }
-                    fields.push((key, parse_value(chars, depth + 1)?));
-                    skip_ws(chars);
-                    match chars.next() {
-                        Some(',') => continue,
-                        Some('}') => return Ok(Json::Obj(fields)),
+                    let escaped = depth == 0 && cursor.escaped_source && key == "source";
+                    if escaped {
+                        cursor.escaped_source = false;
+                    }
+                    if escaped && cursor.peek() == Some(b'"') {
+                        let start = cursor.pos + 1;
+                        let end =
+                            closing_quote(&cursor.bytes[start..]).ok_or("unterminated string")?;
+                        cursor.pos = start + end + 1;
+                        cursor.source = Some(start..cursor.pos);
+                        fields.push((key, Json::Str(String::new())));
+                    } else {
+                        fields.push((key, parse_value(cursor, depth + 1)?));
+                    }
+                    skip_ws(cursor);
+                    match cursor.next() {
+                        Some(b',') => continue,
+                        Some(b'}') => return Ok(Json::Obj(fields)),
                         _ => return Err("expected `,` or `}`".to_string()),
                     }
                 }
             }
-            Some('[') => {
-                chars.next();
+            Some(b'[') => {
+                cursor.next();
                 let mut items = Vec::new();
-                skip_ws(chars);
-                if chars.peek() == Some(']') {
-                    chars.next();
+                skip_ws(cursor);
+                if cursor.peek() == Some(b']') {
+                    cursor.next();
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(parse_value(chars, depth + 1)?);
-                    skip_ws(chars);
-                    match chars.next() {
-                        Some(',') => continue,
-                        Some(']') => return Ok(Json::Arr(items)),
+                    items.push(parse_value(cursor, depth + 1)?);
+                    skip_ws(cursor);
+                    match cursor.next() {
+                        Some(b',') => continue,
+                        Some(b']') => return Ok(Json::Arr(items)),
                         _ => return Err("expected `,` or `]`".to_string()),
                     }
                 }
             }
             Some(_) => {
-                let mut v = String::new();
-                while let Some(c) = chars.peek() {
-                    if matches!(c, ',' | '}' | ']' | ' ' | '\t' | '\r' | '\n') {
-                        break;
-                    }
-                    v.push(c);
-                    chars.next();
+                let start = cursor.pos;
+                while cursor
+                    .peek()
+                    .is_some_and(|b| !matches!(b, b',' | b'}' | b']') && !is_ws(b))
+                {
+                    cursor.pos += 1;
                 }
-                if v.is_empty() {
-                    Err("missing value".to_string())
-                } else {
-                    Ok(Json::Lit(v))
+                match std::str::from_utf8(&cursor.bytes[start..cursor.pos]) {
+                    Err(_) => Err(NOT_UTF8.to_string()),
+                    Ok("") => Err("missing value".to_string()),
+                    Ok(v) => Ok(Json::Lit(v.to_string())),
                 }
             }
             None => Err("unexpected end of input".to_string()),
         }
     }
-    let mut chars = Chars { text, pos: 0 };
-    let value = parse_value(&mut chars, 0)?;
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
+    let value = parse_value(cursor, 0)?;
+    skip_ws(cursor);
+    if cursor.next().is_some() {
         return Err(format!("trailing characters after {what}"));
     }
     Ok(value)
 }
 
+/// The longest escape, a `\u` surrogate pair, is twelve bytes: a cut with
+/// no backslash in the eleven bytes before it is a token boundary however
+/// the bytes before those parse.
+const SAFE_CUT: usize = 12;
+
+/// Whether a cut is a mark depends on the bytes from the backslash before
+/// it up to the cut itself: at most this many bytes before it (twelve, and
+/// up to three more of a character), and its own byte.
+const MARK_CONTEXT: usize = SAFE_CUT + 3;
+
+/// A memo's texts are allocated in steps of this many bytes: the text of
+/// an edit a few bytes longer then fits the block its predecessor freed,
+/// where exact sizes would leave each freed block a hole too small for
+/// the next text (2.6 MiB more peak memory over ten growing edits of two
+/// 22 KLoC sessions).
+const TEXT_STEP: usize = 1 << 16;
+
+/// A safe cut of a memo's escaped bytes and its offset in their decoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Mark {
+    escaped: u32,
+    text: u32,
+}
+
+impl Mark {
+    fn new(escaped: usize, text: usize) -> Self {
+        let narrow = |n: usize| u32::try_from(n).expect("a frame is far shorter than 4 GiB");
+        Mark {
+            escaped: narrow(escaped),
+            text: narrow(text),
+        }
+    }
+
+    fn escaped(self) -> usize {
+        self.escaped as usize
+    }
+
+    fn text(self) -> usize {
+        self.text as usize
+    }
+}
+
+/// The bytes `a` and `b` share at their start, compared a block at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut at = 0;
+    for block in [4096, 64] {
+        while at + block <= n && a[at..at + block] == b[at..at + block] {
+            at += block;
+        }
+    }
+    at + a[at..n]
+        .iter()
+        .zip(&b[at..n])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The bytes `a` and `b` share at their end, compared a block at a time.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let mut at = n;
+    for block in [4096, 64] {
+        while at >= block && a[at - block..at] == b[at - block..at] {
+            at -= block;
+        }
+    }
+    let tail = a[..at].iter().rev().zip(b[..at].iter().rev());
+    n - at + tail.take_while(|(x, y)| x == y).count()
+}
+
+/// The decoding of one session's `source` strings, kept from frame to
+/// frame so that an edit decodes only around itself.
+///
+/// It keeps the frame of the last string it decoded (swapped with the
+/// caller's read buffer, not copied), the string's decoding, and a *mark*
+/// at the first safe cut after each backslash: a cut with no backslash in
+/// the eleven bytes before it, on a character boundary. Such a cut is a
+/// token boundary however the bytes before it parse, and whether a cut is
+/// a mark depends only on the fifteen bytes before it and itself, never on
+/// where the text starts or what came before: so the marks of a text are
+/// the same however the memo got to it.
+///
+/// A new string is diffed against the kept bytes by block compares; the
+/// changed window widens to the last mark before the common prefix ends
+/// and the first mark whose fifteen bytes before it lie in the common
+/// suffix; only the window is checked to be UTF-8 and decoded, with its
+/// marks; its decoding goes between the kept decoded prefix and suffix,
+/// and the marks after it shift. A memo that kept nothing diffs against
+/// the empty string, so the first string decodes whole on the same path.
+/// The decoded text is one shared string, which the session's workspace
+/// keeps too.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct SourceMemo {
+    /// The frame the last string came in.
+    frame: Vec<u8>,
+    /// That string's escaped bytes in `frame`, between its quotes.
+    escaped: Range<usize>,
+    text: Arc<String>,
+    marks: Vec<Mark>,
+}
+
+impl SourceMemo {
+    /// Decodes the JSON string at `string` in `frame` (its bytes after the
+    /// opening quote, closing quote included) as the tokenizer would, also
+    /// checking that they are UTF-8. The text is shared with whoever keeps
+    /// it next, such as the session's workspace. The memo keeps `frame`
+    /// and hands back, in its place, the buffer of the frame it kept
+    /// before, for the caller to read the next frame into. On an error the
+    /// memo forgets what it kept and `frame` is left as it was.
+    pub fn decode(
+        &mut self,
+        frame: &mut Vec<u8>,
+        string: Range<usize>,
+    ) -> Result<Arc<String>, String> {
+        match self.splice(&frame[string.clone()]) {
+            Ok(()) => {
+                std::mem::swap(&mut self.frame, frame);
+                self.escaped = string.start..string.end - 1;
+                Ok(Arc::clone(&self.text))
+            }
+            Err(e) => {
+                *self = SourceMemo::default();
+                Err(e)
+            }
+        }
+    }
+
+    fn splice(&mut self, quoted: &[u8]) -> Result<(), String> {
+        let escaped = quoted.strip_suffix(b"\"").ok_or("unterminated string")?;
+        let old = &self.frame[self.escaped.clone()];
+        let prefix = common_prefix(old, escaped);
+        let suffix = common_suffix(&old[prefix..], &escaped[prefix..]);
+        // Marks whose context lies in the common prefix or suffix are
+        // marks of the new bytes too.
+        let first = self.marks.partition_point(|m| m.escaped() < prefix);
+        let from = first
+            .checked_sub(1)
+            .map_or(Mark::new(0, 0), |i| self.marks[i]);
+        let rest = self
+            .marks
+            .partition_point(|m| m.escaped() < old.len() - suffix + MARK_CONTEXT);
+        let to = self
+            .marks
+            .get(rest)
+            .copied()
+            .unwrap_or(Mark::new(old.len(), self.text.len()));
+        // The window's end in the new bytes; the last window takes the
+        // closing quote along, since an escape it cuts short reads it.
+        let to_new = to.escaped() + escaped.len() - old.len();
+        let last = to_new == escaped.len();
+        let window = &quoted[from.escaped()..to_new + usize::from(last)];
+        let window = std::str::from_utf8(window).map_err(|_| NOT_UTF8.to_string())?;
+        // The new text: the window decoded onto the kept prefix, then the
+        // kept suffix; the decoding cannot outgrow the escaped bytes.
+        let kept = self.text.len() - to.text();
+        let needed = from.text() + window.len() + kept;
+        let mut text = String::with_capacity(needed.next_multiple_of(TEXT_STEP));
+        text.push_str(&self.text[..from.text()]);
+        // The window's marks go straight after the kept ones: marks are at
+        // least `SAFE_CUT` bytes apart, so the room reserved suffices.
+        let kept_marks = self.marks.split_off(rest);
+        self.marks.truncate(first);
+        self.marks.reserve(window.len() / SAFE_CUT + 1);
+        let window_marks = self.marks.len();
+        let stop = unescape(window, &mut text, Some(&mut self.marks))?;
+        if stop != last.then(|| window.len() - 1) {
+            return Err(match stop {
+                Some(_) => "unescaped quote inside the string",
+                None => "unterminated string",
+            }
+            .to_string());
+        }
+        for m in &mut self.marks[window_marks..] {
+            *m = Mark::new(from.escaped() + m.escaped(), m.text());
+        }
+        let text_end = text.len();
+        text.push_str(&self.text[to.text()..]);
+        self.text = Arc::new(text);
+        self.marks.extend(kept_marks.iter().map(|m| {
+            Mark::new(
+                m.escaped() - to.escaped() + to_new,
+                m.text() - to.text() + text_end,
+            )
+        }));
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pinpoint::workload::rng::SmallRng;
 
     #[test]
     fn nested_values_round_trip() {
@@ -401,7 +767,7 @@ mod tests {
         assert_eq!(err(r#"{"a":"\q"}"#), "unsupported escape");
         assert_eq!(err(r#"{"a":"\u12"}"#), "invalid \\u escape");
         assert_eq!(err(r#"{"a":"\u12"#), "truncated \\u escape");
-        assert_eq!(err(r#"{"a":"\ud800"}"#), "invalid \\u code point");
+        assert_eq!(err(r#"{"a":"\ud800"}"#), "lone surrogate \\ud800");
         assert_eq!(err(r#"{"a":"x\"#), "unsupported escape");
     }
 
@@ -488,5 +854,248 @@ mod tests {
         // Escapes the writer never emits decode too.
         let fields = parse_json_object(r#"{"s":"\/\u00e9\u0041\u03bb"}"#).unwrap();
         assert_eq!(fields, [("s".to_string(), "/éAλ".to_string())]);
+    }
+
+    /// `text` escaped as Python's default `json.dumps` does
+    /// (`ensure_ascii=True`): every character past ASCII as `\u` escapes,
+    /// one past the Basic Multilingual Plane as a surrogate pair.
+    fn escape_ascii(text: &str) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for c in text.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c if c.is_ascii() && c >= ' ' => out.push(c),
+                c => {
+                    let mut units = [0; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        let _ = write!(out, "\\u{unit:04x}");
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_are_named() {
+        let text = "// \"quoted\" \\ é λ 🦀 \u{1}";
+        let line = format!("{{\"source\":\"{}\"}}", escape_ascii(text));
+        assert!(line.contains(r"\ud83e\udd80"), "{line}");
+        let fields = parse_json_object(&line).unwrap();
+        assert_eq!(fields, [("source".to_string(), text.to_string())]);
+        assert_eq!(decode_request(line.as_bytes()).as_deref(), Ok(text));
+        let err = |value: &str| parse_json_object(&format!("{{\"s\":\"{value}\"}}")).unwrap_err();
+        assert_eq!(err(r"\ud83e"), r"lone surrogate \ud83e");
+        assert_eq!(err(r"\ud83ex"), r"lone surrogate \ud83e");
+        assert_eq!(err(r"\ud83e\u0041"), r"lone surrogate \ud83e");
+        assert_eq!(err(r"\ud83e\ud83e\udd80"), r"lone surrogate \ud83e");
+        assert_eq!(err(r"\udd80"), r"lone surrogate \udd80");
+        assert_eq!(err(r"\ud83e\ud"), r"invalid \u escape");
+    }
+
+    #[test]
+    fn a_request_leaves_its_first_source_string_escaped() {
+        let frames = [
+            r#"{"cmd":"update","session":"a","source":"x\"y\\\n\u00e9 é","id":"7"}"#,
+            r#" {"source":"","cmd":"open"} "#,
+            r#"{"cmd":"open","source":5,"source":"ignored"}"#,
+            r#"{"cmd":"open","source":"first","source":"se\u0063ond"}"#,
+            r#"{"cmd":"check","session":"a"}"#,
+        ];
+        for frame in frames {
+            let want = parse_json_object(frame).unwrap();
+            let RequestFrame { mut fields, source } = parse_request(frame.as_bytes()).unwrap();
+            if source.is_some() {
+                let placeholder = fields.iter_mut().find(|(k, _)| k == "source").unwrap();
+                assert_eq!(placeholder.1, "");
+                placeholder.1 = decode_request(frame.as_bytes()).unwrap();
+            }
+            assert_eq!(fields, want, "{frame}");
+        }
+        // A literal `source` is decoded in place; only the first field is
+        // left escaped.
+        assert!(parse_request(frames[2].as_bytes())
+            .unwrap()
+            .source
+            .is_none());
+        let quoted = parse_request(frames[3].as_bytes()).unwrap().source.unwrap();
+        assert_eq!(&frames[3].as_bytes()[quoted], b"first\"");
+        // Bytes outside the escaped string are checked to be UTF-8 ...
+        let mut bad = br#"{"cmd":"update","id":"#.to_vec();
+        bad.extend_from_slice(b"\"\xff\",\"source\":\"ok\"}");
+        assert_eq!(parse_request(&bad).err().as_deref(), Some(NOT_UTF8));
+        // ... and those inside it by the memo.
+        let bad = b"{\"source\":\"a\xffb\"}";
+        assert_eq!(decode_request(bad), Err(NOT_UTF8.to_string()));
+    }
+
+    /// The first `source` string of a request frame, decoded by a fresh
+    /// memo.
+    fn decode_request(frame: &[u8]) -> Result<String, String> {
+        let string = parse_request(frame).unwrap().source.unwrap();
+        let text = SourceMemo::default().decode(&mut frame.to_vec(), string)?;
+        Ok(text.to_string())
+    }
+
+    /// `quoted` (a string's bytes after its opening quote) decoded by
+    /// `memo`, from a frame that is just those bytes.
+    fn decode(memo: &mut SourceMemo, quoted: &[u8]) -> Result<String, String> {
+        let mut frame = quoted.to_vec();
+        let text = memo.decode(&mut frame, 0..quoted.len())?;
+        Ok(text.to_string())
+    }
+
+    /// What decoding the string `quoted` (its bytes after the opening
+    /// quote) whole gives, the reference a memo is held to.
+    fn full_decode(quoted: &[u8]) -> Result<String, String> {
+        let text = std::str::from_utf8(quoted).map_err(|_| NOT_UTF8.to_string())?;
+        let mut out = String::new();
+        match unescape(text, &mut out, None)? {
+            Some(q) if q + 1 == text.len() => Ok(out),
+            Some(_) => Err("unescaped quote inside the string".to_string()),
+            None => Err("unterminated string".to_string()),
+        }
+    }
+
+    /// A random text with every kind of character a source string can
+    /// carry: code, quotes, backslashes and their long runs, control
+    /// characters, and two-, three- and four-byte characters.
+    fn random_text(rng: &mut SmallRng, len: usize) -> String {
+        const PIECES: [&str; 14] = [
+            "fn filler(p: int*) {",
+            "    let x: int = *p;",
+            "}\n",
+            "\n",
+            "\"",
+            "\\",
+            "\\\\\\\\\\\\\\",
+            "\t\r",
+            "\u{1}\u{1f}",
+            "é",
+            "λ→",
+            "🦀",
+            " // comment",
+            "abcdefghijklmnop",
+        ];
+        let mut text = String::new();
+        while text.len() < len {
+            text.push_str(PIECES[rng.gen_range(0..PIECES.len())]);
+        }
+        text
+    }
+
+    /// The string bytes of `text` after the opening quote, escaped one of
+    /// two ways.
+    fn quoted(text: &str, ascii: bool) -> Vec<u8> {
+        use pinpoint::obs::json::escape;
+        let escaped = if ascii {
+            escape_ascii(text)
+        } else {
+            escape(text)
+        };
+        format!("{escaped}\"").into_bytes()
+    }
+
+    /// `bytes` with `bytes[at..at + cut]` replaced by `with`.
+    fn edited(bytes: &[u8], at: usize, cut: usize, with: &[u8]) -> Vec<u8> {
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(with);
+        out.extend_from_slice(&bytes[(at + cut).min(bytes.len())..]);
+        out
+    }
+
+    /// One random next string: mostly an edit of the decoded text
+    /// re-escaped, else raw bytes dropped into the escaped ones (inside
+    /// escapes and characters, at the ends), the same string again, or a
+    /// new one.
+    fn next_string(rng: &mut SmallRng, quoted_now: &[u8], text_now: Option<&str>) -> Vec<u8> {
+        const BYTES: &[u8] = b"\\\"u0d8eabnx\xc3\xa9\xf0\x9f\xa6\x80\x01 ";
+        let escaped = &quoted_now[..quoted_now.len().saturating_sub(1)];
+        match rng.gen_range(0..10) {
+            0..=4 if text_now.is_some() => {
+                let text = text_now.unwrap();
+                let mut at = rng.gen_range(0..text.len() + 1);
+                while !text.is_char_boundary(at) {
+                    at -= 1;
+                }
+                let mut end = (at + rng.gen_range(0..24)).min(text.len());
+                while !text.is_char_boundary(end) {
+                    end -= 1;
+                }
+                let len = rng.gen_range(0..16);
+                let insert = random_text(rng, len);
+                let next = format!("{}{insert}{}", &text[..at], &text[end..]);
+                quoted(&next, rng.gen_bool(0.5))
+            }
+            5 | 6 => {
+                let at = match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => escaped.len(),
+                    _ => rng.gen_range(0..escaped.len() + 1),
+                };
+                let with: Vec<u8> = (0..rng.gen_range(0..4))
+                    .map(|_| BYTES[rng.gen_range(0..BYTES.len())])
+                    .collect();
+                let mut next = edited(escaped, at, rng.gen_range(0..3), &with);
+                next.push(b'"');
+                next
+            }
+            7 => quoted_now.to_vec(),
+            _ => {
+                let len = rng.gen_range(0..600);
+                quoted(&random_text(rng, len), rng.gen_bool(0.5))
+            }
+        }
+    }
+
+    /// Every step of thousands of random edit sequences decodes through one
+    /// memo exactly as a full decode does — text or error — and leaves the
+    /// memo as a fresh memo given the same string would be.
+    #[test]
+    fn memo_splices_equal_full_decodes() {
+        let mut rng = SmallRng::seed_from_u64(45);
+        for _ in 0..2000 {
+            let len = rng.gen_range(0..3000);
+            let mut now = quoted(&random_text(&mut rng, len), rng.gen_bool(0.5));
+            let mut memo = SourceMemo::default();
+            for _ in 0..8 {
+                let want = full_decode(&now);
+                let got = decode(&mut memo, &now);
+                assert_eq!(got, want, "{:?}", String::from_utf8_lossy(&now));
+                let mut fresh = SourceMemo::default();
+                let _ = decode(&mut fresh, &now);
+                assert_eq!(memo, fresh, "{:?}", String::from_utf8_lossy(&now));
+                now = next_string(&mut rng, &now, got.ok().as_deref());
+            }
+        }
+    }
+
+    /// A surrogate pair, and a backslash run, right where the common
+    /// prefix or suffix of two strings ends: the window must not start or
+    /// end inside them.
+    #[test]
+    fn memo_never_cuts_a_surrogate_pair_or_a_backslash_run() {
+        let line = "abcdefghijklmnopqrstuvwxyz\n".repeat(40);
+        for (i, straddled) in [r"\ud83e\udd80", r"\\\\\\\\\\\\", r"\u00e9\n"]
+            .iter()
+            .enumerate()
+        {
+            let base = format!("{line}{straddled}abcdefghijklmnopqrstuvwxyz{line}\"");
+            let at = line.len();
+            let mut memo = SourceMemo::default();
+            decode(&mut memo, base.as_bytes()).unwrap();
+            for offset in 0..straddled.len() + SAFE_CUT + 2 {
+                for with in [&b""[..], b"x", b"\\\\", b"\\u0041"] {
+                    let next = edited(base.as_bytes(), at + offset, 1, with);
+                    let want = full_decode(&next);
+                    let got = decode(&mut memo, &next);
+                    assert_eq!(got, want, "{i} {offset}");
+                    decode(&mut memo, base.as_bytes()).unwrap();
+                }
+            }
+        }
     }
 }

@@ -110,7 +110,7 @@ const USAGE: &str = "usage:
     {\"cmd\":\"open\",\"id\":\"1\",\"session\":\"a\",\"path\":\"prog.pp\"}   or \"source\":\"...\"
     {\"cmd\":\"update\",\"id\":\"2\",\"session\":\"a\",\"path\":\"prog.pp\"}   re-analyzes only what changed
     {\"cmd\":\"check\",\"id\":\"3\",\"session\":\"a\"}   every checker (or \"checker\":\"uaf\")
-    {\"cmd\":\"stats\",\"id\":\"4\",\"session\":\"a\"}   pinpoint-stats-v1 document, server.* counters included
+    {\"cmd\":\"stats\",\"id\":\"4\",\"session\":\"a\"}   the session's pinpoint-stats-v1 document (server.* counters are in status and metrics)
     {\"cmd\":\"quit\",\"id\":\"5\"}
   Sessions run concurrently on --workers threads (per-session FIFO);
   replies echo the request id and session; errors are typed

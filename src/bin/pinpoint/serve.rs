@@ -18,15 +18,23 @@
 //! Malformed and oversized (> 1 MiB) request lines never kill a
 //! connection, before `hello` or after: they get a `protocol_error`
 //! reply and the stream resynchronizes at the next newline.
+//!
+//! A connection's reader thread keeps one [`SourceMemo`] per session it
+//! opened and decodes that session's inline `source` strings through it:
+//! an `update` that resends the program with one function edited decodes
+//! the bytes around the edit, not the file.
 
 use crate::flags::{self, Common, CommonFlags};
-use crate::jsonl::{parse_json_object, read_frame, Frame, MAX_SERVE_LINE, READ_CHUNK};
+use crate::jsonl::{
+    parse_json_object, parse_request, read_frame, Frame, RequestFrame, SourceMemo, MAX_SERVE_LINE,
+    NOT_UTF8, READ_CHUNK,
+};
 use pinpoint::core::server::PROTOCOL;
 use pinpoint::obs::json::escape;
 use pinpoint::{
     CheckerKind, ErrorCode, Op, Query, Reply, Request, Response, Server, ServerConfig, ServerError,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -206,6 +214,8 @@ where
     // Sessions this connection sent an `open` for (only `open` creates one)
     // and no accepted `close` since.
     let mut opened: BTreeSet<String> = BTreeSet::new();
+    // The source memo of each session in `opened`.
+    let mut memos: HashMap<String, SourceMemo> = HashMap::new();
     let mut bye_id = None;
     // The connection's one frame buffer, reused from line to line.
     let mut frame = Vec::new();
@@ -214,16 +224,15 @@ where
             Err(e) => break Err(e),
             Ok(Frame::Eof) => break Ok(LoopEnd::Quit),
             Ok(Frame::Oversized) => Err(format!("request line exceeds {MAX_SERVE_LINE} bytes")),
-            Ok(Frame::Line) => {
-                std::str::from_utf8(&frame).map_err(|_| "request is not valid UTF-8".to_string())
-            }
+            Ok(Frame::Line) => Ok(()),
         };
-        if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
+        if line.is_ok() && is_blank(&frame) {
             continue;
         }
         if !greeted {
             let fields = line
                 .ok()
+                .and_then(|()| std::str::from_utf8(&frame).ok())
                 .and_then(|l| parse_json_object(l).ok())
                 .unwrap_or_default();
             let id = field(&fields, "id").unwrap_or_default();
@@ -249,7 +258,7 @@ where
             continue;
         }
         let stop = match line {
-            Ok(line) => request_line(server, &prefix, line, &tx, &mut opened),
+            Ok(()) => request_line(server, &prefix, &mut frame, &tx, &mut opened, &mut memos),
             Err(msg) => {
                 let _ = tx.send(protocol_error(&prefix, "", "", &msg));
                 None
@@ -277,6 +286,16 @@ where
         );
     }
     end
+}
+
+/// Whether a frame is blank, as `str::trim` sees it. A frame that opens a
+/// JSON object is not, and is not checked to be UTF-8 here.
+fn is_blank(frame: &[u8]) -> bool {
+    match frame.iter().find(|b| !b" \t\r\n".contains(b)) {
+        None => true,
+        Some(b'{') => false,
+        Some(_) => std::str::from_utf8(frame).is_ok_and(|l| l.trim().is_empty()),
+    }
 }
 
 /// Writes one reply line and its newline in one write, so a client never
@@ -333,13 +352,20 @@ fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-/// Resolves `source`/`path` into program text; a `source` is moved out of
-/// `fields`, not copied.
-fn load_source(fields: &mut [(String, String)]) -> Result<String, String> {
-    if let Some((_, s)) = fields.iter_mut().find(|(name, _)| name == "source") {
-        Ok(std::mem::take(s))
+/// Resolves `source`/`path` into program text: the `source` the memo
+/// decoded, else the first `source` field, else the file at `path`.
+fn load_source(
+    fields: &[(String, String)],
+    decoded: Option<Arc<String>>,
+) -> Result<Arc<String>, String> {
+    if let Some(text) = decoded {
+        Ok(text)
+    } else if let Some(s) = field(fields, "source") {
+        Ok(Arc::new(s.to_string()))
     } else if let Some(p) = field(fields, "path") {
-        std::fs::read_to_string(p).map_err(|e| format!("cannot read `{p}`: {e}"))
+        std::fs::read_to_string(p)
+            .map(Arc::new)
+            .map_err(|e| format!("cannot read `{p}`: {e}"))
     } else {
         Err("open/update needs \"source\" or \"path\"".to_string())
     }
@@ -377,18 +403,55 @@ fn protocol_error(prefix: &str, id: &str, session: &str, msg: &str) -> Response 
     }
 }
 
+/// A request's fields, and its inline `source` when the memo decoded it.
+type Fields = (Vec<(String, String)>, Option<Arc<String>>);
+
+/// The fields of a request frame, its inline `source` decoded through the
+/// session's memo when `open` or an earlier `open` keeps one for it, else
+/// through a fresh one; a memo that keeps the frame leaves its previous
+/// frame's buffer in `frame`. A frame either step rejects is parsed
+/// whole, as text, for the error to name: the same error as before the
+/// memo.
+fn request_fields(
+    frame: &mut Vec<u8>,
+    prefix: &str,
+    opened: &BTreeSet<String>,
+    memos: &mut HashMap<String, SourceMemo>,
+) -> Result<Fields, String> {
+    let decoded = parse_request(frame).and_then(|RequestFrame { fields, source }| {
+        let Some(string) = source else {
+            return Ok((fields, None));
+        };
+        let session = format!("{prefix}/{}", field(&fields, "session").unwrap_or_default());
+        let mut fresh = SourceMemo::default();
+        let memo = if field(&fields, "cmd") == Some("open") || opened.contains(&session) {
+            memos.entry(session).or_default()
+        } else {
+            &mut fresh
+        };
+        let text = memo.decode(frame, string)?;
+        Ok((fields, Some(text)))
+    });
+    decoded.or_else(|_| {
+        let line = std::str::from_utf8(frame).map_err(|_| NOT_UTF8.to_string())?;
+        Ok((parse_json_object(line)?, None))
+    })
+}
+
 /// Handles one request line; returns `Some((end, id))` when the
 /// connection should stop (`quit`/`shutdown`). Sessions it submits an
 /// `open` to are added to `opened`; an accepted `close` removes its
-/// session again (a shed one stays, to be retried at hang-up).
+/// session again (a shed one stays, to be retried at hang-up). A `close`
+/// drops the session's memo.
 fn request_line(
     server: &Server,
     prefix: &str,
-    line: &str,
+    line: &mut Vec<u8>,
     tx: &mpsc::Sender<Response>,
     opened: &mut BTreeSet<String>,
+    memos: &mut HashMap<String, SourceMemo>,
 ) -> Option<(LoopEnd, String)> {
-    let mut fields = match parse_json_object(line) {
+    let (fields, decoded) = match request_fields(line, prefix, opened, memos) {
         Ok(f) => f,
         Err(msg) => {
             let _ = tx.send(protocol_error(prefix, "", "", &msg));
@@ -410,11 +473,11 @@ fn request_line(
     let op = match field(&fields, "cmd") {
         None => return proto_err("missing \"cmd\" field"),
         Some("hello") => return proto_err("hello was already negotiated on this connection"),
-        Some("open") => match load_source(&mut fields) {
+        Some("open") => match load_source(&fields, decoded) {
             Ok(source) => Op::Open { source },
             Err(msg) => return proto_err(&msg),
         },
-        Some("update") => match load_source(&mut fields) {
+        Some("update") => match load_source(&fields, decoded) {
             Ok(source) => Op::Update { source },
             Err(msg) => return proto_err(&msg),
         },
@@ -463,12 +526,15 @@ fn request_line(
     if matches!(op, Op::Open { .. }) {
         opened.insert(session.clone());
     }
+    if close {
+        memos.remove(&session);
+    }
     let req = Request {
         id,
         session: session.clone(),
         op,
     };
-    if server.submit(req, tx) && close {
+    if server.submit_shared(req, tx) && close {
         opened.remove(&session);
     }
     None
