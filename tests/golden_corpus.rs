@@ -22,8 +22,8 @@ fn golden_dir() -> PathBuf {
 }
 
 /// The canonical report text of one corpus program: every checker's
-/// reports (with step paths and witnesses) plus leak reports, in
-/// deterministic order.
+/// reports (with step paths and witnesses) plus leak reports (with
+/// witnesses), in deterministic order.
 fn render(source: &str) -> String {
     let analysis = Analysis::from_source(source).expect("corpus file compiles");
     let mut out = String::new();
@@ -53,6 +53,9 @@ fn render(source: &str) -> String {
             l.alloc_site,
             analysis.module.func(l.func).name
         );
+        for (name, value) in &l.witness {
+            let _ = writeln!(out, "  witness {name}={value}");
+        }
     }
     if out.is_empty() {
         out.push_str("no reports\n");
