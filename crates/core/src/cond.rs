@@ -445,7 +445,7 @@ mod tests {
     use crate::seg::ModuleSeg;
     use pinpoint_ir::{compile, Intrinsic};
     use pinpoint_pta::analyze_module;
-    use pinpoint_smt::{SmtResult, SmtSolver};
+    use pinpoint_smt::{SmtResult, SmtSession};
 
     struct Fixture {
         module: Module,
@@ -550,7 +550,7 @@ mod tests {
         let eq3 = cb.arena.eq(x_term, three);
         let sat_case = cb.arena.and2(cond, eq1);
         let unsat_case = cb.arena.and2(cond, eq3);
-        let mut solver = SmtSolver::new();
+        let mut solver = SmtSession::new();
         assert_eq!(solver.check(&fx.arena, sat_case), SmtResult::Sat);
         assert_eq!(solver.check(&fx.arena, unsat_case), SmtResult::Unsat);
     }
@@ -590,7 +590,7 @@ mod tests {
         let c_is_null = cb.arena.eq(c_term, zero);
         let closure = cb.condition();
         let query = cb.arena.and([closure, t_term, c_is_null]);
-        let mut solver = SmtSolver::new();
+        let mut solver = SmtSession::new();
         assert_eq!(
             solver.check(&fx.arena, query),
             SmtResult::Unsat,
@@ -636,7 +636,7 @@ mod tests {
         let f = fx.module.func(fid);
         let t3 = cb.symbols.value_term(cb.arena, fid, f, f.params[0]);
         let with_t3 = cb.arena.and2(cond, t3);
-        let mut solver = SmtSolver::new();
+        let mut solver = SmtSession::new();
         assert_eq!(solver.check(&fx.arena, with_t3), SmtResult::Unsat);
         assert_eq!(solver.check(&fx.arena, cond), SmtResult::Sat);
     }

@@ -22,7 +22,7 @@ use crate::cond::{CondBuilder, CtxInterner, ROOT};
 use crate::seg::{EdgeKind, ModuleSeg};
 use pinpoint_ir::{FuncId, Inst, InstId, Intrinsic, Module, ValueId};
 use pinpoint_pta::Symbols;
-use pinpoint_smt::{SmtResult, SmtSolver, TermArena};
+use pinpoint_smt::{SmtResult, SmtSession, TermArena};
 use std::collections::{HashMap, HashSet};
 
 /// How certain the leak finding is.
@@ -56,7 +56,6 @@ pub fn find_leaks(
     arena: &mut TermArena,
 ) -> Vec<LeakReport> {
     let mut reports = Vec::new();
-    let mut smt = SmtSolver::new();
     for (fid, f) in module.iter_funcs() {
         for (site, inst) in f.iter_insts() {
             let Inst::Alloc { dst } = inst else { continue };
@@ -120,7 +119,7 @@ pub fn find_leaks(
                     let not_freed: Vec<_> = avoid.into_iter().map(|c| arena.not(c)).collect();
                     let all_avoided = arena.and(not_freed);
                     let query = arena.and2(alloc_cond, all_avoided);
-                    let (result, model) = smt.check_with_model(arena, query);
+                    let (result, model) = SmtSession::new().check_with_model(arena, query);
                     if result == SmtResult::Sat {
                         let witness = model
                             .into_iter()

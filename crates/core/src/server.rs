@@ -392,9 +392,6 @@ struct Session {
     /// The session sits in the ready list (invariant: `scheduled` ⇔
     /// present in `State::ready`).
     scheduled: bool,
-    /// A processed `close` marked the session for removal once its
-    /// queue drains.
-    closing: bool,
 }
 
 /// Scheduler state under the one server mutex.
@@ -709,7 +706,6 @@ fn worker_loop(shared: &Shared) {
                 .ws
                 .take()
         };
-        let closing = matches!(req.op, Op::Close);
         let op_label = req.op.label();
         // Snapshot the attribution cursor so a slow request can capture
         // exactly its own solver work afterwards.
@@ -782,15 +778,12 @@ fn worker_loop(shared: &Shared) {
             let sess = st.sessions.get_mut(&key).expect("active session exists");
             sess.ws = ws;
             sess.active = false;
-            if closing {
-                sess.closing = true;
-            }
-            if !sess.queue.is_empty() {
-                sess.scheduled = true;
-                false
-            } else {
-                sess.closing
-            }
+            // A session is its workspace and its queue: with neither
+            // left (a `close`, a failed `open`, a panic) it is removed,
+            // so the next request finds what one sent after this reply
+            // would. A request queued behind keeps it.
+            sess.scheduled = !sess.queue.is_empty();
+            !sess.scheduled && sess.ws.is_none()
         };
         if remove {
             st.sessions.remove(&key);
@@ -855,10 +848,10 @@ fn process(
             let json = w.stats_json_with(&[("workers", shared.workers as u64)], *canonical);
             Ok(Reply::Stats { json })
         }
-        Op::Close => {
-            *ws = None;
-            Ok(Reply::Closed)
-        }
+        Op::Close => ws
+            .take()
+            .map(|_| Reply::Closed)
+            .ok_or_else(ServerError::no_workspace),
     }
 }
 
@@ -948,7 +941,13 @@ mod tests {
         );
         let r = rx.recv().unwrap();
         assert_eq!(r.reply.unwrap_err().code, ErrorCode::BuildError);
-        // The failed open still created the session; a later open heals it.
+        // The failed open left no session behind: the next request finds
+        // none, and a later open starts it afresh.
+        server.submit(req("w", "s", Op::Query(Query::All)), &tx);
+        assert_eq!(
+            rx.recv().unwrap().reply.unwrap_err().code,
+            ErrorCode::NoWorkspace
+        );
         server.submit(req("z", "s", Op::Open { source: UAF.into() }), &tx);
         assert!(matches!(rx.recv().unwrap().reply, Ok(Reply::Opened { .. })));
         server.shutdown();

@@ -2,7 +2,7 @@
 //!
 //! Random formulas over a small fixed atom pool are checked two ways:
 //! exhaustive enumeration over a finite domain, and the production
-//! [`SmtSolver`]. On the *clamp-complete* fragment (boolean atoms plus
+//! [`SmtSession`]. On the *clamp-complete* fragment (boolean atoms plus
 //! `var ⊲ const` with constants in `0..=3`) any satisfying assignment
 //! over ℤ can be clamped into the enumeration domain, so the two
 //! verdicts must agree exactly; with variable–variable atoms and
@@ -10,7 +10,7 @@
 //! mandatory whenever enumeration finds one.
 
 use pinpoint_smt::{
-    canon_info, SmtResult, SmtSolver, Sort, TermArena, TermId, Verdict, VerdictTable,
+    canon_info, SmtResult, SmtSession, Sort, TermArena, TermId, Verdict, VerdictTable,
 };
 use pinpoint_workload::rng::SmallRng;
 
@@ -247,8 +247,7 @@ pub fn smt_oracle(seed: u64) -> Result<(), (String, String)> {
     let mut arena = TermArena::new();
     let t = term_of_formula(&mut arena, &f, ORACLE_NAMES);
     let expected = enumerate_sat(&f, &[]);
-    let mut smt = SmtSolver::new();
-    let (got, model) = smt.check_with_model(&arena, t);
+    let (got, model) = SmtSession::new().check_with_model(&arena, t);
     if (got == SmtResult::Sat) != expected {
         return Err((
             "exactness".into(),
@@ -265,8 +264,7 @@ pub fn smt_oracle(seed: u64) -> Result<(), (String, String)> {
     let f = gen_formula(&mut rng, 3, false);
     let mut arena = TermArena::new();
     let t = term_of_formula(&mut arena, &f, ORACLE_NAMES);
-    let mut smt = SmtSolver::new();
-    let got = smt.check(&arena, t);
+    let got = SmtSession::new().check(&arena, t);
     if enumerate_sat(&f, &[]) && got != SmtResult::Sat {
         return Err((
             "soundness".into(),
@@ -305,8 +303,7 @@ pub fn verdicts_oracle(seed: u64) -> Result<(), (String, String)> {
         let mut arena = TermArena::new();
         let t = term_of_formula(&mut arena, f, ORACLE_NAMES);
         let info = canon_info(&arena, t);
-        let mut smt = SmtSolver::new();
-        let (got, model) = smt.check_with_model(&arena, t);
+        let (got, model) = SmtSession::new().check_with_model(&arena, t);
         let verdict = info.verdict(got, &model);
         table.insert(info.fingerprint, verdict);
     }
@@ -323,8 +320,7 @@ pub fn verdicts_oracle(seed: u64) -> Result<(), (String, String)> {
                 format!("alpha-renamed formula missed the verdict table: {f:?}"),
             ));
         };
-        let mut smt = SmtSolver::new();
-        let fresh = smt.check(&arena, t);
+        let fresh = SmtSession::new().check(&arena, t);
         let replayed = match verdict {
             Verdict::Unsat => SmtResult::Unsat,
             Verdict::Sat(_) => SmtResult::Sat,

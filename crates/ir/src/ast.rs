@@ -173,36 +173,9 @@ pub enum Stmt<'src> {
     Return(Option<Expr<'src>>, Span),
 }
 
-/// A function definition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FuncDef<'src> {
-    /// Function name.
-    pub name: &'src str,
-    /// Parameters: `(name, type)`.
-    pub params: Vec<(&'src str, Type)>,
-    /// Return type (`None` for procedures).
-    pub ret_ty: Option<Type>,
-    /// Body.
-    pub body: Vec<Stmt<'src>>,
-    /// Source location.
-    pub span: Span,
-}
-
-impl<'src> FuncDef<'src> {
-    /// The function's header.
-    pub(crate) fn header(&self) -> FnHeader<'_, 'src> {
-        FnHeader {
-            name: self.name,
-            params: &self.params,
-            ret_ty: self.ret_ty,
-            span: self.span,
-        }
-    }
-}
-
-/// A function's header, borrowed from wherever it was parsed into (a
-/// [`FuncDef`] or an entry of the item table): all that lowering needs to
-/// know of a function besides its body, and all it needs of the others.
+/// A function's header, borrowed from its entry of the item table: all
+/// that lowering needs to know of a function besides its body, and all
+/// it needs of the others.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FnHeader<'a, 'src> {
     /// Function name.
@@ -213,26 +186,6 @@ pub(crate) struct FnHeader<'a, 'src> {
     pub ret_ty: Option<Type>,
     /// Source location.
     pub span: Span,
-}
-
-/// A global declaration: `global g: int*;`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GlobalDef<'src> {
-    /// Global name.
-    pub name: &'src str,
-    /// Content type of the global cell.
-    pub ty: Type,
-    /// Source location.
-    pub span: Span,
-}
-
-/// A whole parsed program.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Program<'src> {
-    /// Global declarations.
-    pub globals: Vec<GlobalDef<'src>>,
-    /// Function definitions.
-    pub funcs: Vec<FuncDef<'src>>,
 }
 
 #[cfg(test)]

@@ -215,11 +215,6 @@ impl CallGraph {
         self.scc_of[a.0 as usize] == self.scc_of[b.0 as usize]
     }
 
-    /// `true` if `f` is self-recursive or part of a larger cycle.
-    pub fn is_recursive(&self, f: FuncId) -> bool {
-        self.scc(self.scc_of(f)).len() > 1 || self.callees(f).contains(&f)
-    }
-
     /// `true` if this is the call graph of `module`. The connector
     /// transform rewrites call sites in place and never adds, removes or
     /// retargets one, so the graph built before it must still describe
@@ -436,12 +431,11 @@ fn tarjan(succs: &Csr) -> (Vec<u32>, Csr) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontend::compile;
     use crate::ir::{Callee, Function, Intrinsic};
-    use crate::lower::lower;
-    use crate::parser::parse;
 
     fn build(src: &str) -> (Module, CallGraph) {
-        let m = lower(&parse(src).unwrap()).unwrap();
+        let m = compile(src).unwrap();
         let cg = CallGraph::new(&m);
         (m, cg)
     }
@@ -479,15 +473,15 @@ mod tests {
              fn odd(n: int) { even(n - 1); return; }",
         );
         assert!(cg.same_scc(id(&m, "even"), id(&m, "odd")));
-        assert!(cg.is_recursive(id(&m, "even")));
         assert_eq!(cg.sccs().filter(|s| s.len() == 2).count(), 1);
     }
 
     #[test]
     fn self_recursion_detected() {
         let (m, cg) = build("fn f(n: int) { f(n - 1); return; }");
-        assert!(cg.is_recursive(id(&m, "f")));
-        assert!(cg.same_scc(id(&m, "f"), id(&m, "f")));
+        let f = id(&m, "f");
+        assert_eq!(cg.callees(f), [f]);
+        assert_eq!(cg.scc(cg.scc_of(f)), [f]);
     }
 
     #[test]
@@ -496,8 +490,8 @@ mod tests {
             "fn a() { b(); return; }
              fn b() { return; }",
         );
-        assert!(!cg.is_recursive(id(&m, "a")));
         assert!(!cg.same_scc(id(&m, "a"), id(&m, "b")));
+        assert!(cg.sccs().all(|s| s.len() == 1));
     }
 
     #[test]
@@ -777,7 +771,7 @@ mod tests {
         assert!(files.len() >= 20, "corpus moved? found {}", files.len());
         for path in files {
             let src = std::fs::read_to_string(&path).unwrap();
-            let m = lower(&parse(&src).unwrap()).unwrap();
+            let m = compile(&src).unwrap();
             assert_matches_reference(&m, &path.display().to_string());
         }
     }
@@ -791,7 +785,7 @@ mod tests {
                 recursion: true,
                 ..FuzzGenConfig::default()
             });
-            let m = lower(&parse(&src).unwrap()).unwrap();
+            let m = compile(&src).unwrap();
             assert_matches_reference(&m, &format!("fuzzgen seed {seed}"));
         }
     }

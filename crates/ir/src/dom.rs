@@ -1,10 +1,11 @@
-//! Dominator and post-dominator trees, and dominance frontiers.
+//! Dominator and post-dominator trees.
 //!
 //! Uses the Cooper–Harvey–Kennedy iterative algorithm over reverse
-//! postorder. Dominance frontiers drive control-dependence computation
-//! (a statement is control dependent on the branches in the post-dominance
-//! frontier of its block, following Ferrante et al., which the paper cites
-//! for the `Gc` subgraph of the SEG).
+//! postorder. The post-dominator tree drives control dependence
+//! ([`crate::controldep`] walks it from each branch edge's target up to
+//! the branch's immediate post-dominator, following Ferrante et al.,
+//! which the paper cites for the `Gc` subgraph of the SEG); the dominator
+//! tree places φ gates ([`crate::gating`]).
 
 use crate::cfg::Cfg;
 use crate::ir::{BlockId, Function, Terminator};
@@ -99,38 +100,6 @@ impl DomTree {
                 _ => return false,
             }
         }
-    }
-
-    /// Dominance frontier of every block.
-    pub fn frontiers<'a, P>(&self, n: usize, preds: P) -> Vec<Vec<BlockId>>
-    where
-        P: Fn(BlockId) -> &'a [BlockId],
-    {
-        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for bi in 0..n {
-            let b = BlockId(bi as u32);
-            let ps = preds(b);
-            if ps.len() < 2 {
-                continue;
-            }
-            let Some(target) = self.idom(b) else { continue };
-            for &p in ps {
-                if self.idom(p).is_none() {
-                    continue; // unreachable pred
-                }
-                let mut runner = p;
-                while runner != target {
-                    if !df[runner.0 as usize].contains(&b) {
-                        df[runner.0 as usize].push(b);
-                    }
-                    runner = match self.idom(runner) {
-                        Some(r) if r != runner => r,
-                        _ => break,
-                    };
-                }
-            }
-        }
-        df
     }
 }
 
@@ -236,17 +205,6 @@ mod tests {
         assert_eq!(dt.idom(BlockId(3)), Some(BlockId(0)));
         assert!(dt.dominates(BlockId(0), BlockId(3)));
         assert!(!dt.dominates(BlockId(1), BlockId(3)));
-    }
-
-    #[test]
-    fn diamond_frontiers() {
-        let (f, cfg) = diamond();
-        let dt = DomTree::dominators(&f, &cfg);
-        let df = dt.frontiers(cfg.len(), |b| cfg.preds(b));
-        assert_eq!(df[1], vec![BlockId(3)]);
-        assert_eq!(df[2], vec![BlockId(3)]);
-        assert!(df[0].is_empty());
-        assert!(df[3].is_empty());
     }
 
     #[test]

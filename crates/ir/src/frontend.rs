@@ -389,6 +389,16 @@ pub fn first_error(results: &[Result<Function, CompileError>]) -> Option<&Compil
 /// # Errors
 ///
 /// Returns the error the [module docs](self) single out.
+///
+/// # Examples
+///
+/// ```
+/// let module = pinpoint_ir::compile("fn main() { return; }")?;
+/// assert_eq!(module.funcs[0].name, "main");
+/// let e = pinpoint_ir::compile("fn main() { return }").unwrap_err();
+/// assert!(matches!(e, pinpoint_ir::CompileError::Parse(_)), "{e}");
+/// # Ok::<(), pinpoint_ir::CompileError>(())
+/// ```
 pub fn compile(src: &str) -> Result<Module, CompileError> {
     let unit = Unit::split(src)?;
     let results = (0..unit.func_count()).map(|i| unit.compile_fn(i)).collect();

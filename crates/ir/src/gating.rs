@@ -157,11 +157,10 @@ impl Gating {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower;
-    use crate::parser::parse;
+    use crate::frontend::compile;
 
     fn build(src: &str) -> (Function, Cfg, DomTree) {
-        let m = lower(&parse(src).unwrap()).unwrap();
+        let m = compile(src).unwrap();
         let f = m.funcs.into_iter().next().unwrap();
         let cfg = Cfg::new(&f);
         let dom = DomTree::dominators(&f, &cfg);

@@ -24,14 +24,11 @@
 //! # Examples
 //!
 //! ```
-//! use pinpoint_ir::{parser, lower};
-//!
 //! let src = "fn main() { let p: int* = malloc(); free(p); return; }";
-//! let program = parser::parse(src)?; // borrows its names from `src`
-//! assert_eq!(program.funcs[0].name, "main");
-//! let module = lower::lower(&program)?;
+//! let module = pinpoint_ir::compile(src)?;
 //! assert_eq!(module.funcs.len(), 1);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! assert_eq!(module.funcs[0].name, "main");
+//! # Ok::<(), pinpoint_ir::CompileError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -59,7 +56,7 @@ pub use cfg::Cfg;
 pub use controldep::{ControlDep, ControlDeps};
 pub use dom::{DomTree, PostDomTree};
 pub use fingerprint::{func_fingerprint, module_fingerprints};
-pub use frontend::{CompileError, Snapshot, Unit};
+pub use frontend::{compile, CompileError, Snapshot, Unit};
 pub use gating::{Gate, Gating};
 pub use ir::intrinsics;
 pub use ir::{
@@ -67,25 +64,6 @@ pub use ir::{
     InstId, Intrinsic, Module, NameTable, Terminator, UnOp, ValueId, ValueInfo,
 };
 pub use opt::{optimize_module, OptStats};
+pub use parser::{common_prefix, common_suffix};
 pub use types::Type;
 pub use verify::{verify_module, VerifyError};
-
-/// Parses and lowers a source string in one step.
-///
-/// # Errors
-///
-/// Returns a boxed parse or lowering error.
-///
-/// # Examples
-///
-/// ```
-/// let module = pinpoint_ir::compile("fn main() { return; }")?;
-/// assert_eq!(module.funcs[0].name, "main");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn compile(src: &str) -> Result<Module, Box<dyn std::error::Error>> {
-    frontend::compile(src).map_err(|e| match e {
-        CompileError::Parse(e) => e.into(),
-        CompileError::Lower(e) => e.into(),
-    })
-}

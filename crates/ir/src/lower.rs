@@ -21,7 +21,7 @@
 //! (functions are numbered in item order, as the module will hold them),
 //! and each distinct value name enters the function's name table once.
 
-use crate::ast::{BinOpKind, Expr, FnHeader, Program, Span, Stmt, UnOpKind};
+use crate::ast::{BinOpKind, Expr, FnHeader, Span, Stmt, UnOpKind};
 use crate::fingerprint::{hash_type, Fnv128};
 use crate::ir::{
     BinOp, BlockId, Callee, Const, FuncId, Function, GlobalId, Inst, Intrinsic, Module, Terminator,
@@ -203,37 +203,6 @@ pub(crate) fn module_with_globals<'a>(
         module.add_global(name, ty);
     }
     module
-}
-
-/// Lowers a parsed program to an SSA module.
-///
-/// # Errors
-///
-/// Returns a [`LowerError`] on type errors, unknown names, arity
-/// mismatches, or invalid dereferences.
-///
-/// # Examples
-///
-/// ```
-/// let src = "fn main() { let p: int* = malloc(); free(p); return; }";
-/// let program = pinpoint_ir::parser::parse(src).unwrap();
-/// let module = pinpoint_ir::lower::lower(&program)?;
-/// assert_eq!(module.funcs.len(), 1);
-/// # Ok::<(), pinpoint_ir::lower::LowerError>(())
-/// ```
-pub fn lower(program: &Program<'_>) -> Result<Module, LowerError> {
-    let globals = program.globals.iter().map(|g| (g.name, g.ty, g.span));
-    let funcs = program.funcs.iter().map(|f| {
-        let params = f.params.iter().map(|&(_, ty)| ty);
-        (f.name, params, f.ret_ty, f.span)
-    });
-    let tables = Tables::build(globals, funcs)?;
-    let globals = program.globals.iter().map(|g| (g.name, g.ty));
-    let mut module = module_with_globals(globals, program.funcs.len());
-    for f in &program.funcs {
-        module.add_func(lower_fn(f.header(), &f.body, &tables)?);
-    }
-    Ok(module)
 }
 
 /// Lowers one function, given its header, its parsed body and the
@@ -902,14 +871,17 @@ fn types_compatible(expected: Type, got: Type) -> bool {
 mod tests {
     use super::*;
     use crate::cfg::Cfg;
-    use crate::parser::parse;
+    use crate::frontend::{compile, CompileError};
 
     fn lower_src(src: &str) -> Module {
-        lower(&parse(src).unwrap()).unwrap()
+        compile(src).unwrap()
     }
 
     fn lower_err(src: &str) -> LowerError {
-        lower(&parse(src).unwrap()).unwrap_err()
+        match compile(src) {
+            Err(CompileError::Lower(e)) => e,
+            other => panic!("expected a lowering error, got {other:?}"),
+        }
     }
 
     #[test]

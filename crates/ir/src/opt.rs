@@ -275,12 +275,11 @@ pub fn eliminate_dead_code(f: &mut Function) -> OptStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower;
-    use crate::parser::parse;
+    use crate::frontend::compile;
     use crate::verify::verify_module;
 
     fn optimized(src: &str) -> (Module, OptStats) {
-        let mut m = lower(&parse(src).unwrap()).unwrap();
+        let mut m = compile(src).unwrap();
         let stats = optimize_module(&mut m);
         let errs = verify_module(&m);
         assert!(errs.is_empty(), "optimised module verifies: {errs:?}");
@@ -401,8 +400,8 @@ mod tests {
             if (c) { let x: int = *p; print(x); }
             return;
         }";
-        let m1 = lower(&parse(src).unwrap()).unwrap();
-        let mut m2 = lower(&parse(src).unwrap()).unwrap();
+        let m1 = compile(src).unwrap();
+        let mut m2 = compile(src).unwrap();
         optimize_module(&mut m2);
         // Both modules must contain the same free/load/store skeleton.
         let count = |m: &Module, pred: fn(&Inst) -> bool| {

@@ -1,7 +1,7 @@
 //! Textual pretty-printer for the IR, used in tests, examples, and
 //! debugging output.
 
-use crate::ir::{BlockId, Const, Function, Inst, Module, Terminator, ValueId};
+use crate::ir::{Const, Function, Inst, Module, Terminator, ValueId};
 use std::fmt::Write;
 
 /// Renders a whole module.
@@ -122,34 +122,20 @@ fn print_term(f: &Function, t: &Terminator) -> String {
     }
 }
 
-/// Helper for printing a single block (used by error reports).
-pub fn print_block(m: &Module, f: &Function, b: BlockId) -> String {
-    let mut out = format!("bb{}:\n", b.0);
-    for inst in &f.block(b).insts {
-        let _ = writeln!(out, "  {}", print_inst(m, f, inst));
-    }
-    let _ = writeln!(out, "  {}", print_term(f, &f.block(b).term));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower;
-    use crate::parser::parse;
+    use crate::frontend::compile;
 
     #[test]
     fn prints_round_trippable_shape() {
-        let m = lower(
-            &parse(
-                "global g: int;
+        let m = compile(
+            "global g: int;
                  fn f(c: bool, p: int**) -> int {
                     let x: int = 0;
                     if (c) { x = 1; } else { *p = g; }
                     return x;
                  }",
-            )
-            .unwrap(),
         )
         .unwrap();
         let text = print_module(&m);
@@ -163,12 +149,9 @@ mod tests {
 
     #[test]
     fn prints_calls_with_receivers() {
-        let m = lower(
-            &parse(
-                "fn g() -> int { return 1; }
+        let m = compile(
+            "fn g() -> int { return 1; }
                  fn f() { let x: int = g(); print(x); return; }",
-            )
-            .unwrap(),
         )
         .unwrap();
         let text = print_module(&m);
@@ -180,14 +163,12 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use crate::lower::lower;
-    use crate::parser::parse;
+    use crate::frontend::compile;
 
     #[test]
     fn prints_every_instruction_kind() {
-        let m = lower(
-            &parse(
-                "global g: int;
+        let m = compile(
+            "global g: int;
                  fn callee(v: int) -> int { return v; }
                  fn f(c: bool, p: int**) -> int {
                     let x: int = 1;            // Const
@@ -204,8 +185,6 @@ mod more_tests {
                     if (c) { out = r; } else { out = w; } // Phi at join
                     return out;
                  }",
-            )
-            .unwrap(),
         )
         .unwrap();
         let f = m.func(m.func_by_name("f").unwrap());
@@ -228,20 +207,11 @@ mod more_tests {
     }
 
     #[test]
-    fn print_block_isolates_one_block() {
-        let m = lower(&parse("fn f() { let x: int = 1; return; }").unwrap()).unwrap();
-        let f = m.func(m.func_by_name("f").unwrap());
-        let text = print_block(&m, f, f.entry());
-        assert!(text.starts_with("bb0:"));
-        assert!(text.contains("const 1"));
-    }
-
-    #[test]
     fn multi_value_return_printed() {
         // After a connector-style transformation returns are tuples.
         use crate::ir::{Inst, Terminator};
         use crate::types::Type;
-        let mut m = lower(&parse("fn f(q: int**) -> int { return 1; }").unwrap()).unwrap();
+        let mut m = compile("fn f(q: int**) -> int { return 1; }").unwrap();
         let fid = m.func_by_name("f").unwrap();
         let f = m.func_mut(fid);
         let aux = f.new_value("aux_out_p0d1", Type::Int.ptr_to());

@@ -254,13 +254,12 @@ pub fn verify_function(module: &Module, f: &Function, errors: &mut Vec<VerifyErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontend::compile;
     use crate::ir::{BlockId, Callee, Const, FuncId};
-    use crate::lower::lower;
-    use crate::parser::parse;
     use crate::types::Type;
 
     fn verify_src(src: &str) -> Vec<VerifyError> {
-        let m = lower(&parse(src).unwrap()).unwrap();
+        let m = compile(src).unwrap();
         verify_module(&m)
     }
 
@@ -339,7 +338,7 @@ mod tests {
 
     #[test]
     fn detects_call_to_a_missing_function() {
-        let mut m = lower(&parse("fn f() { return; }").unwrap()).unwrap();
+        let mut m = compile("fn f() { return; }").unwrap();
         let fid = m.func_by_name("f").unwrap();
         let f = m.func_mut(fid);
         let entry = f.entry();
@@ -353,7 +352,7 @@ mod tests {
 
     #[test]
     fn detects_double_definition() {
-        let mut m = lower(&parse("fn f() { return; }").unwrap()).unwrap();
+        let mut m = compile("fn f() { return; }").unwrap();
         let fid = m.func_by_name("f").unwrap();
         let f = m.func_mut(fid);
         let x = f.new_value("x", Type::Int);
@@ -381,7 +380,7 @@ mod tests {
 
     #[test]
     fn detects_use_before_def() {
-        let mut m = lower(&parse("fn f() { return; }").unwrap()).unwrap();
+        let mut m = compile("fn f() { return; }").unwrap();
         let fid = m.func_by_name("f").unwrap();
         let f = m.func_mut(fid);
         let x = f.new_value("x", Type::Int);
@@ -406,7 +405,7 @@ mod tests {
 
     #[test]
     fn detects_bad_branch_target() {
-        let mut m = lower(&parse("fn f(c: bool) { return; }").unwrap()).unwrap();
+        let mut m = compile("fn f(c: bool) { return; }").unwrap();
         let fid = m.func_by_name("f").unwrap();
         let f = m.func_mut(fid);
         let c = f.params[0];
@@ -429,7 +428,7 @@ mod tests {
 
     #[test]
     fn detects_return_arity_mismatch() {
-        let mut m = lower(&parse("fn f() -> int { return 1; }").unwrap()).unwrap();
+        let mut m = compile("fn f() -> int { return 1; }").unwrap();
         let fid = m.func_by_name("f").unwrap();
         let f = m.func_mut(fid);
         let rb = f.return_block().unwrap();
@@ -440,15 +439,12 @@ mod tests {
 
     #[test]
     fn detects_phi_from_non_predecessor() {
-        let mut m = lower(
-            &parse(
-                "fn f(c: bool) -> int {
+        let mut m = compile(
+            "fn f(c: bool) -> int {
                     let x: int = 0;
                     if (c) { x = 1; } else { x = 2; }
                     return x;
                 }",
-            )
-            .unwrap(),
         )
         .unwrap();
         let fid = m.func_by_name("f").unwrap();

@@ -37,7 +37,7 @@ fn parser_is_total_on_garbage() {
                 }
             })
             .collect();
-        let _ = pinpoint_ir::parser::parse(&input);
+        let _ = pinpoint_ir::compile(&input);
     }
 }
 
@@ -53,7 +53,7 @@ fn parser_is_total_on_token_soup() {
     for _ in 0..512 {
         let n = rng.below(60);
         let soup: Vec<&str> = (0..n).map(|_| TOKENS[rng.below(TOKENS.len())]).collect();
-        let _ = pinpoint_ir::parser::parse(&soup.join(" "));
+        let _ = pinpoint_ir::compile(&soup.join(" "));
     }
 }
 
@@ -242,7 +242,7 @@ fn postdominator_invariants_hold() {
 #[test]
 fn phi_gates_are_exhaustive() {
     use pinpoint_ir::{Inst, ValueId};
-    use pinpoint_smt::{SmtResult, SmtSolver, TermArena};
+    use pinpoint_smt::{SmtResult, SmtSession, TermArena};
     for src in program_pool() {
         let m = pinpoint_ir::compile(src).unwrap();
         let fid = pinpoint_ir::FuncId(0);
@@ -275,7 +275,7 @@ fn phi_gates_are_exhaustive() {
             // stronger, that the gate disjunction is valid given the
             // dominating block is reached (structured CFGs: it is a
             // tautology over the branch variables).
-            let mut solver = SmtSolver::new();
+            let mut solver = SmtSession::new();
             assert_eq!(
                 solver.check(&arena, none),
                 SmtResult::Unsat,

@@ -21,7 +21,7 @@
 //!   byte-identical across thread counts and is what the determinism
 //!   tests compare.
 
-use crate::json::{escape, Arr, Obj};
+use crate::json::{Arr, Obj};
 use std::time::Instant;
 
 /// Index of a span inside its buffer, returned by [`TraceBuf::open`].
@@ -304,12 +304,6 @@ impl TraceBuf {
     }
 }
 
-/// Quick sanity check that a chrome export mentions a span name (used by
-/// tests; avoids parsing).
-pub fn chrome_json_mentions(doc: &str, name: &str) -> bool {
-    doc.contains(&format!("\"name\":\"{}\"", escape(name)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,7 +465,7 @@ mod tests {
         t.close(s);
         let doc = t.chrome_json();
         assert!(doc.starts_with(r#"{"traceEvents":["#), "{doc}");
-        assert!(chrome_json_mentions(&doc, "pta"));
+        assert!(doc.contains(r#""name":"pta""#), "{doc}");
         assert!(doc.contains("\"ph\":\"X\""));
     }
 }

@@ -281,42 +281,16 @@ impl FlowFacts {
     }
 }
 
-/// Runs the quasi path-sensitive points-to analysis over `f`.
+/// Runs the quasi path-sensitive points-to analysis over `f`, given
+/// control-flow facts the caller computed: `flow` must describe `f`'s
+/// blocks and terminators (see [`FlowFacts`]) and hold its conditions in
+/// `arena`.
 ///
 /// `aux_params` communicates the Fig. 3 connectors inserted by the
 /// transformation pass: each Aux formal parameter for path `*(p, k)`
-/// points (if pointer-typed) to the pseudo object `*(p, k+1)`.
-pub fn analyze_function(
-    arena: &mut TermArena,
-    symbols: &mut Symbols,
-    linear: &mut LinearSolver,
-    fid: FuncId,
-    f: &Function,
-    aux_params: &[AuxParamBinding],
-) -> PassOutput {
-    analyze_function_with(arena, symbols, linear, fid, f, aux_params, true)
-}
-
-/// Like [`analyze_function`], with the linear-time pruning switchable —
-/// `prune = false` is the "no quasi path sensitivity" ablation: every
-/// guarded fact is kept regardless of apparent contradictions.
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_function_with(
-    arena: &mut TermArena,
-    symbols: &mut Symbols,
-    linear: &mut LinearSolver,
-    fid: FuncId,
-    f: &Function,
-    aux_params: &[AuxParamBinding],
-    prune: bool,
-) -> PassOutput {
-    let flow = FlowFacts::new(arena, symbols, fid, f);
-    analyze_function_over(arena, symbols, linear, fid, f, aux_params, prune, &flow)
-}
-
-/// [`analyze_function_with`] over control-flow facts the caller computed:
-/// `flow` must describe `f`'s blocks and terminators (see [`FlowFacts`])
-/// and hold its conditions in `arena`.
+/// points (if pointer-typed) to the pseudo object `*(p, k+1)`. `prune =
+/// false` is the "no quasi path sensitivity" ablation: every guarded fact
+/// is kept regardless of apparent contradictions.
 #[allow(clippy::too_many_arguments)]
 pub fn analyze_function_over(
     arena: &mut TermArena,
@@ -702,7 +676,17 @@ mod tests {
         let mut arena = TermArena::new();
         let mut sym = Symbols::new();
         let mut lin = LinearSolver::new();
-        let pta = analyze_function(&mut arena, &mut sym, &mut lin, fid, m.func(fid), &[]);
+        let flow = FlowFacts::new(&mut arena, &mut sym, fid, m.func(fid));
+        let pta = analyze_function_over(
+            &mut arena,
+            &mut sym,
+            &mut lin,
+            fid,
+            m.func(fid),
+            &[],
+            true,
+            &flow,
+        );
         (pta, arena, m)
     }
 
@@ -902,7 +886,8 @@ mod tests {
         let mut sym = Symbols::new();
         let mut lin = LinearSolver::new();
         let aux = f.params[1];
-        let pta = analyze_function(
+        let flow = FlowFacts::new(&mut arena, &mut sym, fid, f);
+        let pta = analyze_function_over(
             &mut arena,
             &mut sym,
             &mut lin,
@@ -912,6 +897,8 @@ mod tests {
                 path: AccessPath { root: 0, depth: 1 },
                 value: aux,
             }],
+            true,
+            &flow,
         );
         let pt = pta.pt(aux);
         assert_eq!(pt.len(), 1);
@@ -1020,7 +1007,17 @@ mod depth_tests {
         let mut arena = TermArena::new();
         let mut sym = Symbols::new();
         let mut lin = LinearSolver::new();
-        analyze_function(&mut arena, &mut sym, &mut lin, fid, m.func(fid), &[])
+        let flow = FlowFacts::new(&mut arena, &mut sym, fid, m.func(fid));
+        analyze_function_over(
+            &mut arena,
+            &mut sym,
+            &mut lin,
+            fid,
+            m.func(fid),
+            &[],
+            true,
+            &flow,
+        )
     }
 
     #[test]

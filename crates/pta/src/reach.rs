@@ -138,7 +138,7 @@ mod tests {
 mod nested_tests {
     use super::*;
     use pinpoint_ir::{compile, Intrinsic};
-    use pinpoint_smt::{SmtResult, SmtSolver};
+    use pinpoint_smt::{SmtResult, SmtSession};
 
     /// Nested guards: the inner block's reach condition is the conjunction
     /// of both branch conditions (checked semantically via the solver).
@@ -173,7 +173,7 @@ mod nested_tests {
         let reach = rc.cond(free_block);
         let a_term = sym.value_term(&mut arena, fid, f, f.params[0]);
         let b_term = sym.value_term(&mut arena, fid, f, f.params[1]);
-        let mut solver = SmtSolver::new();
+        let mut solver = SmtSession::new();
         // reach ∧ ¬a and reach ∧ ¬b are both unsatisfiable.
         for t in [a_term, b_term] {
             let nt = arena.not(t);
@@ -214,7 +214,7 @@ mod nested_tests {
             .unwrap();
         let reach = rc.cond(free_block);
         let c_term = sym.value_term(&mut arena, fid, f, f.params[0]);
-        let mut solver = SmtSolver::new();
+        let mut solver = SmtSession::new();
         let q = arena.and2(reach, c_term);
         assert_eq!(
             solver.check(&arena, q),

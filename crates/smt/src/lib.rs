@@ -15,13 +15,15 @@
 //!   VSIDS activities, Luby restarts);
 //! * [`theory`] — EUF congruence closure plus Fourier–Motzkin linear
 //!   integer arithmetic;
-//! * [`solver`] — the lazy DPLL(T) loop combining the above.
+//! * [`solver`] — query results, statistics and the Tseitin encoder;
+//! * [`session`] — the lazy DPLL(T) loop combining the above, one
+//!   [`SmtSession`] per run of related queries.
 //!
 //! # Examples
 //!
 //! ```
 //! use pinpoint_smt::term::{Sort, TermArena};
-//! use pinpoint_smt::solver::{SmtResult, SmtSolver};
+//! use pinpoint_smt::{SmtResult, SmtSession};
 //!
 //! let mut arena = TermArena::new();
 //! let theta1 = arena.var("theta1", Sort::Bool);
@@ -30,7 +32,7 @@
 //! let theta3 = arena.ne(x, zero);
 //! let path_condition = arena.and2(theta1, theta3);
 //!
-//! let mut solver = SmtSolver::new();
+//! let mut solver = SmtSession::new();
 //! assert_eq!(solver.check(&arena, path_condition), SmtResult::Sat);
 //! ```
 
@@ -49,6 +51,6 @@ pub mod verdict;
 pub use canon::{canon_info, CanonInfo, CANON_VERSION};
 pub use linear::{LinearSolver, LinearVerdict};
 pub use session::SmtSession;
-pub use solver::{SmtResult, SmtSolver};
+pub use solver::SmtResult;
 pub use term::{RawTermError, Sort, TermArena, TermId, TermKind, TermMark, TermTranslator};
 pub use verdict::{verdict_config_fp, Verdict, VerdictTable};

@@ -371,7 +371,7 @@ mod tests {
         let both = arena.and2(a, b);
         let not_both = arena.not(both);
         let c = arena.and2(a, not_both);
-        let mut cdcl = crate::solver::SmtSolver::new();
+        let mut cdcl = crate::session::SmtSession::new();
         assert_eq!(cdcl.check(&arena, c), crate::solver::SmtResult::Sat);
         let mut s = LinearSolver::new();
         assert_ne!(s.check(&arena, c), LinearVerdict::Unsat);

@@ -1,12 +1,12 @@
 //! Incremental SMT sessions: one long-lived solver answering many
 //! related queries.
 //!
-//! This is the crate's one DPLL(T) loop. [`crate::solver::SmtSolver`]
-//! runs each query in a session of its own — no assumptions, a fresh CDCL
-//! instance, everything re-encoded and re-learned from scratch. Pinpoint's
-//! detection stage poses hundreds of queries per source whose conditions
-//! share most of their structure (§3.1), so an [`SmtSession`] keeps one
-//! Tseitin encoder and one SAT core alive across queries:
+//! This is the crate's one DPLL(T) loop. A query that stands alone runs
+//! in a session of its own (`SmtSession::new().check(..)`), which encodes
+//! and learns everything from scratch. Pinpoint's detection stage poses
+//! hundreds of queries per source whose conditions share most of their
+//! structure (§3.1), so it keeps one [`SmtSession`] — one Tseitin encoder
+//! and one SAT core — alive across them:
 //!
 //! - every clause in the core is either a Tseitin *definition* (a full
 //!   `gate ↔ inputs` equivalence) or a theory lemma (a blocking clause
@@ -52,19 +52,14 @@ use std::collections::HashSet;
 /// let q1 = arena.and2(pos, neg);
 /// let q2 = arena.and2(pos, x5);
 /// let mut s = SmtSession::new();
-/// assert_eq!(s.check_assuming(&arena, q1), SmtResult::Unsat);
+/// assert_eq!(s.check(&arena, q1), SmtResult::Unsat);
 /// // The session survives the Unsat answer and reuses the encoding of
 /// // `pos` for the next query.
-/// assert_eq!(s.check_assuming(&arena, q2), SmtResult::Sat);
+/// assert_eq!(s.check(&arena, q2), SmtResult::Sat);
 /// ```
 #[derive(Debug)]
 pub struct SmtSession {
     enc: Encoder,
-    /// Assumption literals established before every check, in push order.
-    assumption_lits: Vec<Lit>,
-    /// The boolean terms behind `assumption_lits` (their atoms take part
-    /// in theory checks alongside the query root's).
-    assumption_terms: Vec<TermId>,
     /// Bound on DPLL(T) model-refutation rounds per query; an exceeded
     /// bound conservatively answers `Sat` and counts in
     /// [`QueryCost::budget_exhausted`].
@@ -86,35 +81,10 @@ impl SmtSession {
     pub fn new() -> Self {
         Self {
             enc: Encoder::new(),
-            assumption_lits: Vec::new(),
-            assumption_terms: Vec::new(),
             max_rounds: 10_000,
             stats: SmtStats::default(),
             last_cost: QueryCost::default(),
         }
-    }
-
-    /// Encodes `terms` and establishes them as assumptions for every
-    /// subsequent check until [`SmtSession::clear_assumptions`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any term is not of boolean sort.
-    pub fn push_assumptions(&mut self, arena: &TermArena, terms: &[TermId]) {
-        for &t in terms {
-            assert_eq!(arena.sort(t), Sort::Bool, "assumption must be boolean");
-            let lit = self.enc.encode(arena, t);
-            self.assumption_lits.push(lit);
-            self.assumption_terms.push(t);
-        }
-    }
-
-    /// Retracts all assumptions. The encoding and everything learned
-    /// under the assumptions remain (learned clauses are implied by the
-    /// clause database alone, never by assumptions).
-    pub fn clear_assumptions(&mut self) {
-        self.assumption_lits.clear();
-        self.assumption_terms.clear();
     }
 
     /// Number of conflict-derived clauses currently held by the SAT
@@ -123,16 +93,16 @@ impl SmtSession {
         self.enc.sat.num_learnt()
     }
 
-    /// Checks satisfiability of `formula` under the pushed assumptions.
+    /// Checks satisfiability of `formula` (a boolean term in `arena`).
     ///
     /// # Panics
     ///
     /// Panics if `formula` is not of boolean sort.
-    pub fn check_assuming(&mut self, arena: &TermArena, formula: TermId) -> SmtResult {
+    pub fn check(&mut self, arena: &TermArena, formula: TermId) -> SmtResult {
         self.check_with_model(arena, formula).0
     }
 
-    /// Like [`SmtSession::check_assuming`], also returning a witness
+    /// Like [`SmtSession::check`], also returning a witness
     /// assignment of the formula's free *boolean* variables when
     /// satisfiable.
     ///
@@ -180,7 +150,7 @@ impl SmtSession {
         if arena.is_false(formula) {
             return (SmtResult::Unsat, Vec::new(), false);
         }
-        if arena.is_true(formula) && self.assumption_lits.is_empty() {
+        if arena.is_true(formula) {
             return (SmtResult::Sat, Vec::new(), false);
         }
         if self.enc.sat.is_unsat() {
@@ -190,10 +160,10 @@ impl SmtSession {
         }
         let root = self.enc.encode(arena, formula);
         // Theory reasoning is restricted to the atoms this query can see:
-        // the root's cone plus the assumptions'. Atoms of *other* queries
+        // the root's cone. Atoms of *other* queries
         // encoded in this session keep their variables and clauses but do
         // not join the conjunction sent to the theory checker.
-        let mut atoms = self.relevant_atoms(arena, formula);
+        let mut atoms = Self::relevant_atoms(arena, formula);
         atoms.sort_unstable();
         let theory: Vec<(TermId, BVar)> = atoms
             .iter()
@@ -210,11 +180,9 @@ impl SmtSession {
         // answers over that round's literals alone.
         let mut context: Option<TheoryContext> = None;
         let mut polarity: Vec<Option<bool>> = Vec::with_capacity(theory.len());
-        let mut assumptions = self.assumption_lits.clone();
-        assumptions.push(root);
         let mut rounds = 0u32;
         loop {
-            match self.enc.sat.solve_assuming(&assumptions) {
+            match self.enc.sat.solve_assuming(&[root]) {
                 CoreResult::Unsat => return (SmtResult::Unsat, Vec::new(), false),
                 CoreResult::Sat => {
                     polarity.clear();
@@ -272,12 +240,11 @@ impl SmtSession {
     }
 
     /// Atoms (theory predicates and free booleans) reachable from the
-    /// query root and the current assumptions through boolean gates.
-    fn relevant_atoms(&self, arena: &TermArena, formula: TermId) -> Vec<TermId> {
+    /// query root through boolean gates.
+    fn relevant_atoms(arena: &TermArena, formula: TermId) -> Vec<TermId> {
         let mut seen: HashSet<TermId> = HashSet::new();
         let mut atoms: Vec<TermId> = Vec::new();
         let mut stack: Vec<TermId> = vec![formula];
-        stack.extend(self.assumption_terms.iter().copied());
         while let Some(t) = stack.pop() {
             if !seen.insert(t) {
                 continue;
@@ -318,7 +285,6 @@ impl SmtSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SmtSolver;
 
     #[test]
     fn session_matches_fresh_solver_over_query_sequence() {
@@ -342,8 +308,7 @@ mod tests {
         ];
         let mut session = SmtSession::new();
         for &q in &queries {
-            let mut fresh = SmtSolver::new();
-            let (want, want_model) = fresh.check_with_model(&a, q);
+            let (want, want_model) = SmtSession::new().check_with_model(&a, q);
             let (got, got_model) = session.check_with_model(&a, q);
             assert_eq!(got, want, "verdict mismatch");
             assert_eq!(got_model, want_model, "model mismatch");
@@ -360,8 +325,8 @@ mod tests {
         let contradiction = a.and2(pos, neg);
         let mut s = SmtSession::new();
         for _ in 0..3 {
-            assert_eq!(s.check_assuming(&a, contradiction), SmtResult::Unsat);
-            assert_eq!(s.check_assuming(&a, pos), SmtResult::Sat);
+            assert_eq!(s.check(&a, contradiction), SmtResult::Unsat);
+            assert_eq!(s.check(&a, pos), SmtResult::Sat);
         }
         assert_eq!(s.stats.sat, 3);
         assert_eq!(s.stats.unsat, 3);
@@ -380,25 +345,13 @@ mod tests {
         let q1 = a.and2(base, s1);
         let q2 = a.and2(base, s2);
         let mut s = SmtSession::new();
-        assert_eq!(s.check_assuming(&a, q1), SmtResult::Sat);
+        assert_eq!(s.check(&a, q1), SmtResult::Sat);
         let vars_after_q1 = s.enc.sat.num_vars();
-        assert_eq!(s.check_assuming(&a, q2), SmtResult::Sat);
+        assert_eq!(s.check(&a, q2), SmtResult::Sat);
         // Only `sink2` and the new And gate need fresh variables; the
         // eight guards and the shared conjunction are reused.
         let added = s.enc.sat.num_vars() - vars_after_q1;
         assert!(added <= 2, "expected ≤2 fresh vars, got {added}");
-    }
-
-    #[test]
-    fn assumptions_scope_queries() {
-        let mut a = TermArena::new();
-        let p = a.var("p", Sort::Bool);
-        let np = a.not(p);
-        let mut s = SmtSession::new();
-        s.push_assumptions(&a, &[np]);
-        assert_eq!(s.check_assuming(&a, p), SmtResult::Unsat);
-        s.clear_assumptions();
-        assert_eq!(s.check_assuming(&a, p), SmtResult::Sat);
     }
 
     #[test]
@@ -411,13 +364,13 @@ mod tests {
         let e = a.eq(x, five);
         let q = a.and2(l, e);
         let mut s = SmtSession::new();
-        assert_eq!(s.check_assuming(&a, q), SmtResult::Unsat);
+        assert_eq!(s.check(&a, q), SmtResult::Unsat);
         let lemma_checks = s.stats.theory_checks;
         assert!(lemma_checks > 0);
         // The same contradiction re-queried: the blocking lemma from the
         // first query (or propositional learning) refutes the second
         // without new theory rounds.
-        assert_eq!(s.check_assuming(&a, q), SmtResult::Unsat);
+        assert_eq!(s.check(&a, q), SmtResult::Unsat);
         assert_eq!(
             s.stats.theory_checks, lemma_checks,
             "second identical query must not re-enter the theory loop"
@@ -442,22 +395,18 @@ mod tests {
         let q = a.and2(negative, any);
         let mut s = SmtSession::new();
         s.max_rounds = 3;
-        assert_eq!(
-            s.check_assuming(&a, q),
-            SmtResult::Sat,
-            "conservative answer"
-        );
+        assert_eq!(s.check(&a, q), SmtResult::Sat, "conservative answer");
         assert_eq!(s.last_cost.budget_exhausted, 1);
         assert_eq!(s.last_cost.theory_checks, 3);
         assert_eq!(s.stats.budget_exhausted, 1);
         // The flag is per query: a query that finishes clears it.
         let p = a.var("p", Sort::Bool);
-        assert_eq!(s.check_assuming(&a, p), SmtResult::Sat);
+        assert_eq!(s.check(&a, p), SmtResult::Sat);
         assert_eq!(s.last_cost.budget_exhausted, 0);
         assert_eq!(s.stats.budget_exhausted, 1);
         // With the default budget the same query is refuted.
         let mut full = SmtSession::new();
-        assert_eq!(full.check_assuming(&a, q), SmtResult::Unsat);
+        assert_eq!(full.check(&a, q), SmtResult::Unsat);
         assert!(full.last_cost.theory_checks > 3);
         assert_eq!(full.stats.budget_exhausted, 0);
     }

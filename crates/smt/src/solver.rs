@@ -1,4 +1,5 @@
-//! The lazy DPLL(T) SMT solver used at Pinpoint's bug-detection stage.
+//! Query results, solver statistics and the Tseitin encoder of the lazy
+//! DPLL(T) solver used at Pinpoint's bug-detection stage.
 //!
 //! Path conditions harvested from the symbolic expression graph are boolean
 //! combinations of theory atoms. The solver Tseitin-encodes the boolean
@@ -7,14 +8,12 @@
 //! [`crate::theory::check_conjunction`]. Inconsistent models are excluded
 //! with a blocking clause and the loop repeats until either a
 //! theory-consistent model is found (`Sat`) or the CNF becomes
-//! unsatisfiable (`Unsat`). That loop exists once, in [`SmtSession`]; the
-//! one-shot [`SmtSolver`] here runs each query in a fresh session with no
-//! assumptions.
+//! unsatisfiable (`Unsat`). That loop exists once, in [`SmtSession`].
 
 use crate::sat::{BVar, Lit, SatSolver};
+#[cfg(doc)]
 use crate::session::SmtSession;
 use crate::term::{TermArena, TermId, TermKind};
-use pinpoint_obs::QueryCost;
 use std::collections::HashMap;
 
 /// Result of an SMT query.
@@ -26,7 +25,7 @@ pub enum SmtResult {
     Unsat,
 }
 
-/// Statistics recorded across all queries of one [`SmtSolver`].
+/// Statistics recorded across all queries of one [`SmtSession`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SmtStats {
     /// Number of `check` queries answered.
@@ -57,77 +56,6 @@ pub struct SmtStats {
 /// not included (their theory models are not materialised); boolean
 /// branch conditions are what a bug report's witness needs.
 pub type BoolModel = Vec<(String, bool)>;
-
-/// The one-shot solver: every query runs in a fresh [`SmtSession`], so
-/// nothing is carried from one query to the next but the statistics.
-///
-/// # Examples
-///
-/// ```
-/// use pinpoint_smt::term::{Sort, TermArena};
-/// use pinpoint_smt::solver::{SmtResult, SmtSolver};
-///
-/// let mut arena = TermArena::new();
-/// let x = arena.var("x", Sort::Int);
-/// let zero = arena.int(0);
-/// let pos_x = arena.lt(zero, x);
-/// let neg_x = arena.lt(x, zero);
-/// let both = arena.and2(pos_x, neg_x);
-/// let mut solver = SmtSolver::new();
-/// assert_eq!(solver.check(&arena, both), SmtResult::Unsat);
-/// assert_eq!(solver.check(&arena, pos_x), SmtResult::Sat);
-/// ```
-#[derive(Debug, Default)]
-pub struct SmtSolver {
-    /// Aggregate statistics (exposed for the evaluation harness).
-    pub stats: SmtStats,
-    /// Bound on DPLL(T) model-refutation rounds per query; exceeded bound
-    /// conservatively answers `Sat` (a possibly-spurious bug report).
-    pub max_rounds: u32,
-    /// Cost of the most recent query (zeroed at the start of each check).
-    pub last_cost: QueryCost,
-}
-
-impl SmtSolver {
-    /// Creates a solver with the default round limit.
-    pub fn new() -> Self {
-        Self {
-            stats: SmtStats::default(),
-            max_rounds: 10_000,
-            last_cost: QueryCost::default(),
-        }
-    }
-
-    /// Checks satisfiability of `formula` (a boolean term in `arena`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `formula` is not of boolean sort.
-    pub fn check(&mut self, arena: &TermArena, formula: TermId) -> SmtResult {
-        self.check_with_model(arena, formula).0
-    }
-
-    /// Like [`SmtSolver::check`], also returning a witness assignment of
-    /// the formula's free *boolean* variables when satisfiable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `formula` is not of boolean sort.
-    pub fn check_with_model(
-        &mut self,
-        arena: &TermArena,
-        formula: TermId,
-    ) -> (SmtResult, BoolModel) {
-        let mut session = SmtSession::new();
-        session.max_rounds = self.max_rounds;
-        // The session adds this query onto the running totals.
-        session.stats = self.stats;
-        let answer = session.check_with_model(arena, formula);
-        self.stats = session.stats;
-        self.last_cost = session.last_cost;
-        answer
-    }
-}
 
 /// Tseitin encoder: maps boolean subterms to SAT variables and emits the
 /// defining clauses.
@@ -233,10 +161,11 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SmtSession;
     use crate::term::Sort;
 
-    fn solver() -> SmtSolver {
-        SmtSolver::new()
+    fn solver() -> SmtSession {
+        SmtSession::new()
     }
 
     #[test]

@@ -228,7 +228,7 @@ fn simplification_preserves_semantics() {
 /// satisfy it.
 #[test]
 fn solver_agrees_with_sampled_assignments() {
-    use pinpoint_smt::{SmtResult, SmtSolver};
+    use pinpoint_smt::{SmtResult, SmtSession};
     let mut rng = Mix(0x501E);
     for _ in 0..256 {
         let formula = random_formula(&mut rng, 4);
@@ -236,7 +236,7 @@ fn solver_agrees_with_sampled_assignments() {
             (0..8).map(|_| (rng.bool4(), rng.ints4())).collect();
         let mut arena = TermArena::new();
         let term = build_term(&mut arena, &formula);
-        let mut solver = SmtSolver::new();
+        let mut solver = SmtSession::new();
         let verdict = solver.check(&arena, term);
         let any_model = samples.iter().any(|(b, i)| eval_formula(&formula, b, i));
         if any_model {

@@ -5,6 +5,7 @@
 //! [`SourceMemo`] a serve transport decodes each session's `source`
 //! strings through, so that decoding an edited program costs the edit.
 
+use pinpoint::ir::{common_prefix, common_suffix};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -565,36 +566,6 @@ impl Mark {
     fn text(self) -> usize {
         self.text as usize
     }
-}
-
-/// The bytes `a` and `b` share at their start, compared a block at a time.
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    let n = a.len().min(b.len());
-    let mut at = 0;
-    for block in [4096, 64] {
-        while at + block <= n && a[at..at + block] == b[at..at + block] {
-            at += block;
-        }
-    }
-    at + a[at..n]
-        .iter()
-        .zip(&b[at..n])
-        .take_while(|(x, y)| x == y)
-        .count()
-}
-
-/// The bytes `a` and `b` share at their end, compared a block at a time.
-fn common_suffix(a: &[u8], b: &[u8]) -> usize {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
-    let mut at = n;
-    for block in [4096, 64] {
-        while at >= block && a[at - block..at] == b[at - block..at] {
-            at -= block;
-        }
-    }
-    let tail = a[..at].iter().rev().zip(b[..at].iter().rev());
-    n - at + tail.take_while(|(x, y)| x == y).count()
 }
 
 /// The decoding of one session's `source` strings, kept from frame to

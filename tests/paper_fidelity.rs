@@ -6,7 +6,7 @@ use pinpoint::core::cond::{CondBuilder, CondConfig, CtxInterner, ROOT};
 use pinpoint::core::seg::{EdgeKind, ModuleSeg};
 use pinpoint::ir::{Inst, Module};
 use pinpoint::pta::{ModuleAnalysis, Symbols};
-use pinpoint::smt::{SmtResult, SmtSolver, TermArena};
+use pinpoint::smt::{SmtResult, SmtSession, TermArena};
 use pinpoint::{Analysis, CheckerKind, Query};
 
 /// The paper's bar function (Fig. 2 / Fig. 4), with θ₃ = (*q ≠ 0) and
@@ -174,7 +174,7 @@ fn example_3_10_rv_summary() {
     let zero = fx.arena.int(0);
     let c_null = fx.arena.eq(c_term, zero);
     let query = fx.arena.and([closure, t_term, c_null]);
-    let mut solver = SmtSolver::new();
+    let mut solver = SmtSession::new();
     assert_eq!(
         solver.check(&fx.arena, query),
         SmtResult::Unsat,

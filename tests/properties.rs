@@ -2,7 +2,7 @@
 //! deterministic SplitMix64 generator (the workspace vendors no external
 //! property-testing framework).
 
-use pinpoint::smt::{LinearSolver, LinearVerdict, SmtResult, SmtSolver, Sort, TermArena, TermId};
+use pinpoint::smt::{LinearSolver, LinearVerdict, SmtResult, SmtSession, Sort, TermArena, TermId};
 use pinpoint::workload::{generate, GenConfig};
 use pinpoint::{Analysis, CheckerKind, Query};
 
@@ -93,7 +93,7 @@ fn linear_solver_unsat_implies_smt_unsat() {
         let cond = build(&mut arena, &tree);
         let mut linear = LinearSolver::new();
         if linear.check(&arena, cond) == LinearVerdict::Unsat {
-            let mut smt = SmtSolver::new();
+            let mut smt = SmtSession::new();
             assert_eq!(smt.check(&arena, cond), SmtResult::Unsat, "{tree:?}");
         }
     }
@@ -124,7 +124,7 @@ fn negation_equisatisfiable() {
         let cond = build(&mut arena, &tree);
         let neg = arena.not(cond);
         let both = arena.and2(cond, neg);
-        let mut smt = SmtSolver::new();
+        let mut smt = SmtSession::new();
         assert_eq!(smt.check(&arena, both), SmtResult::Unsat, "{tree:?}");
     }
 }
@@ -348,7 +348,7 @@ fn smt_agrees_with_enumeration_oracle_exactly() {
         let mut arena = TermArena::new();
         let t = term_of_formula(&mut arena, &f);
         let expected = enumerate_sat(&f, &[]);
-        let mut smt = SmtSolver::new();
+        let mut smt = SmtSession::new();
         let (got, model) = smt.check_with_model(&arena, t);
         assert_eq!(
             got == SmtResult::Sat,
@@ -375,7 +375,7 @@ fn smt_never_refutes_enumeration_witness() {
         let f = gen_formula(&mut rng, 3, &gen_leaf_b);
         let mut arena = TermArena::new();
         let t = term_of_formula(&mut arena, &f);
-        let mut smt = SmtSolver::new();
+        let mut smt = SmtSession::new();
         let got = smt.check(&arena, t);
         if enumerate_sat(&f, &[]) {
             assert_eq!(

@@ -323,3 +323,70 @@ fn per_session_fifo_under_cross_session_load() {
         assert_eq!(ids, want, "per-session FIFO");
     }
 }
+
+#[test]
+fn pipelined_requests_answer_as_sent_one_at_a_time() {
+    // Each burst is sent pipelined (all submitted, then every reply
+    // read) or one at a time; the probe after it is sent once the
+    // session has drained. A session must answer alike either way: a
+    // reopen behind a `close` keeps its workspace, and a failed `open`
+    // or a `close` leaves nothing for a `close` to close.
+    let uaf = "fn main() { let p: int* = malloc(); free(p); let x: int = *p; print(x); return; }";
+    let open = |source: &str| Op::Open {
+        source: source.into(),
+    };
+    // Opening this keeps the one worker busy while a burst queues.
+    let slow: String = (0..300)
+        .map(|i| format!("fn f{i}() {{ let p: int* = malloc(); free(p); let x: int = *p; print(x); return; }} "))
+        .collect();
+    let cases: Vec<(Vec<Op>, Op)> = vec![
+        (vec![open(uaf), Op::Close, open(uaf)], Op::Query(Query::All)),
+        (vec![open("fn main( {"), Op::Close], Op::Query(Query::All)),
+        (vec![open(uaf), Op::Close, Op::Close], open(uaf)),
+        (vec![open("fn main( {"), open(uaf)], Op::Query(Query::All)),
+    ];
+    for (burst, probe) in cases {
+        let transcript = |pipelined: bool| {
+            let server = Server::start(ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            });
+            let (tx, rx) = mpsc::channel();
+            let (gate_tx, gate_rx) = mpsc::channel();
+            let submit = |id: usize, session: &str, op: Op, tx: &mpsc::Sender<Response>| {
+                let req = Request {
+                    id: id.to_string(),
+                    session: session.into(),
+                    op,
+                };
+                server.submit(req, tx);
+            };
+            submit(0, "gate", open(&slow), &gate_tx);
+            let mut replies = Vec::new();
+            for (k, op) in burst.iter().enumerate() {
+                submit(k, "s", op.clone(), &tx);
+                if !pipelined {
+                    replies.push(render(&rx.recv().expect("one reply per request")));
+                }
+            }
+            if pipelined {
+                replies.extend(burst.iter().map(|_| render(&rx.recv().unwrap())));
+            }
+            // One worker: once the gate answers a request sent after the
+            // burst's replies, the worker has released session `s`.
+            submit(1, "gate", Op::Query(Query::All), &gate_tx);
+            for _ in 0..2 {
+                gate_rx.recv().expect("the gate answers");
+            }
+            submit(burst.len(), "s", probe.clone(), &tx);
+            replies.push(render(&rx.recv().expect("one reply per request")));
+            replies.push(format!("sessions_open={}", server.stats().sessions_open));
+            replies
+        };
+        assert_eq!(
+            transcript(true),
+            transcript(false),
+            "{burst:?} then {probe:?}"
+        );
+    }
+}
