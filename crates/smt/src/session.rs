@@ -160,9 +160,9 @@ impl SmtSession {
         }
         let root = self.enc.encode(arena, formula);
         // Theory reasoning is restricted to the atoms this query can see:
-        // the root's cone. Atoms of *other* queries
-        // encoded in this session keep their variables and clauses but do
-        // not join the conjunction sent to the theory checker.
+        // the root's cone. Atoms of *other* queries encoded in this
+        // session keep their variables and clauses but do not join the
+        // conjunction sent to the theory checker.
         let mut atoms = Self::relevant_atoms(arena, formula);
         atoms.sort_unstable();
         let theory: Vec<(TermId, BVar)> = atoms

@@ -8,11 +8,10 @@
 //! [`crate::theory::check_conjunction`]. Inconsistent models are excluded
 //! with a blocking clause and the loop repeats until either a
 //! theory-consistent model is found (`Sat`) or the CNF becomes
-//! unsatisfiable (`Unsat`). That loop exists once, in [`SmtSession`].
+//! unsatisfiable (`Unsat`). That loop exists once, in
+//! [`SmtSession`](crate::SmtSession).
 
 use crate::sat::{BVar, Lit, SatSolver};
-#[cfg(doc)]
-use crate::session::SmtSession;
 use crate::term::{TermArena, TermId, TermKind};
 use std::collections::HashMap;
 
@@ -25,7 +24,8 @@ pub enum SmtResult {
     Unsat,
 }
 
-/// Statistics recorded across all queries of one [`SmtSession`].
+/// Statistics recorded across all queries of one
+/// [`SmtSession`](crate::SmtSession).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SmtStats {
     /// Number of `check` queries answered.
