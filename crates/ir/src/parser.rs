@@ -424,8 +424,8 @@ pub(crate) fn resplit(src: &str, old_src: &str, old: &ItemTable) -> Result<Respl
 
 /// Block sizes [`common_prefix`] and [`common_suffix`] compare by, in
 /// turn: 4 KiB blocks while they match, then 64-byte ones, then bytes.
-/// On a 520 KB text, cold in cache, this takes 10–20 % less time than
-/// 256-byte blocks; warm, the two are even.
+/// On a 520 KB text cold in cache this beat 256-byte blocks in five
+/// edits of six, by up to a quarter; warm, the two are within 15 %.
 const BLOCKS: [usize; 2] = [4096, 64];
 
 /// The length of the longest common prefix of `a` and `b`, compared a
