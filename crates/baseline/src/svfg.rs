@@ -24,8 +24,6 @@ pub struct Fsvfg {
     pub succs: HashMap<Vertex, Vec<Vertex>>,
     /// Total edge count.
     pub edge_count: usize,
-    /// The underlying points-to analysis (kept for accounting).
-    pub points_to_facts: usize,
     /// Object → sites that dereference a pointer targeting it: every
     /// level of a k-level load/store chain plus `free` arguments. The
     /// checker needs this object layer because a deep access like
@@ -68,10 +66,7 @@ impl Fsvfg {
         deadline: Option<std::time::Instant>,
         max_edges: Option<usize>,
     ) -> Option<Self> {
-        let mut g = Fsvfg {
-            points_to_facts: pt.fact_count(),
-            ..Fsvfg::default()
-        };
+        let mut g = Fsvfg::default();
         // Per-object store/load indexes.
         let mut stores_of: HashMap<Node, Vec<Vertex>> = HashMap::new();
         let mut loads_of: HashMap<Node, Vec<Vertex>> = HashMap::new();
@@ -179,11 +174,6 @@ impl Fsvfg {
     /// Successors of a vertex.
     pub fn succs(&self, v: Vertex) -> &[Vertex] {
         self.succs.get(&v).map_or(&[], Vec::as_slice)
-    }
-
-    /// Structural memory proxy in bytes.
-    pub fn structural_bytes(&self) -> usize {
-        self.edge_count * std::mem::size_of::<Vertex>() * 2 + self.points_to_facts * 24
     }
 }
 

@@ -551,9 +551,8 @@ fn linear_solver(opts: &Options) {
     };
     let mut session = analysis.session().with_config(config);
     uaf(&mut session);
-    let stats = session.stats();
-    let pta = stats.pta;
-    let det = stats.detect;
+    let pta = analysis.pta.total_stats();
+    let det = session.stats().detect;
     let sat_frac = if pta.linear_checks == 0 {
         0.0
     } else {

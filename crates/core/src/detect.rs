@@ -581,14 +581,13 @@ pub(crate) fn run_spec(
     let property = ResolvedSpec::new(spec, module);
     // Canonical `(function, site)` order: the merge replays it, and its
     // seen-set keeps the first claim of a candidate.
-    let sources = property.sources(segs);
+    let sources = property.sources(segs, &a.callgraph);
     let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
     let mut rerun: Vec<usize> = Vec::new();
     for (i, &(fid, s)) in sources.iter().enumerate() {
         let hit = cache.as_ref().and_then(|cache| {
             let e = cache.entries.get(&(spec_fp, fid, s.site, s.value))?;
-            (cone_fingerprint(&e.outcome, segs, stamps) == Some(e.cone_fp))
-                .then(|| e.outcome.clone())
+            (cone_fingerprint(&e.outcome, a, stamps) == Some(e.cone_fp)).then(|| e.outcome.clone())
         });
         if hit.is_none() {
             rerun.push(i);
@@ -621,7 +620,7 @@ pub(crate) fn run_spec(
         );
         for (i, outcome) in rerun.into_iter().zip(fresh) {
             if let Some(cache) = cache.as_mut() {
-                if let Some(cone_fp) = cone_fingerprint(&outcome, segs, stamps) {
+                if let Some(cone_fp) = cone_fingerprint(&outcome, a, stamps) {
                     let (fid, s) = sources[i];
                     let entry = CachedSource {
                         cone_fp,
@@ -784,8 +783,9 @@ pub(crate) fn spec_fingerprint(spec: &Spec, config: &DetectConfig) -> u128 {
 /// identically and produce the same [`SourceOutcome`]. Returns `None`
 /// when an id is out of range for the current artefact (stale entry
 /// after a shape change — callers treat that as a miss).
-fn cone_fingerprint(out: &SourceOutcome, segs: &ModuleSeg, stamps: &[u64]) -> Option<u128> {
+fn cone_fingerprint(out: &SourceOutcome, a: &Analysis, stamps: &[u64]) -> Option<u128> {
     use pinpoint_ir::fingerprint::Fnv128;
+    let (segs, cg) = (&a.segs, &*a.callgraph);
     let mut h = Fnv128::new();
     h.write_u64(out.cone.len() as u64);
     for &fid in &out.cone {
@@ -795,9 +795,8 @@ fn cone_fingerprint(out: &SourceOutcome, segs: &ModuleSeg, stamps: &[u64]) -> Op
     h.write_u64(out.callers_consulted.len() as u64);
     for &fid in &out.callers_consulted {
         h.write_u32(fid.0);
-        let callers = segs.callers(fid);
-        h.write_u64(callers.len() as u64);
-        for &(caller, site) in callers {
+        h.write_u64(segs.callers(cg, fid).count() as u64);
+        for (caller, site) in segs.callers(cg, fid) {
             h.write_u32(caller.0);
             h.write_u32(site.block.0);
             h.write_u64(site.index as u64);
@@ -1147,7 +1146,7 @@ impl<'cx, 'a> Worker<'cx, 'a> {
             } else if !deep {
                 // Unmatched: ascend to every caller (VF2-style).
                 walk.callers_consulted.insert(node.func);
-                for &(caller, site) in segs.callers(node.func) {
+                for (caller, site) in segs.callers(cx.callgraph, node.func) {
                     if caller == node.func {
                         continue;
                     }
@@ -1169,7 +1168,7 @@ impl<'cx, 'a> Worker<'cx, 'a> {
             return;
         };
         walk.callers_consulted.insert(node.func);
-        for &(caller, site) in segs.callers(node.func) {
+        for (caller, site) in segs.callers(cx.callgraph, node.func) {
             if caller == node.func {
                 continue;
             }

@@ -39,9 +39,7 @@ use pinpoint_ir::{
     Snapshot, Unit,
 };
 use pinpoint_obs::TraceBuf;
-use pinpoint_pta::{
-    analyze_module_with, dirty_closure, ModuleAnalysis, PreviousRun, PtaConfig, PtaStats,
-};
+use pinpoint_pta::{analyze_module_with, dirty_closure, ModuleAnalysis, PreviousRun, PtaConfig};
 use pinpoint_smt::{TermArena, VerdictTable};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -123,11 +121,15 @@ fn lower_fns(
     )
 }
 
-/// Stage timings and structural counters for the evaluation harness.
+/// Stage timings and the counters no artefact holds, for the evaluation
+/// harness.
 ///
 /// The copy held by [`Analysis`] covers the build stages (points-to,
 /// SEG); detection counters accumulate per [`Workspace`] and are read
-/// through [`Workspace::stats`].
+/// through [`Workspace::stats`]. Sizes are read from the artefact itself:
+/// [`ModuleSeg::vertex_count`], [`ModuleSeg::edge_count`] and
+/// [`ModuleSeg::heap_bytes`] of [`Analysis::segs`], the arena's length,
+/// and [`ModuleAnalysis::total_stats`] of [`Analysis::pta`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PipelineStats {
     /// Wall time of parsing + lowering: of the whole file after
@@ -154,17 +156,6 @@ pub struct PipelineStats {
     pub seg_time: Duration,
     /// Wall time of all detection runs so far.
     pub detect_time: Duration,
-    /// SEG vertices.
-    pub seg_vertices: usize,
-    /// SEG edges.
-    pub seg_edges: usize,
-    /// Heap bytes of the SEG tables ([`ModuleSeg::heap_bytes`]): the
-    /// Fig. 8 memory figure, counted from table lengths.
-    pub seg_bytes: usize,
-    /// Hash-consed terms allocated.
-    pub terms: usize,
-    /// Linear-solver statistics from the points-to stage.
-    pub pta: PtaStats,
     /// Detection statistics (accumulated over checkers).
     pub detect: DetectStats,
     /// Traffic of the persistent verdict store: the load at build time
@@ -511,10 +502,9 @@ struct Built {
 }
 
 /// The build stages after the call graph (and, for an owned workspace,
-/// the keys) over `module`, in order: points-to, SEG, then the
-/// structural statistics — recording spans into `trace` and times and
-/// counters into `stats`. The transform leaves the call graph unchanged,
-/// so every stage borrows `callgraph`.
+/// the keys) over `module`, in order: points-to, then SEG — recording
+/// spans into `trace` and times into `stats`. The transform leaves the
+/// call graph unchanged, so every stage borrows `callgraph`.
 ///
 /// A build is an edit with nothing to splice, and its module is the
 /// pre-transform one. With a `previous` run, the module holds the
@@ -569,7 +559,6 @@ fn run_stages(
         "the connector transform must not change the call graph"
     );
     let mut pta = out.analysis;
-    stats.pta = pta.total_stats();
     let t = Instant::now();
     let mut arena = std::mem::take(&mut pta.arena);
     let reuse = old_segs.map(|segs| (segs, out.reanalyzed.as_slice()));
@@ -584,10 +573,6 @@ fn run_stages(
     );
     trace.close(span);
     stats.seg_time = t.elapsed();
-    stats.seg_vertices = segs.vertex_count;
-    stats.seg_edges = segs.edge_count;
-    stats.seg_bytes = segs.heap_bytes();
-    stats.terms = arena.len();
     Built {
         module,
         pta,
@@ -951,21 +936,6 @@ impl Analysis {
     fn take_arena(&mut self) -> TermArena {
         let arc = std::mem::take(&mut self.arena);
         Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone())
-    }
-
-    /// A rough structural memory proxy in bytes: term arena + SEG edges +
-    /// points-to facts. Used by the evaluation harness alongside the real
-    /// allocator counter.
-    pub fn structural_bytes(&self) -> usize {
-        // A term is one kind plus one sort entry in the arena's parallel
-        // vectors; a points-to fact is one `(Obj, TermId)` pair.
-        let per_term = std::mem::size_of::<pinpoint_smt::TermKind>()
-            + std::mem::size_of::<pinpoint_smt::Sort>();
-        let per_fact = std::mem::size_of::<(pinpoint_pta::Obj, pinpoint_smt::TermId)>();
-        let term_bytes = self.arena.len() * per_term;
-        let edge_bytes = self.stats.seg_edges * std::mem::size_of::<crate::seg::SegEdge>();
-        let pt_bytes: usize = self.pta.pta.iter().map(|p| p.pt_facts * per_fact).sum();
-        term_bytes + edge_bytes + pt_bytes
     }
 }
 

@@ -18,12 +18,12 @@
 //! cloning); the conditional refinement reuses the §3.2.2 condition
 //! machinery.
 
-use crate::cond::{CondBuilder, CtxInterner, ROOT};
-use crate::seg::{EdgeKind, ModuleSeg};
-use pinpoint_ir::{FuncId, Inst, InstId, Intrinsic, Module, ValueId};
+use crate::cond::{CondBuilder, CondConfig, CtxInterner, ROOT};
+use crate::seg::{EdgeKind, ModuleSeg, SiteKind};
+use pinpoint_ir::{CallGraph, FuncId, Inst, InstId, Module, ValueId};
 use pinpoint_pta::Symbols;
 use pinpoint_smt::{SmtResult, SmtSession, TermArena};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// How certain the leak finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,13 +48,15 @@ pub struct LeakReport {
     pub witness: Vec<(String, bool)>,
 }
 
-/// Runs leak detection over a finished analysis.
+/// Runs leak detection over a finished analysis whose call graph is `cg`.
 pub fn find_leaks(
     module: &Module,
     segs: &ModuleSeg,
+    cg: &CallGraph,
     symbols: &mut Symbols,
     arena: &mut TermArena,
 ) -> Vec<LeakReport> {
+    let config = CondConfig::default();
     let mut reports = Vec::new();
     for (fid, f) in module.iter_funcs() {
         for (site, inst) in f.iter_insts() {
@@ -64,7 +66,7 @@ pub fn find_leaks(
             // the receiving sites via the value-flow traversal, and the
             // local function is not the owner. Skip direct returns to
             // avoid blaming the wrapper.
-            let frees = reachable_frees(module, segs, fid, *dst);
+            let frees = reachable_frees(module, segs, cg, fid, *dst);
             match frees {
                 Reachability::Escapes => {}
                 Reachability::Frees(list) if list.is_empty() => {
@@ -82,29 +84,16 @@ pub fn find_leaks(
                         continue;
                     }
                     let mut ctxs = CtxInterner::new();
-                    let mut cb = CondBuilder::new(
-                        module,
-                        segs,
-                        symbols,
-                        arena,
-                        &mut ctxs,
-                        crate::cond::CondConfig::default(),
-                    );
+                    let mut cb = CondBuilder::new(module, segs, symbols, arena, &mut ctxs, config);
                     // The allocation executes…
-                    cb.add_control_deps(fid, site.block, ROOT, 6);
+                    cb.add_control_deps(fid, site.block, ROOT, config.max_depth);
                     let alloc_cond = cb.condition();
                     // …but every freeing branch is avoided.
                     let mut avoid = Vec::new();
                     for &(_, free_site) in &list {
-                        let mut fcb = CondBuilder::new(
-                            module,
-                            segs,
-                            symbols,
-                            arena,
-                            &mut ctxs,
-                            crate::cond::CondConfig::default(),
-                        );
-                        fcb.add_control_deps(fid, free_site.block, ROOT, 6);
+                        let mut fcb =
+                            CondBuilder::new(module, segs, symbols, arena, &mut ctxs, config);
+                        fcb.add_control_deps(fid, free_site.block, ROOT, config.max_depth);
                         if fcb.is_empty() {
                             // Unconditional free: no leak possible.
                             avoid.clear();
@@ -150,13 +139,19 @@ enum Reachability {
     Escapes,
 }
 
-/// Context-insensitive forward may-reach over the virtual global SEG.
-fn reachable_frees(module: &Module, segs: &ModuleSeg, fid: FuncId, value: ValueId) -> Reachability {
+/// Context-insensitive forward may-reach over the virtual global SEG
+/// whose call graph is `cg`.
+fn reachable_frees(
+    module: &Module,
+    segs: &ModuleSeg,
+    cg: &CallGraph,
+    fid: FuncId,
+    value: ValueId,
+) -> Reachability {
+    let freed = segs.source_sites(SiteKind::Freed);
     let mut frees = Vec::new();
     let mut visited: HashSet<(FuncId, ValueId)> = HashSet::new();
     let mut stack = vec![(fid, value)];
-    // Receiver lookup per function, built lazily.
-    let mut free_sites: HashMap<FuncId, HashMap<ValueId, Vec<InstId>>> = HashMap::new();
     while let Some((cf, cv)) = stack.pop() {
         if !visited.insert((cf, cv)) {
             continue;
@@ -164,34 +159,27 @@ fn reachable_frees(module: &Module, segs: &ModuleSeg, fid: FuncId, value: ValueI
         if visited.len() > 100_000 {
             return Reachability::Escapes; // budget: give the benefit of the doubt
         }
-        let f = module.func(cf);
         let seg = segs.seg(cf);
-        // free() uses of this value.
-        let sites = free_sites.entry(cf).or_insert_with(|| {
-            let mut m: HashMap<ValueId, Vec<InstId>> = HashMap::new();
-            for (site, inst) in f.iter_insts() {
-                let Some(call) = inst.as_call().filter(|c| c.callee.is(Intrinsic::Free)) else {
-                    continue;
-                };
-                if let Some(&a) = call.args.first() {
-                    m.entry(a).or_default().push(site);
-                }
-            }
-            m
-        });
-        if let Some(list) = sites.get(&cv) {
-            for &s in list {
-                frees.push((cf, s));
+        // free() uses of this value: the source index's `free` sites of
+        // `cf`, in site order.
+        let lo = freed.partition_point(|&(f, _)| f < cf);
+        let hi = freed.partition_point(|&(f, _)| f <= cf);
+        for &(_, s) in &freed[lo..hi] {
+            if s.value == cv {
+                frees.push((cf, s.site));
             }
         }
         // Stores into globals escape tracking precision but stay in the
-        // closed world; follow the global channel.
-        for (g, entries) in &segs.global_stores {
-            for (sf, sv, _) in entries {
-                if *sf == cf && *sv == cv {
-                    if let Some(loads) = segs.global_loads.get(g) {
-                        for &(lf, lv, _) in loads {
-                            stack.push((lf, lv));
+        // closed world; follow the global channel. The per-function store
+        // index says whether any global's list is worth scanning.
+        if segs.global_store_values(cf).binary_search(&cv).is_ok() {
+            for (g, entries) in &segs.global_stores {
+                for (sf, sv, _) in entries {
+                    if *sf == cf && *sv == cv {
+                        if let Some(loads) = segs.global_loads.get(g) {
+                            for &(lf, lv, _) in loads {
+                                stack.push((lf, lv));
+                            }
                         }
                     }
                 }
@@ -210,7 +198,7 @@ fn reachable_frees(module: &Module, segs: &ModuleSeg, fid: FuncId, value: ValueI
         }
         // Ascend through returns (to every caller: context-insensitive).
         if let Some(idx) = seg.ret_index(cv) {
-            for &(caller, site) in segs.callers(cf) {
+            for (caller, site) in segs.callers(cg, cf) {
                 if let Some(call) = segs.seg(caller).call_site(site) {
                     if let Some(&recv) = call.dsts.get(idx) {
                         stack.push((caller, recv));
@@ -352,5 +340,39 @@ mod tests {
              }",
         );
         assert!(r.is_empty(), "{r:?}");
+    }
+
+    #[test]
+    fn only_the_stored_value_takes_the_global_channel() {
+        // `p` is stashed in a global that `cleaner` loads and frees; `q`
+        // lives in the same function and is never freed. The channel
+        // follows the stored value only.
+        let (a, r) = leaks(
+            "global cell: int*;
+             fn main() {
+                let p: int* = malloc();
+                *cell = p;
+                let q: int* = malloc();
+                *q = 1;
+                return;
+             }
+             fn cleaner() {
+                let x: int* = *cell;
+                free(x);
+                return;
+             }",
+        );
+        let main = a.module.func_by_name("main").unwrap();
+        let allocs: Vec<InstId> = a
+            .module
+            .func(main)
+            .iter_insts()
+            .filter(|(_, inst)| matches!(inst, Inst::Alloc { .. }))
+            .map(|(site, _)| site)
+            .collect();
+        assert_eq!(allocs.len(), 2);
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert_eq!((r[0].func, r[0].alloc_site), (main, allocs[1]), "{r:?}");
+        assert_eq!(r[0].kind, LeakKind::NeverFreed);
     }
 }

@@ -33,8 +33,8 @@
 
 use crate::spec::SourceSite;
 use pinpoint_ir::{
-    BlockId, Cfg, Const, ControlDeps, DomTree, FuncId, Function, Gating, GlobalId, Inst, InstId,
-    Intrinsic, Module, PostDomTree, ValueId,
+    BlockId, CallGraph, Cfg, Const, ControlDeps, DomTree, FuncId, Function, Gating, GlobalId, Inst,
+    InstId, Intrinsic, Module, PostDomTree, ValueId,
 };
 use pinpoint_obs::TraceBuf;
 use pinpoint_pta::{FuncPta, MemDep, Symbols};
@@ -198,36 +198,6 @@ impl<T: Copy> Rows<T> {
             *slot += 1;
         }
         offsets.truncate(rows + 1);
-        Rows { offsets, data }
-    }
-
-    /// Row by row, the items of these rows that `keep` accepts merged
-    /// with those of `fresh`'s, each row of both sorted: `fresh` itself
-    /// when there are no rows here.
-    fn merged(&self, fresh: Rows<T>, keep: impl Fn(&T) -> bool) -> Rows<T>
-    where
-        T: Ord,
-    {
-        if self.offsets.is_empty() {
-            return fresh;
-        }
-        let mut offsets = Vec::with_capacity(fresh.offsets.len());
-        let mut data = Vec::with_capacity(self.data.len() + fresh.data.len());
-        offsets.push(0);
-        for r in 0..fresh.rows() {
-            let mut kept = self.row(r).iter().filter(|x| keep(x)).peekable();
-            let mut new = fresh.row(r).iter().peekable();
-            loop {
-                let next = match (kept.peek(), new.peek()) {
-                    (Some(a), Some(b)) if a <= b => kept.next(),
-                    (_, Some(_)) => new.next(),
-                    (Some(_), None) => kept.next(),
-                    (None, None) => break,
-                };
-                data.extend(next.copied());
-            }
-            offsets.push(to_u32(data.len()));
-        }
         Rows { offsets, data }
     }
 
@@ -615,9 +585,6 @@ pub type GlobalFlow = (FuncId, ValueId, TermId);
 pub struct ModuleSeg {
     /// Per-function SEG, indexed by `FuncId`.
     pub segs: Vec<Seg>,
-    /// Call sites of each function, a row per callee `FuncId`:
-    /// `(caller, site)` in ascending order.
-    callers: Rows<(FuncId, InstId)>,
     /// The source index: every site of each [`SiteKind`], a row per
     /// kind, `(function, site)` in ascending order.
     sources: Vec<Vec<(FuncId, SourceSite)>>,
@@ -659,12 +626,12 @@ impl ModuleSeg {
     ///
     /// `reuse` provides an edit's previous graphs plus the functions that
     /// must be rebuilt. Every other graph stays where it is, with its
-    /// rows of the callers, source and global-channel indexes and its
-    /// share of the totals; the rebuilt functions' entries are taken out
-    /// of each and their new ones put in. A kept graph keeps the callee
-    /// ids it was built with, so the old build's module must have had the
-    /// same functions in the same order. A build is a splice into nothing
-    /// of every function.
+    /// rows of the source and global-channel indexes and its share of the
+    /// totals; the rebuilt functions' entries are taken out of each and
+    /// their new ones put in. A kept graph keeps the callee ids it was
+    /// built with, so the old build's module must have had the same
+    /// functions in the same order. A build is a splice into nothing of
+    /// every function.
     pub fn build_reusing(
         module: &Module,
         arena: &mut TermArena,
@@ -754,26 +721,28 @@ impl ModuleSeg {
             row.sort_by_key(|&(f, s)| (f, s.site));
             row.shrink_to_fit();
         }
-        // The rebuilt functions' call sites, grouped by callee: each row
-        // comes out sorted by `(caller, site)`, and so does its merge with
-        // the kept sites of the previous row.
-        let (mut targets, mut sites) = (Vec::new(), Vec::new());
-        for &fid in &rebuilt {
-            for call in out.segs[fid.0 as usize].call_sites() {
-                targets.push(call.callee);
-                sites.push((fid, call.site));
-            }
-        }
-        let fresh = Rows::group(n, &sites, |i| targets[i].0 as usize);
-        out.callers = out
-            .callers
-            .merged(fresh, |&(f, _)| !is_rebuilt[f.0 as usize]);
         out
     }
 
-    /// The call sites of `f`: `(caller, site)` in ascending order.
-    pub fn callers(&self, f: FuncId) -> &[(FuncId, InstId)] {
-        self.callers.row(f.0 as usize)
+    /// The call sites of `f`, read through `cg`, the call graph of the
+    /// module these graphs are of: `(caller, site)` in ascending order,
+    /// each of `f`'s callers then its calls of `f` in site order. Empty
+    /// for an id past the end.
+    pub fn callers<'a>(
+        &'a self,
+        cg: &'a CallGraph,
+        f: FuncId,
+    ) -> impl Iterator<Item = (FuncId, InstId)> + 'a {
+        let callers = match self.segs.get(f.0 as usize) {
+            Some(_) => cg.callers(f),
+            None => &[],
+        };
+        callers.iter().flat_map(move |&caller| {
+            let calls = self.segs[caller.0 as usize].calls.iter();
+            calls
+                .filter(move |c| c.callee == f)
+                .map(move |c| (caller, c.site))
+        })
     }
 
     /// The sites of `kind` in every function: `(function, site)` in
@@ -797,32 +766,27 @@ impl ModuleSeg {
         &self.segs[f.0 as usize]
     }
 
-    /// Bytes of heap the per-function graphs and the callers index hold,
-    /// counted from table lengths: the Fig. 8 memory figure as a counter
-    /// that is the same for every thread count and allocator. The source
-    /// index is a checker's lookup table, not part of the graph, and is
-    /// not counted.
+    /// Bytes of heap the per-function graphs hold, counted from table
+    /// lengths: the Fig. 8 memory figure as a counter that is the same for
+    /// every thread count and allocator. The source index is a checker's
+    /// lookup table, not part of the graph, and is not counted.
     pub fn heap_bytes(&self) -> usize {
-        self.segs.len() * size_of::<Seg>() + self.graph_bytes + self.callers.heap_bytes()
+        self.segs.len() * size_of::<Seg>() + self.graph_bytes
     }
 }
 
 #[cfg(test)]
 impl ModuleSeg {
-    /// These graphs with every module-level index and total recomputed
-    /// from the graphs and `pta` alone, in one pass over the module: the
-    /// reference [`ModuleSeg::build_reusing`]'s splice is tested against.
-    /// The source index has its own oracle (`spec::tests`) and is kept.
+    /// These graphs with the global-channel indexes and the totals
+    /// recomputed from the graphs and `pta` alone, in one pass over the
+    /// module: the reference [`ModuleSeg::build_reusing`]'s splice is
+    /// tested against. The source index has its own oracle
+    /// (`spec::tests`) and is kept.
     pub(crate) fn reindexed(self, module: &Module, pta: &[FuncPta]) -> Self {
-        let (mut targets, mut sites) = (Vec::new(), Vec::new());
         let mut global_stores: BTreeMap<GlobalId, Vec<GlobalFlow>> = BTreeMap::new();
         let mut global_loads: BTreeMap<GlobalId, Vec<GlobalFlow>> = BTreeMap::new();
         for (fid, _) in module.iter_funcs() {
             let i = fid.0 as usize;
-            for call in self.segs[i].call_sites() {
-                targets.push(call.callee);
-                sites.push((fid, call.site));
-            }
             for ga in &pta[i].global_stores {
                 let flows = global_stores.entry(ga.global).or_default();
                 flows.push((fid, ga.value, ga.cond));
@@ -842,7 +806,6 @@ impl ModuleSeg {
             })
             .collect();
         ModuleSeg {
-            callers: Rows::group(module.funcs.len(), &sites, |i| targets[i].0 as usize),
             global_stores,
             global_loads,
             global_store_values,
@@ -961,7 +924,8 @@ mod tests {
         assert_eq!(seg.arg_uses(a).len(), 1);
         assert_eq!(seg.arg_uses(a)[0].callee, gid);
         assert_eq!(seg.receivers().len(), 1);
-        assert_eq!(ms.callers(gid).len(), 1);
+        let cg = CallGraph::new(&m);
+        assert_eq!(ms.callers(&cg, gid).count(), 1);
         // Return index of g's returned param.
         let g = m.func(gid);
         let seg_g = ms.seg(gid);
@@ -1193,7 +1157,7 @@ mod tests {
         let took = start.elapsed();
         assert_eq!(ms.seg(chain).edge_count(), N);
         assert_eq!(vertices, N + 1);
-        assert_eq!(ms.callers(hub).len(), N);
+        assert_eq!(ms.callers(&CallGraph::new(&m), hub).count(), N);
         let p = m.func(big).params[0];
         assert_eq!(ms.seg(big).arg_uses(p).len(), N);
         assert_eq!(ms.seg(big).call_sites().count(), N);

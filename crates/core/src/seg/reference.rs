@@ -6,8 +6,8 @@
 
 use super::{EdgeKind, ModuleSeg, Seg, SegEdge};
 use pinpoint_ir::{
-    BlockId, Callee, Cfg, ControlDeps, DomTree, FuncId, Function, Gating, Inst, InstId, Module,
-    PostDomTree, Terminator, ValueId,
+    BlockId, CallGraph, Callee, Cfg, ControlDeps, DomTree, FuncId, Function, Gating, Inst, InstId,
+    Module, PostDomTree, Terminator, ValueId,
 };
 use pinpoint_pta::{FuncPta, Symbols};
 use pinpoint_smt::TermArena;
@@ -241,12 +241,15 @@ impl RefModule {
         what: &str,
     ) {
         assert_eq!(ms.segs.len(), self.segs.len(), "{what}: function count");
+        let cg = CallGraph::new(module);
         for (fid, f) in module.iter_funcs() {
             self.segs[fid.0 as usize].assert_matches(ms.seg(fid), f, what);
             let expected = self.callers.get(&fid).cloned().unwrap_or_default();
-            assert_eq!(ms.callers(fid), expected, "{what}: callers({})", f.name);
+            let callers: Vec<_> = ms.callers(&cg, fid).collect();
+            assert_eq!(callers, expected, "{what}: callers({})", f.name);
         }
-        assert!(ms.callers(FuncId(module.funcs.len() as u32)).is_empty());
+        let past_the_end = FuncId(module.funcs.len() as u32);
+        assert_eq!(ms.callers(&cg, past_the_end).count(), 0);
         let vertices: usize = self.segs.iter().map(RefSeg::vertex_count).sum();
         let edges: usize = self.segs.iter().map(|s| s.edge_count).sum();
         assert_eq!(

@@ -24,7 +24,9 @@
 //! ids.
 
 use crate::seg::{ModuleSeg, SiteKind};
-use pinpoint_ir::{intrinsics, Callee, FuncId, Function, Inst, InstId, Intrinsic, Module, ValueId};
+use pinpoint_ir::{
+    intrinsics, CallGraph, Callee, FuncId, Function, Inst, InstId, Intrinsic, Module, ValueId,
+};
 use std::fmt;
 
 /// The property a checker looks for.
@@ -239,7 +241,7 @@ impl<'a> ResolvedSpec<'a> {
     /// `(function, site)` ascending, the order a scan of the module
     /// meets them in (the tests keep that scan as
     /// `ResolvedSpec::reference_sources`).
-    pub fn sources(&self, segs: &ModuleSeg) -> Vec<(FuncId, SourceSite)> {
+    pub fn sources(&self, segs: &ModuleSeg, cg: &CallGraph) -> Vec<(FuncId, SourceSite)> {
         let callees = match &self.spec.source {
             SourceSpec::FreeArgument => return segs.source_sites(SiteKind::Freed).to_vec(),
             SourceSpec::NullConstant => return segs.source_sites(SiteKind::Null).to_vec(),
@@ -252,7 +254,7 @@ impl<'a> ResolvedSpec<'a> {
                 out.extend_from_slice(segs.source_sites(SiteKind::Received(intrinsic)));
                 continue;
             };
-            out.extend(segs.callers(f).iter().filter_map(|&(caller, site)| {
+            out.extend(segs.callers(cg, f).filter_map(|(caller, site)| {
                 let call = segs.seg(caller).call_site(site)?;
                 let value = *call.dsts.first()?;
                 Some((caller, SourceSite { value, site }))
@@ -364,17 +366,14 @@ pub fn sinks(kind: CheckerKind, module: &Module, f: &Function) -> Vec<SinkSite> 
 }
 
 /// Asserts that [`ResolvedSpec::sources`] gives what the scan gives, in
-/// the same order, on `module` and its SEGs for the built-in specs and
+/// the same order, on the artefact `a` for the built-in specs and
 /// for custom receiver specs naming a user function (one some call
 /// receives from), an intrinsic, and both with a name listed twice.
 /// Returns whether some function had sources in several blocks, the case
 /// in which only `(function, site)` order passes.
 #[cfg(test)]
-pub(crate) fn assert_source_index_matches_scan(
-    module: &Module,
-    segs: &ModuleSeg,
-    what: &str,
-) -> bool {
+pub(crate) fn assert_source_index_matches_scan(a: &crate::Analysis, what: &str) -> bool {
+    let module = &a.module;
     let user = module
         .iter_funcs()
         .flat_map(|(_, f)| f.iter_insts())
@@ -405,7 +404,8 @@ pub(crate) fn assert_source_index_matches_scan(
     for spec in &specs {
         let resolved = ResolvedSpec::new(spec, module);
         let scan = resolved.reference_sources(module);
-        assert_eq!(resolved.sources(segs), scan, "{what}: {}", spec.name);
+        let sources = resolved.sources(&a.segs, &a.callgraph);
+        assert_eq!(sources, scan, "{what}: {}", spec.name);
         several_blocks |= scan
             .windows(2)
             .any(|w| w[0].0 == w[1].0 && w[0].1.site.block != w[1].1.site.block);
@@ -505,7 +505,7 @@ mod tests {
         assert_eq!(paths.len(), 22, "corpus moved");
         for path in paths {
             let a = Analysis::from_source(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            assert_source_index_matches_scan(&a.module, &a.segs, &path.display().to_string());
+            assert_source_index_matches_scan(&a, &path.display().to_string());
         }
     }
 
@@ -530,11 +530,7 @@ mod tests {
              }",
         )
         .unwrap();
-        assert!(assert_source_index_matches_scan(
-            &a.module,
-            &a.segs,
-            "interleaved"
-        ));
+        assert!(assert_source_index_matches_scan(&a, "interleaved"));
     }
 
     #[test]
@@ -552,7 +548,7 @@ mod tests {
             });
             let a = Analysis::from_source(&src).unwrap();
             let what = format!("seed {seed}");
-            several_blocks |= assert_source_index_matches_scan(&a.module, &a.segs, &what);
+            several_blocks |= assert_source_index_matches_scan(&a, &what);
         }
         assert!(several_blocks, "no function has sources in several blocks");
     }

@@ -284,7 +284,8 @@ impl<A: Borrow<Analysis>> Workspace<A> {
         // a detection worker's: an overlay numbers them as a deep clone
         // would.
         let mut arena = TermArena::overlay(Arc::clone(&a.arena));
-        let reports = crate::leak::find_leaks(&a.module, &a.segs, &mut symbols, &mut arena);
+        let reports =
+            crate::leak::find_leaks(&a.module, &a.segs, &a.callgraph, &mut symbols, &mut arena);
         self.trace.close(span);
         self.detect_time += t0.elapsed();
         reports
@@ -374,13 +375,13 @@ impl<A: Borrow<Analysis>> Workspace<A> {
         m.counter_add("callgraph.max_callers", a.callgraph.max_callers() as u64);
         m.counter_add("keys.time_ns", s.keys_time.as_nanos() as u64);
         m.counter_add("pta.time_ns", s.pta_time.as_nanos() as u64);
-        s.pta.record_into(&mut m);
+        a.pta.total_stats().record_into(&mut m);
         m.counter_add("pta.final_passes", a.pta.final_passes() as u64);
         m.counter_add("seg.time_ns", s.seg_time.as_nanos() as u64);
-        m.counter_add("seg.vertices", s.seg_vertices as u64);
-        m.counter_add("seg.edges", s.seg_edges as u64);
-        m.counter_add("seg.bytes", s.seg_bytes as u64);
-        m.counter_add("seg.terms", s.terms as u64);
+        m.counter_add("seg.vertices", a.segs.vertex_count as u64);
+        m.counter_add("seg.edges", a.segs.edge_count as u64);
+        m.counter_add("seg.bytes", a.segs.heap_bytes() as u64);
+        m.counter_add("seg.terms", a.arena.len() as u64);
         // Always present (zero without a cache directory) so the exported
         // schema is shape-stable.
         m.counter_add("cache.hits", s.cache.hits);
@@ -1064,7 +1065,8 @@ fn main(c: bool) {
         let funcs = (0..a.module.funcs.len()).map(|i| pinpoint_ir::FuncId(i as u32));
         let rows: Vec<String> = funcs
             .map(|f| {
-                let (callers, stores) = (segs.callers(f), segs.global_store_values(f));
+                let callers: Vec<_> = segs.callers(&a.callgraph, f).collect();
+                let stores = segs.global_store_values(f);
                 format!("{f:?} callers {callers:?} stores {stores:?}")
             })
             .collect();
@@ -1137,7 +1139,7 @@ fn main(c: bool) {
                         };
                         assert_eq!(whole, want, "{at}");
                         let a = ws.analysis();
-                        crate::spec::assert_source_index_matches_scan(&a.module, &a.segs, &at);
+                        crate::spec::assert_source_index_matches_scan(a, &at);
                     }
                     (Err(got), Err(want)) => {
                         assert!(step.starts_with("error"), "{at}: {got}");

@@ -8,7 +8,10 @@
 //!   Chrome trace-event JSON (Perfetto-loadable);
 //! * [`metrics::MetricsRegistry`] — monotonic counters and log2
 //!   [`metrics::Histogram`]s under one dotted-name schema with a single
-//!   JSON serializer, superseding the per-crate ad-hoc `*Stats` structs;
+//!   JSON serializer: the export format, not the store. The per-crate
+//!   `PipelineStats`, `DetectStats`, `PtaStats`, `CacheStats` and
+//!   `WorkspaceCounters` remain; `Workspace::metrics` in `pinpoint-core`
+//!   translates them, and the sizes it reads from the artefact, into it;
 //! * [`attr`] — per-query solver attribution: each source→sink query the
 //!   detector evaluates carries an id and its DPLL(T) cost, aggregated
 //!   into a top-K "where did the time go" [`attr::ProfileTable`];

@@ -52,11 +52,6 @@ impl Andersen {
             .flatten()
             .copied()
     }
-
-    /// Total points-to facts (for memory accounting in the evaluation).
-    pub fn fact_count(&self) -> usize {
-        self.points_to.values().map(HashSet::len).sum()
-    }
 }
 
 /// Builds and solves the inclusion constraints of `module`.

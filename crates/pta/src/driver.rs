@@ -49,9 +49,6 @@ pub struct ModuleAnalysis {
     pub shapes: Vec<AuxShape>,
     /// Points-to result per function (indexed by `FuncId`).
     pub pta: Vec<FuncPta>,
-    /// The sum of every function's [`FuncPta::stats`], kept as functions
-    /// are spliced out and merged in.
-    totals: PtaStats,
 }
 
 impl ModuleAnalysis {
@@ -66,15 +63,15 @@ impl ModuleAnalysis {
         }
     }
 
-    /// Aggregated pruning statistics across all functions.
+    /// Aggregated pruning statistics across all functions: the sum of
+    /// their [`FuncPta::stats`].
     pub fn total_stats(&self) -> PtaStats {
-        self.totals
+        self.pta.iter().map(|p| p.stats).sum()
     }
 
-    /// Empties function `i`'s entries (shape and points-to result), taking
-    /// its counters out of the totals, before it is analysed again.
+    /// Empties function `i`'s entries (shape and points-to result) before
+    /// it is analysed again.
     pub(crate) fn clear(&mut self, i: usize) {
-        self.totals.sub(self.pta[i].stats);
         self.shapes[i] = AuxShape::default();
         self.pta[i] = FuncPta::default();
     }
@@ -264,7 +261,6 @@ fn merge_one(fid: FuncId, f: &Function, r: FuncResult, out: &mut ModuleAnalysis)
     for g in &mut func_pta.global_loads {
         g.cond = tr.translate(&r.arena, arena, g.cond);
     }
-    out.totals.add(func_pta.stats);
     out.shapes[fid.0 as usize] = r.shape;
     out.pta[fid.0 as usize] = func_pta;
 }

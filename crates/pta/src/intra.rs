@@ -73,21 +73,17 @@ pub struct PtaStats {
     pub linear_checks: u64,
 }
 
+impl std::iter::Sum for PtaStats {
+    fn sum<I: Iterator<Item = PtaStats>>(iter: I) -> Self {
+        iter.fold(PtaStats::default(), |acc, s| PtaStats {
+            pruned: acc.pruned + s.pruned,
+            kept: acc.kept + s.kept,
+            linear_checks: acc.linear_checks + s.linear_checks,
+        })
+    }
+}
+
 impl PtaStats {
-    /// Adds `other`'s counters to these.
-    pub(crate) fn add(&mut self, other: PtaStats) {
-        self.pruned += other.pruned;
-        self.kept += other.kept;
-        self.linear_checks += other.linear_checks;
-    }
-
-    /// Takes `other`'s counters, a part of these, out of them.
-    pub(crate) fn sub(&mut self, other: PtaStats) {
-        self.pruned -= other.pruned;
-        self.kept -= other.kept;
-        self.linear_checks -= other.linear_checks;
-    }
-
     /// Publishes the counters into the unified metrics registry under the
     /// `pta.` stage prefix.
     pub fn record_into(&self, metrics: &mut pinpoint_obs::MetricsRegistry) {
@@ -167,11 +163,6 @@ impl PointsTo {
             .filter(|(_, &(_, len))| len != 0)
             .map(|(i, &span)| (ValueId(i as u32), self.span(span)))
     }
-
-    /// Number of facts across all values.
-    pub fn fact_count(&self) -> usize {
-        self.spans.iter().map(|&(_, len)| len as usize).sum()
-    }
 }
 
 /// What a build keeps of one function's points-to analysis: what the SEG
@@ -184,9 +175,6 @@ pub struct FuncPta {
     pub global_stores: Vec<GlobalAccess>,
     /// Loads out of global cells.
     pub global_loads: Vec<GlobalAccess>,
-    /// Number of guarded points-to facts the pass ended with (the sets
-    /// themselves stay in its [`PassOutput`]).
-    pub pt_facts: usize,
     /// Prune statistics.
     pub stats: PtaStats,
 }
@@ -489,7 +477,6 @@ impl State<'_> {
             let dense: Vec<(ValueId, &[Fact])> = self.pt.iter().collect();
             assert_eq!(dense, expected, "dense points-to ≠ reference map");
         }
-        self.out.kept.pt_facts = self.pt.fact_count();
         self.out.kept.stats = self.pruner.stats;
         self.out.points_to = self.pt;
         self.out
@@ -991,7 +978,6 @@ mod table_tests {
             listed,
             [(ValueId(1), &[moved][..]), (ValueId(2), &[fact][..])]
         );
-        assert_eq!(t.fact_count(), 2);
         assert!(PointsTo::default().get(ValueId(0)).is_empty());
     }
 }

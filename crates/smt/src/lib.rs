@@ -15,7 +15,7 @@
 //!   VSIDS activities, Luby restarts);
 //! * [`theory`] — EUF congruence closure plus Fourier–Motzkin linear
 //!   integer arithmetic;
-//! * [`solver`] — query results, statistics and the Tseitin encoder;
+//! * [`solver`] — query results and the Tseitin encoder;
 //! * [`session`] — the lazy DPLL(T) loop combining the above, one
 //!   [`SmtSession`] per run of related queries.
 //!

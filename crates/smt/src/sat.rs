@@ -95,7 +95,8 @@ enum Reason {
     Clause(usize),
 }
 
-/// Aggregate statistics, used by the benchmark harness.
+/// Work counters since the solver was created; a session differences
+/// them into each query's cost.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SatStats {
     /// Number of decisions made.
@@ -107,8 +108,6 @@ pub struct SatStats {
     /// Number of clauses learned from conflict analysis (unit learnts
     /// included).
     pub learned: u64,
-    /// Number of restarts.
-    pub restarts: u64,
 }
 
 /// The CDCL solver.
@@ -520,7 +519,6 @@ impl SatSolver {
                     }
                 }
             } else if conflicts_since_restart >= restart_limit {
-                self.stats.restarts += 1;
                 restart_idx += 1;
                 restart_limit = 32 * Self::luby(restart_idx);
                 conflicts_since_restart = 0;
@@ -1161,7 +1159,6 @@ mod reference {
                         }
                     }
                 } else if conflicts_since_restart >= restart_limit {
-                    self.stats.restarts += 1;
                     restart_idx += 1;
                     restart_limit = 32 * Current::luby(restart_idx);
                     conflicts_since_restart = 0;

@@ -21,19 +21,26 @@
 //!   guard conjunction reuses its SAT variables and clauses outright.
 //!
 //! Determinism: given the same sequence of queries over the same arena,
-//! a session's answers, models, and statistics are identical — atom
+//! a session's answers, models, and query costs are identical — atom
 //! scans are ordered by [`TermId`], not hash-map order. The detection
 //! stage exploits this by running one session per source, so results are
 //! independent of how sources are scheduled across worker threads.
 
 use crate::sat::{BVar, Lit, SatResult as CoreResult};
-use crate::solver::{BoolModel, Encoder, SmtResult, SmtStats};
+use crate::solver::{BoolModel, Encoder, SmtResult};
 use crate::term::{Sort, TermArena, TermId, TermKind};
 use crate::theory::{check_conjunction, TheoryContext, TheoryLit, TheoryVerdict};
 use pinpoint_obs::QueryCost;
 use std::collections::HashSet;
 
 /// A persistent, assumption-based incremental SMT solver.
+///
+/// The session keeps no ledger across queries: what a query cost (SAT
+/// conflicts, decisions, propagations, learned clauses, DPLL(T) theory
+/// checks and conflicts, an exhausted round budget, wall time) is
+/// [`SmtSession::last_cost`], replaced by the next query. Callers that
+/// want totals add the costs up; the detection stage records one per
+/// query, and the `smt.*` metrics are sums of those records.
 ///
 /// # Examples
 ///
@@ -53,6 +60,8 @@ use std::collections::HashSet;
 /// let q2 = arena.and2(pos, x5);
 /// let mut s = SmtSession::new();
 /// assert_eq!(s.check(&arena, q1), SmtResult::Unsat);
+/// // Refuting `q1` took the arithmetic theory.
+/// assert!(s.last_cost.theory_conflicts > 0);
 /// // The session survives the Unsat answer and reuses the encoding of
 /// // `pos` for the next query.
 /// assert_eq!(s.check(&arena, q2), SmtResult::Sat);
@@ -64,8 +73,6 @@ pub struct SmtSession {
     /// bound conservatively answers `Sat` and counts in
     /// [`QueryCost::budget_exhausted`].
     pub max_rounds: u32,
-    /// Aggregate statistics across the session's queries.
-    pub stats: SmtStats,
     /// Cost of the most recent query (zeroed at the start of each check).
     pub last_cost: QueryCost,
 }
@@ -82,7 +89,6 @@ impl SmtSession {
         Self {
             enc: Encoder::new(),
             max_rounds: 10_000,
-            stats: SmtStats::default(),
             last_cost: QueryCost::default(),
         }
     }
@@ -115,32 +121,20 @@ impl SmtSession {
         formula: TermId,
     ) -> (SmtResult, BoolModel) {
         assert_eq!(arena.sort(formula), Sort::Bool, "SMT query must be boolean");
-        self.stats.queries += 1;
+        // The DPLL(T) loop counts theory checks and conflicts straight
+        // into the new cost; the SAT core's counters are differenced.
+        self.last_cost = QueryCost::default();
         let sat_before = self.enc.sat.stats;
-        let theory_checks_before = self.stats.theory_checks;
-        let theory_conflicts_before = self.stats.theory_conflicts;
         let started = std::time::Instant::now();
         let (result, model, exhausted) = self.check_inner(arena, formula);
         let sat_after = self.enc.sat.stats;
-        self.last_cost = QueryCost {
-            solver_ns: started.elapsed().as_nanos() as u64,
-            conflicts: sat_after.conflicts - sat_before.conflicts,
-            learned: sat_after.learned - sat_before.learned,
-            propagations: sat_after.propagations - sat_before.propagations,
-            decisions: sat_after.decisions - sat_before.decisions,
-            theory_checks: self.stats.theory_checks - theory_checks_before,
-            theory_conflicts: self.stats.theory_conflicts - theory_conflicts_before,
-            budget_exhausted: u64::from(exhausted),
-        };
-        self.stats.conflicts += self.last_cost.conflicts;
-        self.stats.learned += self.last_cost.learned;
-        self.stats.propagations += self.last_cost.propagations;
-        self.stats.decisions += self.last_cost.decisions;
-        self.stats.budget_exhausted += self.last_cost.budget_exhausted;
-        match result {
-            SmtResult::Sat => self.stats.sat += 1,
-            SmtResult::Unsat => self.stats.unsat += 1,
-        }
+        let cost = &mut self.last_cost;
+        cost.solver_ns = started.elapsed().as_nanos() as u64;
+        cost.conflicts = sat_after.conflicts - sat_before.conflicts;
+        cost.learned = sat_after.learned - sat_before.learned;
+        cost.propagations = sat_after.propagations - sat_before.propagations;
+        cost.decisions = sat_after.decisions - sat_before.decisions;
+        cost.budget_exhausted = u64::from(exhausted);
         (result, model)
     }
 
@@ -192,7 +186,7 @@ impl SmtSession {
                         .zip(&polarity)
                         .filter_map(|(&(_, bvar), value)| Some(Lit::new(bvar, !(*value)?)))
                         .collect();
-                    self.stats.theory_checks += 1;
+                    self.last_cost.theory_checks += 1;
                     let verdict = match &mut context {
                         Some(cx) => cx.check(&polarity),
                         None if rounds == 0 => {
@@ -221,7 +215,7 @@ impl SmtSession {
                             return (SmtResult::Sat, model, false);
                         }
                         TheoryVerdict::Conflict => {
-                            self.stats.theory_conflicts += 1;
+                            self.last_cost.theory_conflicts += 1;
                             if blocking.is_empty() {
                                 return (SmtResult::Unsat, Vec::new(), false);
                             }
@@ -328,8 +322,6 @@ mod tests {
             assert_eq!(s.check(&a, contradiction), SmtResult::Unsat);
             assert_eq!(s.check(&a, pos), SmtResult::Sat);
         }
-        assert_eq!(s.stats.sat, 3);
-        assert_eq!(s.stats.unsat, 3);
     }
 
     #[test]
@@ -365,14 +357,13 @@ mod tests {
         let q = a.and2(l, e);
         let mut s = SmtSession::new();
         assert_eq!(s.check(&a, q), SmtResult::Unsat);
-        let lemma_checks = s.stats.theory_checks;
-        assert!(lemma_checks > 0);
+        assert!(s.last_cost.theory_checks > 0);
         // The same contradiction re-queried: the blocking lemma from the
         // first query (or propositional learning) refutes the second
         // without new theory rounds.
         assert_eq!(s.check(&a, q), SmtResult::Unsat);
         assert_eq!(
-            s.stats.theory_checks, lemma_checks,
+            s.last_cost.theory_checks, 0,
             "second identical query must not re-enter the theory loop"
         );
     }
@@ -398,17 +389,15 @@ mod tests {
         assert_eq!(s.check(&a, q), SmtResult::Sat, "conservative answer");
         assert_eq!(s.last_cost.budget_exhausted, 1);
         assert_eq!(s.last_cost.theory_checks, 3);
-        assert_eq!(s.stats.budget_exhausted, 1);
         // The flag is per query: a query that finishes clears it.
         let p = a.var("p", Sort::Bool);
         assert_eq!(s.check(&a, p), SmtResult::Sat);
         assert_eq!(s.last_cost.budget_exhausted, 0);
-        assert_eq!(s.stats.budget_exhausted, 1);
         // With the default budget the same query is refuted.
         let mut full = SmtSession::new();
         assert_eq!(full.check(&a, q), SmtResult::Unsat);
         assert!(full.last_cost.theory_checks > 3);
-        assert_eq!(full.stats.budget_exhausted, 0);
+        assert_eq!(full.last_cost.budget_exhausted, 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Query results, solver statistics and the Tseitin encoder of the lazy
+//! Query results and the Tseitin encoder of the lazy
 //! DPLL(T) solver used at Pinpoint's bug-detection stage.
 //!
 //! Path conditions harvested from the symbolic expression graph are boolean
@@ -22,33 +22,6 @@ pub enum SmtResult {
     Sat,
     /// The formula is unsatisfiable.
     Unsat,
-}
-
-/// Statistics recorded across all queries of one
-/// [`SmtSession`](crate::SmtSession).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SmtStats {
-    /// Number of `check` queries answered.
-    pub queries: u64,
-    /// Queries answered `Sat`.
-    pub sat: u64,
-    /// Queries answered `Unsat`.
-    pub unsat: u64,
-    /// Theory-consistency checks performed across all queries.
-    pub theory_checks: u64,
-    /// Blocking clauses added (propositional models refuted by theories).
-    pub theory_conflicts: u64,
-    /// CDCL conflicts across all queries' SAT cores.
-    pub conflicts: u64,
-    /// Clauses learned across all queries' SAT cores.
-    pub learned: u64,
-    /// Unit propagations across all queries' SAT cores.
-    pub propagations: u64,
-    /// Branching decisions across all queries' SAT cores.
-    pub decisions: u64,
-    /// Queries answered `Sat` only because they ran out of DPLL(T)
-    /// rounds (`max_rounds`).
-    pub budget_exhausted: u64,
 }
 
 /// A witness assignment for the boolean variables of a satisfiable query,
@@ -215,8 +188,8 @@ mod tests {
         let f_sat = a.and2(lr, x12);
         let mut s = solver();
         assert_eq!(s.check(&a, f_unsat), SmtResult::Unsat);
+        assert!(s.last_cost.theory_conflicts > 0, "needed theory refutation");
         assert_eq!(s.check(&a, f_sat), SmtResult::Sat);
-        assert!(s.stats.theory_conflicts > 0, "needed theory refutation");
     }
 
     #[test]
@@ -266,7 +239,12 @@ mod tests {
         let mut s = solver();
         assert_eq!(s.check(&a, t), SmtResult::Sat);
         assert_eq!(s.check(&a, f), SmtResult::Unsat);
-        assert_eq!(s.stats.queries, 2);
+        // Neither reached the SAT core or the theories.
+        let cost = s.last_cost;
+        assert_eq!(
+            (cost.decisions, cost.propagations, cost.theory_checks),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -302,20 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
-        let mut a = TermArena::new();
-        let p = a.var("p", Sort::Bool);
-        let np = a.not(p);
-        let f = a.and2(p, np);
-        let mut s = solver();
-        let _ = s.check(&a, f);
-        let _ = s.check(&a, p);
-        assert_eq!(s.stats.queries, 2);
-        assert_eq!(s.stats.sat, 1);
-        assert_eq!(s.stats.unsat, 1);
-    }
-
-    #[test]
     fn last_cost_is_per_query() {
         let mut a = TermArena::new();
         let x = a.var("x", Sort::Int);
@@ -337,7 +301,5 @@ mod tests {
         assert_eq!(s.check(&a, t), SmtResult::Sat);
         assert_eq!(s.last_cost.theory_checks, 0);
         assert_eq!(s.last_cost.decisions, 0);
-        // Aggregates keep the totals.
-        assert_eq!(s.stats.theory_checks, hard_cost.theory_checks);
     }
 }

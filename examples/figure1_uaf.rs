@@ -90,9 +90,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     assert_eq!(reports.len(), 1, "exactly the Fig. 1 bug");
+    let pta = analysis.pta.total_stats();
     println!(
         "\nquasi path-sensitive pruning at the points-to stage: {} facts pruned, {} kept",
-        analysis.stats.pta.pruned, analysis.stats.pta.kept
+        pta.pruned, pta.kept
     );
     Ok(())
 }

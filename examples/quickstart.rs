@@ -39,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "analysed {} functions / {} instructions ({} SEG edges, {} terms)\n",
         analysis.module.funcs.len(),
         analysis.module.inst_count(),
-        analysis.stats.seg_edges,
-        analysis.stats.terms,
+        analysis.segs.edge_count,
+        analysis.arena.len(),
     );
 
     // A session is a workspace borrowing the artefact: it answers

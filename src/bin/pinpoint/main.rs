@@ -433,17 +433,18 @@ fn stats_cmd(source: &str, args: &[String]) -> Result<bool, CliError> {
     println!("functions:        {}", analysis.module.funcs.len());
     println!("instructions:     {}", analysis.module.inst_count());
     println!("threads:          {}", analysis.threads());
-    println!("SEG vertices:     {}", s.seg_vertices);
-    println!("SEG edges:        {}", s.seg_edges);
-    println!("SEG bytes:        {}", s.seg_bytes);
-    println!("terms:            {}", s.terms);
+    let (segs, pta) = (&analysis.segs, analysis.pta.total_stats());
+    println!("SEG vertices:     {}", segs.vertex_count);
+    println!("SEG edges:        {}", segs.edge_count);
+    println!("SEG bytes:        {}", segs.heap_bytes());
+    println!("terms:            {}", analysis.arena.len());
     println!("frontend time:    {:?}", s.front_time);
     println!("pta time:         {:?}", s.pta_time);
     println!("seg time:         {:?}", s.seg_time);
     println!("detect time:      {:?}", s.detect_time);
-    println!("linear checks:    {}", s.pta.linear_checks);
+    println!("linear checks:    {}", pta.linear_checks);
     println!("final passes:     {}", analysis.pta.final_passes());
-    println!("linear pruned:    {}", s.pta.pruned);
+    println!("linear pruned:    {}", pta.pruned);
     println!("search visited:   {}", s.detect.visited);
     println!("candidates:       {}", s.detect.candidates);
     println!("SMT-refuted:      {}", s.detect.refuted);

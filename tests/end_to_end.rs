@@ -140,7 +140,7 @@ fn stats_are_consistent() {
         s.detect.reports + s.detect.refuted,
         "every candidate is either reported or refuted"
     );
-    assert!(s.seg_edges > 0);
-    assert!(s.terms > 0);
-    assert!(analysis.structural_bytes() > 0);
+    assert!(analysis.segs.edge_count > 0);
+    assert!(analysis.segs.heap_bytes() > 0);
+    assert!(!analysis.arena.is_empty());
 }

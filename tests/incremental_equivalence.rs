@@ -304,7 +304,7 @@ fn workspace_updates_byte_identical_across_seeded_edits() {
                 render_reports(&cold),
                 "{name} at {threads} threads, prune={prune} must be byte-identical"
             );
-            let (w, c) = (ws.stats().pta, cold.stats.pta);
+            let (w, c) = (ws.analysis().pta.total_stats(), cold.pta.total_stats());
             assert_eq!(
                 (w.pruned, w.kept, w.linear_checks),
                 (c.pruned, c.kept, c.linear_checks),

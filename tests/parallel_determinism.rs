@@ -286,9 +286,8 @@ fn stage_statistics_identical_across_thread_counts() {
     };
     let a1 = build(1);
     let a4 = build(4);
-    assert_eq!(a1.stats.seg_vertices, a4.stats.seg_vertices);
-    assert_eq!(a1.stats.seg_edges, a4.stats.seg_edges);
-    assert_eq!(a1.stats.seg_bytes, a4.stats.seg_bytes);
-    assert_eq!(a1.stats.terms, a4.stats.terms);
-    assert_eq!(a1.structural_bytes(), a4.structural_bytes());
+    assert_eq!(a1.segs.vertex_count, a4.segs.vertex_count);
+    assert_eq!(a1.segs.edge_count, a4.segs.edge_count);
+    assert_eq!(a1.segs.heap_bytes(), a4.segs.heap_bytes());
+    assert_eq!(a1.arena.len(), a4.arena.len());
 }
